@@ -1,10 +1,13 @@
 //! Feature-vector throughput: `gen_fvs` on the legacy
 //! render-and-tokenize-per-feature path vs the token-profile path
-//! (pre-tokenized sorted-id columns + rendered-value cache). Emits
-//! `BENCH_fv.json` with pairs/sec for both modes and the speedup — the
-//! repo's first recorded benchmark baseline.
+//! (per-tuple token / tf·idf / char columns + rendered-value cache), and
+//! where the token-profile path spends its time: the matching feature set
+//! re-run one similarity measure at a time. Emits `BENCH_fv.json` with the
+//! host's parallelism, pairs/sec for both modes and the per-measure
+//! breakdown. A per-layer history file: `benchmark/` is what performance
+//! claims are measured with.
 
-use falcon::core::features::generate_features;
+use falcon::core::features::{generate_features, FeatureSet};
 use falcon::core::ops::gen_fvs::{gen_fvs_with, FvMode};
 use falcon::prelude::*;
 use falcon::table::IdPair;
@@ -48,11 +51,13 @@ fn main() {
         seed,
     );
 
+    let nproc = std::thread::available_parallelism().map_or(1, usize::from);
     title(&format!(
-        "gen_fvs throughput: {name} {}x{} tuples, {} pairs, {runs} runs",
+        "gen_fvs throughput: {name} {}x{} tuples, {} pairs, {runs} runs, nproc {nproc}, {} cluster threads",
         d.a.len(),
         d.b.len(),
         pairs.len(),
+        cluster.threads(),
     ));
 
     let mut sections = Vec::new();
@@ -107,10 +112,65 @@ fn main() {
         ));
     }
 
+    // Where the token-profile path spends its time: the matching set, one
+    // measure (all of its features) at a time. Shares are of the summed
+    // per-measure walls; each run repeats the profile build for its
+    // columns, as a stage over only that measure would.
+    let mut by_measure: Vec<(String, usize, f64)> = Vec::new();
+    for f in &lib.matching.features {
+        let measure = f.sim.name();
+        if by_measure.iter().any(|(m, _, _)| *m == measure) {
+            continue;
+        }
+        let only = FeatureSet {
+            features: lib
+                .matching
+                .features
+                .iter()
+                .filter(|g| g.sim == f.sim)
+                .cloned()
+                .collect(),
+        };
+        let wall: Vec<f64> = (0..runs)
+            .map(|_| {
+                let t0 = Instant::now();
+                gen_fvs_with(&cluster, &d.a, &d.b, &pairs, &only, FvMode::TokenProfile)
+                    .expect("gen_fvs");
+                t0.elapsed().as_secs_f64()
+            })
+            .collect();
+        by_measure.push((measure, only.len(), mean(&wall)));
+    }
+    by_measure.sort_by(|x, y| y.2.total_cmp(&x.2));
+    let total: f64 = by_measure.iter().map(|(_, _, w)| w).sum();
+    println!("\nmatching feature set by measure (token-profile mode):");
+    println!(
+        "{:<24} {:>8} {:>11} {:>7}",
+        "measure", "features", "mean wall", "share"
+    );
+    for (measure, n, wall) in &by_measure {
+        println!(
+            "{measure:<24} {n:>8} {:>9.1}ms {:>6.1}%",
+            wall * 1e3,
+            100.0 * wall / total
+        );
+    }
+    let measures: Vec<String> = by_measure
+        .iter()
+        .map(|(measure, n, wall)| {
+            format!(
+                "    {{ \"measure\": \"{measure}\", \"features\": {n}, \"mean_wall_secs\": {wall:.6}, \"share\": {:.4} }}",
+                wall / total
+            )
+        })
+        .collect();
+
     let json = format!(
-        "{{\n  \"bench\": \"fv_throughput\",\n  \"dataset\": \"{name}\",\n  \"scale\": {scale},\n  \"runs\": {runs},\n  \"pairs\": {},\n{},\n  \"bit_identical\": true\n}}\n",
+        "{{\n  \"bench\": \"fv_throughput\",\n  \"dataset\": \"{name}\",\n  \"scale\": {scale},\n  \"runs\": {runs},\n  \"nproc\": {nproc},\n  \"cluster_threads\": {},\n  \"pairs\": {},\n{},\n  \"matching_by_measure\": [\n{}\n  ],\n  \"bit_identical\": true\n}}\n",
+        cluster.threads(),
         pairs.len(),
         sections.join(",\n"),
+        measures.join(",\n"),
     );
     std::fs::write("BENCH_fv.json", &json).expect("write BENCH_fv.json");
     println!("\nwrote BENCH_fv.json");

@@ -8,7 +8,7 @@
 //! from the blocking feature set (too slow / unfilterable for blocking).
 
 use falcon_table::{AttrCharacteristic, Table, TableProfile, Tuple, TupleId, Value, ValueRef};
-use falcon_textsim::{sets, SimContext, SimFunction, Tokenizer};
+use falcon_textsim::{hybrid, sets, tfidf, SimContext, SimFunction, SimScratch, Tokenizer};
 use serde::{Deserialize, Serialize};
 
 /// One feature: a similarity function applied to an attribute
@@ -36,9 +36,16 @@ impl Feature {
     /// this feature's attributes and tuples, the pre-tokenized fast path is
     /// taken; otherwise this falls back to rendering and tokenizing on the
     /// fly. Both paths are bit-identical (enforced by the
-    /// `fv_equivalence` property test).
-    pub fn compute(&self, a: &Tuple, b: &Tuple, ctx: &SimContext<'_>) -> f64 {
-        if let Some(v) = self.compute_profiled(a.id, b.id, ctx) {
+    /// `fv_equivalence` property test). `scratch` lends the kernels their
+    /// working buffers; it must only ever serve `ctx.dict`.
+    pub fn compute(
+        &self,
+        a: &Tuple,
+        b: &Tuple,
+        ctx: &SimContext<'_>,
+        scratch: &mut SimScratch,
+    ) -> f64 {
+        if let Some(v) = self.compute_profiled(a.id, b.id, ctx, scratch) {
             return v;
         }
         let av = a.value(self.a_idx);
@@ -58,8 +65,9 @@ impl Feature {
         aid: TupleId,
         bid: TupleId,
         ctx: &SimContext<'_>,
+        scratch: &mut SimScratch,
     ) -> f64 {
-        if let Some(v) = self.compute_profiled(aid, bid, ctx) {
+        if let Some(v) = self.compute_profiled(aid, bid, ctx, scratch) {
             return v;
         }
         let av = a.value_ref(aid, self.a_idx).unwrap_or(ValueRef::Null);
@@ -71,7 +79,13 @@ impl Feature {
     /// the string path" — when profiles are absent or do not cover this
     /// feature's columns or tuples; numeric measures (other than
     /// `ExactMatch`) never render, so they always use the direct path.
-    fn compute_profiled(&self, a_id: TupleId, b_id: TupleId, ctx: &SimContext<'_>) -> Option<f64> {
+    fn compute_profiled(
+        &self,
+        a_id: TupleId,
+        b_id: TupleId,
+        ctx: &SimContext<'_>,
+        scratch: &mut SimScratch,
+    ) -> Option<f64> {
         let (ap, bp) = (ctx.a_profile?, ctx.b_profile?);
         if self.sim.is_numeric() && !matches!(self.sim, SimFunction::ExactMatch) {
             return None;
@@ -85,27 +99,56 @@ impl Feature {
         if ar.is_empty() || br.is_empty() {
             return Some(f64::NAN);
         }
-        match self.sim {
-            SimFunction::Jaccard(t) => Some(sets::jaccard_ids(
+        let cached = self.score_cached(a_id, b_id, ctx, scratch);
+        // A measure whose column is missing (a profile built for another
+        // feature set, TF/IDF without a model) still reuses the cached
+        // rendered strings instead of re-rendering.
+        Some(cached.unwrap_or_else(|| self.sim.score_str(ar, br, ctx).unwrap_or(f64::NAN)))
+    }
+
+    /// Score two non-missing values from the per-tuple caches alone;
+    /// `None` when a column this measure reads was not profiled.
+    fn score_cached(
+        &self,
+        a_id: TupleId,
+        b_id: TupleId,
+        ctx: &SimContext<'_>,
+        scratch: &mut SimScratch,
+    ) -> Option<f64> {
+        let (ap, bp) = (ctx.a_profile?, ctx.b_profile?);
+        let tokens = |t| {
+            Some((
                 ap.tokens(self.a_idx, t, a_id)?,
                 bp.tokens(self.b_idx, t, b_id)?,
-            )),
-            SimFunction::Dice(t) => Some(sets::dice_ids(
-                ap.tokens(self.a_idx, t, a_id)?,
-                bp.tokens(self.b_idx, t, b_id)?,
-            )),
-            SimFunction::Overlap(t) => Some(sets::overlap_ids(
-                ap.tokens(self.a_idx, t, a_id)?,
-                bp.tokens(self.b_idx, t, b_id)?,
-            )),
-            SimFunction::Cosine(t) => Some(sets::cosine_ids(
-                ap.tokens(self.a_idx, t, a_id)?,
-                bp.tokens(self.b_idx, t, b_id)?,
-            )),
-            // Edit/hybrid/TF-IDF measures still run their own algorithm but
-            // reuse the cached rendered strings instead of re-rendering.
-            _ => Some(self.sim.score_str(ar, br, ctx).unwrap_or(f64::NAN)),
-        }
+            ))
+        };
+        let weights = || Some((ap.weights(self.a_idx, a_id)?, bp.weights(self.b_idx, b_id)?));
+        Some(match self.sim {
+            SimFunction::Jaccard(t) => tokens(t).map(|(x, y)| sets::jaccard_ids(x, y))?,
+            SimFunction::Dice(t) => tokens(t).map(|(x, y)| sets::dice_ids(x, y))?,
+            SimFunction::Overlap(t) => tokens(t).map(|(x, y)| sets::overlap_ids(x, y))?,
+            SimFunction::Cosine(t) => tokens(t).map(|(x, y)| sets::cosine_ids(x, y))?,
+            SimFunction::MongeElkan => hybrid::monge_elkan_ids(
+                ap.token_seq(self.a_idx, a_id)?,
+                bp.token_seq(self.b_idx, b_id)?,
+                ctx.dict?,
+                scratch,
+            ),
+            // A value without word tokens has no TF/IDF score: missing.
+            SimFunction::TfIdf => {
+                let (x, y) = weights()?;
+                tfidf::cosine_weights(x, y).unwrap_or(f64::NAN)
+            }
+            SimFunction::SoftTfIdf => {
+                let (x, y) = weights()?;
+                tfidf::soft_cosine_weights(x, y, 0.9, ctx.dict?, scratch).unwrap_or(f64::NAN)
+            }
+            sim => sim.score_syms(
+                ap.syms(self.a_idx, a_id)?,
+                bp.syms(self.b_idx, b_id)?,
+                scratch,
+            )?,
+        })
     }
 }
 
@@ -159,8 +202,17 @@ impl FeatureSet {
     }
 
     /// Compute the full feature vector for one pair.
-    pub fn vector(&self, a: &Tuple, b: &Tuple, ctx: &SimContext<'_>) -> Vec<f64> {
-        self.features.iter().map(|f| f.compute(a, b, ctx)).collect()
+    pub fn vector(
+        &self,
+        a: &Tuple,
+        b: &Tuple,
+        ctx: &SimContext<'_>,
+        scratch: &mut SimScratch,
+    ) -> Vec<f64> {
+        self.features
+            .iter()
+            .map(|f| f.compute(a, b, ctx, scratch))
+            .collect()
     }
 
     /// Compute the full feature vector for one pair of tuple ids,
@@ -173,10 +225,11 @@ impl FeatureSet {
         aid: TupleId,
         bid: TupleId,
         ctx: &SimContext<'_>,
+        scratch: &mut SimScratch,
     ) -> Vec<f64> {
         self.features
             .iter()
-            .map(|f| f.compute_at(a, b, aid, bid, ctx))
+            .map(|f| f.compute_at(a, b, aid, bid, ctx, scratch))
             .collect()
     }
 }
@@ -367,7 +420,9 @@ mod tests {
         let (a, b) = tables();
         let lib = generate_features(&a, &b);
         let ctx = SimContext::empty();
-        let fv = lib.matching.vector(&a.rows()[0], &b.rows()[0], &ctx);
+        let fv = lib
+            .matching
+            .vector(&a.rows()[0], &b.rows()[0], &ctx, &mut SimScratch::new());
         assert_eq!(fv.len(), lib.matching.len());
         // Identical tuples: all similarity-oriented features should be 1 or
         // 0-distance.

@@ -691,7 +691,7 @@ mod tests {
         let mut fast = BuiltIndexes::new();
         let (a_spec, _) = crate::tokens::requirements(&lib.blocking.features);
         let mut dict = falcon_textsim::TokenDict::new();
-        let profile = crate::tokens::build_profile_seq(&a, &a_spec, &mut dict);
+        let profile = crate::tokens::build_profile_seq(&a, &a_spec, None, &mut dict);
         fast.set_profile(profile, dict);
         fast.build_order(&cluster(), &a, "title", tok)
             .expect("order");

@@ -7,7 +7,8 @@ use crate::fv::FvSet;
 use crate::tokens::{build_pair_profiles_par, PairProfiles};
 use falcon_dataflow::{run_map_only, Cluster, ClusterConfig, JobStats};
 use falcon_table::{IdPair, Table};
-use falcon_textsim::{SimContext, SimFunction, TfIdfModel};
+use falcon_textsim::tfidf::TfIdfBuilder;
+use falcon_textsim::{SimContext, SimFunction, SimScratch, TfIdfModel};
 use std::time::Duration;
 
 /// How `gen_fvs` evaluates features.
@@ -51,20 +52,20 @@ impl GenFvsOutput {
 /// features require one. The model is built over the union of both tables'
 /// values of the TF/IDF features' attributes.
 pub fn tfidf_model_for(features: &FeatureSet, a: &Table, b: &Table) -> Option<TfIdfModel> {
-    let needs: Vec<&crate::features::Feature> = features
+    let mut needs = features
         .features
         .iter()
         .filter(|f| matches!(f.sim, SimFunction::TfIdf | SimFunction::SoftTfIdf))
-        .collect();
-    if needs.is_empty() {
-        return None;
-    }
-    let mut docs: Vec<String> = Vec::new();
+        .peekable();
+    needs.peek()?;
+    // Values stream from the column scans into the document counts; the
+    // corpus is never materialized.
+    let mut corpus = TfIdfBuilder::default();
     for f in needs {
-        a.for_each_rendered(f.a_idx, |_, s| docs.push(s.to_string()));
-        b.for_each_rendered(f.b_idx, |_, s| docs.push(s.to_string()));
+        a.for_each_rendered(f.a_idx, |_, s| corpus.add(s));
+        b.for_each_rendered(f.b_idx, |_, s| corpus.add(s));
     }
-    Some(TfIdfModel::build(docs.iter().map(String::as_str)))
+    Some(corpus.finish())
 }
 
 /// Run `gen_fvs` over `pairs` in the default [`FvMode::TokenProfile`].
@@ -125,38 +126,48 @@ pub fn gen_fvs_with(
                 a,
                 b,
                 &features.features,
+                tfidf.as_ref(),
                 Some(&a_mask),
                 Some(&b_mask),
             )?)
         }
     };
+    // Each split lends one chunk of `pairs` as a single record, so a map
+    // task scores its chunk through one `SimScratch` (DP rows, Jaro
+    // buffers, the token-pair Jaro-Winkler memo). The scratch lives and
+    // dies with the task attempt: it never meets another run's
+    // `TokenDict`, and a retried or speculative attempt starts cold —
+    // which cannot matter, no score depends on what the memo holds. The
+    // scoped dataflow workers borrow the pair list, tables, features and
+    // profiles directly — no per-job copies.
     let n_splits = cluster.threads() * 2;
     let chunk = pairs.len().div_ceil(n_splits.max(1)).max(1);
-    let splits: Vec<Vec<IdPair>> = pairs.chunks(chunk).map(<[IdPair]>::to_vec).collect();
-    // The scoped dataflow workers borrow the tables, features, and
-    // profiles directly — no per-job Arc clones.
-    let out = run_map_only(cluster, splits, |&(aid, bid): &IdPair, out| {
+    let splits: Vec<Vec<&[IdPair]>> = pairs.chunks(chunk).map(|c| vec![c]).collect();
+    let mut out = run_map_only(cluster, splits, |pair_chunk: &&[IdPair], out| {
         let mut ctx = match &tfidf {
             Some(m) => SimContext::with_tfidf(m),
             None => SimContext::empty(),
         };
         if let Some(p) = &profiles {
-            ctx = ctx.with_profiles(&p.a, &p.b);
+            ctx = ctx.with_profiles(&p.a, &p.b, &p.dict);
         }
-        // Ids were validated above; skip (rather than crash a worker) if
-        // the invariant is somehow violated.
-        if aid as usize >= a.len() || bid as usize >= b.len() {
-            return;
+        let mut scratch = SimScratch::new();
+        out.reserve(pair_chunk.len());
+        for &(aid, bid) in *pair_chunk {
+            out.push(features.vector_at(a, b, aid, bid, &ctx, &mut scratch));
         }
-        out.push(((aid, bid), features.vector_at(a, b, aid, bid, &ctx)));
     })?;
-    let mut fvs = FvSet::default();
-    for (pair, fv) in out.output {
-        fvs.pairs.push(pair);
-        fvs.fvs.push(fv);
-    }
+    // Chunk-as-record wrapping counted chunks; restore the true count.
+    out.stats.input_records = pairs.len();
+    // Tasks emit exactly one vector per pair and the job concatenates
+    // task outputs in split order, so the vectors align with `pairs` and
+    // move into the result without re-buffering.
+    debug_assert_eq!(out.output.len(), pairs.len());
     Ok(GenFvsOutput {
-        fvs,
+        fvs: FvSet {
+            pairs: pairs.to_vec(),
+            fvs: out.output,
+        },
         stats: out.stats,
         prep_stats: profiles.map(|p| p.stats).unwrap_or_default(),
     })

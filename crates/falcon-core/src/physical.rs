@@ -38,7 +38,7 @@ use falcon_dataflow::{run_map_only, run_map_reduce, Cluster, DataflowError, Emit
 use falcon_index::spec::Candidates;
 use falcon_index::{CandidateBitmap, PredicateIndex, ProbeMode, ProbeStats};
 use falcon_table::{IdPair, Table, TupleId};
-use falcon_textsim::SimContext;
+use falcon_textsim::{SimContext, SimScratch};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -326,7 +326,8 @@ impl PairEvaluator {
     /// over up to `|A| × |B|` evaluations).
     pub fn new(a: &Table, b: &Table, features: &FeatureSet, seq: &RuleSequence) -> Self {
         let needed: Vec<usize> = seq.features().into_iter().collect();
-        let profiles = build_pair_profiles_seq(a, b, needed.iter().map(|&i| features.get(i)));
+        // Blocking rules never reference a TF/IDF measure: no corpus model.
+        let profiles = build_pair_profiles_seq(a, b, needed.iter().map(|&i| features.get(i)), None);
         Self {
             a: a.clone(),
             b: b.clone(),
@@ -352,12 +353,16 @@ impl PairEvaluator {
         if aid as usize >= self.a.len() || bid as usize >= self.b.len() {
             return false;
         }
-        let ctx = SimContext::empty().with_profiles(&self.profiles.a, &self.profiles.b);
+        let p = &self.profiles;
+        let ctx = SimContext::empty().with_profiles(&p.a, &p.b, &p.dict);
+        // Allocates nothing up front; blocking measures only ever borrow
+        // its DP rows (Levenshtein).
+        let mut scratch = SimScratch::new();
         fv.clear();
         fv.resize(self.arity, f64::NAN);
         for &i in &self.needed {
             let f = self.features.get(i);
-            fv[i] = f.compute_at(&self.a, &self.b, aid, bid, &ctx);
+            fv[i] = f.compute_at(&self.a, &self.b, aid, bid, &ctx, &mut scratch);
         }
         self.seq.keeps(fv)
     }

@@ -2,12 +2,14 @@
 //! ([`falcon_textsim::TokenProfile`]).
 //!
 //! [`requirements`] inspects a feature set and derives, per side, which
-//! attributes need a rendered-value cache and which `(attribute,
-//! tokenizer)` columns need pre-tokenization. [`build_pair_profiles_par`]
-//! then tokenizes each needed column **once per tuple** with a parallel
-//! map-only job (optionally restricted to the tuples a pair list actually
-//! references), interning tokens into one [`TokenDict`] shared by both
-//! tables so equal strings compare as equal `u32` ids across sides.
+//! attributes need a rendered-value cache, which `(attribute,
+//! tokenizer)` columns need pre-tokenization, and which attributes need
+//! the matching-only caches (word-token sequences, tf·idf vectors,
+//! decoded chars). [`build_pair_profiles_par`] then builds each needed
+//! column **once per tuple** with a parallel map-only job (optionally
+//! restricted to the tuples a pair list actually references), interning
+//! tokens into one [`TokenDict`] shared by both tables so equal strings
+//! compare as equal `u32` ids across sides.
 //!
 //! Determinism: map output is re-sorted by tuple id and interned
 //! sequentially (A side first, then B), so dictionary ids — and therefore
@@ -17,7 +19,12 @@ use crate::error::FalconError;
 use crate::features::Feature;
 use falcon_dataflow::{run_map_only, Cluster, JobStats};
 use falcon_table::{Table, TupleId};
-use falcon_textsim::{RenderedColumn, SimFunction, TokenDict, TokenProfile, Tokenizer};
+use falcon_textsim::tokenize::word_tokens;
+use falcon_textsim::{
+    Arena, RenderedColumn, SimFunction, TfIdfModel, TokenDict, TokenProfile, Tokenizer,
+    WeightColumn,
+};
+use std::borrow::Cow;
 
 /// What one side of a table pair must profile to serve a feature set.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -28,12 +35,34 @@ pub struct ProfileSpec {
     /// `(attribute index, tokenizer)` columns to pre-tokenize for the
     /// set-based measures.
     pub token_columns: Vec<(usize, Tokenizer)>,
+    /// Attributes whose word tokens are cached as id *sequences* (text
+    /// order, duplicates kept) for Monge-Elkan.
+    pub seq_attrs: Vec<usize>,
+    /// Attributes whose tf·idf vectors are cached for TF/IDF and Soft
+    /// TF/IDF. Built only when the build is given the corpus model.
+    pub weight_attrs: Vec<usize>,
+    /// Attributes scored by a character-level measure: the non-ASCII
+    /// values among them are cached decoded (ASCII ones are read from the
+    /// rendered bytes).
+    pub char_attrs: Vec<usize>,
 }
 
 impl ProfileSpec {
-    /// True when nothing needs profiling (e.g. an all-numeric feature set).
+    /// True when nothing needs profiling (e.g. an all-numeric feature
+    /// set); every other column is over a rendered attribute.
     pub fn is_empty(&self) -> bool {
         self.rendered_attrs.is_empty() && self.token_columns.is_empty()
+    }
+
+    /// The `seq_attrs` position whose word sequence token column `k` is
+    /// the set of: a word-token column over an attribute that also caches
+    /// sequences is derived from their ids at assembly instead of being
+    /// tokenized and interned a second time.
+    fn seq_source(&self, k: usize) -> Option<usize> {
+        let (attr, tokenizer) = self.token_columns[k];
+        (tokenizer == Tokenizer::Word)
+            .then(|| self.seq_attrs.iter().position(|&a| a == attr))
+            .flatten()
     }
 }
 
@@ -47,8 +76,9 @@ fn push_unique<T: PartialEq>(v: &mut Vec<T>, x: T) {
 ///
 /// Numeric measures other than `ExactMatch` never render their operands
 /// (`score_values` parses the `Value` directly), so they contribute
-/// nothing; every other measure reads rendered strings, and the set-based
-/// measures additionally get a token-id column for their tokenizer.
+/// nothing; every other measure reads rendered strings, the set-based
+/// measures additionally get a token-id column for their tokenizer, and
+/// the matching-only measures the cache their kernel reads.
 pub fn requirements<'a>(
     features: impl IntoIterator<Item = &'a Feature>,
 ) -> (ProfileSpec, ProfileSpec) {
@@ -60,25 +90,57 @@ pub fn requirements<'a>(
         }
         push_unique(&mut a.rendered_attrs, f.a_idx);
         push_unique(&mut b.rendered_attrs, f.b_idx);
-        if f.sim.is_set_based() {
-            if let Some(t) = f.sim.tokenizer() {
+        let (a_attrs, b_attrs) = match f.sim {
+            SimFunction::Jaccard(t)
+            | SimFunction::Dice(t)
+            | SimFunction::Overlap(t)
+            | SimFunction::Cosine(t) => {
                 push_unique(&mut a.token_columns, (f.a_idx, t));
                 push_unique(&mut b.token_columns, (f.b_idx, t));
+                continue;
             }
-        }
+            SimFunction::MongeElkan => (&mut a.seq_attrs, &mut b.seq_attrs),
+            SimFunction::TfIdf | SimFunction::SoftTfIdf => {
+                (&mut a.weight_attrs, &mut b.weight_attrs)
+            }
+            SimFunction::Levenshtein
+            | SimFunction::Jaro
+            | SimFunction::JaroWinkler
+            | SimFunction::NeedlemanWunsch
+            | SimFunction::SmithWaterman
+            | SimFunction::SmithWatermanGotoh => (&mut a.char_attrs, &mut b.char_attrs),
+            SimFunction::ExactMatch | SimFunction::AbsDiff | SimFunction::RelDiff => continue,
+        };
+        push_unique(a_attrs, f.a_idx);
+        push_unique(b_attrs, f.b_idx);
     }
     (a, b)
 }
 
-/// Per-tuple map task: render the needed attributes and tokenize the
-/// needed columns (token strings stay strings here; interning happens in
-/// the deterministic sequential pass). Reads cells through
+/// What one tuple contributes to a profile. Token strings stay strings
+/// here; interning happens in the deterministic sequential pass.
+struct TupleRecord {
+    id: TupleId,
+    /// One rendered value per `rendered_attrs` entry.
+    rendered: Vec<String>,
+    /// One sorted, deduplicated token list per `token_columns` entry
+    /// (left empty where [`ProfileSpec::seq_source`] supplies the ids).
+    tokens: Vec<Vec<String>>,
+    /// One word-token sequence per `seq_attrs` entry.
+    seqs: Vec<Vec<String>>,
+    /// One tf·idf vector per `weight_attrs` entry (none without a model).
+    weights: Vec<Vec<(String, f64)>>,
+}
+
+/// Per-tuple map task: render the needed attributes and derive every
+/// token-level column from the rendered text. Reads cells through
 /// [`Table::value_ref`], so a columnar table never materializes rows.
 fn profile_id(
     table: &Table,
     id: TupleId,
     spec: &ProfileSpec,
-) -> (u32, Vec<String>, Vec<Vec<String>>) {
+    tfidf: Option<&TfIdfModel>,
+) -> TupleRecord {
     let render = |attr: usize| {
         table
             .value_ref(id, attr)
@@ -90,17 +152,66 @@ fn profile_id(
         .iter()
         .map(|&attr| render(attr))
         .collect();
-    let tokens: Vec<Vec<String>> = spec
-        .token_columns
-        .iter()
-        .map(
-            |&(attr, tok)| match spec.rendered_attrs.iter().position(|&a| a == attr) {
-                Some(i) => tok.tokenize_sorted(&rendered[i]),
-                None => tok.tokenize_sorted(&render(attr)),
-            },
-        )
+    let text = |attr: usize| match spec.rendered_attrs.iter().position(|&a| a == attr) {
+        Some(i) => Cow::Borrowed(rendered[i].as_str()),
+        None => Cow::Owned(render(attr)),
+    };
+    let tokens = (0..spec.token_columns.len())
+        .map(|k| match spec.seq_source(k) {
+            Some(_) => Vec::new(),
+            None => {
+                let (attr, tok) = spec.token_columns[k];
+                tok.tokenize_sorted(&text(attr))
+            }
+        })
         .collect();
-    (id, rendered, tokens)
+    let seqs = spec
+        .seq_attrs
+        .iter()
+        .map(|&attr| word_tokens(&text(attr)))
+        .collect();
+    let weights = match tfidf {
+        Some(model) => spec
+            .weight_attrs
+            .iter()
+            .map(|&attr| model.weight_vector(&text(attr)))
+            .collect(),
+        None => Vec::new(),
+    };
+    TupleRecord {
+        id,
+        rendered,
+        tokens,
+        seqs,
+        weights,
+    }
+}
+
+/// The arena-backed columns of a profile under assembly. Arenas are
+/// append-only and records arrive id-sorted, so uncovered tuples are
+/// padded with empty entries on the way.
+struct ArenaColumns {
+    rendered: Vec<RenderedColumn>,
+    seqs: Vec<Arena<u32>>,
+    weights: Vec<WeightColumn>,
+    /// `(attribute, its position in rendered_attrs, decoded chars)`.
+    chars: Vec<(usize, usize, Arena<char>)>,
+    /// Entries emitted per column so far.
+    len: usize,
+}
+
+impl ArenaColumns {
+    fn pad_to(&mut self, len: usize, dict: &mut TokenDict) {
+        for _ in self.len..len {
+            self.rendered.iter_mut().for_each(|c| c.push(""));
+            self.seqs.iter_mut().for_each(|c| c.push(&[]));
+            self.weights
+                .iter_mut()
+                .for_each(|c| c.push(Vec::new(), dict));
+            self.chars.iter_mut().for_each(|(_, _, c)| c.push(&[]));
+        }
+        self.len = len;
+    }
 }
 
 /// Assemble map output into a [`TokenProfile`], interning tokens in tuple-id
@@ -108,60 +219,97 @@ fn profile_id(
 fn assemble(
     table_len: usize,
     spec: &ProfileSpec,
-    mut records: Vec<(u32, Vec<String>, Vec<Vec<String>>)>,
+    with_weights: bool,
+    mut records: Vec<TupleRecord>,
     dict: &mut TokenDict,
     complete: bool,
 ) -> TokenProfile {
-    records.sort_by_key(|(id, _, _)| *id);
-    // Rendered values go into arena-backed columns; records arrive
-    // id-sorted, so gaps (uncovered tuples) are filled with "" as we go.
-    let mut rendered_cols: Vec<RenderedColumn> = spec
-        .rendered_attrs
-        .iter()
-        .map(|_| RenderedColumn::new())
-        .collect();
+    records.sort_by_key(|r| r.id);
+    let n_weights = if with_weights {
+        spec.weight_attrs.len()
+    } else {
+        0
+    };
+    let mut cols = ArenaColumns {
+        rendered: vec![RenderedColumn::new(); spec.rendered_attrs.len()],
+        seqs: vec![Arena::default(); spec.seq_attrs.len()],
+        weights: vec![WeightColumn::default(); n_weights],
+        // `requirements` renders every attribute a character-level
+        // measure reads, so each char column has a rendered source.
+        chars: spec
+            .char_attrs
+            .iter()
+            .filter_map(|&attr| {
+                let src = spec.rendered_attrs.iter().position(|&a| a == attr)?;
+                Some((attr, src, Arena::default()))
+            })
+            .collect(),
+        len: 0,
+    };
     let mut token_cols: Vec<Vec<Vec<u32>>> = spec
         .token_columns
         .iter()
         .map(|_| vec![Vec::new(); table_len])
         .collect();
     let mut covered = vec![false; table_len];
-    let mut cursor = 0usize; // rendered cells emitted per column so far
-    for (id, rends, toklists) in records {
-        let idx = id as usize;
-        if idx >= table_len || idx < cursor {
+    for rec in records {
+        let idx = rec.id as usize;
+        if idx >= table_len || idx < cols.len {
             continue;
         }
         covered[idx] = true;
-        for col in &mut rendered_cols {
-            for _ in cursor..idx {
-                col.push("");
+        cols.pad_to(idx, dict);
+        cols.len = idx + 1;
+        for (_, src, col) in &mut cols.chars {
+            let text = rec.rendered[*src].as_str();
+            if text.is_ascii() {
+                col.push(&[]);
+            } else {
+                col.push_iter(text.chars());
             }
         }
-        cursor = idx + 1;
-        for (col, r) in rendered_cols.iter_mut().zip(rends) {
-            col.push(&r);
+        for (col, r) in cols.rendered.iter_mut().zip(&rec.rendered) {
+            col.push(r);
         }
-        for (col, toks) in token_cols.iter_mut().zip(toklists) {
-            // Tokens arrive sorted by *string*; after interning, re-sort by
-            // id (id order ≠ string order). Distinct strings intern to
-            // distinct ids, so no dedup is needed.
-            let mut ids: Vec<u32> = toks.into_iter().map(|t| dict.intern_owned(t)).collect();
+        for (col, toks) in cols.seqs.iter_mut().zip(rec.seqs) {
+            col.push_iter(toks.into_iter().map(|t| dict.intern_owned(t)));
+        }
+        for (k, (col, toks)) in token_cols.iter_mut().zip(rec.tokens).enumerate() {
+            // The set column holds distinct ids in id order (≠ string
+            // order): the distinct ids of the attribute's word sequence
+            // when it is cached, else the interned token strings (distinct
+            // strings intern to distinct ids, so only the former dedups).
+            let mut ids: Vec<u32> = match spec.seq_source(k) {
+                Some(src) => cols.seqs[src].get(idx).unwrap_or_default().to_vec(),
+                None => toks.into_iter().map(|t| dict.intern_owned(t)).collect(),
+            };
             ids.sort_unstable();
+            ids.dedup();
             col[idx] = ids;
         }
-    }
-    for col in &mut rendered_cols {
-        for _ in cursor..table_len {
-            col.push("");
+        for (col, vector) in cols.weights.iter_mut().zip(rec.weights) {
+            col.push(vector, dict);
         }
     }
+    cols.pad_to(table_len, dict);
     let mut profile = TokenProfile::new(complete);
-    for (&attr, col) in spec.rendered_attrs.iter().zip(rendered_cols) {
+    for (&attr, col) in spec.rendered_attrs.iter().zip(cols.rendered) {
         profile.insert_rendered_col(attr, col);
     }
     for (&key, col) in spec.token_columns.iter().zip(token_cols) {
         profile.insert_column(key, col);
+    }
+    for (&attr, col) in spec.seq_attrs.iter().zip(cols.seqs) {
+        profile.insert_seq_col(attr, col);
+    }
+    for (&attr, col) in spec.weight_attrs.iter().zip(cols.weights) {
+        profile.insert_weight_col(attr, col);
+    }
+    for (attr, _, col) in cols.chars {
+        // An all-ASCII attribute needs no column: its bytes are read.
+        if col.total_len() > 0 {
+            profile.insert_char_col(attr, col);
+        }
     }
     if !complete {
         profile.set_coverage(covered);
@@ -170,15 +318,22 @@ fn assemble(
 }
 
 /// Build one table's profile sequentially (no cluster accounting). Used
-/// where no dataflow context exists, e.g. `PairEvaluator` construction.
-pub fn build_profile_seq(table: &Table, spec: &ProfileSpec, dict: &mut TokenDict) -> TokenProfile {
+/// where no dataflow context exists. `tfidf` as in
+/// [`build_pair_profiles_par`].
+pub fn build_profile_seq(
+    table: &Table,
+    spec: &ProfileSpec,
+    tfidf: Option<&TfIdfModel>,
+    dict: &mut TokenDict,
+) -> TokenProfile {
     let records: Vec<_> = (0..table.len() as TupleId)
-        .map(|id| profile_id(table, id, spec))
+        .map(|id| profile_id(table, id, spec, tfidf))
         .collect();
-    assemble(table.len(), spec, records, dict, true)
+    assemble(table.len(), spec, tfidf.is_some(), records, dict, true)
 }
 
-/// Build one table's profile with a parallel map-only job.
+/// Build one table's profile with a parallel map-only job (no tf·idf
+/// columns: blocking-side callers have no corpus model).
 ///
 /// `mask` (indexed by tuple id) restricts profiling to the tuples a pair
 /// list actually references — essential for sampled stages where
@@ -192,6 +347,17 @@ pub fn build_profile_par(
     dict: &mut TokenDict,
     mask: Option<&[bool]>,
 ) -> Result<(TokenProfile, JobStats), FalconError> {
+    build_profile_par_with(cluster, table, spec, None, dict, mask)
+}
+
+fn build_profile_par_with(
+    cluster: &Cluster,
+    table: &Table,
+    spec: &ProfileSpec,
+    tfidf: Option<&TfIdfModel>,
+    dict: &mut TokenDict,
+    mask: Option<&[bool]>,
+) -> Result<(TokenProfile, JobStats), FalconError> {
     let ids: Vec<TupleId> = match mask {
         None => (0..table.len() as TupleId).collect(),
         Some(m) => (0..table.len() as TupleId)
@@ -202,9 +368,16 @@ pub fn build_profile_par(
     let chunk = ids.len().div_ceil(n_splits.max(1)).max(1);
     let splits: Vec<Vec<TupleId>> = ids.chunks(chunk).map(<[TupleId]>::to_vec).collect();
     let out = run_map_only(cluster, splits, |&id: &TupleId, out| {
-        out.push(profile_id(table, id, spec));
+        out.push(profile_id(table, id, spec, tfidf));
     })?;
-    let profile = assemble(table.len(), spec, out.output, dict, mask.is_none());
+    let profile = assemble(
+        table.len(),
+        spec,
+        tfidf.is_some(),
+        out.output,
+        dict,
+        mask.is_none(),
+    );
     Ok((profile, out.stats))
 }
 
@@ -222,19 +395,24 @@ pub struct PairProfiles {
 }
 
 /// Build both sides' profiles in parallel map-only jobs, restricted by
-/// optional per-side tuple masks, sharing one dictionary.
+/// optional per-side tuple masks, sharing one dictionary. `tfidf` is the
+/// corpus model of the feature set's TF/IDF measures, if it has any; the
+/// tf·idf columns are computed from it in the same two jobs.
 pub fn build_pair_profiles_par<'a>(
     cluster: &Cluster,
     a: &Table,
     b: &Table,
     features: impl IntoIterator<Item = &'a Feature>,
+    tfidf: Option<&TfIdfModel>,
     a_mask: Option<&[bool]>,
     b_mask: Option<&[bool]>,
 ) -> Result<PairProfiles, FalconError> {
     let (a_spec, b_spec) = requirements(features);
     let mut dict = TokenDict::new();
-    let (a_profile, a_stats) = build_profile_par(cluster, a, &a_spec, &mut dict, a_mask)?;
-    let (b_profile, b_stats) = build_profile_par(cluster, b, &b_spec, &mut dict, b_mask)?;
+    let (a_profile, a_stats) =
+        build_profile_par_with(cluster, a, &a_spec, tfidf, &mut dict, a_mask)?;
+    let (b_profile, b_stats) =
+        build_profile_par_with(cluster, b, &b_spec, tfidf, &mut dict, b_mask)?;
     Ok(PairProfiles {
         a: a_profile,
         b: b_profile,
@@ -244,16 +422,17 @@ pub fn build_pair_profiles_par<'a>(
 }
 
 /// Build both sides' full-table profiles sequentially, sharing one
-/// dictionary.
+/// dictionary (`tfidf` as in [`build_pair_profiles_par`]).
 pub fn build_pair_profiles_seq<'a>(
     a: &Table,
     b: &Table,
     features: impl IntoIterator<Item = &'a Feature>,
+    tfidf: Option<&TfIdfModel>,
 ) -> PairProfiles {
     let (a_spec, b_spec) = requirements(features);
     let mut dict = TokenDict::new();
-    let a_profile = build_profile_seq(a, &a_spec, &mut dict);
-    let b_profile = build_profile_seq(b, &b_spec, &mut dict);
+    let a_profile = build_profile_seq(a, &a_spec, tfidf, &mut dict);
+    let b_profile = build_profile_seq(b, &b_spec, tfidf, &mut dict);
     PairProfiles {
         a: a_profile,
         b: b_profile,
@@ -323,9 +502,10 @@ mod tests {
     fn par_and_seq_profiles_agree() {
         let (a, b) = tables();
         let lib = generate_features(&a, &b);
-        let par = build_pair_profiles_par(&cluster(), &a, &b, &lib.matching.features, None, None)
-            .expect("profiles");
-        let seq = build_pair_profiles_seq(&a, &b, &lib.matching.features);
+        let par =
+            build_pair_profiles_par(&cluster(), &a, &b, &lib.matching.features, None, None, None)
+                .expect("profiles");
+        let seq = build_pair_profiles_seq(&a, &b, &lib.matching.features, None);
         assert_eq!(par.dict.len(), seq.dict.len());
         let (sa, _) = requirements(&lib.matching.features);
         for t in a.rows() {
@@ -353,7 +533,7 @@ mod tests {
     fn shared_dict_makes_cross_table_tokens_comparable() {
         let (a, b) = tables();
         let lib = generate_features(&a, &b);
-        let p = build_pair_profiles_seq(&a, &b, &lib.matching.features);
+        let p = build_pair_profiles_seq(&a, &b, &lib.matching.features, None);
         // "sony" in both brand columns must intern to the same id.
         let brand = 1usize;
         let tok = Tokenizer::QGram(3);
@@ -387,7 +567,7 @@ mod tests {
     fn interned_ids_are_sorted_per_tuple() {
         let (a, b) = tables();
         let lib = generate_features(&a, &b);
-        let p = build_pair_profiles_seq(&a, &b, &lib.matching.features);
+        let p = build_pair_profiles_seq(&a, &b, &lib.matching.features, None);
         let (sa, _) = requirements(&lib.matching.features);
         for t in a.rows() {
             for &(attr, tok) in &sa.token_columns {

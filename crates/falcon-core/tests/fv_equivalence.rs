@@ -1,17 +1,21 @@
 //! Property test for the token-profile layer: feature vectors computed via
-//! pre-tokenized profiles (sorted-id kernels + rendered-value cache) must
-//! be **bit-identical** to the legacy render-and-tokenize-per-feature
-//! path, across random tables, every similarity measure, and both
-//! tokenizers — including `Null`s, punctuation-only strings (non-empty
-//! string, empty token set), numeric strings with whitespace, and masked
-//! (partial-coverage) profile builds.
+//! pre-tokenized profiles (sorted-id kernels, per-tuple token / tf·idf /
+//! char columns, rendered-value cache) must be **bit-identical** to the
+//! legacy render-and-tokenize-per-feature path, across random tables,
+//! every similarity measure, and both tokenizers — including `Null`s,
+//! punctuation-only strings (non-empty string, empty token set), numeric
+//! strings with whitespace, non-ASCII text, and masked (partial-coverage)
+//! profile builds. Below the proptests: the frozen feature-vector digests
+//! of the three datasets and the scheduling-independence checks of the
+//! matching feature set.
 
-use falcon_core::features::{Feature, FeatureSet};
-use falcon_core::ops::gen_fvs::{gen_fvs_with, tfidf_model_for, FvMode};
+use falcon_core::features::{generate_features, Feature, FeatureSet};
+use falcon_core::ops::gen_fvs::{gen_fvs, gen_fvs_with, tfidf_model_for, FvMode, GenFvsOutput};
 use falcon_core::tokens::build_pair_profiles_seq;
-use falcon_dataflow::{Cluster, ClusterConfig};
+use falcon_dataflow::{Cluster, ClusterConfig, FaultPlan};
+use falcon_datagen::EmDataset;
 use falcon_table::{AttrType, IdPair, Schema, Table, TableRepr, Value};
-use falcon_textsim::{SimContext, SimFunction, Tokenizer};
+use falcon_textsim::{SimContext, SimFunction, SimScratch, Tokenizer};
 use proptest::prelude::*;
 
 /// Values that exercise every branch of the missing/empty/numeric logic.
@@ -24,6 +28,11 @@ fn value() -> impl Strategy<Value = Value> {
         (-100.0f64..100.0).prop_map(Value::num),
         "[0-9]{1,3}".prop_map(Value::str),
         Just(Value::str(" 42 ")),
+        // Multi-byte chars, `İ`/`ß` (lowercasing changes their length), a
+        // combining mark: exercises the decoded-char columns and mixed
+        // ASCII / non-ASCII pairs.
+        "[a-cßéİ\u{301}日 .]{0,10}".prop_map(Value::str),
+        proptest::collection::vec("[a-cßİé]{1,4}", 0..5).prop_map(|v| Value::str(v.join(" "))),
     ]
 }
 
@@ -91,12 +100,13 @@ proptest! {
             Some(m) => SimContext::with_tfidf(m),
             None => SimContext::empty(),
         };
-        let profiles = build_pair_profiles_seq(&a, &b, &fs.features);
-        let profiled = base.with_profiles(&profiles.a, &profiles.b);
+        let profiles = build_pair_profiles_seq(&a, &b, &fs.features, tfidf.as_ref());
+        let profiled = base.with_profiles(&profiles.a, &profiles.b, &profiles.dict);
+        let mut scratch = SimScratch::new();
         for at in a.rows() {
             for bt in b.rows() {
-                let legacy_fv = fs.vector(at, bt, &base);
-                let fast_fv = fs.vector(at, bt, &profiled);
+                let legacy_fv = fs.vector(at, bt, &base, &mut SimScratch::new());
+                let fast_fv = fs.vector(at, bt, &profiled, &mut scratch);
                 for (k, (x, y)) in fast_fv.iter().zip(&legacy_fv).enumerate() {
                     prop_assert_eq!(
                         x.to_bits(), y.to_bits(),
@@ -181,5 +191,136 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// FNV-1a over every pair id and every feature value's bits.
+fn fv_digest(out: &GenFvsOutput) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for ((a, b), fv) in out.fvs.iter() {
+        eat(&a.to_le_bytes());
+        eat(&b.to_le_bytes());
+        for v in fv {
+            eat(&v.to_bits().to_le_bytes());
+        }
+    }
+    h
+}
+
+/// A fixed pair list per dataset: a quarter true matches (high scores,
+/// shared tokens), the rest pseudo-random (mostly disjoint).
+fn golden_pairs(d: &EmDataset, n: usize) -> Vec<IdPair> {
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = |m: usize| {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((x >> 33) % m as u64) as u32
+    };
+    let mut pairs: Vec<IdPair> = d.truth.iter().copied().take(n / 4).collect();
+    while pairs.len() < n {
+        pairs.push((next(d.a.len()), next(d.b.len())));
+    }
+    pairs
+}
+
+fn golden_datasets() -> [(EmDataset, u64); 3] {
+    [
+        (
+            falcon_datagen::products::generate(0.015, 7),
+            0x5c89_ed54_9a75_d121,
+        ),
+        (
+            falcon_datagen::songs::generate(0.001, 7),
+            0x929f_b7a6_76ee_ad91,
+        ),
+        (
+            falcon_datagen::citations::generate(0.0005, 7),
+            0xb760_5f9c_998b_32c4,
+        ),
+    ]
+}
+
+fn small_cluster(threads: usize) -> Cluster {
+    Cluster::new(ClusterConfig::small(2)).with_threads(threads)
+}
+
+/// The matching-set feature vectors of 2 000 fixed pairs per dataset hash
+/// to the digests recorded before the slice kernels replaced the
+/// allocating ones: later changes diff against these bytes, not against a
+/// second implementation. A digest moves only when scores move — that is
+/// a change of results, to be made on purpose and re-recorded.
+#[test]
+fn matching_fv_matrix_matches_frozen_digest() {
+    for (d, want) in golden_datasets() {
+        let lib = generate_features(&d.a, &d.b);
+        let pairs = golden_pairs(&d, 2000);
+        let out = gen_fvs(&small_cluster(2), &d.a, &d.b, &pairs, &lib.matching).expect("gen_fvs");
+        assert_eq!(out.fvs.pairs, pairs, "{}", d.name);
+        assert_eq!(
+            fv_digest(&out),
+            want,
+            "{}: matching feature vectors changed ({:#018x})",
+            d.name,
+            fv_digest(&out)
+        );
+    }
+}
+
+/// Scores cannot depend on scheduling: thread count moves the chunk
+/// boundaries (so each task's Jaro-Winkler memo sees other pairs first),
+/// fault plans charge retries and speculative copies, and the job shape
+/// the serve `CostModel` prices stages from stays what it was.
+#[test]
+fn matching_fvs_are_scheduling_independent() {
+    for (d, want) in golden_datasets() {
+        let lib = generate_features(&d.a, &d.b);
+        let pairs = golden_pairs(&d, 2000);
+        for threads in [1usize, 2, 8] {
+            let out = gen_fvs(&small_cluster(threads), &d.a, &d.b, &pairs, &lib.matching)
+                .expect("gen_fvs");
+            assert_eq!(fv_digest(&out), want, "{} at {threads} threads", d.name);
+            // 2·threads chunk-as-record splits, counted as pairs; one
+            // profile job per table.
+            assert_eq!(out.stats.map_tasks, threads * 2, "{}", d.name);
+            assert_eq!(out.stats.input_records, pairs.len(), "{}", d.name);
+            assert_eq!(out.stats.output_records, pairs.len(), "{}", d.name);
+            assert_eq!(out.prep_stats.len(), 2, "{}", d.name);
+        }
+        let plan = FaultPlan::seeded(11)
+            .with_failure_rate(0.3)
+            .with_straggler_rate(0.3)
+            .with_max_attempts(12);
+        let faulty = small_cluster(2).with_faults(plan);
+        let out = gen_fvs(&faulty, &d.a, &d.b, &pairs, &lib.matching).expect("faulty gen_fvs");
+        assert_eq!(fv_digest(&out), want, "{} under faults", d.name);
+        let faults = faulty.fault_stats().expect("fault plan installed");
+        assert!(
+            faults.retries > 0 && faults.speculative > 0,
+            "the plan must actually inject: {faults:?}"
+        );
+    }
+}
+
+/// A pair list touching few tuples builds masked (partial-coverage)
+/// profiles; its vectors equal the corresponding rows of the run whose
+/// profiles cover every referenced tuple of the larger list.
+#[test]
+fn masked_profiles_score_like_covering_ones() {
+    let (d, _) = &golden_datasets()[0];
+    let lib = generate_features(&d.a, &d.b);
+    let pairs = golden_pairs(d, 2000);
+    let all = gen_fvs(&small_cluster(2), &d.a, &d.b, &pairs, &lib.matching).expect("gen_fvs");
+    let few: Vec<IdPair> = pairs.iter().copied().step_by(97).collect();
+    let some = gen_fvs(&small_cluster(2), &d.a, &d.b, &few, &lib.matching).expect("gen_fvs");
+    for (k, fv) in some.fvs.fvs.iter().enumerate() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(fv), bits(&all.fvs.fvs[k * 97]), "pair {:?}", few[k]);
     }
 }

@@ -1,44 +1,53 @@
 //! Character-level edit similarity measures: Levenshtein, Jaro and
 //! Jaro-Winkler.
+//!
+//! Each measure is one allocation-free kernel over symbol slices (bytes of
+//! an ASCII string or decoded `char`s, see [`crate::scratch::Syms`]) that
+//! borrows its working rows from the caller; the `&str` functions decode
+//! and call it.
+
+use crate::scratch::{on_strs, DpRows, JaroBufs};
 
 /// Raw Levenshtein edit distance (unit costs), O(|a|·|b|) time and O(min)
 /// space.
-pub fn levenshtein(a: &str, b: &str) -> usize {
-    let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
-    let (short, long) = if a.len() <= b.len() {
-        (&a, &b)
-    } else {
-        (&b, &a)
-    };
+pub fn levenshtein_slices<T: PartialEq>(a: &[T], b: &[T], rows: &mut DpRows) -> usize {
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if short.is_empty() {
         return long.len();
     }
-    let mut prev: Vec<usize> = (0..=short.len()).collect();
-    let mut cur = vec![0usize; short.len() + 1];
+    let DpRows { prev, cur, .. } = rows;
+    prev.clear();
+    prev.extend(0..=short.len() as i32);
+    cur.clear();
+    cur.resize(short.len() + 1, 0);
     for (i, lc) in long.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, sc) in short.iter().enumerate() {
-            let sub = prev[j] + usize::from(lc != sc);
-            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
+        // `left` carries the cell just written: the only loop-carried
+        // dependency is one add and one min.
+        let mut left = i as i32 + 1;
+        cur[0] = left;
+        for ((sc, above), out) in short.iter().zip(prev.windows(2)).zip(&mut cur[1..]) {
+            let open = (above[0] + i32::from(lc != sc)).min(above[1] + 1);
+            left = open.min(left + 1);
+            *out = left;
         }
-        std::mem::swap(&mut prev, &mut cur);
+        std::mem::swap(prev, cur);
     }
-    prev[short.len()]
+    prev[short.len()] as usize
 }
 
 /// Normalized Levenshtein similarity `1 - ED / max(|a|, |b|)` in `[0, 1]`.
-pub fn levenshtein_sim(a: &str, b: &str) -> f64 {
-    let max = a.chars().count().max(b.chars().count());
+pub fn levenshtein_sim_slices<T: PartialEq>(a: &[T], b: &[T], rows: &mut DpRows) -> f64 {
+    let max = a.len().max(b.len());
     if max == 0 {
         return 1.0;
     }
-    1.0 - levenshtein(a, b) as f64 / max as f64
+    1.0 - levenshtein_slices(a, b, rows) as f64 / max as f64
 }
 
-/// Jaro similarity in `[0, 1]`.
-pub fn jaro(a: &str, b: &str) -> f64 {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
+/// Jaro similarity in `[0, 1]`: greedy in-window matching of `a`'s symbols
+/// against unused symbols of `b`, then half the out-of-order matches
+/// count as transpositions.
+pub fn jaro_slices<T: PartialEq>(a: &[T], b: &[T], bufs: &mut JaroBufs) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
@@ -46,32 +55,30 @@ pub fn jaro(a: &str, b: &str) -> f64 {
         return 0.0;
     }
     let window = (a.len().max(b.len()) / 2).saturating_sub(1);
-    let mut b_used = vec![false; b.len()];
-    let mut matches_a = Vec::new();
+    let JaroBufs { b_used, a_matched } = bufs;
+    b_used.clear();
+    b_used.resize(b.len(), false);
+    a_matched.clear();
     for (i, ca) in a.iter().enumerate() {
         let lo = i.saturating_sub(window);
         let hi = (i + window + 1).min(b.len());
         for j in lo..hi {
             if !b_used[j] && b[j] == *ca {
                 b_used[j] = true;
-                matches_a.push(*ca);
+                a_matched.push(i as u32);
                 break;
             }
         }
     }
-    let m = matches_a.len();
+    let m = a_matched.len();
     if m == 0 {
         return 0.0;
     }
-    let matches_b: Vec<char> = b
+    let matched_b = b.iter().zip(b_used.iter()).filter(|(_, used)| **used);
+    let transpositions = a_matched
         .iter()
-        .zip(b_used.iter())
-        .filter_map(|(c, used)| used.then_some(*c))
-        .collect();
-    let transpositions = matches_a
-        .iter()
-        .zip(matches_b.iter())
-        .filter(|(x, y)| x != y)
+        .zip(matched_b)
+        .filter(|(&i, (cb, _))| a[i as usize] != **cb)
         .count()
         / 2;
     let m = m as f64;
@@ -79,16 +86,43 @@ pub fn jaro(a: &str, b: &str) -> f64 {
 }
 
 /// Jaro-Winkler similarity with the standard prefix scale 0.1 and prefix cap
-/// of 4 characters.
-pub fn jaro_winkler(a: &str, b: &str) -> f64 {
-    let j = jaro(a, b);
-    let prefix = a
-        .chars()
-        .zip(b.chars())
-        .take(4)
-        .take_while(|(x, y)| x == y)
-        .count() as f64;
+/// of 4 symbols.
+pub fn jaro_winkler_slices<T: PartialEq>(a: &[T], b: &[T], bufs: &mut JaroBufs) -> f64 {
+    let j = jaro_slices(a, b, bufs);
+    let prefix = a.iter().zip(b).take(4).take_while(|(x, y)| x == y).count() as f64;
     j + prefix * 0.1 * (1.0 - j)
+}
+
+/// [`levenshtein_slices`] over the characters of two strings.
+pub fn levenshtein(a: &str, b: &str) -> usize {
+    on_strs!(a, b, |x, y| levenshtein_slices(
+        x,
+        y,
+        &mut DpRows::default()
+    ))
+}
+
+/// [`levenshtein_sim_slices`] over the characters of two strings.
+pub fn levenshtein_sim(a: &str, b: &str) -> f64 {
+    on_strs!(a, b, |x, y| levenshtein_sim_slices(
+        x,
+        y,
+        &mut DpRows::default()
+    ))
+}
+
+/// [`jaro_slices`] over the characters of two strings.
+pub fn jaro(a: &str, b: &str) -> f64 {
+    on_strs!(a, b, |x, y| jaro_slices(x, y, &mut JaroBufs::default()))
+}
+
+/// [`jaro_winkler_slices`] over the characters of two strings.
+pub fn jaro_winkler(a: &str, b: &str) -> f64 {
+    on_strs!(a, b, |x, y| jaro_winkler_slices(
+        x,
+        y,
+        &mut JaroBufs::default()
+    ))
 }
 
 #[cfg(test)]

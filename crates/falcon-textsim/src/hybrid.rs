@@ -1,31 +1,50 @@
 //! Hybrid token/character measures (Monge-Elkan).
 
-use crate::edit::jaro_winkler;
+use crate::profile::TokenDict;
+use crate::scratch::SimScratch;
 use crate::tokenize::word_tokens;
 
-/// Monge-Elkan similarity: for each token of `a`, take the best
-/// Jaro-Winkler match among tokens of `b`, and average. Symmetrized by
-/// taking the max of both directions so `monge_elkan(a, b) ==
-/// monge_elkan(b, a)`.
-pub fn monge_elkan(a: &str, b: &str) -> f64 {
-    let ta = word_tokens(a);
-    let tb = word_tokens(b);
-    if ta.is_empty() || tb.is_empty() {
-        return if ta.is_empty() && tb.is_empty() {
+/// Monge-Elkan similarity over word-token id sequences (order and
+/// duplicates kept): for each token of `a`, take the best Jaro-Winkler
+/// match among tokens of `b`, and average. Symmetrized by taking the max
+/// of both directions so `monge_elkan(a, b) == monge_elkan(b, a)`.
+///
+/// Token-pair scores come from `scratch`'s memo, so both sequences must
+/// hold ids of `dict` and `scratch` must not have served another dict.
+pub fn monge_elkan_ids(a: &[u32], b: &[u32], dict: &TokenDict, scratch: &mut SimScratch) -> f64 {
+    if a.is_empty() || b.is_empty() {
+        return if a.is_empty() && b.is_empty() {
             1.0
         } else {
             0.0
         };
     }
-    directional(&ta, &tb).max(directional(&tb, &ta))
+    directional(a, b, dict, scratch).max(directional(b, a, dict, scratch))
 }
 
-fn directional(xs: &[String], ys: &[String]) -> f64 {
+fn directional(xs: &[u32], ys: &[u32], dict: &TokenDict, scratch: &mut SimScratch) -> f64 {
     let total: f64 = xs
         .iter()
-        .map(|x| ys.iter().map(|y| jaro_winkler(x, y)).fold(0.0f64, f64::max))
+        .map(|&x| {
+            ys.iter()
+                .map(|&y| scratch.token_jaro_winkler(dict, x, y))
+                .fold(0.0f64, f64::max)
+        })
         .sum();
     total / xs.len() as f64
+}
+
+/// [`monge_elkan_ids`] over the word tokens of two strings.
+pub fn monge_elkan(a: &str, b: &str) -> f64 {
+    let mut dict = TokenDict::new();
+    let mut ids = |s: &str| -> Vec<u32> {
+        word_tokens(s)
+            .into_iter()
+            .map(|t| dict.intern_owned(t))
+            .collect()
+    };
+    let (ta, tb) = (ids(a), ids(b));
+    monge_elkan_ids(&ta, &tb, &dict, &mut SimScratch::with_memo_slots(1))
 }
 
 #[cfg(test)]

@@ -20,14 +20,16 @@ pub mod hybrid;
 pub mod numeric;
 pub mod prefix;
 pub mod profile;
+pub mod scratch;
 pub mod sets;
 pub mod tfidf;
 pub mod tokenize;
 
 use serde::{Deserialize, Serialize};
 
-pub use profile::{RenderedColumn, TokenDict, TokenProfile};
-pub use tfidf::TfIdfModel;
+pub use profile::{Arena, RenderedColumn, TokenDict, TokenProfile};
+pub use scratch::{SimScratch, Syms};
+pub use tfidf::{TfIdfModel, WeightColumn};
 pub use tokenize::Tokenizer;
 
 /// A similarity (or distance) measure over attribute values.
@@ -171,6 +173,26 @@ impl SimFunction {
         })
     }
 
+    /// Score two non-empty values with a character-level measure straight
+    /// from their symbols, borrowing every working buffer from `scratch`;
+    /// `None` for the measures that are not character-level. Same scores
+    /// as [`SimFunction::score_str`], which decodes and runs these kernels.
+    pub fn score_syms(self, a: Syms<'_>, b: Syms<'_>, scratch: &mut SimScratch) -> Option<f64> {
+        use scratch::on_syms;
+        let SimScratch {
+            rows, jaro, wide, ..
+        } = scratch;
+        on_syms!(a, b, wide, |x, y| Some(match self {
+            SimFunction::Levenshtein => edit::levenshtein_sim_slices(x, y, rows),
+            SimFunction::Jaro => edit::jaro_slices(x, y, jaro),
+            SimFunction::JaroWinkler => edit::jaro_winkler_slices(x, y, jaro),
+            SimFunction::NeedlemanWunsch => align::needleman_wunsch_slices(x, y, rows),
+            SimFunction::SmithWaterman => align::smith_waterman_slices(x, y, rows),
+            SimFunction::SmithWatermanGotoh => align::smith_waterman_gotoh_slices(x, y, rows),
+            _ => return None,
+        }))
+    }
+
     /// Score two numeric values directly.
     pub fn score_num(self, a: f64, b: f64) -> Option<f64> {
         Some(match self {
@@ -221,9 +243,9 @@ fn fmt_num(x: f64) -> String {
 }
 
 /// Shared evaluation context. TF/IDF-style measures need corpus statistics;
-/// the optional [`TokenProfile`]s let callers hit the pre-tokenized fast
-/// path of set-based measures instead of re-tokenizing per feature; the
-/// rest of the measures ignore the context.
+/// the optional [`TokenProfile`]s (with the [`TokenDict`] their ids come
+/// from) let callers score from the per-tuple caches instead of
+/// re-rendering and re-tokenizing per feature.
 #[derive(Default, Clone, Copy)]
 pub struct SimContext<'a> {
     /// Corpus model for [`SimFunction::TfIdf`] / [`SimFunction::SoftTfIdf`].
@@ -232,6 +254,8 @@ pub struct SimContext<'a> {
     pub a_profile: Option<&'a TokenProfile>,
     /// Pre-tokenized profile of the right (B-side) table, if built.
     pub b_profile: Option<&'a TokenProfile>,
+    /// The dictionary both profiles were interned through.
+    pub dict: Option<&'a TokenDict>,
 }
 
 impl<'a> SimContext<'a> {
@@ -248,11 +272,17 @@ impl<'a> SimContext<'a> {
         }
     }
 
-    /// Attach token profiles for the A and B tables, enabling the
-    /// sorted-id fast path in feature computation.
-    pub fn with_profiles(mut self, a: &'a TokenProfile, b: &'a TokenProfile) -> Self {
+    /// Attach token profiles for the A and B tables and the dictionary
+    /// they share, enabling the cached fast paths in feature computation.
+    pub fn with_profiles(
+        mut self,
+        a: &'a TokenProfile,
+        b: &'a TokenProfile,
+        dict: &'a TokenDict,
+    ) -> Self {
         self.a_profile = Some(a);
         self.b_profile = Some(b);
+        self.dict = Some(dict);
         self
     }
 }

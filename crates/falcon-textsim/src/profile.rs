@@ -21,9 +21,12 @@
 //!   (punctuation-only text under `Tokenizer::Word`), which scores 0.0 —
 //!   the same empty-set semantics as the `BTreeSet` kernels.
 
+use crate::scratch::Syms;
+use crate::tfidf::{WeightColumn, Weights};
 use crate::tokenize::Tokenizer;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// String → `u32` token interner. Equal token strings get equal ids, so
 /// set intersections over ids equal set intersections over strings as long
@@ -69,6 +72,13 @@ impl TokenDict {
         self.toks.get(id as usize).map(String::as_str)
     }
 
+    /// The token behind an id as the character-level kernels read it:
+    /// its bytes when ASCII, else decoded into `buf` (an unknown id reads
+    /// as the empty string).
+    pub fn syms<'a>(&'a self, id: u32, buf: &'a mut Vec<char>) -> Syms<'a> {
+        Syms::decode(self.resolve(id).unwrap_or(""), buf)
+    }
+
     /// Number of distinct tokens interned.
     pub fn len(&self) -> usize {
         self.toks.len()
@@ -83,40 +93,48 @@ impl TokenDict {
 /// Key of one pre-tokenized column: `(attribute index, tokenizer)`.
 pub type ColumnKey = (usize, Tokenizer);
 
-/// Arena-backed rendered-value column: every string lives back to back
-/// in one byte buffer with `u32` offsets — one allocation per column
-/// instead of a `String` per tuple, matching the columnar table layout.
+/// Variable-length values stored back to back in one buffer with `u32`
+/// offsets — one allocation per column instead of a `Vec` per tuple,
+/// matching the columnar table layout.
 #[derive(Debug, Clone)]
-pub struct RenderedColumn {
+pub struct Arena<T> {
     /// `len + 1` entries; value `i` spans `offsets[i]..offsets[i+1]`.
     offsets: Vec<u32>,
-    /// UTF-8 arena.
-    bytes: Vec<u8>,
+    data: Vec<T>,
 }
 
-impl Default for RenderedColumn {
+impl<T> Default for Arena<T> {
     fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RenderedColumn {
-    /// Fresh empty column.
-    pub fn new() -> Self {
-        RenderedColumn {
+        Arena {
             offsets: vec![0],
-            bytes: Vec::new(),
+            data: Vec::new(),
         }
     }
+}
 
-    /// Append one rendered value.
-    pub fn push(&mut self, s: &str) {
-        self.bytes.extend_from_slice(s.as_bytes());
-        // Rendered columns mirror table columns, which enforce the same
+impl<T> Arena<T> {
+    /// Append one value from a slice.
+    pub fn push(&mut self, value: &[T])
+    where
+        T: Copy,
+    {
+        self.data.extend_from_slice(value);
+        self.seal();
+    }
+
+    /// Append one value from an iterator.
+    pub fn push_iter(&mut self, value: impl IntoIterator<Item = T>) {
+        self.data.extend(value);
+        self.seal();
+    }
+
+    /// Close the value whose elements were just appended.
+    fn seal(&mut self) {
+        // Profile columns mirror table columns, which enforce the same
         // u32 arena bound at ingest; saturation here would only follow a
         // table that could not have been built.
         self.offsets
-            .push(u32::try_from(self.bytes.len()).unwrap_or(u32::MAX));
+            .push(u32::try_from(self.data.len()).unwrap_or(u32::MAX));
     }
 
     /// Number of values.
@@ -129,19 +147,65 @@ impl RenderedColumn {
         self.len() == 0
     }
 
-    /// Value at `i`, or `None` past the end.
-    pub fn get(&self, i: usize) -> Option<&str> {
-        if i >= self.len() {
-            return None;
-        }
-        let span = &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize];
-        // Only whole `&str` values enter the arena; spans are valid UTF-8.
-        Some(std::str::from_utf8(span).unwrap_or(""))
+    /// Elements stored across all values.
+    pub fn total_len(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Position of value `i` in the buffer, or `None` past the end.
+    pub fn span(&self, i: usize) -> Option<Range<usize>> {
+        (i < self.len()).then(|| self.offsets[i] as usize..self.offsets[i + 1] as usize)
+    }
+
+    /// Value `i`, or `None` past the end.
+    pub fn get(&self, i: usize) -> Option<&[T]> {
+        self.span(i).map(|span| &self.data[span])
     }
 
     /// Estimated memory footprint in bytes.
     pub fn estimated_bytes(&self) -> usize {
-        self.bytes.len() + self.offsets.len() * std::mem::size_of::<u32>()
+        std::mem::size_of_val(self.data.as_slice())
+            + self.offsets.len() * std::mem::size_of::<u32>()
+    }
+}
+
+/// Arena-backed rendered-value column: every string lives back to back
+/// in one byte buffer.
+#[derive(Debug, Clone, Default)]
+pub struct RenderedColumn(Arena<u8>);
+
+impl RenderedColumn {
+    /// Fresh empty column.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Append one rendered value.
+    pub fn push(&mut self, s: &str) {
+        self.0.push(s.as_bytes());
+    }
+
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True iff no value was pushed.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Value at `i`, or `None` past the end.
+    pub fn get(&self, i: usize) -> Option<&str> {
+        // Only whole `&str` values enter the arena; spans are valid UTF-8.
+        self.0
+            .get(i)
+            .map(|span| std::str::from_utf8(span).unwrap_or(""))
+    }
+
+    /// Estimated memory footprint in bytes.
+    pub fn estimated_bytes(&self) -> usize {
+        self.0.estimated_bytes()
     }
 }
 
@@ -169,6 +233,14 @@ pub struct TokenProfile {
     /// attr idx → per-tuple rendered values (`""` = missing), indexed by
     /// tuple id, arena-backed.
     rendered: Vec<(usize, RenderedColumn)>,
+    /// attr idx → per-tuple word-token ids in text order, duplicates kept
+    /// (Monge-Elkan aligns token *sequences*).
+    seqs: Vec<(usize, Arena<u32>)>,
+    /// attr idx → per-tuple tf·idf vectors (TF/IDF, Soft TF/IDF).
+    weights: Vec<(usize, WeightColumn)>,
+    /// attr idx → decoded chars of the tuples whose rendered value is not
+    /// ASCII (empty entry = ASCII: the kernels read the rendered bytes).
+    chars: Vec<(usize, Arena<char>)>,
     /// True when every tuple of the table was profiled (no id mask); only
     /// complete profiles may stand in for full-table scans such as the
     /// token-frequency job.
@@ -185,10 +257,8 @@ impl TokenProfile {
     /// table will be covered.
     pub fn new(complete: bool) -> Self {
         Self {
-            columns: Vec::new(),
-            rendered: Vec::new(),
             complete,
-            covered: None,
+            ..Self::default()
         }
     }
 
@@ -212,11 +282,7 @@ impl TokenProfile {
     /// Install a token-id column. Later inserts under the same key replace
     /// the earlier column.
     pub fn insert_column(&mut self, key: ColumnKey, data: Vec<Vec<u32>>) {
-        if let Some(slot) = self.columns.iter_mut().find(|(k, _)| *k == key) {
-            slot.1 = data;
-        } else {
-            self.columns.push((key, data));
-        }
+        upsert(&mut self.columns, key, data);
     }
 
     /// Install a rendered-value column for one attribute.
@@ -226,11 +292,23 @@ impl TokenProfile {
 
     /// Install an already arena-backed rendered column for one attribute.
     pub fn insert_rendered_col(&mut self, attr: usize, values: RenderedColumn) {
-        if let Some(slot) = self.rendered.iter_mut().find(|(a, _)| *a == attr) {
-            slot.1 = values;
-        } else {
-            self.rendered.push((attr, values));
-        }
+        upsert(&mut self.rendered, attr, values);
+    }
+
+    /// Install one attribute's word-token id sequences.
+    pub fn insert_seq_col(&mut self, attr: usize, seqs: Arena<u32>) {
+        upsert(&mut self.seqs, attr, seqs);
+    }
+
+    /// Install one attribute's tf·idf weight vectors.
+    pub fn insert_weight_col(&mut self, attr: usize, weights: WeightColumn) {
+        upsert(&mut self.weights, attr, weights);
+    }
+
+    /// Install one attribute's decoded chars (entries of ASCII values
+    /// stay empty).
+    pub fn insert_char_col(&mut self, attr: usize, chars: Arena<char>) {
+        upsert(&mut self.chars, attr, chars);
     }
 
     /// The full token-id column for a key, if profiled.
@@ -258,10 +336,38 @@ impl TokenProfile {
         if !self.is_covered(id) {
             return None;
         }
-        self.rendered
-            .iter()
-            .find(|(a, _)| *a == attr)
-            .and_then(|(_, c)| c.get(id as usize))
+        find(&self.rendered, attr)?.get(id as usize)
+    }
+
+    /// Word-token ids of one tuple's attribute in text order, if profiled.
+    pub fn token_seq(&self, attr: usize, id: u32) -> Option<&[u32]> {
+        if !self.is_covered(id) {
+            return None;
+        }
+        find(&self.seqs, attr)?.get(id as usize)
+    }
+
+    /// tf·idf vector of one tuple's attribute, if profiled.
+    pub fn weights(&self, attr: usize, id: u32) -> Option<Weights<'_>> {
+        if !self.is_covered(id) {
+            return None;
+        }
+        find(&self.weights, attr)?.get(id as usize)
+    }
+
+    /// One tuple's rendered attribute as the character-level kernels read
+    /// it: the cached chars when it has any, else the rendered bytes when
+    /// they are ASCII. `None` when the tuple or attribute is unprofiled,
+    /// or a non-ASCII value has no char column to read from.
+    pub fn syms(&self, attr: usize, id: u32) -> Option<Syms<'_>> {
+        let rendered = self.rendered(attr, id)?;
+        let wide = find(&self.chars, attr).and_then(|c| c.get(id as usize));
+        match wide {
+            Some(chars) if !chars.is_empty() => Some(Syms::Wide(chars)),
+            _ => rendered
+                .is_ascii()
+                .then_some(Syms::Ascii(rendered.as_bytes())),
+        }
     }
 
     /// Number of profiled token columns.
@@ -277,8 +383,23 @@ impl TokenProfile {
             .map(|(_, c)| c.iter().map(|ids| 24 + ids.len() * 4).sum::<usize>())
             .sum();
         let rend: usize = self.rendered.iter().map(|(_, c)| c.estimated_bytes()).sum();
-        cols + rend
+        let seqs: usize = self.seqs.iter().map(|(_, c)| c.estimated_bytes()).sum();
+        let weights: usize = self.weights.iter().map(|(_, c)| c.estimated_bytes()).sum();
+        let chars: usize = self.chars.iter().map(|(_, c)| c.estimated_bytes()).sum();
+        cols + rend + seqs + weights + chars
     }
+}
+
+/// Replace the value stored under `key`, or append it.
+fn upsert<K: PartialEq, V>(entries: &mut Vec<(K, V)>, key: K, value: V) {
+    match entries.iter_mut().find(|(k, _)| *k == key) {
+        Some(slot) => slot.1 = value,
+        None => entries.push((key, value)),
+    }
+}
+
+fn find<V>(entries: &[(usize, V)], attr: usize) -> Option<&V> {
+    entries.iter().find(|(a, _)| *a == attr).map(|(_, v)| v)
 }
 
 #[cfg(test)]
