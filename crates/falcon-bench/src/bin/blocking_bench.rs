@@ -5,7 +5,8 @@
 //! reduction and the end-to-end blocking wall-time speedup. The final
 //! candidate sets of the two paths are asserted byte-identical — the
 //! pre-filter is provably lossless, so it may only change how much work
-//! the probes and reducers do, never what survives.
+//! the probes and reducers do, never what survives. The output records
+//! the host's parallelism and the cluster's thread count.
 //!
 //! Runs at 10× the standard bench scale by default (`--scale` multiplies
 //! further) so the probe volume is large enough for timing to be stable.
@@ -137,11 +138,13 @@ fn main() {
     let cluster = Cluster::new(ClusterConfig::default());
     let lib = generate_features(&d.a, &d.b);
     let seq = fixture_rules(&lib.blocking, threshold, n_rules);
+    let nproc = std::thread::available_parallelism().map_or(1, usize::from);
     println!(
-        "dataset {name}: {}x{} tuples, {} drop rules at threshold {threshold}, {words}-word signatures",
+        "dataset {name}: {}x{} tuples, {} drop rules at threshold {threshold}, {words}-word signatures, nproc {nproc}, {} cluster threads",
         d.a.len(),
         d.b.len(),
-        seq.len()
+        seq.len(),
+        cluster.threads()
     );
 
     title("Blocking with and without the signature pre-filter");
@@ -203,7 +206,8 @@ fn main() {
         .map(|c| format!("\"{}\"", c.modes.join(",")))
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"blocking\",\n  \"dataset\": \"{name}\",\n  \"scale\": {scale},\n  \"runs\": {runs},\n  \"rows_a\": {},\n  \"rows_b\": {},\n  \"rules\": {},\n  \"threshold\": {threshold},\n  \"signature_words\": {words},\n  \"planned_modes\": [{}],\n  \"exact\": {{ \"mean_wall_secs\": {:.6}, \"build_secs\": {:.6}, \"pairs_examined\": {}, \"pruned_by_exact\": {}, \"survived\": {} }},\n  \"prefiltered\": {{ \"mean_wall_secs\": {:.6}, \"build_secs\": {:.6}, \"pairs_examined\": {}, \"pruned_by_signature\": {}, \"pruned_by_exact\": {}, \"survived\": {} }},\n  \"candidate_probe_reduction\": {probe_reduction:.3},\n  \"wall_speedup\": {wall_speedup:.3},\n  \"final_sets_identical\": true\n}}\n",
+        "{{\n  \"bench\": \"blocking\",\n  \"dataset\": \"{name}\",\n  \"scale\": {scale},\n  \"runs\": {runs},\n  \"nproc\": {nproc},\n  \"cluster_threads\": {},\n  \"rows_a\": {},\n  \"rows_b\": {},\n  \"rules\": {},\n  \"threshold\": {threshold},\n  \"signature_words\": {words},\n  \"planned_modes\": [{}],\n  \"exact\": {{ \"mean_wall_secs\": {:.6}, \"build_secs\": {:.6}, \"pairs_examined\": {}, \"pruned_by_exact\": {}, \"survived\": {} }},\n  \"prefiltered\": {{ \"mean_wall_secs\": {:.6}, \"build_secs\": {:.6}, \"pairs_examined\": {}, \"pruned_by_signature\": {}, \"pruned_by_exact\": {}, \"survived\": {} }},\n  \"candidate_probe_reduction\": {probe_reduction:.3},\n  \"wall_speedup\": {wall_speedup:.3},\n  \"final_sets_identical\": true\n}}\n",
+        cluster.threads(),
         d.a.len(),
         d.b.len(),
         seq.len(),

@@ -6,7 +6,7 @@
 //! large tables ("had to be stopped after more than a week").
 
 use crate::features::FeatureSet;
-use crate::physical::{BlockingError, PairEvaluator};
+use crate::physical::{BlockingError, EvalScratch, PairEvaluator};
 use crate::rules::RuleSequence;
 use falcon_dataflow::wall_now;
 use falcon_table::{IdPair, Table};
@@ -39,10 +39,10 @@ pub fn corleone_blocking(
     let evaluator = PairEvaluator::new(a, b, features, seq);
     let t0 = wall_now();
     let mut candidates = Vec::new();
-    let mut fv = Vec::new();
+    let mut scratch = EvalScratch::default();
     for aid in 0..a.len() as u32 {
         for bid in 0..b.len() as u32 {
-            if evaluator.keeps_scratch(aid, bid, &mut fv) {
+            if evaluator.keeps_scratch(aid, bid, &mut scratch) {
                 candidates.push((aid, bid));
             }
         }

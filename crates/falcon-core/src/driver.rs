@@ -22,7 +22,7 @@ use crate::rules::RuleSequence;
 use crate::stage::{shape_of, shape_sum, StageGate};
 use crate::timeline::{check_cancel, Timeline};
 use falcon_crowd::{Crowd, CrowdJournal, CrowdSession, Ledger};
-use falcon_dataflow::{run_map_only, wall_now, Cluster, ClusterConfig, FaultPlan, FaultStats};
+use falcon_dataflow::{wall_now, Cluster, ClusterConfig, FaultPlan, FaultStats};
 use falcon_index::FilterSpec;
 use falcon_table::{IdPair, Table};
 use falcon_textsim::SimFunction;
@@ -615,37 +615,21 @@ impl Falcon {
             .min_by_key(|(_, o)| o.len());
         let (candidates, physical_op, blocking) = if let Some((_, base)) = spec_hit {
             // Apply the full sequence to the smallest speculated output in
-            // a map-only job (rules are idempotent on survivors). Each
-            // split carries one pair chunk as a single record so the
-            // evaluator's feature-vector scratch is reused across pairs.
+            // a map-only job (rules are idempotent on survivors).
             let evaluator = Arc::new(physical::PairEvaluator::new(
                 a,
                 b,
                 &lib.blocking,
                 &seq_out.seq,
             ));
-            let n_pairs = base.len();
-            let chunk = n_pairs.div_ceil((cluster.threads() * 2).max(1)).max(1);
-            let splits: Vec<Vec<Vec<IdPair>>> =
-                base.chunks(chunk).map(|c| vec![c.to_vec()]).collect();
-            let mut out = run_map_only(cluster, splits, move |pair_chunk: &Vec<IdPair>, acc| {
-                let mut fv = Vec::new();
-                for &(x, y) in pair_chunk {
-                    if evaluator.keeps_scratch(x, y, &mut fv) {
-                        acc.push((x, y));
-                    }
-                }
-            })?;
-            out.stats.input_records = n_pairs;
-            let (tasks, records) = shape_of(&out.stats);
+            let (c, stats) = physical::run_evaluate(cluster, evaluator, base)?;
+            let (tasks, records) = shape_of(&stats);
             timeline.machine_shaped(
                 "apply_block_rules",
-                out.stats.sim_duration(&cfg.cluster),
+                stats.sim_duration(&cfg.cluster),
                 tasks,
                 records,
             );
-            let mut c = out.output;
-            c.sort_unstable();
             (c, cfg.force_physical.unwrap_or(PhysicalOp::ApplyAll), None)
         } else {
             let op = cfg.force_physical.unwrap_or_else(|| {

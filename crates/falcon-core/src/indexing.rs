@@ -416,9 +416,7 @@ impl BuiltIndexes {
                     .ok_or_else(|| IndexError::MissingAttribute {
                         attr: a_attr.clone(),
                     })?;
-            self.orders
-                .get(&(attr_idx, tokenizer))
-                .map(|o| (**o).clone())
+            self.orders.get(&(attr_idx, tokenizer)).cloned()
         } else {
             None
         };
@@ -635,9 +633,11 @@ mod tests {
         built.build_spec(&cluster(), &a, &spec).expect("build");
         let idx = built.get(&spec).expect("cached");
         assert!(matches!(*idx, PredicateIndex::Signature { .. }));
-        // The token order was built once and is shared with the exact spec.
+        // The token order was built once and the index holds that very
+        // allocation, not a copy.
         let title = a.schema().index_of("title").unwrap();
-        assert!(built.orders.contains_key(&(title, Tokenizer::Word)));
+        let (_, order) = idx.token_source().expect("set-similarity index");
+        assert!(Arc::ptr_eq(order, &built.orders[&(title, Tokenizer::Word)]));
         let d = built
             .build_order(&cluster(), &a, "title", Tokenizer::Word)
             .expect("order");

@@ -86,9 +86,11 @@ fn stripe(bm: &Bitmap, bits: usize) -> Bitmap {
 /// expensive its feature's similarity measure is to compute. Units are
 /// arbitrary — the optimizer only uses normalized ratios.
 fn rule_cost(rule: &Rule) -> f64 {
-    // At blocking time each referenced feature must be evaluated per
-    // pair, so cost grows with predicate count; short-circuiting makes
-    // later predicates cheaper on average (0.8 decay approximates that).
+    // At blocking time a rule's features are computed only for the pairs
+    // that reach the rule, and within the rule only until a predicate
+    // fails (`PairEvaluator::keeps_scratch`): cost grows with predicate
+    // count, later predicates are cheaper on average (the 0.8 decay
+    // approximates that short-circuit).
     rule.predicates
         .iter()
         .enumerate()

@@ -30,15 +30,14 @@
 //! (the "load balancing at map phase" optimization falls out of the
 //! engine's work-stealing split queue).
 
-use crate::features::FeatureSet;
+use crate::features::{Feature, FeatureSet};
 use crate::indexing::{BuiltIndexes, ConjunctSpecs};
-use crate::rules::RuleSequence;
+use crate::rules::{Predicate, RuleSequence};
 use crate::tokens::{build_pair_profiles_seq, PairProfiles};
 use falcon_dataflow::{run_map_only, run_map_reduce, Cluster, DataflowError, Emitter, JobStats};
-use falcon_index::spec::Candidates;
-use falcon_index::{CandidateBitmap, PredicateIndex, ProbeMode, ProbeStats};
+use falcon_index::{CandidateBitmap, PredicateIndex, ProbeMode, ProbeStats, ProbeTokens};
 use falcon_table::{IdPair, Table, TupleId};
-use falcon_textsim::{SimContext, SimScratch};
+use falcon_textsim::{SimContext, SimScratch, Tokenizer};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -274,7 +273,7 @@ impl StatsCollector {
 fn record_modes(modes: &mut [Vec<String>], bundles: &[Bundle]) {
     for bu in bundles {
         if let Some(slot) = modes.get_mut(bu.ci) {
-            slot.extend(bu.preds.iter().map(|(_, _, m)| m.name().to_string()));
+            slot.extend(bu.preds.iter().map(|p| p.mode.name().to_string()));
         }
     }
 }
@@ -303,20 +302,41 @@ pub fn estimate_table_bytes(t: &Table) -> usize {
     total
 }
 
-/// Shared exact rule-sequence evaluator used by every reducer/mapper:
-/// computes only the features the sequence references (the computation
-/// caching of Section 7.3).
+/// Shared exact rule-sequence evaluator used by every reducer/mapper.
+///
+/// Evaluation follows the sequence's own contract — rules in sequence
+/// order, predicates in rule order, stop at the first rule that fires —
+/// and computes a feature only when a predicate first reads it, at most
+/// once per pair. That early exit is what `select_opt_seq` prices when it
+/// orders the rules (a rule's features are charged only to the pairs that
+/// reach it), and it is what makes the reducers cheap: most shuffled
+/// pairs are dropped by the first rule and pay for its features alone.
 pub struct PairEvaluator {
     a: Table,
     b: Table,
-    features: FeatureSet,
-    seq: RuleSequence,
-    needed: Vec<usize>,
-    arity: usize,
+    /// The distinct features the sequence reads, in first-read order
+    /// (`None`: an index outside the feature set, which reads as missing
+    /// exactly like [`Predicate::eval`] on a too-short vector).
+    slots: Vec<(usize, Option<Feature>)>,
+    /// Every predicate of the sequence with the slot of its feature,
+    /// rule after rule.
+    preds: Vec<(usize, Predicate)>,
+    /// `preds[rule_ends[i-1]..rule_ends[i]]` is rule `i`.
+    rule_ends: Vec<usize>,
     /// Full-table token profiles for the needed features' columns, so the
     /// per-pair evaluation uses the sorted-id kernels instead of
     /// re-tokenizing each value for every pair it appears in.
     profiles: PairProfiles,
+}
+
+/// Per-task state of [`PairEvaluator::keeps_scratch`]: the feature values
+/// already computed for the current pair and the similarity kernels' DP
+/// rows, kept across pairs so the hot loops allocate nothing per pair.
+#[derive(Default)]
+pub struct EvalScratch {
+    vals: Vec<f64>,
+    known: Vec<bool>,
+    sim: SimScratch,
 }
 
 impl PairEvaluator {
@@ -325,29 +345,43 @@ impl PairEvaluator {
     /// handful of features, so this is a short full-table pass amortized
     /// over up to `|A| × |B|` evaluations).
     pub fn new(a: &Table, b: &Table, features: &FeatureSet, seq: &RuleSequence) -> Self {
-        let needed: Vec<usize> = seq.features().into_iter().collect();
+        let mut slots: Vec<(usize, Option<Feature>)> = Vec::new();
+        let mut preds = Vec::new();
+        let mut rule_ends = Vec::with_capacity(seq.len());
+        for rule in &seq.rules {
+            for p in &rule.predicates {
+                let slot = slots
+                    .iter()
+                    .position(|(f, _)| *f == p.feature)
+                    .unwrap_or_else(|| {
+                        slots.push((p.feature, features.features.get(p.feature).cloned()));
+                        slots.len() - 1
+                    });
+                preds.push((slot, *p));
+            }
+            rule_ends.push(preds.len());
+        }
         // Blocking rules never reference a TF/IDF measure: no corpus model.
-        let profiles = build_pair_profiles_seq(a, b, needed.iter().map(|&i| features.get(i)), None);
+        let profiles =
+            build_pair_profiles_seq(a, b, slots.iter().filter_map(|(_, f)| f.as_ref()), None);
         Self {
             a: a.clone(),
             b: b.clone(),
-            features: features.clone(),
-            seq: seq.clone(),
-            needed,
-            arity: features.len(),
+            slots,
+            preds,
+            rule_ends,
             profiles,
         }
     }
 
     /// True iff the pair survives the rule sequence.
     pub fn keeps(&self, aid: TupleId, bid: TupleId) -> bool {
-        let mut fv = Vec::new();
-        self.keeps_scratch(aid, bid, &mut fv)
+        self.keeps_scratch(aid, bid, &mut EvalScratch::default())
     }
 
-    /// [`PairEvaluator::keeps`] with a caller-owned feature-vector
-    /// buffer, so hot loops evaluate pairs without a per-pair allocation.
-    pub fn keeps_scratch(&self, aid: TupleId, bid: TupleId, fv: &mut Vec<f64>) -> bool {
+    /// [`PairEvaluator::keeps`] with caller-owned per-task state, so hot
+    /// loops evaluate pairs without a per-pair allocation.
+    pub fn keeps_scratch(&self, aid: TupleId, bid: TupleId, scratch: &mut EvalScratch) -> bool {
         // A pair referencing an unknown id cannot be a match of real
         // tuples; dropping it is exact, not lossy.
         if aid as usize >= self.a.len() || bid as usize >= self.b.len() {
@@ -355,74 +389,124 @@ impl PairEvaluator {
         }
         let p = &self.profiles;
         let ctx = SimContext::empty().with_profiles(&p.a, &p.b, &p.dict);
-        // Allocates nothing up front; blocking measures only ever borrow
-        // its DP rows (Levenshtein).
-        let mut scratch = SimScratch::new();
-        fv.clear();
-        fv.resize(self.arity, f64::NAN);
-        for &i in &self.needed {
-            let f = self.features.get(i);
-            fv[i] = f.compute_at(&self.a, &self.b, aid, bid, &ctx, &mut scratch);
+        let EvalScratch { vals, known, sim } = scratch;
+        vals.resize(self.slots.len(), f64::NAN);
+        known.clear();
+        known.resize(self.slots.len(), false);
+        let mut start = 0;
+        for &end in &self.rule_ends {
+            let fires = self.preds[start..end].iter().all(|&(slot, pred)| {
+                if !known[slot] {
+                    known[slot] = true;
+                    vals[slot] = self.slots[slot].1.as_ref().map_or(f64::NAN, |f| {
+                        f.compute_at(&self.a, &self.b, aid, bid, &ctx, sim)
+                    });
+                }
+                pred.eval_value(vals[slot])
+            });
+            if fires {
+                return false;
+            }
+            start = end;
         }
-        self.seq.keeps(fv)
+        true
+    }
+
+    /// Indices of the features computed for the last pair evaluated with
+    /// `scratch`, in the order they were first read.
+    pub fn computed(&self, scratch: &EvalScratch) -> Vec<usize> {
+        self.slots
+            .iter()
+            .zip(&scratch.known)
+            .filter(|(_, known)| **known)
+            .map(|((feature, _), _)| *feature)
+            .collect()
     }
 }
 
-/// One conjunct's probe bundle: `(index, B-side attribute index, planned
-/// probe mode)` per predicate, tagged with the conjunct's sequence
+/// One predicate's probe: its index, the B-side attribute the probe
+/// reads, the planned probe mode, and the slot of the [`ProbeTokens`] it
+/// shares with every other predicate reading the same tokens (see
+/// [`share_tokens`]).
+struct Pred {
+    index: Arc<PredicateIndex>,
+    b_idx: usize,
+    mode: ProbeMode,
+    tokens: usize,
+}
+
+/// One conjunct's probe bundle, tagged with the conjunct's sequence
 /// position so stats land on the right counter row.
 struct Bundle {
     ci: usize,
-    preds: Vec<(Arc<PredicateIndex>, usize, ProbeMode)>,
+    preds: Vec<Pred>,
 }
 
-/// Assemble probe bundles for the given conjunct indices, planning each
-/// predicate's probe mode once up front (the planner hook: signature
-/// density and postings statistics decide per predicate whether the
-/// pre-filter pays off).
+impl Bundle {
+    /// Bundle the built indexes of conjunct `ci`'s predicates `which`,
+    /// planning each predicate's probe mode once up front (signature
+    /// density and postings statistics decide per predicate whether the
+    /// pre-filter pays off). `None` when a spec or built index is missing.
+    fn new(
+        conjuncts: &ConjunctSpecs,
+        built: &BuiltIndexes,
+        ci: usize,
+        which: impl IntoIterator<Item = usize>,
+    ) -> Option<Bundle> {
+        let preds = which
+            .into_iter()
+            .map(|pi| {
+                let (_, b_idx) = conjuncts.specs[ci][pi].as_ref()?;
+                // Cache lookup through the key hoisted at spec
+                // derivation — no per-conjunct key formatting here.
+                let index = built.get_by_key(conjuncts.key_of(ci, pi)?)?;
+                Some(Pred {
+                    mode: index.plan_probe_mode(),
+                    index,
+                    b_idx: *b_idx,
+                    tokens: 0,
+                })
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Some(Bundle { ci, preds })
+    }
+}
+
+/// Assemble probe bundles for the given conjunct indices.
 ///
 /// A conjunct whose spec or built index is missing is skipped *whole*:
 /// dropping an entire conjunct only weakens the filter (more candidates
 /// pass), which preserves recall. Dropping a single predicate inside a
 /// conjunct would instead shrink the probe union and could lose matches.
-/// The probe mode for `idx`: normally [`PredicateIndex::plan_probe_mode`],
-/// but the `FALCON_PROBE_MODE` environment variable (`off` | `gate` |
-/// `dense`) forces one mode process-wide on every signature-wrapped index
-/// for differential testing — every mode is lossless, so final candidate
-/// pairs cannot change. Read once and cached so a run never mixes modes.
-fn planned_mode(idx: &PredicateIndex) -> ProbeMode {
-    static FORCED: std::sync::OnceLock<Option<ProbeMode>> = std::sync::OnceLock::new();
-    let forced = *FORCED.get_or_init(|| match std::env::var("FALCON_PROBE_MODE").as_deref() {
-        Ok("off") => Some(ProbeMode::Off),
-        Ok("gate") => Some(ProbeMode::Gate),
-        Ok("dense") => Some(ProbeMode::Dense),
-        _ => None,
-    });
-    match forced {
-        Some(mode) if matches!(idx, PredicateIndex::Signature { .. }) => mode,
-        _ => idx.plan_probe_mode(),
-    }
-}
-
 fn bundles_for(conjuncts: &ConjunctSpecs, built: &BuiltIndexes, which: &[usize]) -> Vec<Bundle> {
     which
         .iter()
-        .filter_map(|&ci| {
-            let preds = conjuncts.specs[ci]
-                .iter()
-                .enumerate()
-                .map(|(pi, s)| {
-                    let (_, b_idx) = s.as_ref()?;
-                    // Cache lookup through the key hoisted at spec
-                    // derivation — no per-conjunct key formatting here.
-                    let idx = built.get_by_key(conjuncts.key_of(ci, pi)?)?;
-                    let mode = planned_mode(&idx);
-                    Some((idx, *b_idx, mode))
-                })
-                .collect::<Option<Vec<_>>>()?;
-            Some(Bundle { ci, preds })
-        })
+        .filter_map(|&ci| Bundle::new(conjuncts, built, ci, 0..conjuncts.specs[ci].len()))
         .collect()
+}
+
+/// The probe plan of one map task's bundles: give every predicate the
+/// slot of the [`ProbeTokens`] it reads, one slot per distinct `(B
+/// attribute, tokenizer, token order)`, so a B value is tokenized,
+/// rank-ordered and signed once per tuple however many predicates of
+/// however many bundles probe with it. Returns the number of slots.
+/// Scalar and edit indexes read no tokens and point at slot 0, which
+/// they ignore.
+fn share_tokens(bundles: &mut [Bundle]) -> usize {
+    let mut sources: Vec<(usize, Tokenizer, *const falcon_index::TokenOrder)> = Vec::new();
+    for pred in bundles.iter_mut().flat_map(|bu| &mut bu.preds) {
+        if let Some((tokenizer, order)) = pred.index.token_source() {
+            let source = (pred.b_idx, tokenizer, Arc::as_ptr(order));
+            pred.tokens = sources
+                .iter()
+                .position(|s| *s == source)
+                .unwrap_or_else(|| {
+                    sources.push(source);
+                    sources.len() - 1
+                });
+        }
+    }
+    sources.len().max(1)
 }
 
 /// Reusable per-map-task probe state: the bitmap union / intersection
@@ -436,9 +520,9 @@ struct ProbeScratch {
     acc: CandidateBitmap,
     out: Vec<TupleId>,
     locals: Vec<ProbeStats>,
-    /// Feature-vector buffer for evaluator stages (kept here so the
-    /// pool recycles one allocation set for probe *and* evaluate work).
-    fv: Vec<f64>,
+    /// Per-B-tuple probe inputs, one per slot of the task's probe plan
+    /// (see [`share_tokens`]).
+    tokens: Vec<ProbeTokens>,
 }
 
 impl ProbeScratch {
@@ -448,19 +532,20 @@ impl ProbeScratch {
             acc: CandidateBitmap::new(0),
             out: Vec::new(),
             locals: Vec::new(),
-            fv: Vec::new(),
+            tokens: Vec::new(),
         }
     }
 
     /// Make the scratch ready for a task over `a_len` A-tuples and
-    /// `n_bundles` conjunct bundles, keeping existing allocations.
-    fn prepare(&mut self, a_len: usize, n_bundles: usize) {
+    /// `n_bundles` conjunct bundles sharing `n_tokens` probe-input slots,
+    /// keeping existing allocations.
+    fn prepare(&mut self, a_len: usize, n_bundles: usize, n_tokens: usize) {
         self.union.reset(a_len);
         self.acc.reset(a_len);
         self.out.clear();
         self.locals.clear();
         self.locals.resize(n_bundles, ProbeStats::default());
-        self.fv.clear();
+        self.tokens.resize_with(n_tokens, ProbeTokens::default);
     }
 
     /// Flush the accumulated per-conjunct deltas and zero them.
@@ -489,9 +574,9 @@ impl ScratchPool {
         Arc::new(Self::default())
     }
 
-    fn checkout(&self, a_len: usize, n_bundles: usize) -> ProbeScratch {
+    fn checkout(&self, a_len: usize, n_bundles: usize, n_tokens: usize) -> ProbeScratch {
         let mut scratch = self.slots.lock().pop().unwrap_or_else(ProbeScratch::empty);
-        scratch.prepare(a_len, n_bundles);
+        scratch.prepare(a_len, n_bundles, n_tokens);
         scratch
     }
 
@@ -503,6 +588,10 @@ impl ScratchPool {
 /// Candidate A-ids for one B tuple across the given bundles, collected
 /// into `scratch.out` (ascending, deduplicated). Returns `false` when
 /// every bundle probed to "All" — the caller pairs `bid` with all of `A`.
+///
+/// Probes sink ids straight into the task's `union` bitmap and read the
+/// B value's tokens through the task's shared [`ProbeTokens`] slots,
+/// loaded by the first predicate that needs them.
 fn candidates_for(
     b: &Table,
     bid: TupleId,
@@ -510,42 +599,39 @@ fn candidates_for(
     bundles: &[Bundle],
     scratch: &mut ProbeScratch,
 ) -> bool {
+    let ProbeScratch {
+        union,
+        acc,
+        out,
+        locals,
+        tokens,
+        ..
+    } = scratch;
+    tokens.iter_mut().for_each(ProbeTokens::reset);
     let mut restricted = false;
-    for (bi, bundle) in bundles.iter().enumerate() {
-        scratch.union.reset(a_len);
-        let mut unrestricted = false;
-        let stats = &mut scratch.locals[bi];
-        for (idx, b_idx, mode) in &bundle.preds {
-            let bv = b.value_ref(bid, *b_idx).unwrap_or_default();
-            match idx.probe_ref_stats(bv, *mode, stats) {
-                Candidates::All => {
-                    unrestricted = true;
-                    break;
-                }
-                Candidates::Some(ids) => {
-                    for id in ids {
-                        scratch.union.insert(id);
-                    }
-                }
-                Candidates::Bitmap(bm) => scratch.union.union_with(&bm),
-            }
-        }
+    for (bundle, stats) in bundles.iter().zip(locals) {
+        union.reset(a_len);
+        let unrestricted = bundle.preds.iter().any(|p| {
+            let bv = b.value_ref(bid, p.b_idx).unwrap_or_default();
+            let slot = &mut tokens[p.tokens];
+            !p.index
+                .probe_into(bv, p.mode, slot, stats, &mut |id| union.insert(id))
+        });
         if unrestricted {
             continue;
         }
         if restricted {
-            scratch.acc.intersect(&scratch.union);
+            acc.intersect(union);
         } else {
-            scratch.acc.copy_from(&scratch.union);
+            acc.copy_from(union);
             restricted = true;
         }
-        if scratch.acc.ones() == 0 {
+        if acc.ones() == 0 {
             break;
         }
     }
-    scratch.out.clear();
+    out.clear();
     if restricted {
-        let (acc, out) = (&scratch.acc, &mut scratch.out);
         acc.for_each(|id| out.push(id));
     }
     restricted
@@ -578,12 +664,13 @@ fn run_probe_reduce(
     a: &Table,
     b: &Table,
     evaluator: Arc<PairEvaluator>,
-    bundles: Vec<Bundle>,
+    mut bundles: Vec<Bundle>,
     collector: &Arc<StatsCollector>,
     pool: &Arc<ScratchPool>,
     op: PhysicalOp,
 ) -> Result<BlockingOutput, BlockingError> {
     let a_len = a.len();
+    let n_tokens = share_tokens(&mut bundles);
     let bundles = Arc::new(bundles);
     let b_handle = b.clone();
     let n_b = b.len();
@@ -594,7 +681,7 @@ fn run_probe_reduce(
         b_chunk_splits(b, cluster),
         cluster.threads(),
         move |chunk: &Vec<TupleId>, e: &mut Emitter<TupleId, TupleId>| {
-            let mut scratch = pool.checkout(a_len, bundles.len());
+            let mut scratch = pool.checkout(a_len, bundles.len(), n_tokens);
             for &bid in chunk {
                 if candidates_for(&b_handle, bid, a_len, &bundles, &mut scratch) {
                     for &aid in &scratch.out {
@@ -610,9 +697,9 @@ fn run_probe_reduce(
             pool.restore(scratch);
         },
         move |aid: &TupleId, bids: Vec<TupleId>, out: &mut Vec<IdPair>| {
-            let mut fv = Vec::new();
+            let mut scratch = EvalScratch::default();
             for bid in bids {
-                if evaluator.keeps_scratch(*aid, bid, &mut fv) {
+                if evaluator.keeps_scratch(*aid, bid, &mut scratch) {
                     out.push((*aid, bid));
                 }
             }
@@ -637,11 +724,12 @@ fn run_probe_wave(
     cluster: &Cluster,
     a: &Table,
     b: &Table,
-    bundles: Vec<Bundle>,
+    mut bundles: Vec<Bundle>,
     collector: &Arc<StatsCollector>,
     pool: &Arc<ScratchPool>,
 ) -> Result<(HashSet<IdPair>, JobStats), BlockingError> {
     let a_len = a.len();
+    let n_tokens = share_tokens(&mut bundles);
     let bundles = Arc::new(bundles);
     let b_handle = b.clone();
     let n_b = b.len();
@@ -651,7 +739,7 @@ fn run_probe_wave(
         cluster,
         b_chunk_splits(b, cluster),
         move |chunk: &Vec<TupleId>, out: &mut Vec<IdPair>| {
-            let mut scratch = pool.checkout(a_len, bundles.len());
+            let mut scratch = pool.checkout(a_len, bundles.len(), n_tokens);
             for &bid in chunk {
                 if candidates_for(&b_handle, bid, a_len, &bundles, &mut scratch) {
                     out.extend(scratch.out.iter().map(|&aid| (aid, bid)));
@@ -667,29 +755,27 @@ fn run_probe_wave(
     Ok((out.output.iter().copied().collect(), out.stats))
 }
 
-/// Final evaluation of the rule sequence over a pair set (map-only).
-fn run_evaluate(
+/// Final evaluation of the rule sequence over a pair set (map-only);
+/// returns the surviving pairs, sorted.
+pub(crate) fn run_evaluate(
     cluster: &Cluster,
     evaluator: Arc<PairEvaluator>,
-    pairs: Vec<IdPair>,
-    pool: &Arc<ScratchPool>,
+    pairs: &[IdPair],
 ) -> Result<(Vec<IdPair>, JobStats), BlockingError> {
     // Each split carries one whole pair chunk as a single record, so a map
     // task streams its chunk through the evaluator without per-pair
-    // dispatch through the dataflow record loop (and with one shared
-    // feature-vector scratch buffer per chunk, recycled via the pool).
+    // dispatch through the dataflow record loop (and with one evaluator
+    // scratch per chunk).
     let n_pairs = pairs.len();
     let chunk = n_pairs.div_ceil((cluster.threads() * 2).max(1)).max(1);
     let splits: Vec<Vec<Vec<IdPair>>> = pairs.chunks(chunk).map(|c| vec![c.to_vec()]).collect();
-    let pool = Arc::clone(pool);
     let mut out = run_map_only(cluster, splits, move |pair_chunk: &Vec<IdPair>, out| {
-        let mut scratch = pool.checkout(0, 0);
+        let mut scratch = EvalScratch::default();
         for &(aid, bid) in pair_chunk {
-            if evaluator.keeps_scratch(aid, bid, &mut scratch.fv) {
+            if evaluator.keeps_scratch(aid, bid, &mut scratch) {
                 out.push((aid, bid));
             }
         }
-        pool.restore(scratch);
     })?;
     // Chunk-as-record wrapping counted chunks; restore the true count.
     out.stats.input_records = n_pairs;
@@ -795,7 +881,7 @@ pub fn execute_pooled(
             }
             let mut pairs: Vec<IdPair> = acc.unwrap_or_default().into_iter().collect();
             pairs.sort_unstable();
-            let (candidates, stats) = run_evaluate(cluster, evaluator, pairs, pool)?;
+            let (candidates, stats) = run_evaluate(cluster, evaluator, &pairs)?;
             jobs.push(stats);
             let duration = jobs.iter().map(|s| s.sim_duration(&cluster.config)).sum();
             BlockingOutput {
@@ -819,18 +905,8 @@ pub fn execute_pooled(
                 // conjunct is skipped: a partial union would shrink the
                 // candidate set and lose recall, while skipping the
                 // conjunct only admits extra candidates.
-                let specs: Option<Vec<Bundle>> = conjuncts.specs[ci]
-                    .iter()
-                    .enumerate()
-                    .map(|(pi, s)| {
-                        let (_, b_idx) = s.as_ref()?;
-                        let idx = built.get_by_key(conjuncts.key_of(ci, pi)?)?;
-                        let mode = planned_mode(&idx);
-                        Some(Bundle {
-                            ci,
-                            preds: vec![(idx, *b_idx, mode)],
-                        })
-                    })
+                let specs: Option<Vec<Bundle>> = (0..conjuncts.specs[ci].len())
+                    .map(|pi| Bundle::new(conjuncts, built, ci, [pi]))
                     .collect();
                 let Some(pred_bundles) = specs else { continue };
                 record_modes(&mut modes, &pred_bundles);
@@ -848,7 +924,7 @@ pub fn execute_pooled(
             }
             let mut pairs: Vec<IdPair> = acc.unwrap_or_default().into_iter().collect();
             pairs.sort_unstable();
-            let (candidates, stats) = run_evaluate(cluster, evaluator, pairs, pool)?;
+            let (candidates, stats) = run_evaluate(cluster, evaluator, &pairs)?;
             jobs.push(stats);
             let duration = jobs.iter().map(|s| s.sim_duration(&cluster.config)).sum();
             BlockingOutput {
@@ -871,9 +947,9 @@ pub fn execute_pooled(
                 let a_len = a.len() as TupleId;
                 let out =
                     run_map_only(cluster, b_splits(b, cluster), move |&bid: &TupleId, out| {
-                        let mut fv = Vec::new();
+                        let mut scratch = EvalScratch::default();
                         for aid in 0..a_len {
-                            if evaluator.keeps_scratch(aid, bid, &mut fv) {
+                            if evaluator.keeps_scratch(aid, bid, &mut scratch) {
                                 out.push((aid, bid));
                             }
                         }
@@ -900,9 +976,9 @@ pub fn execute_pooled(
                         }
                     },
                     move |aid: &TupleId, bids: Vec<TupleId>, out: &mut Vec<IdPair>| {
-                        let mut fv = Vec::new();
+                        let mut scratch = EvalScratch::default();
                         for bid in bids {
-                            if evaluator.keeps_scratch(*aid, bid, &mut fv) {
+                            if evaluator.keeps_scratch(*aid, bid, &mut scratch) {
                                 out.push((*aid, bid));
                             }
                         }

@@ -44,7 +44,12 @@ pub struct Predicate {
 impl Predicate {
     /// Evaluate against a feature vector (`NaN` = missing).
     pub fn eval(&self, fv: &[f64]) -> bool {
-        let v = fv.get(self.feature).copied().unwrap_or(f64::NAN);
+        self.eval_value(fv.get(self.feature).copied().unwrap_or(f64::NAN))
+    }
+
+    /// Evaluate against this predicate's own feature value (`NaN` =
+    /// missing).
+    pub fn eval_value(&self, v: f64) -> bool {
         if v.is_nan() {
             // Missing = maximally similar: +∞ satisfies Gt only, -∞
             // satisfies Le only.

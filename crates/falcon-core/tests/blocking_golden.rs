@@ -1,0 +1,238 @@
+//! Frozen outputs of `apply_blocking_rules`: for three datasets at fixed
+//! seeds and the four index-probing operators, the candidate set (as an
+//! FNV-1a digest), the per-conjunct probe counters and the number of
+//! shuffled records must equal the lines of `goldens/blocking.txt`, at 1,
+//! 2 and 8 threads and under a seeded fault plan — and every candidate
+//! set must be the exhaustive single-machine baseline's, whichever probe
+//! modes (`off`, `gate`, `dense` all occur) the planner picked.
+//!
+//! The golden file was recorded at the commit *before* the probe and
+//! evaluation kernels were compiled (lazy rule evaluation, shared probe
+//! plans, verdict tables), so it pins "same work, same answer" against
+//! the retired kernels without keeping them alive. To re-record after an
+//! intended change, empty the file and run this test: it fails printing
+//! the full replacement content.
+
+use falcon_core::corleone::corleone_blocking;
+use falcon_core::features::{generate_features, FeatureSet};
+use falcon_core::indexing::{BuiltIndexes, ConjunctSpecs, PreFilterConfig};
+use falcon_core::physical::{self, PhysicalOp};
+use falcon_core::rules::{Predicate, Rule, RuleSequence};
+use falcon_dataflow::{Cluster, ClusterConfig, FaultPlan};
+use falcon_datagen::{citations, products, songs, EmDataset};
+use falcon_forest::SplitOp;
+use falcon_table::IdPair;
+
+const GOLDEN: &str = include_str!("goldens/blocking.txt");
+
+/// `(feature name, op, threshold)` drop-rule predicates.
+type RuleSpec = &'static [(&'static str, SplitOp, f64)];
+
+fn sequence(features: &FeatureSet, rules: &[RuleSpec]) -> RuleSequence {
+    let pred = |&(name, op, threshold): &(&str, SplitOp, f64)| {
+        let feature = features
+            .features
+            .iter()
+            .position(|f| f.name == name)
+            .unwrap_or_else(|| panic!("missing blocking feature {name}"));
+        Predicate {
+            feature,
+            op,
+            threshold,
+            nan_is_high: features.get(feature).sim.higher_is_similar(),
+        }
+    };
+    RuleSequence::new(
+        rules
+            .iter()
+            .map(|r| Rule {
+                predicates: r.iter().map(pred).collect(),
+            })
+            .collect(),
+    )
+}
+
+use SplitOp::{Gt, Le};
+
+/// One `3gram(title)` order probed by three conjuncts, a range disjunct,
+/// a word-token cosine, and a last rule whose complement is unfilterable.
+const SONGS: &[RuleSpec] = &[
+    &[("jaccard_3gram(title,title)", Le, 0.3)],
+    &[
+        ("dice_3gram(title,title)", Le, 0.45),
+        ("abs_diff(year,year)", Gt, 1.0),
+    ],
+    &[
+        ("overlap_3gram(title,title)", Le, 0.5),
+        ("cosine_word(artist_name,artist_name)", Le, 0.4),
+    ],
+    &[
+        ("rel_diff(duration,duration)", Gt, 0.2),
+        ("jaccard_word(release,release)", Le, 0.2),
+    ],
+    &[
+        ("exact_match(year,year)", Gt, 0.5),
+        ("jaccard_word(title,title)", Le, 0.05),
+    ],
+];
+
+/// Equality, range and edit-distance filters beside the set filters.
+const PRODUCTS: &[RuleSpec] = &[
+    &[("jaccard_word(title,title)", Le, 0.3)],
+    &[
+        ("exact_match(brand,brand)", Le, 0.5),
+        ("abs_diff(price,price)", Gt, 50.0),
+    ],
+    &[
+        ("levenshtein(modelno,modelno)", Le, 0.5),
+        ("cosine_word(title,title)", Le, 0.5),
+    ],
+    &[
+        ("dice_word(title,title)", Le, 0.4),
+        ("jaccard_3gram(brand,brand)", Le, 0.3),
+    ],
+];
+
+/// Long multi-token strings: word-token title filters shared by three
+/// conjuncts plus 3-gram author filters.
+const CITATIONS: &[RuleSpec] = &[
+    &[("jaccard_word(title,title)", Le, 0.4)],
+    &[
+        ("cosine_word(title,title)", Le, 0.5),
+        ("jaccard_3gram(authors,authors)", Le, 0.3),
+    ],
+    &[
+        ("overlap_word(title,title)", Le, 0.6),
+        ("exact_match(year,year)", Le, 0.5),
+    ],
+    &[
+        ("rel_diff(year,year)", Gt, 0.001),
+        ("dice_3gram(authors,authors)", Le, 0.5),
+    ],
+];
+
+fn fnv1a(pairs: &[IdPair]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &(a, b) in pairs {
+        for byte in a.to_le_bytes().into_iter().chain(b.to_le_bytes()) {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// One golden line: everything deterministic about a blocking execution.
+fn line(dataset: &str, out: &physical::BlockingOutput) -> String {
+    let shuffled: usize = out.jobs.iter().map(|j| j.shuffled_records).sum();
+    let stats: Vec<String> = out
+        .blocking
+        .conjuncts
+        .iter()
+        .map(|c| {
+            format!(
+                "c{}[{}]:{}/{}/{}/{}",
+                c.conjunct,
+                c.modes.join(","),
+                c.pairs_examined,
+                c.pruned_by_signature,
+                c.pruned_by_exact,
+                c.survived
+            )
+        })
+        .collect();
+    format!(
+        "{dataset} {} candidates={} digest={:016x} jobs={} shuffled={shuffled} stats={}",
+        out.op.name(),
+        out.candidates.len(),
+        fnv1a(&out.candidates),
+        out.jobs.len(),
+        stats.join(";"),
+    )
+}
+
+const OPS: [PhysicalOp; 4] = [
+    PhysicalOp::ApplyAll,
+    PhysicalOp::ApplyGreedy,
+    PhysicalOp::ApplyConjunct,
+    PhysicalOp::ApplyPredicate,
+];
+
+#[test]
+fn blocking_outputs_match_the_recorded_goldens() {
+    let datasets: [(&str, EmDataset, &[RuleSpec]); 3] = [
+        ("products", products::generate(0.05, 11), PRODUCTS),
+        ("songs", songs::generate(0.001, 5), SONGS),
+        ("citations", citations::generate(0.0005, 3), CITATIONS),
+    ];
+    let faults = FaultPlan::seeded(7)
+        .with_failure_rate(0.3)
+        .with_straggler_rate(0.1)
+        .with_node_loss(1, 0)
+        .with_max_attempts(8);
+    let clusters = [
+        Cluster::new(ClusterConfig::small(1)).with_threads(1),
+        Cluster::new(ClusterConfig::small(2)).with_threads(2),
+        Cluster::new(ClusterConfig::small(8)).with_threads(8),
+        Cluster::new(ClusterConfig::small(4))
+            .with_threads(4)
+            .with_faults(faults),
+    ];
+    let mut recorded = Vec::new();
+    let mut mismatches = Vec::new();
+    for (name, d, rules) in &datasets {
+        let features = generate_features(&d.a, &d.b).blocking;
+        let seq = sequence(&features, rules);
+        let conjuncts =
+            ConjunctSpecs::derive(&seq, &features).with_signatures(&PreFilterConfig::default());
+        let mut built = BuiltIndexes::new();
+        for spec in conjuncts.all_specs() {
+            built.build_spec(&clusters[0], &d.a, &spec).expect("build");
+        }
+        let sels: Vec<f64> = (0..seq.len()).map(|i| 0.2 + 0.1 * i as f64).collect();
+        let exhaustive = corleone_blocking(&d.a, &d.b, &features, &seq, 1 << 40)
+            .expect("baseline")
+            .candidates;
+        for op in OPS {
+            let lines: Vec<String> = clusters
+                .iter()
+                .map(|cluster| {
+                    let out = physical::execute(
+                        op,
+                        cluster,
+                        &d.a,
+                        &d.b,
+                        &features,
+                        &seq,
+                        &conjuncts,
+                        &built,
+                        &sels,
+                        1 << 40,
+                    )
+                    .unwrap_or_else(|e| panic!("{name} {op:?}: {e}"));
+                    assert_eq!(out.candidates, exhaustive, "{name} {op:?} vs A x B");
+                    line(name, &out)
+                })
+                .collect();
+            for (l, cluster) in lines.iter().zip(&clusters) {
+                assert_eq!(
+                    l,
+                    &lines[0],
+                    "{name} {op:?}: output moved with the schedule ({} threads, faults {})",
+                    cluster.threads(),
+                    cluster.fault_injector().is_some()
+                );
+            }
+            if !GOLDEN.lines().any(|g| g == lines[0]) {
+                mismatches.push(lines[0].clone());
+            }
+            recorded.push(lines[0].clone());
+        }
+    }
+    assert!(
+        mismatches.is_empty() && GOLDEN.lines().count() == recorded.len(),
+        "blocking output differs from goldens/blocking.txt; lines not in it:\n{}\n\nfull replacement:\n{}\n",
+        mismatches.join("\n"),
+        recorded.join("\n")
+    );
+}

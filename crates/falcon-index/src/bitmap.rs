@@ -105,37 +105,6 @@ impl CandidateBitmap {
         self.ones = ones;
     }
 
-    /// Union in place with `other`. Ids beyond this bitmap's capacity are
-    /// dropped (they cannot name an `A` tuple, so dropping them is exact —
-    /// mirroring [`CandidateBitmap::insert`]).
-    pub fn union_with(&mut self, other: &CandidateBitmap) {
-        if other.lo_word > other.hi_word || self.len == 0 {
-            return;
-        }
-        let last = (self.len - 1) / 64;
-        let hi = other.hi_word.min(other.words.len() - 1).min(last);
-        if other.lo_word > hi {
-            return;
-        }
-        for w in other.lo_word..=hi {
-            let mut o = other.words[w];
-            if w == last && !self.len.is_multiple_of(64) {
-                o &= (1u64 << (self.len % 64)) - 1;
-            }
-            if o == 0 {
-                continue;
-            }
-            let before = self.words[w];
-            let after = before | o;
-            if after != before {
-                self.ones += (after.count_ones() - before.count_ones()) as usize;
-                self.words[w] = after;
-                self.lo_word = self.lo_word.min(w);
-                self.hi_word = self.hi_word.max(w);
-            }
-        }
-    }
-
     /// Copy `other`'s contents into this buffer (reusing the allocation).
     pub fn copy_from(&mut self, other: &CandidateBitmap) {
         self.reset(other.len);
@@ -221,25 +190,6 @@ mod tests {
         dst.copy_from(&src);
         assert_eq!(dst.to_vec(), vec![1, 69]);
         assert_eq!(dst.len(), 70);
-    }
-
-    #[test]
-    fn union_with_merges_and_clamps() {
-        let mut x = CandidateBitmap::new(130);
-        x.insert(1);
-        x.insert(64);
-        let mut y = CandidateBitmap::new(300);
-        for id in [1, 2, 129, 250] {
-            y.insert(id);
-        }
-        x.union_with(&y);
-        // 250 is beyond x's capacity and must be dropped.
-        assert_eq!(x.to_vec(), vec![1, 2, 64, 129]);
-        assert_eq!(x.ones(), 4);
-        // Union into an empty bitmap after reset.
-        x.reset(130);
-        x.union_with(&y);
-        assert_eq!(x.to_vec(), vec![1, 2, 129]);
     }
 
     #[test]

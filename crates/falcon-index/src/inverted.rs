@@ -10,6 +10,7 @@
 //! required overlap).
 
 use crate::signature::{ProbeSig, ProbeStats, SignatureIndex};
+use crate::verdict::{verdict, VerdictTable, REFUTED};
 use falcon_table::TupleId;
 use falcon_textsim::prefix;
 use falcon_textsim::{SimFunction, Tokenizer};
@@ -82,6 +83,9 @@ pub struct PrefixIndex {
     /// for tuples with no tokens).
     set_sizes: Vec<u32>,
     posting_count: usize,
+    /// Largest token-set size ever inserted: bounds the per-probe
+    /// [`VerdictTable`].
+    max_set_size: u32,
 }
 
 /// Sentinel size for tuples whose value produced no tokens.
@@ -152,6 +156,7 @@ impl PrefixIndex {
             return;
         }
         self.set_sizes[id as usize] = ordered.len() as u32;
+        self.max_set_size = self.max_set_size.max(ordered.len() as u32);
         let p = prefix::prefix_len(sim, threshold, ordered.len());
         for (pos, tok) in ordered.into_iter().take(p).enumerate() {
             self.postings.entry(tok).or_default().push((id, pos as u32));
@@ -165,6 +170,11 @@ impl PrefixIndex {
             Some(&s) if s != NO_TOKENS => Some(s as usize),
             _ => None,
         }
+    }
+
+    /// The `(tuple id, token position)` postings of one prefix token.
+    pub fn postings(&self, token: &str) -> &[(TupleId, u32)] {
+        self.postings.get(token).map_or(&[], Vec::as_slice)
     }
 
     /// `FindProbableCandidates` for a set-similarity predicate: probe with
@@ -184,25 +194,40 @@ impl PrefixIndex {
             return;
         }
         let ordered = order.order_tokens(tokenizer.tokenize(raw));
-        let mut stats = ProbeStats::default();
-        self.probe_gated(&ordered, sim, threshold, None, out, &mut stats);
+        self.probe_gated(
+            &ordered,
+            sim,
+            threshold,
+            None,
+            &mut VerdictTable::default(),
+            &mut ProbeStats::default(),
+            &mut |id| out.push(id),
+        );
     }
 
     /// Token-level form of [`PrefixIndex::probe`] with an optional
-    /// signature gate and probe counters. When `gate` is supplied, each
-    /// posting is first tested with the lossless popcount bound
-    /// ([`SignatureIndex::may_overlap`]) before the exact length and
+    /// signature gate and probe counters; ids passing every filter go to
+    /// `sink` (possibly repeated). When `gate` is supplied, each posting
+    /// is first tested with the lossless popcount bound (see
+    /// [`SignatureIndex::may_overlap`]) before the exact length and
     /// position filters run — a signature refutation is a proof the pair
     /// cannot reach the threshold, so gating never changes which true
     /// candidates survive, only how much exact filtering runs.
+    ///
+    /// Everything those filters decide from the candidate's size alone is
+    /// tabulated once per probe in `table` (see [`crate::verdict`]); the
+    /// per-posting work is the size load, the table load, the fingerprint
+    /// AND + popcount and integer compares.
+    #[allow(clippy::too_many_arguments)]
     pub fn probe_gated(
         &self,
         ordered: &[String],
         sim: SimFunction,
         threshold: f64,
         gate: Option<(&SignatureIndex, &ProbeSig)>,
-        out: &mut Vec<TupleId>,
+        table: &mut VerdictTable,
         stats: &mut ProbeStats,
+        sink: &mut impl FnMut(TupleId),
     ) {
         let y_len = ordered.len();
         if y_len == 0 {
@@ -210,43 +235,40 @@ impl PrefixIndex {
         }
         let p = prefix::prefix_len(sim, threshold, y_len);
         let bounds = prefix::length_bounds(sim, threshold, y_len);
+        let min_bits = gate.map(|(_, probe)| probe.min_bits());
+        let fill = |x_len| verdict(sim, threshold, x_len, y_len, bounds, min_bits);
+        table.reset(self.max_set_size as usize);
+        let mut local = ProbeStats::default();
         for (j, tok) in ordered.iter().take(p).enumerate() {
             let Some(list) = self.postings.get(tok) else {
                 continue;
             };
+            // Position filter: tokens at positions i (in x) and j (in y)
+            // match; the best remaining overlap is this shared token plus
+            // whatever follows on both sides.
+            let y_rest = y_len - j - 1;
+            local.pairs_examined += list.len() as u64;
             for &(id, i) in list {
-                stats.pairs_examined += 1;
                 let x_len = self.set_sizes[id as usize] as usize;
-                let need = prefix::required_overlap(sim, threshold, x_len, y_len);
+                let v = table.at(x_len, fill);
                 // Signature pre-filter: a few popcounts refute the pair
-                // before any exact filter arithmetic.
-                if let (Some((sigs, probe)), Some(need)) = (gate, need) {
-                    if !sigs.may_overlap(id, probe, need) {
-                        stats.pruned_by_signature += 1;
-                        continue;
-                    }
+                // before any exact filter (`floor` is 0 on ungated probes).
+                if v.floor != 0
+                    && (v.floor == REFUTED
+                        || gate.is_none_or(|(sigs, probe)| sigs.shared_bits(id, probe) < v.floor))
+                {
+                    local.pruned_by_signature += 1;
+                    continue;
                 }
-                // Length filter.
-                if let Some((lo, hi)) = bounds {
-                    if x_len < lo || x_len > hi {
-                        stats.pruned_by_exact += 1;
-                        continue;
-                    }
+                if !v.len_ok || 1 + (x_len - i as usize - 1).min(y_rest) < v.need as usize {
+                    local.pruned_by_exact += 1;
+                    continue;
                 }
-                // Position filter: tokens at positions i (in x) and j (in
-                // y) match; the best remaining overlap is this shared token
-                // plus whatever follows on both sides.
-                if let Some(need) = need {
-                    let remaining = 1 + (x_len - i as usize - 1).min(y_len - j - 1);
-                    if remaining < need {
-                        stats.pruned_by_exact += 1;
-                        continue;
-                    }
-                }
-                stats.survived += 1;
-                out.push(id);
+                local.survived += 1;
+                sink(id);
             }
         }
+        stats.merge(&local);
     }
 
     /// Expected postings touched per probe token, assuming probe tokens

@@ -9,7 +9,9 @@
 //!   (prefix and position filters),
 //! * [`spec`] — [`FilterSpec`]: the per-predicate description of which
 //!   filters apply, the built [`PredicateIndex`], and the probe routine
-//!   (`FindProbableCandidates` of Algorithm 1 in the paper).
+//!   (`FindProbableCandidates` of Algorithm 1 in the paper),
+//! * [`verdict`] — the per-probe table that turns the set-similarity
+//!   filters' per-posting float arithmetic into loads and integer compares.
 //!
 //! Every filter is a **necessary** condition for its predicate: probing
 //! never misses a tuple that satisfies the predicate (lossless blocking),
@@ -23,9 +25,11 @@ pub mod inverted;
 pub mod scalar;
 pub mod signature;
 pub mod spec;
+pub mod verdict;
 
 pub use bitmap::CandidateBitmap;
 pub use inverted::{PrefixIndex, TokenOrder};
 pub use scalar::{HashIndex, LengthIndex, RangeIndex};
 pub use signature::{ProbeSig, ProbeStats, SignatureIndex};
-pub use spec::{FilterSpec, IndexError, Obligation, PredicateIndex, ProbeMode};
+pub use spec::{FilterSpec, IndexError, Obligation, PredicateIndex, ProbeMode, ProbeTokens};
+pub use verdict::VerdictTable;

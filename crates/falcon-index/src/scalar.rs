@@ -77,19 +77,25 @@ impl RangeIndex {
         Self { entries }
     }
 
-    /// Ids whose value lies in `[lo, hi]` (inclusive). Both endpoints are
-    /// located by binary search, so the probe costs O(log n + k) rather
-    /// than a linear scan with a per-entry bound check.
-    pub fn probe(&self, lo: f64, hi: f64, out: &mut Vec<TupleId>) {
+    /// The `(value, id)` entries whose value lies in `[lo, hi]`
+    /// (inclusive), in value order. Both endpoints are located by binary
+    /// search, so the probe costs O(log n + k) rather than a linear scan
+    /// with a per-entry bound check.
+    pub fn range(&self, lo: f64, hi: f64) -> &[(f64, TupleId)] {
         if lo.partial_cmp(&hi) != Some(std::cmp::Ordering::Less)
             && lo.partial_cmp(&hi) != Some(std::cmp::Ordering::Equal)
         {
             // Empty or NaN-bounded range: nothing can satisfy it.
-            return;
+            return &[];
         }
         let start = self.entries.partition_point(|(v, _)| *v < lo);
         let end = self.entries.partition_point(|(v, _)| *v <= hi);
-        out.extend(self.entries[start..end].iter().map(|(_, id)| *id));
+        &self.entries[start..end]
+    }
+
+    /// Append the ids of [`RangeIndex::range`] to `out`.
+    pub fn probe(&self, lo: f64, hi: f64, out: &mut Vec<TupleId>) {
+        out.extend(self.range(lo, hi).iter().map(|(_, id)| *id));
     }
 
     /// Estimated memory footprint in bytes.
@@ -139,15 +145,19 @@ impl LengthIndex {
         self.by_len.get(len).map_or(&[], Vec::as_slice)
     }
 
-    /// Append all ids whose length lies in `[lo, hi]` (inclusive). The
+    /// The id buckets of the lengths in `[lo, hi]` (inclusive). The
     /// bucket range is clamped up front so empty/degenerate ranges cost
     /// nothing instead of walking the whole bucket table.
-    pub fn probe(&self, lo: usize, hi: usize, out: &mut Vec<TupleId>) {
+    pub fn buckets(&self, lo: usize, hi: usize) -> &[Vec<TupleId>] {
         if self.by_len.is_empty() || lo > hi || lo >= self.by_len.len() {
-            return;
+            return &[];
         }
-        let hi = hi.min(self.by_len.len() - 1);
-        for bucket in &self.by_len[lo..=hi] {
+        &self.by_len[lo..=hi.min(self.by_len.len() - 1)]
+    }
+
+    /// Append all ids whose length lies in `[lo, hi]` (inclusive).
+    pub fn probe(&self, lo: usize, hi: usize, out: &mut Vec<TupleId>) {
+        for bucket in self.buckets(lo, hi) {
             out.extend_from_slice(bucket);
         }
     }

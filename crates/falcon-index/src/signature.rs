@@ -26,6 +26,7 @@
 //! that prune is exact too. False positives pass through to the exact
 //! filters — the layer can only ever yield a superset of true candidates.
 
+use crate::verdict::{Verdict, VerdictTable, REFUTED};
 use falcon_table::TupleId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -66,6 +67,9 @@ pub struct SignatureIndex {
     sizes: Vec<u32>,
     /// Total set bits across all fingerprints (density statistic).
     set_bits: u64,
+    /// Largest token count ever inserted: bounds the per-probe
+    /// [`VerdictTable`] of a dense scan.
+    max_size: u32,
 }
 
 impl SignatureIndex {
@@ -79,6 +83,7 @@ impl SignatureIndex {
             bits: vec![0; n * words],
             sizes: vec![SIG_NO_TOKENS; n],
             set_bits: 0,
+            max_size: 0,
         }
     }
 
@@ -120,6 +125,7 @@ impl SignatureIndex {
         }
         self.set_bits += row.iter().map(|w| w.count_ones() as u64).sum::<u64>();
         self.sizes[i] = tokens.len() as u32;
+        self.max_size = self.max_size.max(tokens.len() as u32);
     }
 
     /// Distinct-token count of tuple `id` (`SIG_NO_TOKENS` when absent).
@@ -151,14 +157,27 @@ impl SignatureIndex {
         self.bits.len() * 8 + self.sizes.len() * 4
     }
 
+    /// Number of fingerprint bits tuple `id` shares with the probe (0 for
+    /// an id outside the column).
+    #[inline]
+    pub fn shared_bits(&self, id: TupleId, probe: &ProbeSig) -> u32 {
+        debug_assert_eq!(probe.words, self.words);
+        let i = id as usize;
+        let Some(row) = self.bits.get(i * self.words..(i + 1) * self.words) else {
+            return 0;
+        };
+        row.iter()
+            .zip(&probe.sig)
+            .map(|(a, b)| (a & b).count_ones())
+            .sum()
+    }
+
     /// Lossless pre-filter test: can tuple `id` share at least `need`
     /// distinct tokens with the probe? `true` means "maybe" (the exact
     /// path must still check); `false` is a proof of impossibility.
     #[inline]
     pub fn may_overlap(&self, id: TupleId, probe: &ProbeSig, need: usize) -> bool {
-        let i = id as usize;
-        debug_assert_eq!(probe.words, self.words);
-        let size = match self.sizes.get(i) {
+        let size = match self.sizes.get(id as usize) {
             Some(s) => *s,
             None => return false,
         };
@@ -174,12 +193,43 @@ impl SignatureIndex {
             // need > |b|: overlap ≤ |b| < need — impossible.
             return false;
         };
-        let row = &self.bits[i * self.words..(i + 1) * self.words];
-        let mut shared = 0u32;
-        for (a, b) in row.iter().zip(&probe.sig) {
-            shared += (a & b).count_ones();
+        self.shared_bits(id, probe) >= floor
+    }
+
+    /// `Dense` probe: one flat pass over the fingerprint column, no
+    /// postings. Every token-bearing tuple is examined; `verdict(|x|)`
+    /// (tabulated in `table`) says whether the signature can refute it
+    /// and whether the length filter admits it. Survivors go to `sink`.
+    /// Tokenless tuples are skipped: the exact probe never returns them
+    /// either (they are on the missing list when the value is absent, and
+    /// match nothing when it tokenizes empty).
+    pub(crate) fn scan_dense(
+        &self,
+        probe: &ProbeSig,
+        table: &mut VerdictTable,
+        verdict: impl Fn(usize) -> Verdict,
+        stats: &mut ProbeStats,
+        sink: &mut impl FnMut(TupleId),
+    ) {
+        table.reset(self.max_size as usize);
+        let mut local = ProbeStats::default();
+        for (id, &size) in self.sizes.iter().enumerate() {
+            if size == SIG_NO_TOKENS {
+                continue;
+            }
+            let id = id as TupleId;
+            local.pairs_examined += 1;
+            let v = table.at(size as usize, &verdict);
+            if v.floor != 0 && (v.floor == REFUTED || self.shared_bits(id, probe) < v.floor) {
+                local.pruned_by_signature += 1;
+            } else if !v.len_ok {
+                local.pruned_by_exact += 1;
+            } else {
+                local.survived += 1;
+                sink(id);
+            }
         }
-        shared >= floor
+        stats.merge(&local);
     }
 }
 
@@ -197,13 +247,15 @@ pub struct ProbeSig {
 
 impl ProbeSig {
     /// Build the probe fingerprint and its `min_bits` table from the B
-    /// value's token set.
-    pub fn build(tokens: &BTreeSet<String>, words: usize) -> Self {
+    /// value's distinct tokens (a token set, or the rank-ordered token
+    /// list of a probe plan).
+    pub fn build<'a>(tokens: impl IntoIterator<Item = &'a String>, words: usize) -> Self {
         let words = words.max(1);
         let mut sig = vec![0u64; words];
+        let mut bits: Vec<usize> = tokens.into_iter().map(|t| token_bit(t, words)).collect();
+        let token_count = bits.len();
         // Multiplicity per distinct bit: how many probe tokens hash there.
-        let mut mult: Vec<u32> = Vec::with_capacity(tokens.len());
-        let mut bits: Vec<usize> = tokens.iter().map(|t| token_bit(t, words)).collect();
+        let mut mult: Vec<u32> = Vec::with_capacity(token_count);
         bits.sort_unstable();
         for bit in &bits {
             sig[bit / 64] |= 1 << (bit % 64);
@@ -220,11 +272,11 @@ impl ProbeSig {
         // Adversary packs shared tokens onto the most crowded bits first:
         // with the k most crowded bits one can cover m_1 + … + m_k tokens.
         mult.sort_unstable_by(|a, b| b.cmp(a));
-        let mut min_bits = Vec::with_capacity(tokens.len() + 1);
+        let mut min_bits = Vec::with_capacity(token_count + 1);
         min_bits.push(0); // o = 0 needs no bits
         let mut covered = 0u64;
         let mut k = 0u32;
-        for o in 1..=tokens.len() as u64 {
+        for o in 1..=token_count as u64 {
             while covered < o {
                 covered += u64::from(mult[k as usize]);
                 k += 1;
@@ -235,13 +287,23 @@ impl ProbeSig {
             words,
             sig,
             min_bits,
-            token_count: tokens.len(),
+            token_count,
         }
     }
 
     /// Number of distinct probe tokens.
     pub fn token_count(&self) -> usize {
         self.token_count
+    }
+
+    /// Signature width in 64-bit words.
+    pub fn words(&self) -> usize {
+        self.words
+    }
+
+    /// The `min_bits` table (see the struct docs).
+    pub(crate) fn min_bits(&self) -> &[u32] {
+        &self.min_bits
     }
 }
 

@@ -19,14 +19,15 @@
 //! match (almost) all dissimilar pairs and admit no index:
 //! [`FilterSpec`] construction reports them as unfilterable.
 
-use crate::bitmap::CandidateBitmap;
 use crate::inverted::{PrefixIndex, TokenOrder};
 use crate::scalar::{HashIndex, LengthIndex, RangeIndex};
-use crate::signature::{ProbeSig, ProbeStats, SignatureIndex, SIG_NO_TOKENS};
+use crate::signature::{ProbeSig, ProbeStats, SignatureIndex};
+use crate::verdict::{verdict, VerdictTable};
 use falcon_table::{Table, TupleId, Value, ValueRef};
 use falcon_textsim::{prefix, SimFunction, Tokenizer};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Widest allowed signature (64 words = 4096 bits): wider adds memory
 /// without measurable extra pruning, and the cap keeps `words × 64`
@@ -285,16 +286,14 @@ impl std::fmt::Display for Obligation {
     }
 }
 
-/// Candidate set returned by a probe.
+/// Candidate set returned by the allocating probe wrappers
+/// ([`PredicateIndex::probe`] and friends).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Candidates {
     /// Every `A` tuple is a candidate (no pruning possible for this probe).
     All,
     /// These ids (possibly with duplicates) are the only candidates.
     Some(Vec<TupleId>),
-    /// Dense candidate bitmap (already deduplicated, iterates sorted).
-    /// Produced by signature-only (`Dense`) probes.
-    Bitmap(CandidateBitmap),
 }
 
 impl ProbeMode {
@@ -308,25 +307,48 @@ impl ProbeMode {
     }
 }
 
-impl Candidates {
-    /// Visit every candidate id; `Some` may repeat ids, `Bitmap` never
-    /// does. Returns `false` when the set is `All` (unrestricted) without
-    /// calling `f`.
-    pub fn for_each_id(&self, mut f: impl FnMut(TupleId)) -> bool {
-        match self {
-            Candidates::All => false,
-            Candidates::Some(ids) => {
-                for id in ids {
-                    f(*id);
-                }
-                true
-            }
-            Candidates::Bitmap(bm) => {
-                bm.for_each(&mut f);
-                true
-            }
-        }
+/// What a set-similarity probe reads of one `B` value, computed once and
+/// shared by every predicate probing the same `(B attribute, tokenizer,
+/// token order)`: the rank-ordered distinct tokens, one [`ProbeSig`] per
+/// signature width asked for, and the reusable [`VerdictTable`] buffer.
+/// [`PredicateIndex::probe_into`] loads it on first use; callers
+/// [`ProbeTokens::reset`] it when they move to the next `B` value.
+#[derive(Debug, Default)]
+pub struct ProbeTokens {
+    loaded: bool,
+    /// The rendered value was empty (missing): the probe matches all of `A`.
+    missing: bool,
+    ordered: Vec<String>,
+    sigs: Vec<ProbeSig>,
+    table: VerdictTable,
+}
+
+impl ProbeTokens {
+    /// Forget the current value (keeps the buffers).
+    pub fn reset(&mut self) {
+        self.loaded = false;
     }
+
+    fn load(&mut self, b_value: ValueRef<'_>, tokenizer: Tokenizer, order: &TokenOrder) {
+        let mut scratch = String::new();
+        let raw = rendered_key(b_value, &mut scratch);
+        self.loaded = true;
+        self.missing = raw.is_empty();
+        self.sigs.clear();
+        self.ordered = order.order_tokens(tokenizer.tokenize_sorted(raw));
+    }
+}
+
+/// The `words`-wide signature of the probe's tokens, built on first use.
+fn probe_sig<'a>(sigs: &'a mut Vec<ProbeSig>, ordered: &[String], words: usize) -> &'a ProbeSig {
+    let i = sigs
+        .iter()
+        .position(|s| s.words() == words)
+        .unwrap_or_else(|| {
+            sigs.push(ProbeSig::build(ordered, words));
+            sigs.len() - 1
+        });
+    &sigs[i]
 }
 
 /// How a signature-wrapped predicate index answers a probe. Chosen per
@@ -368,7 +390,7 @@ pub enum ProbeMode {
 /// let index = PredicateIndex::build(&a, &spec, None);
 /// match index.probe(&Value::str("compact digital camera")) {
 ///     Candidates::Some(ids) => assert!(ids.contains(&0) && !ids.contains(&1)),
-///     _ => unreachable!(),
+///     Candidates::All => unreachable!(),
 /// }
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -398,8 +420,10 @@ pub enum PredicateIndex {
     SetSim {
         /// Prefix inverted index (carries per-id set sizes).
         index: PrefixIndex,
-        /// Global token order shared between index and probes.
-        order: TokenOrder,
+        /// Global token order shared between index and probes (one
+        /// allocation per `(attribute, tokenizer)`, however many
+        /// thresholds are indexed over it).
+        order: Arc<TokenOrder>,
         /// The measure.
         sim: SimFunction,
         /// Threshold.
@@ -489,7 +513,7 @@ impl PredicateIndex {
     /// spec is structurally invalid. Kept for tests and benches; library
     /// code goes through [`PredicateIndex::try_build`].
     #[allow(clippy::unwrap_used, clippy::expect_used)]
-    pub fn build(a: &Table, spec: &FilterSpec, order: Option<TokenOrder>) -> PredicateIndex {
+    pub fn build(a: &Table, spec: &FilterSpec, order: Option<Arc<TokenOrder>>) -> PredicateIndex {
         // falcon-lint: allow(no-panic) — convenience wrapper for tests.
         Self::try_build(a, spec, order).unwrap_or_else(|e| panic!("PredicateIndex::build: {e}"))
     }
@@ -500,7 +524,7 @@ impl PredicateIndex {
     pub fn try_build(
         a: &Table,
         spec: &FilterSpec,
-        order: Option<TokenOrder>,
+        order: Option<Arc<TokenOrder>>,
     ) -> Result<PredicateIndex, IndexError> {
         spec.verify()
             .map_err(|obligation| IndexError::RecallUnsafe {
@@ -609,8 +633,7 @@ impl PredicateIndex {
     }
 
     /// Borrowed-value form of [`PredicateIndex::probe`]: probe with a
-    /// [`ValueRef`] pulled straight from a columnar table, rendering a key
-    /// only for numeric probes (string probes borrow the arena slice).
+    /// [`ValueRef`] pulled straight from a columnar table.
     /// Signature-wrapped indexes probe in their self-planned mode.
     pub fn probe_ref(&self, b_value: ValueRef<'_>) -> Candidates {
         let mut stats = ProbeStats::default();
@@ -642,29 +665,64 @@ impl PredicateIndex {
         ProbeMode::Gate
     }
 
-    /// Probe with an explicit mode, accumulating per-probe counters into
-    /// `stats`. `mode` is ignored by non-signature indexes. Every mode is
-    /// lossless; `Dense` may return a *superset* of the exact probe's
-    /// candidates (exact rule evaluation downstream makes final candidate
-    /// pairs identical).
+    /// [`PredicateIndex::probe_into`] collected into a fresh vector, with
+    /// one-shot probe inputs.
     pub fn probe_ref_stats(
         &self,
         b_value: ValueRef<'_>,
         mode: ProbeMode,
         stats: &mut ProbeStats,
     ) -> Candidates {
+        let mut out = Vec::new();
+        let mut tokens = ProbeTokens::default();
+        if self.probe_into(b_value, mode, &mut tokens, stats, &mut |id| out.push(id)) {
+            Candidates::Some(out)
+        } else {
+            Candidates::All
+        }
+    }
+
+    /// The tokenizer and global token order a set-similarity index reads
+    /// its probe tokens through (`None` for scalar and edit indexes).
+    /// Predicates that agree on both — and on the `B` attribute — can
+    /// share one [`ProbeTokens`] per `B` value.
+    pub fn token_source(&self) -> Option<(Tokenizer, &Arc<TokenOrder>)> {
+        match self {
+            PredicateIndex::SetSim { order, sim, .. } => Some((sim.tokenizer()?, order)),
+            PredicateIndex::Signature { exact, .. } => exact.token_source(),
+            _ => None,
+        }
+    }
+
+    /// The probe kernel: send every `A` id passing this predicate's
+    /// filters to `sink` (ids may repeat) and account for each examined
+    /// probe in `stats`. Returns `false` — without calling `sink` — when
+    /// the probe cannot prune (a missing `B` value is "similar" to
+    /// everything), i.e. all of `A` is a candidate.
+    ///
+    /// `mode` is ignored by non-signature indexes. Every mode is
+    /// lossless; `Dense` may admit a *superset* of the exact probe's
+    /// candidates (exact rule evaluation downstream makes final candidate
+    /// pairs identical). `tokens` must be fresh, reset, or already loaded
+    /// from this `b_value` by an index with the same
+    /// [`PredicateIndex::token_source`]; scalar indexes ignore it.
+    pub fn probe_into(
+        &self,
+        b_value: ValueRef<'_>,
+        mode: ProbeMode,
+        tokens: &mut ProbeTokens,
+        stats: &mut ProbeStats,
+        sink: &mut impl FnMut(TupleId),
+    ) -> bool {
         let mut scratch = String::new();
         match self {
             PredicateIndex::Equals { index, missing } => {
                 let key = rendered_key(b_value, &mut scratch);
                 if key.is_empty() {
-                    return Candidates::All; // missing probe is "similar" to everything
+                    return false; // missing probe is "similar" to everything
                 }
-                let mut out = missing.clone();
-                out.extend_from_slice(index.probe(key));
-                stats.pairs_examined += out.len() as u64;
-                stats.survived += out.len() as u64;
-                Candidates::Some(out)
+                admit(missing, stats, sink);
+                admit(index.probe(key), stats, sink);
             }
             PredicateIndex::Range {
                 index,
@@ -674,11 +732,11 @@ impl PredicateIndex {
             } => {
                 let Some(y) = b_value.as_num() else {
                     // dist(missing, anything) is missing -> Le satisfied.
-                    return Candidates::All;
+                    return false;
                 };
                 let w = if *relative {
                     if *width >= 1.0 {
-                        return Candidates::All;
+                        return false;
                     }
                     // |x-y| <= w·max(|x|,|y|) implies
                     // x ∈ [y - w|y|/(1-w), y + w|y|/(1-w)].
@@ -686,41 +744,17 @@ impl PredicateIndex {
                 } else {
                     *width
                 };
-                let mut out = missing.clone();
-                index.probe(y - w, y + w, &mut out);
-                stats.pairs_examined += out.len() as u64;
-                stats.survived += out.len() as u64;
-                Candidates::Some(out)
+                admit(missing, stats, sink);
+                let hits = index.range(y - w, y + w);
+                stats.pairs_examined += hits.len() as u64;
+                stats.survived += hits.len() as u64;
+                hits.iter().for_each(|&(_, id)| sink(id));
             }
-            PredicateIndex::SetSim {
-                index,
-                order,
-                sim,
-                threshold,
-                missing,
-            } => {
-                let raw = rendered_key(b_value, &mut scratch);
-                if raw.is_empty() {
-                    return Candidates::All;
-                }
-                // `try_build` only constructs SetSim from set-based sims;
-                // if that invariant ever breaks, skip filtering (returning
-                // everything is recall-safe — the reducer re-checks rules).
-                let Some(tokenizer) = sim.tokenizer() else {
-                    return Candidates::All;
-                };
-                let ordered = order.order_tokens(tokenizer.tokenize(raw));
-                let mut out = missing.clone();
-                // Missing-value ids are permanent candidates: examined and
-                // survived, so examined = pruned + survived stays an
-                // invariant.
-                stats.pairs_examined += missing.len() as u64;
-                stats.survived += missing.len() as u64;
-                index.probe_gated(&ordered, *sim, *threshold, None, &mut out, stats);
-                Candidates::Some(out)
+            PredicateIndex::SetSim { .. } => {
+                return self.probe_set(None, b_value, ProbeMode::Off, tokens, stats, sink);
             }
             PredicateIndex::Signature { sigs, exact } => {
-                Self::probe_signature(sigs, exact, b_value, mode, stats)
+                return exact.probe_set(Some(sigs), b_value, mode, tokens, stats, sink);
             }
             PredicateIndex::Edit {
                 lengths,
@@ -732,72 +766,60 @@ impl PredicateIndex {
             } => {
                 let raw = rendered_key(b_value, &mut scratch);
                 if raw.is_empty() {
-                    return Candidates::All;
+                    return false;
                 }
                 let y_len = raw.chars().count();
                 let Some((lo, hi)) =
                     prefix::length_bounds(SimFunction::Levenshtein, *threshold, y_len)
                 else {
-                    return Candidates::All;
+                    return false;
                 };
-                let in_bounds = |id: TupleId| {
-                    let l = char_lens[id as usize];
-                    l != usize::MAX && l >= lo && l <= hi
-                };
+                admit(missing, stats, sink);
                 if qgrams.is_empty() && unprunable.is_empty() {
-                    stats.pairs_examined += missing.len() as u64;
-                    stats.survived += missing.len() as u64;
-                    return Candidates::Some(missing.clone());
+                    return true;
                 }
                 // Short probes can't contribute qgram evidence reliably;
                 // fall back to the length filter alone.
                 if y_len < QGRAM {
-                    let mut out = missing.clone();
-                    lengths.probe(lo, hi, &mut out);
-                    stats.pairs_examined += out.len() as u64;
-                    stats.survived += out.len() as u64;
-                    return Candidates::Some(out);
-                }
-                let mut out: Vec<TupleId> = missing.clone();
-                stats.pairs_examined += missing.len() as u64;
-                stats.survived += missing.len() as u64;
-                for id in unprunable.iter().copied() {
-                    stats.pairs_examined += 1;
-                    if in_bounds(id) {
-                        stats.survived += 1;
-                        out.push(id);
-                    } else {
-                        stats.pruned_by_exact += 1;
+                    for bucket in lengths.buckets(lo, hi) {
+                        admit(bucket, stats, sink);
                     }
+                    return true;
                 }
-                for g in falcon_textsim::tokenize::qgrams(raw, QGRAM) {
-                    if let Some(list) = qgrams.get(&g) {
-                        for id in list.iter().copied() {
-                            stats.pairs_examined += 1;
-                            if in_bounds(id) {
-                                stats.survived += 1;
-                                out.push(id);
-                            } else {
-                                stats.pruned_by_exact += 1;
-                            }
+                let mut filter = |ids: &[TupleId]| {
+                    stats.pairs_examined += ids.len() as u64;
+                    for &id in ids {
+                        let l = char_lens[id as usize];
+                        if l != usize::MAX && l >= lo && l <= hi {
+                            stats.survived += 1;
+                            sink(id);
+                        } else {
+                            stats.pruned_by_exact += 1;
                         }
                     }
+                };
+                filter(unprunable);
+                for g in falcon_textsim::tokenize::qgrams(raw, QGRAM) {
+                    if let Some(list) = qgrams.get(&g) {
+                        filter(list);
+                    }
                 }
-                Candidates::Some(out)
             }
         }
+        true
     }
 
-    /// Probe a signature bundle in the given mode. Split out of
-    /// [`PredicateIndex::probe_ref_stats`] to keep the borrow of the
-    /// rendered-key scratch local.
-    fn probe_signature(
-        sigs: &SignatureIndex,
-        exact: &PredicateIndex,
+    /// Set-similarity arm of [`PredicateIndex::probe_into`], for the exact
+    /// bundle alone (`sigs = None`) or behind its signature column.
+    fn probe_set(
+        &self,
+        sigs: Option<&SignatureIndex>,
         b_value: ValueRef<'_>,
         mode: ProbeMode,
+        tokens: &mut ProbeTokens,
         stats: &mut ProbeStats,
-    ) -> Candidates {
+        sink: &mut impl FnMut(TupleId),
+    ) -> bool {
         // The static verifier only admits SetSim inners; the fallback arm
         // keeps this total (an ungated exact probe is always lossless).
         let PredicateIndex::SetSim {
@@ -806,74 +828,52 @@ impl PredicateIndex {
             sim,
             threshold,
             missing,
-        } = exact
+        } = self
         else {
-            return exact.probe_ref_stats(b_value, ProbeMode::Off, stats);
+            return self.probe_into(b_value, ProbeMode::Off, tokens, stats, sink);
         };
-        let mut scratch = String::new();
-        let raw = rendered_key(b_value, &mut scratch);
-        if raw.is_empty() {
-            return Candidates::All;
-        }
+        // `try_build` only constructs SetSim from set-based sims; if that
+        // invariant ever breaks, skip filtering (returning everything is
+        // recall-safe — the reducer re-checks rules).
         let Some(tokenizer) = sim.tokenizer() else {
-            return Candidates::All;
+            return false;
         };
-        let tokens = tokenizer.tokenize(raw);
-        stats.pairs_examined += missing.len() as u64;
-        stats.survived += missing.len() as u64;
-        if mode == ProbeMode::Off || tokens.is_empty() {
-            let ordered = order.order_tokens(tokens);
-            let mut out = missing.clone();
-            index.probe_gated(&ordered, *sim, *threshold, None, &mut out, stats);
-            return Candidates::Some(out);
+        if !tokens.loaded {
+            tokens.load(b_value, tokenizer, order);
         }
-        let probe = ProbeSig::build(&tokens, sigs.words());
-        let y_len = tokens.len();
-        if mode == ProbeMode::Gate {
-            let ordered = order.order_tokens(tokens);
-            let mut out = missing.clone();
-            index.probe_gated(
-                &ordered,
-                *sim,
-                *threshold,
-                Some((sigs, &probe)),
-                &mut out,
-                stats,
-            );
-            return Candidates::Some(out);
+        if tokens.missing {
+            return false;
         }
-        // Dense: one flat pass over the fingerprint column, no postings.
-        let bounds = prefix::length_bounds(*sim, *threshold, y_len);
-        let mut bm = CandidateBitmap::new(sigs.len());
-        for id in missing {
-            bm.insert(*id);
-        }
-        for id in 0..sigs.len() as TupleId {
-            let size = sigs.size(id);
-            if size == SIG_NO_TOKENS {
-                // Tokenless tuples are never returned by the exact probe
-                // either (they live on the missing list when the value is
-                // absent, and match nothing when it tokenizes empty).
-                continue;
+        admit(missing, stats, sink);
+        let ProbeTokens {
+            ordered,
+            sigs: probe_sigs,
+            table,
+            ..
+        } = tokens;
+        // A tokenless probe has no signature to test (and no postings).
+        let gate = sigs
+            .filter(|_| mode != ProbeMode::Off && !ordered.is_empty())
+            .map(|s| (s, probe_sig(probe_sigs, ordered, s.words())));
+        match gate {
+            Some((sigs, probe)) if mode == ProbeMode::Dense => {
+                let y_len = ordered.len();
+                let bounds = prefix::length_bounds(*sim, *threshold, y_len);
+                let fill = |x_len| {
+                    verdict(
+                        *sim,
+                        *threshold,
+                        x_len,
+                        y_len,
+                        bounds,
+                        Some(probe.min_bits()),
+                    )
+                };
+                sigs.scan_dense(probe, table, fill, stats, sink);
             }
-            stats.pairs_examined += 1;
-            let x_len = size as usize;
-            if let Some(need) = prefix::required_overlap(*sim, *threshold, x_len, y_len) {
-                if !sigs.may_overlap(id, &probe, need) {
-                    stats.pruned_by_signature += 1;
-                    continue;
-                }
-            }
-            if let Some((lo, hi)) = bounds {
-                if x_len < lo || x_len > hi {
-                    stats.pruned_by_exact += 1;
-                    continue;
-                }
-            }
-            stats.survived += 1;
-            bm.insert(id);
+            _ => index.probe_gated(ordered, *sim, *threshold, gate, table, stats, sink),
         }
-        Candidates::Bitmap(bm)
+        true
     }
 
     /// Estimated memory footprint in bytes (gates physical-operator
@@ -915,6 +915,16 @@ impl PredicateIndex {
     }
 }
 
+/// Send ids no per-id filter applies to (missing-value ids are permanent
+/// candidates; equality and length-bucket hits are already filtered) to
+/// the sink: each is examined and survives, so
+/// `examined = pruned + survived` stays an invariant.
+fn admit(ids: &[TupleId], stats: &mut ProbeStats, sink: &mut impl FnMut(TupleId)) {
+    stats.pairs_examined += ids.len() as u64;
+    stats.survived += ids.len() as u64;
+    ids.iter().for_each(|&id| sink(id));
+}
+
 /// Render a probe value into `scratch` only when a numeric needs
 /// formatting; nulls are `""` and strings borrow the columnar slice.
 fn rendered_key<'a>(v: ValueRef<'a>, scratch: &'a mut String) -> &'a str {
@@ -937,7 +947,7 @@ fn build_setsim(
     attr_idx: usize,
     sim: SimFunction,
     threshold: f64,
-    order: Option<TokenOrder>,
+    order: Option<Arc<TokenOrder>>,
     sig_words: Option<usize>,
 ) -> Result<PredicateIndex, IndexError> {
     let tokenizer = sim.tokenizer().ok_or_else(|| IndexError::NotSetBased {
@@ -950,7 +960,10 @@ fn build_setsim(
             // frequencies.
             let mut rendered: Vec<String> = Vec::with_capacity(a.len());
             a.for_each_rendered(attr_idx, |_, s| rendered.push(s.to_string()));
-            token_order_for(rendered.iter().map(String::as_str), tokenizer)
+            Arc::new(token_order_for(
+                rendered.iter().map(String::as_str),
+                tokenizer,
+            ))
         }
     };
     let mut index = PrefixIndex::new();
@@ -1081,7 +1094,6 @@ mod tests {
                 assert_eq!(ids, vec![0, 2, 3]);
             }
             Candidates::All => panic!("expected Some"),
-            Candidates::Bitmap(_) => panic!("expected Some"),
         }
         // Missing probe value is "similar" to everything.
         assert_eq!(idx.probe(&Value::Null), Candidates::All);
@@ -1105,7 +1117,6 @@ mod tests {
                 assert_eq!(ids, vec![0, 2, 3]);
             }
             Candidates::All => panic!(),
-            Candidates::Bitmap(_) => panic!("expected Some"),
         }
         // Missing probe satisfies dist <= v for every A tuple.
         assert_eq!(idx.probe(&Value::Null), Candidates::All);
@@ -1130,7 +1141,6 @@ mod tests {
                 assert_eq!(ids, vec![0, 2, 3]);
             }
             Candidates::All => panic!(),
-            Candidates::Bitmap(_) => panic!("expected Some"),
         }
     }
 
@@ -1154,7 +1164,6 @@ mod tests {
                 assert!(!ids.contains(&1));
             }
             Candidates::All => panic!(),
-            Candidates::Bitmap(_) => panic!("expected Some"),
         }
     }
 
@@ -1172,7 +1181,6 @@ mod tests {
         match idx.probe(&Value::str("the quick browm fox")) {
             Candidates::Some(ids) => assert!(ids.contains(&0), "{ids:?}"),
             Candidates::All => {}
-            Candidates::Bitmap(bm) => assert!(bm.contains(0)),
         }
         assert_eq!(idx.probe(&Value::Null), Candidates::All);
     }
@@ -1252,11 +1260,6 @@ mod tests {
                             Candidates::All => {}
                             Candidates::Some(ids) => assert!(
                                 ids.contains(&row.id),
-                                "{spec:?} missed a={} for b={b:?}",
-                                row.id
-                            ),
-                            Candidates::Bitmap(bm) => assert!(
-                                bm.contains(row.id),
                                 "{spec:?} missed a={} for b={b:?}",
                                 row.id
                             ),

@@ -96,12 +96,6 @@ fn check(spec: FilterSpec, sim: SimFunction, gt: bool, v: f64, a: &Table, b_vals
                         row.value(0),
                         b
                     ),
-                    Candidates::Bitmap(bm) => assert!(
-                        bm.contains(row.id),
-                        "{spec:?} pruned satisfying pair: a={:?} b={:?} score={score:?}",
-                        row.value(0),
-                        b
-                    ),
                 }
             }
         }
@@ -118,14 +112,16 @@ fn cand_set(c: &Candidates) -> Option<Vec<falcon_table::TupleId>> {
             v.dedup();
             Some(v)
         }
-        Candidates::Bitmap(bm) => Some(bm.to_vec()),
     }
 }
 
 /// Signature-specific losslessness: probe the signature-wrapped index in
-/// every mode (exact-only, gated, dense) and check that none of them ever
-/// loses a ground-truth candidate of the exact-only path, that gating
-/// only shrinks the exact answer, and that the probe counters balance.
+/// every mode (exact-only, gated, dense) — the mode is an argument here,
+/// so each one is forced in turn, whatever the planner would pick — and
+/// check that none of them ever loses a ground-truth candidate of the
+/// exact-only path, that gating only shrinks the exact answer and the
+/// dense scan only grows the gated one, and that the probe counters
+/// balance.
 fn check_signature(sim: SimFunction, t: f64, words: usize, a: &Table, b_vals: &[Value]) {
     use falcon_index::spec::ProbeMode;
     use falcon_index::ProbeStats;
@@ -158,7 +154,6 @@ fn check_signature(sim: SimFunction, t: f64, words: usize, a: &Table, b_vals: &[
                     let ok = match &cands {
                         Candidates::All => true,
                         Candidates::Some(ids) => ids.contains(&row.id),
-                        Candidates::Bitmap(bm) => bm.contains(row.id),
                     };
                     assert!(
                         ok,
@@ -170,13 +165,19 @@ fn check_signature(sim: SimFunction, t: f64, words: usize, a: &Table, b_vals: &[
             }
             per_mode.push(cand_set(&cands));
         }
-        // Gate ⊆ exact (the gate only removes provably-failing pairs);
-        // Dense may add false positives but interacts with the same
-        // ground truth, asserted above.
-        if let (Some(exact), Some(gated)) = (&per_mode[0], &per_mode[1]) {
+        // Gate ⊆ exact (the gate only removes provably-failing pairs) and
+        // gate ⊆ dense (a gated survivor passed the signature and length
+        // verdicts, which are all the dense scan applies); dense may add
+        // false positives, which the ground truth above allows.
+        if let (Some(exact), Some(gated), Some(dense)) = (&per_mode[0], &per_mode[1], &per_mode[2])
+        {
             assert!(
                 gated.iter().all(|id| exact.contains(id)),
                 "gated probe returned an id the exact probe did not: exact={exact:?} gated={gated:?}"
+            );
+            assert!(
+                gated.iter().all(|id| dense.contains(id)),
+                "dense probe lost an id the gated probe kept: gated={gated:?} dense={dense:?}"
             );
         }
     }

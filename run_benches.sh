@@ -12,7 +12,9 @@ RUNS="${2:-3}"
 #   final_sets_identical      — asserted in-bench: both paths produce the
 #     same post-rule-evaluation candidate pairs,
 #   planned_modes             — per-conjunct probe modes the cost planner
-#     chose ("off" / "gate" / "dense").
+#     chose ("off" / "gate" / "dense"),
+#   nproc / cluster_threads   — the host's parallelism and the cluster's
+#     thread count the walls were measured with.
 # It runs at 10x the standard bench scale internally (--scale multiplies).
 # serve_bench emits BENCH_serve.json:
 #   throughput_speedup        — aggregate throughput of the shared-pool
