@@ -17,15 +17,15 @@
 
 use crate::error::FalconError;
 use crate::fv::FvSet;
+use crate::ops::bitmap::Bitmap;
 use crate::timeline::{check_cancel, Timeline};
 use falcon_crowd::{Crowd, CrowdSession};
 use falcon_dataflow::{run_map_only, wall_now, Cluster};
-use falcon_forest::{Dataset, Forest, ForestConfig};
+use falcon_forest::{Dataset, FlatForest, Forest, ForestConfig};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::time::Duration;
 
 /// Active-learning configuration.
@@ -97,49 +97,84 @@ fn seed_score(fv: &[f64], higher: &[bool]) -> f64 {
     }
 }
 
-/// Score disagreement of every unlabeled pair on the cluster; returns
-/// `(index, disagreement)` plus the (simulated) duration of the job.
-fn score_disagreement(
+/// Positive-vote counts of the pairs `idxs`, scored on the cluster and
+/// aligned with `idxs`, plus the (simulated) duration of the job.
+fn score_votes(
     cluster: &Cluster,
-    forest: &Forest,
+    flat: &FlatForest,
     fvs: &FvSet,
-    labeled: &HashSet<usize>,
-) -> Result<(Vec<(usize, f64)>, Duration), FalconError> {
-    // Each split carries one whole index chunk as a single record, so the
-    // map task scores the chunk with the compiled forest's batch kernel
+    idxs: &[usize],
+) -> Result<(Vec<u32>, Duration), FalconError> {
+    // Each split lends one chunk of `idxs` as a single record, so the map
+    // task scores the chunk with the compiled forest's batch kernel
     // instead of pointer-chasing `Node`s one vector at a time. The scoped
-    // dataflow workers borrow the flat forest and vectors directly — no
-    // per-iteration clones.
-    let flat = forest.flatten();
-    let idxs: Vec<usize> = (0..fvs.len()).filter(|i| !labeled.contains(i)).collect();
-    let n_idxs = idxs.len();
-    let chunk = n_idxs.div_ceil((cluster.threads() * 2).max(1)).max(1);
-    let splits: Vec<Vec<Vec<usize>>> = idxs.chunks(chunk).map(|c| vec![c.to_vec()]).collect();
-    let mut out = run_map_only(cluster, splits, |idx_chunk: &Vec<usize>, out| {
-        let gathered: Vec<(usize, &[f64])> = idx_chunk
-            .iter()
-            .filter_map(|&i| fvs.fvs.get(i).map(|fv| (i, fv.as_slice())))
-            .collect();
+    // dataflow workers borrow the indices, flat forest and vectors
+    // directly — no per-iteration copies.
+    let chunk = idxs.len().div_ceil((cluster.threads() * 2).max(1)).max(1);
+    let splits: Vec<Vec<&[usize]>> = idxs.chunks(chunk).map(|c| vec![c]).collect();
+    let mut out = run_map_only(cluster, splits, |idx_chunk: &&[usize], out| {
         let mut votes = Vec::new();
-        flat.count_votes_into(gathered.len(), |j| gathered[j].1, &mut votes);
-        out.extend(
-            gathered
-                .iter()
-                .zip(&votes)
-                .map(|(&(i, _), &v)| (i, flat.disagreement_from_votes(v))),
+        flat.count_votes_into(
+            idx_chunk.len(),
+            |j| fvs.fvs[idx_chunk[j]].as_slice(),
+            &mut votes,
         );
+        out.append(&mut votes);
     })?;
     // Chunk-as-record wrapping counted chunks; restore the true count.
-    out.stats.input_records = n_idxs;
+    out.stats.input_records = idxs.len();
     let dur = out.stats.sim_duration(&cluster.config);
+    // One count per index, task outputs concatenated in split order.
+    assert_eq!(out.output.len(), idxs.len());
     Ok((out.output, dur))
 }
 
-/// Pick the `batch` most controversial indices (ties broken by index for
-/// determinism).
-fn top_controversial(mut scored: Vec<(usize, f64)>, batch: usize) -> Vec<usize> {
-    scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    scored.into_iter().take(batch).map(|(i, _)| i).collect()
+/// The `batch` most controversial of `idxs` and the maximum disagreement
+/// among them all. Defined as: sort by `(disagreement descending under
+/// total_cmp, index ascending)` and take `batch`; the maximum is the
+/// `f64::max` fold from 0. Only the kept prefix is ever sorted.
+fn top_controversial(
+    flat: &FlatForest,
+    idxs: &[usize],
+    votes: &[u32],
+    batch: usize,
+) -> (Vec<usize>, f64) {
+    // `v` and `n_trees - v` votes can differ in the last bit, so rank by
+    // the score itself, not by distance from an even split.
+    let mut scored: Vec<(f64, usize)> = votes
+        .iter()
+        .zip(idxs)
+        .map(|(&v, &i)| (flat.disagreement_from_votes(v), i))
+        .collect();
+    let max_dis = scored.iter().map(|s| s.0).fold(0.0f64, f64::max);
+    let most_first = |a: &(f64, usize), b: &(f64, usize)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
+    if batch < scored.len() {
+        scored.select_nth_unstable_by(batch, most_first);
+        scored.truncate(batch);
+    }
+    scored.sort_unstable_by(most_first);
+    (scored.into_iter().map(|(_, i)| i).collect(), max_dis)
+}
+
+/// The pair indices outside `taken`, ascending.
+fn untaken(taken: &Bitmap) -> Vec<usize> {
+    (0..taken.len()).filter(|&i| !taken.get(i)).collect()
+}
+
+/// Score every pair outside `taken` with `forest` and pick the next
+/// batch: `(picked, maximum disagreement, simulated job duration)`.
+fn select(
+    cluster: &Cluster,
+    forest: &Forest,
+    fvs: &FvSet,
+    taken: &Bitmap,
+    batch: usize,
+) -> Result<(Vec<usize>, f64, Duration), FalconError> {
+    let flat = forest.flatten();
+    let idxs = untaken(taken);
+    let (votes, job_dur) = score_votes(cluster, &flat, fvs, &idxs)?;
+    let (picked, max_dis) = top_controversial(&flat, &idxs, &votes, batch);
+    Ok((picked, max_dis, job_dur))
 }
 
 /// Run `al_matcher` over a feature-vector set. `higher` flags which
@@ -159,8 +194,12 @@ pub fn al_matcher<C: Crowd>(
             what: "feature vectors",
         });
     }
+    // Every pair index below is used on both fields.
+    assert_eq!(fvs.fvs.len(), fvs.pairs.len(), "one vector per pair");
     let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x414c4d41);
-    let mut labeled_set: HashSet<usize> = HashSet::new();
+    // Pairs out of the running for selection: labeled, or (masked mode)
+    // picked and waiting for the crowd.
+    let mut taken = Bitmap::zeros(fvs.len());
     let mut data = Dataset::new();
     let mut labeled: Vec<(usize, bool)> = Vec::new();
     let mut selection_time = Duration::ZERO;
@@ -172,15 +211,18 @@ pub fn al_matcher<C: Crowd>(
                        timeline: &mut Timeline,
                        data: &mut Dataset,
                        labeled: &mut Vec<(usize, bool)>,
-                       labeled_set: &mut HashSet<usize>| {
+                       taken: &mut Bitmap| {
         let pairs: Vec<_> = idxs.iter().map(|&i| fvs.pairs[i]).collect();
         let (answers, latency) = session.label_batch(&pairs);
         timeline.crowd(label, latency);
         for (&i, (_, l)) in idxs.iter().zip(answers) {
-            labeled_set.insert(i);
+            taken.set(i);
             labeled.push((i, l));
             data.push(fvs.fvs[i].clone(), l);
         }
+    };
+    let train = |data: &Dataset, rng: &mut SmallRng| {
+        Forest::train_threads(data, &cfg.forest, rng, cluster.threads())
     };
 
     // ---- Seed round: likely positives + likely negatives ----
@@ -209,15 +251,16 @@ pub fn al_matcher<C: Crowd>(
             seed_idx.push(*i);
         }
     }
-    selection_time += t0.elapsed();
-    timeline.machine(label, t0.elapsed());
+    let seed_wall = t0.elapsed();
+    selection_time += seed_wall;
+    timeline.machine(label, seed_wall);
     label_batch(
         &seed_idx,
         session,
         timeline,
         &mut data,
         &mut labeled,
-        &mut labeled_set,
+        &mut taken,
     );
     iterations += 1;
 
@@ -225,9 +268,7 @@ pub fn al_matcher<C: Crowd>(
     // extra rounds).
     let mut guard = 0;
     while (data.positives() == 0 || data.positives() == data.len()) && guard < 3 {
-        let mut rest: Vec<usize> = (0..fvs.len())
-            .filter(|i| !labeled_set.contains(i))
-            .collect();
+        let mut rest = untaken(&taken);
         if rest.is_empty() {
             break;
         }
@@ -239,13 +280,13 @@ pub fn al_matcher<C: Crowd>(
             timeline,
             &mut data,
             &mut labeled,
-            &mut labeled_set,
+            &mut taken,
         );
         iterations += 1;
         guard += 1;
     }
 
-    let mut forest = Forest::train(&data, &cfg.forest, &mut rng);
+    let mut forest = train(&data, &mut rng);
 
     // ---- Active-learning iterations ----
     // In masked mode `pending` is the batch currently "at the crowd";
@@ -253,17 +294,18 @@ pub fn al_matcher<C: Crowd>(
     let mut pending: Vec<usize> = Vec::new();
     if cfg.mask_pair_selection {
         let t = wall_now();
-        let (scored, job_dur) = score_disagreement(cluster, &forest, fvs, &labeled_set)?;
-        let picked = top_controversial(scored, cfg.batch * 2);
+        let (picked, _, job_dur) = select(cluster, &forest, fvs, &taken, cfg.batch * 2)?;
         let wall = t.elapsed().max(job_dur);
         selection_time += wall;
         // First (double) selection cannot be masked: nothing is at the
         // crowd yet.
         timeline.machine(label, wall);
+        picked.iter().for_each(|&i| taken.set(i));
         pending = picked;
     }
 
-    while iterations < cfg.max_iterations && labeled_set.len() < fvs.len() {
+    // Stop once every pair is labeled: `taken` minus the picked-but-unasked.
+    while iterations < cfg.max_iterations && taken.count() - pending.len() < fvs.len() {
         // Cancellation point: a scheduler-cancelled tenant stops asking
         // crowd questions between AL iterations, with its journal intact.
         check_cancel(timeline, session)?;
@@ -274,19 +316,17 @@ pub fn al_matcher<C: Crowd>(
             }
             let now_batch: Vec<usize> = pending.drain(..pending.len().min(cfg.batch)).collect();
             // Post `now_batch`; while the crowd works, retrain and select
-            // the next batch (masked machine time).
+            // the next batch (masked machine time) among the pairs neither
+            // labeled nor already picked.
             let t = wall_now();
-            forest = Forest::train(&data, &cfg.forest, &mut rng);
-            let mut exclude = labeled_set.clone();
-            exclude.extend(now_batch.iter().copied());
-            exclude.extend(pending.iter().copied());
-            let (scored, job_dur) = score_disagreement(cluster, &forest, fvs, &exclude)?;
-            let max_dis = scored.iter().map(|(_, d)| *d).fold(0.0f64, f64::max);
+            forest = train(&data, &mut rng);
+            let (picked, max_dis, job_dur) = select(cluster, &forest, fvs, &taken, cfg.batch)?;
             let wall = t.elapsed().max(job_dur);
             selection_time += wall;
             timeline.masked_machine(label, wall);
             if max_dis >= cfg.convergence_eps {
-                pending.extend(top_controversial(scored, cfg.batch));
+                picked.iter().for_each(|&i| taken.set(i));
+                pending.extend(picked);
             }
             label_batch(
                 &now_batch,
@@ -294,17 +334,15 @@ pub fn al_matcher<C: Crowd>(
                 timeline,
                 &mut data,
                 &mut labeled,
-                &mut labeled_set,
+                &mut taken,
             );
             iterations += 1;
         } else {
             // Unmasked: select with the freshest model, on the critical
             // path.
             let t = wall_now();
-            forest = Forest::train(&data, &cfg.forest, &mut rng);
-            let (scored, job_dur) = score_disagreement(cluster, &forest, fvs, &labeled_set)?;
-            let max_dis = scored.iter().map(|(_, d)| *d).fold(0.0f64, f64::max);
-            let batch = top_controversial(scored, cfg.batch);
+            forest = train(&data, &mut rng);
+            let (batch, max_dis, job_dur) = select(cluster, &forest, fvs, &taken, cfg.batch)?;
             let wall = t.elapsed().max(job_dur);
             selection_time += wall;
             timeline.machine(label, wall);
@@ -318,7 +356,7 @@ pub fn al_matcher<C: Crowd>(
                 timeline,
                 &mut data,
                 &mut labeled,
-                &mut labeled_set,
+                &mut taken,
             );
             iterations += 1;
         }
@@ -326,7 +364,7 @@ pub fn al_matcher<C: Crowd>(
 
     // Final matcher trained on everything labeled.
     let t = wall_now();
-    let forest = Forest::train(&data, &cfg.forest, &mut rng);
+    let forest = train(&data, &mut rng);
     timeline.machine(label, t.elapsed());
 
     Ok(AlOutput {
@@ -343,6 +381,7 @@ mod tests {
     use super::*;
     use falcon_crowd::sim::{GroundTruth, OracleCrowd};
     use falcon_dataflow::ClusterConfig;
+    use rand::Rng;
 
     /// A linearly separable synthetic pair universe: pairs (i, i) match.
     fn fixture(n: usize) -> (FvSet, GroundTruth, Vec<bool>) {
@@ -463,5 +502,65 @@ mod tests {
         )
         .expect("al");
         assert_eq!(session.ledger().rounds, out.iterations);
+    }
+
+    /// The partial selection against its definition — sort every pair
+    /// outside `taken` by `(disagreement descending under total_cmp, index
+    /// ascending)`, take `batch`, fold the maximum from 0 — over random
+    /// votes, all-equal votes (index order decides), votes confined to
+    /// `v` / `n_trees - v` (scores that differ in the last bit), nothing /
+    /// some (labeled plus pending) / everything taken, and batches from 0
+    /// to beyond the unlabeled count.
+    #[test]
+    fn selection_equals_its_definition() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut mirrored_scores_differ = false;
+        for n_trees in [1usize, 2, 7, 10, 11] {
+            let flat = FlatForest {
+                arity: 0,
+                n_trees,
+                roots: Vec::new(),
+                feature: Vec::new(),
+                threshold: Vec::new(),
+                left: Vec::new(),
+                right: Vec::new(),
+                leaf_label: Vec::new(),
+            };
+            let dis = |v: u32| flat.disagreement_from_votes(v);
+            let top = n_trees as u32;
+            mirrored_scores_differ |= (0..=top).any(|v| dis(v).to_bits() != dis(top - v).to_bits());
+            for case in 0..270 {
+                let n = rng.gen_range(0..90usize);
+                let v = rng.gen_range(0..=top);
+                let all_votes: Vec<u32> = (0..n)
+                    .map(|_| match case % 3 {
+                        0 => rng.gen_range(0..=top),
+                        1 => v,
+                        _ => [v, top - v][rng.gen_range(0..2usize)],
+                    })
+                    .collect();
+                let taken_rate = [0.0, 0.4, 1.0][case / 3 % 3];
+                let mut taken = Bitmap::zeros(n);
+                (0..n)
+                    .filter(|_| rng.gen_bool(taken_rate))
+                    .for_each(|i| taken.set(i));
+                let batch = [0, 1, 20, n, n + 5][case / 9 % 5];
+
+                let mut sorted: Vec<(usize, f64)> = (0..n)
+                    .filter(|&i| !taken.get(i))
+                    .map(|i| (i, dis(all_votes[i])))
+                    .collect();
+                let want_max = sorted.iter().map(|(_, d)| *d).fold(0.0f64, f64::max);
+                sorted.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                let want: Vec<usize> = sorted.into_iter().take(batch).map(|(i, _)| i).collect();
+
+                let idxs = untaken(&taken);
+                let votes: Vec<u32> = idxs.iter().map(|&i| all_votes[i]).collect();
+                let (got, got_max) = top_controversial(&flat, &idxs, &votes, batch);
+                assert_eq!(got, want, "{n_trees} trees, case {case}, batch {batch}");
+                assert_eq!(got_max.to_bits(), want_max.to_bits());
+            }
+        }
+        assert!(mirrored_scores_differ, "the unequal-mirror case never ran");
     }
 }

@@ -1,15 +1,17 @@
 //! Bagged random forests: majority voting, vote fractions for active
 //! learning, out-of-bag accuracy.
 //!
-//! Training is parallel **and** deterministic: the master RNG is consumed
-//! only to draw one seed per tree, up front, in tree order; each tree then
-//! trains from its own `SmallRng` (bagging indices *and* per-node feature
-//! shuffles), so the trained forest is a pure function of the seed stream
-//! and bit-identical at any thread count. Out-of-bag votes are merged in
-//! tree order after all workers join, for the same reason.
+//! Training compiles the dataset into dense ranks once per call (see
+//! [`crate::tree`]) and is parallel **and** deterministic: the master RNG
+//! is consumed only to draw one seed per tree, up front, in tree order;
+//! each tree then trains from its own `SmallRng` (bagging indices *and*
+//! per-node feature shuffles) over the shared read-only ranks, so the
+//! trained forest is a pure function of the seed stream and bit-identical
+//! at any thread count. Out-of-bag votes are merged in tree order after
+//! all workers join, for the same reason.
 
 use crate::flat::FlatForest;
-use crate::tree::{SplitSearch, Tree, TreeConfig};
+use crate::tree::{RankMatrix, Tree, TreeConfig};
 use crate::Dataset;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -60,8 +62,9 @@ pub struct Forest {
     pub trees: Vec<Tree>,
     /// Feature arity.
     pub arity: usize,
-    /// Out-of-bag accuracy estimate, when bagging was used and every
-    /// example was out-of-bag for at least one tree.
+    /// Out-of-bag accuracy estimate over the examples that were
+    /// out-of-bag for at least one tree; `None` without bagging or when
+    /// there is no such example.
     pub oob_accuracy: Option<f64>,
 }
 
@@ -74,9 +77,9 @@ pub fn default_threads() -> usize {
 }
 
 impl Forest {
-    /// Train a forest in parallel on all available cores, with the fast
-    /// presorted split search. Output is bit-identical for the same seed
-    /// at any thread count (see module docs).
+    /// Train a forest in parallel on all available cores. Output is
+    /// bit-identical for the same seed at any thread count (see module
+    /// docs).
     ///
     /// # Panics
     /// Panics if `data` is empty, `cfg.n_trees == 0`, or a training
@@ -92,27 +95,10 @@ impl Forest {
         rng: &mut impl Rng,
         threads: usize,
     ) -> Forest {
-        Self::train_inner(data, cfg, rng, threads, SplitSearch::Presorted)
-    }
-
-    /// Sequential reference trainer using the rescan split search — the
-    /// original, obviously-correct implementation that benchmarks and
-    /// property tests compare the fast path against. Produces a forest
-    /// identical to [`Forest::train`] for the same seed.
-    pub fn train_reference(data: &Dataset, cfg: &ForestConfig, rng: &mut impl Rng) -> Forest {
-        Self::train_inner(data, cfg, rng, 1, SplitSearch::Rescan)
-    }
-
-    fn train_inner(
-        data: &Dataset,
-        cfg: &ForestConfig,
-        rng: &mut impl Rng,
-        threads: usize,
-        search: SplitSearch,
-    ) -> Forest {
         assert!(!data.is_empty(), "cannot train forest on empty dataset");
         assert!(cfg.n_trees > 0, "need at least one tree");
         let n = data.len();
+        let ranked = RankMatrix::compile(data);
 
         // One seed per tree, drawn up front in tree order: the only master
         // RNG consumption, so the result cannot depend on scheduling.
@@ -122,17 +108,17 @@ impl Forest {
         // out-of-bag predictions as (example, vote) pairs.
         let fit_one = |seed: u64| -> FittedTree {
             let mut trng = SmallRng::seed_from_u64(seed);
-            let idx: Vec<usize> = if cfg.bagging {
-                (0..n).map(|_| trng.gen_range(0..n)).collect()
+            let mut idx: Vec<u32> = if cfg.bagging {
+                (0..n).map(|_| trng.gen_range(0..n) as u32).collect()
             } else {
-                (0..n).collect()
+                (0..n as u32).collect()
             };
-            let tree = Tree::train_on_with(data, &idx, &cfg.tree, &mut trng, search);
+            let tree = ranked.grow(&mut idx, &cfg.tree, &mut trng);
             let mut oob = Vec::new();
             if cfg.bagging {
                 let mut in_bag = vec![false; n];
                 for &i in &idx {
-                    in_bag[i] = true;
+                    in_bag[i as usize] = true;
                 }
                 for (i, _) in in_bag.iter().enumerate().filter(|(_, b)| !**b) {
                     oob.push((i as u32, tree.predict(&data.features[i])));
@@ -319,14 +305,5 @@ mod tests {
         let f = Forest::train(&d, &ForestConfig::default(), &mut rng());
         assert!(f.predict(&[3.0]));
         assert_eq!(f.positive_fraction(&[3.0]), 1.0);
-    }
-
-    #[test]
-    fn reference_trainer_matches_fast_path() {
-        let d = noisy_separable(80);
-        let cfg = ForestConfig::default();
-        let fast = Forest::train_threads(&d, &cfg, &mut SmallRng::seed_from_u64(5), 4);
-        let reference = Forest::train_reference(&d, &cfg, &mut SmallRng::seed_from_u64(5));
-        assert_eq!(fast, reference);
     }
 }

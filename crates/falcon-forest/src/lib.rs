@@ -7,7 +7,8 @@
 //! capabilities:
 //!
 //! * [`tree`] — CART-style binary decision trees with Gini impurity and
-//!   per-node random feature subsampling,
+//!   per-node random feature subsampling, trained on a dense-rank compile
+//!   of the dataset,
 //! * [`forest`] — bagged forests with majority voting, positive-vote
 //!   fractions (the active-learning disagreement signal) and out-of-bag
 //!   accuracy; training is parallel yet bit-identical at any thread count
@@ -34,7 +35,7 @@ pub use flat::{FlatForest, FLAT_LEAF};
 pub use forest::{default_threads, Forest, ForestConfig};
 pub use importance::{feature_importance, feature_importance_flat};
 pub use paths::{NegativePath, PathPredicate, SplitOp};
-pub use tree::{Node, SplitSearch, Tree, TreeConfig};
+pub use tree::{Node, Tree, TreeConfig};
 
 /// A training set: dense feature vectors (NaN = missing) plus boolean
 /// match/no-match labels.

@@ -1,24 +1,18 @@
 //! CART-style binary decision trees with Gini impurity.
 //!
-//! Two split-search strategies produce **bit-identical** trees for the
-//! same RNG stream (property-tested in `tests/flat_equivalence.rs`):
-//!
-//! * [`SplitSearch::Presorted`] (the default) sorts each feature column
-//!   once at the root and keeps columns sorted through splits, so every
-//!   node evaluates all candidate thresholds of a feature in one linear
-//!   sweep with running class counts — `O(n)` per feature per node
-//!   instead of the rescan path's `O(n × distinct values)` — and scratch
-//!   buffers are recycled across nodes to keep deep trees allocation-free.
-//! * [`SplitSearch::Rescan`] re-collects and re-sorts the candidate values
-//!   at every node and re-counts the full partition per threshold: the
-//!   original, obviously-correct reference that benchmarks and property
-//!   tests compare against.
+//! Training is *rank-compiled*: a `RankMatrix` turns the `f64` feature
+//! columns into dense `u32` ranks once per training call, and a node then
+//! evaluates each of its candidate features by sorting the integers
+//! `rank << 1 | label` of its own examples and sweeping the runs of equal
+//! rank with running class counts. The tree grown is, bit for bit and RNG
+//! draw for RNG draw, the one the textbook procedure grows — recount both
+//! sides at the midpoint of every two adjacent distinct values — which
+//! lives as test code in `tests/train_definition.rs`.
 
 use crate::Dataset;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
 
 /// Training configuration for a single tree.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -40,17 +34,6 @@ impl Default for TreeConfig {
             features_per_node: None,
         }
     }
-}
-
-/// Split-search strategy; both strategies grow bit-identical trees.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SplitSearch {
-    /// Sorted feature columns maintained through splits, linear sweep per
-    /// node (fast path, default).
-    #[default]
-    Presorted,
-    /// Re-collect and re-sort candidate values at every node (reference).
-    Rescan,
 }
 
 /// A tree node. Missing feature values (`NaN`) take the left branch.
@@ -90,43 +73,10 @@ pub struct Tree {
 
 impl Tree {
     /// Train a tree on (a bootstrap view of) `data`, using the example
-    /// indices in `idx`, with the default (presorted) split search.
+    /// indices in `idx` (a multiset: repeats count as often as they occur).
     pub fn train_on(data: &Dataset, idx: &[usize], cfg: &TreeConfig, rng: &mut impl Rng) -> Tree {
-        Self::train_on_with(data, idx, cfg, rng, SplitSearch::Presorted)
-    }
-
-    /// Train with an explicit split-search strategy. Both strategies
-    /// consume the RNG identically and grow identical trees.
-    pub fn train_on_with(
-        data: &Dataset,
-        idx: &[usize],
-        cfg: &TreeConfig,
-        rng: &mut impl Rng,
-        search: SplitSearch,
-    ) -> Tree {
-        assert!(!data.is_empty(), "cannot train on an empty dataset");
-        let arity = data.arity();
-        let k = cfg
-            .features_per_node
-            .unwrap_or_else(|| (arity as f64).sqrt().ceil() as usize)
-            .clamp(1, arity.max(1));
-        let root = match search {
-            SplitSearch::Rescan => build_rescan(data, idx, cfg, k, 0, rng),
-            SplitSearch::Presorted => {
-                let idx32: Vec<u32> = idx.iter().map(|&i| i as u32).collect();
-                let cols = (0..arity)
-                    .map(|f| {
-                        let mut col = idx32.clone();
-                        sort_col(data, f, &mut col);
-                        col
-                    })
-                    .collect();
-                let mut scratch = Scratch::default();
-                let set = NodeCols { idx: idx32, cols };
-                build_presorted(data, set, cfg, k, 0, rng, &mut scratch)
-            }
-        };
-        Tree { root, arity }
+        let mut idx: Vec<u32> = idx.iter().map(|&i| i as u32).collect();
+        RankMatrix::compile(data).grow(&mut idx, cfg, rng)
     }
 
     /// Train on the entire dataset.
@@ -176,330 +126,225 @@ fn gini(pos: usize, neg: usize) -> f64 {
     2.0 * p * (1.0 - p)
 }
 
-fn leaf(data: &Dataset, idx: &[usize]) -> Node {
-    let pos = idx.iter().filter(|&&i| data.labels[i]).count();
-    let neg = idx.len() - pos;
-    Node::Leaf {
-        label: pos > neg,
-        pos,
-        neg,
-    }
+/// A [`Dataset`] compiled for training: per feature, the ascending table
+/// of its distinct non-missing values and, per example, the value's rank —
+/// `0` for NaN, else 1 + its index in the table (`-0.0` and `0.0` compare
+/// equal and share a rank). Ranks order examples exactly as the values do,
+/// so split search runs on integers and reads an `f64` only to form a
+/// threshold. Built once per training call and shared read-only by the
+/// tree workers.
+pub(crate) struct RankMatrix<'a> {
+    labels: &'a [bool],
+    /// Column-major: `ranks[f * n + e]`.
+    ranks: Vec<u32>,
+    values: Vec<Vec<f64>>,
 }
 
-// ---------------------------------------------------------------------------
-// Presorted split search
-// ---------------------------------------------------------------------------
-
-/// A node's example multiset: `idx` in original (bootstrap) order plus one
-/// copy per feature sorted by that feature's value, NaN-first, ties in
-/// multiset order. Splits partition every column stably, so children
-/// inherit sortedness without re-sorting.
-struct NodeCols {
-    idx: Vec<u32>,
-    cols: Vec<Vec<u32>>,
-}
-
-/// Buffers recycled across nodes of one tree: spent column vectors return
-/// to `pool` instead of being dropped, and the per-feature group run
-/// buffer is reused by every sweep.
-#[derive(Default)]
-struct Scratch {
-    pool: Vec<Vec<u32>>,
-    groups: Vec<(f64, usize, usize)>,
-}
-
-impl Scratch {
-    fn take(&mut self) -> Vec<u32> {
-        self.pool.pop().unwrap_or_default()
+impl<'a> RankMatrix<'a> {
+    pub(crate) fn compile(data: &'a Dataset) -> Self {
+        assert!(!data.is_empty(), "cannot train on an empty dataset");
+        let (n, arity) = (data.len(), data.arity());
+        // A sweep key is `rank << 1 | label` in a `u32`, and rank <= n.
+        assert!(n < 1 << 31, "too many training examples");
+        let mut ranks = vec![0u32; n * arity];
+        let mut values = Vec::with_capacity(arity);
+        let mut order: Vec<(f64, u32)> = Vec::with_capacity(n);
+        for (f, col) in ranks.chunks_exact_mut(n).enumerate() {
+            order.clear();
+            order.extend(data.features.iter().enumerate().filter_map(|(e, row)| {
+                let v = row[f];
+                (!v.is_nan()).then_some((v, e as u32))
+            }));
+            order.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN"));
+            let mut distinct: Vec<f64> = Vec::new();
+            for &(v, e) in &order {
+                if distinct.last() != Some(&v) {
+                    distinct.push(v);
+                }
+                col[e as usize] = distinct.len() as u32;
+            }
+            values.push(distinct);
+        }
+        Self {
+            labels: &data.labels,
+            ranks,
+            values,
+        }
     }
 
-    fn recycle(&mut self, mut buf: Vec<u32>) {
-        buf.clear();
-        self.pool.push(buf);
+    fn column(&self, f: usize) -> &[u32] {
+        let n = self.labels.len();
+        &self.ranks[f * n..(f + 1) * n]
     }
 
-    fn recycle_set(&mut self, set: NodeCols) {
-        self.recycle(set.idx);
-        for col in set.cols {
-            self.recycle(col);
+    /// Grow a tree over the example multiset `idx` (reordered in place).
+    pub(crate) fn grow(&self, idx: &mut [u32], cfg: &TreeConfig, rng: &mut impl Rng) -> Tree {
+        let arity = self.values.len();
+        let k = cfg
+            .features_per_node
+            .unwrap_or_else(|| (arity as f64).sqrt().ceil() as usize)
+            .clamp(1, arity.max(1));
+        let mut grower = Grower {
+            data: self,
+            cfg,
+            k,
+            feats: Vec::with_capacity(arity),
+            keys: Vec::with_capacity(idx.len()),
+            spill: Vec::with_capacity(idx.len()),
+        };
+        Tree {
+            root: grower.node(idx, 0, rng),
+            arity,
         }
     }
 }
 
-/// Stable sort of a column by feature `f`'s value, NaN first (missing
-/// values route left, like prediction).
-fn sort_col(data: &Dataset, f: usize, col: &mut [u32]) {
-    col.sort_by(|&a, &b| {
-        let va = data.features[a as usize][f];
-        let vb = data.features[b as usize][f];
-        match (va.is_nan(), vb.is_nan()) {
-            (true, true) => Ordering::Equal,
-            (true, false) => Ordering::Less,
-            (false, true) => Ordering::Greater,
-            (false, false) => va.partial_cmp(&vb).unwrap_or(Ordering::Equal),
-        }
-    });
+/// One tree's growth state: the buffers every node reuses.
+struct Grower<'a> {
+    data: &'a RankMatrix<'a>,
+    cfg: &'a TreeConfig,
+    k: usize,
+    feats: Vec<usize>,
+    /// The node's `rank << 1 | label` keys of the feature being swept.
+    keys: Vec<u32>,
+    /// Right-side examples while a node's slice is partitioned.
+    spill: Vec<u32>,
 }
 
-/// One linear sweep over the sorted column of feature `f`: evaluates every
-/// candidate threshold (midpoints of adjacent distinct values) with
-/// running class counts. Count arithmetic matches the rescan path
-/// integer-for-integer, so gains are bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn sweep_feature(
-    data: &Dataset,
-    col: &[u32],
-    f: usize,
-    pos: usize,
-    neg: usize,
+impl Grower<'_> {
+    fn node(&mut self, idx: &mut [u32], depth: usize, rng: &mut impl Rng) -> Node {
+        let labels = self.data.labels;
+        let pos = idx.iter().filter(|&&e| labels[e as usize]).count();
+        let neg = idx.len() - pos;
+        let leaf = Node::Leaf {
+            label: pos > neg,
+            pos,
+            neg,
+        };
+        if depth >= self.cfg.max_depth || idx.len() < self.cfg.min_split || pos == 0 || neg == 0 {
+            return leaf;
+        }
+
+        // Random feature subset for this node; the shuffle (the only RNG
+        // use) happens once a split is attempted, from the identity order.
+        self.feats.clear();
+        self.feats.extend(0..self.data.values.len());
+        self.feats.shuffle(rng);
+        self.feats.truncate(self.k);
+
+        let parent_gini = gini(pos, neg);
+        let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
+        for &f in &self.feats {
+            let col = self.data.column(f);
+            self.keys.clear();
+            self.keys.extend(
+                idx.iter()
+                    .map(|&e| (col[e as usize] << 1) | u32::from(labels[e as usize])),
+            );
+            self.keys.sort_unstable();
+            sweep(
+                &self.keys,
+                &self.data.values[f],
+                (pos, neg),
+                parent_gini,
+                f,
+                &mut best,
+            );
+        }
+        let Some((_, feature, threshold)) = best else {
+            return leaf;
+        };
+
+        // `v <= threshold || v.is_nan()` routes left; on ranks that is
+        // `rank <=` the number of table values at or below the threshold.
+        let left_ranks = self.data.values[feature].partition_point(|&v| v <= threshold) as u32;
+        let col = self.data.column(feature);
+        self.spill.clear();
+        let mut n_left = 0;
+        for i in 0..idx.len() {
+            let e = idx[i];
+            if col[e as usize] <= left_ranks {
+                idx[n_left] = e;
+                n_left += 1;
+            } else {
+                self.spill.push(e);
+            }
+        }
+        let (left, right) = idx.split_at_mut(n_left);
+        right.copy_from_slice(&self.spill);
+        Node::Split {
+            feature,
+            threshold,
+            left: Box::new(self.node(left, depth + 1, rng)),
+            right: Box::new(self.node(right, depth + 1, rng)),
+        }
+    }
+}
+
+/// Class counts `(pos, neg)` of the run of equal rank starting at
+/// `keys[i]`, and the index one past it. Within a run the label bit sorts
+/// negatives first.
+fn run(keys: &[u32], i: usize) -> (usize, usize, usize) {
+    let rank = keys[i] >> 1;
+    let len = keys[i..].iter().take_while(|&&k| k >> 1 == rank).count();
+    let neg = keys[i..i + len].iter().take_while(|&&k| k & 1 == 0).count();
+    (len - neg, neg, i + len)
+}
+
+/// Evaluate every candidate threshold of feature `f` — the midpoint of
+/// each two adjacent distinct values present in the node — in one pass
+/// over the node's sorted keys, with running left-side class counts.
+/// Missing values (rank 0, sorted first) always count left. Which key of
+/// a run comes first cannot matter: only whole-run counts are read.
+fn sweep(
+    keys: &[u32],
+    values: &[f64],
+    (pos, neg): (usize, usize),
     parent_gini: f64,
-    groups: &mut Vec<(f64, usize, usize)>,
+    f: usize,
     best: &mut Option<(f64, usize, f64)>,
 ) {
-    // NaN prefix: missing values sit at the front of the sorted column and
-    // always count toward the left side.
-    let mut i = 0;
-    let (mut nan_pos, mut nan_neg) = (0usize, 0usize);
-    while i < col.len() {
-        let e = col[i] as usize;
-        if !data.features[e][f].is_nan() {
-            break;
-        }
-        if data.labels[e] {
-            nan_pos += 1;
-        } else {
-            nan_neg += 1;
-        }
-        i += 1;
-    }
-    // Runs of equal value with their class counts.
-    groups.clear();
-    while i < col.len() {
-        let v = data.features[col[i] as usize][f];
-        let (mut gp, mut gn) = (0usize, 0usize);
-        while i < col.len() {
-            let e = col[i] as usize;
-            if data.features[e][f] != v {
-                break;
-            }
-            if data.labels[e] {
-                gp += 1;
+    let n = keys.len() as f64;
+    let (mut lp, mut ln, mut i) = match keys.first() {
+        Some(k) if k >> 1 == 0 => run(keys, 0),
+        _ => (0, 0, 0),
+    };
+    let mut lower: Option<f64> = None;
+    while i < keys.len() {
+        let v1 = values[(keys[i] >> 1) as usize - 1];
+        let (np, nn, next) = run(keys, i);
+        if let Some(v0) = lower {
+            let t = (v0 + v1) / 2.0;
+            let (clp, cln) = if v0 <= t && t < v1 {
+                (lp, ln)
+            } else if t == v1 {
+                // The midpoint of two adjacent floats can round up onto
+                // the upper value; `v1 > t` is then false and v1's whole
+                // run routes left.
+                (lp + np, ln + nn)
             } else {
-                gn += 1;
-            }
-            i += 1;
-        }
-        groups.push((v, gp, gn));
-    }
-    if groups.len() < 2 {
-        return;
-    }
-    let n = col.len() as f64;
-    let (mut lp, mut ln) = (nan_pos, nan_neg);
-    for g in 0..groups.len() - 1 {
-        let (v0, gp, gn) = groups[g];
-        lp += gp;
-        ln += gn;
-        let (v1, np, nn) = groups[g + 1];
-        let t = (v0 + v1) / 2.0;
-        // The midpoint of two adjacent floats can round up onto the upper
-        // value, in which case `v1 > t` is false and v1's whole run routes
-        // left — mirror the rescan path's per-threshold recount exactly.
-        let (clp, cln) = if t >= v1 {
-            (lp + np, ln + nn)
-        } else {
-            (lp, ln)
-        };
-        let (rp, rn) = (pos - clp, neg - cln);
-        if clp + cln == 0 || rp + rn == 0 {
-            continue;
-        }
-        let child = (clp + cln) as f64 / n * gini(clp, cln) + (rp + rn) as f64 / n * gini(rp, rn);
-        let gain = parent_gini - child;
-        if gain > 1e-12 && best.is_none_or(|(g_, _, _)| gain > g_) {
-            *best = Some((gain, f, t));
-        }
-    }
-}
-
-fn build_presorted(
-    data: &Dataset,
-    set: NodeCols,
-    cfg: &TreeConfig,
-    k: usize,
-    depth: usize,
-    rng: &mut impl Rng,
-    scratch: &mut Scratch,
-) -> Node {
-    let pos = set.idx.iter().filter(|&&i| data.labels[i as usize]).count();
-    let neg = set.idx.len() - pos;
-    if depth >= cfg.max_depth || set.idx.len() < cfg.min_split || pos == 0 || neg == 0 {
-        scratch.recycle_set(set);
-        return Node::Leaf {
-            label: pos > neg,
-            pos,
-            neg,
-        };
-    }
-
-    // Random feature subset for this node (same RNG consumption as the
-    // rescan path: shuffle happens only once a split is attempted).
-    let mut feats: Vec<usize> = (0..data.arity()).collect();
-    feats.shuffle(rng);
-    feats.truncate(k);
-
-    let parent_gini = gini(pos, neg);
-    let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
-    let mut groups = std::mem::take(&mut scratch.groups);
-    for &f in &feats {
-        sweep_feature(
-            data,
-            &set.cols[f],
-            f,
-            pos,
-            neg,
-            parent_gini,
-            &mut groups,
-            &mut best,
-        );
-    }
-    scratch.groups = groups;
-
-    let Some((_, feature, threshold)) = best else {
-        scratch.recycle_set(set);
-        return Node::Leaf {
-            label: pos > neg,
-            pos,
-            neg,
-        };
-    };
-
-    // Stable-partition every column by the split predicate: children keep
-    // both the multiset order of `idx` and the sortedness of each feature
-    // column, so no re-sorting ever happens below the root.
-    let goes_left = |e: u32| {
-        let v = data.features[e as usize][feature];
-        v <= threshold || v.is_nan() // missing (NaN) values route left
-    };
-    let mut left = NodeCols {
-        idx: scratch.take(),
-        cols: Vec::with_capacity(set.cols.len()),
-    };
-    let mut right = NodeCols {
-        idx: scratch.take(),
-        cols: Vec::with_capacity(set.cols.len()),
-    };
-    for &e in &set.idx {
-        if goes_left(e) {
-            left.idx.push(e);
-        } else {
-            right.idx.push(e);
-        }
-    }
-    for col in &set.cols {
-        let mut lcol = scratch.take();
-        let mut rcol = scratch.take();
-        for &e in col {
-            if goes_left(e) {
-                lcol.push(e);
-            } else {
-                rcol.push(e);
-            }
-        }
-        left.cols.push(lcol);
-        right.cols.push(rcol);
-    }
-    scratch.recycle_set(set);
-
-    let left_node = build_presorted(data, left, cfg, k, depth + 1, rng, scratch);
-    let right_node = build_presorted(data, right, cfg, k, depth + 1, rng, scratch);
-    Node::Split {
-        feature,
-        threshold,
-        left: Box::new(left_node),
-        right: Box::new(right_node),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rescan split search (reference)
-// ---------------------------------------------------------------------------
-
-fn build_rescan(
-    data: &Dataset,
-    idx: &[usize],
-    cfg: &TreeConfig,
-    k: usize,
-    depth: usize,
-    rng: &mut impl Rng,
-) -> Node {
-    let pos = idx.iter().filter(|&&i| data.labels[i]).count();
-    let neg = idx.len() - pos;
-    if depth >= cfg.max_depth || idx.len() < cfg.min_split || pos == 0 || neg == 0 {
-        return Node::Leaf {
-            label: pos > neg,
-            pos,
-            neg,
-        };
-    }
-
-    // Random feature subset for this node.
-    let mut feats: Vec<usize> = (0..data.arity()).collect();
-    feats.shuffle(rng);
-    feats.truncate(k);
-
-    let parent_gini = gini(pos, neg);
-    let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
-    for &f in &feats {
-        // Candidate thresholds: midpoints of adjacent distinct observed
-        // values (missing values excluded).
-        let mut vals: Vec<f64> = idx
-            .iter()
-            .map(|&i| data.features[i][f])
-            .filter(|v| !v.is_nan())
-            .collect();
-        if vals.len() < 2 {
-            continue;
-        }
-        vals.sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-        vals.dedup();
-        for w in vals.windows(2) {
-            let t = (w[0] + w[1]) / 2.0;
-            let (mut lp, mut ln, mut rp, mut rn) = (0usize, 0usize, 0usize, 0usize);
-            for &i in idx {
-                let v = data.features[i][f];
-                let right = v > t; // NaN -> left
-                match (right, data.labels[i]) {
-                    (false, true) => lp += 1,
-                    (false, false) => ln += 1,
-                    (true, true) => rp += 1,
-                    (true, false) => rn += 1,
+                // `v0 + v1` overflowed, or is `-inf + inf`: the midpoint
+                // lies outside the pair. Recount what is not `> t`.
+                keys.iter()
+                    .filter(|&&k| k >> 1 == 0 || values[(k >> 1) as usize - 1] <= t || t.is_nan())
+                    .fold((0, 0), |(p, q), &k| {
+                        (p + (k & 1) as usize, q + ((k & 1) ^ 1) as usize)
+                    })
+            };
+            let (rp, rn) = (pos - clp, neg - cln);
+            if clp + cln != 0 && rp + rn != 0 {
+                let child =
+                    (clp + cln) as f64 / n * gini(clp, cln) + (rp + rn) as f64 / n * gini(rp, rn);
+                let gain = parent_gini - child;
+                if gain > 1e-12 && best.is_none_or(|(g, _, _)| gain > g) {
+                    *best = Some((gain, f, t));
                 }
             }
-            if lp + ln == 0 || rp + rn == 0 {
-                continue;
-            }
-            let n = idx.len() as f64;
-            let child = (lp + ln) as f64 / n * gini(lp, ln) + (rp + rn) as f64 / n * gini(rp, rn);
-            let gain = parent_gini - child;
-            if gain > 1e-12 && best.is_none_or(|(g, _, _)| gain > g) {
-                best = Some((gain, f, t));
-            }
         }
-    }
-
-    let Some((_, feature, threshold)) = best else {
-        return leaf(data, idx);
-    };
-    let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = idx.iter().partition(|&&i| {
-        let v = data.features[i][feature];
-        v <= threshold || v.is_nan() // missing (NaN) values route left
-    });
-    Node::Split {
-        feature,
-        threshold,
-        left: Box::new(build_rescan(data, &left_idx, cfg, k, depth + 1, rng)),
-        right: Box::new(build_rescan(data, &right_idx, cfg, k, depth + 1, rng)),
+        lp += np;
+        ln += nn;
+        lower = Some(v1);
+        i = next;
     }
 }
 
@@ -596,42 +441,5 @@ mod tests {
         assert_eq!(gini(0, 0), 0.0);
         assert_eq!(gini(5, 0), 0.0);
         assert!((gini(5, 5) - 0.5).abs() < 1e-12);
-    }
-
-    /// The presorted sweep and the rescan reference must grow identical
-    /// trees from the same RNG stream, including with missing values and
-    /// duplicated (bootstrap-style) indices.
-    #[test]
-    fn presorted_matches_rescan() {
-        let mut d = Dataset::new();
-        for i in 0..60 {
-            let x = if i % 7 == 0 {
-                f64::NAN
-            } else {
-                i as f64 / 60.0
-            };
-            let y = ((i * 13) % 17) as f64 / 17.0;
-            let z = if i % 5 == 0 { 0.5 } else { y * x.max(0.0) };
-            d.push(vec![x, y, z], (i * 3) % 60 >= 29);
-        }
-        let idx: Vec<usize> = (0..d.len()).map(|i| (i * 31) % d.len()).collect();
-        for seed in 0..8 {
-            let cfg = TreeConfig::default();
-            let a = Tree::train_on_with(
-                &d,
-                &idx,
-                &cfg,
-                &mut SmallRng::seed_from_u64(seed),
-                SplitSearch::Rescan,
-            );
-            let b = Tree::train_on_with(
-                &d,
-                &idx,
-                &cfg,
-                &mut SmallRng::seed_from_u64(seed),
-                SplitSearch::Presorted,
-            );
-            assert_eq!(a, b, "seed {seed}");
-        }
     }
 }

@@ -1,8 +1,8 @@
 //! Seed-stability of parallel forest training: for a fixed master seed,
 //! `Forest::train` must produce byte-identical forests at every worker
 //! thread count (the per-tree seed stream makes the result independent of
-//! scheduling), and identical to the sequential rescan reference. Run
-//! under `--release` in CI, where thread interleaving actually varies.
+//! scheduling). Run under `--release` in CI, where thread interleaving
+//! actually varies.
 
 use falcon_forest::{Dataset, Forest, ForestConfig};
 use rand::rngs::SmallRng;
@@ -49,15 +49,4 @@ fn default_train_matches_explicit_thread_counts() {
     let auto = Forest::train(&d, &cfg, &mut SmallRng::seed_from_u64(9));
     let one = Forest::train_threads(&d, &cfg, &mut SmallRng::seed_from_u64(9), 1);
     assert_eq!(auto, one);
-}
-
-#[test]
-fn reference_rescan_trainer_is_equivalent() {
-    let d = fixture();
-    let cfg = ForestConfig::default();
-    for seed in [5u64, 77] {
-        let fast = Forest::train_threads(&d, &cfg, &mut SmallRng::seed_from_u64(seed), 8);
-        let reference = Forest::train_reference(&d, &cfg, &mut SmallRng::seed_from_u64(seed));
-        assert_eq!(fast, reference, "seed {seed}");
-    }
 }
