@@ -7,7 +7,7 @@
 //! the two characteristics. Measures marked `*` in Figure 5 are excluded
 //! from the blocking feature set (too slow / unfilterable for blocking).
 
-use falcon_table::{AttrCharacteristic, Table, TableProfile, Tuple, TupleId, Value, ValueRef};
+use falcon_table::{AttrCharacteristic, Table, TableProfile, TupleId, ValueRef};
 use falcon_textsim::{hybrid, sets, tfidf, SimContext, SimFunction, SimScratch, Tokenizer};
 use serde::{Deserialize, Serialize};
 
@@ -30,34 +30,17 @@ pub struct Feature {
 }
 
 impl Feature {
-    /// Compute the feature value for a tuple pair; `NaN` means missing.
+    /// Compute the feature value for a pair of tuple ids; `NaN` means
+    /// missing.
     ///
     /// When the context carries [`falcon_textsim::TokenProfile`]s covering
     /// this feature's attributes and tuples, the pre-tokenized fast path is
-    /// taken; otherwise this falls back to rendering and tokenizing on the
-    /// fly. Both paths are bit-identical (enforced by the
-    /// `fv_equivalence` property test). `scratch` lends the kernels their
-    /// working buffers; it must only ever serve `ctx.dict`.
-    pub fn compute(
-        &self,
-        a: &Tuple,
-        b: &Tuple,
-        ctx: &SimContext<'_>,
-        scratch: &mut SimScratch,
-    ) -> f64 {
-        if let Some(v) = self.compute_profiled(a.id, b.id, ctx, scratch) {
-            return v;
-        }
-        let av = a.value(self.a_idx);
-        let bv = b.value(self.b_idx);
-        score_values(self.sim, av, bv, ctx)
-    }
-
-    /// Compute the feature value for a pair of tuple ids, pulling cells
-    /// straight from the tables; `NaN` means missing. Identical scoring
-    /// to [`Feature::compute`] (the profiled fast path only needs ids;
-    /// the fallback reads per-attribute cells via [`Table::value_ref`],
-    /// so a columnar table never materializes rows).
+    /// taken; otherwise (numeric measures, uncovered columns or tuples, no
+    /// profiles) the cells are read via [`Table::value_ref`] and scored by
+    /// [`score_value_refs`], rendering and tokenizing on the fly. Both
+    /// paths are bit-identical (enforced by the `fv_equivalence` property
+    /// test). `scratch` lends the kernels their working buffers; it must
+    /// only ever serve `ctx.dict`.
     pub fn compute_at(
         &self,
         a: &Table,
@@ -95,7 +78,7 @@ impl Feature {
         // Missingness is decided on the rendered string, exactly like
         // `score_str`; a non-empty string can still have an empty token
         // set (punctuation-only under `Tokenizer::Word`), which the id
-        // kernels score 0.0 just like the legacy set kernels.
+        // kernels score 0.0 just like the string set kernels.
         if ar.is_empty() || br.is_empty() {
             return Some(f64::NAN);
         }
@@ -152,14 +135,8 @@ impl Feature {
     }
 }
 
-/// Score a similarity function on two values with missing ⇒ `NaN`.
-pub fn score_values(sim: SimFunction, a: &Value, b: &Value, ctx: &SimContext<'_>) -> f64 {
-    score_value_refs(sim, a.as_value_ref(), b.as_value_ref(), ctx)
-}
-
-/// Score a similarity function on two borrowed cell views with missing ⇒
-/// `NaN`; same scoring as [`score_values`] ([`ValueRef`] mirrors
-/// [`Value`] semantics exactly).
+/// Score a similarity function on two cells with missing ⇒ `NaN`: the
+/// string-level definition of every feature value.
 pub fn score_value_refs(
     sim: SimFunction,
     a: ValueRef<'_>,
@@ -199,20 +176,6 @@ impl FeatureSet {
     /// Feature at an index.
     pub fn get(&self, idx: usize) -> &Feature {
         &self.features[idx]
-    }
-
-    /// Compute the full feature vector for one pair.
-    pub fn vector(
-        &self,
-        a: &Tuple,
-        b: &Tuple,
-        ctx: &SimContext<'_>,
-        scratch: &mut SimScratch,
-    ) -> Vec<f64> {
-        self.features
-            .iter()
-            .map(|f| f.compute(a, b, ctx, scratch))
-            .collect()
     }
 
     /// Compute the full feature vector for one pair of tuple ids,
@@ -358,7 +321,7 @@ pub fn generate_features(a: &Table, b: &Table) -> FeatureLibrary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use falcon_table::{AttrType, Schema};
+    use falcon_table::{AttrType, Schema, Value};
 
     fn tables() -> (Table, Table) {
         let schema = Schema::new([
@@ -422,7 +385,7 @@ mod tests {
         let ctx = SimContext::empty();
         let fv = lib
             .matching
-            .vector(&a.rows()[0], &b.rows()[0], &ctx, &mut SimScratch::new());
+            .vector_at(&a, &b, 0, 0, &ctx, &mut SimScratch::new());
         assert_eq!(fv.len(), lib.matching.len());
         // Identical tuples: all similarity-oriented features should be 1 or
         // 0-distance.

@@ -4,25 +4,12 @@
 use crate::error::FalconError;
 use crate::features::FeatureSet;
 use crate::fv::FvSet;
-use crate::tokens::{build_pair_profiles_par, PairProfiles};
+use crate::tokens::build_pair_profiles_par;
 use falcon_dataflow::{run_map_only, Cluster, ClusterConfig, JobStats};
 use falcon_table::{IdPair, Table};
 use falcon_textsim::tfidf::TfIdfBuilder;
 use falcon_textsim::{SimContext, SimFunction, SimScratch, TfIdfModel};
 use std::time::Duration;
-
-/// How `gen_fvs` evaluates features.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FvMode {
-    /// Pre-tokenize the referenced tuples once (one map-only pass per
-    /// table), then score pairs via the sorted-id merge kernels. The
-    /// default; bit-identical to [`FvMode::Legacy`].
-    #[default]
-    TokenProfile,
-    /// Render and tokenize per feature per pair (the original path); kept
-    /// as the verified-equivalent fallback and for benchmarking.
-    Legacy,
-}
 
 /// Output of `gen_fvs`.
 #[derive(Debug)]
@@ -31,14 +18,13 @@ pub struct GenFvsOutput {
     pub fvs: FvSet,
     /// Statistics of the scoring job.
     pub stats: JobStats,
-    /// Statistics of the profile-building map jobs that precede scoring
-    /// (empty in [`FvMode::Legacy`]).
+    /// Statistics of the profile-building map jobs that precede scoring.
     pub prep_stats: Vec<JobStats>,
 }
 
 impl GenFvsOutput {
     /// Simulated cluster duration of the whole operator: the profiling
-    /// jobs (if any) plus the scoring job.
+    /// jobs plus the scoring job.
     pub fn sim_duration(&self, cfg: &ClusterConfig) -> Duration {
         self.prep_stats
             .iter()
@@ -68,7 +54,9 @@ pub fn tfidf_model_for(features: &FeatureSet, a: &Table, b: &Table) -> Option<Tf
     Some(corpus.finish())
 }
 
-/// Run `gen_fvs` over `pairs` in the default [`FvMode::TokenProfile`].
+/// Run `gen_fvs` over `pairs`: pre-tokenize the referenced tuples once
+/// (one map-only pass per table), then score every pair via the
+/// sorted-id merge kernels in one map-only job.
 ///
 /// Every pair id must resolve in its table; a dangling id is an
 /// upstream-operator contract violation and is rejected before the job
@@ -80,21 +68,8 @@ pub fn gen_fvs(
     pairs: &[IdPair],
     features: &FeatureSet,
 ) -> Result<GenFvsOutput, FalconError> {
-    gen_fvs_with(cluster, a, b, pairs, features, FvMode::default())
-}
-
-/// Run `gen_fvs` over `pairs` in an explicit [`FvMode`].
-pub fn gen_fvs_with(
-    cluster: &Cluster,
-    a: &Table,
-    b: &Table,
-    pairs: &[IdPair],
-    features: &FeatureSet,
-    mode: FvMode,
-) -> Result<GenFvsOutput, FalconError> {
     for &(aid, bid) in pairs {
-        // Ids are dense from 0, so a length check suffices and never
-        // forces the columnar store to materialize its row view.
+        // Ids are dense from 0, so a length check suffices.
         if aid as usize >= a.len() {
             return Err(FalconError::UnknownTupleId {
                 table: "A",
@@ -112,26 +87,21 @@ pub fn gen_fvs_with(
     // Pre-tokenize only the tuples this pair list references: sampled
     // stages touch a tiny fraction of each table, and profiling the rest
     // would cost more than the cache saves.
-    let profiles: Option<PairProfiles> = match mode {
-        FvMode::Legacy => None,
-        FvMode::TokenProfile => {
-            let mut a_mask = vec![false; a.len()];
-            let mut b_mask = vec![false; b.len()];
-            for &(aid, bid) in pairs {
-                a_mask[aid as usize] = true;
-                b_mask[bid as usize] = true;
-            }
-            Some(build_pair_profiles_par(
-                cluster,
-                a,
-                b,
-                &features.features,
-                tfidf.as_ref(),
-                Some(&a_mask),
-                Some(&b_mask),
-            )?)
-        }
-    };
+    let mut a_mask = vec![false; a.len()];
+    let mut b_mask = vec![false; b.len()];
+    for &(aid, bid) in pairs {
+        a_mask[aid as usize] = true;
+        b_mask[bid as usize] = true;
+    }
+    let profiles = build_pair_profiles_par(
+        cluster,
+        a,
+        b,
+        &features.features,
+        tfidf.as_ref(),
+        Some(&a_mask),
+        Some(&b_mask),
+    )?;
     // Each split lends one chunk of `pairs` as a single record, so a map
     // task scores its chunk through one `SimScratch` (DP rows, Jaro
     // buffers, the token-pair Jaro-Winkler memo). The scratch lives and
@@ -144,13 +114,11 @@ pub fn gen_fvs_with(
     let chunk = pairs.len().div_ceil(n_splits.max(1)).max(1);
     let splits: Vec<Vec<&[IdPair]>> = pairs.chunks(chunk).map(|c| vec![c]).collect();
     let mut out = run_map_only(cluster, splits, |pair_chunk: &&[IdPair], out| {
-        let mut ctx = match &tfidf {
+        let ctx = match &tfidf {
             Some(m) => SimContext::with_tfidf(m),
             None => SimContext::empty(),
-        };
-        if let Some(p) = &profiles {
-            ctx = ctx.with_profiles(&p.a, &p.b, &p.dict);
         }
+        .with_profiles(&profiles.a, &profiles.b, &profiles.dict);
         let mut scratch = SimScratch::new();
         out.reserve(pair_chunk.len());
         for &(aid, bid) in *pair_chunk {
@@ -169,7 +137,7 @@ pub fn gen_fvs_with(
             fvs: out.output,
         },
         stats: out.stats,
-        prep_stats: profiles.map(|p| p.stats).unwrap_or_default(),
+        prep_stats: profiles.stats,
     })
 }
 
@@ -211,62 +179,6 @@ mod tests {
                 assert!(*v < 1e-9, "{} = {v}", f.name);
             }
         }
-    }
-
-    #[test]
-    fn token_profile_mode_matches_legacy_bit_for_bit() {
-        let schema = Schema::new([("t", AttrType::Str), ("p", AttrType::Num)]);
-        let a = Table::new(
-            "a",
-            schema.clone(),
-            vec![
-                vec![Value::str("quick brown fox"), Value::num(1.0)],
-                vec![Value::str("..."), Value::num(2.0)], // empty token set
-                vec![Value::Null, Value::num(3.0)],       // missing
-                vec![Value::str(" 42 "), Value::Null],
-            ],
-        );
-        let b = Table::new(
-            "b",
-            schema,
-            vec![
-                vec![Value::str("quick brown dog"), Value::num(1.0)],
-                vec![Value::str("!!!"), Value::num(2.5)],
-                vec![Value::str("fox"), Value::Null],
-                vec![Value::num(42.0), Value::num(9.0)],
-            ],
-        );
-        let lib = generate_features(&a, &b);
-        let pairs: Vec<IdPair> = (0..4).flat_map(|i| (0..4).map(move |j| (i, j))).collect();
-        let fast = gen_fvs_with(
-            &cluster(),
-            &a,
-            &b,
-            &pairs,
-            &lib.matching,
-            FvMode::TokenProfile,
-        )
-        .expect("token-profile mode");
-        let slow = gen_fvs_with(&cluster(), &a, &b, &pairs, &lib.matching, FvMode::Legacy)
-            .expect("legacy mode");
-        assert_eq!(fast.fvs.pairs, slow.fvs.pairs);
-        for (pair, (fv_fast, fv_slow)) in fast
-            .fvs
-            .pairs
-            .iter()
-            .zip(fast.fvs.fvs.iter().zip(&slow.fvs.fvs))
-        {
-            for (k, (x, y)) in fv_fast.iter().zip(fv_slow).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "pair {pair:?} feature {} ({x} vs {y})",
-                    lib.matching.get(k).name
-                );
-            }
-        }
-        assert!(!fast.prep_stats.is_empty());
-        assert!(slow.prep_stats.is_empty());
     }
 
     #[test]

@@ -279,10 +279,10 @@ fn record_modes(modes: &mut [Vec<String>], bundles: &[Bundle]) {
 }
 
 /// Rough in-memory footprint of a table (gates MapSide). Computed
-/// column-at-a-time over rendered lengths; the formula (32 bytes per
-/// row plus 24 per cell plus rendered length) is
-/// representation-invariant so the optimizer picks the same physical
-/// plan under either table layout.
+/// column-at-a-time over rendered lengths: 32 bytes per row plus 24 per
+/// cell plus rendered length — a function of the cell contents, not of
+/// the column store's own layout, so physical plans do not move when
+/// that layout does.
 pub fn estimate_table_bytes(t: &Table) -> usize {
     let mut total = 32 * t.len();
     let mut scratch = String::new();

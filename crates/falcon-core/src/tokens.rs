@@ -75,7 +75,7 @@ fn push_unique<T: PartialEq>(v: &mut Vec<T>, x: T) {
 /// Derive the A-side and B-side profile specs for a set of features.
 ///
 /// Numeric measures other than `ExactMatch` never render their operands
-/// (`score_values` parses the `Value` directly), so they contribute
+/// (`score_value_refs` parses the cell directly), so they contribute
 /// nothing; every other measure reads rendered strings, the set-based
 /// measures additionally get a token-id column for their tokenizer, and
 /// the matching-only measures the cache their kernel reads.
@@ -133,8 +133,8 @@ struct TupleRecord {
 }
 
 /// Per-tuple map task: render the needed attributes and derive every
-/// token-level column from the rendered text. Reads cells through
-/// [`Table::value_ref`], so a columnar table never materializes rows.
+/// token-level column from the rendered text, reading cells through
+/// [`Table::value_ref`].
 fn profile_id(
     table: &Table,
     id: TupleId,

@@ -1,20 +1,21 @@
 //! Property test for the token-profile layer: feature vectors computed via
 //! pre-tokenized profiles (sorted-id kernels, per-tuple token / tf·idf /
-//! char columns, rendered-value cache) must be **bit-identical** to the
-//! legacy render-and-tokenize-per-feature path, across random tables,
-//! every similarity measure, and both tokenizers — including `Null`s,
-//! punctuation-only strings (non-empty string, empty token set), numeric
-//! strings with whitespace, non-ASCII text, and masked (partial-coverage)
-//! profile builds. Below the proptests: the frozen feature-vector digests
+//! char columns, rendered-value cache) must be **bit-identical** to their
+//! definition: the same `vector_at` under a context without profiles,
+//! which renders and tokenizes per feature per pair (`score_value_refs` →
+//! `score_str`). Checked across random tables, every similarity measure
+//! and both tokenizers — including `Null`s, punctuation-only strings
+//! (non-empty string, empty token set), numeric strings with whitespace,
+//! non-ASCII text, and masked (partial-coverage) profile builds. Below the proptests: the frozen feature-vector digests
 //! of the three datasets and the scheduling-independence checks of the
 //! matching feature set.
 
 use falcon_core::features::{generate_features, Feature, FeatureSet};
-use falcon_core::ops::gen_fvs::{gen_fvs, gen_fvs_with, tfidf_model_for, FvMode, GenFvsOutput};
+use falcon_core::ops::gen_fvs::{gen_fvs, tfidf_model_for, GenFvsOutput};
 use falcon_core::tokens::build_pair_profiles_seq;
 use falcon_dataflow::{Cluster, ClusterConfig, FaultPlan};
 use falcon_datagen::EmDataset;
-use falcon_table::{AttrType, IdPair, Schema, Table, TableRepr, Value};
+use falcon_table::{AttrType, IdPair, Schema, Table, Value};
 use falcon_textsim::{SimContext, SimFunction, SimScratch, Tokenizer};
 use proptest::prelude::*;
 
@@ -85,8 +86,8 @@ fn table(name: &str, rows: Vec<(Value, Value)>) -> Table {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `FeatureSet::vector` with profiles attached equals the string path
-    /// bit for bit (NaNs included, via `to_bits`).
+    /// `FeatureSet::vector_at` with profiles attached equals the string
+    /// path bit for bit (NaNs included, via `to_bits`).
     #[test]
     fn vectors_bit_identical_with_profiles(
         a_rows in proptest::collection::vec((value(), value()), 1..6),
@@ -103,25 +104,26 @@ proptest! {
         let profiles = build_pair_profiles_seq(&a, &b, &fs.features, tfidf.as_ref());
         let profiled = base.with_profiles(&profiles.a, &profiles.b, &profiles.dict);
         let mut scratch = SimScratch::new();
-        for at in a.rows() {
-            for bt in b.rows() {
-                let legacy_fv = fs.vector(at, bt, &base, &mut SimScratch::new());
-                let fast_fv = fs.vector(at, bt, &profiled, &mut scratch);
-                for (k, (x, y)) in fast_fv.iter().zip(&legacy_fv).enumerate() {
+        for aid in 0..a.len() as u32 {
+            for bid in 0..b.len() as u32 {
+                let string_fv = fs.vector_at(&a, &b, aid, bid, &base, &mut SimScratch::new());
+                let fast_fv = fs.vector_at(&a, &b, aid, bid, &profiled, &mut scratch);
+                for (k, (x, y)) in fast_fv.iter().zip(&string_fv).enumerate() {
                     prop_assert_eq!(
                         x.to_bits(), y.to_bits(),
                         "pair ({},{}) feature {} ({} vs {})",
-                        at.id, bt.id, fs.get(k).name, x, y
+                        aid, bid, fs.get(k).name, x, y
                     );
                 }
             }
         }
     }
 
-    /// `gen_fvs` in TokenProfile mode (masked parallel profile build)
-    /// equals Legacy mode bit for bit on a random subset of pairs.
+    /// `gen_fvs` (masked parallel profile build) equals the per-pair
+    /// `vector_at` loop under a context without profiles, bit for bit,
+    /// on a random subset of pairs.
     #[test]
-    fn gen_fvs_modes_bit_identical(
+    fn gen_fvs_equals_the_unprofiled_vector_at_loop(
         a_rows in proptest::collection::vec((value(), value()), 1..5),
         b_rows in proptest::collection::vec((value(), value()), 1..5),
         salt in 0u32..1000,
@@ -136,59 +138,21 @@ proptest! {
             .filter(|(i, j)| (i * 7 + j * 13 + salt) % 3 != 0)
             .collect();
         let cluster = Cluster::new(ClusterConfig::small(2)).with_threads(2);
-        let fast = gen_fvs_with(&cluster, &a, &b, &pairs, &fs, FvMode::TokenProfile)
-            .expect("token-profile mode");
-        let slow = gen_fvs_with(&cluster, &a, &b, &pairs, &fs, FvMode::Legacy)
-            .expect("legacy mode");
-        prop_assert_eq!(&fast.fvs.pairs, &slow.fvs.pairs);
-        for (pair, (fv_fast, fv_slow)) in
-            fast.fvs.pairs.iter().zip(fast.fvs.fvs.iter().zip(&slow.fvs.fvs))
-        {
-            for (k, (x, y)) in fv_fast.iter().zip(fv_slow).enumerate() {
+        let out = gen_fvs(&cluster, &a, &b, &pairs, &fs).expect("gen_fvs");
+        prop_assert_eq!(&out.fvs.pairs, &pairs);
+        let tfidf = tfidf_model_for(&fs, &a, &b);
+        let ctx = match &tfidf {
+            Some(m) => SimContext::with_tfidf(m),
+            None => SimContext::empty(),
+        };
+        for (&(aid, bid), fv) in pairs.iter().zip(&out.fvs.fvs) {
+            let want = fs.vector_at(&a, &b, aid, bid, &ctx, &mut SimScratch::new());
+            for (k, (x, y)) in fv.iter().zip(&want).enumerate() {
                 prop_assert_eq!(
                     x.to_bits(), y.to_bits(),
-                    "pair {:?} feature {} ({} vs {})",
-                    pair, fs.get(k).name, x, y
+                    "pair ({},{}) feature {} ({} vs {})",
+                    aid, bid, fs.get(k).name, x, y
                 );
-            }
-        }
-    }
-
-    /// The table representation is invisible to feature generation: the
-    /// same pairs scored over columnar and legacy (row) tables produce
-    /// bit-identical vectors, in both fv modes.
-    #[test]
-    fn gen_fvs_is_representation_invariant(
-        a_rows in proptest::collection::vec((value(), value()), 1..5),
-        b_rows in proptest::collection::vec((value(), value()), 1..5),
-    ) {
-        let a = table("a", a_rows);
-        let b = table("b", b_rows);
-        let a_leg = a.to_repr(TableRepr::Legacy);
-        let b_leg = b.to_repr(TableRepr::Legacy);
-        let a_col = a_leg.to_repr(TableRepr::Columnar);
-        let b_col = b_leg.to_repr(TableRepr::Columnar);
-        let fs = all_features();
-        let pairs: Vec<IdPair> = (0..a.len() as u32)
-            .flat_map(|i| (0..b.len() as u32).map(move |j| (i, j)))
-            .collect();
-        let cluster = Cluster::new(ClusterConfig::small(2)).with_threads(2);
-        for mode in [FvMode::TokenProfile, FvMode::Legacy] {
-            let col = gen_fvs_with(&cluster, &a_col, &b_col, &pairs, &fs, mode)
-                .expect("columnar tables");
-            let leg = gen_fvs_with(&cluster, &a_leg, &b_leg, &pairs, &fs, mode)
-                .expect("legacy tables");
-            prop_assert_eq!(&col.fvs.pairs, &leg.fvs.pairs);
-            for (pair, (fv_col, fv_leg)) in
-                col.fvs.pairs.iter().zip(col.fvs.fvs.iter().zip(&leg.fvs.fvs))
-            {
-                for (k, (x, y)) in fv_col.iter().zip(fv_leg).enumerate() {
-                    prop_assert_eq!(
-                        x.to_bits(), y.to_bits(),
-                        "mode {:?} pair {:?} feature {} ({} vs {})",
-                        mode, pair, fs.get(k).name, x, y
-                    );
-                }
             }
         }
     }

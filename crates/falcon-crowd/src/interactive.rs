@@ -43,6 +43,17 @@ impl<R: BufRead + Send, W: Write + Send> Crowd for InteractiveCrowd<R, W> {
         if let Some(&cached) = state.2.get(&pair) {
             return cached;
         }
+        if pair.0 as usize >= self.a.len() || pair.1 as usize >= self.b.len() {
+            // No record to show: say so and default to "no match", like
+            // a closed pipe, instead of ending the labeling session.
+            let _ = writeln!(
+                state.1,
+                "\n--- pair ({}, {}) names an unknown record: no match ---",
+                pair.0, pair.1
+            );
+            state.2.insert(pair, false);
+            return false;
+        }
         let answer = loop {
             {
                 let (_, out, _) = &mut *state;
@@ -51,10 +62,10 @@ impl<R: BufRead + Send, W: Write + Send> Crowd for InteractiveCrowd<R, W> {
                 let mut render = || -> std::io::Result<()> {
                     writeln!(out, "\n--- Do these records match? (y/n) ---")?;
                     for (side, table, id) in [("A", a, pair.0), ("B", b, pair.1)] {
-                        let row = table.get(id).expect("valid id");
                         write!(out, "  {side}: ")?;
                         for (i, attr) in table.schema().attrs().iter().enumerate() {
-                            write!(out, "{}={} ", attr.name, row.value(i).render())?;
+                            let cell = table.value_ref(id, i).unwrap_or_default();
+                            write!(out, "{}={} ", attr.name, cell.render())?;
                         }
                         writeln!(out)?;
                     }
@@ -145,6 +156,37 @@ mod tests {
         let input = Cursor::new(Vec::new());
         let crowd = InteractiveCrowd::new(a, b, input, Vec::new());
         assert!(!crowd.answer((0, 0)));
+    }
+
+    #[test]
+    fn unknown_id_says_so_and_defaults_to_no() {
+        let (a, b) = tables();
+        let input = Cursor::new(b"y\ny\n".to_vec());
+        let crowd = InteractiveCrowd::new(a, b, input, Vec::new());
+        assert!(!crowd.answer((0, 7)));
+        assert!(!crowd.answer((9, 0)));
+        let out = String::from_utf8(crowd.state.lock().1.clone()).unwrap();
+        assert!(out.contains("pair (0, 7) names an unknown record"), "{out}");
+        assert!(!out.contains("(y/n)"), "{out}");
+        // Neither question consumed an answer.
+        assert!(crowd.answer((1, 1)));
+    }
+
+    #[test]
+    fn closed_pipe_defaults_to_no() {
+        struct Closed;
+        impl Write for Closed {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let (a, b) = tables();
+        let crowd = InteractiveCrowd::new(a, b, Cursor::new(b"y\n".to_vec()), Closed);
+        assert!(!crowd.answer((0, 0)));
+        assert!(!crowd.answer((0, 9)));
     }
 
     #[test]

@@ -212,10 +212,10 @@ mod tests {
         let aidx = d.a.schema().index_of("authors").unwrap();
         let mut same_key = 0;
         for (aid, bid) in &d.truth {
-            let aj = d.a.get(*aid).unwrap().value(jidx).render();
-            let bj = d.b.get(*bid).unwrap().value(jidx).render();
-            let aa = d.a.get(*aid).unwrap().value(aidx).render();
-            let ba = d.b.get(*bid).unwrap().value(aidx).render();
+            let aj = d.a.value_ref(*aid, jidx).unwrap().render();
+            let bj = d.b.value_ref(*bid, jidx).unwrap().render();
+            let aa = d.a.value_ref(*aid, aidx).unwrap().render();
+            let ba = d.b.value_ref(*bid, aidx).unwrap().render();
             if aj == bj && aa == ba {
                 same_key += 1;
             }
@@ -233,8 +233,8 @@ mod tests {
         let sim = SimFunction::Jaccard(Tokenizer::Word);
         let mut sims = Vec::new();
         for (aid, bid) in d.truth.iter().take(100) {
-            let at = d.a.get(*aid).unwrap().value(tidx).render();
-            let bt = d.b.get(*bid).unwrap().value(tidx).render();
+            let at = d.a.value_ref(*aid, tidx).unwrap().render();
+            let bt = d.b.value_ref(*bid, tidx).unwrap().render();
             if let Some(s) = sim.score_str(&at, &bt, &ctx) {
                 sims.push(s);
             }

@@ -217,8 +217,8 @@ mod tests {
         let didx = d.a.schema().index_of("description").unwrap();
         let mut exact = 0;
         for (aid, bid) in &d.truth {
-            let av = d.a.get(*aid).unwrap().value(didx).render();
-            let bv = d.b.get(*bid).unwrap().value(didx).render();
+            let av = d.a.value_ref(*aid, didx).unwrap().render();
+            let bv = d.b.value_ref(*bid, didx).unwrap().render();
             if av == bv {
                 exact += 1;
             }
@@ -240,8 +240,8 @@ mod tests {
         let sim = SimFunction::Jaccard(Tokenizer::QGram(3));
         let mut sims = Vec::new();
         for (aid, bid) in d.truth.iter().take(100) {
-            let av = d.a.get(*aid).unwrap().value(didx).render();
-            let bv = d.b.get(*bid).unwrap().value(didx).render();
+            let av = d.a.value_ref(*aid, didx).unwrap().render();
+            let bv = d.b.value_ref(*bid, didx).unwrap().render();
             if let Some(s) = sim.score_str(&av, &bv, &ctx) {
                 sims.push(s);
             }

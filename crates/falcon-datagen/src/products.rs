@@ -191,8 +191,8 @@ mod tests {
         let tidx = d.a.schema().index_of("title").unwrap();
         let mut match_sims = Vec::new();
         for (aid, bid) in d.truth.iter().take(30) {
-            let av = d.a.get(*aid).unwrap().value(tidx).render();
-            let bv = d.b.get(*bid).unwrap().value(tidx).render();
+            let av = d.a.value_ref(*aid, tidx).unwrap().render();
+            let bv = d.b.value_ref(*bid, tidx).unwrap().render();
             if let Some(s) = sim.score_str(&av, &bv, &ctx) {
                 match_sims.push(s);
             }
@@ -202,16 +202,10 @@ mod tests {
         // Random (non-truth) pairs should be much less similar on average.
         let mut rnd_sims = Vec::new();
         for i in 0..30usize {
-            let av =
-                d.a.get((i % d.a.len()) as u32)
-                    .unwrap()
-                    .value(tidx)
-                    .render();
-            let bv =
-                d.b.get(((i * 7 + 3) % d.b.len()) as u32)
-                    .unwrap()
-                    .value(tidx)
-                    .render();
+            let aid = (i % d.a.len()) as u32;
+            let bid = ((i * 7 + 3) % d.b.len()) as u32;
+            let av = d.a.value_ref(aid, tidx).unwrap().render();
+            let bv = d.b.value_ref(bid, tidx).unwrap().render();
             if let Some(s) = sim.score_str(&av, &bv, &ctx) {
                 rnd_sims.push(s);
             }

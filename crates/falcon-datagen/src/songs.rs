@@ -196,8 +196,8 @@ mod tests {
         // No truth pair may join a "(remix)"-style title with a clean one
         // of different annotation.
         for (aid, bid) in d.truth.iter().take(500) {
-            let at = d.a.get(*aid).unwrap().value(tidx).render();
-            let bt = d.b.get(*bid).unwrap().value(tidx).render();
+            let at = d.a.value_ref(*aid, tidx).unwrap().render();
+            let bt = d.b.value_ref(*bid, tidx).unwrap().render();
             let a_tagged = at.contains('(');
             let b_tagged = bt.contains('(');
             assert_eq!(

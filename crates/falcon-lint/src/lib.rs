@@ -14,8 +14,12 @@
 //!   (`falcon-index/src/`) library code. These paths run inside simulated
 //!   cluster workers; a panic there kills a whole job.
 //! * **`no-nondeterminism`** — no `thread_rng` / `from_entropy` /
-//!   `SystemTime` / `RandomState` in any falcon library source. Identical
-//!   seeds must give identical plans, candidates and timelines.
+//!   `SystemTime` / `RandomState` in `falcon-core`, `falcon-dataflow` or
+//!   `falcon-index` library source, and no `env::var` / `env::var_os` in
+//!   any library crate (all but `falcon-cli`, `falcon-bench` and
+//!   `falcon-lint`). Identical inputs, config and seeds must give
+//!   identical plans, candidates and timelines; a process-wide
+//!   environment knob is none of the three.
 //! * **`sim-time`** — `Instant::now` (including through `use ... as`
 //!   renames) only inside `falcon-dataflow/src/sim_time.rs` (the
 //!   sanctioned [`wall_now`] funnel) and the `falcon-bench` harness.
@@ -185,7 +189,7 @@ pub fn rules_for(path: &Path) -> Vec<Rule> {
     if has("falcon-core/src/ops/") || has("falcon-dataflow/src/") || has("falcon-index/src/") {
         rules.push(Rule::NoPanic);
     }
-    if has("falcon-core/src/") || has("falcon-dataflow/src/") || has("falcon-index/src/") {
+    if !(has("falcon-cli/") || has("falcon-bench/") || has("falcon-lint/")) {
         rules.push(Rule::NoNondeterminism);
     }
     let sim_time_exempt = has("falcon-dataflow/src/sim_time.rs/") || has("falcon-bench/");
@@ -353,6 +357,7 @@ fn parse_allows(comment: &str) -> Vec<Rule> {
 
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 const NONDET_IDENTS: [&str; 3] = ["thread_rng", "from_entropy", "RandomState"];
+const ENV_READS: [&str; 2] = ["var", "var_os"];
 const HASH_TYPES: [&str; 4] = ["HashMap", "HashSet", "FxHashMap", "FxHashSet"];
 const ITER_METHODS: [&str; 8] = [
     "iter",
@@ -424,8 +429,34 @@ fn pass_no_panic(fs: &FileScan, out: &mut Vec<Violation>) {
 fn pass_nondet_and_wall_clock(fs: &FileScan, out: &mut Vec<Violation>) {
     let toks = &fs.lx.toks;
     let on_retry_path = fs.rules.contains(&Rule::WallClockRetry);
+    // `no-nondeterminism` covers every library crate for environment
+    // reads; its entropy and `SystemTime` needles only these three.
+    let p = norm(&fs.path);
+    let entropy_scope = [
+        "falcon-core/src/",
+        "falcon-dataflow/src/",
+        "falcon-index/src/",
+    ]
+    .iter()
+    .any(|frag| p.contains(frag));
     for (i, t) in toks.iter().enumerate() {
         if !t.is_ident {
+            continue;
+        }
+        // `env::var` / `env::var_os`: through the module (or a rename of
+        // it), or a call of the function imported by name.
+        let env_read = ENV_READS.iter().find(|f| {
+            (fs.resolve_last(&t.text) == "env" && fs.lx.matches(i + 1, &[":", ":", f]))
+                || (toks.get(i + 1).is_some_and(|n| n.is("("))
+                    && fs
+                        .aliases
+                        .get(&t.text)
+                        .is_some_and(|full| full.ends_with(&format!("env::{f}"))))
+        });
+        if let Some(f) = env_read {
+            if fs.active(Rule::NoNondeterminism, t.line) {
+                out.push(fs.violation(Rule::NoNondeterminism, t.line, t.col, format!("env::{f}")));
+            }
             continue;
         }
         // `Base::now` with Base resolving to Instant / SystemTime.
@@ -445,11 +476,15 @@ fn pass_nondet_and_wall_clock(fs: &FileScan, out: &mut Vec<Violation>) {
                 } else {
                     Rule::NoNondeterminism
                 };
-                if fs.active(rule, t.line) {
+                let in_scope = rule != Rule::NoNondeterminism || entropy_scope;
+                if in_scope && fs.active(rule, t.line) {
                     out.push(fs.violation(rule, t.line, t.col, needle));
                 }
                 continue; // exactly one rule per wall-clock read
             }
+        }
+        if !entropy_scope {
+            continue;
         }
         if NONDET_IDENTS.contains(&t.text.as_str()) && fs.active(Rule::NoNondeterminism, t.line) {
             out.push(fs.violation(Rule::NoNondeterminism, t.line, t.col, t.text.clone()));
@@ -1090,6 +1125,49 @@ mod tests {
         let cli = PathBuf::from("crates/falcon-cli/src/main.rs");
         let v = scan_source(&cli, src, &rules_for(&cli));
         assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn env_reads_flagged_in_every_library_crate() {
+        let table = PathBuf::from("crates/falcon-table/src/table.rs");
+        for (src, token) in [
+            ("pub fn f() { let _ = std::env::var(\"X\"); }\n", "env::var"),
+            (
+                "use std::env;\npub fn f() { let _ = env::var_os(\"X\"); }\n",
+                "env::var_os",
+            ),
+            (
+                "use std::env as e;\npub fn f() { let _ = e::var(\"X\"); }\n",
+                "env::var",
+            ),
+            (
+                "use std::env::{var as getenv};\npub fn f() { let _ = getenv(\"X\"); }\n",
+                "env::var",
+            ),
+        ] {
+            let v = scan_source(&table, src, &rules_for(&table));
+            assert_eq!(v.len(), 1, "{src}: {v:?}");
+            assert_eq!(v[0].rule, Rule::NoNondeterminism);
+            assert_eq!(v[0].token, token);
+            for exempt in [
+                "falcon-cli/src/main.rs",
+                "falcon-bench/src/lib.rs",
+                "falcon-lint/src/main.rs",
+            ] {
+                let path = PathBuf::from("crates").join(exempt);
+                assert!(
+                    scan_source(&path, src, &rules_for(&path)).is_empty(),
+                    "{exempt}"
+                );
+            }
+        }
+        // Other `env` items and the entropy needles keep their scope.
+        let fine = "pub fn f() { let _ = (std::env::temp_dir(), rand::thread_rng()); let _ = std::time::SystemTime::now(); }\n";
+        assert!(scan_source(&table, fine, &rules_for(&table))
+            .iter()
+            .all(|v| v.rule != Rule::NoNondeterminism));
+        let waived = "pub fn f() { let _ = std::env::var(\"X\"); } // falcon-lint: allow(no-nondeterminism)\n";
+        assert!(scan_source(&table, waived, &rules_for(&table)).is_empty());
     }
 
     #[test]

@@ -21,3 +21,7 @@ pub fn sorted_view(votes: &HashMap<u32, u32>) -> Vec<u32> {
     ids.sort_unstable();
     ids
 }
+
+pub fn env_knob() -> bool {
+    std::env::var("FALCON_FOREST_REPR").is_ok()
+}

@@ -13,8 +13,8 @@
 //!
 //! Cells are read through [`ValueRef`], a borrowing, copyable view with
 //! exactly the same semantics as [`Value`] (`as_num` parses numeric
-//! strings, `render` formats numbers identically), so column-at-a-time
-//! operators produce bit-identical results to the row-at-a-time path.
+//! strings, `render` formats numbers identically), so a scan over a
+//! column scores exactly what the owned values it was built from would.
 
 use crate::value::{render_num_into, Value};
 
@@ -81,7 +81,7 @@ impl Bitmap {
 }
 
 /// A borrowed view of one cell. Copyable; string cells borrow from the
-/// column arena (or from a [`Value`] via [`Value::as_ref`]).
+/// column arena (or from a [`Value`] via [`Value::as_value_ref`]).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ValueRef<'a> {
     /// Missing value.

@@ -12,42 +12,8 @@
 
 use crate::column::ColumnBuilder;
 use crate::schema::{AttrType, Schema};
-use crate::table::{Table, TableRepr};
-use crate::value::Value;
+use crate::table::Table;
 use std::io::{self, BufRead, Write};
-
-/// Parse one CSV record from a line (no embedded newlines). Kept for
-/// call sites that already have a physical line in hand; the table
-/// reader uses the streaming [`RecordReader`] instead.
-pub fn parse_record(line: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut cur = String::new();
-    let mut chars = line.chars().peekable();
-    let mut in_quotes = false;
-    while let Some(c) = chars.next() {
-        if in_quotes {
-            match c {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        cur.push('"');
-                    } else {
-                        in_quotes = false;
-                    }
-                }
-                _ => cur.push(c),
-            }
-        } else {
-            match c {
-                '"' => in_quotes = true,
-                ',' => fields.push(std::mem::take(&mut cur)),
-                _ => cur.push(c),
-            }
-        }
-    }
-    fields.push(cur);
-    fields
-}
 
 /// Escape a field for CSV output.
 pub fn escape(field: &str) -> String {
@@ -268,17 +234,11 @@ impl<R: BufRead> RecordReader<R> {
     }
 }
 
-/// Read a table from CSV with a header row, in the default
-/// representation. All columns load as `Str`; numeric-looking fields are
-/// parsed to numbers via [`Value::parse`].
+/// Read a table from CSV with a header row. All columns load as `Str`;
+/// fields stream straight into column builders, classified with
+/// [`Value::parse`](crate::value::Value::parse) semantics
+/// ([`ColumnBuilder::push_raw`]).
 pub fn read_table(name: &str, reader: impl BufRead) -> io::Result<Table> {
-    read_table_with(name, reader, TableRepr::default_repr())
-}
-
-/// Read a table from CSV with a header row, in an explicit
-/// representation. The columnar path streams fields straight into
-/// column builders; the legacy path materializes row vectors.
-pub fn read_table_with(name: &str, reader: impl BufRead, repr: TableRepr) -> io::Result<Table> {
     let mut rr = RecordReader::new(reader);
     let mut rec = Record::default();
     if !rr.next_record(&mut rec)? {
@@ -287,46 +247,26 @@ pub fn read_table_with(name: &str, reader: impl BufRead, repr: TableRepr) -> io:
     let schema = Schema::new(rec.fields().map(|n| (n.to_string(), AttrType::Str)));
     let arity = schema.arity();
 
-    let arity_err = |got: usize| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("row arity {got} != header {arity}"),
-        )
-    };
-
-    match repr {
-        TableRepr::Columnar => {
-            let mut builders: Vec<ColumnBuilder> =
-                (0..arity).map(|_| ColumnBuilder::new()).collect();
-            let mut n_rows = 0usize;
-            while rr.next_record(&mut rec)? {
-                if rec.arity() != arity {
-                    return Err(arity_err(rec.arity()));
-                }
-                for (b, field) in builders.iter_mut().zip(rec.fields()) {
-                    b.push_raw(field);
-                }
-                n_rows += 1;
-            }
-            Ok(Table::from_columns(
-                name,
-                schema,
-                builders.into_iter().map(ColumnBuilder::finish).collect(),
-                n_rows,
-            ))
+    let mut builders: Vec<ColumnBuilder> = (0..arity).map(|_| ColumnBuilder::new()).collect();
+    let mut n_rows = 0usize;
+    while rr.next_record(&mut rec)? {
+        if rec.arity() != arity {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("row arity {} != header {arity}", rec.arity()),
+            ));
         }
-        TableRepr::Legacy => {
-            let mut rows: Vec<Vec<Value>> = Vec::new();
-            while rr.next_record(&mut rec)? {
-                if rec.arity() != arity {
-                    return Err(arity_err(rec.arity()));
-                }
-                rows.push(rec.fields().map(Value::parse).collect());
-            }
-            Table::try_new_with(name, schema, rows, TableRepr::Legacy)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+        for (b, field) in builders.iter_mut().zip(rec.fields()) {
+            b.push_raw(field);
         }
+        n_rows += 1;
     }
+    Ok(Table::from_columns(
+        name,
+        schema,
+        builders.into_iter().map(ColumnBuilder::finish).collect(),
+        n_rows,
+    ))
 }
 
 /// Write a table as CSV with a header row.
@@ -378,30 +318,46 @@ fn push_escaped(out: &mut String, field: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
 
-    fn read_both(csv: &str) -> (Table, Table) {
-        let col = read_table_with("t", csv.as_bytes(), TableRepr::Columnar).unwrap();
-        let leg = read_table_with("t", csv.as_bytes(), TableRepr::Legacy).unwrap();
-        assert_eq!(col.rows(), leg.rows(), "representations disagree");
-        (col, leg)
+    /// `read_table`, checked against its definition: every field the
+    /// record scanner yields, classified by [`Value::parse`].
+    fn read_checked(csv: &str) -> Table {
+        let t = read_table("t", csv.as_bytes()).unwrap();
+        let mut rr = RecordReader::new(csv.as_bytes());
+        let mut rec = Record::default();
+        assert!(rr.next_record(&mut rec).unwrap(), "header");
+        let mut want: Vec<Vec<Value>> = Vec::new();
+        while rr.next_record(&mut rec).unwrap() {
+            want.push(rec.fields().map(Value::parse).collect());
+        }
+        let got: Vec<Vec<Value>> = t.rows().into_iter().map(|r| r.values).collect();
+        assert_eq!(got, want, "reader disagrees with Value::parse");
+        t
     }
 
-    #[test]
-    fn parse_handles_quotes() {
-        assert_eq!(parse_record("a,b,c"), vec!["a", "b", "c"]);
-        assert_eq!(parse_record(r#""a,b",c"#), vec!["a,b", "c"]);
-        assert_eq!(parse_record(r#""say ""hi""",x"#), vec![r#"say "hi""#, "x"]);
-        assert_eq!(parse_record(""), vec![""]);
-        assert_eq!(parse_record("a,,c"), vec!["a", "", "c"]);
+    fn cell(t: &Table, id: u32, attr: &str) -> Value {
+        let idx = t.schema().index_of(attr).unwrap();
+        t.value_ref(id, idx).unwrap().to_value()
+    }
+
+    /// The fields of the single record in `input`.
+    fn one_record(input: &str) -> Vec<String> {
+        let mut rr = RecordReader::new(input.as_bytes());
+        let mut rec = Record::default();
+        assert!(rr.next_record(&mut rec).unwrap(), "{input:?}");
+        let fields = rec.fields().map(str::to_string).collect();
+        assert!(!rr.next_record(&mut rec).unwrap(), "{input:?}");
+        fields
     }
 
     #[test]
     fn roundtrip() {
         let csv = "title,price\n\"laptop, 15in\",999.5\nmouse,25\n";
-        let (t, _) = read_both(csv);
+        let t = read_checked(csv);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.value_of(0, "title"), Some(&Value::str("laptop, 15in")));
-        assert_eq!(t.value_of(1, "price"), Some(&Value::Num(25.0)));
+        assert_eq!(cell(&t, 0, "title"), Value::str("laptop, 15in"));
+        assert_eq!(cell(&t, 1, "price"), Value::Num(25.0));
         let mut out = Vec::new();
         write_table(&t, &mut out).unwrap();
         let t2 = read_table("t2", out.as_slice()).unwrap();
@@ -411,15 +367,14 @@ mod tests {
     #[test]
     fn arity_mismatch_rejected() {
         let csv = "a,b\n1\n";
-        assert!(read_table_with("t", csv.as_bytes(), TableRepr::Columnar).is_err());
-        assert!(read_table_with("t", csv.as_bytes(), TableRepr::Legacy).is_err());
+        assert!(read_table("t", csv.as_bytes()).is_err());
     }
 
     #[test]
     fn escape_roundtrips() {
-        for s in ["plain", "with,comma", "with \"quote\"", ""] {
-            let line = escape(s);
-            assert_eq!(parse_record(&line), vec![s.to_string()]);
+        for s in ["plain", "with,comma", "with \"quote\"", "two\nlines", ""] {
+            let line = format!("{},x\n", escape(s));
+            assert_eq!(one_record(&line), [s, "x"]);
         }
     }
 
@@ -440,12 +395,9 @@ mod tests {
         let mut out = Vec::new();
         write_table(&t, &mut out).unwrap();
         let csv = String::from_utf8(out).unwrap();
-        let (back, _) = read_both(&csv);
+        let back = read_checked(&csv);
         assert_eq!(back.rows(), t.rows());
-        assert_eq!(
-            back.value_of(0, "notes"),
-            Some(&Value::str("line one\nline two"))
-        );
+        assert_eq!(cell(&back, 0, "notes"), Value::str("line one\nline two"));
     }
 
     #[test]
@@ -454,52 +406,43 @@ mod tests {
         // lines (including \r\n-only) are skipped; a lone \r mid-field
         // is content.
         let csv = "a,b\r\n1,x\r\n\r\n\n2,has\rcr\r\n";
-        let (t, _) = read_both(csv);
+        let t = read_checked(csv);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.value_of(1, "b"), Some(&Value::str("has\rcr")));
+        assert_eq!(cell(&t, 1, "b"), Value::str("has\rcr"));
     }
 
     #[test]
     fn quoted_empty_record_is_one_empty_field() {
         // A record of just `""` is a 1-field row (empty ⇒ Null), not a
-        // blank line — mirrors parse_record("\"\"").
+        // blank line.
         let csv = "a\n\"\"\nx\n";
-        let (t, _) = read_both(csv);
+        let t = read_checked(csv);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.value_of(0, "a"), Some(&Value::Null));
-        assert_eq!(t.value_of(1, "a"), Some(&Value::str("x")));
+        assert_eq!(cell(&t, 0, "a"), Value::Null);
+        assert_eq!(cell(&t, 1, "a"), Value::str("x"));
     }
 
     #[test]
     fn missing_trailing_newline_keeps_last_row() {
-        let (t, _) = read_both("a,b\n1,2\n3,4");
+        let t = read_checked("a,b\n1,2\n3,4");
         assert_eq!(t.len(), 2);
-        assert_eq!(t.value_of(1, "b"), Some(&Value::Num(4.0)));
+        assert_eq!(cell(&t, 1, "b"), Value::Num(4.0));
     }
 
     #[test]
-    fn streaming_reader_agrees_with_parse_record_on_single_lines() {
-        // The state machine must match parse_record field-for-field on
-        // every well-formed single-line record. (Unbalanced quotes are
-        // the one intentional divergence: the streaming reader lets a
-        // quoted field continue across the newline, which is the whole
-        // point of the fix.)
-        for line in [
-            "a,b,c",
-            r#""a,b",c"#,
-            r#""say ""hi""",x"#,
-            "a,,c",
-            r#""mid"quote,x"#,
-            "ünï,cödé",
-        ] {
-            let want = parse_record(line);
-            let input = format!("{line}\n");
-            let mut rr = RecordReader::new(input.as_bytes());
-            let mut rec = Record::default();
-            assert!(rr.next_record(&mut rec).unwrap());
-            let got: Vec<String> = rec.fields().map(str::to_string).collect();
-            assert_eq!(got, want, "line {line:?}");
-            assert!(!rr.next_record(&mut rec).unwrap());
+    fn single_line_records_split_into_their_fields() {
+        // Quoted commas, doubled quotes, empty fields, a quote closing
+        // mid-field, multi-byte text.
+        let cases: [(&str, &[&str]); 6] = [
+            ("a,b,c", &["a", "b", "c"]),
+            (r#""a,b",c"#, &["a,b", "c"]),
+            (r#""say ""hi""",x"#, &[r#"say "hi""#, "x"]),
+            ("a,,c", &["a", "", "c"]),
+            (r#""mid"quote,x"#, &["midquote", "x"]),
+            ("ünï,cödé", &["ünï", "cödé"]),
+        ];
+        for (line, want) in cases {
+            assert_eq!(one_record(&format!("{line}\n")), want, "line {line:?}");
         }
     }
 

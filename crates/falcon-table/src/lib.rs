@@ -2,12 +2,10 @@
 //! attribute profiling (the "type and characteristics" analysis of Section 8)
 //! and a small CSV reader/writer.
 //!
-//! Tables are in-memory stores with two physical representations: a
-//! struct-of-arrays columnar layout (the default — string arenas, dense
-//! numeric vectors, validity bitmaps; see [`column`]) and the original
-//! row layout kept for differential testing. Falcon's input tables in
-//! the paper are HDFS files; here a [`Table`] plays that role and the
-//! dataflow engine splits it into partitions for mappers.
+//! Tables are in-memory struct-of-arrays column stores (string arenas,
+//! dense numeric vectors, validity bitmaps; see [`column`]). Falcon's
+//! input tables in the paper are HDFS files; here a [`Table`] plays that
+//! role and the dataflow engine splits it into partitions for mappers.
 
 pub mod column;
 pub mod csv;
@@ -19,7 +17,7 @@ pub mod value;
 pub use column::{Bitmap, Column, ColumnBuilder, ValueRef};
 pub use profile::{AttrCharacteristic, AttrProfile, TableProfile};
 pub use schema::{AttrType, Attribute, Schema};
-pub use table::{Table, TableError, TableRepr, Tuple, TupleId};
+pub use table::{Table, TableError, Tuple, TupleId};
 pub use value::Value;
 
 /// A pair of tuple ids, `(a_id, b_id)`, identifying one candidate match

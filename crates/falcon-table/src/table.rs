@@ -1,29 +1,20 @@
 //! Tuples and tables.
 //!
-//! A [`Table`] stores its cells in one of two representations:
+//! A [`Table`] stores its cells as struct-of-arrays [`Column`]s, one per
+//! attribute: contiguous byte arena + offsets for strings, a dense `f64`
+//! vector for numbers, validity bitmaps for nulls. Operators read cells
+//! through [`Table::value_ref`] or the column-at-a-time scans
+//! [`Table::for_each_value`] / [`Table::for_each_rendered`].
 //!
-//! * [`TableRepr::Columnar`] (the default) — struct-of-arrays
-//!   [`Column`]s, one per attribute: contiguous byte arena + offsets for
-//!   strings, a dense `f64` vector for numbers, validity bitmaps for
-//!   nulls. Column-at-a-time operators scan these directly via
-//!   [`Table::value_ref`] / [`Table::for_each_value`] /
-//!   [`Table::for_each_rendered`].
-//! * [`TableRepr::Legacy`] — the original row store (`Vec<Tuple>` of
-//!   `Vec<Value>`), kept as a differential-testing baseline exactly like
-//!   `FvMode::Legacy` in the feature layer.
-//!
-//! The row-view accessors ([`Table::rows`], [`Table::get`],
-//! [`Table::value_of`]) work on both: a columnar table materializes its
-//! row view lazily, at most once, so call sites migrate incrementally.
-//! Both representations are bit-identical through every operator; set
-//! `FALCON_TABLE_REPR=legacy` to flip the process-wide default.
+//! [`Table::rows`] materializes an owned `Vec<Tuple>` on every call; it
+//! exists for tests and one-off display at the edges, not for operators.
 
 use crate::column::{Column, ColumnBuilder, ValueRef};
 use crate::schema::Schema;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Tuple identifier, unique within its table.
 pub type TupleId = u32;
@@ -41,29 +32,6 @@ impl Tuple {
     /// Value at an attribute index.
     pub fn value(&self, idx: usize) -> &Value {
         &self.values[idx]
-    }
-}
-
-/// Which physical representation a [`Table`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TableRepr {
-    /// Struct-of-arrays columns (the default).
-    #[default]
-    Columnar,
-    /// Row-oriented `Vec<Tuple>`, kept for differential testing.
-    Legacy,
-}
-
-impl TableRepr {
-    /// The process-wide default representation: columnar, unless the
-    /// `FALCON_TABLE_REPR` environment variable is set to `legacy`.
-    /// Read once and cached so a run never mixes defaults.
-    pub fn default_repr() -> TableRepr {
-        static REPR: OnceLock<TableRepr> = OnceLock::new();
-        *REPR.get_or_init(|| match std::env::var("FALCON_TABLE_REPR").as_deref() {
-            Ok("legacy") => TableRepr::Legacy,
-            _ => TableRepr::Columnar,
-        })
     }
 }
 
@@ -96,34 +64,19 @@ impl fmt::Display for TableError {
 
 impl std::error::Error for TableError {}
 
-/// The physical cell store behind a [`Table`].
-#[derive(Debug, Clone)]
-enum Store {
-    /// Row-oriented: one `Tuple` per row.
-    Rows(Arc<Vec<Tuple>>),
-    /// Column-oriented: one `Column` per attribute, plus a lazily
-    /// materialized row view for legacy call sites (built at most once,
-    /// shared across clones).
-    Cols {
-        cols: Arc<Vec<Column>>,
-        n_rows: usize,
-        row_cache: Arc<OnceLock<Vec<Tuple>>>,
-    },
-}
-
-/// An in-memory table: a schema plus cells. Cheap to clone (cell storage
-/// behind `Arc`s) so the dataflow engine can hand partitions to worker
-/// threads.
+/// An in-memory table: a schema plus one [`Column`] per attribute. Cheap
+/// to clone (columns behind an `Arc`) so the dataflow engine can hand
+/// partitions to worker threads.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Table {
     name: String,
     schema: Schema,
-    store: Store,
+    cols: Arc<Vec<Column>>,
+    n_rows: usize,
 }
 
 impl Table {
-    /// Build a table from rows of values in the default representation.
-    /// Ids are assigned positionally.
+    /// Build a table from rows of values. Ids are assigned positionally.
     ///
     /// # Panics
     /// Panics if any row's arity differs from the schema's; use
@@ -137,77 +90,38 @@ impl Table {
         Self::try_new(name, schema, rows).unwrap_or_else(|e| panic!("Table::new: {e}"))
     }
 
-    /// Build a table from rows of values in the default representation,
-    /// returning [`TableError::ArityMismatch`] instead of panicking.
+    /// Build a table from rows of values, returning
+    /// [`TableError::ArityMismatch`] instead of panicking.
     pub fn try_new(
         name: impl Into<String>,
         schema: Schema,
         rows: impl IntoIterator<Item = Vec<Value>>,
     ) -> Result<Self, TableError> {
-        Self::try_new_with(name, schema, rows, TableRepr::default_repr())
-    }
-
-    /// Build a table from rows of values in an explicit representation.
-    pub fn try_new_with(
-        name: impl Into<String>,
-        schema: Schema,
-        rows: impl IntoIterator<Item = Vec<Value>>,
-        repr: TableRepr,
-    ) -> Result<Self, TableError> {
         let expected = schema.arity();
-        let store = match repr {
-            TableRepr::Legacy => {
-                let mut out = Vec::new();
-                for (i, values) in rows.into_iter().enumerate() {
-                    if values.len() != expected {
-                        return Err(TableError::ArityMismatch {
-                            row: i,
-                            got: values.len(),
-                            expected,
-                        });
-                    }
-                    out.push(Tuple {
-                        id: i as TupleId,
-                        values,
-                    });
-                }
-                Store::Rows(Arc::new(out))
+        let mut builders: Vec<ColumnBuilder> =
+            (0..expected).map(|_| ColumnBuilder::new()).collect();
+        let mut n_rows = 0usize;
+        for (i, values) in rows.into_iter().enumerate() {
+            if values.len() != expected {
+                return Err(TableError::ArityMismatch {
+                    row: i,
+                    got: values.len(),
+                    expected,
+                });
             }
-            TableRepr::Columnar => {
-                let mut builders: Vec<ColumnBuilder> =
-                    (0..expected).map(|_| ColumnBuilder::new()).collect();
-                let mut n_rows = 0usize;
-                for (i, values) in rows.into_iter().enumerate() {
-                    if values.len() != expected {
-                        return Err(TableError::ArityMismatch {
-                            row: i,
-                            got: values.len(),
-                            expected,
-                        });
-                    }
-                    for (b, v) in builders.iter_mut().zip(&values) {
-                        b.push_value(v);
-                    }
-                    n_rows += 1;
-                }
-                Store::Cols {
-                    cols: Arc::new(builders.into_iter().map(ColumnBuilder::finish).collect()),
-                    n_rows,
-                    row_cache: Arc::new(OnceLock::new()),
-                }
+            for (b, v) in builders.iter_mut().zip(&values) {
+                b.push_value(v);
             }
-        };
-        Ok(Self {
-            name: name.into(),
-            schema,
-            store,
-        })
+            n_rows += 1;
+        }
+        let cols = builders.into_iter().map(ColumnBuilder::finish).collect();
+        Ok(Self::from_columns(name, schema, cols, n_rows))
     }
 
-    /// Build a columnar table directly from finished columns (the
-    /// streaming CSV reader's path: cells never exist as rows at all).
-    /// All columns must have `n_rows` cells and there must be one per
-    /// schema attribute; the caller (in-crate) upholds this.
+    /// Build a table directly from finished columns (the streaming CSV
+    /// reader's path: cells never exist as rows at all). All columns
+    /// must have `n_rows` cells and there must be one per schema
+    /// attribute; the caller (in-crate) upholds this.
     pub(crate) fn from_columns(
         name: impl Into<String>,
         schema: Schema,
@@ -219,11 +133,8 @@ impl Table {
         Self {
             name: name.into(),
             schema,
-            store: Store::Cols {
-                cols: Arc::new(cols),
-                n_rows,
-                row_cache: Arc::new(OnceLock::new()),
-            },
+            cols: Arc::new(cols),
+            n_rows,
         }
     }
 
@@ -237,20 +148,9 @@ impl Table {
         &self.schema
     }
 
-    /// Which physical representation this table uses.
-    pub fn repr(&self) -> TableRepr {
-        match &self.store {
-            Store::Rows(_) => TableRepr::Legacy,
-            Store::Cols { .. } => TableRepr::Columnar,
-        }
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
-        match &self.store {
-            Store::Rows(rows) => rows.len(),
-            Store::Cols { n_rows, .. } => *n_rows,
-        }
+        self.n_rows
     }
 
     /// True iff the table has no rows.
@@ -258,68 +158,45 @@ impl Table {
         self.len() == 0
     }
 
-    /// All rows. On a columnar table this materializes the row view
-    /// lazily (at most once, shared across clones); hot paths should use
-    /// [`Table::value_ref`] or the `for_each_*` scans instead.
-    pub fn rows(&self) -> &[Tuple] {
-        match &self.store {
-            Store::Rows(rows) => rows,
-            Store::Cols {
-                cols,
-                n_rows,
-                row_cache,
-            } => row_cache.get_or_init(|| materialize_rows(cols, *n_rows)),
-        }
+    /// All rows, materialized on every call. Payloads are reconstructed
+    /// verbatim (`Value::Str` / `Value::Num` directly — no
+    /// null-coercion), so the result is bit-identical to the rows the
+    /// table was built from. For tests and display only; operators use
+    /// [`Table::value_ref`] or the `for_each_*` scans.
+    pub fn rows(&self) -> Vec<Tuple> {
+        (0..self.n_rows)
+            .map(|i| Tuple {
+                id: i as TupleId,
+                values: self
+                    .cols
+                    .iter()
+                    .map(|c| c.get(i).map(|v| v.to_value()).unwrap_or(Value::Null))
+                    .collect(),
+            })
+            .collect()
     }
 
-    /// Row by id (ids are positional). Materializes the row view on a
-    /// columnar table; see [`Table::rows`].
-    pub fn get(&self, id: TupleId) -> Option<&Tuple> {
-        self.rows().get(id as usize)
-    }
-
-    /// Value of `attr` in row `id`, if both exist.
-    pub fn value_of(&self, id: TupleId, attr: &str) -> Option<&Value> {
-        let idx = self.schema.index_of(attr)?;
-        self.get(id).map(|t| t.value(idx))
-    }
-
-    /// Borrowed view of the cell at (`id`, `attr_idx`), if both exist.
-    /// On a columnar table this reads the column directly — no row
-    /// materialization, no per-cell allocation.
+    /// Borrowed view of the cell at (`id`, `attr_idx`); `None` when the
+    /// row or the attribute does not exist. Reads the column directly —
+    /// no per-cell allocation.
     pub fn value_ref(&self, id: TupleId, attr_idx: usize) -> Option<ValueRef<'_>> {
-        match &self.store {
-            Store::Rows(rows) => {
-                let v = rows.get(id as usize)?.values.get(attr_idx)?;
-                Some(v.as_value_ref())
-            }
-            Store::Cols { cols, .. } => cols.get(attr_idx)?.get(id as usize),
-        }
+        self.cols.get(attr_idx)?.get(id as usize)
     }
 
-    /// Visit every cell of attribute `attr_idx` in row order. The
-    /// column-at-a-time entry point: one linear sweep over the column
-    /// arrays (or the row store, in legacy representation).
+    /// Visit every cell of attribute `attr_idx` in row order: one linear
+    /// sweep over the column arrays. Visits nothing when
+    /// `attr_idx >= arity`.
     pub fn for_each_value(&self, attr_idx: usize, mut f: impl FnMut(TupleId, ValueRef<'_>)) {
-        match &self.store {
-            Store::Rows(rows) => {
-                for t in rows.iter() {
-                    let v = t.values.get(attr_idx).map(Value::as_value_ref);
-                    f(t.id, v.unwrap_or(ValueRef::Null));
-                }
-            }
-            Store::Cols { cols, .. } => {
-                if let Some(col) = cols.get(attr_idx) {
-                    col.for_each(|i, v| f(i as TupleId, v));
-                }
-            }
+        if let Some(col) = self.cols.get(attr_idx) {
+            col.for_each(|i, v| f(i as TupleId, v));
         }
     }
 
     /// Visit the rendered text of every cell of attribute `attr_idx` in
     /// row order (nulls render empty, identically to [`Value::render`]).
-    /// String cells are passed as zero-copy arena slices on the columnar
-    /// path; numeric cells render into one reused scratch buffer.
+    /// String cells are passed as zero-copy arena slices; numeric cells
+    /// render into one reused scratch buffer. Visits nothing when
+    /// `attr_idx >= arity`.
     pub fn for_each_rendered(&self, attr_idx: usize, mut f: impl FnMut(TupleId, &str)) {
         let mut scratch = String::new();
         self.for_each_value(attr_idx, |id, v| match v {
@@ -333,49 +210,14 @@ impl Table {
         });
     }
 
-    /// This table converted to `repr` (a cheap clone when it already
-    /// matches). Cell contents are preserved bit-for-bit; used by the
-    /// differential tests that run both representations side by side.
-    pub fn to_repr(&self, repr: TableRepr) -> Table {
-        if self.repr() == repr {
-            return self.clone();
-        }
-        let rows = self.rows().iter().map(|t| t.values.clone());
-        // Arity already validated when `self` was built.
-        match Table::try_new_with(self.name.clone(), self.schema.clone(), rows, repr) {
-            Ok(t) => t,
-            Err(_) => unreachable!("validated rows cannot mismatch arity"),
-        }
-    }
-
     /// A new table containing the first `n` rows (re-identified from 0).
     /// Used by the table-size sensitivity experiments (Figure 10).
     pub fn head(&self, n: usize) -> Table {
-        let name = format!("{}[..{n}]", self.name);
-        match &self.store {
-            Store::Rows(rows) => Self {
-                name,
-                schema: self.schema.clone(),
-                store: Store::Rows(Arc::new(
-                    rows.iter()
-                        .take(n)
-                        .enumerate()
-                        .map(|(i, t)| Tuple {
-                            id: i as TupleId,
-                            values: t.values.clone(),
-                        })
-                        .collect(),
-                )),
-            },
-            Store::Cols { cols, n_rows, .. } => Self {
-                name,
-                schema: self.schema.clone(),
-                store: Store::Cols {
-                    cols: Arc::new(cols.iter().map(|c| c.head(n)).collect()),
-                    n_rows: n.min(*n_rows),
-                    row_cache: Arc::new(OnceLock::new()),
-                },
-            },
+        Self {
+            name: format!("{}[..{n}]", self.name),
+            schema: self.schema.clone(),
+            cols: Arc::new(self.cols.iter().map(|c| c.head(n)).collect()),
+            n_rows: n.min(self.n_rows),
         }
     }
 
@@ -389,22 +231,6 @@ impl Table {
             .map(|s| s..(s + chunk).min(n))
             .collect()
     }
-}
-
-/// Rebuild the row view of a columnar store. Payloads are reconstructed
-/// verbatim (`Value::Str` / `Value::Num` directly — no null-coercion),
-/// so the result is bit-identical to the rows the columns were built
-/// from.
-fn materialize_rows(cols: &[Column], n_rows: usize) -> Vec<Tuple> {
-    (0..n_rows)
-        .map(|i| Tuple {
-            id: i as TupleId,
-            values: cols
-                .iter()
-                .map(|c| c.get(i).map(|v| v.to_value()).unwrap_or(Value::Null))
-                .collect(),
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -428,26 +254,43 @@ mod tests {
         Table::new("people", schema(), rows())
     }
 
+    /// Payloads `Value::str` / `Value::num` would coerce, pushed verbatim.
+    fn dirty() -> Vec<Vec<Value>> {
+        vec![
+            vec![
+                Value::Str("  ".into()),
+                Value::Num(f64::from_bits(0x7ff8_0000_dead_beef)),
+            ],
+            vec![Value::Str("x,\"y\"\nz".into()), Value::Num(-0.0)],
+            vec![Value::Null, Value::Num(1e300)],
+        ]
+    }
+
+    /// `Value` equality with numbers compared by bit pattern.
+    fn same_bits(got: &Value, want: &Value) -> bool {
+        match (got, want) {
+            (Value::Num(a), Value::Num(b)) => a.to_bits() == b.to_bits(),
+            _ => got == want,
+        }
+    }
+
     #[test]
     fn ids_positional() {
         let t = t();
         assert_eq!(t.len(), 3);
-        assert_eq!(t.get(1).unwrap().values[0], Value::str("bob"));
-        assert_eq!(t.get(9), None);
-    }
-
-    #[test]
-    fn value_of_by_name() {
-        let t = t();
-        assert_eq!(t.value_of(0, "age"), Some(&Value::Num(30.0)));
-        assert_eq!(t.value_of(0, "nope"), None);
+        assert_eq!(t.value_ref(1, 0), Some(ValueRef::Str("bob")));
+        assert_eq!(t.value_ref(9, 0), None);
+        let ids: Vec<TupleId> = t.rows().iter().map(|r| r.id).collect();
+        assert_eq!(ids, [0, 1, 2]);
     }
 
     #[test]
     fn head_reidentifies() {
         let h = t().head(2);
         assert_eq!(h.len(), 2);
-        assert_eq!(h.get(0).unwrap().id, 0);
+        assert_eq!(h.name(), "people[..2]");
+        assert_eq!(h.rows(), t().rows()[..2]);
+        assert_eq!(t().head(9).rows(), t().rows());
     }
 
     #[test]
@@ -485,78 +328,48 @@ mod tests {
     }
 
     #[test]
-    fn reprs_expose_identical_row_views() {
-        for repr in [TableRepr::Columnar, TableRepr::Legacy] {
-            let t = Table::try_new_with("people", schema(), rows(), repr).unwrap();
-            assert_eq!(t.repr(), repr);
-            assert_eq!(
-                t.rows(),
-                Table::try_new_with("p", schema(), rows(), TableRepr::Legacy)
-                    .unwrap()
-                    .rows()
-            );
-        }
-    }
-
-    #[test]
-    fn value_ref_agrees_with_rows() {
-        let dirty = vec![
-            vec![Value::Str("  ".into()), Value::Num(f64::NAN)],
-            vec![Value::Str("x,\"y\"\nz".into()), Value::Num(-0.0)],
-            vec![Value::Null, Value::Num(1e300)],
-        ];
-        let dirty_schema = Schema::new([("s", AttrType::Str), ("n", AttrType::Num)]);
-        for repr in [TableRepr::Columnar, TableRepr::Legacy] {
-            let t =
-                Table::try_new_with("dirty", dirty_schema.clone(), dirty.clone(), repr).unwrap();
-            for (i, row) in dirty.iter().enumerate() {
-                for (j, v) in row.iter().enumerate() {
-                    let got = t.value_ref(i as TupleId, j).unwrap().to_value();
-                    match (&got, v) {
-                        (Value::Num(a), Value::Num(b)) => {
-                            assert_eq!(a.to_bits(), b.to_bits(), "({i},{j})")
-                        }
-                        _ => assert_eq!(&got, v, "({i},{j})"),
-                    }
+    fn rows_value_ref_and_scans_return_the_input_bit_for_bit() {
+        let schema = Schema::new([("s", AttrType::Str), ("n", AttrType::Num)]);
+        for input in [rows(), dirty()] {
+            let t = Table::try_new("t", schema.clone(), input.clone()).unwrap();
+            let got = t.rows();
+            assert_eq!(got.len(), input.len());
+            for (i, (tuple, want)) in got.iter().zip(&input).enumerate() {
+                assert_eq!(tuple.id as usize, i);
+                assert_eq!(tuple.values.len(), want.len());
+                for (j, w) in want.iter().enumerate() {
+                    assert!(same_bits(&tuple.values[j], w), "rows ({i},{j})");
+                    let cell = t.value_ref(tuple.id, j).unwrap().to_value();
+                    assert!(same_bits(&cell, w), "value_ref ({i},{j})");
                 }
             }
-            assert_eq!(t.value_ref(0, 5), None);
+            for attr in 0..2 {
+                let mut seen = Vec::new();
+                t.for_each_value(attr, |id, v| seen.push((id, v.to_value())));
+                assert_eq!(seen.len(), input.len());
+                for (i, (id, v)) in seen.iter().enumerate() {
+                    assert_eq!(*id as usize, i);
+                    assert!(same_bits(v, &input[i][attr]), "for_each_value ({i},{attr})");
+                }
+                let mut rendered = Vec::new();
+                t.for_each_rendered(attr, |id, s| rendered.push((id, s.to_string())));
+                let expect: Vec<_> = (0u32..)
+                    .zip(&input)
+                    .map(|(id, row)| (id, row[attr].render()))
+                    .collect();
+                assert_eq!(rendered, expect);
+            }
             assert_eq!(t.value_ref(99, 0), None);
         }
     }
 
     #[test]
-    fn to_repr_roundtrips() {
+    fn out_of_range_attribute_visits_nothing() {
         let t = t();
-        let legacy = t.to_repr(TableRepr::Legacy);
-        assert_eq!(legacy.repr(), TableRepr::Legacy);
-        let back = legacy.to_repr(TableRepr::Columnar);
-        assert_eq!(back.repr(), TableRepr::Columnar);
-        assert_eq!(back.rows(), t.rows());
-        assert_eq!(back.name(), "people");
-    }
-
-    #[test]
-    fn for_each_scans_match_row_access() {
-        for repr in [TableRepr::Columnar, TableRepr::Legacy] {
-            let t = Table::try_new_with("people", schema(), rows(), repr).unwrap();
-            let mut seen = Vec::new();
-            t.for_each_value(0, |id, v| seen.push((id, v.to_value())));
-            let expect: Vec<_> = t
-                .rows()
-                .iter()
-                .map(|r| (r.id, r.values[0].clone()))
-                .collect();
-            assert_eq!(seen, expect);
-
-            let mut rendered = Vec::new();
-            t.for_each_rendered(1, |id, s| rendered.push((id, s.to_string())));
-            let expect: Vec<_> = t
-                .rows()
-                .iter()
-                .map(|r| (r.id, r.values[1].render()))
-                .collect();
-            assert_eq!(rendered, expect);
+        for attr in [2, 7, usize::MAX] {
+            assert_eq!(t.value_ref(0, attr), None);
+            t.for_each_value(attr, |id, v| panic!("visited ({id}, {v:?})"));
+            t.for_each_rendered(attr, |id, s| panic!("visited ({id}, {s:?})"));
         }
     }
 }

@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 /// Append the canonical text form of a number to `out`: integral values
 /// below 1e15 print without a fractional part, everything else uses the
 /// default float formatting. Shared by [`Value::render`] and
-/// [`ValueRef::render`] so both representations render bit-identically.
+/// [`ValueRef::render`] so owned and borrowed cells render bit-identically.
 pub(crate) fn render_num_into(x: f64, out: &mut String) {
     if x.fract() == 0.0 && x.abs() < 1e15 {
         let _ = write!(out, "{}", x as i64);

@@ -1,23 +1,14 @@
-//! Property tests: any table survives a CSV write/read round trip, and
-//! the columnar and legacy representations are indistinguishable through
-//! every accessor — row ↔ columnar ↔ CSV equivalence over random dirty
-//! tables (nulls, quotes, commas, unicode, embedded newlines, empty and
-//! whitespace fields).
+//! Property tests: a table hands back exactly the rows it was built
+//! from through every accessor, and a table survives a CSV write/read
+//! round trip with every field classified like `Value::parse` — over
+//! random dirty tables (nulls, quotes, commas, unicode, embedded
+//! newlines, empty and whitespace fields).
 
-use falcon_table::{csv, AttrType, Schema, Table, TableRepr, Value};
+use falcon_table::{csv, AttrType, Schema, Table, Value};
 use proptest::prelude::*;
 
-fn value_strategy() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        3 => "[a-zA-Z0-9 ,\"']{0,20}".prop_map(Value::str),
-        2 => (-1000i64..1000).prop_map(|x| Value::Num(x as f64)),
-        1 => Just(Value::Null),
-    ]
-}
-
-/// Dirtier strategy for the cross-representation tests: embedded
-/// newlines and CRs, unicode, doubled quotes, whitespace-only strings,
-/// fractional and extreme numbers.
+/// Dirty cells: commas, quotes, embedded newlines and CRs, unicode,
+/// whitespace-only strings, fractional and integral numbers, nulls.
 fn dirty_value_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
         4 => "[a-zA-Z0-9 ,\"'\n\réüßλ]{0,16}".prop_map(Value::str),
@@ -39,108 +30,63 @@ fn dirty_schema() -> Schema {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// Rows in, rows out: the materialized row view, the per-cell views
+    /// and the rendered scans all return the values the table was built
+    /// from, verbatim.
     #[test]
-    fn roundtrip_preserves_rendered_values(
-        rows in proptest::collection::vec(
-            proptest::collection::vec(value_strategy(), 3..=3),
-            0..20,
-        ),
-    ) {
-        let schema = dirty_schema();
-        let table = Table::new("t", schema, rows);
-        let mut buf = Vec::new();
-        csv::write_table(&table, &mut buf).unwrap();
-        let back = csv::read_table("t2", buf.as_slice()).unwrap();
-        prop_assert_eq!(back.len(), table.len());
-        for (orig, got) in table.rows().iter().zip(back.rows()) {
-            for (ov, gv) in orig.values.iter().zip(&got.values) {
-                // CSV stores rendered text, and reading re-parses it, so
-                // compare after canonicalizing both sides through parse
-                // ("007" and "7" are the same CSV value).
-                prop_assert_eq!(
-                    Value::parse(&ov.render()),
-                    Value::parse(&gv.render())
-                );
-            }
-        }
-    }
-
-    /// Row table ↔ columnar table: same rows, same per-cell views, same
-    /// rendered scans, lossless conversion in both directions.
-    #[test]
-    fn columnar_and_legacy_tables_are_equivalent(
+    fn table_returns_the_rows_it_was_built_from(
         rows in proptest::collection::vec(
             proptest::collection::vec(dirty_value_strategy(), 3..=3),
             0..20,
         ),
     ) {
-        let col =
-            Table::try_new_with("t", dirty_schema(), rows.clone(), TableRepr::Columnar).unwrap();
-        let leg =
-            Table::try_new_with("t", dirty_schema(), rows.clone(), TableRepr::Legacy).unwrap();
-        prop_assert_eq!(col.len(), leg.len());
+        let table = Table::try_new("t", dirty_schema(), rows.clone()).unwrap();
+        prop_assert_eq!(table.len(), rows.len());
 
-        // Cell-level views agree (value_ref never materializes rows on
-        // the columnar side).
+        let got: Vec<Vec<Value>> = table.rows().into_iter().map(|t| t.values).collect();
+        prop_assert_eq!(&got, &rows);
+
         for (rid, row) in rows.iter().enumerate() {
             for (idx, expect) in row.iter().enumerate() {
-                let cv = col.value_ref(rid as u32, idx).unwrap().to_value();
-                let lv = leg.value_ref(rid as u32, idx).unwrap().to_value();
-                prop_assert_eq!(&cv, &lv);
-                prop_assert_eq!(&cv, expect);
+                let cell = table.value_ref(rid as u32, idx).unwrap().to_value();
+                prop_assert_eq!(&cell, expect);
             }
         }
 
-        // Columnar rendered scans agree with legacy per-row rendering.
         for idx in 0..3 {
             let mut rendered = Vec::new();
-            col.for_each_rendered(idx, |id, s| rendered.push((id, s.to_string())));
-            let expect: Vec<_> = leg
-                .rows()
+            table.for_each_rendered(idx, |id, s| rendered.push((id, s.to_string())));
+            let expect: Vec<_> = rows
                 .iter()
-                .map(|t| (t.id, t.values[idx].render()))
+                .enumerate()
+                .map(|(rid, row)| (rid as u32, row[idx].render()))
                 .collect();
             prop_assert_eq!(rendered, expect);
         }
-
-        // Materialized row views are identical, and repr conversion is
-        // lossless both ways.
-        prop_assert_eq!(col.rows(), leg.rows());
-        prop_assert_eq!(col.to_repr(TableRepr::Legacy).rows(), leg.rows());
-        prop_assert_eq!(leg.to_repr(TableRepr::Columnar).rows(), col.rows());
     }
 
-    /// Row table ↔ columnar table ↔ CSV: both representations write
-    /// byte-identical CSV, and both readers parse it to identical rows —
-    /// including quoted fields with embedded newlines.
+    /// Table → CSV → table: every field comes back as `Value::parse` of
+    /// the text that was written ("007" and "7" are the same CSV value)
+    /// — the streaming reader's unescaping (quoted fields with embedded
+    /// newlines included) and its `push_raw` classification, against
+    /// the definition.
     #[test]
-    fn csv_roundtrip_is_representation_invariant(
+    fn reader_classifies_fields_like_value_parse(
         rows in proptest::collection::vec(
             proptest::collection::vec(dirty_value_strategy(), 3..=3),
             0..20,
         ),
     ) {
-        let col =
-            Table::try_new_with("t", dirty_schema(), rows.clone(), TableRepr::Columnar).unwrap();
-        let leg = Table::try_new_with("t", dirty_schema(), rows, TableRepr::Legacy).unwrap();
+        let table = Table::try_new("t", dirty_schema(), rows.clone()).unwrap();
+        let mut buf = Vec::new();
+        csv::write_table(&table, &mut buf).unwrap();
+        let back = csv::read_table("t2", buf.as_slice()).unwrap();
 
-        let mut col_csv = Vec::new();
-        csv::write_table(&col, &mut col_csv).unwrap();
-        let mut leg_csv = Vec::new();
-        csv::write_table(&leg, &mut leg_csv).unwrap();
-        prop_assert_eq!(&col_csv, &leg_csv);
-
-        let back_col =
-            csv::read_table_with("t2", col_csv.as_slice(), TableRepr::Columnar).unwrap();
-        let back_leg = csv::read_table_with("t2", col_csv.as_slice(), TableRepr::Legacy).unwrap();
-        prop_assert_eq!(back_col.rows(), back_leg.rows());
-
-        // And the round trip itself preserves canonicalized values.
-        prop_assert_eq!(back_col.len(), col.len());
-        for (orig, got) in col.rows().iter().zip(back_col.rows()) {
-            for (ov, gv) in orig.values.iter().zip(&got.values) {
-                prop_assert_eq!(Value::parse(&ov.render()), Value::parse(&gv.render()));
-            }
-        }
+        let got: Vec<Vec<Value>> = back.rows().into_iter().map(|t| t.values).collect();
+        let want: Vec<Vec<Value>> = rows
+            .iter()
+            .map(|row| row.iter().map(|v| Value::parse(&v.render())).collect())
+            .collect();
+        prop_assert_eq!(got, want);
     }
 }

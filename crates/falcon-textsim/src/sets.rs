@@ -6,8 +6,9 @@
 //! Two kernel families are provided, and they must stay numerically
 //! bit-identical (a property test in `falcon-core` enforces it):
 //!
-//! * the legacy `BTreeSet<String>` kernels, used when values are tokenized
-//!   on the fly, and
+//! * the `BTreeSet<String>` kernels: the definition behind
+//!   `SimFunction::score_str`, used when values are tokenized on the fly
+//!   (numeric and uncovered columns, datagen, the lossless tests), and
 //! * sorted-`u32`-slice kernels (`*_ids`) over interned token ids from a
 //!   [`crate::profile::TokenProfile`] — a single O(|x|+|y|) merge with
 //!   zero allocation per comparison, the hot path of `gen_fvs`.
@@ -181,7 +182,7 @@ mod tests {
         }
     }
 
-    /// Empty-set semantics agree between the legacy `BTreeSet` kernels and
+    /// Empty-set semantics agree between the `BTreeSet` kernels and
     /// the id kernels: empty scores 0.0 against anything, never `NaN`.
     #[test]
     fn id_kernels_empty_semantics_match_legacy() {
@@ -207,7 +208,7 @@ mod tests {
         }
     }
 
-    /// Exhaustive-ish cross-check: id kernels equal the legacy kernels for
+    /// Exhaustive-ish cross-check: id kernels equal the `BTreeSet` kernels for
     /// every subset pair of a small universe (bit-identical floats).
     #[test]
     fn id_kernels_bit_identical_on_subsets() {

@@ -86,12 +86,10 @@ fn main() {
 
     println!("\n{} matches found:", report.matches.len());
     for (aid, bid) in report.matches.iter().take(25) {
-        let at = a.get(*aid).unwrap();
-        let bt = b.get(*bid).unwrap();
         println!(
             "  A#{aid} {:?}  <->  B#{bid} {:?}",
-            at.value(0).render(),
-            bt.value(0).render()
+            a.value_ref(*aid, 0).unwrap_or_default().render(),
+            b.value_ref(*bid, 0).unwrap_or_default().render()
         );
     }
     if report.matches.len() > 25 {
