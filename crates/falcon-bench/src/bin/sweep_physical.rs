@@ -105,7 +105,7 @@ fn main() {
                     "{:<16} {:>12} {:>14} {:>9.1}",
                     out.op.name(),
                     out.candidates.len(),
-                    fmt_dur(out.duration),
+                    fmt_dur(out.cost(&cluster.config).dur()),
                     recall
                 );
             }

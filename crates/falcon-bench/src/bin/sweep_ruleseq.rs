@@ -106,7 +106,7 @@ fn main() {
                         label,
                         seq.len(),
                         out.candidates.len(),
-                        fmt_dur(out.duration),
+                        fmt_dur(out.cost(&cluster.config).dur()),
                         recall
                     );
                 }

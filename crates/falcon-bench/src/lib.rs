@@ -89,7 +89,9 @@ pub fn run_once(
 ) -> falcon::core::driver::RunReport {
     let truth = GroundTruth::new(data.truth.iter().copied());
     let crowd = RandomWorkerCrowd::new(truth, error, seed);
-    Falcon::new(cfg).run(&data.a, &data.b, crowd)
+    Falcon::new(cfg)
+        .try_run(&data.a, &data.b, crowd)
+        .unwrap_or_else(|e| panic!("bench run failed: {e}"))
 }
 
 /// Render a duration like the paper's tables (`2h 7m`, `52m`, `31m 52s`).

@@ -854,7 +854,7 @@ fn check_operator_configs(cfg: &FalconConfig, errors: &mut Vec<PlanAnalysisError
     }
 }
 
-/// Analyze a prospective run of `Falcon::run(a, b, ...)` under `cfg`.
+/// Analyze a prospective run of `Falcon::try_run(a, b, ...)` under `cfg`.
 ///
 /// Performs the feature-generation scan (cheap, no jobs) to resolve the
 /// plan the driver would choose, then checks every statically decidable

@@ -8,17 +8,13 @@
 use crate::features::FeatureSet;
 use crate::physical::{BlockingError, EvalScratch, PairEvaluator};
 use crate::rules::RuleSequence;
-use falcon_dataflow::wall_now;
 use falcon_table::{IdPair, Table};
-use std::time::Duration;
 
 /// Output of the baseline.
 #[derive(Debug)]
 pub struct CorleoneBlocking {
     /// Surviving pairs, sorted.
     pub candidates: Vec<IdPair>,
-    /// Single-machine wall time.
-    pub duration: Duration,
 }
 
 /// Apply `seq` to every pair of `A × B` on one thread.
@@ -37,7 +33,6 @@ pub fn corleone_blocking(
         });
     }
     let evaluator = PairEvaluator::new(a, b, features, seq);
-    let t0 = wall_now();
     let mut candidates = Vec::new();
     let mut scratch = EvalScratch::default();
     for aid in 0..a.len() as u32 {
@@ -47,10 +42,7 @@ pub fn corleone_blocking(
             }
         }
     }
-    Ok(CorleoneBlocking {
-        candidates,
-        duration: t0.elapsed(),
-    })
+    Ok(CorleoneBlocking { candidates })
 }
 
 #[cfg(test)]

@@ -19,10 +19,10 @@ use crate::optimizer::{prebuild_for_rules, prebuild_generic, speculate_rules, Op
 use crate::physical::{self, estimate_table_bytes, BlockingStats, PhysicalOp};
 use crate::plan::{choose_plan, PlanKind};
 use crate::rules::RuleSequence;
-use crate::stage::{shape_of, shape_sum, StageGate};
+use crate::stage::{StageCost, StageGate};
 use crate::timeline::{check_cancel, Timeline};
 use falcon_crowd::{Crowd, CrowdJournal, CrowdSession, Ledger};
-use falcon_dataflow::{wall_now, Cluster, ClusterConfig, FaultPlan, FaultStats};
+use falcon_dataflow::{Cluster, ClusterConfig, FaultPlan, FaultStats};
 use falcon_index::FilterSpec;
 use falcon_table::{IdPair, Table};
 use falcon_textsim::SimFunction;
@@ -250,17 +250,6 @@ impl Falcon {
         }
     }
 
-    /// Hands-off crowdsourced EM over `A × B` using `crowd`.
-    ///
-    /// Panicking convenience wrapper around [`Falcon::try_run`] for tests
-    /// and examples; services should call `try_run` and handle the error.
-    #[allow(clippy::unwrap_used, clippy::expect_used)]
-    pub fn run<C: Crowd>(&self, a: &Table, b: &Table, crowd: C) -> RunReport {
-        // falcon-lint: allow(no-panic) — documented convenience wrapper.
-        self.try_run(a, b, crowd)
-            .unwrap_or_else(|e| panic!("Falcon::run: {e}"))
-    }
-
     /// Hands-off crowdsourced EM over `A × B` using `crowd`, with the
     /// pre-flight [`analyze`](crate::analyze::analyze) gate: a statically
     /// malformed plan is rejected as [`FalconError::Plan`] before any
@@ -271,7 +260,7 @@ impl Falcon {
         b: &Table,
         crowd: C,
     ) -> Result<RunReport, FalconError> {
-        self.try_run_with_journal(a, b, crowd, None)
+        self.try_run_on(&self.build_cluster(), a, b, crowd, None, None)
     }
 
     /// [`Falcon::try_run`] with a crash-recovery journal at `journal_path`.
@@ -292,7 +281,7 @@ impl Falcon {
         journal_path: impl AsRef<Path>,
     ) -> Result<RunReport, FalconError> {
         let journal = CrowdJournal::open(journal_path)?;
-        self.try_run_with_journal(a, b, crowd, Some(journal))
+        self.try_run_on(&self.build_cluster(), a, b, crowd, Some(journal), None)
     }
 
     /// [`Falcon::try_run`] under a [`StageGate`]: the run notifies (and,
@@ -311,21 +300,14 @@ impl Falcon {
         journal: Option<CrowdJournal>,
         gate: Arc<dyn StageGate>,
     ) -> Result<RunReport, FalconError> {
-        self.try_run_inner(a, b, crowd, journal, Some(gate))
+        self.try_run_on(&self.build_cluster(), a, b, crowd, journal, Some(gate))
     }
 
-    fn try_run_with_journal<C: Crowd>(
+    /// The run behind every `try_run*` entry, on a given cluster handle
+    /// (the tests inject one per worker-thread count).
+    fn try_run_on<C: Crowd>(
         &self,
-        a: &Table,
-        b: &Table,
-        crowd: C,
-        journal: Option<CrowdJournal>,
-    ) -> Result<RunReport, FalconError> {
-        self.try_run_inner(a, b, crowd, journal, None)
-    }
-
-    fn try_run_inner<C: Crowd>(
-        &self,
+        cluster: &Cluster,
         a: &Table,
         b: &Table,
         crowd: C,
@@ -337,7 +319,6 @@ impl Falcon {
             return Err(FalconError::Plan(analysis.errors));
         }
         let cfg = &self.config;
-        let cluster = self.build_cluster();
         let mut session = CrowdSession::new(crowd);
         if let Some(j) = journal {
             session = session.with_journal(j);
@@ -347,10 +328,9 @@ impl Falcon {
             None => Timeline::new(),
         };
 
-        // Feature generation (fast table scans).
-        let t0 = wall_now();
+        // Feature generation: driver-local scans of both tables.
         let lib = generate_features(a, b);
-        timeline.machine("gen_features", t0.elapsed());
+        timeline.machine("gen_features", StageCost::local(a.len() + b.len()));
 
         let plan = cfg.force_plan.unwrap_or_else(|| {
             choose_plan(
@@ -363,10 +343,10 @@ impl Falcon {
         });
         let mut report = match plan {
             PlanKind::MatchOnly => {
-                self.run_match_only(a, b, &lib, &cluster, &mut session, &mut timeline)
+                self.run_match_only(a, b, &lib, cluster, &mut session, &mut timeline)
             }
             PlanKind::BlockAndMatch => {
-                self.run_block_and_match(a, b, &lib, &cluster, &mut session, &mut timeline)
+                self.run_block_and_match(a, b, &lib, cluster, &mut session, &mut timeline)
             }
         }?;
         // Reports are plain records: never leak a scheduler handle.
@@ -391,13 +371,7 @@ impl Falcon {
             .flat_map(|x| (0..b.len() as u32).map(move |y| (x, y)))
             .collect();
         let fv_out = gen_fvs(cluster, a, b, &pairs, &lib.matching)?;
-        let (tasks, records) = shape_sum(fv_out.prep_stats.iter().chain([&fv_out.stats]));
-        timeline.machine_shaped(
-            "gen_fvs_m",
-            fv_out.sim_duration(&cfg.cluster),
-            tasks,
-            records,
-        );
+        timeline.machine("gen_fvs_m", fv_out.cost(&cfg.cluster));
         check_cancel(timeline, session)?;
         let higher: Vec<bool> = lib
             .matching
@@ -420,12 +394,9 @@ impl Falcon {
             &al_cfg,
         )?;
         let applied = apply_matcher(cluster, &al.forest, &fv_out.fvs)?;
-        let (tasks, records) = shape_of(&applied.stats);
-        timeline.machine_shaped(
+        timeline.machine(
             "apply_matcher",
-            applied.stats.sim_duration(&cfg.cluster),
-            tasks,
-            records,
+            StageCost::of([&applied.stats], &cfg.cluster),
         );
         Ok(RunReport {
             matches: applied.matches,
@@ -462,25 +433,15 @@ impl Falcon {
 
         // ---- sample_pairs ----
         let sample = sample_pairs(cluster, a, b, cfg.sample_size, cfg.sample_fanout, cfg.seed)?;
-        let (tasks, records) = shape_sum([&sample.index_job, &sample.pair_job]);
-        timeline.machine_shaped(
+        timeline.machine(
             "sample_pairs",
-            sample.index_job.sim_duration(&cfg.cluster)
-                + sample.pair_job.sim_duration(&cfg.cluster),
-            tasks,
-            records,
+            StageCost::of([&sample.index_job, &sample.pair_job], &cfg.cluster),
         );
         check_cancel(timeline, session)?;
 
         // ---- gen_fvs (blocking features) ----
         let s_fvs = gen_fvs(cluster, a, b, &sample.pairs, &lib.blocking)?;
-        let (tasks, records) = shape_sum(s_fvs.prep_stats.iter().chain([&s_fvs.stats]));
-        timeline.machine_shaped(
-            "gen_fvs_b",
-            s_fvs.sim_duration(&cfg.cluster),
-            tasks,
-            records,
-        );
+        timeline.machine("gen_fvs_b", s_fvs.cost(&cfg.cluster));
         check_cancel(timeline, session)?;
 
         // ---- al_matcher (blocking stage) ----
@@ -511,10 +472,9 @@ impl Falcon {
         }
         check_cancel(timeline, session)?;
 
-        // ---- get_blocking_rules ----
-        let t0 = wall_now();
+        // ---- get_blocking_rules ---- (driver-local pass over the sample)
         let ranked = get_blocking_rules(&al_b.forest, &s_fvs.fvs, cfg.max_rules, &higher_b);
-        timeline.machine("get_block_rules", t0.elapsed());
+        timeline.machine("get_block_rules", StageCost::local(s_fvs.fvs.len()));
         let rules_extracted = ranked.len();
         check_cancel(timeline, session)?;
 
@@ -578,10 +538,9 @@ impl Falcon {
         };
         let rules_retained = eval.retained.len();
 
-        // ---- select_opt_seq ----
-        let t0 = wall_now();
+        // ---- select_opt_seq ---- (driver-local pass over the sample)
         let seq_out = select_opt_seq(&ranked, &retained, &s_fvs.fvs, &cfg.seq);
-        timeline.machine("sel_opt_seq", t0.elapsed());
+        timeline.machine("sel_opt_seq", StageCost::local(s_fvs.fvs.len()));
 
         // Static verification: the optimizer's sequence must be
         // well-formed against the blocking arity AND every filter derived
@@ -601,8 +560,8 @@ impl Falcon {
             .with_signatures(&cfg.prefilter);
         // Build whatever indexes are still missing (unmasked).
         for (spec, key) in conjuncts.all_specs_keyed() {
-            let dur = built.build_spec_keyed(cluster, a, spec, key)?;
-            timeline.machine_shaped("index_build", dur, 1, a.len() as u64);
+            let cost = built.build_spec_keyed(cluster, a, spec, key)?;
+            timeline.machine("index_build", cost);
         }
         check_cancel(timeline, session)?;
         // Reuse a speculated single-rule output when possible.
@@ -623,13 +582,7 @@ impl Falcon {
                 &seq_out.seq,
             ));
             let (c, stats) = physical::run_evaluate(cluster, evaluator, base)?;
-            let (tasks, records) = shape_of(&stats);
-            timeline.machine_shaped(
-                "apply_block_rules",
-                stats.sim_duration(&cfg.cluster),
-                tasks,
-                records,
-            );
+            timeline.machine("apply_block_rules", StageCost::of([&stats], &cfg.cluster));
             (c, cfg.force_physical.unwrap_or(PhysicalOp::ApplyAll), None)
         } else {
             let op = cfg.force_physical.unwrap_or_else(|| {
@@ -657,8 +610,7 @@ impl Falcon {
             );
             match result {
                 Ok(res) => {
-                    let (tasks, records) = shape_sum(&res.jobs);
-                    timeline.machine_shaped("apply_block_rules", res.duration, tasks, records);
+                    timeline.machine("apply_block_rules", res.cost(&cfg.cluster));
                     (res.candidates, res.op, Some(res.blocking))
                 }
                 Err(_) => {
@@ -676,8 +628,7 @@ impl Falcon {
                         &seq_out.rule_selectivities,
                         cfg.max_pairs,
                     )?;
-                    let (tasks, records) = shape_sum(&res.jobs);
-                    timeline.machine_shaped("apply_block_rules", res.duration, tasks, records);
+                    timeline.machine("apply_block_rules", res.cost(&cfg.cluster));
                     (res.candidates, res.op, Some(res.blocking))
                 }
             }
@@ -715,13 +666,7 @@ impl Falcon {
         session.mark_op("matching_stage");
         check_cancel(timeline, session)?;
         let c_fvs = gen_fvs(cluster, a, b, candidates, &lib.matching)?;
-        let (tasks, records) = shape_sum(c_fvs.prep_stats.iter().chain([&c_fvs.stats]));
-        timeline.machine_shaped(
-            "gen_fvs_m",
-            c_fvs.sim_duration(&cfg.cluster),
-            tasks,
-            records,
-        );
+        timeline.machine("gen_fvs_m", c_fvs.cost(&cfg.cluster));
         check_cancel(timeline, session)?;
         if c_fvs.fvs.is_empty() {
             return Ok(MatchStageOutcome {
@@ -754,12 +699,11 @@ impl Falcon {
             &al_m_cfg,
         )?;
         let applied = apply_matcher(cluster, &al_m.forest, &c_fvs.fvs)?;
-        let dur = applied.stats.sim_duration(&cfg.cluster);
-        let (tasks, records) = shape_of(&applied.stats);
+        let cost = StageCost::of([&applied.stats], &cfg.cluster);
         if cfg.opt.speculative_execution && al_m.converged {
-            timeline.masked_machine_shaped("apply_matcher", dur, tasks, records);
+            timeline.masked_machine("apply_matcher", cost);
         } else {
-            timeline.machine_shaped("apply_matcher", dur, tasks, records);
+            timeline.machine("apply_matcher", cost);
         }
         Ok(MatchStageOutcome {
             matches: applied.matches,
@@ -814,22 +758,9 @@ impl Falcon {
     /// `max_outer` rounds). This is Corleone's default workflow, listed in
     /// the paper (Section 12) as the next extension of Falcon's plans.
     ///
-    /// Returns the final report plus the per-round accuracy estimates.
-    pub fn run_workflow<C: Crowd>(
-        &self,
-        a: &Table,
-        b: &Table,
-        crowd: C,
-        max_outer: usize,
-    ) -> (RunReport, Vec<AccuracyEstimate>) {
-        // falcon-lint: allow(no-panic) — documented convenience wrapper.
-        #[allow(clippy::unwrap_used, clippy::expect_used)]
-        self.try_run_workflow(a, b, crowd, max_outer)
-            .unwrap_or_else(|e| panic!("Falcon::run_workflow: {e}"))
-    }
-
-    /// Fallible form of [`Falcon::run_workflow`], with the same pre-flight
-    /// [`analyze`](crate::analyze::analyze) gate as [`Falcon::try_run`].
+    /// Returns the final report plus the per-round accuracy estimates,
+    /// behind the same pre-flight [`analyze`](crate::analyze::analyze) gate
+    /// as [`Falcon::try_run`].
     pub fn try_run_workflow<C: Crowd>(
         &self,
         a: &Table,
@@ -837,7 +768,7 @@ impl Falcon {
         crowd: C,
         max_outer: usize,
     ) -> Result<(RunReport, Vec<AccuracyEstimate>), FalconError> {
-        self.try_run_workflow_with_journal(a, b, crowd, max_outer, None)
+        self.try_run_workflow_inner(a, b, crowd, max_outer, None, None)
     }
 
     /// [`Falcon::try_run_workflow`] with a crash-recovery journal at
@@ -854,7 +785,7 @@ impl Falcon {
         journal_path: impl AsRef<Path>,
     ) -> Result<(RunReport, Vec<AccuracyEstimate>), FalconError> {
         let journal = CrowdJournal::open(journal_path)?;
-        self.try_run_workflow_with_journal(a, b, crowd, max_outer, Some(journal))
+        self.try_run_workflow_inner(a, b, crowd, max_outer, Some(journal), None)
     }
 
     /// [`Falcon::try_run_workflow`] under a [`StageGate`] — the workflow
@@ -869,17 +800,6 @@ impl Falcon {
         gate: Arc<dyn StageGate>,
     ) -> Result<(RunReport, Vec<AccuracyEstimate>), FalconError> {
         self.try_run_workflow_inner(a, b, crowd, max_outer, journal, Some(gate))
-    }
-
-    fn try_run_workflow_with_journal<C: Crowd>(
-        &self,
-        a: &Table,
-        b: &Table,
-        crowd: C,
-        max_outer: usize,
-        journal: Option<CrowdJournal>,
-    ) -> Result<(RunReport, Vec<AccuracyEstimate>), FalconError> {
-        self.try_run_workflow_inner(a, b, crowd, max_outer, journal, None)
     }
 
     #[allow(clippy::too_many_lines)]
@@ -906,9 +826,8 @@ impl Falcon {
             Some(g) => Timeline::with_gate(g),
             None => Timeline::new(),
         };
-        let t0 = wall_now();
         let lib = generate_features(a, b);
-        timeline.machine("gen_features", t0.elapsed());
+        timeline.machine("gen_features", StageCost::local(a.len() + b.len()));
 
         let block = self.blocking_stage(a, b, &lib, &cluster, &mut session, &mut timeline)?;
 
@@ -1008,4 +927,58 @@ struct MatchStageOutcome {
     forest: Option<falcon_forest::Forest>,
     fvs: crate::fv::FvSet,
     labeled: Vec<(usize, bool)>,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use falcon_crowd::sim::{GroundTruth, RandomWorkerCrowd};
+
+    /// A run is a function of inputs, config and seed, never of the
+    /// host: the worker-thread count (what `Cluster::new` reads from the
+    /// machine) moves nothing — not the job count, the fault schedule or
+    /// a single priced segment.
+    #[test]
+    fn runs_do_not_depend_on_the_worker_thread_count() {
+        let d = falcon_datagen::citations::generate(0.0008, 5);
+        let truth = GroundTruth::new(d.truth.iter().copied());
+        let plan = FaultPlan::seeded(99)
+            .with_failure_rate(0.2)
+            .with_straggler_rate(0.2)
+            .with_max_attempts(8);
+        let falcon = Falcon::new(FalconConfig {
+            cluster: ClusterConfig::small(4),
+            sample_size: 2_000,
+            sample_fanout: 20,
+            force_plan: Some(PlanKind::BlockAndMatch),
+            fault: Some(plan),
+            ..FalconConfig::default()
+        });
+        let run = |threads: usize| {
+            let cluster = falcon.build_cluster().with_threads(threads);
+            // 1 ms crowd rounds: the masking capacity runs out partway
+            // through speculation, so where it stops is part of the result.
+            let crowd = RandomWorkerCrowd::new(truth.clone(), 0.05, 8)
+                .with_latency(Duration::from_millis(1));
+            let report = falcon
+                .try_run_on(&cluster, &d.a, &d.b, crowd, None, None)
+                .expect("run");
+            (report, cluster.jobs_run())
+        };
+        let (one, one_jobs) = run(1);
+        assert!(one.faults.retries > 0, "{:?}", one.faults);
+        assert!(one.blocking.is_some());
+        for threads in [2, 8] {
+            let (other, jobs) = run(threads);
+            assert_eq!(other.matches, one.matches, "{threads} threads");
+            assert_eq!(
+                other.timeline.segments(),
+                one.timeline.segments(),
+                "{threads} threads"
+            );
+            assert_eq!(other.faults, one.faults, "{threads} threads");
+            assert_eq!(other.blocking, one.blocking, "{threads} threads");
+            assert_eq!(jobs, one_jobs, "{threads} threads");
+        }
+    }
 }

@@ -13,14 +13,15 @@ use crate::driver::ForcedFilter;
 use crate::error::FalconError;
 use crate::features::FeatureSet;
 use crate::rules::RuleSequence;
-use falcon_dataflow::{run_map_combine_reduce, wall_now, Cluster, Emitter};
+use crate::stage::StageCost;
+use crate::tokens::id_splits;
+use falcon_dataflow::{run_map_combine_reduce, Cluster, Emitter};
 use falcon_forest::SplitOp;
 use falcon_index::{FilterSpec, IndexError, PredicateIndex, TokenOrder};
 use falcon_table::{Table, TupleId};
 use falcon_textsim::{TokenDict, TokenProfile, Tokenizer};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Stable cache key for a filter spec.
 pub fn predicate_key(spec: &FilterSpec) -> String {
@@ -301,30 +302,30 @@ impl BuiltIndexes {
     }
 
     /// Build the token order for `(attr, tokenizer)` over table `A`;
-    /// returns the (simulated) build duration.
+    /// returns the build's price (zero when cached).
     ///
     /// When a complete A-side token profile is installed, frequencies are
     /// counted from its pre-tokenized column (token sets per tuple are
-    /// identical to the MR scan's, so the resulting order is too);
-    /// otherwise the paper's frequency-count MR job runs.
+    /// identical to the MR scan's, so the resulting order is too) in a
+    /// driver-local pass over `A`; otherwise the paper's frequency-count
+    /// MR job runs.
     pub fn build_order(
         &mut self,
         cluster: &Cluster,
         a: &Table,
         attr: &str,
         tokenizer: Tokenizer,
-    ) -> Result<Duration, FalconError> {
+    ) -> Result<StageCost, FalconError> {
         let attr_idx = a
             .schema()
             .index_of(attr)
             .ok_or_else(|| IndexError::MissingAttribute { attr: attr.into() })?;
         let key = (attr_idx, tokenizer);
         if self.orders.contains_key(&key) {
-            return Ok(Duration::ZERO);
+            return Ok(StageCost::default());
         }
         if let Some((profile, dict)) = &self.profile {
             if let Some(col) = profile.column(key) {
-                let t0 = wall_now();
                 let mut counts: HashMap<u32, usize> = HashMap::new();
                 for ids in col {
                     for &id in ids {
@@ -337,31 +338,26 @@ impl BuiltIndexes {
                         .filter_map(|(id, n)| dict.resolve(id).map(|s| (s.to_string(), n))),
                 );
                 self.orders.insert(key, Arc::new(order));
-                return Ok(t0.elapsed());
+                return Ok(StageCost::local(a.len()));
             }
         }
-        // Split by tuple id: mappers pull rendered values straight from
-        // the column instead of shipping materialized row clones.
-        let splits: Vec<Vec<TupleId>> = a
-            .splits(cluster.threads() * 2)
-            .into_iter()
-            .map(|r| (r.start as TupleId..r.end as TupleId).collect())
-            .collect();
         // MR job 1: token frequencies (with a combiner, so each map task
         // ships one count per distinct token instead of one record per
         // occurrence).
-        let t0 = wall_now();
         let out = run_map_combine_reduce(
             cluster,
-            splits,
-            cluster.threads(),
-            move |&id: &TupleId, e: &mut Emitter<String, u32>| {
+            id_splits(cluster, a),
+            cluster.reduce_partitions(),
+            move |ids: &[TupleId], e: &mut Emitter<String, u32>| {
                 let mut s = String::new();
-                if let Some(v) = a.value_ref(id, attr_idx) {
-                    v.render_into(&mut s);
-                }
-                for tok in tokenizer.tokenize(&s) {
-                    e.emit(tok, 1);
+                for &id in ids {
+                    s.clear();
+                    if let Some(v) = a.value_ref(id, attr_idx) {
+                        v.render_into(&mut s);
+                    }
+                    for tok in tokenizer.tokenize(&s) {
+                        e.emit(tok, 1);
+                    }
                 }
             },
             |_tok: &String, counts: Vec<u32>| counts.iter().sum(),
@@ -371,19 +367,18 @@ impl BuiltIndexes {
         )?;
         // "MR job 2": global ordering by ascending frequency.
         let order = TokenOrder::from_frequencies(out.output.into_iter());
-        let dur = out.stats.sim_duration(&cluster.config).max(t0.elapsed());
         self.orders.insert(key, Arc::new(order));
-        Ok(dur)
+        Ok(StageCost::of([&out.stats], &cluster.config))
     }
 
-    /// Build (or reuse) the index for one spec; returns the build duration
+    /// Build (or reuse) the index for one spec; returns the build's price
     /// (zero when cached).
     pub fn build_spec(
         &mut self,
         cluster: &Cluster,
         a: &Table,
         spec: &FilterSpec,
-    ) -> Result<Duration, FalconError> {
+    ) -> Result<StageCost, FalconError> {
         let key = predicate_key(spec);
         self.build_spec_keyed(cluster, a, spec, &key)
     }
@@ -397,11 +392,11 @@ impl BuiltIndexes {
         a: &Table,
         spec: &FilterSpec,
         key: &str,
-    ) -> Result<Duration, FalconError> {
+    ) -> Result<StageCost, FalconError> {
         if self.indexes.contains_key(key) {
-            return Ok(Duration::ZERO);
+            return Ok(StageCost::default());
         }
-        let mut dur = Duration::ZERO;
+        let mut cost = StageCost::default();
         // A signature wrapper indexes the same tokens as its inner
         // set-similarity spec: look through it for the order prebuild.
         let base = spec.without_signature();
@@ -409,7 +404,7 @@ impl BuiltIndexes {
             let tokenizer = sim
                 .tokenizer()
                 .ok_or_else(|| IndexError::NotSetBased { sim: sim.name() })?;
-            dur += self.build_order(cluster, a, a_attr, tokenizer)?;
+            cost += self.build_order(cluster, a, a_attr, tokenizer)?;
             let attr_idx =
                 a.schema()
                     .index_of(a_attr)
@@ -420,26 +415,11 @@ impl BuiltIndexes {
         } else {
             None
         };
-        // "MR job 3": assemble the index (single pass over A).
-        let t0 = wall_now();
+        // "MR job 3": assemble the index (single driver-local pass over A).
         let idx = PredicateIndex::try_build(a, spec, order)?;
-        dur += t0.elapsed();
+        cost += StageCost::local(a.len());
         self.indexes.insert(key.to_string(), Arc::new(idx));
-        Ok(dur)
-    }
-
-    /// Build all specs, returning the total build duration.
-    pub fn build_all(
-        &mut self,
-        cluster: &Cluster,
-        a: &Table,
-        specs: &[FilterSpec],
-    ) -> Result<Duration, FalconError> {
-        let mut total = Duration::ZERO;
-        for s in specs {
-            total += self.build_spec(cluster, a, s)?;
-        }
-        Ok(total)
+        Ok(cost)
     }
 
     /// Fetch a built index.
@@ -462,6 +442,7 @@ mod tests {
     use falcon_dataflow::ClusterConfig;
     use falcon_table::{AttrType, Schema, Value};
     use falcon_textsim::SimFunction;
+    use std::time::Duration;
 
     fn tables() -> (Table, Table) {
         let schema = Schema::new([("title", AttrType::Str), ("price", AttrType::Num)]);
@@ -641,7 +622,7 @@ mod tests {
         let d = built
             .build_order(&cluster(), &a, "title", Tokenizer::Word)
             .expect("order");
-        assert_eq!(d, Duration::ZERO);
+        assert_eq!(d, StageCost::default());
     }
 
     #[test]
@@ -655,9 +636,9 @@ mod tests {
             threshold: 0.5,
         };
         let d1 = built.build_spec(&cluster(), &a, &spec).expect("build");
-        assert!(d1 > Duration::ZERO);
+        assert!(d1.dur() > Duration::ZERO);
         let d2 = built.build_spec(&cluster(), &a, &spec).expect("build");
-        assert_eq!(d2, Duration::ZERO);
+        assert_eq!(d2, StageCost::default());
         assert!(built.get(&spec).is_some());
         assert!(built.bytes_of(&[predicate_key(&spec)]) > 0);
     }
@@ -672,8 +653,8 @@ mod tests {
         let d2 = built
             .build_order(&cluster(), &a, "title", Tokenizer::Word)
             .expect("order");
-        assert!(d1 > Duration::ZERO);
-        assert_eq!(d2, Duration::ZERO);
+        assert!(d1.dur() > Duration::ZERO);
+        assert_eq!(d2, StageCost::default());
     }
 
     #[test]

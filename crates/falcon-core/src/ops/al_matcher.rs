@@ -18,15 +18,15 @@
 use crate::error::FalconError;
 use crate::fv::FvSet;
 use crate::ops::bitmap::Bitmap;
+use crate::stage::StageCost;
 use crate::timeline::{check_cancel, Timeline};
 use falcon_crowd::{Crowd, CrowdSession};
-use falcon_dataflow::{run_map_only, wall_now, Cluster};
+use falcon_dataflow::{run_map_only, Cluster};
 use falcon_forest::{Dataset, FlatForest, Forest, ForestConfig};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
 
 /// Active-learning configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -75,8 +75,6 @@ pub struct AlOutput {
     pub iterations: usize,
     /// True iff stopped by convergence rather than the cap.
     pub converged: bool,
-    /// Total pair-selection machine time.
-    pub selection_time: Duration,
 }
 
 /// Heuristic "likely match" score for seeding: mean of the non-missing
@@ -98,21 +96,19 @@ fn seed_score(fv: &[f64], higher: &[bool]) -> f64 {
 }
 
 /// Positive-vote counts of the pairs `idxs`, scored on the cluster and
-/// aligned with `idxs`, plus the (simulated) duration of the job.
+/// aligned with `idxs`, plus the price of the job.
 fn score_votes(
     cluster: &Cluster,
     flat: &FlatForest,
     fvs: &FvSet,
     idxs: &[usize],
-) -> Result<(Vec<u32>, Duration), FalconError> {
-    // Each split lends one chunk of `idxs` as a single record, so the map
-    // task scores the chunk with the compiled forest's batch kernel
-    // instead of pointer-chasing `Node`s one vector at a time. The scoped
-    // dataflow workers borrow the indices, flat forest and vectors
+) -> Result<(Vec<u32>, StageCost), FalconError> {
+    // A map task scores its whole split with the compiled forest's batch
+    // kernel instead of pointer-chasing `Node`s one vector at a time. The
+    // scoped dataflow workers borrow the indices, flat forest and vectors
     // directly — no per-iteration copies.
-    let chunk = idxs.len().div_ceil((cluster.threads() * 2).max(1)).max(1);
-    let splits: Vec<Vec<&[usize]>> = idxs.chunks(chunk).map(|c| vec![c]).collect();
-    let mut out = run_map_only(cluster, splits, |idx_chunk: &&[usize], out| {
+    let splits = cluster.split_slice(idxs);
+    let out = run_map_only(cluster, splits, |idx_chunk: &[usize], out| {
         let mut votes = Vec::new();
         flat.count_votes_into(
             idx_chunk.len(),
@@ -121,12 +117,9 @@ fn score_votes(
         );
         out.append(&mut votes);
     })?;
-    // Chunk-as-record wrapping counted chunks; restore the true count.
-    out.stats.input_records = idxs.len();
-    let dur = out.stats.sim_duration(&cluster.config);
     // One count per index, task outputs concatenated in split order.
     assert_eq!(out.output.len(), idxs.len());
-    Ok((out.output, dur))
+    Ok((out.output, StageCost::of([&out.stats], &cluster.config)))
 }
 
 /// The `batch` most controversial of `idxs` and the maximum disagreement
@@ -162,19 +155,19 @@ fn untaken(taken: &Bitmap) -> Vec<usize> {
 }
 
 /// Score every pair outside `taken` with `forest` and pick the next
-/// batch: `(picked, maximum disagreement, simulated job duration)`.
+/// batch: `(picked, maximum disagreement, price of the scoring job)`.
 fn select(
     cluster: &Cluster,
     forest: &Forest,
     fvs: &FvSet,
     taken: &Bitmap,
     batch: usize,
-) -> Result<(Vec<usize>, f64, Duration), FalconError> {
+) -> Result<(Vec<usize>, f64, StageCost), FalconError> {
     let flat = forest.flatten();
     let idxs = untaken(taken);
-    let (votes, job_dur) = score_votes(cluster, &flat, fvs, &idxs)?;
+    let (votes, cost) = score_votes(cluster, &flat, fvs, &idxs)?;
     let (picked, max_dis) = top_controversial(&flat, &idxs, &votes, batch);
-    Ok((picked, max_dis, job_dur))
+    Ok((picked, max_dis, cost))
 }
 
 /// Run `al_matcher` over a feature-vector set. `higher` flags which
@@ -202,7 +195,6 @@ pub fn al_matcher<C: Crowd>(
     let mut taken = Bitmap::zeros(fvs.len());
     let mut data = Dataset::new();
     let mut labeled: Vec<(usize, bool)> = Vec::new();
-    let mut selection_time = Duration::ZERO;
     let mut iterations = 0usize;
     let mut converged = false;
 
@@ -224,9 +216,11 @@ pub fn al_matcher<C: Crowd>(
     let train = |data: &Dataset, rng: &mut SmallRng| {
         Forest::train_threads(data, &cfg.forest, rng, cluster.threads())
     };
+    // Training is a driver-local pass: every tree reads every labeled
+    // example.
+    let train_cost = |data: &Dataset| StageCost::local(data.len() * cfg.forest.n_trees);
 
     // ---- Seed round: likely positives + likely negatives ----
-    let t0 = wall_now();
     let mut scored: Vec<(usize, f64)> = fvs
         .fvs
         .iter()
@@ -251,9 +245,8 @@ pub fn al_matcher<C: Crowd>(
             seed_idx.push(*i);
         }
     }
-    let seed_wall = t0.elapsed();
-    selection_time += seed_wall;
-    timeline.machine(label, seed_wall);
+    // Seed scoring is a driver-local pass over every vector.
+    timeline.machine(label, StageCost::local(fvs.len()));
     label_batch(
         &seed_idx,
         session,
@@ -293,13 +286,10 @@ pub fn al_matcher<C: Crowd>(
     // selection of the following batch happens during that round.
     let mut pending: Vec<usize> = Vec::new();
     if cfg.mask_pair_selection {
-        let t = wall_now();
-        let (picked, _, job_dur) = select(cluster, &forest, fvs, &taken, cfg.batch * 2)?;
-        let wall = t.elapsed().max(job_dur);
-        selection_time += wall;
+        let (picked, _, scored) = select(cluster, &forest, fvs, &taken, cfg.batch * 2)?;
         // First (double) selection cannot be masked: nothing is at the
         // crowd yet.
-        timeline.machine(label, wall);
+        timeline.machine(label, scored);
         picked.iter().for_each(|&i| taken.set(i));
         pending = picked;
     }
@@ -318,12 +308,9 @@ pub fn al_matcher<C: Crowd>(
             // Post `now_batch`; while the crowd works, retrain and select
             // the next batch (masked machine time) among the pairs neither
             // labeled nor already picked.
-            let t = wall_now();
             forest = train(&data, &mut rng);
-            let (picked, max_dis, job_dur) = select(cluster, &forest, fvs, &taken, cfg.batch)?;
-            let wall = t.elapsed().max(job_dur);
-            selection_time += wall;
-            timeline.masked_machine(label, wall);
+            let (picked, max_dis, scored) = select(cluster, &forest, fvs, &taken, cfg.batch)?;
+            timeline.masked_machine(label, train_cost(&data) + scored);
             if max_dis >= cfg.convergence_eps {
                 picked.iter().for_each(|&i| taken.set(i));
                 pending.extend(picked);
@@ -340,12 +327,9 @@ pub fn al_matcher<C: Crowd>(
         } else {
             // Unmasked: select with the freshest model, on the critical
             // path.
-            let t = wall_now();
             forest = train(&data, &mut rng);
-            let (batch, max_dis, job_dur) = select(cluster, &forest, fvs, &taken, cfg.batch)?;
-            let wall = t.elapsed().max(job_dur);
-            selection_time += wall;
-            timeline.machine(label, wall);
+            let (batch, max_dis, scored) = select(cluster, &forest, fvs, &taken, cfg.batch)?;
+            timeline.machine(label, train_cost(&data) + scored);
             if max_dis < cfg.convergence_eps || batch.is_empty() {
                 converged = true;
                 break;
@@ -363,16 +347,14 @@ pub fn al_matcher<C: Crowd>(
     }
 
     // Final matcher trained on everything labeled.
-    let t = wall_now();
     let forest = train(&data, &mut rng);
-    timeline.machine(label, t.elapsed());
+    timeline.machine(label, train_cost(&data));
 
     Ok(AlOutput {
         forest,
         labeled,
         iterations,
         converged,
-        selection_time,
     })
 }
 

@@ -22,19 +22,16 @@ pub fn apply_matcher(
     forest: &Forest,
     fvs: &FvSet,
 ) -> Result<ApplyMatcherOutput, FalconError> {
-    // Each split carries one whole index chunk as a single record, so the
-    // map task predicts the chunk with the compiled forest's batch kernel;
-    // the scoped dataflow workers borrow the flat forest and vectors
-    // directly instead of cloning them.
+    // A map task predicts its whole split with the compiled forest's batch
+    // kernel; the scoped dataflow workers borrow the flat forest and
+    // vectors directly instead of cloning them.
     let flat = forest.flatten();
-    let n_pairs = fvs.len();
-    let chunk = n_pairs.div_ceil((cluster.threads() * 2).max(1)).max(1);
-    let splits: Vec<Vec<Vec<usize>>> = (0..n_pairs)
-        .collect::<Vec<_>>()
-        .chunks(chunk)
-        .map(|c| vec![c.to_vec()])
+    let splits: Vec<Vec<usize>> = cluster
+        .splits(fvs.len())
+        .into_iter()
+        .map(Iterator::collect)
         .collect();
-    let mut out = run_map_only(cluster, splits, |idx_chunk: &Vec<usize>, out| {
+    let out = run_map_only(cluster, splits, |idx_chunk: &[usize], out| {
         let gathered: Vec<(&IdPair, &[f64])> = idx_chunk
             .iter()
             .filter_map(|&i| match (fvs.pairs.get(i), fvs.fvs.get(i)) {
@@ -50,8 +47,6 @@ pub fn apply_matcher(
             }
         }
     })?;
-    // Chunk-as-record wrapping counted chunks; restore the true count.
-    out.stats.input_records = n_pairs;
     let mut matches = out.output;
     matches.sort_unstable();
     Ok(ApplyMatcherOutput {

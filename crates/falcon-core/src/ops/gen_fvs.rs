@@ -4,12 +4,12 @@
 use crate::error::FalconError;
 use crate::features::FeatureSet;
 use crate::fv::FvSet;
+use crate::stage::StageCost;
 use crate::tokens::build_pair_profiles_par;
 use falcon_dataflow::{run_map_only, Cluster, ClusterConfig, JobStats};
 use falcon_table::{IdPair, Table};
 use falcon_textsim::tfidf::TfIdfBuilder;
 use falcon_textsim::{SimContext, SimFunction, SimScratch, TfIdfModel};
-use std::time::Duration;
 
 /// Output of `gen_fvs`.
 #[derive(Debug)]
@@ -23,14 +23,10 @@ pub struct GenFvsOutput {
 }
 
 impl GenFvsOutput {
-    /// Simulated cluster duration of the whole operator: the profiling
-    /// jobs plus the scoring job.
-    pub fn sim_duration(&self, cfg: &ClusterConfig) -> Duration {
-        self.prep_stats
-            .iter()
-            .map(|s| s.sim_duration(cfg))
-            .sum::<Duration>()
-            + self.stats.sim_duration(cfg)
+    /// Price of the whole operator on the cluster `cfg` describes: the
+    /// profiling jobs plus the scoring job.
+    pub fn cost(&self, cfg: &ClusterConfig) -> StageCost {
+        StageCost::of(self.prep_stats.iter().chain([&self.stats]), cfg)
     }
 }
 
@@ -102,18 +98,15 @@ pub fn gen_fvs(
         Some(&a_mask),
         Some(&b_mask),
     )?;
-    // Each split lends one chunk of `pairs` as a single record, so a map
-    // task scores its chunk through one `SimScratch` (DP rows, Jaro
+    // A map task scores its split through one `SimScratch` (DP rows, Jaro
     // buffers, the token-pair Jaro-Winkler memo). The scratch lives and
     // dies with the task attempt: it never meets another run's
     // `TokenDict`, and a retried or speculative attempt starts cold —
     // which cannot matter, no score depends on what the memo holds. The
     // scoped dataflow workers borrow the pair list, tables, features and
     // profiles directly — no per-job copies.
-    let n_splits = cluster.threads() * 2;
-    let chunk = pairs.len().div_ceil(n_splits.max(1)).max(1);
-    let splits: Vec<Vec<&[IdPair]>> = pairs.chunks(chunk).map(|c| vec![c]).collect();
-    let mut out = run_map_only(cluster, splits, |pair_chunk: &&[IdPair], out| {
+    let splits = cluster.split_slice(pairs);
+    let out = run_map_only(cluster, splits, |pair_chunk: &[IdPair], out| {
         let ctx = match &tfidf {
             Some(m) => SimContext::with_tfidf(m),
             None => SimContext::empty(),
@@ -121,12 +114,10 @@ pub fn gen_fvs(
         .with_profiles(&profiles.a, &profiles.b, &profiles.dict);
         let mut scratch = SimScratch::new();
         out.reserve(pair_chunk.len());
-        for &(aid, bid) in *pair_chunk {
+        for &(aid, bid) in pair_chunk {
             out.push(features.vector_at(a, b, aid, bid, &ctx, &mut scratch));
         }
     })?;
-    // Chunk-as-record wrapping counted chunks; restore the true count.
-    out.stats.input_records = pairs.len();
     // Tasks emit exactly one vector per pair and the job concatenates
     // task outputs in split order, so the vectors align with `pairs` and
     // move into the result without re-buffering.

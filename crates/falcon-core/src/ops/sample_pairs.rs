@@ -9,6 +9,7 @@
 //! (representativeness) — MR job 2.
 
 use crate::error::FalconError;
+use crate::tokens::id_splits;
 use falcon_dataflow::{run_map_only, run_map_reduce, Cluster, Emitter, JobStats};
 use falcon_table::{AttrType, IdPair, Table, TableProfile, TupleId};
 use falcon_textsim::tokenize::word_tokens;
@@ -72,21 +73,17 @@ pub fn sample_pairs(
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x53414d50);
     let a_strings = Arc::new(string_attrs(a));
 
-    // MR job 1: inverted index over A's documents. Splits carry tuple
-    // ids; mappers read cells from the shared columnar table.
-    let splits: Vec<Vec<TupleId>> = a
-        .splits(cluster.threads() * 2)
-        .into_iter()
-        .map(|r| (r.start as TupleId..r.end as TupleId).collect())
-        .collect();
+    // MR job 1: inverted index over A's documents.
     let a_strings_map = Arc::clone(&a_strings);
     let index_out = run_map_reduce(
         cluster,
-        splits,
-        cluster.threads(),
-        move |&id: &TupleId, e: &mut Emitter<String, TupleId>| {
-            for tok in document_at(a, id, &a_strings_map) {
-                e.emit(tok, id);
+        id_splits(cluster, a),
+        cluster.reduce_partitions(),
+        move |ids: &[TupleId], e: &mut Emitter<String, TupleId>| {
+            for &id in ids {
+                for tok in document_at(a, id, &a_strings_map) {
+                    e.emit(tok, id);
+                }
             }
         },
         |tok: &String, ids: Vec<TupleId>, out: &mut Vec<(String, Vec<TupleId>)>| {
@@ -104,42 +101,45 @@ pub fn sample_pairs(
     let selected: Vec<TupleId> = b_ids.iter().map(|&i| i as TupleId).collect();
 
     // MR job 2 (map-only): generate pairs for each selected B tuple.
-    let b_splits: Vec<Vec<(TupleId, u64)>> = selected
-        .chunks((selected.len() / (cluster.threads().max(1)).max(1)).max(1))
-        .map(|c| c.iter().map(|&id| (id, rng.gen::<u64>())).collect())
+    let b_splits: Vec<Vec<(TupleId, u64)>> = cluster
+        .splits(selected.len())
+        .into_iter()
+        .map(|r| selected[r].iter().map(|&id| (id, rng.gen())).collect())
         .collect();
     let a_len = a.len();
     let b_strings = Arc::new(string_attrs(b));
     let pair_out = run_map_only(
         cluster,
         b_splits,
-        move |&(bid, pseed): &(TupleId, u64), out| {
-            let mut local = SmallRng::seed_from_u64(pseed);
-            // Shared-token counts against the inverted index.
-            let mut counts: HashMap<TupleId, usize> = HashMap::new();
-            for tok in document_at(b, bid, &b_strings) {
-                if let Some(ids) = index.get(&tok) {
-                    for &id in ids {
-                        *counts.entry(id).or_default() += 1;
+        move |selected: &[(TupleId, u64)], out| {
+            for &(bid, pseed) in selected {
+                let mut local = SmallRng::seed_from_u64(pseed);
+                // Shared-token counts against the inverted index.
+                let mut counts: HashMap<TupleId, usize> = HashMap::new();
+                for tok in document_at(b, bid, &b_strings) {
+                    if let Some(ids) = index.get(&tok) {
+                        for &id in ids {
+                            *counts.entry(id).or_default() += 1;
+                        }
                     }
                 }
-            }
-            let mut ranked: Vec<(usize, TupleId)> =
-                counts.into_iter().map(|(id, c)| (c, id)).collect();
-            ranked.sort_unstable_by(|x, y| y.cmp(x));
-            let y1 = (y / 2).min(ranked.len());
-            let mut chosen: Vec<TupleId> = ranked[..y1].iter().map(|(_, id)| *id).collect();
-            // Fill with random distinct A tuples.
-            let mut guard = 0;
-            while chosen.len() < y.min(a_len) && guard < 20 * y {
-                let cand = local.gen_range(0..a_len) as TupleId;
-                if !chosen.contains(&cand) {
-                    chosen.push(cand);
+                let mut ranked: Vec<(usize, TupleId)> =
+                    counts.into_iter().map(|(id, c)| (c, id)).collect();
+                ranked.sort_unstable_by(|x, y| y.cmp(x));
+                let y1 = (y / 2).min(ranked.len());
+                let mut chosen: Vec<TupleId> = ranked[..y1].iter().map(|(_, id)| *id).collect();
+                // Fill with random distinct A tuples.
+                let mut guard = 0;
+                while chosen.len() < y.min(a_len) && guard < 20 * y {
+                    let cand = local.gen_range(0..a_len) as TupleId;
+                    if !chosen.contains(&cand) {
+                        chosen.push(cand);
+                    }
+                    guard += 1;
                 }
-                guard += 1;
-            }
-            for aid in chosen {
-                out.push((aid, bid));
+                for aid in chosen {
+                    out.push((aid, bid));
+                }
             }
         },
     )?;

@@ -13,14 +13,17 @@
 //!    [`crate::ops::al_matcher`]; enabled here for large candidate sets.
 //!
 //! All scheduled work is recorded via [`Timeline::masked_machine`], which
-//! charges only the portion exceeding the accumulated crowd latency.
+//! charges only the portion exceeding the accumulated crowd latency. Both
+//! sides of that comparison are priced, not measured, so how far
+//! speculation gets (it stops when the capacity runs out) is the same on
+//! every host.
 
 use crate::error::FalconError;
 use crate::features::FeatureSet;
 use crate::indexing::{BuiltIndexes, ConjunctSpecs, PreFilterConfig};
 use crate::physical::{self, PhysicalOp, ScratchPool};
 use crate::rules::{Rule, RuleSequence};
-use crate::stage::{shape_of, shape_sum};
+use crate::stage::StageCost;
 use crate::timeline::Timeline;
 use crate::tokens;
 use falcon_dataflow::Cluster;
@@ -81,13 +84,7 @@ pub fn prebuild_generic(
     if !a_spec.token_columns.is_empty() && built.profile().is_none() {
         let mut dict = TokenDict::new();
         let (profile, stats) = tokens::build_profile_par(cluster, a, &a_spec, &mut dict, None)?;
-        let (tasks, records) = shape_of(&stats);
-        timeline.masked_machine_shaped(
-            "index_build",
-            stats.sim_duration(&cluster.config),
-            tasks,
-            records,
-        );
+        timeline.masked_machine("index_build", StageCost::of([&stats], &cluster.config));
         built.set_profile(profile, dict);
     }
     let mut seen_orders = std::collections::HashSet::new();
@@ -99,19 +96,19 @@ pub fn prebuild_generic(
                 // (prebuilding is an optimization, never a correctness need).
                 let Some(tok) = s.tokenizer() else { continue };
                 if seen_orders.insert((f.a_idx, tok)) {
-                    let dur = built.build_order(cluster, a, &f.a_attr, tok)?;
-                    timeline.masked_machine("index_build", dur);
+                    let cost = built.build_order(cluster, a, &f.a_attr, tok)?;
+                    timeline.masked_machine("index_build", cost);
                 }
             }
             SimFunction::ExactMatch if seen_eq.insert(f.a_idx) => {
-                let dur = built.build_spec(
+                let cost = built.build_spec(
                     cluster,
                     a,
                     &FilterSpec::Equals {
                         a_attr: f.a_attr.clone(),
                     },
                 )?;
-                timeline.masked_machine("index_build", dur);
+                timeline.masked_machine("index_build", cost);
             }
             _ => {}
         }
@@ -135,8 +132,8 @@ pub fn prebuild_for_rules(
     let seq = RuleSequence::new(rules.to_vec());
     let conjuncts = ConjunctSpecs::derive(&seq, features).with_signatures(prefilter);
     for (spec, key) in conjuncts.all_specs_keyed() {
-        let dur = built.build_spec_keyed(cluster, a, spec, key)?;
-        timeline.masked_machine_shaped("index_build", dur, 1, a.len() as u64);
+        let cost = built.build_spec_keyed(cluster, a, spec, key)?;
+        timeline.masked_machine("index_build", cost);
     }
     Ok(())
 }
@@ -180,8 +177,8 @@ pub fn speculate_rules(
             continue; // no index support; speculation would enumerate A×B
         }
         for (spec, key) in conjuncts.all_specs_keyed() {
-            let dur = built.build_spec_keyed(cluster, a, spec, key)?;
-            timeline.masked_machine_shaped("index_build", dur, 1, a.len() as u64);
+            let cost = built.build_spec_keyed(cluster, a, spec, key)?;
+            timeline.masked_machine("index_build", cost);
         }
         let result = physical::execute_pooled(
             PhysicalOp::ApplyAll,
@@ -197,8 +194,7 @@ pub fn speculate_rules(
             &pool,
         );
         if let Ok(res) = result {
-            let (tasks, records) = shape_sum(&res.jobs);
-            timeline.masked_machine_shaped("speculative_exec", res.duration, tasks, records);
+            timeline.masked_machine("speculative_exec", res.cost(&cluster.config));
             out.insert(rule.canonical_key(), res.candidates);
         }
     }

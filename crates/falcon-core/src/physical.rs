@@ -33,8 +33,11 @@
 use crate::features::{Feature, FeatureSet};
 use crate::indexing::{BuiltIndexes, ConjunctSpecs};
 use crate::rules::{Predicate, RuleSequence};
-use crate::tokens::{build_pair_profiles_seq, PairProfiles};
-use falcon_dataflow::{run_map_only, run_map_reduce, Cluster, DataflowError, Emitter, JobStats};
+use crate::stage::StageCost;
+use crate::tokens::{build_pair_profiles_seq, id_splits, PairProfiles};
+use falcon_dataflow::{
+    run_map_only, run_map_reduce, Cluster, ClusterConfig, DataflowError, Emitter, JobStats,
+};
 use falcon_index::{CandidateBitmap, PredicateIndex, ProbeMode, ProbeStats, ProbeTokens};
 use falcon_table::{IdPair, Table, TupleId};
 use falcon_textsim::{SimContext, SimScratch, Tokenizer};
@@ -42,7 +45,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// The physical operator choices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -147,13 +149,18 @@ pub struct BlockingOutput {
     pub candidates: Vec<IdPair>,
     /// The operator that ran.
     pub op: PhysicalOp,
-    /// Simulated cluster duration of all jobs involved.
-    pub duration: Duration,
     /// Per-job statistics.
     pub jobs: Vec<JobStats>,
     /// Per-conjunct probe instrumentation (empty for the `A × B`
     /// enumeration baselines, which never probe an index).
     pub blocking: BlockingStats,
+}
+
+impl BlockingOutput {
+    /// Price of all jobs involved, on the cluster `cfg` describes.
+    pub fn cost(&self, cfg: &ClusterConfig) -> StageCost {
+        StageCost::of(&self.jobs, cfg)
+    }
 }
 
 /// Per-conjunct blocking counters: how many candidate probes the conjunct
@@ -637,26 +644,6 @@ fn candidates_for(
     restricted
 }
 
-/// B-side splits carry tuple ids only; mappers resolve cells against a
-/// shared table handle (cheap `Arc` clone), so no rows are materialized.
-fn b_splits(b: &Table, cluster: &Cluster) -> Vec<Vec<TupleId>> {
-    b.splits(cluster.threads() * 2)
-        .into_iter()
-        .map(|r| (r.start as TupleId..r.end as TupleId).collect())
-        .collect()
-}
-
-/// Chunk-as-record B-side splits for the probing operators: each split
-/// carries one id chunk as a single record, so a map task allocates its
-/// [`ProbeScratch`] once per chunk and streams ids through it. Callers
-/// restore `JobStats::input_records` to the true tuple count afterwards.
-fn b_chunk_splits(b: &Table, cluster: &Cluster) -> Vec<Vec<Vec<TupleId>>> {
-    b.splits(cluster.threads() * 2)
-        .into_iter()
-        .map(|r| vec![(r.start as TupleId..r.end as TupleId).collect()])
-        .collect()
-}
-
 /// Index-probing + reducer-evaluation execution (ApplyAll / ApplyGreedy).
 #[allow(clippy::too_many_arguments)]
 fn run_probe_reduce(
@@ -673,14 +660,13 @@ fn run_probe_reduce(
     let n_tokens = share_tokens(&mut bundles);
     let bundles = Arc::new(bundles);
     let b_handle = b.clone();
-    let n_b = b.len();
     let collector = Arc::clone(collector);
     let pool = Arc::clone(pool);
-    let mut out = run_map_reduce(
+    let out = run_map_reduce(
         cluster,
-        b_chunk_splits(b, cluster),
-        cluster.threads(),
-        move |chunk: &Vec<TupleId>, e: &mut Emitter<TupleId, TupleId>| {
+        id_splits(cluster, b),
+        cluster.reduce_partitions(),
+        move |chunk: &[TupleId], e: &mut Emitter<TupleId, TupleId>| {
             let mut scratch = pool.checkout(a_len, bundles.len(), n_tokens);
             for &bid in chunk {
                 if candidates_for(&b_handle, bid, a_len, &bundles, &mut scratch) {
@@ -705,15 +691,11 @@ fn run_probe_reduce(
             }
         },
     )?;
-    // Chunk-as-record wrapping counted chunks; restore the true count.
-    out.stats.input_records = n_b;
-    let duration = out.stats.sim_duration(&cluster.config);
     let mut candidates = out.output;
     candidates.sort_unstable();
     Ok(BlockingOutput {
         candidates,
         op,
-        duration,
         jobs: vec![out.stats],
         blocking: BlockingStats::default(),
     })
@@ -732,13 +714,12 @@ fn run_probe_wave(
     let n_tokens = share_tokens(&mut bundles);
     let bundles = Arc::new(bundles);
     let b_handle = b.clone();
-    let n_b = b.len();
     let collector = Arc::clone(collector);
     let pool = Arc::clone(pool);
-    let mut out = run_map_only(
+    let out = run_map_only(
         cluster,
-        b_chunk_splits(b, cluster),
-        move |chunk: &Vec<TupleId>, out: &mut Vec<IdPair>| {
+        id_splits(cluster, b),
+        move |chunk: &[TupleId], out: &mut Vec<IdPair>| {
             let mut scratch = pool.checkout(a_len, bundles.len(), n_tokens);
             for &bid in chunk {
                 if candidates_for(&b_handle, bid, a_len, &bundles, &mut scratch) {
@@ -751,7 +732,6 @@ fn run_probe_wave(
             pool.restore(scratch);
         },
     )?;
-    out.stats.input_records = n_b;
     Ok((out.output.iter().copied().collect(), out.stats))
 }
 
@@ -762,14 +742,10 @@ pub(crate) fn run_evaluate(
     evaluator: Arc<PairEvaluator>,
     pairs: &[IdPair],
 ) -> Result<(Vec<IdPair>, JobStats), BlockingError> {
-    // Each split carries one whole pair chunk as a single record, so a map
-    // task streams its chunk through the evaluator without per-pair
-    // dispatch through the dataflow record loop (and with one evaluator
-    // scratch per chunk).
-    let n_pairs = pairs.len();
-    let chunk = n_pairs.div_ceil((cluster.threads() * 2).max(1)).max(1);
-    let splits: Vec<Vec<Vec<IdPair>>> = pairs.chunks(chunk).map(|c| vec![c.to_vec()]).collect();
-    let mut out = run_map_only(cluster, splits, move |pair_chunk: &Vec<IdPair>, out| {
+    // A map task streams its split through the evaluator with one
+    // evaluator scratch.
+    let splits = cluster.split_slice(pairs);
+    let out = run_map_only(cluster, splits, move |pair_chunk: &[IdPair], out| {
         let mut scratch = EvalScratch::default();
         for &(aid, bid) in pair_chunk {
             if evaluator.keeps_scratch(aid, bid, &mut scratch) {
@@ -777,8 +753,6 @@ pub(crate) fn run_evaluate(
             }
         }
     })?;
-    // Chunk-as-record wrapping counted chunks; restore the true count.
-    out.stats.input_records = n_pairs;
     let mut kept = out.output;
     kept.sort_unstable();
     Ok((kept, out.stats))
@@ -883,11 +857,9 @@ pub fn execute_pooled(
             pairs.sort_unstable();
             let (candidates, stats) = run_evaluate(cluster, evaluator, &pairs)?;
             jobs.push(stats);
-            let duration = jobs.iter().map(|s| s.sim_duration(&cluster.config)).sum();
             BlockingOutput {
                 candidates,
                 op,
-                duration,
                 jobs,
                 blocking: BlockingStats::default(),
             }
@@ -926,11 +898,9 @@ pub fn execute_pooled(
             pairs.sort_unstable();
             let (candidates, stats) = run_evaluate(cluster, evaluator, &pairs)?;
             jobs.push(stats);
-            let duration = jobs.iter().map(|s| s.sim_duration(&cluster.config)).sum();
             BlockingOutput {
                 candidates,
                 op,
-                duration,
                 jobs,
                 blocking: BlockingStats::default(),
             }
@@ -945,22 +915,25 @@ pub fn execute_pooled(
             }
             if op == PhysicalOp::MapSide {
                 let a_len = a.len() as TupleId;
-                let out =
-                    run_map_only(cluster, b_splits(b, cluster), move |&bid: &TupleId, out| {
+                let out = run_map_only(
+                    cluster,
+                    id_splits(cluster, b),
+                    move |bids: &[TupleId], out| {
                         let mut scratch = EvalScratch::default();
-                        for aid in 0..a_len {
-                            if evaluator.keeps_scratch(aid, bid, &mut scratch) {
-                                out.push((aid, bid));
+                        for &bid in bids {
+                            for aid in 0..a_len {
+                                if evaluator.keeps_scratch(aid, bid, &mut scratch) {
+                                    out.push((aid, bid));
+                                }
                             }
                         }
-                    })?;
-                let duration = out.stats.sim_duration(&cluster.config);
+                    },
+                )?;
                 let mut candidates = out.output;
                 candidates.sort_unstable();
                 BlockingOutput {
                     candidates,
                     op,
-                    duration,
                     jobs: vec![out.stats],
                     blocking: BlockingStats::default(),
                 }
@@ -968,11 +941,13 @@ pub fn execute_pooled(
                 let a_len = a.len() as TupleId;
                 let out = run_map_reduce(
                     cluster,
-                    b_splits(b, cluster),
-                    cluster.threads(),
-                    move |&bid: &TupleId, e: &mut Emitter<TupleId, TupleId>| {
-                        for aid in 0..a_len {
-                            e.emit(aid, bid);
+                    id_splits(cluster, b),
+                    cluster.reduce_partitions(),
+                    move |bids: &[TupleId], e: &mut Emitter<TupleId, TupleId>| {
+                        for &bid in bids {
+                            for aid in 0..a_len {
+                                e.emit(aid, bid);
+                            }
                         }
                     },
                     move |aid: &TupleId, bids: Vec<TupleId>, out: &mut Vec<IdPair>| {
@@ -984,13 +959,11 @@ pub fn execute_pooled(
                         }
                     },
                 )?;
-                let duration = out.stats.sim_duration(&cluster.config);
                 let mut candidates = out.output;
                 candidates.sort_unstable();
                 BlockingOutput {
                     candidates,
                     op,
-                    duration,
                     jobs: vec![out.stats],
                     blocking: BlockingStats::default(),
                 }

@@ -16,27 +16,76 @@
 //! machine stages are deemed to occupy cluster nodes. That is the
 //! foundation of the per-tenant determinism argument in DESIGN.md §13.
 
-use falcon_dataflow::JobStats;
+use falcon_dataflow::{local_time, ClusterConfig, JobStats};
+use std::ops::{Add, AddAssign};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Deterministic `(map_tasks, input_records)` shape of a cluster job,
-/// for [`crate::timeline::Timeline::machine_shaped`] — these counts
-/// depend only on the input and split policy, never on measured wall
-/// time, so a gated scheduler can price the stage reproducibly.
-pub fn shape_of(stats: &JobStats) -> (u32, u64) {
-    (stats.map_tasks.max(1) as u32, stats.input_records as u64)
+/// The deterministic price of one machine stage: what the run's own
+/// timeline charges for it (`dur`) and the shape a shared scheduler
+/// re-prices on the slots it grants (`tasks`, `records`). It is the only
+/// thing [`crate::timeline::Timeline`]'s machine recorders accept and can
+/// only be built from a job's [`JobStats`] or a record count — never from
+/// a measured `Duration` — so every virtual time is a function of the
+/// inputs, the config and the seed, not of the host's speed or cores.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageCost {
+    dur: Duration,
+    tasks: u32,
+    records: u64,
 }
 
-/// Combined shape of a stage that ran several cluster jobs.
-pub fn shape_sum<'a>(jobs: impl IntoIterator<Item = &'a JobStats>) -> (u32, u64) {
-    let mut tasks = 0u32;
-    let mut records = 0u64;
-    for j in jobs {
-        tasks = tasks.saturating_add(j.map_tasks as u32);
-        records = records.saturating_add(j.input_records as u64);
+impl StageCost {
+    /// Cluster jobs run one after the other on the cluster `cfg`
+    /// describes: the sum of their simulated durations, map tasks and
+    /// input records.
+    pub fn of<'a>(jobs: impl IntoIterator<Item = &'a JobStats>, cfg: &ClusterConfig) -> Self {
+        jobs.into_iter().fold(Self::default(), |sum, j| {
+            sum + Self {
+                dur: j.sim_duration(cfg),
+                tasks: j.map_tasks as u32,
+                records: j.input_records as u64,
+            }
+        })
     }
-    (tasks.max(1), records)
+
+    /// A driver-local pass over `records` records. It launches no cluster
+    /// job, so it pays per-record compute and no job or task overhead
+    /// (`tasks: 0`, as crowd rounds report).
+    pub fn local(records: usize) -> Self {
+        Self {
+            dur: local_time(records as u64),
+            tasks: 0,
+            records: records as u64,
+        }
+    }
+
+    /// The simulated duration on the run's own cluster.
+    pub fn dur(&self) -> Duration {
+        self.dur
+    }
+
+    pub(crate) fn shape(&self) -> (u32, u64) {
+        (self.tasks, self.records)
+    }
+}
+
+impl Add for StageCost {
+    type Output = Self;
+
+    fn add(self, other: Self) -> Self {
+        Self {
+            dur: self.dur + other.dur,
+            tasks: self.tasks.saturating_add(other.tasks),
+            records: self.records.saturating_add(other.records),
+        }
+    }
+}
+
+impl AddAssign for StageCost {
+    fn add_assign(&mut self, other: Self) {
+        *self = *self + other;
+    }
 }
 
 /// What kind of work a stage performed, mirroring
@@ -55,12 +104,12 @@ pub enum StageKind {
 
 /// One completed stage, reported to a [`StageGate`] at its boundary.
 ///
-/// `dur` is the stage's own simulated duration (what the timeline
-/// recorded). `tasks` and `records` are *deterministic shape hints* —
-/// map-task and input-record counts where the stage ran a cluster job,
-/// `1`/`0` otherwise — so a scheduler can price the stage with a
-/// deterministic cost model instead of the measured (and therefore
-/// run-to-run noisy) `dur`.
+/// `dur` is the stage's simulated duration on the run's own cluster
+/// (what the timeline recorded). `tasks` and `records` are its shape —
+/// map-task and input-record counts of the cluster jobs it ran, `tasks:
+/// 0` for a driver-local pass over `records` records — from which a
+/// scheduler re-prices the stage on the slots it grants
+/// ([`ClusterConfig::stage_time`]). All three are deterministic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageEvent {
     /// Operator label, matching the timeline segment label.
@@ -69,9 +118,11 @@ pub struct StageEvent {
     pub kind: StageKind,
     /// Simulated duration as recorded on the timeline.
     pub dur: Duration,
-    /// Map tasks of the underlying cluster job (`1` for local work).
+    /// Map tasks of the underlying cluster jobs (`0` when the stage
+    /// launched none: a driver-local pass or a crowd round).
     pub tasks: u32,
-    /// Input records of the underlying cluster job (`0` for local work).
+    /// Input records of the underlying cluster jobs, or records scanned
+    /// by a driver-local pass.
     pub records: u64,
 }
 

@@ -12,8 +12,16 @@
 //! * crowd time `t_c` — sum of crowd-round latencies,
 //! * unmasked machine time `t_u` — machine work not covered by capacity,
 //! * total time — `t_c + t_u`.
+//!
+//! One rule: every duration recorded here is virtual — a crowd round's
+//! simulated latency or a machine stage's [`StageCost`], priced from its
+//! records — so a timeline is a function of the inputs, the config and
+//! the seed, never of the host's speed or core count. The recorders take
+//! no `Duration` a caller could have measured.
 
-use crate::stage::{CancelReason, GateHandle, StageControl, StageEvent, StageGate, StageKind};
+use crate::stage::{
+    CancelReason, GateHandle, StageControl, StageCost, StageEvent, StageGate, StageKind,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -119,27 +127,15 @@ impl Timeline {
         }
     }
 
-    /// Record unmaskable machine work.
-    pub fn machine(&mut self, label: impl Into<String>, dur: Duration) {
-        self.machine_shaped(label, dur, 1, 0);
-    }
-
-    /// Record unmaskable machine work with the deterministic shape of
-    /// the underlying cluster job (map tasks / input records), so a
-    /// gated scheduler can price it without relying on measured wall
-    /// time. Identical to [`Timeline::machine`] when no gate is set.
-    pub fn machine_shaped(
-        &mut self,
-        label: impl Into<String>,
-        dur: Duration,
-        tasks: u32,
-        records: u64,
-    ) {
+    /// Record unmaskable machine work at its deterministic price.
+    pub fn machine(&mut self, label: impl Into<String>, cost: StageCost) {
         let label = label.into();
+        let dur = cost.dur();
         self.segments.push(Segment::Machine {
             label: label.clone(),
             dur,
         });
+        let (tasks, records) = cost.shape();
         self.notify(&label, StageKind::Machine, dur, tasks, records);
     }
 
@@ -157,20 +153,9 @@ impl Timeline {
     /// Record machine work the optimizer scheduled during crowdsourcing.
     /// Consumes capacity; returns the excess that reached the critical
     /// path (zero when fully masked).
-    pub fn masked_machine(&mut self, label: impl Into<String>, dur: Duration) -> Duration {
-        self.masked_machine_shaped(label, dur, 1, 0)
-    }
-
-    /// [`Timeline::masked_machine`] with the deterministic job shape —
-    /// see [`Timeline::machine_shaped`].
-    pub fn masked_machine_shaped(
-        &mut self,
-        label: impl Into<String>,
-        dur: Duration,
-        tasks: u32,
-        records: u64,
-    ) -> Duration {
+    pub fn masked_machine(&mut self, label: impl Into<String>, cost: StageCost) -> Duration {
         let label = label.into();
+        let dur = cost.dur();
         let covered = dur.min(self.capacity);
         self.capacity -= covered;
         let excess = dur - covered;
@@ -179,6 +164,7 @@ impl Timeline {
             dur,
             excess,
         });
+        let (tasks, records) = cost.shape();
         self.notify(&label, StageKind::MaskedMachine, dur, tasks, records);
         excess
     }
@@ -282,14 +268,23 @@ mod tests {
         Duration::from_secs(v)
     }
 
+    /// A machine stage priced at `v` seconds: a local pass over as many
+    /// records as that takes.
+    fn m(v: u64) -> StageCost {
+        let cost =
+            StageCost::local((s(v).as_nanos() / falcon_dataflow::PER_RECORD.as_nanos()) as usize);
+        assert_eq!(cost.dur(), s(v));
+        cost
+    }
+
     #[test]
     fn masking_consumes_capacity() {
         let mut t = Timeline::new();
         t.crowd("al_matcher", s(100));
-        assert_eq!(t.masked_machine("build_indexes", s(60)), Duration::ZERO);
+        assert_eq!(t.masked_machine("build_indexes", m(60)), Duration::ZERO);
         assert_eq!(t.remaining_capacity(), s(40));
         // Next task exceeds capacity by 10.
-        assert_eq!(t.masked_machine("speculative", s(50)), s(10));
+        assert_eq!(t.masked_machine("speculative", m(50)), s(10));
         assert_eq!(t.remaining_capacity(), Duration::ZERO);
         assert_eq!(t.crowd_time(), s(100));
         assert_eq!(t.machine_time(), s(110));
@@ -300,7 +295,7 @@ mod tests {
     #[test]
     fn unmasked_machine_counts_fully() {
         let mut t = Timeline::new();
-        t.machine("apply_blocking_rules", s(30));
+        t.machine("apply_blocking_rules", m(30));
         t.crowd("eval_rules", s(20));
         assert_eq!(t.machine_time(), s(30));
         assert_eq!(t.unmasked_machine_time(), s(30));
@@ -312,7 +307,7 @@ mod tests {
         let mut t = Timeline::new();
         t.crowd("al", s(10));
         t.crowd("al", s(10));
-        assert_eq!(t.masked_machine("idx", s(15)), Duration::ZERO);
+        assert_eq!(t.masked_machine("idx", m(15)), Duration::ZERO);
         assert_eq!(t.remaining_capacity(), s(5));
     }
 
@@ -321,8 +316,8 @@ mod tests {
         let mut t = Timeline::new();
         t.crowd("al_matcher", s(5));
         t.crowd("al_matcher", s(5));
-        t.machine("apply", s(7));
-        t.masked_machine("apply", s(3)); // fully masked -> 0 excess
+        t.machine("apply", m(7));
+        t.masked_machine("apply", m(3)); // fully masked -> 0 excess
         let by = t.by_operator();
         assert_eq!(by["al_matcher"], s(10));
         assert_eq!(by["apply"], s(7));
@@ -331,7 +326,7 @@ mod tests {
     #[test]
     fn no_capacity_means_no_masking() {
         let mut t = Timeline::new();
-        assert_eq!(t.masked_machine("x", s(9)), s(9));
+        assert_eq!(t.masked_machine("x", m(9)), s(9));
         assert_eq!(t.total_time(), s(9));
     }
 }

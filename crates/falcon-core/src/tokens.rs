@@ -317,6 +317,16 @@ fn assemble(
     profile
 }
 
+/// Input splits over the tuple ids of `table`: mappers read cells from
+/// the shared columnar table by id, so no rows are materialized.
+pub(crate) fn id_splits(cluster: &Cluster, table: &Table) -> Vec<Vec<TupleId>> {
+    cluster
+        .splits(table.len())
+        .into_iter()
+        .map(|r| (r.start as TupleId..r.end as TupleId).collect())
+        .collect()
+}
+
 /// Build one table's profile sequentially (no cluster accounting). Used
 /// where no dataflow context exists. `tfidf` as in
 /// [`build_pair_profiles_par`].
@@ -364,11 +374,9 @@ fn build_profile_par_with(
             .filter(|&id| m.get(id as usize).copied().unwrap_or(false))
             .collect(),
     };
-    let n_splits = cluster.threads() * 2;
-    let chunk = ids.len().div_ceil(n_splits.max(1)).max(1);
-    let splits: Vec<Vec<TupleId>> = ids.chunks(chunk).map(<[TupleId]>::to_vec).collect();
-    let out = run_map_only(cluster, splits, |&id: &TupleId, out| {
-        out.push(profile_id(table, id, spec, tfidf));
+    let splits = cluster.split_slice(&ids);
+    let out = run_map_only(cluster, splits, |ids: &[TupleId], out| {
+        out.extend(ids.iter().map(|&id| profile_id(table, id, spec, tfidf)));
     })?;
     let profile = assemble(
         table.len(),

@@ -28,7 +28,9 @@ fn block_and_match_reaches_high_f1_with_oracle() {
     let mut cfg = small_config();
     cfg.sample_size = 10_000;
     cfg.force_plan = Some(PlanKind::BlockAndMatch);
-    let report = Falcon::new(cfg).run(&d.a, &d.b, OracleCrowd::new(truth));
+    let report = Falcon::new(cfg)
+        .try_run(&d.a, &d.b, OracleCrowd::new(truth))
+        .expect("run");
     let q = report.quality(&d.truth);
     assert!(
         q.f1 > 0.75,
@@ -51,7 +53,9 @@ fn match_only_plan_works_on_tiny_tables() {
     let truth = GroundTruth::new(d.truth.iter().copied());
     let mut cfg = small_config();
     cfg.force_plan = Some(PlanKind::MatchOnly);
-    let report = Falcon::new(cfg).run(&d.a, &d.b, OracleCrowd::new(truth));
+    let report = Falcon::new(cfg)
+        .try_run(&d.a, &d.b, OracleCrowd::new(truth))
+        .expect("run");
     assert_eq!(report.plan, PlanKind::MatchOnly);
     assert!(report.candidate_size.is_none());
     let q = report.quality(&d.truth);
@@ -64,7 +68,9 @@ fn noisy_crowd_degrades_gracefully() {
     let truth = GroundTruth::new(d.truth.iter().copied());
     let mut cfg = small_config();
     cfg.force_plan = Some(PlanKind::BlockAndMatch);
-    let report = Falcon::new(cfg).run(&d.a, &d.b, RandomWorkerCrowd::new(truth, 0.05, 99));
+    let report = Falcon::new(cfg)
+        .try_run(&d.a, &d.b, RandomWorkerCrowd::new(truth, 0.05, 99))
+        .expect("run");
     let q = report.quality(&d.truth);
     assert!(q.f1 > 0.6, "F1 = {:.3} under 5% crowd error", q.f1);
 }
@@ -81,8 +87,12 @@ fn masking_never_changes_matches() {
     on.opt.mask_pair_selection = false;
     let mut off = on.clone();
     off.opt = OptFlags::none();
-    let r_on = Falcon::new(on).run(&d.a, &d.b, OracleCrowd::new(truth.clone()));
-    let r_off = Falcon::new(off).run(&d.a, &d.b, OracleCrowd::new(truth));
+    let r_on = Falcon::new(on)
+        .try_run(&d.a, &d.b, OracleCrowd::new(truth.clone()))
+        .expect("run");
+    let r_off = Falcon::new(off)
+        .try_run(&d.a, &d.b, OracleCrowd::new(truth))
+        .expect("run");
     assert_eq!(r_on.matches, r_off.matches);
     assert_eq!(r_on.candidate_size, r_off.candidate_size);
     // Optimizations reduce (or keep equal) unmasked machine time.
@@ -95,7 +105,9 @@ fn crowd_cost_stays_under_cap() {
     let truth = GroundTruth::new(d.truth.iter().copied());
     let mut cfg = small_config();
     cfg.force_plan = Some(PlanKind::BlockAndMatch);
-    let report = Falcon::new(cfg).run(&d.a, &d.b, RandomWorkerCrowd::new(truth, 0.05, 3));
+    let report = Falcon::new(cfg)
+        .try_run(&d.a, &d.b, RandomWorkerCrowd::new(truth, 0.05, 3))
+        .expect("run");
     assert!(
         report.ledger.cost <= paper_cost_cap(),
         "{}",
@@ -112,7 +124,9 @@ fn report_times_are_consistent() {
     let truth = GroundTruth::new(d.truth.iter().copied());
     let mut cfg = small_config();
     cfg.force_plan = Some(PlanKind::BlockAndMatch);
-    let report = Falcon::new(cfg).run(&d.a, &d.b, OracleCrowd::new(truth));
+    let report = Falcon::new(cfg)
+        .try_run(&d.a, &d.b, OracleCrowd::new(truth))
+        .expect("run");
     assert_eq!(
         report.total_time(),
         report.crowd_time() + report.unmasked_machine_time()

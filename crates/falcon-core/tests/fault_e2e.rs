@@ -3,11 +3,12 @@
 //! stragglers, a lost node) but never *what* is computed — the matched
 //! pairs are bit-identical to a fault-free run.
 
-use falcon_core::driver::{Falcon, FalconConfig};
+use falcon_core::driver::{Falcon, FalconConfig, RunReport};
+use falcon_core::error::FalconError;
 use falcon_core::plan::PlanKind;
 use falcon_crowd::sim::{GroundTruth, RandomWorkerCrowd};
-use falcon_dataflow::{ClusterConfig, FaultPlan};
-use falcon_datagen::citations;
+use falcon_dataflow::{ClusterConfig, DataflowError, FaultPlan, Phase};
+use falcon_datagen::{citations, EmDataset};
 
 fn config(fault: Option<FaultPlan>) -> FalconConfig {
     FalconConfig {
@@ -21,13 +22,21 @@ fn config(fault: Option<FaultPlan>) -> FalconConfig {
     }
 }
 
+fn run(
+    d: &EmDataset,
+    fault: Option<FaultPlan>,
+    crowd: RandomWorkerCrowd,
+) -> Result<RunReport, FalconError> {
+    Falcon::new(config(fault)).try_run(&d.a, &d.b, crowd)
+}
+
 #[test]
 fn heavy_faults_leave_the_matched_pairs_bit_identical() {
     let d = citations::generate(0.0015, 3);
     let truth = GroundTruth::new(d.truth.iter().copied());
     let crowd = || RandomWorkerCrowd::new(truth.clone(), 0.05, 42);
 
-    let clean = Falcon::new(config(None)).run(&d.a, &d.b, crowd());
+    let clean = run(&d, None, crowd()).expect("clean run");
     assert_eq!(clean.faults, Default::default(), "no plan, no faults");
 
     // 30% of attempts fail, 10% straggle (speculation on), and node 0
@@ -38,7 +47,7 @@ fn heavy_faults_leave_the_matched_pairs_bit_identical() {
         .with_straggler_rate(0.1)
         .with_node_loss(1, 0)
         .with_max_attempts(8);
-    let faulty = Falcon::new(config(Some(plan))).run(&d.a, &d.b, crowd());
+    let faulty = run(&d, Some(plan), crowd()).expect("faulty run");
 
     assert_eq!(
         faulty.matches, clean.matches,
@@ -78,32 +87,44 @@ fn heavy_faults_leave_the_matched_pairs_bit_identical() {
 fn fault_injected_runs_are_reproducible_for_a_fixed_seed() {
     let d = citations::generate(0.001, 5);
     let truth = GroundTruth::new(d.truth.iter().copied());
+    // At rate 0.2 a cell exhausts the default 4 attempts with p = 0.0016
+    // and a run has hundreds of cells: 8 attempts make that 2.6e-6.
     let plan = FaultPlan::seeded(99)
         .with_failure_rate(0.2)
-        .with_straggler_rate(0.2);
+        .with_straggler_rate(0.2)
+        .with_max_attempts(8);
     let run = || {
-        Falcon::new(config(Some(plan.clone()))).run(
-            &d.a,
-            &d.b,
-            RandomWorkerCrowd::new(truth.clone(), 0.05, 8),
-        )
+        let crowd = RandomWorkerCrowd::new(truth.clone(), 0.05, 8);
+        run(&d, Some(plan.clone()), crowd).expect("faulty run")
     };
     let (r1, r2) = (run(), run());
     assert_eq!(r1.matches, r2.matches);
     assert_eq!(r1.blocking, r2.blocking);
-    // The fault *schedule* is seed-deterministic; `time_lost` is derived
-    // from measured task durations and so varies run to run.
-    let counters = |r: &falcon_core::driver::RunReport| {
-        let f = r.faults;
-        (
-            f.attempts,
-            f.retries,
-            f.speculative,
-            f.speculative_wins,
-            f.node_loss_failures,
-        )
-    };
-    assert_eq!(counters(&r1), counters(&r2));
+    // Retries and lost time are priced from records, so the whole fault
+    // accounting and the whole timeline repeat, not just the schedule.
+    assert!(r1.faults.retries > 0 && r1.faults.time_lost > std::time::Duration::ZERO);
+    assert_eq!(r1.faults, r2.faults);
+    assert_eq!(r1.timeline.segments(), r2.timeline.segments());
+}
+
+#[test]
+fn a_plan_that_must_exhaust_is_a_typed_error_with_coordinates() {
+    let d = citations::generate(0.001, 5);
+    let truth = GroundTruth::new(d.truth.iter().copied());
+    let plan = FaultPlan::seeded(1).with_failure_rate(1.0);
+    let err = run(&d, Some(plan), RandomWorkerCrowd::new(truth, 0.05, 8))
+        .expect_err("every attempt of every task fails");
+    // The first job of the run (`sample_pairs`' index job) loses its
+    // first map task after the default 4 attempts.
+    match err {
+        FalconError::Dataflow(DataflowError::AttemptsExhausted {
+            job,
+            phase,
+            task,
+            attempts,
+        }) => assert_eq!((job, phase, task, attempts), (0, Phase::Map, 0, 4)),
+        other => panic!("expected AttemptsExhausted, got {other:?}"),
+    }
 }
 
 #[test]
@@ -111,13 +132,13 @@ fn faults_inflate_simulated_machine_time() {
     let d = citations::generate(0.001, 6);
     let truth = GroundTruth::new(d.truth.iter().copied());
     let crowd = || RandomWorkerCrowd::new(truth.clone(), 0.0, 4);
-    let clean = Falcon::new(config(None)).run(&d.a, &d.b, crowd());
-    // Retries with a long backoff dominate the (tiny) real task times.
+    let clean = run(&d, None, crowd()).expect("clean run");
+    // Retries with a long backoff dominate the (tiny) task prices.
     let mut plan = FaultPlan::seeded(13)
         .with_failure_rate(0.4)
         .with_max_attempts(10);
     plan.backoff_base = std::time::Duration::from_secs(1);
-    let faulty = Falcon::new(config(Some(plan))).run(&d.a, &d.b, crowd());
+    let faulty = run(&d, Some(plan), crowd()).expect("faulty run");
     assert_eq!(faulty.matches, clean.matches);
     assert!(
         faulty.machine_time() > clean.machine_time(),

@@ -237,10 +237,10 @@ fn matching_fv_matrix_matches_frozen_digest() {
     }
 }
 
-/// Scores cannot depend on scheduling: thread count moves the chunk
-/// boundaries (so each task's Jaro-Winkler memo sees other pairs first),
-/// fault plans charge retries and speculative copies, and the job shape
-/// the serve `CostModel` prices stages from stays what it was.
+/// Scores cannot depend on scheduling: the thread count decides which
+/// worker scores which split, fault plans charge retries and speculative
+/// copies, and the job shape that stages are priced from is the same at
+/// every thread count.
 #[test]
 fn matching_fvs_are_scheduling_independent() {
     for (d, want) in golden_datasets() {
@@ -250,9 +250,10 @@ fn matching_fvs_are_scheduling_independent() {
             let out = gen_fvs(&small_cluster(threads), &d.a, &d.b, &pairs, &lib.matching)
                 .expect("gen_fvs");
             assert_eq!(fv_digest(&out), want, "{} at {threads} threads", d.name);
-            // 2·threads chunk-as-record splits, counted as pairs; one
-            // profile job per table.
-            assert_eq!(out.stats.map_tasks, threads * 2, "{}", d.name);
+            // One split per `SPLIT_RECORDS` pairs; one profile job per
+            // table.
+            let splits = pairs.len().div_ceil(falcon_dataflow::SPLIT_RECORDS);
+            assert_eq!(out.stats.map_tasks, splits, "{}", d.name);
             assert_eq!(out.stats.input_records, pairs.len(), "{}", d.name);
             assert_eq!(out.stats.output_records, pairs.len(), "{}", d.name);
             assert_eq!(out.prep_stats.len(), 2, "{}", d.name);

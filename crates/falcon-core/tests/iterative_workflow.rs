@@ -21,8 +21,9 @@ fn config() -> FalconConfig {
 fn workflow_terminates_and_reports_estimates() {
     let d = products::generate(0.03, 71);
     let truth = GroundTruth::new(d.truth.iter().copied());
-    let (report, estimates) =
-        Falcon::new(config()).run_workflow(&d.a, &d.b, OracleCrowd::new(truth), 3);
+    let (report, estimates) = Falcon::new(config())
+        .try_run_workflow(&d.a, &d.b, OracleCrowd::new(truth), 3)
+        .expect("run");
     assert!(!estimates.is_empty());
     assert!(estimates.len() <= 3);
     let q = report.quality(&d.truth);
@@ -42,10 +43,12 @@ fn workflow_terminates_and_reports_estimates() {
 fn workflow_never_worse_than_single_pass_by_much() {
     let d = products::generate(0.03, 72);
     let truth = GroundTruth::new(d.truth.iter().copied());
-    let single =
-        Falcon::new(config()).run(&d.a, &d.b, RandomWorkerCrowd::new(truth.clone(), 0.05, 4));
-    let (multi, _) =
-        Falcon::new(config()).run_workflow(&d.a, &d.b, RandomWorkerCrowd::new(truth, 0.05, 4), 3);
+    let single = Falcon::new(config())
+        .try_run(&d.a, &d.b, RandomWorkerCrowd::new(truth.clone(), 0.05, 4))
+        .expect("run");
+    let (multi, _) = Falcon::new(config())
+        .try_run_workflow(&d.a, &d.b, RandomWorkerCrowd::new(truth, 0.05, 4), 3)
+        .expect("run");
     let qs = single.quality(&d.truth);
     let qm = multi.quality(&d.truth);
     assert!(
@@ -60,9 +63,12 @@ fn workflow_never_worse_than_single_pass_by_much() {
 fn workflow_spends_more_crowd_budget_per_extra_round() {
     let d = products::generate(0.02, 73);
     let truth = GroundTruth::new(d.truth.iter().copied());
-    let (r1, _) =
-        Falcon::new(config()).run_workflow(&d.a, &d.b, OracleCrowd::new(truth.clone()), 1);
-    let (r3, e3) = Falcon::new(config()).run_workflow(&d.a, &d.b, OracleCrowd::new(truth), 3);
+    let (r1, _) = Falcon::new(config())
+        .try_run_workflow(&d.a, &d.b, OracleCrowd::new(truth.clone()), 1)
+        .expect("run");
+    let (r3, e3) = Falcon::new(config())
+        .try_run_workflow(&d.a, &d.b, OracleCrowd::new(truth), 3)
+        .expect("run");
     if e3.len() > 1 {
         assert!(r3.ledger.questions > r1.ledger.questions);
     } else {

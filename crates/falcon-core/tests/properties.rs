@@ -4,6 +4,7 @@
 
 use falcon_core::ops::bitmap::Bitmap;
 use falcon_core::rules::{Predicate, Rule, RuleSequence};
+use falcon_core::stage::StageCost;
 use falcon_core::timeline::Timeline;
 use falcon_forest::SplitOp;
 use proptest::prelude::*;
@@ -168,12 +169,13 @@ proptest! {
     fn timeline_arithmetic(ops in proptest::collection::vec((0u8..3, 1u64..1000), 1..40)) {
         let mut t = Timeline::new();
         for (kind, ms) in ops {
-            let d = Duration::from_millis(ms);
+            // A machine stage of `ms` ms: a local pass over 1000 records per ms.
+            let pass = StageCost::local(ms as usize * 1000);
             match kind {
-                0 => t.crowd("c", d),
-                1 => t.machine("m", d),
+                0 => t.crowd("c", Duration::from_millis(ms)),
+                1 => t.machine("m", pass),
                 _ => {
-                    t.masked_machine("x", d);
+                    t.masked_machine("x", pass);
                 }
             }
         }

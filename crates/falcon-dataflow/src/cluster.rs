@@ -2,9 +2,30 @@
 
 use crate::fault::{FaultInjector, FaultPlan, FaultStats};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Records per input split — Hadoop's input-split rule with the block
+/// size counted in records. A job over `n` records has
+/// `n.div_ceil(SPLIT_RECORDS)` map tasks on every host and every
+/// simulated cluster; more nodes mean fewer waves, never other tasks.
+/// Sized on the 2-vCPU benchmark host so the hot jobs (probe, `gen_fvs`,
+/// index build, vote scoring) keep at least `2 × nproc` tasks
+/// (EXPERIMENTS.md, "Pricing fit").
+pub const SPLIT_RECORDS: usize = 512;
+
+/// Simulated compute time per record a task reads (input records for map
+/// tasks, shuffled records for reduce tasks, scanned records for a
+/// driver-local pass). The fit is in EXPERIMENTS.md, "Pricing fit".
+pub const PER_RECORD: Duration = Duration::from_micros(1);
+
+/// Price of a pass over `records` records that launches no cluster job:
+/// per-record compute only, no job or task overhead.
+pub fn local_time(records: u64) -> Duration {
+    PER_RECORD.saturating_mul(u32::try_from(records).unwrap_or(u32::MAX))
+}
 
 /// Static description of the simulated Hadoop cluster.
 ///
@@ -66,6 +87,32 @@ impl ClusterConfig {
     pub fn reduce_slots(&self) -> usize {
         (self.nodes * self.reduce_slots_per_node).max(1)
     }
+
+    /// Simulated slot time of one task attempt over `records` records.
+    pub fn task_time(&self, records: u64) -> Duration {
+        self.task_overhead + local_time(records)
+    }
+
+    /// The one pricing function: simulated duration of a stage of `tasks`
+    /// equal tasks over `records` records on `slots` concurrent slots —
+    /// job overhead, then `ceil(tasks / slots)` waves of
+    /// [`Self::task_time`]. `tasks == 0` is a driver-local pass
+    /// ([`local_time`]). The solo driver's
+    /// [`JobStats::sim_duration`](crate::job::JobStats::sim_duration) is
+    /// the same price with the makespan taken over the job's actual tasks
+    /// (uneven splits, a reduce phase, fault charges); `falcon-serve`
+    /// calls this with the slots it granted.
+    pub fn stage_time(&self, tasks: u32, records: u64, slots: usize) -> Duration {
+        if tasks == 0 {
+            return local_time(records);
+        }
+        let tasks = u64::from(tasks);
+        let waves = tasks.div_ceil(slots.max(1) as u64);
+        self.job_overhead
+            + self
+                .task_time(records.div_ceil(tasks))
+                .saturating_mul(u32::try_from(waves).unwrap_or(u32::MAX))
+    }
 }
 
 /// An execution handle: the simulated configuration plus the real thread
@@ -113,9 +160,30 @@ impl Cluster {
         self
     }
 
-    /// Number of local worker threads used to actually execute tasks.
+    /// Width of the physical worker pool that executes tasks. Affects
+    /// wall time only: no job shape, price or fault coordinate reads it.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// Input splits of a job over `records` records, as consecutive index
+    /// ranges of [`SPLIT_RECORDS`] (the last one shorter) — the only split
+    /// rule, a function of the record count alone.
+    pub fn splits(&self, records: usize) -> Vec<Range<usize>> {
+        (0..records)
+            .step_by(SPLIT_RECORDS)
+            .map(|start| start..(start + SPLIT_RECORDS).min(records))
+            .collect()
+    }
+
+    /// [`Self::splits`] of a slice, lent to the job without copying.
+    pub fn split_slice<'a, T>(&self, records: &'a [T]) -> Vec<&'a [T]> {
+        records.chunks(SPLIT_RECORDS).collect()
+    }
+
+    /// Reduce partitions of a job: one per simulated reduce slot.
+    pub fn reduce_partitions(&self) -> usize {
+        self.config.reduce_slots()
     }
 
     /// Per-mapper memory budget of the simulated cluster.
@@ -165,6 +233,44 @@ mod tests {
             ..ClusterConfig::default()
         };
         assert_eq!(tiny.map_slots(), 1);
+    }
+
+    #[test]
+    fn stage_time_is_overheads_plus_waves_of_records() {
+        let c = ClusterConfig::small(2); // 10 ms job, 1 ms task
+        let ms = Duration::from_millis;
+        // 16 tasks × 1000 records: 4 waves on 4 slots, 1 on 16.
+        assert_eq!(c.stage_time(16, 16_000, 4), ms(10) + 4 * (ms(1) + ms(1)));
+        assert_eq!(c.stage_time(16, 16_000, 16), ms(10) + ms(1) + ms(1));
+        // A local pass pays per-record compute only.
+        assert_eq!(c.stage_time(0, 3_000, 4), ms(3));
+        assert_eq!(c.stage_time(1, 0, 0), ms(11));
+    }
+
+    #[test]
+    fn splits_depend_on_the_record_count_only() {
+        let one = Cluster::new(ClusterConfig::small(1)).with_threads(1);
+        let many = Cluster::new(ClusterConfig::default()).with_threads(8);
+        for n in [
+            0,
+            1,
+            SPLIT_RECORDS,
+            SPLIT_RECORDS + 1,
+            10 * SPLIT_RECORDS - 3,
+        ] {
+            let splits = one.splits(n);
+            assert_eq!(splits, many.splits(n));
+            assert_eq!(splits.len(), n.div_ceil(SPLIT_RECORDS));
+            assert_eq!(splits.iter().map(Range::len).sum::<usize>(), n);
+            assert!(splits.windows(2).all(|w| w[0].end == w[1].start));
+            let lent: Vec<usize> = one
+                .split_slice(&vec![0u8; n])
+                .iter()
+                .map(|s| s.len())
+                .collect();
+            assert_eq!(lent, splits.iter().map(Range::len).collect::<Vec<_>>());
+        }
+        assert_eq!(many.reduce_partitions(), 20);
     }
 
     #[test]

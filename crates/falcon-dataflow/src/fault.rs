@@ -18,8 +18,10 @@
 //!
 //! Failed attempts do not re-execute the user closure (map/reduce
 //! functions are deterministic, so a re-execution would produce the same
-//! bytes); they charge the attempt's measured duration plus exponential
-//! backoff to the task's *slot time*, which flows through
+//! bytes); they charge the attempt's price — the task's slot time, priced
+//! from its records — plus exponential backoff to the task's *slot time*,
+//! so [`FaultStats::time_lost`] is as seed-deterministic as the attempt
+//! counts. The slot time flows through
 //! [`JobStats::sim_duration`](crate::job::JobStats::sim_duration) into the
 //! driver timeline. Real worker panics, by contrast, are caught and
 //! retried for re-runnable phases (map, map-only) and surface as
@@ -27,7 +29,6 @@
 //! job/phase/task/attempt context once attempts are exhausted.
 
 use crate::error::{DataflowError, Phase};
-use crate::sim_time::wall_now;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -295,16 +296,18 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Runs `body` once (map/reduce closures are deterministic, so failed
 /// attempts charge simulated time instead of burning a re-execution),
 /// catches panics, and — when `retry_panics` is set and a [`FaultPlan`]
-/// allows more attempts — re-runs a panicked body Hadoop-style. Returns
-/// the task's output, the total *slot time* the task occupied (all
-/// attempts, backoff waits, straggler slowdown / speculative rescue) and
-/// its fault stats; or a fully-contextualized [`DataflowError`].
+/// allows more attempts — re-runs a panicked body Hadoop-style. `price`
+/// is the slot time of one clean attempt. Returns the task's output, the
+/// total *slot time* the task occupied (all attempts at `price`, backoff
+/// waits, straggler slowdown / speculative rescue) and its fault stats;
+/// or a fully-contextualized [`DataflowError`].
 pub(crate) fn run_attempts<T>(
     injector: Option<&FaultInjector>,
     job: u64,
     phase: Phase,
     task: usize,
     retry_panics: bool,
+    price: Duration,
     mut body: impl FnMut() -> T,
 ) -> Result<(T, Duration, FaultStats), DataflowError> {
     let outcome = injector.map_or_else(TaskFaultOutcome::default, |f| f.outcome(job, phase, task));
@@ -332,14 +335,12 @@ pub(crate) fn run_attempts<T>(
     let mut panic_failures = 0u32;
     let mut panic_lost = Duration::ZERO;
     loop {
-        let t0 = wall_now();
         match catch_unwind(AssertUnwindSafe(&mut body)) {
             Ok(out) => {
-                let d = t0.elapsed();
                 if injector.is_none() {
                     // No fault plan: no accounting, the slot time is the
-                    // plain measured duration.
-                    return Ok((out, d, FaultStats::default()));
+                    // clean attempt's price.
+                    return Ok((out, price, FaultStats::default()));
                 }
                 let mut stats = FaultStats {
                     attempts: (outcome.failed_attempts + panic_failures + 1) as usize,
@@ -350,15 +351,15 @@ pub(crate) fn run_attempts<T>(
                 // Injected failed attempts: full re-execution plus backoff.
                 let mut slot = panic_lost;
                 for a in 0..outcome.failed_attempts {
-                    slot += d + plan.map_or(Duration::ZERO, |p| p.backoff(a));
+                    slot += price + plan.map_or(Duration::ZERO, |p| p.backoff(a));
                 }
                 // The surviving attempt, possibly straggling / rescued.
                 let final_dur = match (outcome.straggler, plan) {
                     (true, Some(p)) => {
-                        let slow = scale(d, p.straggler_slowdown);
+                        let slow = scale(price, p.straggler_slowdown);
                         if p.speculation {
                             stats.speculative += 1;
-                            let backup = scale(d, p.speculation_delay_factor) + d;
+                            let backup = scale(price, p.speculation_delay_factor) + price;
                             if backup < slow {
                                 stats.speculative_wins += 1;
                                 backup
@@ -369,10 +370,10 @@ pub(crate) fn run_attempts<T>(
                             slow
                         }
                     }
-                    _ => d,
+                    _ => price,
                 };
                 slot += final_dur;
-                stats.time_lost = slot.saturating_sub(d);
+                stats.time_lost = slot.saturating_sub(price);
                 if let Some(f) = injector {
                     f.record(&stats);
                 }
@@ -380,7 +381,7 @@ pub(crate) fn run_attempts<T>(
             }
             Err(payload) => {
                 let attempt = outcome.failed_attempts + panic_failures;
-                panic_lost += t0.elapsed() + plan.map_or(Duration::ZERO, |p| p.backoff(attempt));
+                panic_lost += price + plan.map_or(Duration::ZERO, |p| p.backoff(attempt));
                 panic_failures += 1;
                 if !retry_panics || outcome.failed_attempts + panic_failures >= max_attempts {
                     if let Some(f) = injector {
@@ -456,7 +457,8 @@ mod tests {
             4,
         );
         let mut calls = 0usize;
-        let (out, slot, stats) = run_attempts(Some(&inj), 0, Phase::Map, 0, true, || {
+        let price = Duration::from_millis(7);
+        let (out, slot, stats) = run_attempts(Some(&inj), 0, Phase::Map, 0, true, price, || {
             calls += 1;
             42u32
         })
@@ -464,10 +466,12 @@ mod tests {
         assert_eq!(out, 42);
         assert_eq!(calls, 1, "injected failures must not re-run the body");
         assert_eq!(stats.attempts, stats.retries + 1);
-        if stats.retries > 0 {
-            assert!(stats.time_lost > Duration::ZERO);
-            assert!(slot > Duration::ZERO);
-        }
+        // Every failed attempt pays the price again plus its backoff.
+        let failed = inj.outcome(0, Phase::Map, 0).failed_attempts;
+        assert_eq!(stats.retries, failed as usize);
+        let backoff: Duration = (0..failed).map(|a| inj.plan().backoff(a)).sum();
+        assert_eq!(stats.time_lost, price * failed + backoff);
+        assert_eq!(slot, price + stats.time_lost);
     }
 
     #[test]
@@ -478,8 +482,16 @@ mod tests {
                 .with_max_attempts(3),
             4,
         );
-        let err =
-            run_attempts(Some(&inj), 9, Phase::Reduce, 5, false, || 0u8).expect_err("must exhaust");
+        let err = run_attempts(
+            Some(&inj),
+            9,
+            Phase::Reduce,
+            5,
+            false,
+            Duration::ZERO,
+            || 0u8,
+        )
+        .expect_err("must exhaust");
         assert_eq!(
             err,
             DataflowError::AttemptsExhausted {
@@ -496,14 +508,20 @@ mod tests {
         let inj = FaultInjector::new(FaultPlan::seeded(5).with_max_attempts(4), 4);
         // A flaky body that panics twice then succeeds.
         let mut calls = 0usize;
-        let res = run_attempts(Some(&inj), 0, Phase::Map, 0, true, || {
+        let price = Duration::from_millis(3);
+        let res = run_attempts(Some(&inj), 0, Phase::Map, 0, true, price, || {
             calls += 1;
             assert!(calls > 2, "flaky");
             calls
         });
-        assert_eq!(res.map(|(v, _, _)| v), Ok(3));
+        // Two panicked attempts: each pays the price and its backoff.
+        let lost = price * 2 + inj.plan().backoff(0) + inj.plan().backoff(1);
+        assert_eq!(
+            res.map(|(v, slot, st)| (v, slot, st.time_lost)),
+            Ok((3, price + lost, lost))
+        );
         // Without retry_panics the first panic is fatal, with context.
-        let err = run_attempts(Some(&inj), 1, Phase::Reduce, 2, false, || {
+        let err = run_attempts(Some(&inj), 1, Phase::Reduce, 2, false, price, || {
             panic!("poisoned")
         })
         .map(|(v, _, _): (u8, _, _)| v)
@@ -534,27 +552,23 @@ mod tests {
             ..FaultPlan::seeded(2)
         };
         let inj = FaultInjector::new(plan, 4);
-        let (_, slot, stats) = run_attempts(Some(&inj), 0, Phase::Map, 0, true, || {
-            std::thread::sleep(Duration::from_millis(5));
-        })
-        .expect("task");
+        let price = Duration::from_millis(5);
+        let (_, slot, stats) =
+            run_attempts(Some(&inj), 0, Phase::Map, 0, true, price, || ()).expect("task");
         assert_eq!(stats.speculative, 1);
         assert_eq!(stats.speculative_wins, 1);
-        // Rescued at ~2× instead of 4×.
-        assert!(stats.time_lost > Duration::ZERO);
-        assert!(slot < Duration::from_millis(5 * 3));
+        // Rescued at 2× instead of 4×.
+        assert_eq!((slot, stats.time_lost), (price * 2, price));
         // Without speculation the full slowdown is charged.
         let plan = FaultPlan {
             speculation: false,
             ..inj.plan().clone()
         };
         let inj2 = FaultInjector::new(plan, 4);
-        let (_, slot2, stats2) = run_attempts(Some(&inj2), 0, Phase::Map, 0, true, || {
-            std::thread::sleep(Duration::from_millis(5));
-        })
-        .expect("task");
+        let (_, slot2, stats2) =
+            run_attempts(Some(&inj2), 0, Phase::Map, 0, true, price, || ()).expect("task");
         assert_eq!(stats2.speculative, 0);
-        assert!(slot2 > slot / 2, "{slot2:?} vs {slot:?}");
+        assert_eq!(slot2, price * 4);
     }
 
     #[test]

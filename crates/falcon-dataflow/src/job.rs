@@ -36,9 +36,9 @@ impl<K, V> Emitter<K, V> {
     }
 }
 
-/// Statistics for one executed job, including both local wall time and the
-/// simulated cluster time for a given [`ClusterConfig`].
-#[derive(Debug, Clone, Default)]
+/// Statistics for one executed job. Every field but [`Self::wall`] is a
+/// function of the job's input, the [`ClusterConfig`] and the fault seed.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JobStats {
     /// Number of map tasks (input splits).
     pub map_tasks: usize,
@@ -50,13 +50,16 @@ pub struct JobStats {
     pub shuffled_records: usize,
     /// Records produced by reducers (or mappers for map-only jobs).
     pub output_records: usize,
-    /// Simulated slot durations of each map task: measured local wall
-    /// time, inflated by any injected retries, backoff waits and
-    /// straggler slowdown, so fault time flows into [`Self::sim_duration`].
+    /// Simulated slot time of each map task: priced from its records
+    /// ([`ClusterConfig::task_time`] of the split's length), inflated by
+    /// any retries, backoff waits and straggler slowdown, so fault time
+    /// flows into [`Self::sim_duration`].
     pub map_durations: Vec<Duration>,
-    /// Simulated slot durations of each reduce task (see `map_durations`).
+    /// Simulated slot time of each reduce task, priced from the records
+    /// shuffled to its partition (see `map_durations`).
     pub reduce_durations: Vec<Duration>,
-    /// Total local wall-clock duration of the job.
+    /// Measured local wall-clock duration of the job — reporting only;
+    /// nothing prices or branches on it.
     pub wall: Duration,
     /// Fault accounting summed over every task of the job (all zeros
     /// when the cluster has no fault plan).
@@ -64,23 +67,14 @@ pub struct JobStats {
 }
 
 impl JobStats {
-    /// Simulated job duration on a cluster: map-phase makespan over the
-    /// cluster's map slots, plus reduce-phase makespan over its reduce
-    /// slots, plus per-task and per-job overheads.
+    /// Simulated job duration on a cluster: job overhead, plus the
+    /// map-phase makespan of the priced task slot times over the
+    /// cluster's map slots, plus the reduce-phase makespan over its
+    /// reduce slots.
     pub fn sim_duration(&self, cfg: &ClusterConfig) -> Duration {
-        let map_tasks: Vec<Duration> = self
-            .map_durations
-            .iter()
-            .map(|d| *d + cfg.task_overhead)
-            .collect();
-        let reduce_tasks: Vec<Duration> = self
-            .reduce_durations
-            .iter()
-            .map(|d| *d + cfg.task_overhead)
-            .collect();
         cfg.job_overhead
-            + makespan(&map_tasks, cfg.map_slots())
-            + makespan(&reduce_tasks, cfg.reduce_slots())
+            + makespan(&self.map_durations, cfg.map_slots())
+            + makespan(&self.reduce_durations, cfg.reduce_slots())
     }
 }
 

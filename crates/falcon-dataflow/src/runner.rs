@@ -19,8 +19,8 @@ type MapTaskResult<K, V> = (usize, Vec<Vec<(K, V)>>, Duration, FaultStats);
 /// A reduce partition handed off to exactly one worker, which `take`s it.
 type PartitionSlot<K, V> = Mutex<Option<Vec<(K, V)>>>;
 
-/// One completed task: (task index, output records, measured duration,
-/// per-attempt fault accounting).
+/// One completed task: (task index, output records, simulated slot
+/// duration, per-attempt fault accounting).
 type TaskResult<O> = (usize, Vec<O>, Duration, FaultStats);
 
 /// FNV-1a with the standard 64-bit offset basis and prime. Unlike
@@ -92,6 +92,20 @@ fn record_task_error(slot: &Mutex<Option<DataflowError>>, failed: &AtomicBool, e
     }
 }
 
+/// Finished tasks in task order: their outputs concatenated, their slot
+/// durations, their summed faults.
+fn gather<O>(mut results: Vec<TaskResult<O>>) -> (Vec<O>, Vec<Duration>, FaultStats) {
+    results.sort_by_key(|(idx, _, _, _)| *idx);
+    let durations = results.iter().map(|(_, _, d, _)| *d).collect();
+    let mut output = Vec::new();
+    let mut faults = FaultStats::default();
+    for (_, mut out, _, stats) in results {
+        output.append(&mut out);
+        faults.absorb(&stats);
+    }
+    (output, durations, faults)
+}
+
 /// A panic escaped the per-task containment (it happened outside task
 /// execution, e.g. while a worker pushed its result) — report it with
 /// the job coordinates we still know.
@@ -107,8 +121,12 @@ fn scope_panic_error(job: u64, phase: Phase) -> DataflowError {
 
 /// Run a full map-shuffle-reduce job.
 ///
-/// * `splits` — input splits; each becomes one map task.
-/// * `map_fn(record, emitter)` — called per record; emits intermediate pairs.
+/// * `splits` — input splits (see [`Cluster::splits`]), owned `Vec`s or
+///   borrowed slices; each becomes one map task.
+/// * `map_fn(records, emitter)` — called once per map task with its whole
+///   split, like Hadoop's `Mapper::run`, so per-task state (scratch
+///   buffers, batch kernels) lives in the closure body; emits
+///   intermediate pairs.
 /// * `reduce_fn(key, values, out)` — called once per distinct key with all
 ///   its values; pushes output records.
 ///
@@ -116,8 +134,15 @@ fn scope_panic_error(job: u64, phase: Phase) -> DataflowError {
 /// reduce partitions. Output records are concatenated in partition order;
 /// callers needing a total order should sort the output.
 ///
+/// Every task is priced before it runs — [`ClusterConfig::task_time`]
+/// of the split's length for a map task, of the partition's shuffled
+/// records for a reduce task — so [`JobStats`] (but for `wall`) does not
+/// depend on how fast or how parallel the host is.
+///
+/// [`ClusterConfig::task_time`]: crate::cluster::ClusterConfig::task_time
+///
 /// When the cluster carries a [`FaultPlan`](crate::fault::FaultPlan),
-/// injected task failures are re-executed Hadoop-style (their time plus
+/// injected task failures are re-executed Hadoop-style (their price plus
 /// exponential backoff is charged to the task's simulated slot duration),
 /// stragglers run slowed or speculatively rescued, and a panicking map
 /// task is retried until the attempt budget runs out. Job *output* is
@@ -136,8 +161,10 @@ fn scope_panic_error(job: u64, phase: Phase) -> DataflowError {
 ///     &cluster,
 ///     vec![vec!["a b", "b"], vec!["a"]],
 ///     2,
-///     |doc: &&str, e: &mut Emitter<String, u32>| {
-///         for w in doc.split_whitespace() { e.emit(w.to_string(), 1); }
+///     |docs: &[&str], e: &mut Emitter<String, u32>| {
+///         for w in docs.iter().flat_map(|d| d.split_whitespace()) {
+///             e.emit(w.to_string(), 1);
+///         }
 ///     },
 ///     |w: &String, ones: Vec<u32>, out: &mut Vec<(String, u32)>| {
 ///         out.push((w.clone(), ones.len() as u32));
@@ -147,27 +174,28 @@ fn scope_panic_error(job: u64, phase: Phase) -> DataflowError {
 /// counts.sort();
 /// assert_eq!(counts, vec![("a".into(), 2), ("b".into(), 2)]);
 /// ```
-pub fn run_map_reduce<I, K, V, O, M, R>(
+pub fn run_map_reduce<S, I, K, V, O, M, R>(
     cluster: &Cluster,
-    splits: Vec<Vec<I>>,
+    splits: Vec<S>,
     reduce_partitions: usize,
     map_fn: M,
     reduce_fn: R,
 ) -> Result<JobOutput<O>, DataflowError>
 where
-    I: Sync,
+    S: AsRef<[I]> + Sync,
     K: Hash + Eq + Send + Clone,
     V: Send,
     O: Send,
-    M: Fn(&I, &mut Emitter<K, V>) + Sync,
+    M: Fn(&[I], &mut Emitter<K, V>) + Sync,
     R: Fn(&K, Vec<V>, &mut Vec<O>) + Sync,
 {
     let start = wall_now();
     let job = cluster.next_job_id();
     let injector = cluster.fault_injector();
+    let cfg = &cluster.config;
     let reduce_partitions = reduce_partitions.max(1);
     let n_splits = splits.len();
-    let input_records: usize = splits.iter().map(|s| s.len()).sum();
+    let input_records: usize = splits.iter().map(|s| s.as_ref().len()).sum();
 
     // ---- Map phase ----
     let map_results: Mutex<Vec<MapTaskResult<K, V>>> = Mutex::new(Vec::with_capacity(n_splits));
@@ -191,11 +219,11 @@ where
                     if idx >= n_splits {
                         break;
                     }
-                    let attempt = fault::run_attempts(injector, job, Phase::Map, idx, true, || {
+                    let split = splits_ref[idx].as_ref();
+                    let price = cfg.task_time(split.len() as u64);
+                    let run = || {
                         let mut emitter = Emitter::new();
-                        for record in &splits_ref[idx] {
-                            map_ref(record, &mut emitter);
-                        }
+                        map_ref(split, &mut emitter);
                         let mut buckets: Vec<Vec<(K, V)>> =
                             (0..reduce_partitions).map(|_| Vec::new()).collect();
                         for (k, v) in emitter.into_pairs() {
@@ -203,8 +231,8 @@ where
                             buckets[p].push((k, v));
                         }
                         buckets
-                    });
-                    match attempt {
+                    };
+                    match fault::run_attempts(injector, job, Phase::Map, idx, true, price, run) {
                         Ok((buckets, slot, stats)) => {
                             results_ref.lock().push((idx, buckets, slot, stats));
                         }
@@ -279,17 +307,17 @@ where
                     // attempt cannot be re-executed (`retry_panics: false`);
                     // injected failures never run the body and are charged
                     // to sim time only, so they retry fine.
+                    let price = cfg.task_time(pairs.len() as u64);
                     let mut pairs = Some(pairs);
-                    let attempt =
-                        fault::run_attempts(injector, job, Phase::Reduce, pid, false, || {
-                            let mut out = Vec::new();
-                            for (k, vs) in group_in_arrival_order(pairs.take().unwrap_or_default())
-                            {
-                                reduce_ref(&k, vs, &mut out);
-                            }
-                            out
-                        });
-                    match attempt {
+                    let run = || {
+                        let mut out = Vec::new();
+                        for (k, vs) in group_in_arrival_order(pairs.take().unwrap_or_default()) {
+                            reduce_ref(&k, vs, &mut out);
+                        }
+                        out
+                    };
+                    match fault::run_attempts(injector, job, Phase::Reduce, pid, false, price, run)
+                    {
                         Ok((out, slot, stats)) => {
                             results_ref.lock().push((pid, out, slot, stats));
                         }
@@ -303,8 +331,7 @@ where
     if let Some(e) = first_err.lock().take() {
         return Err(e);
     }
-    let mut reduce_results = reduce_results.into_inner();
-    reduce_results.sort_by_key(|(pid, _, _, _)| *pid);
+    let reduce_results = reduce_results.into_inner();
     if reduce_results.len() != reduce_partitions {
         let partition = (0..reduce_partitions)
             .find(|p| !reduce_results.iter().any(|(pid, _, _, _)| pid == p))
@@ -315,14 +342,8 @@ where
             partition,
         });
     }
-    let reduce_durations: Vec<Duration> = reduce_results.iter().map(|(_, _, d, _)| *d).collect();
-    for (_, _, _, stats) in &reduce_results {
-        fault_totals.absorb(stats);
-    }
-    let mut output = Vec::new();
-    for (_, mut out, _, _) in reduce_results {
-        output.append(&mut out);
-    }
+    let (output, reduce_durations, reduce_faults) = gather(reduce_results);
+    fault_totals.absorb(&reduce_faults);
 
     let stats = JobStats {
         map_tasks: n_splits,
@@ -338,25 +359,26 @@ where
     Ok(JobOutput { output, stats })
 }
 
-/// Run a map-only job: each record maps to zero or more output records, no
-/// shuffle or reduce (the implementation of `gen_fvs` and `apply_matcher`
-/// in the paper, Sections 8 and 9). Fault injection and panic retry work
-/// as in [`run_map_reduce`].
-pub fn run_map_only<I, O, M>(
+/// Run a map-only job: `map_fn(records, out)` maps each split to zero or
+/// more output records, no shuffle or reduce (the implementation of
+/// `gen_fvs` and `apply_matcher` in the paper, Sections 8 and 9). Pricing,
+/// fault injection and panic retry work as in [`run_map_reduce`].
+pub fn run_map_only<S, I, O, M>(
     cluster: &Cluster,
-    splits: Vec<Vec<I>>,
+    splits: Vec<S>,
     map_fn: M,
 ) -> Result<JobOutput<O>, DataflowError>
 where
-    I: Sync,
+    S: AsRef<[I]> + Sync,
     O: Send,
-    M: Fn(&I, &mut Vec<O>) + Sync,
+    M: Fn(&[I], &mut Vec<O>) + Sync,
 {
     let start = wall_now();
     let job = cluster.next_job_id();
     let injector = cluster.fault_injector();
+    let cfg = &cluster.config;
     let n_splits = splits.len();
-    let input_records: usize = splits.iter().map(|s| s.len()).sum();
+    let input_records: usize = splits.iter().map(|s| s.as_ref().len()).sum();
     let results: Mutex<Vec<TaskResult<O>>> = Mutex::new(Vec::with_capacity(n_splits));
     let first_err: Mutex<Option<DataflowError>> = Mutex::new(None);
     let failed = AtomicBool::new(false);
@@ -378,15 +400,15 @@ where
                     if idx >= n_splits {
                         break;
                     }
-                    let attempt =
-                        fault::run_attempts(injector, job, Phase::MapOnly, idx, true, || {
-                            let mut out = Vec::new();
-                            for record in &splits_ref[idx] {
-                                map_ref(record, &mut out);
-                            }
-                            out
-                        });
-                    match attempt {
+                    let split = splits_ref[idx].as_ref();
+                    let price = cfg.task_time(split.len() as u64);
+                    let run = || {
+                        let mut out = Vec::new();
+                        map_ref(split, &mut out);
+                        out
+                    };
+                    match fault::run_attempts(injector, job, Phase::MapOnly, idx, true, price, run)
+                    {
                         Ok((out, slot, stats)) => {
                             results_ref.lock().push((idx, out, slot, stats));
                         }
@@ -400,17 +422,7 @@ where
     if let Some(e) = first_err.lock().take() {
         return Err(e);
     }
-    let mut results = results.into_inner();
-    results.sort_by_key(|(idx, _, _, _)| *idx);
-    let map_durations: Vec<Duration> = results.iter().map(|(_, _, d, _)| *d).collect();
-    let mut fault_totals = FaultStats::default();
-    for (_, _, _, stats) in &results {
-        fault_totals.absorb(stats);
-    }
-    let mut output = Vec::new();
-    for (_, mut out, _, _) in results {
-        output.append(&mut out);
-    }
+    let (output, map_durations, fault_totals) = gather(results.into_inner());
     let stats = JobStats {
         map_tasks: n_splits,
         reduce_tasks: 0,
@@ -442,8 +454,8 @@ mod tests {
             &cluster(),
             docs,
             3,
-            |doc: &&str, e: &mut Emitter<String, u32>| {
-                for w in doc.split_whitespace() {
+            |docs: &[&str], e: &mut Emitter<String, u32>| {
+                for w in docs.iter().flat_map(|d| d.split_whitespace()) {
                     e.emit(w.to_string(), 1);
                 }
             },
@@ -467,6 +479,12 @@ mod tests {
         assert_eq!(out.stats.shuffled_records, 9);
         assert_eq!(out.stats.output_records, 3);
         assert_eq!(out.stats.faults, FaultStats::default());
+        // Priced from records: 2 records per map task; partition sizes sum
+        // to the shuffle volume.
+        let cfg = &cluster().config;
+        assert_eq!(out.stats.map_durations, vec![cfg.task_time(2); 2]);
+        let reduce: Duration = out.stats.reduce_durations.iter().sum();
+        assert_eq!(reduce, cfg.task_time(0) * 3 + crate::cluster::local_time(9));
     }
 
     #[test]
@@ -498,9 +516,11 @@ mod tests {
         let out = run_map_only(
             &cluster(),
             vec![vec![1, 2], vec![3]],
-            |x: &i32, out: &mut Vec<i32>| {
-                out.push(x * 10);
-                out.push(x * 10 + 1);
+            |xs: &[i32], out: &mut Vec<i32>| {
+                for x in xs {
+                    out.push(x * 10);
+                    out.push(x * 10 + 1);
+                }
             },
         )
         .expect("job");
@@ -514,7 +534,7 @@ mod tests {
             &cluster(),
             Vec::<Vec<u32>>::new(),
             4,
-            |_: &u32, _: &mut Emitter<u32, u32>| {},
+            |_: &[u32], _: &mut Emitter<u32, u32>| {},
             |_: &u32, _: Vec<u32>, _: &mut Vec<u32>| {},
         )
         .expect("job");
@@ -527,8 +547,8 @@ mod tests {
         let err = run_map_only(
             &cluster(),
             vec![vec![1u32], vec![2]],
-            |x: &u32, _out: &mut Vec<u32>| {
-                assert!(*x != 2, "poisoned record");
+            |xs: &[u32], _out: &mut Vec<u32>| {
+                assert!(xs != [2], "poisoned record");
             },
         )
         .expect_err("worker panic must surface");
@@ -553,7 +573,7 @@ mod tests {
             &cluster(),
             vec![vec![1u32, 2, 3]],
             2,
-            |x: &u32, e: &mut Emitter<u32, u32>| e.emit(*x, *x),
+            |xs: &[u32], e: &mut Emitter<u32, u32>| xs.iter().for_each(|x| e.emit(*x, *x)),
             |k: &u32, _vs: Vec<u32>, _out: &mut Vec<(u32, u32)>| {
                 assert!(*k != 2, "poisoned key");
             },
@@ -580,17 +600,19 @@ mod tests {
         let out = run_map_only(
             &cluster,
             vec![vec![1u32], vec![2]],
-            |x: &u32, out: &mut Vec<u32>| {
-                if *x == 2 && crashes.fetch_add(1, Ordering::Relaxed) == 0 {
+            |xs: &[u32], out: &mut Vec<u32>| {
+                if xs == [2] && crashes.fetch_add(1, Ordering::Relaxed) == 0 {
                     panic!("transient");
                 }
-                out.push(*x * 10);
+                out.extend(xs.iter().map(|x| x * 10));
             },
         )
         .expect("job must recover via retry");
         assert_eq!(out.output, vec![10, 20]);
         assert_eq!(out.stats.faults.retries, 1);
-        assert!(out.stats.faults.time_lost > Duration::ZERO);
+        // The lost attempt costs its price again plus the first backoff.
+        let lost = cluster.config.task_time(1) + FaultPlan::seeded(3).backoff(0);
+        assert_eq!(out.stats.faults.time_lost, lost);
     }
 
     #[test]
@@ -604,7 +626,7 @@ mod tests {
             &cluster(),
             splits,
             5,
-            |x: &u32, e: &mut Emitter<u32, u32>| e.emit(x % 7, *x),
+            |xs: &[u32], e: &mut Emitter<u32, u32>| xs.iter().for_each(|x| e.emit(x % 7, *x)),
             |k: &u32, vs: Vec<u32>, out: &mut Vec<(u32, usize)>| out.push((*k, vs.len())),
         )
         .expect("job");
@@ -625,7 +647,7 @@ mod tests {
             &cluster(),
             splits,
             7,
-            |x: &u64, e: &mut Emitter<u64, u64>| e.emit(x % 10, *x),
+            |xs: &[u64], e: &mut Emitter<u64, u64>| xs.iter().for_each(|x| e.emit(x % 10, *x)),
             |k: &u64, vs: Vec<u64>, out: &mut Vec<(u64, u64)>| out.push((*k, vs.iter().sum())),
         )
         .expect("job");
@@ -647,48 +669,37 @@ mod tests {
 /// optimization — the token-frequency job of the paper's Section 7.5 is
 /// the textbook use). Fault injection applies through the underlying
 /// map-reduce execution.
-pub fn run_map_combine_reduce<I, K, V, O, M, CB, R>(
+pub fn run_map_combine_reduce<S, I, K, V, O, M, CB, R>(
     cluster: &Cluster,
-    splits: Vec<Vec<I>>,
+    splits: Vec<S>,
     reduce_partitions: usize,
     map_fn: M,
     combine_fn: CB,
     reduce_fn: R,
 ) -> Result<JobOutput<O>, DataflowError>
 where
-    I: Sync,
+    S: AsRef<[I]> + Sync,
     K: Hash + Eq + Send + Clone,
     V: Send,
     O: Send,
-    M: Fn(&I, &mut Emitter<K, V>) + Sync,
+    M: Fn(&[I], &mut Emitter<K, V>) + Sync,
     CB: Fn(&K, Vec<V>) -> V + Sync,
     R: Fn(&K, Vec<V>, &mut Vec<O>) + Sync,
 {
-    let combine_ref = &combine_fn;
-    let map_ref = &map_fn;
-    let true_input_records: usize = splits.iter().map(Vec::len).sum();
-    // Re-split so each original split becomes a single record: the
-    // combiner then runs once per map task, exactly like Hadoop's.
-    let wrapped: Vec<Vec<Vec<I>>> = splits.into_iter().map(|s| vec![s]).collect();
-    let mut out = run_map_reduce(
+    run_map_reduce(
         cluster,
-        wrapped,
+        splits,
         reduce_partitions,
-        move |records: &Vec<I>, emitter: &mut Emitter<K, V>| {
+        |records: &[I], emitter: &mut Emitter<K, V>| {
             let mut local = Emitter::new();
-            for record in records {
-                map_ref(record, &mut local);
-            }
+            map_fn(records, &mut local);
             for (k, vs) in group_in_arrival_order(local.into_pairs()) {
-                let combined = combine_ref(&k, vs);
+                let combined = combine_fn(&k, vs);
                 emitter.emit(k, combined);
             }
         },
         reduce_fn,
-    )?;
-    // input_records counted wrapped splits; restore the true record count.
-    out.stats.input_records = true_input_records;
-    Ok(out)
+    )
 }
 
 #[cfg(test)]
@@ -704,8 +715,8 @@ mod combiner_tests {
             &cluster,
             docs.clone(),
             2,
-            |doc: &&str, e: &mut Emitter<String, u64>| {
-                for w in doc.split_whitespace() {
+            |docs: &[&str], e: &mut Emitter<String, u64>| {
+                for w in docs.iter().flat_map(|d| d.split_whitespace()) {
                     e.emit(w.to_string(), 1);
                 }
             },
@@ -718,8 +729,8 @@ mod combiner_tests {
             &cluster,
             docs,
             2,
-            |doc: &&str, e: &mut Emitter<String, u64>| {
-                for w in doc.split_whitespace() {
+            |docs: &[&str], e: &mut Emitter<String, u64>| {
+                for w in docs.iter().flat_map(|d| d.split_whitespace()) {
                     e.emit(w.to_string(), 1);
                 }
             },

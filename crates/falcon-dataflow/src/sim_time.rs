@@ -1,13 +1,9 @@
-//! Simulated-time accounting: schedule measured task durations onto the
+//! Simulated-time accounting: schedule priced task slot times onto the
 //! simulated cluster's slots and report the makespan.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
-
-/// A simulated duration (alias kept for API clarity: simulated cluster time
-/// as opposed to local wall time).
-pub type SimDuration = Duration;
 
 /// Makespan of scheduling `tasks` onto `slots` identical slots using the
 /// Longest-Processing-Time-first greedy rule (the classic 4/3-approximation,
@@ -33,16 +29,14 @@ pub fn makespan(tasks: &[Duration], slots: usize) -> Duration {
         .unwrap_or(Duration::ZERO)
 }
 
-/// The single sanctioned wall-clock read for the workspace.
-///
-/// Everything outside the bench harness must account time against the
-/// *simulated* cluster; the only legitimate uses of real time are the
-/// per-task duration measurements that feed [`makespan`]. Those reads are
-/// funneled through this function so that `falcon-lint`'s `sim-time` rule
-/// can ban `Instant::now` everywhere else and keep accidental wall-clock
-/// dependencies out of operator and driver logic.
+/// The single wall-clock read of the engine, private to this crate: it
+/// stamps [`JobStats::wall`](crate::job::JobStats::wall), a reported
+/// sibling of the simulated clock that nothing prices or branches on.
+/// Every simulated duration is priced from records, so no operator or
+/// driver can reach a measured `Duration` to feed a timeline with, and
+/// `falcon-lint`'s `sim-time` rule bans `Instant::now` everywhere else.
 #[must_use]
-pub fn wall_now() -> Instant {
+pub(crate) fn wall_now() -> Instant {
     // falcon-lint: allow(sim-time)
     Instant::now()
 }

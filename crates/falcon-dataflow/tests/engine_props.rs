@@ -43,7 +43,9 @@ proptest! {
             &cluster(),
             split(data, n_splits),
             partitions,
-            |x: &u32, e: &mut Emitter<u32, u64>| e.emit(x % modulus, u64::from(*x)),
+            |xs: &[u32], e: &mut Emitter<u32, u64>| {
+                xs.iter().for_each(|x| e.emit(x % modulus, u64::from(*x)));
+            },
             |k: &u32, vs: Vec<u64>, out: &mut Vec<(u32, u64)>| {
                 out.push((*k, vs.iter().sum()));
             },
@@ -60,7 +62,7 @@ proptest! {
         data in proptest::collection::vec(0u32..50, 1..200),
         n_splits in 1usize..6,
     ) {
-        let map = |x: &u32, e: &mut Emitter<u32, u64>| e.emit(x % 5, 1u64);
+        let map = |xs: &[u32], e: &mut Emitter<u32, u64>| xs.iter().for_each(|x| e.emit(x % 5, 1u64));
         let reduce = |k: &u32, vs: Vec<u64>, out: &mut Vec<(u32, u64)>| {
             out.push((*k, vs.iter().sum()));
         };
@@ -85,8 +87,8 @@ proptest! {
         n_splits in 1usize..6,
     ) {
         let expected: Vec<u32> = data.iter().map(|x| x * 2).collect();
-        let out = run_map_only(&cluster(), split(data, n_splits), |x: &u32, out| {
-            out.push(x * 2);
+        let out = run_map_only(&cluster(), split(data, n_splits), |xs: &[u32], out| {
+            out.extend(xs.iter().map(|x| x * 2));
         }).unwrap();
         prop_assert_eq!(out.output, expected);
     }

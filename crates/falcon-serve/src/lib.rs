@@ -46,9 +46,11 @@
 //!   recovery, deadline or quarantine cannot perturb another tenant's
 //!   bit-identical results;
 //! * **determinism** — the scheduler drains tenants in lockstep rounds
-//!   and prices stages from deterministic shapes, so placements, ledgers
-//!   and every virtual-time statistic are identical at any
-//!   [`ServeConfig::threads`] setting;
+//!   and prices stages from their shapes with the one pricing function
+//!   the solo driver uses (`ClusterConfig::stage_time`, on the slots it
+//!   grants), so placements, ledgers, timelines and every virtual-time
+//!   statistic are a function of inputs, config and seed — identical at
+//!   any [`ServeConfig::threads`] setting and on any host;
 //! * **resume-identity** — kill the service after any journaled round,
 //!   resume, and every per-tenant report, crowd journal and the
 //!   aggregate ledger is byte-identical to an uninterrupted run.
@@ -57,7 +59,6 @@
 
 pub mod admission;
 pub mod chaos;
-pub mod cost;
 pub mod error;
 pub mod gate;
 pub mod job;
@@ -65,7 +66,6 @@ pub mod journal;
 pub mod sched;
 
 pub use admission::{AdmissionConfig, AdmissionPolicy, TenantQuota};
-pub use cost::CostModel;
 pub use error::{ServeError, SERVICE_TENANT};
 pub use job::JobSpec;
 pub use sched::{
@@ -78,7 +78,8 @@ use falcon_table::IdPair;
 /// Everything in a [`ServeReport`] that must be invariant across thread
 /// counts and kill/resume, flattened to an easily-diffable form:
 /// per-tenant virtual times, service, stage counts, statuses, match
-/// digests and ledger counters, plus the aggregates. Shared by the
+/// digests, ledger counters and solo timelines (every segment is priced,
+/// none measured), plus the aggregates. Shared by the
 /// determinism proptest, the chaos harness and the `serve_chaos` bench so
 /// they all assert the same notion of identity.
 pub fn serve_fingerprint(rep: &ServeReport) -> Vec<(String, u128)> {
@@ -107,15 +108,16 @@ pub fn serve_fingerprint(rep: &ServeReport) -> Vec<(String, u128)> {
                     format!("{}/crowd_time", o.name),
                     report.ledger.crowd_time.as_nanos(),
                 ));
+                let segments = format!("{:?}", report.timeline.segments());
+                fp.push((
+                    format!("{}/timeline", o.name),
+                    u128::from(journal::fnv64(&segments)),
+                ));
             }
-            Err(e) => {
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                for b in e.to_string().bytes() {
-                    h ^= u64::from(b);
-                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                }
-                fp.push((format!("{}/error", o.name), u128::from(h)));
-            }
+            Err(e) => fp.push((
+                format!("{}/error", o.name),
+                u128::from(journal::fnv64(&e.to_string())),
+            )),
         }
     }
     let agg = rep.aggregate_ledger();

@@ -58,7 +58,6 @@
 //!   record ends. Any divergence is a typed [`ServeError`].
 
 use crate::admission::{admit, AdmitDecision};
-use crate::cost::CostModel;
 use crate::error::{ServeError, SERVICE_TENANT};
 use crate::gate::{Permits, ServeGate};
 use crate::job::JobSpec;
@@ -67,7 +66,7 @@ use falcon_core::driver::{Falcon, RunReport};
 use falcon_core::error::FalconError;
 use falcon_core::stage::{CancelReason, StageControl, StageEvent, StageKind};
 use falcon_crowd::{CrowdJournal, Ledger};
-use falcon_dataflow::{DataflowError, DetRng, Phase};
+use falcon_dataflow::{ClusterConfig, DataflowError, DetRng, Phase};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
@@ -151,8 +150,6 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Seed for [`Policy::Random`].
     pub seed: u64,
-    /// Stage pricing.
-    pub cost: CostModel,
     /// Admission control and per-tenant quotas.
     pub admission: crate::admission::AdmissionConfig,
     /// Seeded mid-run capacity changes (node loss / node join).
@@ -176,7 +173,6 @@ impl Default for ServeConfig {
             policy: Policy::FairShare,
             threads: 4,
             seed: 0,
-            cost: CostModel::default(),
             admission: crate::admission::AdmissionConfig::default(),
             pool_events: Vec::new(),
             degraded: DegradedPolicy::default(),
@@ -191,12 +187,11 @@ impl ServeConfig {
         // Wall-clock-only and per-run knobs (threads, journal path, kill
         // point) are excluded so a resumed run matches its original.
         fnv64(&format!(
-            "{} {} {:?} {} {:?} {:?} {:?} {:?}",
+            "{} {} {:?} {} {:?} {:?} {:?}",
             self.pool_nodes,
             self.slots_per_node,
             self.policy,
             self.seed,
-            self.cost,
             self.admission,
             self.pool_events,
             self.degraded,
@@ -404,12 +399,20 @@ struct Placed {
     nodes: i64,
 }
 
+/// How the shared pool prices a machine stage: as a simulated cluster
+/// with the default job and task overheads, on the slots of the nodes it
+/// grants. The formula is [`ClusterConfig::stage_time`], the one the solo
+/// driver's timeline is priced by; measured time never enters it.
+fn pool_pricing() -> ClusterConfig {
+    ClusterConfig::default()
+}
+
 /// Place one stage for one tenant; shared by the live loop and the
 /// serial replay so both price work identically.
 fn apply_stage(
     clock: &mut TenantClock,
     pool: &mut PoolSim,
-    cost: &CostModel,
+    pricing: &ClusterConfig,
     slots_per_node: usize,
     node_cap: usize,
     ev: &StageEvent,
@@ -430,11 +433,17 @@ fn apply_stage(
             } else {
                 clock.finish()
             };
-            let mut want = CostModel::nodes_wanted(ev, slots_per_node)
-                .min(node_cap.max(1))
-                .max(1) as i64;
+            let slots_per_node = slots_per_node.max(1);
+            // One slot per task, expressed in nodes (a local pass holds one).
+            let mut want = (ev.tasks.max(1) as usize)
+                .div_ceil(slots_per_node)
+                .min(node_cap.max(1)) as i64;
             want = want.min(pool.max_cap_from(ready));
-            let mut dur = ns(cost.duration(ev, want as usize, slots_per_node)).max(1);
+            let dur_on = |nodes: i64| {
+                let slots = nodes as usize * slots_per_node;
+                ns(pricing.stage_time(ev.tasks, ev.records, slots)).max(1)
+            };
+            let mut dur = dur_on(want);
             let start = match pool.try_earliest(ready, want, dur) {
                 Some(s) => s,
                 None => {
@@ -443,7 +452,7 @@ fn apply_stage(
                     // re-place on the steady-state capacity — fewer
                     // nodes, more waves, but guaranteed to fit.
                     want = want.min(pool.final_cap).max(1);
-                    dur = ns(cost.duration(ev, want as usize, slots_per_node)).max(1);
+                    dur = dur_on(want);
                     pool.try_earliest(ready, want, dur)
                         .unwrap_or(pool.horizon.max(ready))
                 }
@@ -800,6 +809,7 @@ pub fn serve(jobs: Vec<JobSpec>, cfg: &ServeConfig) -> Result<ServeReport, Serve
 
     // ---- Round loop -------------------------------------------------
     let mut pool = PoolSim::new(cfg.pool_nodes, &cfg.pool_events);
+    let pricing = pool_pricing();
     let mut round: u64 = 0;
     let mut replayed_rounds: u64 = 0;
     let mut killed_at: Option<u64> = None;
@@ -847,7 +857,7 @@ pub fn serve(jobs: Vec<JobSpec>, cfg: &ServeConfig) -> Result<ServeReport, Serve
                             let placed = apply_stage(
                                 &mut t.clock,
                                 &mut pool,
-                                &cfg.cost,
+                                &pricing,
                                 cfg.slots_per_node,
                                 cfg.pool_nodes,
                                 &ev,
@@ -945,7 +955,7 @@ pub fn serve(jobs: Vec<JobSpec>, cfg: &ServeConfig) -> Result<ServeReport, Serve
             let placed = apply_stage(
                 &mut t.clock,
                 &mut pool,
-                &cfg.cost,
+                &pricing,
                 cfg.slots_per_node,
                 stage_cap,
                 ev,
@@ -956,9 +966,8 @@ pub fn serve(jobs: Vec<JobSpec>, cfg: &ServeConfig) -> Result<ServeReport, Serve
                 StageKind::MaskedMachine => "k",
                 StageKind::CrowdWait => "w",
             };
-            // Journal the cost-model duration, never the measured
-            // `ev.dur`: measured wall time is run-to-run noise and would
-            // break byte-identical resume.
+            // Journal the duration priced on the granted nodes, not the
+            // tenant's solo-cluster `ev.dur`.
             lines.push(format!(
                 "p {idx} {seq} {kind} {} {} {} {} {} {} {}",
                 ev.label,
@@ -1359,6 +1368,7 @@ fn sort_pending(
 
 fn replay_serial(tenants: &[Tenant], cfg: &ServeConfig) -> (u64, f64, Vec<Duration>) {
     let mut pool = PoolSim::new(cfg.pool_nodes, &cfg.pool_events);
+    let pricing = pool_pricing();
     // Serve in submission order, respecting arrivals: the next job starts
     // no earlier than its arrival or the previous job's finish.
     let mut clock_base: u64 = 0;
@@ -1370,7 +1380,7 @@ fn replay_serial(tenants: &[Tenant], cfg: &ServeConfig) -> (u64, f64, Vec<Durati
             apply_stage(
                 &mut clock,
                 &mut pool,
-                &cfg.cost,
+                &pricing,
                 cfg.slots_per_node,
                 cfg.pool_nodes,
                 ev,
@@ -1514,7 +1524,7 @@ mod tests {
                 delta: -3,
             }],
         );
-        let cost = CostModel::small();
+        let cost = ClusterConfig::small(1);
         let mut clock = TenantClock::at(1000);
         let placed = apply_stage(
             &mut clock,
@@ -1530,7 +1540,7 @@ mod tests {
 
     #[test]
     fn masked_stages_run_under_crowd_windows() {
-        let cost = CostModel::small();
+        let cost = ClusterConfig::small(1);
         let mut pool = fixed(4);
         let mut clock = TenantClock::at(0);
         apply_stage(

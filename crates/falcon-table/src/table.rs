@@ -220,17 +220,6 @@ impl Table {
             n_rows: n.min(self.n_rows),
         }
     }
-
-    /// Split row ids into `k` contiguous chunks for parallel scans.
-    pub fn splits(&self, k: usize) -> Vec<std::ops::Range<usize>> {
-        let n = self.len();
-        let k = k.max(1);
-        let chunk = n.div_ceil(k).max(1);
-        (0..n)
-            .step_by(chunk)
-            .map(|s| s..(s + chunk).min(n))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -291,17 +280,6 @@ mod tests {
         assert_eq!(h.name(), "people[..2]");
         assert_eq!(h.rows(), t().rows()[..2]);
         assert_eq!(t().head(9).rows(), t().rows());
-    }
-
-    #[test]
-    fn splits_cover_all_rows() {
-        let t = t();
-        for k in 1..6 {
-            let splits = t.splits(k);
-            let total: usize = splits.iter().map(|r| r.len()).sum();
-            assert_eq!(total, t.len(), "k={k}");
-        }
-        assert_eq!(t.head(0).splits(4).len(), 0);
     }
 
     #[test]

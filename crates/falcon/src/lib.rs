@@ -20,10 +20,11 @@
 //! config.sample_size = 2_000;
 //! config.cluster = ClusterConfig::small(4);
 //!
-//! let report = Falcon::new(config).run(&data.a, &data.b, crowd);
+//! let report = Falcon::new(config).try_run(&data.a, &data.b, crowd)?;
 //! let quality = report.quality(&data.truth);
 //! assert!(quality.f1 > 0.0);
 //! println!("F1 = {:.3}, cost = ${:.2}", quality.f1, report.ledger.cost);
+//! # Ok::<(), FalconError>(())
 //! ```
 //!
 //! The heavy lifting lives in the component crates, re-exported here:
@@ -53,6 +54,7 @@ pub use falcon_textsim as textsim;
 /// Everything needed to run Falcon end to end.
 pub mod prelude {
     pub use falcon_core::driver::{Falcon, FalconConfig, RunReport};
+    pub use falcon_core::error::FalconError;
     pub use falcon_core::metrics::{blocking_recall, em_quality, EmQuality};
     pub use falcon_core::optimizer::OptFlags;
     pub use falcon_core::physical::PhysicalOp;

@@ -21,7 +21,7 @@ fn load(path: &str) -> Table {
     csv::read_table(path, BufReader::new(f)).unwrap_or_else(|e| panic!("parse {path}: {e}"))
 }
 
-fn main() {
+fn main() -> Result<(), FalconError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (a, b, demo_truth) = if args.len() >= 2 {
         (load(&args[0]), load(&args[1]), None)
@@ -65,7 +65,7 @@ fn main() {
         // dependent, so a scripted stdin can't be precomputed); a real
         // session uses the InteractiveCrowd branch below.
         let oracle = OracleCrowd::new(GroundTruth::new(truth.iter().copied()));
-        let report = Falcon::new(config).run(&a, &b, oracle);
+        let report = Falcon::new(config).try_run(&a, &b, oracle)?;
         let q = report.quality(&truth);
         println!(
             "demo result: P {:.1}% R {:.1}% F1 {:.1}%",
@@ -81,7 +81,7 @@ fn main() {
             BufReader::new(std::io::stdin()),
             std::io::stdout(),
         );
-        Falcon::new(config).run(&a, &b, crowd)
+        Falcon::new(config).try_run(&a, &b, crowd)?
     };
 
     println!("\n{} matches found:", report.matches.len());
@@ -95,4 +95,5 @@ fn main() {
     if report.matches.len() > 25 {
         println!("  ... and {} more", report.matches.len() - 25);
     }
+    Ok(())
 }

@@ -126,7 +126,7 @@ fn main() {
                 "  {:<16} {:>8} candidates, simulated {:?}",
                 out.op.name(),
                 out.candidates.len(),
-                out.duration
+                out.cost(&cluster.config).dur()
             ),
             Err(e) => println!("  {:<16} KILLED: {e}", op.name()),
         }

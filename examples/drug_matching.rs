@@ -21,7 +21,7 @@ fn drug_tables(scale: f64) -> EmDataset {
     falcon::datagen::drugs::generate(scale, 77)
 }
 
-fn run(opt: OptFlags, data: &EmDataset) -> falcon::core::driver::RunReport {
+fn run(opt: OptFlags, data: &EmDataset) -> Result<RunReport, FalconError> {
     let truth = GroundTruth::new(data.truth.iter().copied());
     let expert = ExpertCrowd::new(truth, 5);
     let config = FalconConfig {
@@ -29,10 +29,10 @@ fn run(opt: OptFlags, data: &EmDataset) -> falcon::core::driver::RunReport {
         opt,
         ..FalconConfig::default()
     };
-    Falcon::new(config).run(&data.a, &data.b, expert)
+    Falcon::new(config).try_run(&data.a, &data.b, expert)
 }
 
-fn main() {
+fn main() -> Result<(), FalconError> {
     let data = drug_tables(0.008);
     println!(
         "Drug matching: {} x {} descriptions, {} true matches, expert crowd of 1",
@@ -41,8 +41,8 @@ fn main() {
         data.truth.len()
     );
 
-    let unopt = run(OptFlags::none(), &data);
-    let opt = run(OptFlags::default(), &data);
+    let unopt = run(OptFlags::none(), &data)?;
+    let opt = run(OptFlags::default(), &data)?;
 
     let uq = unopt.quality(&data.truth);
     let oq = opt.quality(&data.truth);
@@ -80,4 +80,5 @@ fn main() {
         "Expert labeled {} pairs at $0 crowd cost.",
         opt.ledger.questions
     );
+    Ok(())
 }

@@ -7,7 +7,7 @@
 
 use falcon::prelude::*;
 
-fn main() {
+fn main() -> Result<(), FalconError> {
     // 1. Get two tables to match. Here: the synthetic Products dataset at
     //    5% of the paper's scale (~128 × ~1.1K tuples). In a real
     //    deployment you would load CSVs via `falcon::table::csv`.
@@ -37,7 +37,7 @@ fn main() {
     // 4. Run hands-off EM: Falcon samples pairs, crowd-learns blocking
     //    rules, evaluates them with the crowd, blocks A x B with
     //    index-based filters, then crowd-learns and applies a matcher.
-    let report = Falcon::new(config).run(&data.a, &data.b, crowd);
+    let report = Falcon::new(config).try_run(&data.a, &data.b, crowd)?;
 
     // 5. Inspect results.
     let q = report.quality(&data.truth);
@@ -72,4 +72,5 @@ fn main() {
     for (op, dur) in report.op_times() {
         println!("  {op:<18} {dur:?}");
     }
+    Ok(())
 }

@@ -11,7 +11,7 @@
 
 use falcon::prelude::*;
 
-fn main() {
+fn main() -> Result<(), FalconError> {
     let scale: f64 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -33,7 +33,7 @@ fn main() {
         sample_size: 20_000,
         ..FalconConfig::default()
     };
-    let report = Falcon::new(config).run(&data.a, &data.b, crowd);
+    let report = Falcon::new(config).try_run(&data.a, &data.b, crowd)?;
 
     let q = report.quality(&data.truth);
     println!("\n== Songs result ==");
@@ -62,4 +62,5 @@ fn main() {
     for rule in &report.rule_sequence.rules {
         println!("  {}", rule.display_with(&lib.blocking));
     }
+    Ok(())
 }

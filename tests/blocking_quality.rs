@@ -19,7 +19,9 @@ fn rbb_recall(data: &EmDataset, seed: u64) -> (f64, usize) {
         seed,
         ..FalconConfig::default()
     };
-    let report = Falcon::new(cfg).run(&data.a, &data.b, OracleCrowd::new(truth));
+    let report = Falcon::new(cfg)
+        .try_run(&data.a, &data.b, OracleCrowd::new(truth))
+        .expect("run");
     let lib = falcon::core::features::generate_features(&data.a, &data.b);
     let out = falcon::core::corleone::corleone_blocking(
         &data.a,

@@ -15,7 +15,9 @@ fn run(data: &EmDataset, opt: OptFlags) -> falcon::core::driver::RunReport {
         opt,
         ..FalconConfig::default()
     };
-    Falcon::new(cfg).run(&data.a, &data.b, OracleCrowd::new(truth))
+    Falcon::new(cfg)
+        .try_run(&data.a, &data.b, OracleCrowd::new(truth))
+        .expect("run")
 }
 
 #[test]

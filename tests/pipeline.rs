@@ -16,7 +16,9 @@ fn config() -> FalconConfig {
 fn run(data: &EmDataset, error: f64, seed: u64) -> (falcon::core::driver::RunReport, EmQuality) {
     let truth = GroundTruth::new(data.truth.iter().copied());
     let crowd = RandomWorkerCrowd::new(truth, error, seed);
-    let report = Falcon::new(config()).run(&data.a, &data.b, crowd);
+    let report = Falcon::new(config())
+        .try_run(&data.a, &data.b, crowd)
+        .expect("run");
     let q = report.quality(&data.truth);
     (report, q)
 }
@@ -58,10 +60,12 @@ fn deterministic_given_seeds() {
 fn oracle_beats_noisy_crowd() {
     let data = falcon::datagen::songs::generate(0.0015, 35);
     let truth = GroundTruth::new(data.truth.iter().copied());
-    let oracle_report =
-        Falcon::new(config()).run(&data.a, &data.b, OracleCrowd::new(truth.clone()));
-    let noisy_report =
-        Falcon::new(config()).run(&data.a, &data.b, RandomWorkerCrowd::new(truth, 0.2, 5));
+    let oracle_report = Falcon::new(config())
+        .try_run(&data.a, &data.b, OracleCrowd::new(truth.clone()))
+        .expect("run");
+    let noisy_report = Falcon::new(config())
+        .try_run(&data.a, &data.b, RandomWorkerCrowd::new(truth, 0.2, 5))
+        .expect("run");
     let qo = oracle_report.quality(&data.truth);
     let qn = noisy_report.quality(&data.truth);
     assert!(
