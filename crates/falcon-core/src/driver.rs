@@ -468,7 +468,7 @@ impl Falcon {
 
         // Masking 1a: generic index prebuild during the AL crowd rounds.
         if cfg.opt.prebuild_indexes {
-            prebuild_generic(cluster, a, &lib.blocking, &mut built, timeline)?;
+            prebuild_generic(cluster, a, b, &lib.blocking, &mut built, timeline)?;
         }
         check_cancel(timeline, session)?;
 
@@ -558,7 +558,11 @@ impl Falcon {
         // signature pre-filter wraps whatever survived substitution.
         let conjuncts = ConjunctSpecs::derive_with(&seq_out.seq, &lib.blocking, &cfg.force_filters)
             .with_signatures(&cfg.prefilter);
-        // Build whatever indexes are still missing (unmasked).
+        // Build whatever is still missing (unmasked): the token profiles
+        // when no masked step got to them, then each spec's index.
+        if let Some(cost) = built.ensure_profiles(cluster, a, b, &lib.blocking)? {
+            timeline.machine("index_build", cost);
+        }
         for (spec, key) in conjuncts.all_specs_keyed() {
             let cost = built.build_spec_keyed(cluster, a, spec, key)?;
             timeline.machine("index_build", cost);
@@ -575,7 +579,8 @@ impl Falcon {
         let (candidates, physical_op, blocking) = if let Some((_, base)) = spec_hit {
             // Apply the full sequence to the smallest speculated output in
             // a map-only job (rules are idempotent on survivors).
-            let evaluator = Arc::new(physical::PairEvaluator::new(
+            let evaluator = Arc::new(physical::PairEvaluator::over(
+                &built,
                 a,
                 b,
                 &lib.blocking,

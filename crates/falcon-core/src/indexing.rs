@@ -1,25 +1,27 @@
 //! Index building for `apply_blocking_rules` (Section 7.5).
 //!
 //! For every filterable predicate of the positive CNF rule we build a
-//! [`PredicateIndex`]. Token orderings follow the paper's 3-MR-job
-//! pipeline: job 1 counts token frequencies over `A`, job 2 produces the
-//! global ordering, job 3 assembles the prefix (and scalar) indexes.
+//! [`PredicateIndex`]. Of the paper's 3-MR-job pipeline, jobs 1 and 2
+//! (token frequencies over `A`, the global ordering) are one local pass
+//! per `(attribute, tokenizer)` over the token column a profile job
+//! produced, job 3 (assembling the index) one local pass per spec.
 //!
 //! Built indexes are cached by predicate key so the masking optimizer can
 //! prebuild them during crowd rounds (Section 10.2, Solution 1) and
-//! `apply_blocking_rules` can reuse them for free.
+//! `apply_blocking_rules` can reuse them for free. The cache also owns
+//! the blocking stage's token store, so each value is tokenized once.
 
 use crate::driver::ForcedFilter;
 use crate::error::FalconError;
 use crate::features::FeatureSet;
 use crate::rules::RuleSequence;
 use crate::stage::StageCost;
-use crate::tokens::id_splits;
-use falcon_dataflow::{run_map_combine_reduce, Cluster, Emitter};
+use crate::tokens::{self, PairProfiles, ProfileSpec};
+use falcon_dataflow::Cluster;
 use falcon_forest::SplitOp;
-use falcon_index::{FilterSpec, IndexError, PredicateIndex, TokenOrder};
-use falcon_table::{Table, TupleId};
-use falcon_textsim::{TokenDict, TokenProfile, Tokenizer};
+use falcon_index::{FilterSpec, IndexError, PredicateIndex, TokenColumn};
+use falcon_table::Table;
+use falcon_textsim::Tokenizer;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -256,19 +258,20 @@ fn safe_substitution(forced: &FilterSpec, derived: &FilterSpec) -> bool {
     }
 }
 
-/// Cache of built indexes and token orderings.
+/// Cache of built indexes over the blocking stage's token store.
 #[derive(Default)]
 pub struct BuiltIndexes {
     /// Predicate key → built index.
     pub indexes: HashMap<String, Arc<PredicateIndex>>,
-    /// `(A-side attribute index, tokenizer)` → global token order. Keying
-    /// on the pair (not a formatted string) keeps lookups allocation-free.
-    pub orders: HashMap<(usize, Tokenizer), Arc<TokenOrder>>,
-    /// Complete A-side token profile + dictionary, when the optimizer
-    /// prebuilt one; [`BuiltIndexes::build_order`] then counts token
-    /// frequencies from the profile columns instead of re-tokenizing `A`
-    /// with an MR job.
-    profile: Option<(Arc<TokenProfile>, Arc<TokenDict>)>,
+    /// One dictionary and — once [`BuiltIndexes::ensure_profiles`] ran
+    /// (`paired`) — the complete profiles of `A` and `B` interned in it.
+    /// Indexes share the dictionary, so a write after the first index
+    /// copies it (never on the driver's path, which profiles first).
+    profiles: PairProfiles,
+    paired: bool,
+    /// `(A-side attribute index, tokenizer)` → that column in rank space
+    /// with its fingerprints, shared by every index built over it.
+    columns: HashMap<(usize, Tokenizer), TokenColumn>,
 }
 
 impl BuiltIndexes {
@@ -277,18 +280,33 @@ impl BuiltIndexes {
         Self::default()
     }
 
-    /// Install a **complete** A-side profile for token-order fast paths.
-    /// Incomplete (masked) profiles are rejected: frequency counts over a
-    /// partial table would produce a different ordering than the MR scan.
-    pub fn set_profile(&mut self, profile: TokenProfile, dict: TokenDict) {
-        if profile.is_complete() {
-            self.profile = Some((Arc::new(profile), Arc::new(dict)));
+    /// Profile `A` and `B` completely for `features` (the blocking
+    /// feature set) with two map-only jobs over one dictionary, unless
+    /// that was done or the features tokenize nothing. Returns the jobs'
+    /// price when they ran.
+    pub fn ensure_profiles(
+        &mut self,
+        cluster: &Cluster,
+        a: &Table,
+        b: &Table,
+        features: &FeatureSet,
+    ) -> Result<Option<StageCost>, FalconError> {
+        let (a_spec, b_spec) = tokens::requirements(&features.features);
+        if self.paired || a_spec.token_columns.is_empty() {
+            return Ok(None);
         }
+        let dict = Arc::make_mut(&mut self.profiles.dict);
+        let (a_profile, a_stats) = tokens::build_profile_par(cluster, a, &a_spec, dict, None)?;
+        let (b_profile, b_stats) = tokens::build_profile_par(cluster, b, &b_spec, dict, None)?;
+        self.profiles.a = a_profile;
+        self.profiles.b = b_profile;
+        self.paired = true;
+        Ok(Some(StageCost::of([&a_stats, &b_stats], &cluster.config)))
     }
 
-    /// The installed A-side profile, if any.
-    pub fn profile(&self) -> Option<&(Arc<TokenProfile>, Arc<TokenDict>)> {
-        self.profile.as_ref()
+    /// The store's profiles, once they cover both tables.
+    pub fn pair_profiles(&self) -> Option<&PairProfiles> {
+        self.paired.then_some(&self.profiles)
     }
 
     /// Total estimated bytes of a set of predicate keys.
@@ -301,14 +319,11 @@ impl BuiltIndexes {
         self.indexes.get(key).map_or(0, |i| i.estimated_bytes())
     }
 
-    /// Build the token order for `(attr, tokenizer)` over table `A`;
-    /// returns the build's price (zero when cached).
-    ///
-    /// When a complete A-side token profile is installed, frequencies are
-    /// counted from its pre-tokenized column (token sets per tuple are
-    /// identical to the MR scan's, so the resulting order is too) in a
-    /// driver-local pass over `A`; otherwise the paper's frequency-count
-    /// MR job runs.
+    /// Build the token order — and the rank-space column under it — for
+    /// `(attr, tokenizer)` over table `A`; returns the build's price (zero
+    /// when cached): a driver-local count over the profile's token
+    /// column, preceded by the map-only job that tokenizes that one
+    /// column when no profile holds it yet.
     pub fn build_order(
         &mut self,
         cluster: &Cluster,
@@ -321,54 +336,27 @@ impl BuiltIndexes {
             .index_of(attr)
             .ok_or_else(|| IndexError::MissingAttribute { attr: attr.into() })?;
         let key = (attr_idx, tokenizer);
-        if self.orders.contains_key(&key) {
+        if self.columns.contains_key(&key) {
             return Ok(StageCost::default());
         }
-        if let Some((profile, dict)) = &self.profile {
-            if let Some(col) = profile.column(key) {
-                let mut counts: HashMap<u32, usize> = HashMap::new();
-                for ids in col {
-                    for &id in ids {
-                        *counts.entry(id).or_default() += 1;
-                    }
-                }
-                let order = TokenOrder::from_frequencies(
-                    counts
-                        .into_iter()
-                        .filter_map(|(id, n)| dict.resolve(id).map(|s| (s.to_string(), n))),
-                );
-                self.orders.insert(key, Arc::new(order));
-                return Ok(StageCost::local(a.len()));
+        let mut cost = StageCost::local(a.len());
+        let mut on_demand = None;
+        let ids = match self.profiles.a.column(key) {
+            Some(ids) => ids,
+            None => {
+                let spec = ProfileSpec {
+                    token_columns: vec![key],
+                    ..ProfileSpec::default()
+                };
+                let dict = Arc::make_mut(&mut self.profiles.dict);
+                let (profile, stats) = tokens::build_profile_par(cluster, a, &spec, dict, None)?;
+                cost += StageCost::of([&stats], &cluster.config);
+                on_demand.insert(profile).column(key).unwrap_or_default()
             }
-        }
-        // MR job 1: token frequencies (with a combiner, so each map task
-        // ships one count per distinct token instead of one record per
-        // occurrence).
-        let out = run_map_combine_reduce(
-            cluster,
-            id_splits(cluster, a),
-            cluster.reduce_partitions(),
-            move |ids: &[TupleId], e: &mut Emitter<String, u32>| {
-                let mut s = String::new();
-                for &id in ids {
-                    s.clear();
-                    if let Some(v) = a.value_ref(id, attr_idx) {
-                        v.render_into(&mut s);
-                    }
-                    for tok in tokenizer.tokenize(&s) {
-                        e.emit(tok, 1);
-                    }
-                }
-            },
-            |_tok: &String, counts: Vec<u32>| counts.iter().sum(),
-            |tok: &String, counts: Vec<u32>, out: &mut Vec<(String, usize)>| {
-                out.push((tok.clone(), counts.iter().sum::<u32>() as usize));
-            },
-        )?;
-        // "MR job 2": global ordering by ascending frequency.
-        let order = TokenOrder::from_frequencies(out.output.into_iter());
-        self.orders.insert(key, Arc::new(order));
-        Ok(StageCost::of([&out.stats], &cluster.config))
+        };
+        let column = TokenColumn::build(a, attr_idx, ids, Arc::clone(&self.profiles.dict));
+        self.columns.insert(key, column);
+        Ok(cost)
     }
 
     /// Build (or reuse) the index for one spec; returns the build's price
@@ -398,25 +386,18 @@ impl BuiltIndexes {
         }
         let mut cost = StageCost::default();
         // A signature wrapper indexes the same tokens as its inner
-        // set-similarity spec: look through it for the order prebuild.
-        let base = spec.without_signature();
-        let order = if let FilterSpec::SetSim { a_attr, sim, .. } = base {
+        // set-similarity spec: look through it for the shared column.
+        let mut shared = None;
+        if let FilterSpec::SetSim { a_attr, sim, .. } = spec.without_signature() {
             let tokenizer = sim
                 .tokenizer()
                 .ok_or_else(|| IndexError::NotSetBased { sim: sim.name() })?;
             cost += self.build_order(cluster, a, a_attr, tokenizer)?;
-            let attr_idx =
-                a.schema()
-                    .index_of(a_attr)
-                    .ok_or_else(|| IndexError::MissingAttribute {
-                        attr: a_attr.clone(),
-                    })?;
-            self.orders.get(&(attr_idx, tokenizer)).cloned()
-        } else {
-            None
-        };
+            let attr_idx = a.schema().index_of(a_attr);
+            shared = attr_idx.and_then(|idx| self.columns.get_mut(&(idx, tokenizer)));
+        }
         // "MR job 3": assemble the index (single driver-local pass over A).
-        let idx = PredicateIndex::try_build(a, spec, order)?;
+        let idx = PredicateIndex::try_build(a, spec, shared)?;
         cost += StageCost::local(a.len());
         self.indexes.insert(key.to_string(), Arc::new(idx));
         Ok(cost)
@@ -605,20 +586,28 @@ mod tests {
     fn build_signature_spec_reuses_token_order() {
         let (a, _) = tables();
         let mut built = BuiltIndexes::new();
-        let spec = FilterSpec::SetSim {
-            a_attr: "title".into(),
-            sim: SimFunction::Jaccard(Tokenizer::Word),
-            threshold: 0.5,
+        let spec = |threshold: f64, words: usize| {
+            FilterSpec::SetSim {
+                a_attr: "title".into(),
+                sim: SimFunction::Jaccard(Tokenizer::Word),
+                threshold,
+            }
+            .with_signature(words)
+        };
+        for s in [spec(0.5, 2), spec(0.7, 2), spec(0.7, 1)] {
+            built.build_spec(&cluster(), &a, &s).expect("build");
         }
-        .with_signature(2);
-        built.build_spec(&cluster(), &a, &spec).expect("build");
-        let idx = built.get(&spec).expect("cached");
-        assert!(matches!(*idx, PredicateIndex::Signature { .. }));
-        // The token order was built once and the index holds that very
-        // allocation, not a copy.
-        let title = a.schema().index_of("title").unwrap();
-        let (_, order) = idx.token_source().expect("set-similarity index");
-        assert!(Arc::ptr_eq(order, &built.orders[&(title, Tokenizer::Word)]));
+        let [x, y, z] = [spec(0.5, 2), spec(0.7, 2), spec(0.7, 1)].map(|s| built.get(&s).unwrap());
+        // The token order was built once; every threshold holds that very
+        // allocation, not a copy, and so do the fingerprints of one width.
+        let order = |idx: &PredicateIndex| Arc::clone(idx.token_source().expect("set index").1);
+        assert!(Arc::ptr_eq(&order(&x), &order(&y)) && Arc::ptr_eq(&order(&x), &order(&z)));
+        let sigs = |idx: &PredicateIndex| match idx {
+            PredicateIndex::Signature { sigs, .. } => Arc::clone(sigs),
+            other => panic!("expected a signature bundle, got {other:?}"),
+        };
+        assert!(Arc::ptr_eq(&sigs(&x), &sigs(&y)));
+        assert!(!Arc::ptr_eq(&sigs(&y), &sigs(&z)));
         let d = built
             .build_order(&cluster(), &a, "title", Tokenizer::Word)
             .expect("order");
@@ -663,42 +652,47 @@ mod tests {
         let lib = generate_features(&a, &b);
         let tok = Tokenizer::Word;
         let title = a.schema().index_of("title").unwrap();
+        let spec = FilterSpec::SetSim {
+            a_attr: "title".into(),
+            sim: SimFunction::Jaccard(tok),
+            threshold: 0.5,
+        };
+        let order_of = |built: &mut BuiltIndexes| {
+            built.build_spec(&cluster(), &a, &spec).expect("build");
+            Arc::clone(built.get(&spec).unwrap().token_source().unwrap().1)
+        };
 
-        // Reference: MR frequency-count job.
-        let mut mr = BuiltIndexes::new();
-        mr.build_order(&cluster(), &a, "title", tok).expect("order");
-
-        // Fast path: count frequencies from a prebuilt complete profile.
-        let mut fast = BuiltIndexes::new();
-        let (a_spec, _) = crate::tokens::requirements(&lib.blocking.features);
-        let mut dict = falcon_textsim::TokenDict::new();
-        let profile = crate::tokens::build_profile_seq(&a, &a_spec, None, &mut dict);
-        fast.set_profile(profile, dict);
-        fast.build_order(&cluster(), &a, "title", tok)
+        // On demand: `build_order` tokenizes the one column itself.
+        let mut lazy = BuiltIndexes::new();
+        let d_lazy = lazy
+            .build_order(&cluster(), &a, "title", tok)
             .expect("order");
+        assert!(lazy.pair_profiles().is_none());
 
-        let o_mr = &mr.orders[&(title, tok)];
-        let o_fast = &fast.orders[&(title, tok)];
+        // Prebuilt: the column comes from the complete profiles, after
+        // other attributes' tokens were interned.
+        let mut fast = BuiltIndexes::new();
+        let jobs = fast
+            .ensure_profiles(&cluster(), &a, &b, &lib.blocking)
+            .expect("profiles");
+        assert!(jobs.is_some() && fast.pair_profiles().is_some());
+        let again = fast
+            .ensure_profiles(&cluster(), &a, &b, &lib.blocking)
+            .expect("profiles");
+        assert_eq!(again, None);
+        let d_fast = fast
+            .build_order(&cluster(), &a, "title", tok)
+            .expect("order");
+        assert_eq!(d_fast, StageCost::local(a.len()));
+        assert!(d_lazy.dur() > d_fast.dur(), "the on-demand job is priced");
+
+        let (o_lazy, o_fast) = (order_of(&mut lazy), order_of(&mut fast));
+        assert_eq!(o_lazy.len(), o_fast.len());
         for t in a.rows() {
             for w in tok.tokenize(&t.value(title).render()) {
-                assert_eq!(o_mr.rank(&w), o_fast.rank(&w), "token {w:?}");
+                assert!(o_lazy.rank(&w).is_some());
+                assert_eq!(o_lazy.rank(&w), o_fast.rank(&w), "token {w:?}");
             }
         }
-    }
-
-    #[test]
-    fn incomplete_profile_is_not_installed() {
-        let (a, b) = tables();
-        let lib = generate_features(&a, &b);
-        let (a_spec, _) = crate::tokens::requirements(&lib.blocking.features);
-        let mut dict = falcon_textsim::TokenDict::new();
-        let mut mask = vec![false; a.len()];
-        mask[0] = true;
-        let (profile, _) =
-            crate::tokens::build_profile_par(&cluster(), &a, &a_spec, &mut dict, Some(&mask))
-                .expect("profile");
-        let mut built = BuiltIndexes::new();
-        built.set_profile(profile, dict);
-        assert!(built.profile().is_none());
     }
 }

@@ -1,10 +1,10 @@
 //! The three masking optimizations of Section 10.2.
 //!
 //! 1. **Index prebuilding** — while `al_matcher` crowdsources (rules still
-//!    unknown) build *generic* artifacts: global token orderings and
-//!    threshold-free equality indexes. While `eval_rules` crowdsources
-//!    (top-20 candidate rules known) build every per-predicate index those
-//!    rules could need.
+//!    unknown) build *generic* artifacts: the token profiles of both
+//!    tables, global token orderings and threshold-free equality indexes.
+//!    While `eval_rules` crowdsources (top-20 candidate rules known) build
+//!    every per-predicate index those rules could need.
 //! 2. **Speculative rule execution** — while `eval_rules` crowdsources,
 //!    execute the candidate rules individually in rank order; if the final
 //!    sequence contains a speculated rule, `apply_blocking_rules` starts
@@ -23,13 +23,11 @@ use crate::features::FeatureSet;
 use crate::indexing::{BuiltIndexes, ConjunctSpecs, PreFilterConfig};
 use crate::physical::{self, PhysicalOp, ScratchPool};
 use crate::rules::{Rule, RuleSequence};
-use crate::stage::StageCost;
 use crate::timeline::Timeline;
-use crate::tokens;
 use falcon_dataflow::Cluster;
 use falcon_index::FilterSpec;
 use falcon_table::{IdPair, Table};
-use falcon_textsim::{SimFunction, TokenDict};
+use falcon_textsim::SimFunction;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -66,26 +64,22 @@ impl OptFlags {
 }
 
 /// Masking step 1a: generic prebuild during the blocking-stage
-/// `al_matcher` — the complete A-side token profile, token orders for
-/// every set-similarity blocking feature, and hash indexes for every
-/// exact-match feature (none of which depend on the eventual rule
+/// `al_matcher` — the complete token profiles of both tables, token
+/// orders for every set-similarity blocking feature, and hash indexes for
+/// every exact-match feature (none of which depend on the eventual rule
 /// thresholds).
 pub fn prebuild_generic(
     cluster: &Cluster,
     a: &Table,
+    b: &Table,
     features: &FeatureSet,
     built: &mut BuiltIndexes,
     timeline: &mut Timeline,
 ) -> Result<(), FalconError> {
-    // Tokenize A once into a complete profile; `build_order` below then
-    // counts token frequencies from profile columns instead of re-running
-    // the frequency-count MR scan per (attribute, tokenizer).
-    let (a_spec, _) = tokens::requirements(&features.features);
-    if !a_spec.token_columns.is_empty() && built.profile().is_none() {
-        let mut dict = TokenDict::new();
-        let (profile, stats) = tokens::build_profile_par(cluster, a, &a_spec, &mut dict, None)?;
-        timeline.masked_machine("index_build", StageCost::of([&stats], &cluster.config));
-        built.set_profile(profile, dict);
+    // Tokenize A and B once, as one stage; every order, index, probe and
+    // rule evaluation below reads these columns.
+    if let Some(cost) = built.ensure_profiles(cluster, a, b, features)? {
+        timeline.masked_machine("index_build", cost);
     }
     let mut seen_orders = std::collections::HashSet::new();
     let mut seen_eq = std::collections::HashSet::new();
@@ -176,6 +170,9 @@ pub fn speculate_rules(
         if conjuncts.filterable().is_empty() {
             continue; // no index support; speculation would enumerate A×B
         }
+        if let Some(cost) = built.ensure_profiles(cluster, a, b, features)? {
+            timeline.masked_machine("index_build", cost);
+        }
         for (spec, key) in conjuncts.all_specs_keyed() {
             let cost = built.build_spec_keyed(cluster, a, spec, key)?;
             timeline.masked_machine("index_build", cost);
@@ -206,6 +203,7 @@ mod tests {
     use super::*;
     use crate::features::generate_features;
     use crate::rules::Predicate;
+    use crate::stage::StageCost;
     use falcon_dataflow::ClusterConfig;
     use falcon_forest::SplitOp;
     use falcon_table::{AttrType, Schema, Value};
@@ -239,8 +237,10 @@ mod tests {
         let mut built = BuiltIndexes::new();
         let mut tl = Timeline::new();
         tl.crowd("al_matcher", Duration::from_secs(3600));
-        prebuild_generic(&cluster(), &a, &lib.blocking, &mut built, &mut tl).expect("prebuild");
-        assert!(!built.orders.is_empty());
+        prebuild_generic(&cluster(), &a, &b, &lib.blocking, &mut built, &mut tl).expect("prebuild");
+        assert!(built.pair_profiles().is_some());
+        let again = built.build_order(&cluster(), &a, "title", Tokenizer::Word);
+        assert_eq!(again.expect("order"), StageCost::default(), "prebuilt");
         // Fully masked: total time is still just the crowd hour.
         assert_eq!(tl.total_time(), Duration::from_secs(3600));
         assert!(tl.machine_time() > Duration::ZERO);

@@ -38,10 +38,13 @@ use crate::tokens::{build_pair_profiles_seq, id_splits, PairProfiles};
 use falcon_dataflow::{
     run_map_only, run_map_reduce, Cluster, ClusterConfig, DataflowError, Emitter, JobStats,
 };
-use falcon_index::{CandidateBitmap, PredicateIndex, ProbeMode, ProbeStats, ProbeTokens};
-use falcon_table::{IdPair, Table, TupleId};
+use falcon_index::{
+    CandidateBitmap, PredicateIndex, ProbeMode, ProbeStats, ProbeTokens, TokenOrder,
+};
+use falcon_table::{IdPair, Table, TupleId, ValueRef};
 use falcon_textsim::{SimContext, SimScratch, Tokenizer};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -318,7 +321,7 @@ pub fn estimate_table_bytes(t: &Table) -> usize {
 /// orders the rules (a rule's features are charged only to the pairs that
 /// reach it), and it is what makes the reducers cheap: most shuffled
 /// pairs are dropped by the first rule and pay for its features alone.
-pub struct PairEvaluator {
+pub struct PairEvaluator<'p> {
     a: Table,
     b: Table,
     /// The distinct features the sequence reads, in first-read order
@@ -332,8 +335,9 @@ pub struct PairEvaluator {
     rule_ends: Vec<usize>,
     /// Full-table token profiles for the needed features' columns, so the
     /// per-pair evaluation uses the sorted-id kernels instead of
-    /// re-tokenizing each value for every pair it appears in.
-    profiles: PairProfiles,
+    /// re-tokenizing each value for every pair it appears in: the
+    /// blocking stage's store's, or the evaluator's own.
+    profiles: Cow<'p, PairProfiles>,
 }
 
 /// Per-task state of [`PairEvaluator::keeps_scratch`]: the feature values
@@ -346,12 +350,46 @@ pub struct EvalScratch {
     sim: SimScratch,
 }
 
-impl PairEvaluator {
-    /// Build an evaluator. Pre-tokenizes both tables for the columns the
-    /// sequence's features need (blocking sequences reference only a
-    /// handful of features, so this is a short full-table pass amortized
-    /// over up to `|A| × |B|` evaluations).
+impl PairEvaluator<'static> {
+    /// Build an evaluator over profiles of its own: pre-tokenizes both
+    /// tables for the columns the sequence's features need (blocking
+    /// sequences reference only a handful of features, so this is a short
+    /// full-table pass amortized over up to `|A| × |B|` evaluations).
     pub fn new(a: &Table, b: &Table, features: &FeatureSet, seq: &RuleSequence) -> Self {
+        Self::compile(a, b, features, seq, |slots| {
+            let needed = slots.iter().filter_map(|(_, f)| f.as_ref());
+            // Blocking rules never reference a TF/IDF measure: no corpus model.
+            Cow::Owned(build_pair_profiles_seq(a, b, needed, None))
+        })
+    }
+}
+
+impl<'p> PairEvaluator<'p> {
+    /// An evaluator over `built`'s token profiles when it holds both
+    /// tables' (the driver profiles them once per run), else over
+    /// profiles of its own.
+    pub fn over(
+        built: &'p BuiltIndexes,
+        a: &Table,
+        b: &Table,
+        features: &FeatureSet,
+        seq: &RuleSequence,
+    ) -> Self {
+        match built.pair_profiles() {
+            Some(profiles) => Self::compile(a, b, features, seq, |_| Cow::Borrowed(profiles)),
+            None => PairEvaluator::new(a, b, features, seq),
+        }
+    }
+
+    /// Compile `seq` into slots and predicates; `profiles` supplies the
+    /// token profiles given the slots' features.
+    fn compile(
+        a: &Table,
+        b: &Table,
+        features: &FeatureSet,
+        seq: &RuleSequence,
+        profiles: impl FnOnce(&[(usize, Option<Feature>)]) -> Cow<'p, PairProfiles>,
+    ) -> Self {
         let mut slots: Vec<(usize, Option<Feature>)> = Vec::new();
         let mut preds = Vec::new();
         let mut rule_ends = Vec::with_capacity(seq.len());
@@ -368,16 +406,13 @@ impl PairEvaluator {
             }
             rule_ends.push(preds.len());
         }
-        // Blocking rules never reference a TF/IDF measure: no corpus model.
-        let profiles =
-            build_pair_profiles_seq(a, b, slots.iter().filter_map(|(_, f)| f.as_ref()), None);
         Self {
             a: a.clone(),
             b: b.clone(),
+            profiles: profiles(&slots),
             slots,
             preds,
             rule_ends,
-            profiles,
         }
     }
 
@@ -432,14 +467,14 @@ impl PairEvaluator {
 }
 
 /// One predicate's probe: its index, the B-side attribute the probe
-/// reads, the planned probe mode, and the slot of the [`ProbeTokens`] it
-/// shares with every other predicate reading the same tokens (see
-/// [`share_tokens`]).
+/// reads, the planned probe mode, and — for a set-similarity index — the
+/// slot of the [`ProbeTokens`] it shares with every other predicate
+/// reading the same tokens (see [`ProbePlan::new`]).
 struct Pred {
     index: Arc<PredicateIndex>,
     b_idx: usize,
     mode: ProbeMode,
-    tokens: usize,
+    tokens: Option<usize>,
 }
 
 /// One conjunct's probe bundle, tagged with the conjunct's sequence
@@ -471,7 +506,7 @@ impl Bundle {
                     mode: index.plan_probe_mode(),
                     index,
                     b_idx: *b_idx,
-                    tokens: 0,
+                    tokens: None,
                 })
             })
             .collect::<Option<Vec<_>>>()?;
@@ -492,28 +527,64 @@ fn bundles_for(conjuncts: &ConjunctSpecs, built: &BuiltIndexes, which: &[usize])
         .collect()
 }
 
-/// The probe plan of one map task's bundles: give every predicate the
-/// slot of the [`ProbeTokens`] it reads, one slot per distinct `(B
-/// attribute, tokenizer, token order)`, so a B value is tokenized,
-/// rank-ordered and signed once per tuple however many predicates of
-/// however many bundles probe with it. Returns the number of slots.
-/// Scalar and edit indexes read no tokens and point at slot 0, which
-/// they ignore.
-fn share_tokens(bundles: &mut [Bundle]) -> usize {
-    let mut sources: Vec<(usize, Tokenizer, *const falcon_index::TokenOrder)> = Vec::new();
-    for pred in bundles.iter_mut().flat_map(|bu| &mut bu.preds) {
-        if let Some((tokenizer, order)) = pred.index.token_source() {
-            let source = (pred.b_idx, tokenizer, Arc::as_ptr(order));
-            pred.tokens = sources
-                .iter()
-                .position(|s| *s == source)
-                .unwrap_or_else(|| {
-                    sources.push(source);
+/// What one [`ProbeTokens`] slot reads: a `B` attribute under a
+/// tokenizer, in a token order.
+type TokenSource = (usize, Tokenizer, Arc<TokenOrder>);
+
+/// What the map tasks of one job probe with: the conjunct bundles, the
+/// source of every shared [`ProbeTokens`] slot, and — when the blocking
+/// stage's store holds them — the token profiles the slots are loaded
+/// from instead of tokenizing `B`'s values again.
+struct ProbePlan<'p> {
+    bundles: Vec<Bundle>,
+    sources: Vec<TokenSource>,
+    profiles: Option<&'p PairProfiles>,
+}
+
+impl<'p> ProbePlan<'p> {
+    /// Give every set-similarity predicate the slot of the
+    /// [`ProbeTokens`] it reads, one slot per distinct source, so a B
+    /// value is loaded, rank-ordered and signed once per tuple however
+    /// many predicates of however many bundles probe with it. Scalar and
+    /// edit indexes read no tokens and get no slot.
+    fn new(mut bundles: Vec<Bundle>, profiles: Option<&'p PairProfiles>) -> Self {
+        let mut sources: Vec<TokenSource> = Vec::new();
+        for pred in bundles.iter_mut().flat_map(|bu| &mut bu.preds) {
+            if let Some((tokenizer, order)) = pred.index.token_source() {
+                let same = |s: &TokenSource| {
+                    s.0 == pred.b_idx && s.1 == tokenizer && Arc::ptr_eq(&s.2, order)
+                };
+                let slot = sources.iter().position(same).unwrap_or_else(|| {
+                    sources.push((pred.b_idx, tokenizer, Arc::clone(order)));
                     sources.len() - 1
                 });
+                pred.tokens = Some(slot);
+            }
+        }
+        Self {
+            bundles,
+            sources,
+            profiles,
         }
     }
-    sources.len().max(1)
+
+    /// Number of [`ProbeTokens`] slots a task needs (a predicate without
+    /// one is handed slot 0, which it ignores).
+    fn slots(&self) -> usize {
+        self.sources.len().max(1)
+    }
+
+    /// Load `slot`, predicate `p`'s, for B tuple `bid` from the profile
+    /// column of its source, when the plan has profiles and the column
+    /// (otherwise the probe tokenizes the value itself).
+    fn preload(&self, p: &Pred, bid: TupleId, slot: &mut ProbeTokens, b_value: ValueRef<'_>) {
+        let source = p.tokens.and_then(|t| self.sources.get(t));
+        if let (Some(profiles), Some((b_idx, tokenizer, order))) = (self.profiles, source) {
+            if let Some(ids) = profiles.b.tokens(*b_idx, *tokenizer, bid) {
+                slot.load_ids(b_value, ids, order, &profiles.dict);
+            }
+        }
+    }
 }
 
 /// Reusable per-map-task probe state: the bitmap union / intersection
@@ -528,7 +599,7 @@ struct ProbeScratch {
     out: Vec<TupleId>,
     locals: Vec<ProbeStats>,
     /// Per-B-tuple probe inputs, one per slot of the task's probe plan
-    /// (see [`share_tokens`]).
+    /// (see [`ProbePlan::new`]).
     tokens: Vec<ProbeTokens>,
 }
 
@@ -598,12 +669,13 @@ impl ScratchPool {
 ///
 /// Probes sink ids straight into the task's `union` bitmap and read the
 /// B value's tokens through the task's shared [`ProbeTokens`] slots,
-/// loaded by the first predicate that needs them.
+/// loaded by the first predicate that needs them — from `B`'s profile
+/// column when the plan has one, else by tokenizing the value.
 fn candidates_for(
     b: &Table,
     bid: TupleId,
     a_len: usize,
-    bundles: &[Bundle],
+    plan: &ProbePlan<'_>,
     scratch: &mut ProbeScratch,
 ) -> bool {
     let ProbeScratch {
@@ -616,11 +688,14 @@ fn candidates_for(
     } = scratch;
     tokens.iter_mut().for_each(ProbeTokens::reset);
     let mut restricted = false;
-    for (bundle, stats) in bundles.iter().zip(locals) {
+    for (bundle, stats) in plan.bundles.iter().zip(locals) {
         union.reset(a_len);
         let unrestricted = bundle.preds.iter().any(|p| {
             let bv = b.value_ref(bid, p.b_idx).unwrap_or_default();
-            let slot = &mut tokens[p.tokens];
+            let slot = &mut tokens[p.tokens.unwrap_or(0)];
+            if !slot.is_loaded() {
+                plan.preload(p, bid, slot, bv);
+            }
             !p.index
                 .probe_into(bv, p.mode, slot, stats, &mut |id| union.insert(id))
         });
@@ -650,15 +725,13 @@ fn run_probe_reduce(
     cluster: &Cluster,
     a: &Table,
     b: &Table,
-    evaluator: Arc<PairEvaluator>,
-    mut bundles: Vec<Bundle>,
+    evaluator: Arc<PairEvaluator<'_>>,
+    plan: ProbePlan<'_>,
     collector: &Arc<StatsCollector>,
     pool: &Arc<ScratchPool>,
     op: PhysicalOp,
 ) -> Result<BlockingOutput, BlockingError> {
     let a_len = a.len();
-    let n_tokens = share_tokens(&mut bundles);
-    let bundles = Arc::new(bundles);
     let b_handle = b.clone();
     let collector = Arc::clone(collector);
     let pool = Arc::clone(pool);
@@ -667,9 +740,9 @@ fn run_probe_reduce(
         id_splits(cluster, b),
         cluster.reduce_partitions(),
         move |chunk: &[TupleId], e: &mut Emitter<TupleId, TupleId>| {
-            let mut scratch = pool.checkout(a_len, bundles.len(), n_tokens);
+            let mut scratch = pool.checkout(a_len, plan.bundles.len(), plan.slots());
             for &bid in chunk {
-                if candidates_for(&b_handle, bid, a_len, &bundles, &mut scratch) {
+                if candidates_for(&b_handle, bid, a_len, &plan, &mut scratch) {
                     for &aid in &scratch.out {
                         e.emit(aid, bid);
                     }
@@ -679,7 +752,7 @@ fn run_probe_reduce(
                     }
                 }
             }
-            scratch.flush(&bundles, &collector);
+            scratch.flush(&plan.bundles, &collector);
             pool.restore(scratch);
         },
         move |aid: &TupleId, bids: Vec<TupleId>, out: &mut Vec<IdPair>| {
@@ -706,13 +779,11 @@ fn run_probe_wave(
     cluster: &Cluster,
     a: &Table,
     b: &Table,
-    mut bundles: Vec<Bundle>,
+    plan: ProbePlan<'_>,
     collector: &Arc<StatsCollector>,
     pool: &Arc<ScratchPool>,
 ) -> Result<(HashSet<IdPair>, JobStats), BlockingError> {
     let a_len = a.len();
-    let n_tokens = share_tokens(&mut bundles);
-    let bundles = Arc::new(bundles);
     let b_handle = b.clone();
     let collector = Arc::clone(collector);
     let pool = Arc::clone(pool);
@@ -720,15 +791,15 @@ fn run_probe_wave(
         cluster,
         id_splits(cluster, b),
         move |chunk: &[TupleId], out: &mut Vec<IdPair>| {
-            let mut scratch = pool.checkout(a_len, bundles.len(), n_tokens);
+            let mut scratch = pool.checkout(a_len, plan.bundles.len(), plan.slots());
             for &bid in chunk {
-                if candidates_for(&b_handle, bid, a_len, &bundles, &mut scratch) {
+                if candidates_for(&b_handle, bid, a_len, &plan, &mut scratch) {
                     out.extend(scratch.out.iter().map(|&aid| (aid, bid)));
                 } else {
                     out.extend((0..a_len as TupleId).map(|aid| (aid, bid)));
                 }
             }
-            scratch.flush(&bundles, &collector);
+            scratch.flush(&plan.bundles, &collector);
             pool.restore(scratch);
         },
     )?;
@@ -739,7 +810,7 @@ fn run_probe_wave(
 /// returns the surviving pairs, sorted.
 pub(crate) fn run_evaluate(
     cluster: &Cluster,
-    evaluator: Arc<PairEvaluator>,
+    evaluator: Arc<PairEvaluator<'_>>,
     pairs: &[IdPair],
 ) -> Result<(Vec<IdPair>, JobStats), BlockingError> {
     // A map task streams its split through the evaluator with one
@@ -805,7 +876,8 @@ pub fn execute_pooled(
     max_pairs: u128,
     pool: &Arc<ScratchPool>,
 ) -> Result<BlockingOutput, BlockingError> {
-    let evaluator = Arc::new(PairEvaluator::new(a, b, features, seq));
+    let evaluator = Arc::new(PairEvaluator::over(built, a, b, features, seq));
+    let profiles = built.pair_profiles();
     let filterable = conjuncts.filterable();
     let collector = Arc::new(StatsCollector::new(conjuncts.specs.len()));
     let mut modes: Vec<Vec<String>> = vec![Vec::new(); conjuncts.specs.len()];
@@ -814,9 +886,9 @@ pub fn execute_pooled(
             if filterable.is_empty() {
                 return Err(BlockingError::NoFilterableConjunct);
             }
-            let bundles = bundles_for(conjuncts, built, &filterable);
-            record_modes(&mut modes, &bundles);
-            run_probe_reduce(cluster, a, b, evaluator, bundles, &collector, pool, op)?
+            let plan = ProbePlan::new(bundles_for(conjuncts, built, &filterable), profiles);
+            record_modes(&mut modes, &plan.bundles);
+            run_probe_reduce(cluster, a, b, evaluator, plan, &collector, pool, op)?
         }
         PhysicalOp::ApplyGreedy => {
             let best = filterable
@@ -828,9 +900,9 @@ pub fn execute_pooled(
                     sx.total_cmp(&sy)
                 })
                 .ok_or(BlockingError::NoFilterableConjunct)?;
-            let bundles = bundles_for(conjuncts, built, &[best]);
-            record_modes(&mut modes, &bundles);
-            run_probe_reduce(cluster, a, b, evaluator, bundles, &collector, pool, op)?
+            let plan = ProbePlan::new(bundles_for(conjuncts, built, &[best]), profiles);
+            record_modes(&mut modes, &plan.bundles);
+            run_probe_reduce(cluster, a, b, evaluator, plan, &collector, pool, op)?
         }
         PhysicalOp::ApplyConjunct => {
             if filterable.is_empty() {
@@ -846,7 +918,8 @@ pub fn execute_pooled(
                     continue;
                 }
                 record_modes(&mut modes, &bundles);
-                let (set, stats) = run_probe_wave(cluster, a, b, bundles, &collector, pool)?;
+                let plan = ProbePlan::new(bundles, profiles);
+                let (set, stats) = run_probe_wave(cluster, a, b, plan, &collector, pool)?;
                 jobs.push(stats);
                 acc = Some(match acc {
                     None => set,
@@ -884,8 +957,8 @@ pub fn execute_pooled(
                 record_modes(&mut modes, &pred_bundles);
                 let mut union: HashSet<IdPair> = HashSet::new();
                 for bundle in pred_bundles {
-                    let (set, stats) =
-                        run_probe_wave(cluster, a, b, vec![bundle], &collector, pool)?;
+                    let plan = ProbePlan::new(vec![bundle], profiles);
+                    let (set, stats) = run_probe_wave(cluster, a, b, plan, &collector, pool)?;
                     jobs.push(stats);
                     union.extend(set);
                 }

@@ -25,6 +25,7 @@ use falcon_textsim::{
     WeightColumn,
 };
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// What one side of a table pair must profile to serve a feature set.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -396,8 +397,9 @@ pub struct PairProfiles {
     pub a: TokenProfile,
     /// B-side profile.
     pub b: TokenProfile,
-    /// The shared interner (A interned first, then B).
-    pub dict: TokenDict,
+    /// The shared interner (A interned first, then B); the blocking
+    /// indexes built over a profile's columns keep a handle on it.
+    pub dict: Arc<TokenDict>,
     /// Stats of the profiling map jobs (empty for sequential builds).
     pub stats: Vec<JobStats>,
 }
@@ -424,7 +426,7 @@ pub fn build_pair_profiles_par<'a>(
     Ok(PairProfiles {
         a: a_profile,
         b: b_profile,
-        dict,
+        dict: Arc::new(dict),
         stats: vec![a_stats, b_stats],
     })
 }
@@ -444,7 +446,7 @@ pub fn build_pair_profiles_seq<'a>(
     PairProfiles {
         a: a_profile,
         b: b_profile,
-        dict,
+        dict: Arc::new(dict),
         stats: Vec::new(),
     }
 }

@@ -4,7 +4,9 @@
 //! shuffled records must equal the lines of `goldens/blocking.txt`, at 1,
 //! 2 and 8 threads and under a seeded fault plan — and every candidate
 //! set must be the exhaustive single-machine baseline's, whichever probe
-//! modes (`off`, `gate`, `dense` all occur) the planner picked.
+//! modes (`off`, `gate`, `dense` all occur) the planner picked, and
+//! whether the probe and the evaluator read the store's token profiles
+//! (as under the driver) or tokenize for themselves.
 //!
 //! The golden file was recorded at the commit *before* the probe and
 //! evaluation kernels were compiled (lazy rule evaluation, shared probe
@@ -185,9 +187,14 @@ fn blocking_outputs_match_the_recorded_goldens() {
         let seq = sequence(&features, rules);
         let conjuncts =
             ConjunctSpecs::derive(&seq, &features).with_signatures(&PreFilterConfig::default());
-        let mut built = BuiltIndexes::new();
-        for spec in conjuncts.all_specs() {
-            built.build_spec(&clusters[0], &d.a, &spec).expect("build");
+        // Filled on demand, and profiled first as the driver does.
+        let mut stores = [BuiltIndexes::new(), BuiltIndexes::new()];
+        let profiled = stores[1].ensure_profiles(&clusters[0], &d.a, &d.b, &features);
+        assert!(profiled.expect("profiles").is_some());
+        for built in &mut stores {
+            for spec in conjuncts.all_specs() {
+                built.build_spec(&clusters[0], &d.a, &spec).expect("build");
+            }
         }
         let sels: Vec<f64> = (0..seq.len()).map(|i| 0.2 + 0.1 * i as f64).collect();
         let exhaustive = corleone_blocking(&d.a, &d.b, &features, &seq, 1 << 40)
@@ -196,7 +203,8 @@ fn blocking_outputs_match_the_recorded_goldens() {
         for op in OPS {
             let lines: Vec<String> = clusters
                 .iter()
-                .map(|cluster| {
+                .flat_map(|cluster| stores.iter().map(move |built| (cluster, built)))
+                .map(|(cluster, built)| {
                     let out = physical::execute(
                         op,
                         cluster,
@@ -205,7 +213,7 @@ fn blocking_outputs_match_the_recorded_goldens() {
                         &features,
                         &seq,
                         &conjuncts,
-                        &built,
+                        built,
                         &sels,
                         1 << 40,
                     )
@@ -214,11 +222,11 @@ fn blocking_outputs_match_the_recorded_goldens() {
                     line(name, &out)
                 })
                 .collect();
-            for (l, cluster) in lines.iter().zip(&clusters) {
+            for (l, cluster) in lines.iter().zip(clusters.iter().flat_map(|c| [c, c])) {
                 assert_eq!(
                     l,
                     &lines[0],
-                    "{name} {op:?}: output moved with the schedule ({} threads, faults {})",
+                    "{name} {op:?}: output moved with the schedule or the store ({} threads, faults {})",
                     cluster.threads(),
                     cluster.fault_injector().is_some()
                 );

@@ -247,3 +247,58 @@ fn empty_rule_sequence_keeps_everything() {
         .collect();
     assert_eq!(out.candidates, all);
 }
+
+/// A scalar predicate probed before a set-similarity one, on an attribute
+/// the store also holds a token column for under the same tokenizer: the
+/// scalar probe reads no tokens and must leave the `ProbeTokens` slot the
+/// set-similarity probe loads from `B`'s profile alone.
+#[test]
+fn scalar_probes_leave_profile_fed_tokens_alone() {
+    let d = products::generate(0.02, 11);
+    let features = generate_features(&d.a, &d.b).blocking;
+    let find = |sim: SimFunction, attr: &str| {
+        let hit = |f: &falcon_core::features::Feature| f.sim == sim && f.a_attr == attr;
+        features.features.iter().position(hit).expect("feature")
+    };
+    let gram = SimFunction::Jaccard(Tokenizer::QGram(3));
+    find(gram, "brand"); // brand has a 3-gram column too
+    let pred = |feature, threshold| Predicate {
+        feature,
+        op: SplitOp::Le,
+        threshold,
+        nan_is_high: true,
+    };
+    let seq = RuleSequence::new(vec![Rule {
+        predicates: vec![
+            pred(find(SimFunction::ExactMatch, "brand"), 0.5),
+            pred(find(gram, "title"), 0.3),
+        ],
+    }]);
+    let cluster = cluster();
+    let conjuncts = ConjunctSpecs::derive(&seq, &features);
+    let mut built = BuiltIndexes::new();
+    let profiled = built.ensure_profiles(&cluster, &d.a, &d.b, &features);
+    assert!(profiled.expect("profiles").is_some());
+    for spec in conjuncts.all_specs() {
+        built.build_spec(&cluster, &d.a, &spec).expect("build");
+    }
+    let reference = corleone_blocking(&d.a, &d.b, &features, &seq, 1 << 40)
+        .unwrap()
+        .candidates;
+    for op in [PhysicalOp::ApplyAll, PhysicalOp::ApplyConjunct] {
+        let out = physical::execute(
+            op,
+            &cluster,
+            &d.a,
+            &d.b,
+            &features,
+            &seq,
+            &conjuncts,
+            &built,
+            &[0.3],
+            1 << 40,
+        )
+        .unwrap_or_else(|e| panic!("{op:?} failed: {e}"));
+        assert_eq!(out.candidates, reference, "{op:?}");
+    }
+}

@@ -1,218 +1,281 @@
 //! Global token ordering and prefix inverted index (prefix + position
-//! filters).
+//! filters), in the id space of the profiles' [`TokenDict`].
 //!
 //! Tokens are globally ordered by ascending corpus frequency (rare first),
-//! the standard ordering that makes prefixes maximally selective. The
-//! prefix index stores, for every `A` tuple, postings for the first
-//! `prefix_len` tokens of its ordered token list along with each token's
-//! position — enough to run both the prefix filter (share ≥ 1 prefix
-//! token) and the position filter (enough *remaining* tokens to reach the
-//! required overlap).
+//! the standard ordering that makes prefixes maximally selective: a
+//! [`TokenOrder`] maps dictionary ids to frequency ranks, and a
+//! [`TokenColumn`] is one `A` column re-expressed in those ranks — built
+//! once per `(attribute, tokenizer)`, shared by every index over it. A
+//! [`PrefixIndex`] adds, per `(measure, threshold)`, postings by rank of
+//! the first `prefix_len` ranks of every tuple with each one's position —
+//! enough to run both the prefix filter (share ≥ 1 prefix token) and the
+//! position filter (enough *remaining* tokens to reach the required
+//! overlap). Ties in frequency break on the token *text* and fingerprint
+//! bits hash the text, so no output depends on dictionary numbering.
 
-use crate::signature::{ProbeSig, ProbeStats, SignatureIndex};
+use crate::signature::{token_hash, ProbeSig, ProbeStats, SignatureIndex};
 use crate::verdict::{verdict, VerdictTable, REFUTED};
-use falcon_table::TupleId;
-use falcon_textsim::prefix;
-use falcon_textsim::{SimFunction, Tokenizer};
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use falcon_table::{Table, TupleId};
+use falcon_textsim::{prefix, SimFunction, TokenDict, Tokenizer};
+use std::sync::Arc;
 
-/// Global token order by ascending frequency. Unseen tokens order first
-/// (frequency 0), then by the token text for determinism.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// Rank of a dictionary id that does not occur in the ordered column.
+const UNSEEN: u32 = u32::MAX;
+
+/// Global token order of one column by ascending frequency, then token
+/// text. Tokens outside the column are *unseen*: they order before every
+/// ranked token and can hit no posting.
+#[derive(Debug, Clone)]
 pub struct TokenOrder {
-    rank: HashMap<String, u32>,
+    /// The dictionary the ids come from, as of the build (ids interned
+    /// later are unseen by construction).
+    dict: Arc<TokenDict>,
+    /// `rank[dictionary id]`, [`UNSEEN`] outside the column.
+    rank: Vec<u32>,
+    /// `(FNV-1a hash, byte length)` of the text of the token at each
+    /// rank — read here, once per distinct token. The lengths feed the
+    /// mapper-memory model, which prices text-keyed maps.
+    tokens: Vec<(u64, usize)>,
 }
 
 impl TokenOrder {
-    /// Build from `(token, frequency)` pairs (e.g. the output of the
-    /// token-counting MR job of Section 7.5).
-    pub fn from_frequencies(freqs: impl Iterator<Item = (String, usize)>) -> Self {
-        let mut items: Vec<(String, usize)> = freqs.collect();
-        items.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        let rank = items
-            .into_iter()
-            .enumerate()
-            .map(|(i, (tok, _))| (tok, i as u32))
+    /// Count token frequencies over `column` (per-tuple distinct ids of
+    /// `dict`) and rank them (the token-counting and ordering jobs of
+    /// Section 7.5, as one local pass).
+    pub fn of_column(column: &[Vec<u32>], dict: Arc<TokenDict>) -> Self {
+        let mut freq = vec![0u32; dict.len()];
+        for &id in column.iter().flatten() {
+            freq[id as usize] += 1;
+        }
+        let text = |id: u32| dict.resolve(id).unwrap_or_default();
+        let mut ids: Vec<u32> = (0..dict.len() as u32)
+            .filter(|&id| freq[id as usize] > 0)
             .collect();
-        Self { rank }
+        ids.sort_unstable_by_key(|&id| (freq[id as usize], text(id)));
+        let mut rank = vec![UNSEEN; dict.len()];
+        for (r, &id) in ids.iter().enumerate() {
+            rank[id as usize] = r as u32;
+        }
+        let tokens = ids
+            .iter()
+            .map(|&id| (token_hash(text(id)), text(id).len()))
+            .collect();
+        Self { dict, rank, tokens }
     }
 
-    /// Rank of a token (lower = rarer = earlier). Unseen tokens rank before
-    /// everything (`None` is sorted first by [`TokenOrder::order_tokens`]).
+    /// Rank of a token (lower = rarer = earlier); `None` when unseen.
     pub fn rank(&self, token: &str) -> Option<u32> {
-        self.rank.get(token).copied()
+        self.dict.get(token).and_then(|id| self.rank_of(id))
     }
 
-    /// Sort a token set by this global order (unseen-first, then rank, then
-    /// text).
-    pub fn order_tokens(&self, tokens: impl IntoIterator<Item = String>) -> Vec<String> {
-        let mut toks: Vec<String> = tokens.into_iter().collect();
-        // Sort by text first, then stably by rank with one cached lookup
-        // per token (`Option<u32>` orders `None` — unseen — first); ties in
-        // rank keep the text order from the first pass.
-        toks.sort_unstable();
-        toks.sort_by_cached_key(|t| self.rank(t));
-        toks
+    /// Rank of a dictionary id; `None` when unseen.
+    pub fn rank_of(&self, id: u32) -> Option<u32> {
+        self.rank.get(id as usize).copied().filter(|&r| r != UNSEEN)
+    }
+
+    /// Text hash of the token at `rank` (see [`token_hash`]).
+    pub(crate) fn hash(&self, rank: u32) -> u64 {
+        self.tokens[rank as usize].0
     }
 
     /// Number of distinct tokens seen.
     pub fn len(&self) -> usize {
-        self.rank.len()
+        self.tokens.len()
     }
 
     /// True iff no tokens were seen.
     pub fn is_empty(&self) -> bool {
-        self.rank.is_empty()
+        self.tokens.is_empty()
     }
 
     /// Estimated memory footprint in bytes.
     pub fn estimated_bytes(&self) -> usize {
-        self.rank.keys().map(|k| k.len() + 40).sum()
+        self.tokens.iter().map(|(_, len)| len + 40).sum()
     }
 }
 
-/// Prefix inverted index over table `A` for one `(attribute, tokenizer,
-/// sim, threshold)` combination.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct PrefixIndex {
-    /// token -> postings of (tuple id, token position in the tuple's
-    /// ordered token list).
-    postings: HashMap<String, Vec<(TupleId, u32)>>,
-    /// Token-set size per tuple id (dense, NAN-like sentinel = `u32::MAX`
-    /// for tuples with no tokens).
-    set_sizes: Vec<u32>,
-    posting_count: usize,
-    /// Largest token-set size ever inserted: bounds the per-probe
-    /// [`VerdictTable`].
-    max_set_size: u32,
+/// One `A` column in rank space, kept by whoever builds indexes over the
+/// `(attribute, tokenizer)`: each build reads the ranks and shares the
+/// order, the set sizes, the missing list and the fingerprints.
+#[derive(Debug, Clone)]
+pub struct TokenColumn {
+    pub(crate) order: Arc<TokenOrder>,
+    /// Tuple `id`'s ranks, ascending, are
+    /// `ranks[offsets[id]..offsets[id + 1]]`.
+    offsets: Vec<usize>,
+    ranks: Vec<u32>,
+    /// Token-set size per tuple id (0: the value produced no tokens).
+    pub(crate) set_sizes: Arc<[u32]>,
+    /// Ids whose value is missing (permanent candidates of every probe).
+    pub(crate) missing: Arc<[TupleId]>,
+    /// The fingerprints at every signature width asked for so far.
+    sigs: Vec<Arc<SignatureIndex>>,
 }
 
-/// Sentinel size for tuples whose value produced no tokens.
-const NO_TOKENS: u32 = u32::MAX;
+impl TokenColumn {
+    /// Re-express `column` — attribute `attr_idx` of `a` as per-tuple
+    /// distinct ids of `dict`, the profile layer's token column — in the
+    /// ranks of its own frequency order.
+    pub fn build(a: &Table, attr_idx: usize, column: &[Vec<u32>], dict: Arc<TokenDict>) -> Self {
+        let order = Arc::new(TokenOrder::of_column(column, dict));
+        let mut offsets = Vec::with_capacity(column.len() + 1);
+        let mut ranks = Vec::with_capacity(column.iter().map(Vec::len).sum());
+        offsets.push(0);
+        for ids in column {
+            let start = ranks.len();
+            ranks.extend(ids.iter().map(|&id| order.rank[id as usize]));
+            ranks[start..].sort_unstable();
+            offsets.push(ranks.len());
+        }
+        let mut missing = Vec::new();
+        a.for_each_rendered(attr_idx, |id, s| {
+            if s.is_empty() {
+                missing.push(id);
+            }
+        });
+        Self {
+            order,
+            offsets,
+            ranks,
+            set_sizes: column.iter().map(|ids| ids.len() as u32).collect(),
+            missing: missing.into(),
+            sigs: Vec::new(),
+        }
+    }
+
+    /// [`TokenColumn::build`] for callers without a profile: tokenize the
+    /// attribute here, into a dictionary of its own.
+    pub fn of_table(a: &Table, attr_idx: usize, tokenizer: Tokenizer) -> Self {
+        let mut dict = TokenDict::new();
+        let mut column = Vec::with_capacity(a.len());
+        a.for_each_rendered(attr_idx, |_, s| {
+            let mut ids: Vec<u32> = tokenizer
+                .tokenize_sorted(s)
+                .into_iter()
+                .map(|t| dict.intern_owned(t))
+                .collect();
+            ids.sort_unstable();
+            column.push(ids);
+        });
+        Self::build(a, attr_idx, &column, Arc::new(dict))
+    }
+
+    /// The ascending ranks of every tuple, in id order.
+    pub(crate) fn tuples(&self) -> impl Iterator<Item = &[u32]> {
+        self.offsets.windows(2).map(|w| &self.ranks[w[0]..w[1]])
+    }
+
+    /// The column's `words`-wide fingerprints, built on first use.
+    pub(crate) fn fingerprints(&mut self, words: usize) -> Arc<SignatureIndex> {
+        let built = self.sigs.iter().position(|s| s.words() == words.max(1));
+        let i = built.unwrap_or_else(|| {
+            self.sigs.push(Arc::new(SignatureIndex::build(self, words)));
+            self.sigs.len() - 1
+        });
+        Arc::clone(&self.sigs[i])
+    }
+}
+
+/// Prefix inverted index over one [`TokenColumn`] for one `(sim,
+/// threshold)` combination.
+#[derive(Debug, Clone)]
+pub struct PrefixIndex {
+    order: Arc<TokenOrder>,
+    set_sizes: Arc<[u32]>,
+    /// Largest token-set size: bounds the per-probe [`VerdictTable`].
+    max_set_size: usize,
+    /// CSR by rank: the `(tuple id, position in the tuple's ordered token
+    /// list)` postings of rank `r`, in id order, are
+    /// `postings[offsets[r]..offsets[r + 1]]`.
+    offsets: Vec<usize>,
+    postings: Vec<(TupleId, u32)>,
+    /// `Σ (len + 48)` over the tokens with a posting: the mapper-memory
+    /// model's price of a text-keyed postings map.
+    key_bytes: usize,
+    /// Expected postings one probe walks, assuming probe tokens are
+    /// distributed like indexed tokens (the planner weighs it against a
+    /// flat scan of the signed tuples).
+    pub(crate) probe_work: f64,
+}
 
 impl PrefixIndex {
-    /// Create an empty index, to be filled with [`PrefixIndex::insert`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Build the index for predicate `sim(x, ·) >= threshold` from the `A`
-    /// side values. `values` yields `(id, raw value)`; ids must be dense
-    /// from 0 (standard for [`falcon_table::Table`]).
-    pub fn build<'a>(
-        values: impl Iterator<Item = (TupleId, &'a str)>,
-        tokenizer: Tokenizer,
-        sim: SimFunction,
-        threshold: f64,
-        order: &TokenOrder,
-    ) -> Self {
-        let mut idx = Self::new();
-        for (id, raw) in values {
-            idx.insert(id, raw, tokenizer, sim, threshold, order);
+    /// Index the prefixes of `column` for predicate `sim(x, ·) >=
+    /// threshold`: a counting pass and a fill pass over the prefix ranks.
+    pub fn build(column: &TokenColumn, sim: SimFunction, threshold: f64) -> Self {
+        let max_set_size = column.set_sizes.iter().max().map_or(0, |s| *s as usize);
+        let prefix_of: Vec<usize> = (0..=max_set_size)
+            .map(|n| prefix::prefix_len(sim, threshold, n))
+            .collect();
+        let prefixes = || {
+            column
+                .tuples()
+                .map(|r| &r[..prefix_of[r.len()].min(r.len())])
+        };
+        let mut offsets = vec![0usize; column.order.len() + 1];
+        for &r in prefixes().flatten() {
+            offsets[r as usize + 1] += 1;
         }
-        idx
-    }
-
-    /// Insert one `(id, raw value)` entry: the incremental form used by
-    /// the columnar one-pass index builds. Empty values leave the id
-    /// marked token-less (it is handled by the caller's missing list).
-    pub fn insert(
-        &mut self,
-        id: TupleId,
-        raw: &str,
-        tokenizer: Tokenizer,
-        sim: SimFunction,
-        threshold: f64,
-        order: &TokenOrder,
-    ) {
-        if raw.is_empty() {
-            self.insert_tokens(id, Vec::new(), sim, threshold);
-            return;
+        let (mut key_bytes, mut touch_sq) = (0, 0u128);
+        for r in 0..column.order.len() {
+            let n = offsets[r + 1];
+            if n > 0 {
+                key_bytes += column.order.tokens[r].1 + 48;
+                touch_sq += (n as u128) * (n as u128);
+            }
+            offsets[r + 1] += offsets[r];
         }
-        self.insert_tokens(
-            id,
-            order.order_tokens(tokenizer.tokenize(raw)),
-            sim,
-            threshold,
-        );
-    }
-
-    /// Insert one entry from its already-ordered token list. This is the
-    /// tokenize-once form used when the same columnar pass also feeds a
-    /// [`SignatureIndex`]. Empty token lists leave the id marked
-    /// token-less.
-    pub fn insert_tokens(
-        &mut self,
-        id: TupleId,
-        ordered: Vec<String>,
-        sim: SimFunction,
-        threshold: f64,
-    ) {
-        if self.set_sizes.len() <= id as usize {
-            self.set_sizes.resize(id as usize + 1, NO_TOKENS);
+        let mut next = offsets.clone();
+        let mut postings = vec![(0, 0); offsets[column.order.len()]];
+        for (id, ranks) in prefixes().enumerate() {
+            for (pos, &r) in ranks.iter().enumerate() {
+                postings[next[r as usize]] = (id as TupleId, pos as u32);
+                next[r as usize] += 1;
+            }
         }
-        if ordered.is_empty() {
-            return;
-        }
-        self.set_sizes[id as usize] = ordered.len() as u32;
-        self.max_set_size = self.max_set_size.max(ordered.len() as u32);
-        let p = prefix::prefix_len(sim, threshold, ordered.len());
-        for (pos, tok) in ordered.into_iter().take(p).enumerate() {
-            self.postings.entry(tok).or_default().push((id, pos as u32));
-            self.posting_count += 1;
+        // Mean prefix length over token-bearing tuples (a proxy for the
+        // probe tokens that hit a list) × `Σ|list|² / Σ|list|`, the
+        // postings one such token touches.
+        let per = |total: f64, n: usize| if n == 0 { 0.0 } else { total / n as f64 };
+        let tokened = column.set_sizes.iter().filter(|s| **s != 0).count();
+        let probe_work = per(postings.len() as f64, tokened) * per(touch_sq as f64, postings.len());
+        Self {
+            order: Arc::clone(&column.order),
+            set_sizes: Arc::clone(&column.set_sizes),
+            max_set_size,
+            offsets,
+            postings,
+            key_bytes,
+            probe_work,
         }
     }
 
     /// Token-set size of an indexed tuple (`None` if it had no tokens).
     pub fn set_size(&self, id: TupleId) -> Option<usize> {
-        match self.set_sizes.get(id as usize) {
-            Some(&s) if s != NO_TOKENS => Some(s as usize),
-            _ => None,
-        }
+        let size = self.set_sizes.get(id as usize)?;
+        (*size != 0).then_some(*size as usize)
     }
 
     /// The `(tuple id, token position)` postings of one prefix token.
     pub fn postings(&self, token: &str) -> &[(TupleId, u32)] {
-        self.postings.get(token).map_or(&[], Vec::as_slice)
+        self.order.rank(token).map_or(&[], |r| self.list(r))
+    }
+
+    fn list(&self, rank: u32) -> &[(TupleId, u32)] {
+        &self.postings[self.offsets[rank as usize]..self.offsets[rank as usize + 1]]
     }
 
     /// `FindProbableCandidates` for a set-similarity predicate: probe with
-    /// a raw `B`-side value and append every `A` id that passes the prefix,
-    /// position and length filters. The result may contain duplicates;
-    /// callers dedup after collecting across predicates.
-    pub fn probe(
-        &self,
-        raw: &str,
-        tokenizer: Tokenizer,
-        sim: SimFunction,
-        threshold: f64,
-        order: &TokenOrder,
-        out: &mut Vec<TupleId>,
-    ) {
-        if raw.is_empty() {
-            return;
-        }
-        let ordered = order.order_tokens(tokenizer.tokenize(raw));
-        self.probe_gated(
-            &ordered,
-            sim,
-            threshold,
-            None,
-            &mut VerdictTable::default(),
-            &mut ProbeStats::default(),
-            &mut |id| out.push(id),
-        );
-    }
-
-    /// Token-level form of [`PrefixIndex::probe`] with an optional
-    /// signature gate and probe counters; ids passing every filter go to
-    /// `sink` (possibly repeated). When `gate` is supplied, each posting
-    /// is first tested with the lossless popcount bound (see
-    /// [`SignatureIndex::may_overlap`]) before the exact length and
-    /// position filters run — a signature refutation is a proof the pair
-    /// cannot reach the threshold, so gating never changes which true
-    /// candidates survive, only how much exact filtering runs.
+    /// a `B` value's `y_len` tokens in the column's rank space — `seen`,
+    /// its ranked tokens' ranks ascending, preceded in the value's ordered
+    /// token list by the tokens outside the order — and send every
+    /// `A` id that passes the prefix, position and length filters to
+    /// `sink` (possibly repeated; callers dedup across predicates). When
+    /// `gate` is supplied, each posting is first tested with the lossless
+    /// popcount bound (see [`SignatureIndex::may_overlap`]) before the
+    /// exact length and position filters run — a signature refutation is
+    /// a proof the pair cannot reach the threshold, so gating never
+    /// changes which true candidates survive, only how much exact
+    /// filtering runs.
     ///
     /// Everything those filters decide from the candidate's size alone is
     /// tabulated once per probe in `table` (see [`crate::verdict`]); the
@@ -221,7 +284,8 @@ impl PrefixIndex {
     #[allow(clippy::too_many_arguments)]
     pub fn probe_gated(
         &self,
-        ordered: &[String],
+        seen: &[u32],
+        y_len: usize,
         sim: SimFunction,
         threshold: f64,
         gate: Option<(&SignatureIndex, &ProbeSig)>,
@@ -229,7 +293,6 @@ impl PrefixIndex {
         stats: &mut ProbeStats,
         sink: &mut impl FnMut(TupleId),
     ) {
-        let y_len = ordered.len();
         if y_len == 0 {
             return;
         }
@@ -237,12 +300,11 @@ impl PrefixIndex {
         let bounds = prefix::length_bounds(sim, threshold, y_len);
         let min_bits = gate.map(|(_, probe)| probe.min_bits());
         let fill = |x_len| verdict(sim, threshold, x_len, y_len, bounds, min_bits);
-        table.reset(self.max_set_size as usize);
+        table.reset(self.max_set_size);
         let mut local = ProbeStats::default();
-        for (j, tok) in ordered.iter().take(p).enumerate() {
-            let Some(list) = self.postings.get(tok) else {
-                continue;
-            };
+        // The unseen tokens come first and have no postings.
+        for (j, &rank) in (y_len - seen.len()..p).zip(seen) {
+            let list = self.list(rank);
             // Position filter: tokens at positions i (in x) and j (in y)
             // match; the best remaining overlap is this shared token plus
             // whatever follows on both sides.
@@ -271,81 +333,69 @@ impl PrefixIndex {
         stats.merge(&local);
     }
 
-    /// Expected postings touched per probe token, assuming probe tokens
-    /// are distributed like indexed tokens: `Σ|list|² / Σ|list|`. The
-    /// planner multiplies this by the average prefix length to estimate
-    /// per-probe inverted-index work.
-    pub fn avg_posting_touch(&self) -> f64 {
-        if self.posting_count == 0 {
-            return 0.0;
-        }
-        self.posting_len_sum_sq() as f64 / self.posting_count as f64
-    }
-
-    /// `Σ|list|²` over the postings map. Integer accumulation: summing
-    /// f64 in HashMap iteration order could differ in the last ULP
-    /// between runs and flip the probe-mode planner's decision; u128
-    /// sums are exact and order-free.
-    fn posting_len_sum_sq(&self) -> u128 {
-        self.postings
-            .values()
-            .map(|l| (l.len() as u128) * (l.len() as u128))
-            .sum()
-    }
-
-    /// Mean prefix length over indexed (token-bearing) tuples — a proxy
-    /// for the number of probe tokens that hit the postings map.
-    pub fn avg_prefix_len(&self) -> f64 {
-        let indexed = self.set_sizes.iter().filter(|s| **s != NO_TOKENS).count();
-        if indexed == 0 {
-            return 0.0;
-        }
-        self.posting_count as f64 / indexed as f64
-    }
-
     /// Estimated memory footprint in bytes.
     pub fn estimated_bytes(&self) -> usize {
-        let key_bytes: usize = self.postings.keys().map(|k| k.len() + 48).sum();
-        key_bytes
-            + self.posting_count * std::mem::size_of::<(TupleId, u32)>()
+        self.key_bytes
+            + self.postings.len() * std::mem::size_of::<(TupleId, u32)>()
             + self.set_sizes.len() * 4
     }
 
     /// Number of postings.
     pub fn len(&self) -> usize {
-        self.posting_count
+        self.postings.len()
     }
 
     /// True iff no postings.
     pub fn is_empty(&self) -> bool {
-        self.posting_count == 0
+        self.postings.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::ProbeTokens;
+    use falcon_table::{AttrType, Schema, Value};
     use falcon_textsim::sets;
 
-    fn order_for(values: &[&str], tokenizer: Tokenizer) -> TokenOrder {
-        let mut freq: HashMap<String, usize> = HashMap::new();
-        for v in values {
-            for t in tokenizer.tokenize(v) {
-                *freq.entry(t).or_default() += 1;
-            }
-        }
-        TokenOrder::from_frequencies(freq.into_iter())
+    fn column_of(values: &[&str], tokenizer: Tokenizer) -> TokenColumn {
+        let schema = Schema::new([("x", AttrType::Str)]);
+        let rows = values.iter().map(|v| vec![Value::str(*v)]);
+        let a = Table::new("A", schema, rows);
+        TokenColumn::of_table(&a, 0, tokenizer)
+    }
+
+    fn probe(idx: &PrefixIndex, raw: &str, sim: SimFunction, threshold: f64) -> Vec<TupleId> {
+        let mut tokens = ProbeTokens::default();
+        let tokenizer = sim.tokenizer().expect("set measure");
+        tokens.load(Value::str(raw).as_value_ref(), tokenizer, &idx.order);
+        let mut out = Vec::new();
+        idx.probe_gated(
+            &tokens.seen,
+            tokens.hashes.len(),
+            sim,
+            threshold,
+            None,
+            &mut VerdictTable::default(),
+            &mut ProbeStats::default(),
+            &mut |id| out.push(id),
+        );
+        out
     }
 
     #[test]
     fn token_order_rare_first() {
-        let order = order_for(&["a b", "a c", "a d"], Tokenizer::Word);
-        // "a" appears 3 times -> last.
-        let sorted = order.order_tokens(vec!["a".into(), "b".into()]);
-        assert_eq!(sorted, vec!["b".to_string(), "a".to_string()]);
-        // Unseen tokens come first.
-        let sorted = order.order_tokens(vec!["a".into(), "zzz".into()]);
-        assert_eq!(sorted[0], "zzz");
+        let column = column_of(&["a b", "a c", "a d"], Tokenizer::Word);
+        let order = &column.order;
+        // "a" appears 3 times -> last; ties break on the text.
+        assert_eq!(order.rank("b"), Some(0));
+        assert_eq!(order.rank("c"), Some(1));
+        assert_eq!(order.rank("a"), Some(3));
+        // Unseen tokens have no rank and come first in a probe.
+        assert_eq!(order.rank("zzz"), None);
+        let mut tokens = ProbeTokens::default();
+        tokens.load(Value::str("a zzz").as_value_ref(), Tokenizer::Word, order);
+        assert_eq!((tokens.hashes.len(), &tokens.seen[..]), (2, &[3][..]));
     }
 
     #[test]
@@ -356,25 +406,8 @@ mod tests {
             "lazy dogs sleep",
             "quick brown foxes run",
         ];
-        let order = order_for(&a_vals, Tokenizer::Word);
-        let idx = PrefixIndex::build(
-            a_vals.iter().enumerate().map(|(i, v)| (i as TupleId, *v)),
-            Tokenizer::Word,
-            sim,
-            0.5,
-            &order,
-        );
-        let mut out = Vec::new();
-        idx.probe(
-            "the quick brown fox",
-            Tokenizer::Word,
-            sim,
-            0.5,
-            &order,
-            &mut out,
-        );
-        out.sort_unstable();
-        out.dedup();
+        let idx = PrefixIndex::build(&column_of(&a_vals, Tokenizer::Word), sim, 0.5);
+        let out = probe(&idx, "the quick brown fox", sim, 0.5);
         assert!(out.contains(&0));
         assert!(!out.contains(&1));
     }
@@ -399,7 +432,7 @@ mod tests {
             "zeta eta theta",
             "nothing shared here",
         ];
-        let order = order_for(&a_vals, tok);
+        let column = column_of(&a_vals, tok);
         for simf in [
             SimFunction::Jaccard(tok),
             SimFunction::Dice(tok),
@@ -407,16 +440,9 @@ mod tests {
             SimFunction::Overlap(tok),
         ] {
             for t in [0.3, 0.5, 0.7, 0.9] {
-                let idx = PrefixIndex::build(
-                    a_vals.iter().enumerate().map(|(i, v)| (i as TupleId, *v)),
-                    tok,
-                    simf,
-                    t,
-                    &order,
-                );
+                let idx = PrefixIndex::build(&column, simf, t);
                 for b in &b_vals {
-                    let mut cands = Vec::new();
-                    idx.probe(b, tok, simf, t, &order, &mut cands);
+                    let cands = probe(&idx, b, simf, t);
                     for (i, a) in a_vals.iter().enumerate() {
                         let (x, y) = (tok.tokenize(a), tok.tokenize(b));
                         if x.is_empty() || y.is_empty() {
@@ -444,16 +470,7 @@ mod tests {
     #[test]
     fn empty_probe_returns_nothing() {
         let sim = SimFunction::Jaccard(Tokenizer::Word);
-        let order = TokenOrder::default();
-        let idx = PrefixIndex::build(
-            [(0 as TupleId, "x y")].into_iter(),
-            Tokenizer::Word,
-            sim,
-            0.5,
-            &order,
-        );
-        let mut out = Vec::new();
-        idx.probe("", Tokenizer::Word, sim, 0.5, &order, &mut out);
-        assert!(out.is_empty());
+        let idx = PrefixIndex::build(&column_of(&["x y"], Tokenizer::Word), sim, 0.5);
+        assert!(probe(&idx, "", sim, 0.5).is_empty());
     }
 }

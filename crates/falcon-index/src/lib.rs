@@ -5,8 +5,9 @@
 //!
 //! * [`scalar`] — hash index (equivalence filter), sorted range index
 //!   (range filter) and length index (length filter),
-//! * [`inverted`] — global token ordering plus prefix inverted index
-//!   (prefix and position filters),
+//! * [`inverted`] — global token ordering over the profiles' token ids
+//!   plus prefix inverted index (prefix and position filters),
+//! * [`signature`] — per-column Bloom fingerprints gating the probe,
 //! * [`spec`] — [`FilterSpec`]: the per-predicate description of which
 //!   filters apply, the built [`PredicateIndex`], and the probe routine
 //!   (`FindProbableCandidates` of Algorithm 1 in the paper),
@@ -28,8 +29,8 @@ pub mod spec;
 pub mod verdict;
 
 pub use bitmap::CandidateBitmap;
-pub use inverted::{PrefixIndex, TokenOrder};
+pub use inverted::{PrefixIndex, TokenColumn, TokenOrder};
 pub use scalar::{HashIndex, LengthIndex, RangeIndex};
-pub use signature::{ProbeSig, ProbeStats, SignatureIndex};
+pub use signature::{token_hash, ProbeSig, ProbeStats, SignatureIndex};
 pub use spec::{FilterSpec, IndexError, Obligation, PredicateIndex, ProbeMode, ProbeTokens};
 pub use verdict::VerdictTable;

@@ -2,11 +2,12 @@
 //! overlap bound.
 //!
 //! Each indexed tuple gets a `words × 64`-bit fingerprint: every distinct
-//! token sets one bit (FNV-1a hash mod the width). For a set-similarity
-//! predicate `sim(a, b) > t` the prefix-filter math already gives a
-//! minimal required token overlap `o = required_overlap(t, |a|, |b|)`; the
-//! signature layer answers "can |a ∩ b| reach o?" with one AND + popcount
-//! per pair, *before* any posting-list walk or exact similarity score.
+//! token sets one bit (FNV-1a of its text mod the width), one column of
+//! them per token column and width. For a set-similarity predicate
+//! `sim(a, b) > t` the prefix-filter math already gives a minimal token
+//! overlap `o = required_overlap(t, |a|, |b|)`; the signature layer
+//! answers "can |a ∩ b| reach o?" with one AND + popcount per pair,
+//! *before* any posting-list walk or exact similarity score.
 //!
 //! # Superset proof
 //!
@@ -26,22 +27,26 @@
 //! that prune is exact too. False positives pass through to the exact
 //! filters — the layer can only ever yield a superset of true candidates.
 
-use crate::verdict::{Verdict, VerdictTable, REFUTED};
+use crate::inverted::TokenColumn;
+use crate::verdict::{verdict, VerdictTable, REFUTED};
 use falcon_table::TupleId;
+use falcon_textsim::{prefix, SimFunction};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::sync::Arc;
 
-/// Sentinel length for tuples with no tokens (mirrors
-/// `inverted::NO_TOKENS`): they can never satisfy a positive overlap
-/// requirement and are excluded from signature scans.
+/// [`SignatureIndex::size`] of tuples with no tokens: they can never
+/// satisfy a positive overlap requirement and are excluded from signature
+/// scans.
 pub const SIG_NO_TOKENS: u32 = u32::MAX;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a hash of a token — stable across platforms and runs, so
-/// signatures (and therefore candidate sets) are deterministic.
-fn fnv1a(token: &str) -> u64 {
+/// FNV-1a hash of a token's text — stable across platforms and runs, and
+/// independent of dictionary numbering, so signatures (and therefore
+/// candidate sets) are deterministic. A token's fingerprint bit in a
+/// `words`-word signature is this hash mod `words × 64`.
+pub fn token_hash(token: &str) -> u64 {
     let mut h = FNV_OFFSET;
     for byte in token.as_bytes() {
         h ^= u64::from(*byte);
@@ -50,40 +55,49 @@ fn fnv1a(token: &str) -> u64 {
     h
 }
 
-/// Bit position for `token` in a `words`-word signature.
+/// Bit position of a token hash in a `words`-word signature.
 #[inline]
-fn token_bit(token: &str, words: usize) -> usize {
-    (fnv1a(token) % (words as u64 * 64)) as usize
+fn hash_bit(hash: u64, words: usize) -> usize {
+    (hash % (words as u64 * 64)) as usize
 }
 
-/// Dense column of per-tuple Bloom fingerprints plus token counts.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Dense column of per-tuple Bloom fingerprints over one [`TokenColumn`],
+/// built once per signature width and shared by every index gated at
+/// that width.
+#[derive(Debug, Clone)]
 pub struct SignatureIndex {
+    /// Distinct-token count per tuple (0 for tokenless rows): the column's.
+    sizes: Arc<[u32]>,
+    /// Largest count: bounds the per-probe [`VerdictTable`] of a dense scan.
+    max_size: usize,
     /// Signature width in 64-bit words (≥ 1).
     words: usize,
     /// Row-major fingerprints: tuple `id` owns `bits[id*words .. (id+1)*words]`.
     bits: Vec<u64>,
-    /// Distinct-token count per tuple; `SIG_NO_TOKENS` for tokenless rows.
-    sizes: Vec<u32>,
     /// Total set bits across all fingerprints (density statistic).
     set_bits: u64,
-    /// Largest token count ever inserted: bounds the per-probe
-    /// [`VerdictTable`] of a dense scan.
-    max_size: u32,
 }
 
 impl SignatureIndex {
-    /// Empty index with room for `n` tuples at `words × 64` bits each.
-    /// `words` is clamped to ≥ 1 (the verifier rejects 0 statically; the
-    /// clamp keeps the data structure total).
-    pub fn new(n: usize, words: usize) -> Self {
+    /// Fingerprint every tuple of `column` at `words × 64` bits. `words`
+    /// is clamped to ≥ 1 (the verifier rejects 0 statically; the clamp
+    /// keeps the data structure total).
+    pub fn build(column: &TokenColumn, words: usize) -> Self {
         let words = words.max(1);
+        let sizes = Arc::clone(&column.set_sizes);
+        let mut bits = vec![0u64; sizes.len() * words];
+        for (row, ranks) in bits.chunks_exact_mut(words).zip(column.tuples()) {
+            for &rank in ranks {
+                let bit = hash_bit(column.order.hash(rank), words);
+                row[bit / 64] |= 1 << (bit % 64);
+            }
+        }
         Self {
+            max_size: sizes.iter().max().map_or(0, |s| *s as usize),
+            sizes,
+            set_bits: bits.iter().map(|w| u64::from(w.count_ones())).sum(),
             words,
-            bits: vec![0; n * words],
-            sizes: vec![SIG_NO_TOKENS; n],
-            set_bits: 0,
-            max_size: 0,
+            bits,
         }
     }
 
@@ -92,53 +106,17 @@ impl SignatureIndex {
         self.words
     }
 
-    /// Number of tuple slots.
-    pub fn len(&self) -> usize {
-        self.sizes.len()
-    }
-
-    /// True iff no tuple slots exist.
-    pub fn is_empty(&self) -> bool {
-        self.sizes.is_empty()
-    }
-
-    /// Record tuple `id`'s token set. Called once per tuple during the
-    /// columnar build pass; later calls overwrite.
-    pub fn insert(&mut self, id: TupleId, tokens: &BTreeSet<String>) {
-        let i = id as usize;
-        if i >= self.sizes.len() {
-            return;
-        }
-        let row = &mut self.bits[i * self.words..(i + 1) * self.words];
-        let old_bits: u64 = row.iter().map(|w| w.count_ones() as u64).sum();
-        self.set_bits -= old_bits;
-        for w in row.iter_mut() {
-            *w = 0;
-        }
-        if tokens.is_empty() {
-            self.sizes[i] = SIG_NO_TOKENS;
-            return;
-        }
-        for t in tokens {
-            let bit = token_bit(t, self.words);
-            row[bit / 64] |= 1 << (bit % 64);
-        }
-        self.set_bits += row.iter().map(|w| w.count_ones() as u64).sum::<u64>();
-        self.sizes[i] = tokens.len() as u32;
-        self.max_size = self.max_size.max(tokens.len() as u32);
-    }
-
     /// Distinct-token count of tuple `id` (`SIG_NO_TOKENS` when absent).
     pub fn size(&self, id: TupleId) -> u32 {
-        self.sizes
-            .get(id as usize)
-            .copied()
-            .unwrap_or(SIG_NO_TOKENS)
+        match self.sizes.get(id as usize) {
+            Some(&size) if size != 0 => size,
+            _ => SIG_NO_TOKENS,
+        }
     }
 
     /// Number of tuples that carry a real (non-sentinel) signature.
     pub fn signed_count(&self) -> usize {
-        self.sizes.iter().filter(|s| **s != SIG_NO_TOKENS).count()
+        self.sizes.iter().filter(|s| **s != 0).count()
     }
 
     /// Mean fraction of set bits per signed fingerprint, in `[0, 1]`.
@@ -177,14 +155,13 @@ impl SignatureIndex {
     /// path must still check); `false` is a proof of impossibility.
     #[inline]
     pub fn may_overlap(&self, id: TupleId, probe: &ProbeSig, need: usize) -> bool {
-        let size = match self.sizes.get(id as usize) {
-            Some(s) => *s,
-            None => return false,
+        let Some(&size) = self.sizes.get(id as usize) else {
+            return false;
         };
         if need == 0 {
             return true;
         }
-        if size == SIG_NO_TOKENS || (size as usize) < need {
+        if (size as usize) < need {
             // Overlap is bounded by |a|; fewer tokens than `need` cannot
             // overlap enough. Tokenless tuples never satisfy need ≥ 1.
             return false;
@@ -206,20 +183,24 @@ impl SignatureIndex {
     pub(crate) fn scan_dense(
         &self,
         probe: &ProbeSig,
+        sim: SimFunction,
+        threshold: f64,
         table: &mut VerdictTable,
-        verdict: impl Fn(usize) -> Verdict,
         stats: &mut ProbeStats,
         sink: &mut impl FnMut(TupleId),
     ) {
-        table.reset(self.max_size as usize);
+        let y_len = probe.token_count();
+        let bounds = prefix::length_bounds(sim, threshold, y_len);
+        let fill = |x_len| verdict(sim, threshold, x_len, y_len, bounds, Some(probe.min_bits()));
+        table.reset(self.max_size);
         let mut local = ProbeStats::default();
         for (id, &size) in self.sizes.iter().enumerate() {
-            if size == SIG_NO_TOKENS {
+            if size == 0 {
                 continue;
             }
             let id = id as TupleId;
             local.pairs_examined += 1;
-            let v = table.at(size as usize, &verdict);
+            let v = table.at(size as usize, fill);
             if v.floor != 0 && (v.floor == REFUTED || self.shared_bits(id, probe) < v.floor) {
                 local.pruned_by_signature += 1;
             } else if !v.len_ok {
@@ -246,13 +227,12 @@ pub struct ProbeSig {
 }
 
 impl ProbeSig {
-    /// Build the probe fingerprint and its `min_bits` table from the B
-    /// value's distinct tokens (a token set, or the rank-ordered token
-    /// list of a probe plan).
-    pub fn build<'a>(tokens: impl IntoIterator<Item = &'a String>, words: usize) -> Self {
+    /// Build the probe fingerprint and its `min_bits` table from the
+    /// [`token_hash`]es of the B value's distinct tokens, in any order.
+    pub fn build(hashes: impl IntoIterator<Item = u64>, words: usize) -> Self {
         let words = words.max(1);
         let mut sig = vec![0u64; words];
-        let mut bits: Vec<usize> = tokens.into_iter().map(|t| token_bit(t, words)).collect();
+        let mut bits: Vec<usize> = hashes.into_iter().map(|h| hash_bit(h, words)).collect();
         let token_count = bits.len();
         // Multiplicity per distinct bit: how many probe tokens hash there.
         let mut mult: Vec<u32> = Vec::with_capacity(token_count);
@@ -336,26 +316,35 @@ impl ProbeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use falcon_table::{AttrType, Schema, Table, Value};
+    use falcon_textsim::Tokenizer;
+    use std::collections::BTreeSet;
 
-    fn toks(v: &[&str]) -> BTreeSet<String> {
-        v.iter().map(|s| s.to_string()).collect()
+    /// Word-token fingerprints of one value per tuple.
+    fn index_of(values: &[&str], words: usize) -> SignatureIndex {
+        let schema = Schema::new([("x", AttrType::Str)]);
+        let a = Table::new("A", schema, values.iter().map(|v| vec![Value::str(*v)]));
+        SignatureIndex::build(&TokenColumn::of_table(&a, 0, Tokenizer::Word), words)
+    }
+
+    fn probe_of(value: &str, words: usize) -> ProbeSig {
+        ProbeSig::build(value.split(' ').map(token_hash), words)
     }
 
     #[test]
     fn identical_sets_always_may_overlap() {
-        let t = toks(&["ab", "bc", "cd", "de"]);
+        let t = "ab bc cd de";
         for words in [1usize, 2, 4] {
-            let mut idx = SignatureIndex::new(1, words);
-            idx.insert(0, &t);
-            let probe = ProbeSig::build(&t, words);
-            for need in 0..=t.len() {
+            let idx = index_of(&[t], words);
+            let probe = probe_of(t, words);
+            for need in 0..=4 {
                 assert!(
                     idx.may_overlap(0, &probe, need),
                     "words={words} need={need}"
                 );
             }
             // need beyond |probe| is impossible.
-            assert!(!idx.may_overlap(0, &probe, t.len() + 1));
+            assert!(!idx.may_overlap(0, &probe, 5));
         }
     }
 
@@ -363,15 +352,16 @@ mod tests {
     fn disjoint_sets_pruned_when_bits_disjoint() {
         // With a wide signature, disjoint small sets almost surely map to
         // disjoint bits; when they do, overlap ≥ 1 must be refuted.
-        let a = toks(&["alpha", "beta"]);
-        let b = toks(&["gamma", "delta"]);
+        let (a, b) = ("alpha beta", "gamma delta");
         let words = 4;
-        let mut idx = SignatureIndex::new(1, words);
-        idx.insert(0, &a);
-        let probe = ProbeSig::build(&b, words);
-        let bits_a: BTreeSet<usize> = a.iter().map(|t| token_bit(t, words)).collect();
-        let bits_b: BTreeSet<usize> = b.iter().map(|t| token_bit(t, words)).collect();
-        if bits_a.is_disjoint(&bits_b) {
+        let idx = index_of(&[a], words);
+        let probe = probe_of(b, words);
+        let bits = |v: &str| -> BTreeSet<usize> {
+            v.split(' ')
+                .map(|t| hash_bit(token_hash(t), words))
+                .collect()
+        };
+        if bits(a).is_disjoint(&bits(b)) {
             assert!(!idx.may_overlap(0, &probe, 1));
         }
         // Either way, need=0 always passes.
@@ -383,22 +373,20 @@ mod tests {
         // Force every token onto one bit with a 1-word signature on a big
         // token set: min_bits[o] must be 1 for all o ≤ |tokens| whenever
         // all tokens collide, so a single shared bit cannot prune.
-        let t: BTreeSet<String> = (0..200).map(|i| format!("tok{i}")).collect();
-        let probe = ProbeSig::build(&t, 1);
-        let mut idx = SignatureIndex::new(1, 1);
-        idx.insert(0, &t);
+        let t: Vec<String> = (0..200).map(|i| format!("tok{i}")).collect();
+        let t = t.join(" ");
+        let probe = probe_of(&t, 1);
+        let idx = index_of(&[&t], 1);
         // Identity pair with full overlap: must never be pruned.
-        for need in 0..=t.len() {
+        for need in 0..=200 {
             assert!(idx.may_overlap(0, &probe, need), "need={need}");
         }
     }
 
     #[test]
     fn tokenless_and_missing_ids() {
-        let mut idx = SignatureIndex::new(2, 1);
-        idx.insert(0, &BTreeSet::new());
-        idx.insert(1, &toks(&["x"]));
-        let probe = ProbeSig::build(&toks(&["x"]), 1);
+        let idx = index_of(&["", "x"], 1);
+        let probe = probe_of("x", 1);
         assert!(!idx.may_overlap(0, &probe, 1), "tokenless can't overlap");
         assert!(idx.may_overlap(0, &probe, 0), "need=0 passes everything");
         assert!(idx.may_overlap(1, &probe, 1));
@@ -410,14 +398,12 @@ mod tests {
 
     #[test]
     fn density_and_bytes() {
-        let mut idx = SignatureIndex::new(4, 2);
-        idx.insert(0, &toks(&["a", "b", "c"]));
-        idx.insert(1, &toks(&["d"]));
+        let idx = index_of(&["a b c", "d", "", ""], 2);
         let d = idx.density();
         assert!(d > 0.0 && d < 1.0, "density {d}");
         assert!(idx.estimated_bytes() > 0);
         assert_eq!(idx.words(), 2);
-        assert_eq!(idx.len(), 4);
+        assert_eq!(idx.estimated_bytes(), 4 * (2 * 8 + 4));
     }
 
     #[test]
@@ -441,7 +427,7 @@ mod tests {
 
     #[test]
     fn hash_is_deterministic() {
-        assert_eq!(fnv1a("falcon"), fnv1a("falcon"));
-        assert_ne!(fnv1a("falcon"), fnv1a("falcom"));
+        assert_eq!(token_hash("falcon"), token_hash("falcon"));
+        assert_ne!(token_hash("falcon"), token_hash("falcom"));
     }
 }

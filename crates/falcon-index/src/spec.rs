@@ -1,5 +1,6 @@
 //! Per-predicate filter specification, index bundle, and the probe routine
-//! (`FindProbableCandidates` of Algorithm 1).
+//! (`FindProbableCandidates` of Algorithm 1): one kernel, fed from `B`'s
+//! token-id column or, decoded first, from a value.
 //!
 //! ## Missing-value semantics
 //!
@@ -19,12 +20,12 @@
 //! match (almost) all dissimilar pairs and admit no index:
 //! [`FilterSpec`] construction reports them as unfilterable.
 
-use crate::inverted::{PrefixIndex, TokenOrder};
+use crate::inverted::{PrefixIndex, TokenColumn, TokenOrder};
 use crate::scalar::{HashIndex, LengthIndex, RangeIndex};
-use crate::signature::{ProbeSig, ProbeStats, SignatureIndex};
-use crate::verdict::{verdict, VerdictTable};
+use crate::signature::{token_hash, ProbeSig, ProbeStats, SignatureIndex};
+use crate::verdict::VerdictTable;
 use falcon_table::{Table, TupleId, Value, ValueRef};
-use falcon_textsim::{prefix, SimFunction, Tokenizer};
+use falcon_textsim::{prefix, SimFunction, TokenDict, Tokenizer};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -309,16 +310,23 @@ impl ProbeMode {
 
 /// What a set-similarity probe reads of one `B` value, computed once and
 /// shared by every predicate probing the same `(B attribute, tokenizer,
-/// token order)`: the rank-ordered distinct tokens, one [`ProbeSig`] per
-/// signature width asked for, and the reusable [`VerdictTable`] buffer.
-/// [`PredicateIndex::probe_into`] loads it on first use; callers
-/// [`ProbeTokens::reset`] it when they move to the next `B` value.
+/// token order)`: the value's distinct tokens in the order's rank space,
+/// one [`ProbeSig`] per signature width asked for, and the reusable
+/// [`VerdictTable`] buffer. Callers holding `B`'s token profile load it
+/// with [`ProbeTokens::load_ids`]; otherwise [`PredicateIndex::probe_into`]
+/// tokenizes the value on first use. Either way it is
+/// [`ProbeTokens::reset`] before the next `B` value.
 #[derive(Debug, Default)]
 pub struct ProbeTokens {
     loaded: bool,
     /// The rendered value was empty (missing): the probe matches all of `A`.
     missing: bool,
-    ordered: Vec<String>,
+    /// Ranks of the value's ranked tokens, ascending. The other tokens are
+    /// outside the order: they sort before every ranked one and hit no
+    /// posting.
+    pub(crate) seen: Vec<u32>,
+    /// [`token_hash`] of every token, ranked or not.
+    pub(crate) hashes: Vec<u64>,
     sigs: Vec<ProbeSig>,
     table: VerdictTable,
 }
@@ -329,23 +337,62 @@ impl ProbeTokens {
         self.loaded = false;
     }
 
-    fn load(&mut self, b_value: ValueRef<'_>, tokenizer: Tokenizer, order: &TokenOrder) {
+    /// True once a value was loaded since the last [`ProbeTokens::reset`].
+    pub fn is_loaded(&self) -> bool {
+        self.loaded
+    }
+
+    fn fill(&mut self, missing: bool, tokens: impl Iterator<Item = (Option<u32>, u64)>) {
+        self.loaded = true;
+        self.missing = missing;
+        self.seen.clear();
+        self.hashes.clear();
+        self.sigs.clear();
+        for (rank, hash) in tokens {
+            self.seen.extend(rank);
+            self.hashes.push(hash);
+        }
+        self.seen.sort_unstable();
+    }
+
+    /// Load `b_value` from `ids`, its distinct tokens as ids of `dict` —
+    /// the dictionary `order` was built over, or a later state of it.
+    pub fn load_ids(
+        &mut self,
+        b_value: ValueRef<'_>,
+        ids: &[u32],
+        order: &TokenOrder,
+        dict: &TokenDict,
+    ) {
+        let token = |&id: &u32| match order.rank_of(id) {
+            Some(rank) => (Some(rank), order.hash(rank)),
+            None => (None, token_hash(dict.resolve(id).unwrap_or_default())),
+        };
+        // A value with tokens is not missing; numbers always have some.
+        let missing = ids.is_empty() && rendered_key(b_value, &mut String::new()).is_empty();
+        self.fill(missing, ids.iter().map(token));
+    }
+
+    /// Load `b_value` by tokenizing it and looking each token up in the
+    /// order's dictionary: the decode step in front of the same kernel.
+    pub(crate) fn load(&mut self, b_value: ValueRef<'_>, tokenizer: Tokenizer, order: &TokenOrder) {
         let mut scratch = String::new();
         let raw = rendered_key(b_value, &mut scratch);
-        self.loaded = true;
-        self.missing = raw.is_empty();
-        self.sigs.clear();
-        self.ordered = order.order_tokens(tokenizer.tokenize_sorted(raw));
+        let token = |t: &String| (order.rank(t), token_hash(t));
+        self.fill(
+            raw.is_empty(),
+            tokenizer.tokenize_sorted(raw).iter().map(token),
+        );
     }
 }
 
 /// The `words`-wide signature of the probe's tokens, built on first use.
-fn probe_sig<'a>(sigs: &'a mut Vec<ProbeSig>, ordered: &[String], words: usize) -> &'a ProbeSig {
+fn probe_sig<'a>(sigs: &'a mut Vec<ProbeSig>, hashes: &[u64], words: usize) -> &'a ProbeSig {
     let i = sigs
         .iter()
         .position(|s| s.words() == words)
         .unwrap_or_else(|| {
-            sigs.push(ProbeSig::build(ordered, words));
+            sigs.push(ProbeSig::build(hashes.iter().copied(), words));
             sigs.len() - 1
         });
     &sigs[i]
@@ -393,7 +440,7 @@ pub enum ProbeMode {
 ///     Candidates::All => unreachable!(),
 /// }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum PredicateIndex {
     /// Equivalence filter; `missing` lists A-ids with absent values
     /// (always candidates under missing-is-similar semantics).
@@ -418,7 +465,7 @@ pub enum PredicateIndex {
     },
     /// Prefix/position/length filters for one set-similarity predicate.
     SetSim {
-        /// Prefix inverted index (carries per-id set sizes).
+        /// Prefix inverted index (over the shared [`TokenColumn`]).
         index: PrefixIndex,
         /// Global token order shared between index and probes (one
         /// allocation per `(attribute, tokenizer)`, however many
@@ -428,17 +475,20 @@ pub enum PredicateIndex {
         sim: SimFunction,
         /// Threshold.
         threshold: f64,
-        /// Ids with missing values (always candidates).
-        missing: Vec<TupleId>,
+        /// Ids with missing values (always candidates); the column's list.
+        missing: Arc<[TupleId]>,
     },
     /// Signature pre-filter over an exact set-similarity bundle: a dense
     /// Bloom fingerprint column consulted before (or instead of) the
     /// inner inverted-index probe.
     Signature {
-        /// Per-tuple fingerprints plus token counts.
-        sigs: SignatureIndex,
+        /// Per-tuple fingerprints (one allocation per column and width).
+        sigs: Arc<SignatureIndex>,
         /// The exact filter bundle behind the gate (always `SetSim`).
         exact: Box<PredicateIndex>,
+        /// The cheapest lossless probe mode, planned once at build
+        /// ([`PredicateIndex::plan_probe_mode`]).
+        mode: ProbeMode,
     },
     /// Character-length + shared-qgram filters for Levenshtein predicates.
     Edit {
@@ -513,18 +563,18 @@ impl PredicateIndex {
     /// spec is structurally invalid. Kept for tests and benches; library
     /// code goes through [`PredicateIndex::try_build`].
     #[allow(clippy::unwrap_used, clippy::expect_used)]
-    pub fn build(a: &Table, spec: &FilterSpec, order: Option<Arc<TokenOrder>>) -> PredicateIndex {
+    pub fn build(a: &Table, spec: &FilterSpec, shared: Option<&mut TokenColumn>) -> PredicateIndex {
         // falcon-lint: allow(no-panic) — convenience wrapper for tests.
-        Self::try_build(a, spec, order).unwrap_or_else(|e| panic!("PredicateIndex::build: {e}"))
+        Self::try_build(a, spec, shared).unwrap_or_else(|e| panic!("PredicateIndex::build: {e}"))
     }
 
-    /// Build the index bundle for `spec` over table `a`. For set-similarity
-    /// specs a prebuilt [`TokenOrder`] may be supplied (the output of the
-    /// token-frequency MR jobs); otherwise one is computed here.
+    /// Build the index bundle for `spec` over table `a`. A set-similarity
+    /// spec is built over `shared`, its attribute's column from the
+    /// caller's token store; without one the attribute is tokenized here.
     pub fn try_build(
         a: &Table,
         spec: &FilterSpec,
-        order: Option<Arc<TokenOrder>>,
+        shared: Option<&mut TokenColumn>,
     ) -> Result<PredicateIndex, IndexError> {
         spec.verify()
             .map_err(|obligation| IndexError::RecallUnsafe {
@@ -569,7 +619,7 @@ impl PredicateIndex {
                 }
             }
             FilterSpec::SetSim { sim, threshold, .. } => {
-                build_setsim(a, attr_idx, *sim, *threshold, order, None)?
+                build_setsim(a, attr_idx, *sim, *threshold, shared, None)?
             }
             FilterSpec::Signature { inner, words } => {
                 // `verify()` above proved the inner is SetSim; the fallback
@@ -577,9 +627,9 @@ impl PredicateIndex {
                 // weakens (an unwrapped build is recall-safe regardless).
                 match &**inner {
                     FilterSpec::SetSim { sim, threshold, .. } => {
-                        build_setsim(a, attr_idx, *sim, *threshold, order, Some(*words))?
+                        build_setsim(a, attr_idx, *sim, *threshold, shared, Some(*words))?
                     }
-                    other => Self::try_build(a, other, order)?,
+                    other => Self::try_build(a, other, shared)?,
                 }
             }
             FilterSpec::EditSim { threshold, .. } => {
@@ -640,29 +690,18 @@ impl PredicateIndex {
         self.probe_ref_stats(b_value, self.plan_probe_mode(), &mut stats)
     }
 
-    /// Pick the cheapest lossless probe mode for this index. Non-signature
-    /// indexes always run exact ([`ProbeMode::Off`]); for signature
-    /// bundles the decision weighs signature density (dense fingerprints
-    /// cannot prune) against expected inverted-index work per probe (when
-    /// a probe is expected to touch more postings than there are signed
-    /// tuples, a flat signature scan is cheaper than walking postings).
+    /// The cheapest lossless probe mode for this index, planned when it
+    /// was built. Non-signature indexes always run exact
+    /// ([`ProbeMode::Off`]); for signature bundles the decision weighs
+    /// signature density (dense fingerprints cannot prune) against
+    /// expected inverted-index work per probe (when a probe is expected
+    /// to touch more postings than there are signed tuples, a flat
+    /// signature scan is cheaper than walking postings).
     pub fn plan_probe_mode(&self) -> ProbeMode {
-        let PredicateIndex::Signature { sigs, exact } = self else {
-            return ProbeMode::Off;
-        };
-        // A near-saturated fingerprint column refutes almost nothing:
-        // popcounts become pure overhead, so run the exact path alone.
-        if sigs.density() >= 0.5 {
-            return ProbeMode::Off;
+        match self {
+            PredicateIndex::Signature { mode, .. } => *mode,
+            _ => ProbeMode::Off,
         }
-        if let PredicateIndex::SetSim { index, .. } = &**exact {
-            let signed = sigs.signed_count() as f64;
-            let expected_postings = index.avg_prefix_len() * index.avg_posting_touch();
-            if signed > 0.0 && expected_postings >= signed {
-                return ProbeMode::Dense;
-            }
-        }
-        ProbeMode::Gate
     }
 
     /// [`PredicateIndex::probe_into`] collected into a fresh vector, with
@@ -753,7 +792,7 @@ impl PredicateIndex {
             PredicateIndex::SetSim { .. } => {
                 return self.probe_set(None, b_value, ProbeMode::Off, tokens, stats, sink);
             }
-            PredicateIndex::Signature { sigs, exact } => {
+            PredicateIndex::Signature { sigs, exact, .. } => {
                 return exact.probe_set(Some(sigs), b_value, mode, tokens, stats, sink);
             }
             PredicateIndex::Edit {
@@ -845,33 +884,23 @@ impl PredicateIndex {
             return false;
         }
         admit(missing, stats, sink);
+        let y_len = tokens.hashes.len();
         let ProbeTokens {
-            ordered,
+            seen,
+            hashes,
             sigs: probe_sigs,
             table,
             ..
         } = tokens;
         // A tokenless probe has no signature to test (and no postings).
         let gate = sigs
-            .filter(|_| mode != ProbeMode::Off && !ordered.is_empty())
-            .map(|s| (s, probe_sig(probe_sigs, ordered, s.words())));
+            .filter(|_| mode != ProbeMode::Off && y_len > 0)
+            .map(|s| (s, probe_sig(probe_sigs, hashes, s.words())));
         match gate {
             Some((sigs, probe)) if mode == ProbeMode::Dense => {
-                let y_len = ordered.len();
-                let bounds = prefix::length_bounds(*sim, *threshold, y_len);
-                let fill = |x_len| {
-                    verdict(
-                        *sim,
-                        *threshold,
-                        x_len,
-                        y_len,
-                        bounds,
-                        Some(probe.min_bits()),
-                    )
-                };
-                sigs.scan_dense(probe, table, fill, stats, sink);
+                sigs.scan_dense(probe, *sim, *threshold, table, stats, sink);
             }
-            _ => index.probe_gated(ordered, *sim, *threshold, gate, table, stats, sink),
+            _ => index.probe_gated(seen, y_len, *sim, *threshold, gate, table, stats, sink),
         }
         true
     }
@@ -892,7 +921,7 @@ impl PredicateIndex {
                 missing,
                 ..
             } => index.estimated_bytes() + order.estimated_bytes() + missing.len() * 4,
-            PredicateIndex::Signature { sigs, exact } => {
+            PredicateIndex::Signature { sigs, exact, .. } => {
                 sigs.estimated_bytes() + exact.estimated_bytes()
             }
             PredicateIndex::Edit {
@@ -938,58 +967,36 @@ fn rendered_key<'a>(v: ValueRef<'a>, scratch: &'a mut String) -> &'a str {
     }
 }
 
-/// Build the prefix-filter bundle for one set-similarity predicate in a
-/// single columnar pass, optionally populating a signature column from
-/// the same tokenization (`sig_words = Some(w)` → a
-/// [`PredicateIndex::Signature`] wrapping the exact bundle).
+/// Assemble the prefix-filter bundle for one set-similarity predicate
+/// over its rank-space column — the postings are all this spec builds of
+/// its own — wrapped in that column's `w`-word fingerprints when
+/// `sig_words = Some(w)`.
 fn build_setsim(
     a: &Table,
     attr_idx: usize,
     sim: SimFunction,
     threshold: f64,
-    order: Option<Arc<TokenOrder>>,
+    shared: Option<&mut TokenColumn>,
     sig_words: Option<usize>,
 ) -> Result<PredicateIndex, IndexError> {
     let tokenizer = sim.tokenizer().ok_or_else(|| IndexError::NotSetBased {
         sim: format!("{sim:?}"),
     })?;
-    let order = match order {
-        Some(o) => o,
-        None => {
-            // No prebuilt order: one extra rendered pass to count token
-            // frequencies.
-            let mut rendered: Vec<String> = Vec::with_capacity(a.len());
-            a.for_each_rendered(attr_idx, |_, s| rendered.push(s.to_string()));
-            Arc::new(token_order_for(
-                rendered.iter().map(String::as_str),
-                tokenizer,
-            ))
-        }
+    let mut own = None;
+    let column = match shared {
+        Some(shared) => shared,
+        None => own.insert(TokenColumn::of_table(a, attr_idx, tokenizer)),
     };
-    let mut index = PrefixIndex::new();
-    let mut missing = Vec::new();
-    let mut sigs = sig_words.map(|w| SignatureIndex::new(a.len(), w));
-    a.for_each_rendered(attr_idx, |id, s| {
-        if s.is_empty() {
-            missing.push(id);
-            index.insert_tokens(id, Vec::new(), sim, threshold);
-            return;
-        }
-        let tokens = tokenizer.tokenize(s);
-        if let Some(sigs) = sigs.as_mut() {
-            sigs.insert(id, &tokens);
-        }
-        index.insert_tokens(id, order.order_tokens(tokens), sim, threshold);
-    });
     let exact = PredicateIndex::SetSim {
-        index,
-        order,
+        index: PrefixIndex::build(column, sim, threshold),
+        order: Arc::clone(&column.order),
+        missing: Arc::clone(&column.missing),
         sim,
         threshold,
-        missing,
     };
-    Ok(match sigs {
+    Ok(match sig_words.map(|w| column.fingerprints(w)) {
         Some(sigs) => PredicateIndex::Signature {
+            mode: plan_mode(&sigs, &exact),
             sigs,
             exact: Box::new(exact),
         },
@@ -997,18 +1004,20 @@ fn build_setsim(
     })
 }
 
-/// Compute a global token order (ascending frequency) for an attribute.
-pub fn token_order_for<'a>(
-    values: impl Iterator<Item = &'a str>,
-    tokenizer: Tokenizer,
-) -> TokenOrder {
-    let mut freq: HashMap<String, usize> = HashMap::new();
-    for v in values {
-        for t in tokenizer.tokenize(v) {
-            *freq.entry(t).or_default() += 1;
-        }
+/// See [`PredicateIndex::plan_probe_mode`].
+fn plan_mode(sigs: &SignatureIndex, exact: &PredicateIndex) -> ProbeMode {
+    // A near-saturated fingerprint column refutes almost nothing:
+    // popcounts become pure overhead, so run the exact path alone.
+    if sigs.density() >= 0.5 {
+        return ProbeMode::Off;
     }
-    TokenOrder::from_frequencies(freq.into_iter())
+    let signed = sigs.signed_count() as f64;
+    match exact {
+        PredicateIndex::SetSim { index, .. } if signed > 0.0 && index.probe_work >= signed => {
+            ProbeMode::Dense
+        }
+        _ => ProbeMode::Gate,
+    }
 }
 
 #[cfg(test)]

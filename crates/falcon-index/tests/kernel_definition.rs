@@ -1,58 +1,109 @@
 //! The tabulated probe kernels against their definition.
 //!
 //! `PrefixIndex::probe_gated` and the dense signature scan decide each
-//! posting / tuple from a per-probe verdict table indexed by set size.
-//! This test states what they must compute — per posting, calling
-//! `required_overlap`, `length_bounds` and `may_overlap` directly, the
-//! arithmetic the table replaces — and checks that, for all four set
-//! measures, thresholds on and off the similarity values small sets
-//! produce, signature widths 1, 2 and 4 and all three probe modes, the
-//! kernels admit exactly the same ids (duplicates included) and account
-//! for every probe in the same `ProbeStats` bucket.
+//! posting / tuple from a per-probe verdict table indexed by set size,
+//! over postings indexed by frequency rank. This test states what they
+//! must compute in token *strings*: its own frequency order (count, then
+//! text) and prefix postings from `Tokenizer::tokenize`, and per posting
+//! `required_overlap`, `length_bounds` and `may_overlap` called directly —
+//! the arithmetic the table replaces. For all four set measures,
+//! thresholds on and off the similarity values small sets produce,
+//! signature widths 1, 2 and 4 and all three probe modes, the probe fed
+//! from a `B` value and the probe fed from `B`'s token-id column must
+//! both admit exactly the definition's ids (duplicates included) and
+//! account for every probe in the same `ProbeStats` bucket — over `B`
+//! values with tokens `A` never saw, tokens only another attribute's
+//! column interned, numbers, nulls, punctuation-only and empty strings.
 
-use falcon_index::signature::SIG_NO_TOKENS;
 use falcon_index::spec::{Candidates, ProbeMode};
-use falcon_index::{FilterSpec, PredicateIndex, ProbeSig, ProbeStats};
+use falcon_index::{
+    token_hash, FilterSpec, PredicateIndex, ProbeSig, ProbeStats, ProbeTokens, SignatureIndex,
+    TokenColumn,
+};
 use falcon_table::{AttrType, Schema, Table, TupleId, Value};
-use falcon_textsim::{prefix, SimFunction, Tokenizer};
+use falcon_textsim::{prefix, SimFunction, TokenDict, Tokenizer};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+/// The `A` column as the definition sees it: strings only.
+struct Column {
+    /// Token frequency over the tuples (the order is count, then text).
+    freq: BTreeMap<String, usize>,
+    /// Per tuple: its distinct tokens in that order.
+    ordered: Vec<Vec<String>>,
+    /// Ids whose value renders empty.
+    missing: Vec<TupleId>,
+}
+
+impl Column {
+    fn new(a_vals: &[Value], tokenizer: Tokenizer) -> Self {
+        let sets: Vec<BTreeSet<String>> = a_vals
+            .iter()
+            .map(|v| tokenizer.tokenize(&v.render()))
+            .collect();
+        let mut freq = BTreeMap::new();
+        for tok in sets.iter().flatten() {
+            *freq.entry(tok.clone()).or_insert(0) += 1;
+        }
+        let ordered = sets.into_iter().map(|s| in_order(&freq, s)).collect();
+        let is_missing = |v: &Value| v.render().is_empty();
+        let missing = (0..a_vals.len() as TupleId)
+            .filter(|&id| is_missing(&a_vals[id as usize]))
+            .collect();
+        Column {
+            freq,
+            ordered,
+            missing,
+        }
+    }
+
+    /// Token → `(tuple id, position)` over each tuple's prefix.
+    fn postings(&self, sim: SimFunction, t: f64) -> BTreeMap<&str, Vec<(TupleId, usize)>> {
+        let mut postings: BTreeMap<&str, Vec<(TupleId, usize)>> = BTreeMap::new();
+        for (id, toks) in self.ordered.iter().enumerate() {
+            let p = prefix::prefix_len(sim, t, toks.len());
+            for (pos, tok) in toks.iter().take(p).enumerate() {
+                postings.entry(tok).or_default().push((id as TupleId, pos));
+            }
+        }
+        postings
+    }
+}
+
+/// A token set in the global order: tokens the column never saw first,
+/// then by ascending frequency, ties on the text.
+fn in_order(freq: &BTreeMap<String, usize>, tokens: BTreeSet<String>) -> Vec<String> {
+    let mut toks: Vec<String> = tokens.into_iter().collect();
+    toks.sort_by_key(|t| (freq.get(t).copied(), t.clone()));
+    toks
+}
 
 /// The definition: `None` when the probe admits all of `A`.
 fn definition(
-    idx: &PredicateIndex,
+    col: &Column,
+    sim: SimFunction,
+    t: f64,
+    sigs: &SignatureIndex,
     b: &Value,
     mode: ProbeMode,
 ) -> Option<(Vec<TupleId>, ProbeStats)> {
-    let PredicateIndex::Signature { sigs, exact } = idx else {
-        panic!("expected a signature bundle");
-    };
-    let PredicateIndex::SetSim {
-        index,
-        order,
-        sim,
-        threshold,
-        missing,
-    } = &**exact
-    else {
-        panic!("expected a set-similarity inner index");
-    };
-    let (sim, t) = (*sim, *threshold);
     let raw = b.render();
     if raw.is_empty() {
         return None;
     }
     let tokens = sim.tokenizer().expect("set measure").tokenize(&raw);
     let y_len = tokens.len();
-    let probe = ProbeSig::build(&tokens, sigs.words());
+    let probe = ProbeSig::build(tokens.iter().map(|t| token_hash(t)), sigs.words());
     let gated = mode != ProbeMode::Off && y_len > 0;
     let bounds = prefix::length_bounds(sim, t, y_len);
-    let n_missing = missing.len() as u64;
+    let n_missing = col.missing.len() as u64;
     let mut stats = ProbeStats {
         pairs_examined: n_missing,
         survived: n_missing,
         ..ProbeStats::default()
     };
-    let mut ids = missing.clone();
+    let mut ids = col.missing.clone();
     // One examined probe: `at` is the shared token's positions (in x, in
     // y) for a posting, `None` for a dense-scan tuple.
     let mut judge = |id: TupleId, x_len: usize, at: Option<(usize, usize)>| {
@@ -72,18 +123,17 @@ fn definition(
         }
     };
     if gated && mode == ProbeMode::Dense {
-        for id in 0..sigs.len() as TupleId {
-            if sigs.size(id) != SIG_NO_TOKENS {
-                judge(id, sigs.size(id) as usize, None);
+        for (id, toks) in col.ordered.iter().enumerate() {
+            if !toks.is_empty() {
+                judge(id as TupleId, toks.len(), None);
             }
         }
     } else {
-        let ordered = order.order_tokens(tokens);
+        let postings = col.postings(sim, t);
         let p = prefix::prefix_len(sim, t, y_len);
-        for (j, tok) in ordered.iter().take(p).enumerate() {
-            for &(id, i) in index.postings(tok) {
-                let x_len = index.set_size(id).expect("posted ids have tokens");
-                judge(id, x_len, Some((i as usize, j)));
+        for (j, tok) in in_order(&col.freq, tokens).iter().take(p).enumerate() {
+            for &(id, i) in postings.get(tok.as_str()).map_or(&[][..], Vec::as_slice) {
+                judge(id, col.ordered[id as usize].len(), Some((i, j)));
             }
         }
     }
@@ -103,6 +153,20 @@ fn value() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// Tokens "another attribute's column" interned before `A`'s: the
+/// dictionary numbers them first, and `A` sees at most the short ones.
+const OTHER_COLUMN: [&str; 5] = ["other", "only", "ab", "c", "12"];
+
+fn intern(dict: &mut TokenDict, tokenizer: Tokenizer, v: &Value) -> Vec<u32> {
+    let mut ids: Vec<u32> = tokenizer
+        .tokenize(&v.render())
+        .into_iter()
+        .map(|t| dict.intern_owned(t))
+        .collect();
+    ids.sort_unstable();
+    ids
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -112,8 +176,21 @@ proptest! {
         b_vals in proptest::collection::vec(value(), 1..8),
         tokenizer in prop_oneof![Just(Tokenizer::Word), Just(Tokenizer::QGram(2))],
     ) {
+        let mut b_vals = b_vals;
+        b_vals.push(Value::str("other only ab zz"));
+        b_vals.push(Value::Str(String::new()));
         let schema = Schema::new([("x", AttrType::Str)]);
-        let a = Table::new("A", schema, a_vals.into_iter().map(|v| vec![v]));
+        let a = Table::new("A", schema, a_vals.iter().cloned().map(|v| vec![v]));
+        let col = Column::new(&a_vals, tokenizer);
+        // The token store: another column's tokens, then A's; B's ids come
+        // from a later state of the same dictionary.
+        let mut dict = TokenDict::new();
+        for tok in OTHER_COLUMN {
+            dict.intern(tok);
+        }
+        let a_ids: Vec<Vec<u32>> = a_vals.iter().map(|v| intern(&mut dict, tokenizer, v)).collect();
+        let mut column = TokenColumn::build(&a, 0, &a_ids, Arc::new(dict.clone()));
+        let b_ids: Vec<Vec<u32>> = b_vals.iter().map(|v| intern(&mut dict, tokenizer, v)).collect();
         for sim in [
             SimFunction::Jaccard(tokenizer),
             SimFunction::Dice(tokenizer),
@@ -124,11 +201,16 @@ proptest! {
                 for words in [1usize, 2, 4] {
                     let spec = FilterSpec::SetSim { a_attr: "x".into(), sim, threshold }
                         .with_signature(words);
-                    let idx = PredicateIndex::build(&a, &spec, None);
-                    for b in &b_vals {
+                    let idx = PredicateIndex::build(&a, &spec, Some(&mut column));
+                    let PredicateIndex::Signature { sigs, .. } = &idx else {
+                        panic!("expected a signature bundle");
+                    };
+                    let (_, order) = idx.token_source().expect("set-similarity index");
+                    for (b, ids) in b_vals.iter().zip(&b_ids) {
                         for mode in [ProbeMode::Off, ProbeMode::Gate, ProbeMode::Dense] {
+                            let want = definition(&col, sim, threshold, sigs, b, mode);
                             let mut stats = ProbeStats::default();
-                            let got = match idx.probe_ref_stats(b.as_value_ref(), mode, &mut stats) {
+                            let by_value = match idx.probe_ref_stats(b.as_value_ref(), mode, &mut stats) {
                                 Candidates::All => None,
                                 Candidates::Some(mut ids) => {
                                     ids.sort_unstable();
@@ -136,9 +218,19 @@ proptest! {
                                 }
                             };
                             prop_assert_eq!(
-                                got,
-                                definition(&idx, b, mode),
-                                "{:?} words={} {:?} b={:?}", spec, words, mode, b
+                                &by_value, &want,
+                                "value-fed {:?} words={} {:?} b={:?}", spec, words, mode, b
+                            );
+                            let (mut tokens, mut stats) = (ProbeTokens::default(), ProbeStats::default());
+                            tokens.load_ids(b.as_value_ref(), ids, order, &dict);
+                            let mut out = Vec::new();
+                            let pruned = idx.probe_into(
+                                b.as_value_ref(), mode, &mut tokens, &mut stats, &mut |id| out.push(id),
+                            );
+                            out.sort_unstable();
+                            prop_assert_eq!(
+                                pruned.then_some((out, stats)), want,
+                                "column-fed {:?} words={} {:?} b={:?}", spec, words, mode, b
                             );
                         }
                     }

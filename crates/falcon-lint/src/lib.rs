@@ -36,7 +36,7 @@
 //!   parameter or field with a hash type) in result-producing code under
 //!   `crates/falcon-{core,dataflow,forest,index}` must go through a
 //!   deterministic funnel: `group_in_arrival_order`, a sorted view
-//!   (`sort*`, `TokenOrder::from_frequencies`, BTree collections) or an
+//!   (`sort*`, BTree collections) or an
 //!   order-insensitive fold (`sum`/`count`/`min`/`max`/`any`/`all`/...).
 //!   `RandomState` is already banned, but even a deterministic hasher's
 //!   arbitrary order is not a *stable contract* — results must not depend
@@ -371,9 +371,8 @@ const ITER_METHODS: [&str; 8] = [
     "into_keys",
 ];
 /// Constructs that make an iteration order-insensitive or ordered.
-const BLESSED: [&str; 17] = [
+const BLESSED: [&str; 16] = [
     "group_in_arrival_order",
-    "from_frequencies",
     "BTreeMap",
     "BTreeSet",
     "sum",

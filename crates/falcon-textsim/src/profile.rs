@@ -67,6 +67,11 @@ impl TokenDict {
         }
     }
 
+    /// The id of an already-interned token.
+    pub fn get(&self, tok: &str) -> Option<u32> {
+        self.map.get(tok).copied()
+    }
+
     /// The token string behind an id.
     pub fn resolve(&self, id: u32) -> Option<&str> {
         self.toks.get(id as usize).map(String::as_str)
@@ -418,6 +423,8 @@ mod tests {
         assert_eq!(d.resolve(b), Some("beta"));
         assert_eq!(d.len(), 2);
         assert_eq!(d.resolve(99), None);
+        assert_eq!(d.get("beta"), Some(b));
+        assert_eq!(d.get("gamma"), None);
     }
 
     #[test]

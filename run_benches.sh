@@ -4,18 +4,6 @@
 set -u
 SCALE="${1:-1.0}"
 RUNS="${2:-3}"
-# blocking_bench emits BENCH_blocking.json:
-#   candidate_probe_reduction — probes reaching the exact filter + reducer
-#     pipeline, exact path / pre-filtered path (the popcount gate's prune),
-#   wall_speedup              — mean end-to-end blocking wall time,
-#     exact path / pre-filtered path,
-#   final_sets_identical      — asserted in-bench: both paths produce the
-#     same post-rule-evaluation candidate pairs,
-#   planned_modes             — per-conjunct probe modes the cost planner
-#     chose ("off" / "gate" / "dense"),
-#   nproc / cluster_threads   — the host's parallelism and the cluster's
-#     thread count the walls were measured with.
-# It runs at 10x the standard bench scale internally (--scale multiplies).
 # serve_bench emits BENCH_serve.json:
 #   throughput_speedup        — aggregate throughput of the shared-pool
 #     multi-tenant run over replaying the same jobs serially,
@@ -31,7 +19,7 @@ RUNS="${2:-3}"
 #   worst_recovery_overhead   — max (kill + resume) / reference wall time,
 #   degraded_half_pool_slowdown — makespan ratio after losing half the
 #     node pool mid-run (crowd waits mask most of the loss).
-BINS=(table1 table2 table4 table5 fig9 fig10 sweep_physical sweep_ruleseq sweep_cluster sweep_sample sweep_iters sweep_workflow sweep_sampler kbb_recall forest_throughput blocking_bench serve_bench serve_chaos)
+BINS=(table1 table2 table4 table5 fig9 fig10 sweep_physical sweep_ruleseq sweep_cluster sweep_sample sweep_iters sweep_workflow sweep_sampler kbb_recall forest_throughput serve_bench serve_chaos)
 for bin in "${BINS[@]}"; do
   echo
   echo "##### $bin (scale $SCALE) #####"
