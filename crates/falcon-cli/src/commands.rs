@@ -137,6 +137,11 @@ fn print_report(report: &falcon::core::driver::RunReport) {
                 c.survived
             );
         }
+        println!(
+            "  (apply-all probes conjuncts most selective first, each within the candidates \
+             of those before it: there exact-pruned includes ids an earlier conjunct \
+             refuted, survived is what the conjunct re-admitted)"
+        );
     }
     let f = &report.faults;
     if f.attempts > 0 {

@@ -7,8 +7,10 @@
 //! the two characteristics. Measures marked `*` in Figure 5 are excluded
 //! from the blocking feature set (too slow / unfilterable for blocking).
 
-use falcon_table::{AttrCharacteristic, Table, TableProfile, TupleId, ValueRef};
-use falcon_textsim::{hybrid, sets, tfidf, SimContext, SimFunction, SimScratch, Tokenizer};
+use falcon_table::{AttrCharacteristic, IdPair, Table, TableProfile, TupleId, ValueRef};
+use falcon_textsim::{
+    hybrid, sets, tfidf, SimContext, SimFunction, SimScratch, TokenProfile, Tokenizer,
+};
 use serde::{Deserialize, Serialize};
 
 /// One feature: a similarity function applied to an attribute
@@ -29,110 +31,190 @@ pub struct Feature {
     pub b_idx: usize,
 }
 
-impl Feature {
-    /// Compute the feature value for a pair of tuple ids; `NaN` means
-    /// missing.
+/// A [`FeatureSet`] compiled against two tables and one [`SimContext`] to
+/// score many pairs: every feature value anywhere — `gen_fvs`' vectors,
+/// the rule evaluator's lazy reads — comes out of [`Scorer::value`].
+/// Compiling groups the set measures by the token columns they read and
+/// finds those columns in the context's profiles once; per pair, each
+/// attribute pair's missingness is decided once and each group's
+/// sorted-id merge ([`sets::counts_ids`]) runs at most once, when a
+/// feature of the group is first read — Jaccard, Dice, overlap and cosine
+/// over one column are four functions of one merge. It must only score
+/// under the context it was compiled against.
+#[derive(Debug, Clone)]
+pub struct Scorer<'f> {
+    pub(crate) a: Table,
+    pub(crate) b: Table,
+    features: &'f [Feature],
+    /// Per feature, the slot of its attribute pair and — for a set measure
+    /// — that of its `(attribute pair, tokenizer)` token columns.
+    plan: Vec<(usize, Option<usize>)>,
+    attrs: usize,
+    /// Per group, its token columns' slots in the `A` and `B` profiles
+    /// (`None`: not profiled, the group's features take the string path).
+    groups: Vec<Option<(usize, usize)>>,
+}
+
+/// Per-task state of a [`Scorer`]: what is known of the current pair (see
+/// [`Scorer::start`]) and the similarity kernels' working buffers, kept
+/// across pairs so the hot loops allocate nothing per pair.
+#[derive(Default)]
+pub struct ScoreScratch {
+    /// Per attribute pair, once decided: whether a value is missing
+    /// (`None`: the profiles do not cover the pair — read the tables).
+    missing: Vec<Option<Option<bool>>>,
+    counts: Vec<Option<sets::Counts>>,
+    /// Token-column merges run so far, over all pairs.
+    pub merges: u64,
+    sim: SimScratch,
+}
+
+impl<'f> Scorer<'f> {
+    /// Compile `features` for scoring pairs of `a × b` under `ctx`.
+    pub fn new(features: &'f FeatureSet, a: &Table, b: &Table, ctx: &SimContext<'_>) -> Self {
+        let mut attrs: Vec<(usize, usize)> = Vec::new();
+        let mut keys: Vec<(usize, Tokenizer)> = Vec::new();
+        let mut groups = Vec::new();
+        let plan = |f: &Feature| {
+            let attr = slot_of(&mut attrs, (f.a_idx, f.b_idx));
+            let group = f.sim.tokenizer().filter(|_| f.sim.is_set_based()).map(|t| {
+                let group = slot_of(&mut keys, (attr, t));
+                if group == groups.len() {
+                    let slot = |p: Option<&TokenProfile>, idx| p?.column_slot((idx, t));
+                    groups.push(slot(ctx.a_profile, f.a_idx).zip(slot(ctx.b_profile, f.b_idx)));
+                }
+                group
+            });
+            (attr, group)
+        };
+        Self {
+            plan: features.features.iter().map(plan).collect(),
+            features: &features.features,
+            a: a.clone(),
+            b: b.clone(),
+            attrs: attrs.len(),
+            groups,
+        }
+    }
+
+    /// Forget the previous pair: call before the first
+    /// [`Scorer::value`] of each pair.
+    pub fn start(&self, scratch: &mut ScoreScratch) {
+        scratch.missing.clear();
+        scratch.missing.resize(self.attrs, None);
+        scratch.counts.clear();
+        scratch.counts.resize(self.groups.len(), None);
+    }
+
+    /// Value of feature `fi` for `(aid, bid)`; `NaN` means missing (as
+    /// does a feature outside the set).
     ///
-    /// When the context carries [`falcon_textsim::TokenProfile`]s covering
-    /// this feature's attributes and tuples, the pre-tokenized fast path is
-    /// taken; otherwise (numeric measures, uncovered columns or tuples, no
+    /// When the context carries [`TokenProfile`]s covering the feature's
+    /// attributes and tuples, the pre-tokenized fast path is taken;
+    /// otherwise (numeric measures, uncovered columns or tuples, no
     /// profiles) the cells are read via [`Table::value_ref`] and scored by
     /// [`score_value_refs`], rendering and tokenizing on the fly. Both
     /// paths are bit-identical (enforced by the `fv_equivalence` property
-    /// test). `scratch` lends the kernels their working buffers; it must
-    /// only ever serve `ctx.dict`.
-    pub fn compute_at(
+    /// test).
+    pub fn value(
         &self,
-        a: &Table,
-        b: &Table,
-        aid: TupleId,
-        bid: TupleId,
+        fi: usize,
+        pair: IdPair,
         ctx: &SimContext<'_>,
-        scratch: &mut SimScratch,
+        s: &mut ScoreScratch,
     ) -> f64 {
-        if let Some(v) = self.compute_profiled(aid, bid, ctx, scratch) {
-            return v;
-        }
-        let av = a.value_ref(aid, self.a_idx).unwrap_or(ValueRef::Null);
-        let bv = b.value_ref(bid, self.b_idx).unwrap_or(ValueRef::Null);
-        score_value_refs(self.sim, av, bv, ctx)
-    }
-
-    /// Fast path over the token profiles. Returns `None` — meaning "use
-    /// the string path" — when profiles are absent or do not cover this
-    /// feature's columns or tuples; numeric measures (other than
-    /// `ExactMatch`) never render, so they always use the direct path.
-    fn compute_profiled(
-        &self,
-        a_id: TupleId,
-        b_id: TupleId,
-        ctx: &SimContext<'_>,
-        scratch: &mut SimScratch,
-    ) -> Option<f64> {
-        let (ap, bp) = (ctx.a_profile?, ctx.b_profile?);
-        if self.sim.is_numeric() && !matches!(self.sim, SimFunction::ExactMatch) {
-            return None;
-        }
-        let ar = ap.rendered(self.a_idx, a_id)?;
-        let br = bp.rendered(self.b_idx, b_id)?;
-        // Missingness is decided on the rendered string, exactly like
+        let (Some(f), Some(&(attr, group)), (aid, bid)) =
+            (self.features.get(fi), self.plan.get(fi), pair)
+        else {
+            return f64::NAN;
+        };
+        let from_tables = || {
+            let av = self.a.value_ref(aid, f.a_idx).unwrap_or(ValueRef::Null);
+            let bv = self.b.value_ref(bid, f.b_idx).unwrap_or(ValueRef::Null);
+            score_value_refs(f.sim, av, bv, ctx)
+        };
+        // Numeric measures (other than `ExactMatch`) never render.
+        let numeric = f.sim.is_numeric() && !matches!(f.sim, SimFunction::ExactMatch);
+        let (Some(ap), Some(bp), false) = (ctx.a_profile, ctx.b_profile, numeric) else {
+            return from_tables();
+        };
+        let rendered = || Some((ap.rendered(f.a_idx, aid)?, bp.rendered(f.b_idx, bid)?));
+        // Missingness is decided on the rendered strings, exactly like
         // `score_str`; a non-empty string can still have an empty token
-        // set (punctuation-only under `Tokenizer::Word`), which the id
-        // kernels score 0.0 just like the string set kernels.
-        if ar.is_empty() || br.is_empty() {
-            return Some(f64::NAN);
+        // set (punctuation-only under `Tokenizer::Word`), which the
+        // counts score 0.0 just like the string set kernels.
+        let either_empty = |(ar, br): (&str, &str)| ar.is_empty() || br.is_empty();
+        match *s.missing[attr].get_or_insert_with(|| rendered().map(either_empty)) {
+            None => return from_tables(),
+            Some(true) => return f64::NAN,
+            Some(false) => {}
         }
-        let cached = self.score_cached(a_id, b_id, ctx, scratch);
+        let cached = match group {
+            Some(g) => (s.counts[g])
+                .or_else(|| {
+                    let (sa, sb) = self.groups[g]?;
+                    let (x, y) = (ap.tokens_at(sa, aid)?, bp.tokens_at(sb, bid)?);
+                    s.merges += 1;
+                    s.counts[g] = Some(sets::counts_ids(x, y));
+                    s.counts[g]
+                })
+                .and_then(|c| f.sim.score_counts(c)),
+            None => score_cached(f, (ap, aid), (bp, bid), ctx, &mut s.sim),
+        };
         // A measure whose column is missing (a profile built for another
         // feature set, TF/IDF without a model) still reuses the cached
         // rendered strings instead of re-rendering.
-        Some(cached.unwrap_or_else(|| self.sim.score_str(ar, br, ctx).unwrap_or(f64::NAN)))
-    }
-
-    /// Score two non-missing values from the per-tuple caches alone;
-    /// `None` when a column this measure reads was not profiled.
-    fn score_cached(
-        &self,
-        a_id: TupleId,
-        b_id: TupleId,
-        ctx: &SimContext<'_>,
-        scratch: &mut SimScratch,
-    ) -> Option<f64> {
-        let (ap, bp) = (ctx.a_profile?, ctx.b_profile?);
-        let tokens = |t| {
-            Some((
-                ap.tokens(self.a_idx, t, a_id)?,
-                bp.tokens(self.b_idx, t, b_id)?,
-            ))
-        };
-        let weights = || Some((ap.weights(self.a_idx, a_id)?, bp.weights(self.b_idx, b_id)?));
-        Some(match self.sim {
-            SimFunction::Jaccard(t) => tokens(t).map(|(x, y)| sets::jaccard_ids(x, y))?,
-            SimFunction::Dice(t) => tokens(t).map(|(x, y)| sets::dice_ids(x, y))?,
-            SimFunction::Overlap(t) => tokens(t).map(|(x, y)| sets::overlap_ids(x, y))?,
-            SimFunction::Cosine(t) => tokens(t).map(|(x, y)| sets::cosine_ids(x, y))?,
-            SimFunction::MongeElkan => hybrid::monge_elkan_ids(
-                ap.token_seq(self.a_idx, a_id)?,
-                bp.token_seq(self.b_idx, b_id)?,
-                ctx.dict?,
-                scratch,
-            ),
-            // A value without word tokens has no TF/IDF score: missing.
-            SimFunction::TfIdf => {
-                let (x, y) = weights()?;
-                tfidf::cosine_weights(x, y).unwrap_or(f64::NAN)
-            }
-            SimFunction::SoftTfIdf => {
-                let (x, y) = weights()?;
-                tfidf::soft_cosine_weights(x, y, 0.9, ctx.dict?, scratch).unwrap_or(f64::NAN)
-            }
-            sim => sim.score_syms(
-                ap.syms(self.a_idx, a_id)?,
-                bp.syms(self.b_idx, b_id)?,
-                scratch,
-            )?,
+        cached.unwrap_or_else(|| {
+            let (ar, br) = rendered().unwrap_or_default();
+            f.sim.score_str(ar, br, ctx).unwrap_or(f64::NAN)
         })
     }
+
+    /// The full feature vector of one pair.
+    pub fn vector(&self, pair: IdPair, ctx: &SimContext<'_>, s: &mut ScoreScratch) -> Vec<f64> {
+        self.start(s);
+        let value = |fi| self.value(fi, pair, ctx, s);
+        (0..self.features.len()).map(value).collect()
+    }
+}
+
+/// Position of `key` in `keys`, appended when new.
+pub(crate) fn slot_of<K: PartialEq>(keys: &mut Vec<K>, key: K) -> usize {
+    keys.iter().position(|k| *k == key).unwrap_or_else(|| {
+        keys.push(key);
+        keys.len() - 1
+    })
+}
+
+/// Score two non-missing values with a measure that is not set-based from
+/// the per-tuple caches alone; `None` when a column it reads was not
+/// profiled.
+fn score_cached(
+    f: &Feature,
+    (ap, a_id): (&TokenProfile, TupleId),
+    (bp, b_id): (&TokenProfile, TupleId),
+    ctx: &SimContext<'_>,
+    scratch: &mut SimScratch,
+) -> Option<f64> {
+    let weights = || Some((ap.weights(f.a_idx, a_id)?, bp.weights(f.b_idx, b_id)?));
+    Some(match f.sim {
+        SimFunction::MongeElkan => hybrid::monge_elkan_ids(
+            ap.token_seq(f.a_idx, a_id)?,
+            bp.token_seq(f.b_idx, b_id)?,
+            ctx.dict?,
+            scratch,
+        ),
+        // A value without word tokens has no TF/IDF score: missing.
+        SimFunction::TfIdf => {
+            let (x, y) = weights()?;
+            tfidf::cosine_weights(x, y).unwrap_or(f64::NAN)
+        }
+        SimFunction::SoftTfIdf => {
+            let (x, y) = weights()?;
+            tfidf::soft_cosine_weights(x, y, 0.9, ctx.dict?, scratch).unwrap_or(f64::NAN)
+        }
+        sim => sim.score_syms(ap.syms(f.a_idx, a_id)?, bp.syms(f.b_idx, b_id)?, scratch)?,
+    })
 }
 
 /// Score a similarity function on two cells with missing ⇒ `NaN`: the
@@ -178,9 +260,8 @@ impl FeatureSet {
         &self.features[idx]
     }
 
-    /// Compute the full feature vector for one pair of tuple ids,
-    /// reading cells straight from the tables (see
-    /// [`Feature::compute_at`]).
+    /// Compute the full feature vector for one pair of tuple ids through
+    /// a [`Scorer`] compiled for the call (loops compile one themselves).
     pub fn vector_at(
         &self,
         a: &Table,
@@ -188,12 +269,9 @@ impl FeatureSet {
         aid: TupleId,
         bid: TupleId,
         ctx: &SimContext<'_>,
-        scratch: &mut SimScratch,
+        scratch: &mut ScoreScratch,
     ) -> Vec<f64> {
-        self.features
-            .iter()
-            .map(|f| f.compute_at(a, b, aid, bid, ctx, scratch))
-            .collect()
+        Scorer::new(self, a, b, ctx).vector((aid, bid), ctx, scratch)
     }
 }
 
@@ -385,7 +463,7 @@ mod tests {
         let ctx = SimContext::empty();
         let fv = lib
             .matching
-            .vector_at(&a, &b, 0, 0, &ctx, &mut SimScratch::new());
+            .vector_at(&a, &b, 0, 0, &ctx, &mut ScoreScratch::default());
         assert_eq!(fv.len(), lib.matching.len());
         // Identical tuples: all similarity-oriented features should be 1 or
         // 0-distance.

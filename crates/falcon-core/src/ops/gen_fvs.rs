@@ -2,14 +2,14 @@
 //! map-only job.
 
 use crate::error::FalconError;
-use crate::features::FeatureSet;
+use crate::features::{FeatureSet, ScoreScratch, Scorer};
 use crate::fv::FvSet;
 use crate::stage::StageCost;
 use crate::tokens::build_pair_profiles_par;
 use falcon_dataflow::{run_map_only, Cluster, ClusterConfig, JobStats};
 use falcon_table::{IdPair, Table};
 use falcon_textsim::tfidf::TfIdfBuilder;
-use falcon_textsim::{SimContext, SimFunction, SimScratch, TfIdfModel};
+use falcon_textsim::{SimContext, SimFunction, TfIdfModel};
 
 /// Output of `gen_fvs`.
 #[derive(Debug)]
@@ -98,24 +98,26 @@ pub fn gen_fvs(
         Some(&a_mask),
         Some(&b_mask),
     )?;
-    // A map task scores its split through one `SimScratch` (DP rows, Jaro
-    // buffers, the token-pair Jaro-Winkler memo). The scratch lives and
-    // dies with the task attempt: it never meets another run's
+    // The feature set is compiled once for the job; a map task scores its
+    // split through it with one `ScoreScratch` (the per-pair merge memo, DP
+    // rows, Jaro buffers, the token-pair Jaro-Winkler memo). The scratch
+    // lives and dies with the task attempt: it never meets another run's
     // `TokenDict`, and a retried or speculative attempt starts cold —
     // which cannot matter, no score depends on what the memo holds. The
-    // scoped dataflow workers borrow the pair list, tables, features and
-    // profiles directly — no per-job copies.
+    // scoped dataflow workers borrow the pair list, scorer and profiles
+    // directly — no per-job copies.
+    let ctx = match &tfidf {
+        Some(m) => SimContext::with_tfidf(m),
+        None => SimContext::empty(),
+    }
+    .with_profiles(&profiles.a, &profiles.b, &profiles.dict);
+    let scorer = Scorer::new(features, a, b, &ctx);
     let splits = cluster.split_slice(pairs);
     let out = run_map_only(cluster, splits, |pair_chunk: &[IdPair], out| {
-        let ctx = match &tfidf {
-            Some(m) => SimContext::with_tfidf(m),
-            None => SimContext::empty(),
-        }
-        .with_profiles(&profiles.a, &profiles.b, &profiles.dict);
-        let mut scratch = SimScratch::new();
+        let mut scratch = ScoreScratch::default();
         out.reserve(pair_chunk.len());
-        for &(aid, bid) in pair_chunk {
-            out.push(features.vector_at(a, b, aid, bid, &ctx, &mut scratch));
+        for &pair in pair_chunk {
+            out.push(scorer.vector(pair, &ctx, &mut scratch));
         }
     })?;
     // Tasks emit exactly one vector per pair and the job concatenates

@@ -30,7 +30,7 @@
 //! (the "load balancing at map phase" optimization falls out of the
 //! engine's work-stealing split queue).
 
-use crate::features::{Feature, FeatureSet};
+use crate::features::{slot_of, FeatureSet, ScoreScratch, Scorer};
 use crate::indexing::{BuiltIndexes, ConjunctSpecs};
 use crate::rules::{Predicate, RuleSequence};
 use crate::stage::StageCost;
@@ -42,7 +42,7 @@ use falcon_index::{
     CandidateBitmap, PredicateIndex, ProbeMode, ProbeStats, ProbeTokens, TokenOrder,
 };
 use falcon_table::{IdPair, Table, TupleId, ValueRef};
-use falcon_textsim::{SimContext, SimScratch, Tokenizer};
+use falcon_textsim::{SimContext, Tokenizer};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -84,7 +84,8 @@ impl PhysicalOp {
     pub fn describe(self) -> &'static str {
         match self {
             PhysicalOp::ApplyAll => {
-                "probe every filterable conjunct's indexes in each mapper; \
+                "probe every filterable conjunct's indexes in each mapper, most \
+                 selective first, each within the candidates of those before it; \
                  needs all indexes to fit mapper memory"
             }
             PhysicalOp::ApplyGreedy => {
@@ -160,6 +161,19 @@ pub struct BlockingOutput {
 }
 
 impl BlockingOutput {
+    /// `candidates`, sorted, as `op`'s output (the probe counters are
+    /// filled in once the operator is done).
+    fn new(op: PhysicalOp, mut candidates: Vec<IdPair>, jobs: Vec<JobStats>) -> Self {
+        candidates.sort_unstable();
+        let blocking = BlockingStats::default();
+        Self {
+            candidates,
+            op,
+            jobs,
+            blocking,
+        }
+    }
+
     /// Price of all jobs involved, on the cluster `cfg` describes.
     pub fn cost(&self, cfg: &ClusterConfig) -> StageCost {
         StageCost::of(&self.jobs, cfg)
@@ -170,7 +184,9 @@ impl BlockingOutput {
 /// examined and where they were eliminated. The balance invariant
 /// `pairs_examined == pruned_by_signature + pruned_by_exact + survived`
 /// holds by construction (every examined probe lands in exactly one
-/// bucket).
+/// bucket). Under `ApplyAll` a conjunct is probed within the candidates
+/// of the more selective ones, so what it examines and prunes depends on
+/// the probe order; the candidates do not.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ConjunctStats {
     /// Conjunct position within the rule sequence.
@@ -178,16 +194,19 @@ pub struct ConjunctStats {
     /// Planned probe mode per predicate of the conjunct
     /// ("off" / "gate" / "dense").
     pub modes: Vec<String>,
-    /// Candidate probes examined (postings walked, signatures scanned, or
-    /// scalar-index hits considered).
+    /// Candidate probes examined: postings walked, signatures scanned,
+    /// scalar-index hits and missing-value ids considered.
     pub pairs_examined: u64,
     /// Probes refuted by the signature popcount bound alone, before any
     /// exact filter ran.
     pub pruned_by_signature: u64,
-    /// Probes refuted by the exact filters (length / position / range
-    /// bounds) after surviving or bypassing the signature.
+    /// Probes refuted exactly: by the conjunct's own filters (length /
+    /// position bounds) after surviving or bypassing the signature, or
+    /// because the id was already outside the running candidate set —
+    /// an earlier conjunct's refutation, answered before the signature.
     pub pruned_by_exact: u64,
-    /// Probes emitted into the candidate union.
+    /// Probes admitted into the conjunct's candidate union (within the
+    /// running candidate set, when there is one).
     pub survived: u64,
 }
 
@@ -322,12 +341,14 @@ pub fn estimate_table_bytes(t: &Table) -> usize {
 /// reach it), and it is what makes the reducers cheap: most shuffled
 /// pairs are dropped by the first rule and pay for its features alone.
 pub struct PairEvaluator<'p> {
-    a: Table,
-    b: Table,
-    /// The distinct features the sequence reads, in first-read order
-    /// (`None`: an index outside the feature set, which reads as missing
-    /// exactly like [`Predicate::eval`] on a too-short vector).
-    slots: Vec<(usize, Option<Feature>)>,
+    /// The feature set, compiled against the tables and `profiles`: every
+    /// value a predicate reads comes from it, so the features of one token
+    /// column share one merge per pair, run when the first of them is read.
+    scorer: Scorer<'p>,
+    /// The distinct features the sequence reads, in first-read order (an
+    /// index outside the feature set reads as missing exactly like
+    /// [`Predicate::eval`] on a too-short vector).
+    slots: Vec<usize>,
     /// Every predicate of the sequence with the slot of its feature,
     /// rule after rule.
     preds: Vec<(usize, Predicate)>,
@@ -341,30 +362,33 @@ pub struct PairEvaluator<'p> {
 }
 
 /// Per-task state of [`PairEvaluator::keeps_scratch`]: the feature values
-/// already computed for the current pair and the similarity kernels' DP
-/// rows, kept across pairs so the hot loops allocate nothing per pair.
+/// already computed for the current pair and the scorer's state, kept
+/// across pairs so the hot loops allocate nothing per pair.
 #[derive(Default)]
 pub struct EvalScratch {
     vals: Vec<f64>,
     known: Vec<bool>,
-    sim: SimScratch,
+    /// The scorer's per-pair memo and kernel buffers.
+    pub score: ScoreScratch,
 }
 
-impl PairEvaluator<'static> {
+fn context(p: &PairProfiles) -> SimContext<'_> {
+    SimContext::empty().with_profiles(&p.a, &p.b, &p.dict)
+}
+
+impl<'p> PairEvaluator<'p> {
     /// Build an evaluator over profiles of its own: pre-tokenizes both
     /// tables for the columns the sequence's features need (blocking
     /// sequences reference only a handful of features, so this is a short
     /// full-table pass amortized over up to `|A| × |B|` evaluations).
-    pub fn new(a: &Table, b: &Table, features: &FeatureSet, seq: &RuleSequence) -> Self {
+    pub fn new(a: &Table, b: &Table, features: &'p FeatureSet, seq: &RuleSequence) -> Self {
         Self::compile(a, b, features, seq, |slots| {
-            let needed = slots.iter().filter_map(|(_, f)| f.as_ref());
+            let needed = slots.iter().filter_map(|&f| features.features.get(f));
             // Blocking rules never reference a TF/IDF measure: no corpus model.
             Cow::Owned(build_pair_profiles_seq(a, b, needed, None))
         })
     }
-}
 
-impl<'p> PairEvaluator<'p> {
     /// An evaluator over `built`'s token profiles when it holds both
     /// tables' (the driver profiles them once per run), else over
     /// profiles of its own.
@@ -372,7 +396,7 @@ impl<'p> PairEvaluator<'p> {
         built: &'p BuiltIndexes,
         a: &Table,
         b: &Table,
-        features: &FeatureSet,
+        features: &'p FeatureSet,
         seq: &RuleSequence,
     ) -> Self {
         match built.pair_profiles() {
@@ -386,30 +410,23 @@ impl<'p> PairEvaluator<'p> {
     fn compile(
         a: &Table,
         b: &Table,
-        features: &FeatureSet,
+        features: &'p FeatureSet,
         seq: &RuleSequence,
-        profiles: impl FnOnce(&[(usize, Option<Feature>)]) -> Cow<'p, PairProfiles>,
+        profiles: impl FnOnce(&[usize]) -> Cow<'p, PairProfiles>,
     ) -> Self {
-        let mut slots: Vec<(usize, Option<Feature>)> = Vec::new();
+        let mut slots: Vec<usize> = Vec::new();
         let mut preds = Vec::new();
         let mut rule_ends = Vec::with_capacity(seq.len());
         for rule in &seq.rules {
             for p in &rule.predicates {
-                let slot = slots
-                    .iter()
-                    .position(|(f, _)| *f == p.feature)
-                    .unwrap_or_else(|| {
-                        slots.push((p.feature, features.features.get(p.feature).cloned()));
-                        slots.len() - 1
-                    });
-                preds.push((slot, *p));
+                preds.push((slot_of(&mut slots, p.feature), *p));
             }
             rule_ends.push(preds.len());
         }
+        let profiles = profiles(&slots);
         Self {
-            a: a.clone(),
-            b: b.clone(),
-            profiles: profiles(&slots),
+            scorer: Scorer::new(features, a, b, &context(&profiles)),
+            profiles,
             slots,
             preds,
             rule_ends,
@@ -426,23 +443,21 @@ impl<'p> PairEvaluator<'p> {
     pub fn keeps_scratch(&self, aid: TupleId, bid: TupleId, scratch: &mut EvalScratch) -> bool {
         // A pair referencing an unknown id cannot be a match of real
         // tuples; dropping it is exact, not lossy.
-        if aid as usize >= self.a.len() || bid as usize >= self.b.len() {
+        if aid as usize >= self.scorer.a.len() || bid as usize >= self.scorer.b.len() {
             return false;
         }
-        let p = &self.profiles;
-        let ctx = SimContext::empty().with_profiles(&p.a, &p.b, &p.dict);
-        let EvalScratch { vals, known, sim } = scratch;
+        let ctx = context(&self.profiles);
+        let EvalScratch { vals, known, score } = scratch;
         vals.resize(self.slots.len(), f64::NAN);
         known.clear();
         known.resize(self.slots.len(), false);
+        self.scorer.start(score);
         let mut start = 0;
         for &end in &self.rule_ends {
             let fires = self.preds[start..end].iter().all(|&(slot, pred)| {
                 if !known[slot] {
                     known[slot] = true;
-                    vals[slot] = self.slots[slot].1.as_ref().map_or(f64::NAN, |f| {
-                        f.compute_at(&self.a, &self.b, aid, bid, &ctx, sim)
-                    });
+                    vals[slot] = (self.scorer).value(self.slots[slot], (aid, bid), &ctx, score);
                 }
                 pred.eval_value(vals[slot])
             });
@@ -461,7 +476,7 @@ impl<'p> PairEvaluator<'p> {
             .iter()
             .zip(&scratch.known)
             .filter(|(_, known)| **known)
-            .map(|((feature, _), _)| *feature)
+            .map(|(feature, _)| *feature)
             .collect()
     }
 }
@@ -667,6 +682,14 @@ impl ScratchPool {
 /// into `scratch.out` (ascending, deduplicated). Returns `false` when
 /// every bundle probed to "All" — the caller pairs `bid` with all of `A`.
 ///
+/// The bundles are walked in plan order with `acc`, the running candidate
+/// set: the first restricting bundle's union becomes `acc`, and every
+/// later bundle is probed *within* it, so its union is already `acc ∩`
+/// its full union — what intersecting full unions reaches in any order.
+/// A bundle stops once its union covers `acc` (whatever its remaining
+/// predicates answer, `acc` keeps its value); the walk stops when `acc`
+/// is empty. What is examined depends on the order, what is emitted not.
+///
 /// Probes sink ids straight into the task's `union` bitmap and read the
 /// B value's tokens through the task's shared [`ProbeTokens`] slots,
 /// loaded by the first predicate that needs them — from `B`'s profile
@@ -690,15 +713,20 @@ fn candidates_for(
     let mut restricted = false;
     for (bundle, stats) in plan.bundles.iter().zip(locals) {
         union.reset(a_len);
-        let unrestricted = bundle.preds.iter().any(|p| {
+        let within = restricted.then_some(&*acc);
+        let mut unrestricted = false;
+        for p in &bundle.preds {
             let bv = b.value_ref(bid, p.b_idx).unwrap_or_default();
             let slot = &mut tokens[p.tokens.unwrap_or(0)];
             if !slot.is_loaded() {
                 plan.preload(p, bid, slot, bv);
             }
-            !p.index
-                .probe_into(bv, p.mode, slot, stats, &mut |id| union.insert(id))
-        });
+            let sink = &mut |id| union.insert(id);
+            unrestricted = !p.index.probe_into(bv, p.mode, slot, within, stats, sink);
+            if unrestricted || within.is_some_and(|w| union.ones() == w.ones()) {
+                break;
+            }
+        }
         if unrestricted {
             continue;
         }
@@ -764,14 +792,7 @@ fn run_probe_reduce(
             }
         },
     )?;
-    let mut candidates = out.output;
-    candidates.sort_unstable();
-    Ok(BlockingOutput {
-        candidates,
-        op,
-        jobs: vec![out.stats],
-        blocking: BlockingStats::default(),
-    })
+    Ok(BlockingOutput::new(op, out.output, vec![out.stats]))
 }
 
 /// Probe-only wave for one bundle set: returns the pair set it admits.
@@ -827,6 +848,14 @@ pub(crate) fn run_evaluate(
     let mut kept = out.output;
     kept.sort_unstable();
     Ok((kept, out.stats))
+}
+
+/// Conjunct positions by ascending sample selectivity (a missing entry
+/// reads 1.0): `min_by` and a stable sort both break ties towards the
+/// earlier conjunct.
+fn by_selectivity(selectivities: &[f64]) -> impl Fn(&usize, &usize) -> std::cmp::Ordering + '_ {
+    let sel = |ci: usize| selectivities.get(ci).copied().unwrap_or(1.0);
+    move |&x, &y| sel(x).total_cmp(&sel(y))
 }
 
 /// Execute a blocking plan with an explicit physical operator.
@@ -886,19 +915,25 @@ pub fn execute_pooled(
             if filterable.is_empty() {
                 return Err(BlockingError::NoFilterableConjunct);
             }
-            let plan = ProbePlan::new(bundles_for(conjuncts, built, &filterable), profiles);
-            record_modes(&mut modes, &plan.bundles);
+            // Most selective conjunct first: the running candidate set
+            // every later conjunct is probed within starts small.
+            let mut order = filterable;
+            order.sort_by(by_selectivity(rule_selectivities));
+            let mut bundles = bundles_for(conjuncts, built, &order);
+            record_modes(&mut modes, &bundles);
+            // Token-free predicates first (the modes above are recorded
+            // in the conjunct's own order): a missing scalar skips the
+            // bundle before a posting is walked, cheap hits cover `acc`.
+            let reads_tokens = |p: &Pred| p.index.token_source().is_some();
+            (bundles.iter_mut()).for_each(|bu| bu.preds.sort_by_key(reads_tokens));
+            let plan = ProbePlan::new(bundles, profiles);
             run_probe_reduce(cluster, a, b, evaluator, plan, &collector, pool, op)?
         }
         PhysicalOp::ApplyGreedy => {
             let best = filterable
                 .iter()
                 .copied()
-                .min_by(|&x, &y| {
-                    let sx = rule_selectivities.get(x).copied().unwrap_or(1.0);
-                    let sy = rule_selectivities.get(y).copied().unwrap_or(1.0);
-                    sx.total_cmp(&sy)
-                })
+                .min_by(by_selectivity(rule_selectivities))
                 .ok_or(BlockingError::NoFilterableConjunct)?;
             let plan = ProbePlan::new(bundles_for(conjuncts, built, &[best]), profiles);
             record_modes(&mut modes, &plan.bundles);
@@ -930,12 +965,7 @@ pub fn execute_pooled(
             pairs.sort_unstable();
             let (candidates, stats) = run_evaluate(cluster, evaluator, &pairs)?;
             jobs.push(stats);
-            BlockingOutput {
-                candidates,
-                op,
-                jobs,
-                blocking: BlockingStats::default(),
-            }
+            BlockingOutput::new(op, candidates, jobs)
         }
         PhysicalOp::ApplyPredicate => {
             if filterable.is_empty() {
@@ -971,12 +1001,7 @@ pub fn execute_pooled(
             pairs.sort_unstable();
             let (candidates, stats) = run_evaluate(cluster, evaluator, &pairs)?;
             jobs.push(stats);
-            BlockingOutput {
-                candidates,
-                op,
-                jobs,
-                blocking: BlockingStats::default(),
-            }
+            BlockingOutput::new(op, candidates, jobs)
         }
         PhysicalOp::MapSide | PhysicalOp::ReduceSplit => {
             let pairs = a.len() as u128 * b.len() as u128;
@@ -1002,14 +1027,7 @@ pub fn execute_pooled(
                         }
                     },
                 )?;
-                let mut candidates = out.output;
-                candidates.sort_unstable();
-                BlockingOutput {
-                    candidates,
-                    op,
-                    jobs: vec![out.stats],
-                    blocking: BlockingStats::default(),
-                }
+                BlockingOutput::new(op, out.output, vec![out.stats])
             } else {
                 let a_len = a.len() as TupleId;
                 let out = run_map_reduce(
@@ -1032,14 +1050,7 @@ pub fn execute_pooled(
                         }
                     },
                 )?;
-                let mut candidates = out.output;
-                candidates.sort_unstable();
-                BlockingOutput {
-                    candidates,
-                    op,
-                    jobs: vec![out.stats],
-                    blocking: BlockingStats::default(),
-                }
+                BlockingOutput::new(op, out.output, vec![out.stats])
             }
         }
     };
@@ -1073,11 +1084,10 @@ pub fn select_physical(
             .collect();
         // Most selective filterable conjunct (`conj_bytes` is non-empty
         // because `filterable` is; the if-let keeps this panic-free).
-        if let Some((best_ci, best_bytes)) = conj_bytes.iter().copied().min_by(|(x, _), (y, _)| {
-            let sx = rule_selectivities.get(*x).copied().unwrap_or(1.0);
-            let sy = rule_selectivities.get(*y).copied().unwrap_or(1.0);
-            sx.total_cmp(&sy)
-        }) {
+        let most_selective = by_selectivity(rule_selectivities);
+        if let Some((best_ci, best_bytes)) =
+            (conj_bytes.iter().copied()).min_by(|(x, _), (y, _)| most_selective(x, y))
+        {
             let best_sel = rule_selectivities.get(best_ci).copied().unwrap_or(1.0);
             if best_sel > 0.0
                 && seq_selectivity / best_sel >= greedy_ratio

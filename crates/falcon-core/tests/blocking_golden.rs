@@ -11,118 +11,25 @@
 //! The golden file was recorded at the commit *before* the probe and
 //! evaluation kernels were compiled (lazy rule evaluation, shared probe
 //! plans, verdict tables), so it pins "same work, same answer" against
-//! the retired kernels without keeping them alive. To re-record after an
-//! intended change, empty the file and run this test: it fails printing
-//! the full replacement content.
+//! the retired kernels without keeping them alive. One later
+//! re-recording, on top of `bac7e52`: the `stats=` counters of the three
+//! `apply-all` lines, when that operator began probing each conjunct
+//! within the running candidate set of the more selective ones (fewer
+//! pairs examined, ids an earlier conjunct refuted counted as exact
+//! prunes); every other field and line is the original recording. To
+//! re-record after an intended change, empty the file and run this test:
+//! it fails printing the full replacement content.
 
+mod common;
+
+use common::{datasets, fnv1a, sequence};
 use falcon_core::corleone::corleone_blocking;
-use falcon_core::features::{generate_features, FeatureSet};
+use falcon_core::features::generate_features;
 use falcon_core::indexing::{BuiltIndexes, ConjunctSpecs, PreFilterConfig};
 use falcon_core::physical::{self, PhysicalOp};
-use falcon_core::rules::{Predicate, Rule, RuleSequence};
 use falcon_dataflow::{Cluster, ClusterConfig, FaultPlan};
-use falcon_datagen::{citations, products, songs, EmDataset};
-use falcon_forest::SplitOp;
-use falcon_table::IdPair;
 
 const GOLDEN: &str = include_str!("goldens/blocking.txt");
-
-/// `(feature name, op, threshold)` drop-rule predicates.
-type RuleSpec = &'static [(&'static str, SplitOp, f64)];
-
-fn sequence(features: &FeatureSet, rules: &[RuleSpec]) -> RuleSequence {
-    let pred = |&(name, op, threshold): &(&str, SplitOp, f64)| {
-        let feature = features
-            .features
-            .iter()
-            .position(|f| f.name == name)
-            .unwrap_or_else(|| panic!("missing blocking feature {name}"));
-        Predicate {
-            feature,
-            op,
-            threshold,
-            nan_is_high: features.get(feature).sim.higher_is_similar(),
-        }
-    };
-    RuleSequence::new(
-        rules
-            .iter()
-            .map(|r| Rule {
-                predicates: r.iter().map(pred).collect(),
-            })
-            .collect(),
-    )
-}
-
-use SplitOp::{Gt, Le};
-
-/// One `3gram(title)` order probed by three conjuncts, a range disjunct,
-/// a word-token cosine, and a last rule whose complement is unfilterable.
-const SONGS: &[RuleSpec] = &[
-    &[("jaccard_3gram(title,title)", Le, 0.3)],
-    &[
-        ("dice_3gram(title,title)", Le, 0.45),
-        ("abs_diff(year,year)", Gt, 1.0),
-    ],
-    &[
-        ("overlap_3gram(title,title)", Le, 0.5),
-        ("cosine_word(artist_name,artist_name)", Le, 0.4),
-    ],
-    &[
-        ("rel_diff(duration,duration)", Gt, 0.2),
-        ("jaccard_word(release,release)", Le, 0.2),
-    ],
-    &[
-        ("exact_match(year,year)", Gt, 0.5),
-        ("jaccard_word(title,title)", Le, 0.05),
-    ],
-];
-
-/// Equality, range and edit-distance filters beside the set filters.
-const PRODUCTS: &[RuleSpec] = &[
-    &[("jaccard_word(title,title)", Le, 0.3)],
-    &[
-        ("exact_match(brand,brand)", Le, 0.5),
-        ("abs_diff(price,price)", Gt, 50.0),
-    ],
-    &[
-        ("levenshtein(modelno,modelno)", Le, 0.5),
-        ("cosine_word(title,title)", Le, 0.5),
-    ],
-    &[
-        ("dice_word(title,title)", Le, 0.4),
-        ("jaccard_3gram(brand,brand)", Le, 0.3),
-    ],
-];
-
-/// Long multi-token strings: word-token title filters shared by three
-/// conjuncts plus 3-gram author filters.
-const CITATIONS: &[RuleSpec] = &[
-    &[("jaccard_word(title,title)", Le, 0.4)],
-    &[
-        ("cosine_word(title,title)", Le, 0.5),
-        ("jaccard_3gram(authors,authors)", Le, 0.3),
-    ],
-    &[
-        ("overlap_word(title,title)", Le, 0.6),
-        ("exact_match(year,year)", Le, 0.5),
-    ],
-    &[
-        ("rel_diff(year,year)", Gt, 0.001),
-        ("dice_3gram(authors,authors)", Le, 0.5),
-    ],
-];
-
-fn fnv1a(pairs: &[IdPair]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &(a, b) in pairs {
-        for byte in a.to_le_bytes().into_iter().chain(b.to_le_bytes()) {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
 
 /// One golden line: everything deterministic about a blocking execution.
 fn line(dataset: &str, out: &physical::BlockingOutput) -> String {
@@ -162,11 +69,7 @@ const OPS: [PhysicalOp; 4] = [
 
 #[test]
 fn blocking_outputs_match_the_recorded_goldens() {
-    let datasets: [(&str, EmDataset, &[RuleSpec]); 3] = [
-        ("products", products::generate(0.05, 11), PRODUCTS),
-        ("songs", songs::generate(0.001, 5), SONGS),
-        ("citations", citations::generate(0.0005, 3), CITATIONS),
-    ];
+    let datasets = datasets();
     let faults = FaultPlan::seeded(7)
         .with_failure_rate(0.3)
         .with_straggler_rate(0.1)

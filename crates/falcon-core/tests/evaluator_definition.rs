@@ -10,12 +10,12 @@
 //! missing-value orientation, feature indices outside the set); a unit
 //! test pins the laziness itself.
 
-use falcon_core::features::{Feature, FeatureSet};
+use falcon_core::features::{Feature, FeatureSet, ScoreScratch};
 use falcon_core::physical::{EvalScratch, PairEvaluator};
 use falcon_core::rules::{Predicate, Rule, RuleSequence};
 use falcon_forest::SplitOp;
 use falcon_table::{AttrType, Schema, Table, TupleId, Value};
-use falcon_textsim::{SimContext, SimFunction, SimScratch, Tokenizer};
+use falcon_textsim::{SimContext, SimFunction, Tokenizer};
 use proptest::prelude::*;
 
 /// Every blocking-usable measure over both attribute correspondences
@@ -27,6 +27,7 @@ fn features() -> FeatureSet {
         Jaccard(Tokenizer::Word),
         Jaccard(Tokenizer::QGram(3)),
         Dice(Tokenizer::QGram(3)),
+        Dice(Tokenizer::Word),
         Overlap(Tokenizer::Word),
         Cosine(Tokenizer::Word),
         Levenshtein,
@@ -104,7 +105,7 @@ proptest! {
             for bid in 0..=b.len() as TupleId {
                 let known = (aid as usize) < a.len() && (bid as usize) < b.len();
                 let expected = known
-                    && seq.keeps(&fs.vector_at(&a, &b, aid, bid, &ctx, &mut SimScratch::new()));
+                    && seq.keeps(&fs.vector_at(&a, &b, aid, bid, &ctx, &mut ScoreScratch::default()));
                 prop_assert_eq!(evaluator.keeps(aid, bid), expected, "{:?} ({}, {})", seq, aid, bid);
                 // A scratch carried across pairs must not leak values.
                 prop_assert_eq!(
@@ -172,4 +173,65 @@ fn only_the_features_read_before_the_verdict_are_computed() {
     // listed twice, and abs_diff still is not needed.
     assert!(evaluator.keeps_scratch(0, 2, &mut scratch));
     assert_eq!(evaluator.computed(&scratch), vec![jac, lev]);
+}
+
+/// The set measures over one token column share one merge per pair, run
+/// when a predicate first reads one of them — never for a pair an earlier
+/// scalar predicate already decided.
+#[test]
+fn a_token_column_is_merged_once_when_first_read() {
+    let fs = features();
+    let find = |name: &str| {
+        let hit = fs.features.iter().position(|f| f.name == name);
+        hit.unwrap_or_else(|| panic!("no feature {name}"))
+    };
+    let pred = |name: &str, op, threshold| Predicate {
+        feature: find(name),
+        op,
+        threshold,
+        nan_is_high: true,
+    };
+    // Rule 1: different y (a scalar read) drops the pair. Rules 2 and 3
+    // read two measures of x's word column; rule 4 its 3-gram column.
+    let seq = RuleSequence::new(vec![
+        Rule {
+            predicates: vec![pred("exact_match(1,1)", SplitOp::Le, 0.5)],
+        },
+        Rule {
+            predicates: vec![pred("jaccard_word(0,0)", SplitOp::Le, 0.2)],
+        },
+        Rule {
+            predicates: vec![pred("cosine_word(0,0)", SplitOp::Le, 0.7)],
+        },
+        Rule {
+            predicates: vec![pred("dice_3gram(0,0)", SplitOp::Le, 0.9)],
+        },
+    ]);
+    let row = |x: &str, y: &str| (Value::str(x), Value::str(y));
+    let a = table("a", vec![row("red green blue", "alpha")]);
+    let b = table(
+        "b",
+        vec![
+            row("red green blue", "omega"),
+            row("one two three", "alpha"),
+            row("red green teal", "alpha"),
+            row("red green blue", "alpha"),
+            row("", "alpha"),
+        ],
+    );
+    let evaluator = PairEvaluator::new(&a, &b, &fs, &seq);
+    let mut scratch = EvalScratch::default();
+    // (kept, token-column merges) per B tuple: dropped on the scalar; on
+    // the first word measure; on the second, off the same merge; kept
+    // after reading both columns; x missing, nothing to merge.
+    let expected = [(false, 0), (false, 1), (false, 1), (true, 2), (true, 0)];
+    for (bid, (kept, merges)) in expected.into_iter().enumerate() {
+        let before = scratch.score.merges;
+        assert_eq!(
+            evaluator.keeps_scratch(0, bid as TupleId, &mut scratch),
+            kept,
+            "b={bid}"
+        );
+        assert_eq!(scratch.score.merges - before, merges, "b={bid}");
+    }
 }

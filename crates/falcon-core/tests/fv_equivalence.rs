@@ -10,13 +10,13 @@
 //! of the three datasets and the scheduling-independence checks of the
 //! matching feature set.
 
-use falcon_core::features::{generate_features, Feature, FeatureSet};
+use falcon_core::features::{generate_features, Feature, FeatureSet, ScoreScratch, Scorer};
 use falcon_core::ops::gen_fvs::{gen_fvs, tfidf_model_for, GenFvsOutput};
 use falcon_core::tokens::build_pair_profiles_seq;
 use falcon_dataflow::{Cluster, ClusterConfig, FaultPlan};
 use falcon_datagen::EmDataset;
 use falcon_table::{AttrType, IdPair, Schema, Table, Value};
-use falcon_textsim::{SimContext, SimFunction, SimScratch, Tokenizer};
+use falcon_textsim::{SimContext, SimFunction, Tokenizer};
 use proptest::prelude::*;
 
 /// Values that exercise every branch of the missing/empty/numeric logic.
@@ -103,10 +103,10 @@ proptest! {
         };
         let profiles = build_pair_profiles_seq(&a, &b, &fs.features, tfidf.as_ref());
         let profiled = base.with_profiles(&profiles.a, &profiles.b, &profiles.dict);
-        let mut scratch = SimScratch::new();
+        let mut scratch = ScoreScratch::default();
         for aid in 0..a.len() as u32 {
             for bid in 0..b.len() as u32 {
-                let string_fv = fs.vector_at(&a, &b, aid, bid, &base, &mut SimScratch::new());
+                let string_fv = fs.vector_at(&a, &b, aid, bid, &base, &mut ScoreScratch::default());
                 let fast_fv = fs.vector_at(&a, &b, aid, bid, &profiled, &mut scratch);
                 for (k, (x, y)) in fast_fv.iter().zip(&string_fv).enumerate() {
                     prop_assert_eq!(
@@ -115,6 +115,50 @@ proptest! {
                         aid, bid, fs.get(k).name, x, y
                     );
                 }
+            }
+        }
+    }
+
+    /// One token column feeding all four set measures — read in an order
+    /// that interleaves two columns — is merged once per pair and column,
+    /// and only when both values are present; every value still equals
+    /// the string path's, bit for bit.
+    #[test]
+    fn measures_of_one_column_share_one_merge(
+        a_rows in proptest::collection::vec((value(), value()), 1..6),
+        b_rows in proptest::collection::vec((value(), value()), 1..6),
+    ) {
+        use SimFunction::*;
+        let (w, g) = (Tokenizer::Word, Tokenizer::QGram(3));
+        let sims = [Cosine(w), Jaccard(g), Dice(w), Overlap(g), Jaccard(w), Dice(g), Overlap(w), Cosine(g)];
+        let fs = FeatureSet {
+            features: sims
+                .iter()
+                .map(|&sim| Feature {
+                    name: sim.name(),
+                    a_attr: "x".into(),
+                    b_attr: "y".into(),
+                    sim,
+                    a_idx: 0,
+                    b_idx: 1,
+                })
+                .collect(),
+        };
+        let (a, b) = (table("a", a_rows), table("b", b_rows));
+        let profiles = build_pair_profiles_seq(&a, &b, &fs.features, None);
+        let base = SimContext::empty();
+        let profiled = base.with_profiles(&profiles.a, &profiles.b, &profiles.dict);
+        let scorer = Scorer::new(&fs, &a, &b, &profiled);
+        let mut scratch = ScoreScratch::default();
+        for aid in 0..a.len() as u32 {
+            for bid in 0..b.len() as u32 {
+                let before = scratch.merges;
+                let fast = scorer.vector((aid, bid), &profiled, &mut scratch);
+                let want = fs.vector_at(&a, &b, aid, bid, &base, &mut ScoreScratch::default());
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&fast), bits(&want), "pair ({}, {})", aid, bid);
+                let present = !want[0].is_nan();
+                prop_assert_eq!(scratch.merges - before, if present { 2 } else { 0 });
             }
         }
     }
@@ -146,7 +190,7 @@ proptest! {
             None => SimContext::empty(),
         };
         for (&(aid, bid), fv) in pairs.iter().zip(&out.fvs.fvs) {
-            let want = fs.vector_at(&a, &b, aid, bid, &ctx, &mut SimScratch::new());
+            let want = fs.vector_at(&a, &b, aid, bid, &ctx, &mut ScoreScratch::default());
             for (k, (x, y)) in fv.iter().zip(&want).enumerate() {
                 prop_assert_eq!(
                     x.to_bits(), y.to_bits(),

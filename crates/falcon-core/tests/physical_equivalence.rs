@@ -1,18 +1,26 @@
 //! All six physical implementations of `apply_blocking_rules` — and the
 //! Corleone single-machine baseline — must produce *exactly* the same
 //! candidate set: the index filters are necessary conditions and the
-//! reducers evaluate the exact rule sequence.
+//! reducers evaluate the exact rule sequence. `ApplyAll`, which probes
+//! each conjunct within the candidates of the more selective ones, is
+//! also held to its definition: the intersection of the conjuncts' full
+//! unions, whatever the probe order.
+
+mod common;
 
 use falcon_core::corleone::corleone_blocking;
-use falcon_core::features::generate_features;
-use falcon_core::indexing::{BuiltIndexes, ConjunctSpecs};
+use falcon_core::features::{generate_features, FeatureSet, ScoreScratch};
+use falcon_core::indexing::{BuiltIndexes, ConjunctSpecs, PreFilterConfig};
 use falcon_core::physical::{self, PhysicalOp};
 use falcon_core::rules::{Predicate, Rule, RuleSequence};
 use falcon_dataflow::{Cluster, ClusterConfig};
 use falcon_datagen::products;
 use falcon_forest::SplitOp;
-use falcon_table::IdPair;
-use falcon_textsim::{SimFunction, Tokenizer};
+use falcon_index::spec::Candidates;
+use falcon_index::ProbeStats;
+use falcon_table::{IdPair, Table, TupleId};
+use falcon_textsim::{SimContext, SimFunction, Tokenizer};
+use std::collections::{BTreeSet, HashMap};
 
 fn cluster() -> Cluster {
     Cluster::new(ClusterConfig::small(4)).with_threads(4)
@@ -300,5 +308,159 @@ fn scalar_probes_leave_profile_fed_tokens_alone() {
         )
         .unwrap_or_else(|e| panic!("{op:?} failed: {e}"));
         assert_eq!(out.candidates, reference, "{op:?}");
+    }
+}
+
+/// What `ApplyAll` must shuffle and keep, from the index probes alone: per
+/// `B` tuple, every filterable conjunct's *full* union (no running set, no
+/// probe order — `probe_ref_stats` takes no `within`), a conjunct with a
+/// predicate that answers "all of `A`" (or without an index) skipped, the
+/// unions intersected; then the rule sequence on each shuffled pair's full
+/// feature vector, string path. Returns `(candidates, shuffled records)`;
+/// `verdicts` carries the rule verdicts across calls over the same tables.
+fn intersection_of_full_unions(
+    (a, b): (&Table, &Table),
+    features: &FeatureSet,
+    seq: &RuleSequence,
+    conjuncts: &ConjunctSpecs,
+    built: &BuiltIndexes,
+    verdicts: &mut HashMap<IdPair, bool>,
+) -> (Vec<IdPair>, usize) {
+    let ctx = SimContext::empty();
+    let (mut candidates, mut shuffled) = (Vec::new(), 0);
+    for bid in 0..b.len() as TupleId {
+        let mut acc: Option<BTreeSet<TupleId>> = None;
+        for ci in conjuncts.filterable() {
+            let full_union = (0..conjuncts.specs[ci].len())
+                .map(|pi| {
+                    let (_, b_idx) = conjuncts.specs[ci][pi].as_ref()?;
+                    let index = built.get_by_key(conjuncts.key_of(ci, pi)?)?;
+                    let bv = b.value_ref(bid, *b_idx).unwrap_or_default();
+                    let mode = index.plan_probe_mode();
+                    match index.probe_ref_stats(bv, mode, &mut ProbeStats::default()) {
+                        Candidates::All => None,
+                        Candidates::Some(ids) => Some(ids),
+                    }
+                })
+                .collect::<Option<Vec<Vec<TupleId>>>>();
+            if let Some(ids) = full_union {
+                let union: BTreeSet<TupleId> = ids.into_iter().flatten().collect();
+                acc = Some(acc.map_or(union.clone(), |prev| &prev & &union));
+            }
+        }
+        let ids = acc.unwrap_or_else(|| (0..a.len() as TupleId).collect());
+        shuffled += ids.len();
+        for aid in ids {
+            let keep = *verdicts.entry((aid, bid)).or_insert_with(|| {
+                seq.keeps(&features.vector_at(a, b, aid, bid, &ctx, &mut ScoreScratch::default()))
+            });
+            if keep {
+                candidates.push((aid, bid));
+            }
+        }
+    }
+    candidates.sort_unstable();
+    (candidates, shuffled)
+}
+
+/// Every ordering of `values`.
+fn permutations(values: &[f64]) -> Vec<Vec<f64>> {
+    if values.len() <= 1 {
+        return vec![values.to_vec()];
+    }
+    let mut out = Vec::new();
+    for i in 0..values.len() {
+        let mut rest = values.to_vec();
+        let head = rest.remove(i);
+        out.extend(permutations(&rest).into_iter().map(|mut p| {
+            p.insert(0, head);
+            p
+        }));
+    }
+    out
+}
+
+#[test]
+fn apply_all_equals_the_intersection_of_full_unions() {
+    let cluster = Cluster::new(ClusterConfig::small(2)).with_threads(2);
+    let prefilters = [
+        PreFilterConfig {
+            enabled: false,
+            ..PreFilterConfig::default()
+        },
+        PreFilterConfig {
+            enabled: true,
+            words: 1,
+        },
+        PreFilterConfig {
+            enabled: true,
+            words: 2,
+        },
+    ];
+    for (name, d, rules) in &common::datasets() {
+        let features = generate_features(&d.a, &d.b).blocking;
+        let seq = common::sequence(&features, rules);
+        let mut verdicts = HashMap::new();
+        for prefilter in &prefilters {
+            let conjuncts = ConjunctSpecs::derive(&seq, &features).with_signatures(prefilter);
+            let mut built = BuiltIndexes::new();
+            for spec in conjuncts.all_specs() {
+                built.build_spec(&cluster, &d.a, &spec).expect("build");
+            }
+            let tables = (&d.a, &d.b);
+            let (candidates, shuffled) = intersection_of_full_unions(
+                tables,
+                &features,
+                &seq,
+                &conjuncts,
+                &built,
+                &mut verdicts,
+            );
+            assert!(
+                !candidates.is_empty() && shuffled > candidates.len(),
+                "{name}"
+            );
+            // Every assignment of four distinct selectivities to the
+            // filterable conjuncts, all-equal ones, and a slice shorter
+            // than the sequence (the benchmark passes `&[0.5]`).
+            let filterable = conjuncts.filterable();
+            assert_eq!(filterable.len(), 4, "{name}");
+            let mut orders: Vec<Vec<f64>> = permutations(&[0.1, 0.2, 0.3, 0.4])
+                .into_iter()
+                .map(|p| {
+                    let mut sels = vec![1.0; seq.len()];
+                    filterable.iter().zip(p).for_each(|(&ci, s)| sels[ci] = s);
+                    sels
+                })
+                .collect();
+            orders.push(vec![0.5; seq.len()]);
+            orders.push(vec![0.5]);
+            orders.push(Vec::new());
+            for sels in &orders {
+                let out = physical::execute(
+                    PhysicalOp::ApplyAll,
+                    &cluster,
+                    &d.a,
+                    &d.b,
+                    &features,
+                    &seq,
+                    &conjuncts,
+                    &built,
+                    sels,
+                    1 << 40,
+                )
+                .unwrap_or_else(|e| panic!("{name} {sels:?}: {e}"));
+                let what = format!("{name} words={prefilter:?} selectivities={sels:?}");
+                assert!(out.candidates == candidates, "{what}: candidates differ");
+                assert_eq!(out.jobs.len(), 1, "{what}");
+                assert_eq!(out.jobs[0].shuffled_records, shuffled, "{what}");
+                let stats = &out.blocking;
+                assert_eq!(
+                    stats.pairs_examined(),
+                    stats.pruned_by_signature() + stats.pruned_by_exact() + stats.survived(),
+                    "{what}"
+                );
+            }
+        }
     }
 }

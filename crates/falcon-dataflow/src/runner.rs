@@ -7,7 +7,7 @@ use crate::job::{Emitter, JobOutput, JobStats};
 use crate::sim_time::wall_now;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -36,6 +36,12 @@ impl StableHasher {
     }
 }
 
+impl Default for StableHasher {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Hasher for StableHasher {
     fn finish(&self) -> u64 {
         self.0
@@ -60,9 +66,10 @@ fn partition_of<K: Hash>(key: &K, partitions: usize) -> usize {
 /// observed, so for a fixed input sequence the output is identical on
 /// every run — the reduce and combine phases rely on this to keep job
 /// output deterministic (shuffle already concatenates map buckets in
-/// split order).
+/// split order) — and the map hashes with the cheap [`StableHasher`], the
+/// function [`partition_of`] already spreads the same keys with.
 fn group_in_arrival_order<K: Hash + Eq + Clone, V>(pairs: Vec<(K, V)>) -> Vec<(K, Vec<V>)> {
-    let mut slot_of: HashMap<K, usize> = HashMap::new();
+    let mut slot_of: HashMap<K, usize, BuildHasherDefault<StableHasher>> = HashMap::default();
     let mut grouped: Vec<(K, Vec<V>)> = Vec::new();
     for (k, v) in pairs {
         match slot_of.get(&k) {

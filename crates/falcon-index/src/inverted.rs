@@ -13,7 +13,9 @@
 //! overlap). Ties in frequency break on the token *text* and fingerprint
 //! bits hash the text, so no output depends on dictionary numbering.
 
+use crate::bitmap::CandidateBitmap;
 use crate::signature::{token_hash, ProbeSig, ProbeStats, SignatureIndex};
+use crate::spec::is_within;
 use crate::verdict::{verdict, VerdictTable, REFUTED};
 use falcon_table::{Table, TupleId};
 use falcon_textsim::{prefix, SimFunction, TokenDict, Tokenizer};
@@ -275,12 +277,14 @@ impl PrefixIndex {
     /// exact length and position filters run — a signature refutation is
     /// a proof the pair cannot reach the threshold, so gating never
     /// changes which true candidates survive, only how much exact
-    /// filtering runs.
+    /// filtering runs. A posting whose id is outside `within` is refuted
+    /// before any of that (examined, `pruned_by_exact`): the walk examines
+    /// the same postings with and without it.
     ///
     /// Everything those filters decide from the candidate's size alone is
     /// tabulated once per probe in `table` (see [`crate::verdict`]); the
-    /// per-posting work is the size load, the table load, the fingerprint
-    /// AND + popcount and integer compares.
+    /// per-posting work is the membership test, the size load, the table
+    /// load, the fingerprint AND + popcount and integer compares.
     #[allow(clippy::too_many_arguments)]
     pub fn probe_gated(
         &self,
@@ -289,6 +293,7 @@ impl PrefixIndex {
         sim: SimFunction,
         threshold: f64,
         gate: Option<(&SignatureIndex, &ProbeSig)>,
+        within: Option<&CandidateBitmap>,
         table: &mut VerdictTable,
         stats: &mut ProbeStats,
         sink: &mut impl FnMut(TupleId),
@@ -311,6 +316,10 @@ impl PrefixIndex {
             let y_rest = y_len - j - 1;
             local.pairs_examined += list.len() as u64;
             for &(id, i) in list {
+                if !is_within(within, id) {
+                    local.pruned_by_exact += 1;
+                    continue;
+                }
                 let x_len = self.set_sizes[id as usize] as usize;
                 let v = table.at(x_len, fill);
                 // Signature pre-filter: a few popcounts refute the pair
@@ -375,6 +384,7 @@ mod tests {
             tokens.hashes.len(),
             sim,
             threshold,
+            None,
             None,
             &mut VerdictTable::default(),
             &mut ProbeStats::default(),

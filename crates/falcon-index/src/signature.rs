@@ -27,6 +27,7 @@
 //! that prune is exact too. False positives pass through to the exact
 //! filters — the layer can only ever yield a superset of true candidates.
 
+use crate::bitmap::CandidateBitmap;
 use crate::inverted::TokenColumn;
 use crate::verdict::{verdict, VerdictTable, REFUTED};
 use falcon_table::TupleId;
@@ -174,17 +175,20 @@ impl SignatureIndex {
     }
 
     /// `Dense` probe: one flat pass over the fingerprint column, no
-    /// postings. Every token-bearing tuple is examined; `verdict(|x|)`
-    /// (tabulated in `table`) says whether the signature can refute it
-    /// and whether the length filter admits it. Survivors go to `sink`.
-    /// Tokenless tuples are skipped: the exact probe never returns them
-    /// either (they are on the missing list when the value is absent, and
-    /// match nothing when it tokenizes empty).
+    /// postings. Every token-bearing tuple — of `within`, the caller's
+    /// running candidate set, when there is one — is examined;
+    /// `verdict(|x|)` (tabulated in `table`) says whether the signature
+    /// can refute it and whether the length filter admits it. Survivors
+    /// go to `sink`. Tokenless tuples are skipped: the exact probe never
+    /// returns them either (they are on the missing list when the value
+    /// is absent, and match nothing when it tokenizes empty).
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn scan_dense(
         &self,
         probe: &ProbeSig,
         sim: SimFunction,
         threshold: f64,
+        within: Option<&CandidateBitmap>,
         table: &mut VerdictTable,
         stats: &mut ProbeStats,
         sink: &mut impl FnMut(TupleId),
@@ -194,11 +198,11 @@ impl SignatureIndex {
         let fill = |x_len| verdict(sim, threshold, x_len, y_len, bounds, Some(probe.min_bits()));
         table.reset(self.max_size);
         let mut local = ProbeStats::default();
-        for (id, &size) in self.sizes.iter().enumerate() {
+        let judge = |id: TupleId| {
+            let size = self.sizes.get(id as usize).copied().unwrap_or(0);
             if size == 0 {
-                continue;
+                return;
             }
-            let id = id as TupleId;
             local.pairs_examined += 1;
             let v = table.at(size as usize, fill);
             if v.floor != 0 && (v.floor == REFUTED || self.shared_bits(id, probe) < v.floor) {
@@ -209,6 +213,10 @@ impl SignatureIndex {
                 local.survived += 1;
                 sink(id);
             }
+        };
+        match within {
+            Some(w) => w.for_each(judge),
+            None => (0..self.sizes.len() as TupleId).for_each(judge),
         }
         stats.merge(&local);
     }
@@ -290,16 +298,20 @@ impl ProbeSig {
 /// Per-conjunct probe counters, accumulated locally per chunk and flushed
 /// into atomic totals (deterministic because the dataflow layer executes
 /// each map body exactly once per task, even under injected faults).
+/// Every examined pair lands in exactly one of the other three buckets.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProbeStats {
-    /// Pairs considered by this conjunct's index probes.
+    /// Pairs considered by this conjunct's index probes: postings walked,
+    /// fingerprints scanned, scalar-index hits and missing-list ids.
     pub pairs_examined: u64,
     /// Pairs eliminated by the signature popcount test alone.
     pub pruned_by_signature: u64,
-    /// Pairs eliminated by the exact filters (length/position/prefix,
-    /// range, equality) after surviving (or bypassing) the signature.
+    /// Pairs eliminated exactly: by this predicate's own filters
+    /// (length/position/prefix, edit length) after surviving (or
+    /// bypassing) the signature, or — probed within a running candidate
+    /// set — because an earlier conjunct already refuted the id.
     pub pruned_by_exact: u64,
-    /// Pairs emitted as candidates.
+    /// Pairs sent to the sink.
     pub survived: u64,
 }
 

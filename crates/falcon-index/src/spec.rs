@@ -20,6 +20,7 @@
 //! match (almost) all dissimilar pairs and admit no index:
 //! [`FilterSpec`] construction reports them as unfilterable.
 
+use crate::bitmap::CandidateBitmap;
 use crate::inverted::{PrefixIndex, TokenColumn, TokenOrder};
 use crate::scalar::{HashIndex, LengthIndex, RangeIndex};
 use crate::signature::{token_hash, ProbeSig, ProbeStats, SignatureIndex};
@@ -714,7 +715,9 @@ impl PredicateIndex {
     ) -> Candidates {
         let mut out = Vec::new();
         let mut tokens = ProbeTokens::default();
-        if self.probe_into(b_value, mode, &mut tokens, stats, &mut |id| out.push(id)) {
+        if self.probe_into(b_value, mode, &mut tokens, None, stats, &mut |id| {
+            out.push(id)
+        }) {
             Candidates::Some(out)
         } else {
             Candidates::All
@@ -739,6 +742,11 @@ impl PredicateIndex {
     /// the probe cannot prune (a missing `B` value is "similar" to
     /// everything), i.e. all of `A` is a candidate.
     ///
+    /// Under `within = Some(w)` — the caller's running candidate set —
+    /// exactly the passing ids in `w` reach the sink: an id outside `w` is
+    /// refuted before any filter of this predicate runs (examined,
+    /// `pruned_by_exact`), and a dense scan visits only `w`'s members.
+    ///
     /// `mode` is ignored by non-signature indexes. Every mode is
     /// lossless; `Dense` may admit a *superset* of the exact probe's
     /// candidates (exact rule evaluation downstream makes final candidate
@@ -750,6 +758,7 @@ impl PredicateIndex {
         b_value: ValueRef<'_>,
         mode: ProbeMode,
         tokens: &mut ProbeTokens,
+        within: Option<&CandidateBitmap>,
         stats: &mut ProbeStats,
         sink: &mut impl FnMut(TupleId),
     ) -> bool {
@@ -760,8 +769,8 @@ impl PredicateIndex {
                 if key.is_empty() {
                     return false; // missing probe is "similar" to everything
                 }
-                admit(missing, stats, sink);
-                admit(index.probe(key), stats, sink);
+                admit(missing, within, stats, sink);
+                admit(index.probe(key), within, stats, sink);
             }
             PredicateIndex::Range {
                 index,
@@ -783,17 +792,15 @@ impl PredicateIndex {
                 } else {
                     *width
                 };
-                admit(missing, stats, sink);
-                let hits = index.range(y - w, y + w);
-                stats.pairs_examined += hits.len() as u64;
-                stats.survived += hits.len() as u64;
-                hits.iter().for_each(|&(_, id)| sink(id));
+                admit(missing, within, stats, sink);
+                let hits = index.range(y - w, y + w).iter().map(|(_, id)| id);
+                admit(hits, within, stats, sink);
             }
             PredicateIndex::SetSim { .. } => {
-                return self.probe_set(None, b_value, ProbeMode::Off, tokens, stats, sink);
+                return self.probe_set(None, b_value, ProbeMode::Off, tokens, within, stats, sink);
             }
             PredicateIndex::Signature { sigs, exact, .. } => {
-                return exact.probe_set(Some(sigs), b_value, mode, tokens, stats, sink);
+                return exact.probe_set(Some(sigs), b_value, mode, tokens, within, stats, sink);
             }
             PredicateIndex::Edit {
                 lengths,
@@ -813,7 +820,7 @@ impl PredicateIndex {
                 else {
                     return false;
                 };
-                admit(missing, stats, sink);
+                admit(missing, within, stats, sink);
                 if qgrams.is_empty() && unprunable.is_empty() {
                     return true;
                 }
@@ -821,7 +828,7 @@ impl PredicateIndex {
                 // fall back to the length filter alone.
                 if y_len < QGRAM {
                     for bucket in lengths.buckets(lo, hi) {
-                        admit(bucket, stats, sink);
+                        admit(bucket, within, stats, sink);
                     }
                     return true;
                 }
@@ -829,7 +836,7 @@ impl PredicateIndex {
                     stats.pairs_examined += ids.len() as u64;
                     for &id in ids {
                         let l = char_lens[id as usize];
-                        if l != usize::MAX && l >= lo && l <= hi {
+                        if is_within(within, id) && l != usize::MAX && l >= lo && l <= hi {
                             stats.survived += 1;
                             sink(id);
                         } else {
@@ -850,12 +857,14 @@ impl PredicateIndex {
 
     /// Set-similarity arm of [`PredicateIndex::probe_into`], for the exact
     /// bundle alone (`sigs = None`) or behind its signature column.
+    #[allow(clippy::too_many_arguments)]
     fn probe_set(
         &self,
         sigs: Option<&SignatureIndex>,
         b_value: ValueRef<'_>,
         mode: ProbeMode,
         tokens: &mut ProbeTokens,
+        within: Option<&CandidateBitmap>,
         stats: &mut ProbeStats,
         sink: &mut impl FnMut(TupleId),
     ) -> bool {
@@ -869,7 +878,7 @@ impl PredicateIndex {
             missing,
         } = self
         else {
-            return self.probe_into(b_value, ProbeMode::Off, tokens, stats, sink);
+            return self.probe_into(b_value, ProbeMode::Off, tokens, within, stats, sink);
         };
         // `try_build` only constructs SetSim from set-based sims; if that
         // invariant ever breaks, skip filtering (returning everything is
@@ -883,7 +892,7 @@ impl PredicateIndex {
         if tokens.missing {
             return false;
         }
-        admit(missing, stats, sink);
+        admit(&missing[..], within, stats, sink);
         let y_len = tokens.hashes.len();
         let ProbeTokens {
             seen,
@@ -898,9 +907,11 @@ impl PredicateIndex {
             .map(|s| (s, probe_sig(probe_sigs, hashes, s.words())));
         match gate {
             Some((sigs, probe)) if mode == ProbeMode::Dense => {
-                sigs.scan_dense(probe, *sim, *threshold, table, stats, sink);
+                sigs.scan_dense(probe, *sim, *threshold, within, table, stats, sink);
             }
-            _ => index.probe_gated(seen, y_len, *sim, *threshold, gate, table, stats, sink),
+            _ => index.probe_gated(
+                seen, y_len, *sim, *threshold, gate, within, table, stats, sink,
+            ),
         }
         true
     }
@@ -944,14 +955,32 @@ impl PredicateIndex {
     }
 }
 
-/// Send ids no per-id filter applies to (missing-value ids are permanent
-/// candidates; equality and length-bucket hits are already filtered) to
-/// the sink: each is examined and survives, so
-/// `examined = pruned + survived` stays an invariant.
-fn admit(ids: &[TupleId], stats: &mut ProbeStats, sink: &mut impl FnMut(TupleId)) {
-    stats.pairs_examined += ids.len() as u64;
-    stats.survived += ids.len() as u64;
-    ids.iter().for_each(|&id| sink(id));
+/// True unless `id` is outside the running candidate set `within`.
+#[inline]
+pub(crate) fn is_within(within: Option<&CandidateBitmap>, id: TupleId) -> bool {
+    within.is_none_or(|w| w.contains(id))
+}
+
+/// Send ids no per-id filter of this predicate applies to (missing-value
+/// ids are permanent candidates; equality, range and length-bucket hits
+/// are already filtered) to the sink: each is examined, and survives
+/// unless it is outside `within` (`pruned_by_exact`), so `examined =
+/// pruned + survived` holds and `survived` is what the sink received.
+fn admit<'a>(
+    ids: impl IntoIterator<Item = &'a TupleId>,
+    within: Option<&CandidateBitmap>,
+    stats: &mut ProbeStats,
+    sink: &mut impl FnMut(TupleId),
+) {
+    for &id in ids {
+        stats.pairs_examined += 1;
+        if is_within(within, id) {
+            stats.survived += 1;
+            sink(id);
+        } else {
+            stats.pruned_by_exact += 1;
+        }
+    }
 }
 
 /// Render a probe value into `scratch` only when a numeric needs

@@ -14,11 +14,16 @@
 //! account for every probe in the same `ProbeStats` bucket — over `B`
 //! values with tokens `A` never saw, tokens only another attribute's
 //! column interned, numbers, nulls, punctuation-only and empty strings.
+//!
+//! The second property defines the `within` argument against the first:
+//! probing within a bitmap `W` sends exactly the unrestricted probe's ids
+//! that are in `W`, for every index kind and probe mode, with every
+//! examined pair still in exactly one counter bucket.
 
 use falcon_index::spec::{Candidates, ProbeMode};
 use falcon_index::{
-    token_hash, FilterSpec, PredicateIndex, ProbeSig, ProbeStats, ProbeTokens, SignatureIndex,
-    TokenColumn,
+    token_hash, CandidateBitmap, FilterSpec, PredicateIndex, ProbeSig, ProbeStats, ProbeTokens,
+    SignatureIndex, TokenColumn,
 };
 use falcon_table::{AttrType, Schema, Table, TupleId, Value};
 use falcon_textsim::{prefix, SimFunction, TokenDict, Tokenizer};
@@ -225,13 +230,130 @@ proptest! {
                             tokens.load_ids(b.as_value_ref(), ids, order, &dict);
                             let mut out = Vec::new();
                             let pruned = idx.probe_into(
-                                b.as_value_ref(), mode, &mut tokens, &mut stats, &mut |id| out.push(id),
+                                b.as_value_ref(), mode, &mut tokens, None, &mut stats, &mut |id| out.push(id),
                             );
                             out.sort_unstable();
                             prop_assert_eq!(
                                 pruned.then_some((out, stats)), want,
                                 "column-fed {:?} words={} {:?} b={:?}", spec, words, mode, b
                             );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One probe's sorted output (duplicates kept) and counters; `None` when
+/// it admits all of `A`.
+fn probe(
+    idx: &PredicateIndex,
+    b: &Value,
+    mode: ProbeMode,
+    within: Option<&CandidateBitmap>,
+) -> Option<(Vec<TupleId>, ProbeStats)> {
+    let (mut tokens, mut stats, mut out) =
+        (ProbeTokens::default(), ProbeStats::default(), Vec::new());
+    let sink = &mut |id| out.push(id);
+    let pruned = idx.probe_into(
+        b.as_value_ref(),
+        mode,
+        &mut tokens,
+        within,
+        &mut stats,
+        sink,
+    );
+    out.sort_unstable();
+    pruned.then_some((out, stats))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn probing_within_a_bitmap_is_the_probe_intersected_with_it(
+        a_vals in proptest::collection::vec(value(), 1..40),
+        b_vals in proptest::collection::vec(value(), 1..8),
+        // Bit k decides id k's membership; the bitmap is wider than A.
+        sparse in proptest::collection::vec(any::<bool>(), 48),
+    ) {
+        let schema = Schema::new([("x", AttrType::Str)]);
+        let a = Table::new("A", schema, a_vals.iter().cloned().map(|v| vec![v]));
+        let bitmap = |member: &dyn Fn(usize) -> bool| {
+            let mut w = CandidateBitmap::new(48);
+            (0..48).filter(|&id| member(id)).for_each(|id| w.insert(id as TupleId));
+            w
+        };
+        let bitmaps = [
+            bitmap(&|_| false),
+            bitmap(&|id| id < a_vals.len()),
+            bitmap(&|id| sparse[id]),
+            bitmap(&|id| id >= a_vals.len()),
+        ];
+        let word = Tokenizer::Word;
+        let set = |sim, threshold| FilterSpec::SetSim { a_attr: "x".into(), sim, threshold };
+        let specs = [
+            FilterSpec::Equals { a_attr: "x".into() },
+            FilterSpec::Range { a_attr: "x".into(), width: 3.0, relative: false },
+            FilterSpec::Range { a_attr: "x".into(), width: 0.3, relative: true },
+            FilterSpec::EditSim { a_attr: "x".into(), threshold: 0.6 },
+            FilterSpec::EditSim { a_attr: "x".into(), threshold: 0.9 },
+            set(SimFunction::Jaccard(word), 0.5),
+            set(SimFunction::Cosine(Tokenizer::QGram(2)), 0.4).with_signature(1),
+            set(SimFunction::Overlap(word), 0.5).with_signature(2),
+            set(SimFunction::Dice(word), 0.3).with_signature(4),
+        ];
+        for spec in &specs {
+            let idx = PredicateIndex::build(&a, spec, None);
+            let signed = |id: usize| match (&idx, a_vals.get(id)) {
+                (PredicateIndex::Signature { sigs, .. }, Some(_)) => {
+                    sigs.size(id as TupleId) != falcon_index::signature::SIG_NO_TOKENS
+                }
+                _ => false,
+            };
+            for b in &b_vals {
+                for mode in [ProbeMode::Off, ProbeMode::Gate, ProbeMode::Dense] {
+                    let Some((ids, full)) = probe(&idx, b, mode, None) else {
+                        for w in &bitmaps {
+                            prop_assert!(probe(&idx, b, mode, Some(w)).is_none(), "{:?} b={:?}", spec, b);
+                        }
+                        continue;
+                    };
+                    prop_assert_eq!(full.survived, ids.len() as u64);
+                    prop_assert_eq!(
+                        full.pairs_examined,
+                        full.pruned_by_signature + full.pruned_by_exact + full.survived
+                    );
+                    if !matches!(spec, FilterSpec::SetSim { .. } | FilterSpec::Signature { .. } | FilterSpec::EditSim { .. }) {
+                        // Scalar hits are pre-filtered: nothing to prune.
+                        prop_assert_eq!(full.pairs_examined, full.survived);
+                    }
+                    for w in &bitmaps {
+                        let what = format!("{spec:?} {mode:?} b={b:?} within {:?}", w.to_vec());
+                        let (got, stats) = probe(&idx, b, mode, Some(w)).expect("restricted as without W");
+                        let want: Vec<TupleId> = ids.iter().copied().filter(|&id| w.contains(id)).collect();
+                        prop_assert_eq!(&got, &want, "{}", &what);
+                        prop_assert_eq!(stats.survived, got.len() as u64, "{}", &what);
+                        prop_assert_eq!(
+                            stats.pairs_examined,
+                            stats.pruned_by_signature + stats.pruned_by_exact + stats.survived,
+                            "{}", &what
+                        );
+                        prop_assert!(stats.pruned_by_signature <= full.pruned_by_signature, "{}", &what);
+                        // A dense scan walks W's signed members (and the
+                        // missing list); every other probe examines what
+                        // it examines without W.
+                        let tokenizer = idx.token_source().map(|(t, _)| t);
+                        let dense = mode == ProbeMode::Dense
+                            && matches!(idx, PredicateIndex::Signature { .. })
+                            && tokenizer.is_some_and(|t| !t.tokenize(&b.render()).is_empty());
+                        if dense {
+                            let missing = a_vals.iter().filter(|v| v.render().is_empty()).count();
+                            let scanned = (0..48).filter(|&id| w.contains(id as TupleId) && signed(id)).count();
+                            prop_assert_eq!(stats.pairs_examined, (missing + scanned) as u64, "{}", &what);
+                        } else {
+                            prop_assert_eq!(stats.pairs_examined, full.pairs_examined, "{}", &what);
                         }
                     }
                 }

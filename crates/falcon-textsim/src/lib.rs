@@ -173,6 +173,20 @@ impl SimFunction {
         })
     }
 
+    /// Score a set measure from the [`sets::Counts`] of the two token sets
+    /// (`None` for every other measure): the same value as
+    /// [`SimFunction::score_str`] on two non-empty strings tokenizing to
+    /// those sets.
+    pub fn score_counts(self, counts: sets::Counts) -> Option<f64> {
+        Some(match self {
+            SimFunction::Jaccard(_) => sets::jaccard_of(counts),
+            SimFunction::Dice(_) => sets::dice_of(counts),
+            SimFunction::Overlap(_) => sets::overlap_of(counts),
+            SimFunction::Cosine(_) => sets::cosine_of(counts),
+            _ => return None,
+        })
+    }
+
     /// Score two non-empty values with a character-level measure straight
     /// from their symbols, borrowing every working buffer from `scratch`;
     /// `None` for the measures that are not character-level. Same scores

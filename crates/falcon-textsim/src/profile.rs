@@ -327,12 +327,22 @@ impl TokenProfile {
     /// Sorted token ids of one tuple's attribute under a tokenizer, if that
     /// column and tuple were profiled.
     pub fn tokens(&self, attr: usize, tokenizer: Tokenizer, id: u32) -> Option<&[u32]> {
+        self.tokens_at(self.column_slot((attr, tokenizer))?, id)
+    }
+
+    /// Where a token column sits in this profile, for callers that look
+    /// it up once and then read tuples through [`TokenProfile::tokens_at`].
+    pub fn column_slot(&self, key: ColumnKey) -> Option<usize> {
+        self.columns.iter().position(|(k, _)| *k == key)
+    }
+
+    /// [`TokenProfile::tokens`] of the column at `slot`.
+    pub fn tokens_at(&self, slot: usize, id: u32) -> Option<&[u32]> {
         if !self.is_covered(id) {
             return None;
         }
-        self.column((attr, tokenizer))
-            .and_then(|c| c.get(id as usize))
-            .map(Vec::as_slice)
+        let (_, column) = self.columns.get(slot)?;
+        column.get(id as usize).map(Vec::as_slice)
     }
 
     /// Cached rendered value of one tuple's attribute, if that attribute

@@ -3,15 +3,18 @@
 //! These four measures (plus Levenshtein) are the ones the paper's
 //! prefix/position/length filters know how to index (Section 7.4).
 //!
-//! Two kernel families are provided, and they must stay numerically
-//! bit-identical (a property test in `falcon-core` enforces it):
+//! Two kernel families are provided, numerically bit-identical because
+//! each coefficient has one definition, a function of [`Counts`] (a
+//! property test in `falcon-core` checks it end to end):
 //!
 //! * the `BTreeSet<String>` kernels: the definition behind
 //!   `SimFunction::score_str`, used when values are tokenized on the fly
 //!   (numeric and uncovered columns, datagen, the lossless tests), and
 //! * sorted-`u32`-slice kernels (`*_ids`) over interned token ids from a
 //!   [`crate::profile::TokenProfile`] — a single O(|x|+|y|) merge with
-//!   zero allocation per comparison, the hot path of `gen_fvs`.
+//!   zero allocation per comparison; `gen_fvs` and the rule evaluator
+//!   run that merge ([`counts_ids`]) once per pair and token column and
+//!   score every measure over the column from its counts.
 //!
 //! Empty-set semantics are shared by both families: the empty set scores
 //! 0.0 against anything, including itself (never `NaN`). A *missing*
@@ -21,46 +24,75 @@
 
 use std::collections::BTreeSet;
 
-fn intersection_size(x: &BTreeSet<String>, y: &BTreeSet<String>) -> usize {
-    if x.len() <= y.len() {
-        x.iter().filter(|t| y.contains(*t)).count()
-    } else {
-        y.iter().filter(|t| x.contains(*t)).count()
+/// `(|x ∩ y|, |x|, |y|)`: all a set coefficient reads of two token sets.
+/// Each coefficient below is *defined* on it, and both kernel families
+/// only differ in how they count — so they cannot disagree, and a caller
+/// holding the counts (one merge) can score every measure of the pair.
+pub type Counts = (usize, usize, usize);
+
+fn counts(x: &BTreeSet<String>, y: &BTreeSet<String>) -> Counts {
+    let (small, large) = if x.len() <= y.len() { (x, y) } else { (y, x) };
+    let i = small.iter().filter(|t| large.contains(*t)).count();
+    (i, x.len(), y.len())
+}
+
+/// [`Counts`] of two sorted, deduplicated id slices.
+pub fn counts_ids(x: &[u32], y: &[u32]) -> Counts {
+    (intersection_size_ids(x, y), x.len(), y.len())
+}
+
+/// Jaccard coefficient `|x ∩ y| / |x ∪ y|` from the counts.
+pub fn jaccard_of((i, nx, ny): Counts) -> f64 {
+    if nx == 0 && ny == 0 {
+        return 0.0;
     }
+    let i = i as f64;
+    i / (nx as f64 + ny as f64 - i)
+}
+
+/// Dice coefficient `2|x ∩ y| / (|x| + |y|)` from the counts.
+pub fn dice_of((i, nx, ny): Counts) -> f64 {
+    if nx == 0 && ny == 0 {
+        return 0.0;
+    }
+    2.0 * i as f64 / (nx + ny) as f64
+}
+
+/// Overlap coefficient `|x ∩ y| / min(|x|, |y|)` from the counts.
+pub fn overlap_of((i, nx, ny): Counts) -> f64 {
+    let m = nx.min(ny);
+    if m == 0 {
+        return 0.0;
+    }
+    i as f64 / m as f64
+}
+
+/// Set cosine `|x ∩ y| / sqrt(|x| · |y|)` from the counts.
+pub fn cosine_of((i, nx, ny): Counts) -> f64 {
+    if nx == 0 || ny == 0 {
+        return 0.0;
+    }
+    i as f64 / ((nx * ny) as f64).sqrt()
 }
 
 /// Jaccard coefficient `|x ∩ y| / |x ∪ y|`.
 pub fn jaccard(x: &BTreeSet<String>, y: &BTreeSet<String>) -> f64 {
-    if x.is_empty() && y.is_empty() {
-        return 0.0;
-    }
-    let i = intersection_size(x, y) as f64;
-    i / (x.len() as f64 + y.len() as f64 - i)
+    jaccard_of(counts(x, y))
 }
 
 /// Dice coefficient `2|x ∩ y| / (|x| + |y|)`.
 pub fn dice(x: &BTreeSet<String>, y: &BTreeSet<String>) -> f64 {
-    if x.is_empty() && y.is_empty() {
-        return 0.0;
-    }
-    2.0 * intersection_size(x, y) as f64 / (x.len() + y.len()) as f64
+    dice_of(counts(x, y))
 }
 
 /// Overlap coefficient `|x ∩ y| / min(|x|, |y|)`.
 pub fn overlap_coefficient(x: &BTreeSet<String>, y: &BTreeSet<String>) -> f64 {
-    let m = x.len().min(y.len());
-    if m == 0 {
-        return 0.0;
-    }
-    intersection_size(x, y) as f64 / m as f64
+    overlap_of(counts(x, y))
 }
 
 /// Set cosine `|x ∩ y| / sqrt(|x| · |y|)`.
 pub fn cosine(x: &BTreeSet<String>, y: &BTreeSet<String>) -> f64 {
-    if x.is_empty() || y.is_empty() {
-        return 0.0;
-    }
-    intersection_size(x, y) as f64 / ((x.len() * y.len()) as f64).sqrt()
+    cosine_of(counts(x, y))
 }
 
 /// `|x ∩ y|` of two sorted, deduplicated id slices by linear merge.
@@ -80,39 +112,24 @@ pub fn intersection_size_ids(x: &[u32], y: &[u32]) -> usize {
     n
 }
 
-/// Jaccard over sorted id slices; same arithmetic as [`jaccard`].
+/// Jaccard over sorted id slices.
 pub fn jaccard_ids(x: &[u32], y: &[u32]) -> f64 {
-    if x.is_empty() && y.is_empty() {
-        return 0.0;
-    }
-    let i = intersection_size_ids(x, y) as f64;
-    i / (x.len() as f64 + y.len() as f64 - i)
+    jaccard_of(counts_ids(x, y))
 }
 
-/// Dice over sorted id slices; same arithmetic as [`dice`].
+/// Dice over sorted id slices.
 pub fn dice_ids(x: &[u32], y: &[u32]) -> f64 {
-    if x.is_empty() && y.is_empty() {
-        return 0.0;
-    }
-    2.0 * intersection_size_ids(x, y) as f64 / (x.len() + y.len()) as f64
+    dice_of(counts_ids(x, y))
 }
 
-/// Overlap coefficient over sorted id slices; same arithmetic as
-/// [`overlap_coefficient`].
+/// Overlap coefficient over sorted id slices.
 pub fn overlap_ids(x: &[u32], y: &[u32]) -> f64 {
-    let m = x.len().min(y.len());
-    if m == 0 {
-        return 0.0;
-    }
-    intersection_size_ids(x, y) as f64 / m as f64
+    overlap_of(counts_ids(x, y))
 }
 
-/// Set cosine over sorted id slices; same arithmetic as [`cosine`].
+/// Set cosine over sorted id slices.
 pub fn cosine_ids(x: &[u32], y: &[u32]) -> f64 {
-    if x.is_empty() || y.is_empty() {
-        return 0.0;
-    }
-    intersection_size_ids(x, y) as f64 / ((x.len() * y.len()) as f64).sqrt()
+    cosine_of(counts_ids(x, y))
 }
 
 #[cfg(test)]
@@ -239,6 +256,13 @@ mod tests {
                     overlap_ids(&xi, &yi).to_bits()
                 );
                 assert_eq!(cosine(&x, &y).to_bits(), cosine_ids(&xi, &yi).to_bits());
+                // And every id kernel *is* its coefficient of the counts.
+                let c = (intersection_size_ids(&xi, &yi), xi.len(), yi.len());
+                assert_eq!(c, counts_ids(&xi, &yi));
+                assert_eq!(jaccard_ids(&xi, &yi).to_bits(), jaccard_of(c).to_bits());
+                assert_eq!(dice_ids(&xi, &yi).to_bits(), dice_of(c).to_bits());
+                assert_eq!(overlap_ids(&xi, &yi).to_bits(), overlap_of(c).to_bits());
+                assert_eq!(cosine_ids(&xi, &yi).to_bits(), cosine_of(c).to_bits());
             }
         }
     }
