@@ -17,7 +17,7 @@ struct Fixture {
     features: falcon::core::features::FeatureSet,
     seq: RuleSequence,
     conjuncts: ConjunctSpecs,
-    built: BuiltIndexes,
+    built: BuiltIndexes<'static>,
     cluster: Cluster,
 }
 

@@ -11,9 +11,9 @@ use crate::ops::al_matcher::{al_matcher, AlConfig};
 use crate::ops::apply_matcher::apply_matcher;
 use crate::ops::difficult_pairs::locate_difficult_pairs;
 use crate::ops::eval_rules::{eval_rules, EvalConfig, EvaluatedRule};
-use crate::ops::gen_fvs::gen_fvs;
+use crate::ops::gen_fvs::gen_fvs_in;
 use crate::ops::get_blocking_rules::get_blocking_rules;
-use crate::ops::sample_pairs::sample_pairs;
+use crate::ops::sample_pairs::{sample_pairs_in, word_columns};
 use crate::ops::select_opt_seq::{select_opt_seq, SeqConfig};
 use crate::optimizer::{prebuild_for_rules, prebuild_generic, speculate_rules, OptFlags};
 use crate::physical::{self, estimate_table_bytes, BlockingStats, PhysicalOp};
@@ -21,6 +21,7 @@ use crate::plan::{choose_plan, PlanKind};
 use crate::rules::RuleSequence;
 use crate::stage::{StageCost, StageGate};
 use crate::timeline::{check_cancel, Timeline};
+use crate::tokens::{self, TokenStore};
 use falcon_crowd::{Crowd, CrowdJournal, CrowdSession, Ledger};
 use falcon_dataflow::{Cluster, ClusterConfig, FaultPlan, FaultStats};
 use falcon_index::FilterSpec;
@@ -370,7 +371,12 @@ impl Falcon {
         let pairs: Vec<IdPair> = (0..a.len() as u32)
             .flat_map(|x| (0..b.len() as u32).map(move |y| (x, y)))
             .collect();
-        let fv_out = gen_fvs(cluster, a, b, &pairs, &lib.matching)?;
+        // Nothing after `gen_fvs` reads a token column: the run's store is
+        // freed before the forests and votes of active learning are
+        // allocated on top.
+        let mut store = TokenStore::default();
+        let fv_out = gen_fvs_in(cluster, a, b, pairs, &lib.matching, &mut store)?;
+        drop(store);
         timeline.machine("gen_fvs_m", fv_out.cost(&cfg.cluster));
         check_cancel(timeline, session)?;
         let higher: Vec<bool> = lib
@@ -416,33 +422,47 @@ impl Falcon {
         })
     }
 
-    #[allow(clippy::too_many_lines)]
+    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
     fn blocking_stage<C: Crowd>(
         &self,
         a: &Table,
         b: &Table,
         lib: &FeatureLibrary,
         cluster: &Cluster,
+        store: &mut TokenStore,
         session: &mut CrowdSession<C>,
         timeline: &mut Timeline,
     ) -> Result<BlockingOutcome, FalconError> {
         let cfg = &self.config;
         session.mark_op("blocking_stage");
         check_cancel(timeline, session)?;
-        let mut built = BuiltIndexes::new();
 
         // ---- sample_pairs ----
-        let sample = sample_pairs(cluster, a, b, cfg.sample_size, cfg.sample_fanout, cfg.seed)?;
+        // Everything the blocking stage reads of the tables is tokenized
+        // here, once: the sampler's word columns and the blocking
+        // features' columns, which `gen_fvs`, the index builds, the probes
+        // and the rule evaluators below all borrow.
+        let strings = (&lib.a_strings[..], &lib.b_strings[..]);
+        let mut needs = tokens::requirements(&lib.blocking.features);
+        needs.0.merge(&word_columns(strings.0));
+        needs.1.merge(&word_columns(strings.1));
+        let tokenized = store.require(cluster, a, b, &needs, None)?;
+        let (n, y) = (cfg.sample_size, cfg.sample_fanout);
+        let sample = sample_pairs_in(cluster, a, b, strings, store, n, y, cfg.seed)?;
         timeline.machine(
             "sample_pairs",
-            StageCost::of([&sample.index_job, &sample.pair_job], &cfg.cluster),
+            StageCost::of(&tokenized, &cfg.cluster) + sample.cost,
         );
         check_cancel(timeline, session)?;
+        let sample_len = sample.pairs.len();
 
         // ---- gen_fvs (blocking features) ----
-        let s_fvs = gen_fvs(cluster, a, b, &sample.pairs, &lib.blocking)?;
+        let s_fvs = gen_fvs_in(cluster, a, b, sample.pairs, &lib.blocking, store)?;
         timeline.machine("gen_fvs_b", s_fvs.cost(&cfg.cluster));
         check_cancel(timeline, session)?;
+        // The store is complete for this stage: the index cache borrows it.
+        let store = &*store;
+        let mut built = BuiltIndexes::over(store);
 
         // ---- al_matcher (blocking stage) ----
         let higher_b: Vec<bool> = lib
@@ -468,7 +488,7 @@ impl Falcon {
 
         // Masking 1a: generic index prebuild during the AL crowd rounds.
         if cfg.opt.prebuild_indexes {
-            prebuild_generic(cluster, a, b, &lib.blocking, &mut built, timeline)?;
+            prebuild_generic(cluster, a, &lib.blocking, &mut built, timeline)?;
         }
         check_cancel(timeline, session)?;
 
@@ -558,11 +578,7 @@ impl Falcon {
         // signature pre-filter wraps whatever survived substitution.
         let conjuncts = ConjunctSpecs::derive_with(&seq_out.seq, &lib.blocking, &cfg.force_filters)
             .with_signatures(&cfg.prefilter);
-        // Build whatever is still missing (unmasked): the token profiles
-        // when no masked step got to them, then each spec's index.
-        if let Some(cost) = built.ensure_profiles(cluster, a, b, &lib.blocking)? {
-            timeline.machine("index_build", cost);
-        }
+        // Build whatever index is still missing (unmasked).
         for (spec, key) in conjuncts.all_specs_keyed() {
             let cost = built.build_spec_keyed(cluster, a, spec, key)?;
             timeline.machine("index_build", cost);
@@ -580,7 +596,7 @@ impl Falcon {
             // Apply the full sequence to the smallest speculated output in
             // a map-only job (rules are idempotent on survivors).
             let evaluator = Arc::new(physical::PairEvaluator::over(
-                &built,
+                store,
                 a,
                 b,
                 &lib.blocking,
@@ -645,7 +661,7 @@ impl Falcon {
             seq: seq_out.seq,
             rules_extracted,
             rules_retained,
-            sample_len: sample.pairs.len(),
+            sample_len,
             blocking,
         })
     }
@@ -653,7 +669,8 @@ impl Falcon {
     /// The matching stage: `gen_fvs` over the candidates, crowdsourced
     /// active learning, and `apply_matcher` (speculated when AL
     /// converged). `priority` seeds the first labeling round (the
-    /// Difficult Pairs' Locator feeds this in the iterative workflow).
+    /// Difficult Pairs' Locator feeds this in the iterative workflow);
+    /// `last_round` frees the token store once the vectors exist.
     #[allow(clippy::too_many_arguments)]
     fn matching_stage<C: Crowd>(
         &self,
@@ -661,16 +678,26 @@ impl Falcon {
         b: &Table,
         lib: &FeatureLibrary,
         cluster: &Cluster,
+        store: &mut TokenStore,
         session: &mut CrowdSession<C>,
         timeline: &mut Timeline,
         candidates: &[IdPair],
         priority: Vec<usize>,
         seed_salt: u64,
+        last_round: bool,
     ) -> Result<MatchStageOutcome, FalconError> {
         let cfg = &self.config;
         session.mark_op("matching_stage");
         check_cancel(timeline, session)?;
-        let c_fvs = gen_fvs(cluster, a, b, candidates, &lib.matching)?;
+        // The blocking stage's indexes are gone: growing the store by the
+        // matching-only columns must not copy the dictionary.
+        debug_assert_eq!(Arc::strong_count(store.dict()), 1);
+        let c_fvs = gen_fvs_in(cluster, a, b, candidates.to_vec(), &lib.matching, store)?;
+        if last_round {
+            // No later `gen_fvs` will ask: free the columns before active
+            // learning allocates its forests and votes on top of them.
+            *store = TokenStore::default();
+        }
         timeline.machine("gen_fvs_m", c_fvs.cost(&cfg.cluster));
         check_cancel(timeline, session)?;
         if c_fvs.fvs.is_empty() {
@@ -727,17 +754,21 @@ impl Falcon {
         session: &mut CrowdSession<C>,
         timeline: &mut Timeline,
     ) -> Result<RunReport, FalconError> {
-        let block = self.blocking_stage(a, b, lib, cluster, session, timeline)?;
+        // The run's token store: every operator of both stages borrows it.
+        let mut store = TokenStore::default();
+        let block = self.blocking_stage(a, b, lib, cluster, &mut store, session, timeline)?;
         let matched = self.matching_stage(
             a,
             b,
             lib,
             cluster,
+            &mut store,
             session,
             timeline,
             &block.candidates,
             Vec::new(),
             0,
+            true,
         )?;
         Ok(RunReport {
             matches: matched.matches,
@@ -834,7 +865,16 @@ impl Falcon {
         let lib = generate_features(a, b);
         timeline.machine("gen_features", StageCost::local(a.len() + b.len()));
 
-        let block = self.blocking_stage(a, b, &lib, &cluster, &mut session, &mut timeline)?;
+        let mut store = TokenStore::default();
+        let block = self.blocking_stage(
+            a,
+            b,
+            &lib,
+            &cluster,
+            &mut store,
+            &mut session,
+            &mut timeline,
+        )?;
 
         let mut estimates: Vec<AccuracyEstimate> = Vec::new();
         // Keep the round with the best crowd-estimated F1 (Corleone keeps
@@ -848,11 +888,13 @@ impl Falcon {
                 b,
                 &lib,
                 &cluster,
+                &mut store,
                 &mut session,
                 &mut timeline,
                 &block.candidates,
                 std::mem::take(&mut priority),
                 round as u64,
+                round + 1 >= max_outer,
             )?;
             for (i, l) in &outcome.labeled {
                 known.insert(*i, *l);

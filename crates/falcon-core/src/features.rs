@@ -283,6 +283,10 @@ pub struct FeatureLibrary {
     pub blocking: FeatureSet,
     /// Full feature set used in the matching stage.
     pub matching: FeatureSet,
+    /// `A`'s attributes profiled as strings (what `sample_pairs` tokenizes).
+    pub a_strings: Vec<usize>,
+    /// `B`'s attributes profiled as strings.
+    pub b_strings: Vec<usize>,
 }
 
 /// Figure 5: similarity functions per characteristic. The bool marks
@@ -393,7 +397,12 @@ pub fn generate_features(a: &Table, b: &Table) -> FeatureLibrary {
             matching.features.push(feature);
         }
     }
-    FeatureLibrary { blocking, matching }
+    FeatureLibrary {
+        blocking,
+        matching,
+        a_strings: pa.string_attrs(),
+        b_strings: pb.string_attrs(),
+    }
 }
 
 #[cfg(test)]

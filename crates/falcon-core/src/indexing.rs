@@ -8,20 +8,21 @@
 //!
 //! Built indexes are cached by predicate key so the masking optimizer can
 //! prebuild them during crowd rounds (Section 10.2, Solution 1) and
-//! `apply_blocking_rules` can reuse them for free. The cache also owns
-//! the blocking stage's token store, so each value is tokenized once.
+//! `apply_blocking_rules` can reuse them for free. The cache reads token
+//! columns from the run's [`TokenStore`], so each value is tokenized once.
 
 use crate::driver::ForcedFilter;
 use crate::error::FalconError;
 use crate::features::FeatureSet;
 use crate::rules::RuleSequence;
 use crate::stage::StageCost;
-use crate::tokens::{self, PairProfiles, ProfileSpec};
+use crate::tokens::{ProfileSpec, TokenStore};
 use falcon_dataflow::Cluster;
 use falcon_forest::SplitOp;
 use falcon_index::{FilterSpec, IndexError, PredicateIndex, TokenColumn};
 use falcon_table::Table;
 use falcon_textsim::Tokenizer;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -258,55 +259,39 @@ fn safe_substitution(forced: &FilterSpec, derived: &FilterSpec) -> bool {
     }
 }
 
-/// Cache of built indexes over the blocking stage's token store.
+/// Cache of built indexes over a token store.
 #[derive(Default)]
-pub struct BuiltIndexes {
+pub struct BuiltIndexes<'s> {
     /// Predicate key → built index.
     pub indexes: HashMap<String, Arc<PredicateIndex>>,
-    /// One dictionary and — once [`BuiltIndexes::ensure_profiles`] ran
-    /// (`paired`) — the complete profiles of `A` and `B` interned in it.
-    /// Indexes share the dictionary, so a write after the first index
-    /// copies it (never on the driver's path, which profiles first).
-    profiles: PairProfiles,
-    paired: bool,
+    /// Where `A`'s token columns come from: the run's store, which the
+    /// driver fills before the first build, or ([`BuiltIndexes::new`]) one
+    /// of the cache's own, grown a column at a time. Indexes share the
+    /// store's dictionary, so growing it after the first index copies the
+    /// dictionary (never on the driver's path).
+    store: Cow<'s, TokenStore>,
     /// `(A-side attribute index, tokenizer)` → that column in rank space
     /// with its fingerprints, shared by every index built over it.
     columns: HashMap<(usize, Tokenizer), TokenColumn>,
 }
 
-impl BuiltIndexes {
-    /// Fresh empty cache.
+impl<'s> BuiltIndexes<'s> {
+    /// Fresh empty cache over a store of its own.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Profile `A` and `B` completely for `features` (the blocking
-    /// feature set) with two map-only jobs over one dictionary, unless
-    /// that was done or the features tokenize nothing. Returns the jobs'
-    /// price when they ran.
-    pub fn ensure_profiles(
-        &mut self,
-        cluster: &Cluster,
-        a: &Table,
-        b: &Table,
-        features: &FeatureSet,
-    ) -> Result<Option<StageCost>, FalconError> {
-        let (a_spec, b_spec) = tokens::requirements(&features.features);
-        if self.paired || a_spec.token_columns.is_empty() {
-            return Ok(None);
+    /// Fresh empty cache over `store`.
+    pub fn over(store: &'s TokenStore) -> Self {
+        Self {
+            store: Cow::Borrowed(store),
+            ..Self::default()
         }
-        let dict = Arc::make_mut(&mut self.profiles.dict);
-        let (a_profile, a_stats) = tokens::build_profile_par(cluster, a, &a_spec, dict, None)?;
-        let (b_profile, b_stats) = tokens::build_profile_par(cluster, b, &b_spec, dict, None)?;
-        self.profiles.a = a_profile;
-        self.profiles.b = b_profile;
-        self.paired = true;
-        Ok(Some(StageCost::of([&a_stats, &b_stats], &cluster.config)))
     }
 
-    /// The store's profiles, once they cover both tables.
-    pub fn pair_profiles(&self) -> Option<&PairProfiles> {
-        self.paired.then_some(&self.profiles)
+    /// The token store the indexes are built over.
+    pub fn store(&self) -> &TokenStore {
+        &self.store
     }
 
     /// Total estimated bytes of a set of predicate keys.
@@ -321,9 +306,9 @@ impl BuiltIndexes {
 
     /// Build the token order — and the rank-space column under it — for
     /// `(attr, tokenizer)` over table `A`; returns the build's price (zero
-    /// when cached): a driver-local count over the profile's token
-    /// column, preceded by the map-only job that tokenizes that one
-    /// column when no profile holds it yet.
+    /// when cached): a driver-local count over the store's token column,
+    /// preceded by the map-only job that tokenizes that one column when
+    /// the store does not hold it yet.
     pub fn build_order(
         &mut self,
         cluster: &Cluster,
@@ -340,21 +325,16 @@ impl BuiltIndexes {
             return Ok(StageCost::default());
         }
         let mut cost = StageCost::local(a.len());
-        let mut on_demand = None;
-        let ids = match self.profiles.a.column(key) {
-            Some(ids) => ids,
-            None => {
-                let spec = ProfileSpec {
-                    token_columns: vec![key],
-                    ..ProfileSpec::default()
-                };
-                let dict = Arc::make_mut(&mut self.profiles.dict);
-                let (profile, stats) = tokens::build_profile_par(cluster, a, &spec, dict, None)?;
-                cost += StageCost::of([&stats], &cluster.config);
-                on_demand.insert(profile).column(key).unwrap_or_default()
-            }
-        };
-        let column = TokenColumn::build(a, attr_idx, ids, Arc::clone(&self.profiles.dict));
+        if self.store.a().column(key).is_none() {
+            let spec = ProfileSpec {
+                token_columns: vec![key],
+                ..ProfileSpec::default()
+            };
+            let job = self.store.to_mut().grow(0, Some(cluster), a, &spec, None)?;
+            cost += StageCost::of(&job, &cluster.config);
+        }
+        let ids = self.store.a().column(key).into_iter().flatten();
+        let column = TokenColumn::build(a, attr_idx, ids, Arc::clone(self.store.dict()));
         self.columns.insert(key, column);
         Ok(cost)
     }
@@ -657,7 +637,7 @@ mod tests {
             sim: SimFunction::Jaccard(tok),
             threshold: 0.5,
         };
-        let order_of = |built: &mut BuiltIndexes| {
+        let order_of = |built: &mut BuiltIndexes<'_>| {
             built.build_spec(&cluster(), &a, &spec).expect("build");
             Arc::clone(built.get(&spec).unwrap().token_source().unwrap().1)
         };
@@ -667,19 +647,15 @@ mod tests {
         let d_lazy = lazy
             .build_order(&cluster(), &a, "title", tok)
             .expect("order");
-        assert!(lazy.pair_profiles().is_none());
+        assert!(lazy.store().a().column((title, tok)).is_some());
 
-        // Prebuilt: the column comes from the complete profiles, after
-        // other attributes' tokens were interned.
-        let mut fast = BuiltIndexes::new();
-        let jobs = fast
-            .ensure_profiles(&cluster(), &a, &b, &lib.blocking)
-            .expect("profiles");
-        assert!(jobs.is_some() && fast.pair_profiles().is_some());
-        let again = fast
-            .ensure_profiles(&cluster(), &a, &b, &lib.blocking)
-            .expect("profiles");
-        assert_eq!(again, None);
+        // Over a run's store: the column is already there, after other
+        // attributes' tokens were interned.
+        let mut store = TokenStore::default();
+        let needs = crate::tokens::requirements(&lib.blocking.features);
+        let jobs = store.require(&cluster(), &a, &b, &needs, None);
+        assert_eq!(jobs.expect("profiles").len(), 2);
+        let mut fast = BuiltIndexes::over(&store);
         let d_fast = fast
             .build_order(&cluster(), &a, "title", tok)
             .expect("order");

@@ -48,4 +48,4 @@ pub use fv::FvSet;
 pub use optimizer::OptFlags;
 pub use rules::{CnfRule, Predicate, Rule, RuleSequence};
 pub use timeline::Timeline;
-pub use tokens::{PairProfiles, ProfileSpec};
+pub use tokens::{ProfileSpec, TokenStore};

@@ -5,7 +5,7 @@ use crate::error::FalconError;
 use crate::features::{FeatureSet, ScoreScratch, Scorer};
 use crate::fv::FvSet;
 use crate::stage::StageCost;
-use crate::tokens::build_pair_profiles_par;
+use crate::tokens::{requirements, TokenStore};
 use falcon_dataflow::{run_map_only, Cluster, ClusterConfig, JobStats};
 use falcon_table::{IdPair, Table};
 use falcon_textsim::tfidf::TfIdfBuilder;
@@ -18,7 +18,8 @@ pub struct GenFvsOutput {
     pub fvs: FvSet,
     /// Statistics of the scoring job.
     pub stats: JobStats,
-    /// Statistics of the profile-building map jobs that precede scoring.
+    /// Statistics of the token-store jobs that preceded scoring (empty
+    /// when the caller's store already held every column).
     pub prep_stats: Vec<JobStats>,
 }
 
@@ -50,9 +51,9 @@ pub fn tfidf_model_for(features: &FeatureSet, a: &Table, b: &Table) -> Option<Tf
     Some(corpus.finish())
 }
 
-/// Run `gen_fvs` over `pairs`: pre-tokenize the referenced tuples once
-/// (one map-only pass per table), then score every pair via the
-/// sorted-id merge kernels in one map-only job.
+/// Run `gen_fvs` over `pairs`: score every pair via the sorted-id merge
+/// kernels in one map-only job, over a token store of the call's own
+/// (one map-only pass per table first).
 ///
 /// Every pair id must resolve in its table; a dangling id is an
 /// upstream-operator contract violation and is rejected before the job
@@ -64,7 +65,21 @@ pub fn gen_fvs(
     pairs: &[IdPair],
     features: &FeatureSet,
 ) -> Result<GenFvsOutput, FalconError> {
-    for &(aid, bid) in pairs {
+    let mut store = TokenStore::default();
+    gen_fvs_in(cluster, a, b, pairs.to_vec(), features, &mut store)
+}
+
+/// [`gen_fvs`] over `store`, which is asked for what `features` read and
+/// tokenizes only the columns it does not hold yet.
+pub fn gen_fvs_in(
+    cluster: &Cluster,
+    a: &Table,
+    b: &Table,
+    pairs: Vec<IdPair>,
+    features: &FeatureSet,
+    store: &mut TokenStore,
+) -> Result<GenFvsOutput, FalconError> {
+    for &(aid, bid) in &pairs {
         // Ids are dense from 0, so a length check suffices.
         if aid as usize >= a.len() {
             return Err(FalconError::UnknownTupleId {
@@ -80,39 +95,22 @@ pub fn gen_fvs(
         }
     }
     let tfidf = tfidf_model_for(features, a, b);
-    // Pre-tokenize only the tuples this pair list references: sampled
-    // stages touch a tiny fraction of each table, and profiling the rest
-    // would cost more than the cache saves.
-    let mut a_mask = vec![false; a.len()];
-    let mut b_mask = vec![false; b.len()];
-    for &(aid, bid) in pairs {
-        a_mask[aid as usize] = true;
-        b_mask[bid as usize] = true;
-    }
-    let profiles = build_pair_profiles_par(
-        cluster,
-        a,
-        b,
-        &features.features,
-        tfidf.as_ref(),
-        Some(&a_mask),
-        Some(&b_mask),
-    )?;
+    let needs = requirements(&features.features);
+    let prep_stats = store.require(cluster, a, b, &needs, tfidf.as_ref())?;
     // The feature set is compiled once for the job; a map task scores its
     // split through it with one `ScoreScratch` (the per-pair merge memo, DP
     // rows, Jaro buffers, the token-pair Jaro-Winkler memo). The scratch
     // lives and dies with the task attempt: it never meets another run's
     // `TokenDict`, and a retried or speculative attempt starts cold —
     // which cannot matter, no score depends on what the memo holds. The
-    // scoped dataflow workers borrow the pair list, scorer and profiles
+    // scoped dataflow workers borrow the pair list, scorer and store
     // directly — no per-job copies.
-    let ctx = match &tfidf {
-        Some(m) => SimContext::with_tfidf(m),
-        None => SimContext::empty(),
-    }
-    .with_profiles(&profiles.a, &profiles.b, &profiles.dict);
+    let ctx = SimContext {
+        tfidf: tfidf.as_ref(),
+        ..store.context()
+    };
     let scorer = Scorer::new(features, a, b, &ctx);
-    let splits = cluster.split_slice(pairs);
+    let splits = cluster.split_slice(&pairs);
     let out = run_map_only(cluster, splits, |pair_chunk: &[IdPair], out| {
         let mut scratch = ScoreScratch::default();
         out.reserve(pair_chunk.len());
@@ -122,15 +120,15 @@ pub fn gen_fvs(
     })?;
     // Tasks emit exactly one vector per pair and the job concatenates
     // task outputs in split order, so the vectors align with `pairs` and
-    // move into the result without re-buffering.
+    // both move into the result without re-buffering.
     debug_assert_eq!(out.output.len(), pairs.len());
     Ok(GenFvsOutput {
         fvs: FvSet {
-            pairs: pairs.to_vec(),
+            pairs,
             fvs: out.output,
         },
         stats: out.stats,
-        prep_stats: profiles.stats,
+        prep_stats,
     })
 }
 

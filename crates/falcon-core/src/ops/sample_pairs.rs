@@ -2,65 +2,90 @@
 //! `A × B` that is both representative and match-rich, without
 //! materializing the Cartesian product.
 //!
-//! Algorithm: build an inverted index over the word tokens of `A`'s string
-//! attributes (MR job 1); randomly select `n / y` tuples from `B`; for
-//! each selected `b`, pair it with the top `y/2` `A` tuples by shared
-//! token count (likely matches) and `y/2` random `A` tuples
+//! Algorithm: index `A` by the word tokens of its string attributes (the
+//! paper's MR job 1; here one driver-local pass over the token store's
+//! word columns into a CSR inverted index); randomly select `n / y` tuples
+//! from `B`; for each selected `b`, pair it with the top `y/2` `A` tuples
+//! by shared token count (likely matches) and `y/2` random `A` tuples
 //! (representativeness) — MR job 2.
 
 use crate::error::FalconError;
-use crate::tokens::id_splits;
-use falcon_dataflow::{run_map_only, run_map_reduce, Cluster, Emitter, JobStats};
-use falcon_table::{AttrType, IdPair, Table, TableProfile, TupleId};
-use falcon_textsim::tokenize::word_tokens;
+use crate::stage::StageCost;
+use crate::tokens::{ProfileSpec, TokenStore};
+use falcon_dataflow::{run_map_only, Cluster};
+use falcon_table::{IdPair, Table, TableProfile, TupleId};
+use falcon_textsim::{Arena, TokenProfile, Tokenizer};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Output of the sampling operator.
 #[derive(Debug)]
 pub struct SampleOutput {
-    /// The sampled pairs `S`.
+    /// The sampled pairs `S`, sorted.
     pub pairs: Vec<IdPair>,
-    /// Stats of the index-building job.
-    pub index_job: JobStats,
-    /// Stats of the pair-generation job.
-    pub pair_job: JobStats,
+    /// Price of the whole operator on `cluster`: the token-store jobs that
+    /// tokenized the string attributes (none when the caller's store held
+    /// their word columns), the local index pass and the pair job.
+    pub cost: StageCost,
 }
 
-/// Convert a tuple to its token "document" over string attributes
-/// (Section 5's `d(a)`), reading columnar cells directly by id.
-fn document_at(table: &Table, id: TupleId, string_attrs: &[usize]) -> Vec<String> {
-    let mut toks = Vec::new();
-    let mut scratch = String::new();
-    for &i in string_attrs {
-        scratch.clear();
-        if let Some(v) = table.value_ref(id, i) {
-            v.render_into(&mut scratch);
-        }
-        toks.extend(word_tokens(&scratch));
+/// The word-token columns the sampler reads of a table whose string
+/// attributes are `strings`.
+pub fn word_columns(strings: &[usize]) -> ProfileSpec {
+    ProfileSpec {
+        token_columns: strings.iter().map(|&a| (a, Tokenizer::Word)).collect(),
+        ..ProfileSpec::default()
     }
-    toks.sort_unstable();
-    toks.dedup();
-    toks
 }
 
-/// Profiled string-attribute indices of a table.
-fn string_attrs(table: &Table) -> Vec<usize> {
-    let profile = TableProfile::scan(table);
-    profile
-        .attrs
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.ty == AttrType::Str)
-        .map(|(i, _)| i)
-        .collect()
+/// A table's word-token columns over `strings`, whose per-tuple union is
+/// its token "document" (Section 5's `d(t)`).
+fn word_cols<'s>(profile: &'s TokenProfile, strings: &[usize]) -> Vec<&'s Arena<u32>> {
+    let column = |&attr: &usize| profile.column((attr, Tokenizer::Word));
+    strings.iter().filter_map(column).collect()
+}
+
+/// `d(id)` into `doc`: the distinct word tokens of the tuple's string
+/// attributes, as ids of the store's dictionary — equal ids exactly where
+/// the strings are equal, on either table.
+fn document(columns: &[&Arena<u32>], id: TupleId, doc: &mut Vec<u32>) {
+    doc.clear();
+    for column in columns {
+        doc.extend_from_slice(column.get(id as usize).unwrap_or_default());
+    }
+    if columns.len() > 1 {
+        doc.sort_unstable();
+        doc.dedup();
+    }
+}
+
+/// Inverted index over the documents of `A`'s `len` tuples in CSR form:
+/// the tuples holding token `t` (below `n_tokens`), ascending, are
+/// `ids[offsets[t]..offsets[t + 1]]`. A counting pass and a fill pass.
+fn postings(columns: &[&Arena<u32>], len: usize, n_tokens: usize) -> (Vec<usize>, Vec<TupleId>) {
+    let mut doc = Vec::new();
+    let mut offsets = vec![0usize; n_tokens + 1];
+    for id in 0..len as TupleId {
+        document(columns, id, &mut doc);
+        doc.iter().for_each(|&t| offsets[t as usize + 1] += 1);
+    }
+    (0..n_tokens).for_each(|t| offsets[t + 1] += offsets[t]);
+    let mut next = offsets.clone();
+    let mut ids = vec![0; offsets[n_tokens]];
+    for id in 0..len as TupleId {
+        document(columns, id, &mut doc);
+        for &t in &doc {
+            ids[next[t as usize]] = id;
+            next[t as usize] += 1;
+        }
+    }
+    (offsets, ids)
 }
 
 /// Run `sample_pairs`: sample `n` pairs with fan-out `y` per selected `B`
-/// tuple (the paper sets `y = 100`).
+/// tuple (the paper sets `y = 100`), tokenizing through a store of the
+/// call's own.
 pub fn sample_pairs(
     cluster: &Cluster,
     a: &Table,
@@ -69,29 +94,47 @@ pub fn sample_pairs(
     y: usize,
     seed: u64,
 ) -> Result<SampleOutput, FalconError> {
+    let strings = [a, b].map(|t| TableProfile::scan(t).string_attrs());
+    let mut store = TokenStore::default();
+    sample_pairs_in(
+        cluster,
+        a,
+        b,
+        (&strings[0], &strings[1]),
+        &mut store,
+        n,
+        y,
+        seed,
+    )
+}
+
+/// [`sample_pairs`] over `store`, which is asked for the word columns of
+/// `strings` — the profiled string attributes of `A` and of `B` — and
+/// tokenizes only those it does not hold yet.
+#[allow(clippy::too_many_arguments)]
+pub fn sample_pairs_in(
+    cluster: &Cluster,
+    a: &Table,
+    b: &Table,
+    strings: (&[usize], &[usize]),
+    store: &mut TokenStore,
+    n: usize,
+    y: usize,
+    seed: u64,
+) -> Result<SampleOutput, FalconError> {
+    for (what, table) in [("A", a), ("B", b)] {
+        if table.is_empty() {
+            return Err(FalconError::EmptyInput { what });
+        }
+    }
     let y = y.clamp(2, n.max(2));
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x53414d50);
-    let a_strings = Arc::new(string_attrs(a));
+    let needs = (word_columns(strings.0), word_columns(strings.1));
+    let tokenized = store.require(cluster, a, b, &needs, None)?;
 
-    // MR job 1: inverted index over A's documents.
-    let a_strings_map = Arc::clone(&a_strings);
-    let index_out = run_map_reduce(
-        cluster,
-        id_splits(cluster, a),
-        cluster.reduce_partitions(),
-        move |ids: &[TupleId], e: &mut Emitter<String, TupleId>| {
-            for &id in ids {
-                for tok in document_at(a, id, &a_strings_map) {
-                    e.emit(tok, id);
-                }
-            }
-        },
-        |tok: &String, ids: Vec<TupleId>, out: &mut Vec<(String, Vec<TupleId>)>| {
-            out.push((tok.clone(), ids));
-        },
-    )?;
-    let index: Arc<HashMap<String, Vec<TupleId>>> =
-        Arc::new(index_out.output.into_iter().collect());
+    // "MR job 1": inverted index over A's documents, a driver-local pass.
+    let n_tokens = store.dict().len();
+    let (offsets, holders) = postings(&word_cols(store.a(), strings.0), a.len(), n_tokens);
 
     // Select n/y tuples from B.
     let n_b = (n / y).clamp(1, b.len());
@@ -107,51 +150,55 @@ pub fn sample_pairs(
         .map(|r| selected[r].iter().map(|&id| (id, rng.gen())).collect())
         .collect();
     let a_len = a.len();
-    let b_strings = Arc::new(string_attrs(b));
-    let pair_out = run_map_only(
-        cluster,
-        b_splits,
-        move |selected: &[(TupleId, u64)], out| {
-            for &(bid, pseed) in selected {
-                let mut local = SmallRng::seed_from_u64(pseed);
-                // Shared-token counts against the inverted index.
-                let mut counts: HashMap<TupleId, usize> = HashMap::new();
-                for tok in document_at(b, bid, &b_strings) {
-                    if let Some(ids) = index.get(&tok) {
-                        for &id in ids {
-                            *counts.entry(id).or_default() += 1;
-                        }
+    let b_cols = word_cols(store.b(), strings.1);
+    let pair_out = run_map_only(cluster, b_splits, |selected: &[(TupleId, u64)], out| {
+        // Shared-token counts per A tuple, zero outside `touched`.
+        let mut counts = vec![0u32; a_len];
+        let (mut touched, mut doc) = (Vec::new(), Vec::new());
+        let mut ranked: Vec<(u32, TupleId)> = Vec::new();
+        for &(bid, pseed) in selected {
+            let mut local = SmallRng::seed_from_u64(pseed);
+            document(&b_cols, bid, &mut doc);
+            for tok in doc.iter().map(|&t| t as usize) {
+                for &aid in &holders[offsets[tok]..offsets[tok + 1]] {
+                    if counts[aid as usize] == 0 {
+                        touched.push(aid);
                     }
-                }
-                let mut ranked: Vec<(usize, TupleId)> =
-                    counts.into_iter().map(|(id, c)| (c, id)).collect();
-                ranked.sort_unstable_by(|x, y| y.cmp(x));
-                let y1 = (y / 2).min(ranked.len());
-                let mut chosen: Vec<TupleId> = ranked[..y1].iter().map(|(_, id)| *id).collect();
-                // Fill with random distinct A tuples.
-                let mut guard = 0;
-                while chosen.len() < y.min(a_len) && guard < 20 * y {
-                    let cand = local.gen_range(0..a_len) as TupleId;
-                    if !chosen.contains(&cand) {
-                        chosen.push(cand);
-                    }
-                    guard += 1;
-                }
-                for aid in chosen {
-                    out.push((aid, bid));
+                    counts[aid as usize] += 1;
                 }
             }
-        },
-    )?;
+            ranked.clear();
+            let count_of = |aid: TupleId| (std::mem::take(&mut counts[aid as usize]), aid);
+            ranked.extend(touched.drain(..).map(count_of));
+            // The top y/2 by (count, id), descending.
+            let y1 = (y / 2).min(ranked.len());
+            if y1 < ranked.len() {
+                ranked.select_nth_unstable_by(y1, |x, y| y.cmp(x));
+                ranked.truncate(y1);
+            }
+            ranked.sort_unstable_by(|x, y| y.cmp(x));
+            let mut chosen: Vec<TupleId> = ranked.iter().map(|(_, id)| *id).collect();
+            // Fill with random distinct A tuples.
+            let mut guard = 0;
+            while chosen.len() < y.min(a_len) && guard < 20 * y {
+                let cand = local.gen_range(0..a_len) as TupleId;
+                if !chosen.contains(&cand) {
+                    chosen.push(cand);
+                }
+                guard += 1;
+            }
+            for aid in chosen {
+                out.push((aid, bid));
+            }
+        }
+    })?;
 
-    let mut pairs = pair_out.output.clone();
+    let mut pairs = pair_out.output;
     pairs.sort_unstable();
     pairs.dedup();
-    Ok(SampleOutput {
-        pairs,
-        index_job: index_out.stats,
-        pair_job: pair_out.stats,
-    })
+    let jobs = tokenized.iter().chain([&pair_out.stats]);
+    let cost = StageCost::of(jobs, &cluster.config) + StageCost::local(a_len);
+    Ok(SampleOutput { pairs, cost })
 }
 
 /// Corleone's original sampling strategy (Section 5): randomly draw
@@ -188,7 +235,7 @@ pub fn corleone_sample(a: &Table, b: &Table, n: usize, seed: u64) -> Vec<IdPair>
 mod tests {
     use super::*;
     use falcon_dataflow::ClusterConfig;
-    use falcon_table::{Schema, Value};
+    use falcon_table::{AttrType, Schema, Value};
 
     fn cluster() -> Cluster {
         Cluster::new(ClusterConfig::small(2)).with_threads(2)
@@ -254,6 +301,20 @@ mod tests {
         // n < |A|: degenerate single-B fallback.
         let s = corleone_sample(&a, &b, 10, 5);
         assert_eq!(s.len(), 10);
+    }
+
+    /// `(n / y).clamp(1, 0)` used to panic on an empty `B`, and an empty
+    /// `A` silently sampled nothing.
+    #[test]
+    fn empty_tables_are_typed_errors() {
+        let (a, b) = tables();
+        let none = a.head(0);
+        let err = sample_pairs(&cluster(), &a, &none, 100, 10, 1).expect_err("empty B");
+        assert_eq!(err, FalconError::EmptyInput { what: "B" });
+        let err = sample_pairs(&cluster(), &none, &b, 100, 10, 1).expect_err("empty A");
+        assert_eq!(err, FalconError::EmptyInput { what: "A" });
+        // Corleone's sampler keeps its documented degenerate fallback.
+        assert!(corleone_sample(&a, &none, 100, 1).len() <= 100);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The three masking optimizations of Section 10.2.
 //!
 //! 1. **Index prebuilding** — while `al_matcher` crowdsources (rules still
-//!    unknown) build *generic* artifacts: the token profiles of both
-//!    tables, global token orderings and threshold-free equality indexes.
+//!    unknown) build *generic* artifacts: global token orderings over the
+//!    run's token columns and threshold-free equality indexes.
 //!    While `eval_rules` crowdsources (top-20 candidate rules known) build
 //!    every per-predicate index those rules could need.
 //! 2. **Speculative rule execution** — while `eval_rules` crowdsources,
@@ -64,23 +64,16 @@ impl OptFlags {
 }
 
 /// Masking step 1a: generic prebuild during the blocking-stage
-/// `al_matcher` — the complete token profiles of both tables, token
-/// orders for every set-similarity blocking feature, and hash indexes for
-/// every exact-match feature (none of which depend on the eventual rule
-/// thresholds).
+/// `al_matcher` — token orders for every set-similarity blocking feature
+/// and hash indexes for every exact-match feature (none of which depend
+/// on the eventual rule thresholds).
 pub fn prebuild_generic(
     cluster: &Cluster,
     a: &Table,
-    b: &Table,
     features: &FeatureSet,
-    built: &mut BuiltIndexes,
+    built: &mut BuiltIndexes<'_>,
     timeline: &mut Timeline,
 ) -> Result<(), FalconError> {
-    // Tokenize A and B once, as one stage; every order, index, probe and
-    // rule evaluation below reads these columns.
-    if let Some(cost) = built.ensure_profiles(cluster, a, b, features)? {
-        timeline.masked_machine("index_build", cost);
-    }
     let mut seen_orders = std::collections::HashSet::new();
     let mut seen_eq = std::collections::HashSet::new();
     for f in &features.features {
@@ -120,7 +113,7 @@ pub fn prebuild_for_rules(
     rules: &[Rule],
     features: &FeatureSet,
     prefilter: &PreFilterConfig,
-    built: &mut BuiltIndexes,
+    built: &mut BuiltIndexes<'_>,
     timeline: &mut Timeline,
 ) -> Result<(), FalconError> {
     let seq = RuleSequence::new(rules.to_vec());
@@ -146,7 +139,7 @@ pub fn speculate_rules(
     rules: &[(Rule, f64)],
     features: &FeatureSet,
     prefilter: &PreFilterConfig,
-    built: &mut BuiltIndexes,
+    built: &mut BuiltIndexes<'_>,
     timeline: &mut Timeline,
     max_pairs: u128,
 ) -> Result<HashMap<String, Vec<IdPair>>, FalconError> {
@@ -169,9 +162,6 @@ pub fn speculate_rules(
         let conjuncts = ConjunctSpecs::derive(&seq, features).with_signatures(prefilter);
         if conjuncts.filterable().is_empty() {
             continue; // no index support; speculation would enumerate A×B
-        }
-        if let Some(cost) = built.ensure_profiles(cluster, a, b, features)? {
-            timeline.masked_machine("index_build", cost);
         }
         for (spec, key) in conjuncts.all_specs_keyed() {
             let cost = built.build_spec_keyed(cluster, a, spec, key)?;
@@ -237,8 +227,7 @@ mod tests {
         let mut built = BuiltIndexes::new();
         let mut tl = Timeline::new();
         tl.crowd("al_matcher", Duration::from_secs(3600));
-        prebuild_generic(&cluster(), &a, &b, &lib.blocking, &mut built, &mut tl).expect("prebuild");
-        assert!(built.pair_profiles().is_some());
+        prebuild_generic(&cluster(), &a, &lib.blocking, &mut built, &mut tl).expect("prebuild");
         let again = built.build_order(&cluster(), &a, "title", Tokenizer::Word);
         assert_eq!(again.expect("order"), StageCost::default(), "prebuilt");
         // Fully masked: total time is still just the crowd hour.

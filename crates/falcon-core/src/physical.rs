@@ -34,7 +34,7 @@ use crate::features::{slot_of, FeatureSet, ScoreScratch, Scorer};
 use crate::indexing::{BuiltIndexes, ConjunctSpecs};
 use crate::rules::{Predicate, RuleSequence};
 use crate::stage::StageCost;
-use crate::tokens::{build_pair_profiles_seq, id_splits, PairProfiles};
+use crate::tokens::{id_splits, requirements, ProfileSpec, TokenStore};
 use falcon_dataflow::{
     run_map_only, run_map_reduce, Cluster, ClusterConfig, DataflowError, Emitter, JobStats,
 };
@@ -42,7 +42,7 @@ use falcon_index::{
     CandidateBitmap, PredicateIndex, ProbeMode, ProbeStats, ProbeTokens, TokenOrder,
 };
 use falcon_table::{IdPair, Table, TupleId, ValueRef};
-use falcon_textsim::{SimContext, Tokenizer};
+use falcon_textsim::Tokenizer;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -354,11 +354,11 @@ pub struct PairEvaluator<'p> {
     preds: Vec<(usize, Predicate)>,
     /// `preds[rule_ends[i-1]..rule_ends[i]]` is rule `i`.
     rule_ends: Vec<usize>,
-    /// Full-table token profiles for the needed features' columns, so the
+    /// The token store holding the needed features' columns, so the
     /// per-pair evaluation uses the sorted-id kernels instead of
-    /// re-tokenizing each value for every pair it appears in: the
-    /// blocking stage's store's, or the evaluator's own.
-    profiles: Cow<'p, PairProfiles>,
+    /// re-tokenizing each value for every pair it appears in: the run's,
+    /// or the evaluator's own.
+    store: Cow<'p, TokenStore>,
 }
 
 /// Per-task state of [`PairEvaluator::keeps_scratch`]: the feature values
@@ -372,47 +372,41 @@ pub struct EvalScratch {
     pub score: ScoreScratch,
 }
 
-fn context(p: &PairProfiles) -> SimContext<'_> {
-    SimContext::empty().with_profiles(&p.a, &p.b, &p.dict)
+/// What evaluating `seq` over `features` reads of the token store.
+fn seq_requirements(features: &FeatureSet, seq: &RuleSequence) -> (ProfileSpec, ProfileSpec) {
+    let predicates = seq.rules.iter().flat_map(|r| &r.predicates);
+    requirements(predicates.filter_map(|p| features.features.get(p.feature)))
 }
 
 impl<'p> PairEvaluator<'p> {
-    /// Build an evaluator over profiles of its own: pre-tokenizes both
-    /// tables for the columns the sequence's features need (blocking
-    /// sequences reference only a handful of features, so this is a short
-    /// full-table pass amortized over up to `|A| × |B|` evaluations).
+    /// Build an evaluator over a store of its own: pre-tokenizes both
+    /// tables for the columns the sequence's features need (a handful; a
+    /// short pass amortized over up to `|A| × |B|` evaluations).
     pub fn new(a: &Table, b: &Table, features: &'p FeatureSet, seq: &RuleSequence) -> Self {
-        Self::compile(a, b, features, seq, |slots| {
-            let needed = slots.iter().filter_map(|&f| features.features.get(f));
-            // Blocking rules never reference a TF/IDF measure: no corpus model.
-            Cow::Owned(build_pair_profiles_seq(a, b, needed, None))
-        })
+        let needs = seq_requirements(features, seq);
+        let store = TokenStore::default().covering(a, b, &needs).into_owned();
+        Self::compile(a, b, features, seq, Cow::Owned(store))
     }
 
-    /// An evaluator over `built`'s token profiles when it holds both
-    /// tables' (the driver profiles them once per run), else over
-    /// profiles of its own.
+    /// An evaluator over `store`, which holds the columns the sequence's
+    /// features read (the driver's holds every blocking column).
     pub fn over(
-        built: &'p BuiltIndexes,
+        store: &'p TokenStore,
         a: &Table,
         b: &Table,
         features: &'p FeatureSet,
         seq: &RuleSequence,
     ) -> Self {
-        match built.pair_profiles() {
-            Some(profiles) => Self::compile(a, b, features, seq, |_| Cow::Borrowed(profiles)),
-            None => PairEvaluator::new(a, b, features, seq),
-        }
+        Self::compile(a, b, features, seq, Cow::Borrowed(store))
     }
 
-    /// Compile `seq` into slots and predicates; `profiles` supplies the
-    /// token profiles given the slots' features.
+    /// Compile `seq` into slots and predicates.
     fn compile(
         a: &Table,
         b: &Table,
         features: &'p FeatureSet,
         seq: &RuleSequence,
-        profiles: impl FnOnce(&[usize]) -> Cow<'p, PairProfiles>,
+        store: Cow<'p, TokenStore>,
     ) -> Self {
         let mut slots: Vec<usize> = Vec::new();
         let mut preds = Vec::new();
@@ -423,10 +417,9 @@ impl<'p> PairEvaluator<'p> {
             }
             rule_ends.push(preds.len());
         }
-        let profiles = profiles(&slots);
         Self {
-            scorer: Scorer::new(features, a, b, &context(&profiles)),
-            profiles,
+            scorer: Scorer::new(features, a, b, &store.context()),
+            store,
             slots,
             preds,
             rule_ends,
@@ -446,7 +439,7 @@ impl<'p> PairEvaluator<'p> {
         if aid as usize >= self.scorer.a.len() || bid as usize >= self.scorer.b.len() {
             return false;
         }
-        let ctx = context(&self.profiles);
+        let ctx = self.store.context();
         let EvalScratch { vals, known, score } = scratch;
         vals.resize(self.slots.len(), f64::NAN);
         known.clear();
@@ -506,7 +499,7 @@ impl Bundle {
     /// pre-filter pays off). `None` when a spec or built index is missing.
     fn new(
         conjuncts: &ConjunctSpecs,
-        built: &BuiltIndexes,
+        built: &BuiltIndexes<'_>,
         ci: usize,
         which: impl IntoIterator<Item = usize>,
     ) -> Option<Bundle> {
@@ -535,7 +528,11 @@ impl Bundle {
 /// dropping an entire conjunct only weakens the filter (more candidates
 /// pass), which preserves recall. Dropping a single predicate inside a
 /// conjunct would instead shrink the probe union and could lose matches.
-fn bundles_for(conjuncts: &ConjunctSpecs, built: &BuiltIndexes, which: &[usize]) -> Vec<Bundle> {
+fn bundles_for(
+    conjuncts: &ConjunctSpecs,
+    built: &BuiltIndexes<'_>,
+    which: &[usize],
+) -> Vec<Bundle> {
     which
         .iter()
         .filter_map(|&ci| Bundle::new(conjuncts, built, ci, 0..conjuncts.specs[ci].len()))
@@ -547,13 +544,12 @@ fn bundles_for(conjuncts: &ConjunctSpecs, built: &BuiltIndexes, which: &[usize])
 type TokenSource = (usize, Tokenizer, Arc<TokenOrder>);
 
 /// What the map tasks of one job probe with: the conjunct bundles, the
-/// source of every shared [`ProbeTokens`] slot, and — when the blocking
-/// stage's store holds them — the token profiles the slots are loaded
-/// from instead of tokenizing `B`'s values again.
+/// source of every shared [`ProbeTokens`] slot, and the token store whose
+/// `B` columns the slots are loaded from.
 struct ProbePlan<'p> {
     bundles: Vec<Bundle>,
     sources: Vec<TokenSource>,
-    profiles: Option<&'p PairProfiles>,
+    store: &'p TokenStore,
 }
 
 impl<'p> ProbePlan<'p> {
@@ -562,7 +558,7 @@ impl<'p> ProbePlan<'p> {
     /// value is loaded, rank-ordered and signed once per tuple however
     /// many predicates of however many bundles probe with it. Scalar and
     /// edit indexes read no tokens and get no slot.
-    fn new(mut bundles: Vec<Bundle>, profiles: Option<&'p PairProfiles>) -> Self {
+    fn new(mut bundles: Vec<Bundle>, store: &'p TokenStore) -> Self {
         let mut sources: Vec<TokenSource> = Vec::new();
         for pred in bundles.iter_mut().flat_map(|bu| &mut bu.preds) {
             if let Some((tokenizer, order)) = pred.index.token_source() {
@@ -579,7 +575,7 @@ impl<'p> ProbePlan<'p> {
         Self {
             bundles,
             sources,
-            profiles,
+            store,
         }
     }
 
@@ -589,14 +585,12 @@ impl<'p> ProbePlan<'p> {
         self.sources.len().max(1)
     }
 
-    /// Load `slot`, predicate `p`'s, for B tuple `bid` from the profile
-    /// column of its source, when the plan has profiles and the column
-    /// (otherwise the probe tokenizes the value itself).
+    /// Load `slot`, predicate `p`'s, for B tuple `bid` from the store's
+    /// column of its source.
     fn preload(&self, p: &Pred, bid: TupleId, slot: &mut ProbeTokens, b_value: ValueRef<'_>) {
-        let source = p.tokens.and_then(|t| self.sources.get(t));
-        if let (Some(profiles), Some((b_idx, tokenizer, order))) = (self.profiles, source) {
-            if let Some(ids) = profiles.b.tokens(*b_idx, *tokenizer, bid) {
-                slot.load_ids(b_value, ids, order, &profiles.dict);
+        if let Some((b_idx, tokenizer, order)) = p.tokens.and_then(|t| self.sources.get(t)) {
+            if let Some(ids) = self.store.b().tokens(*b_idx, *tokenizer, bid) {
+                slot.load_ids(b_value, ids, order, self.store.dict());
             }
         }
     }
@@ -692,8 +686,8 @@ impl ScratchPool {
 ///
 /// Probes sink ids straight into the task's `union` bitmap and read the
 /// B value's tokens through the task's shared [`ProbeTokens`] slots,
-/// loaded by the first predicate that needs them — from `B`'s profile
-/// column when the plan has one, else by tokenizing the value.
+/// loaded from the store's `B` column by the first predicate that needs
+/// them.
 fn candidates_for(
     b: &Table,
     bid: TupleId,
@@ -868,7 +862,7 @@ pub fn execute(
     features: &FeatureSet,
     seq: &RuleSequence,
     conjuncts: &ConjunctSpecs,
-    built: &BuiltIndexes,
+    built: &BuiltIndexes<'_>,
     rule_selectivities: &[f64],
     max_pairs: u128,
 ) -> Result<BlockingOutput, BlockingError> {
@@ -900,13 +894,18 @@ pub fn execute_pooled(
     features: &FeatureSet,
     seq: &RuleSequence,
     conjuncts: &ConjunctSpecs,
-    built: &BuiltIndexes,
+    built: &BuiltIndexes<'_>,
     rule_selectivities: &[f64],
     max_pairs: u128,
     pool: &Arc<ScratchPool>,
 ) -> Result<BlockingOutput, BlockingError> {
-    let evaluator = Arc::new(PairEvaluator::over(built, a, b, features, seq));
-    let profiles = built.pair_profiles();
+    // The evaluator and the probes read the columns of the sequence's
+    // features (`conjuncts` is its filter layout). A cache over the run's
+    // store holds them; one filled on demand holds `A`'s index columns
+    // only, so they are profiled here, over its dictionary, for this call.
+    let needs = seq_requirements(features, seq);
+    let store = &*built.store().covering(a, b, &needs);
+    let evaluator = Arc::new(PairEvaluator::over(store, a, b, features, seq));
     let filterable = conjuncts.filterable();
     let collector = Arc::new(StatsCollector::new(conjuncts.specs.len()));
     let mut modes: Vec<Vec<String>> = vec![Vec::new(); conjuncts.specs.len()];
@@ -926,7 +925,7 @@ pub fn execute_pooled(
             // bundle before a posting is walked, cheap hits cover `acc`.
             let reads_tokens = |p: &Pred| p.index.token_source().is_some();
             (bundles.iter_mut()).for_each(|bu| bu.preds.sort_by_key(reads_tokens));
-            let plan = ProbePlan::new(bundles, profiles);
+            let plan = ProbePlan::new(bundles, store);
             run_probe_reduce(cluster, a, b, evaluator, plan, &collector, pool, op)?
         }
         PhysicalOp::ApplyGreedy => {
@@ -935,7 +934,7 @@ pub fn execute_pooled(
                 .copied()
                 .min_by(by_selectivity(rule_selectivities))
                 .ok_or(BlockingError::NoFilterableConjunct)?;
-            let plan = ProbePlan::new(bundles_for(conjuncts, built, &[best]), profiles);
+            let plan = ProbePlan::new(bundles_for(conjuncts, built, &[best]), store);
             record_modes(&mut modes, &plan.bundles);
             run_probe_reduce(cluster, a, b, evaluator, plan, &collector, pool, op)?
         }
@@ -953,7 +952,7 @@ pub fn execute_pooled(
                     continue;
                 }
                 record_modes(&mut modes, &bundles);
-                let plan = ProbePlan::new(bundles, profiles);
+                let plan = ProbePlan::new(bundles, store);
                 let (set, stats) = run_probe_wave(cluster, a, b, plan, &collector, pool)?;
                 jobs.push(stats);
                 acc = Some(match acc {
@@ -987,7 +986,7 @@ pub fn execute_pooled(
                 record_modes(&mut modes, &pred_bundles);
                 let mut union: HashSet<IdPair> = HashSet::new();
                 for bundle in pred_bundles {
-                    let plan = ProbePlan::new(vec![bundle], profiles);
+                    let plan = ProbePlan::new(vec![bundle], store);
                     let (set, stats) = run_probe_wave(cluster, a, b, plan, &collector, pool)?;
                     jobs.push(stats);
                     union.extend(set);
@@ -1062,7 +1061,7 @@ pub fn execute_pooled(
 #[allow(clippy::too_many_arguments)]
 pub fn select_physical(
     conjuncts: &ConjunctSpecs,
-    built: &BuiltIndexes,
+    built: &BuiltIndexes<'_>,
     rule_selectivities: &[f64],
     seq_selectivity: f64,
     mapper_memory: usize,

@@ -1,27 +1,35 @@
-//! Table-level builders for the token-profile cache
-//! ([`falcon_textsim::TokenProfile`]).
+//! The run's token store: one [`TokenDict`] and the complete per-tuple
+//! caches of `A` and `B` ([`falcon_textsim::TokenProfile`]) that every
+//! operator of a run borrows.
 //!
 //! [`requirements`] inspects a feature set and derives, per side, which
 //! attributes need a rendered-value cache, which `(attribute,
 //! tokenizer)` columns need pre-tokenization, and which attributes need
 //! the matching-only caches (word-token sequences, tf·idf vectors,
-//! decoded chars). [`build_pair_profiles_par`] then builds each needed
-//! column **once per tuple** with a parallel map-only job (optionally
-//! restricted to the tuples a pair list actually references), interning
-//! tokens into one [`TokenDict`] shared by both tables so equal strings
-//! compare as equal `u32` ids across sides.
+//! decoded chars). A [`TokenStore`] is *grown by requirement*:
+//! [`TokenStore::require`] builds whatever of a request it does not hold
+//! yet — one map-only job per table, none when everything is there — and
+//! returns the jobs' stats for the stage that asked to price.
 //!
-//! Determinism: map output is re-sorted by tuple id and interned
-//! sequentially (A side first, then B), so dictionary ids — and therefore
-//! profile contents — are independent of worker scheduling.
+//! A map task tokenizes its split into a reused buffer against a
+//! task-local dictionary and emits flat columns of local ids; the
+//! sequential pass interns each task's dictionary into the shared one in
+//! split order and rewrites the ids. A task's local ids follow first
+//! occurrence, so the shared ids are those of interning every token
+//! occurrence tuple by tuple (per tuple: sequences, then token columns,
+//! then weight vectors, each in text order) — a function of the tables
+//! and of the requests made so far, never of scheduling. They do depend
+//! on the order of requests, which no output can observe: token orders
+//! rank by `(frequency, text)`, set measures read `(|x∩y|, |x|, |y|)`, and
+//! tf·idf sums run in token-text order.
 
 use crate::error::FalconError;
 use crate::features::Feature;
 use falcon_dataflow::{run_map_only, Cluster, JobStats};
-use falcon_table::{Table, TupleId};
-use falcon_textsim::tokenize::word_tokens;
+use falcon_table::{Table, TupleId, ValueRef};
+use falcon_textsim::tokenize::TokenBuf;
 use falcon_textsim::{
-    Arena, RenderedColumn, SimFunction, TfIdfModel, TokenDict, TokenProfile, Tokenizer,
+    Arena, RenderedColumn, SimContext, SimFunction, TfIdfModel, TokenDict, TokenProfile, Tokenizer,
     WeightColumn,
 };
 use std::borrow::Cow;
@@ -50,20 +58,52 @@ pub struct ProfileSpec {
 
 impl ProfileSpec {
     /// True when nothing needs profiling (e.g. an all-numeric feature
-    /// set); every other column is over a rendered attribute.
+    /// set).
     pub fn is_empty(&self) -> bool {
-        self.rendered_attrs.is_empty() && self.token_columns.is_empty()
+        *self == ProfileSpec::default()
     }
 
     /// The `seq_attrs` position whose word sequence token column `k` is
     /// the set of: a word-token column over an attribute that also caches
-    /// sequences is derived from their ids at assembly instead of being
-    /// tokenized and interned a second time.
+    /// sequences is derived from their ids instead of being tokenized and
+    /// interned a second time.
     fn seq_source(&self, k: usize) -> Option<usize> {
         let (attr, tokenizer) = self.token_columns[k];
         (tokenizer == Tokenizer::Word)
             .then(|| self.seq_attrs.iter().position(|&a| a == attr))
             .flatten()
+    }
+
+    /// Add whatever `other` asks for that this spec does not.
+    pub fn merge(&mut self, other: &ProfileSpec) {
+        fn add<T: PartialEq + Copy>(into: &mut Vec<T>, from: &[T]) {
+            from.iter().for_each(|&x| push_unique(into, x));
+        }
+        add(&mut self.rendered_attrs, &other.rendered_attrs);
+        add(&mut self.token_columns, &other.token_columns);
+        add(&mut self.seq_attrs, &other.seq_attrs);
+        add(&mut self.weight_attrs, &other.weight_attrs);
+        add(&mut self.char_attrs, &other.char_attrs);
+    }
+
+    /// What of this spec `have` lacks; weight vectors count only
+    /// `with_weights` (without a corpus model they cannot be built).
+    fn minus(&self, have: &ProfileSpec, with_weights: bool) -> ProfileSpec {
+        fn rest<T: PartialEq + Copy>(want: &[T], have: &[T]) -> Vec<T> {
+            (want.iter().copied())
+                .filter(|x| !have.contains(x))
+                .collect()
+        }
+        ProfileSpec {
+            rendered_attrs: rest(&self.rendered_attrs, &have.rendered_attrs),
+            token_columns: rest(&self.token_columns, &have.token_columns),
+            seq_attrs: rest(&self.seq_attrs, &have.seq_attrs),
+            weight_attrs: match with_weights {
+                true => rest(&self.weight_attrs, &have.weight_attrs),
+                false => Vec::new(),
+            },
+            char_attrs: rest(&self.char_attrs, &have.char_attrs),
+        }
     }
 }
 
@@ -118,186 +158,184 @@ pub fn requirements<'a>(
     (a, b)
 }
 
-/// What one tuple contributes to a profile. Token strings stay strings
-/// here; interning happens in the deterministic sequential pass.
-struct TupleRecord {
-    id: TupleId,
-    /// One rendered value per `rendered_attrs` entry.
-    rendered: Vec<String>,
-    /// One sorted, deduplicated token list per `token_columns` entry
-    /// (left empty where [`ProfileSpec::seq_source`] supplies the ids).
-    tokens: Vec<Vec<String>>,
-    /// One word-token sequence per `seq_attrs` entry.
-    seqs: Vec<Vec<String>>,
-    /// One tf·idf vector per `weight_attrs` entry (none without a model).
-    weights: Vec<Vec<(String, f64)>>,
+/// The columns a [`ProfileSpec`] asks for, one entry per tuple: what a
+/// map task emits for its split (token ids local to the task) and what
+/// the sequential pass assembles for the table (ids of the shared
+/// dictionary).
+struct Columns {
+    rendered: Vec<RenderedColumn>,
+    /// One per `char_attrs` entry; ASCII values stay empty.
+    chars: Vec<Arena<char>>,
+    seqs: Vec<Arena<u32>>,
+    /// One sorted, deduplicated id list per `token_columns` entry.
+    sets: Vec<Arena<u32>>,
+    /// One per `weight_attrs` entry (none without a model).
+    weights: Vec<WeightColumn>,
 }
 
-/// Per-tuple map task: render the needed attributes and derive every
-/// token-level column from the rendered text, reading cells through
-/// [`Table::value_ref`].
-fn profile_id(
+impl Columns {
+    fn new(spec: &ProfileSpec, with_weights: bool) -> Self {
+        let n_weights = spec.weight_attrs.len() * usize::from(with_weights);
+        Columns {
+            rendered: vec![RenderedColumn::new(); spec.rendered_attrs.len()],
+            chars: vec![Arena::default(); spec.char_attrs.len()],
+            seqs: vec![Arena::default(); spec.seq_attrs.len()],
+            sets: vec![Arena::default(); spec.token_columns.len()],
+            weights: vec![WeightColumn::default(); n_weights],
+        }
+    }
+
+    /// Make room for `len` entries holding what `tasks` hold between them:
+    /// a table's columns are allocated once, at their final size.
+    fn reserve(&mut self, len: usize, tasks: &[(RenderedColumn, Columns)]) {
+        let total = |size: &dyn Fn(&Columns) -> usize| tasks.iter().map(|(_, t)| size(t)).sum();
+        for (k, c) in self.rendered.iter_mut().enumerate() {
+            c.reserve(len, total(&|t| t.rendered[k].total_len()));
+        }
+        for (k, c) in self.chars.iter_mut().enumerate() {
+            c.reserve(len, total(&|t| t.chars[k].total_len()));
+        }
+        for (k, c) in self.seqs.iter_mut().enumerate() {
+            c.reserve(len, total(&|t| t.seqs[k].total_len()));
+        }
+        for (k, c) in self.sets.iter_mut().enumerate() {
+            c.reserve(len, total(&|t| t.sets[k].total_len()));
+        }
+        for (k, c) in self.weights.iter_mut().enumerate() {
+            c.reserve(len, total(&|t| t.weights[k].total_len()));
+        }
+    }
+
+    /// The entry of a tuple outside the build's mask.
+    fn push_empty(&mut self) {
+        self.rendered.iter_mut().for_each(|c| c.push(""));
+        self.chars.iter_mut().for_each(|c| c.push(&[]));
+        self.seqs.iter_mut().for_each(|c| c.push(&[]));
+        self.sets.iter_mut().for_each(|c| c.push(&[]));
+        self.weights.iter_mut().for_each(|c| c.push_ids([], &[]));
+    }
+}
+
+/// The rendered text of one cell: the stored string itself, a number
+/// rendered into `scratch`, empty when null.
+fn cell_text<'a>(table: &'a Table, id: TupleId, attr: usize, scratch: &'a mut String) -> &'a str {
+    match table.value_ref(id, attr) {
+        Some(ValueRef::Str(s)) => s,
+        Some(v) => {
+            scratch.clear();
+            v.render_into(scratch);
+            scratch
+        }
+        None => "",
+    }
+}
+
+/// One map task: the columns of the tuples `ids` over a dictionary of the
+/// task's own, returned as its tokens in id order (local ids follow first
+/// occurrence in the order the module docs give).
+fn profile_task(
     table: &Table,
-    id: TupleId,
+    ids: &[TupleId],
     spec: &ProfileSpec,
     tfidf: Option<&TfIdfModel>,
-) -> TupleRecord {
-    let render = |attr: usize| {
-        table
-            .value_ref(id, attr)
-            .map(|v| v.render())
-            .unwrap_or_default()
-    };
-    let rendered: Vec<String> = spec
-        .rendered_attrs
-        .iter()
-        .map(|&attr| render(attr))
-        .collect();
-    let text = |attr: usize| match spec.rendered_attrs.iter().position(|&a| a == attr) {
-        Some(i) => Cow::Borrowed(rendered[i].as_str()),
-        None => Cow::Owned(render(attr)),
-    };
-    let tokens = (0..spec.token_columns.len())
-        .map(|k| match spec.seq_source(k) {
-            Some(_) => Vec::new(),
-            None => {
-                let (attr, tok) = spec.token_columns[k];
-                tok.tokenize_sorted(&text(attr))
-            }
-        })
-        .collect();
-    let seqs = spec
-        .seq_attrs
-        .iter()
-        .map(|&attr| word_tokens(&text(attr)))
-        .collect();
-    let weights = match tfidf {
-        Some(model) => spec
-            .weight_attrs
-            .iter()
-            .map(|&attr| model.weight_vector(&text(attr)))
-            .collect(),
-        None => Vec::new(),
-    };
-    TupleRecord {
-        id,
-        rendered,
-        tokens,
-        seqs,
-        weights,
-    }
-}
-
-/// The arena-backed columns of a profile under assembly. Arenas are
-/// append-only and records arrive id-sorted, so uncovered tuples are
-/// padded with empty entries on the way.
-struct ArenaColumns {
-    rendered: Vec<RenderedColumn>,
-    seqs: Vec<Arena<u32>>,
-    weights: Vec<WeightColumn>,
-    /// `(attribute, its position in rendered_attrs, decoded chars)`.
-    chars: Vec<(usize, usize, Arena<char>)>,
-    /// Entries emitted per column so far.
-    len: usize,
-}
-
-impl ArenaColumns {
-    fn pad_to(&mut self, len: usize, dict: &mut TokenDict) {
-        for _ in self.len..len {
-            self.rendered.iter_mut().for_each(|c| c.push(""));
-            self.seqs.iter_mut().for_each(|c| c.push(&[]));
-            self.weights
-                .iter_mut()
-                .for_each(|c| c.push(Vec::new(), dict));
-            self.chars.iter_mut().for_each(|(_, _, c)| c.push(&[]));
+) -> (RenderedColumn, Columns) {
+    let mut local = TokenDict::new();
+    let mut cols = Columns::new(spec, tfidf.is_some());
+    let (mut scratch, mut buf, mut toks) = (String::new(), TokenBuf::default(), Vec::new());
+    for &id in ids {
+        for (col, &attr) in cols.rendered.iter_mut().zip(&spec.rendered_attrs) {
+            col.push(cell_text(table, id, attr, &mut scratch));
         }
-        self.len = len;
+        for (col, &attr) in cols.chars.iter_mut().zip(&spec.char_attrs) {
+            let text = cell_text(table, id, attr, &mut scratch);
+            match text.is_ascii() {
+                true => col.push(&[]),
+                false => col.push_iter(text.chars()),
+            }
+        }
+        for (col, &attr) in cols.seqs.iter_mut().zip(&spec.seq_attrs) {
+            let text = cell_text(table, id, attr, &mut scratch);
+            toks.clear();
+            Tokenizer::Word.for_each_token(text, &mut buf, |t| toks.push(local.intern(t)));
+            col.push(&toks);
+        }
+        for (k, &(attr, tokenizer)) in spec.token_columns.iter().enumerate() {
+            toks.clear();
+            match spec.seq_source(k) {
+                Some(src) => toks.extend_from_slice(cols.seqs[src].last().unwrap_or(&[])),
+                None => {
+                    let text = cell_text(table, id, attr, &mut scratch);
+                    tokenizer.for_each_token(text, &mut buf, |t| toks.push(local.intern(t)));
+                }
+            }
+            toks.sort_unstable();
+            toks.dedup();
+            cols.sets[k].push(&toks);
+        }
+        // (`cols.weights` is empty without a model.)
+        for (col, &attr) in cols.weights.iter_mut().zip(&spec.weight_attrs) {
+            let text = cell_text(table, id, attr, &mut scratch);
+            let vector = tfidf.map(|model| model.weight_vector(text));
+            col.push(vector.unwrap_or_default(), &mut local);
+        }
     }
+    (local.tokens().collect(), cols)
 }
 
-/// Assemble map output into a [`TokenProfile`], interning tokens in tuple-id
-/// order so dictionary ids are deterministic.
-fn assemble(
-    table_len: usize,
+/// A task's `local` ids as ids of the shared dictionary.
+fn shared_ids<'a>(remap: &'a [u32], local: Option<&'a [u32]>) -> impl Iterator<Item = u32> + 'a {
+    local.unwrap_or_default().iter().map(|&l| remap[l as usize])
+}
+
+/// The sequential pass: append the tasks' columns to `profile` in split
+/// order, interning each task's dictionary into `dict` (one lookup per
+/// distinct token per task) and rewriting its local ids (one array read
+/// per occurrence). Tuples no split covers get empty entries.
+fn install(
+    profile: &mut TokenProfile,
+    dict: &mut TokenDict,
     spec: &ProfileSpec,
     with_weights: bool,
-    mut records: Vec<TupleRecord>,
-    dict: &mut TokenDict,
-    complete: bool,
-) -> TokenProfile {
-    records.sort_by_key(|r| r.id);
-    let n_weights = if with_weights {
-        spec.weight_attrs.len()
-    } else {
-        0
-    };
-    let mut cols = ArenaColumns {
-        rendered: vec![RenderedColumn::new(); spec.rendered_attrs.len()],
-        seqs: vec![Arena::default(); spec.seq_attrs.len()],
-        weights: vec![WeightColumn::default(); n_weights],
-        // `requirements` renders every attribute a character-level
-        // measure reads, so each char column has a rendered source.
-        chars: spec
-            .char_attrs
-            .iter()
-            .filter_map(|&attr| {
-                let src = spec.rendered_attrs.iter().position(|&a| a == attr)?;
-                Some((attr, src, Arena::default()))
-            })
-            .collect(),
-        len: 0,
-    };
-    let mut token_cols: Vec<Vec<Vec<u32>>> = spec
-        .token_columns
-        .iter()
-        .map(|_| vec![Vec::new(); table_len])
-        .collect();
-    let mut covered = vec![false; table_len];
-    for rec in records {
-        let idx = rec.id as usize;
-        if idx >= table_len || idx < cols.len {
-            continue;
-        }
-        covered[idx] = true;
-        cols.pad_to(idx, dict);
-        cols.len = idx + 1;
-        for (_, src, col) in &mut cols.chars {
-            let text = rec.rendered[*src].as_str();
-            if text.is_ascii() {
-                col.push(&[]);
-            } else {
-                col.push_iter(text.chars());
+    table_len: usize,
+    splits: &[&[TupleId]],
+    tasks: Vec<(RenderedColumn, Columns)>,
+) {
+    let mut cols = Columns::new(spec, with_weights);
+    cols.reserve(table_len, &tasks);
+    let (mut len, mut set) = (0, Vec::new());
+    for (ids, (tokens, task)) in splits.iter().zip(&tasks) {
+        let remap: Vec<u32> = tokens.iter().map(|t| dict.intern(t)).collect();
+        for (p, &id) in ids.iter().enumerate() {
+            (len..id as usize).for_each(|_| cols.push_empty());
+            len = id as usize + 1;
+            for (col, t) in cols.rendered.iter_mut().zip(&task.rendered) {
+                col.push(t.get(p).unwrap_or_default());
+            }
+            for (col, t) in cols.chars.iter_mut().zip(&task.chars) {
+                col.push(t.get(p).unwrap_or_default());
+            }
+            for (col, t) in cols.seqs.iter_mut().zip(&task.seqs) {
+                col.push_iter(shared_ids(&remap, t.get(p)));
+            }
+            // A set column holds distinct ids in id order (≠ text order).
+            for (col, t) in cols.sets.iter_mut().zip(&task.sets) {
+                set.clear();
+                set.extend(shared_ids(&remap, t.get(p)));
+                set.sort_unstable();
+                col.push(&set);
+            }
+            for (col, t) in cols.weights.iter_mut().zip(&task.weights) {
+                if let Some(w) = t.get(p) {
+                    col.push_ids(shared_ids(&remap, Some(w.ids)), w.weights);
+                }
             }
         }
-        for (col, r) in cols.rendered.iter_mut().zip(&rec.rendered) {
-            col.push(r);
-        }
-        for (col, toks) in cols.seqs.iter_mut().zip(rec.seqs) {
-            col.push_iter(toks.into_iter().map(|t| dict.intern_owned(t)));
-        }
-        for (k, (col, toks)) in token_cols.iter_mut().zip(rec.tokens).enumerate() {
-            // The set column holds distinct ids in id order (≠ string
-            // order): the distinct ids of the attribute's word sequence
-            // when it is cached, else the interned token strings (distinct
-            // strings intern to distinct ids, so only the former dedups).
-            let mut ids: Vec<u32> = match spec.seq_source(k) {
-                Some(src) => cols.seqs[src].get(idx).unwrap_or_default().to_vec(),
-                None => toks.into_iter().map(|t| dict.intern_owned(t)).collect(),
-            };
-            ids.sort_unstable();
-            ids.dedup();
-            col[idx] = ids;
-        }
-        for (col, vector) in cols.weights.iter_mut().zip(rec.weights) {
-            col.push(vector, dict);
-        }
     }
-    cols.pad_to(table_len, dict);
-    let mut profile = TokenProfile::new(complete);
+    (len..table_len).for_each(|_| cols.push_empty());
     for (&attr, col) in spec.rendered_attrs.iter().zip(cols.rendered) {
         profile.insert_rendered_col(attr, col);
     }
-    for (&key, col) in spec.token_columns.iter().zip(token_cols) {
+    for (&key, col) in spec.token_columns.iter().zip(cols.sets) {
         profile.insert_column(key, col);
     }
     for (&attr, col) in spec.seq_attrs.iter().zip(cols.seqs) {
@@ -306,16 +344,12 @@ fn assemble(
     for (&attr, col) in spec.weight_attrs.iter().zip(cols.weights) {
         profile.insert_weight_col(attr, col);
     }
-    for (attr, _, col) in cols.chars {
+    for (&attr, col) in spec.char_attrs.iter().zip(cols.chars) {
         // An all-ASCII attribute needs no column: its bytes are read.
         if col.total_len() > 0 {
             profile.insert_char_col(attr, col);
         }
     }
-    if !complete {
-        profile.set_coverage(covered);
-    }
-    profile
 }
 
 /// Input splits over the tuple ids of `table`: mappers read cells from
@@ -328,29 +362,55 @@ pub(crate) fn id_splits(cluster: &Cluster, table: &Table) -> Vec<Vec<TupleId>> {
         .collect()
 }
 
-/// Build one table's profile sequentially (no cluster accounting). Used
-/// where no dataflow context exists. `tfidf` as in
-/// [`build_pair_profiles_par`].
-pub fn build_profile_seq(
+/// Build `spec`'s columns over `table` into `profile` — one map-only job
+/// on `cluster`, or one task on the calling thread without (no cluster
+/// accounting; same columns, same ids) — for every tuple or those `mask`
+/// admits (the others get empty entries). Returns the job's stats.
+fn build_into(
+    profile: &mut TokenProfile,
+    dict: &mut TokenDict,
+    cluster: Option<&Cluster>,
     table: &Table,
     spec: &ProfileSpec,
     tfidf: Option<&TfIdfModel>,
-    dict: &mut TokenDict,
-) -> TokenProfile {
-    let records: Vec<_> = (0..table.len() as TupleId)
-        .map(|id| profile_id(table, id, spec, tfidf))
-        .collect();
-    assemble(table.len(), spec, tfidf.is_some(), records, dict, true)
+    mask: Option<&[bool]>,
+) -> Result<Option<JobStats>, FalconError> {
+    let admitted = |id: &TupleId| mask.is_none_or(|m| m.get(*id as usize) == Some(&true));
+    let ids: Vec<TupleId> = (0..table.len() as TupleId).filter(admitted).collect();
+    let (splits, tasks, stats) = match cluster {
+        Some(cluster) => {
+            let splits = cluster.split_slice(&ids);
+            let out = run_map_only(cluster, splits.clone(), |ids: &[TupleId], out| {
+                out.push(profile_task(table, ids, spec, tfidf));
+            })?;
+            (splits, out.output, Some(out.stats))
+        }
+        None => (
+            vec![&ids[..]],
+            vec![profile_task(table, &ids, spec, tfidf)],
+            None,
+        ),
+    };
+    let with_weights = tfidf.is_some();
+    install(
+        profile,
+        dict,
+        spec,
+        with_weights,
+        table.len(),
+        &splits,
+        tasks,
+    );
+    Ok(stats)
 }
 
 /// Build one table's profile with a parallel map-only job (no tf·idf
 /// columns: blocking-side callers have no corpus model).
 ///
-/// `mask` (indexed by tuple id) restricts profiling to the tuples a pair
-/// list actually references — essential for sampled stages where
-/// tokenizing the whole table would cost more than it saves. A masked
-/// profile records its coverage so lookups on unprofiled tuples fall back
-/// to the string path instead of misreading them as empty.
+/// `mask` (indexed by tuple id) restricts profiling to the tuples it
+/// admits. A masked profile records its coverage so lookups on unprofiled
+/// tuples fall back to the string path instead of misreading them as
+/// empty.
 pub fn build_profile_par(
     cluster: &Cluster,
     table: &Table,
@@ -358,96 +418,121 @@ pub fn build_profile_par(
     dict: &mut TokenDict,
     mask: Option<&[bool]>,
 ) -> Result<(TokenProfile, JobStats), FalconError> {
-    build_profile_par_with(cluster, table, spec, None, dict, mask)
+    let mut profile = TokenProfile::new(mask.is_none());
+    let stats = build_into(&mut profile, dict, Some(cluster), table, spec, None, mask)?;
+    if let Some(mask) = mask {
+        let admitted = |id| mask.get(id) == Some(&true);
+        profile.set_coverage((0..table.len()).map(admitted).collect());
+    }
+    Ok((profile, stats.unwrap_or_default()))
 }
 
-fn build_profile_par_with(
-    cluster: &Cluster,
-    table: &Table,
-    spec: &ProfileSpec,
-    tfidf: Option<&TfIdfModel>,
-    dict: &mut TokenDict,
-    mask: Option<&[bool]>,
-) -> Result<(TokenProfile, JobStats), FalconError> {
-    let ids: Vec<TupleId> = match mask {
-        None => (0..table.len() as TupleId).collect(),
-        Some(m) => (0..table.len() as TupleId)
-            .filter(|&id| m.get(id as usize).copied().unwrap_or(false))
-            .collect(),
-    };
-    let splits = cluster.split_slice(&ids);
-    let out = run_map_only(cluster, splits, |ids: &[TupleId], out| {
-        out.extend(ids.iter().map(|&id| profile_id(table, id, spec, tfidf)));
-    })?;
-    let profile = assemble(
-        table.len(),
-        spec,
-        tfidf.is_some(),
-        out.output,
-        dict,
-        mask.is_none(),
-    );
-    Ok((profile, out.stats))
+/// One dictionary and the complete profiles of `A` and `B` interned in
+/// it, holding whatever columns were asked for so far. A run owns one;
+/// the frozen per-call entry points wrap a store of their own.
+#[derive(Debug, Clone)]
+pub struct TokenStore {
+    dict: Arc<TokenDict>,
+    profiles: [TokenProfile; 2],
+    /// What each side's profile holds.
+    have: [ProfileSpec; 2],
 }
 
-/// Token profiles for both sides of a table pair, sharing one dictionary.
-#[derive(Debug, Clone, Default)]
-pub struct PairProfiles {
-    /// A-side profile.
-    pub a: TokenProfile,
-    /// B-side profile.
-    pub b: TokenProfile,
-    /// The shared interner (A interned first, then B); the blocking
-    /// indexes built over a profile's columns keep a handle on it.
-    pub dict: Arc<TokenDict>,
-    /// Stats of the profiling map jobs (empty for sequential builds).
-    pub stats: Vec<JobStats>,
+impl Default for TokenStore {
+    fn default() -> Self {
+        TokenStore {
+            dict: Arc::default(),
+            profiles: [TokenProfile::new(true), TokenProfile::new(true)],
+            have: Default::default(),
+        }
+    }
 }
 
-/// Build both sides' profiles in parallel map-only jobs, restricted by
-/// optional per-side tuple masks, sharing one dictionary. `tfidf` is the
-/// corpus model of the feature set's TF/IDF measures, if it has any; the
-/// tf·idf columns are computed from it in the same two jobs.
-pub fn build_pair_profiles_par<'a>(
-    cluster: &Cluster,
-    a: &Table,
-    b: &Table,
-    features: impl IntoIterator<Item = &'a Feature>,
-    tfidf: Option<&TfIdfModel>,
-    a_mask: Option<&[bool]>,
-    b_mask: Option<&[bool]>,
-) -> Result<PairProfiles, FalconError> {
-    let (a_spec, b_spec) = requirements(features);
-    let mut dict = TokenDict::new();
-    let (a_profile, a_stats) =
-        build_profile_par_with(cluster, a, &a_spec, tfidf, &mut dict, a_mask)?;
-    let (b_profile, b_stats) =
-        build_profile_par_with(cluster, b, &b_spec, tfidf, &mut dict, b_mask)?;
-    Ok(PairProfiles {
-        a: a_profile,
-        b: b_profile,
-        dict: Arc::new(dict),
-        stats: vec![a_stats, b_stats],
-    })
-}
+impl TokenStore {
+    /// The shared interner (indexes built over a column keep a handle).
+    pub fn dict(&self) -> &Arc<TokenDict> {
+        &self.dict
+    }
 
-/// Build both sides' full-table profiles sequentially, sharing one
-/// dictionary (`tfidf` as in [`build_pair_profiles_par`]).
-pub fn build_pair_profiles_seq<'a>(
-    a: &Table,
-    b: &Table,
-    features: impl IntoIterator<Item = &'a Feature>,
-    tfidf: Option<&TfIdfModel>,
-) -> PairProfiles {
-    let (a_spec, b_spec) = requirements(features);
-    let mut dict = TokenDict::new();
-    let a_profile = build_profile_seq(a, &a_spec, tfidf, &mut dict);
-    let b_profile = build_profile_seq(b, &b_spec, tfidf, &mut dict);
-    PairProfiles {
-        a: a_profile,
-        b: b_profile,
-        dict: Arc::new(dict),
-        stats: Vec::new(),
+    /// `A`'s profile.
+    pub fn a(&self) -> &TokenProfile {
+        &self.profiles[0]
+    }
+
+    /// `B`'s profile.
+    pub fn b(&self) -> &TokenProfile {
+        &self.profiles[1]
+    }
+
+    /// A scoring context over both profiles.
+    pub fn context(&self) -> SimContext<'_> {
+        SimContext::empty().with_profiles(self.a(), self.b(), &self.dict)
+    }
+
+    /// This store when it holds everything `needs` asks for; else — for
+    /// the per-call entry points, whose store was never asked — a store
+    /// of the call's own holding just that, tokenized on the calling
+    /// thread (no job runs, nothing is priced) over a copy of this
+    /// dictionary, so its ids extend the ones indexes were built over.
+    pub fn covering(
+        &self,
+        a: &Table,
+        b: &Table,
+        needs: &(ProfileSpec, ProfileSpec),
+    ) -> Cow<'_, Self> {
+        let lacks =
+            |side: usize, spec: &ProfileSpec| !spec.minus(&self.have[side], true).is_empty();
+        if !lacks(0, &needs.0) && !lacks(1, &needs.1) {
+            return Cow::Borrowed(self);
+        }
+        let mut own = TokenStore {
+            dict: Arc::clone(&self.dict),
+            ..Self::default()
+        };
+        // Without a cluster nothing can fail.
+        let _ = own.grow(0, None, a, &needs.0, None);
+        let _ = own.grow(1, None, b, &needs.1, None);
+        Cow::Owned(own)
+    }
+
+    /// Grow the store to hold `needs` (`A`'s spec, `B`'s spec): build the
+    /// columns still missing with one map-only job per table that misses
+    /// any, `A` first, and return those jobs' stats — empty when
+    /// everything was there. Weight vectors are built from `tfidf`, the
+    /// corpus model of the request's TF/IDF measures, when it is given.
+    pub fn require(
+        &mut self,
+        cluster: &Cluster,
+        a: &Table,
+        b: &Table,
+        needs: &(ProfileSpec, ProfileSpec),
+        tfidf: Option<&TfIdfModel>,
+    ) -> Result<Vec<JobStats>, FalconError> {
+        let a_stats = self.grow(0, Some(cluster), a, &needs.0, tfidf)?;
+        let b_stats = self.grow(1, Some(cluster), b, &needs.1, tfidf)?;
+        Ok(a_stats.into_iter().chain(b_stats).collect())
+    }
+
+    /// Grow one side (`0` = `A`, `1` = `B`) by what `spec` asks for and
+    /// it lacks.
+    pub(crate) fn grow(
+        &mut self,
+        side: usize,
+        cluster: Option<&Cluster>,
+        table: &Table,
+        spec: &ProfileSpec,
+        tfidf: Option<&TfIdfModel>,
+    ) -> Result<Option<JobStats>, FalconError> {
+        let missing = spec.minus(&self.have[side], tfidf.is_some());
+        if missing.is_empty() {
+            return Ok(None);
+        }
+        // Copies the dictionary only while an index still holds it.
+        let dict = Arc::make_mut(&mut self.dict);
+        let profile = &mut self.profiles[side];
+        let stats = build_into(profile, dict, cluster, table, &missing, tfidf, None)?;
+        self.have[side].merge(&missing);
+        Ok(stats)
     }
 }
 
@@ -508,49 +593,69 @@ mod tests {
         assert!(!sa.is_empty());
     }
 
+    /// A store asked for the matching features of [`tables`], on the
+    /// cluster.
+    fn matching_store(a: &Table, b: &Table) -> (TokenStore, (ProfileSpec, ProfileSpec)) {
+        let needs = requirements(&generate_features(a, b).matching.features);
+        let mut store = TokenStore::default();
+        let jobs = store.require(&cluster(), a, b, &needs, None);
+        assert_eq!(jobs.expect("jobs").len(), 2);
+        (store, needs)
+    }
+
     #[test]
     fn par_and_seq_profiles_agree() {
         let (a, b) = tables();
-        let lib = generate_features(&a, &b);
-        let par =
-            build_pair_profiles_par(&cluster(), &a, &b, &lib.matching.features, None, None, None)
-                .expect("profiles");
-        let seq = build_pair_profiles_seq(&a, &b, &lib.matching.features, None);
-        assert_eq!(par.dict.len(), seq.dict.len());
-        let (sa, _) = requirements(&lib.matching.features);
+        let (par, needs) = matching_store(&a, &b);
+        assert!(matches!(par.covering(&a, &b, &needs), Cow::Borrowed(_)));
+        // The same request on the calling thread, no cluster.
+        let seq = TokenStore::default().covering(&a, &b, &needs).into_owned();
+        assert_eq!(
+            par.dict().tokens().collect::<Vec<_>>(),
+            seq.dict().tokens().collect::<Vec<_>>()
+        );
         for t in a.rows() {
-            for &(attr, tok) in &sa.token_columns {
+            for &(attr, tok) in &needs.0.token_columns {
                 assert_eq!(
-                    par.a.tokens(attr, tok, t.id),
-                    seq.a.tokens(attr, tok, t.id),
+                    par.a().tokens(attr, tok, t.id),
+                    seq.a().tokens(attr, tok, t.id),
                     "tuple {} attr {attr}",
                     t.id
                 );
             }
-            for &attr in &sa.rendered_attrs {
-                assert_eq!(par.a.rendered(attr, t.id), seq.a.rendered(attr, t.id));
+            for &attr in &needs.0.rendered_attrs {
+                assert_eq!(par.a().rendered(attr, t.id), seq.a().rendered(attr, t.id));
                 assert_eq!(
-                    par.a.rendered(attr, t.id),
+                    par.a().rendered(attr, t.id),
                     Some(t.value(attr).render().as_str())
                 );
             }
         }
-        assert!(par.a.is_complete() && par.b.is_complete());
-        assert_eq!(par.stats.len(), 2);
+        assert!(par.a().is_complete() && par.b().is_complete());
     }
 
     #[test]
     fn shared_dict_makes_cross_table_tokens_comparable() {
         let (a, b) = tables();
-        let lib = generate_features(&a, &b);
-        let p = build_pair_profiles_seq(&a, &b, &lib.matching.features, None);
+        let (store, _) = matching_store(&a, &b);
         // "sony" in both brand columns must intern to the same id.
-        let brand = 1usize;
-        let tok = Tokenizer::QGram(3);
-        let xa = p.a.tokens(brand, tok, 0).expect("a tokens");
-        let xb = p.b.tokens(brand, tok, 0).expect("b tokens");
+        let (brand, tok) = (1usize, Tokenizer::QGram(3));
+        let xa = store.a().tokens(brand, tok, 0).expect("a tokens");
+        let xb = store.b().tokens(brand, tok, 0).expect("b tokens");
         assert_eq!(xa, xb);
         assert!(!xa.is_empty());
+    }
+
+    #[test]
+    fn interned_ids_are_sorted_per_tuple() {
+        let (a, b) = tables();
+        let (store, needs) = matching_store(&a, &b);
+        for t in a.rows() {
+            for &(attr, tok) in &needs.0.token_columns {
+                let ids = store.a().tokens(attr, tok, t.id).expect("tokens");
+                assert!(ids.windows(2).all(|w| w[0] < w[1]), "sorted dedup ids");
+            }
+        }
     }
 
     #[test]
@@ -571,19 +676,5 @@ mod tests {
         assert!(p.tokens(attr, tok, 7).is_some());
         assert!(p.tokens(attr, tok, 0).is_none());
         assert!(p.rendered(attr, 0).is_none());
-    }
-
-    #[test]
-    fn interned_ids_are_sorted_per_tuple() {
-        let (a, b) = tables();
-        let lib = generate_features(&a, &b);
-        let p = build_pair_profiles_seq(&a, &b, &lib.matching.features, None);
-        let (sa, _) = requirements(&lib.matching.features);
-        for t in a.rows() {
-            for &(attr, tok) in &sa.token_columns {
-                let ids = p.a.tokens(attr, tok, t.id).expect("tokens");
-                assert!(ids.windows(2).all(|w| w[0] < w[1]), "sorted dedup ids");
-            }
-        }
     }
 }

@@ -5,8 +5,8 @@
 //! 2 and 8 threads and under a seeded fault plan — and every candidate
 //! set must be the exhaustive single-machine baseline's, whichever probe
 //! modes (`off`, `gate`, `dense` all occur) the planner picked, and
-//! whether the probe and the evaluator read the store's token profiles
-//! (as under the driver) or tokenize for themselves.
+//! whether the probe and the evaluator read the run's token store (as
+//! under the driver) or one `execute` profiles for the call.
 //!
 //! The golden file was recorded at the commit *before* the probe and
 //! evaluation kernels were compiled (lazy rule evaluation, shared probe
@@ -27,6 +27,7 @@ use falcon_core::corleone::corleone_blocking;
 use falcon_core::features::generate_features;
 use falcon_core::indexing::{BuiltIndexes, ConjunctSpecs, PreFilterConfig};
 use falcon_core::physical::{self, PhysicalOp};
+use falcon_core::tokens::{requirements, TokenStore};
 use falcon_dataflow::{Cluster, ClusterConfig, FaultPlan};
 
 const GOLDEN: &str = include_str!("goldens/blocking.txt");
@@ -90,10 +91,13 @@ fn blocking_outputs_match_the_recorded_goldens() {
         let seq = sequence(&features, rules);
         let conjuncts =
             ConjunctSpecs::derive(&seq, &features).with_signatures(&PreFilterConfig::default());
-        // Filled on demand, and profiled first as the driver does.
-        let mut stores = [BuiltIndexes::new(), BuiltIndexes::new()];
-        let profiled = stores[1].ensure_profiles(&clusters[0], &d.a, &d.b, &features);
-        assert!(profiled.expect("profiles").is_some());
+        // Filled on demand, and over a token store that was asked for
+        // every blocking column first, as the driver's is.
+        let mut store = TokenStore::default();
+        let needs = requirements(&features.features);
+        let profiled = store.require(&clusters[0], &d.a, &d.b, &needs, None);
+        assert_eq!(profiled.expect("profiles").len(), 2);
+        let mut stores = [BuiltIndexes::new(), BuiltIndexes::over(&store)];
         for built in &mut stores {
             for spec in conjuncts.all_specs() {
                 built.build_spec(&clusters[0], &d.a, &spec).expect("build");

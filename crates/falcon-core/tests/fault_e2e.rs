@@ -114,15 +114,17 @@ fn a_plan_that_must_exhaust_is_a_typed_error_with_coordinates() {
     let plan = FaultPlan::seeded(1).with_failure_rate(1.0);
     let err = run(&d, Some(plan), RandomWorkerCrowd::new(truth, 0.05, 8))
         .expect_err("every attempt of every task fails");
-    // The first job of the run (`sample_pairs`' index job) loses its
-    // first map task after the default 4 attempts.
+    // The first job of the run loses its first map task after the default
+    // 4 attempts. That job is the token store's map-only pass over `A`,
+    // which the blocking stage asks for ahead of `sample_pairs` (whose
+    // index — once an MR job, hence `Phase::Map` — is a driver-local pass).
     match err {
         FalconError::Dataflow(DataflowError::AttemptsExhausted {
             job,
             phase,
             task,
             attempts,
-        }) => assert_eq!((job, phase, task, attempts), (0, Phase::Map, 0, 4)),
+        }) => assert_eq!((job, phase, task, attempts), (0, Phase::MapOnly, 0, 4)),
         other => panic!("expected AttemptsExhausted, got {other:?}"),
     }
 }

@@ -12,7 +12,7 @@
 
 use falcon_core::features::{generate_features, Feature, FeatureSet, ScoreScratch, Scorer};
 use falcon_core::ops::gen_fvs::{gen_fvs, tfidf_model_for, GenFvsOutput};
-use falcon_core::tokens::build_pair_profiles_seq;
+use falcon_core::tokens::{requirements, TokenStore};
 use falcon_dataflow::{Cluster, ClusterConfig, FaultPlan};
 use falcon_datagen::EmDataset;
 use falcon_table::{AttrType, IdPair, Schema, Table, Value};
@@ -101,8 +101,10 @@ proptest! {
             Some(m) => SimContext::with_tfidf(m),
             None => SimContext::empty(),
         };
-        let profiles = build_pair_profiles_seq(&a, &b, &fs.features, tfidf.as_ref());
-        let profiled = base.with_profiles(&profiles.a, &profiles.b, &profiles.dict);
+        let mut store = TokenStore::default();
+        let needs = requirements(&fs.features);
+        store.require(&small_cluster(2), &a, &b, &needs, tfidf.as_ref()).expect("profiles");
+        let profiled = base.with_profiles(store.a(), store.b(), store.dict());
         let mut scratch = ScoreScratch::default();
         for aid in 0..a.len() as u32 {
             for bid in 0..b.len() as u32 {
@@ -145,9 +147,10 @@ proptest! {
                 .collect(),
         };
         let (a, b) = (table("a", a_rows), table("b", b_rows));
-        let profiles = build_pair_profiles_seq(&a, &b, &fs.features, None);
+        let store = TokenStore::default();
+        let store = store.covering(&a, &b, &requirements(&fs.features));
         let base = SimContext::empty();
-        let profiled = base.with_profiles(&profiles.a, &profiles.b, &profiles.dict);
+        let profiled = store.context();
         let scorer = Scorer::new(&fs, &a, &b, &profiled);
         let mut scratch = ScoreScratch::default();
         for aid in 0..a.len() as u32 {
@@ -163,9 +166,9 @@ proptest! {
         }
     }
 
-    /// `gen_fvs` (masked parallel profile build) equals the per-pair
-    /// `vector_at` loop under a context without profiles, bit for bit,
-    /// on a random subset of pairs.
+    /// `gen_fvs` (parallel build of a call-scoped token store) equals the
+    /// per-pair `vector_at` loop under a context without profiles, bit
+    /// for bit, on a random subset of pairs.
     #[test]
     fn gen_fvs_equals_the_unprofiled_vector_at_loop(
         a_rows in proptest::collection::vec((value(), value()), 1..5),
@@ -175,8 +178,7 @@ proptest! {
         let a = table("a", a_rows);
         let b = table("b", b_rows);
         let fs = all_features();
-        // Sparse pair subset so part of each table stays unprofiled
-        // (exercises the coverage mask).
+        // Sparse pair subset: some tuples are profiled and never scored.
         let pairs: Vec<IdPair> = (0..a.len() as u32)
             .flat_map(|i| (0..b.len() as u32).map(move |j| (i, j)))
             .filter(|(i, j)| (i * 7 + j * 13 + salt) % 3 != 0)
@@ -317,9 +319,9 @@ fn matching_fvs_are_scheduling_independent() {
     }
 }
 
-/// A pair list touching few tuples builds masked (partial-coverage)
-/// profiles; its vectors equal the corresponding rows of the run whose
-/// profiles cover every referenced tuple of the larger list.
+/// A pair's vector does not depend on which other pairs the call scores:
+/// a list touching few tuples yields the corresponding rows of the larger
+/// list's run.
 #[test]
 fn masked_profiles_score_like_covering_ones() {
     let (d, _) = &golden_datasets()[0];

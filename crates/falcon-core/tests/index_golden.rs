@@ -15,6 +15,7 @@
 
 use falcon_core::features::{generate_features, Feature, FeatureSet};
 use falcon_core::indexing::BuiltIndexes;
+use falcon_core::tokens::{requirements, TokenStore};
 use falcon_dataflow::{Cluster, ClusterConfig};
 use falcon_datagen::{citations, products, songs, EmDataset};
 use falcon_index::{FilterSpec, PredicateIndex};
@@ -165,13 +166,14 @@ fn lines(
     out
 }
 
-/// A store holding the complete blocking-feature profiles before any
-/// index is asked for (what the driver's masked prebuild leaves behind).
-fn prebuilt(cluster: &Cluster, d: &EmDataset, features: &FeatureSet) -> BuiltIndexes {
-    let mut built = BuiltIndexes::new();
-    let jobs = built.ensure_profiles(cluster, &d.a, &d.b, features);
-    assert!(jobs.expect("profiles").is_some() && built.pair_profiles().is_some());
-    built
+/// A token store holding every blocking-feature column before any index
+/// is asked for (what the driver's blocking stage starts from).
+fn prebuilt(cluster: &Cluster, d: &EmDataset, features: &FeatureSet) -> TokenStore {
+    let mut store = TokenStore::default();
+    let needs = requirements(&features.features);
+    let jobs = store.require(cluster, &d.a, &d.b, &needs, None);
+    assert_eq!(jobs.expect("profiles").len(), 2);
+    store
 }
 
 #[test]
@@ -216,8 +218,9 @@ fn built_indexes_match_the_recorded_goldens() {
             true,
         );
         assert_eq!(got, reference, "{name}: moved with the interning order");
-        // Prebuilt from the complete blocking-feature profile.
-        let mut built = prebuilt(&cluster(2), d, &features);
+        // Over a store that was asked for every blocking column first.
+        let store = prebuilt(&cluster(2), d, &features);
+        let mut built = BuiltIndexes::over(&store);
         let got = lines(name, d, &features, &mut built, &cluster(2), false);
         assert_eq!(
             got, reference,

@@ -13,6 +13,7 @@ use falcon_core::features::{generate_features, FeatureSet, ScoreScratch};
 use falcon_core::indexing::{BuiltIndexes, ConjunctSpecs, PreFilterConfig};
 use falcon_core::physical::{self, PhysicalOp};
 use falcon_core::rules::{Predicate, Rule, RuleSequence};
+use falcon_core::tokens::{requirements, TokenStore};
 use falcon_dataflow::{Cluster, ClusterConfig};
 use falcon_datagen::products;
 use falcon_forest::SplitOp;
@@ -284,9 +285,11 @@ fn scalar_probes_leave_profile_fed_tokens_alone() {
     }]);
     let cluster = cluster();
     let conjuncts = ConjunctSpecs::derive(&seq, &features);
-    let mut built = BuiltIndexes::new();
-    let profiled = built.ensure_profiles(&cluster, &d.a, &d.b, &features);
-    assert!(profiled.expect("profiles").is_some());
+    let mut store = TokenStore::default();
+    let needs = requirements(&features.features);
+    let profiled = store.require(&cluster, &d.a, &d.b, &needs, None);
+    assert_eq!(profiled.expect("profiles").len(), 2);
+    let mut built = BuiltIndexes::over(&store);
     for spec in conjuncts.all_specs() {
         built.build_spec(&cluster, &d.a, &spec).expect("build");
     }

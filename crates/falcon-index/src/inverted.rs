@@ -44,10 +44,14 @@ impl TokenOrder {
     /// Count token frequencies over `column` (per-tuple distinct ids of
     /// `dict`) and rank them (the token-counting and ordering jobs of
     /// Section 7.5, as one local pass).
-    pub fn of_column(column: &[Vec<u32>], dict: Arc<TokenDict>) -> Self {
+    pub fn of_column<C>(column: C, dict: Arc<TokenDict>) -> Self
+    where
+        C: IntoIterator,
+        C::Item: AsRef<[u32]>,
+    {
         let mut freq = vec![0u32; dict.len()];
-        for &id in column.iter().flatten() {
-            freq[id as usize] += 1;
+        for ids in column {
+            ids.as_ref().iter().for_each(|&id| freq[id as usize] += 1);
         }
         let text = |id: u32| dict.resolve(id).unwrap_or_default();
         let mut ids: Vec<u32> = (0..dict.len() as u32)
@@ -116,19 +120,24 @@ pub struct TokenColumn {
 
 impl TokenColumn {
     /// Re-express `column` — attribute `attr_idx` of `a` as per-tuple
-    /// distinct ids of `dict`, the profile layer's token column — in the
-    /// ranks of its own frequency order.
-    pub fn build(a: &Table, attr_idx: usize, column: &[Vec<u32>], dict: Arc<TokenDict>) -> Self {
-        let order = Arc::new(TokenOrder::of_column(column, dict));
-        let mut offsets = Vec::with_capacity(column.len() + 1);
-        let mut ranks = Vec::with_capacity(column.iter().map(Vec::len).sum());
-        offsets.push(0);
+    /// distinct ids of `dict`, the profile layer's token column (an
+    /// `&Arena<u32>`, or any per-tuple id lists) — in the ranks of its own
+    /// frequency order.
+    pub fn build<C>(a: &Table, attr_idx: usize, column: C, dict: Arc<TokenDict>) -> Self
+    where
+        C: IntoIterator + Clone,
+        C::Item: AsRef<[u32]>,
+    {
+        let order = Arc::new(TokenOrder::of_column(column.clone(), dict));
+        let mut offsets = vec![0];
+        let mut ranks = Vec::new();
         for ids in column {
             let start = ranks.len();
-            ranks.extend(ids.iter().map(|&id| order.rank[id as usize]));
+            ranks.extend(ids.as_ref().iter().map(|&id| order.rank[id as usize]));
             ranks[start..].sort_unstable();
             offsets.push(ranks.len());
         }
+        let set_sizes = offsets.windows(2).map(|w| (w[1] - w[0]) as u32).collect();
         let mut missing = Vec::new();
         a.for_each_rendered(attr_idx, |id, s| {
             if s.is_empty() {
@@ -139,7 +148,7 @@ impl TokenColumn {
             order,
             offsets,
             ranks,
-            set_sizes: column.iter().map(|ids| ids.len() as u32).collect(),
+            set_sizes,
             missing: missing.into(),
             sigs: Vec::new(),
         }

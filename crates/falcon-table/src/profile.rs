@@ -75,6 +75,12 @@ pub struct TableProfile {
 }
 
 impl TableProfile {
+    /// Indices of the attributes profiled as strings.
+    pub fn string_attrs(&self) -> Vec<usize> {
+        let strings = |(i, p): (usize, &AttrProfile)| (p.ty == AttrType::Str).then_some(i);
+        self.attrs.iter().enumerate().filter_map(strings).collect()
+    }
+
     /// Scan a table and profile every attribute. For string attributes the
     /// type may be *narrowed* to numeric when ≥95% of non-null values parse
     /// as numbers (dirty numeric columns are common in EM inputs).

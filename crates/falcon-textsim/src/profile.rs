@@ -24,17 +24,19 @@
 use crate::scratch::Syms;
 use crate::tfidf::{WeightColumn, Weights};
 use crate::tokenize::Tokenizer;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// String → `u32` token interner. Equal token strings get equal ids, so
 /// set intersections over ids equal set intersections over strings as long
 /// as both sides of a comparison were interned through the *same* dict.
+/// A token's text is stored once, shared by the map and the id table, so
+/// a clone copies handles, not text.
 #[derive(Debug, Clone, Default)]
 pub struct TokenDict {
-    map: HashMap<String, u32>,
-    toks: Vec<String>,
+    map: HashMap<Arc<str>, u32>,
+    toks: Vec<Arc<str>>,
 }
 
 impl TokenDict {
@@ -49,22 +51,15 @@ impl TokenDict {
             return id;
         }
         let id = self.toks.len() as u32;
-        self.toks.push(tok.to_string());
-        self.map.insert(tok.to_string(), id);
+        let tok: Arc<str> = tok.into();
+        self.toks.push(Arc::clone(&tok));
+        self.map.insert(tok, id);
         id
     }
 
-    /// Intern an owned token without re-allocating on the hit path.
+    /// Intern an owned token.
     pub fn intern_owned(&mut self, tok: String) -> u32 {
-        match self.map.entry(tok) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                let id = self.toks.len() as u32;
-                self.toks.push(e.key().clone());
-                e.insert(id);
-                id
-            }
-        }
+        self.intern(&tok)
     }
 
     /// The id of an already-interned token.
@@ -72,9 +67,14 @@ impl TokenDict {
         self.map.get(tok).copied()
     }
 
+    /// Every interned token, in id order.
+    pub fn tokens(&self) -> impl Iterator<Item = &str> {
+        self.toks.iter().map(|t| &**t)
+    }
+
     /// The token string behind an id.
     pub fn resolve(&self, id: u32) -> Option<&str> {
-        self.toks.get(id as usize).map(String::as_str)
+        self.toks.get(id as usize).map(|t| &**t)
     }
 
     /// The token behind an id as the character-level kernels read it:
@@ -118,6 +118,12 @@ impl<T> Default for Arena<T> {
 }
 
 impl<T> Arena<T> {
+    /// Make room for `values` more values of `elements` elements in all.
+    pub fn reserve(&mut self, values: usize, elements: usize) {
+        self.offsets.reserve_exact(values);
+        self.data.reserve_exact(elements);
+    }
+
     /// Append one value from a slice.
     pub fn push(&mut self, value: &[T])
     where
@@ -167,10 +173,63 @@ impl<T> Arena<T> {
         self.span(i).map(|span| &self.data[span])
     }
 
+    /// The value pushed last.
+    pub fn last(&self) -> Option<&[T]> {
+        self.get(self.len().checked_sub(1)?)
+    }
+
+    /// Every value, in order.
+    pub fn iter(&self) -> ArenaIter<'_, T> {
+        self.into_iter()
+    }
+
     /// Estimated memory footprint in bytes.
     pub fn estimated_bytes(&self) -> usize {
         std::mem::size_of_val(self.data.as_slice())
             + self.offsets.len() * std::mem::size_of::<u32>()
+    }
+}
+
+/// The values of an [`Arena`], in order.
+#[derive(Debug)]
+pub struct ArenaIter<'a, T> {
+    arena: &'a Arena<T>,
+    next: usize,
+}
+
+impl<T> Clone for ArenaIter<'_, T> {
+    fn clone(&self) -> Self {
+        ArenaIter { ..*self }
+    }
+}
+
+impl<'a, T> Iterator for ArenaIter<'a, T> {
+    type Item = &'a [T];
+
+    fn next(&mut self) -> Option<&'a [T]> {
+        let value = self.arena.get(self.next)?;
+        self.next += 1;
+        Some(value)
+    }
+}
+
+impl<'a, T> IntoIterator for &'a Arena<T> {
+    type Item = &'a [T];
+    type IntoIter = ArenaIter<'a, T>;
+
+    fn into_iter(self) -> ArenaIter<'a, T> {
+        ArenaIter {
+            arena: self,
+            next: 0,
+        }
+    }
+}
+
+impl<T, V: IntoIterator<Item = T>> FromIterator<V> for Arena<T> {
+    fn from_iter<I: IntoIterator<Item = V>>(values: I) -> Self {
+        let mut arena = Arena::default();
+        values.into_iter().for_each(|v| arena.push_iter(v));
+        arena
     }
 }
 
@@ -183,6 +242,16 @@ impl RenderedColumn {
     /// Fresh empty column.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Make room for `values` more values of `bytes` bytes in all.
+    pub fn reserve(&mut self, values: usize, bytes: usize) {
+        self.0.reserve(values, bytes);
+    }
+
+    /// Bytes stored across all values.
+    pub fn total_len(&self) -> usize {
+        self.0.total_len()
     }
 
     /// Append one rendered value.
@@ -202,10 +271,17 @@ impl RenderedColumn {
 
     /// Value at `i`, or `None` past the end.
     pub fn get(&self, i: usize) -> Option<&str> {
+        self.0.get(i).map(Self::text)
+    }
+
+    /// Every value, in order.
+    pub fn iter(&self) -> impl Iterator<Item = &str> {
+        self.0.iter().map(Self::text)
+    }
+
+    fn text(span: &[u8]) -> &str {
         // Only whole `&str` values enter the arena; spans are valid UTF-8.
-        self.0
-            .get(i)
-            .map(|span| std::str::from_utf8(span).unwrap_or(""))
+        std::str::from_utf8(span).unwrap_or("")
     }
 
     /// Estimated memory footprint in bytes.
@@ -234,7 +310,7 @@ impl<S: AsRef<str>> FromIterator<S> for RenderedColumn {
 pub struct TokenProfile {
     /// `(attr idx, tokenizer)` → per-tuple sorted, deduped token-id lists
     /// (indexed by tuple id).
-    columns: Vec<(ColumnKey, Vec<Vec<u32>>)>,
+    columns: Vec<(ColumnKey, Arena<u32>)>,
     /// attr idx → per-tuple rendered values (`""` = missing), indexed by
     /// tuple id, arena-backed.
     rendered: Vec<(usize, RenderedColumn)>,
@@ -286,7 +362,7 @@ impl TokenProfile {
 
     /// Install a token-id column. Later inserts under the same key replace
     /// the earlier column.
-    pub fn insert_column(&mut self, key: ColumnKey, data: Vec<Vec<u32>>) {
+    pub fn insert_column(&mut self, key: ColumnKey, data: Arena<u32>) {
         upsert(&mut self.columns, key, data);
     }
 
@@ -317,11 +393,8 @@ impl TokenProfile {
     }
 
     /// The full token-id column for a key, if profiled.
-    pub fn column(&self, key: ColumnKey) -> Option<&[Vec<u32>]> {
-        self.columns
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, c)| c.as_slice())
+    pub fn column(&self, key: ColumnKey) -> Option<&Arena<u32>> {
+        self.columns.iter().find(|(k, _)| *k == key).map(|(_, c)| c)
     }
 
     /// Sorted token ids of one tuple's attribute under a tokenizer, if that
@@ -342,7 +415,7 @@ impl TokenProfile {
             return None;
         }
         let (_, column) = self.columns.get(slot)?;
-        column.get(id as usize).map(Vec::as_slice)
+        column.get(id as usize)
     }
 
     /// Cached rendered value of one tuple's attribute, if that attribute
@@ -392,11 +465,7 @@ impl TokenProfile {
 
     /// Estimated memory footprint in bytes.
     pub fn estimated_bytes(&self) -> usize {
-        let cols: usize = self
-            .columns
-            .iter()
-            .map(|(_, c)| c.iter().map(|ids| 24 + ids.len() * 4).sum::<usize>())
-            .sum();
+        let cols: usize = self.columns.iter().map(|(_, c)| c.estimated_bytes()).sum();
         let rend: usize = self.rendered.iter().map(|(_, c)| c.estimated_bytes()).sum();
         let seqs: usize = self.seqs.iter().map(|(_, c)| c.estimated_bytes()).sum();
         let weights: usize = self.weights.iter().map(|(_, c)| c.estimated_bytes()).sum();
@@ -441,7 +510,7 @@ mod tests {
     fn profile_lookups() {
         let mut p = TokenProfile::new(true);
         assert!(p.is_complete());
-        p.insert_column((0, Tokenizer::Word), vec![vec![1, 3], vec![]]);
+        p.insert_column((0, Tokenizer::Word), Arena::from_iter([vec![1, 3], vec![]]));
         p.insert_rendered(0, vec!["a b".into(), String::new()]);
         assert_eq!(p.tokens(0, Tokenizer::Word, 0), Some(&[1u32, 3][..]));
         assert_eq!(p.tokens(0, Tokenizer::Word, 1), Some(&[][..]));
@@ -457,7 +526,7 @@ mod tests {
     #[test]
     fn coverage_masks_lookups() {
         let mut p = TokenProfile::new(false);
-        p.insert_column((0, Tokenizer::Word), vec![vec![1], vec![2]]);
+        p.insert_column((0, Tokenizer::Word), Arena::from_iter([vec![1], vec![2]]));
         p.insert_rendered(0, vec!["a".into(), "b".into()]);
         p.set_coverage(vec![true, false]);
         assert_eq!(p.tokens(0, Tokenizer::Word, 0), Some(&[1u32][..]));
@@ -471,8 +540,8 @@ mod tests {
     #[test]
     fn insert_replaces_existing() {
         let mut p = TokenProfile::new(false);
-        p.insert_column((0, Tokenizer::Word), vec![vec![1]]);
-        p.insert_column((0, Tokenizer::Word), vec![vec![2]]);
+        p.insert_column((0, Tokenizer::Word), Arena::from_iter([vec![1]]));
+        p.insert_column((0, Tokenizer::Word), Arena::from_iter([vec![2]]));
         assert_eq!(p.tokens(0, Tokenizer::Word, 0), Some(&[2u32][..]));
         assert_eq!(p.column_count(), 1);
         p.insert_rendered(0, vec!["x".into()]);

@@ -147,14 +147,35 @@ pub struct WeightColumn {
 }
 
 impl WeightColumn {
+    /// Make room for `docs` more documents of `tokens` tokens in all.
+    pub fn reserve(&mut self, docs: usize, tokens: usize) {
+        self.ids.reserve(docs, tokens);
+        self.weights.reserve_exact(tokens);
+        self.norms.reserve_exact(docs);
+    }
+
+    /// Tokens stored across all documents.
+    pub fn total_len(&self) -> usize {
+        self.weights.len()
+    }
+
     /// Append one document's [`TfIdfModel::weight_vector`], interning its
     /// tokens into `dict`.
     pub fn push(&mut self, vector: Vec<(String, f64)>, dict: &mut TokenDict) {
+        let weights: Vec<f64> = vector.iter().map(|(_, w)| *w).collect();
+        self.push_ids(
+            vector.into_iter().map(|(tok, _)| dict.intern_owned(tok)),
+            &weights,
+        );
+    }
+
+    /// Append one document's weight vector whose tokens are already ids,
+    /// in token-string order.
+    pub fn push_ids(&mut self, ids: impl IntoIterator<Item = u32>, weights: &[f64]) {
         self.norms
-            .push(vector.iter().map(|(_, w)| w * w).sum::<f64>().sqrt());
-        self.weights.extend(vector.iter().map(|(_, w)| *w));
-        self.ids
-            .push_iter(vector.into_iter().map(|(tok, _)| dict.intern_owned(tok)));
+            .push(weights.iter().map(|w| w * w).sum::<f64>().sqrt());
+        self.weights.extend_from_slice(weights);
+        self.ids.push_iter(ids);
     }
 
     /// Document `i`'s weights, or `None` past the end.
