@@ -561,6 +561,9 @@ impl Falcon {
         // ---- select_opt_seq ---- (driver-local pass over the sample)
         let seq_out = select_opt_seq(&ranked, &retained, &s_fvs.fvs, &cfg.seq);
         timeline.machine("sel_opt_seq", StageCost::local(s_fvs.fvs.len()));
+        // Nothing below reads the sample's vectors: free them before the
+        // unmasked index builds and `apply_block_rules` allocate.
+        drop(s_fvs);
 
         // Static verification: the optimizer's sequence must be
         // well-formed against the blocking arity AND every filter derived
@@ -1015,6 +1018,9 @@ mod tests {
         let (one, one_jobs) = run(1);
         assert!(one.faults.retries > 0, "{:?}", one.faults);
         assert!(one.blocking.is_some());
+        // The sample's vectors are freed before `apply_block_rules`; its
+        // size is still reported.
+        assert_eq!(one.sample_size, 2_000);
         for threads in [2, 8] {
             let (other, jobs) = run(threads);
             assert_eq!(other.matches, one.matches, "{threads} threads");

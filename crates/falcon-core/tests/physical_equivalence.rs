@@ -188,6 +188,8 @@ fn enumeration_baselines_respect_pair_budget() {
             falcon_core::physical::BlockingError::TooManyPairs { .. }
         ));
     }
+    // Refused before a job was submitted: no pair was ever emitted.
+    assert_eq!(cluster.jobs_run(), 0);
 }
 
 #[test]

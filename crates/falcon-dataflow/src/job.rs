@@ -3,36 +3,48 @@
 
 use crate::cluster::ClusterConfig;
 use crate::fault::FaultStats;
+use crate::runner::partition_of;
 use crate::sim_time::makespan;
+use std::hash::Hash;
 use std::time::Duration;
 
-/// Collector for key-value pairs emitted by a map function.
+/// Collector for the key-value pairs one map attempt emits. A pair goes
+/// straight into the bucket of the reduce partition that owns its key, so
+/// the shuffle hands buckets on without looking at a record again.
 pub struct Emitter<K, V> {
-    pairs: Vec<(K, V)>,
+    buckets: Vec<Vec<(K, V)>>,
 }
 
-impl<K, V> Emitter<K, V> {
-    pub(crate) fn new() -> Self {
-        Self { pairs: Vec::new() }
+impl<K: Hash, V> Emitter<K, V> {
+    /// `partitions` is the job's reduce partition count, at least 1.
+    pub(crate) fn new(partitions: usize) -> Self {
+        Self {
+            buckets: (0..partitions).map(|_| Vec::new()).collect(),
+        }
     }
 
     /// Emit one intermediate key-value pair.
     pub fn emit(&mut self, key: K, value: V) {
-        self.pairs.push((key, value));
+        let p = partition_of(&key, self.buckets.len());
+        self.buckets[p].push((key, value));
     }
 
     /// Number of pairs emitted so far.
     pub fn len(&self) -> usize {
-        self.pairs.len()
+        self.buckets.iter().map(Vec::len).sum()
     }
 
     /// True iff nothing was emitted.
     pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
+        self.buckets.iter().all(Vec::is_empty)
     }
 
-    pub(crate) fn into_pairs(self) -> Vec<(K, V)> {
-        self.pairs
+    /// The emitted pairs, one bucket per reduce partition in emit order,
+    /// each trimmed of its growth slack: buckets live until their reduce
+    /// task drains them.
+    pub(crate) fn into_buckets(mut self) -> Vec<Vec<(K, V)>> {
+        self.buckets.iter_mut().for_each(Vec::shrink_to_fit);
+        self.buckets
     }
 }
 
@@ -93,12 +105,29 @@ mod tests {
 
     #[test]
     fn emitter_collects() {
-        let mut e: Emitter<u32, &str> = Emitter::new();
+        let mut e: Emitter<u32, &str> = Emitter::new(1);
         assert!(e.is_empty());
         e.emit(1, "a");
         e.emit(2, "b");
         assert_eq!(e.len(), 2);
-        assert_eq!(e.into_pairs(), vec![(1, "a"), (2, "b")]);
+        assert_eq!(e.into_buckets(), vec![vec![(1, "a"), (2, "b")]]);
+    }
+
+    #[test]
+    fn emitter_buckets_by_partition_in_emit_order_without_slack() {
+        let mut e: Emitter<u32, u32> = Emitter::new(3);
+        for i in 0..100 {
+            e.emit(i % 10, i);
+        }
+        assert_eq!(e.len(), 100);
+        let buckets = e.into_buckets();
+        assert_eq!(buckets.len(), 3);
+        for (p, bucket) in buckets.iter().enumerate() {
+            assert!(bucket.iter().all(|(k, _)| partition_of(k, 3) == p));
+            assert!(bucket.windows(2).all(|w| w[0].1 < w[1].1), "emit order");
+            assert_eq!(bucket.capacity(), bucket.len());
+        }
+        assert_eq!(buckets.iter().map(Vec::len).sum::<usize>(), 100);
     }
 
     #[test]

@@ -30,5 +30,5 @@ pub use cluster::{local_time, Cluster, ClusterConfig, PER_RECORD, SPLIT_RECORDS}
 pub use error::{DataflowError, Phase};
 pub use fault::{DetRng, FaultInjector, FaultPlan, FaultStats, NodeLoss, TaskFaultOutcome};
 pub use job::{Emitter, JobOutput, JobStats};
-pub use runner::{run_map_combine_reduce, run_map_only, run_map_reduce};
+pub use runner::{run_map_only, run_map_reduce};
 pub use sim_time::makespan;

@@ -16,8 +16,9 @@ use std::time::Duration;
 /// accounting.
 type MapTaskResult<K, V> = (usize, Vec<Vec<(K, V)>>, Duration, FaultStats);
 
-/// A reduce partition handed off to exactly one worker, which `take`s it.
-type PartitionSlot<K, V> = Mutex<Option<Vec<(K, V)>>>;
+/// A reduce partition — the buckets the map tasks filled for it, in split
+/// order — handed off to exactly one worker, which `take`s it.
+type PartitionSlot<K, V> = Mutex<Option<Vec<Vec<(K, V)>>>>;
 
 /// One completed task: (task index, output records, simulated slot
 /// duration, per-attempt fault accounting).
@@ -55,7 +56,7 @@ impl Hasher for StableHasher {
     }
 }
 
-fn partition_of<K: Hash>(key: &K, partitions: usize) -> usize {
+pub(crate) fn partition_of<K: Hash>(key: &K, partitions: usize) -> usize {
     let mut h = StableHasher::new();
     key.hash(&mut h);
     (h.finish() % partitions as u64) as usize
@@ -64,11 +65,13 @@ fn partition_of<K: Hash>(key: &K, partitions: usize) -> usize {
 /// Group `(k, v)` pairs by key, preserving first-seen key order and
 /// per-key value arrival order. Hash-map iteration order is never
 /// observed, so for a fixed input sequence the output is identical on
-/// every run — the reduce and combine phases rely on this to keep job
-/// output deterministic (shuffle already concatenates map buckets in
-/// split order) — and the map hashes with the cheap [`StableHasher`], the
+/// every run — the reduce phase relies on this to keep job output
+/// deterministic (the shuffle already chains map buckets in split
+/// order) — and the map hashes with the cheap [`StableHasher`], the
 /// function [`partition_of`] already spreads the same keys with.
-fn group_in_arrival_order<K: Hash + Eq + Clone, V>(pairs: Vec<(K, V)>) -> Vec<(K, Vec<V>)> {
+fn group_in_arrival_order<K: Hash + Eq + Clone, V>(
+    pairs: impl IntoIterator<Item = (K, V)>,
+) -> Vec<(K, Vec<V>)> {
     let mut slot_of: HashMap<K, usize, BuildHasherDefault<StableHasher>> = HashMap::default();
     let mut grouped: Vec<(K, Vec<V>)> = Vec::new();
     for (k, v) in pairs {
@@ -81,6 +84,11 @@ fn group_in_arrival_order<K: Hash + Eq + Clone, V>(pairs: Vec<(K, V)>) -> Vec<(K
         }
     }
     grouped
+}
+
+/// Records in a reduce partition's chain of buckets.
+fn chain_len<K, V>(chain: &[Vec<(K, V)>]) -> usize {
+    chain.iter().map(Vec::len).sum()
 }
 
 /// Record a task-level failure, keeping the error with the smallest task
@@ -228,16 +236,12 @@ where
                     }
                     let split = splits_ref[idx].as_ref();
                     let price = cfg.task_time(split.len() as u64);
+                    // A fresh emitter per attempt: a panicked attempt's
+                    // pairs are dropped with it.
                     let run = || {
-                        let mut emitter = Emitter::new();
+                        let mut emitter = Emitter::new(reduce_partitions);
                         map_ref(split, &mut emitter);
-                        let mut buckets: Vec<Vec<(K, V)>> =
-                            (0..reduce_partitions).map(|_| Vec::new()).collect();
-                        for (k, v) in emitter.into_pairs() {
-                            let p = partition_of(&k, reduce_partitions);
-                            buckets[p].push((k, v));
-                        }
-                        buckets
+                        emitter.into_buckets()
                     };
                     match fault::run_attempts(injector, job, Phase::Map, idx, true, price, run) {
                         Ok((buckets, slot, stats)) => {
@@ -262,22 +266,18 @@ where
     }
 
     // ---- Shuffle ----
-    // Pre-size each partition to its exact final length so the
-    // single-threaded concatenation never reallocates mid-extend.
-    let mut bucket_sizes = vec![0usize; reduce_partitions];
-    for (_, buckets, _, _) in &map_results {
-        for (p, bucket) in buckets.iter().enumerate() {
-            bucket_sizes[p] += bucket.len();
-        }
-    }
-    let shuffled_records: usize = bucket_sizes.iter().sum();
-    let mut partitions: Vec<Vec<(K, V)>> =
-        bucket_sizes.into_iter().map(Vec::with_capacity).collect();
+    // Bucket `[task][p]` moves into partition `p`'s chain, tasks in split
+    // order: a shuffled record is stored once between `emit` and
+    // `reduce_fn`, and a reducer sees (split order, then emit order).
+    let mut partitions: Vec<Vec<Vec<(K, V)>>> = (0..reduce_partitions)
+        .map(|_| Vec::with_capacity(n_splits))
+        .collect();
     for (_, buckets, _, _) in map_results {
-        for (p, bucket) in buckets.into_iter().enumerate() {
-            partitions[p].extend(bucket);
+        for (chain, bucket) in partitions.iter_mut().zip(buckets) {
+            chain.push(bucket);
         }
     }
+    let shuffled_records: usize = partitions.iter().map(|chain| chain_len(chain)).sum();
 
     // ---- Reduce phase ----
     // Each worker takes ownership of a whole partition via Mutex<Option<_>>.
@@ -307,18 +307,21 @@ where
                     }
                     // `fetch_add` hands each pid to exactly one worker; a
                     // vacant slot is reported after the scope joins.
-                    let Some(pairs) = inputs_ref[pid].lock().take() else {
+                    let Some(chain) = inputs_ref[pid].lock().take() else {
                         continue;
                     };
                     // The reduce body consumes its partition, so a panicked
                     // attempt cannot be re-executed (`retry_panics: false`);
                     // injected failures never run the body and are charged
                     // to sim time only, so they retry fine.
-                    let price = cfg.task_time(pairs.len() as u64);
-                    let mut pairs = Some(pairs);
+                    let price = cfg.task_time(chain_len(&chain) as u64);
+                    let mut chain = Some(chain);
                     let run = || {
                         let mut out = Vec::new();
-                        for (k, vs) in group_in_arrival_order(pairs.take().unwrap_or_default()) {
+                        // `flatten` drops each bucket as its last pair is
+                        // grouped, so the partition is never held twice.
+                        let pairs = chain.take().unwrap_or_default().into_iter().flatten();
+                        for (k, vs) in group_in_arrival_order(pairs) {
                             reduce_ref(&k, vs, &mut out);
                         }
                         out
@@ -667,94 +670,5 @@ mod tests {
         let mut expect: Vec<(u64, u64)> = expect.into_iter().collect();
         expect.sort();
         assert_eq!(got, expect);
-    }
-}
-
-/// Run a map-combine-shuffle-reduce job: like [`run_map_reduce`], but a
-/// combiner runs on each map task's output before the shuffle, collapsing
-/// each key's local values into one (Hadoop's classic network-traffic
-/// optimization — the token-frequency job of the paper's Section 7.5 is
-/// the textbook use). Fault injection applies through the underlying
-/// map-reduce execution.
-pub fn run_map_combine_reduce<S, I, K, V, O, M, CB, R>(
-    cluster: &Cluster,
-    splits: Vec<S>,
-    reduce_partitions: usize,
-    map_fn: M,
-    combine_fn: CB,
-    reduce_fn: R,
-) -> Result<JobOutput<O>, DataflowError>
-where
-    S: AsRef<[I]> + Sync,
-    K: Hash + Eq + Send + Clone,
-    V: Send,
-    O: Send,
-    M: Fn(&[I], &mut Emitter<K, V>) + Sync,
-    CB: Fn(&K, Vec<V>) -> V + Sync,
-    R: Fn(&K, Vec<V>, &mut Vec<O>) + Sync,
-{
-    run_map_reduce(
-        cluster,
-        splits,
-        reduce_partitions,
-        |records: &[I], emitter: &mut Emitter<K, V>| {
-            let mut local = Emitter::new();
-            map_fn(records, &mut local);
-            for (k, vs) in group_in_arrival_order(local.into_pairs()) {
-                let combined = combine_fn(&k, vs);
-                emitter.emit(k, combined);
-            }
-        },
-        reduce_fn,
-    )
-}
-
-#[cfg(test)]
-mod combiner_tests {
-    use super::*;
-    use crate::cluster::ClusterConfig;
-
-    #[test]
-    fn combiner_reduces_shuffle_volume_same_answer() {
-        let cluster = Cluster::new(ClusterConfig::small(2)).with_threads(2);
-        let docs: Vec<Vec<&str>> = vec![vec!["a a a b"], vec!["a b b"]];
-        let plain = run_map_reduce(
-            &cluster,
-            docs.clone(),
-            2,
-            |docs: &[&str], e: &mut Emitter<String, u64>| {
-                for w in docs.iter().flat_map(|d| d.split_whitespace()) {
-                    e.emit(w.to_string(), 1);
-                }
-            },
-            |k: &String, vs: Vec<u64>, out: &mut Vec<(String, u64)>| {
-                out.push((k.clone(), vs.iter().sum()));
-            },
-        )
-        .expect("job");
-        let combined = run_map_combine_reduce(
-            &cluster,
-            docs,
-            2,
-            |docs: &[&str], e: &mut Emitter<String, u64>| {
-                for w in docs.iter().flat_map(|d| d.split_whitespace()) {
-                    e.emit(w.to_string(), 1);
-                }
-            },
-            |_k: &String, vs: Vec<u64>| vs.iter().sum(),
-            |k: &String, vs: Vec<u64>, out: &mut Vec<(String, u64)>| {
-                out.push((k.clone(), vs.iter().sum()));
-            },
-        )
-        .expect("job");
-        let norm = |mut v: Vec<(String, u64)>| {
-            v.sort();
-            v
-        };
-        assert_eq!(norm(plain.output), norm(combined.output));
-        // The combined job shuffles at most one record per (split, key).
-        assert!(combined.stats.shuffled_records <= plain.stats.shuffled_records);
-        assert_eq!(combined.stats.shuffled_records, 4); // {a,b} × 2 splits
-        assert_eq!(plain.stats.shuffled_records, 7); // every token
     }
 }

@@ -5,9 +5,10 @@
 //! timeline and the fault counters.
 
 use falcon_dataflow::{
-    run_map_combine_reduce, run_map_only, run_map_reduce, Cluster, ClusterConfig, DataflowError,
-    Emitter, FaultPlan, FaultStats, Phase,
+    run_map_only, run_map_reduce, Cluster, ClusterConfig, DataflowError, Emitter, FaultPlan,
+    FaultStats, Phase,
 };
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 fn splits() -> Vec<Vec<u64>> {
@@ -147,29 +148,43 @@ fn node_loss_reexecutes_that_nodes_tasks_with_identical_output() {
 }
 
 #[test]
-fn combine_jobs_inherit_fault_tolerance() {
-    let word_count = |cluster: &Cluster| {
-        run_map_combine_reduce(
+fn a_map_attempt_that_dies_mid_emit_contributes_each_pair_once() {
+    // Split 3's first attempt emits half its pairs, then panics; the retry
+    // emits all of them. The lost attempt's buckets must never reach a
+    // reducer.
+    let victim = splits().swap_remove(3);
+    let echo = |cluster: &Cluster, flaky: bool| {
+        let crashed = AtomicBool::new(!flaky);
+        run_map_reduce(
             cluster,
             splits(),
-            3,
-            |xs: &[u64], e: &mut Emitter<u64, u64>| xs.iter().for_each(|x| e.emit(x % 7, 1)),
-            |_k: &u64, vs: Vec<u64>| vs.iter().sum(),
-            |k: &u64, vs: Vec<u64>, out: &mut Vec<(u64, u64)>| out.push((*k, vs.iter().sum())),
+            5,
+            |xs: &[u64], e: &mut Emitter<u64, u64>| {
+                let dies = xs == victim && !crashed.swap(true, Ordering::Relaxed);
+                for (i, x) in xs.iter().enumerate() {
+                    assert!(!(dies && i == xs.len() / 2), "transient");
+                    e.emit(x % 13, *x);
+                }
+            },
+            |k: &u64, vs: Vec<u64>, out: &mut Vec<(u64, Vec<u64>)>| out.push((*k, vs)),
         )
-        .expect("job")
+        .expect("job must recover via retry")
     };
-    let clean = word_count(&Cluster::new(ClusterConfig::small(4)).with_threads(4));
-    let faulty_cluster = Cluster::new(ClusterConfig::small(4))
-        .with_threads(4)
-        .with_faults(
-            FaultPlan::seeded(3)
-                .with_failure_rate(0.3)
-                .with_max_attempts(8),
-        );
-    let faulty = word_count(&faulty_cluster);
-    assert_eq!(clean.output, faulty.output);
-    assert!(faulty.stats.faults.retries > 0);
+    let plan = FaultPlan::seeded(3).with_max_attempts(4);
+    for threads in [1usize, 2, 8] {
+        let cluster = || {
+            Cluster::new(ClusterConfig::small(4))
+                .with_threads(threads)
+                .with_faults(plan.clone())
+        };
+        let clean = echo(&cluster(), false);
+        let flaky = echo(&cluster(), true);
+        assert_eq!(flaky.output, clean.output, "{threads} threads");
+        assert_eq!(flaky.stats.shuffled_records, 600);
+        assert_eq!(flaky.stats.reduce_durations, clean.stats.reduce_durations);
+        assert_eq!(clean.stats.faults.retries, 0);
+        assert_eq!(flaky.stats.faults.retries, 1);
+    }
 }
 
 #[test]

@@ -19,7 +19,7 @@ RUNS="${2:-3}"
 #   worst_recovery_overhead   — max (kill + resume) / reference wall time,
 #   degraded_half_pool_slowdown — makespan ratio after losing half the
 #     node pool mid-run (crowd waits mask most of the loss).
-BINS=(table1 table2 table4 table5 fig9 fig10 sweep_physical sweep_ruleseq sweep_cluster sweep_sample sweep_iters sweep_workflow sweep_sampler kbb_recall forest_throughput serve_bench serve_chaos)
+BINS=(table1 table2 table4 table5 fig9 fig10 sweep_physical sweep_ruleseq sweep_cluster sweep_sample sweep_iters sweep_workflow sweep_sampler kbb_recall serve_bench serve_chaos)
 for bin in "${BINS[@]}"; do
   echo
   echo "##### $bin (scale $SCALE) #####"
