@@ -20,10 +20,11 @@ fn main() {
             let d = dataset(name, scale, seed);
             let truth = GroundTruth::new(d.truth.iter().copied());
             let crowd = RandomWorkerCrowd::new(truth, 0.05, seed * 3 + max_outer as u64);
-            let (report, estimates) = Falcon::new(standard_config(8_000))
-                .try_run_workflow(&d.a, &d.b, crowd, max_outer)
+            let report = Falcon::new(standard_config(8_000))
+                .try_run_with(&d.a, &d.b, crowd, max_outer, RunCtl::default())
                 .unwrap_or_else(|e| panic!("workflow run failed: {e}"));
             let q = report.quality(&d.truth);
+            let estimates = &report.estimates;
             let last = estimates.last();
             println!(
                 "{:<11} {:>7} {:>8.1} {:>10} {:>10.2} {:>8.1} {:>8.1}",

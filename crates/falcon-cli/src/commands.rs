@@ -155,6 +155,19 @@ fn print_report(report: &falcon::core::driver::RunReport) {
     }
 }
 
+/// The run attachments the command line can name: the crash-recovery
+/// journal at `--resume <path>`, opened (or created) here.
+fn resume_ctl(args: &[String]) -> Result<RunCtl, String> {
+    let journal = flag_value(args, "--resume")
+        .map(CrowdJournal::open)
+        .transpose()
+        .map_err(|e| FalconError::from(e).to_string())?;
+    Ok(RunCtl {
+        journal,
+        gate: None,
+    })
+}
+
 /// `falcon match a.csv b.csv [...]`.
 pub fn cmd_match(args: &[String]) -> Result<(), String> {
     let [a_path, b_path, ..] = args else {
@@ -206,35 +219,21 @@ pub fn cmd_match(args: &[String]) -> Result<(), String> {
         std::io::stdout(),
     );
     let falcon = Falcon::new(config);
-    let resume = flag_value(args, "--resume");
-    let report = if workflow > 1 {
-        let (report, estimates) = match resume {
-            Some(journal) => falcon
-                .try_run_workflow_resumable(&a, &b, crowd, workflow, journal)
-                .map_err(|e| e.to_string())?,
-            None => falcon
-                .try_run_workflow(&a, &b, crowd, workflow)
-                .map_err(|e| e.to_string())?,
-        };
-        for (i, est) in estimates.iter().enumerate() {
-            println!(
-                "round {}: est P {:.1}% ±{:.1}, est R {:.1}% ±{:.1}",
-                i + 1,
-                est.precision * 100.0,
-                est.precision_margin * 100.0,
-                est.recall * 100.0,
-                est.recall_margin * 100.0
-            );
-        }
-        report
-    } else {
-        match resume {
-            Some(journal) => falcon
-                .try_run_resumable(&a, &b, crowd, journal)
-                .map_err(|e| e.to_string())?,
-            None => falcon.try_run(&a, &b, crowd).map_err(|e| e.to_string())?,
-        }
-    };
+    // `--workflow 1` (the default) is the plain single-pass run.
+    let rounds = if workflow > 1 { workflow } else { 0 };
+    let report = falcon
+        .try_run_with(&a, &b, crowd, rounds, resume_ctl(args)?)
+        .map_err(|e| e.to_string())?;
+    for (i, est) in report.estimates.iter().enumerate() {
+        println!(
+            "round {}: est P {:.1}% ±{:.1}, est R {:.1}% ±{:.1}",
+            i + 1,
+            est.precision * 100.0,
+            est.precision_margin * 100.0,
+            est.recall * 100.0,
+            est.recall_margin * 100.0
+        );
+    }
     print_report(&report);
 
     if let Some(out_path) = flag_value(args, "--out") {
@@ -456,14 +455,9 @@ pub fn cmd_demo(args: &[String]) -> Result<(), String> {
         ..FalconConfig::default()
     };
     let falcon = Falcon::new(config);
-    let report = match flag_value(args, "--resume") {
-        Some(journal) => falcon
-            .try_run_resumable(&d.a, &d.b, crowd, journal)
-            .map_err(|e| e.to_string())?,
-        None => falcon
-            .try_run(&d.a, &d.b, crowd)
-            .map_err(|e| e.to_string())?,
-    };
+    let report = falcon
+        .try_run_with(&d.a, &d.b, crowd, 0, resume_ctl(args)?)
+        .map_err(|e| e.to_string())?;
     print_report(&report);
     let q = report.quality(&d.truth);
     println!(

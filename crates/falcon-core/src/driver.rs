@@ -16,7 +16,7 @@ use crate::ops::get_blocking_rules::get_blocking_rules;
 use crate::ops::sample_pairs::{sample_pairs_in, word_columns};
 use crate::ops::select_opt_seq::{select_opt_seq, SeqConfig};
 use crate::optimizer::{prebuild_for_rules, prebuild_generic, speculate_rules, OptFlags};
-use crate::physical::{self, estimate_table_bytes, BlockingStats, PhysicalOp};
+use crate::physical::{self, estimate_table_bytes, BlockingError, BlockingStats, PhysicalOp};
 use crate::plan::{choose_plan, PlanKind};
 use crate::rules::RuleSequence;
 use crate::stage::{StageCost, StageGate};
@@ -28,8 +28,7 @@ use falcon_index::FilterSpec;
 use falcon_table::{IdPair, Table};
 use falcon_textsim::SimFunction;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::path::Path;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -164,6 +163,9 @@ impl Default for FalconConfig {
 pub struct RunReport {
     /// Predicted matching pairs.
     pub matches: Vec<IdPair>,
+    /// The Accuracy Estimator's verdict per workflow round, in round
+    /// order; empty for a plain (`rounds = 0`) run.
+    pub estimates: Vec<AccuracyEstimate>,
     /// Plan template used.
     pub plan: PlanKind,
     /// Physical blocking operator (blocking plans only).
@@ -229,6 +231,26 @@ impl RunReport {
     }
 }
 
+/// What a caller may attach to a run without changing what it computes.
+#[derive(Default)]
+pub struct RunCtl {
+    /// Crash-recovery journal. Every labeled batch is checkpointed to it
+    /// before its labels are used, and a journal left behind by a crashed
+    /// run *resumes* it: journaled batches are replayed from disk
+    /// (recorded labels, recorded cost/latency, **zero** live crowd
+    /// questions) and the run goes live exactly where the crash happened.
+    /// With a seeded simulated crowd the resumed run's output is
+    /// bit-identical to an uninterrupted one. A completed run's journal
+    /// should be deleted before reusing the path for a different input.
+    pub journal: Option<CrowdJournal>,
+    /// Stage gate: the run notifies (and, at machine-stage boundaries,
+    /// blocks on) it after every recorded segment, turning the monolithic
+    /// driver loop into a resumable stage iterator a multi-tenant
+    /// scheduler can interleave with other runs (`falcon-serve`). The
+    /// returned report's timeline has the gate detached.
+    pub gate: Option<Arc<dyn StageGate>>,
+}
+
 /// The Falcon system.
 pub struct Falcon {
     /// Configuration.
@@ -251,48 +273,20 @@ impl Falcon {
         }
     }
 
-    /// Hands-off crowdsourced EM over `A × B` using `crowd`, with the
-    /// pre-flight [`analyze`](crate::analyze::analyze) gate: a statically
-    /// malformed plan is rejected as [`FalconError::Plan`] before any
-    /// MapReduce job or crowd question is issued.
+    /// Hands-off crowdsourced EM over `A × B` using `crowd`: a plain
+    /// single-pass run, [`Falcon::try_run_with`] at `rounds = 0` with no
+    /// journal and no gate.
     pub fn try_run<C: Crowd>(
         &self,
         a: &Table,
         b: &Table,
         crowd: C,
     ) -> Result<RunReport, FalconError> {
-        self.try_run_on(&self.build_cluster(), a, b, crowd, None, None)
+        self.try_run_with(a, b, crowd, 0, RunCtl::default())
     }
 
-    /// [`Falcon::try_run`] with a crash-recovery journal at `journal_path`.
-    ///
-    /// Every labeled batch is checkpointed to the journal before its
-    /// labels are used. Starting a run against a journal left behind by a
-    /// crashed run *resumes* it: journaled batches are replayed from disk
-    /// (recorded labels, recorded cost/latency, **zero** live crowd
-    /// questions) and the run goes live exactly where the crash happened.
-    /// With a seeded simulated crowd the resumed run's output is
-    /// bit-identical to an uninterrupted one. A completed run's journal
-    /// should be deleted before reusing the path for a different input.
-    pub fn try_run_resumable<C: Crowd>(
-        &self,
-        a: &Table,
-        b: &Table,
-        crowd: C,
-        journal_path: impl AsRef<Path>,
-    ) -> Result<RunReport, FalconError> {
-        let journal = CrowdJournal::open(journal_path)?;
-        self.try_run_on(&self.build_cluster(), a, b, crowd, Some(journal), None)
-    }
-
-    /// [`Falcon::try_run`] under a [`StageGate`]: the run notifies (and,
-    /// at machine-stage boundaries, blocks on) `gate` after every
-    /// recorded segment, turning the monolithic driver loop into a
-    /// resumable stage iterator a multi-tenant scheduler can interleave
-    /// with other runs (`falcon-serve`). Pass a `journal` to make the
-    /// gated run crash-recoverable exactly as in
-    /// [`Falcon::try_run_resumable`]. The returned report's timeline has
-    /// the gate detached.
+    /// [`Falcon::try_run`] under a [`StageGate`], optionally journaled:
+    /// [`Falcon::try_run_with`] at `rounds = 0`.
     pub fn try_run_gated<C: Crowd>(
         &self,
         a: &Table,
@@ -301,19 +295,44 @@ impl Falcon {
         journal: Option<CrowdJournal>,
         gate: Arc<dyn StageGate>,
     ) -> Result<RunReport, FalconError> {
-        self.try_run_on(&self.build_cluster(), a, b, crowd, journal, Some(gate))
+        let gate = Some(gate);
+        self.try_run_with(a, b, crowd, 0, RunCtl { journal, gate })
     }
 
-    /// The run behind every `try_run*` entry, on a given cluster handle
+    /// The one way into a run: Figure 1's Blocker, then up to `rounds`
+    /// Matcher → Accuracy Estimator → Difficult Pairs' Locator rounds,
+    /// stopping early once the crowd-estimated accuracy stops improving
+    /// (Corleone's workflow; Section 12). `rounds = 0` is the plain
+    /// single-pass run of Figure 3 — the workflow cut after its first
+    /// Matcher, with no estimator and an empty [`RunReport::estimates`] —
+    /// and the only one that may take the match-only plan; `rounds ≥ 1`
+    /// always blocks.
+    ///
+    /// A statically malformed plan is rejected by the pre-flight
+    /// [`analyze`](crate::analyze::analyze) gate as [`FalconError::Plan`]
+    /// before any MapReduce job or crowd question is issued. `ctl` attaches
+    /// the optional [`RunCtl::journal`] and [`RunCtl::gate`].
+    pub fn try_run_with<C: Crowd>(
+        &self,
+        a: &Table,
+        b: &Table,
+        crowd: C,
+        rounds: usize,
+        ctl: RunCtl,
+    ) -> Result<RunReport, FalconError> {
+        self.run_on(&self.build_cluster(), a, b, crowd, rounds, ctl)
+    }
+
+    /// The run behind [`Falcon::try_run_with`], on a given cluster handle
     /// (the tests inject one per worker-thread count).
-    fn try_run_on<C: Crowd>(
+    fn run_on<C: Crowd>(
         &self,
         cluster: &Cluster,
         a: &Table,
         b: &Table,
         crowd: C,
-        journal: Option<CrowdJournal>,
-        gate: Option<Arc<dyn StageGate>>,
+        rounds: usize,
+        ctl: RunCtl,
     ) -> Result<RunReport, FalconError> {
         let analysis = analyze::analyze(a, b, &self.config);
         if !analysis.is_ok() {
@@ -321,10 +340,10 @@ impl Falcon {
         }
         let cfg = &self.config;
         let mut session = CrowdSession::new(crowd);
-        if let Some(j) = journal {
+        if let Some(j) = ctl.journal {
             session = session.with_journal(j);
         }
-        let mut timeline = match gate {
+        let mut timeline = match ctl.gate {
             Some(g) => Timeline::with_gate(g),
             None => Timeline::new(),
         };
@@ -333,38 +352,79 @@ impl Falcon {
         let lib = generate_features(a, b);
         timeline.machine("gen_features", StageCost::local(a.len() + b.len()));
 
-        let plan = cfg.force_plan.unwrap_or_else(|| {
-            choose_plan(
-                a,
-                b,
-                lib.matching.len(),
-                cfg.cluster.mapper_memory_bytes,
-                cfg.max_pairs,
-            )
-        });
-        let mut report = match plan {
-            PlanKind::MatchOnly => {
-                self.run_match_only(a, b, &lib, cluster, &mut session, &mut timeline)
-            }
+        let plan = if rounds >= 1 {
+            PlanKind::BlockAndMatch
+        } else {
+            cfg.force_plan.unwrap_or_else(|| {
+                choose_plan(
+                    a,
+                    b,
+                    lib.matching.len(),
+                    cfg.cluster.mapper_memory_bytes,
+                    cfg.max_pairs,
+                )
+            })
+        };
+        let mut run = Run {
+            cfg,
+            a,
+            b,
+            lib: &lib,
+            cluster,
+            store: TokenStore::default(),
+            session,
+            timeline,
+        };
+        let mut block = BlockingOutcome::default();
+        let (matches, estimates) = match plan {
+            PlanKind::MatchOnly => (run.match_only_stage()?, Vec::new()),
             PlanKind::BlockAndMatch => {
-                self.run_block_and_match(a, b, &lib, cluster, &mut session, &mut timeline)
+                block = run.blocking_stage()?;
+                run.matching_rounds(&block.candidates, rounds)?
             }
-        }?;
+        };
         // Reports are plain records: never leak a scheduler handle.
-        report.timeline.detach_gate();
-        Ok(report)
+        run.timeline.detach_gate();
+        Ok(RunReport {
+            matches,
+            estimates,
+            plan,
+            physical: block.physical_op,
+            candidate_size: (plan == PlanKind::BlockAndMatch).then_some(block.candidates.len()),
+            rule_sequence: block.seq,
+            rules_extracted: block.rules_extracted,
+            rules_retained: block.rules_retained,
+            sample_size: block.sample_len,
+            timeline: run.timeline,
+            ledger: run.session.ledger(),
+            feature_counts: (lib.blocking.len(), lib.matching.len()),
+            faults: cluster.fault_stats().unwrap_or_default(),
+            journal_error: run.session.journal_error().map(ToString::to_string),
+            blocking: block.blocking,
+        })
     }
+}
 
-    fn run_match_only<C: Crowd>(
-        &self,
-        a: &Table,
-        b: &Table,
-        lib: &FeatureLibrary,
-        cluster: &Cluster,
-        session: &mut CrowdSession<C>,
-        timeline: &mut Timeline,
-    ) -> Result<RunReport, FalconError> {
-        let cfg = &self.config;
+/// One run in flight: what every stage reads (config, tables, features,
+/// cluster) and the state they share — the run's token store, which every
+/// operator of both stages borrows, its crowd session and its timeline.
+struct Run<'r, C: Crowd> {
+    cfg: &'r FalconConfig,
+    a: &'r Table,
+    b: &'r Table,
+    lib: &'r FeatureLibrary,
+    cluster: &'r Cluster,
+    store: TokenStore,
+    session: CrowdSession<C>,
+    timeline: Timeline,
+}
+
+impl<C: Crowd> Run<'_, C> {
+    /// The match-only plan (Figure 3.b): `gen_fvs` over all of `A × B`,
+    /// crowdsourced active learning, `apply_matcher`. Returns the matches.
+    fn match_only_stage(&mut self) -> Result<Vec<IdPair>, FalconError> {
+        let (cfg, a, b, lib, cluster) = (self.cfg, self.a, self.b, self.lib, self.cluster);
+        let (store, session, timeline) = (&mut self.store, &mut self.session, &mut self.timeline);
         session.mark_op("match_only_stage");
         check_cancel(timeline, session)?;
         // Cartesian product of ids.
@@ -374,9 +434,8 @@ impl Falcon {
         // Nothing after `gen_fvs` reads a token column: the run's store is
         // freed before the forests and votes of active learning are
         // allocated on top.
-        let mut store = TokenStore::default();
-        let fv_out = gen_fvs_in(cluster, a, b, pairs, &lib.matching, &mut store)?;
-        drop(store);
+        let fv_out = gen_fvs_in(cluster, a, b, pairs, &lib.matching, store)?;
+        *store = TokenStore::default();
         timeline.machine("gen_fvs_m", fv_out.cost(&cfg.cluster));
         check_cancel(timeline, session)?;
         let higher: Vec<bool> = lib
@@ -404,36 +463,14 @@ impl Falcon {
             "apply_matcher",
             StageCost::of([&applied.stats], &cfg.cluster),
         );
-        Ok(RunReport {
-            matches: applied.matches,
-            plan: PlanKind::MatchOnly,
-            physical: None,
-            candidate_size: None,
-            rule_sequence: RuleSequence::default(),
-            rules_extracted: 0,
-            rules_retained: 0,
-            sample_size: 0,
-            timeline: std::mem::take(timeline),
-            ledger: session.ledger(),
-            feature_counts: (lib.blocking.len(), lib.matching.len()),
-            faults: cluster.fault_stats().unwrap_or_default(),
-            journal_error: session.journal_error().map(ToString::to_string),
-            blocking: None,
-        })
+        Ok(applied.matches)
     }
 
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-    fn blocking_stage<C: Crowd>(
-        &self,
-        a: &Table,
-        b: &Table,
-        lib: &FeatureLibrary,
-        cluster: &Cluster,
-        store: &mut TokenStore,
-        session: &mut CrowdSession<C>,
-        timeline: &mut Timeline,
-    ) -> Result<BlockingOutcome, FalconError> {
-        let cfg = &self.config;
+    /// The blocking stage (Figure 3.a up to `apply_blocking_rules`).
+    #[allow(clippy::too_many_lines)]
+    fn blocking_stage(&mut self) -> Result<BlockingOutcome, FalconError> {
+        let (cfg, a, b, lib, cluster) = (self.cfg, self.a, self.b, self.lib, self.cluster);
+        let (store, session, timeline) = (&mut self.store, &mut self.session, &mut self.timeline);
         session.mark_op("blocking_stage");
         check_cancel(timeline, session)?;
 
@@ -620,47 +657,37 @@ impl Falcon {
                     cfg.greedy_ratio,
                 )
             });
-            let result = physical::execute(
-                op,
-                cluster,
-                a,
-                b,
-                &lib.blocking,
-                &seq_out.seq,
-                &conjuncts,
-                &built,
-                &seq_out.rule_selectivities,
-                cfg.max_pairs,
-            );
-            match result {
-                Ok(res) => {
-                    timeline.machine("apply_block_rules", res.cost(&cfg.cluster));
-                    (res.candidates, res.op, Some(res.blocking))
+            let run = |op| {
+                physical::execute(
+                    op,
+                    cluster,
+                    a,
+                    b,
+                    &lib.blocking,
+                    &seq_out.seq,
+                    &conjuncts,
+                    &built,
+                    &seq_out.rule_selectivities,
+                    cfg.max_pairs,
+                )
+            };
+            let res = match run(op) {
+                // An enumeration operator over its pair budget: the index
+                // probe may still fit. Every other failure — a dataflow
+                // job out of attempts, nothing to filter on — is the
+                // run's, with the failing job's coordinates intact.
+                Err(BlockingError::TooManyPairs { .. }) if op != PhysicalOp::ApplyAll => {
+                    run(PhysicalOp::ApplyAll)?
                 }
-                Err(_) => {
-                    // Forced/selected operator failed (pair budget): fall
-                    // back to apply-all if possible, else empty.
-                    let res = physical::execute(
-                        PhysicalOp::ApplyAll,
-                        cluster,
-                        a,
-                        b,
-                        &lib.blocking,
-                        &seq_out.seq,
-                        &conjuncts,
-                        &built,
-                        &seq_out.rule_selectivities,
-                        cfg.max_pairs,
-                    )?;
-                    timeline.machine("apply_block_rules", res.cost(&cfg.cluster));
-                    (res.candidates, res.op, Some(res.blocking))
-                }
-            }
+                other => other?,
+            };
+            timeline.machine("apply_block_rules", res.cost(&cfg.cluster));
+            (res.candidates, res.op, Some(res.blocking))
         };
 
         Ok(BlockingOutcome {
             candidates,
-            physical_op,
+            physical_op: Some(physical_op),
             seq: seq_out.seq,
             rules_extracted,
             rules_retained,
@@ -674,22 +701,15 @@ impl Falcon {
     /// converged). `priority` seeds the first labeling round (the
     /// Difficult Pairs' Locator feeds this in the iterative workflow);
     /// `last_round` frees the token store once the vectors exist.
-    #[allow(clippy::too_many_arguments)]
-    fn matching_stage<C: Crowd>(
-        &self,
-        a: &Table,
-        b: &Table,
-        lib: &FeatureLibrary,
-        cluster: &Cluster,
-        store: &mut TokenStore,
-        session: &mut CrowdSession<C>,
-        timeline: &mut Timeline,
+    fn matching_stage(
+        &mut self,
         candidates: &[IdPair],
         priority: Vec<usize>,
         seed_salt: u64,
         last_round: bool,
     ) -> Result<MatchStageOutcome, FalconError> {
-        let cfg = &self.config;
+        let (cfg, a, b, lib, cluster) = (self.cfg, self.a, self.b, self.lib, self.cluster);
+        let (store, session, timeline) = (&mut self.store, &mut self.session, &mut self.timeline);
         session.mark_op("matching_stage");
         check_cancel(timeline, session)?;
         // The blocking stage's indexes are gone: growing the store by the
@@ -748,180 +768,50 @@ impl Falcon {
         })
     }
 
-    fn run_block_and_match<C: Crowd>(
-        &self,
-        a: &Table,
-        b: &Table,
-        lib: &FeatureLibrary,
-        cluster: &Cluster,
-        session: &mut CrowdSession<C>,
-        timeline: &mut Timeline,
-    ) -> Result<RunReport, FalconError> {
-        // The run's token store: every operator of both stages borrows it.
-        let mut store = TokenStore::default();
-        let block = self.blocking_stage(a, b, lib, cluster, &mut store, session, timeline)?;
-        let matched = self.matching_stage(
-            a,
-            b,
-            lib,
-            cluster,
-            &mut store,
-            session,
-            timeline,
-            &block.candidates,
-            Vec::new(),
-            0,
-            true,
-        )?;
-        Ok(RunReport {
-            matches: matched.matches,
-            plan: PlanKind::BlockAndMatch,
-            physical: Some(block.physical_op),
-            candidate_size: Some(block.candidates.len()),
-            rule_sequence: block.seq,
-            rules_extracted: block.rules_extracted,
-            rules_retained: block.rules_retained,
-            sample_size: block.sample_len,
-            timeline: std::mem::take(timeline),
-            ledger: session.ledger(),
-            feature_counts: (lib.blocking.len(), lib.matching.len()),
-            faults: cluster.fault_stats().unwrap_or_default(),
-            journal_error: session.journal_error().map(ToString::to_string),
-            blocking: block.blocking,
-        })
-    }
-
-    /// The **full iterative EM workflow** of Figure 1: Blocker, then
-    /// repeated Matcher / Accuracy Estimator / Difficult Pairs' Locator
-    /// rounds until the crowd-estimated accuracy stops improving (or
-    /// `max_outer` rounds). This is Corleone's default workflow, listed in
-    /// the paper (Section 12) as the next extension of Falcon's plans.
-    ///
-    /// Returns the final report plus the per-round accuracy estimates,
-    /// behind the same pre-flight [`analyze`](crate::analyze::analyze) gate
-    /// as [`Falcon::try_run`].
-    pub fn try_run_workflow<C: Crowd>(
-        &self,
-        a: &Table,
-        b: &Table,
-        crowd: C,
-        max_outer: usize,
-    ) -> Result<(RunReport, Vec<AccuracyEstimate>), FalconError> {
-        self.try_run_workflow_inner(a, b, crowd, max_outer, None, None)
-    }
-
-    /// [`Falcon::try_run_workflow`] with a crash-recovery journal at
-    /// `journal_path` — the workflow analogue of
-    /// [`Falcon::try_run_resumable`]: labeled batches checkpoint to the
-    /// journal, and a journal left by a crashed run replays its batches
-    /// without re-asking the crowd before going live at the crash point.
-    pub fn try_run_workflow_resumable<C: Crowd>(
-        &self,
-        a: &Table,
-        b: &Table,
-        crowd: C,
-        max_outer: usize,
-        journal_path: impl AsRef<Path>,
-    ) -> Result<(RunReport, Vec<AccuracyEstimate>), FalconError> {
-        let journal = CrowdJournal::open(journal_path)?;
-        self.try_run_workflow_inner(a, b, crowd, max_outer, Some(journal), None)
-    }
-
-    /// [`Falcon::try_run_workflow`] under a [`StageGate`] — the workflow
-    /// analogue of [`Falcon::try_run_gated`].
-    pub fn try_run_workflow_gated<C: Crowd>(
-        &self,
-        a: &Table,
-        b: &Table,
-        crowd: C,
-        max_outer: usize,
-        journal: Option<CrowdJournal>,
-        gate: Arc<dyn StageGate>,
-    ) -> Result<(RunReport, Vec<AccuracyEstimate>), FalconError> {
-        self.try_run_workflow_inner(a, b, crowd, max_outer, journal, Some(gate))
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn try_run_workflow_inner<C: Crowd>(
-        &self,
-        a: &Table,
-        b: &Table,
-        crowd: C,
-        max_outer: usize,
-        journal: Option<CrowdJournal>,
-        gate: Option<Arc<dyn StageGate>>,
-    ) -> Result<(RunReport, Vec<AccuracyEstimate>), FalconError> {
-        let analysis = analyze::analyze(a, b, &self.config);
-        if !analysis.is_ok() {
-            return Err(FalconError::Plan(analysis.errors));
-        }
-        let cfg = &self.config;
-        let cluster = self.build_cluster();
-        let mut session = CrowdSession::new(crowd);
-        if let Some(j) = journal {
-            session = session.with_journal(j);
-        }
-        let mut timeline = match gate {
-            Some(g) => Timeline::with_gate(g),
-            None => Timeline::new(),
-        };
-        let lib = generate_features(a, b);
-        timeline.machine("gen_features", StageCost::local(a.len() + b.len()));
-
-        let mut store = TokenStore::default();
-        let block = self.blocking_stage(
-            a,
-            b,
-            &lib,
-            &cluster,
-            &mut store,
-            &mut session,
-            &mut timeline,
-        )?;
-
+    /// Matching rounds over the blocked `candidates`: the Matcher, then —
+    /// in the workflow (`rounds ≥ 1`) only — the Accuracy Estimator and
+    /// the Difficult Pairs' Locator, whose pairs seed the next round's
+    /// first labeling batch. Stops when the crowd-estimated F1 stops
+    /// improving, nothing difficult is left, or `rounds` is reached, and
+    /// returns the matches of the best-estimated round (Corleone keeps
+    /// the best matcher seen, not necessarily the last) with every
+    /// round's estimate.
+    fn matching_rounds(
+        &mut self,
+        candidates: &[IdPair],
+        rounds: usize,
+    ) -> Result<(Vec<IdPair>, Vec<AccuracyEstimate>), FalconError> {
         let mut estimates: Vec<AccuracyEstimate> = Vec::new();
-        // Keep the round with the best crowd-estimated F1 (Corleone keeps
-        // the best matcher seen, not necessarily the last).
         let mut best: Option<(f64, MatchStageOutcome)> = None;
         let mut priority: Vec<usize> = Vec::new();
-        let mut known: std::collections::HashMap<usize, bool> = Default::default();
-        for round in 0..max_outer.max(1) {
-            let outcome = self.matching_stage(
-                a,
-                b,
-                &lib,
-                &cluster,
-                &mut store,
-                &mut session,
-                &mut timeline,
-                &block.candidates,
-                std::mem::take(&mut priority),
-                round as u64,
-                round + 1 >= max_outer,
-            )?;
-            for (i, l) in &outcome.labeled {
-                known.insert(*i, *l);
-            }
-            let Some(forest) = outcome.forest.as_ref() else {
+        let mut known: HashMap<usize, bool> = HashMap::new();
+        for round in 0..rounds.max(1) {
+            let last_round = round + 1 >= rounds;
+            let first_batch = std::mem::take(&mut priority);
+            let outcome = self.matching_stage(candidates, first_batch, round as u64, last_round)?;
+            // A plain run is the workflow's first Matcher with no
+            // estimator; neither is there one without a trained matcher.
+            let Some(forest) = outcome.forest.as_ref().filter(|_| rounds >= 1) else {
                 best = Some((0.0, outcome));
                 break;
             };
-            session.mark_op("accuracy_estimator");
-            check_cancel(&timeline, &mut session)?;
+            known.extend(outcome.labeled.iter().copied());
+            self.session.mark_op("accuracy_estimator");
+            check_cancel(&self.timeline, &mut self.session)?;
             let est = estimate_accuracy(
-                &mut session,
-                &mut timeline,
+                &mut self.session,
+                &mut self.timeline,
                 forest,
                 &outcome.fvs,
                 &EstimatorConfig {
-                    seed: cfg.seed ^ round as u64,
+                    seed: self.cfg.seed ^ round as u64,
                     ..EstimatorConfig::default()
                 },
             );
             let improved = estimates.last().is_none_or(|prev| est.f1 > prev.f1 + 0.01);
-            let difficult = locate_difficult_pairs(forest, &outcome.fvs, &known, cfg.al.batch);
+            let difficult = locate_difficult_pairs(forest, &outcome.fvs, &known, self.cfg.al.batch);
             priority = difficult.into_iter().map(|d| d.index).collect();
-            let keep_going = improved && !priority.is_empty() && round + 1 < max_outer;
+            let keep_going = improved && !priority.is_empty() && !last_round;
             if best.as_ref().is_none_or(|(f1, _)| est.f1 >= *f1) {
                 best = Some((est.f1, outcome));
             }
@@ -931,37 +821,22 @@ impl Falcon {
             }
         }
         // The loop body always runs at least once and every path sets
-        // `best`; guard anyway so the workflow cannot panic.
+        // `best`; guard anyway so a run cannot panic.
         let Some((_, matched)) = best else {
             return Err(FalconError::EmptyInput {
-                what: "workflow rounds",
+                what: "matching rounds",
             });
         };
-        timeline.detach_gate();
-        let report = RunReport {
-            matches: matched.matches,
-            plan: PlanKind::BlockAndMatch,
-            physical: Some(block.physical_op),
-            candidate_size: Some(block.candidates.len()),
-            rule_sequence: block.seq,
-            rules_extracted: block.rules_extracted,
-            rules_retained: block.rules_retained,
-            sample_size: block.sample_len,
-            timeline,
-            ledger: session.ledger(),
-            feature_counts: (lib.blocking.len(), lib.matching.len()),
-            faults: cluster.fault_stats().unwrap_or_default(),
-            journal_error: session.journal_error().map(ToString::to_string),
-            blocking: block.blocking,
-        };
-        Ok((report, estimates))
+        Ok((matched.matches, estimates))
     }
 }
 
-/// Output of the blocking stage (Figure 3.a up to `apply_blocking_rules`).
+/// Output of the blocking stage (Figure 3.a up to `apply_blocking_rules`);
+/// the default is what a match-only run reports of it.
+#[derive(Default)]
 struct BlockingOutcome {
     candidates: Vec<IdPair>,
-    physical_op: PhysicalOp,
+    physical_op: Option<PhysicalOp>,
     seq: RuleSequence,
     rules_extracted: usize,
     rules_retained: usize,
@@ -1011,7 +886,7 @@ mod tests {
             let crowd = RandomWorkerCrowd::new(truth.clone(), 0.05, 8)
                 .with_latency(Duration::from_millis(1));
             let report = falcon
-                .try_run_on(&cluster, &d.a, &d.b, crowd, None, None)
+                .run_on(&cluster, &d.a, &d.b, crowd, 0, RunCtl::default())
                 .expect("run");
             (report, cluster.jobs_run())
         };
@@ -1033,5 +908,99 @@ mod tests {
             assert_eq!(other.blocking, one.blocking, "{threads} threads");
             assert_eq!(jobs, one_jobs, "{threads} threads");
         }
+    }
+    /// Records, at every stage boundary, the stage's label and how many
+    /// jobs the run's cluster has submitted so far.
+    struct JobCounts(Cluster, std::sync::Mutex<Vec<(String, u64)>>);
+
+    impl StageGate for JobCounts {
+        fn on_stage(&self, event: crate::stage::StageEvent) -> crate::stage::StageControl {
+            let mut seen = self.1.lock().expect("job counts");
+            seen.push((event.label, self.0.jobs_run()));
+            crate::stage::StageControl::Continue
+        }
+    }
+
+    fn small_citations() -> (falcon_datagen::EmDataset, FalconConfig) {
+        let config = FalconConfig {
+            cluster: ClusterConfig::small(4),
+            sample_size: 2_000,
+            sample_fanout: 20,
+            force_plan: Some(PlanKind::BlockAndMatch),
+            // `apply_block_rules` must probe, not reuse a speculated output.
+            opt: OptFlags {
+                speculative_execution: false,
+                ..OptFlags::default()
+            },
+            ..FalconConfig::default()
+        };
+        (falcon_datagen::citations::generate(0.0008, 5), config)
+    }
+
+    /// A dataflow failure inside `apply_block_rules` is the run's failure,
+    /// with the failing job's own index — not a cue to run the blocking
+    /// job a second time under fresh job numbers and fresh fault draws.
+    #[test]
+    fn a_failed_blocking_job_is_reported_with_its_own_coordinates() {
+        let (d, config) = small_citations();
+        let crowd = || {
+            let truth = GroundTruth::new(d.truth.iter().copied());
+            RandomWorkerCrowd::new(truth, 0.05, 8)
+        };
+        // A clean run tells which job `apply_block_rules` submits first.
+        let falcon = Falcon::new(config.clone());
+        let cluster = falcon.build_cluster();
+        let counts = Arc::new(JobCounts(cluster.clone(), Default::default()));
+        let ctl = RunCtl {
+            journal: None,
+            gate: Some(counts.clone()),
+        };
+        let clean = falcon.run_on(&cluster, &d.a, &d.b, crowd(), 0, ctl);
+        assert_eq!(
+            clean.expect("clean run").physical,
+            Some(PhysicalOp::ApplyAll)
+        );
+        let seen = counts.1.lock().expect("job counts");
+        let at = (seen.iter())
+            .position(|(label, _)| label == "apply_block_rules")
+            .expect("blocking ran");
+        let (first_job, end_job) = (seen[at - 1].1, seen[at].1);
+        assert!(first_job < end_job, "the probe is a cluster job");
+
+        // Node 0 (which hosts task 0) dies during exactly that job, and one
+        // attempt is all a task gets.
+        let plan = FaultPlan::seeded(1)
+            .with_node_loss(first_job, 0)
+            .with_max_attempts(1);
+        let falcon = Falcon::new(FalconConfig {
+            fault: Some(plan),
+            ..config
+        });
+        match falcon.try_run(&d.a, &d.b, crowd()) {
+            Err(FalconError::Blocking(BlockingError::Dataflow(
+                falcon_dataflow::DataflowError::AttemptsExhausted { job, task, .. },
+            ))) => assert_eq!((job, task), (first_job, 0)),
+            other => panic!(
+                "expected the blocking job's AttemptsExhausted, got {:?}",
+                other.map(|r| r.faults)
+            ),
+        }
+    }
+
+    /// The one fallback left: an enumeration operator over its pair
+    /// budget hands over to the index probe.
+    #[test]
+    fn an_enumeration_operator_over_budget_falls_back_to_apply_all() {
+        let (d, mut config) = small_citations();
+        // No index fits a mapper, so Section 10.1 selects `ReduceSplit`;
+        // `|A × B|` is far over 1 000 pairs.
+        config.cluster.mapper_memory_bytes = 1;
+        config.max_pairs = 1_000;
+        let truth = GroundTruth::new(d.truth.iter().copied());
+        let report = Falcon::new(config)
+            .try_run(&d.a, &d.b, RandomWorkerCrowd::new(truth, 0.05, 8))
+            .expect("run");
+        assert_eq!(report.physical, Some(PhysicalOp::ApplyAll));
+        assert!(report.blocking.is_some());
     }
 }

@@ -938,54 +938,33 @@ pub fn execute_pooled(
             record_modes(&mut modes, &plan.bundles);
             run_probe_reduce(cluster, a, b, evaluator, plan, &collector, pool, op)?
         }
-        PhysicalOp::ApplyConjunct => {
+        PhysicalOp::ApplyConjunct | PhysicalOp::ApplyPredicate => {
             if filterable.is_empty() {
                 return Err(BlockingError::NoFilterableConjunct);
             }
-            let mut jobs = Vec::new();
-            let mut acc: Option<HashSet<IdPair>> = None;
-            for &ci in &filterable {
-                let bundles = bundles_for(conjuncts, built, &[ci]);
-                if bundles.is_empty() {
-                    // Conjunct not probe-able: skipping its wave keeps
-                    // every candidate it would have admitted (recall-safe).
-                    continue;
+            // Per conjunct, the bundles whose waves are unioned: the whole
+            // conjunct in one wave (`ApplyConjunct`), or one wave per
+            // predicate, each holding a single predicate index
+            // (`ApplyPredicate`). If *any* predicate of the conjunct cannot
+            // be probed, the whole conjunct is skipped: a partial union
+            // would shrink the candidate set and lose recall, while
+            // skipping the conjunct only admits extra candidates.
+            let groups = filterable.iter().filter_map(|&ci| {
+                let preds = 0..conjuncts.specs[ci].len();
+                if op == PhysicalOp::ApplyConjunct {
+                    Bundle::new(conjuncts, built, ci, preds).map(|bundle| vec![bundle])
+                } else {
+                    preds
+                        .map(|pi| Bundle::new(conjuncts, built, ci, [pi]))
+                        .collect::<Option<Vec<Bundle>>>()
                 }
-                record_modes(&mut modes, &bundles);
-                let plan = ProbePlan::new(bundles, store);
-                let (set, stats) = run_probe_wave(cluster, a, b, plan, &collector, pool)?;
-                jobs.push(stats);
-                acc = Some(match acc {
-                    None => set,
-                    Some(prev) => prev.intersection(&set).copied().collect(),
-                });
-            }
-            let mut pairs: Vec<IdPair> = acc.unwrap_or_default().into_iter().collect();
-            pairs.sort_unstable();
-            let (candidates, stats) = run_evaluate(cluster, evaluator, &pairs)?;
-            jobs.push(stats);
-            BlockingOutput::new(op, candidates, jobs)
-        }
-        PhysicalOp::ApplyPredicate => {
-            if filterable.is_empty() {
-                return Err(BlockingError::NoFilterableConjunct);
-            }
+            });
             let mut jobs = Vec::new();
             let mut acc: Option<HashSet<IdPair>> = None;
-            for &ci in &filterable {
-                // Union across this conjunct's predicates, each probed in
-                // its own wave holding a single predicate index. If *any*
-                // predicate of the conjunct cannot be probed, the whole
-                // conjunct is skipped: a partial union would shrink the
-                // candidate set and lose recall, while skipping the
-                // conjunct only admits extra candidates.
-                let specs: Option<Vec<Bundle>> = (0..conjuncts.specs[ci].len())
-                    .map(|pi| Bundle::new(conjuncts, built, ci, [pi]))
-                    .collect();
-                let Some(pred_bundles) = specs else { continue };
-                record_modes(&mut modes, &pred_bundles);
+            for bundles in groups {
+                record_modes(&mut modes, &bundles);
                 let mut union: HashSet<IdPair> = HashSet::new();
-                for bundle in pred_bundles {
+                for bundle in bundles {
                     let plan = ProbePlan::new(vec![bundle], store);
                     let (set, stats) = run_probe_wave(cluster, a, b, plan, &collector, pool)?;
                     jobs.push(stats);

@@ -1,7 +1,7 @@
 //! The full iterative EM workflow (Figure 1): Blocker → (Matcher →
 //! Accuracy Estimator → Difficult Pairs' Locator)*.
 
-use falcon_core::driver::{Falcon, FalconConfig};
+use falcon_core::driver::{Falcon, FalconConfig, RunCtl};
 use falcon_core::plan::PlanKind;
 use falcon_crowd::sim::{GroundTruth, OracleCrowd, RandomWorkerCrowd};
 use falcon_dataflow::ClusterConfig;
@@ -21,9 +21,10 @@ fn config() -> FalconConfig {
 fn workflow_terminates_and_reports_estimates() {
     let d = products::generate(0.03, 71);
     let truth = GroundTruth::new(d.truth.iter().copied());
-    let (report, estimates) = Falcon::new(config())
-        .try_run_workflow(&d.a, &d.b, OracleCrowd::new(truth), 3)
+    let report = Falcon::new(config())
+        .try_run_with(&d.a, &d.b, OracleCrowd::new(truth), 3, RunCtl::default())
         .expect("run");
+    let estimates = &report.estimates;
     assert!(!estimates.is_empty());
     assert!(estimates.len() <= 3);
     let q = report.quality(&d.truth);
@@ -46,8 +47,9 @@ fn workflow_never_worse_than_single_pass_by_much() {
     let single = Falcon::new(config())
         .try_run(&d.a, &d.b, RandomWorkerCrowd::new(truth.clone(), 0.05, 4))
         .expect("run");
-    let (multi, _) = Falcon::new(config())
-        .try_run_workflow(&d.a, &d.b, RandomWorkerCrowd::new(truth, 0.05, 4), 3)
+    let crowd = RandomWorkerCrowd::new(truth, 0.05, 4);
+    let multi = Falcon::new(config())
+        .try_run_with(&d.a, &d.b, crowd, 3, RunCtl::default())
         .expect("run");
     let qs = single.quality(&d.truth);
     let qm = multi.quality(&d.truth);
@@ -63,13 +65,19 @@ fn workflow_never_worse_than_single_pass_by_much() {
 fn workflow_spends_more_crowd_budget_per_extra_round() {
     let d = products::generate(0.02, 73);
     let truth = GroundTruth::new(d.truth.iter().copied());
-    let (r1, _) = Falcon::new(config())
-        .try_run_workflow(&d.a, &d.b, OracleCrowd::new(truth.clone()), 1)
-        .expect("run");
-    let (r3, e3) = Falcon::new(config())
-        .try_run_workflow(&d.a, &d.b, OracleCrowd::new(truth), 3)
-        .expect("run");
-    if e3.len() > 1 {
+    let run = |rounds| {
+        Falcon::new(config())
+            .try_run_with(
+                &d.a,
+                &d.b,
+                OracleCrowd::new(truth.clone()),
+                rounds,
+                RunCtl::default(),
+            )
+            .expect("run")
+    };
+    let (r1, r3) = (run(1), run(3));
+    if r3.estimates.len() > 1 {
         assert!(r3.ledger.questions > r1.ledger.questions);
     } else {
         // Converged in one round: budgets equal.

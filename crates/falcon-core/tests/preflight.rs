@@ -3,7 +3,7 @@
 //! MapReduce job or crowd question.
 
 use falcon_core::analyze::PlanAnalysisError;
-use falcon_core::driver::{Falcon, FalconConfig, ForcedFilter};
+use falcon_core::driver::{Falcon, FalconConfig, ForcedFilter, RunCtl};
 use falcon_core::error::FalconError;
 use falcon_core::features::generate_features;
 use falcon_core::plan::PlanKind;
@@ -84,7 +84,7 @@ fn zero_cluster_is_rejected_by_the_workflow_entry_point_too() {
     let mut cfg = small_config();
     cfg.cluster.nodes = 0;
     let err = Falcon::new(cfg)
-        .try_run_workflow(&d.a, &d.b, UnreachableCrowd, 2)
+        .try_run_with(&d.a, &d.b, UnreachableCrowd, 2, RunCtl::default())
         .expect_err("zero-node cluster must be rejected");
     assert!(matches!(err, FalconError::Plan(ref errors)
         if errors.contains(&PlanAnalysisError::InvalidClusterConfig { field: "nodes" })));

@@ -2,15 +2,15 @@
 //! crowd journal to the exact output of an uninterrupted run, without
 //! re-asking any journaled question.
 
-use falcon_core::driver::{Falcon, FalconConfig};
+use falcon_core::driver::{Falcon, FalconConfig, RunCtl, RunReport};
 use falcon_core::plan::PlanKind;
 use falcon_crowd::sim::{GroundTruth, RandomWorkerCrowd};
-use falcon_crowd::Crowd;
+use falcon_crowd::{Crowd, CrowdJournal};
 use falcon_dataflow::ClusterConfig;
 use falcon_datagen::citations;
 use falcon_table::IdPair;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -32,6 +32,23 @@ fn journal_path(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_file(&p);
     p
+}
+
+/// A `rounds`-round run journaled at `path` (opened or created here).
+fn run_journaled<C: Crowd>(
+    falcon: &Falcon,
+    d: &falcon_datagen::EmDataset,
+    crowd: C,
+    rounds: usize,
+    path: &Path,
+) -> RunReport {
+    let ctl = RunCtl {
+        journal: Some(CrowdJournal::open(path).expect("journal")),
+        gate: None,
+    };
+    falcon
+        .try_run_with(&d.a, &d.b, crowd, rounds, ctl)
+        .expect("journaled run")
 }
 
 /// A crowd that dies (panics) after a fixed number of live draws — the
@@ -138,20 +155,14 @@ fn killed_run_resumes_to_the_identical_report() {
     // well past the first labeled batches.
     let path = journal_path("run");
     let killed = catch_unwind(AssertUnwindSafe(|| {
-        falcon.try_run_resumable(
-            &d.a,
-            &d.b,
-            LethalCrowd::new(crowd(), total_draws / 2),
-            &path,
-        )
+        let lethal = LethalCrowd::new(crowd(), total_draws / 2);
+        run_journaled(&falcon, &d, lethal, 0, &path)
     }));
     assert!(killed.is_err(), "the crash must abort the run");
 
     // Resume from the journal with a fresh (same-seed) crowd.
     let counting = CountingCrowd::new(crowd());
-    let resumed = falcon
-        .try_run_resumable(&d.a, &d.b, &counting, &path)
-        .expect("resumed run");
+    let resumed = run_journaled(&falcon, &d, &counting, 0, &path);
 
     assert_eq!(resumed.matches, baseline.matches, "bit-identical output");
     assert_eq!(resumed.candidate_size, baseline.candidate_size);
@@ -176,32 +187,27 @@ fn killed_workflow_resumes_to_the_identical_report() {
     let crowd = || RandomWorkerCrowd::new(truth.clone(), 0.1, 33);
     let falcon = Falcon::new(config());
 
-    let (baseline, base_est) = falcon
-        .try_run_workflow(&d.a, &d.b, crowd(), 2)
+    let baseline = falcon
+        .try_run_with(&d.a, &d.b, crowd(), 2, RunCtl::default())
         .expect("baseline workflow");
+    let base_est = &baseline.estimates;
     let total_draws = baseline.ledger.answers + baseline.ledger.lost_answers;
 
     let path = journal_path("workflow");
     let killed = catch_unwind(AssertUnwindSafe(|| {
-        falcon.try_run_workflow_resumable(
-            &d.a,
-            &d.b,
-            LethalCrowd::new(crowd(), total_draws / 2),
-            2,
-            &path,
-        )
+        let lethal = LethalCrowd::new(crowd(), total_draws / 2);
+        run_journaled(&falcon, &d, lethal, 2, &path)
     }));
     assert!(killed.is_err(), "the crash must abort the workflow");
 
     let counting = CountingCrowd::new(crowd());
-    let (resumed, est) = falcon
-        .try_run_workflow_resumable(&d.a, &d.b, &counting, 2, &path)
-        .expect("resumed workflow");
+    let resumed = run_journaled(&falcon, &d, &counting, 2, &path);
+    let est = &resumed.estimates;
 
     assert_eq!(resumed.matches, baseline.matches);
     assert_eq!(resumed.ledger, baseline.ledger);
     assert_eq!(est.len(), base_est.len());
-    for (r, b) in est.iter().zip(&base_est) {
+    for (r, b) in est.iter().zip(base_est) {
         assert_eq!((r.f1, r.precision, r.recall), (b.f1, b.precision, b.recall));
     }
     assert!(counting.live_draws() < total_draws);
@@ -216,16 +222,12 @@ fn a_completed_journal_replays_the_whole_run_for_free() {
     let falcon = Falcon::new(config());
 
     let path = journal_path("full");
-    let first = falcon
-        .try_run_resumable(&d.a, &d.b, crowd(), &path)
-        .expect("first run");
+    let first = run_journaled(&falcon, &d, crowd(), 0, &path);
     assert_eq!(first.journal_error, None);
 
     // Re-running against the completed journal asks nothing at all.
     let counting = CountingCrowd::new(crowd());
-    let second = falcon
-        .try_run_resumable(&d.a, &d.b, &counting, &path)
-        .expect("replayed run");
+    let second = run_journaled(&falcon, &d, &counting, 0, &path);
     assert_eq!(second.matches, first.matches);
     assert_eq!(second.ledger, first.ledger);
     assert_eq!(counting.live_draws(), 0, "everything came from the journal");

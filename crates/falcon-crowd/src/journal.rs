@@ -72,12 +72,7 @@ impl fmt::Display for JournalError {
             Self::Corrupt { line, message } => {
                 write!(f, "journal corrupt at line {line}: {message}")
             }
-            Self::Version { found } => {
-                write!(
-                    f,
-                    "unsupported journal version: {found:?} (expected {HEADER:?})"
-                )
-            }
+            Self::Version { found } => write!(f, "unsupported journal version: {found:?}"),
         }
     }
 }
@@ -90,6 +85,77 @@ impl From<std::io::Error> for JournalError {
             message: e.to_string(),
         }
     }
+}
+
+/// One trusted line of a journal file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JournalLine<'a> {
+    /// 1-based line number.
+    pub no: usize,
+    /// Byte offset of the line's first byte.
+    pub start: u64,
+    /// Byte offset just past the line's `\n`.
+    pub end: u64,
+    /// The line, without its terminator.
+    pub text: &'a str,
+}
+
+/// The lines of journal `text` a reader may trust: those terminated by
+/// `\n`. Writers flush whole records, so a partial last line is crash
+/// debris and is left out.
+pub fn trusted_lines(text: &str) -> Vec<JournalLine<'_>> {
+    let mut start = 0u64;
+    let mut lines = Vec::new();
+    for (i, piece) in text.split_inclusive('\n').enumerate() {
+        let end = start + piece.len() as u64;
+        if let Some(line) = piece.strip_suffix('\n') {
+            lines.push(JournalLine {
+                no: i + 1,
+                start,
+                end,
+                text: line.trim_end_matches('\r'),
+            });
+        }
+        start = end;
+    }
+    lines
+}
+
+/// Open (or create) the line-oriented journal file at `path` whose first
+/// line must be `header`, returning the file and its text (header line
+/// included, so line offsets are file offsets).
+///
+/// An empty file, or one torn inside its header line (its whole content
+/// is a prefix of `header` with no `\n` yet), is a fresh journal: it is
+/// truncated and the header written. Any other first line — or other
+/// unterminated bytes — is [`JournalError::Version`]: not a file this
+/// journal may overwrite.
+pub fn open_journal(path: &Path, header: &str) -> Result<(File, String), JournalError> {
+    let mut file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(path)?;
+    let mut text = String::new();
+    file.read_to_string(&mut text)?;
+    match trusted_lines(&text).first() {
+        Some(first) if first.text == header => {}
+        Some(first) => {
+            return Err(JournalError::Version {
+                found: first.text.to_string(),
+            })
+        }
+        None if header.starts_with(&text) => {
+            file.set_len(0)?;
+            file.seek(SeekFrom::Start(0))?;
+            text = format!("{header}\n");
+            file.write_all(text.as_bytes())?;
+            file.flush()?;
+        }
+        None => return Err(JournalError::Version { found: text }),
+    }
+    Ok((file, text))
 }
 
 /// One labeled question inside a batch record.
@@ -165,28 +231,7 @@ impl CrowdJournal {
     /// record is discarded (and the file truncated to the valid prefix).
     pub fn open(path: impl AsRef<Path>) -> Result<Self, JournalError> {
         let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)?;
-        let mut text = String::new();
-        file.read_to_string(&mut text)?;
-        if text.is_empty() {
-            file.write_all(HEADER.as_bytes())?;
-            file.write_all(b"\n")?;
-            file.flush()?;
-            let end_offset = HEADER.len() as u64 + 1;
-            return Ok(Self {
-                path,
-                file,
-                end_offset,
-                replay: VecDeque::new(),
-                diverged: false,
-                replayed_batches: 0,
-            });
-        }
+        let (file, text) = open_journal(&path, HEADER)?;
         let (replay, valid_len) = parse(&text)?;
         if valid_len < text.len() as u64 {
             file.set_len(valid_len)?;
@@ -345,46 +390,28 @@ fn corrupt(line: usize, message: impl Into<String>) -> JournalError {
     }
 }
 
-/// Parse journal text into complete records plus the byte length of the
-/// valid prefix. A truncated trailing record (no final newline, or a
-/// `batch` missing `q`/`end` lines) is excluded from both; anything
-/// structurally invalid *before* the tail is an error.
+/// Parse journal text (its checked header line included) into complete
+/// records plus the byte length of the valid prefix. A truncated trailing
+/// record (no final newline, or a `batch` missing `q`/`end` lines) is
+/// excluded from both; anything structurally invalid *before* the tail is
+/// an error.
 #[allow(clippy::type_complexity)]
 fn parse(text: &str) -> Result<(VecDeque<(u64, Record)>, u64), JournalError> {
-    // Only lines terminated by '\n' are trusted; a partial last line is
-    // crash debris.
     let mut records = VecDeque::new();
-    let mut lines = Vec::new(); // (line_no, byte_offset, content)
-    let mut offset = 0usize;
-    let mut complete_len = 0usize;
-    for (i, piece) in text.split_inclusive('\n').enumerate() {
-        if piece.ends_with('\n') {
-            lines.push((i + 1, offset, piece.trim_end_matches(['\n', '\r'])));
-            complete_len = offset + piece.len();
-        }
-        offset += piece.len();
-    }
-    let Some(&(_, _, header)) = lines.first() else {
-        return Ok((records, 0));
-    };
-    if header != HEADER {
-        return Err(JournalError::Version {
-            found: header.to_string(),
-        });
-    }
-    let mut valid_len = lines
-        .get(1)
-        .map_or(complete_len as u64, |&(_, off, _)| off as u64);
+    let lines = trusted_lines(text);
+    // The valid prefix ends with the last line of the last complete
+    // record; the header is line 0.
+    let mut valid_len = lines.first().map_or(0, |header| header.end);
     let mut idx = 1;
     while idx < lines.len() {
-        let (line_no, start_off, content) = lines[idx];
+        let (line_no, start_off, content) = (lines[idx].no, lines[idx].start, lines[idx].text);
         let mut parts = content.split(' ');
         match parts.next() {
             Some("op") => {
                 let label = parts
                     .next()
                     .ok_or_else(|| corrupt(line_no, "op without label"))?;
-                records.push_back((start_off as u64, Record::Op(label.to_string())));
+                records.push_back((start_off, Record::Op(label.to_string())));
                 idx += 1;
             }
             Some("batch") => {
@@ -403,8 +430,8 @@ fn parse(text: &str) -> Result<(VecDeque<(u64, Record)>, u64), JournalError> {
                 }
                 let mut questions = Vec::with_capacity(n);
                 for k in 0..n {
-                    let (qline_no, _, qcontent) = lines[idx + 1 + k];
-                    let mut q = qcontent.split(' ');
+                    let qline_no = lines[idx + 1 + k].no;
+                    let mut q = lines[idx + 1 + k].text.split(' ');
                     if q.next() != Some("q") {
                         return Err(corrupt(qline_no, "expected a q line"));
                     }
@@ -425,8 +452,8 @@ fn parse(text: &str) -> Result<(VecDeque<(u64, Record)>, u64), JournalError> {
                         lost,
                     });
                 }
-                let (eline_no, _, econtent) = lines[idx + 1 + n];
-                let mut e = econtent.split(' ');
+                let eline_no = lines[idx + 1 + n].no;
+                let mut e = lines[idx + 1 + n].text.split(' ');
                 if e.next() != Some("end") {
                     return Err(corrupt(eline_no, "expected an end line"));
                 }
@@ -439,7 +466,7 @@ fn parse(text: &str) -> Result<(VecDeque<(u64, Record)>, u64), JournalError> {
                 let escalations = num()? as usize;
                 let latency_nanos = num()?;
                 records.push_back((
-                    start_off as u64,
+                    start_off,
                     Record::Batch(BatchRecord {
                         scheme,
                         questions,
@@ -452,9 +479,7 @@ fn parse(text: &str) -> Result<(VecDeque<(u64, Record)>, u64), JournalError> {
             }
             _ => return Err(corrupt(line_no, format!("unknown record {content:?}"))),
         }
-        valid_len = lines
-            .get(idx)
-            .map_or(complete_len as u64, |&(_, off, _)| off as u64);
+        valid_len = lines[idx - 1].end;
     }
     Ok((records, valid_len))
 }
@@ -603,6 +628,38 @@ mod tests {
             Err(JournalError::Version { found }) => assert_eq!(found, "falcon-journal v99"),
             other => panic!("expected version error, got {other:?}"),
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A crash inside the very first write leaves part of the header and
+    /// no newline: that is a fresh journal, and what the run then appends
+    /// must reopen — not a headerless file the next open refuses.
+    #[test]
+    fn a_header_torn_mid_line_is_a_fresh_journal() {
+        let path = tmp("torn-header");
+        for torn in ["falcon-jou", HEADER] {
+            std::fs::write(&path, torn).expect("write");
+            {
+                let mut j = CrowdJournal::open(&path).expect("torn header opens fresh");
+                assert_eq!(j.pending_batches(), 0);
+                j.mark_op("blocking").expect("op");
+                j.record_batch(&sample_batch("maj")).expect("batch");
+            }
+            let text = std::fs::read_to_string(&path).expect("read");
+            assert!(
+                text.starts_with("falcon-journal v1\nop blocking\n"),
+                "{text}"
+            );
+            let j = CrowdJournal::open(&path).expect("reopen");
+            assert_eq!(j.pending_batches(), 1);
+        }
+        // Unterminated bytes that are not ours are never overwritten.
+        std::fs::write(&path, "id,name").expect("write");
+        match CrowdJournal::open(&path) {
+            Err(JournalError::Version { found }) => assert_eq!(found, "id,name"),
+            other => panic!("expected version error, got {other:?}"),
+        }
+        assert_eq!(std::fs::read_to_string(&path).expect("read"), "id,name");
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,9 +1,10 @@
 //! One tenant's admission request: a complete EM job plus service-level
 //! metadata (priority, virtual arrival time, crash journal).
 
-use falcon_core::driver::{Falcon, FalconConfig, RunReport};
+use falcon_core::driver::{Falcon, FalconConfig, RunCtl, RunReport};
 use falcon_core::error::FalconError;
-use falcon_crowd::Crowd;
+use falcon_core::stage::StageGate;
+use falcon_crowd::{Crowd, CrowdJournal};
 use falcon_table::Table;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -96,36 +97,29 @@ impl JobSpec {
         self
     }
 
-    /// Run this job alone, ungated — the reference a tenant's shared-pool
-    /// report must match bit-for-bit. Uses the same journal handling as
-    /// the gated path.
+    /// Run this job: under `gate` as a tenant of the shared pool, or
+    /// alone with `None`. Both open the crash journal (if any) and take
+    /// the same driver entry, so a tenant's shared-pool report can match
+    /// its solo report bit-for-bit.
     ///
     /// Note that stateful simulated crowds advance their RNG as they
     /// answer; for identity comparisons construct a *fresh* crowd with
     /// the same seed rather than reusing one that already served.
+    pub fn run(&self, gate: Option<Arc<dyn StageGate>>) -> Result<RunReport, FalconError> {
+        let journal = self.journal.as_ref().map(CrowdJournal::open).transpose()?;
+        Falcon::new(self.config.clone()).try_run_with(
+            &self.a,
+            &self.b,
+            self.crowd.clone(),
+            self.workflow_rounds,
+            RunCtl { journal, gate },
+        )
+    }
+
+    /// [`JobSpec::run`] ungated — the reference a tenant's shared-pool
+    /// report must match.
     pub fn run_solo(&self) -> Result<RunReport, FalconError> {
-        let falcon = Falcon::new(self.config.clone());
-        if self.workflow_rounds > 0 {
-            match &self.journal {
-                Some(p) => falcon
-                    .try_run_workflow_resumable(
-                        &self.a,
-                        &self.b,
-                        self.crowd.clone(),
-                        self.workflow_rounds,
-                        p,
-                    )
-                    .map(|(r, _)| r),
-                None => falcon
-                    .try_run_workflow(&self.a, &self.b, self.crowd.clone(), self.workflow_rounds)
-                    .map(|(r, _)| r),
-            }
-        } else {
-            match &self.journal {
-                Some(p) => falcon.try_run_resumable(&self.a, &self.b, self.crowd.clone(), p),
-                None => falcon.try_run(&self.a, &self.b, self.crowd.clone()),
-            }
-        }
+        self.run(None)
     }
 }
 

@@ -39,59 +39,19 @@
 //! `falcon-crowd`'s journal: a crash mid-round leaves a `round` group
 //! with no `end` marker, and `open` drops the whole group (truncating
 //! the file back to the last commit) so the round re-runs live on
-//! resume. Structural damage *before* the tail — missing header, round
-//! numbering gaps, stray `end` — is corruption, not a torn tail, and
-//! fails typed.
+//! resume. The header check is the crowd journal's too
+//! (`falcon_crowd::journal::open_journal`): a file torn inside its header
+//! line starts fresh, any other first line is a version error. Structural
+//! damage *before* the tail — round numbering gaps, stray `end` — is
+//! corruption, not a torn tail, and fails typed.
 
+use falcon_crowd::journal::{open_journal, trusted_lines, JournalError};
 use std::collections::VecDeque;
-use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 const HEADER: &str = "falcon-serve-journal v1";
-
-/// Why the journal itself (not the schedule) is unusable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JournalFailure {
-    /// Underlying I/O failure.
-    Io {
-        /// Rendered `io::Error`.
-        message: String,
-    },
-    /// Structural corruption before the torn tail.
-    Corrupt {
-        /// 1-based line number.
-        line: usize,
-        /// What is wrong with it.
-        message: String,
-    },
-    /// The file's header names a format we do not speak.
-    Version {
-        /// The header found.
-        found: String,
-    },
-}
-
-impl fmt::Display for JournalFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Io { message } => write!(f, "journal I/O: {message}"),
-            Self::Corrupt { line, message } => {
-                write!(f, "journal corrupt at line {line}: {message}")
-            }
-            Self::Version { found } => write!(f, "unsupported journal version: {found:?}"),
-        }
-    }
-}
-
-impl From<std::io::Error> for JournalFailure {
-    fn from(e: std::io::Error) -> Self {
-        Self::Io {
-            message: e.to_string(),
-        }
-    }
-}
 
 /// One committed round: its number and its decision lines (markers
 /// excluded).
@@ -114,27 +74,9 @@ pub struct ServeJournal {
 impl ServeJournal {
     /// Open or create a journal at `path`, trusting only committed
     /// content and truncating any torn tail.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, JournalFailure> {
+    pub fn open(path: impl AsRef<Path>) -> Result<Self, JournalError> {
         let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)?;
-        let mut text = String::new();
-        file.read_to_string(&mut text)?;
-        if text.is_empty() {
-            file.write_all(format!("{HEADER}\n").as_bytes())?;
-            file.flush()?;
-            return Ok(Self {
-                path,
-                end_offset: (HEADER.len() + 1) as u64,
-                file,
-                prefix: Vec::new(),
-                rounds: VecDeque::new(),
-            });
-        }
+        let (mut file, text) = open_journal(&path, HEADER)?;
         let (prefix, rounds, end_offset) = parse(&text)?;
         if end_offset < text.len() as u64 {
             // Torn tail: drop everything after the last commit so the
@@ -177,7 +119,7 @@ impl ServeJournal {
     }
 
     /// Append the `config`/`admit` prefix of a fresh run.
-    pub(crate) fn write_prefix(&mut self, lines: &[String]) -> Result<(), JournalFailure> {
+    pub(crate) fn write_prefix(&mut self, lines: &[String]) -> Result<(), JournalError> {
         let mut buf = String::new();
         for l in lines {
             buf.push_str(l);
@@ -188,7 +130,7 @@ impl ServeJournal {
 
     /// Append one committed round: `round n`, its lines, `end n`, then
     /// flush + sync so a crash can lose at most the round in flight.
-    pub(crate) fn write_round(&mut self, n: u64, lines: &[String]) -> Result<(), JournalFailure> {
+    pub(crate) fn write_round(&mut self, n: u64, lines: &[String]) -> Result<(), JournalError> {
         let mut buf = format!("round {n}\n");
         for l in lines {
             buf.push_str(l);
@@ -200,7 +142,7 @@ impl ServeJournal {
         Ok(())
     }
 
-    fn append(&mut self, buf: &str) -> Result<(), JournalFailure> {
+    fn append(&mut self, buf: &str) -> Result<(), JournalError> {
         self.file.write_all(buf.as_bytes())?;
         self.file.flush()?;
         self.end_offset += buf.len() as u64;
@@ -208,49 +150,31 @@ impl ServeJournal {
     }
 }
 
-/// Parse trusted journal text into `(prefix, committed rounds, trusted
-/// byte length)`.
+/// Parse journal text (its checked header line included) into `(prefix,
+/// committed rounds, trusted byte length)`.
 #[allow(clippy::type_complexity)]
-fn parse(text: &str) -> Result<(Vec<String>, VecDeque<RoundLines>, u64), JournalFailure> {
-    // Only `\n`-terminated lines are trusted.
-    let mut lines: Vec<(usize, &str, u64)> = Vec::new(); // (line no, text, end offset)
-    let mut offset = 0u64;
-    for (i, l) in text.split_inclusive('\n').enumerate() {
-        offset += l.len() as u64;
-        if let Some(stripped) = l.strip_suffix('\n') {
-            lines.push((i + 1, stripped, offset));
-        }
-    }
-    let Some(&(_, first, header_end)) = lines.first() else {
-        return Err(JournalFailure::Corrupt {
-            line: 1,
-            message: "unterminated header".into(),
-        });
-    };
-    if first != HEADER {
-        return Err(JournalFailure::Version {
-            found: first.to_string(),
-        });
-    }
+fn parse(text: &str) -> Result<(Vec<String>, VecDeque<RoundLines>, u64), JournalError> {
+    let lines = trusted_lines(text);
     let mut prefix = Vec::new();
     let mut rounds = VecDeque::new();
-    let mut trusted = header_end;
+    let mut trusted = lines.first().map_or(0, |header| header.end);
     let mut current: Option<(u64, Vec<String>)> = None;
     let mut expected_round = 0u64;
-    for &(no, l, end) in &lines[1..] {
+    for line in lines.iter().skip(1) {
+        let (no, l, end) = (line.no, line.text, line.end);
         if let Some(rest) = l.strip_prefix("round ") {
             if current.is_some() {
-                return Err(JournalFailure::Corrupt {
+                return Err(JournalError::Corrupt {
                     line: no,
                     message: "round opened inside an uncommitted round".into(),
                 });
             }
-            let n: u64 = rest.parse().map_err(|_| JournalFailure::Corrupt {
+            let n: u64 = rest.parse().map_err(|_| JournalError::Corrupt {
                 line: no,
                 message: format!("bad round number {rest:?}"),
             })?;
             if n != expected_round {
-                return Err(JournalFailure::Corrupt {
+                return Err(JournalError::Corrupt {
                     line: no,
                     message: format!("round {n} where round {expected_round} was expected"),
                 });
@@ -258,13 +182,13 @@ fn parse(text: &str) -> Result<(Vec<String>, VecDeque<RoundLines>, u64), Journal
             current = Some((n, Vec::new()));
         } else if let Some(rest) = l.strip_prefix("end ") {
             let Some((n, body)) = current.take() else {
-                return Err(JournalFailure::Corrupt {
+                return Err(JournalError::Corrupt {
                     line: no,
                     message: "end marker outside a round".into(),
                 });
             };
             if rest.parse::<u64>() != Ok(n) {
-                return Err(JournalFailure::Corrupt {
+                return Err(JournalError::Corrupt {
                     line: no,
                     message: format!("end {rest} closes round {n}"),
                 });
@@ -278,7 +202,7 @@ fn parse(text: &str) -> Result<(Vec<String>, VecDeque<RoundLines>, u64), Journal
             prefix.push(l.to_string());
             trusted = end;
         } else {
-            return Err(JournalFailure::Corrupt {
+            return Err(JournalError::Corrupt {
                 line: no,
                 message: "decision line between rounds".into(),
             });
@@ -347,7 +271,7 @@ mod tests {
         }
         // Crash mid-round-1: a round marker, one decision, no commit,
         // and a half-written final line.
-        let mut f = OpenOptions::new().append(true).open(&p).unwrap();
+        let mut f = fs::OpenOptions::new().append(true).open(&p).unwrap();
         f.write_all(b"round 1\np 0 1 m x 1 1 0 5 6 1\np 0 2 m y 9")
             .unwrap();
         drop(f);
@@ -360,12 +284,38 @@ mod tests {
         let _ = fs::remove_file(&p);
     }
 
+    /// A crash inside the first write leaves part of the header and no
+    /// newline: only `\n`-terminated lines are trusted, so that is a fresh
+    /// journal, not corruption.
+    #[test]
+    fn a_header_torn_mid_line_is_a_fresh_journal() {
+        let p = tmp("torn-header");
+        fs::write(&p, "falcon-serve-jou").unwrap();
+        {
+            let mut j = ServeJournal::open(&p).unwrap();
+            assert!(j.is_fresh());
+            j.write_prefix(&["config 7".into()]).unwrap();
+            j.write_round(0, &[]).unwrap();
+        }
+        let text = fs::read_to_string(&p).unwrap();
+        assert_eq!(text, format!("{HEADER}\nconfig 7\nround 0\nend 0\n"));
+        assert_eq!(ServeJournal::open(&p).unwrap().pending_rounds(), 1);
+        // Unterminated bytes that are not ours are refused, untouched.
+        fs::write(&p, "dataset=products").unwrap();
+        assert!(matches!(
+            ServeJournal::open(&p),
+            Err(JournalError::Version { .. })
+        ));
+        assert_eq!(fs::read_to_string(&p).unwrap(), "dataset=products");
+        let _ = fs::remove_file(&p);
+    }
+
     #[test]
     fn round_numbering_gap_is_corrupt_not_torn() {
         let p = tmp("gap");
         fs::write(&p, format!("{HEADER}\nround 0\nend 0\nround 2\nend 2\n")).unwrap();
         match ServeJournal::open(&p) {
-            Err(JournalFailure::Corrupt { line, .. }) => assert_eq!(line, 4),
+            Err(JournalError::Corrupt { line, .. }) => assert_eq!(line, 4),
             other => panic!("expected corruption, got {other:?}"),
         }
         let _ = fs::remove_file(&p);
@@ -377,7 +327,7 @@ mod tests {
         fs::write(&p, format!("{HEADER}\nend 0\n")).unwrap();
         assert!(matches!(
             ServeJournal::open(&p),
-            Err(JournalFailure::Corrupt { .. })
+            Err(JournalError::Corrupt { .. })
         ));
         let _ = fs::remove_file(&p);
     }
@@ -388,7 +338,7 @@ mod tests {
         fs::write(&p, "falcon-serve-journal v9\n").unwrap();
         assert!(matches!(
             ServeJournal::open(&p),
-            Err(JournalFailure::Version { .. })
+            Err(JournalError::Version { .. })
         ));
         let _ = fs::remove_file(&p);
     }

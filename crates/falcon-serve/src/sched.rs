@@ -62,10 +62,10 @@ use crate::error::{ServeError, SERVICE_TENANT};
 use crate::gate::{Permits, ServeGate};
 use crate::job::JobSpec;
 use crate::journal::{fnv64, ServeJournal};
-use falcon_core::driver::{Falcon, RunReport};
+use falcon_core::driver::RunReport;
 use falcon_core::error::FalconError;
 use falcon_core::stage::{CancelReason, StageControl, StageEvent, StageKind};
-use falcon_crowd::{CrowdJournal, Ledger};
+use falcon_crowd::Ledger;
 use falcon_dataflow::{ClusterConfig, DataflowError, DetRng, Phase};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
@@ -640,28 +640,6 @@ impl Tenant {
     }
 }
 
-fn run_job(job: &JobSpec, gate: Arc<ServeGate>) -> Result<RunReport, FalconError> {
-    let journal = match &job.journal {
-        Some(p) => Some(CrowdJournal::open(p)?),
-        None => None,
-    };
-    let falcon = Falcon::new(job.config.clone());
-    if job.workflow_rounds > 0 {
-        falcon
-            .try_run_workflow_gated(
-                &job.a,
-                &job.b,
-                job.crowd.clone(),
-                job.workflow_rounds,
-                journal,
-                gate,
-            )
-            .map(|(r, _)| r)
-    } else {
-        falcon.try_run_gated(&job.a, &job.b, job.crowd.clone(), journal, gate)
-    }
-}
-
 /// Spawn `t`'s driver thread, activating it at virtual time `start_ns`.
 fn spawn_tenant(t: &mut Tenant, permits: &Arc<Permits>, start_ns: u64) {
     let Some(job) = t.job.take() else { return };
@@ -674,7 +652,7 @@ fn spawn_tenant(t: &mut Tenant, permits: &Arc<Permits>, start_ns: u64) {
     t.clock = TenantClock::at(start_ns);
     t.handle = Some(std::thread::spawn(move || {
         permits_for_thread.acquire();
-        let res = run_job(&job, gate.clone());
+        let res = job.run(Some(gate.clone()));
         // Disconnect the event channel *before* releasing the permit
         // so the scheduler sees a clean end-of-stream.
         drop(gate);

@@ -53,7 +53,7 @@ pub use falcon_textsim as textsim;
 
 /// Everything needed to run Falcon end to end.
 pub mod prelude {
-    pub use falcon_core::driver::{Falcon, FalconConfig, RunReport};
+    pub use falcon_core::driver::{Falcon, FalconConfig, RunCtl, RunReport};
     pub use falcon_core::error::FalconError;
     pub use falcon_core::metrics::{blocking_recall, em_quality, EmQuality};
     pub use falcon_core::optimizer::OptFlags;
