@@ -1,9 +1,8 @@
 //! Multi-tenant serving benchmark: hundreds of concurrent EM jobs on one
 //! shared node pool versus running them serially, at a crowd-latency-
-//! dominated setting. Emits `BENCH_serve.json` with aggregate throughput,
-//! p50/p99 job latency and cluster utilization for both modes, and
-//! asserts in-bench that every tenant's match set is bit-identical to a
-//! solo run of the same job.
+//! dominated setting. Prints aggregate throughput, p50/p99 job latency
+//! and cluster utilization for both modes, and asserts in-bench that every
+//! tenant's match set is bit-identical to a solo run of the same job.
 //!
 //! ```text
 //! cargo run --release -p falcon-bench --bin serve_bench -- \
@@ -156,27 +155,4 @@ fn main() {
         speedup >= 2.0,
         "expected >=2x aggregate throughput, measured {speedup:.2}x"
     );
-
-    let json = format!(
-        "{{\n  \"bench\": \"serve\",\n  \"jobs\": {jobs_n},\n  \"templates\": {templates_n},\n  \
-         \"pool_nodes\": {nodes},\n  \"threads\": {threads},\n  \"policy\": \"{policy_name}\",\n  \
-         \"crowd_latency_secs\": {:.1},\n  \"crowd_error\": {error},\n  \
-         \"shared\": {{ \"makespan_secs\": {:.3}, \"utilization\": {:.4}, \"p50_latency_secs\": {:.3}, \"p99_latency_secs\": {:.3} }},\n  \
-         \"serial\": {{ \"makespan_secs\": {:.3}, \"utilization\": {:.4}, \"p50_latency_secs\": {:.3}, \"p99_latency_secs\": {:.3} }},\n  \
-         \"throughput_speedup\": {speedup:.3},\n  \"scheduler_rounds\": {},\n  \
-         \"tenants_bit_identical_to_solo\": true,\n  \"bench_wall_secs\": {:.1}\n}}\n",
-        latency.as_secs_f64(),
-        rep.makespan.as_secs_f64(),
-        rep.utilization,
-        rep.latency_percentile(50.0).as_secs_f64(),
-        rep.latency_percentile(99.0).as_secs_f64(),
-        rep.serial_makespan.as_secs_f64(),
-        rep.serial_utilization,
-        rep.serial_latency_percentile(50.0).as_secs_f64(),
-        rep.serial_latency_percentile(99.0).as_secs_f64(),
-        rep.rounds,
-        serve_wall.as_secs_f64(),
-    );
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-    println!("\nwrote BENCH_serve.json");
 }

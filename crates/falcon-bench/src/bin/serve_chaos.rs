@@ -3,8 +3,7 @@
 //! kill the service after the chosen round, resume it, and assert the
 //! resume-identity contract (byte-identical reports, service journal and
 //! crowd journals; zero re-asked crowd questions). Also measures the
-//! degraded-mode cost of losing half the pool mid-run. Emits
-//! `BENCH_chaos.json`.
+//! degraded-mode cost of losing half the pool mid-run.
 //!
 //! ```text
 //! cargo run --release -p falcon-bench --bin serve_chaos -- \
@@ -154,33 +153,5 @@ fn main() {
         "losing half the pool cannot speed the service up"
     );
 
-    let worst_recovery = outcomes
-        .iter()
-        .map(CellOutcome::recovery_overhead)
-        .fold(0.0_f64, f64::max);
-    let cell_json: Vec<String> = outcomes
-        .iter()
-        .map(|o| {
-            format!(
-                "    {{ \"cell\": \"{}\", \"resume_identical\": {}, \"zero_reasked\": {}, \
-                 \"replayed_rounds\": {}, \"killed_at_round\": {}, \"recovery_overhead\": {:.3} }}",
-                o.cell,
-                o.holds(),
-                o.zero_reasked(),
-                o.replayed_rounds,
-                o.killed_at_round.map_or(-1, |r| r as i64),
-                o.recovery_overhead()
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"chaos\",\n  \"tenants\": {tenants},\n  \"pool_nodes\": {nodes},\n  \
-         \"threads\": {threads},\n  \"cells\": [\n{}\n  ],\n  \
-         \"all_cells_hold\": true,\n  \"worst_recovery_overhead\": {worst_recovery:.3},\n  \
-         \"degraded_half_pool_slowdown\": {slowdown:.3}\n}}\n",
-        cell_json.join(",\n")
-    );
-    std::fs::write("BENCH_chaos.json", &json).expect("write BENCH_chaos.json");
-    println!("\nwrote BENCH_chaos.json");
     let _ = std::fs::remove_dir_all(&scratch);
 }

@@ -18,12 +18,7 @@ use std::time::Duration;
 /// paper's full sizes. At `--scale 1.0` these give roughly
 /// 128×1.1K (products), 2K×2K (songs), 2.7K×3.8K (citations).
 pub fn base_scale(dataset: &str) -> f64 {
-    match dataset {
-        "products" => 0.05,
-        "songs" => 0.002,
-        "citations" => 0.0015,
-        _ => panic!("unknown dataset {dataset}"),
-    }
+    falcon::datagen::default_scale(dataset).unwrap_or_else(|| panic!("unknown dataset {dataset}"))
 }
 
 /// The three paper datasets in presentation order.

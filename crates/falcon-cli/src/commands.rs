@@ -404,13 +404,8 @@ pub fn cmd_demo(args: &[String]) -> Result<(), String> {
         .first()
         .filter(|a| !a.starts_with("--"))
         .map_or("products", String::as_str);
-    let default_scale = match name {
-        "products" => 0.05,
-        "songs" => 0.002,
-        "citations" => 0.0015,
-        "drugs" => 0.004,
-        other => return Err(format!("unknown dataset {other:?}")),
-    };
+    let default_scale =
+        falcon::datagen::default_scale(name).ok_or_else(|| format!("unknown dataset {name:?}"))?;
     let scale: f64 = flag_value(args, "--scale")
         .map(|v| v.parse().map_err(|_| "--scale expects a number"))
         .transpose()?
@@ -503,13 +498,8 @@ fn parse_manifest_line(line: &str, idx: usize) -> Result<JobSpec, String> {
         }
     }
     let dataset = dataset.ok_or_else(|| format!("line {}: missing dataset=", idx + 1))?;
-    let default_scale = match dataset.as_str() {
-        "products" => 0.05,
-        "songs" => 0.002,
-        "citations" => 0.0015,
-        "drugs" => 0.004,
-        other => return Err(format!("line {}: unknown dataset {other:?}", idx + 1)),
-    };
+    let default_scale = falcon::datagen::default_scale(&dataset)
+        .ok_or_else(|| format!("line {}: unknown dataset {dataset:?}", idx + 1))?;
     let d = falcon::datagen::generate(&dataset, scale * default_scale, seed);
     let truth = GroundTruth::new(d.truth.iter().copied());
     let mut crowd = RandomWorkerCrowd::new(truth, error, seed);

@@ -20,23 +20,23 @@
 //!   decided label, delivered answers, lost answers — and one `end` line
 //!   with the batch's simulated rounds, escalation count and latency.
 //!
-//! The writer flushes after every record, so at worst a crash leaves one
-//! *truncated* trailing batch; [`CrowdJournal::open`] drops any
-//! incomplete tail (truncating the file) and keeps every complete batch
-//! for replay. A resumed session replays batches in order — answering
-//! from the journal, charging the recorded cost/latency and fast-
-//! forwarding the crowd's RNG — and switches to live labeling exactly
-//! where the crashed run stopped. If a resumed run ever asks a
-//! *different* question than the journal recorded (a diverged
-//! configuration), the journal truncates at the divergence point and
-//! records the new reality from there.
+//! This journal and `falcon-serve`'s service journal are both a [`Log`]:
+//! one framed file that owns the header check, the torn-tail rule and
+//! every write. A journal adds only its record grammar — the frame
+//! function it opens the log with — and its replay policy. This one's:
+//! a resumed session replays batches in order — answering from the
+//! journal, charging the recorded cost/latency and fast-forwarding the
+//! crowd's RNG — and switches to live labeling exactly where the crashed
+//! run stopped. If a resumed run ever asks a *different* question than
+//! the journal recorded (a diverged configuration), the journal truncates
+//! at the divergence point and records the new reality from there.
 
 use falcon_table::IdPair;
 use std::collections::VecDeque;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
 /// The version line this implementation reads and writes.
@@ -87,6 +87,14 @@ impl From<std::io::Error> for JournalError {
     }
 }
 
+/// A corruption error at 1-based line `line`.
+pub fn corrupt(line: usize, message: impl Into<String>) -> JournalError {
+    JournalError::Corrupt {
+        line,
+        message: message.into(),
+    }
+}
+
 /// One trusted line of a journal file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalLine<'a> {
@@ -101,9 +109,9 @@ pub struct JournalLine<'a> {
 }
 
 /// The lines of journal `text` a reader may trust: those terminated by
-/// `\n`. Writers flush whole records, so a partial last line is crash
+/// `\n`. Writers flush whole groups, so a partial last line is crash
 /// debris and is left out.
-pub fn trusted_lines(text: &str) -> Vec<JournalLine<'_>> {
+fn trusted_lines(text: &str) -> Vec<JournalLine<'_>> {
     let mut start = 0u64;
     let mut lines = Vec::new();
     for (i, piece) in text.split_inclusive('\n').enumerate() {
@@ -121,41 +129,120 @@ pub fn trusted_lines(text: &str) -> Vec<JournalLine<'_>> {
     lines
 }
 
-/// Open (or create) the line-oriented journal file at `path` whose first
-/// line must be `header`, returning the file and its text (header line
-/// included, so line offsets are file offsets).
-///
-/// An empty file, or one torn inside its header line (its whole content
-/// is a prefix of `header` with no `\n` yet), is a fresh journal: it is
-/// truncated and the header written. Any other first line — or other
-/// unterminated bytes — is [`JournalError::Version`]: not a file this
-/// journal may overwrite.
-pub fn open_journal(path: &Path, header: &str) -> Result<(File, String), JournalError> {
-    let mut file = OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create(true)
-        .truncate(false)
-        .open(path)?;
-    let mut text = String::new();
-    file.read_to_string(&mut text)?;
-    match trusted_lines(&text).first() {
-        Some(first) if first.text == header => {}
-        Some(first) => {
-            return Err(JournalError::Version {
-                found: first.text.to_string(),
-            })
+/// A framed, append-only journal file — a versioned header line, then
+/// committed groups of lines — that owns every open, truncation, write
+/// and `fsync` of both journals. A journal supplies only the frame
+/// function that cuts its groups and decodes each into a record `R`.
+#[derive(Debug)]
+pub struct Log<R> {
+    file: File,
+    /// Byte length of the trusted content; appends start here.
+    end: u64,
+    /// Committed groups not yet replayed, with their start offsets.
+    pending: VecDeque<(u64, R)>,
+}
+
+impl<R> Log<R> {
+    /// Open (or create) the log at `path`, whose first line is `header`.
+    ///
+    /// An empty file, or one torn inside its header line, is fresh: the
+    /// header is written. Any other first line, or other unterminated
+    /// bytes, is [`JournalError::Version`]. Only `\n`-terminated lines are
+    /// trusted; `frame` gets the untaken ones (never none) and returns
+    /// `Some((n, record))` for a group of `n` lines, or `None` for a torn
+    /// tail — a group that runs into the end with every line so far
+    /// well-formed — which is truncated away. Errors leave the file as is.
+    pub fn open(
+        path: &Path,
+        header: &str,
+        mut frame: impl FnMut(&[JournalLine<'_>]) -> Result<Option<(usize, R)>, JournalError>,
+    ) -> Result<Self, JournalError> {
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)?;
+        let mut text = String::new();
+        file.read_to_string(&mut text)?;
+        let lines = trusted_lines(&text);
+        let mut pending = VecDeque::new();
+        let end = match lines.split_first() {
+            Some((first, mut rest)) if first.text == header => {
+                let mut end = first.end;
+                while !rest.is_empty() {
+                    let Some((n, record)) = frame(rest)? else {
+                        break;
+                    };
+                    let (group, tail) = rest.split_at(n.clamp(1, rest.len()));
+                    pending.push_back((group[0].start, record));
+                    end = group[group.len() - 1].end;
+                    rest = tail;
+                }
+                end
+            }
+            Some((first, _)) => {
+                return Err(JournalError::Version {
+                    found: first.text.to_string(),
+                })
+            }
+            None if header.starts_with(text.as_str()) => 0,
+            None => return Err(JournalError::Version { found: text }),
+        };
+        if end < text.len() as u64 {
+            file.set_len(end)?;
         }
-        None if header.starts_with(&text) => {
-            file.set_len(0)?;
-            file.seek(SeekFrom::Start(0))?;
-            text = format!("{header}\n");
-            file.write_all(text.as_bytes())?;
-            file.flush()?;
+        let mut log = Self { file, end, pending };
+        // Only a fresh file has no trusted header line.
+        if end == 0 {
+            log.append(&format!("{header}\n"))?;
         }
-        None => return Err(JournalError::Version { found: text }),
+        Ok(log)
     }
-    Ok((file, text))
+
+    /// The groups awaiting replay, in file order.
+    pub fn pending(&self) -> impl Iterator<Item = &R> {
+        self.pending.iter().map(|(_, r)| r)
+    }
+
+    /// Take the next group for replay.
+    pub fn pop(&mut self) -> Option<R> {
+        self.pending.pop_front().map(|(_, r)| r)
+    }
+
+    /// Take the next group for replay if `wanted` accepts it.
+    pub fn pop_if(&mut self, wanted: impl FnOnce(&R) -> bool) -> Option<R> {
+        self.pending.front().filter(|(_, r)| wanted(r))?;
+        self.pop()
+    }
+
+    /// Drop every group still awaiting replay and cut the file where the
+    /// first of them starts. Returns whether there was one.
+    pub fn discard_pending(&mut self) -> Result<bool, JournalError> {
+        let Some(&(start, _)) = self.pending.front() else {
+            return Ok(false);
+        };
+        self.file.set_len(start)?;
+        self.end = start;
+        self.pending.clear();
+        Ok(true)
+    }
+
+    /// Write `text` (whole lines) at the end of the trusted content and
+    /// flush it.
+    pub fn append(&mut self, text: &str) -> Result<(), JournalError> {
+        self.file.seek(SeekFrom::Start(self.end))?;
+        self.file.write_all(text.as_bytes())?;
+        self.file.flush()?;
+        self.end += text.len() as u64;
+        Ok(())
+    }
+
+    /// Force everything written to stable storage (`fsync`).
+    pub fn sync(&self) -> Result<(), JournalError> {
+        self.file.sync_all()?;
+        Ok(())
+    }
 }
 
 /// One labeled question inside a batch record.
@@ -211,51 +298,32 @@ enum Record {
     Batch(BatchRecord),
 }
 
-/// The checkpoint journal: parsed replay queue plus an append handle.
+/// The checkpoint journal: a [`Log`] of crowd records plus its replay
+/// policy.
 #[derive(Debug)]
 pub struct CrowdJournal {
-    path: PathBuf,
-    file: File,
-    /// Byte length of the valid prefix; appends start here.
-    end_offset: u64,
-    /// Complete records awaiting replay, with their start offsets.
-    replay: VecDeque<(u64, Record)>,
+    log: Log<Record>,
     /// Set once a resume diverged from the journal.
     diverged: bool,
     replayed_batches: usize,
 }
 
 impl CrowdJournal {
-    /// Open (or create) a journal at `path`. An existing file is parsed;
-    /// complete records become the replay queue, a truncated trailing
-    /// record is discarded (and the file truncated to the valid prefix).
+    /// Open (or create) a journal at `path`. Complete records become the
+    /// replay queue; a torn trailing batch is truncated away.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, JournalError> {
-        let path = path.as_ref().to_path_buf();
-        let (file, text) = open_journal(&path, HEADER)?;
-        let (replay, valid_len) = parse(&text)?;
-        if valid_len < text.len() as u64 {
-            file.set_len(valid_len)?;
-        }
         Ok(Self {
-            path,
-            file,
-            end_offset: valid_len,
-            replay,
+            log: Log::open(path.as_ref(), HEADER, frame)?,
             diverged: false,
             replayed_batches: 0,
         })
     }
 
-    /// The journal's file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Batches still queued for replay.
     pub fn pending_batches(&self) -> usize {
-        self.replay
-            .iter()
-            .filter(|(_, r)| matches!(r, Record::Batch(_)))
+        self.log
+            .pending()
+            .filter(|r| matches!(r, Record::Batch(_)))
             .count()
     }
 
@@ -270,26 +338,6 @@ impl CrowdJournal {
         self.diverged
     }
 
-    /// Drop the remaining replay queue and truncate the file back to the
-    /// first unconsumed record: the resume has diverged from the journal.
-    fn truncate_at_front(&mut self) -> Result<(), JournalError> {
-        if let Some(&(offset, _)) = self.replay.front() {
-            self.file.set_len(offset)?;
-            self.end_offset = offset;
-        }
-        self.replay.clear();
-        self.diverged = true;
-        Ok(())
-    }
-
-    fn append(&mut self, text: &str) -> Result<(), JournalError> {
-        self.file.seek(SeekFrom::Start(self.end_offset))?;
-        self.file.write_all(text.as_bytes())?;
-        self.file.flush()?;
-        self.end_offset += text.len() as u64;
-        Ok(())
-    }
-
     /// Replay the next batch if it matches the requested scheme and
     /// question list; on mismatch, truncate the journal at the
     /// divergence point and return `None` (the caller labels live).
@@ -300,39 +348,28 @@ impl CrowdJournal {
     ) -> Result<Option<BatchRecord>, JournalError> {
         // Skip queued op markers: a batch request matches against the
         // next *batch* record (ops are progress decoration).
-        while matches!(self.replay.front(), Some((_, Record::Op(_)))) {
-            self.replay.pop_front();
-        }
-        let matches_front = match self.replay.front() {
-            Some((_, Record::Batch(b))) => {
-                b.scheme == scheme
-                    && b.questions.len() == pairs.len()
-                    && b.questions.iter().zip(pairs).all(|(q, p)| q.pair == *p)
-            }
-            _ => false,
+        while self.log.pop_if(|r| matches!(r, Record::Op(_))).is_some() {}
+        let asked = |b: &BatchRecord| {
+            b.scheme == scheme
+                && b.questions.len() == pairs.len()
+                && b.questions.iter().zip(pairs).all(|(q, p)| q.pair == *p)
         };
-        if !matches_front {
-            if !self.replay.is_empty() {
-                self.truncate_at_front()?;
-            }
-            return Ok(None);
+        if let Some(Record::Batch(b)) = self
+            .log
+            .pop_if(|r| matches!(r, Record::Batch(b) if asked(b)))
+        {
+            self.replayed_batches += 1;
+            return Ok(Some(b));
         }
-        match self.replay.pop_front() {
-            Some((_, Record::Batch(b))) => {
-                self.replayed_batches += 1;
-                Ok(Some(b))
-            }
-            _ => Ok(None),
-        }
+        self.diverged |= self.log.discard_pending()?;
+        Ok(None)
     }
 
     /// Append a freshly labeled batch.
     pub fn record_batch(&mut self, batch: &BatchRecord) -> Result<(), JournalError> {
         // A live batch while records are still queued means the caller
         // skipped ahead: the queued tail is stale.
-        if !self.replay.is_empty() {
-            self.truncate_at_front()?;
-        }
+        self.diverged |= self.log.discard_pending()?;
         let mut text = format!("batch {} {}\n", batch.scheme, batch.questions.len());
         for q in &batch.questions {
             text.push_str(&format!(
@@ -350,7 +387,7 @@ impl CrowdJournal {
             batch.escalations,
             batch.latency.as_nanos()
         ));
-        self.append(&text)
+        self.log.append(&text)
     }
 
     /// Force every written record to stable storage (`fsync`). The
@@ -358,130 +395,98 @@ impl CrowdJournal {
     /// against OS-level loss — a cancelled gated run calls it before
     /// unwinding so the journal tail survives a subsequent real crash.
     pub fn finalize(&mut self) -> Result<(), JournalError> {
-        self.file.flush()?;
-        self.file.sync_all()?;
-        Ok(())
+        self.log.sync()
     }
 
     /// Record (or replay past) an operator-boundary marker.
     pub fn mark_op(&mut self, label: &str) -> Result<(), JournalError> {
-        if let Some((_, Record::Op(queued))) = self.replay.front() {
-            if queued == label {
-                self.replay.pop_front();
-                return Ok(());
-            }
-            // A different boundary than recorded: stale tail.
-            self.truncate_at_front()?;
+        if self
+            .log
+            .pop_if(|r| matches!(r, Record::Op(queued) if queued == label))
+            .is_some()
+        {
+            return Ok(());
         }
+        // A different boundary than recorded: stale tail.
+        self.diverged |= self.log.discard_pending()?;
         if label.chars().any(char::is_whitespace) {
-            return Err(JournalError::Corrupt {
-                line: 0,
-                message: format!("op label {label:?} must not contain whitespace"),
-            });
+            return Err(corrupt(
+                0,
+                format!("op label {label:?} must not contain whitespace"),
+            ));
         }
-        self.append(&format!("op {label}\n"))
+        self.log.append(&format!("op {label}\n"))
     }
 }
 
-fn corrupt(line: usize, message: impl Into<String>) -> JournalError {
-    JournalError::Corrupt {
-        line,
-        message: message.into(),
-    }
-}
-
-/// Parse journal text (its checked header line included) into complete
-/// records plus the byte length of the valid prefix. A truncated trailing
-/// record (no final newline, or a `batch` missing `q`/`end` lines) is
-/// excluded from both; anything structurally invalid *before* the tail is
-/// an error.
-#[allow(clippy::type_complexity)]
-fn parse(text: &str) -> Result<(VecDeque<(u64, Record)>, u64), JournalError> {
-    let mut records = VecDeque::new();
-    let lines = trusted_lines(text);
-    // The valid prefix ends with the last line of the last complete
-    // record; the header is line 0.
-    let mut valid_len = lines.first().map_or(0, |header| header.end);
-    let mut idx = 1;
-    while idx < lines.len() {
-        let (line_no, start_off, content) = (lines[idx].no, lines[idx].start, lines[idx].text);
-        let mut parts = content.split(' ');
-        match parts.next() {
-            Some("op") => {
-                let label = parts
-                    .next()
-                    .ok_or_else(|| corrupt(line_no, "op without label"))?;
-                records.push_back((start_off, Record::Op(label.to_string())));
-                idx += 1;
-            }
-            Some("batch") => {
-                let scheme = parts
-                    .next()
-                    .ok_or_else(|| corrupt(line_no, "batch without scheme"))?
-                    .to_string();
-                let n: usize = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| corrupt(line_no, "batch without question count"))?;
-                // n question lines + the end line must all be present,
-                // else this is a truncated tail: stop parsing here.
-                if idx + n + 2 > lines.len() {
-                    return Ok((records, valid_len));
-                }
-                let mut questions = Vec::with_capacity(n);
-                for k in 0..n {
-                    let qline_no = lines[idx + 1 + k].no;
-                    let mut q = lines[idx + 1 + k].text.split(' ');
-                    if q.next() != Some("q") {
-                        return Err(corrupt(qline_no, "expected a q line"));
-                    }
-                    let mut num = || -> Result<u64, JournalError> {
-                        q.next()
-                            .and_then(|s| s.parse().ok())
-                            .ok_or_else(|| corrupt(qline_no, "malformed q line"))
-                    };
-                    let a = num()? as u32;
-                    let b = num()? as u32;
-                    let label = num()? != 0;
-                    let answers = num()? as usize;
-                    let lost = num()? as usize;
-                    questions.push(QuestionRecord {
-                        pair: (a, b),
-                        label,
-                        answers,
-                        lost,
-                    });
-                }
-                let eline_no = lines[idx + 1 + n].no;
-                let mut e = lines[idx + 1 + n].text.split(' ');
-                if e.next() != Some("end") {
-                    return Err(corrupt(eline_no, "expected an end line"));
-                }
-                let mut num = || -> Result<u128, JournalError> {
-                    e.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| corrupt(eline_no, "malformed end line"))
+/// Cut the next `falcon-journal v1` record off `lines`: an `op` line, or
+/// a `batch` line with its `q` lines and `end` line. The question count
+/// is read from disk, so it only bounds a walk over the lines that are
+/// there — it never sizes or offsets anything.
+fn frame(lines: &[JournalLine<'_>]) -> Result<Option<(usize, Record)>, JournalError> {
+    let (head, mut body) = (&lines[0], &lines[1..]);
+    let mut parts = head.text.split(' ');
+    match parts.next() {
+        Some("op") => {
+            let label = parts
+                .next()
+                .ok_or_else(|| corrupt(head.no, "op without label"))?;
+            Ok(Some((1, Record::Op(label.to_string()))))
+        }
+        Some("batch") => {
+            let scheme = parts
+                .next()
+                .ok_or_else(|| corrupt(head.no, "batch without scheme"))?
+                .to_string();
+            let n: usize = parts
+                .next()
+                .and_then(|s| s.parse().ok())
+                .ok_or_else(|| corrupt(head.no, "batch without question count"))?;
+            let mut questions = Vec::new();
+            while questions.len() < n {
+                let Some((line, rest)) = body.split_first() else {
+                    return Ok(None);
                 };
-                let rounds = num()? as usize;
-                let escalations = num()? as usize;
-                let latency_nanos = num()?;
-                records.push_back((
-                    start_off,
-                    Record::Batch(BatchRecord {
-                        scheme,
-                        questions,
-                        rounds,
-                        escalations,
-                        latency: nanos_to_duration(latency_nanos),
-                    }),
-                ));
-                idx += n + 2;
+                let mut q = line.text.split(' ');
+                if q.next() != Some("q") {
+                    return Err(corrupt(line.no, "expected a q line"));
+                }
+                let mut num = || -> Result<u64, JournalError> {
+                    q.next()
+                        .and_then(|s| s.parse().ok())
+                        .ok_or_else(|| corrupt(line.no, "malformed q line"))
+                };
+                questions.push(QuestionRecord {
+                    pair: (num()? as u32, num()? as u32),
+                    label: num()? != 0,
+                    answers: num()? as usize,
+                    lost: num()? as usize,
+                });
+                body = rest;
             }
-            _ => return Err(corrupt(line_no, format!("unknown record {content:?}"))),
+            let Some(line) = body.first() else {
+                return Ok(None);
+            };
+            let mut e = line.text.split(' ');
+            if e.next() != Some("end") {
+                return Err(corrupt(line.no, "expected an end line"));
+            }
+            let mut num = || -> Result<u128, JournalError> {
+                e.next()
+                    .and_then(|s| s.parse().ok())
+                    .ok_or_else(|| corrupt(line.no, "malformed end line"))
+            };
+            let batch = BatchRecord {
+                scheme,
+                rounds: num()? as usize,
+                escalations: num()? as usize,
+                latency: nanos_to_duration(num()?),
+                questions,
+            };
+            Ok(Some((batch.questions.len() + 2, Record::Batch(batch))))
         }
-        valid_len = lines[idx - 1].end;
+        _ => Err(corrupt(head.no, format!("unknown record {:?}", head.text))),
     }
-    Ok((records, valid_len))
 }
 
 fn nanos_to_duration(nanos: u128) -> Duration {
@@ -493,6 +498,7 @@ fn nanos_to_duration(nanos: u128) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("falcon-journal-tests");
@@ -660,6 +666,40 @@ mod tests {
             other => panic!("expected version error, got {other:?}"),
         }
         assert_eq!(std::fs::read_to_string(&path).expect("read"), "id,name");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A question count read from disk only bounds a walk over the lines
+    /// that are there: a huge one is neither an overflow nor an
+    /// allocation, and the complete line that breaks its batch is corrupt.
+    #[test]
+    fn a_huge_question_count_is_corrupt_not_a_panic() {
+        let path = tmp("huge-count");
+        std::fs::write(
+            &path,
+            "falcon-journal v1\nbatch maj 18446744073709551615\nop x\n",
+        )
+        .expect("write");
+        match CrowdJournal::open(&path) {
+            Err(JournalError::Corrupt { line, .. }) => assert_eq!(line, 3),
+            other => panic!("expected corruption error, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Only a batch that runs into the end of the file with every line
+    /// well-formed is a torn tail. Complete lines that break it are
+    /// corruption, and the file is left exactly as it was.
+    #[test]
+    fn a_batch_broken_by_complete_lines_is_corrupt_not_torn() {
+        let path = tmp("broken-batch");
+        let text = "falcon-journal v1\nbatch maj 5\nop x\nop y\n";
+        std::fs::write(&path, text).expect("write");
+        match CrowdJournal::open(&path) {
+            Err(JournalError::Corrupt { line, .. }) => assert_eq!(line, 3),
+            other => panic!("expected corruption error, got {other:?}"),
+        }
+        assert_eq!(std::fs::read_to_string(&path).expect("read"), text);
         std::fs::remove_file(&path).ok();
     }
 

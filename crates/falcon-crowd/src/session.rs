@@ -131,13 +131,7 @@ pub struct CrowdSession<C: Crowd> {
 impl<C: Crowd> CrowdSession<C> {
     /// Start a session over a crowd with default (paper) parameters.
     pub fn new(crowd: C) -> Self {
-        Self {
-            crowd,
-            config: SessionConfig::default(),
-            ledger: Ledger::default(),
-            journal: None,
-            journal_error: None,
-        }
+        Self::with_config(crowd, SessionConfig::default())
     }
 
     /// Start with explicit parameters.
@@ -192,21 +186,28 @@ impl<C: Crowd> CrowdSession<C> {
     /// resumed without re-asking the crowd. A sync failure degrades to
     /// unjournaled operation exactly like a write failure.
     pub fn finalize_journal(&mut self) {
-        if let Some(j) = self.journal.as_mut() {
-            if let Err(e) = j.finalize() {
-                self.journal_error = Some(e);
-                self.journal = None;
-            }
-        }
+        self.journaled(CrowdJournal::finalize);
     }
 
     /// Record an operator boundary in the journal (or replay past the
     /// marker when resuming).
     pub fn mark_op(&mut self, label: &str) {
-        if let Some(j) = self.journal.as_mut() {
-            if let Err(e) = j.mark_op(label) {
+        self.journaled(|j| j.mark_op(label));
+    }
+
+    /// Apply `op` to the attached journal, if any. A journal failure does
+    /// not abort labeling: the session degrades to unjournaled operation
+    /// and stashes the error for [`Self::journal_error`].
+    fn journaled<T>(
+        &mut self,
+        op: impl FnOnce(&mut CrowdJournal) -> Result<T, JournalError>,
+    ) -> Option<T> {
+        match op(self.journal.as_mut()?) {
+            Ok(v) => Some(v),
+            Err(e) => {
                 self.journal_error = Some(e);
                 self.journal = None;
+                None
             }
         }
     }
@@ -228,7 +229,10 @@ impl<C: Crowd> CrowdSession<C> {
         pairs: &[IdPair],
         scheme: Scheme,
     ) -> (Vec<(IdPair, bool)>, Duration) {
-        if let Some(batch) = self.try_replay(scheme, pairs) {
+        if let Some(batch) = self
+            .journaled(|j| j.try_replay_batch(scheme.tag(), pairs))
+            .flatten()
+        {
             return self.apply_replayed(&batch);
         }
         let mut labels = Vec::with_capacity(pairs.len());
@@ -276,25 +280,8 @@ impl<C: Crowd> CrowdSession<C> {
             escalations,
             latency,
         };
-        if let Some(j) = self.journal.as_mut() {
-            if let Err(e) = j.record_batch(&record) {
-                self.journal_error = Some(e);
-                self.journal = None;
-            }
-        }
+        self.journaled(|j| j.record_batch(&record));
         (labels, latency)
-    }
-
-    fn try_replay(&mut self, scheme: Scheme, pairs: &[IdPair]) -> Option<BatchRecord> {
-        let j = self.journal.as_mut()?;
-        match j.try_replay_batch(scheme.tag(), pairs) {
-            Ok(batch) => batch,
-            Err(e) => {
-                self.journal_error = Some(e);
-                self.journal = None;
-                None
-            }
-        }
     }
 
     /// Charge a replayed batch to the ledger from its recorded numbers,

@@ -80,6 +80,19 @@ impl EmDataset {
     }
 }
 
+/// The laptop-sized default scale of each dataset, as a fraction of the
+/// paper's full size (`None` for an unknown name). The bench binaries'
+/// `--scale` and the CLI's `scale=` multiply it.
+pub fn default_scale(name: &str) -> Option<f64> {
+    match name {
+        "products" => Some(0.05),
+        "songs" => Some(0.002),
+        "citations" => Some(0.0015),
+        "drugs" => Some(0.004),
+        _ => None,
+    }
+}
+
 /// Generate one of the three datasets by name at a given scale.
 ///
 /// `scale = 1.0` produces the paper's full sizes (millions of tuples for
@@ -117,6 +130,14 @@ mod tests {
             assert!((*a as usize) < h.a.len());
             assert!((*b as usize) < h.b.len());
         }
+    }
+
+    #[test]
+    fn every_generated_dataset_has_a_default_scale() {
+        for name in ["products", "songs", "citations", "drugs"] {
+            assert!(default_scale(name).is_some_and(|s| s > 0.0), "{name}");
+        }
+        assert_eq!(default_scale("nope"), None);
     }
 
     #[test]

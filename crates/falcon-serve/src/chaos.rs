@@ -28,7 +28,7 @@
 //! counted by transparently wrapping each job's crowd in a
 //! [`CountingCrowd`].
 
-use crate::error::{ServeError, SERVICE_TENANT};
+use crate::error::ServeError;
 use crate::job::JobSpec;
 use crate::sched::{resume, serve, Policy, PoolEvent, ServeConfig, ServeReport};
 use crate::serve_fingerprint;
@@ -213,14 +213,6 @@ impl CellOutcome {
     }
 }
 
-fn io_err(e: std::io::Error, what: &str) -> ServeError {
-    ServeError::ServiceJournal {
-        tenant: SERVICE_TENANT.to_string(),
-        round: 0,
-        message: format!("{what}: {e}"),
-    }
-}
-
 /// Wrap every job's crowd in a [`CountingCrowd`] feeding one shared
 /// counter, returning the counter.
 fn attach_counter(jobs: &mut [JobSpec]) -> Arc<AtomicUsize> {
@@ -233,11 +225,13 @@ fn attach_counter(jobs: &mut [JobSpec]) -> Arc<AtomicUsize> {
 
 fn fresh_dir(dir: &Path) -> Result<(), ServeError> {
     let _ = std::fs::remove_dir_all(dir);
-    std::fs::create_dir_all(dir).map_err(|e| io_err(e, "chaos scratch dir"))
+    std::fs::create_dir_all(dir)
+        .map_err(|e| ServeError::service_journal(0, format!("chaos scratch dir: {e}")))
 }
 
 fn read_bytes(path: &Path) -> Result<Vec<u8>, ServeError> {
-    std::fs::read(path).map_err(|e| io_err(e, "chaos journal read"))
+    std::fs::read(path)
+        .map_err(|e| ServeError::service_journal(0, format!("chaos journal read: {e}")))
 }
 
 /// Run one kill/resume cell. `make_jobs(cell, dir)` must return a fresh,

@@ -90,6 +90,16 @@ pub enum ServeError {
 }
 
 impl ServeError {
+    /// A journal failure of the service as a whole, attributed to
+    /// [`SERVICE_TENANT`].
+    pub(crate) fn service_journal(round: u64, message: impl fmt::Display) -> Self {
+        Self::ServiceJournal {
+            tenant: SERVICE_TENANT.to_string(),
+            round,
+            message: message.to_string(),
+        }
+    }
+
     /// The tenant this error is attributed to.
     pub fn tenant(&self) -> &str {
         match self {

@@ -35,21 +35,17 @@
 //! [`ServeError::ServiceJournal`](crate::ServeError) divergence instead
 //! of silently forking history.
 //!
-//! **Torn tails.** Only `\n`-terminated lines are trusted, mirroring
-//! `falcon-crowd`'s journal: a crash mid-round leaves a `round` group
-//! with no `end` marker, and `open` drops the whole group (truncating
-//! the file back to the last commit) so the round re-runs live on
-//! resume. The header check is the crowd journal's too
-//! (`falcon_crowd::journal::open_journal`): a file torn inside its header
-//! line starts fresh, any other first line is a version error. Structural
-//! damage *before* the tail — round numbering gaps, stray `end` — is
-//! corruption, not a torn tail, and fails typed.
+//! **Framing.** The file is a [`Log`], the framed log the crowd journal
+//! is built on too: it owns the header check, the torn-tail rule and
+//! every write. This module adds the grammar — the prefix lines, then
+//! `round n … end n` groups numbered from 0 — and a crash mid-round
+//! leaves a group with no `end` marker that the log truncates, so the
+//! round re-runs live on resume. Structural damage *before* the tail —
+//! round numbering gaps, stray `end` — is corruption, not a torn tail,
+//! and fails typed.
 
-use falcon_crowd::journal::{open_journal, trusted_lines, JournalError};
-use std::collections::VecDeque;
-use std::fs::File;
-use std::io::{Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use falcon_crowd::journal::{corrupt, JournalError, JournalLine, Log};
+use std::path::Path;
 
 const HEADER: &str = "falcon-serve-journal v1";
 
@@ -57,55 +53,44 @@ const HEADER: &str = "falcon-serve-journal v1";
 /// excluded).
 pub(crate) type RoundLines = (u64, Vec<String>);
 
+/// One committed group of the service journal.
+#[derive(Debug)]
+enum Group {
+    /// The `config`/`admit` lines ahead of round 0.
+    Prefix(Vec<String>),
+    Round(RoundLines),
+}
+
 /// The service journal: recorded history on open, append sink while
 /// running live.
 #[derive(Debug)]
 pub struct ServeJournal {
-    path: PathBuf,
-    file: File,
-    /// Byte offset of the end of trusted content.
-    end_offset: u64,
+    log: Log<Group>,
     /// Recorded `config`/`admit` lines (empty when fresh).
     prefix: Vec<String>,
-    /// Committed rounds awaiting replay.
-    rounds: VecDeque<RoundLines>,
 }
 
 impl ServeJournal {
     /// Open or create a journal at `path`, trusting only committed
     /// content and truncating any torn tail.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, JournalError> {
-        let path = path.as_ref().to_path_buf();
-        let (mut file, text) = open_journal(&path, HEADER)?;
-        let (prefix, rounds, end_offset) = parse(&text)?;
-        if end_offset < text.len() as u64 {
-            // Torn tail: drop everything after the last commit so the
-            // next append continues from trusted state.
-            file.set_len(end_offset)?;
-        }
-        file.seek(SeekFrom::Start(end_offset))?;
-        Ok(Self {
-            path,
-            file,
-            end_offset,
-            prefix,
-            rounds,
-        })
-    }
-
-    /// Path the journal lives at.
-    pub fn path(&self) -> &Path {
-        &self.path
+        let mut next_round = 0;
+        let mut log = Log::open(path.as_ref(), HEADER, |lines| frame(lines, &mut next_round))?;
+        let prefix = match log.pop_if(|g| matches!(g, Group::Prefix(_))) {
+            Some(Group::Prefix(lines)) => lines,
+            _ => Vec::new(),
+        };
+        Ok(Self { log, prefix })
     }
 
     /// True when the journal holds no committed history (fresh run).
     pub fn is_fresh(&self) -> bool {
-        self.prefix.is_empty() && self.rounds.is_empty()
+        self.prefix.is_empty() && self.pending_rounds() == 0
     }
 
     /// Committed rounds still awaiting replay.
     pub fn pending_rounds(&self) -> usize {
-        self.rounds.len()
+        self.log.pending().count()
     }
 
     /// Recorded `config`/`admit` lines (empty when fresh).
@@ -115,7 +100,10 @@ impl ServeJournal {
 
     /// Pop the next committed round for replay verification.
     pub(crate) fn next_round(&mut self) -> Option<RoundLines> {
-        self.rounds.pop_front()
+        match self.log.pop()? {
+            Group::Round(round) => Some(round),
+            Group::Prefix(_) => None,
+        }
     }
 
     /// Append the `config`/`admit` prefix of a fresh run.
@@ -125,7 +113,7 @@ impl ServeJournal {
             buf.push_str(l);
             buf.push('\n');
         }
-        self.append(&buf)
+        self.log.append(&buf)
     }
 
     /// Append one committed round: `round n`, its lines, `end n`, then
@@ -137,80 +125,57 @@ impl ServeJournal {
             buf.push('\n');
         }
         buf.push_str(&format!("end {n}\n"));
-        self.append(&buf)?;
-        self.file.sync_all()?;
-        Ok(())
-    }
-
-    fn append(&mut self, buf: &str) -> Result<(), JournalError> {
-        self.file.write_all(buf.as_bytes())?;
-        self.file.flush()?;
-        self.end_offset += buf.len() as u64;
-        Ok(())
+        self.log.append(&buf)?;
+        self.log.sync()
     }
 }
 
-/// Parse journal text (its checked header line included) into `(prefix,
-/// committed rounds, trusted byte length)`.
-#[allow(clippy::type_complexity)]
-fn parse(text: &str) -> Result<(Vec<String>, VecDeque<RoundLines>, u64), JournalError> {
-    let lines = trusted_lines(text);
-    let mut prefix = Vec::new();
-    let mut rounds = VecDeque::new();
-    let mut trusted = lines.first().map_or(0, |header| header.end);
-    let mut current: Option<(u64, Vec<String>)> = None;
-    let mut expected_round = 0u64;
-    for line in lines.iter().skip(1) {
-        let (no, l, end) = (line.no, line.text, line.end);
-        if let Some(rest) = l.strip_prefix("round ") {
-            if current.is_some() {
-                return Err(JournalError::Corrupt {
-                    line: no,
-                    message: "round opened inside an uncommitted round".into(),
-                });
+/// Cut the next group off `lines`: the prefix (every line up to the
+/// first `round`/`end` marker, each one committed by itself), or a
+/// `round n` group through its `end n`, with rounds numbered from
+/// `*next_round`. `None` when the round runs into the end of `lines`.
+fn frame(
+    lines: &[JournalLine<'_>],
+    next_round: &mut u64,
+) -> Result<Option<(usize, Group)>, JournalError> {
+    let (head, body) = (&lines[0], &lines[1..]);
+    let Some(rest) = head.text.strip_prefix("round ") else {
+        if head.text.starts_with("end ") {
+            return Err(corrupt(head.no, "end marker outside a round"));
+        }
+        if *next_round > 0 {
+            return Err(corrupt(head.no, "decision line between rounds"));
+        }
+        let n = lines
+            .iter()
+            .take_while(|l| !l.text.starts_with("round ") && !l.text.starts_with("end "))
+            .count();
+        let prefix = lines[..n].iter().map(|l| l.text.to_string()).collect();
+        return Ok(Some((n, Group::Prefix(prefix))));
+    };
+    let n: u64 = rest
+        .parse()
+        .map_err(|_| corrupt(head.no, format!("bad round number {rest:?}")))?;
+    if n != *next_round {
+        return Err(corrupt(
+            head.no,
+            format!("round {n} where round {next_round} was expected"),
+        ));
+    }
+    for (i, line) in body.iter().enumerate() {
+        if let Some(end) = line.text.strip_prefix("end ") {
+            if end.parse::<u64>() != Ok(n) {
+                return Err(corrupt(line.no, format!("end {end} closes round {n}")));
             }
-            let n: u64 = rest.parse().map_err(|_| JournalError::Corrupt {
-                line: no,
-                message: format!("bad round number {rest:?}"),
-            })?;
-            if n != expected_round {
-                return Err(JournalError::Corrupt {
-                    line: no,
-                    message: format!("round {n} where round {expected_round} was expected"),
-                });
-            }
-            current = Some((n, Vec::new()));
-        } else if let Some(rest) = l.strip_prefix("end ") {
-            let Some((n, body)) = current.take() else {
-                return Err(JournalError::Corrupt {
-                    line: no,
-                    message: "end marker outside a round".into(),
-                });
-            };
-            if rest.parse::<u64>() != Ok(n) {
-                return Err(JournalError::Corrupt {
-                    line: no,
-                    message: format!("end {rest} closes round {n}"),
-                });
-            }
-            rounds.push_back((n, body));
-            expected_round = n + 1;
-            trusted = end; // commit point
-        } else if let Some((_, body)) = current.as_mut() {
-            body.push(l.to_string());
-        } else if rounds.is_empty() {
-            prefix.push(l.to_string());
-            trusted = end;
-        } else {
-            return Err(JournalError::Corrupt {
-                line: no,
-                message: "decision line between rounds".into(),
-            });
+            *next_round += 1;
+            let decisions = body[..i].iter().map(|l| l.text.to_string()).collect();
+            return Ok(Some((i + 2, Group::Round((n, decisions)))));
+        }
+        if line.text.starts_with("round ") {
+            return Err(corrupt(line.no, "round opened inside an uncommitted round"));
         }
     }
-    // An open `current` is the torn tail: dropped by leaving `trusted`
-    // at the last commit.
-    Ok((prefix, rounds, trusted))
+    Ok(None)
 }
 
 /// FNV-1a over a string, for compact config digests in journal lines.
@@ -227,6 +192,8 @@ pub(crate) fn fnv64(s: &str) -> u64 {
 mod tests {
     use super::*;
     use std::fs;
+    use std::io::Write;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();

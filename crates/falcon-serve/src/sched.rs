@@ -688,34 +688,23 @@ pub fn serve(jobs: Vec<JobSpec>, cfg: &ServeConfig) -> Result<ServeReport, Serve
     }
 
     // ---- Journal open + prefix verify/write -------------------------
-    let mut journal: Option<ServeJournal> = match &cfg.journal {
-        Some(p) => Some(
-            ServeJournal::open(p).map_err(|e| ServeError::ServiceJournal {
-                tenant: SERVICE_TENANT.to_string(),
-                round: 0,
-                message: e.to_string(),
-            })?,
-        ),
+    let mut journal = match &cfg.journal {
+        Some(p) => Some(ServeJournal::open(p).map_err(|e| ServeError::service_journal(0, e))?),
         None => None,
     };
     if let Some(j) = journal.as_mut() {
         if j.is_fresh() {
             j.write_prefix(&prefix)
-                .map_err(|e| ServeError::ServiceJournal {
-                    tenant: SERVICE_TENANT.to_string(),
-                    round: 0,
-                    message: e.to_string(),
-                })?;
+                .map_err(|e| ServeError::service_journal(0, e))?;
         } else if j.prefix() != prefix.as_slice() {
-            return Err(ServeError::ServiceJournal {
-                tenant: SERVICE_TENANT.to_string(),
-                round: 0,
-                message: format!(
+            return Err(ServeError::service_journal(
+                0,
+                format!(
                     "journal belongs to a different service run: recorded prefix {:?} vs {:?}",
                     j.prefix(),
                     prefix
                 ),
-            });
+            ));
         }
     }
 
@@ -963,29 +952,22 @@ pub fn serve(jobs: Vec<JobSpec>, cfg: &ServeConfig) -> Result<ServeReport, Serve
         // is recoverable (the grants regenerate on resume).
         let mut replayed_this_round = false;
         if let Some(j) = journal.as_mut() {
-            match j.next_round() {
+            let failure = match j.next_round() {
                 Some((_, recorded)) => {
                     replayed_this_round = true;
                     replayed_rounds += 1;
-                    if recorded != lines {
-                        let err = divergence_error(&tenants, round, &recorded, &lines);
-                        shutdown_tenants(&mut tenants);
-                        return Err(err);
-                    }
+                    (recorded != lines)
+                        .then(|| divergence_error(&tenants, round, &recorded, &lines))
                 }
-                None => {
-                    if killed_at.is_none() {
-                        if let Err(e) = j.write_round(round, &lines) {
-                            let err = ServeError::ServiceJournal {
-                                tenant: SERVICE_TENANT.to_string(),
-                                round,
-                                message: e.to_string(),
-                            };
-                            shutdown_tenants(&mut tenants);
-                            return Err(err);
-                        }
-                    }
-                }
+                None if killed_at.is_none() => j
+                    .write_round(round, &lines)
+                    .err()
+                    .map(|e| ServeError::service_journal(round, e)),
+                None => None,
+            };
+            if let Some(err) = failure {
+                shutdown_tenants(&mut tenants);
+                return Err(err);
             }
         }
 
@@ -1083,11 +1065,10 @@ pub fn serve(jobs: Vec<JobSpec>, cfg: &ServeConfig) -> Result<ServeReport, Serve
 /// journal and refuses to re-kill.
 pub fn resume(jobs: Vec<JobSpec>, cfg: &ServeConfig) -> Result<ServeReport, ServeError> {
     if cfg.journal.is_none() {
-        return Err(ServeError::ServiceJournal {
-            tenant: SERVICE_TENANT.to_string(),
-            round: 0,
-            message: "resume requires ServeConfig::journal".to_string(),
-        });
+        return Err(ServeError::service_journal(
+            0,
+            "resume requires ServeConfig::journal",
+        ));
     }
     let mut cfg = cfg.clone();
     cfg.kill_after_rounds = None;
