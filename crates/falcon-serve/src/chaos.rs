@@ -234,11 +234,42 @@ fn read_bytes(path: &Path) -> Result<Vec<u8>, ServeError> {
         .map_err(|e| ServeError::service_journal(0, format!("chaos journal read: {e}")))
 }
 
+/// What one run of a cell left behind: its report, live crowd draws,
+/// wall time and per-tenant crowd journals.
+struct Leg {
+    report: ServeReport,
+    live: usize,
+    wall: Duration,
+    crowd_journals: Vec<PathBuf>,
+}
+
+/// Run `jobs` through `run` (serve or resume), counting their live crowd
+/// draws.
+fn leg(
+    mut jobs: Vec<JobSpec>,
+    cfg: &ServeConfig,
+    run: fn(Vec<JobSpec>, &ServeConfig) -> Result<ServeReport, ServeError>,
+) -> Result<Leg, ServeError> {
+    let crowd_journals = jobs.iter().filter_map(|j| j.journal.clone()).collect();
+    let live = attach_counter(&mut jobs);
+    // Wall-clock on purpose: recovery overhead prices the harness's
+    // own replay cost, not simulated time.
+    // falcon-lint: allow(sim-time)
+    let t0 = Instant::now();
+    let report = run(jobs, cfg)?;
+    Ok(Leg {
+        report,
+        live: live.load(Ordering::Relaxed),
+        wall: t0.elapsed(),
+        crowd_journals,
+    })
+}
+
 /// Run one kill/resume cell. `make_jobs(cell, dir)` must return a fresh,
 /// identically-seeded workload whose per-tenant crash journals (if any)
 /// live under `dir`; it is called once for the reference run and once for
-/// the kill/resume pair. `base` supplies the pool shape; the cell's
-/// policy, threads and pool shrink are overlaid on it.
+/// each of the kill/resume pair. `base` supplies the pool shape; the
+/// cell's policy, threads and pool shrink are overlaid on it.
 pub fn run_cell<F>(
     cell: &ChaosCell,
     base: &ServeConfig,
@@ -266,53 +297,24 @@ where
     fresh_dir(&ref_dir)?;
     fresh_dir(&kill_dir)?;
 
-    // 1. Reference: uninterrupted, journaled.
-    let mut ref_jobs = make_jobs(cell, &ref_dir);
-    let ref_crowd_journals: Vec<PathBuf> =
-        ref_jobs.iter().filter_map(|j| j.journal.clone()).collect();
-    let ref_live = attach_counter(&mut ref_jobs);
-    let mut ref_cfg = cfg.clone();
-    ref_cfg.journal = Some(ref_dir.join("service.journal"));
-    ref_cfg.kill_after_rounds = None;
-    // Wall-clock on purpose: recovery overhead prices the harness's
-    // own replay cost, not simulated time.
-    // falcon-lint: allow(sim-time)
-    let t0 = Instant::now();
-    let ref_report = serve(ref_jobs, &ref_cfg)?;
-    let ref_wall = t0.elapsed();
-
-    // 2. Killed: same workload, crash after `kill_round`.
-    let mut kill_jobs = make_jobs(cell, &kill_dir);
-    let kill_crowd_journals: Vec<PathBuf> =
-        kill_jobs.iter().filter_map(|j| j.journal.clone()).collect();
-    let kill_live = attach_counter(&mut kill_jobs);
-    let mut kill_cfg = cfg.clone();
-    kill_cfg.journal = Some(kill_dir.join("service.journal"));
-    kill_cfg.kill_after_rounds = Some(cell.kill_round);
-    // Wall-clock on purpose: recovery overhead prices the harness's
-    // own replay cost, not simulated time.
-    // falcon-lint: allow(sim-time)
-    let t1 = Instant::now();
-    let killed_report = serve(kill_jobs, &kill_cfg)?;
-    let kill_wall = t1.elapsed();
-
-    // 3. Resumed: fresh identically-seeded jobs over the killed run's
-    // journals; tenants replay their crowd journals, the scheduler
+    // Reference: uninterrupted. Killed: the same workload, crashed after
+    // `kill_round`. Resumed: fresh identically-seeded jobs over the killed
+    // run's journals — tenants replay their crowd journals, the scheduler
     // verifies its own journal, and the live tail completes the run.
-    let mut resume_jobs = make_jobs(cell, &kill_dir);
-    let resume_live = attach_counter(&mut resume_jobs);
-    let mut resume_cfg = cfg.clone();
-    resume_cfg.journal = kill_cfg.journal.clone();
-    // Wall-clock on purpose: recovery overhead prices the harness's
-    // own replay cost, not simulated time.
-    // falcon-lint: allow(sim-time)
-    let t2 = Instant::now();
-    let resumed_report = resume(resume_jobs, &resume_cfg)?;
-    let resume_wall = t2.elapsed();
+    let journaled = |dir: &Path, kill| ServeConfig {
+        journal: Some(dir.join("service.journal")),
+        kill_after_rounds: kill,
+        ..cfg.clone()
+    };
+    let ref_cfg = journaled(&ref_dir, None);
+    let kill_cfg = journaled(&kill_dir, Some(cell.kill_round));
+    let reference = leg(make_jobs(cell, &ref_dir), &ref_cfg, serve)?;
+    let killed = leg(make_jobs(cell, &kill_dir), &kill_cfg, serve)?;
+    let resumed = leg(make_jobs(cell, &kill_dir), &kill_cfg, resume)?;
 
     // ---- Identity checks -------------------------------------------
-    let want = serve_fingerprint(&ref_report);
-    let got = serve_fingerprint(&resumed_report);
+    let want = serve_fingerprint(&reference.report);
+    let got = serve_fingerprint(&resumed.report);
     let mismatch = want
         .iter()
         .zip(got.iter())
@@ -333,9 +335,10 @@ where
     let res_sj = read_bytes(&kill_dir.join("service.journal"))?;
     let service_journal_identical = ref_sj == res_sj;
 
-    let mut crowd_journals_identical = ref_crowd_journals.len() == kill_crowd_journals.len();
+    let (ref_crowd, kill_crowd) = (&reference.crowd_journals, &killed.crowd_journals);
+    let mut crowd_journals_identical = ref_crowd.len() == kill_crowd.len();
     if crowd_journals_identical {
-        for (r, k) in ref_crowd_journals.iter().zip(&kill_crowd_journals) {
+        for (r, k) in ref_crowd.iter().zip(kill_crowd) {
             if read_bytes(r)? != read_bytes(k)? {
                 crowd_journals_identical = false;
                 break;
@@ -349,16 +352,16 @@ where
         mismatch,
         service_journal_identical,
         crowd_journals_identical,
-        ref_live_questions: ref_live.load(Ordering::Relaxed),
-        killed_live_questions: kill_live.load(Ordering::Relaxed),
-        resumed_live_questions: resume_live.load(Ordering::Relaxed),
-        replayed_rounds: resumed_report.replayed_rounds,
-        killed_at_round: killed_report.killed_at_round,
-        ref_wall,
-        kill_wall,
-        resume_wall,
-        ref_report,
-        resumed_report,
+        ref_live_questions: reference.live,
+        killed_live_questions: killed.live,
+        resumed_live_questions: resumed.live,
+        replayed_rounds: resumed.report.replayed_rounds,
+        killed_at_round: killed.report.killed_at_round,
+        ref_wall: reference.wall,
+        kill_wall: killed.wall,
+        resume_wall: resumed.wall,
+        ref_report: reference.report,
+        resumed_report: resumed.report,
     })
 }
 

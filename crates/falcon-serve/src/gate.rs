@@ -19,12 +19,12 @@
 //! running to completion ungated.
 //!
 //! Real CPU concurrency is bounded separately by a counting semaphore
-//! ([`Permits`]): a tenant holds a permit while actually computing and
-//! releases it across its grant wait, so `ServeConfig::threads` caps how
-//! many drivers burn CPU at once. Permits are a *real-time* throttle
-//! only — the scheduler's lockstep rounds (drain every active tenant,
-//! place, grant) make every virtual-time outcome independent of the
-//! permit count, which is what the determinism tests pin down.
+//! ([`Permits`]): the gate holds its tenant's permit — a guard, returned
+//! when the gate drops, on return or unwind — while the driver computes,
+//! and hands it back across each grant wait. `ServeConfig::threads` thus
+//! caps how many drivers burn CPU at once, and nothing else: the
+//! scheduler's lockstep rounds make every virtual-time outcome
+//! independent of the permit count, which the determinism tests pin down.
 
 use falcon_core::stage::{CancelReason, StageControl, StageEvent, StageGate, StageKind};
 use parking_lot::Mutex;
@@ -51,33 +51,42 @@ impl Permits {
         })
     }
 
-    /// Block until a permit is free, then hold it.
-    pub fn acquire(&self) {
+    /// Block until a permit is free; it is held until the guard drops.
+    fn acquire(self: &Arc<Self>) -> Permit {
         // The receiver lives in `self`, so send can only fail if the
         // permit pool itself is gone — nothing to hold in that case.
         let _ = self.tx.send(());
+        Permit(self.clone())
     }
+}
 
-    /// Return a held permit.
-    pub fn release(&self) {
-        let _ = self.rx.lock().try_recv();
+/// A held permit, returned to its pool on drop — also during a panic.
+struct Permit(Arc<Permits>);
+
+impl Drop for Permit {
+    fn drop(&mut self) {
+        let _ = self.0.rx.lock().try_recv();
     }
 }
 
 /// Stage-boundary gate for one tenant (see module docs).
 pub struct ServeGate {
     /// Stage reports to the scheduler. `Sender` is wrapped so the gate is
-    /// `Sync` on every supported toolchain.
+    /// `Sync` on every supported toolchain. Declared first so it drops,
+    /// and the scheduler sees end-of-stream, before the permit returns.
     events: Mutex<Sender<StageEvent>>,
     /// Per-stage verdicts from the scheduler: a node lease or a
     /// cancellation order.
     grants: Mutex<Receiver<StageControl>>,
     /// Real-concurrency throttle shared by all tenants.
     permits: Arc<Permits>,
+    /// The tenant's CPU permit; `None` only across a grant wait.
+    permit: Mutex<Option<Permit>>,
 }
 
 impl ServeGate {
-    /// Wire a gate to its scheduler-side channels.
+    /// Wire a gate to its scheduler-side channels, blocking until one of
+    /// `permits` is free; the gate holds it until it drops.
     pub fn new(
         events: Sender<StageEvent>,
         grants: Receiver<StageControl>,
@@ -86,6 +95,7 @@ impl ServeGate {
         Self {
             events: Mutex::new(events),
             grants: Mutex::new(grants),
+            permit: Mutex::new(Some(permits.acquire())),
             permits,
         }
     }
@@ -104,9 +114,9 @@ impl StageGate for ServeGate {
         }
         // Machine-kind boundary: hand the CPU back while waiting for the
         // scheduler to place this stage and issue its verdict.
-        self.permits.release();
+        drop(self.permit.lock().take());
         let verdict = self.grants.lock().recv();
-        self.permits.acquire();
+        *self.permit.lock() = Some(self.permits.acquire());
         match verdict {
             Ok(control) => control,
             // Scheduler dropped while we were parked: unpark with a
@@ -149,9 +159,7 @@ mod tests {
     fn machine_events_block_until_granted() {
         let (etx, erx) = channel();
         let (gtx, grx) = channel();
-        let permits = Permits::new(1);
-        permits.acquire();
-        let gate = Arc::new(ServeGate::new(etx, grx, permits));
+        let gate = Arc::new(ServeGate::new(etx, grx, Permits::new(1)));
         let g2 = gate.clone();
         let h = std::thread::spawn(move || g2.on_stage(ev(StageKind::Machine)));
         // The event arrives while the worker is parked on the grant.
@@ -203,12 +211,13 @@ mod tests {
     #[test]
     fn permits_bound_holders() {
         let p = Permits::new(2);
-        p.acquire();
-        p.acquire();
-        // A third acquire would block; release frees a slot first.
-        p.release();
-        p.acquire();
-        p.release();
-        p.release();
+        let a = p.acquire();
+        let b = p.acquire();
+        // A third acquire would block; dropping a held permit frees a
+        // slot first.
+        drop(a);
+        let c = p.acquire();
+        drop((b, c));
+        let _d = p.acquire();
     }
 }

@@ -26,12 +26,12 @@
 //! `end` marker.
 //!
 //! **Resume = re-execute + verify.** Because every decision is a pure
-//! function of the inputs, [`Scheduler::resume`](crate::serve) replays
-//! completed rounds by re-running the same drain/place logic (tenant
-//! drivers replay their own crowd journals, so no crowd question is ever
-//! re-asked) and *string-compares* each regenerated line against the
-//! recorded one. Any mismatch — a stale crowd journal, an edited config,
-//! a different job list — surfaces as a typed
+//! function of the inputs, [`resume`](crate::resume) replays completed
+//! rounds by re-running the same drain/place logic (tenant drivers replay
+//! their own crowd journals, so no crowd question is ever re-asked),
+//! renders each regenerated scheduling decision as its line and compares
+//! it with the recorded one. Any mismatch — a stale crowd journal, an
+//! edited config, a different job list — surfaces as a typed
 //! [`ServeError::ServiceJournal`](crate::ServeError) divergence instead
 //! of silently forking history.
 //!

@@ -5,14 +5,16 @@
 //! # Lockstep rounds
 //!
 //! Every tenant runs the ordinary `falcon-core` driver on its own OS
-//! thread, gated at stage boundaries (see [`crate::gate`]). The
-//! scheduler loops in *rounds*: drain each active tenant's event channel
-//! until the tenant is parked on a machine-kind boundary (crowd events
-//! are folded into its virtual clocks on the way) or its channel
-//! disconnects (the run finished); then place every parked stage on the
-//! shared [`PoolSim`] in policy order; then grant all parked tenants
-//! their next lease. Because a round's content never depends on *when*
-//! threads ran — only on the order events sit in per-tenant FIFO
+//! thread, gated at stage boundaries (see [`crate::gate`]). [`serve`] is
+//! only the mechanism: it spawns those threads, drains their channels,
+//! journals and grants, while a core with no threads and no files,
+//! `Rounds`, makes every decision. Each round drains every running tenant,
+//! in index order, until it parks on a machine-kind boundary (crowd
+//! events are folded into its clocks on the way) or its driver returns;
+//! then answers every parked stage — cancellations first, then placements
+//! on the shared [`PoolSim`] in policy order; then commits the round's
+//! `Decision`s and grants. Because a round's content never depends on
+//! *when* threads ran — only on the order events sit in per-tenant FIFO
 //! channels, which is each driver's program order — every virtual-time
 //! outcome is identical at any `threads` setting. The permit count
 //! throttles real CPU use and nothing else.
@@ -43,9 +45,9 @@
 //!   scheduler answers the tenant's parked stage with
 //!   [`StageControl::Cancel`] and the driver unwinds through its
 //!   cancellation points with the crowd journal finalized.
-//! * **Quarantine**: a tenant whose driver errors (including dataflow
-//!   attempt-budget overruns) is isolated; its outcome records the
-//!   failure and no other tenant's bytes change.
+//! * **Quarantine**: a tenant whose driver errors or panics (including
+//!   dataflow attempt-budget overruns) is isolated; its outcome records
+//!   the failure and no other tenant's bytes change.
 //! * **Elastic pool**: seeded [`PoolEvent`]s shrink or grow [`PoolSim`]
 //!   capacity mid-run; parked stages re-place on whatever capacity
 //!   remains, and a [`DegradedPolicy`] sheds speculative (masked) work
@@ -57,7 +59,7 @@
 //!   so no crowd question is re-asked), and continues live where the
 //!   record ends. Any divergence is a typed [`ServeError`].
 
-use crate::admission::{admit, AdmitDecision};
+use crate::admission::{admit, AdmitDecision, TenantQuota};
 use crate::error::{ServeError, SERVICE_TENANT};
 use crate::gate::{Permits, ServeGate};
 use crate::job::JobSpec;
@@ -68,7 +70,9 @@ use falcon_core::stage::{CancelReason, StageControl, StageEvent, StageKind};
 use falcon_crowd::Ledger;
 use falcon_dataflow::{ClusterConfig, DataflowError, DetRng, Phase};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 use std::path::PathBuf;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -338,6 +342,62 @@ impl PoolSim {
         self.horizon = self.horizon.max(end);
     }
 
+    /// Place one stage for the tenant whose clocks are `clock`, granting
+    /// at most `node_cap` nodes of `slots_per_node` slots each. The
+    /// rounds and the serial replay both price work here, with the solo
+    /// driver's formula ([`ClusterConfig::stage_time`], default
+    /// overheads) on the granted slots; measured time never enters it.
+    fn place(
+        &mut self,
+        clock: &mut TenantClock,
+        ev: &StageEvent,
+        slots_per_node: usize,
+        node_cap: usize,
+    ) -> Placed {
+        let ready = clock.ready(ev.kind);
+        if ev.kind == StageKind::CrowdWait {
+            clock.crowd_free = ready.saturating_add(ns(ev.dur));
+            return Placed {
+                start: ready,
+                end: clock.crowd_free,
+                nodes: 0,
+            };
+        }
+        let slots_per_node = slots_per_node.max(1);
+        // One slot per task, expressed in nodes (a local pass holds one).
+        let mut want = (ev.tasks.max(1) as usize)
+            .div_ceil(slots_per_node)
+            .min(node_cap.max(1)) as i64;
+        want = want.min(self.max_cap_from(ready));
+        let dur_on = |nodes: i64| {
+            let slots = nodes as usize * slots_per_node;
+            ns(ClusterConfig::default().stage_time(ev.tasks, ev.records, slots)).max(1)
+        };
+        let mut dur = dur_on(want);
+        let start = match self.try_earliest(ready, want, dur) {
+            Some(s) => s,
+            None => {
+                // The pool's peak window can't hold this grant for its
+                // whole duration (capacity shrank for good): re-place on
+                // the steady-state capacity — fewer nodes, more waves,
+                // but guaranteed to fit.
+                want = want.min(self.final_cap).max(1);
+                dur = dur_on(want);
+                self.try_earliest(ready, want, dur)
+                    .unwrap_or(self.horizon.max(ready))
+            }
+        };
+        let end = start.saturating_add(dur);
+        self.commit(start, end, want);
+        clock.machine_ready = end;
+        clock.machine_service += u128::from(dur) * want.unsigned_abs() as u128;
+        Placed {
+            start,
+            end,
+            nodes: want,
+        }
+    }
+
     /// Node·nanoseconds of capacity over `[0, makespan)` — the
     /// utilization denominator under an elastic pool.
     fn node_time(&self, makespan: u64) -> u128 {
@@ -389,9 +449,19 @@ impl TenantClock {
     fn finish(&self) -> u64 {
         self.machine_ready.max(self.crowd_free)
     }
+
+    /// The one ready-time rule: a masked stage may start as soon as the
+    /// machine is free — under the tenant's own open crowd window — while
+    /// an unmasked stage or a crowd wait waits for both clocks.
+    fn ready(&self, kind: StageKind) -> u64 {
+        match kind {
+            StageKind::MaskedMachine => self.machine_ready,
+            StageKind::Machine | StageKind::CrowdWait => self.finish(),
+        }
+    }
 }
 
-/// Where a placed stage landed (journal record content).
+/// Where a placed stage landed.
 #[derive(Debug, Clone, Copy)]
 struct Placed {
     start: u64,
@@ -399,79 +469,73 @@ struct Placed {
     nodes: i64,
 }
 
-/// How the shared pool prices a machine stage: as a simulated cluster
-/// with the default job and task overheads, on the slots of the nodes it
-/// grants. The formula is [`ClusterConfig::stage_time`], the one the solo
-/// driver's timeline is priced by; measured time never enters it.
-fn pool_pricing() -> ClusterConfig {
-    ClusterConfig::default()
+fn ns(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Place one stage for one tenant; shared by the live loop and the
-/// serial replay so both price work identically.
-fn apply_stage(
-    clock: &mut TenantClock,
-    pool: &mut PoolSim,
-    pricing: &ClusterConfig,
-    slots_per_node: usize,
-    node_cap: usize,
-    ev: &StageEvent,
-) -> Placed {
-    match ev.kind {
-        StageKind::CrowdWait => {
-            let start = clock.finish();
-            clock.crowd_free = start.saturating_add(ns(ev.dur));
-            Placed {
-                start,
-                end: clock.crowd_free,
-                nodes: 0,
-            }
-        }
-        StageKind::Machine | StageKind::MaskedMachine => {
-            let ready = if ev.kind == StageKind::MaskedMachine {
-                clock.machine_ready
-            } else {
-                clock.finish()
-            };
-            let slots_per_node = slots_per_node.max(1);
-            // One slot per task, expressed in nodes (a local pass holds one).
-            let mut want = (ev.tasks.max(1) as usize)
-                .div_ceil(slots_per_node)
-                .min(node_cap.max(1)) as i64;
-            want = want.min(pool.max_cap_from(ready));
-            let dur_on = |nodes: i64| {
-                let slots = nodes as usize * slots_per_node;
-                ns(pricing.stage_time(ev.tasks, ev.records, slots)).max(1)
-            };
-            let mut dur = dur_on(want);
-            let start = match pool.try_earliest(ready, want, dur) {
-                Some(s) => s,
-                None => {
-                    // The pool's peak window can't hold this grant for
-                    // its whole duration (capacity shrank for good):
-                    // re-place on the steady-state capacity — fewer
-                    // nodes, more waves, but guaranteed to fit.
-                    want = want.min(pool.final_cap).max(1);
-                    dur = dur_on(want);
-                    pool.try_earliest(ready, want, dur)
-                        .unwrap_or(pool.horizon.max(ready))
-                }
-            };
-            let end = start.saturating_add(dur);
-            pool.commit(start, end, want);
-            clock.machine_ready = end;
-            clock.machine_service += u128::from(dur) * want.unsigned_abs() as u128;
-            Placed {
-                start,
-                end,
-                nodes: want,
-            }
+/// One scheduling decision. Its `Display` is the only place a
+/// service-journal line is written; resume renders the re-executed
+/// decisions and compares them with the recorded lines.
+#[derive(Debug)]
+enum Decision {
+    /// `config <fnv64>` of the outcome-relevant config.
+    Config(u64),
+    /// `admit <tenant> <name> <arrival_ns> <priority> <verdict>`.
+    Admit(usize, String, u64, i32, AdmitDecision),
+    /// `c <tenant> <seq> <label> <dur_ns> <tasks> <records> <start> <end>`:
+    /// a crowd wait folded into the tenant's clocks.
+    Crowd(usize, u64, StageEvent, Placed),
+    /// `p <tenant> <seq> <m|k> <label> <dur_ns> <tasks> <records> <start>
+    /// <end> <nodes>`: a machine-kind stage placed on the pool, `dur_ns`
+    /// priced on the granted nodes (not the solo-cluster `dur`).
+    Place(usize, u64, StageEvent, Placed),
+    /// `x <tenant> <reason>`: a cancellation verdict delivered.
+    Cancel(usize, CancelReason),
+    /// `f <tenant> <finish_ns> <status>`: the tenant left the service.
+    Finish(usize, u64, TenantStatus),
+    /// `a <tenant> <start_ns>`: a waiter activated on a freed slot.
+    Activate(usize, u64),
+}
+
+impl Decision {
+    fn tenant(&self) -> Option<usize> {
+        match self {
+            Self::Config(_) => None,
+            Self::Admit(t, ..) | Self::Crowd(t, ..) | Self::Place(t, ..) => Some(*t),
+            Self::Cancel(t, _) | Self::Finish(t, ..) | Self::Activate(t, _) => Some(*t),
         }
     }
 }
 
-fn ns(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+impl fmt::Display for Decision {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Config(digest) => write!(f, "config {digest:016x}"),
+            Self::Admit(t, name, arrival, priority, verdict) => {
+                write!(f, "admit {t} {name} {arrival} {priority} {}", verdict.tag())
+            }
+            Self::Crowd(t, seq, s, p) => {
+                let (label, dur, tasks, records) = (&s.label, ns(s.dur), s.tasks, s.records);
+                write!(
+                    f,
+                    "c {t} {seq} {label} {dur} {tasks} {records} {} {}",
+                    p.start, p.end
+                )
+            }
+            Self::Place(t, seq, s, p) => {
+                let kind = ["m", "k"][usize::from(s.kind == StageKind::MaskedMachine)];
+                let (label, tasks, records, nodes) = (&s.label, s.tasks, s.records, p.nodes);
+                let (start, end, dur) = (p.start, p.end, p.end.saturating_sub(p.start));
+                write!(
+                    f,
+                    "p {t} {seq} {kind} {label} {dur} {tasks} {records} {start} {end} {nodes}"
+                )
+            }
+            Self::Cancel(t, reason) => write!(f, "x {t} {reason:?}"),
+            Self::Finish(t, at, status) => write!(f, "f {t} {at} {}", status.as_str()),
+            Self::Activate(t, at) => write!(f, "a {t} {at}"),
+        }
+    }
 }
 
 /// Service-level disposition of one tenant.
@@ -608,25 +672,32 @@ fn percentile(mut xs: Vec<Duration>, p: f64) -> Duration {
     xs[rank.clamp(1, xs.len()) - 1]
 }
 
-/// Per-tenant scheduler state.
+/// Where a tenant stands: `Queued` (no driver yet), `Running` (its driver
+/// runs or unwinds), `Finished` (its driver returned), or `Closed` before
+/// its driver ever started.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Standing {
+    Queued,
+    Running,
+    Finished,
+    Closed,
+}
+
+/// One tenant as the policy sees it.
 struct Tenant {
     name: String,
-    meta_priority: i32,
-    arrival_ns: u64,
+    priority: i32,
+    arrival: u64,
     /// Absolute virtual-clock deadline, when the job has one.
-    deadline_ns: Option<u64>,
-    /// The job, held until activation spawns its driver thread.
-    job: Option<JobSpec>,
-    events: Option<Receiver<StageEvent>>,
-    grants: Option<Sender<StageControl>>,
-    handle: Option<JoinHandle<Result<RunReport, FalconError>>>,
+    deadline: Option<u64>,
+    standing: Standing,
     clock: TenantClock,
+    /// Every stage observed, in program order (serial baseline input).
     trace: Vec<StageEvent>,
     /// Stage events observed so far (journal sequence key).
     seq: u64,
     /// Machine-kind stages placed (stage-quota key).
     machine_stages: u64,
-    finished: bool,
     /// Pending cancellation; sticky once set.
     cancel: Option<CancelReason>,
     status: TenantStatus,
@@ -635,30 +706,488 @@ struct Tenant {
 }
 
 impl Tenant {
-    fn started(&self) -> bool {
-        self.events.is_some()
+    /// Deadline or quota verdict for the tenant parked at a round
+    /// boundary.
+    fn verdict(&self, quota: &TenantQuota, round: u64) -> Option<(CancelReason, ServeError)> {
+        let finish = self.clock.finish();
+        if let Some(d) = self.deadline.filter(|d| finish > *d) {
+            let err = ServeError::DeadlineExceeded {
+                tenant: self.name.clone(),
+                round,
+                deadline: Duration::from_nanos(d),
+                reached: Duration::from_nanos(finish),
+            };
+            return Some((CancelReason::Deadline, err));
+        }
+        let (what, limit) = match (quota.max_stages, quota.node_seconds) {
+            (Some(max), _) if self.machine_stages >= max => ("stages", max),
+            (_, Some(budget)) if self.clock.machine_service >= budget.as_nanos() => {
+                ("node-seconds", budget.as_secs())
+            }
+            _ => return None,
+        };
+        let err = ServeError::QuotaExceeded {
+            tenant: self.name.clone(),
+            round,
+            what,
+            limit,
+        };
+        Some((CancelReason::Quota, err))
+    }
+
+    fn outcome(self) -> TenantOutcome {
+        let finish = self.clock.finish();
+        let service = u64::try_from(self.clock.machine_service).unwrap_or(u64::MAX);
+        TenantOutcome {
+            name: self.name,
+            priority: self.priority,
+            arrival: Duration::from_nanos(self.arrival),
+            finish: Duration::from_nanos(finish),
+            latency: Duration::from_nanos(finish.saturating_sub(self.arrival)),
+            machine_service: Duration::from_nanos(service),
+            stages: self.trace.len(),
+            status: self.status,
+            service_error: self.service_error,
+            result: self.result.unwrap_or(Err(FalconError::EmptyInput {
+                what: "tenant result",
+            })),
+        }
     }
 }
 
-/// Spawn `t`'s driver thread, activating it at virtual time `start_ns`.
-fn spawn_tenant(t: &mut Tenant, permits: &Arc<Permits>, start_ns: u64) {
-    let Some(job) = t.job.take() else { return };
-    let (ev_tx, ev_rx) = channel();
-    let (grant_tx, grant_rx) = channel();
-    let gate = Arc::new(ServeGate::new(ev_tx, grant_rx, permits.clone()));
-    let permits_for_thread = permits.clone();
-    t.events = Some(ev_rx);
-    t.grants = Some(grant_tx);
-    t.clock = TenantClock::at(start_ns);
-    t.handle = Some(std::thread::spawn(move || {
-        permits_for_thread.acquire();
-        let res = job.run(Some(gate.clone()));
-        // Disconnect the event channel *before* releasing the permit
-        // so the scheduler sees a clean end-of-stream.
-        drop(gate);
-        permits_for_thread.release();
-        res
-    }));
+/// The scheduling policy, with no threads and no files: the pool, every
+/// tenant's clocks, quota counters, deadline and standing, the wait
+/// queue and the round counter. Within a round its decisions come in
+/// this order, the order the journal records and resume compares:
+///
+/// 1. drain-phase decisions (`c`, `x` of already-cancelled tenants, `f`,
+///    `a`) in tenant-index order, each tenant's in its program order; a
+///    waiter activated while tenant `i` drains is drained in the same
+///    round exactly when its index is greater than `i`;
+/// 2. boundary cancellations (`x`) of parked tenants, in tenant-index
+///    order;
+/// 3. placements (`p`) in policy order — [`Policy::Random`] keyed on
+///    `(seed, round, tenant)` — with unmasked stages ahead of masked
+///    ones in a degraded round (a stable partition of the policy order).
+struct Rounds<'c> {
+    cfg: &'c ServeConfig,
+    pool: PoolSim,
+    tenants: Vec<Tenant>,
+    queue: VecDeque<usize>,
+    round: u64,
+    /// Decisions since the last commit, in journal order.
+    decisions: Vec<Decision>,
+    /// This round's parked machine stages `(tenant, seq, stage)`.
+    parked: Vec<(usize, u64, StageEvent)>,
+}
+
+impl<'c> Rounds<'c> {
+    /// Admit `jobs` (index order is submission order), leaving the
+    /// journal prefix — the config and admission decisions — in
+    /// `decisions`.
+    fn new(cfg: &'c ServeConfig, jobs: &[JobSpec]) -> Self {
+        let priorities: Vec<i32> = jobs.iter().map(|j| j.priority).collect();
+        let mut rounds = Self {
+            cfg,
+            pool: PoolSim::new(cfg.pool_nodes, &cfg.pool_events),
+            tenants: Vec::with_capacity(jobs.len()),
+            queue: VecDeque::new(),
+            round: 0,
+            decisions: vec![Decision::Config(cfg.digest())],
+            parked: Vec::new(),
+        };
+        let verdicts = admit(&cfg.admission, &priorities);
+        for (t, (job, verdict)) in jobs.iter().zip(verdicts).enumerate() {
+            let (name, arrival) = (job.name.clone(), ns(job.arrival));
+            let mut deadline = job.deadline.map(|d| arrival.saturating_add(ns(d)));
+            if let (AdmitDecision::QueuedWithDeadline, Some(q)) =
+                (verdict, cfg.admission.queue_deadline)
+            {
+                let qd = arrival.saturating_add(ns(q));
+                deadline = Some(deadline.map_or(qd, |d| d.min(qd)));
+            }
+            let admit = Decision::Admit(t, name.clone(), arrival, job.priority, verdict);
+            rounds.decisions.push(admit);
+            rounds.tenants.push(Tenant {
+                name: name.clone(),
+                priority: job.priority,
+                arrival,
+                deadline,
+                standing: Standing::Queued,
+                clock: TenantClock::at(arrival),
+                trace: Vec::new(),
+                seq: 0,
+                machine_stages: 0,
+                cancel: None,
+                status: TenantStatus::Ok,
+                service_error: None,
+                result: None,
+            });
+            let max_queue = cfg.admission.max_queue;
+            match verdict {
+                AdmitDecision::Active => rounds.tenants[t].standing = Standing::Running,
+                AdmitDecision::Queued | AdmitDecision::QueuedWithDeadline => {
+                    rounds.queue.push_back(t)
+                }
+                AdmitDecision::Rejected => {
+                    let err = ServeError::QueueFull {
+                        tenant: name,
+                        round: 0,
+                        queued: max_queue,
+                        max_queue,
+                    };
+                    rounds.close(t, TenantStatus::Rejected, CancelReason::Admission, err);
+                }
+                AdmitDecision::Shed => {
+                    let err = ServeError::Shed {
+                        tenant: name,
+                        round: 0,
+                        by: "queue overflow",
+                    };
+                    rounds.close(t, TenantStatus::Shed, CancelReason::Admission, err);
+                }
+            }
+        }
+        rounds
+    }
+
+    fn running(&self, t: usize) -> bool {
+        self.tenants[t].standing == Standing::Running
+    }
+
+    /// Does any tenant still run?
+    fn live(&self) -> bool {
+        (0..self.tenants.len()).any(|t| self.running(t))
+    }
+
+    /// Remove tenant `t` before its driver ever started — rejected, shed,
+    /// expired in the queue, or still queued when the service was killed
+    /// — with its run cancelled for `reason`.
+    fn close(&mut self, t: usize, status: TenantStatus, reason: CancelReason, err: ServeError) {
+        let tenant = &mut self.tenants[t];
+        tenant.standing = Standing::Closed;
+        tenant.status = status;
+        tenant.cancel = Some(reason);
+        tenant.service_error.get_or_insert(err);
+        tenant.result = Some(Err(FalconError::Cancelled { reason }));
+    }
+
+    /// Fold the next stage event drained from running tenant `t`; a
+    /// machine-kind stage parks the tenant until this round's verdicts.
+    /// Returns the verdict to answer at once: the tenant was already
+    /// cancelled, and is answered the same way until its driver unwinds.
+    fn observe(&mut self, t: usize, ev: StageEvent) -> Option<CancelReason> {
+        let tenant = &mut self.tenants[t];
+        if let Some(reason) = tenant.cancel {
+            // Drop a cancelled tenant's events so it perturbs nothing.
+            if ev.kind == StageKind::CrowdWait {
+                return None;
+            }
+            self.decisions.push(Decision::Cancel(t, reason));
+            return Some(reason);
+        }
+        tenant.seq += 1;
+        tenant.trace.push(ev.clone());
+        if ev.kind != StageKind::CrowdWait {
+            self.parked.push((t, tenant.seq, ev));
+            return None;
+        }
+        let (slots, cap) = (self.cfg.slots_per_node, self.cfg.pool_nodes);
+        let placed = self.pool.place(&mut tenant.clock, &ev, slots, cap);
+        self.decisions
+            .push(Decision::Crowd(t, tenant.seq, ev, placed));
+        None
+    }
+
+    /// Tenant `t`'s driver returned `res`: classify it, record its finish,
+    /// and hand its activation slot to the longest waiter, expiring
+    /// waiters whose deadline already passed. Returns the waiter whose
+    /// driver must start now.
+    fn finish(&mut self, t: usize, res: Result<RunReport, FalconError>) -> Option<usize> {
+        let round = self.round;
+        let tenant = &mut self.tenants[t];
+        let reason = tenant.cancel.or(match &res {
+            Err(FalconError::Cancelled { reason }) => Some(*reason),
+            _ => None,
+        });
+        tenant.status = match (reason, &res) {
+            (Some(CancelReason::Deadline), _) => TenantStatus::Deadline,
+            (Some(CancelReason::Quota), _) => TenantStatus::Shed,
+            (Some(CancelReason::Admission), _) => TenantStatus::Rejected,
+            (Some(CancelReason::Kill | CancelReason::Shutdown), _) => TenantStatus::Killed,
+            (None, Ok(_)) => TenantStatus::Ok,
+            (None, Err(e)) => {
+                let err = ServeError::Quarantined {
+                    tenant: tenant.name.clone(),
+                    round,
+                    cause: e.to_string(),
+                };
+                tenant.service_error.get_or_insert(err);
+                TenantStatus::Quarantined
+            }
+        };
+        tenant.standing = Standing::Finished;
+        tenant.result = Some(res);
+        let freed_at = tenant.clock.finish();
+        let finished = Decision::Finish(t, freed_at, tenant.status);
+        self.decisions.push(finished);
+        while let Some(w) = self.queue.pop_front() {
+            let waiter = &mut self.tenants[w];
+            let start = waiter.arrival.max(freed_at);
+            let Some(d) = waiter.deadline.filter(|d| start >= *d) else {
+                waiter.standing = Standing::Running;
+                waiter.clock = TenantClock::at(start);
+                self.decisions.push(Decision::Activate(w, start));
+                return Some(w);
+            };
+            // Expired in the queue: never started; the slot stays free for
+            // the next waiter.
+            let err = ServeError::DeadlineExceeded {
+                tenant: waiter.name.clone(),
+                round,
+                deadline: Duration::from_nanos(d),
+                reached: Duration::from_nanos(start),
+            };
+            self.close(w, TenantStatus::Deadline, CancelReason::Deadline, err);
+            let expired = Decision::Finish(w, start, TenantStatus::Deadline);
+            self.decisions.push(expired);
+        }
+        None
+    }
+
+    /// Answer every stage parked this round: tenants past their deadline
+    /// or quota are cancelled, the rest placed on the pool in policy
+    /// order. Returns one verdict per parked tenant.
+    fn place(&mut self) -> Vec<(usize, StageControl)> {
+        let cfg = self.cfg;
+        let mut verdicts = Vec::with_capacity(self.parked.len());
+        let mut kept = Vec::with_capacity(self.parked.len());
+        for (t, seq, ev) in std::mem::take(&mut self.parked) {
+            let tenant = &mut self.tenants[t];
+            let Some((reason, err)) = tenant.verdict(&cfg.admission.quota, self.round) else {
+                kept.push((t, seq, ev));
+                continue;
+            };
+            tenant.cancel = Some(reason);
+            tenant.service_error.get_or_insert(err);
+            self.decisions.push(Decision::Cancel(t, reason));
+            verdicts.push((t, StageControl::Cancel(reason)));
+        }
+        // Degraded mode: when capacity at the round's earliest ready time
+        // has fallen below the threshold, critical-path stages go first
+        // and masked (speculative/prebuild) work is node-capped.
+        let earliest = kept
+            .iter()
+            .map(|(t, _, ev)| self.tenants[*t].clock.ready(ev.kind));
+        let degraded = cfg.degraded.threshold > 0.0
+            && earliest.min().is_some_and(|t0| {
+                (self.pool.cap_at(t0) as f64)
+                    < cfg.degraded.threshold * cfg.pool_nodes.max(1) as f64
+            });
+        let node_cap = match cfg.policy {
+            Policy::FairShare => {
+                let active = (0..self.tenants.len()).filter(|&t| self.running(t)).count();
+                (cfg.pool_nodes / active.max(1)).max(1)
+            }
+            _ => cfg.pool_nodes,
+        };
+        self.order(&mut kept);
+        if degraded {
+            // Stable partition: unmasked (critical-path) stages keep
+            // their policy order ahead of every masked stage.
+            kept.sort_by_key(|(_, _, ev)| ev.kind == StageKind::MaskedMachine);
+        }
+        for (t, seq, ev) in kept {
+            let cap = match degraded && ev.kind == StageKind::MaskedMachine {
+                true => node_cap.min(cfg.degraded.masked_node_cap.max(1)),
+                false => node_cap,
+            };
+            let tenant = &mut self.tenants[t];
+            let placed = self
+                .pool
+                .place(&mut tenant.clock, &ev, cfg.slots_per_node, cap);
+            tenant.machine_stages += 1;
+            self.decisions.push(Decision::Place(t, seq, ev, placed));
+            verdicts.push((t, StageControl::Continue));
+        }
+        verdicts
+    }
+
+    /// Sort parked stages into policy order.
+    fn order(&self, stages: &mut [(usize, u64, StageEvent)]) {
+        let tenant = |t: usize| &self.tenants[t];
+        let service = |t: usize| tenant(t).clock.machine_service;
+        match self.cfg.policy {
+            Policy::Fifo => stages.sort_by_key(|(t, _, _)| (tenant(*t).arrival, *t)),
+            Policy::FairShare => {
+                stages.sort_by_key(|(t, _, _)| (service(*t), tenant(*t).arrival, *t))
+            }
+            Policy::Priority => {
+                stages.sort_by_key(|(t, _, _)| (Reverse(tenant(*t).priority), service(*t), *t))
+            }
+            Policy::Random => stages.sort_by(|(x, _, _), (y, _, _)| {
+                let key =
+                    |t| DetRng::for_task(self.cfg.seed, self.round, Phase::Map, t, 0).gen_f64();
+                key(*x).total_cmp(&key(*y)).then_with(|| x.cmp(y))
+            }),
+        }
+    }
+
+    /// The service crashes right after this round's commit: every running
+    /// tenant unwinds with [`CancelReason::Kill`] — a placed stage's
+    /// `Continue` becomes `Cancel(Kill)` — and no waiter ever starts.
+    fn kill(&mut self, verdicts: &mut [(usize, StageControl)]) {
+        let round = self.round;
+        for tenant in &mut self.tenants {
+            if tenant.standing == Standing::Running && tenant.cancel.is_none() {
+                tenant.cancel = Some(CancelReason::Kill);
+                let err = ServeError::Shutdown {
+                    tenant: tenant.name.clone(),
+                    round,
+                };
+                tenant.service_error.get_or_insert(err);
+            }
+        }
+        for (_, verdict) in verdicts.iter_mut() {
+            if *verdict == StageControl::Continue {
+                *verdict = StageControl::Cancel(CancelReason::Kill);
+            }
+        }
+        while let Some(w) = self.queue.pop_front() {
+            let tenant = self.tenants[w].name.clone();
+            let err = ServeError::Shutdown { tenant, round };
+            self.close(w, TenantStatus::Killed, CancelReason::Kill, err);
+        }
+    }
+
+    fn into_report(self, replayed_rounds: u64, killed_at_round: Option<u64>) -> ServeReport {
+        let finished = (self.tenants.iter()).filter(|t| t.standing == Standing::Finished);
+        let makespan = finished.map(|t| t.clock.finish()).max().unwrap_or(0);
+        let utilization = self.pool.utilization(makespan);
+        let (serial, serial_utilization, serial_latencies) = replay_serial(&self.tenants, self.cfg);
+        ServeReport {
+            outcomes: self.tenants.into_iter().map(Tenant::outcome).collect(),
+            makespan: Duration::from_nanos(makespan),
+            serial_makespan: Duration::from_nanos(serial),
+            utilization,
+            serial_utilization,
+            serial_latencies,
+            rounds: self.round,
+            replayed_rounds,
+            killed_at_round,
+            pool_nodes: self.cfg.pool_nodes,
+        }
+    }
+}
+
+/// A tenant's driver thread and its two channels: the mechanism side of
+/// a tenant.
+#[derive(Default)]
+struct Driver {
+    /// The job, held until activation spawns its thread.
+    job: Option<JobSpec>,
+    events: Option<Receiver<StageEvent>>,
+    grants: Option<Sender<StageControl>>,
+    handle: Option<JoinHandle<Result<RunReport, FalconError>>>,
+}
+
+impl Driver {
+    fn spawn(&mut self, permits: &Arc<Permits>) {
+        let Some(job) = self.job.take() else { return };
+        let (ev_tx, ev_rx) = channel();
+        let (grant_tx, grant_rx) = channel();
+        let permits = permits.clone();
+        self.events = Some(ev_rx);
+        self.grants = Some(grant_tx);
+        // The gate holds the thread's CPU permit until it drops — when the
+        // run returns or unwinds — so a panicking driver cannot keep it.
+        self.handle = Some(std::thread::spawn(move || {
+            job.run(Some(Arc::new(ServeGate::new(ev_tx, grant_rx, permits))))
+        }));
+    }
+
+    /// Read tenant `t`'s events in program order until it parks on a
+    /// machine stage or its driver returns. Returns the waiter its finish
+    /// activated.
+    fn drain(&mut self, t: usize, rounds: &mut Rounds) -> Option<usize> {
+        let events = self.events.as_ref()?;
+        loop {
+            let Ok(ev) = events.recv() else {
+                return rounds.finish(t, join_tenant(self.handle.take()));
+            };
+            let parks = ev.kind != StageKind::CrowdWait;
+            match rounds.observe(t, ev) {
+                Some(reason) => self.grant(StageControl::Cancel(reason)),
+                None if parks => return None,
+                None => {}
+            }
+        }
+    }
+
+    fn grant(&self, control: StageControl) {
+        if let Some(g) = &self.grants {
+            let _ = g.send(control);
+        }
+    }
+}
+
+/// Open the service journal: write the prefix of a fresh run, or check
+/// the recorded one.
+fn open_log(cfg: &ServeConfig, prefix: &[Decision]) -> Result<Option<ServeJournal>, ServeError> {
+    let Some(path) = &cfg.journal else {
+        return Ok(None);
+    };
+    let fail = |e| ServeError::service_journal(0, e);
+    let mut j = ServeJournal::open(path).map_err(fail)?;
+    let prefix: Vec<String> = prefix.iter().map(ToString::to_string).collect();
+    if j.is_fresh() {
+        j.write_prefix(&prefix).map_err(fail)?;
+    } else if j.prefix() != prefix.as_slice() {
+        let recorded = j.prefix();
+        let message = format!(
+            "journal belongs to a different service run: recorded prefix {recorded:?} vs {prefix:?}"
+        );
+        return Err(ServeError::service_journal(0, message));
+    }
+    Ok(Some(j))
+}
+
+/// Commit a round's `decisions`: compare them with the next recorded
+/// round while one remains, else append them when `live`. Returns whether
+/// the round was replayed.
+fn commit(
+    j: &mut ServeJournal,
+    rounds: &Rounds,
+    decisions: &[Decision],
+    live: bool,
+) -> Result<bool, ServeError> {
+    let round = rounds.round;
+    let lines: Vec<String> = decisions.iter().map(ToString::to_string).collect();
+    let Some((_, recorded)) = j.next_round() else {
+        if live {
+            (j.write_round(round, &lines)).map_err(|e| ServeError::service_journal(round, e))?;
+        }
+        return Ok(false);
+    };
+    let n = recorded.len().max(lines.len());
+    let Some(i) = (0..n).find(|&i| recorded.get(i) != lines.get(i)) else {
+        return Ok(true);
+    };
+    // Blame the tenant of the first re-executed decision that differs.
+    let tenant = match decisions.get(i).and_then(Decision::tenant) {
+        Some(t) => rounds.tenants[t].name.clone(),
+        None => SERVICE_TENANT.to_string(),
+    };
+    let shown = |line: Option<&String>| line.map_or("<missing>", String::as_str).to_string();
+    let (rec, gen) = (shown(recorded.get(i)), shown(lines.get(i)));
+    let message = format!(
+        "schedule diverges from journal at round {round}: recorded {rec:?} vs re-executed {gen:?}"
+    );
+    Err(ServeError::ServiceJournal {
+        tenant,
+        round,
+        message,
+    })
 }
 
 /// Run `jobs` on one shared node pool under full service semantics:
@@ -671,392 +1200,59 @@ fn spawn_tenant(t: &mut Tenant, permits: &Arc<Permits>, start_ns: u64) {
 /// [`TenantOutcome::status`]. `Err` means the *service* failed: an
 /// unusable or diverging service journal.
 pub fn serve(jobs: Vec<JobSpec>, cfg: &ServeConfig) -> Result<ServeReport, ServeError> {
+    let mut rounds = Rounds::new(cfg, &jobs);
+    let mut journal = open_log(cfg, &std::mem::take(&mut rounds.decisions))?;
     let permits = Permits::new(cfg.threads);
-
-    // ---- Admission (pure) -------------------------------------------
-    let priorities: Vec<i32> = jobs.iter().map(|j| j.priority).collect();
-    let decisions = admit(&cfg.admission, &priorities);
-    let mut prefix: Vec<String> = vec![format!("config {:016x}", cfg.digest())];
-    for (i, (job, d)) in jobs.iter().zip(&decisions).enumerate() {
-        prefix.push(format!(
-            "admit {i} {} {} {} {}",
-            job.name,
-            ns(job.arrival),
-            job.priority,
-            d.tag()
-        ));
-    }
-
-    // ---- Journal open + prefix verify/write -------------------------
-    let mut journal = match &cfg.journal {
-        Some(p) => Some(ServeJournal::open(p).map_err(|e| ServeError::service_journal(0, e))?),
-        None => None,
-    };
-    if let Some(j) = journal.as_mut() {
-        if j.is_fresh() {
-            j.write_prefix(&prefix)
-                .map_err(|e| ServeError::service_journal(0, e))?;
-        } else if j.prefix() != prefix.as_slice() {
-            return Err(ServeError::service_journal(
-                0,
-                format!(
-                    "journal belongs to a different service run: recorded prefix {:?} vs {:?}",
-                    j.prefix(),
-                    prefix
-                ),
-            ));
-        }
-    }
-
-    // ---- Build tenants ----------------------------------------------
-    let mut tenants: Vec<Tenant> = Vec::with_capacity(jobs.len());
-    let mut wait_q: VecDeque<usize> = VecDeque::new();
-    for (i, (job, d)) in jobs.into_iter().zip(decisions.iter().copied()).enumerate() {
-        let arrival_ns = ns(job.arrival);
-        let mut deadline_ns = job.deadline.map(|dl| arrival_ns.saturating_add(ns(dl)));
-        if d == AdmitDecision::QueuedWithDeadline {
-            if let Some(q) = cfg.admission.queue_deadline {
-                let qd = arrival_ns.saturating_add(ns(q));
-                deadline_ns = Some(deadline_ns.map_or(qd, |dl| dl.min(qd)));
-            }
-        }
-        let name = job.name.clone();
-        let mut t = Tenant {
-            name: name.clone(),
-            meta_priority: job.priority,
-            arrival_ns,
-            deadline_ns,
+    let mut drivers: Vec<Driver> = (jobs.into_iter())
+        .map(|job| Driver {
             job: Some(job),
-            events: None,
-            grants: None,
-            handle: None,
-            clock: TenantClock::at(arrival_ns),
-            trace: Vec::new(),
-            seq: 0,
-            machine_stages: 0,
-            finished: false,
-            cancel: None,
-            status: TenantStatus::Ok,
-            service_error: None,
-            result: None,
-        };
-        match d {
-            AdmitDecision::Active => spawn_tenant(&mut t, &permits, arrival_ns),
-            AdmitDecision::Queued | AdmitDecision::QueuedWithDeadline => wait_q.push_back(i),
-            AdmitDecision::Rejected => {
-                t.finished = true;
-                t.status = TenantStatus::Rejected;
-                t.job = None;
-                t.result = Some(Err(FalconError::Cancelled {
-                    reason: CancelReason::Admission,
-                }));
-                t.service_error = Some(ServeError::QueueFull {
-                    tenant: name,
-                    round: 0,
-                    queued: cfg.admission.max_queue,
-                    max_queue: cfg.admission.max_queue,
-                });
-            }
-            AdmitDecision::Shed => {
-                t.finished = true;
-                t.status = TenantStatus::Shed;
-                t.job = None;
-                t.result = Some(Err(FalconError::Cancelled {
-                    reason: CancelReason::Admission,
-                }));
-                t.service_error = Some(ServeError::Shed {
-                    tenant: name,
-                    round: 0,
-                    by: "queue overflow",
-                });
-            }
+            ..Driver::default()
+        })
+        .collect();
+    for (t, driver) in drivers.iter_mut().enumerate() {
+        if rounds.running(t) {
+            driver.spawn(&permits);
         }
-        tenants.push(t);
     }
-
-    // ---- Round loop -------------------------------------------------
-    let mut pool = PoolSim::new(cfg.pool_nodes, &cfg.pool_events);
-    let pricing = pool_pricing();
-    let mut round: u64 = 0;
-    let mut replayed_rounds: u64 = 0;
-    let mut killed_at: Option<u64> = None;
-
-    loop {
-        if !tenants.iter().any(|t| t.started() && !t.finished) {
-            break;
-        }
-        let mut lines: Vec<String> = Vec::new();
-        let mut pending: Vec<(usize, u64, StageEvent)> = Vec::new();
-
-        // Drain each active tenant to its next machine boundary (or to
-        // completion), folding crowd events into its clocks.
-        for idx in 0..tenants.len() {
-            if !tenants[idx].started() || tenants[idx].finished {
-                continue;
-            }
-            // Not `while let`: the receiver borrow must end before the
-            // body mutates `tenants[idx]` (seq bump, trace push, finish).
-            #[allow(clippy::while_let_loop)]
-            loop {
-                let msg = match tenants[idx].events.as_ref() {
-                    Some(rx) => rx.recv(),
-                    None => break,
-                };
-                match msg {
-                    Ok(ev) => {
-                        if let Some(reason) = tenants[idx].cancel {
-                            // Already cancelled: keep answering its
-                            // parked stages with the same verdict until
-                            // the driver unwinds; drop its events so a
-                            // cancelled tenant perturbs nothing.
-                            if ev.kind != StageKind::CrowdWait {
-                                if let Some(g) = tenants[idx].grants.as_ref() {
-                                    let _ = g.send(StageControl::Cancel(reason));
-                                }
-                                lines.push(format!("x {idx} {reason:?}"));
-                            }
-                            continue;
-                        }
-                        tenants[idx].seq += 1;
-                        let seq = tenants[idx].seq;
-                        if ev.kind == StageKind::CrowdWait {
-                            let t = &mut tenants[idx];
-                            let placed = apply_stage(
-                                &mut t.clock,
-                                &mut pool,
-                                &pricing,
-                                cfg.slots_per_node,
-                                cfg.pool_nodes,
-                                &ev,
-                            );
-                            lines.push(format!(
-                                "c {idx} {seq} {} {} {} {} {} {}",
-                                ev.label,
-                                ns(ev.dur),
-                                ev.tasks,
-                                ev.records,
-                                placed.start,
-                                placed.end
-                            ));
-                            t.trace.push(ev);
-                        } else {
-                            tenants[idx].trace.push(ev.clone());
-                            pending.push((idx, seq, ev));
-                            break;
-                        }
-                    }
-                    Err(_) => {
-                        let res = join_tenant(tenants[idx].handle.take());
-                        finish_tenant(&mut tenants[idx], idx, res, round, &mut lines);
-                        let freed_at = tenants[idx].clock.finish();
-                        activate_waiters(
-                            &mut tenants,
-                            &mut wait_q,
-                            freed_at,
-                            round,
-                            &permits,
-                            &mut lines,
-                        );
-                        break;
-                    }
+    let (mut replayed_rounds, mut killed_at) = (0, None);
+    while rounds.live() {
+        for t in 0..drivers.len() {
+            if rounds.running(t) {
+                if let Some(waiter) = drivers[t].drain(t, &mut rounds) {
+                    drivers[waiter].spawn(&permits);
                 }
             }
         }
-
-        // Deadline and quota checks at the round boundary: cancelled
-        // tenants get their verdict instead of a lease.
-        let mut kept: Vec<(usize, u64, StageEvent)> = Vec::with_capacity(pending.len());
-        for (idx, seq, ev) in pending {
-            let verdict = boundary_verdict(&tenants[idx], &cfg.admission.quota, round);
-            match verdict {
-                Some((reason, err)) => {
-                    let t = &mut tenants[idx];
-                    t.cancel = Some(reason);
-                    t.service_error.get_or_insert(err);
-                    if let Some(g) = t.grants.as_ref() {
-                        let _ = g.send(StageControl::Cancel(reason));
-                    }
-                    lines.push(format!("x {idx} {reason:?}"));
-                }
-                None => kept.push((idx, seq, ev)),
-            }
-        }
-        let mut pending = kept;
-
-        // Degraded mode: when capacity at the round's earliest ready
-        // time has fallen below the threshold, critical-path stages go
-        // first and masked (speculative/prebuild) work is node-capped.
-        let degraded = cfg.degraded.threshold > 0.0
-            && pending
-                .iter()
-                .map(|(idx, _, ev)| stage_ready(&tenants[*idx].clock, ev.kind))
-                .min()
-                .map(|t0| {
-                    (pool.cap_at(t0) as f64) < cfg.degraded.threshold * cfg.pool_nodes.max(1) as f64
-                })
-                .unwrap_or(false);
-
-        // Policy order, then place sequentially against the shared pool.
-        let active = tenants
-            .iter()
-            .filter(|t| t.started() && !t.finished)
-            .count()
-            .max(1);
-        let node_cap = match cfg.policy {
-            Policy::FairShare => (cfg.pool_nodes / active).max(1),
-            _ => cfg.pool_nodes,
-        };
-        sort_pending(&mut pending, &tenants, cfg, round);
-        if degraded {
-            // Stable partition: unmasked (critical-path) stages keep
-            // their policy order ahead of every masked stage.
-            pending.sort_by_key(|(_, _, ev)| ev.kind == StageKind::MaskedMachine);
-        }
-        for (idx, seq, ev) in &pending {
-            let stage_cap = if degraded && ev.kind == StageKind::MaskedMachine {
-                node_cap.min(cfg.degraded.masked_node_cap.max(1))
-            } else {
-                node_cap
-            };
-            let t = &mut tenants[*idx];
-            let placed = apply_stage(
-                &mut t.clock,
-                &mut pool,
-                &pricing,
-                cfg.slots_per_node,
-                stage_cap,
-                ev,
-            );
-            t.machine_stages += 1;
-            let kind = match ev.kind {
-                StageKind::Machine => "m",
-                StageKind::MaskedMachine => "k",
-                StageKind::CrowdWait => "w",
-            };
-            // Journal the duration priced on the granted nodes, not the
-            // tenant's solo-cluster `ev.dur`.
-            lines.push(format!(
-                "p {idx} {seq} {kind} {} {} {} {} {} {} {}",
-                ev.label,
-                placed.end.saturating_sub(placed.start),
-                ev.tasks,
-                ev.records,
-                placed.start,
-                placed.end,
-                placed.nodes
-            ));
-        }
-
-        // Journal: verify against the record while resuming, append once
-        // live. Writes happen *before* grants so a crash between the two
-        // is recoverable (the grants regenerate on resume).
-        let mut replayed_this_round = false;
-        if let Some(j) = journal.as_mut() {
-            let failure = match j.next_round() {
-                Some((_, recorded)) => {
-                    replayed_this_round = true;
-                    replayed_rounds += 1;
-                    (recorded != lines)
-                        .then(|| divergence_error(&tenants, round, &recorded, &lines))
-                }
-                None if killed_at.is_none() => j
-                    .write_round(round, &lines)
-                    .err()
-                    .map(|e| ServeError::service_journal(round, e)),
-                None => None,
-            };
-            if let Some(err) = failure {
-                shutdown_tenants(&mut tenants);
+        let mut verdicts = rounds.place();
+        let decisions = std::mem::take(&mut rounds.decisions);
+        // Commit before granting, so a crash between the two is
+        // recoverable: the grants regenerate on resume.
+        let live = killed_at.is_none();
+        let replayed = match journal
+            .as_mut()
+            .map(|j| commit(j, &rounds, &decisions, live))
+        {
+            None | Some(Ok(false)) => false,
+            Some(Ok(true)) => true,
+            Some(Err(err)) => {
+                shutdown_tenants(&mut drivers);
                 return Err(err);
             }
+        };
+        replayed_rounds += u64::from(replayed);
+        // Chaos kill point: the journal has committed this round, but its
+        // grants are never delivered — exactly the state a crash between
+        // commit and grant leaves behind.
+        if cfg.kill_after_rounds == Some(rounds.round) && !replayed && live {
+            killed_at = Some(rounds.round);
+            rounds.kill(&mut verdicts);
         }
-
-        // Chaos kill point: the journal has committed this round, but
-        // its grants are never delivered — exactly the state a crash
-        // between commit and grant leaves behind.
-        if cfg.kill_after_rounds == Some(round) && !replayed_this_round && killed_at.is_none() {
-            killed_at = Some(round);
-            for t in tenants.iter_mut() {
-                if t.started() && !t.finished && t.cancel.is_none() {
-                    t.cancel = Some(CancelReason::Kill);
-                    t.service_error.get_or_insert(ServeError::Shutdown {
-                        tenant: t.name.clone(),
-                        round,
-                    });
-                }
-            }
-            for (idx, _, _) in &pending {
-                if let Some(g) = tenants[*idx].grants.as_ref() {
-                    let _ = g.send(StageControl::Cancel(CancelReason::Kill));
-                }
-            }
-            // Queued jobs never start after the crash.
-            while let Some(widx) = wait_q.pop_front() {
-                let t = &mut tenants[widx];
-                t.finished = true;
-                t.status = TenantStatus::Killed;
-                t.job = None;
-                t.result = Some(Err(FalconError::Cancelled {
-                    reason: CancelReason::Kill,
-                }));
-                t.service_error.get_or_insert(ServeError::Shutdown {
-                    tenant: t.name.clone(),
-                    round,
-                });
-            }
-            round += 1;
-            continue;
+        for (t, verdict) in verdicts {
+            drivers[t].grant(verdict);
         }
-
-        // Release every surviving parked tenant for its next stage.
-        for (idx, _, _) in &pending {
-            if let Some(g) = tenants[*idx].grants.as_ref() {
-                let _ = g.send(StageControl::Continue);
-            }
-        }
-        round += 1;
+        rounds.round += 1;
     }
-
-    // ---- Assemble the report ----------------------------------------
-    let mut makespan_ns: u64 = 0;
-    let mut outcomes = Vec::with_capacity(tenants.len());
-    for t in tenants.iter_mut() {
-        let finish = t.clock.finish();
-        if t.started() {
-            makespan_ns = makespan_ns.max(finish);
-        }
-        outcomes.push(TenantOutcome {
-            name: t.name.clone(),
-            priority: t.meta_priority,
-            arrival: Duration::from_nanos(t.arrival_ns),
-            finish: Duration::from_nanos(finish),
-            latency: Duration::from_nanos(finish.saturating_sub(t.arrival_ns)),
-            machine_service: Duration::from_nanos(
-                u64::try_from(t.clock.machine_service).unwrap_or(u64::MAX),
-            ),
-            stages: t.trace.len(),
-            status: t.status,
-            service_error: t.service_error.clone(),
-            result: t.result.take().unwrap_or(Err(FalconError::EmptyInput {
-                what: "tenant result",
-            })),
-        });
-    }
-    let utilization = pool.utilization(makespan_ns);
-    let (serial_makespan_ns, serial_utilization, serial_latencies) = replay_serial(&tenants, cfg);
-
-    Ok(ServeReport {
-        outcomes,
-        makespan: Duration::from_nanos(makespan_ns),
-        serial_makespan: Duration::from_nanos(serial_makespan_ns),
-        utilization,
-        serial_utilization,
-        serial_latencies,
-        rounds: round,
-        replayed_rounds,
-        killed_at_round: killed_at,
-        pool_nodes: cfg.pool_nodes,
-    })
+    Ok(rounds.into_report(replayed_rounds, killed_at))
 }
 
 /// Resume a journaled service run after a crash: requires
@@ -1075,197 +1271,20 @@ pub fn resume(jobs: Vec<JobSpec>, cfg: &ServeConfig) -> Result<ServeReport, Serv
     serve(jobs, &cfg)
 }
 
-/// Deadline/quota verdict for a tenant parked at a round boundary.
-fn boundary_verdict(
-    t: &Tenant,
-    quota: &crate::admission::TenantQuota,
-    round: u64,
-) -> Option<(CancelReason, ServeError)> {
-    let finish = t.clock.finish();
-    if let Some(d) = t.deadline_ns {
-        if finish > d {
-            return Some((
-                CancelReason::Deadline,
-                ServeError::DeadlineExceeded {
-                    tenant: t.name.clone(),
-                    round,
-                    deadline: Duration::from_nanos(d),
-                    reached: Duration::from_nanos(finish),
-                },
-            ));
-        }
-    }
-    if let Some(max) = quota.max_stages {
-        if t.machine_stages >= max {
-            return Some((
-                CancelReason::Quota,
-                ServeError::QuotaExceeded {
-                    tenant: t.name.clone(),
-                    round,
-                    what: "stages",
-                    limit: max,
-                },
-            ));
-        }
-    }
-    if let Some(budget) = quota.node_seconds {
-        if t.clock.machine_service >= budget.as_nanos() {
-            return Some((
-                CancelReason::Quota,
-                ServeError::QuotaExceeded {
-                    tenant: t.name.clone(),
-                    round,
-                    what: "node-seconds",
-                    limit: budget.as_secs(),
-                },
-            ));
-        }
-    }
-    None
-}
-
-/// Ready time of a parked stage (mirrors [`apply_stage`]).
-fn stage_ready(clock: &TenantClock, kind: StageKind) -> u64 {
-    if kind == StageKind::MaskedMachine {
-        clock.machine_ready
-    } else {
-        clock.finish()
-    }
-}
-
-/// Record a tenant's completion: classify its result, stash the outcome
-/// fields, and journal the `f` line.
-fn finish_tenant(
-    t: &mut Tenant,
-    idx: usize,
-    res: Result<RunReport, FalconError>,
-    round: u64,
-    lines: &mut Vec<String>,
-) {
-    t.finished = true;
-    t.status = match (t.cancel, &res) {
-        (None, Ok(_)) => TenantStatus::Ok,
-        (Some(CancelReason::Deadline), _) => TenantStatus::Deadline,
-        (Some(CancelReason::Quota), _) => TenantStatus::Shed,
-        (Some(CancelReason::Kill | CancelReason::Shutdown), _) => TenantStatus::Killed,
-        (Some(CancelReason::Admission), _) => TenantStatus::Rejected,
-        (None, Err(FalconError::Cancelled { reason })) => match reason {
-            CancelReason::Deadline => TenantStatus::Deadline,
-            CancelReason::Quota => TenantStatus::Shed,
-            CancelReason::Admission => TenantStatus::Rejected,
-            _ => TenantStatus::Killed,
-        },
-        (None, Err(_)) => TenantStatus::Quarantined,
-    };
-    if t.status == TenantStatus::Quarantined {
-        if let Err(e) = &res {
-            t.service_error.get_or_insert(ServeError::Quarantined {
-                tenant: t.name.clone(),
-                round,
-                cause: e.to_string(),
-            });
-        }
-    }
-    t.result = Some(res);
-    lines.push(format!(
-        "f {idx} {} {}",
-        t.clock.finish(),
-        t.status.as_str()
-    ));
-}
-
-/// A tenant finished at `freed_at`: start the longest-waiting queued job
-/// on the freed activation slot, expiring waiters whose deadline already
-/// passed.
-fn activate_waiters(
-    tenants: &mut [Tenant],
-    wait_q: &mut VecDeque<usize>,
-    freed_at: u64,
-    round: u64,
-    permits: &Arc<Permits>,
-    lines: &mut Vec<String>,
-) {
-    while let Some(widx) = wait_q.pop_front() {
-        let start = tenants[widx].arrival_ns.max(freed_at);
-        if let Some(d) = tenants[widx].deadline_ns {
-            if start >= d {
-                // Expired in the queue: never start it, slot stays free
-                // for the next waiter.
-                let t = &mut tenants[widx];
-                t.finished = true;
-                t.status = TenantStatus::Deadline;
-                t.job = None;
-                t.result = Some(Err(FalconError::Cancelled {
-                    reason: CancelReason::Deadline,
-                }));
-                t.service_error = Some(ServeError::DeadlineExceeded {
-                    tenant: t.name.clone(),
-                    round,
-                    deadline: Duration::from_nanos(d),
-                    reached: Duration::from_nanos(start),
-                });
-                lines.push(format!("f {widx} {start} deadline"));
-                continue;
-            }
-        }
-        spawn_tenant(&mut tenants[widx], permits, start);
-        lines.push(format!("a {widx} {start}"));
-        break;
-    }
-}
-
 /// Unwind every live tenant before the service returns an error: drop
 /// grant channels (parked gates unpark with a typed shutdown), drain
 /// events to end-of-stream, join threads.
-fn shutdown_tenants(tenants: &mut [Tenant]) {
-    for t in tenants.iter_mut() {
-        t.grants = None;
+fn shutdown_tenants(drivers: &mut [Driver]) {
+    for d in drivers.iter_mut() {
+        d.grants = None;
     }
-    for t in tenants.iter_mut() {
-        if let Some(rx) = t.events.take() {
+    for d in drivers.iter_mut() {
+        if let Some(rx) = d.events.take() {
             while rx.recv().is_ok() {}
         }
-        if t.handle.is_some() {
-            let _ = join_tenant(t.handle.take());
+        if d.handle.is_some() {
+            let _ = join_tenant(d.handle.take());
         }
-    }
-}
-
-/// Build the typed divergence error for a resume mismatch, attributing
-/// it to the tenant named in the first differing line.
-fn divergence_error(
-    tenants: &[Tenant],
-    round: u64,
-    recorded: &[String],
-    regenerated: &[String],
-) -> ServeError {
-    let mut tenant = SERVICE_TENANT.to_string();
-    let mut detail = String::new();
-    for i in 0..recorded.len().max(regenerated.len()) {
-        let rec = recorded.get(i).map(String::as_str).unwrap_or("<missing>");
-        let gen = regenerated
-            .get(i)
-            .map(String::as_str)
-            .unwrap_or("<missing>");
-        if rec != gen {
-            detail = format!("recorded {rec:?} vs re-executed {gen:?}");
-            let line = if rec == "<missing>" { gen } else { rec };
-            if let Some(idx) = line
-                .split_whitespace()
-                .nth(1)
-                .and_then(|s| s.parse::<usize>().ok())
-            {
-                if let Some(t) = tenants.get(idx) {
-                    tenant = t.name.clone();
-                }
-            }
-            break;
-        }
-    }
-    ServeError::ServiceJournal {
-        tenant,
-        round,
-        message: format!("schedule diverges from journal at round {round}: {detail}"),
     }
 }
 
@@ -1296,59 +1315,21 @@ fn join_tenant(
     }
 }
 
-fn sort_pending(
-    pending: &mut [(usize, u64, StageEvent)],
-    tenants: &[Tenant],
-    cfg: &ServeConfig,
-    round: u64,
-) {
-    match cfg.policy {
-        Policy::Fifo => pending.sort_by_key(|(idx, _, _)| (tenants[*idx].arrival_ns, *idx)),
-        Policy::FairShare => pending.sort_by_key(|(idx, _, _)| {
-            (
-                tenants[*idx].clock.machine_service,
-                u128::from(tenants[*idx].arrival_ns),
-                *idx as u128,
-            )
-        }),
-        Policy::Priority => pending.sort_by_key(|(idx, _, _)| {
-            (
-                std::cmp::Reverse(tenants[*idx].meta_priority),
-                tenants[*idx].clock.machine_service,
-                *idx as u128,
-            )
-        }),
-        Policy::Random => pending.sort_by(|(x, _, _), (y, _, _)| {
-            let key = |idx: usize| DetRng::for_task(cfg.seed, round, Phase::Map, idx, 0).gen_f64();
-            key(*x).total_cmp(&key(*y)).then_with(|| x.cmp(y))
-        }),
-    }
-}
-
+/// The recorded stage traces run one tenant at a time, in submission
+/// order, on a fresh pool: each starts no earlier than its arrival or the
+/// previous tenant's finish. Returns the makespan, its utilization and
+/// each tenant's latency.
 fn replay_serial(tenants: &[Tenant], cfg: &ServeConfig) -> (u64, f64, Vec<Duration>) {
     let mut pool = PoolSim::new(cfg.pool_nodes, &cfg.pool_events);
-    let pricing = pool_pricing();
-    // Serve in submission order, respecting arrivals: the next job starts
-    // no earlier than its arrival or the previous job's finish.
     let mut clock_base: u64 = 0;
     let mut latencies = Vec::with_capacity(tenants.len());
     for t in tenants {
-        let start = clock_base.max(t.arrival_ns);
-        let mut clock = TenantClock::at(start);
+        let mut clock = TenantClock::at(clock_base.max(t.arrival));
         for ev in &t.trace {
-            apply_stage(
-                &mut clock,
-                &mut pool,
-                &pricing,
-                cfg.slots_per_node,
-                cfg.pool_nodes,
-                ev,
-            );
+            pool.place(&mut clock, ev, cfg.slots_per_node, cfg.pool_nodes);
         }
         clock_base = clock.finish();
-        latencies.push(Duration::from_nanos(
-            clock_base.saturating_sub(t.arrival_ns),
-        ));
+        latencies.push(Duration::from_nanos(clock_base.saturating_sub(t.arrival)));
     }
     (clock_base, pool.utilization(clock_base), latencies)
 }
@@ -1483,53 +1464,23 @@ mod tests {
                 delta: -3,
             }],
         );
-        let cost = ClusterConfig::small(1);
         let mut clock = TenantClock::at(1000);
-        let placed = apply_stage(
-            &mut clock,
-            &mut pool,
-            &cost,
-            4,
-            4,
-            &ev(StageKind::Machine, 1, 16, 100),
-        );
+        let placed = pool.place(&mut clock, &ev(StageKind::Machine, 1, 16, 100), 4, 4);
         assert_eq!(placed.nodes, 1);
         assert!(placed.end > placed.start);
     }
 
     #[test]
     fn masked_stages_run_under_crowd_windows() {
-        let cost = ClusterConfig::small(1);
         let mut pool = fixed(4);
         let mut clock = TenantClock::at(0);
-        apply_stage(
-            &mut clock,
-            &mut pool,
-            &cost,
-            4,
-            4,
-            &ev(StageKind::CrowdWait, 100, 0, 0),
-        );
+        pool.place(&mut clock, &ev(StageKind::CrowdWait, 100, 0, 0), 4, 4);
         let crowd_free = clock.crowd_free;
-        apply_stage(
-            &mut clock,
-            &mut pool,
-            &cost,
-            4,
-            4,
-            &ev(StageKind::MaskedMachine, 999, 4, 100),
-        );
+        pool.place(&mut clock, &ev(StageKind::MaskedMachine, 999, 4, 100), 4, 4);
         // The masked stage started before the crowd window closed.
         assert!(clock.machine_ready < crowd_free);
         // An unmasked stage must wait for the crowd.
-        apply_stage(
-            &mut clock,
-            &mut pool,
-            &cost,
-            4,
-            4,
-            &ev(StageKind::Machine, 999, 4, 100),
-        );
+        pool.place(&mut clock, &ev(StageKind::Machine, 999, 4, 100), 4, 4);
         assert!(clock.machine_ready > crowd_free);
     }
 
@@ -1553,5 +1504,335 @@ mod tests {
         let mut c = a.clone();
         c.pool_nodes = 99;
         assert_ne!(a.digest(), c.digest());
+    }
+}
+
+#[cfg(test)]
+mod policy {
+    //! The policy core with no driver threads: synthetic stage streams
+    //! drained the way `serve` drains its channels, under random pools,
+    //! admission limits, deadlines and quotas, with every round's decisions
+    //! held to the rules the scheduler promises.
+
+    use super::*;
+    use crate::admission::{AdmissionConfig, AdmissionPolicy};
+    use falcon_core::driver::FalconConfig;
+    use falcon_crowd::sim::{GroundTruth, RandomWorkerCrowd};
+    use falcon_table::{AttrType, Schema, Table, Value};
+    use proptest::collection;
+    use proptest::prelude::*;
+    use proptest::test_runner::rng_for_test;
+    use std::collections::BTreeSet;
+
+    /// A synthetic tenant: arrival (s), priority, relative deadline (s),
+    /// and the stage stream its driver reports; the stream's end is its
+    /// driver returning.
+    type Script = (u64, i32, Option<u64>, Vec<StageEvent>);
+
+    fn stage() -> impl Strategy<Value = StageEvent> {
+        (0..3usize, 1u64..900, 0u32..48, 0u64..40_000).prop_map(|(kind, dur, tasks, records)| {
+            StageEvent {
+                label: "s".into(),
+                kind: [
+                    StageKind::Machine,
+                    StageKind::MaskedMachine,
+                    StageKind::CrowdWait,
+                ][kind],
+                dur: Duration::from_secs(dur),
+                tasks,
+                records,
+            }
+        })
+    }
+
+    fn script() -> impl Strategy<Value = Script> {
+        let deadline = prop_oneof![3 => Just(None), 1 => (1u64..4000).prop_map(Some)];
+        (
+            0u64..300,
+            -2i32..3,
+            deadline,
+            collection::vec(stage(), 0..24),
+        )
+    }
+
+    fn config() -> impl Strategy<Value = ServeConfig> {
+        let pool = (1usize..13, 1usize..5, 0..4usize, any::<u64>());
+        let events = collection::vec((0u64..3000, -8i64..8), 0..4);
+        let degraded = (prop_oneof![Just(0.0), 0.3f64..0.9], 1usize..3);
+        let quota = prop_oneof![
+            4 => Just(TenantQuota::default()),
+            1 => (2u64..10).prop_map(|n| TenantQuota { max_stages: Some(n), node_seconds: None }),
+            1 => (1u64..20).prop_map(|s| TenantQuota {
+                max_stages: None,
+                node_seconds: Some(Duration::from_secs(s)),
+            }),
+        ];
+        let queue_deadline = prop_oneof![Just(None), (1u64..2000).prop_map(Some)];
+        let admission = (0..3usize, 0usize..3, 0usize..3, queue_deadline, quota);
+        (pool, events, degraded, admission).prop_map(
+            |((nodes, slots, policy, seed), events, (threshold, cap), admission)| {
+                let (admit, max_active, max_queue, queue_deadline, quota) = admission;
+                let admit_policies = [
+                    AdmissionPolicy::Reject,
+                    AdmissionPolicy::ShedLowestPriority,
+                    AdmissionPolicy::QueueWithDeadline,
+                ];
+                ServeConfig {
+                    pool_nodes: nodes,
+                    slots_per_node: slots,
+                    policy: [
+                        Policy::Fifo,
+                        Policy::FairShare,
+                        Policy::Priority,
+                        Policy::Random,
+                    ][policy],
+                    seed,
+                    admission: AdmissionConfig {
+                        policy: admit_policies[admit],
+                        max_active,
+                        max_queue,
+                        queue_deadline: queue_deadline.map(Duration::from_secs),
+                        quota,
+                    },
+                    pool_events: (events.into_iter())
+                        .map(|(at, delta)| PoolEvent {
+                            at: Duration::from_secs(at),
+                            delta,
+                        })
+                        .collect(),
+                    degraded: DegradedPolicy {
+                        threshold,
+                        masked_node_cap: cap,
+                    },
+                    ..ServeConfig::default()
+                }
+            },
+        )
+    }
+
+    fn job(t: usize, (arrival, priority, deadline, _): &Script) -> JobSpec {
+        let schema = Schema::new([("title", AttrType::Str)]);
+        let table = || Table::new("t", schema.clone(), Vec::<Vec<Value>>::new());
+        let crowd = Arc::new(RandomWorkerCrowd::new(GroundTruth::new([]), 0.0, 1));
+        let mut job = JobSpec::new(
+            format!("t{t}"),
+            table(),
+            table(),
+            FalconConfig::default(),
+            crowd,
+        )
+        .with_priority(*priority)
+        .with_arrival(Duration::from_secs(*arrival));
+        job.deadline = deadline.map(Duration::from_secs);
+        job
+    }
+
+    /// What the checks of one case saw, summed over all cases.
+    #[derive(Default)]
+    struct Seen {
+        rounds: u64,
+        placements: u64,
+        degraded_rounds: u64,
+        cancels: u64,
+        activations: u64,
+    }
+
+    /// Drain `scripts` through `Rounds` round by round as `serve` drains
+    /// its channels, checking each round; returns every journal line.
+    fn simulate(cfg: &ServeConfig, scripts: &[Script], seen: &mut Seen) -> Vec<String> {
+        let jobs: Vec<JobSpec> = scripts.iter().enumerate().map(|(t, s)| job(t, s)).collect();
+        let mut streams: Vec<VecDeque<StageEvent>> = scripts
+            .iter()
+            .map(|s| s.3.iter().cloned().collect())
+            .collect();
+        let mut rounds = Rounds::new(cfg, &jobs);
+        let mut log: Vec<String> = rounds.decisions.drain(..).map(|d| d.to_string()).collect();
+        while rounds.live() {
+            let busy = rounds.pool.busy;
+            for (t, stream) in streams.iter_mut().enumerate() {
+                while rounds.running(t) {
+                    let Some(ev) = stream.pop_front() else {
+                        rounds.finish(t, Err(FalconError::EmptyInput { what: "synthetic" }));
+                        break;
+                    };
+                    let parks = ev.kind != StageKind::CrowdWait;
+                    if rounds.observe(t, ev).is_none() && parks {
+                        break;
+                    }
+                }
+            }
+            assert_eq!(rounds.pool.busy, busy, "crowd waits occupied nodes");
+            let clocks: Vec<TenantClock> = rounds.tenants.iter().map(|t| t.clock).collect();
+            let active = (0..streams.len()).filter(|&t| rounds.running(t)).count();
+            let parked = rounds.parked.len();
+            assert_eq!(
+                rounds.place().len(),
+                parked,
+                "one verdict per parked tenant"
+            );
+            check_round(&rounds, &clocks, active, seen);
+            log.extend(rounds.decisions.drain(..).map(|d| d.to_string()));
+            rounds.round += 1;
+        }
+        check_capacity(&rounds.pool);
+        log
+    }
+
+    /// The rules one round's decisions keep, given every tenant's clocks
+    /// after the drain and the number of running tenants.
+    fn check_round(rounds: &Rounds, clocks: &[TenantClock], active: usize, seen: &mut Seen) {
+        let cfg = rounds.cfg;
+        seen.rounds += 1;
+        let mut placed = Vec::new();
+        for d in &rounds.decisions {
+            match d {
+                Decision::Crowd(_, _, _, p) => assert_eq!(p.nodes, 0, "crowd wait on nodes"),
+                Decision::Place(t, _, s, p) => placed.push((*t, s.kind, *p)),
+                Decision::Cancel(..) => seen.cancels += 1,
+                Decision::Activate(..) => seen.activations += 1,
+                _ => {}
+            }
+        }
+        seen.placements += placed.len() as u64;
+        let masked = |kind: StageKind| kind == StageKind::MaskedMachine;
+        for &(t, kind, p) in &placed {
+            let clock = clocks[t];
+            let ready = match masked(kind) {
+                true => clock.machine_ready,
+                false => clock.machine_ready.max(clock.crowd_free),
+            };
+            assert!(
+                p.start >= ready,
+                "{kind:?} stage of t{t} starts before it is ready"
+            );
+            if cfg.policy == Policy::FairShare {
+                assert!(p.nodes as usize <= (cfg.pool_nodes / active.max(1)).max(1));
+            }
+        }
+        let earliest = placed.iter().map(|&(t, kind, _)| match masked(kind) {
+            true => clocks[t].machine_ready,
+            false => clocks[t].machine_ready.max(clocks[t].crowd_free),
+        });
+        let threshold = cfg.degraded.threshold * cfg.pool_nodes.max(1) as f64;
+        let degraded = cfg.degraded.threshold > 0.0
+            && earliest
+                .min()
+                .is_some_and(|t0| (rounds.pool.cap_at(t0) as f64) < threshold);
+        let kinds: Vec<bool> = placed.iter().map(|&(_, kind, _)| masked(kind)).collect();
+        if degraded {
+            seen.degraded_rounds += 1;
+            assert!(
+                kinds.windows(2).all(|w| w[0] <= w[1]),
+                "masked before unmasked"
+            );
+            for &(_, kind, p) in &placed {
+                assert!(!masked(kind) || p.nodes as usize <= cfg.degraded.masked_node_cap.max(1));
+            }
+        }
+        if cfg.policy == Policy::Priority {
+            // In policy order within each partition (the whole round when
+            // it is not degraded).
+            let priority = |t: usize| rounds.tenants[t].priority;
+            for w in placed.windows(2) {
+                if !degraded || masked(w[0].1) == masked(w[1].1) {
+                    assert!(
+                        priority(w[0].0) >= priority(w[1].0),
+                        "priority order broken"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Committed usage never exceeds capacity, at any virtual instant.
+    fn check_capacity(pool: &PoolSim) {
+        let mut steps: BTreeMap<u64, (i64, i64)> = BTreeMap::new();
+        for (k, d) in &pool.caps {
+            steps.entry(*k).or_default().0 += d;
+        }
+        for (k, d) in &pool.deltas {
+            steps.entry(*k).or_default().1 += d;
+        }
+        let (mut cap, mut used) = (0, 0);
+        for (at, (dc, du)) in steps {
+            (cap, used) = (cap + dc, used + du);
+            assert!(
+                0 <= used && used <= cap,
+                "{used} nodes used of {cap} at {at}"
+            );
+        }
+    }
+
+    #[test]
+    fn rounds_keep_the_placement_rules() {
+        let mut rng = rng_for_test("rounds_keep_the_placement_rules");
+        let world = (config(), collection::vec(script(), 1..7));
+        let mut seen = Seen::default();
+        for _ in 0..1000 {
+            let (cfg, scripts) = world.new_value(&mut rng);
+            let log = simulate(&cfg, &scripts, &mut seen);
+            // The same inputs give the same decisions.
+            assert_eq!(simulate(&cfg, &scripts, &mut Seen::default()), log);
+        }
+        assert!(
+            seen.rounds >= 10_000,
+            "only {} synthetic rounds",
+            seen.rounds
+        );
+        for (what, n) in [
+            ("placements", seen.placements),
+            ("degraded rounds", seen.degraded_rounds),
+            ("cancellations", seen.cancels),
+            ("activations", seen.activations),
+        ] {
+            assert!(n > 0, "no {what} exercised");
+        }
+    }
+
+    /// Earliest fit by definition: the first candidate start — `ready`, or
+    /// a capacity or usage breakpoint after it — with `want` nodes free at
+    /// it and at every breakpoint inside `[start, start + dur)`.
+    fn earliest_by_definition(pool: &PoolSim, ready: u64, want: i64, dur: u64) -> Option<u64> {
+        let sum = |m: &BTreeMap<u64, i64>, t: u64| m.range(..=t).map(|(_, d)| d).sum::<i64>();
+        let free = |t: u64| sum(&pool.caps, t) - sum(&pool.deltas, t);
+        let points: BTreeSet<u64> = pool
+            .caps
+            .keys()
+            .chain(pool.deltas.keys())
+            .copied()
+            .collect();
+        let candidates = std::iter::once(ready).chain(points.range(ready + 1..).copied());
+        candidates.into_iter().find(|&s| {
+            free(s) >= want
+                && points
+                    .range(s + 1..s.saturating_add(dur))
+                    .all(|&k| free(k) >= want)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn try_earliest_is_the_earliest_fit(
+            events in collection::vec((0u64..400, -6i64..6), 0..5),
+            commits in collection::vec((0u64..400, 1u64..200, 1i64..4), 0..12),
+            query in (0u64..500, 1i64..10, 1u64..300),
+        ) {
+            let events: Vec<PoolEvent> = (events.into_iter())
+                .map(|(at, delta)| PoolEvent { at: Duration::from_nanos(at), delta })
+                .collect();
+            let mut pool = PoolSim::new(6, &events);
+            for (ready, dur, want) in commits {
+                if let Some(start) = pool.try_earliest(ready, want, dur) {
+                    pool.commit(start, start + dur, want);
+                }
+            }
+            let (ready, want, dur) = query;
+            prop_assert_eq!(
+                pool.try_earliest(ready, want, dur),
+                earliest_by_definition(&pool, ready, want, dur)
+            );
+        }
     }
 }

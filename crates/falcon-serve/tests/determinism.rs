@@ -3,47 +3,14 @@
 //! scheduler thread count. The permit count throttles real CPU use only;
 //! every virtual-time quantity comes out of the lockstep rounds.
 
-use falcon_core::driver::FalconConfig;
-use falcon_core::plan::PlanKind;
+mod common;
+
+use common::{em_config, tenants};
 use falcon_crowd::sim::{GroundTruth, RandomWorkerCrowd};
-use falcon_dataflow::ClusterConfig;
 use falcon_serve::{serve, serve_fingerprint, JobSpec, Policy, ServeConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
-
-fn em_config(seed: u64) -> FalconConfig {
-    FalconConfig {
-        sample_size: 200,
-        sample_fanout: 20,
-        cluster: ClusterConfig::small(4),
-        force_plan: Some(PlanKind::BlockAndMatch),
-        seed,
-        ..FalconConfig::default()
-    }
-}
-
-/// Three tenants over the products dataset with distinct data seeds,
-/// priorities and arrivals. Crowds are constructed fresh per call so
-/// every invocation starts from the same RNG state.
-fn make_jobs(seed: u64) -> Vec<JobSpec> {
-    (0..3u64)
-        .map(|i| {
-            let data = falcon_datagen::generate("products", 0.015, seed.wrapping_add(i));
-            let truth = GroundTruth::new(data.truth.iter().copied());
-            let crowd = Arc::new(RandomWorkerCrowd::new(truth, 0.05, seed ^ (i + 1)));
-            JobSpec::new(
-                format!("tenant-{i}"),
-                data.a,
-                data.b,
-                em_config(seed.wrapping_mul(31).wrapping_add(i)),
-                crowd,
-            )
-            .with_priority(i as i32)
-            .with_arrival(Duration::from_secs(i * 60))
-        })
-        .collect()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
@@ -63,7 +30,7 @@ proptest! {
                 seed,
                 ..ServeConfig::default()
             };
-            let rep = serve(make_jobs(seed), &cfg).unwrap();
+            let rep = serve(tenants(seed, 0.0, 0.0, None), &cfg).unwrap();
             prints.push(serve_fingerprint(&rep));
         }
         prop_assert_eq!(&prints[0], &prints[1]);

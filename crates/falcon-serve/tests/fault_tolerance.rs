@@ -3,73 +3,21 @@
 //! journal's edge cases (torn tails, stale crowd journals, resume after
 //! the final round).
 
-use falcon_core::driver::FalconConfig;
+mod common;
+
+use common::{broken_job, em_config, scratch, tenants};
 use falcon_core::error::FalconError;
-use falcon_core::plan::PlanKind;
 use falcon_core::stage::CancelReason;
-use falcon_crowd::sim::{GroundTruth, RandomWorkerCrowd, UnreliableCrowd};
-use falcon_dataflow::ClusterConfig;
+use falcon_crowd::sim::{GroundTruth, RandomWorkerCrowd};
 use falcon_serve::chaos::{run_cell, ChaosCell};
 use falcon_serve::{
     resume, serve, serve_fingerprint, AdmissionConfig, AdmissionPolicy, JobSpec, Policy, PoolEvent,
     ServeConfig, ServeError, TenantQuota, TenantStatus,
 };
 use proptest::prelude::*;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
-
-fn em_config(seed: u64) -> FalconConfig {
-    FalconConfig {
-        sample_size: 200,
-        sample_fanout: 20,
-        cluster: ClusterConfig::small(4),
-        force_plan: Some(PlanKind::BlockAndMatch),
-        seed,
-        ..FalconConfig::default()
-    }
-}
-
-fn scratch(name: &str) -> PathBuf {
-    let p = std::env::temp_dir().join(format!("falcon_serve_ft_{name}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&p);
-    std::fs::create_dir_all(&p).unwrap();
-    p
-}
-
-/// Three journaled tenants with staggered arrivals; a lossy crowd on
-/// tenant 1 and a machine fault plan on tenant 0 when the cell injects
-/// them. `dir` isolates each run's crowd journals.
-fn chaos_jobs(seed: u64, fault_rate: f64, crowd_loss: f64, dir: &Path) -> Vec<JobSpec> {
-    std::fs::create_dir_all(dir).unwrap();
-    (0..3u64)
-        .map(|i| {
-            let data = falcon_datagen::generate("products", 0.015, seed.wrapping_add(i));
-            let truth = GroundTruth::new(data.truth.iter().copied());
-            let base = RandomWorkerCrowd::new(truth, 0.05, seed ^ (i + 1));
-            let crowd: Arc<dyn falcon_crowd::Crowd> = if crowd_loss > 0.0 && i == 1 {
-                Arc::new(UnreliableCrowd::new(base, crowd_loss, seed ^ 0x5a))
-            } else {
-                Arc::new(base)
-            };
-            let mut config = em_config(seed.wrapping_mul(31).wrapping_add(i));
-            if fault_rate > 0.0 && i == 0 {
-                config.fault = Some(
-                    falcon_dataflow::FaultPlan::seeded(seed ^ 0xfa).with_failure_rate(fault_rate),
-                );
-            }
-            JobSpec::new(format!("tenant-{i}"), data.a, data.b, config, crowd)
-                .with_priority(i as i32)
-                .with_arrival(Duration::from_secs(i * 60))
-                .with_journal(dir.join(format!("tenant-{i}.crowd.journal")))
-        })
-        .collect()
-}
-
-/// The fault-free workload most tests use.
-fn make_jobs(seed: u64, crowd_loss: f64, dir: &Path) -> Vec<JobSpec> {
-    chaos_jobs(seed, 0.0, crowd_loss, dir)
-}
 
 // ---------------------------------------------------------------------
 // Kill-and-resume identity
@@ -102,7 +50,7 @@ proptest! {
                 threads,
             };
             let out = run_cell(&cell, &ServeConfig { seed, ..ServeConfig::default() }, &dir,
-                |c, d| chaos_jobs(seed, c.fault_rate, c.crowd_loss, d))
+                |c, d| tenants(seed, c.fault_rate, c.crowd_loss, Some(d)))
                 .unwrap();
             prop_assert!(out.resume_identical, "{}: {:?}", out.cell, out.mismatch);
             prop_assert!(out.service_journal_identical, "{}: service journal", out.cell);
@@ -150,7 +98,7 @@ fn chaos_matrix_exhaustive() {
                 ..ServeConfig::default()
             },
             &dir,
-            |c, d| chaos_jobs(7, c.fault_rate, c.crowd_loss, d),
+            |c, d| tenants(7, c.fault_rate, c.crowd_loss, Some(d)),
         )
         .unwrap();
         assert!(
@@ -178,10 +126,10 @@ fn resume_after_final_round_asks_nothing() {
         journal: Some(dir.join("service.journal")),
         ..ServeConfig::default()
     };
-    let reference = serve(make_jobs(3, 0.0, &dir), &cfg).unwrap();
+    let reference = serve(tenants(3, 0.0, 0.0, Some(&dir)), &cfg).unwrap();
 
     // Fresh identically-seeded jobs over the *same* journals.
-    let mut jobs = make_jobs(3, 0.0, &dir);
+    let mut jobs = tenants(3, 0.0, 0.0, Some(&dir));
     let live = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
     for job in jobs.iter_mut() {
         job.crowd = Arc::new(falcon_serve::chaos::CountingCrowd::new(
@@ -230,7 +178,7 @@ fn resume_with_torn_service_journal_tail() {
     kill_cfg.threads = cell.threads;
     kill_cfg.journal = Some(kill_dir.join("service.journal"));
     kill_cfg.kill_after_rounds = Some(cell.kill_round);
-    serve(make_jobs(11, 0.0, &kill_dir), &kill_cfg).unwrap();
+    serve(tenants(11, 0.0, 0.0, Some(&kill_dir)), &kill_cfg).unwrap();
 
     // Crash artifact: the next round group (rounds 0..=2 committed, so
     // the torn group is round 3) with no `end` marker and a half-written
@@ -249,11 +197,11 @@ fn resume_with_torn_service_journal_tail() {
     let mut ref_cfg = kill_cfg.clone();
     ref_cfg.journal = Some(ref_dir.join("service.journal"));
     ref_cfg.kill_after_rounds = None;
-    let reference = serve(make_jobs(11, 0.0, &ref_dir), &ref_cfg).unwrap();
+    let reference = serve(tenants(11, 0.0, 0.0, Some(&ref_dir)), &ref_cfg).unwrap();
 
     let mut resume_cfg = kill_cfg.clone();
     resume_cfg.kill_after_rounds = None;
-    let resumed = resume(make_jobs(11, 0.0, &kill_dir), &resume_cfg).unwrap();
+    let resumed = resume(tenants(11, 0.0, 0.0, Some(&kill_dir)), &resume_cfg).unwrap();
     assert_eq!(serve_fingerprint(&reference), serve_fingerprint(&resumed));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -278,7 +226,7 @@ fn resume_with_stale_crowd_journal_is_typed_divergence() {
     // rounds (crowd waits start around round 4 for this workload) — the
     // stale journal's different answers must show up inside the replay.
     kill_cfg.kill_after_rounds = Some(6);
-    serve(make_jobs(5, 0.0, &kill_dir), &kill_cfg).unwrap();
+    serve(tenants(5, 0.0, 0.0, Some(&kill_dir)), &kill_cfg).unwrap();
 
     // Overwrite tenant-0's crowd journal with one recorded under a
     // different crowd seed (same tables, same config).
@@ -305,7 +253,7 @@ fn resume_with_stale_crowd_journal_is_typed_divergence() {
 
     let mut resume_cfg = kill_cfg.clone();
     resume_cfg.kill_after_rounds = None;
-    match resume(make_jobs(5, 0.0, &kill_dir), &resume_cfg) {
+    match resume(tenants(5, 0.0, 0.0, Some(&kill_dir)), &resume_cfg) {
         Err(ServeError::ServiceJournal { tenant, .. }) => {
             assert!(
                 !tenant.is_empty(),
@@ -328,12 +276,12 @@ fn resume_with_wrong_config_is_refused() {
         journal: Some(dir.join("service.journal")),
         ..ServeConfig::default()
     };
-    serve(make_jobs(9, 0.0, &dir), &cfg).unwrap();
+    serve(tenants(9, 0.0, 0.0, Some(&dir)), &cfg).unwrap();
     let altered = ServeConfig {
         pool_nodes: cfg.pool_nodes + 7,
         ..cfg.clone()
     };
-    match resume(make_jobs(9, 0.0, &dir), &altered) {
+    match resume(tenants(9, 0.0, 0.0, Some(&dir)), &altered) {
         Err(ServeError::ServiceJournal { round, .. }) => assert_eq!(round, 0),
         other => panic!("expected prefix refusal, got {other:?}"),
     }
@@ -344,9 +292,9 @@ fn resume_with_wrong_config_is_refused() {
 // Deadlines, quotas, quarantine: isolation
 // ---------------------------------------------------------------------
 
-/// Solo reference for one tenant of `make_jobs`.
+/// Solo reference for one tenant of `tenants`.
 fn solo_reference(seed: u64, i: usize, dir: &Path) -> falcon_core::driver::RunReport {
-    let mut jobs = make_jobs(seed, 0.0, dir);
+    let mut jobs = tenants(seed, 0.0, 0.0, Some(dir));
     jobs.remove(i).run_solo().unwrap()
 }
 
@@ -359,7 +307,7 @@ fn deadline_cancels_only_that_tenant() {
 
     let run_dir = dir.join("run");
     std::fs::create_dir_all(&run_dir).unwrap();
-    let mut jobs = make_jobs(21, 0.0, &run_dir);
+    let mut jobs = tenants(21, 0.0, 0.0, Some(&run_dir));
     // Tenant 0 cannot possibly finish within one virtual second.
     jobs[0].deadline = Some(Duration::from_secs(1));
     let rep = serve(
@@ -407,7 +355,7 @@ fn stage_quota_sheds_overrunning_tenant() {
     std::fs::create_dir_all(&run_dir).unwrap();
     // The 3-stage cap is far below what any EM run needs, so every
     // tenant trips it — and each must carry its *own* typed error.
-    let jobs = make_jobs(33, 0.0, &run_dir);
+    let jobs = tenants(33, 0.0, 0.0, Some(&run_dir));
     let rep = serve(
         jobs,
         &ServeConfig {
@@ -442,7 +390,7 @@ fn stage_quota_sheds_overrunning_tenant() {
     let clean_dir = dir.join("clean");
     std::fs::create_dir_all(&clean_dir).unwrap();
     let rep2 = serve(
-        make_jobs(33, 0.0, &clean_dir),
+        tenants(33, 0.0, 0.0, Some(&clean_dir)),
         &ServeConfig {
             seed: 33,
             threads: 4,
@@ -458,20 +406,13 @@ fn stage_quota_sheds_overrunning_tenant() {
 /// A quarantined (erroring) tenant is typed and isolated.
 #[test]
 fn quarantine_is_typed_and_isolated() {
-    use falcon_table::{AttrType, Schema, Table, Value};
     let dir = scratch("quarantine");
     let solo1 = solo_reference(44, 1, &dir.join("solo"));
 
-    let schema = Schema::new([("title", AttrType::Str)]);
-    let empty_a = Table::new("a", schema.clone(), Vec::<Vec<Value>>::new());
-    let empty_b = Table::new("b", schema, Vec::<Vec<Value>>::new());
-    let crowd = Arc::new(RandomWorkerCrowd::new(GroundTruth::new([]), 0.0, 1));
-    let broken = JobSpec::new("broken", empty_a, empty_b, em_config(1), crowd);
-
     let run_dir = dir.join("run");
     std::fs::create_dir_all(&run_dir).unwrap();
-    let mut jobs = make_jobs(44, 0.0, &run_dir);
-    jobs[0] = broken;
+    let mut jobs = tenants(44, 0.0, 0.0, Some(&run_dir));
+    jobs[0] = broken_job();
     let rep = serve(
         jobs,
         &ServeConfig {
@@ -496,6 +437,53 @@ fn quarantine_is_typed_and_isolated() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A crowd whose first answer panics the tenant's driver thread.
+struct PanickingCrowd;
+
+impl falcon_crowd::Crowd for PanickingCrowd {
+    fn answer(&self, _: falcon_table::IdPair) -> bool {
+        panic!("poisoned crowd")
+    }
+    fn latency_per_round(&self) -> Duration {
+        Duration::from_secs(60)
+    }
+    fn cost_per_answer(&self) -> f64 {
+        0.0
+    }
+    fn name(&self) -> &str {
+        "poisoned"
+    }
+}
+
+/// A driver that panics gives its CPU permit back as it unwinds: with one
+/// permit, the healthy tenant beside it still runs to its solo bytes. A
+/// leaked permit would park that tenant forever and hang the service, so
+/// `serve` runs on a helper thread and a timeout fails the test instead.
+#[test]
+fn a_panicking_tenant_releases_its_cpu_permit() {
+    let mut jobs = tenants(12, 0.0, 0.0, None);
+    jobs.truncate(2);
+    jobs[0].crowd = Arc::new(PanickingCrowd);
+    let solo = tenants(12, 0.0, 0.0, None).remove(1).run_solo().unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let cfg = ServeConfig {
+            threads: 1,
+            ..ServeConfig::default()
+        };
+        let _ = tx.send(serve(jobs, &cfg));
+    });
+    let rep = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("serve hung: a panicked tenant kept its CPU permit")
+        .unwrap();
+    let statuses: Vec<TenantStatus> = rep.outcomes.iter().map(|o| o.status).collect();
+    assert_eq!(statuses, [TenantStatus::Quarantined, TenantStatus::Ok]);
+    let healthy = rep.outcomes[1].result.as_ref().unwrap();
+    assert_eq!(healthy.matches, solo.matches);
+    assert_eq!(healthy.ledger, solo.ledger);
+}
+
 // ---------------------------------------------------------------------
 // Admission control
 // ---------------------------------------------------------------------
@@ -507,7 +495,7 @@ fn admission_rejects_overflow_and_runs_queued_jobs() {
     let dir = scratch("admission");
     let run_dir = dir.join("run");
     std::fs::create_dir_all(&run_dir).unwrap();
-    let mut jobs = make_jobs(55, 0.0, &run_dir);
+    let mut jobs = tenants(55, 0.0, 0.0, Some(&run_dir));
     // Everyone arrives at once so admission order is submission order.
     for j in jobs.iter_mut() {
         j.arrival = Duration::ZERO;
@@ -549,7 +537,7 @@ fn admission_rejects_overflow_and_runs_queued_jobs() {
     // waiter instead of refusing the newcomer.
     let shed_dir = dir.join("shed");
     std::fs::create_dir_all(&shed_dir).unwrap();
-    let mut jobs = make_jobs(55, 0.0, &shed_dir);
+    let mut jobs = tenants(55, 0.0, 0.0, Some(&shed_dir));
     for j in jobs.iter_mut() {
         j.arrival = Duration::ZERO;
     }
@@ -579,7 +567,7 @@ fn admission_rejects_overflow_and_runs_queued_jobs() {
 #[test]
 fn queue_deadline_expires_stalled_waiters() {
     let dir = scratch("qdl");
-    let mut jobs = make_jobs(66, 0.0, &dir);
+    let mut jobs = tenants(66, 0.0, 0.0, Some(&dir));
     for j in jobs.iter_mut() {
         j.arrival = Duration::ZERO;
     }
@@ -609,7 +597,7 @@ fn queue_deadline_expires_stalled_waiters() {
 
     // Bound the queue to force overflow admissions under the deadline.
     let dir2 = scratch("qdl2");
-    let mut jobs = make_jobs(66, 0.0, &dir2);
+    let mut jobs = tenants(66, 0.0, 0.0, Some(&dir2));
     for j in jobs.iter_mut() {
         j.arrival = Duration::ZERO;
     }
@@ -652,7 +640,7 @@ fn queue_deadline_expires_stalled_waiters() {
 fn pool_shrink_changes_latency_not_bytes() {
     let dir = scratch("elastic");
     let stable = serve(
-        make_jobs(77, 0.0, &dir.join("a")),
+        tenants(77, 0.0, 0.0, Some(&dir.join("a"))),
         &ServeConfig {
             seed: 77,
             threads: 4,
@@ -666,7 +654,7 @@ fn pool_shrink_changes_latency_not_bytes() {
         let d = dir.join(format!("t{threads}"));
         std::fs::create_dir_all(&d).unwrap();
         let rep = serve(
-            make_jobs(77, 0.0, &d),
+            tenants(77, 0.0, 0.0, Some(&d)),
             &ServeConfig {
                 seed: 77,
                 threads,
@@ -725,7 +713,7 @@ fn scheduler_failure_unparks_all_tenants() {
             journal: Some(dir.join("service.journal")),
             ..ServeConfig::default()
         };
-        serve(make_jobs(88, 0.0, &dir), &cfg).unwrap();
+        serve(tenants(88, 0.0, 0.0, Some(&dir)), &cfg).unwrap();
 
         // Same service journal, different tenant crowd seeds: the
         // schedule diverges while tenants are live and parked.
@@ -734,7 +722,7 @@ fn scheduler_failure_unparks_all_tenants() {
         // Same names/arrivals/priorities (so the admission prefix still
         // matches and the run reaches the round loop) but different data
         // and crowd seeds: the schedule must diverge mid-run.
-        let alt_jobs = make_jobs(89, 0.0, &alt_dir);
+        let alt_jobs = tenants(89, 0.0, 0.0, Some(&alt_dir));
         let started = std::time::Instant::now();
         match resume(alt_jobs, &cfg) {
             Err(ServeError::ServiceJournal { .. }) => {}

@@ -3,24 +3,14 @@
 //! journal — byte-identical to B running alone, at every scheduler
 //! thread count.
 
-use falcon_core::driver::FalconConfig;
-use falcon_core::plan::PlanKind;
+mod common;
+
+use common::{broken_job, em_config};
 use falcon_crowd::sim::{GroundTruth, RandomWorkerCrowd, UnreliableCrowd};
-use falcon_dataflow::{ClusterConfig, FaultPlan};
+use falcon_dataflow::FaultPlan;
 use falcon_serve::{serve, JobSpec, Policy, ServeConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
-
-fn em_config(seed: u64) -> FalconConfig {
-    FalconConfig {
-        sample_size: 200,
-        sample_fanout: 20,
-        cluster: ClusterConfig::small(4),
-        force_plan: Some(PlanKind::BlockAndMatch),
-        seed,
-        ..FalconConfig::default()
-    }
-}
 
 /// Tenant B: a clean job over the products dataset.
 fn job_b(journal: Option<PathBuf>) -> JobSpec {
@@ -108,17 +98,9 @@ fn tenant_b_unperturbed_by_tenant_a_faults() {
 /// error while leaving a concurrent healthy tenant untouched.
 #[test]
 fn failing_tenant_does_not_abort_others() {
-    use falcon_table::{AttrType, Schema, Table};
-    let schema = Schema::new([("title", AttrType::Str)]);
-    let empty_a = Table::new("a", schema.clone(), Vec::<Vec<falcon_table::Value>>::new());
-    let empty_b = Table::new("b", schema, Vec::<Vec<falcon_table::Value>>::new());
-    let truth = GroundTruth::new([]);
-    let crowd = Arc::new(RandomWorkerCrowd::new(truth, 0.0, 1));
-    let broken = JobSpec::new("broken", empty_a, empty_b, em_config(1), crowd);
-
     let solo = job_b(None).run_solo().unwrap();
     let rep = serve(
-        vec![broken, job_b(None)],
+        vec![broken_job(), job_b(None)],
         &ServeConfig {
             threads: 2,
             ..ServeConfig::default()
