@@ -50,7 +50,7 @@ fn bench_index_probe(c: &mut Criterion) {
         })
         .collect();
     let table = Table::new("a", schema, rows);
-    let idx = PredicateIndex::build(
+    let idx = PredicateIndex::try_build(
         &table,
         &FilterSpec::SetSim {
             a_attr: "x".into(),
@@ -58,20 +58,22 @@ fn bench_index_probe(c: &mut Criterion) {
             threshold: 0.6,
         },
         None,
-    );
+    )
+    .expect("valid filter spec");
     let probe = Value::str("alpha beta gamma");
     c.bench_function("prefix_index_probe_5k", |b| {
         b.iter(|| idx.probe(black_box(&probe)))
     });
 
-    let ridx = PredicateIndex::build(
+    let ridx = PredicateIndex::try_build(
         &table,
         &FilterSpec::EditSim {
             a_attr: "x".into(),
             threshold: 0.8,
         },
         None,
-    );
+    )
+    .expect("valid filter spec");
     c.bench_function("edit_index_probe_5k", |b| {
         b.iter(|| ridx.probe(black_box(&probe)))
     });

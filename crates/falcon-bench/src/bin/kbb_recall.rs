@@ -20,7 +20,7 @@ fn main() {
     );
     for name in DATASETS {
         let d = dataset(name, scale, seed);
-        let kbb = best_kbb(&d.a, &d.b, &d.truth);
+        let kbb = best_kbb(&d.a, &d.b, &d.truth).expect("generated tables share attributes");
         // RBB: learn rules hands-off with an oracle crowd, then measure
         // the candidate set the driver produced.
         let report = run_once(&d, standard_config(8_000), 0.0, seed);

@@ -77,6 +77,10 @@ fn main() {
     ));
 
     // Solo references: one ungated run per template.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the bench reports real wall time beside virtual time"
+    )]
     let wall = Instant::now();
     let solo: Vec<Vec<(u32, u32)>> = templates
         .iter()
@@ -107,6 +111,10 @@ fn main() {
         seed,
         ..ServeConfig::default()
     };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the bench reports real wall time beside virtual time"
+    )]
     let wall_serve = Instant::now();
     let rep = falcon::serve::serve(jobs, &cfg).unwrap_or_else(|e| panic!("service failed: {e}"));
     let serve_wall = wall_serve.elapsed();

@@ -64,21 +64,20 @@ pub struct KbbResult {
 }
 
 /// Try all single attributes and pairs shared by both schemas; return the
-/// key with the best recall (ties broken by smaller candidate set).
+/// key with the best recall (ties broken by smaller candidate set), or
+/// `None` when the schemas share no attribute and there is no key to try.
 ///
 /// A key only counts as *blocking* if its candidate set is a small
 /// fraction of `A × B` — otherwise a two-valued attribute like `pub_type`
 /// would "win" with near-perfect recall while leaving the cross product
 /// essentially unpruned (at paper scale, trillions of pairs). The budget
 /// starts at 1% of `|A × B|` and relaxes only if no key qualifies.
-pub fn best_kbb(a: &Table, b: &Table, truth: &[IdPair]) -> KbbResult {
-    for budget_frac in [0.01, 0.05, 0.2, 1.01] {
+pub fn best_kbb(a: &Table, b: &Table, truth: &[IdPair]) -> Option<KbbResult> {
+    // The last budget admits every key, so only an empty key set is `None`.
+    [0.01, 0.05, 0.2, 1.01].into_iter().find_map(|budget_frac| {
         let budget = (a.len() as f64 * b.len() as f64 * budget_frac).ceil() as usize;
-        if let Some(r) = best_kbb_within(a, b, truth, budget) {
-            return r;
-        }
-    }
-    unreachable!("budget 1.01 admits every key")
+        best_kbb_within(a, b, truth, budget)
+    })
 }
 
 fn best_kbb_within(
@@ -176,13 +175,24 @@ mod tests {
         // On a 3×3 table the 1% budget admits only single-candidate keys:
         // isbn (recall 1/3) qualifies before the budget relaxes to where
         // title (2 candidates, recall 2/3) would win.
-        let r = best_kbb(&a, &b, &truth);
+        let r = best_kbb(&a, &b, &truth).unwrap();
         assert_eq!(r.key, vec!["isbn".to_string()]);
         assert!((r.recall - 1.0 / 3.0).abs() < 1e-12);
         // With an explicit relaxed budget, title wins on recall.
         let r = best_kbb_within(&a, &b, &truth, 9).unwrap();
         assert_eq!(r.key, vec!["title".to_string()]);
         assert!((r.recall - 2.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn disjoint_schemas_have_no_best_key() {
+        let (a, _, truth) = tables();
+        let b = Table::new(
+            "b",
+            Schema::new([("name", AttrType::Str)]),
+            vec![vec![Value::str("book one")]],
+        );
+        assert!(best_kbb(&a, &b, &truth).is_none());
     }
 
     #[test]

@@ -19,7 +19,15 @@
 //! optimizations of Section 10.2 live in [`optimizer`] and are accounted
 //! by [`timeline::Timeline`].
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 pub mod analyze;
 pub mod corleone;

@@ -132,7 +132,7 @@ fn greedy_order(cands: &[&Candidate<'_>], bits: usize) -> (Vec<usize>, f64) {
             }
         }
         // `remaining` is non-empty here, so a best slot always exists; the
-        // let-else keeps this loop panic-free under the no-panic lint.
+        // let-else keeps this loop panic-free under the crate's clippy panic denials.
         let Some((_, slot)) = best else { break };
         let ci = remaining.remove(slot);
         seq_time += reach_prob * cands[ci].time;

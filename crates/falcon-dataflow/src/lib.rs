@@ -17,7 +17,15 @@
 //! configured per-mapper memory budget (which gates the `apply_*` physical
 //! operator selection of Section 10.1), and receive job statistics.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 pub mod cluster;
 pub mod error;

@@ -34,10 +34,13 @@ pub fn makespan(tasks: &[Duration], slots: usize) -> Duration {
 /// sibling of the simulated clock that nothing prices or branches on.
 /// Every simulated duration is priced from records, so no operator or
 /// driver can reach a measured `Duration` to feed a timeline with, and
-/// `falcon-lint`'s `sim-time` rule bans `Instant::now` everywhere else.
+/// the workspace `clippy.toml` bans `Instant::now` everywhere else.
 #[must_use]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the engine's one wall-clock read; it stamps JobStats::wall only"
+)]
 pub(crate) fn wall_now() -> Instant {
-    // falcon-lint: allow(sim-time)
     Instant::now()
 }
 

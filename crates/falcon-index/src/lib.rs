@@ -19,7 +19,15 @@
 //! but may return false positives that the reducer-side rule evaluation
 //! weeds out.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 pub mod bitmap;
 pub mod inverted;

@@ -435,7 +435,7 @@ pub enum ProbeMode {
 ///     sim: SimFunction::Jaccard(Tokenizer::Word),
 ///     threshold: 0.5,
 /// };
-/// let index = PredicateIndex::build(&a, &spec, None);
+/// let index = PredicateIndex::try_build(&a, &spec, None).expect("valid filter spec");
 /// match index.probe(&Value::str("compact digital camera")) {
 ///     Candidates::Some(ids) => assert!(ids.contains(&0) && !ids.contains(&1)),
 ///     Candidates::All => unreachable!(),
@@ -560,15 +560,6 @@ impl std::fmt::Display for IndexError {
 impl std::error::Error for IndexError {}
 
 impl PredicateIndex {
-    /// Build the index bundle for `spec` over table `a`, panicking when the
-    /// spec is structurally invalid. Kept for tests and benches; library
-    /// code goes through [`PredicateIndex::try_build`].
-    #[allow(clippy::unwrap_used, clippy::expect_used)]
-    pub fn build(a: &Table, spec: &FilterSpec, shared: Option<&mut TokenColumn>) -> PredicateIndex {
-        // falcon-lint: allow(no-panic) — convenience wrapper for tests.
-        Self::try_build(a, spec, shared).unwrap_or_else(|e| panic!("PredicateIndex::build: {e}"))
-    }
-
     /// Build the index bundle for `spec` over table `a`. A set-similarity
     /// spec is built over `shared`, its attribute's column from the
     /// caller's token store; without one the attribute is tokenized here.
@@ -1117,13 +1108,14 @@ mod tests {
 
     #[test]
     fn equals_probe() {
-        let idx = PredicateIndex::build(
+        let idx = PredicateIndex::try_build(
             &table(),
             &FilterSpec::Equals {
                 a_attr: "year".into(),
             },
             None,
-        );
+        )
+        .expect("valid filter spec");
         match idx.probe(&Value::str("1999")) {
             Candidates::Some(mut ids) => {
                 ids.sort_unstable();
@@ -1139,7 +1131,7 @@ mod tests {
 
     #[test]
     fn range_probe_includes_missing() {
-        let idx = PredicateIndex::build(
+        let idx = PredicateIndex::try_build(
             &table(),
             &FilterSpec::Range {
                 a_attr: "price".into(),
@@ -1147,7 +1139,8 @@ mod tests {
                 relative: false,
             },
             None,
-        );
+        )
+        .expect("valid filter spec");
         match idx.probe(&Value::num(12.0)) {
             Candidates::Some(mut ids) => {
                 ids.sort_unstable();
@@ -1162,7 +1155,7 @@ mod tests {
 
     #[test]
     fn rel_range_probe() {
-        let idx = PredicateIndex::build(
+        let idx = PredicateIndex::try_build(
             &table(),
             &FilterSpec::Range {
                 a_attr: "price".into(),
@@ -1170,7 +1163,8 @@ mod tests {
                 relative: true,
             },
             None,
-        );
+        )
+        .expect("valid filter spec");
         match idx.probe(&Value::num(10.0)) {
             Candidates::Some(mut ids) => {
                 ids.sort_unstable();
@@ -1184,7 +1178,7 @@ mod tests {
 
     #[test]
     fn setsim_probe() {
-        let idx = PredicateIndex::build(
+        let idx = PredicateIndex::try_build(
             &table(),
             &FilterSpec::SetSim {
                 a_attr: "title".into(),
@@ -1192,7 +1186,8 @@ mod tests {
                 threshold: 0.4,
             },
             None,
-        );
+        )
+        .expect("valid filter spec");
         match idx.probe(&Value::str("quick brown fox")) {
             Candidates::Some(mut ids) => {
                 ids.sort_unstable();
@@ -1207,14 +1202,15 @@ mod tests {
 
     #[test]
     fn editsim_probe_lossless() {
-        let idx = PredicateIndex::build(
+        let idx = PredicateIndex::try_build(
             &table(),
             &FilterSpec::EditSim {
                 a_attr: "title".into(),
                 threshold: 0.8,
             },
             None,
-        );
+        )
+        .expect("valid filter spec");
         // "the quick brown fox" vs itself with one typo: sim >= 0.8.
         match idx.probe(&Value::str("the quick browm fox")) {
             Candidates::Some(ids) => assert!(ids.contains(&0), "{ids:?}"),
@@ -1280,7 +1276,7 @@ mod tests {
             ),
         ];
         for (spec, sim, gt, v, attr) in specs {
-            let idx = PredicateIndex::build(&a, &spec, None);
+            let idx = PredicateIndex::try_build(&a, &spec, None).expect("valid filter spec");
             for b in &b_vals {
                 let cands = idx.probe(b);
                 for row in a.rows() {

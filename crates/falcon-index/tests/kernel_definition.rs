@@ -206,7 +206,7 @@ proptest! {
                 for words in [1usize, 2, 4] {
                     let spec = FilterSpec::SetSim { a_attr: "x".into(), sim, threshold }
                         .with_signature(words);
-                    let idx = PredicateIndex::build(&a, &spec, Some(&mut column));
+                    let idx = PredicateIndex::try_build(&a, &spec, Some(&mut column)).expect("valid filter spec");
                     let PredicateIndex::Signature { sigs, .. } = &idx else {
                         panic!("expected a signature bundle");
                     };
@@ -305,7 +305,7 @@ proptest! {
             set(SimFunction::Dice(word), 0.3).with_signature(4),
         ];
         for spec in &specs {
-            let idx = PredicateIndex::build(&a, spec, None);
+            let idx = PredicateIndex::try_build(&a, spec, None).expect("valid filter spec");
             let signed = |id: usize| match (&idx, a_vals.get(id)) {
                 (PredicateIndex::Signature { sigs, .. }, Some(_)) => {
                     sigs.size(id as TupleId) != falcon_index::signature::SIG_NO_TOKENS

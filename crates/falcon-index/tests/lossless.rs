@@ -75,7 +75,7 @@ fn near_threshold_strategy() -> impl Strategy<Value = f64> {
 
 fn check(spec: FilterSpec, sim: SimFunction, gt: bool, v: f64, a: &Table, b_vals: &[Value]) {
     let ctx = SimContext::empty();
-    let idx = PredicateIndex::build(a, &spec, None);
+    let idx = PredicateIndex::try_build(a, &spec, None).expect("valid filter spec");
     for b in b_vals {
         let cands = idx.probe(b);
         for row in a.rows() {
@@ -132,7 +132,7 @@ fn check_signature(sim: SimFunction, t: f64, words: usize, a: &Table, b_vals: &[
         threshold: t,
     }
     .with_signature(words);
-    let idx = PredicateIndex::build(a, &spec, None);
+    let idx = PredicateIndex::try_build(a, &spec, None).expect("valid filter spec");
     for b in b_vals {
         let mut per_mode = Vec::new();
         for mode in [ProbeMode::Off, ProbeMode::Gate, ProbeMode::Dense] {

@@ -2,20 +2,13 @@
 //!
 //! `syn` is unavailable offline, so falcon-lint carries its own lexer: it
 //! masks comments, string literals and char literals (preserving line
-//! structure), then produces a token stream with line/column spans plus
-//! the comment list (the only place `falcon-lint:` directives are read
-//! from — a directive inside a string literal is just data). On top of
-//! the token stream sit a few lightweight syntactic passes:
+//! structure), then produces a token stream with line/column spans. On
+//! top of the token stream sit two lightweight syntactic passes:
 //!
-//! * [`LexedFile::use_aliases`] — `use`-path resolution, so `Clock::now`
-//!   is recognized as a wall-clock read after
-//!   `use std::time::Instant as Clock;`.
-//! * [`LexedFile::functions`] — per-function scopes (name + body token
-//!   range), the substrate for the transitive sim-time pass.
+//! * [`LexedFile::functions`] — per-function scopes (name, signature and
+//!   body token ranges), where hash-typed parameters are found.
 //! * [`LexedFile::cfg_test_lines`] — lines covered by `#[cfg(test)]`
 //!   items, which the rules skip.
-
-use std::collections::HashMap;
 
 /// One token of the masked source.
 #[derive(Debug, Clone)]
@@ -37,22 +30,11 @@ impl Tok {
     }
 }
 
-/// A comment with its location, as found during masking.
-#[derive(Debug, Clone)]
-pub struct Comment {
-    /// 1-based line the comment starts on.
-    pub line: usize,
-    /// Comment text, markers included.
-    pub text: String,
-}
-
 /// A function definition found in the token stream.
 #[derive(Debug, Clone)]
 pub struct FnDef {
     /// Function name.
     pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: usize,
     /// Token index of the `fn` keyword (signature runs from here to the
     /// body's opening brace).
     pub kw: usize,
@@ -60,26 +42,20 @@ pub struct FnDef {
     pub body: (usize, usize),
 }
 
-/// A lexed source file: tokens, raw/masked lines and comments.
+/// A lexed source file: tokens and raw lines.
 #[derive(Debug)]
 pub struct LexedFile {
     /// The token stream of the masked source.
     pub toks: Vec<Tok>,
     /// Raw source lines (for snippets).
     pub raw_lines: Vec<String>,
-    /// Masked source lines (comments/strings/chars blanked).
-    pub masked_lines: Vec<String>,
-    /// Every comment, in order.
-    pub comments: Vec<Comment>,
 }
 
 /// Mask comments, string literals and char literals with spaces,
-/// preserving newlines, and collect the comments.
-fn mask(source: &str) -> (String, Vec<Comment>) {
+/// preserving newlines.
+fn mask(source: &str) -> String {
     let bytes = source.as_bytes();
     let mut masked: Vec<u8> = Vec::with_capacity(bytes.len());
-    let mut comments = Vec::new();
-    let mut line = 1usize;
     let mut i = 0;
     let blank = |masked: &mut Vec<u8>, s: &str| {
         masked.extend(s.bytes().map(|b| if b == b'\n' { b } else { b' ' }));
@@ -88,10 +64,6 @@ fn mask(source: &str) -> (String, Vec<Comment>) {
         let rest = &source[i..];
         if rest.starts_with("//") {
             let end = rest.find('\n').map_or(bytes.len(), |n| i + n);
-            comments.push(Comment {
-                line,
-                text: source[i..end].to_string(),
-            });
             blank(&mut masked, &source[i..end]);
             i = end;
         } else if rest.starts_with("/*") {
@@ -108,11 +80,6 @@ fn mask(source: &str) -> (String, Vec<Comment>) {
                     j += 1;
                 }
             }
-            comments.push(Comment {
-                line,
-                text: source[i..j].to_string(),
-            });
-            line += source[i..j].bytes().filter(|&b| b == b'\n').count();
             blank(&mut masked, &source[i..j]);
             i = j;
         } else if rest.starts_with("r\"") || rest.starts_with("r#") {
@@ -123,7 +90,6 @@ fn mask(source: &str) -> (String, Vec<Comment>) {
             let end = source[i + open..]
                 .find(&close_pat)
                 .map_or(bytes.len(), |n| i + open + n + close_pat.len());
-            line += source[i..end].bytes().filter(|&b| b == b'\n').count();
             blank(&mut masked, &source[i..end]);
             i = end;
         } else if rest.starts_with('"') {
@@ -139,7 +105,6 @@ fn mask(source: &str) -> (String, Vec<Comment>) {
                 }
             }
             let j = j.min(bytes.len());
-            line += source[i..j].bytes().filter(|&b| b == b'\n').count();
             blank(&mut masked, &source[i..j]);
             i = j;
         } else if rest.starts_with('\'') {
@@ -161,19 +126,16 @@ fn mask(source: &str) -> (String, Vec<Comment>) {
                 }
             }
         } else {
-            if bytes[i] == b'\n' {
-                line += 1;
-            }
             masked.push(bytes[i]);
             i += 1;
         }
     }
-    (String::from_utf8_lossy(&masked).into_owned(), comments)
+    String::from_utf8_lossy(&masked).into_owned()
 }
 
 /// Lex `source` into a [`LexedFile`].
 pub fn lex(source: &str) -> LexedFile {
-    let (masked, comments) = mask(source);
+    let masked = mask(source);
     let mut toks = Vec::new();
     for (ln, text) in masked.lines().enumerate() {
         let chars: Vec<char> = text.chars().collect();
@@ -225,8 +187,6 @@ pub fn lex(source: &str) -> LexedFile {
     LexedFile {
         toks,
         raw_lines: source.lines().map(str::to_string).collect(),
-        masked_lines: masked.lines().map(str::to_string).collect(),
-        comments,
     }
 }
 
@@ -255,30 +215,6 @@ impl LexedFile {
             }
         }
         self.toks.len().saturating_sub(1)
-    }
-
-    /// `use`-path aliases: simple name → full path (`::`-joined), covering
-    /// `use a::b::C;`, `use a::b::{C, D as E};` and `as` renames. Glob
-    /// imports are ignored (nothing to resolve a name against).
-    pub fn use_aliases(&self) -> HashMap<String, String> {
-        let mut out = HashMap::new();
-        let mut i = 0;
-        while i < self.toks.len() {
-            if !(self.toks[i].is("use") && self.toks[i].is_ident) {
-                i += 1;
-                continue;
-            }
-            // Collect the declaration up to `;`.
-            let mut j = i + 1;
-            let mut decl: Vec<&Tok> = Vec::new();
-            while j < self.toks.len() && !self.toks[j].is(";") {
-                decl.push(&self.toks[j]);
-                j += 1;
-            }
-            parse_use_decl(&decl, &mut out);
-            i = j + 1;
-        }
-        out
     }
 
     /// Function definitions: `fn name ... { body }`. Trait-method
@@ -310,7 +246,6 @@ impl LexedFile {
                     if let Some(open) = body {
                         out.push(FnDef {
                             name: name_tok.text.clone(),
-                            line: self.toks[i].line,
                             kw: i,
                             body: (open, self.matching_brace(open)),
                         });
@@ -345,57 +280,6 @@ impl LexedFile {
     }
 }
 
-/// Parse one `use` declaration (tokens after `use`, before `;`) into the
-/// alias map. Handles one level of `{...}` groups, which covers the
-/// workspace's import style.
-fn parse_use_decl(decl: &[&Tok], out: &mut HashMap<String, String>) {
-    // Split off a `{ ... }` group suffix if present.
-    let brace = decl.iter().position(|t| t.is("{"));
-    let prefix_end = brace.unwrap_or(decl.len());
-    let prefix: Vec<&str> = decl[..prefix_end]
-        .iter()
-        .filter(|t| t.is_ident)
-        .map(|t| t.text.as_str())
-        .collect();
-    let record = |out: &mut HashMap<String, String>, segs: &[&str]| {
-        // `a::b::C as D` → D = a::b::C; otherwise last segment names it.
-        if segs.is_empty() {
-            return;
-        }
-        if let Some(as_pos) = segs.iter().position(|s| *s == "as") {
-            if let (Some(alias), true) = (segs.get(as_pos + 1), as_pos > 0) {
-                out.insert((*alias).to_string(), segs[..as_pos].join("::"));
-            }
-        } else if let Some(last) = segs.last() {
-            out.insert((*last).to_string(), segs.join("::"));
-        }
-    };
-    match brace {
-        None => record(out, &prefix),
-        Some(open) => {
-            // Each comma-separated leaf in the group extends the prefix.
-            let close = decl
-                .iter()
-                .rposition(|t| t.is("}"))
-                .unwrap_or(decl.len().saturating_sub(1));
-            let mut leaf: Vec<&str> = Vec::new();
-            for t in &decl[open + 1..close] {
-                if t.is(",") {
-                    let full: Vec<&str> = prefix.iter().chain(leaf.iter()).copied().collect();
-                    record(out, &full);
-                    leaf.clear();
-                } else if t.is_ident {
-                    leaf.push(t.text.as_str());
-                }
-            }
-            if !leaf.is_empty() {
-                let full: Vec<&str> = prefix.iter().chain(leaf.iter()).copied().collect();
-                record(out, &full);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,30 +293,16 @@ mod tests {
 
     #[test]
     fn strings_and_comments_are_masked_but_collected() {
-        let f = lex("// note: Instant::now\nlet s = \"Instant::now\";\n");
-        assert!(!f.toks.iter().any(|t| t.is("Instant")));
-        assert_eq!(f.comments.len(), 1);
-        assert!(f.comments[0].text.contains("Instant::now"));
-        assert_eq!(f.comments[0].line, 1);
-    }
-
-    #[test]
-    fn use_aliases_resolve_groups_and_renames() {
-        let f =
-            lex("use std::time::{Duration, Instant as Clock};\nuse std::collections::HashMap;\n");
-        let a = f.use_aliases();
+        // Masked out of the token stream, kept in the raw lines that
+        // violation snippets quote.
+        let f = lex("// note: m.keys()\nlet s = \"m.keys()\"; /* m.keys()\n */ x\n");
+        assert!(!f.toks.iter().any(|t| t.is("m") || t.is("keys")));
         assert_eq!(
-            a.get("Clock").map(String::as_str),
-            Some("std::time::Instant")
+            f.toks.last().map(|t| (t.text.as_str(), t.line)),
+            Some(("x", 3))
         );
-        assert_eq!(
-            a.get("Duration").map(String::as_str),
-            Some("std::time::Duration")
-        );
-        assert_eq!(
-            a.get("HashMap").map(String::as_str),
-            Some("std::collections::HashMap")
-        );
+        assert!(f.raw_lines[0].contains("m.keys()"));
+        assert!(f.raw_lines[1].contains("m.keys()"));
     }
 
     #[test]

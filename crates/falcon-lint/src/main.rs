@@ -1,185 +1,47 @@
-//! `falcon-lint`: lint the workspace's library sources for the panic,
-//! determinism and simulated-time invariants.
+//! `falcon-lint`: lint the workspace's library sources for the
+//! hash-iteration order, float reduction order and error-context
+//! invariants (clippy owns the rest; see the library docs).
 //!
 //! ```sh
-//! cargo run -p falcon-lint                      # lint the enclosing workspace
-//! cargo run -p falcon-lint -- <root>            # lint an explicit workspace root
-//! cargo run -p falcon-lint -- --format json     # machine-readable output
-//! cargo run -p falcon-lint -- <root> --expect <file>
+//! cargo run -p falcon-lint               # lint the enclosing workspace
+//! cargo run -p falcon-lint -- <root>     # lint an explicit workspace root
 //! ```
 //!
-//! `--format json` emits one JSON array of violation objects on stdout
-//! (fields: `file`, `line`, `col`, `rule`, `token`, `snippet`) for CI
-//! problem-matchers and editor integrations.
-//!
-//! `--expect <file>` runs in self-test mode: the file lists the expected
-//! violations, one `file:line:rule` triple per line (`#` comments and
-//! blank lines ignored), and the exit code reports whether the scan
-//! produced *exactly* that set. CI points this at the seeded bad
-//! workspace fixture so the analyzer itself is regression-tested.
-//!
-//! Exits `1` when any violation is found (or the expectation mismatches),
-//! `0` otherwise.
+//! Prints one `file:line:col: [rule] ...` line per violation (the format
+//! CI's problem matcher annotates) and exits `1` when any is found, `0`
+//! otherwise.
 
-use falcon_lint::Violation;
-use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn print_json(violations: &[Violation]) {
-    println!("[");
-    for (i, v) in violations.iter().enumerate() {
-        let comma = if i + 1 < violations.len() { "," } else { "" };
-        println!(
-            "  {{\"file\":\"{}\",\"line\":{},\"col\":{},\"rule\":\"{}\",\"token\":\"{}\",\"snippet\":\"{}\"}}{}",
-            json_escape(&v.file.display().to_string()),
-            v.line,
-            v.col,
-            v.rule.name(),
-            json_escape(&v.token),
-            json_escape(&v.snippet),
-            comma
-        );
-    }
-    println!("]");
-}
-
-/// Compare against an expectation file of `file:line:rule` triples.
-fn check_expectations(violations: &[Violation], expect_path: &PathBuf) -> ExitCode {
-    let text = match std::fs::read_to_string(expect_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("falcon-lint: cannot read {}: {e}", expect_path.display());
+fn main() -> ExitCode {
+    let mut root: Option<PathBuf> = None;
+    for arg in std::env::args().skip(1) {
+        if arg.starts_with("--") {
+            eprintln!("falcon-lint: unknown flag {arg}");
             return ExitCode::FAILURE;
         }
-    };
-    let expected: BTreeSet<String> = text
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(String::from)
-        .collect();
-    let actual: BTreeSet<String> = violations
-        .iter()
-        .map(|v| {
-            format!(
-                "{}:{}:{}",
-                v.file.display().to_string().replace('\\', "/"),
-                v.line,
-                v.rule.name()
-            )
-        })
-        .collect();
-    let missing: Vec<_> = expected.difference(&actual).collect();
-    let unexpected: Vec<_> = actual.difference(&expected).collect();
-    if missing.is_empty() && unexpected.is_empty() {
-        println!(
-            "falcon-lint: self-test ok ({} expected violation(s) matched)",
-            expected.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        for m in &missing {
-            eprintln!("falcon-lint: expected but not reported: {m}");
-        }
-        for u in &unexpected {
-            eprintln!("falcon-lint: reported but not expected: {u}");
-        }
-        eprintln!(
-            "falcon-lint: self-test FAILED ({} missing, {} unexpected)",
-            missing.len(),
-            unexpected.len()
-        );
-        ExitCode::FAILURE
-    }
-}
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut root: Option<PathBuf> = None;
-    let mut format_json = false;
-    let mut expect: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--format" => {
-                i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some("json") => format_json = true,
-                    Some("text") => format_json = false,
-                    other => {
-                        eprintln!(
-                            "falcon-lint: unknown format {:?} (expected json or text)",
-                            other.unwrap_or("<missing>")
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--expect" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => expect = Some(PathBuf::from(p)),
-                    None => {
-                        eprintln!("falcon-lint: --expect needs a file argument");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            arg if arg.starts_with("--") => {
-                eprintln!("falcon-lint: unknown flag {arg}");
-                return ExitCode::FAILURE;
-            }
-            arg => root = Some(PathBuf::from(arg)),
-        }
-        i += 1;
+        root = Some(PathBuf::from(arg));
     }
     let root = root.unwrap_or_else(|| {
         // CARGO_MANIFEST_DIR = <root>/crates/falcon-lint.
         let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
         manifest
             .parent()
-            .and_then(std::path::Path::parent)
-            .map_or_else(|| PathBuf::from("."), std::path::Path::to_path_buf)
+            .and_then(Path::parent)
+            .map_or_else(|| PathBuf::from("."), Path::to_path_buf)
     });
     match falcon_lint::scan_workspace(&root) {
+        Ok(violations) if violations.is_empty() => {
+            println!("falcon-lint: ok ({})", root.display());
+            ExitCode::SUCCESS
+        }
         Ok(violations) => {
-            if let Some(expect_path) = expect {
-                return check_expectations(&violations, &expect_path);
+            for v in &violations {
+                eprintln!("{v}");
             }
-            if format_json {
-                print_json(&violations);
-                if violations.is_empty() {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            } else if violations.is_empty() {
-                println!("falcon-lint: ok ({})", root.display());
-                ExitCode::SUCCESS
-            } else {
-                for v in &violations {
-                    eprintln!("{v}");
-                }
-                eprintln!("falcon-lint: {} violation(s)", violations.len());
-                ExitCode::FAILURE
-            }
+            eprintln!("falcon-lint: {} violation(s)", violations.len());
+            ExitCode::FAILURE
         }
         Err(e) => {
             eprintln!("falcon-lint: cannot scan {}: {e}", root.display());

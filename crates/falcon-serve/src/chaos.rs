@@ -252,9 +252,10 @@ fn leg(
 ) -> Result<Leg, ServeError> {
     let crowd_journals = jobs.iter().filter_map(|j| j.journal.clone()).collect();
     let live = attach_counter(&mut jobs);
-    // Wall-clock on purpose: recovery overhead prices the harness's
-    // own replay cost, not simulated time.
-    // falcon-lint: allow(sim-time)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "recovery overhead prices the harness's own replay cost, not simulated time"
+    )]
     let t0 = Instant::now();
     let report = run(jobs, cfg)?;
     Ok(Leg {

@@ -55,7 +55,15 @@
 //!   resume, and every per-tenant report, crowd journal and the
 //!   aggregate ledger is byte-identical to an uninterrupted run.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 pub mod admission;
 pub mod chaos;

@@ -723,6 +723,10 @@ fn scheduler_failure_unparks_all_tenants() {
         // matches and the run reaches the round loop) but different data
         // and crowd seeds: the schedule must diverge mid-run.
         let alt_jobs = tenants(89, 0.0, 0.0, Some(&alt_dir));
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a hang is caught by bounding the real wall time"
+        )]
         let started = std::time::Instant::now();
         match resume(alt_jobs, &cfg) {
             Err(ServeError::ServiceJournal { .. }) => {}

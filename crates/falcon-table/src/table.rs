@@ -86,7 +86,6 @@ impl Table {
         schema: Schema,
         rows: impl IntoIterator<Item = Vec<Value>>,
     ) -> Self {
-        // falcon-lint: allow(no-panic) — convenience wrapper over `try_new`.
         Self::try_new(name, schema, rows).unwrap_or_else(|e| panic!("Table::new: {e}"))
     }
 

@@ -41,7 +41,7 @@ fn rbb_recall(data: &EmDataset, seed: u64) -> (f64, usize) {
 fn rbb_beats_kbb_on_citations() {
     // Citations is where KBB collapses in the paper (38.8% recall).
     let data = falcon::datagen::citations::generate(0.001, 51);
-    let kbb = best_kbb(&data.a, &data.b, &data.truth);
+    let kbb = best_kbb(&data.a, &data.b, &data.truth).expect("shared attributes");
     let (rbb, _) = rbb_recall(&data, 1);
     assert!(
         rbb > kbb.recall + 0.1,
@@ -69,7 +69,7 @@ fn rbb_high_recall_on_songs() {
 #[test]
 fn kbb_candidates_subset_of_exact_agreement() {
     let data = falcon::datagen::products::generate(0.02, 53);
-    let kbb = best_kbb(&data.a, &data.b, &data.truth);
+    let kbb = best_kbb(&data.a, &data.b, &data.truth).expect("shared attributes");
     // Sanity: the KBB search returns a shared attribute and bounded recall.
     assert!(!kbb.key.is_empty());
     assert!((0.0..=1.0).contains(&kbb.recall));
