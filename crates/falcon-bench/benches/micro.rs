@@ -6,7 +6,10 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use falcon::forest::{Dataset, Forest, ForestConfig};
 use falcon::index::{FilterSpec, PredicateIndex};
 use falcon::table::{AttrType, Schema, Table, Value};
-use falcon::textsim::{SimContext, SimFunction, Tokenizer};
+use falcon::textsim::tokenize::word_tokens;
+use falcon::textsim::{
+    hybrid, CharFamily, SimContext, SimFunction, SimScratch, Syms, TokenDict, Tokenizer,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -24,13 +27,33 @@ fn bench_similarity(c: &mut Criterion) {
         SimFunction::Jaro,
         SimFunction::JaroWinkler,
         SimFunction::MongeElkan,
-        SimFunction::SmithWaterman,
         SimFunction::ExactMatch,
     ] {
         g.bench_function(sim.name(), |bench| {
             bench.iter(|| sim.score_str(black_box(a), black_box(b), &ctx))
         });
     }
+    // The matching-only kernels as `gen_fvs` runs them: NW, SW and
+    // SW-Gotoh from one sweep over the bytes, and Monge-Elkan over
+    // interned ids with a task's (warm) Jaro-Winkler memo.
+    let mut scratch = SimScratch::new();
+    g.bench_function("align_triple", |bench| {
+        bench.iter(|| {
+            let (x, y) = (Syms::Ascii(a.as_bytes()), Syms::Ascii(b.as_bytes()));
+            CharFamily::Align.score_syms(black_box(x), black_box(y), &mut scratch)
+        })
+    });
+    let mut dict = TokenDict::new();
+    let mut ids = |s: &str| -> Vec<u32> {
+        word_tokens(s)
+            .into_iter()
+            .map(|t| dict.intern_owned(t))
+            .collect()
+    };
+    let (ta, tb) = (ids(a), ids(b));
+    g.bench_function("monge_elkan_ids", |bench| {
+        bench.iter(|| hybrid::monge_elkan_ids(black_box(&ta), black_box(&tb), &dict, &mut scratch))
+    });
     g.finish();
 }
 

@@ -7,6 +7,7 @@ use falcon::table::csv;
 use falcon::table::TableProfile;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
+use std::time::Duration;
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -464,17 +465,53 @@ pub fn cmd_demo(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// One parsed manifest line for `falcon serve`.
-fn parse_manifest_line(line: &str, idx: usize) -> Result<JobSpec, String> {
+/// One manifest line for `falcon serve` with every value checked and
+/// nothing generated yet.
+#[derive(Debug, Clone, PartialEq)]
+struct ManifestLine {
+    dataset: String,
+    name: String,
+    /// Fraction of the paper's full size: `scale=` times the dataset's
+    /// default scale.
+    scale: f64,
+    seed: u64,
+    error: f64,
+    latency: Option<Duration>,
+    priority: i32,
+    arrival: Duration,
+    deadline: Option<Duration>,
+    workflow: usize,
+    journal: Option<String>,
+}
+
+/// Longest time `falcon serve` takes as an argument (about 32 years): the
+/// crowd ledger and the scheduler's clocks add up many such times, and
+/// the sums must still fit a `Duration` and `u64` nanoseconds.
+const MAX_SECS: Duration = Duration::from_secs(1_000_000_000);
+
+/// A number of seconds as a `Duration`, negative clamped to zero; `None`
+/// when `value` is not a number or is past [`MAX_SECS`] (infinite
+/// included).
+fn parse_secs(value: &str) -> Option<Duration> {
+    let secs: f64 = value.parse().ok()?;
+    Duration::try_from_secs_f64(secs.max(0.0))
+        .ok()
+        .filter(|d| *d <= MAX_SECS)
+}
+
+/// Parse and validate one manifest line (`idx` is its 0-based line
+/// number): a typed, line-numbered error for any value datagen or the
+/// scheduler could not honour, before either runs.
+fn parse_manifest_fields(line: &str, idx: usize) -> Result<ManifestLine, String> {
     let mut dataset = None;
     let mut name = None;
     let mut scale = 1.0f64;
     let mut seed = 1u64;
     let mut error = 0.05f64;
-    let mut latency: Option<f64> = None;
+    let mut latency = None;
     let mut priority = 0i32;
-    let mut arrival = 0.0f64;
-    let mut deadline: Option<f64> = None;
+    let mut arrival = Duration::ZERO;
+    let mut deadline = None;
     let mut workflow = 0usize;
     let mut journal: Option<String> = None;
     for field in line.split_whitespace() {
@@ -482,16 +519,22 @@ fn parse_manifest_line(line: &str, idx: usize) -> Result<JobSpec, String> {
             .split_once('=')
             .ok_or_else(|| format!("line {}: expected key=value, got {field:?}", idx + 1))?;
         let bad = |what: &str| format!("line {}: {key}= expects {what}", idx + 1);
+        let secs = || parse_secs(value).ok_or_else(|| bad("seconds (at most 1e9)"));
         match key {
             "dataset" => dataset = Some(value.to_string()),
             "name" => name = Some(value.to_string()),
-            "scale" => scale = value.parse().map_err(|_| bad("a number"))?,
+            "scale" => {
+                scale = value.parse().map_err(|_| bad("a number"))?;
+                if !(scale.is_finite() && scale > 0.0) {
+                    return Err(bad("a finite positive number"));
+                }
+            }
             "seed" => seed = value.parse().map_err(|_| bad("an integer"))?,
             "error" => error = value.parse().map_err(|_| bad("a number"))?,
-            "latency" => latency = Some(value.parse().map_err(|_| bad("seconds"))?),
+            "latency" => latency = Some(secs()?),
             "priority" => priority = value.parse().map_err(|_| bad("an integer"))?,
-            "arrival" => arrival = value.parse().map_err(|_| bad("seconds"))?,
-            "deadline" => deadline = Some(value.parse().map_err(|_| bad("seconds"))?),
+            "arrival" => arrival = secs()?,
+            "deadline" => deadline = Some(secs()?),
             "workflow" => workflow = value.parse().map_err(|_| bad("an integer"))?,
             "journal" => journal = Some(value.to_string()),
             other => return Err(format!("line {}: unknown key {other:?}", idx + 1)),
@@ -500,35 +543,57 @@ fn parse_manifest_line(line: &str, idx: usize) -> Result<JobSpec, String> {
     let dataset = dataset.ok_or_else(|| format!("line {}: missing dataset=", idx + 1))?;
     let default_scale = falcon::datagen::default_scale(&dataset)
         .ok_or_else(|| format!("line {}: unknown dataset {dataset:?}", idx + 1))?;
-    let d = falcon::datagen::generate(&dataset, scale * default_scale, seed);
+    // `scale=` multiplies the default; past the paper's full size datagen
+    // would be asked for more tuples than memory holds.
+    if scale * default_scale > 1.0 {
+        return Err(format!(
+            "line {}: scale= expects at most {} (the paper's full size)",
+            idx + 1,
+            1.0 / default_scale
+        ));
+    }
+    Ok(ManifestLine {
+        name: name.unwrap_or_else(|| format!("{dataset}-{}", idx + 1)),
+        dataset,
+        scale: scale * default_scale,
+        seed,
+        error,
+        latency,
+        priority,
+        arrival,
+        deadline,
+        workflow,
+        journal,
+    })
+}
+
+/// One manifest line for `falcon serve` as a job: validated, then its
+/// dataset generated.
+fn parse_manifest_line(line: &str, idx: usize) -> Result<JobSpec, String> {
+    let m = parse_manifest_fields(line, idx)?;
+    let d = falcon::datagen::generate(&m.dataset, m.scale, m.seed);
     let truth = GroundTruth::new(d.truth.iter().copied());
-    let mut crowd = RandomWorkerCrowd::new(truth, error, seed);
-    if let Some(secs) = latency {
-        crowd = crowd.with_latency(std::time::Duration::from_secs_f64(secs.max(0.0)));
+    let mut crowd = RandomWorkerCrowd::new(truth, m.error, m.seed);
+    if let Some(latency) = m.latency {
+        crowd = crowd.with_latency(latency);
     }
     let config = FalconConfig {
         sample_size: 2_000,
         sample_fanout: 20,
-        seed,
+        seed: m.seed,
         ..FalconConfig::default()
     };
-    let mut spec = JobSpec::new(
-        name.unwrap_or_else(|| format!("{dataset}-{}", idx + 1)),
-        d.a,
-        d.b,
-        config,
-        std::sync::Arc::new(crowd),
-    )
-    .with_priority(priority)
-    .with_arrival(std::time::Duration::from_secs_f64(arrival.max(0.0)));
-    if workflow > 0 {
-        spec = spec.with_workflow(workflow);
+    let mut spec = JobSpec::new(m.name, d.a, d.b, config, std::sync::Arc::new(crowd))
+        .with_priority(m.priority)
+        .with_arrival(m.arrival);
+    if m.workflow > 0 {
+        spec = spec.with_workflow(m.workflow);
     }
-    if let Some(p) = journal {
+    if let Some(p) = m.journal {
         spec = spec.with_journal(p);
     }
-    if let Some(secs) = deadline {
-        spec = spec.with_deadline(std::time::Duration::from_secs_f64(secs.max(0.0)));
+    if let Some(deadline) = m.deadline {
+        spec = spec.with_deadline(deadline);
     }
     Ok(spec)
 }
@@ -575,11 +640,7 @@ pub fn cmd_serve(args: &[String]) -> Result<std::process::ExitCode, String> {
             .transpose()?
             .unwrap_or(0),
         queue_deadline: flag_value(args, "--queue-deadline")
-            .map(|v| {
-                v.parse::<f64>()
-                    .map(std::time::Duration::from_secs_f64)
-                    .map_err(|_| "--queue-deadline expects seconds")
-            })
+            .map(|v| parse_secs(v).ok_or("--queue-deadline expects seconds (at most 1e9)"))
             .transpose()?,
         quota: falcon::serve::TenantQuota::default(),
     };
@@ -612,10 +673,10 @@ pub fn cmd_serve(args: &[String]) -> Result<std::process::ExitCode, String> {
         ..ServeConfig::default()
     };
     if let Some(secs) = flag_value(args, "--deadline") {
-        let d: f64 = secs.parse().map_err(|_| "--deadline expects seconds")?;
+        let d = parse_secs(secs).ok_or("--deadline expects seconds (at most 1e9)")?;
         for job in jobs.iter_mut() {
             if job.deadline.is_none() {
-                job.deadline = Some(std::time::Duration::from_secs_f64(d.max(0.0)));
+                job.deadline = Some(d);
             }
         }
     }
@@ -705,6 +766,7 @@ fn fmt_short(d: std::time::Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
@@ -765,6 +827,119 @@ mod tests {
         assert!(parse_manifest_line("dataset=nothere", 0)
             .unwrap_err()
             .contains("unknown dataset"));
+    }
+
+    #[test]
+    fn seconds_clamp_below_and_are_bounded_above() {
+        assert_eq!(parse_secs("-1"), Some(Duration::ZERO));
+        assert_eq!(parse_secs("1.5"), Some(Duration::from_millis(1500)));
+        assert_eq!(parse_secs("1e9"), Some(MAX_SECS));
+        for v in ["inf", "-", "1e10", "2e19", "ten"] {
+            assert_eq!(parse_secs(v), None, "{v}");
+        }
+    }
+
+    /// The `bad(..)` error of `line`, parsed as line 3.
+    fn rejection(line: &str) -> String {
+        parse_manifest_fields(line, 2).unwrap_err()
+    }
+
+    #[test]
+    fn manifest_rejects_a_latency_no_duration_holds() {
+        for v in ["inf", "1e20", "1.85e19", "1.8e19", "1000000001"] {
+            let err = rejection(&format!("dataset=products latency={v}"));
+            assert!(
+                err.starts_with("line 3: latency= expects seconds"),
+                "{v}: {err}"
+            );
+        }
+        let ok = parse_manifest_fields("dataset=products latency=-5", 0).unwrap();
+        assert_eq!(ok.latency, Some(Duration::ZERO));
+    }
+
+    #[test]
+    fn manifest_rejects_an_arrival_no_duration_holds() {
+        for v in ["inf", "+inf", "1.85e19", "2e9"] {
+            let err = rejection(&format!("dataset=songs arrival={v}"));
+            assert!(
+                err.starts_with("line 3: arrival= expects seconds"),
+                "{v}: {err}"
+            );
+        }
+        let ok = parse_manifest_fields("dataset=songs arrival=1e9", 0).unwrap();
+        assert_eq!(ok.arrival, MAX_SECS);
+    }
+
+    #[test]
+    fn manifest_rejects_a_deadline_no_duration_holds() {
+        for v in ["inf", "1e300", "x", ""] {
+            let err = rejection(&format!("dataset=citations deadline={v}"));
+            assert!(
+                err.starts_with("line 3: deadline= expects seconds"),
+                "{v}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn manifest_rejects_a_scale_datagen_cannot_honour() {
+        for v in ["inf", "-inf", "NaN", "0", "-1", "1e300"] {
+            let err = rejection(&format!("dataset=products scale={v}"));
+            assert!(err.starts_with("line 3: scale= expects"), "{v}: {err}");
+        }
+        // 20 × products' default 0.05 is the paper's full size.
+        assert_eq!(
+            parse_manifest_fields("dataset=products scale=20", 0)
+                .unwrap()
+                .scale,
+            1.0
+        );
+        assert!(rejection("scale=20.5 dataset=products").contains("at most 20"));
+    }
+
+    fn manifest_token() -> impl Strategy<Value = String> {
+        const KEYS: [&str; 11] = [
+            "dataset", "name", "scale", "seed", "error", "latency", "priority", "arrival",
+            "deadline", "workflow", "journal",
+        ];
+        const VALUES: [&str; 7] = [
+            "products",
+            "songs",
+            "inf",
+            "-inf",
+            "NaN",
+            "1.8e19",
+            "18446744073709551616",
+        ];
+        let key = prop_oneof![
+            (0..KEYS.len()).prop_map(|i| KEYS[i].to_string()),
+            "[a-z]{1,8}",
+        ];
+        let value = prop_oneof![
+            (0..VALUES.len()).prop_map(|i| VALUES[i].to_string()),
+            any::<f64>().prop_map(|x| x.to_string()),
+            any::<i64>().prop_map(|x| x.to_string()),
+            "[ -~]{0,12}",
+        ];
+        prop_oneof![
+            (key, value).prop_map(|(k, v)| format!("{k}={v}")),
+            "[ -~]{0,12}",
+        ]
+    }
+
+    proptest! {
+        /// No manifest line makes the parser panic: every one parses or
+        /// gets a line-numbered error.
+        #[test]
+        fn manifest_parser_never_panics(
+            tokens in proptest::collection::vec(manifest_token(), 0..8),
+            idx in 0usize..1000,
+        ) {
+            match parse_manifest_fields(&tokens.join(" "), idx) {
+                Ok(m) => prop_assert!(m.scale.is_finite() && m.scale > 0.0 && m.scale <= 1.0),
+                Err(e) => prop_assert!(e.starts_with(&format!("line {}:", idx + 1)), "{}", e),
+            }
+        }
     }
 
     #[test]

@@ -166,6 +166,62 @@ proptest! {
         }
     }
 
+    /// The character-level families — NW / SW / SW-Gotoh and Jaro /
+    /// Jaro-Winkler — read in an order that interleaves two attribute
+    /// pairs, run one kernel per pair, family and attribute pair, only when
+    /// both values are present, and none when no member is read; every
+    /// value still equals the string path's, bit for bit.
+    #[test]
+    fn members_of_one_family_share_one_sweep(
+        a_rows in proptest::collection::vec((value(), value()), 1..6),
+        b_rows in proptest::collection::vec((value(), value()), 1..6),
+    ) {
+        use SimFunction::*;
+        let sims = [
+            (SmithWatermanGotoh, 0), (Jaro, 1), (NeedlemanWunsch, 1), (JaroWinkler, 0),
+            (SmithWaterman, 0), (Levenshtein, 1), (NeedlemanWunsch, 0), (Jaro, 0),
+            (SmithWatermanGotoh, 1), (JaroWinkler, 1), (SmithWaterman, 1), (Levenshtein, 0),
+        ];
+        let fs = FeatureSet {
+            features: sims
+                .iter()
+                .map(|&(sim, k)| Feature {
+                    name: format!("{}({k})", sim.name()),
+                    a_attr: "x".into(),
+                    b_attr: "y".into(),
+                    sim,
+                    a_idx: k,
+                    b_idx: 1 - k,
+                })
+                .collect(),
+        };
+        let (a, b) = (table("a", a_rows), table("b", b_rows));
+        let store = TokenStore::default();
+        let store = store.covering(&a, &b, &requirements(&fs.features));
+        let base = SimContext::empty();
+        let profiled = store.context();
+        let scorer = Scorer::new(&fs, &a, &b, &profiled);
+        let mut scratch = ScoreScratch::default();
+        let levenshtein = [11, 5];
+        for aid in 0..a.len() as u32 {
+            for bid in 0..b.len() as u32 {
+                let before = scratch.sweeps;
+                let fast = scorer.vector((aid, bid), &profiled, &mut scratch);
+                let want = fs.vector_at(&a, &b, aid, bid, &base, &mut ScoreScratch::default());
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&fast), bits(&want), "pair ({}, {})", aid, bid);
+                let present = levenshtein.iter().filter(|&&fi| !want[fi].is_nan()).count() as u64;
+                prop_assert_eq!(scratch.sweeps - before, 2 * present);
+                // Reading only the features outside every family runs none.
+                scorer.start(&mut scratch);
+                for fi in levenshtein {
+                    scorer.value(fi, (aid, bid), &profiled, &mut scratch);
+                }
+                prop_assert_eq!(scratch.sweeps - before, 2 * present);
+            }
+        }
+    }
+
     /// `gen_fvs` (parallel build of a call-scoped token store) equals the
     /// per-pair `vector_at` loop under a context without profiles, bit
     /// for bit, on a random subset of pairs.

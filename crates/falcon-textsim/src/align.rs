@@ -1,5 +1,6 @@
 //! Sequence-alignment similarity measures: Needleman-Wunsch (global),
-//! Smith-Waterman (local) and Smith-Waterman-Gotoh (affine gaps).
+//! Smith-Waterman (local) and Smith-Waterman-Gotoh (affine gaps), all
+//! three out of one sweep of their DPs.
 //!
 //! Figure 5 lists these as matching-stage-only measures for short strings.
 //! Scores use match = +1, mismatch = -1, gap open/extend penalties as noted,
@@ -12,7 +13,7 @@
 //! DP's result exactly — the normalised similarity is bit-identical while
 //! the rows are reusable, allocation-free integers.
 
-use crate::scratch::{on_strs, DpRows};
+use crate::scratch::DpRows;
 
 const MATCH: i32 = 2;
 const MISMATCH: i32 = -2;
@@ -31,172 +32,102 @@ fn score<T: PartialEq>(a: &T, b: &T) -> i32 {
     }
 }
 
-/// Scores of an empty operand, shared by all three measures.
-fn empty_score<T>(a: &[T], b: &[T]) -> Option<f64> {
-    match (a.is_empty(), b.is_empty()) {
-        (true, true) => Some(1.0),
-        (false, false) => None,
-        _ => Some(0.0),
-    }
-}
-
 /// Raw half-unit score → similarity normalised by the shorter length.
 fn normalized<T>(half_units: i32, a: &[T], b: &[T]) -> f64 {
     (f64::from(half_units) * 0.5 / a.len().min(b.len()) as f64).clamp(0.0, 1.0)
 }
 
-/// Needleman-Wunsch global alignment score, normalized to `[0, 1]`.
-pub fn needleman_wunsch_slices<T: PartialEq>(a: &[T], b: &[T], rows: &mut DpRows) -> f64 {
-    if let Some(s) = empty_score(a, b) {
-        return s;
+/// `[needleman_wunsch, smith_waterman, smith_waterman_gotoh]` of `a` and
+/// `b`, each normalized to `[0, 1]`: Needleman-Wunsch global alignment,
+/// Smith-Waterman local alignment, and Smith-Waterman-Gotoh local
+/// alignment with affine gaps (open -1, extend -0.5).
+///
+/// The three DPs advance row by row together. Each row takes two passes:
+/// first what every cell of each DP scores from the row above alone — no
+/// cell reads its left neighbour, so the loop vectorizes — then the
+/// left-to-right gaps, the three chains interleaved so each one's add and
+/// max overlap the others'.
+pub fn align_slices<T: PartialEq>(a: &[T], b: &[T], rows: &mut DpRows) -> [f64; 3] {
+    match (a.is_empty(), b.is_empty()) {
+        (true, true) => return [1.0; 3],
+        (false, false) => {}
+        _ => return [0.0; 3],
     }
-    let DpRows { prev, cur, .. } = rows;
-    prev.clear();
-    prev.extend((0..=b.len() as i32).map(|j| j * GAP));
-    cur.clear();
-    cur.resize(b.len() + 1, 0);
-    for (i, ca) in a.iter().enumerate() {
-        // `left` carries the cell just written: the only loop-carried
-        // dependency is one add and one max.
-        let mut left = (i as i32 + 1) * GAP;
-        cur[0] = left;
-        for ((cb, above), out) in b.iter().zip(prev.windows(2)).zip(&mut cur[1..]) {
-            let open = (above[0] + score(ca, cb)).max(above[1] + GAP);
-            left = open.max(left + GAP);
-            *out = left;
-        }
-        std::mem::swap(prev, cur);
-    }
-    normalized(prev[b.len()], a, b)
-}
-
-/// Smith-Waterman local alignment score, normalized to `[0, 1]`.
-pub fn smith_waterman_slices<T: PartialEq>(a: &[T], b: &[T], rows: &mut DpRows) -> f64 {
-    if let Some(s) = empty_score(a, b) {
-        return s;
-    }
-    let DpRows { prev, cur, .. } = rows;
-    prev.clear();
-    prev.resize(b.len() + 1, 0);
-    cur.clear();
-    cur.resize(b.len() + 1, 0);
-    let mut best = 0;
-    for ca in a {
-        // Two passes per row. First what each cell scores from the row
-        // above alone — no cell reads its left neighbour, so the loop
-        // vectorizes; then the left-to-right gap is threaded through, one
-        // add and one max per cell. (Measured 2.7× over the fused loop.)
-        for ((cb, above), out) in b.iter().zip(prev.windows(2)).zip(&mut cur[1..]) {
-            *out = (above[0] + score(ca, cb)).max(above[1] + GAP).max(0);
-        }
-        let mut left = 0;
-        for out in &mut cur[1..] {
-            left = (*out).max(left + GAP);
-            *out = left;
-            best = best.max(left);
-        }
-        std::mem::swap(prev, cur);
-    }
-    normalized(best, a, b)
-}
-
-/// Smith-Waterman-Gotoh: local alignment with affine gap penalties
-/// (open -1, extend -0.5), normalized to `[0, 1]`.
-pub fn smith_waterman_gotoh_slices<T: PartialEq>(a: &[T], b: &[T], rows: &mut DpRows) -> f64 {
-    if let Some(s) = empty_score(a, b) {
-        return s;
-    }
-    // prev/cur: best score ending at (i, j); gap: best ending in a gap in
-    // `a` (updated in place — column j of row i only reads column j of
-    // row i-1); f: best ending in a gap in `b`, carried along the row.
+    // prev/cur: the three DPs' rows back to back, NW | SW | SWG, each the
+    // best score ending at (i, j); gap: SWG's best ending in a gap in `a`
+    // (updated in place — column j of row i only reads column j of row
+    // i-1); SWG's gap in `b` is carried along the row.
+    let width = b.len() + 1;
     let DpRows { prev, cur, gap } = rows;
     prev.clear();
-    prev.resize(b.len() + 1, 0);
+    prev.extend((0..width as i32).map(|j| j * GAP));
+    prev.resize(3 * width, 0);
     cur.clear();
-    cur.resize(b.len() + 1, 0);
+    cur.resize(3 * width, 0);
     gap.clear();
-    gap.resize(b.len() + 1, NEVER);
-    let mut best = 0;
-    for ca in a {
-        // Two passes per row, as in `smith_waterman_slices`.
-        let cells = b.iter().zip(prev.windows(2)).zip(&mut gap[1..]);
-        for (((cb, above), e), out) in cells.zip(&mut cur[1..]) {
-            *e = (above[1] + GAP_OPEN).max(*e + GAP_EXTEND);
-            *out = (above[0] + score(ca, cb)).max(*e).max(0);
+    gap.resize(width, NEVER);
+    let (mut sw_best, mut swg_best) = (0, 0);
+    for (i, ca) in a.iter().enumerate() {
+        let (nw_up, up) = prev.split_at(width);
+        let (sw_up, swg_up) = up.split_at(width);
+        let (nw, row) = cur.split_at_mut(width);
+        let (sw, swg) = row.split_at_mut(width);
+        // Every slice is cut to `width` so the indexing below needs no
+        // bounds check and the loop vectorizes.
+        let (swg_up, swg, gap) = (&swg_up[..width], &mut swg[..width], &mut gap[..width]);
+        for (j, cb) in b.iter().enumerate() {
+            let s = score(ca, cb);
+            nw[j + 1] = (nw_up[j] + s).max(nw_up[j + 1] + GAP);
+            sw[j + 1] = (sw_up[j] + s).max(sw_up[j + 1] + GAP).max(0);
+            gap[j + 1] = (swg_up[j + 1] + GAP_OPEN).max(gap[j + 1] + GAP_EXTEND);
+            swg[j + 1] = (swg_up[j] + s).max(gap[j + 1]).max(0);
         }
-        let (mut f, mut left) = (NEVER, 0);
-        for out in &mut cur[1..] {
-            f = (left + GAP_OPEN).max(f + GAP_EXTEND);
-            left = (*out).max(f);
-            *out = left;
-            best = best.max(left);
+        let mut nw_left = (i as i32 + 1) * GAP;
+        nw[0] = nw_left;
+        let (mut sw_left, mut swg_left, mut f) = (0, 0, NEVER);
+        for ((n, s), g) in nw[1..].iter_mut().zip(&mut sw[1..]).zip(&mut swg[1..]) {
+            nw_left = (*n).max(nw_left + GAP);
+            *n = nw_left;
+            sw_left = (*s).max(sw_left + GAP);
+            *s = sw_left;
+            f = (swg_left + GAP_OPEN).max(f + GAP_EXTEND);
+            swg_left = (*g).max(f);
+            *g = swg_left;
+            sw_best = sw_best.max(sw_left);
+            swg_best = swg_best.max(swg_left);
         }
         std::mem::swap(prev, cur);
     }
-    normalized(best, a, b)
-}
-
-/// [`needleman_wunsch_slices`] over the characters of two strings.
-pub fn needleman_wunsch_sim(a: &str, b: &str) -> f64 {
-    on_strs!(a, b, |x, y| needleman_wunsch_slices(
-        x,
-        y,
-        &mut DpRows::default()
-    ))
-}
-
-/// [`smith_waterman_slices`] over the characters of two strings.
-pub fn smith_waterman_sim(a: &str, b: &str) -> f64 {
-    on_strs!(a, b, |x, y| smith_waterman_slices(
-        x,
-        y,
-        &mut DpRows::default()
-    ))
-}
-
-/// [`smith_waterman_gotoh_slices`] over the characters of two strings.
-pub fn smith_waterman_gotoh_sim(a: &str, b: &str) -> f64 {
-    on_strs!(a, b, |x, y| smith_waterman_gotoh_slices(
-        x,
-        y,
-        &mut DpRows::default()
-    ))
+    [prev[b.len()], sw_best, swg_best].map(|h| normalized(h, a, b))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::on_strs;
+
+    /// `[nw, sw, swg]` of the characters of two strings.
+    fn sims(a: &str, b: &str) -> [f64; 3] {
+        on_strs!(a, b, |x, y| align_slices(x, y, &mut DpRows::default()))
+    }
 
     #[test]
     fn identical_strings_score_one() {
-        for f in [
-            needleman_wunsch_sim,
-            smith_waterman_sim,
-            smith_waterman_gotoh_sim,
-        ] {
-            assert_eq!(f("hello", "hello"), 1.0);
-            assert_eq!(f("", ""), 1.0);
-        }
+        assert_eq!(sims("hello", "hello"), [1.0; 3]);
+        assert_eq!(sims("", ""), [1.0; 3]);
     }
 
     #[test]
     fn disjoint_strings_score_zero() {
-        for f in [
-            needleman_wunsch_sim,
-            smith_waterman_sim,
-            smith_waterman_gotoh_sim,
-        ] {
-            assert_eq!(f("aaaa", "bbbb"), 0.0);
-            assert_eq!(f("a", ""), 0.0);
-        }
+        assert_eq!(sims("aaaa", "bbbb"), [0.0; 3]);
+        assert_eq!(sims("a", ""), [0.0; 3]);
     }
 
     #[test]
     fn local_beats_global_on_substring() {
         // Smith-Waterman finds the local "water" block; NW pays for the
         // unmatched flanks.
-        let sw = smith_waterman_sim("water", "the waterfall");
-        let nw = needleman_wunsch_sim("water", "the waterfall");
+        let [nw, sw, _] = sims("water", "the waterfall");
         assert!(sw > nw);
         assert_eq!(sw, 1.0); // "water" fully embedded
     }
@@ -205,20 +136,14 @@ mod tests {
     fn gotoh_prefers_one_long_gap() {
         // With affine gaps, one long gap is cheaper than many scattered ones,
         // so gotoh >= plain SW on a string with a single inserted run.
-        let g = smith_waterman_gotoh_sim("abcdef", "abcXXXXdef");
-        let s = smith_waterman_sim("abcdef", "abcXXXXdef");
+        let [_, s, g] = sims("abcdef", "abcXXXXdef");
         assert!(g >= s - 1e-12);
     }
 
     #[test]
     fn scores_in_unit_interval() {
         for (a, b) in [("abc", "abd"), ("ab", "ba"), ("xyz", "zyxwv"), ("q", "qq")] {
-            for f in [
-                needleman_wunsch_sim,
-                smith_waterman_sim,
-                smith_waterman_gotoh_sim,
-            ] {
-                let v = f(a, b);
+            for v in sims(a, b) {
                 assert!((0.0..=1.0).contains(&v), "{a} vs {b} -> {v}");
             }
         }

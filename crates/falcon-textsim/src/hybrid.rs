@@ -11,6 +11,12 @@ use crate::tokenize::word_tokens;
 ///
 /// Token-pair scores come from `scratch`'s memo, so both sequences must
 /// hold ids of `dict` and `scratch` must not have served another dict.
+///
+/// Jaro-Winkler is symmetric to the bit (see [`crate::edit::jaro_slices`]),
+/// so one walk of the `|a|·|b|` grid serves both directions: cell `(x, y)`
+/// is also the `b → a` direction's cell `(y, x)`. Each row maximum
+/// (`a → b`) and column maximum (`b → a`) folds its cells in the order
+/// that direction's own loop would, and each sum runs in token order.
 pub fn monge_elkan_ids(a: &[u32], b: &[u32], dict: &TokenDict, scratch: &mut SimScratch) -> f64 {
     if a.is_empty() || b.is_empty() {
         return if a.is_empty() && b.is_empty() {
@@ -19,19 +25,21 @@ pub fn monge_elkan_ids(a: &[u32], b: &[u32], dict: &TokenDict, scratch: &mut Sim
             0.0
         };
     }
-    directional(a, b, dict, scratch).max(directional(b, a, dict, scratch))
-}
-
-fn directional(xs: &[u32], ys: &[u32], dict: &TokenDict, scratch: &mut SimScratch) -> f64 {
-    let total: f64 = xs
-        .iter()
-        .map(|&x| {
-            ys.iter()
-                .map(|&y| scratch.token_jaro_winkler(dict, x, y))
-                .fold(0.0f64, f64::max)
-        })
-        .sum();
-    total / xs.len() as f64
+    let mut maxima = std::mem::take(&mut scratch.maxima);
+    maxima.clear();
+    maxima.resize(a.len() + b.len(), 0.0);
+    let (rows, cols) = maxima.split_at_mut(a.len());
+    for (&x, row) in a.iter().zip(rows.iter_mut()) {
+        for (&y, col) in b.iter().zip(cols.iter_mut()) {
+            let s = scratch.token_jaro_winkler(dict, x, y);
+            *row = row.max(s);
+            *col = col.max(s);
+        }
+    }
+    let mean = |best: &[f64]| best.iter().sum::<f64>() / best.len() as f64;
+    let score = mean(rows).max(mean(cols));
+    scratch.maxima = maxima;
+    score
 }
 
 /// [`monge_elkan_ids`] over the word tokens of two strings.

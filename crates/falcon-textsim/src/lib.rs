@@ -159,13 +159,17 @@ impl SimFunction {
             SimFunction::Dice(t) => sets::dice(&t.tokenize(a), &t.tokenize(b)),
             SimFunction::Overlap(t) => sets::overlap_coefficient(&t.tokenize(a), &t.tokenize(b)),
             SimFunction::Cosine(t) => sets::cosine(&t.tokenize(a), &t.tokenize(b)),
-            SimFunction::Levenshtein => edit::levenshtein_sim(a, b),
-            SimFunction::Jaro => edit::jaro(a, b),
-            SimFunction::JaroWinkler => edit::jaro_winkler(a, b),
+            SimFunction::Levenshtein
+            | SimFunction::Jaro
+            | SimFunction::JaroWinkler
+            | SimFunction::NeedlemanWunsch
+            | SimFunction::SmithWaterman
+            | SimFunction::SmithWatermanGotoh => {
+                let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
+                let (x, y) = (Syms::decode(a, &mut buf_a), Syms::decode(b, &mut buf_b));
+                self.score_syms(x, y, &mut SimScratch::with_memo_slots(1))?
+            }
             SimFunction::MongeElkan => hybrid::monge_elkan(a, b),
-            SimFunction::NeedlemanWunsch => align::needleman_wunsch_sim(a, b),
-            SimFunction::SmithWaterman => align::smith_waterman_sim(a, b),
-            SimFunction::SmithWatermanGotoh => align::smith_waterman_gotoh_sim(a, b),
             SimFunction::TfIdf => ctx.tfidf?.cosine(a, b)?,
             SimFunction::SoftTfIdf => ctx.tfidf?.soft_cosine(a, b, 0.9)?,
             SimFunction::AbsDiff => numeric::abs_diff(a.parse().ok()?, b.parse().ok()?),
@@ -190,21 +194,32 @@ impl SimFunction {
     /// Score two non-empty values with a character-level measure straight
     /// from their symbols, borrowing every working buffer from `scratch`;
     /// `None` for the measures that are not character-level. Same scores
-    /// as [`SimFunction::score_str`], which decodes and runs these kernels.
+    /// as [`SimFunction::score_str`], which decodes and calls this. A
+    /// family member runs its whole family's kernel and keeps its lane.
     pub fn score_syms(self, a: Syms<'_>, b: Syms<'_>, scratch: &mut SimScratch) -> Option<f64> {
-        use scratch::on_syms;
-        let SimScratch {
-            rows, jaro, wide, ..
-        } = scratch;
-        on_syms!(a, b, wide, |x, y| Some(match self {
-            SimFunction::Levenshtein => edit::levenshtein_sim_slices(x, y, rows),
-            SimFunction::Jaro => edit::jaro_slices(x, y, jaro),
-            SimFunction::JaroWinkler => edit::jaro_winkler_slices(x, y, jaro),
-            SimFunction::NeedlemanWunsch => align::needleman_wunsch_slices(x, y, rows),
-            SimFunction::SmithWaterman => align::smith_waterman_slices(x, y, rows),
-            SimFunction::SmithWatermanGotoh => align::smith_waterman_gotoh_slices(x, y, rows),
+        if let Some((family, lane)) = self.char_family() {
+            return Some(family.score_syms(a, b, scratch)[lane]);
+        }
+        let SimScratch { rows, wide, .. } = scratch;
+        match self {
+            SimFunction::Levenshtein => Some(scratch::on_syms!(a, b, wide, |x, y| {
+                edit::levenshtein_sim_slices(x, y, rows)
+            })),
+            _ => None,
+        }
+    }
+
+    /// The character-level family this measure is read from, and its lane
+    /// in [`CharFamily::score_syms`]' output.
+    pub fn char_family(self) -> Option<(CharFamily, usize)> {
+        Some(match self {
+            SimFunction::Jaro => (CharFamily::Jaro, 0),
+            SimFunction::JaroWinkler => (CharFamily::Jaro, 1),
+            SimFunction::NeedlemanWunsch => (CharFamily::Align, 0),
+            SimFunction::SmithWaterman => (CharFamily::Align, 1),
+            SimFunction::SmithWatermanGotoh => (CharFamily::Align, 2),
             _ => return None,
-        }))
+        })
     }
 
     /// Score two numeric values directly.
@@ -245,6 +260,36 @@ impl SimFunction {
             SimFunction::AbsDiff => "abs_diff".into(),
             SimFunction::RelDiff => "rel_diff".into(),
         }
+    }
+}
+
+/// A kernel one run of which scores several character-level measures of
+/// a pair: the features of one family over one attribute pair read their
+/// lanes off a single run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum CharFamily {
+    /// `[jaro, jaro_winkler, NaN]`: Jaro-Winkler is the Jaro score plus
+    /// the Winkler prefix boost ([`edit::winkler`]).
+    Jaro,
+    /// `[needleman_wunsch, smith_waterman, smith_waterman_gotoh]` from one
+    /// sweep of the three DPs ([`align::align_slices`]).
+    Align,
+}
+
+impl CharFamily {
+    /// Every member's score of two values, from one kernel run over their
+    /// symbols with `scratch`'s buffers.
+    pub fn score_syms(self, a: Syms<'_>, b: Syms<'_>, scratch: &mut SimScratch) -> [f64; 3] {
+        let SimScratch {
+            rows, jaro, wide, ..
+        } = scratch;
+        scratch::on_syms!(a, b, wide, |x, y| match self {
+            CharFamily::Jaro => {
+                let j = edit::jaro_slices(x, y, jaro);
+                [j, edit::winkler(j, x, y), f64::NAN]
+            }
+            CharFamily::Align => align::align_slices(x, y, rows),
+        })
     }
 }
 

@@ -6,10 +6,11 @@
 //! are generic over the symbol type, so an ASCII string is scored straight
 //! from its bytes and only a non-ASCII one is ever decoded to `char`s.
 //! A [`SimScratch`] holds every buffer those kernels would otherwise
-//! allocate per call — DP rows, Jaro match flags, decode buffers — plus a
-//! bounded memo of token-pair Jaro-Winkler scores for the hybrid measures
-//! (Monge-Elkan, Soft TF/IDF), which call Jaro-Winkler `|a|·|b|` times per
-//! pair over a vocabulary that repeats from pair to pair.
+//! allocate per call — DP rows, Jaro match flags, decode buffers, token
+//! grid maxima — plus a bounded memo of token-pair Jaro-Winkler scores for
+//! the hybrid measures (Monge-Elkan, Soft TF/IDF), which call Jaro-Winkler
+//! `|a|·|b|` times per pair over a vocabulary that repeats from pair to
+//! pair.
 
 use crate::edit;
 use crate::profile::TokenDict;
@@ -101,7 +102,7 @@ pub struct JaroBufs {
     pub(crate) a_matched: Vec<u32>,
 }
 
-/// Direct-mapped `(first token id, second token id) → jaro_winkler` memo.
+/// Direct-mapped `(token id, token id) → jaro_winkler` memo.
 ///
 /// Lossy by design: a colliding insert overwrites the slot, and a miss
 /// recomputes the pure function, so no score can depend on what the memo
@@ -162,6 +163,9 @@ pub struct SimScratch {
     pub(crate) wide: Vec<char>,
     /// Decode buffers for the two tokens of a memo miss.
     tokens: [Vec<char>; 2],
+    /// Monge-Elkan's best token score per row, then per column, of its
+    /// token grid.
+    pub(crate) maxima: Vec<f64>,
     memo: JwMemo,
 }
 
@@ -187,6 +191,7 @@ impl SimScratch {
             jaro: JaroBufs::default(),
             wide: Vec::new(),
             tokens: [Vec::new(), Vec::new()],
+            maxima: Vec::new(),
             memo: JwMemo {
                 slots: Vec::new(),
                 capacity: slots.max(1).next_power_of_two(),
@@ -194,15 +199,16 @@ impl SimScratch {
         }
     }
 
-    /// Jaro-Winkler of two tokens of `dict`, `x` as the first argument:
-    /// `(x, y)` and `(y, x)` are distinct keys, because nothing proves the
-    /// greedy Jaro matching symmetric to the bit and callers pass both
-    /// orders. Equal ids score exactly 1.0, as Jaro-Winkler of a string
-    /// with itself does.
+    /// Jaro-Winkler of two tokens of `dict`, in either order: the measure
+    /// is symmetric to the bit (see [`edit::jaro_slices`]), so `(x, y)`
+    /// and `(y, x)` share the memo key `(min, max)`, scored in that order.
+    /// Equal ids score exactly 1.0, as Jaro-Winkler of a string with
+    /// itself does.
     pub fn token_jaro_winkler(&mut self, dict: &TokenDict, x: u32, y: u32) -> f64 {
         if x == y {
             return 1.0;
         }
+        let (x, y) = (x.min(y), x.max(y));
         if let Some(score) = self.memo.get(x, y) {
             return score;
         }
@@ -263,10 +269,10 @@ mod tests {
         for round in 0..2 {
             for &x in &ids {
                 for &y in &ids {
-                    let want = edit::jaro_winkler(
-                        dict.resolve(x).expect("interned"),
-                        dict.resolve(y).expect("interned"),
-                    );
+                    let (tx, ty) = (dict.resolve(x), dict.resolve(y));
+                    let want = on_strs!(tx.expect("interned"), ty.expect("interned"), |p, q| {
+                        edit::jaro_winkler_slices(p, q, &mut JaroBufs::default())
+                    });
                     let b = big.token_jaro_winkler(&dict, x, y);
                     let t = tiny.token_jaro_winkler(&dict, x, y);
                     assert_eq!(b.to_bits(), want.to_bits(), "round {round} ({x},{y})");
