@@ -1,9 +1,11 @@
 //! Criterion micro-benchmarks for the hot primitives: similarity
-//! functions, tokenization, index probes, forest training/prediction and
-//! bitmap calculus.
+//! functions, tokenization, index probes, the blocking rule evaluator,
+//! forest training/prediction and bitmap calculus.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use falcon::forest::{Dataset, Forest, ForestConfig};
+use falcon::core::physical::{EvalScratch, PairEvaluator};
+use falcon::core::{Feature, FeatureSet, Predicate, Rule, RuleSequence};
+use falcon::forest::{Dataset, Forest, ForestConfig, SplitOp};
 use falcon::index::{FilterSpec, PredicateIndex};
 use falcon::table::{AttrType, Schema, Table, Value};
 use falcon::textsim::tokenize::word_tokens;
@@ -124,9 +126,74 @@ fn bench_forest(c: &mut Criterion) {
     c.bench_function("forest_predict", |b| {
         b.iter(|| forest.predict(black_box(&fv)))
     });
-    c.bench_function("forest_disagreement", |b| {
-        b.iter(|| forest.disagreement(black_box(&fv)))
+    // Active learning's scoring pass: every unlabeled vector through a
+    // 10-tree flat forest, one vector at a time down all trees.
+    let mut data = Dataset::new();
+    for _ in 0..1000 {
+        let fv: Vec<f64> = (0..29).map(|_| rng.gen::<f64>()).collect();
+        let label = fv[0] + fv[7] * 0.5 > 0.8;
+        data.push(fv, label);
+    }
+    let flat = Forest::train(&data, &ForestConfig::default(), &mut rng).flatten();
+    let fvs: Vec<Vec<f64>> = (0..8000)
+        .map(|_| (0..29).map(|_| rng.gen::<f64>()).collect())
+        .collect();
+    let mut votes = Vec::new();
+    c.bench_function("flat_count_votes", |b| {
+        b.iter(|| flat.count_votes_into(fvs.len(), |j| black_box(&fvs[j]), &mut votes))
     });
+}
+
+/// The blocking reducers' inner call: one rule over a title 3-gram
+/// column, on a pair whose token prints settle the predicate and on a
+/// near-copy they cannot (one merge).
+fn bench_pair_evaluator(c: &mut Criterion) {
+    let schema = Schema::new([("title", AttrType::Str)]);
+    let title = |t: &str| vec![Value::str(t)];
+    let a = Table::new(
+        "a",
+        schema.clone(),
+        [title("sony wireless noise-canceling headphones")],
+    );
+    let b = Table::new(
+        "b",
+        schema,
+        [
+            title("canon eos rebel t7 dslr camera kit"),
+            title("sony wireless noise canceling headphone"),
+        ],
+    );
+    let sim = SimFunction::Dice(Tokenizer::QGram(3));
+    let features = FeatureSet {
+        features: vec![Feature {
+            name: "dice_3gram(title,title)".into(),
+            a_attr: "title".into(),
+            b_attr: "title".into(),
+            sim,
+            a_idx: 0,
+            b_idx: 0,
+        }],
+    };
+    let seq = RuleSequence::new(vec![Rule {
+        predicates: vec![Predicate {
+            feature: 0,
+            op: SplitOp::Le,
+            threshold: 0.4,
+            nan_is_high: true,
+        }],
+    }]);
+    let evaluator = PairEvaluator::new(&a, &b, &features, &seq);
+    let mut scratch = EvalScratch::default();
+    let mut g = c.benchmark_group("pair_evaluator_keeps");
+    for (name, bid, settled) in [("settled", 0, 1), ("merged", 1, 0)] {
+        let before = scratch.settled;
+        evaluator.keeps_scratch(0, bid, &mut scratch);
+        assert_eq!(scratch.settled - before, settled, "{name}");
+        g.bench_function(name, |bench| {
+            bench.iter(|| evaluator.keeps_scratch(0, black_box(bid), &mut scratch))
+        });
+    }
+    g.finish();
 }
 
 fn bench_bitmap(c: &mut Criterion) {
@@ -148,6 +215,7 @@ criterion_group!(
     benches,
     bench_similarity,
     bench_index_probe,
+    bench_pair_evaluator,
     bench_forest,
     bench_bitmap
 );

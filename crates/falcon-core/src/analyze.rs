@@ -28,7 +28,7 @@
 //! `falcon plan check` on optimizer-produced sequences).
 
 use crate::driver::{FalconConfig, ForcedFilter};
-use crate::features::{generate_features, FeatureSet};
+use crate::features::{generate_features, FeatureLibrary, FeatureSet};
 use crate::physical::{estimate_table_bytes, PhysicalOp};
 use crate::plan::{choose_plan, estimate_fv_bytes, PlanKind};
 use crate::rules::RuleSequence;
@@ -288,7 +288,7 @@ impl fmt::Display for Diagnostic {
 
 /// The result of pre-flight analysis: the plan that would run, the sizes
 /// the decision was based on, and every defect found.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanAnalysis {
     /// The plan template the driver would execute.
     pub plan: PlanKind,
@@ -858,9 +858,19 @@ fn check_operator_configs(cfg: &FalconConfig, errors: &mut Vec<PlanAnalysisError
 ///
 /// Performs the feature-generation scan (cheap, no jobs) to resolve the
 /// plan the driver would choose, then checks every statically decidable
-/// contract. The driver calls this as a pre-flight gate; the
-/// `falcon plan check` subcommand exposes it directly.
+/// contract. The `falcon plan check` subcommand exposes it directly; the
+/// driver, which needs the features anyway, calls [`analyze_with`].
 pub fn analyze(a: &Table, b: &Table, cfg: &FalconConfig) -> PlanAnalysis {
+    analyze_with(a, b, cfg, &generate_features(a, b))
+}
+
+/// [`analyze`] over the library `generate_features(a, b)` already made.
+pub fn analyze_with(
+    a: &Table,
+    b: &Table,
+    cfg: &FalconConfig,
+    lib: &FeatureLibrary,
+) -> PlanAnalysis {
     let mut errors = Vec::new();
     let mut diagnostics = Vec::new();
     if a.is_empty() {
@@ -872,7 +882,6 @@ pub fn analyze(a: &Table, b: &Table, cfg: &FalconConfig) -> PlanAnalysis {
     errors.extend(check_cluster(&cfg.cluster));
     check_operator_configs(cfg, &mut errors);
 
-    let lib = generate_features(a, b);
     let pairs = a.len() as u128 * b.len() as u128;
     let plan = cfg.force_plan.unwrap_or_else(|| {
         choose_plan(
@@ -1504,6 +1513,26 @@ mod tests {
             .iter()
             .all(|d| d.severity == Severity::Warning));
         assert_eq!(analysis.warnings().count(), 2);
+    }
+
+    #[test]
+    fn analyze_with_the_generated_library_is_analyze() {
+        let (a, b) = tables(5);
+        let features = generate_features(&a, &b).blocking;
+        let jac = feature_with(&features, SimFunction::Jaccard(Tokenizer::QGram(3)));
+        let forced = FalconConfig {
+            force_plan: Some(PlanKind::MatchOnly),
+            force_filters: vec![ForcedFilter::for_feature(&features, jac, 0.0).expect("in range")],
+            max_pairs: 3,
+            ..FalconConfig::default()
+        };
+        for cfg in [FalconConfig::default(), forced] {
+            let analysis = analyze(&a, &b, &cfg);
+            assert_eq!(
+                analysis,
+                analyze_with(&a, &b, &cfg, &generate_features(&a, &b))
+            );
+        }
     }
 
     #[test]

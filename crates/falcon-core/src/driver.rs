@@ -334,7 +334,10 @@ impl Falcon {
         rounds: usize,
         ctl: RunCtl,
     ) -> Result<RunReport, FalconError> {
-        let analysis = analyze::analyze(a, b, &self.config);
+        // Feature generation: driver-local scans of both tables, shared
+        // with the pre-flight gate.
+        let lib = generate_features(a, b);
+        let analysis = analyze::analyze_with(a, b, &self.config, &lib);
         if !analysis.is_ok() {
             return Err(FalconError::Plan(analysis.errors));
         }
@@ -348,8 +351,6 @@ impl Falcon {
             None => Timeline::new(),
         };
 
-        // Feature generation: driver-local scans of both tables.
-        let lib = generate_features(a, b);
         timeline.machine("gen_features", StageCost::local(a.len() + b.len()));
 
         let plan = if rounds >= 1 {

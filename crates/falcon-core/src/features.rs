@@ -174,17 +174,12 @@ impl<'f> Scorer<'f> {
         let (Some(ap), Some(bp), false) = (ctx.a_profile, ctx.b_profile, numeric) else {
             return from_tables();
         };
-        let rendered = || Some((ap.rendered(f.a_idx, aid)?, bp.rendered(f.b_idx, bid)?));
-        // Missingness is decided on the rendered strings, exactly like
-        // `score_str`; a non-empty string can still have an empty token
-        // set (punctuation-only under `Tokenizer::Word`), which the
-        // counts score 0.0 just like the string set kernels.
-        let either_empty = |(ar, br): (&str, &str)| ar.is_empty() || br.is_empty();
-        match *s.missing[attr].get_or_insert_with(|| rendered().map(either_empty)) {
+        match missing_at(s, attr, f, (ap, aid), (bp, bid)) {
             None => return from_tables(),
             Some(true) => return f64::NAN,
             Some(false) => {}
         }
+        let rendered = || Some((ap.rendered(f.a_idx, aid)?, bp.rendered(f.b_idx, bid)?));
         let cached = match kernel {
             Kernel::Merge(g) => (s.counts[g])
                 .or_else(|| {
@@ -220,6 +215,50 @@ impl<'f> Scorer<'f> {
         let value = |fi| self.value(fi, pair, ctx, s);
         (0..self.features.len()).map(value).collect()
     }
+
+    /// Whether feature `fi` reads a missing value for `pair`, decided and
+    /// memoized exactly as [`Scorer::value`] does: `None` when the
+    /// context's profiles do not cover the pair (or `fi` is outside the
+    /// set).
+    pub(crate) fn missing(
+        &self,
+        fi: usize,
+        (aid, bid): IdPair,
+        ctx: &SimContext<'_>,
+        s: &mut ScoreScratch,
+    ) -> Option<bool> {
+        let (f, &(attr, _)) = (self.features.get(fi)?, self.plan.get(fi)?);
+        missing_at(s, attr, f, (ctx.a_profile?, aid), (ctx.b_profile?, bid))
+    }
+
+    /// The token columns set feature `fi` is merged from, as slots in the
+    /// context's `A` and `B` profiles (`None`: not a set measure, or its
+    /// columns were not profiled).
+    pub(crate) fn token_columns(&self, fi: usize) -> Option<(usize, usize)> {
+        match self.plan.get(fi)?.1 {
+            Kernel::Merge(g) => *self.merges.get(g)?,
+            Kernel::Own | Kernel::Family(..) => None,
+        }
+    }
+}
+
+/// Whether attribute pair `attr` (feature `f`'s) holds a missing value,
+/// memoized in `s`. Missingness is decided on the rendered strings,
+/// exactly like `score_str`, from the rendered columns' offsets; a
+/// non-empty string can still have an empty token set (punctuation-only
+/// under `Tokenizer::Word`), which the counts score 0.0 just like the
+/// string set kernels. `None` when either side is uncovered.
+#[inline]
+fn missing_at(
+    s: &mut ScoreScratch,
+    attr: usize,
+    f: &Feature,
+    (ap, aid): (&TokenProfile, TupleId),
+    (bp, bid): (&TokenProfile, TupleId),
+) -> Option<bool> {
+    // `|`, not `||`: an uncovered side reads `None` even beside an empty one.
+    *s.missing[attr]
+        .get_or_insert_with(|| Some(ap.is_missing(f.a_idx, aid)? | bp.is_missing(f.b_idx, bid)?))
 }
 
 /// Position of `key` in `keys`, appended when new.

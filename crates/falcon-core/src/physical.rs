@@ -38,11 +38,12 @@ use crate::tokens::{id_splits, requirements, ProfileSpec, TokenStore};
 use falcon_dataflow::{
     run_map_only, run_map_reduce, Cluster, ClusterConfig, DataflowError, Emitter, JobStats,
 };
+use falcon_forest::SplitOp;
 use falcon_index::{
     CandidateBitmap, PredicateIndex, ProbeMode, ProbeStats, ProbeTokens, TokenOrder,
 };
 use falcon_table::{IdPair, Table, TupleId, ValueRef};
-use falcon_textsim::Tokenizer;
+use falcon_textsim::{sets, SimContext, SimFunction, Tokenizer};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -339,7 +340,15 @@ pub fn estimate_table_bytes(t: &Table) -> usize {
 /// once per pair. That early exit is what `select_opt_seq` prices when it
 /// orders the rules (a rule's features are charged only to the pairs that
 /// reach it), and it is what makes the reducers cheap: most shuffled
-/// pairs are dropped by the first rule and pay for its features alone.
+/// pairs are dropped by an early rule and pay for its features alone.
+///
+/// Before a set measure (Jaccard, Dice, overlap, cosine over a profiled
+/// token column) is computed, its exact upper bound from the two values'
+/// 128-bit token prints is consulted ([`sets::intersection_bound`]): when
+/// the bound is at most the threshold, so is the value, and the predicate
+/// is settled — `Le` true, `Gt` false — with no merge and no value. The
+/// bound speaks only for two present values, so the verdicts are the
+/// definition's; it only changes which values get computed.
 pub struct PairEvaluator<'p> {
     /// The feature set, compiled against the tables and `profiles`: every
     /// value a predicate reads comes from it, so the features of one token
@@ -359,15 +368,48 @@ pub struct PairEvaluator<'p> {
     /// re-tokenizing each value for every pair it appears in: the run's,
     /// or the evaluator's own.
     store: Cow<'p, TokenStore>,
+    /// Per slot, where the bound reads its feature (`None`: not a set
+    /// measure over profiled token columns).
+    bounds: Vec<Option<SetRead>>,
+    /// One print column per distinct `B` token column the bounds read:
+    /// the fingerprint of every `B` tuple's token set.
+    b_prints: Vec<Vec<u128>>,
+    /// Distinct `A` token columns the bounds read (their prints are made
+    /// on first use, in the scratch).
+    a_columns: usize,
+    /// Unique per evaluator: keys the `A` prints a scratch holds.
+    id: u64,
 }
 
+/// Where the bound of one set feature reads its inputs.
+#[derive(Debug, Clone, Copy)]
+struct SetRead {
+    sim: SimFunction,
+    /// The `A` token column's slot in the store's profile, and its print's
+    /// index in [`EvalScratch`]'s memo.
+    a: (usize, usize),
+    /// The `B` token column's slot, and its print column's index.
+    b: (usize, usize),
+}
+
+/// Source of [`PairEvaluator::id`].
+static EVALUATORS: AtomicU64 = AtomicU64::new(0);
+
 /// Per-task state of [`PairEvaluator::keeps_scratch`]: the feature values
-/// already computed for the current pair and the scorer's state, kept
-/// across pairs so the hot loops allocate nothing per pair.
+/// already computed for the current pair, the current `A` tuple's token
+/// prints and the scorer's state, kept across pairs so the hot loops
+/// allocate nothing per pair.
 #[derive(Default)]
 pub struct EvalScratch {
-    vals: Vec<f64>,
-    known: Vec<bool>,
+    /// Per slot, the value once computed (`NaN`: missing).
+    vals: Vec<Option<f64>>,
+    /// `(evaluator, aid)` whose `A` prints `a_prints` holds: pairs arrive
+    /// grouped by `aid`, and no evaluator reads another's prints.
+    a_key: Option<(u64, TupleId)>,
+    /// Per `A` token column of the evaluator, the print once made.
+    a_prints: Vec<Option<u128>>,
+    /// Set predicates settled by the bound alone, over all pairs.
+    pub settled: u64,
     /// The scorer's per-pair memo and kernel buffers.
     pub score: ScoreScratch,
 }
@@ -400,7 +442,8 @@ impl<'p> PairEvaluator<'p> {
         Self::compile(a, b, features, seq, Cow::Borrowed(store))
     }
 
-    /// Compile `seq` into slots and predicates.
+    /// Compile `seq` into slots and predicates, and print the `B` token
+    /// columns its set features read.
     fn compile(
         a: &Table,
         b: &Table,
@@ -417,12 +460,34 @@ impl<'p> PairEvaluator<'p> {
             }
             rule_ends.push(preds.len());
         }
+        let scorer = Scorer::new(features, a, b, &store.context());
+        let (mut a_cols, mut b_cols) = (Vec::new(), Vec::new());
+        let bounds = (slots.iter())
+            .map(|&fi| {
+                let (sa, sb) = scorer.token_columns(fi)?;
+                Some(SetRead {
+                    sim: features.features.get(fi)?.sim,
+                    a: (sa, slot_of(&mut a_cols, sa)),
+                    b: (sb, slot_of(&mut b_cols, sb)),
+                })
+            })
+            .collect();
+        let print = |sb| {
+            let tokens = |bid| store.b().tokens_at(sb, bid);
+            (0..b.len() as TupleId)
+                .map(|bid| tokens(bid).map_or(0, sets::fingerprint))
+                .collect()
+        };
         Self {
-            scorer: Scorer::new(features, a, b, &store.context()),
+            b_prints: b_cols.into_iter().map(print).collect(),
+            a_columns: a_cols.len(),
+            id: EVALUATORS.fetch_add(1, Ordering::Relaxed),
+            scorer,
             store,
             slots,
             preds,
             rule_ends,
+            bounds,
         }
     }
 
@@ -440,19 +505,39 @@ impl<'p> PairEvaluator<'p> {
             return false;
         }
         let ctx = self.store.context();
-        let EvalScratch { vals, known, score } = scratch;
-        vals.resize(self.slots.len(), f64::NAN);
-        known.clear();
-        known.resize(self.slots.len(), false);
+        if scratch.a_key != Some((self.id, aid)) {
+            scratch.a_key = Some((self.id, aid));
+            scratch.a_prints.clear();
+            scratch.a_prints.resize(self.a_columns, None);
+        }
+        let EvalScratch {
+            vals,
+            a_prints,
+            settled,
+            score,
+            ..
+        } = scratch;
+        vals.clear();
+        vals.resize(self.slots.len(), None);
         self.scorer.start(score);
         let mut start = 0;
         for &end in &self.rule_ends {
             let fires = self.preds[start..end].iter().all(|&(slot, pred)| {
-                if !known[slot] {
-                    known[slot] = true;
-                    vals[slot] = (self.scorer).value(self.slots[slot], (aid, bid), &ctx, score);
-                }
-                pred.eval_value(vals[slot])
+                let v = match vals[slot] {
+                    Some(v) => v,
+                    None => {
+                        let bound = self.upper_bound(slot, (aid, bid), &ctx, a_prints, score);
+                        if bound.is_some_and(|ub| ub <= pred.threshold) {
+                            // v <= ub <= t: `Le` holds and `Gt` fails.
+                            *settled += 1;
+                            return pred.op == SplitOp::Le;
+                        }
+                        let v = (self.scorer).value(self.slots[slot], (aid, bid), &ctx, score);
+                        vals[slot] = Some(v);
+                        v
+                    }
+                };
+                pred.eval_value(v)
             });
             if fires {
                 return false;
@@ -462,13 +547,43 @@ impl<'p> PairEvaluator<'p> {
         true
     }
 
+    /// An upper bound on set feature `slot`'s value for `pair`, from the
+    /// token prints alone: the measure of `(hi, |x|, |y|)`. `None` when the
+    /// slot is no set measure over profiled columns, or either value is
+    /// missing or uncovered — the bound speaks for present values only.
+    fn upper_bound(
+        &self,
+        slot: usize,
+        (aid, bid): IdPair,
+        ctx: &SimContext<'_>,
+        a_prints: &mut [Option<u128>],
+        score: &mut ScoreScratch,
+    ) -> Option<f64> {
+        let read = (*self.bounds.get(slot)?)?;
+        if self
+            .scorer
+            .missing(self.slots[slot], (aid, bid), ctx, score)?
+        {
+            return None;
+        }
+        let x = self.store.a().tokens_at(read.a.0, aid)?;
+        let ny = self.store.b().tokens_at(read.b.0, bid)?.len();
+        let fx = *a_prints
+            .get_mut(read.a.1)?
+            .get_or_insert_with(|| sets::fingerprint(x));
+        let fy = *self.b_prints.get(read.b.1)?.get(bid as usize)?;
+        let hi = sets::intersection_bound((fx, x.len()), (fy, ny));
+        read.sim.score_counts((hi, x.len(), ny))
+    }
+
     /// Indices of the features computed for the last pair evaluated with
-    /// `scratch`, in the order they were first read.
+    /// `scratch`, in the order they were first read (a feature whose
+    /// predicates the bound settled was not computed).
     pub fn computed(&self, scratch: &EvalScratch) -> Vec<usize> {
         self.slots
             .iter()
-            .zip(&scratch.known)
-            .filter(|(_, known)| **known)
+            .zip(&scratch.vals)
+            .filter(|(_, v)| v.is_some())
             .map(|(feature, _)| *feature)
             .collect()
     }
@@ -996,8 +1111,10 @@ pub fn execute_pooled(
                     id_splits(cluster, b),
                     move |bids: &[TupleId], out| {
                         let mut scratch = EvalScratch::default();
-                        for &bid in bids {
-                            for aid in 0..a_len {
+                        // `A` outermost: each `A` tuple is printed once
+                        // per task (the output is sorted below).
+                        for aid in 0..a_len {
+                            for &bid in bids {
                                 if evaluator.keeps_scratch(aid, bid, &mut scratch) {
                                     out.push((aid, bid));
                                 }

@@ -115,23 +115,23 @@ impl FlatForest {
         }
     }
 
-    /// Accumulate positive-vote counts for `n` feature vectors into
-    /// `votes` (cleared and resized here, so callers can reuse one buffer
-    /// across batches). `fv(j)` yields the j-th vector; trees iterate in
-    /// the outer loop so each tree's arena rows stay hot in cache.
+    /// Positive-vote counts for `n` feature vectors, written to `votes`
+    /// (cleared here, so callers can reuse one buffer across batches).
+    /// `fv(j)` yields the j-th vector; vectors iterate in the outer loop,
+    /// so each is read once and walked down every tree while it is hot
+    /// (the arena of a whole forest is small enough to stay in cache).
     pub fn count_votes_into<'a, F>(&self, n: usize, fv: F, votes: &mut Vec<u32>)
     where
         F: Fn(usize) -> &'a [f64],
     {
         votes.clear();
-        votes.resize(n, 0);
-        for &root in &self.roots {
-            for (j, vote) in votes.iter_mut().enumerate() {
-                if self.walk(root, fv(j)) {
-                    *vote += 1;
-                }
-            }
-        }
+        votes.extend((0..n).map(|j| {
+            let fv = fv(j);
+            self.roots
+                .iter()
+                .filter(|&&root| self.walk(root, fv))
+                .count() as u32
+        }));
     }
 
     /// Positive-vote fraction from a raw vote count, identical arithmetic

@@ -237,12 +237,21 @@ impl<R: BufRead> RecordReader<R> {
 /// Read a table from CSV with a header row. All columns load as `Str`;
 /// fields stream straight into column builders, classified with
 /// [`Value::parse`](crate::value::Value::parse) semantics
-/// ([`ColumnBuilder::push_raw`]).
+/// ([`ColumnBuilder::push_raw`]). A header naming a column twice is
+/// `InvalidData`.
 pub fn read_table(name: &str, reader: impl BufRead) -> io::Result<Table> {
     let mut rr = RecordReader::new(reader);
     let mut rec = Record::default();
     if !rr.next_record(&mut rec)? {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "empty csv"));
+    }
+    let mut names: Vec<&str> = rec.fields().collect();
+    names.sort_unstable();
+    if let Some(w) = names.windows(2).find(|w| w[0] == w[1]) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("csv header repeats the column name {:?}", w[0]),
+        ));
     }
     let schema = Schema::new(rec.fields().map(|n| (n.to_string(), AttrType::Str)));
     let arity = schema.arity();
@@ -444,6 +453,13 @@ mod tests {
         for (line, want) in cases {
             assert_eq!(one_record(&format!("{line}\n")), want, "line {line:?}");
         }
+    }
+
+    #[test]
+    fn repeated_header_name_is_invalid_data() {
+        let err = read_table("t", "a,a\n1,2\n".as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("\"a\""), "{err}");
     }
 
     #[test]

@@ -90,3 +90,22 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 }
+
+/// Hostile input: any bytes at all, weighted towards the reader's
+/// structural characters so headers repeat names, rows change arity and
+/// quotes stay open.
+fn hostile_bytes() -> impl Strategy<Value = Vec<u8>> {
+    let structural = (0usize..7).prop_map(|i| b"a,\n\"\r1b"[i]);
+    proptest::collection::vec(prop_oneof![2 => any::<u8>(), 5 => structural], 0..64)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The reader returns a table or an error on arbitrary bytes, never
+    /// a panic.
+    #[test]
+    fn read_table_never_panics_on_arbitrary_bytes(bytes in hostile_bytes()) {
+        let _ = csv::read_table("t", bytes.as_slice());
+    }
+}

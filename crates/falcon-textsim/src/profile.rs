@@ -274,6 +274,12 @@ impl RenderedColumn {
         self.0.get(i).map(Self::text)
     }
 
+    /// Whether value `i` is the empty string, read from the offsets alone
+    /// (no UTF-8 check); `None` past the end.
+    pub fn is_empty_at(&self, i: usize) -> Option<bool> {
+        self.0.span(i).map(|span| span.is_empty())
+    }
+
     /// Every value, in order.
     pub fn iter(&self) -> impl Iterator<Item = &str> {
         self.0.iter().map(Self::text)
@@ -427,6 +433,16 @@ impl TokenProfile {
         find(&self.rendered, attr)?.get(id as usize)
     }
 
+    /// Whether one tuple's attribute is missing (rendered `""`), read from
+    /// the rendered column's offsets, if that attribute and tuple were
+    /// profiled.
+    pub fn is_missing(&self, attr: usize, id: u32) -> Option<bool> {
+        if !self.is_covered(id) {
+            return None;
+        }
+        find(&self.rendered, attr)?.is_empty_at(id as usize)
+    }
+
     /// Word-token ids of one tuple's attribute in text order, if profiled.
     pub fn token_seq(&self, attr: usize, id: u32) -> Option<&[u32]> {
         if !self.is_covered(id) {
@@ -519,6 +535,9 @@ mod tests {
         assert_eq!(p.rendered(0, 0), Some("a b"));
         assert_eq!(p.rendered(0, 1), Some(""));
         assert_eq!(p.rendered(1, 0), None);
+        assert_eq!(p.is_missing(0, 0), Some(false));
+        assert_eq!(p.is_missing(0, 1), Some(true));
+        assert_eq!(p.is_missing(1, 0), None);
         assert_eq!(p.column_count(), 1);
         assert!(p.estimated_bytes() > 0);
     }
@@ -533,6 +552,7 @@ mod tests {
         assert_eq!(p.tokens(0, Tokenizer::Word, 1), None);
         assert_eq!(p.rendered(0, 0), Some("a"));
         assert_eq!(p.rendered(0, 1), None);
+        assert_eq!(p.is_missing(0, 1), None);
         // Out-of-range ids are uncovered, not a panic.
         assert_eq!(p.tokens(0, Tokenizer::Word, 9), None);
     }

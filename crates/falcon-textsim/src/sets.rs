@@ -16,6 +16,10 @@
 //!   run that merge ([`counts_ids`]) once per pair and token column and
 //!   score every measure over the column from its counts.
 //!
+//! The rule evaluator also reads an upper bound on the counts from two
+//! 128-bit token fingerprints ([`intersection_bound`]), which settles most
+//! threshold predicates without the merge.
+//!
 //! Empty-set semantics are shared by both families: the empty set scores
 //! 0.0 against anything, including itself (never `NaN`). A *missing*
 //! value is handled one level up (`SimFunction::score_str` returns `None`
@@ -110,6 +114,38 @@ pub fn intersection_size_ids(x: &[u32], y: &[u32]) -> usize {
         }
     }
     n
+}
+
+/// The fingerprint bit of a token id: the top seven bits of a
+/// multiplicative hash of the dictionary id.
+pub fn print_bit(id: u32) -> u32 {
+    id.wrapping_mul(0x9E37_79B9) >> 25
+}
+
+/// 128-bit fingerprint of a token-id set: bit [`print_bit`] of every id.
+pub fn fingerprint(ids: &[u32]) -> u128 {
+    ids.iter().fold(0, |f, &id| f | 1 << print_bit(id))
+}
+
+/// An upper bound on `|x ∩ y|` from the sets' fingerprints and sizes
+/// alone: `hi = min(popcount(f_x & f_y) + min(e(x), e(y)), |x|, |y|)`,
+/// where `e(s) = |s| − popcount(f_s)` counts the tokens of `s` that share
+/// their bit with another token of `s`.
+///
+/// Proof: the shared tokens set their bits in both prints, so the bits of
+/// `x ∩ y` lie in `f_x & f_y`, and `|x ∩ y| = popcount(f_{x∩y}) +
+/// e(x ∩ y)`. Adding a token to a set raises its size by one and its
+/// popcount by at most one, so a subset's excess never exceeds its
+/// superset's: `e(x ∩ y) ≤ min(e(x), e(y))`. Every coefficient here is
+/// non-decreasing in `|x ∩ y|` at fixed sizes (its operands are exact
+/// integers and correctly rounded IEEE operations are monotone), so
+/// scoring `(hi, |x|, |y|)` bounds the exact score from above.
+pub fn intersection_bound((fx, nx): (u128, usize), (fy, ny): (u128, usize)) -> usize {
+    let excess = |f: u128, n: usize| n.saturating_sub(f.count_ones() as usize);
+    let shared = (fx & fy).count_ones() as usize;
+    (shared + excess(fx, nx).min(excess(fy, ny)))
+        .min(nx)
+        .min(ny)
 }
 
 /// Jaccard over sorted id slices.
