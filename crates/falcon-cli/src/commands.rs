@@ -343,7 +343,7 @@ pub fn cmd_plan(args: &[String]) -> Result<(), String> {
     for d in &analysis.diagnostics {
         println!("{d}");
         if explain {
-            println!("  explain      : {}", d.explain);
+            println!("  explain      : {}", d.explain());
         }
     }
     if analysis.is_ok() {
@@ -353,12 +353,9 @@ pub fn cmd_plan(args: &[String]) -> Result<(), String> {
         );
         Ok(())
     } else {
-        for e in &analysis.errors {
-            eprintln!("plan error     : {e}");
-        }
         Err(format!(
             "plan check failed with {} error(s)",
-            analysis.errors.len()
+            analysis.errors().count()
         ))
     }
 }

@@ -1,147 +1,280 @@
-//! Pre-flight plan analysis: validate a run's plan, operator contracts and
-//! resource budgets *before* any MapReduce job or crowd question is
-//! issued.
-//!
-//! Falcon is a hands-off service: once `A`, `B` and a budget are handed
-//! over, nobody is watching a terminal. A malformed configuration must
-//! therefore be rejected up front with a typed, explainable error — not
-//! discovered three crowdsourced operators deep. [`analyze`] performs the
-//! checks that are decidable statically:
-//!
-//! * **Input contracts** — both tables non-empty, and feature generation
-//!   able to produce at least one blocking and one matching feature
-//!   (otherwise `gen_fvs` → `al_matcher` would run on zero-arity vectors).
-//! * **Cluster sanity** — nonzero nodes, slots and memory budgets; the
-//!   simulated-time model divides by slot counts and the physical-operator
-//!   selector compares against the mapper memory budget.
-//! * **Plan feasibility** — a (forced) matcher-only plan must fit the
-//!   enumeration budget and the mapper memory budget; forced `MapSide`
-//!   blocking must broadcast `A` into mapper memory; forced `MapSide` /
-//!   `ReduceSplit` blocking enumerates `A × B` and must fit the pair
-//!   budget.
-//! * **Operator configuration** — sampler, active-learning, rule-eval and
-//!   sequence-selection parameters in their documented domains.
-//!
-//! [`check_rule_sequence`] additionally validates a concrete
-//! [`RuleSequence`] against the blocking-feature arity (used by the driver
-//! between `select_opt_seq` and `apply_blocking_rules`, and by
-//! `falcon plan check` on optimizer-produced sequences).
+//! Pre-flight plan analysis: Falcon is hands-off (nobody watches a run),
+//! so a malformed plan, operator configuration or resource budget must be
+//! rejected with a typed, explainable finding *before* any MapReduce job
+//! or crowd question is issued. [`analyze`] checks the inputs, cluster,
+//! plan feasibility, operator parameters and forced index filters;
+//! [`verify_rule_sequence`] checks the sequence `select_opt_seq` returns
+//! before `apply_blocking_rules` builds anything from it. Every finding
+//! is one [`Diagnostic`].
 
 use crate::driver::{FalconConfig, ForcedFilter};
 use crate::features::{generate_features, FeatureLibrary, FeatureSet};
+use crate::indexing::PreFilterConfig;
 use crate::physical::{estimate_table_bytes, PhysicalOp};
 use crate::plan::{choose_plan, estimate_fv_bytes, PlanKind};
-use crate::rules::RuleSequence;
-use falcon_dataflow::ClusterConfig;
+use crate::rules::{Predicate, RuleSequence};
 use falcon_forest::SplitOp;
-use falcon_index::FilterSpec;
+use falcon_index::{FilterSpec, Obligation};
 use falcon_table::Table;
 use falcon_textsim::SimFunction;
 use std::fmt;
 
-/// A static problem with a plan, its configuration, or its inputs,
-/// detected before execution.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PlanAnalysisError {
-    /// An input table has no rows.
-    EmptyTable {
-        /// `"A"` or `"B"`.
-        table: &'static str,
-    },
-    /// Feature generation produced no features for a stage, so the
-    /// `gen_fvs` → `al_matcher` contract (arity ≥ 1) cannot hold.
-    NoFeatures {
-        /// `"blocking"` or `"matching"`.
-        stage: &'static str,
-    },
-    /// A cluster-config field is zero where the engine divides by it or
-    /// budgets against it.
-    InvalidClusterConfig {
-        /// The offending field name.
-        field: &'static str,
-    },
-    /// The plan enumerates more pairs than the enumeration budget allows.
-    PairBudgetExceeded {
-        /// `|A| * |B|`.
-        pairs: u128,
-        /// The configured `max_pairs`.
-        budget: u128,
-        /// What forces the enumeration (`"match-only plan"`,
-        /// `"map_side"`, `"reduce_split"`).
-        cause: &'static str,
-    },
-    /// A plan stage needs more memory than the per-mapper budget.
-    MemoryBudgetExceeded {
-        /// The stage (`"match-only feature vectors"`,
-        /// `"map_side broadcast of A"`).
-        stage: &'static str,
-        /// Estimated bytes required.
-        required: u128,
-        /// The configured per-mapper budget.
-        budget: u128,
-    },
-    /// An operator parameter is outside its documented domain.
-    InvalidOperatorConfig {
-        /// The operator (`"sample_pairs"`, `"al_matcher"`, ...).
-        op: &'static str,
-        /// The parameter name.
-        field: &'static str,
-        /// Why the value is invalid.
-        reason: String,
-    },
-    /// A blocking rule violates the `select_opt_seq` →
-    /// `apply_blocking_rules` contract.
-    MalformedRule {
-        /// Index of the rule in the sequence.
-        rule: usize,
-        /// What is wrong with it.
-        issue: RuleIssue,
-    },
-    /// An index filter (derived from a rule predicate, or forced via
-    /// [`FalconConfig::force_filters`]) fails a recall-safety proof
-    /// obligation: building it could prune pairs that satisfy its
-    /// predicate, i.e. blocking would no longer be lossless.
-    UnsafeFilter {
-        /// Blocking-feature index the filter is attached to.
-        feature: usize,
-        /// The failed obligation, rendered
-        /// ([`falcon_index::Obligation::describe`]).
-        obligation: String,
-        /// Debug rendering of the offending filter spec.
-        detail: String,
-    },
+/// How serious a [`Diagnostic`] is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Severity {
+    /// The plan runs, but part of it is provably useless — usually a sign
+    /// the rule learner or the configuration drifted.
+    Warning,
+    /// The plan is rejected.
+    Error,
 }
 
-/// The specific defect of a [`PlanAnalysisError::MalformedRule`].
+/// The specific defect of a [`Diagnostic::MalformedRule`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum RuleIssue {
     /// The rule has no predicates — it would drop every pair.
     NoPredicates,
-    /// A predicate references a feature index outside the blocking arity.
-    FeatureOutOfRange {
-        /// The referenced feature index.
-        feature: usize,
-        /// The blocking-feature arity.
-        arity: usize,
-    },
-    /// A predicate threshold is NaN or infinite.
-    NonFiniteThreshold {
-        /// The feature the predicate tests.
-        feature: usize,
-    },
+    /// A predicate references `feature`, outside the blocking `arity`.
+    FeatureOutOfRange { feature: usize, arity: usize },
+    /// The predicate on `feature` has a NaN or infinite threshold.
+    NonFiniteThreshold { feature: usize },
 }
 
-impl fmt::Display for PlanAnalysisError {
+/// One finding of the static plan verifier: a defect that rejects the
+/// run, or a provably useless plan part that does not. Each variant
+/// carries the coordinates it points at: `rule` and `predicate` (`at`)
+/// index the rule sequence, `feature` the blocking features. `Display` is
+/// the only formatter: `{}` renders the `severity[code] span: message`
+/// line `falcon plan check` prints, the alternate `{:#}` the bare message
+/// [`crate::error::FalconError::Plan`] joins.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Diagnostic {
+    /// Input `table` (`"A"` or `"B"`) has no rows.
+    EmptyTable { table: &'static str },
+    /// No features for `stage` (`"blocking"`, `"matching"`): `gen_fvs` →
+    /// `al_matcher` would run on zero-arity vectors.
+    NoFeatures { stage: &'static str },
+    /// A cluster-config `field` the engine divides or budgets by is zero.
+    InvalidClusterConfig { field: &'static str },
+    /// `cause` (`"match-only plan"`, `"map_side"`, `"reduce_split"`)
+    /// enumerates `pairs = |A| * |B|`, over the `max_pairs` `budget`.
+    PairBudgetExceeded {
+        pairs: u128,
+        budget: u128,
+        cause: &'static str,
+    },
+    /// `stage` needs `required` bytes, over the per-mapper `budget`.
+    MemoryBudgetExceeded {
+        stage: &'static str,
+        required: u128,
+        budget: u128,
+    },
+    /// Parameter `field` of operator `op` is outside its domain.
+    InvalidOperatorConfig {
+        op: &'static str,
+        field: &'static str,
+        reason: String,
+    },
+    /// Blocking `rule` breaks the `select_opt_seq` →
+    /// `apply_blocking_rules` contract.
+    MalformedRule { rule: usize, issue: RuleIssue },
+    /// The filter `spec` on `feature` — derived from the predicate `at`
+    /// `(rule, predicate)`, or forced when `None` — fails `obligation`:
+    /// it could prune pairs that satisfy its predicate, so blocking would
+    /// no longer be lossless.
+    UnsafeFilter {
+        at: Option<(usize, usize)>,
+        feature: usize,
+        spec: FilterSpec,
+        obligation: Obligation,
+    },
+    /// No value of feature `name` (over `range`), missing included,
+    /// satisfies predicate `test`, so its rule never fires.
+    DeadPredicate {
+        at: (usize, usize),
+        test: Predicate,
+        name: String,
+        range: (f64, f64),
+    },
+    /// Every value of feature `name` (over `range`), missing included,
+    /// satisfies predicate `test`, so it never constrains its rule.
+    AlwaysTruePredicate {
+        at: (usize, usize),
+        test: Predicate,
+        name: String,
+        range: (f64, f64),
+    },
+    /// The rule needs `name > t` (`test`, at `at`) and `name <= le` with
+    /// `le <= t`, rejecting NaN too: it never fires.
+    ContradictoryRule {
+        at: (usize, usize),
+        test: Predicate,
+        name: String,
+        le: f64,
+    },
+    /// Every pair `rule` drops is already dropped by the earlier rule `by`.
+    UnreachableRule { rule: usize, by: usize },
+    /// Forced filter `spec` is not the kind feature `name` indexes with,
+    /// so it is never substituted.
+    ForcedFilterMismatch {
+        feature: usize,
+        name: String,
+        spec: FilterSpec,
+    },
+    /// `FalconConfig` `field` configures a blocking stage the match-only
+    /// plan does not have.
+    UnreachableStage { field: &'static str },
+}
+
+impl Diagnostic {
+    /// Error (the plan is rejected) or warning (it runs).
+    pub fn severity(&self) -> Severity {
+        match self {
+            Self::DeadPredicate { .. }
+            | Self::AlwaysTruePredicate { .. }
+            | Self::ContradictoryRule { .. }
+            | Self::UnreachableRule { .. }
+            | Self::ForcedFilterMismatch { .. }
+            | Self::UnreachableStage { .. } => Severity::Warning,
+            _ => Severity::Error,
+        }
+    }
+
+    /// Stable machine-readable code, one per variant.
+    pub fn code(&self) -> &'static str {
+        match self {
+            Self::EmptyTable { .. } => "empty-table",
+            Self::NoFeatures { .. } => "no-features",
+            Self::InvalidClusterConfig { .. } => "invalid-cluster-config",
+            Self::PairBudgetExceeded { .. } => "pair-budget-exceeded",
+            Self::MemoryBudgetExceeded { .. } => "memory-budget-exceeded",
+            Self::InvalidOperatorConfig { .. } => "invalid-operator-config",
+            Self::MalformedRule { .. } => "malformed-rule",
+            Self::UnsafeFilter { .. } => "recall-unsafe-filter",
+            Self::DeadPredicate { .. } => "dead-predicate",
+            Self::AlwaysTruePredicate { .. } => "always-true-predicate",
+            Self::ContradictoryRule { .. } => "contradictory-rule",
+            Self::UnreachableRule { .. } => "unreachable-rule",
+            Self::ForcedFilterMismatch { .. } => "forced-filter-mismatch",
+            Self::UnreachableStage { .. } => "unreachable-stage",
+        }
+    }
+
+    /// Why the finding holds and what to do about it (`falcon plan check
+    /// --explain`).
+    pub fn explain(&self) -> &'static str {
+        match self {
+            Self::EmptyTable { .. } => "There is nothing to sample, block or match.",
+            Self::NoFeatures { .. } => "The tables share no attribute the generator compares.",
+            Self::InvalidClusterConfig { .. } => "Time divides by slots; operators budget memory.",
+            Self::PairBudgetExceeded { .. } => "Raise max_pairs or let the planner block first.",
+            Self::MemoryBudgetExceeded { .. } => "Raise the budget or force no plan needing it.",
+            Self::InvalidOperatorConfig { .. } => {
+                "Out of its domain the operator would divide by zero, never stop or keep nothing."
+            }
+            Self::MalformedRule { .. } => {
+                "Applying the optimizer's sequence would panic or drop pairs arbitrarily."
+            }
+            Self::UnsafeFilter { .. } => {
+                "Probing this filter could miss pairs that satisfy its predicate — the \
+                 losslessness falcon-index/tests/lossless.rs checks dynamically, proved \
+                 here before any index is built or crowd question issued."
+            }
+            Self::DeadPredicate { .. } => {
+                "The threshold lies outside the measure's range and NaN is rejected too: \
+                 dead weight, suggesting the forest was trained on degenerate labels."
+            }
+            Self::AlwaysTruePredicate { .. } => {
+                "The threshold lies outside the measure's range on the accepting side and \
+                 NaN passes too; dropping the predicate leaves the rule unchanged."
+            }
+            Self::ContradictoryRule { .. } => {
+                "One feature is constrained to an empty interval and NaN is rejected; rule \
+                 simplification keeps Gt/Le pairs, so this survives Optimization 3."
+            }
+            Self::UnreachableRule { .. } => {
+                "Each predicate of the earlier rule is implied by one of this rule's, so \
+                 it costs index builds and evaluation without changing the candidates."
+            }
+            Self::ForcedFilterMismatch { .. } => {
+                "An override must index the attribute with the filter kind (and set \
+                 measure) the feature derives; otherwise the derived filter is kept."
+            }
+            Self::UnreachableStage { .. } => {
+                "The match-only plan builds no blocking index and runs no blocking \
+                 operator; force block-and-match or drop the setting."
+            }
+        }
+    }
+
+    /// Where in the plan the finding points: the rule / predicate /
+    /// feature coordinates it is specific to, then a readable anchor.
+    fn span(&self) -> String {
+        let (rule, predicate, feature, anchor) = match self {
+            Self::EmptyTable { table } => (None, None, None, format!("table {table}")),
+            Self::NoFeatures { stage } => (None, None, None, format!("{stage} stage")),
+            Self::InvalidClusterConfig { field } => (None, None, None, format!("cluster.{field}")),
+            Self::PairBudgetExceeded { .. } => (None, None, None, "max_pairs".into()),
+            Self::MemoryBudgetExceeded { .. } => {
+                (None, None, None, "cluster.mapper_memory_bytes".into())
+            }
+            Self::InvalidOperatorConfig { op, .. } => (None, None, None, (*op).into()),
+            Self::MalformedRule { rule, .. } => (Some(*rule), None, None, String::new()),
+            Self::UnsafeFilter { at, feature, .. } => {
+                let (rule, predicate) = at.unzip();
+                (rule, predicate, Some(*feature), String::new())
+            }
+            Self::DeadPredicate { at, test, name, .. }
+            | Self::AlwaysTruePredicate { at, test, name, .. } => {
+                let anchor = format!("{name} {} {}", op_str(test.op), test.threshold);
+                (Some(at.0), Some(at.1), Some(test.feature), anchor)
+            }
+            Self::ContradictoryRule { at, test, name, le } => {
+                let anchor = format!("{name} > {} and <= {le}", test.threshold);
+                (Some(at.0), Some(at.1), Some(test.feature), anchor)
+            }
+            Self::UnreachableRule { rule, by } => {
+                (Some(*rule), None, None, format!("subsumed by rule {by}"))
+            }
+            Self::ForcedFilterMismatch { feature, spec, .. } => {
+                (None, None, Some(*feature), format!("{spec:?}"))
+            }
+            Self::UnreachableStage { field } => {
+                (None, None, None, format!("{field} under a match-only plan"))
+            }
+        };
+        let coords: Vec<String> = [
+            ("rule", rule),
+            ("predicate", predicate),
+            ("feature", feature),
+        ]
+        .into_iter()
+        .filter_map(|(name, at)| Some(format!("{name} {}", at?)))
+        .collect();
+        match (coords.join(" / "), anchor) {
+            (coords, anchor) if anchor.is_empty() => coords,
+            (coords, anchor) if coords.is_empty() => anchor,
+            (coords, anchor) => format!("{coords} ({anchor})"),
+        }
+    }
+}
+
+impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if !f.alternate() {
+            let severity = match self.severity() {
+                Severity::Warning => "warning",
+                Severity::Error => "error",
+            };
+            write!(f, "{severity}[{}] {}: ", self.code(), self.span())?;
+        }
         match self {
             Self::EmptyTable { table } => write!(f, "input table {table} is empty"),
-            Self::NoFeatures { stage } => {
-                write!(
-                    f,
-                    "feature generation produced no {stage} features \
-                     (tables share no comparable attributes)"
-                )
-            }
+            Self::NoFeatures { stage } => write!(
+                f,
+                "feature generation produced no {stage} features \
+                 (tables share no comparable attributes)"
+            ),
             Self::InvalidClusterConfig { field } => {
                 write!(f, "cluster config field {field} must be nonzero")
             }
@@ -174,123 +307,78 @@ impl fmt::Display for PlanAnalysisError {
                         f,
                         "predicate references feature {feature} but blocking arity is {arity}"
                     ),
-                    RuleIssue::NonFiniteThreshold { feature } => {
-                        write!(
-                            f,
-                            "predicate on feature {feature} has a non-finite threshold"
-                        )
-                    }
+                    RuleIssue::NonFiniteThreshold { feature } => write!(
+                        f,
+                        "predicate on feature {feature} has a non-finite threshold"
+                    ),
                 }
             }
             Self::UnsafeFilter {
                 feature,
+                spec,
                 obligation,
-                detail,
+                ..
             } => write!(
                 f,
-                "recall-unsafe filter on feature {feature}: {detail} \
+                "recall-unsafe filter on feature {feature}: {spec:?} \
                  (obligation not met: {obligation})"
+            ),
+            Self::DeadPredicate {
+                at,
+                test,
+                name,
+                range: (lo, hi),
+            } => write!(
+                f,
+                "no value of {name} (range [{lo}, {hi}]) satisfies `{} {}`, \
+                 so rule {} never drops a pair",
+                op_str(test.op),
+                test.threshold,
+                at.0
+            ),
+            Self::AlwaysTruePredicate {
+                at,
+                test,
+                name,
+                range: (lo, hi),
+            } => write!(
+                f,
+                "every value of {name} (range [{lo}, {hi}]) satisfies `{} {}`; \
+                 the predicate never constrains rule {}",
+                op_str(test.op),
+                test.threshold,
+                at.0
+            ),
+            Self::ContradictoryRule { at, test, name, le } => write!(
+                f,
+                "rule {} requires {name} > {} and <= {le} simultaneously; \
+                 it never drops a pair",
+                at.0, test.threshold
+            ),
+            Self::UnreachableRule { rule, by } => write!(
+                f,
+                "every pair rule {rule} drops is already dropped by rule {by}; \
+                 rule {rule} never takes effect"
+            ),
+            Self::ForcedFilterMismatch { feature, name, .. } => write!(
+                f,
+                "forced filter kind does not match feature {feature} ({name}); it will \
+                 never be substituted"
+            ),
+            Self::UnreachableStage { field } => write!(
+                f,
+                "`{field}` configures the blocking stage, but the \
+                 match-only plan has none; it will be ignored"
             ),
         }
     }
 }
 
-impl std::error::Error for PlanAnalysisError {}
-
-/// How serious a [`Diagnostic`] is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// The plan runs, but part of it is provably useless (dead predicate,
-    /// unreachable rule or stage) — usually a sign the rule learner or
-    /// the configuration drifted.
-    Warning,
-    /// The plan is rejected; a matching [`PlanAnalysisError`] is also
-    /// produced.
-    Error,
-}
-
-/// Where in the plan a [`Diagnostic`] points: the plan-level analogue of
-/// a source span. Each coordinate is present when the diagnostic is that
-/// specific.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PlanSpan {
-    /// Rule index in the blocking sequence.
-    pub rule: Option<usize>,
-    /// Predicate index within the rule.
-    pub predicate: Option<usize>,
-    /// Blocking-feature index the predicate tests.
-    pub feature: Option<usize>,
-    /// Human-readable anchor (feature name, spec rendering, stage name).
-    pub detail: String,
-}
-
-impl fmt::Display for PlanSpan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut wrote = false;
-        if let Some(r) = self.rule {
-            write!(f, "rule {r}")?;
-            wrote = true;
-        }
-        if let Some(p) = self.predicate {
-            if wrote {
-                write!(f, " / ")?;
-            }
-            write!(f, "predicate {p}")?;
-            wrote = true;
-        }
-        if let Some(ft) = self.feature {
-            if wrote {
-                write!(f, " / ")?;
-            }
-            write!(f, "feature {ft}")?;
-            wrote = true;
-        }
-        if !self.detail.is_empty() {
-            if wrote {
-                write!(f, " ({})", self.detail)?;
-            } else {
-                write!(f, "{}", self.detail)?;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// A typed, span-carrying finding of the static plan verifier, surfaced
-/// by `falcon plan check --explain`. Errors mirror a
-/// [`PlanAnalysisError`]; warnings flag provably useless plan parts that
-/// do not make the plan unrunnable.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Diagnostic {
-    /// Stable machine-readable code (`dead-predicate`,
-    /// `contradictory-rule`, `unreachable-rule`, `recall-unsafe-filter`,
-    /// `forced-filter-mismatch`, `unreachable-stage`, ...).
-    pub code: &'static str,
-    /// Error or warning.
-    pub severity: Severity,
-    /// Where in the plan.
-    pub span: PlanSpan,
-    /// One-line statement of the finding.
-    pub message: String,
-    /// Why it holds and what to do about it (`--explain` text).
-    pub explain: String,
-}
-
-impl fmt::Display for Diagnostic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let sev = match self.severity {
-            Severity::Warning => "warning",
-            Severity::Error => "error",
-        };
-        write!(f, "{sev}[{}] {}: {}", self.code, self.span, self.message)
-    }
-}
-
-/// The result of pre-flight analysis: the plan that would run, the sizes
-/// the decision was based on, and every defect found.
+/// The result of pre-flight analysis: the plan the driver runs, the sizes
+/// the decision was based on, and every finding.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanAnalysis {
-    /// The plan template the driver would execute.
+    /// The plan template the driver executes.
     pub plan: PlanKind,
     /// `|A| * |B|`.
     pub pairs: u128,
@@ -298,24 +386,28 @@ pub struct PlanAnalysis {
     pub blocking_features: usize,
     /// Number of matching features the generator would produce.
     pub matching_features: usize,
-    /// All defects, in detection order; empty means the plan is runnable.
-    pub errors: Vec<PlanAnalysisError>,
-    /// Span-carrying findings (errors *and* warnings) from the static
-    /// verifier, for `falcon plan check --explain`.
+    /// Every finding, errors and warnings, in detection order.
     pub diagnostics: Vec<Diagnostic>,
 }
 
 impl PlanAnalysis {
-    /// True when no defect was found (warnings do not block a run).
+    /// True when no finding is an error (warnings do not block a run).
     pub fn is_ok(&self) -> bool {
-        self.errors.is_empty()
+        self.errors().next().is_none()
+    }
+
+    /// The errors among [`PlanAnalysis::diagnostics`].
+    pub fn errors(&self) -> impl Iterator<Item = &Diagnostic> {
+        self.of(Severity::Error)
     }
 
     /// The warnings among [`PlanAnalysis::diagnostics`].
     pub fn warnings(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Warning)
+        self.of(Severity::Warning)
+    }
+
+    fn of(&self, severity: Severity) -> impl Iterator<Item = &Diagnostic> {
+        (self.diagnostics.iter()).filter(move |d| d.severity() == severity)
     }
 }
 
@@ -331,182 +423,69 @@ fn sim_range(sim: SimFunction) -> (f64, f64) {
     }
 }
 
-/// Validate the cluster description alone.
-pub fn check_cluster(cluster: &ClusterConfig) -> Vec<PlanAnalysisError> {
-    let mut errors = Vec::new();
-    let fields: [(&'static str, usize); 5] = [
-        ("nodes", cluster.nodes),
-        ("map_slots_per_node", cluster.map_slots_per_node),
-        ("reduce_slots_per_node", cluster.reduce_slots_per_node),
-        ("mapper_memory_bytes", cluster.mapper_memory_bytes),
-        ("reducer_memory_bytes", cluster.reducer_memory_bytes),
-    ];
-    for (field, value) in fields {
-        if value == 0 {
-            errors.push(PlanAnalysisError::InvalidClusterConfig { field });
-        }
+fn op_str(op: SplitOp) -> &'static str {
+    match op {
+        SplitOp::Gt => ">",
+        SplitOp::Le => "<=",
     }
-    errors
-}
-
-/// Validate a concrete rule sequence against the blocking-feature arity:
-/// the `select_opt_seq` → `apply_blocking_rules` contract.
-pub fn check_rule_sequence(seq: &RuleSequence, arity: usize) -> Vec<PlanAnalysisError> {
-    let mut errors = Vec::new();
-    for (i, rule) in seq.rules.iter().enumerate() {
-        if rule.predicates.is_empty() {
-            errors.push(PlanAnalysisError::MalformedRule {
-                rule: i,
-                issue: RuleIssue::NoPredicates,
-            });
-        }
-        for p in &rule.predicates {
-            if p.feature >= arity {
-                errors.push(PlanAnalysisError::MalformedRule {
-                    rule: i,
-                    issue: RuleIssue::FeatureOutOfRange {
-                        feature: p.feature,
-                        arity,
-                    },
-                });
-            }
-            if !p.threshold.is_finite() {
-                errors.push(PlanAnalysisError::MalformedRule {
-                    rule: i,
-                    issue: RuleIssue::NonFiniteThreshold { feature: p.feature },
-                });
-            }
-        }
-    }
-    errors
 }
 
 /// Statically verify a concrete rule sequence against the blocking
-/// feature set. Extends [`check_rule_sequence`]'s shape contract with:
-///
-/// * **recall-safety proof obligations** on every index filter the
-///   sequence derives ([`FilterSpec::obligations`]) — failures are hard
-///   errors, since building such a filter could prune pairs that satisfy
-///   its predicate (exactly the property `falcon-index/tests/lossless.rs`
-///   checks dynamically);
-/// * **dead / always-true predicates** — a predicate no feature value
-///   (including missing ⇒ NaN) can satisfy makes its whole rule dead; a
-///   predicate every value satisfies is redundant; both are warnings;
-/// * **contradictory rules** — a `> t₁ ∧ <= t₂` pair with `t₂ <= t₁` on
-///   one feature that no value satisfies (warning: the rule never drops);
-/// * **unreachable rules** — a rule whose drop-set is contained in an
-///   earlier rule's (every earlier predicate is implied by one of the
-///   later rule's), so it never drops a pair the sequence keeps.
-///
-/// Returns `(errors, diagnostics)`; the diagnostics carry plan spans and
-/// `--explain` text and include an entry mirroring every error.
-pub fn verify_rule_sequence(
-    seq: &RuleSequence,
-    features: &FeatureSet,
-) -> (Vec<PlanAnalysisError>, Vec<Diagnostic>) {
-    verify_rule_sequence_with(seq, features, &crate::indexing::PreFilterConfig::default())
-}
-
-/// [`verify_rule_sequence`] under an explicit signature pre-filter
-/// configuration: every derived set-similarity filter is wrapped exactly
-/// as `apply_blocking_rules` will wrap it, so an unprovable signature
-/// configuration (e.g. a zero or oversized width) is rejected *here*,
-/// before any index is built from it.
-pub fn verify_rule_sequence_with(
-    seq: &RuleSequence,
-    features: &FeatureSet,
-    prefilter: &crate::indexing::PreFilterConfig,
-) -> (Vec<PlanAnalysisError>, Vec<Diagnostic>) {
-    let mut errors = check_rule_sequence(seq, features.len());
-    let mut diags: Vec<Diagnostic> = errors
-        .iter()
-        .map(|e| {
-            let rule = match e {
-                PlanAnalysisError::MalformedRule { rule, .. } => Some(*rule),
-                _ => None,
-            };
-            Diagnostic {
-                code: "malformed-rule",
-                severity: Severity::Error,
-                span: PlanSpan {
-                    rule,
-                    ..PlanSpan::default()
-                },
-                message: e.to_string(),
-                explain: "The optimizer's rule sequence violates the \
-                          select_opt_seq -> apply_blocking_rules contract; \
-                          applying it would panic or drop pairs arbitrarily."
-                    .into(),
-            }
-        })
-        .collect();
-
+/// feature set, before `apply_blocking_rules` builds anything from it.
+/// Errors: a rule without predicates, a predicate outside the blocking
+/// arity or with a non-finite threshold, and a derived index filter —
+/// wrapped in the signature pre-filter as it will be built — that fails a
+/// recall-safety obligation ([`FilterSpec::obligations`], the property
+/// `falcon-index/tests/lossless.rs` checks dynamically). Warnings: a
+/// predicate no value (missing ⇒ NaN included) satisfies, or every value
+/// does; a rule with `> t₁ ∧ <= t₂`, `t₂ <= t₁`, on one feature; a rule
+/// whose drop-set an earlier rule's contains.
+pub fn verify_rule_sequence(seq: &RuleSequence, features: &FeatureSet) -> Vec<Diagnostic> {
+    let arity = features.len();
+    let mut out = Vec::new();
     // A rule drops a pair iff ALL its predicates are satisfied, so one
     // unsatisfiable predicate kills the whole rule.
     let mut rule_dead = vec![false; seq.rules.len()];
     for (i, rule) in seq.rules.iter().enumerate() {
-        for (j, p) in rule.predicates.iter().enumerate() {
-            if p.feature >= features.len() || !p.threshold.is_finite() {
-                continue; // already a hard error above
+        let malformed = |issue| Diagnostic::MalformedRule { rule: i, issue };
+        if rule.predicates.is_empty() {
+            out.push(malformed(RuleIssue::NoPredicates));
+        }
+        for (j, &test) in rule.predicates.iter().enumerate() {
+            let feature = test.feature;
+            if feature >= arity {
+                out.push(malformed(RuleIssue::FeatureOutOfRange { feature, arity }));
             }
-            let f = features.get(p.feature);
-            let (lo, hi) = sim_range(f.sim);
-            let span = |detail: String| PlanSpan {
-                rule: Some(i),
-                predicate: Some(j),
-                feature: Some(p.feature),
-                detail,
+            if !test.threshold.is_finite() {
+                out.push(malformed(RuleIssue::NonFiniteThreshold { feature }));
+                continue;
+            }
+            let Some(f) = features.features.get(feature) else {
+                continue;
             };
             // Satisfiability over the feature's value range [lo, hi] plus
             // NaN (missing) under the predicate's nan_is_high orientation.
-            let (dead, always) = match p.op {
-                SplitOp::Gt => (
-                    p.threshold >= hi && !p.nan_is_high,
-                    p.threshold < lo && p.nan_is_high,
-                ),
-                SplitOp::Le => (
-                    p.threshold < lo && p.nan_is_high,
-                    p.threshold >= hi && !p.nan_is_high,
-                ),
+            let (lo, hi) = sim_range(f.sim);
+            let (t, nan_high) = (test.threshold, test.nan_is_high);
+            let (dead, always) = match test.op {
+                SplitOp::Gt => (t >= hi && !nan_high, t < lo && nan_high),
+                SplitOp::Le => (t < lo && nan_high, t >= hi && !nan_high),
             };
+            let (name, range) = (f.name.clone(), (lo, hi));
             if dead {
                 rule_dead[i] = true;
-                diags.push(Diagnostic {
-                    code: "dead-predicate",
-                    severity: Severity::Warning,
-                    span: span(format!("{} {} {}", f.name, op_str(p.op), p.threshold)),
-                    message: format!(
-                        "no value of {} (range [{lo}, {hi}]) satisfies `{} {}`, \
-                         so rule {i} never drops a pair",
-                        f.name,
-                        op_str(p.op),
-                        p.threshold
-                    ),
-                    explain: "The predicate compares a similarity value against a \
-                              threshold outside the measure's value range, and its \
-                              missing-value orientation rejects NaN too; the \
-                              conjunction containing it can never fire. The rule is \
-                              dead weight from the learner — harmless, but it \
-                              suggests the forest was trained on degenerate labels."
-                        .into(),
+                out.push(Diagnostic::DeadPredicate {
+                    at: (i, j),
+                    test,
+                    name,
+                    range,
                 });
             } else if always {
-                diags.push(Diagnostic {
-                    code: "always-true-predicate",
-                    severity: Severity::Warning,
-                    span: span(format!("{} {} {}", f.name, op_str(p.op), p.threshold)),
-                    message: format!(
-                        "every value of {} (range [{lo}, {hi}]) satisfies `{} {}`; \
-                         the predicate never constrains rule {i}",
-                        f.name,
-                        op_str(p.op),
-                        p.threshold
-                    ),
-                    explain: "The threshold lies outside the measure's value range \
-                              on the accepting side and missing values satisfy it \
-                              too, so the predicate is vacuous; dropping it leaves \
-                              the rule's drop-set unchanged."
-                        .into(),
+                out.push(Diagnostic::AlwaysTruePredicate {
+                    at: (i, j),
+                    test,
+                    name,
+                    range,
                 });
             }
         }
@@ -522,50 +501,32 @@ pub fn verify_rule_sequence_with(
                     || le.feature != gt.feature
                     || !le.threshold.is_finite()
                     || le.threshold > gt.threshold
+                    || (gt.nan_is_high && !le.nan_is_high)
                 {
-                    continue;
-                }
-                if gt.nan_is_high && !le.nan_is_high {
-                    continue; // NaN satisfies both: rule still reachable
+                    continue; // satisfiable (by NaN, at least)
                 }
                 rule_dead[i] = true;
-                let f_name = if gt.feature < features.len() {
-                    features.get(gt.feature).name.clone()
-                } else {
-                    format!("feature {}", gt.feature)
+                let name = match features.features.get(gt.feature) {
+                    Some(f) => f.name.clone(),
+                    None => format!("feature {}", gt.feature),
                 };
-                diags.push(Diagnostic {
-                    code: "contradictory-rule",
-                    severity: Severity::Warning,
-                    span: PlanSpan {
-                        rule: Some(i),
-                        predicate: Some(j),
-                        feature: Some(gt.feature),
-                        detail: format!("{f_name} > {} and <= {}", gt.threshold, le.threshold),
-                    },
-                    message: format!(
-                        "rule {i} requires {f_name} > {} and <= {} simultaneously; \
-                         it never drops a pair",
-                        gt.threshold, le.threshold
-                    ),
-                    explain: "The conjunction constrains one feature to an empty \
-                              interval and its missing-value orientations reject \
-                              NaN as well, so the rule cannot fire; the learner \
-                              produced a contradiction (rule simplification keeps \
-                              Gt/Le pairs, so this survives Optimization 3)."
-                        .into(),
+                out.push(Diagnostic::ContradictoryRule {
+                    at: (i, j),
+                    test: *gt,
+                    name,
+                    le: le.threshold,
                 });
             }
         }
     }
 
-    // Rule j is unreachable when some earlier live rule i drops a
-    // superset: every predicate of rule i is implied by one of rule j's.
+    // Rule j is unreachable when some earlier live rule drops a superset:
+    // every predicate of that rule is implied by one of rule j's.
     for j in 1..seq.rules.len() {
         if rule_dead[j] || seq.rules[j].predicates.is_empty() {
             continue;
         }
-        let implied = |p: &crate::rules::Predicate| {
+        let implied = |p: &Predicate| {
             seq.rules[j].predicates.iter().any(|q| {
                 q.feature == p.feature
                     && q.op == p.op
@@ -576,7 +537,7 @@ pub fn verify_rule_sequence_with(
                     }
             })
         };
-        let Some(i) = (0..j).find(|&i| {
+        let Some(by) = (0..j).find(|&i| {
             !rule_dead[i]
                 && !seq.rules[i].predicates.is_empty()
                 && seq.rules[i].predicates.iter().all(implied)
@@ -584,427 +545,265 @@ pub fn verify_rule_sequence_with(
             continue;
         };
         rule_dead[j] = true; // drops nothing new; don't chain off it
-        diags.push(Diagnostic {
-            code: "unreachable-rule",
-            severity: Severity::Warning,
-            span: PlanSpan {
-                rule: Some(j),
-                detail: format!("subsumed by rule {i}"),
-                ..PlanSpan::default()
-            },
-            message: format!(
-                "every pair rule {j} drops is already dropped by rule {i}; \
-                 rule {j} never takes effect"
-            ),
-            explain: "Each predicate of the earlier rule is implied by one of \
-                      this rule's (same feature, operator and missing-value \
-                      orientation, with an equal-or-tighter threshold), so this \
-                      rule's drop-set is contained in the earlier one's. It \
-                      costs index builds and evaluation without changing the \
-                      candidate set."
-                .into(),
-        });
+        out.push(Diagnostic::UnreachableRule { rule: j, by });
     }
 
     // Recall-safety obligations on every filter the sequence derives —
     // the static twin of falcon-index/tests/lossless.rs.
+    let prefilter = PreFilterConfig::default();
     for (i, rule) in seq.rules.iter().enumerate() {
         for (j, p) in rule.predicates.iter().enumerate() {
-            if p.feature >= features.len() {
-                continue;
-            }
             let q = p.complement();
-            let f = features.get(q.feature);
-            let Some(spec) =
-                FilterSpec::from_predicate(f.sim, &f.a_attr, q.op == SplitOp::Gt, q.threshold)
-            else {
+            let Some(f) = features.features.get(q.feature) else {
+                continue;
+            };
+            let gt = q.op == SplitOp::Gt;
+            let Some(spec) = FilterSpec::from_predicate(f.sim, &f.a_attr, gt, q.threshold) else {
                 continue; // unfilterable predicate: nothing is pruned
             };
-            // Verify the spec as it will actually be built: signature
-            // wrapping applied when the pre-filter is enabled.
-            let spec = if prefilter.enabled {
-                spec.with_signature(prefilter.words)
-            } else {
-                spec
+            let spec = match prefilter.enabled {
+                true => spec.with_signature(prefilter.words),
+                false => spec,
             };
-            if let Err(ob) = spec.verify() {
-                errors.push(PlanAnalysisError::UnsafeFilter {
+            if let Err(obligation) = spec.verify() {
+                out.push(Diagnostic::UnsafeFilter {
+                    at: Some((i, j)),
                     feature: q.feature,
-                    obligation: ob.to_string(),
-                    detail: format!("{spec:?}"),
-                });
-                diags.push(Diagnostic {
-                    code: "recall-unsafe-filter",
-                    severity: Severity::Error,
-                    span: PlanSpan {
-                        rule: Some(i),
-                        predicate: Some(j),
-                        feature: Some(q.feature),
-                        detail: format!("{spec:?}"),
-                    },
-                    message: format!(
-                        "the index filter derived for {} fails its recall-safety \
-                         obligation: {ob}",
-                        f.name
-                    ),
-                    explain: format!(
-                        "Probing this filter could miss pairs that satisfy the \
-                         predicate, so blocking would silently lose recall — the \
-                         exact losslessness property falcon-index/tests/lossless.rs \
-                         checks dynamically. Required: {ob}."
-                    ),
+                    spec,
+                    obligation,
                 });
             }
         }
     }
-    (errors, diags)
-}
-
-fn op_str(op: SplitOp) -> &'static str {
-    match op {
-        SplitOp::Gt => ">",
-        SplitOp::Le => "<=",
-    }
+    out
 }
 
 /// Verify the [`FalconConfig::force_filters`] overrides against the
-/// blocking feature set: each must reference a real feature, match that
-/// feature's derivable filter kind and indexed attribute (otherwise it
-/// can never substitute — a warning), and discharge its recall-safety
-/// obligations (otherwise a hard error).
-pub fn check_forced_filters(
-    forced: &[ForcedFilter],
-    features: &FeatureSet,
-    errors: &mut Vec<PlanAnalysisError>,
-    diags: &mut Vec<Diagnostic>,
-) {
+/// blocking feature set: each must reference a real feature and discharge
+/// its recall-safety obligations (errors), and be of the kind its feature
+/// indexes with (a warning: otherwise it is never substituted).
+fn check_forced_filters(forced: &[ForcedFilter], features: &FeatureSet, out: &mut Vec<Diagnostic>) {
     for ff in forced {
-        if ff.feature >= features.len() {
-            errors.push(PlanAnalysisError::InvalidOperatorConfig {
+        let (feature, spec) = (ff.feature, ff.spec.clone());
+        let Some(f) = features.features.get(feature) else {
+            out.push(Diagnostic::InvalidOperatorConfig {
                 op: "force_filters",
                 field: "feature",
                 reason: format!(
-                    "references blocking feature {} but arity is {}",
-                    ff.feature,
+                    "references blocking feature {feature} but arity is {}",
                     features.len()
                 ),
             });
-            diags.push(Diagnostic {
-                code: "forced-filter-mismatch",
-                severity: Severity::Error,
-                span: PlanSpan {
-                    feature: Some(ff.feature),
-                    detail: format!("{:?}", ff.spec),
-                    ..PlanSpan::default()
-                },
-                message: format!(
-                    "forced filter targets feature {} but only {} blocking \
-                     features exist",
-                    ff.feature,
-                    features.len()
-                ),
-                explain: "Feature indexes are assigned by the deterministic \
-                          feature generator; run `falcon plan check --explain` \
-                          to list them."
-                    .into(),
-            });
             continue;
-        }
-        let f = features.get(ff.feature);
-        if let Err(ob) = ff.spec.verify() {
-            errors.push(PlanAnalysisError::UnsafeFilter {
-                feature: ff.feature,
-                obligation: ob.to_string(),
-                detail: format!("{:?}", ff.spec),
+        };
+        if let Err(obligation) = spec.verify() {
+            out.push(Diagnostic::UnsafeFilter {
+                at: None,
+                feature,
+                spec,
+                obligation,
             });
-            diags.push(Diagnostic {
-                code: "recall-unsafe-filter",
-                severity: Severity::Error,
-                span: PlanSpan {
-                    feature: Some(ff.feature),
-                    detail: format!("{:?}", ff.spec),
-                    ..PlanSpan::default()
-                },
-                message: format!(
-                    "forced filter for {} fails its recall-safety obligation: {ob}",
-                    f.name
-                ),
-                explain: format!(
-                    "A filter that violates this obligation can prune pairs that \
-                     satisfy its predicate, making blocking lossy — the property \
-                     falcon-index/tests/lossless.rs checks dynamically, rejected \
-                     here before any index is built or crowd question issued. \
-                     Required: {ob}."
-                ),
-            });
-            continue;
-        }
-        // Kind/attribute compatibility: an incompatible override is
-        // recall-safe (it is simply never substituted) but useless.
-        let compatible = ff.spec.a_attr() == f.a_attr
-            && match (&ff.spec, f.sim) {
-                (FilterSpec::Equals { .. }, SimFunction::ExactMatch) => true,
-                (FilterSpec::Range { relative, .. }, SimFunction::AbsDiff) => !relative,
-                (FilterSpec::Range { relative, .. }, SimFunction::RelDiff) => *relative,
-                (FilterSpec::EditSim { .. }, SimFunction::Levenshtein) => true,
-                (FilterSpec::SetSim { sim, .. }, fsim) => *sim == fsim,
-                _ => false,
-            };
-        if !compatible {
-            diags.push(Diagnostic {
-                code: "forced-filter-mismatch",
-                severity: Severity::Warning,
-                span: PlanSpan {
-                    feature: Some(ff.feature),
-                    detail: format!("{:?}", ff.spec),
-                    ..PlanSpan::default()
-                },
-                message: format!(
-                    "forced filter kind does not match feature {} ({}); it will \
-                     never be substituted",
-                    ff.feature, f.name
-                ),
-                explain: "Substitution requires the override to index the same \
-                          attribute with the same filter kind (and set measure) \
-                          the feature derives; otherwise the derived filter is \
-                          kept and the override is inert."
-                    .into(),
+        } else if !spec.is_for(f.sim, &f.a_attr) {
+            let name = f.name.clone();
+            out.push(Diagnostic::ForcedFilterMismatch {
+                feature,
+                name,
+                spec,
             });
         }
     }
 }
 
-fn check_operator_configs(cfg: &FalconConfig, errors: &mut Vec<PlanAnalysisError>) {
-    let mut bad = |op: &'static str, field: &'static str, reason: String| {
-        errors.push(PlanAnalysisError::InvalidOperatorConfig { op, field, reason });
-    };
-    if cfg.sample_size == 0 {
-        bad("sample_pairs", "sample_size", "must be positive".into());
-    }
-    if cfg.sample_fanout < 2 {
-        bad(
-            "sample_pairs",
-            "sample_fanout",
-            format!("fan-out y must be >= 2, got {}", cfg.sample_fanout),
-        );
-    }
-    if cfg.al.max_iterations == 0 {
-        bad("al_matcher", "max_iterations", "must be positive".into());
-    }
-    if cfg.al.batch == 0 {
-        bad("al_matcher", "batch", "must be positive".into());
-    }
-    if !(cfg.al.convergence_eps.is_finite() && cfg.al.convergence_eps >= 0.0) {
-        bad(
-            "al_matcher",
-            "convergence_eps",
-            format!("must be finite and >= 0, got {}", cfg.al.convergence_eps),
-        );
-    }
-    if cfg.eval.batch == 0 {
-        bad("eval_rules", "batch", "must be positive".into());
-    }
-    if !(cfg.eval.p_min > 0.0 && cfg.eval.p_min <= 1.0) {
-        bad(
-            "eval_rules",
-            "p_min",
-            format!("must be in (0, 1], got {}", cfg.eval.p_min),
-        );
-    }
-    if !(cfg.eval.eps_max > 0.0 && cfg.eval.eps_max.is_finite()) {
-        bad(
-            "eval_rules",
-            "eps_max",
-            format!("must be positive and finite, got {}", cfg.eval.eps_max),
-        );
-    }
+/// Every cluster field the engine divides or budgets by, and every
+/// operator parameter, inside its domain — in this order.
+fn check_configs(cfg: &FalconConfig, out: &mut Vec<Diagnostic>) {
+    let c = &cfg.cluster;
     for (field, value) in [
-        ("alpha", cfg.seq.alpha),
-        ("beta", cfg.seq.beta),
-        ("gamma", cfg.seq.gamma),
+        ("nodes", c.nodes),
+        ("map_slots_per_node", c.map_slots_per_node),
+        ("reduce_slots_per_node", c.reduce_slots_per_node),
+        ("mapper_memory_bytes", c.mapper_memory_bytes),
+        ("reducer_memory_bytes", c.reducer_memory_bytes),
     ] {
-        if !(value.is_finite() && value >= 0.0) {
-            bad(
-                "select_opt_seq",
-                field,
-                format!("weight must be finite and >= 0, got {value}"),
-            );
+        if value == 0 {
+            out.push(Diagnostic::InvalidClusterConfig { field });
         }
     }
-    if cfg.seq.optimizer_bits == 0 {
-        bad(
-            "select_opt_seq",
-            "optimizer_bits",
-            "must be positive".into(),
-        );
+    let mut check = |ok: bool, op, field, reason: String| {
+        if !ok {
+            out.push(Diagnostic::InvalidOperatorConfig { op, field, reason });
+        }
+    };
+    let positive = || String::from("must be positive");
+    let (al, eval, seq) = (&cfg.al, &cfg.eval, &cfg.seq);
+    check(
+        cfg.sample_size > 0,
+        "sample_pairs",
+        "sample_size",
+        positive(),
+    );
+    let why = format!("fan-out y must be >= 2, got {}", cfg.sample_fanout);
+    check(cfg.sample_fanout >= 2, "sample_pairs", "sample_fanout", why);
+    check(
+        al.max_iterations > 0,
+        "al_matcher",
+        "max_iterations",
+        positive(),
+    );
+    check(al.batch > 0, "al_matcher", "batch", positive());
+    let eps = al.convergence_eps;
+    let why = format!("must be finite and >= 0, got {eps}");
+    check(
+        eps.is_finite() && eps >= 0.0,
+        "al_matcher",
+        "convergence_eps",
+        why,
+    );
+    check(eval.batch > 0, "eval_rules", "batch", positive());
+    let p = eval.p_min;
+    let why = format!("must be in (0, 1], got {p}");
+    check(p > 0.0 && p <= 1.0, "eval_rules", "p_min", why);
+    let eps = eval.eps_max;
+    let why = format!("must be positive and finite, got {eps}");
+    check(eps > 0.0 && eps.is_finite(), "eval_rules", "eps_max", why);
+    for (field, w) in [
+        ("alpha", seq.alpha),
+        ("beta", seq.beta),
+        ("gamma", seq.gamma),
+    ] {
+        let why = format!("weight must be finite and >= 0, got {w}");
+        check(w.is_finite() && w >= 0.0, "select_opt_seq", field, why);
     }
-    if !(cfg.greedy_ratio > 0.0 && cfg.greedy_ratio <= 1.0) {
-        bad(
-            "apply_blocking_rules",
-            "greedy_ratio",
-            format!("must be in (0, 1], got {}", cfg.greedy_ratio),
-        );
-    }
-    if cfg.max_pairs == 0 {
-        bad(
-            "apply_blocking_rules",
-            "max_pairs",
-            "must be positive".into(),
-        );
-    }
+    check(
+        seq.optimizer_bits > 0,
+        "select_opt_seq",
+        "optimizer_bits",
+        positive(),
+    );
+    let r = cfg.greedy_ratio;
+    let why = format!("must be in (0, 1], got {r}");
+    check(
+        r > 0.0 && r <= 1.0,
+        "apply_blocking_rules",
+        "greedy_ratio",
+        why,
+    );
+    check(
+        cfg.max_pairs > 0,
+        "apply_blocking_rules",
+        "max_pairs",
+        positive(),
+    );
 }
 
-/// Analyze a prospective run of `Falcon::try_run(a, b, ...)` under `cfg`.
-///
-/// Performs the feature-generation scan (cheap, no jobs) to resolve the
-/// plan the driver would choose, then checks every statically decidable
-/// contract. The `falcon plan check` subcommand exposes it directly; the
-/// driver, which needs the features anyway, calls [`analyze_with`].
+/// Analyze a prospective plain run (`rounds = 0`) of `Falcon::try_run(a,
+/// b, ...)` under `cfg`: the feature-generation scan (cheap, no jobs),
+/// then every statically decidable check. `falcon plan check` calls it;
+/// the driver, which needs the features anyway, calls [`analyze_with`].
 pub fn analyze(a: &Table, b: &Table, cfg: &FalconConfig) -> PlanAnalysis {
-    analyze_with(a, b, cfg, &generate_features(a, b))
+    analyze_with(a, b, cfg, &generate_features(a, b), 0)
 }
 
-/// [`analyze`] over the library `generate_features(a, b)` already made.
+/// [`analyze`] over the library `generate_features(a, b)` already made,
+/// for a run of `rounds` workflow rounds. [`PlanAnalysis::plan`] is the
+/// plan the driver then executes: the workflow (`rounds ≥ 1`) always
+/// blocks; a plain run takes [`FalconConfig::force_plan`], or else
+/// [`choose_plan`]'s pick.
 pub fn analyze_with(
     a: &Table,
     b: &Table,
     cfg: &FalconConfig,
     lib: &FeatureLibrary,
+    rounds: usize,
 ) -> PlanAnalysis {
-    let mut errors = Vec::new();
-    let mut diagnostics = Vec::new();
-    if a.is_empty() {
-        errors.push(PlanAnalysisError::EmptyTable { table: "A" });
+    let mut out = Vec::new();
+    for (table, t) in [("A", a), ("B", b)] {
+        if t.is_empty() {
+            out.push(Diagnostic::EmptyTable { table });
+        }
     }
-    if b.is_empty() {
-        errors.push(PlanAnalysisError::EmptyTable { table: "B" });
-    }
-    errors.extend(check_cluster(&cfg.cluster));
-    check_operator_configs(cfg, &mut errors);
+    check_configs(cfg, &mut out);
 
     let pairs = a.len() as u128 * b.len() as u128;
-    let plan = cfg.force_plan.unwrap_or_else(|| {
-        choose_plan(
-            a,
-            b,
-            lib.matching.len(),
-            cfg.cluster.mapper_memory_bytes,
-            cfg.max_pairs,
-        )
-    });
+    let memory = cfg.cluster.mapper_memory_bytes;
+    let plan = match (rounds, cfg.force_plan) {
+        (1.., _) => PlanKind::BlockAndMatch,
+        (0, Some(forced)) => forced,
+        (0, None) => choose_plan(a, b, lib.matching.len(), memory, cfg.max_pairs),
+    };
+    let memory = memory as u128;
 
     if !a.is_empty() && !b.is_empty() {
         if lib.matching.is_empty() {
-            errors.push(PlanAnalysisError::NoFeatures { stage: "matching" });
+            out.push(Diagnostic::NoFeatures { stage: "matching" });
         }
         if plan == PlanKind::BlockAndMatch && lib.blocking.is_empty() {
-            errors.push(PlanAnalysisError::NoFeatures { stage: "blocking" });
+            out.push(Diagnostic::NoFeatures { stage: "blocking" });
         }
     }
 
     // Plan-template feasibility. `choose_plan` only picks MatchOnly when
-    // both budgets hold, so these fire for *forced* plans/operators.
-    if plan == PlanKind::MatchOnly {
-        if pairs > cfg.max_pairs {
-            errors.push(PlanAnalysisError::PairBudgetExceeded {
-                pairs,
-                budget: cfg.max_pairs,
-                cause: "match-only plan",
-            });
+    // both budgets hold, so these fire for *forced* plans and operators.
+    let budget = cfg.max_pairs;
+    let over_pairs = |cause| {
+        (pairs > budget).then_some(Diagnostic::PairBudgetExceeded {
+            pairs,
+            budget,
+            cause,
+        })
+    };
+    let over_memory = |stage, required| {
+        (required > memory).then_some(Diagnostic::MemoryBudgetExceeded {
+            stage,
+            required,
+            budget: memory,
+        })
+    };
+    match (plan, cfg.force_physical) {
+        (PlanKind::MatchOnly, _) => {
+            out.extend(over_pairs("match-only plan"));
+            let fv_bytes = estimate_fv_bytes(a, b, lib.matching.len());
+            out.extend(over_memory("match-only feature vectors", fv_bytes));
         }
-        let fv_bytes = estimate_fv_bytes(a, b, lib.matching.len());
-        if fv_bytes > cfg.cluster.mapper_memory_bytes as u128 {
-            errors.push(PlanAnalysisError::MemoryBudgetExceeded {
-                stage: "match-only feature vectors",
-                required: fv_bytes,
-                budget: cfg.cluster.mapper_memory_bytes as u128,
-            });
+        (PlanKind::BlockAndMatch, Some(PhysicalOp::MapSide)) => {
+            let table_bytes = estimate_table_bytes(a) as u128;
+            out.extend(over_memory("map_side broadcast of A", table_bytes));
+            out.extend(over_pairs("map_side"));
         }
-    }
-    if plan == PlanKind::BlockAndMatch {
-        match cfg.force_physical {
-            Some(PhysicalOp::MapSide) => {
-                let table_bytes = estimate_table_bytes(a) as u128;
-                if table_bytes > cfg.cluster.mapper_memory_bytes as u128 {
-                    errors.push(PlanAnalysisError::MemoryBudgetExceeded {
-                        stage: "map_side broadcast of A",
-                        required: table_bytes,
-                        budget: cfg.cluster.mapper_memory_bytes as u128,
-                    });
-                }
-                if pairs > cfg.max_pairs {
-                    errors.push(PlanAnalysisError::PairBudgetExceeded {
-                        pairs,
-                        budget: cfg.max_pairs,
-                        cause: "map_side",
-                    });
-                }
-            }
-            Some(PhysicalOp::ReduceSplit) if pairs > cfg.max_pairs => {
-                errors.push(PlanAnalysisError::PairBudgetExceeded {
-                    pairs,
-                    budget: cfg.max_pairs,
-                    cause: "reduce_split",
-                });
-            }
-            _ => {}
+        (PlanKind::BlockAndMatch, Some(PhysicalOp::ReduceSplit)) => {
+            out.extend(over_pairs("reduce_split"));
         }
+        (PlanKind::BlockAndMatch, _) => {}
     }
 
-    // Forced index-filter overrides: recall-safety obligations (errors)
-    // and kind compatibility (warnings).
-    check_forced_filters(
-        &cfg.force_filters,
-        &lib.blocking,
-        &mut errors,
-        &mut diagnostics,
-    );
+    check_forced_filters(&cfg.force_filters, &lib.blocking, &mut out);
 
-    // Unreachable stage: blocking-only configuration under a plan with no
-    // blocking stage is inert.
-    if plan == PlanKind::MatchOnly {
-        let inert: &[(&str, bool)] = &[
-            ("force_filters", !cfg.force_filters.is_empty()),
-            ("force_physical", cfg.force_physical.is_some()),
-        ];
-        for (field, _) in inert.iter().filter(|(_, set)| *set) {
-            diagnostics.push(Diagnostic {
-                code: "unreachable-stage",
-                severity: Severity::Warning,
-                span: PlanSpan {
-                    detail: format!("{field} under a match-only plan"),
-                    ..PlanSpan::default()
-                },
-                message: format!(
-                    "`{field}` configures the blocking stage, but the \
-                     match-only plan has none; it will be ignored"
-                ),
-                explain: "The match-only plan enumerates A x B directly and \
-                          never builds blocking indexes or runs a physical \
-                          blocking operator, so blocking-stage configuration \
-                          cannot take effect. Force a block-and-match plan or \
-                          drop the setting."
-                    .into(),
-            });
-        }
-    }
+    // Blocking-only configuration under a plan with no blocking stage is
+    // inert.
+    let inert = |set: bool, field| {
+        (set && plan == PlanKind::MatchOnly).then_some(Diagnostic::UnreachableStage { field })
+    };
+    out.extend(inert(!cfg.force_filters.is_empty(), "force_filters"));
+    out.extend(inert(cfg.force_physical.is_some(), "force_physical"));
 
     PlanAnalysis {
         plan,
         pairs,
         blocking_features: lib.blocking.len(),
         matching_features: lib.matching.len(),
-        errors,
-        diagnostics,
+        diagnostics: out,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::{Predicate, Rule};
-    use falcon_forest::SplitOp;
+    use crate::driver::Falcon;
+    use crate::error::FalconError;
+    use crate::rules::Rule;
+    use falcon_crowd::sim::{GroundTruth, OracleCrowd};
     use falcon_table::{AttrType, Schema, Value};
+    use falcon_textsim::Tokenizer;
 
     fn tables(n: usize) -> (Table, Table) {
         let schema = Schema::new([("title", AttrType::Str), ("price", AttrType::Num)]);
@@ -1021,203 +820,6 @@ mod tests {
             Table::new("b", schema, rows(n)),
         )
     }
-
-    #[test]
-    fn default_config_on_real_tables_is_accepted() {
-        let (a, b) = tables(20);
-        let analysis = analyze(&a, &b, &FalconConfig::default());
-        assert!(analysis.is_ok(), "unexpected errors: {:?}", analysis.errors);
-        assert_eq!(analysis.pairs, 400);
-        assert!(analysis.blocking_features > 0);
-        assert!(analysis.matching_features > 0);
-    }
-
-    #[test]
-    fn empty_tables_are_rejected() {
-        let (a, b) = tables(5);
-        let empty = Table::new("e", a.schema().clone(), Vec::<Vec<Value>>::new());
-        let analysis = analyze(&empty, &b, &FalconConfig::default());
-        assert!(analysis
-            .errors
-            .contains(&PlanAnalysisError::EmptyTable { table: "A" }));
-        let analysis = analyze(&a, &empty, &FalconConfig::default());
-        assert!(analysis
-            .errors
-            .contains(&PlanAnalysisError::EmptyTable { table: "B" }));
-    }
-
-    #[test]
-    fn zero_cluster_fields_are_rejected() {
-        let (a, b) = tables(5);
-        let mut cfg = FalconConfig::default();
-        cfg.cluster.nodes = 0;
-        cfg.cluster.mapper_memory_bytes = 0;
-        let analysis = analyze(&a, &b, &cfg);
-        assert!(analysis
-            .errors
-            .contains(&PlanAnalysisError::InvalidClusterConfig { field: "nodes" }));
-        assert!(analysis
-            .errors
-            .contains(&PlanAnalysisError::InvalidClusterConfig {
-                field: "mapper_memory_bytes"
-            }));
-    }
-
-    #[test]
-    fn forced_match_only_over_pair_budget_is_rejected() {
-        let (a, b) = tables(30);
-        let cfg = FalconConfig {
-            force_plan: Some(PlanKind::MatchOnly),
-            max_pairs: 100, // 30 * 30 = 900 > 100
-            ..FalconConfig::default()
-        };
-        let analysis = analyze(&a, &b, &cfg);
-        assert!(analysis.errors.iter().any(|e| matches!(
-            e,
-            PlanAnalysisError::PairBudgetExceeded {
-                pairs: 900,
-                budget: 100,
-                cause: "match-only plan",
-            }
-        )));
-    }
-
-    #[test]
-    fn forced_map_side_without_memory_is_rejected() {
-        let (a, b) = tables(30);
-        let mut cfg = FalconConfig {
-            force_plan: Some(PlanKind::BlockAndMatch),
-            force_physical: Some(PhysicalOp::MapSide),
-            ..FalconConfig::default()
-        };
-        cfg.cluster.mapper_memory_bytes = 1; // A cannot be broadcast
-        let analysis = analyze(&a, &b, &cfg);
-        assert!(analysis.errors.iter().any(|e| matches!(
-            e,
-            PlanAnalysisError::MemoryBudgetExceeded {
-                stage: "map_side broadcast of A",
-                ..
-            }
-        )));
-    }
-
-    #[test]
-    fn forced_reduce_split_over_pair_budget_is_rejected() {
-        let (a, b) = tables(30);
-        let cfg = FalconConfig {
-            force_plan: Some(PlanKind::BlockAndMatch),
-            force_physical: Some(PhysicalOp::ReduceSplit),
-            max_pairs: 10,
-            ..FalconConfig::default()
-        };
-        let analysis = analyze(&a, &b, &cfg);
-        assert!(analysis.errors.iter().any(|e| matches!(
-            e,
-            PlanAnalysisError::PairBudgetExceeded {
-                cause: "reduce_split",
-                ..
-            }
-        )));
-    }
-
-    #[test]
-    fn bad_operator_configs_are_rejected_with_the_right_fields() {
-        let (a, b) = tables(5);
-        let mut cfg = FalconConfig {
-            sample_size: 0,
-            sample_fanout: 1,
-            greedy_ratio: 0.0,
-            ..FalconConfig::default()
-        };
-        cfg.al.batch = 0;
-        cfg.eval.p_min = 1.5;
-        cfg.seq.alpha = f64::NAN;
-        let analysis = analyze(&a, &b, &cfg);
-        let fields: Vec<(&str, &str)> = analysis
-            .errors
-            .iter()
-            .filter_map(|e| match e {
-                PlanAnalysisError::InvalidOperatorConfig { op, field, .. } => Some((*op, *field)),
-                _ => None,
-            })
-            .collect();
-        for expected in [
-            ("sample_pairs", "sample_size"),
-            ("sample_pairs", "sample_fanout"),
-            ("al_matcher", "batch"),
-            ("eval_rules", "p_min"),
-            ("select_opt_seq", "alpha"),
-            ("apply_blocking_rules", "greedy_ratio"),
-        ] {
-            assert!(
-                fields.contains(&expected),
-                "missing {expected:?} in {fields:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn rule_sequence_contract_violations_are_typed() {
-        let pred = |feature: usize, threshold: f64| Predicate {
-            feature,
-            op: SplitOp::Le,
-            threshold,
-            nan_is_high: true,
-        };
-        let seq = RuleSequence::new(vec![
-            Rule { predicates: vec![] }, // no predicates
-            Rule {
-                predicates: vec![pred(7, 0.5)],
-            }, // feature out of range
-            Rule {
-                predicates: vec![pred(0, f64::NAN)],
-            }, // non-finite threshold
-        ]);
-        let errors = check_rule_sequence(&seq, 3);
-        assert_eq!(errors.len(), 3);
-        assert_eq!(
-            errors[0],
-            PlanAnalysisError::MalformedRule {
-                rule: 0,
-                issue: RuleIssue::NoPredicates
-            }
-        );
-        assert_eq!(
-            errors[1],
-            PlanAnalysisError::MalformedRule {
-                rule: 1,
-                issue: RuleIssue::FeatureOutOfRange {
-                    feature: 7,
-                    arity: 3
-                }
-            }
-        );
-        assert_eq!(
-            errors[2],
-            PlanAnalysisError::MalformedRule {
-                rule: 2,
-                issue: RuleIssue::NonFiniteThreshold { feature: 0 }
-            }
-        );
-    }
-
-    #[test]
-    fn well_formed_sequence_passes_the_contract() {
-        let seq = RuleSequence::new(vec![Rule {
-            predicates: vec![Predicate {
-                feature: 2,
-                op: SplitOp::Gt,
-                threshold: 0.4,
-                nan_is_high: false,
-            }],
-        }]);
-        assert!(check_rule_sequence(&seq, 3).is_empty());
-    }
-
-    // ---- static verifier (verify_rule_sequence / check_forced_filters) ----
-
-    use crate::driver::ForcedFilter;
-    use falcon_textsim::Tokenizer;
 
     fn blocking_features() -> FeatureSet {
         let (a, b) = tables(10);
@@ -1242,7 +844,176 @@ mod tests {
     }
 
     fn codes(diags: &[Diagnostic]) -> Vec<&'static str> {
-        diags.iter().map(|d| d.code).collect()
+        diags.iter().map(Diagnostic::code).collect()
+    }
+
+    #[test]
+    fn default_config_on_real_tables_is_accepted() {
+        let (a, b) = tables(20);
+        let analysis = analyze(&a, &b, &FalconConfig::default());
+        assert!(analysis.is_ok(), "unexpected: {:?}", analysis.diagnostics);
+        assert_eq!(analysis.pairs, 400);
+        assert!(analysis.blocking_features > 0);
+        assert!(analysis.matching_features > 0);
+    }
+
+    #[test]
+    fn empty_tables_are_rejected() {
+        let (a, b) = tables(5);
+        let empty = Table::new("e", a.schema().clone(), Vec::<Vec<Value>>::new());
+        let analysis = analyze(&empty, &b, &FalconConfig::default());
+        assert!(analysis
+            .diagnostics
+            .contains(&Diagnostic::EmptyTable { table: "A" }));
+        let analysis = analyze(&a, &empty, &FalconConfig::default());
+        assert!(analysis
+            .diagnostics
+            .contains(&Diagnostic::EmptyTable { table: "B" }));
+    }
+
+    #[test]
+    fn zero_cluster_fields_are_rejected() {
+        let (a, b) = tables(5);
+        let mut cfg = FalconConfig::default();
+        cfg.cluster.nodes = 0;
+        cfg.cluster.mapper_memory_bytes = 0;
+        let analysis = analyze(&a, &b, &cfg);
+        for field in ["nodes", "mapper_memory_bytes"] {
+            assert!(analysis
+                .errors()
+                .any(|d| *d == Diagnostic::InvalidClusterConfig { field }));
+        }
+    }
+
+    #[test]
+    fn forced_match_only_over_pair_budget_is_rejected() {
+        let (a, b) = tables(30);
+        let cfg = FalconConfig {
+            force_plan: Some(PlanKind::MatchOnly),
+            max_pairs: 100, // 30 * 30 = 900 > 100
+            ..FalconConfig::default()
+        };
+        let analysis = analyze(&a, &b, &cfg);
+        assert!(analysis.errors().any(|d| matches!(
+            d,
+            Diagnostic::PairBudgetExceeded {
+                pairs: 900,
+                budget: 100,
+                cause: "match-only plan",
+            }
+        )));
+    }
+
+    #[test]
+    fn forced_map_side_without_memory_is_rejected() {
+        let (a, b) = tables(30);
+        let mut cfg = FalconConfig {
+            force_plan: Some(PlanKind::BlockAndMatch),
+            force_physical: Some(PhysicalOp::MapSide),
+            ..FalconConfig::default()
+        };
+        cfg.cluster.mapper_memory_bytes = 1; // A cannot be broadcast
+        let analysis = analyze(&a, &b, &cfg);
+        assert!(analysis.errors().any(|d| matches!(
+            d,
+            Diagnostic::MemoryBudgetExceeded {
+                stage: "map_side broadcast of A",
+                ..
+            }
+        )));
+    }
+
+    #[test]
+    fn forced_reduce_split_over_pair_budget_is_rejected() {
+        let (a, b) = tables(30);
+        let cfg = FalconConfig {
+            force_plan: Some(PlanKind::BlockAndMatch),
+            force_physical: Some(PhysicalOp::ReduceSplit),
+            max_pairs: 10,
+            ..FalconConfig::default()
+        };
+        let analysis = analyze(&a, &b, &cfg);
+        assert!(analysis.errors().any(|d| matches!(
+            d,
+            Diagnostic::PairBudgetExceeded {
+                cause: "reduce_split",
+                ..
+            }
+        )));
+    }
+
+    #[test]
+    fn bad_operator_configs_are_rejected_with_the_right_fields() {
+        let (a, b) = tables(5);
+        let mut cfg = FalconConfig {
+            sample_size: 0,
+            sample_fanout: 1,
+            greedy_ratio: 0.0,
+            ..FalconConfig::default()
+        };
+        cfg.al.batch = 0;
+        cfg.eval.p_min = 1.5;
+        cfg.seq.alpha = f64::NAN;
+        let analysis = analyze(&a, &b, &cfg);
+        let fields: Vec<(&str, &str)> = analysis
+            .errors()
+            .filter_map(|d| match d {
+                Diagnostic::InvalidOperatorConfig { op, field, .. } => Some((*op, *field)),
+                _ => None,
+            })
+            .collect();
+        for expected in [
+            ("sample_pairs", "sample_size"),
+            ("sample_pairs", "sample_fanout"),
+            ("al_matcher", "batch"),
+            ("eval_rules", "p_min"),
+            ("select_opt_seq", "alpha"),
+            ("apply_blocking_rules", "greedy_ratio"),
+        ] {
+            assert!(
+                fields.contains(&expected),
+                "missing {expected:?} in {fields:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn rule_sequence_contract_violations_are_typed() {
+        let features = blocking_features();
+        let arity = features.len();
+        let seq = RuleSequence::new(vec![
+            Rule { predicates: vec![] }, // no predicates
+            Rule {
+                predicates: vec![pred(arity + 4, SplitOp::Le, 0.5, true)],
+            }, // feature out of range
+            Rule {
+                predicates: vec![pred(0, SplitOp::Le, f64::NAN, true)],
+            }, // non-finite threshold
+        ]);
+        let malformed = |rule, issue| Diagnostic::MalformedRule { rule, issue };
+        assert_eq!(
+            verify_rule_sequence(&seq, &features),
+            vec![
+                malformed(0, RuleIssue::NoPredicates),
+                malformed(
+                    1,
+                    RuleIssue::FeatureOutOfRange {
+                        feature: arity + 4,
+                        arity
+                    }
+                ),
+                malformed(2, RuleIssue::NonFiniteThreshold { feature: 0 }),
+            ]
+        );
+    }
+
+    #[test]
+    fn well_formed_sequence_passes_the_contract() {
+        let seq = RuleSequence::new(vec![Rule {
+            predicates: vec![pred(2, SplitOp::Gt, 0.4, false)],
+        }]);
+        let diags = verify_rule_sequence(&seq, &blocking_features());
+        assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
@@ -1253,17 +1024,18 @@ mod tests {
         let seq = RuleSequence::new(vec![Rule {
             predicates: vec![pred(jac, SplitOp::Gt, 1.0, false)],
         }]);
-        let (errors, diags) = verify_rule_sequence(&seq, &features);
-        assert!(errors.is_empty(), "{errors:?}");
+        let diags = verify_rule_sequence(&seq, &features);
         assert_eq!(codes(&diags), vec!["dead-predicate"], "{diags:?}");
-        assert_eq!(diags[0].severity, Severity::Warning);
-        assert_eq!(diags[0].span.rule, Some(0));
-        assert_eq!(diags[0].span.feature, Some(jac));
+        assert_eq!(diags[0].severity(), Severity::Warning);
+        assert!(matches!(
+            diags[0],
+            Diagnostic::DeadPredicate { at: (0, 0), test, .. } if test.feature == jac
+        ));
         // With NaN high the missing-value path still fires the rule.
         let seq = RuleSequence::new(vec![Rule {
             predicates: vec![pred(jac, SplitOp::Gt, 1.0, true)],
         }]);
-        let (_, diags) = verify_rule_sequence(&seq, &features);
+        let diags = verify_rule_sequence(&seq, &features);
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -1278,8 +1050,7 @@ mod tests {
                 pred(jac, SplitOp::Gt, 0.4, false),
             ],
         }]);
-        let (errors, diags) = verify_rule_sequence(&seq, &features);
-        assert!(errors.is_empty(), "{errors:?}");
+        let diags = verify_rule_sequence(&seq, &features);
         assert_eq!(codes(&diags), vec!["always-true-predicate"], "{diags:?}");
     }
 
@@ -1291,8 +1062,7 @@ mod tests {
         let seq = RuleSequence::new(vec![Rule {
             predicates: vec![pred(abs, SplitOp::Gt, 1e12, false)],
         }]);
-        let (errors, diags) = verify_rule_sequence(&seq, &features);
-        assert!(errors.is_empty(), "{errors:?}");
+        let diags = verify_rule_sequence(&seq, &features);
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -1308,10 +1078,12 @@ mod tests {
                 pred(jac, SplitOp::Le, 0.3, true),
             ],
         }]);
-        let (errors, diags) = verify_rule_sequence(&seq, &features);
-        assert!(errors.is_empty(), "{errors:?}");
+        let diags = verify_rule_sequence(&seq, &features);
         assert_eq!(codes(&diags), vec!["contradictory-rule"], "{diags:?}");
-        assert_eq!(diags[0].span.rule, Some(0));
+        assert!(matches!(
+            diags[0],
+            Diagnostic::ContradictoryRule { at: (0, 0), .. }
+        ));
     }
 
     #[test]
@@ -1327,10 +1099,8 @@ mod tests {
                 predicates: vec![pred(jac, SplitOp::Le, 0.3, true)],
             },
         ]);
-        let (errors, diags) = verify_rule_sequence(&seq, &features);
-        assert!(errors.is_empty(), "{errors:?}");
-        assert_eq!(codes(&diags), vec!["unreachable-rule"], "{diags:?}");
-        assert_eq!(diags[0].span.rule, Some(1));
+        let diags = verify_rule_sequence(&seq, &features);
+        assert_eq!(diags, vec![Diagnostic::UnreachableRule { rule: 1, by: 0 }]);
         // The reverse order is NOT subsumption: <= 0.5 drops more.
         let seq = RuleSequence::new(vec![
             Rule {
@@ -1340,7 +1110,7 @@ mod tests {
                 predicates: vec![pred(jac, SplitOp::Le, 0.5, true)],
             },
         ]);
-        let (_, diags) = verify_rule_sequence(&seq, &features);
+        let diags = verify_rule_sequence(&seq, &features);
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -1355,69 +1125,13 @@ mod tests {
         let seq = RuleSequence::new(vec![Rule {
             predicates: vec![pred(abs, SplitOp::Gt, -2.0, false)],
         }]);
-        let (errors, diags) = verify_rule_sequence(&seq, &features);
-        assert_eq!(errors.len(), 1, "{errors:?}");
+        let diags = verify_rule_sequence(&seq, &features);
+        assert_eq!(codes(&diags), vec!["recall-unsafe-filter"], "{diags:?}");
+        assert_eq!(diags[0].severity(), Severity::Error);
         assert!(matches!(
-            &errors[0],
-            PlanAnalysisError::UnsafeFilter { feature, .. } if *feature == abs
+            diags[0],
+            Diagnostic::UnsafeFilter { at: Some((0, 0)), feature, .. } if feature == abs
         ));
-        assert!(codes(&diags).contains(&"recall-unsafe-filter"), "{diags:?}");
-        let d = diags
-            .iter()
-            .find(|d| d.code == "recall-unsafe-filter")
-            .expect("diagnostic");
-        assert_eq!(d.severity, Severity::Error);
-        assert_eq!(d.span.feature, Some(abs));
-    }
-
-    #[test]
-    fn unprovable_signature_width_is_a_recall_safety_error() {
-        use crate::indexing::PreFilterConfig;
-        let features = blocking_features();
-        let jac = feature_with(&features, SimFunction::Jaccard(Tokenizer::QGram(3)));
-        let seq = RuleSequence::new(vec![Rule {
-            predicates: vec![pred(jac, SplitOp::Le, 0.5, true)],
-        }]);
-        // The default (valid) pre-filter config passes.
-        let (errors, _) = verify_rule_sequence_with(&seq, &features, &PreFilterConfig::default());
-        assert!(errors.is_empty(), "{errors:?}");
-        // Zero-width and oversized signatures cannot be proved lossless:
-        // rejected before anything is built.
-        for words in [0usize, 65, 1 << 20] {
-            let cfg = PreFilterConfig {
-                enabled: true,
-                words,
-            };
-            let (errors, diags) = verify_rule_sequence_with(&seq, &features, &cfg);
-            assert_eq!(errors.len(), 1, "words={words}: {errors:?}");
-            assert!(
-                matches!(
-                    &errors[0],
-                    PlanAnalysisError::UnsafeFilter { feature, .. } if *feature == jac
-                ),
-                "words={words}: {errors:?}"
-            );
-            assert!(codes(&diags).contains(&"recall-unsafe-filter"), "{diags:?}");
-        }
-        // Disabling the pre-filter makes the width irrelevant.
-        let cfg = PreFilterConfig {
-            enabled: false,
-            words: 0,
-        };
-        let (errors, _) = verify_rule_sequence_with(&seq, &features, &cfg);
-        assert!(errors.is_empty(), "{errors:?}");
-        // Non-set-similarity filters are never wrapped, so an invalid
-        // width cannot poison them.
-        let abs = feature_with(&features, SimFunction::ExactMatch);
-        let seq = RuleSequence::new(vec![Rule {
-            predicates: vec![pred(abs, SplitOp::Le, 0.5, true)],
-        }]);
-        let cfg = PreFilterConfig {
-            enabled: true,
-            words: 0,
-        };
-        let (errors, _) = verify_rule_sequence_with(&seq, &features, &cfg);
-        assert!(errors.is_empty(), "{errors:?}");
     }
 
     #[test]
@@ -1425,15 +1139,13 @@ mod tests {
         let features = blocking_features();
         let jac = feature_with(&features, SimFunction::Jaccard(Tokenizer::QGram(3)));
         let ff = ForcedFilter::for_feature(&features, jac, 0.0).expect("in range");
-        let mut errors = Vec::new();
         let mut diags = Vec::new();
-        check_forced_filters(&[ff], &features, &mut errors, &mut diags);
-        assert_eq!(errors.len(), 1, "{errors:?}");
-        assert!(matches!(
-            &errors[0],
-            PlanAnalysisError::UnsafeFilter { feature, .. } if *feature == jac
-        ));
+        check_forced_filters(&[ff], &features, &mut diags);
         assert_eq!(codes(&diags), vec!["recall-unsafe-filter"]);
+        assert!(matches!(
+            diags[0],
+            Diagnostic::UnsafeFilter { at: None, feature, .. } if feature == jac
+        ));
     }
 
     #[test]
@@ -1455,16 +1167,14 @@ mod tests {
                 threshold: 0.5,
             },
         };
-        let mut errors = Vec::new();
         let mut diags = Vec::new();
-        check_forced_filters(&[oob, mismatch], &features, &mut errors, &mut diags);
-        assert_eq!(errors.len(), 1, "{errors:?}");
+        check_forced_filters(&[oob, mismatch], &features, &mut diags);
         assert_eq!(
             codes(&diags),
-            vec!["forced-filter-mismatch", "forced-filter-mismatch"]
+            vec!["invalid-operator-config", "forced-filter-mismatch"]
         );
-        assert_eq!(diags[0].severity, Severity::Error);
-        assert_eq!(diags[1].severity, Severity::Warning);
+        assert_eq!(diags[0].severity(), Severity::Error);
+        assert_eq!(diags[1].severity(), Severity::Warning);
     }
 
     #[test]
@@ -1481,13 +1191,8 @@ mod tests {
         let analysis = analyze(&a, &b, &cfg);
         assert!(!analysis.is_ok());
         assert!(analysis
-            .errors
-            .iter()
-            .any(|e| matches!(e, PlanAnalysisError::UnsafeFilter { .. })));
-        assert!(analysis
-            .diagnostics
-            .iter()
-            .any(|d| d.code == "recall-unsafe-filter" && d.severity == Severity::Error));
+            .errors()
+            .any(|d| d.code() == "recall-unsafe-filter"));
     }
 
     #[test]
@@ -1502,16 +1207,18 @@ mod tests {
             ..FalconConfig::default()
         };
         let analysis = analyze(&a, &b, &cfg);
-        assert!(analysis.is_ok(), "{:?}", analysis.errors);
-        let stage_warnings: Vec<_> = analysis
-            .diagnostics
-            .iter()
-            .filter(|d| d.code == "unreachable-stage")
-            .collect();
-        assert_eq!(stage_warnings.len(), 2, "{:?}", analysis.diagnostics);
-        assert!(stage_warnings
-            .iter()
-            .all(|d| d.severity == Severity::Warning));
+        assert!(analysis.is_ok(), "{:?}", analysis.diagnostics);
+        assert_eq!(
+            analysis.diagnostics,
+            vec![
+                Diagnostic::UnreachableStage {
+                    field: "force_filters"
+                },
+                Diagnostic::UnreachableStage {
+                    field: "force_physical"
+                },
+            ]
+        );
         assert_eq!(analysis.warnings().count(), 2);
     }
 
@@ -1530,9 +1237,154 @@ mod tests {
             let analysis = analyze(&a, &b, &cfg);
             assert_eq!(
                 analysis,
-                analyze_with(&a, &b, &cfg, &generate_features(&a, &b))
+                analyze_with(&a, &b, &cfg, &generate_features(&a, &b), 0)
             );
         }
+    }
+
+    /// The workflow always blocks: at `rounds ≥ 1` the analysis judges the
+    /// block-and-match plan whatever `force_plan` says.
+    #[test]
+    fn the_workflow_is_analysed_as_the_plan_it_runs() {
+        let (a, b) = tables(5);
+        let cfg = FalconConfig {
+            force_plan: Some(PlanKind::MatchOnly),
+            max_pairs: 3,
+            ..FalconConfig::default()
+        };
+        let lib = generate_features(&a, &b);
+        let plain = analyze_with(&a, &b, &cfg, &lib, 0);
+        assert_eq!(plain.plan, PlanKind::MatchOnly);
+        assert!(!plain.is_ok());
+        let workflow = analyze_with(&a, &b, &cfg, &lib, 2);
+        assert_eq!(workflow.plan, PlanKind::BlockAndMatch);
+        assert!(workflow.is_ok(), "{:?}", workflow.diagnostics);
+    }
+
+    /// Every check records its finding once, in one list.
+    #[test]
+    fn each_finding_is_one_diagnostic() {
+        let (a, b) = tables(10);
+        let features = generate_features(&a, &b).blocking;
+        let jac = feature_with(&features, SimFunction::Jaccard(Tokenizer::QGram(3)));
+        let cfg = FalconConfig {
+            force_plan: Some(PlanKind::BlockAndMatch),
+            force_filters: vec![ForcedFilter::for_feature(&features, jac, -1.0).expect("in range")],
+            ..FalconConfig::default()
+        };
+        let analysis = analyze(&a, &b, &cfg);
+        assert_eq!(codes(&analysis.diagnostics), vec!["recall-unsafe-filter"]);
+
+        let seq = RuleSequence::new(vec![Rule { predicates: vec![] }]);
+        assert_eq!(
+            verify_rule_sequence(&seq, &features),
+            vec![Diagnostic::MalformedRule {
+                rule: 0,
+                issue: RuleIssue::NoPredicates
+            }]
+        );
+
+        let empty = Table::new("e", b.schema().clone(), Vec::<Vec<Value>>::new());
+        let analysis = analyze(&a, &empty, &FalconConfig::default());
+        assert_eq!(
+            analysis.diagnostics,
+            vec![Diagnostic::EmptyTable { table: "B" }]
+        );
+    }
+
+    #[test]
+    fn the_run_is_rejected_with_exactly_the_analysis_errors() {
+        let (a, b) = tables(5);
+        let mut cfg = FalconConfig {
+            sample_fanout: 1,
+            force_plan: Some(PlanKind::MatchOnly),
+            force_physical: Some(PhysicalOp::MapSide),
+            ..FalconConfig::default()
+        };
+        cfg.cluster.nodes = 0;
+        let analysis = analyze(&a, &b, &cfg);
+        assert!(analysis.warnings().count() > 0);
+        let err = Falcon::new(cfg)
+            .try_run(&a, &b, OracleCrowd::new(GroundTruth::new([])))
+            .expect_err("rejected");
+        assert_eq!(err, FalconError::Plan(analysis.errors().cloned().collect()));
+        assert_eq!(
+            err.to_string(),
+            "plan analysis rejected the run: cluster config field nodes must be nonzero; \
+             sample_pairs.sample_fanout: fan-out y must be >= 2, got 1"
+        );
+    }
+
+    #[test]
+    fn every_variant_has_its_own_code() {
+        let (name, test, range) = (
+            "f".to_string(),
+            pred(0, SplitOp::Gt, 1.0, false),
+            (0.0, 1.0),
+        );
+        let spec = FilterSpec::Equals {
+            a_attr: name.clone(),
+        };
+        let all = [
+            Diagnostic::EmptyTable { table: "A" },
+            Diagnostic::NoFeatures { stage: "matching" },
+            Diagnostic::InvalidClusterConfig { field: "nodes" },
+            Diagnostic::PairBudgetExceeded {
+                pairs: 2,
+                budget: 1,
+                cause: "map_side",
+            },
+            Diagnostic::MemoryBudgetExceeded {
+                stage: "map_side broadcast of A",
+                required: 2,
+                budget: 1,
+            },
+            Diagnostic::InvalidOperatorConfig {
+                op: "al_matcher",
+                field: "batch",
+                reason: String::new(),
+            },
+            Diagnostic::MalformedRule {
+                rule: 0,
+                issue: RuleIssue::NoPredicates,
+            },
+            Diagnostic::UnsafeFilter {
+                at: None,
+                feature: 0,
+                spec: spec.clone(),
+                obligation: Obligation::ThresholdPositive,
+            },
+            Diagnostic::DeadPredicate {
+                at: (0, 0),
+                test,
+                name: name.clone(),
+                range,
+            },
+            Diagnostic::AlwaysTruePredicate {
+                at: (0, 0),
+                test,
+                name: name.clone(),
+                range,
+            },
+            Diagnostic::ContradictoryRule {
+                at: (0, 0),
+                test,
+                name: name.clone(),
+                le: 0.3,
+            },
+            Diagnostic::UnreachableRule { rule: 1, by: 0 },
+            Diagnostic::ForcedFilterMismatch {
+                feature: 0,
+                name,
+                spec,
+            },
+            Diagnostic::UnreachableStage {
+                field: "force_physical",
+            },
+        ];
+        let distinct: std::collections::BTreeSet<_> = all.iter().map(Diagnostic::code).collect();
+        assert_eq!(distinct.len(), all.len());
+        assert!(all.iter().all(|d| !d.explain().is_empty()));
     }
 
     #[test]
@@ -1542,12 +1394,21 @@ mod tests {
         let seq = RuleSequence::new(vec![Rule {
             predicates: vec![pred(jac, SplitOp::Gt, 1.0, false)],
         }]);
-        let (_, diags) = verify_rule_sequence(&seq, &features);
+        let diags = verify_rule_sequence(&seq, &features);
         let rendered = diags[0].to_string();
-        assert!(
-            rendered.starts_with("warning[dead-predicate] rule 0"),
-            "{rendered}"
+        assert_eq!(
+            rendered,
+            format!(
+                "warning[dead-predicate] rule 0 / predicate 0 / feature {jac} ({name} > 1): \
+                 no value of {name} (range [0, 1]) satisfies `> 1`, so rule 0 never drops a pair",
+                name = features.get(jac).name
+            )
         );
-        assert!(rendered.contains("feature"), "{rendered}");
+        let empty = Diagnostic::EmptyTable { table: "B" };
+        assert_eq!(
+            empty.to_string(),
+            "error[empty-table] table B: input table B is empty"
+        );
+        assert_eq!(format!("{empty:#}"), "input table B is empty");
     }
 }

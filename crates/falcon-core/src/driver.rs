@@ -17,7 +17,7 @@ use crate::ops::sample_pairs::{sample_pairs_in, word_columns};
 use crate::ops::select_opt_seq::{select_opt_seq, SeqConfig};
 use crate::optimizer::{prebuild_for_rules, prebuild_generic, speculate_rules, OptFlags};
 use crate::physical::{self, estimate_table_bytes, BlockingError, BlockingStats, PhysicalOp};
-use crate::plan::{choose_plan, PlanKind};
+use crate::plan::PlanKind;
 use crate::rules::RuleSequence;
 use crate::stage::{StageCost, StageGate};
 use crate::timeline::{check_cancel, Timeline};
@@ -26,7 +26,6 @@ use falcon_crowd::{Crowd, CrowdJournal, CrowdSession, Ledger};
 use falcon_dataflow::{Cluster, ClusterConfig, FaultPlan, FaultStats};
 use falcon_index::FilterSpec;
 use falcon_table::{IdPair, Table};
-use falcon_textsim::SimFunction;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -51,8 +50,8 @@ pub struct ForcedFilter {
 
 impl ForcedFilter {
     /// Build an override for blocking feature `feature` with the given
-    /// threshold (set/edit similarity) or width (ranges), mapping the
-    /// feature's similarity function to its filter kind *directly* —
+    /// threshold (set/edit similarity) or width (ranges), of the kind
+    /// [`FilterSpec::for_sim`] maps the feature's similarity function to —
     /// deliberately without [`FilterSpec::from_predicate`]'s domain
     /// guards, so out-of-domain configurations reach the static verifier
     /// (and are rejected with a typed diagnostic) instead of being
@@ -64,26 +63,7 @@ impl ForcedFilter {
         threshold: f64,
     ) -> Option<ForcedFilter> {
         let f = features.features.get(feature)?;
-        let a_attr = f.a_attr.clone();
-        let spec = match f.sim {
-            SimFunction::ExactMatch => FilterSpec::Equals { a_attr },
-            SimFunction::AbsDiff => FilterSpec::Range {
-                a_attr,
-                width: threshold,
-                relative: false,
-            },
-            SimFunction::RelDiff => FilterSpec::Range {
-                a_attr,
-                width: threshold,
-                relative: true,
-            },
-            SimFunction::Levenshtein => FilterSpec::EditSim { a_attr, threshold },
-            sim => FilterSpec::SetSim {
-                a_attr,
-                sim,
-                threshold,
-            },
-        };
+        let spec = FilterSpec::for_sim(f.sim, &f.a_attr, threshold);
         Some(ForcedFilter { feature, spec })
     }
 }
@@ -123,10 +103,6 @@ pub struct FalconConfig {
     /// Per-feature index-filter overrides, verified recall-safe
     /// statically before any job runs.
     pub force_filters: Vec<ForcedFilter>,
-    /// Signature pre-filter layer for set-similarity blocking probes (on
-    /// by default; the planner still decides per conjunct whether to use
-    /// the built signatures). Unprovable widths are rejected statically.
-    pub prefilter: PreFilterConfig,
     /// Deterministic fault plan for the simulated cluster: injected task
     /// failures, stragglers and node loss (`None` = fault-free run).
     pub fault: Option<FaultPlan>,
@@ -151,7 +127,6 @@ impl Default for FalconConfig {
             force_plan: None,
             force_physical: None,
             force_filters: Vec::new(),
-            prefilter: PreFilterConfig::default(),
             fault: None,
             seed: 42,
         }
@@ -335,12 +310,13 @@ impl Falcon {
         ctl: RunCtl,
     ) -> Result<RunReport, FalconError> {
         // Feature generation: driver-local scans of both tables, shared
-        // with the pre-flight gate.
+        // with the pre-flight gate, which also decides the plan.
         let lib = generate_features(a, b);
-        let analysis = analyze::analyze_with(a, b, &self.config, &lib);
+        let analysis = analyze::analyze_with(a, b, &self.config, &lib, rounds);
         if !analysis.is_ok() {
-            return Err(FalconError::Plan(analysis.errors));
+            return Err(FalconError::Plan(analysis.errors().cloned().collect()));
         }
+        let plan = analysis.plan;
         let cfg = &self.config;
         let mut session = CrowdSession::new(crowd);
         if let Some(j) = ctl.journal {
@@ -353,19 +329,6 @@ impl Falcon {
 
         timeline.machine("gen_features", StageCost::local(a.len() + b.len()));
 
-        let plan = if rounds >= 1 {
-            PlanKind::BlockAndMatch
-        } else {
-            cfg.force_plan.unwrap_or_else(|| {
-                choose_plan(
-                    a,
-                    b,
-                    lib.matching.len(),
-                    cfg.cluster.mapper_memory_bytes,
-                    cfg.max_pairs,
-                )
-            })
-        };
         let mut run = Run {
             cfg,
             a,
@@ -553,7 +516,6 @@ impl<C: Crowd> Run<'_, C> {
                 a,
                 &ranked.rules,
                 &lib.blocking,
-                &cfg.prefilter,
                 &mut built,
                 timeline,
             )?;
@@ -571,7 +533,6 @@ impl<C: Crowd> Run<'_, C> {
                 b,
                 &rules_with_sel,
                 &lib.blocking,
-                &cfg.prefilter,
                 &mut built,
                 timeline,
                 cfg.max_pairs,
@@ -608,8 +569,10 @@ impl<C: Crowd> Run<'_, C> {
         // from it must discharge its recall-safety obligations before
         // anything is built from it (warnings — dead predicates,
         // unreachable rules — do not block the run).
-        let (seq_errors, _seq_warnings) =
-            analyze::verify_rule_sequence_with(&seq_out.seq, &lib.blocking, &cfg.prefilter);
+        let seq_errors: Vec<_> = analyze::verify_rule_sequence(&seq_out.seq, &lib.blocking)
+            .into_iter()
+            .filter(|d| d.severity() == analyze::Severity::Error)
+            .collect();
         if !seq_errors.is_empty() {
             return Err(FalconError::Plan(seq_errors));
         }
@@ -618,7 +581,7 @@ impl<C: Crowd> Run<'_, C> {
         // Forced-filter substitution happens on the base specs; the
         // signature pre-filter wraps whatever survived substitution.
         let conjuncts = ConjunctSpecs::derive_with(&seq_out.seq, &lib.blocking, &cfg.force_filters)
-            .with_signatures(&cfg.prefilter);
+            .with_signatures(&PreFilterConfig::default());
         // Build whatever index is still missing (unmasked).
         for (spec, key) in conjuncts.all_specs_keyed() {
             let cost = built.build_spec_keyed(cluster, a, spec, key)?;

@@ -1,6 +1,6 @@
 //! The top-level error type surfaced by Falcon's operators and driver.
 
-use crate::analyze::PlanAnalysisError;
+use crate::analyze::Diagnostic;
 use crate::physical::BlockingError;
 use crate::stage::CancelReason;
 use falcon_crowd::JournalError;
@@ -23,8 +23,10 @@ pub enum FalconError {
     Blocking(BlockingError),
     /// An index could not be built from its filter spec.
     Index(IndexError),
-    /// Pre-flight plan analysis rejected the run before any job started.
-    Plan(Vec<PlanAnalysisError>),
+    /// Static plan analysis rejected the run before any job started (or,
+    /// for the optimizer's rule sequence, before any index was built from
+    /// it): the error-severity [`Diagnostic`]s.
+    Plan(Vec<Diagnostic>),
     /// An operator received a pair referencing a tuple id absent from the
     /// named table.
     UnknownTupleId {
@@ -67,7 +69,7 @@ impl fmt::Display for FalconError {
                     if i > 0 {
                         write!(f, "; ")?;
                     }
-                    write!(f, "{e}")?;
+                    write!(f, "{e:#}")?;
                 }
                 Ok(())
             }

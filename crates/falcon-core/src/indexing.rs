@@ -13,7 +13,7 @@
 
 use crate::driver::ForcedFilter;
 use crate::error::FalconError;
-use crate::features::FeatureSet;
+use crate::features::{Feature, FeatureSet};
 use crate::rules::RuleSequence;
 use crate::stage::StageCost;
 use crate::tokens::{ProfileSpec, TokenStore};
@@ -148,7 +148,7 @@ impl ConjunctSpecs {
                             let spec = forced
                                 .iter()
                                 .find(|ff| ff.feature == q.feature)
-                                .filter(|ff| safe_substitution(&ff.spec, &derived))
+                                .filter(|ff| safe_substitution(&ff.spec, f, &derived))
                                 .map_or(derived, |ff| ff.spec.clone());
                             (spec, f.b_idx)
                         })
@@ -213,50 +213,31 @@ impl ConjunctSpecs {
     }
 }
 
-/// True when probing `forced` can only return a superset of the
-/// candidates probing `derived` returns (and `forced` discharges its own
-/// recall-safety obligations) — the condition under which substituting it
-/// keeps blocking lossless.
-fn safe_substitution(forced: &FilterSpec, derived: &FilterSpec) -> bool {
-    if forced.a_attr() != derived.a_attr() || forced.verify().is_err() {
-        return false;
-    }
-    match (forced, derived) {
-        // A smaller similarity threshold admits every pair the larger one
-        // admits (sim > t is monotone in t).
-        (
-            FilterSpec::SetSim {
-                sim: fs,
-                threshold: ft,
-                ..
-            },
-            FilterSpec::SetSim {
-                sim: ds,
-                threshold: dt,
-                ..
-            },
-        ) => fs == ds && ft <= dt,
-        (FilterSpec::EditSim { threshold: ft, .. }, FilterSpec::EditSim { threshold: dt, .. }) => {
-            ft <= dt
+/// True when `forced` is the kind feature `f` indexes with
+/// ([`FilterSpec::is_for`]), discharges its own recall-safety obligations,
+/// and probing it can only return a superset of the candidates probing
+/// `derived` (`f`'s filter) returns — the condition under which
+/// substituting it keeps blocking lossless.
+fn safe_substitution(forced: &FilterSpec, f: &Feature, derived: &FilterSpec) -> bool {
+    forced.is_for(f.sim, &f.a_attr)
+        && forced.verify().is_ok()
+        && match (forced, derived) {
+            // A smaller similarity threshold admits every pair the larger
+            // one admits (sim > t is monotone in t).
+            (
+                FilterSpec::SetSim { threshold: ft, .. },
+                FilterSpec::SetSim { threshold: dt, .. },
+            )
+            | (
+                FilterSpec::EditSim { threshold: ft, .. },
+                FilterSpec::EditSim { threshold: dt, .. },
+            ) => ft <= dt,
+            // A wider window admits every pair the narrower one admits
+            // (dist <= w is monotone in w).
+            (FilterSpec::Range { width: fw, .. }, FilterSpec::Range { width: dw, .. }) => fw >= dw,
+            // Equality filtering has no parameter to relax.
+            _ => false,
         }
-        // A wider window of the same kind admits every pair the narrower
-        // one admits (dist <= w is monotone in w).
-        (
-            FilterSpec::Range {
-                width: fw,
-                relative: fr,
-                ..
-            },
-            FilterSpec::Range {
-                width: dw,
-                relative: dr,
-                ..
-            },
-        ) => fr == dr && fw >= dw,
-        // Equality filtering has no parameter to relax; anything else is
-        // a kind mismatch.
-        _ => false,
-    }
 }
 
 /// Cache of built indexes over a token store.

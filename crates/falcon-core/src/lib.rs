@@ -48,7 +48,7 @@ pub mod stage;
 pub mod timeline;
 pub mod tokens;
 
-pub use analyze::{analyze, Diagnostic, PlanAnalysis, PlanAnalysisError, PlanSpan, Severity};
+pub use analyze::{analyze, Diagnostic, PlanAnalysis, Severity};
 pub use driver::{Falcon, FalconConfig, ForcedFilter, RunReport};
 pub use error::FalconError;
 pub use features::{Feature, FeatureLibrary, FeatureSet};

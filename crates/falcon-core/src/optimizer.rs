@@ -105,19 +105,19 @@ pub fn prebuild_generic(
 
 /// Masking step 1b: build every per-predicate index the top-ranked rules
 /// could need, during the `eval_rules` crowd rounds. Specs are wrapped
-/// with the run's signature pre-filter config so the cache keys match
-/// what `apply_blocking_rules` will look up.
+/// with the signature pre-filter exactly as `apply_blocking_rules` wraps
+/// them, so the cache keys match what it will look up.
 pub fn prebuild_for_rules(
     cluster: &Cluster,
     a: &Table,
     rules: &[Rule],
     features: &FeatureSet,
-    prefilter: &PreFilterConfig,
     built: &mut BuiltIndexes<'_>,
     timeline: &mut Timeline,
 ) -> Result<(), FalconError> {
     let seq = RuleSequence::new(rules.to_vec());
-    let conjuncts = ConjunctSpecs::derive(&seq, features).with_signatures(prefilter);
+    let conjuncts =
+        ConjunctSpecs::derive(&seq, features).with_signatures(&PreFilterConfig::default());
     for (spec, key) in conjuncts.all_specs_keyed() {
         let cost = built.build_spec_keyed(cluster, a, spec, key)?;
         timeline.masked_machine("index_build", cost);
@@ -138,7 +138,6 @@ pub fn speculate_rules(
     b: &Table,
     rules: &[(Rule, f64)],
     features: &FeatureSet,
-    prefilter: &PreFilterConfig,
     built: &mut BuiltIndexes<'_>,
     timeline: &mut Timeline,
     max_pairs: u128,
@@ -159,7 +158,8 @@ pub fn speculate_rules(
             continue;
         }
         let seq = RuleSequence::new(vec![rule.clone()]);
-        let conjuncts = ConjunctSpecs::derive(&seq, features).with_signatures(prefilter);
+        let conjuncts =
+            ConjunctSpecs::derive(&seq, features).with_signatures(&PreFilterConfig::default());
         if conjuncts.filterable().is_empty() {
             continue; // no index support; speculation would enumerate A×B
         }
@@ -261,7 +261,6 @@ mod tests {
             &b,
             &[(rule.clone(), 0.01)],
             &lib.blocking,
-            &PreFilterConfig::default(),
             &mut built,
             &mut tl,
             1 << 30,
@@ -277,7 +276,6 @@ mod tests {
             &b,
             &[(rule.clone(), 0.01)],
             &lib.blocking,
-            &PreFilterConfig::default(),
             &mut built,
             &mut tl,
             1 << 30,
@@ -291,7 +289,6 @@ mod tests {
             &b,
             &[(rule.clone(), 0.9)],
             &lib.blocking,
-            &PreFilterConfig::default(),
             &mut built,
             &mut tl,
             1 << 30,

@@ -37,76 +37,6 @@ pub fn choose_plan(
     }
 }
 
-/// Cost-based plan selection — the "in the future we will consider a
-/// cost-based approach that selects the plan with the estimated lower run
-/// time" of Section 10.1, implemented with a simple analytical model.
-///
-/// Per-pair cost constants are in arbitrary machine units; only the ratio
-/// between the two plans matters.
-#[derive(Debug, Clone)]
-pub struct PlanCostModel {
-    /// Cost to compute one feature vector (per pair).
-    pub fv_cost: f64,
-    /// Cost to probe the blocking indexes (per B tuple).
-    pub probe_cost: f64,
-    /// Cost to build indexes (per A tuple).
-    pub index_cost: f64,
-    /// Expected fraction of `A × B` surviving blocking.
-    pub expected_selectivity: f64,
-}
-
-impl Default for PlanCostModel {
-    fn default() -> Self {
-        Self {
-            fv_cost: 1.0,
-            probe_cost: 0.5,
-            index_cost: 0.3,
-            // Paper Table 2: candidate sets are 0.01-0.95% of A×B.
-            expected_selectivity: 0.005,
-        }
-    }
-}
-
-impl PlanCostModel {
-    /// Estimated machine cost of the matcher-only plan: feature vectors
-    /// for every pair of `A × B`.
-    pub fn match_only_cost(&self, a: &Table, b: &Table) -> f64 {
-        a.len() as f64 * b.len() as f64 * self.fv_cost
-    }
-
-    /// Estimated machine cost of the blocking plan: sampling + index
-    /// building + probing + feature vectors for the surviving fraction.
-    pub fn block_and_match_cost(&self, a: &Table, b: &Table, sample_size: usize) -> f64 {
-        let pairs = a.len() as f64 * b.len() as f64;
-        sample_size as f64 * self.fv_cost
-            + a.len() as f64 * self.index_cost
-            + b.len() as f64 * self.probe_cost
-            + pairs * self.expected_selectivity * self.fv_cost
-    }
-
-    /// Pick the plan with the lower estimated cost, still honouring the
-    /// hard memory/pair guards of [`choose_plan`] (a matcher-only plan
-    /// that cannot fit is never chosen, whatever the model says).
-    pub fn choose(
-        &self,
-        a: &Table,
-        b: &Table,
-        arity: usize,
-        node_memory: usize,
-        max_pairs: u128,
-        sample_size: usize,
-    ) -> PlanKind {
-        if choose_plan(a, b, arity, node_memory, max_pairs) == PlanKind::BlockAndMatch {
-            return PlanKind::BlockAndMatch; // hard constraints bind
-        }
-        if self.match_only_cost(a, b) <= self.block_and_match_cost(a, b, sample_size) {
-            PlanKind::MatchOnly
-        } else {
-            PlanKind::BlockAndMatch
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,36 +73,6 @@ mod tests {
         // Pair budget also forces blocking.
         assert_eq!(
             choose_plan(&a, &b, 20, 1 << 40, 1_000),
-            PlanKind::BlockAndMatch
-        );
-    }
-
-    #[test]
-    fn cost_model_prefers_blocking_past_crossover() {
-        let model = PlanCostModel::default();
-        // Tiny tables: enumerating A×B is cheaper than sampling+indexing.
-        let (a, b) = (table(20), table(20));
-        assert_eq!(
-            model.choose(&a, &b, 20, 1 << 40, u128::MAX, 1_000),
-            PlanKind::MatchOnly
-        );
-        // Bigger tables: the 0.5% surviving fraction plus probes beats
-        // computing 4M feature vectors.
-        let (a, b) = (table(2000), table(2000));
-        assert_eq!(
-            model.choose(&a, &b, 20, 1 << 40, u128::MAX, 1_000),
-            PlanKind::BlockAndMatch
-        );
-    }
-
-    #[test]
-    fn cost_model_respects_hard_guards() {
-        let model = PlanCostModel::default();
-        let (a, b) = (table(50), table(50));
-        // Memory guard forces blocking even where the model prefers
-        // matcher-only.
-        assert_eq!(
-            model.choose(&a, &b, 20, 0, u128::MAX, 1_000),
             PlanKind::BlockAndMatch
         );
     }

@@ -6,7 +6,7 @@
 //! window of size `w` over the merged order: tuples within a window become
 //! candidate pairs. Like KBB it is fast and hands-on (someone must pick
 //! the key), and like KBB it loses recall when the key prefix is dirty —
-//! which is what the `snb` rows of the `kbb_recall` bench demonstrate.
+//! which is what the SNB column of `repro --section kbb` demonstrates.
 
 use falcon_table::{IdPair, Table};
 

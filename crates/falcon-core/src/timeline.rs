@@ -233,14 +233,6 @@ impl Timeline {
     pub fn segments(&self) -> &[Segment] {
         &self.segments
     }
-
-    /// Merge another timeline's segments (capacity is recomputed by the
-    /// running totals already embedded in segments, so excesses stay as
-    /// recorded).
-    pub fn extend(&mut self, other: Timeline) {
-        self.capacity += other.capacity;
-        self.segments.extend(other.segments);
-    }
 }
 
 /// Driver-level cancellation point: when the stage gate has requested

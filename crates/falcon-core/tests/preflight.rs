@@ -2,7 +2,7 @@
 //! malformed configurations as [`FalconError::Plan`] *before* issuing any
 //! MapReduce job or crowd question.
 
-use falcon_core::analyze::PlanAnalysisError;
+use falcon_core::analyze::Diagnostic;
 use falcon_core::driver::{Falcon, FalconConfig, ForcedFilter, RunCtl};
 use falcon_core::error::FalconError;
 use falcon_core::features::generate_features;
@@ -55,7 +55,7 @@ fn malformed_operator_config_is_rejected_before_the_crowd() {
     };
     assert!(errors.iter().any(|e| matches!(
         e,
-        PlanAnalysisError::InvalidOperatorConfig {
+        Diagnostic::InvalidOperatorConfig {
             op: "sample_pairs",
             field: "sample_fanout",
             ..
@@ -75,7 +75,26 @@ fn infeasible_forced_plan_is_rejected_before_the_crowd() {
         .try_run(&d.a, &d.b, UnreachableCrowd)
         .expect_err("over-budget match-only plan must be rejected");
     assert!(matches!(err, FalconError::Plan(ref errors)
-        if errors.iter().any(|e| matches!(e, PlanAnalysisError::PairBudgetExceeded { .. }))));
+        if errors.iter().any(|e| matches!(e, Diagnostic::PairBudgetExceeded { .. }))));
+}
+
+/// The workflow (`rounds ≥ 1`) always blocks, so the gate must judge the
+/// block-and-match plan it runs: a forced match-only plan over the pair
+/// budget is no reason to reject a run that never enumerates `A × B`.
+#[test]
+fn the_gate_judges_the_plan_the_workflow_runs() {
+    let d = products::generate(0.05, 3);
+    let cfg = FalconConfig {
+        force_plan: Some(PlanKind::MatchOnly),
+        max_pairs: d.a.len() as u128 * d.b.len() as u128 - 1,
+        ..small_config()
+    };
+    let truth = GroundTruth::new(d.truth.iter().copied());
+    let report = Falcon::new(cfg)
+        .try_run_with(&d.a, &d.b, OracleCrowd::new(truth), 2, RunCtl::default())
+        .expect("the workflow blocks, so the match-only pair budget does not apply");
+    assert_eq!(report.plan, PlanKind::BlockAndMatch);
+    assert!(!report.matches.is_empty());
 }
 
 #[test]
@@ -87,7 +106,7 @@ fn zero_cluster_is_rejected_by_the_workflow_entry_point_too() {
         .try_run_with(&d.a, &d.b, UnreachableCrowd, 2, RunCtl::default())
         .expect_err("zero-node cluster must be rejected");
     assert!(matches!(err, FalconError::Plan(ref errors)
-        if errors.contains(&PlanAnalysisError::InvalidClusterConfig { field: "nodes" })));
+        if errors.contains(&Diagnostic::InvalidClusterConfig { field: "nodes" })));
 }
 
 #[test]
@@ -114,9 +133,9 @@ fn recall_unsafe_forced_filter_is_rejected_before_the_crowd() {
         panic!("expected FalconError::Plan, got {err:?}");
     };
     assert!(
-        errors.iter().any(
-            |e| matches!(e, PlanAnalysisError::UnsafeFilter { feature, .. } if *feature == jac)
-        ),
+        errors
+            .iter()
+            .any(|e| matches!(e, Diagnostic::UnsafeFilter { feature, .. } if *feature == jac)),
         "{errors:?}"
     );
     // The rendered error names the failed obligation.

@@ -91,35 +91,61 @@ impl FilterSpec {
     /// `<=` splits), false for `<= v`. Returns `None` when the predicate is
     /// unfilterable (dissimilarity predicates, exotic measures).
     pub fn from_predicate(sim: SimFunction, a_attr: &str, gt: bool, v: f64) -> Option<FilterSpec> {
-        match (sim, gt) {
-            // Similarity must EXCEED a threshold -> prunable.
-            (SimFunction::ExactMatch, true) if (0.0..1.0).contains(&v) => {
-                Some(FilterSpec::Equals {
-                    a_attr: a_attr.to_string(),
-                })
-            }
-            (s, true) if s.is_set_based() && v > 0.0 => Some(FilterSpec::SetSim {
-                a_attr: a_attr.to_string(),
-                sim: s,
-                threshold: v,
-            }),
-            (SimFunction::Levenshtein, true) if v > 0.0 => Some(FilterSpec::EditSim {
-                a_attr: a_attr.to_string(),
-                threshold: v,
-            }),
-            // Distance must stay BELOW a threshold -> prunable.
-            (SimFunction::AbsDiff, false) => Some(FilterSpec::Range {
-                a_attr: a_attr.to_string(),
+        // Similarity must EXCEED a threshold, or distance stay BELOW one.
+        let filterable = match sim {
+            SimFunction::ExactMatch => gt && (0.0..1.0).contains(&v),
+            SimFunction::Levenshtein => gt && v > 0.0,
+            SimFunction::AbsDiff => !gt,
+            SimFunction::RelDiff => !gt && v < 1.0,
+            s => gt && s.is_set_based() && v > 0.0,
+        };
+        filterable.then(|| FilterSpec::for_sim(sim, a_attr, v))
+    }
+
+    /// The filter kind `sim` indexes with, over `a_attr`, at threshold
+    /// (set/edit similarity) or width (ranges) `v`: the one similarity →
+    /// filter-kind mapping. No domain guard applies, so an out-of-domain
+    /// `v` or a non-set measure yields a spec [`FilterSpec::verify`]
+    /// rejects; [`FilterSpec::from_predicate`] adds the guards.
+    pub fn for_sim(sim: SimFunction, a_attr: &str, v: f64) -> FilterSpec {
+        let a_attr = a_attr.to_string();
+        match sim {
+            SimFunction::ExactMatch => FilterSpec::Equals { a_attr },
+            SimFunction::AbsDiff => FilterSpec::Range {
+                a_attr,
                 width: v,
                 relative: false,
-            }),
-            (SimFunction::RelDiff, false) if v < 1.0 => Some(FilterSpec::Range {
-                a_attr: a_attr.to_string(),
+            },
+            SimFunction::RelDiff => FilterSpec::Range {
+                a_attr,
                 width: v,
                 relative: true,
-            }),
-            _ => None,
+            },
+            SimFunction::Levenshtein => FilterSpec::EditSim {
+                a_attr,
+                threshold: v,
+            },
+            sim => FilterSpec::SetSim {
+                a_attr,
+                sim,
+                threshold: v,
+            },
         }
+    }
+
+    /// True when this spec is the kind [`FilterSpec::for_sim`] gives `sim`
+    /// over `a_attr`, at any threshold or width.
+    pub fn is_for(&self, sim: SimFunction, a_attr: &str) -> bool {
+        self.a_attr() == a_attr
+            && match (self, FilterSpec::for_sim(sim, a_attr, 0.0)) {
+                (FilterSpec::Range { relative: r, .. }, FilterSpec::Range { relative: k, .. }) => {
+                    *r == k
+                }
+                (FilterSpec::SetSim { sim: s, .. }, FilterSpec::SetSim { sim: k, .. }) => *s == k,
+                (FilterSpec::Equals { .. }, FilterSpec::Equals { .. })
+                | (FilterSpec::EditSim { .. }, FilterSpec::EditSim { .. }) => true,
+                _ => false,
+            }
     }
 
     /// The A-side attribute the filter indexes.

@@ -88,7 +88,7 @@ use falcon_table::IdPair;
 /// per-tenant virtual times, service, stage counts, statuses, match
 /// digests, ledger counters and solo timelines (every segment is priced,
 /// none measured), plus the aggregates. Shared by the
-/// determinism proptest, the chaos harness and the `serve_chaos` bench so
+/// determinism proptest, the chaos harness and `repro --section chaos` so
 /// they all assert the same notion of identity.
 pub fn serve_fingerprint(rep: &ServeReport) -> Vec<(String, u128)> {
     let mut fp = Vec::new();
