@@ -1,11 +1,12 @@
 //! Criterion micro-benchmarks for the hot primitives: similarity
 //! functions, tokenization, index probes, the blocking rule evaluator,
-//! forest training/prediction and bitmap calculus.
+//! forest training (one-shot and active learning's growing set) and
+//! prediction, and bitmap calculus.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use falcon::core::physical::{EvalScratch, PairEvaluator};
 use falcon::core::{Feature, FeatureSet, Predicate, Rule, RuleSequence};
-use falcon::forest::{Dataset, Forest, ForestConfig, SplitOp};
+use falcon::forest::{default_threads, Dataset, Forest, ForestConfig, RankedDataset, SplitOp};
 use falcon::index::{FilterSpec, PredicateIndex};
 use falcon::table::{AttrType, Schema, Table, Value};
 use falcon::textsim::tokenize::word_tokens;
@@ -119,6 +120,41 @@ fn bench_forest(c: &mut Criterion) {
                 &ForestConfig::default(),
                 &mut SmallRng::seed_from_u64(3),
             )
+        })
+    });
+    // Active learning's training side: 30 rounds of +20 labeled rows over
+    // 39 features, a 10-tree forest per round on the ranks the set
+    // carries. Similarity-like values: two decimals, some missing.
+    let mut rng_al = SmallRng::seed_from_u64(5);
+    let rounds: Vec<Vec<(Vec<f64>, bool)>> = (0..30)
+        .map(|_| {
+            (0..20)
+                .map(|_| {
+                    let fv: Vec<f64> = (0..39)
+                        .map(|_| match rng_al.gen_range(0..10) {
+                            0 => f64::NAN,
+                            _ => (rng_al.gen::<f64>() * 100.0).round() / 100.0,
+                        })
+                        .collect();
+                    let label = fv[0] + fv[5] * 0.5 > 0.8;
+                    (fv, label)
+                })
+                .collect()
+        })
+        .collect();
+    c.bench_function("forest_train_al_rounds", |b| {
+        b.iter(|| {
+            let mut set = RankedDataset::new();
+            let mut trng = SmallRng::seed_from_u64(4);
+            for batch in &rounds {
+                set.extend(batch.iter().cloned());
+                black_box(Forest::train_ranked(
+                    &set,
+                    &ForestConfig::default(),
+                    &mut trng,
+                    default_threads(),
+                ));
+            }
         })
     });
     let forest = Forest::train(&data, &ForestConfig::default(), &mut rng);

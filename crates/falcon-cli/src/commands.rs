@@ -281,37 +281,8 @@ pub fn cmd_plan(args: &[String]) -> Result<(), String> {
     }
     let explain = has_flag(args, "--explain");
 
-    // `--force-filter IDX:THRESHOLD` (repeatable): override the index
-    // filter of blocking feature IDX. Deliberately constructed without
-    // domain guards so recall-unsafe values are *rejected by the
-    // verifier*, with a diagnostic, rather than silently dropped.
     let blocking = generate_features(&a, &b).blocking;
-    let mut i = 0;
-    while let Some(pos) = args[i..].iter().position(|s| s == "--force-filter") {
-        let at = i + pos;
-        let value = args
-            .get(at + 1)
-            .ok_or("--force-filter expects IDX:THRESHOLD")?;
-        let (idx, threshold) = value
-            .split_once(':')
-            .ok_or("--force-filter expects IDX:THRESHOLD")?;
-        let idx: usize = idx
-            .parse()
-            .map_err(|_| "--force-filter IDX must be a feature index")?;
-        let threshold: f64 = threshold
-            .parse()
-            .map_err(|_| "--force-filter THRESHOLD must be a number")?;
-        let ff = falcon::core::ForcedFilter::for_feature(&blocking, idx, threshold).ok_or_else(
-            || {
-                format!(
-                    "--force-filter references feature {idx} but only {} blocking features exist",
-                    blocking.len()
-                )
-            },
-        )?;
-        config.force_filters.push(ff);
-        i = at + 2;
-    }
+    config.force_filters = force_filters(args, &blocking)?;
 
     let analysis = falcon::core::analyze(&a, &b, &config);
     println!(
@@ -358,6 +329,43 @@ pub fn cmd_plan(args: &[String]) -> Result<(), String> {
             analysis.errors().count()
         ))
     }
+}
+
+/// Every `--force-filter IDX:THRESHOLD` (repeatable) in `args`: override
+/// the index filter of blocking feature IDX. Deliberately constructed
+/// without domain guards so recall-unsafe values are *rejected by the
+/// verifier*, with a diagnostic, rather than silently dropped.
+fn force_filters(
+    args: &[String],
+    blocking: &falcon::core::FeatureSet,
+) -> Result<Vec<falcon::core::ForcedFilter>, String> {
+    let mut filters = Vec::new();
+    let mut i = 0;
+    while let Some(pos) = args[i..].iter().position(|s| s == "--force-filter") {
+        let at = i + pos;
+        let value = args
+            .get(at + 1)
+            .ok_or("--force-filter expects IDX:THRESHOLD")?;
+        let (idx, threshold) = value
+            .split_once(':')
+            .ok_or("--force-filter expects IDX:THRESHOLD")?;
+        let idx: usize = idx
+            .parse()
+            .map_err(|_| "--force-filter IDX must be a feature index")?;
+        let threshold: f64 = threshold
+            .parse()
+            .map_err(|_| "--force-filter THRESHOLD must be a number")?;
+        let ff =
+            falcon::core::ForcedFilter::for_feature(blocking, idx, threshold).ok_or_else(|| {
+                format!(
+                    "--force-filter references feature {idx} but only {} blocking features exist",
+                    blocking.len()
+                )
+            })?;
+        filters.push(ff);
+        i = at + 2;
+    }
+    Ok(filters)
 }
 
 /// `falcon profile table.csv`: the Section 8 attribute analysis.
@@ -936,6 +944,114 @@ mod tests {
                 Ok(m) => prop_assert!(m.scale.is_finite() && m.scale > 0.0 && m.scale <= 1.0),
                 Err(e) => prop_assert!(e.starts_with(&format!("line {}:", idx + 1)), "{}", e),
             }
+        }
+    }
+
+    /// Hostile `--force-filter` values and policy names: numbers no
+    /// threshold can hold, empty parts, extra colons, and arbitrary bytes.
+    fn hostile_word() -> impl Strategy<Value = String> {
+        const WORDS: [&str; 14] = [
+            "NaN",
+            "nan",
+            "inf",
+            "-inf",
+            "1e308",
+            "1e309",
+            "-0",
+            "0",
+            "1",
+            "",
+            "18446744073709551616",
+            "fair",
+            "shed",
+            "queue-with-deadline",
+        ];
+        prop_oneof![
+            (0..WORDS.len()).prop_map(|i| WORDS[i].to_string()),
+            any::<f64>().prop_map(|x| x.to_string()),
+            any::<i64>().prop_map(|x| x.to_string()),
+            "[ -~]{0,10}",
+        ]
+    }
+
+    fn hostile_spec() -> impl Strategy<Value = String> {
+        prop_oneof![
+            proptest::collection::vec(hostile_word(), 0..4).prop_map(|parts| parts.join(":")),
+            hostile_word(),
+        ]
+    }
+
+    /// Two blocking features: a set measure and an edit measure.
+    fn two_features() -> falcon::core::FeatureSet {
+        use falcon::textsim::{SimFunction, Tokenizer};
+        let feature = |sim: SimFunction| falcon::core::Feature {
+            name: sim.name(),
+            a_attr: "title".into(),
+            b_attr: "title".into(),
+            sim,
+            a_idx: 0,
+            b_idx: 0,
+        };
+        falcon::core::FeatureSet {
+            features: vec![
+                feature(SimFunction::Jaccard(Tokenizer::Word)),
+                feature(SimFunction::Levenshtein),
+            ],
+        }
+    }
+
+    proptest! {
+        /// No `--force-filter` list, policy name or admission name makes
+        /// its parser panic: each gives a typed error or a value, and a
+        /// parsed filter names an existing feature, one per flag.
+        #[test]
+        fn hostile_flags_never_panic(
+            specs in proptest::collection::vec(hostile_spec(), 0..4),
+            trailing in any::<bool>(),
+            name in hostile_word(),
+        ) {
+            let blocking = two_features();
+            let mut args = s(&["a.csv", "b.csv"]);
+            for spec in &specs {
+                args.push("--force-filter".into());
+                args.push(spec.clone());
+            }
+            if trailing {
+                args.push("--force-filter".into());
+            }
+            match force_filters(&args, &blocking) {
+                Ok(filters) => {
+                    prop_assert!(!trailing);
+                    prop_assert_eq!(filters.len(), specs.len());
+                    prop_assert!(filters.iter().all(|f| f.feature < blocking.len()));
+                }
+                Err(e) => prop_assert!(e.starts_with("--force-filter"), "{}", e),
+            }
+            let _ = Policy::parse(&name);
+            if let Some(p) = falcon::serve::AdmissionPolicy::parse(&name) {
+                prop_assert_eq!(falcon::serve::AdmissionPolicy::parse(p.name()), Some(p));
+            }
+        }
+    }
+
+    #[test]
+    fn force_filter_values_parse_or_name_their_part() {
+        let blocking = two_features();
+        let parse = |v: &str| force_filters(&s(&["--force-filter", v]), &blocking);
+        for ok in ["0:0.5", "1:NaN", "0:inf", "1:1e308", "0:-0"] {
+            assert_eq!(parse(ok).map(|f| f.len()), Ok(1), "{ok}");
+        }
+        for (bad, part) in [
+            ("", "expects IDX:THRESHOLD"),
+            ("0", "expects IDX:THRESHOLD"),
+            (":0.5", "IDX must be"),
+            ("-1:0.5", "IDX must be"),
+            ("0:", "THRESHOLD must be"),
+            ("0:0.5:1", "THRESHOLD must be"),
+            ("2:0.5", "only 2 blocking features"),
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.contains(part), "{bad:?}: {err}");
         }
     }
 

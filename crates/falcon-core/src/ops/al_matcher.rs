@@ -22,7 +22,7 @@ use crate::stage::StageCost;
 use crate::timeline::{check_cancel, Timeline};
 use falcon_crowd::{Crowd, CrowdSession};
 use falcon_dataflow::{run_map_only, Cluster};
-use falcon_forest::{Dataset, FlatForest, Forest, ForestConfig};
+use falcon_forest::{FlatForest, Forest, ForestConfig, RankedDataset};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -149,6 +149,38 @@ fn top_controversial(
     (scored.into_iter().map(|(_, i)| i).collect(), max_dis)
 }
 
+/// The seed round's pairs: the in-range `priority` entries (repeats
+/// kept), then the `half` highest- and the `half` lowest-scoring pairs not
+/// already listed. Defined as: sort every pair by `(score descending under
+/// total_cmp, index ascending)`, take `half` from the front, then `half`
+/// from the back walking backwards. Only the two kept ends are sorted.
+fn seed_pairs(scores: &[f64], priority: &[usize], half: usize) -> Vec<usize> {
+    let n = scores.len();
+    let mut scored: Vec<(f64, usize)> = scores.iter().copied().zip(0..).collect();
+    let most_first = |a: &(f64, usize), b: &(f64, usize)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
+    let half = half.min(n);
+    if 2 * half < n {
+        // The first `half` in order, then the last `half` of the rest.
+        scored.select_nth_unstable_by(half, most_first);
+        scored[half..].select_nth_unstable_by(n - 2 * half, most_first);
+        scored[..half].sort_unstable_by(most_first);
+        scored[n - half..].sort_unstable_by(most_first);
+    } else {
+        scored.sort_unstable_by(most_first);
+    }
+    let mut listed = Bitmap::zeros(n);
+    let mut picks: Vec<usize> = priority.iter().copied().filter(|&i| i < n).collect();
+    picks.iter().for_each(|&i| listed.set(i));
+    let ends = scored[..half].iter().chain(scored[n - half..].iter().rev());
+    for &(_, i) in ends {
+        if !listed.get(i) {
+            listed.set(i);
+            picks.push(i);
+        }
+    }
+    picks
+}
+
 /// The pair indices outside `taken`, ascending.
 fn untaken(taken: &Bitmap) -> Vec<usize> {
     (0..taken.len()).filter(|&i| !taken.get(i)).collect()
@@ -193,7 +225,8 @@ pub fn al_matcher<C: Crowd>(
     // Pairs out of the running for selection: labeled, or (masked mode)
     // picked and waiting for the crowd.
     let mut taken = Bitmap::zeros(fvs.len());
-    let mut data = Dataset::new();
+    // The labeled set keeps its rank compile from round to round.
+    let mut data = RankedDataset::new();
     let mut labeled: Vec<(usize, bool)> = Vec::new();
     let mut iterations = 0usize;
     let mut converged = false;
@@ -201,50 +234,35 @@ pub fn al_matcher<C: Crowd>(
     let label_batch = |idxs: &[usize],
                        session: &mut CrowdSession<C>,
                        timeline: &mut Timeline,
-                       data: &mut Dataset,
+                       data: &mut RankedDataset,
                        labeled: &mut Vec<(usize, bool)>,
                        taken: &mut Bitmap| {
         let pairs: Vec<_> = idxs.iter().map(|&i| fvs.pairs[i]).collect();
         let (answers, latency) = session.label_batch(&pairs);
         timeline.crowd(label, latency);
+        let start = labeled.len();
         for (&i, (_, l)) in idxs.iter().zip(answers) {
             taken.set(i);
             labeled.push((i, l));
-            data.push(fvs.fvs[i].clone(), l);
         }
+        data.extend(
+            labeled[start..]
+                .iter()
+                .map(|&(i, l)| (fvs.fvs[i].clone(), l)),
+        );
     };
-    let train = |data: &Dataset, rng: &mut SmallRng| {
-        Forest::train_threads(data, &cfg.forest, rng, cluster.threads())
+    let train = |data: &RankedDataset, rng: &mut SmallRng| {
+        Forest::train_ranked(data, &cfg.forest, rng, cluster.threads())
     };
     // Training is a driver-local pass: every tree reads every labeled
     // example.
-    let train_cost = |data: &Dataset| StageCost::local(data.len() * cfg.forest.n_trees);
+    let train_cost =
+        |data: &RankedDataset| StageCost::local(data.data().len() * cfg.forest.n_trees);
 
     // ---- Seed round: likely positives + likely negatives ----
-    let mut scored: Vec<(usize, f64)> = fvs
-        .fvs
-        .iter()
-        .enumerate()
-        .map(|(i, fv)| (i, seed_score(fv, higher)))
-        .collect();
-    scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    let scores: Vec<f64> = fvs.fvs.iter().map(|fv| seed_score(fv, higher)).collect();
     let half = (cfg.seeds / 2).max(1).min(fvs.len() / 2 + 1);
-    let mut seed_idx: Vec<usize> = cfg
-        .priority_indices
-        .iter()
-        .copied()
-        .filter(|i| *i < fvs.len())
-        .collect();
-    for (i, _) in scored.iter().take(half) {
-        if !seed_idx.contains(i) {
-            seed_idx.push(*i);
-        }
-    }
-    for (i, _) in scored.iter().rev().take(half) {
-        if !seed_idx.contains(i) {
-            seed_idx.push(*i);
-        }
-    }
+    let seed_idx = seed_pairs(&scores, &cfg.priority_indices, half);
     // Seed scoring is a driver-local pass over every vector.
     timeline.machine(label, StageCost::local(fvs.len()));
     label_batch(
@@ -260,7 +278,9 @@ pub fn al_matcher<C: Crowd>(
     // Guarantee two classes if possible: label random extras (up to 3
     // extra rounds).
     let mut guard = 0;
-    while (data.positives() == 0 || data.positives() == data.len()) && guard < 3 {
+    while (data.data().positives() == 0 || data.data().positives() == data.data().len())
+        && guard < 3
+    {
         let mut rest = untaken(&taken);
         if rest.is_empty() {
             break;
@@ -484,6 +504,47 @@ mod tests {
         )
         .expect("al");
         assert_eq!(session.ledger().rounds, out.iterations);
+    }
+
+    /// The seed picks against their definition — sort every pair by
+    /// `(score descending under total_cmp, index ascending)`, list the
+    /// in-range priority entries (repeats kept), then append the first
+    /// `half` and the last `half` walking backwards, skipping listed
+    /// pairs — over heavily tied scores (index order decides), `±0.0`
+    /// and NaN, ends that overlap, and priority lists with repeats and
+    /// out-of-range entries.
+    #[test]
+    fn seed_pairs_equal_their_definition() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        let palette = [0.0, -0.0, 0.25, 0.5, 1.0, f64::NAN];
+        for case in 0..2000 {
+            let n = rng.gen_range(0..40usize);
+            let scores: Vec<f64> = (0..n)
+                .map(|_| match case % 3 {
+                    0 => palette[rng.gen_range(0..palette.len())],
+                    1 => 0.5,
+                    _ => rng.gen::<f64>(),
+                })
+                .collect();
+            let priority: Vec<usize> = (0..rng.gen_range(0..4))
+                .map(|_| rng.gen_range(0..n + 3))
+                .collect();
+            let half = rng.gen_range(1..8usize).min(n / 2 + 1);
+
+            let mut sorted: Vec<(usize, f64)> = scores.iter().copied().enumerate().collect();
+            sorted.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            let mut want: Vec<usize> = priority.iter().copied().filter(|&i| i < n).collect();
+            for (i, _) in sorted
+                .iter()
+                .take(half)
+                .chain(sorted.iter().rev().take(half))
+            {
+                if !want.contains(i) {
+                    want.push(*i);
+                }
+            }
+            assert_eq!(seed_pairs(&scores, &priority, half), want, "case {case}");
+        }
     }
 
     /// The partial selection against its definition — sort every pair

@@ -1,18 +1,19 @@
 //! Bagged random forests: majority voting, vote fractions for active
 //! learning, out-of-bag accuracy.
 //!
-//! Training compiles the dataset into dense ranks once per call (see
-//! [`crate::tree`]) and is parallel **and** deterministic: the master RNG
-//! is consumed only to draw one seed per tree, up front, in tree order;
-//! each tree then trains from its own `SmallRng` (bagging indices *and*
-//! per-node feature shuffles) over the shared read-only ranks, so the
-//! trained forest is a pure function of the seed stream and bit-identical
-//! at any thread count. Out-of-bag votes are merged in tree order after
-//! all workers join, for the same reason.
+//! Training compiles the dataset into dense ranks once per call, or takes
+//! the ranks a growing [`RankedDataset`] carries ([`Forest::train_ranked`]);
+//! both then run one trainer (see [`crate::tree`]). It is parallel **and**
+//! deterministic: the master RNG is consumed only to draw one seed per
+//! tree, up front, in tree order; each tree then trains from its own
+//! `SmallRng` (bagging indices *and* per-node feature shuffles) over the
+//! shared read-only ranks, so the trained forest is a pure function of the
+//! seed stream and bit-identical at any thread count. Out-of-bag votes are
+//! merged in tree order after all workers join, for the same reason.
 
 use crate::flat::FlatForest;
 use crate::tree::{RankMatrix, Tree, TreeConfig};
-use crate::Dataset;
+use crate::{Dataset, RankedDataset};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -95,10 +96,36 @@ impl Forest {
         rng: &mut impl Rng,
         threads: usize,
     ) -> Forest {
+        Self::fit(data, &RankMatrix::compile(data), cfg, rng, threads)
+    }
+
+    /// Train on a growing training set's carried ranks: the forest
+    /// [`train_threads`](Self::train_threads) grows on `set.data()`, bit
+    /// for bit and RNG draw for RNG draw, without compiling it again.
+    ///
+    /// # Panics
+    /// As [`train`](Self::train).
+    pub fn train_ranked(
+        set: &RankedDataset,
+        cfg: &ForestConfig,
+        rng: &mut impl Rng,
+        threads: usize,
+    ) -> Forest {
+        Self::fit(set.data(), set.ranks(), cfg, rng, threads)
+    }
+
+    /// The one trainer: `ranked` is the rank compile of `data`.
+    fn fit(
+        data: &Dataset,
+        ranked: &RankMatrix,
+        cfg: &ForestConfig,
+        rng: &mut impl Rng,
+        threads: usize,
+    ) -> Forest {
         assert!(!data.is_empty(), "cannot train forest on empty dataset");
         assert!(cfg.n_trees > 0, "need at least one tree");
+        assert_eq!(ranked.rows(), data.len(), "ranks compiled from other rows");
         let n = data.len();
-        let ranked = RankMatrix::compile(data);
 
         // One seed per tree, drawn up front in tree order: the only master
         // RNG consumption, so the result cannot depend on scheduling.
@@ -113,7 +140,7 @@ impl Forest {
             } else {
                 (0..n as u32).collect()
             };
-            let tree = ranked.grow(&mut idx, &cfg.tree, &mut trng);
+            let tree = ranked.grow(&data.labels, &mut idx, &cfg.tree, &mut trng);
             let mut oob = Vec::new();
             if cfg.bagging {
                 let mut in_bag = vec![false; n];

@@ -8,7 +8,8 @@
 //!
 //! * [`tree`] — CART-style binary decision trees with Gini impurity and
 //!   per-node random feature subsampling, trained on a dense-rank compile
-//!   of the dataset,
+//!   of the dataset ([`RankMatrix`]; a growing [`RankedDataset`] carries
+//!   its compile between trainings),
 //! * [`forest`] — bagged forests with majority voting, positive-vote
 //!   fractions (the active-learning disagreement signal) and out-of-bag
 //!   accuracy; training is parallel yet bit-identical at any thread count
@@ -35,7 +36,7 @@ pub use flat::{FlatForest, FLAT_LEAF};
 pub use forest::{default_threads, Forest, ForestConfig};
 pub use importance::{feature_importance, feature_importance_flat};
 pub use paths::{NegativePath, PathPredicate, SplitOp};
-pub use tree::{Node, Tree, TreeConfig};
+pub use tree::{Node, RankMatrix, Tree, TreeConfig};
 
 /// A training set: dense feature vectors (NaN = missing) plus boolean
 /// match/no-match labels.
@@ -83,6 +84,45 @@ impl Dataset {
     /// Count of positive labels.
     pub fn positives(&self) -> usize {
         self.labels.iter().filter(|l| **l).count()
+    }
+}
+
+/// A training set that grows between trainings and keeps its rank compile:
+/// active learning adds a batch of labeled rows per round, and
+/// [`Forest::train_ranked`] then trains on ranks merged in
+/// `O(rows + distinct)` per feature instead of re-sorting every column.
+#[derive(Debug, Clone, Default)]
+pub struct RankedDataset {
+    data: Dataset,
+    ranks: RankMatrix,
+}
+
+impl RankedDataset {
+    /// An empty training set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Append labeled rows and merge them into the ranks.
+    ///
+    /// # Panics
+    /// As [`Dataset::push`].
+    pub fn extend(&mut self, rows: impl IntoIterator<Item = (Vec<f64>, bool)>) {
+        for (features, label) in rows {
+            self.data.push(features, label);
+        }
+        self.ranks.extend(&self.data);
+    }
+
+    /// The rows so far.
+    pub fn data(&self) -> &Dataset {
+        &self.data
+    }
+
+    /// Their rank compile, equal to [`RankMatrix::compile`] of
+    /// [`data`](Self::data).
+    pub fn ranks(&self) -> &RankMatrix {
+        &self.ranks
     }
 }
 

@@ -1,13 +1,21 @@
 //! CART-style binary decision trees with Gini impurity.
 //!
-//! Training is *rank-compiled*: a `RankMatrix` turns the `f64` feature
-//! columns into dense `u32` ranks once per training call, and a node then
-//! evaluates each of its candidate features by sorting the integers
-//! `rank << 1 | label` of its own examples and sweeping the runs of equal
-//! rank with running class counts. The tree grown is, bit for bit and RNG
-//! draw for RNG draw, the one the textbook procedure grows — recount both
-//! sides at the midpoint of every two adjacent distinct values — which
-//! lives as test code in `tests/train_definition.rs`.
+//! Training is *rank-compiled*: a [`RankMatrix`] turns the `f64` feature
+//! columns into dense `u32` ranks — once per training call, or carried
+//! and extended between trainings by a growing [`crate::RankedDataset`] —
+//! and a node sweeps the runs of equal rank of each candidate feature
+//! with running class counts. The runs come from one of two sources, by
+//! the node's size `n` against the feature's distinct-value count `d`: a
+//! dense node (`8·n ≥ d`) counts its examples per key `rank << 1 | label`
+//! into a histogram and walks the non-empty ranks in order; a sparse one
+//! sorts those keys. Both yield the same `(rank, pos, neg)` runs in the
+//! same order, and the sweep reads nothing else, so both pick the same
+//! split. The tree grown is, bit for bit and RNG draw for RNG draw, the
+//! one the textbook procedure grows — recount both sides at the midpoint
+//! of every two adjacent distinct values — which lives as test code in
+//! `tests/train_definition.rs`, with generators that put every node on
+//! one source or the other and a growing set whose carried ranks must
+//! equal a fresh compile.
 
 use crate::Dataset;
 use rand::seq::SliceRandom;
@@ -75,8 +83,9 @@ impl Tree {
     /// Train a tree on (a bootstrap view of) `data`, using the example
     /// indices in `idx` (a multiset: repeats count as often as they occur).
     pub fn train_on(data: &Dataset, idx: &[usize], cfg: &TreeConfig, rng: &mut impl Rng) -> Tree {
+        assert!(!data.is_empty(), "cannot train on an empty dataset");
         let mut idx: Vec<u32> = idx.iter().map(|&i| i as u32).collect();
-        RankMatrix::compile(data).grow(&mut idx, cfg, rng)
+        RankMatrix::compile(data).grow(&data.labels, &mut idx, cfg, rng)
     }
 
     /// Train on the entire dataset.
@@ -131,54 +140,111 @@ fn gini(pos: usize, neg: usize) -> f64 {
 /// `0` for NaN, else 1 + its index in the table (`-0.0` and `0.0` compare
 /// equal and share a rank). Ranks order examples exactly as the values do,
 /// so split search runs on integers and reads an `f64` only to form a
-/// threshold. Built once per training call and shared read-only by the
-/// tree workers.
-pub(crate) struct RankMatrix<'a> {
-    labels: &'a [bool],
-    /// Column-major: `ranks[f * n + e]`.
+/// threshold. Shared read-only by the tree workers; a growing training set
+/// keeps one and [`extends`](RankMatrix::extend) it by its new rows
+/// instead of compiling again (see [`crate::RankedDataset`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RankMatrix {
+    rows: usize,
+    /// Column-major: `ranks[f * rows + e]`.
     ranks: Vec<u32>,
     values: Vec<Vec<f64>>,
 }
 
-impl<'a> RankMatrix<'a> {
-    pub(crate) fn compile(data: &'a Dataset) -> Self {
-        assert!(!data.is_empty(), "cannot train on an empty dataset");
-        let (n, arity) = (data.len(), data.arity());
+impl RankMatrix {
+    /// Compile every row of `data`.
+    pub fn compile(data: &Dataset) -> Self {
+        let mut m = Self::default();
+        m.extend(data);
+        m
+    }
+
+    /// Number of rows compiled.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Take in the rows of `data` past [`rows`](Self::rows) — `data` must
+    /// extend the rows compiled so far. Per feature the new rows' distinct
+    /// values merge into the table and every existing rank is remapped
+    /// through one old → new array: `O(rows + distinct + new · log new)`.
+    /// The result equals [`compile`](Self::compile) of all of `data`; only
+    /// which of `-0.0` / `0.0` stands for their shared rank may differ,
+    /// and `±0 + v` is the same float for every non-zero `v`, so no
+    /// threshold can.
+    pub fn extend(&mut self, data: &Dataset) {
+        let (old, n, arity) = (self.rows, data.len(), data.arity());
+        if n == old {
+            return;
+        }
+        assert!(n > old, "a rank matrix only grows");
+        if old == 0 {
+            self.values = vec![Vec::new(); arity];
+        }
+        assert_eq!(self.values.len(), arity, "feature arity mismatch");
         // A sweep key is `rank << 1 | label` in a `u32`, and rank <= n.
         assert!(n < 1 << 31, "too many training examples");
         let mut ranks = vec![0u32; n * arity];
-        let mut values = Vec::with_capacity(arity);
-        let mut order: Vec<(f64, u32)> = Vec::with_capacity(n);
+        let mut order: Vec<(f64, u32)> = Vec::with_capacity(n - old);
+        let mut remap: Vec<u32> = Vec::new();
         for (f, col) in ranks.chunks_exact_mut(n).enumerate() {
             order.clear();
-            order.extend(data.features.iter().enumerate().filter_map(|(e, row)| {
-                let v = row[f];
-                (!v.is_nan()).then_some((v, e as u32))
-            }));
+            order.extend(
+                data.features[old..]
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(e, row)| {
+                        let v = row[f];
+                        (!v.is_nan()).then_some((v, (old + e) as u32))
+                    }),
+            );
             order.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN"));
-            let mut distinct: Vec<f64> = Vec::new();
+            // Merge the sorted new values into the old table; `remap[r]`
+            // is old rank r's new rank (0 stays 0).
+            let table = std::mem::take(&mut self.values[f]);
+            let mut merged = Vec::with_capacity(table.len() + order.len());
+            remap.clear();
+            remap.resize(table.len() + 1, 0);
+            let mut i = 0;
             for &(v, e) in &order {
-                if distinct.last() != Some(&v) {
-                    distinct.push(v);
+                while i < table.len() && table[i] <= v {
+                    merged.push(table[i]);
+                    i += 1;
+                    remap[i] = merged.len() as u32;
                 }
-                col[e as usize] = distinct.len() as u32;
+                if merged.last() != Some(&v) {
+                    merged.push(v);
+                }
+                col[e as usize] = merged.len() as u32;
             }
-            values.push(distinct);
+            for &v in &table[i..] {
+                merged.push(v);
+                i += 1;
+                remap[i] = merged.len() as u32;
+            }
+            let old_col = &self.ranks[f * old..(f + 1) * old];
+            for (r, &o) in col.iter_mut().zip(old_col) {
+                *r = remap[o as usize];
+            }
+            self.values[f] = merged;
         }
-        Self {
-            labels: &data.labels,
-            ranks,
-            values,
-        }
+        self.rows = n;
+        self.ranks = ranks;
     }
 
     fn column(&self, f: usize) -> &[u32] {
-        let n = self.labels.len();
-        &self.ranks[f * n..(f + 1) * n]
+        &self.ranks[f * self.rows..(f + 1) * self.rows]
     }
 
-    /// Grow a tree over the example multiset `idx` (reordered in place).
-    pub(crate) fn grow(&self, idx: &mut [u32], cfg: &TreeConfig, rng: &mut impl Rng) -> Tree {
+    /// Grow a tree over the example multiset `idx` (reordered in place),
+    /// with `labels` the compiled rows' labels.
+    pub(crate) fn grow(
+        &self,
+        labels: &[bool],
+        idx: &mut [u32],
+        cfg: &TreeConfig,
+        rng: &mut impl Rng,
+    ) -> Tree {
         let arity = self.values.len();
         let k = cfg
             .features_per_node
@@ -186,10 +252,12 @@ impl<'a> RankMatrix<'a> {
             .clamp(1, arity.max(1));
         let mut grower = Grower {
             data: self,
+            labels,
             cfg,
             k,
             feats: Vec::with_capacity(arity),
             keys: Vec::with_capacity(idx.len()),
+            hist: Vec::new(),
             spill: Vec::with_capacity(idx.len()),
         };
         Tree {
@@ -201,19 +269,22 @@ impl<'a> RankMatrix<'a> {
 
 /// One tree's growth state: the buffers every node reuses.
 struct Grower<'a> {
-    data: &'a RankMatrix<'a>,
+    data: &'a RankMatrix,
+    labels: &'a [bool],
     cfg: &'a TreeConfig,
     k: usize,
     feats: Vec<usize>,
     /// The node's `rank << 1 | label` keys of the feature being swept.
     keys: Vec<u32>,
+    /// Dense nodes: the node's example count per key `rank << 1 | label`.
+    hist: Vec<u32>,
     /// Right-side examples while a node's slice is partitioned.
     spill: Vec<u32>,
 }
 
 impl Grower<'_> {
     fn node(&mut self, idx: &mut [u32], depth: usize, rng: &mut impl Rng) -> Node {
-        let labels = self.data.labels;
+        let labels = self.labels;
         let pos = idx.iter().filter(|&&e| labels[e as usize]).count();
         let neg = idx.len() - pos;
         let leaf = Node::Leaf {
@@ -232,24 +303,29 @@ impl Grower<'_> {
         self.feats.shuffle(rng);
         self.feats.truncate(self.k);
 
-        let parent_gini = gini(pos, neg);
+        let parent = (pos, neg, gini(pos, neg));
         let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
         for &f in &self.feats {
-            let col = self.data.column(f);
-            self.keys.clear();
-            self.keys.extend(
-                idx.iter()
-                    .map(|&e| (col[e as usize] << 1) | u32::from(labels[e as usize])),
-            );
-            self.keys.sort_unstable();
-            sweep(
-                &self.keys,
-                &self.data.values[f],
-                (pos, neg),
-                parent_gini,
-                f,
-                &mut best,
-            );
+            let (col, values) = (self.data.column(f), &self.data.values[f]);
+            let keys = idx
+                .iter()
+                .map(|&e| (col[e as usize] << 1) | u32::from(labels[e as usize]));
+            // Dense in this feature: count the keys per rank instead of
+            // sorting them; the sweep reads the same runs either way.
+            if 8 * idx.len() >= values.len() {
+                self.hist.clear();
+                self.hist.resize(2 * (values.len() + 1), 0);
+                keys.for_each(|k| self.hist[k as usize] += 1);
+                let runs = self.hist.chunks_exact(2).enumerate().filter_map(|(r, c)| {
+                    (c[0] | c[1] != 0).then_some((r as u32, c[1] as usize, c[0] as usize))
+                });
+                sweep(runs, values, parent, f, &mut best);
+            } else {
+                self.keys.clear();
+                self.keys.extend(keys);
+                self.keys.sort_unstable();
+                sweep(KeyRuns(&self.keys), values, parent, f, &mut best);
+            }
         }
         let Some((_, feature, threshold)) = best else {
             return leaf;
@@ -281,38 +357,46 @@ impl Grower<'_> {
     }
 }
 
-/// Class counts `(pos, neg)` of the run of equal rank starting at
-/// `keys[i]`, and the index one past it. Within a run the label bit sorts
-/// negatives first.
-fn run(keys: &[u32], i: usize) -> (usize, usize, usize) {
-    let rank = keys[i] >> 1;
-    let len = keys[i..].iter().take_while(|&&k| k >> 1 == rank).count();
-    let neg = keys[i..i + len].iter().take_while(|&&k| k & 1 == 0).count();
-    (len - neg, neg, i + len)
+/// The runs of equal rank in sorted `rank << 1 | label` keys, as
+/// `(rank, pos, neg)`. Within a run the label bit sorts negatives first.
+#[derive(Clone)]
+struct KeyRuns<'a>(&'a [u32]);
+
+impl Iterator for KeyRuns<'_> {
+    type Item = (u32, usize, usize);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let rank = self.0.first()? >> 1;
+        let len = self.0.iter().take_while(|&&k| k >> 1 == rank).count();
+        let (run, rest) = self.0.split_at(len);
+        self.0 = rest;
+        let neg = run.partition_point(|&k| k & 1 == 0);
+        Some((rank, len - neg, neg))
+    }
 }
 
 /// Evaluate every candidate threshold of feature `f` — the midpoint of
 /// each two adjacent distinct values present in the node — in one pass
-/// over the node's sorted keys, with running left-side class counts.
-/// Missing values (rank 0, sorted first) always count left. Which key of
-/// a run comes first cannot matter: only whole-run counts are read.
+/// over the node's `(rank, pos, neg)` runs in ascending rank, with running
+/// left-side class counts. Missing values (rank 0, first) always count
+/// left. Only whole-run counts are read, so the runs may come from sorted
+/// keys or from a per-rank histogram alike.
 fn sweep(
-    keys: &[u32],
+    runs: impl Iterator<Item = (u32, usize, usize)> + Clone,
     values: &[f64],
-    (pos, neg): (usize, usize),
-    parent_gini: f64,
+    (pos, neg, parent_gini): (usize, usize, f64),
     f: usize,
     best: &mut Option<(f64, usize, f64)>,
 ) {
-    let n = keys.len() as f64;
-    let (mut lp, mut ln, mut i) = match keys.first() {
-        Some(k) if k >> 1 == 0 => run(keys, 0),
-        _ => (0, 0, 0),
-    };
+    let n = (pos + neg) as f64;
+    let (mut lp, mut ln) = (0, 0);
     let mut lower: Option<f64> = None;
-    while i < keys.len() {
-        let v1 = values[(keys[i] >> 1) as usize - 1];
-        let (np, nn, next) = run(keys, i);
+    for (rank, np, nn) in runs.clone() {
+        if rank == 0 {
+            (lp, ln) = (np, nn);
+            continue;
+        }
+        let v1 = values[rank as usize - 1];
         if let Some(v0) = lower {
             let t = (v0 + v1) / 2.0;
             let (clp, cln) = if v0 <= t && t < v1 {
@@ -325,11 +409,9 @@ fn sweep(
             } else {
                 // `v0 + v1` overflowed, or is `-inf + inf`: the midpoint
                 // lies outside the pair. Recount what is not `> t`.
-                keys.iter()
-                    .filter(|&&k| k >> 1 == 0 || values[(k >> 1) as usize - 1] <= t || t.is_nan())
-                    .fold((0, 0), |(p, q), &k| {
-                        (p + (k & 1) as usize, q + ((k & 1) ^ 1) as usize)
-                    })
+                runs.clone()
+                    .filter(|&(r, _, _)| r == 0 || values[r as usize - 1] <= t || t.is_nan())
+                    .fold((0, 0), |(p, q), (_, rp, rn)| (p + rp, q + rn))
             };
             let (rp, rn) = (pos - clp, neg - cln);
             if clp + cln != 0 && rp + rn != 0 {
@@ -344,7 +426,6 @@ fn sweep(
         lp += np;
         ln += nn;
         lower = Some(v1);
-        i = next;
     }
 }
 

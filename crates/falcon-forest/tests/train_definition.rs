@@ -5,14 +5,19 @@
 //! `k` collect the node's values, sort and dedup them, and for the
 //! midpoint of every two adjacent distinct values recount the whole node
 //! on both sides. `forest` wraps it in the bagging and out-of-bag scheme
-//! of the module docs. The production trainer (dense ranks compiled once,
-//! integer key sort and run sweep per candidate feature) must grow the
+//! of the module docs. The production trainer (dense ranks compiled once
+//! or carried between trainings, then per candidate feature a per-rank
+//! histogram or an integer key sort, and one run sweep) must grow the
 //! same trees bit for bit **and** leave the RNG in the same state — on
 //! the inputs a rank compile can get wrong: missing values, signed zeros,
 //! infinities, adjacent floats, sums that overflow, heavy duplicates and
-//! bootstrap multisets with repeated ids.
+//! bootstrap multisets with repeated ids. Two generators pin each sweep
+//! source on every node: few distinct values (histograms everywhere) and
+//! all-distinct values under small bags (key sorts everywhere).
 
-use falcon_forest::{Dataset, Forest, ForestConfig, Node, Tree, TreeConfig};
+use falcon_forest::{
+    Dataset, Forest, ForestConfig, Node, RankMatrix, RankedDataset, Tree, TreeConfig,
+};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -209,8 +214,155 @@ fn tree_config() -> impl Strategy<Value = TreeConfig> {
         })
 }
 
+/// A node of `n` examples sweeps feature `f` from a per-rank histogram
+/// iff `8 · n >= d`, where `d` is `f`'s number of distinct values.
+fn distinct(d: &Dataset, f: usize) -> usize {
+    let mut vals: Vec<f64> = d
+        .features
+        .iter()
+        .map(|r| r[f])
+        .filter(|v| !v.is_nan())
+        .collect();
+    vals.sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+    vals.dedup();
+    vals.len()
+}
+
+/// At most three distinct values per feature (plus NaN), so every node,
+/// however deep, counts a histogram.
+fn few_distinct() -> impl Strategy<Value = Dataset> {
+    let cell = prop_oneof![
+        1 => Just(f64::NAN),
+        4 => prop_oneof![Just(-0.0), Just(0.5), Just(f64::INFINITY)],
+    ];
+    proptest::collection::vec(
+        (
+            proptest::collection::vec(cell, 3),
+            proptest::arbitrary::any::<bool>(),
+        ),
+        1..40,
+    )
+    .prop_map(|rows| {
+        let mut d = Dataset::new();
+        rows.into_iter().for_each(|(fv, l)| d.push(fv, l));
+        d
+    })
+}
+
+/// 100–200 rows whose values are distinct within every feature (row `e`
+/// maps to `e · mul mod 211`, injective as 211 is prime, scaled and
+/// shifted; row 0 is NaN under even multipliers), for bags
+/// of at most 12 examples: `8 · 12 < 100`, so every node sorts keys.
+fn all_distinct() -> impl Strategy<Value = Dataset> {
+    (
+        100usize..200,
+        proptest::collection::vec((1u64..211, -5.0f64..5.0), 3),
+        proptest::collection::vec(proptest::arbitrary::any::<bool>(), 200),
+    )
+        .prop_map(|(n, shapes, labels)| {
+            let mut d = Dataset::new();
+            for (e, l) in labels.into_iter().take(n).enumerate() {
+                let fv = shapes
+                    .iter()
+                    .map(|&(mul, shift)| {
+                        let r = (e as u64 * mul) % 211;
+                        if r == 0 && mul % 2 == 0 {
+                            f64::NAN
+                        } else {
+                            r as f64 / 7.0 + shift
+                        }
+                    })
+                    .collect();
+                d.push(fv, l);
+            }
+            d
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The histogram sweep on every node: trees and RNG state equal.
+    #[test]
+    fn histogram_nodes_equal_the_definition(
+        d in few_distinct(),
+        picks in proptest::collection::vec(0usize..1 << 16, 1..60),
+        cfg in tree_config(),
+        seed in 0u64..1 << 48,
+    ) {
+        prop_assert!((0..d.arity()).all(|f| distinct(&d, f) <= 3));
+        let idx: Vec<usize> = picks.iter().map(|p| p % d.len()).collect();
+        let (mut fast_rng, mut def_rng) =
+            (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
+        let fast = Tree::train_on(&d, &idx, &cfg, &mut fast_rng);
+        prop_assert_eq!(fast, tree(&d, &idx, &cfg, &mut def_rng));
+        prop_assert_eq!(fast_rng.next_u64(), def_rng.next_u64(), "RNG streams diverged");
+    }
+
+    /// The key-sort sweep on every node: trees and RNG state equal.
+    #[test]
+    fn sorted_nodes_equal_the_definition(
+        d in all_distinct(),
+        picks in proptest::collection::vec(0usize..1 << 16, 1..=12),
+        cfg in tree_config(),
+        seed in 0u64..1 << 48,
+    ) {
+        let present = |f: usize| d.features.iter().filter(|r| !r[f].is_nan()).count();
+        prop_assert!((0..d.arity()).all(|f| distinct(&d, f) == present(f)));
+        prop_assert!((0..d.arity()).all(|f| 8 * picks.len() < distinct(&d, f)));
+        let idx: Vec<usize> = picks.iter().map(|p| p % d.len()).collect();
+        let (mut fast_rng, mut def_rng) =
+            (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
+        let fast = Tree::train_on(&d, &idx, &cfg, &mut fast_rng);
+        prop_assert_eq!(fast, tree(&d, &idx, &cfg, &mut def_rng));
+        prop_assert_eq!(fast_rng.next_u64(), def_rng.next_u64(), "RNG streams diverged");
+    }
+
+    /// A training set grown 20 rows at a time — NaN, `±0.0`, `±inf`,
+    /// adjacent floats, repeats, values in between, and a new minimum and
+    /// maximum per batch: at every size the carried ranks equal a fresh
+    /// compile, and the forest trained on them equals `Forest::train_threads`
+    /// on the same rows, master RNG state included.
+    #[test]
+    fn carried_ranks_equal_a_fresh_compile(
+        batches in proptest::collection::vec(
+            proptest::collection::vec(
+                (proptest::collection::vec((feat(), 0u8..8), MAX_ARITY),
+                 proptest::arbitrary::any::<bool>()),
+                20,
+            ),
+            1..6,
+        ),
+        tree_cfg in tree_config(),
+        n_trees in 1usize..4,
+        bagging in proptest::arbitrary::any::<bool>(),
+        seed in 0u64..1 << 48,
+        threads in 1usize..=2,
+    ) {
+        let cfg = ForestConfig { n_trees, tree: tree_cfg, bagging };
+        let mut set = RankedDataset::new();
+        for (b, rows) in batches.into_iter().enumerate() {
+            let edge = 1e3 * (b + 1) as f64;
+            set.extend(rows.into_iter().map(|(cells, label)| {
+                let fv = cells
+                    .into_iter()
+                    .map(|(v, kind)| match kind {
+                        0 => edge,
+                        1 => -edge,
+                        _ => v,
+                    })
+                    .collect();
+                (fv, label)
+            }));
+            prop_assert_eq!(set.ranks(), &RankMatrix::compile(set.data()));
+            let (mut carried_rng, mut fresh_rng) =
+                (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
+            let carried = Forest::train_ranked(&set, &cfg, &mut carried_rng, threads);
+            let fresh = Forest::train_threads(set.data(), &cfg, &mut fresh_rng, threads);
+            prop_assert_eq!(carried, fresh);
+            prop_assert_eq!(carried_rng.next_u64(), fresh_rng.next_u64(), "RNG streams diverged");
+        }
+    }
 
     /// One tree over an arbitrary multiset of example ids (repeats, ids
     /// never drawn, a single id): same tree, same RNG state afterwards.
