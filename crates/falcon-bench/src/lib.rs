@@ -9,11 +9,11 @@ pub mod sections;
 
 use falcon::core::features::{generate_features, FeatureLibrary};
 use falcon::core::ops::al_matcher::{al_matcher, AlConfig};
-use falcon::core::ops::eval_rules::{eval_rules, EvalConfig};
+use falcon::core::ops::eval_rules::eval_rules;
 use falcon::core::ops::gen_fvs::gen_fvs;
-use falcon::core::ops::get_blocking_rules::get_blocking_rules;
+use falcon::core::ops::get_blocking_rules::{get_blocking_rules, TOP_K_RULES};
 use falcon::core::ops::sample_pairs::sample_pairs;
-use falcon::core::ops::select_opt_seq::{select_opt_seq, SeqConfig, SeqOutput};
+use falcon::core::ops::select_opt_seq::{select_opt_seq, SeqOutput};
 use falcon::core::rules::Rule;
 use falcon::core::timeline::Timeline;
 use falcon::prelude::*;
@@ -117,12 +117,14 @@ pub fn learn_sequence(cluster: &Cluster, d: &EmDataset, mode: Mode, p: u64) -> L
     let higher: Vec<bool> = (lib.blocking.features.iter())
         .map(|f| f.sim.higher_is_similar())
         .collect();
-    let (mut al_cfg, mut eval_cfg) = (AlConfig::default(), EvalConfig::default());
-    (al_cfg.seed, eval_cfg.seed) = (p, p);
+    let al_cfg = AlConfig {
+        seed: p,
+        ..AlConfig::default()
+    };
     let al = al_matcher(cluster, &mut session, &mut tl, "al", &fvs, &higher, &al_cfg).expect("al");
-    let ranked = get_blocking_rules(&al.forest, &fvs, 20, &higher);
-    let eval = eval_rules(&mut session, &mut tl, &ranked, &fvs, &eval_cfg);
-    let opt = select_opt_seq(&ranked, &eval.retained, &fvs, &SeqConfig::default());
+    let ranked = get_blocking_rules(&al.forest, &fvs, TOP_K_RULES, &higher);
+    let eval = eval_rules(&mut session, &mut tl, &ranked, &fvs, p);
+    let opt = select_opt_seq(&ranked, &eval.retained);
     let retained = eval.retained.into_iter().map(|e| e.rule).collect();
     Learned { lib, opt, retained }
 }

@@ -352,7 +352,7 @@ fn physical(mode: Mode) -> Output {
     let a_bytes = estimate_table_bytes(&d.a);
     let picks = budgets.map(|(label, budget)| {
         let (c, ix, s) = (&conjuncts, &built, l.opt.selectivity);
-        let op = physical::select_physical(c, ix, sels, s, budget, a_bytes, 0.8);
+        let op = physical::select_physical(c, ix, sels, s, budget, a_bytes);
         m.row(&[&label, &budget, &op.name()], []);
         op
     });

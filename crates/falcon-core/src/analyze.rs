@@ -623,7 +623,6 @@ fn check_configs(cfg: &FalconConfig, out: &mut Vec<Diagnostic>) {
         ("map_slots_per_node", c.map_slots_per_node),
         ("reduce_slots_per_node", c.reduce_slots_per_node),
         ("mapper_memory_bytes", c.mapper_memory_bytes),
-        ("reducer_memory_bytes", c.reducer_memory_bytes),
     ] {
         if value == 0 {
             out.push(Diagnostic::InvalidClusterConfig { field });
@@ -635,7 +634,7 @@ fn check_configs(cfg: &FalconConfig, out: &mut Vec<Diagnostic>) {
         }
     };
     let positive = || String::from("must be positive");
-    let (al, eval, seq) = (&cfg.al, &cfg.eval, &cfg.seq);
+    let al = &cfg.al;
     check(
         cfg.sample_size > 0,
         "sample_pairs",
@@ -657,35 +656,6 @@ fn check_configs(cfg: &FalconConfig, out: &mut Vec<Diagnostic>) {
         eps.is_finite() && eps >= 0.0,
         "al_matcher",
         "convergence_eps",
-        why,
-    );
-    check(eval.batch > 0, "eval_rules", "batch", positive());
-    let p = eval.p_min;
-    let why = format!("must be in (0, 1], got {p}");
-    check(p > 0.0 && p <= 1.0, "eval_rules", "p_min", why);
-    let eps = eval.eps_max;
-    let why = format!("must be positive and finite, got {eps}");
-    check(eps > 0.0 && eps.is_finite(), "eval_rules", "eps_max", why);
-    for (field, w) in [
-        ("alpha", seq.alpha),
-        ("beta", seq.beta),
-        ("gamma", seq.gamma),
-    ] {
-        let why = format!("weight must be finite and >= 0, got {w}");
-        check(w.is_finite() && w >= 0.0, "select_opt_seq", field, why);
-    }
-    check(
-        seq.optimizer_bits > 0,
-        "select_opt_seq",
-        "optimizer_bits",
-        positive(),
-    );
-    let r = cfg.greedy_ratio;
-    let why = format!("must be in (0, 1], got {r}");
-    check(
-        r > 0.0 && r <= 1.0,
-        "apply_blocking_rules",
-        "greedy_ratio",
         why,
     );
     check(
@@ -948,12 +918,12 @@ mod tests {
         let mut cfg = FalconConfig {
             sample_size: 0,
             sample_fanout: 1,
-            greedy_ratio: 0.0,
+            max_pairs: 0,
             ..FalconConfig::default()
         };
+        cfg.al.max_iterations = 0;
         cfg.al.batch = 0;
-        cfg.eval.p_min = 1.5;
-        cfg.seq.alpha = f64::NAN;
+        cfg.al.convergence_eps = f64::NAN;
         let analysis = analyze(&a, &b, &cfg);
         let fields: Vec<(&str, &str)> = analysis
             .errors()
@@ -965,10 +935,10 @@ mod tests {
         for expected in [
             ("sample_pairs", "sample_size"),
             ("sample_pairs", "sample_fanout"),
+            ("al_matcher", "max_iterations"),
             ("al_matcher", "batch"),
-            ("eval_rules", "p_min"),
-            ("select_opt_seq", "alpha"),
-            ("apply_blocking_rules", "greedy_ratio"),
+            ("al_matcher", "convergence_eps"),
+            ("apply_blocking_rules", "max_pairs"),
         ] {
             assert!(
                 fields.contains(&expected),

@@ -6,15 +6,15 @@ use crate::error::FalconError;
 use crate::features::{generate_features, FeatureLibrary, FeatureSet};
 use crate::indexing::{BuiltIndexes, ConjunctSpecs, PreFilterConfig};
 use crate::metrics::em_quality;
-use crate::ops::accuracy_estimator::{estimate_accuracy, AccuracyEstimate, EstimatorConfig};
+use crate::ops::accuracy_estimator::{estimate_accuracy, AccuracyEstimate};
 use crate::ops::al_matcher::{al_matcher, AlConfig};
 use crate::ops::apply_matcher::apply_matcher;
 use crate::ops::difficult_pairs::locate_difficult_pairs;
-use crate::ops::eval_rules::{eval_rules, EvalConfig, EvaluatedRule};
+use crate::ops::eval_rules::{eval_rules, EvaluatedRule};
 use crate::ops::gen_fvs::gen_fvs_in;
-use crate::ops::get_blocking_rules::get_blocking_rules;
+use crate::ops::get_blocking_rules::{get_blocking_rules, TOP_K_RULES};
 use crate::ops::sample_pairs::{sample_pairs_in, word_columns};
-use crate::ops::select_opt_seq::{select_opt_seq, SeqConfig};
+use crate::ops::select_opt_seq::select_opt_seq;
 use crate::optimizer::{prebuild_for_rules, prebuild_generic, speculate_rules, OptFlags};
 use crate::physical::{self, estimate_table_bytes, BlockingError, BlockingStats, PhysicalOp};
 use crate::plan::PlanKind;
@@ -80,19 +80,11 @@ pub struct FalconConfig {
     /// Active learning settings (both stages; the matching stage flips
     /// `mask_pair_selection` per the optimizer flags).
     pub al: AlConfig,
-    /// Rule-evaluation settings.
-    pub eval: EvalConfig,
-    /// Sequence-selection settings.
-    pub seq: SeqConfig,
-    /// Top-k rules to crowd-evaluate (paper: 20).
-    pub max_rules: usize,
     /// Masking optimizations.
     pub opt: OptFlags,
     /// Pair budget for Cartesian-enumeration baselines and the
     /// matcher-only plan.
     pub max_pairs: u128,
-    /// `apply_greedy` selection ratio threshold (paper: 0.8).
-    pub greedy_ratio: f64,
     /// Candidate-set size above which pair selection is masked (paper:
     /// 50M pairs; scaled default).
     pub mask_selection_threshold: usize,
@@ -117,12 +109,8 @@ impl Default for FalconConfig {
             sample_size: 100_000,
             sample_fanout: 100,
             al: AlConfig::default(),
-            eval: EvalConfig::default(),
-            seq: SeqConfig::default(),
-            max_rules: 20,
             opt: OptFlags::default(),
             max_pairs: 50_000_000,
-            greedy_ratio: 0.8,
             mask_selection_threshold: 500_000,
             force_plan: None,
             force_physical: None,
@@ -494,7 +482,7 @@ impl<C: Crowd> Run<'_, C> {
         check_cancel(timeline, session)?;
 
         // ---- get_blocking_rules ---- (driver-local pass over the sample)
-        let ranked = get_blocking_rules(&al_b.forest, &s_fvs.fvs, cfg.max_rules, &higher_b);
+        let ranked = get_blocking_rules(&al_b.forest, &s_fvs.fvs, TOP_K_RULES, &higher_b);
         timeline.machine("get_block_rules", StageCost::local(s_fvs.fvs.len()));
         let rules_extracted = ranked.len();
         check_cancel(timeline, session)?;
@@ -505,11 +493,7 @@ impl<C: Crowd> Run<'_, C> {
         // accounting by running eval first, then charging the masked work
         // against its accumulated capacity — equivalent under the capacity
         // model.)
-        let eval_cfg = EvalConfig {
-            seed: cfg.seed,
-            ..cfg.eval.clone()
-        };
-        let eval = eval_rules(session, timeline, &ranked, &s_fvs.fvs, &eval_cfg);
+        let eval = eval_rules(session, timeline, &ranked, &s_fvs.fvs, cfg.seed);
         if cfg.opt.prebuild_indexes {
             prebuild_for_rules(
                 cluster,
@@ -558,7 +542,7 @@ impl<C: Crowd> Run<'_, C> {
         let rules_retained = eval.retained.len();
 
         // ---- select_opt_seq ---- (driver-local pass over the sample)
-        let seq_out = select_opt_seq(&ranked, &retained, &s_fvs.fvs, &cfg.seq);
+        let seq_out = select_opt_seq(&ranked, &retained);
         timeline.machine("sel_opt_seq", StageCost::local(s_fvs.fvs.len()));
         // Nothing below reads the sample's vectors: free them before the
         // unmasked index builds and `apply_block_rules` allocate.
@@ -618,7 +602,6 @@ impl<C: Crowd> Run<'_, C> {
                     seq_out.selectivity,
                     cfg.cluster.mapper_memory_bytes,
                     estimate_table_bytes(a),
-                    cfg.greedy_ratio,
                 )
             });
             let run = |op| {
@@ -767,10 +750,7 @@ impl<C: Crowd> Run<'_, C> {
                 &mut self.timeline,
                 forest,
                 &outcome.fvs,
-                &EstimatorConfig {
-                    seed: self.cfg.seed ^ round as u64,
-                    ..EstimatorConfig::default()
-                },
+                self.cfg.seed ^ round as u64,
             );
             let improved = estimates.last().is_none_or(|prev| est.f1 > prev.f1 + 0.01);
             let difficult = locate_difficult_pairs(forest, &outcome.fvs, &known, self.cfg.al.batch);
@@ -822,6 +802,33 @@ struct MatchStageOutcome {
 mod tests {
     use super::*;
     use falcon_crowd::sim::{GroundTruth, RandomWorkerCrowd};
+
+    /// §3.4's cost cap, rebuilt from the constants a run actually uses:
+    /// if one of them drifts, the asserted $349.60 no longer holds.
+    #[test]
+    fn paper_cost_cap_is_built_from_the_live_constants() {
+        use crate::ops::eval_rules::{EVAL_BATCH, MAX_ITERATIONS_PER_RULE};
+        use falcon_crowd::session::{
+            cost_cap, paper_cost_cap, MAJORITY_VOTES, QUESTIONS_PER_HIT, STRONG_MAJORITY_MAX,
+        };
+        let al = AlConfig::default();
+        // The first AL iteration labels the seed pairs, so `n_m` is one
+        // short of the iteration cap; both stages post `h` HITs a round.
+        let (n_m, h) = (al.max_iterations - 1, al.batch / QUESTIONS_PER_HIT);
+        assert_eq!(h, EVAL_BATCH / QUESTIONS_PER_HIT);
+        let (k, n_e) = (TOP_K_RULES, MAX_ITERATIONS_PER_RULE);
+        let live = cost_cap(
+            n_m,
+            MAJORITY_VOTES,
+            k,
+            n_e,
+            STRONG_MAJORITY_MAX,
+            h,
+            QUESTIONS_PER_HIT,
+            RandomWorkerCrowd::new(GroundTruth::new([]), 0.0, 0).cost_per_answer(),
+        );
+        assert_eq!(live, paper_cost_cap());
+    }
 
     /// A run is a function of inputs, config and seed, never of the
     /// host: the worker-thread count (what `Cluster::new` reads from the

@@ -20,32 +20,14 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-/// Configuration for the estimator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct EstimatorConfig {
-    /// Pairs sampled from the predicted-positive stratum.
-    pub positive_sample: usize,
-    /// Pairs sampled from the predicted-negative stratum.
-    pub negative_sample: usize,
-    /// Pairs per crowd round (paper HIT shape: 20).
-    pub batch: usize,
-    /// z-value for the confidence level.
-    pub z: f64,
-    /// RNG seed.
-    pub seed: u64,
-}
+/// Pairs sampled from the predicted-positive stratum.
+pub const POSITIVE_SAMPLE: usize = 60;
 
-impl Default for EstimatorConfig {
-    fn default() -> Self {
-        Self {
-            positive_sample: 60,
-            negative_sample: 60,
-            batch: 20,
-            z: 1.96,
-            seed: 31,
-        }
-    }
-}
+/// Pairs sampled from the predicted-negative stratum.
+pub const NEGATIVE_SAMPLE: usize = 60;
+
+/// Pairs per crowd round (the paper's HIT shape: 20).
+pub const ESTIMATOR_BATCH: usize = 20;
 
 /// Crowd-estimated matcher accuracy over a candidate set.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -64,15 +46,16 @@ pub struct AccuracyEstimate {
     pub questions: usize,
 }
 
-/// Estimate matcher accuracy on `fvs` with crowd labels.
+/// Estimate matcher accuracy on `fvs` with crowd labels; `seed` draws
+/// the strata samples.
 pub fn estimate_accuracy<C: Crowd>(
     session: &mut CrowdSession<C>,
     timeline: &mut Timeline,
     forest: &Forest,
     fvs: &FvSet,
-    cfg: &EstimatorConfig,
+    seed: u64,
 ) -> AccuracyEstimate {
-    let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x41434345);
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x41434345);
     let mut positives = Vec::new();
     let mut negatives = Vec::new();
     // Stratify with one batch pass over the compiled forest.
@@ -91,12 +74,12 @@ pub fn estimate_accuracy<C: Crowd>(
     let (n_pos, n_neg) = (positives.len(), negatives.len());
     positives.shuffle(&mut rng);
     negatives.shuffle(&mut rng);
-    positives.truncate(cfg.positive_sample);
-    negatives.truncate(cfg.negative_sample);
+    positives.truncate(POSITIVE_SAMPLE);
+    negatives.truncate(NEGATIVE_SAMPLE);
 
     let mut label_all = |idxs: &[usize]| -> Vec<bool> {
         let mut labels = Vec::with_capacity(idxs.len());
-        for chunk in idxs.chunks(cfg.batch.max(1)) {
+        for chunk in idxs.chunks(ESTIMATOR_BATCH) {
             let pairs: Vec<_> = chunk.iter().map(|&i| fvs.pairs[i]).collect();
             let (answers, latency) = session.label_batch(&pairs);
             timeline.crowd("accuracy_estimator", latency);
@@ -115,7 +98,7 @@ pub fn estimate_accuracy<C: Crowd>(
     } else {
         pos_labels.iter().filter(|l| **l).count() as f64 / pos_labels.len() as f64
     };
-    let precision_margin = error_margin(tp_rate, pos_labels.len(), n_pos.max(2), cfg.z);
+    let precision_margin = error_margin(tp_rate, pos_labels.len(), n_pos.max(2));
 
     // False-negative density among predicted negatives.
     let fn_rate = if neg_labels.is_empty() {
@@ -123,7 +106,7 @@ pub fn estimate_accuracy<C: Crowd>(
     } else {
         neg_labels.iter().filter(|l| **l).count() as f64 / neg_labels.len() as f64
     };
-    let fn_margin = error_margin(fn_rate, neg_labels.len(), n_neg.max(2), cfg.z);
+    let fn_margin = error_margin(fn_rate, neg_labels.len(), n_neg.max(2));
 
     // Scale rates by strata sizes: TP ≈ tp_rate·|P|, FN ≈ fn_rate·|N|.
     let tp = tp_rate * n_pos as f64;
@@ -161,6 +144,9 @@ mod tests {
     use falcon_forest::{Dataset, ForestConfig};
     use rand::Rng;
 
+    /// The seed the tests draw strata samples with.
+    const SEED: u64 = 31;
+
     /// Candidate universe where feature 0 separates matches, and a forest
     /// trained to a known (imperfect) quality.
     fn fixture(flip_train: f64) -> (FvSet, GroundTruth, Forest) {
@@ -194,13 +180,7 @@ mod tests {
         let (fvs, truth, forest) = fixture(0.0);
         let mut session = CrowdSession::new(OracleCrowd::new(truth));
         let mut tl = Timeline::new();
-        let est = estimate_accuracy(
-            &mut session,
-            &mut tl,
-            &forest,
-            &fvs,
-            &EstimatorConfig::default(),
-        );
+        let est = estimate_accuracy(&mut session, &mut tl, &forest, &fvs, SEED);
         assert!(est.precision > 0.9, "{est:?}");
         assert!(est.recall > 0.85, "{est:?}");
         assert!(est.questions > 0);
@@ -218,17 +198,7 @@ mod tests {
         }
         let mut session = CrowdSession::new(OracleCrowd::new(truth));
         let mut tl = Timeline::new();
-        let est = estimate_accuracy(
-            &mut session,
-            &mut tl,
-            &forest,
-            &fvs,
-            &EstimatorConfig {
-                positive_sample: 120,
-                negative_sample: 200,
-                ..Default::default()
-            },
-        );
+        let est = estimate_accuracy(&mut session, &mut tl, &forest, &fvs, SEED);
         assert!(
             (est.precision - conf.precision()).abs() < 0.2,
             "est {} vs true {}",
@@ -248,8 +218,7 @@ mod tests {
         let (fvs, truth, forest) = fixture(0.0);
         let mut session = CrowdSession::new(OracleCrowd::new(truth));
         let mut tl = Timeline::new();
-        let cfg = EstimatorConfig::default();
-        let est = estimate_accuracy(&mut session, &mut tl, &forest, &fvs, &cfg);
+        let est = estimate_accuracy(&mut session, &mut tl, &forest, &fvs, SEED);
         assert_eq!(session.ledger().questions, est.questions);
         assert!(tl.crowd_time() > std::time::Duration::ZERO);
     }

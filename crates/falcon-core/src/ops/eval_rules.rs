@@ -19,37 +19,22 @@ use falcon_crowd::{Crowd, CrowdSession};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
-/// Rule-evaluation configuration (paper defaults).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct EvalConfig {
-    /// Examples labeled per iteration (`b`).
-    pub batch: usize,
-    /// Iteration cap per rule (`n_e`).
-    pub max_iterations_per_rule: usize,
-    /// Minimum precision to retain a rule (`P_min`).
-    pub p_min: f64,
-    /// Maximum acceptable error margin (`ε_max`).
-    pub eps_max: f64,
-    /// z-value for the confidence level (`δ = 0.95` ⇒ 1.96).
-    pub z: f64,
-    /// RNG seed.
-    pub seed: u64,
-}
+/// Examples labeled per iteration (`b`).
+pub const EVAL_BATCH: usize = 20;
 
-impl Default for EvalConfig {
-    fn default() -> Self {
-        Self {
-            batch: 20,
-            max_iterations_per_rule: 5,
-            p_min: 0.95,
-            eps_max: 0.05,
-            z: 1.96,
-            seed: 23,
-        }
-    }
-}
+/// Iteration cap per rule (`n_e`).
+pub const MAX_ITERATIONS_PER_RULE: usize = 5;
+
+/// Minimum precision to retain a rule (`P_min`).
+pub const P_MIN: f64 = 0.95;
+
+/// Maximum acceptable error margin (`ε_max`).
+pub const EPS_MAX: f64 = 0.05;
+
+/// z-value of the confidence level `δ = 0.95`, for every crowd estimate's
+/// error margin.
+pub const Z_95: f64 = 1.96;
 
 /// One evaluated rule.
 #[derive(Debug, Clone)]
@@ -75,8 +60,9 @@ pub struct EvalOutput {
     pub total_iterations: usize,
 }
 
-/// The error margin of Proposition 2 / Corleone Section 4.2.
-pub fn error_margin(p: f64, n: usize, m: usize, z: f64) -> f64 {
+/// The error margin of Proposition 2 / Corleone Section 4.2, at the 95 %
+/// confidence level.
+pub fn error_margin(p: f64, n: usize, m: usize) -> f64 {
     if n == 0 || m <= 1 {
         return f64::INFINITY;
     }
@@ -85,18 +71,19 @@ pub fn error_margin(p: f64, n: usize, m: usize, z: f64) -> f64 {
     } else {
         0.0
     };
-    z * (p * (1.0 - p) / n as f64 * fpc).sqrt()
+    Z_95 * (p * (1.0 - p) / n as f64 * fpc).sqrt()
 }
 
-/// Run `eval_rules` over the ranked candidates.
+/// Run `eval_rules` over the ranked candidates; `seed` draws each rule's
+/// examples.
 pub fn eval_rules<C: Crowd>(
     session: &mut CrowdSession<C>,
     timeline: &mut Timeline,
     ranked: &RankedRules,
     sample: &FvSet,
-    cfg: &EvalConfig,
+    seed: u64,
 ) -> EvalOutput {
-    let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x4556414c);
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x4556414c);
     let mut out = EvalOutput::default();
     for (rank_idx, rule) in ranked.rules.iter().enumerate() {
         // Cancellation point: this operator is infallible, so a
@@ -119,8 +106,8 @@ pub fn eval_rules<C: Crowd>(
         let mut decision: Option<bool> = None; // Some(retain?)
         let mut p = 0.0;
         let mut eps = f64::INFINITY;
-        while iterations < cfg.max_iterations_per_rule && !pool.is_empty() {
-            let take = cfg.batch.min(pool.len());
+        while iterations < MAX_ITERATIONS_PER_RULE && !pool.is_empty() {
+            let take = EVAL_BATCH.min(pool.len());
             let batch_idx: Vec<usize> = pool.drain(..take).collect();
             let pairs: Vec<_> = batch_idx.iter().map(|&i| sample.pairs[i]).collect();
             let (labels, latency) = session.label_batch_strong(&pairs);
@@ -129,19 +116,19 @@ pub fn eval_rules<C: Crowd>(
             n += labels.len();
             n_neg += labels.iter().filter(|(_, l)| !l).count();
             p = n_neg as f64 / n as f64;
-            eps = error_margin(p, n, m, cfg.z);
-            if p >= cfg.p_min && eps <= cfg.eps_max {
+            eps = error_margin(p, n, m);
+            if p >= P_MIN && eps <= EPS_MAX {
                 decision = Some(true);
                 break;
             }
-            if p + eps < cfg.p_min || (eps <= cfg.eps_max && p < cfg.p_min) {
+            if p + eps < P_MIN || (eps <= EPS_MAX && p < P_MIN) {
                 decision = Some(false);
                 break;
             }
         }
         // On cap/exhaustion without a verdict, retain iff the point
         // estimate clears the bar (Falcon's pragmatic cap behaviour).
-        let retain = decision.unwrap_or(p >= cfg.p_min);
+        let retain = decision.unwrap_or(p >= P_MIN);
         out.total_iterations += iterations;
         if retain {
             out.retained.push(EvaluatedRule {
@@ -162,6 +149,9 @@ mod tests {
     use crate::ops::bitmap::Bitmap;
     use falcon_crowd::sim::{GroundTruth, OracleCrowd};
     use falcon_forest::SplitOp;
+
+    /// The seed the tests draw examples with.
+    const SEED: u64 = 23;
 
     /// Sample where pairs (i,i) with i < 20 are matches; feature 0 is a
     /// perfect similarity signal.
@@ -213,13 +203,7 @@ mod tests {
         let ranked = ranked_for(&sample, vec![rule(0.5)]);
         let mut session = CrowdSession::new(OracleCrowd::new(truth));
         let mut tl = Timeline::new();
-        let out = eval_rules(
-            &mut session,
-            &mut tl,
-            &ranked,
-            &sample,
-            &EvalConfig::default(),
-        );
+        let out = eval_rules(&mut session, &mut tl, &ranked, &sample, SEED);
         assert_eq!(out.retained.len(), 1);
         assert!(out.retained[0].precision > 0.99);
     }
@@ -231,13 +215,7 @@ mod tests {
         let ranked = ranked_for(&sample, vec![rule(1.0)]);
         let mut session = CrowdSession::new(OracleCrowd::new(truth));
         let mut tl = Timeline::new();
-        let out = eval_rules(
-            &mut session,
-            &mut tl,
-            &ranked,
-            &sample,
-            &EvalConfig::default(),
-        );
+        let out = eval_rules(&mut session, &mut tl, &ranked, &sample, SEED);
         assert!(out.retained.is_empty());
     }
 
@@ -247,20 +225,19 @@ mod tests {
         let ranked = ranked_for(&sample, vec![rule(0.5), rule(1.0)]);
         let mut session = CrowdSession::new(OracleCrowd::new(truth));
         let mut tl = Timeline::new();
-        let cfg = EvalConfig::default();
-        let out = eval_rules(&mut session, &mut tl, &ranked, &sample, &cfg);
-        assert!(out.total_iterations <= ranked.len() * cfg.max_iterations_per_rule);
+        let out = eval_rules(&mut session, &mut tl, &ranked, &sample, SEED);
+        assert!(out.total_iterations <= ranked.len() * MAX_ITERATIONS_PER_RULE);
     }
 
     #[test]
     fn error_margin_shrinks_with_n() {
-        let e1 = error_margin(0.9, 20, 1000, 1.96);
-        let e2 = error_margin(0.9, 100, 1000, 1.96);
+        let e1 = error_margin(0.9, 20, 1000);
+        let e2 = error_margin(0.9, 100, 1000);
         assert!(e2 < e1);
-        assert!(error_margin(0.9, 0, 1000, 1.96).is_infinite());
+        assert!(error_margin(0.9, 0, 1000).is_infinite());
         // Proposition 2: at n = 384 (and worst-case P = 0.5, huge m),
         // ε ≤ 0.05.
-        let e = error_margin(0.5, 384, 10_000_000, 1.96);
+        let e = error_margin(0.5, 384, 10_000_000);
         assert!(e <= 0.0501, "{e}");
     }
 
@@ -270,13 +247,7 @@ mod tests {
         let ranked = ranked_for(&sample, vec![rule(-1.0)]); // fires never
         let mut session = CrowdSession::new(OracleCrowd::new(truth));
         let mut tl = Timeline::new();
-        let out = eval_rules(
-            &mut session,
-            &mut tl,
-            &ranked,
-            &sample,
-            &EvalConfig::default(),
-        );
+        let out = eval_rules(&mut session, &mut tl, &ranked, &sample, SEED);
         assert!(out.retained.is_empty());
         assert_eq!(out.total_iterations, 0);
     }

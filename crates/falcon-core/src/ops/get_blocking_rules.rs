@@ -38,8 +38,11 @@ impl RankedRules {
     }
 }
 
-/// Extract, dedupe, rank and truncate to the top `max_rules` (the paper
-/// evaluates the top 20). `higher[f]` flags similarity-oriented features
+/// Rules crowd-evaluated per run (the paper's top `k = 20`).
+pub const TOP_K_RULES: usize = 20;
+
+/// Extract, dedupe, rank and truncate to the top `max_rules` (the driver
+/// passes [`TOP_K_RULES`]). `higher[f]` flags similarity-oriented features
 /// (controls missing-value semantics, see [`crate::rules::Predicate`]).
 pub fn get_blocking_rules(
     forest: &Forest,

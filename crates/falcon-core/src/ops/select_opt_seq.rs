@@ -2,7 +2,7 @@
 //! `score = α·precision − β·selectivity − γ·time`.
 //!
 //! All subsets of the retained rules are enumerated (retained sets are
-//! small; beyond [`SeqConfig::exact_cap`] rules a greedy forward selection
+//! small; beyond [`EXACT_CAP`] rules a greedy forward selection
 //! takes over). Within a subset, ordering does not affect precision or
 //! selectivity, only run time, and optimal ordering is NP-hard (pipelined
 //! set cover) — we use the 4-approximation greedy rule of Babu et al.
@@ -13,40 +13,26 @@
 //! `get_blocking_rules`; for large samples the bitmaps are striped down to
 //! a fixed optimizer resolution so subset enumeration stays fast.
 
-use crate::fv::FvSet;
 use crate::ops::bitmap::Bitmap;
 use crate::ops::eval_rules::EvaluatedRule;
 use crate::ops::get_blocking_rules::RankedRules;
 use crate::rules::{Rule, RuleSequence};
-use serde::{Deserialize, Serialize};
 
-/// Scoring weights and enumeration cap.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SeqConfig {
-    /// Precision weight (`α`).
-    pub alpha: f64,
-    /// Selectivity weight (`β`) — selectivity is the *kept* fraction, so
-    /// smaller candidate sets score higher.
-    pub beta: f64,
-    /// Run-time weight (`γ`), applied to normalized per-pair time.
-    pub gamma: f64,
-    /// Exact subset enumeration up to this many rules.
-    pub exact_cap: usize,
-    /// Bitmap resolution used by the optimizer.
-    pub optimizer_bits: usize,
-}
+/// Precision weight (`α`).
+pub const ALPHA: f64 = 1.0;
 
-impl Default for SeqConfig {
-    fn default() -> Self {
-        Self {
-            alpha: 1.0,
-            beta: 0.3,
-            gamma: 0.05,
-            exact_cap: 12,
-            optimizer_bits: 16_384,
-        }
-    }
-}
+/// Selectivity weight (`β`) — selectivity is the *kept* fraction, so
+/// smaller candidate sets score higher.
+pub const BETA: f64 = 0.3;
+
+/// Run-time weight (`γ`), applied to normalized per-pair time.
+pub const GAMMA: f64 = 0.05;
+
+/// Exact subset enumeration up to this many retained rules.
+pub const EXACT_CAP: usize = 12;
+
+/// Bitmap resolution used by the optimizer.
+pub const OPTIMIZER_BITS: usize = 16_384;
 
 /// The selected sequence plus its estimated properties.
 #[derive(Debug, Clone)]
@@ -146,7 +132,6 @@ fn greedy_order(cands: &[&Candidate<'_>], bits: usize) -> (Vec<usize>, f64) {
 fn score_subset(
     cands: &[Candidate<'_>],
     subset: &[usize],
-    cfg: &SeqConfig,
     bits: usize,
     max_time: f64,
 ) -> (Vec<usize>, f64, f64, f64) {
@@ -172,17 +157,12 @@ fn score_subset(
     } else {
         0.0
     };
-    let score = cfg.alpha * precision - cfg.beta * selectivity - cfg.gamma * time_norm;
+    let score = ALPHA * precision - BETA * selectivity - GAMMA * time_norm;
     (order, score, precision, selectivity)
 }
 
 /// Run `select_opt_seq` over the retained rules.
-pub fn select_opt_seq(
-    ranked: &RankedRules,
-    retained: &[EvaluatedRule],
-    _sample: &FvSet, // reserved for data-driven cost models
-    cfg: &SeqConfig,
-) -> SeqOutput {
+pub fn select_opt_seq(ranked: &RankedRules, retained: &[EvaluatedRule]) -> SeqOutput {
     if retained.is_empty() {
         return SeqOutput {
             seq: RuleSequence::default(),
@@ -192,7 +172,7 @@ pub fn select_opt_seq(
             rule_selectivities: Vec::new(),
         };
     }
-    let bits = cfg.optimizer_bits.min(ranked.coverage[0].len()).max(1);
+    let bits = OPTIMIZER_BITS.min(ranked.coverage[0].len()).max(1);
     let cands: Vec<Candidate> = retained
         .iter()
         .map(|e| (e, rule_cost(&e.rule)))
@@ -207,10 +187,10 @@ pub fn select_opt_seq(
 
     let n = cands.len();
     let mut best: Option<(Vec<usize>, f64, f64, f64)> = None;
-    if n <= cfg.exact_cap {
+    if n <= EXACT_CAP {
         for mask in 1u32..(1 << n) {
             let subset: Vec<usize> = (0..n).filter(|i| mask >> i & 1 == 1).collect();
-            let result = score_subset(&cands, &subset, cfg, bits, max_time);
+            let result = score_subset(&cands, &subset, bits, max_time);
             if best.as_ref().is_none_or(|b| result.1 > b.1) {
                 best = Some(result);
             }
@@ -227,7 +207,7 @@ pub fn select_opt_seq(
                 }
                 let mut trial = subset.clone();
                 trial.push(i);
-                let result = score_subset(&cands, &trial, cfg, bits, max_time);
+                let result = score_subset(&cands, &trial, bits, max_time);
                 if current.as_ref().is_none_or(|c| result.1 > c.1) {
                     current = Some(result);
                     subset = trial;
@@ -334,7 +314,7 @@ mod tests {
         // precision 0.5 (imprecise). The optimizer must not choose B
         // alone over A.
         let (ranked, retained) = setup(&[0.5, 0.9], &[1.0, 0.5]);
-        let out = select_opt_seq(&ranked, &retained, &sample(1000), &SeqConfig::default());
+        let out = select_opt_seq(&ranked, &retained);
         assert!(!out.seq.is_empty());
         // With alpha dominant, the chosen set's precision stays high.
         assert!(out.precision > 0.7, "{}", out.precision);
@@ -343,7 +323,7 @@ mod tests {
     #[test]
     fn empty_retained_gives_empty_sequence() {
         let (ranked, _) = setup(&[0.5], &[1.0]);
-        let out = select_opt_seq(&ranked, &[], &sample(1000), &SeqConfig::default());
+        let out = select_opt_seq(&ranked, &[]);
         assert!(out.seq.is_empty());
         assert_eq!(out.selectivity, 1.0);
     }
@@ -360,7 +340,7 @@ mod tests {
             bm.set(i);
         }
         ranked.coverage[1] = bm;
-        let out = select_opt_seq(&ranked, &retained, &sample(1000), &SeqConfig::default());
+        let out = select_opt_seq(&ranked, &retained);
         assert_eq!(out.seq.len(), 2);
         assert!(out.selectivity < 0.3, "{}", out.selectivity);
     }
@@ -369,19 +349,16 @@ mod tests {
     fn greedy_path_used_beyond_cap() {
         let thresholds: Vec<f64> = (0..14).map(|i| 0.1 + i as f64 * 0.05).collect();
         let precisions = vec![1.0; 14];
+        assert!(thresholds.len() > EXACT_CAP);
         let (ranked, retained) = setup(&thresholds, &precisions);
-        let cfg = SeqConfig {
-            exact_cap: 4,
-            ..Default::default()
-        };
-        let out = select_opt_seq(&ranked, &retained, &sample(1000), &cfg);
+        let out = select_opt_seq(&ranked, &retained);
         assert!(!out.seq.is_empty());
     }
 
     #[test]
     fn selectivities_reported_in_order() {
         let (ranked, retained) = setup(&[0.5, 0.2], &[1.0, 1.0]);
-        let out = select_opt_seq(&ranked, &retained, &sample(1000), &SeqConfig::default());
+        let out = select_opt_seq(&ranked, &retained);
         assert_eq!(out.rule_selectivities.len(), out.seq.len());
         for s in &out.rule_selectivities {
             assert!((0.0..=1.0).contains(s));

@@ -1153,8 +1153,12 @@ pub fn execute_pooled(
     Ok(result)
 }
 
+/// `apply_greedy`'s selection ratio (paper: 0.8): it is chosen when the
+/// sequence keeps at least this share of what its most selective
+/// filterable conjunct keeps.
+pub const GREEDY_RATIO: f64 = 0.8;
+
 /// The Section 10.1 physical-operator selection rules.
-#[allow(clippy::too_many_arguments)]
 pub fn select_physical(
     conjuncts: &ConjunctSpecs,
     built: &BuiltIndexes<'_>,
@@ -1162,7 +1166,6 @@ pub fn select_physical(
     seq_selectivity: f64,
     mapper_memory: usize,
     a_bytes: usize,
-    greedy_ratio: f64,
 ) -> PhysicalOp {
     let filterable = conjuncts.filterable();
     if !filterable.is_empty() {
@@ -1185,7 +1188,7 @@ pub fn select_physical(
         {
             let best_sel = rule_selectivities.get(best_ci).copied().unwrap_or(1.0);
             if best_sel > 0.0
-                && seq_selectivity / best_sel >= greedy_ratio
+                && seq_selectivity / best_sel >= GREEDY_RATIO
                 && best_bytes <= mapper_memory
             {
                 return PhysicalOp::ApplyGreedy;

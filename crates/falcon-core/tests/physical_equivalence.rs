@@ -212,7 +212,6 @@ fn physical_selection_follows_memory_budget() {
         0.2,
         1 << 30,
         physical::estimate_table_bytes(&a),
-        0.8,
     );
     assert_eq!(op, PhysicalOp::ApplyAll);
     // Sequence selectivity close to best conjunct's -> apply-greedy.
@@ -223,12 +222,11 @@ fn physical_selection_follows_memory_budget() {
         0.28,
         1 << 30,
         physical::estimate_table_bytes(&a),
-        0.8,
     );
-    // 0.28 / 0.3 = 0.93 >= 0.8.
+    // 0.28 / 0.3 = 0.93 >= GREEDY_RATIO (0.8).
     assert_eq!(op, PhysicalOp::ApplyGreedy);
     // No memory at all -> fall through to enumeration.
-    let op = physical::select_physical(&conjuncts, &built, &sels, 0.1, 0, usize::MAX, 0.8);
+    let op = physical::select_physical(&conjuncts, &built, &sels, 0.1, 0, usize::MAX);
     assert_eq!(op, PhysicalOp::ReduceSplit);
 }
 

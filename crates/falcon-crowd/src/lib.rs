@@ -18,7 +18,8 @@
 //!
 //! [`session::CrowdSession`] layers HIT batching (10 questions/HIT, 2
 //! cents/answer), majority-of-3 and strong-majority-up-to-7 voting, and a
-//! cost/latency ledger on top of any [`Crowd`].
+//! cost/latency ledger on top of any [`Crowd`]; lost answers are re-posted
+//! and ties escalated within the fixed budgets of [`vote`].
 
 pub mod interactive;
 pub mod journal;
@@ -30,7 +31,7 @@ use falcon_table::IdPair;
 use std::time::Duration;
 
 pub use journal::{CrowdJournal, JournalError};
-pub use session::{CrowdSession, Ledger, RepostPolicy, SessionConfig};
+pub use session::{CrowdSession, Ledger};
 
 /// A source of (possibly noisy) match/no-match answers about tuple pairs.
 ///
@@ -46,8 +47,7 @@ pub trait Crowd: Send + Sync {
     /// that expired or was abandoned before the worker answered (the
     /// dominant failure mode on real MTurk). The default implementation
     /// never fails; [`sim::UnreliableCrowd`] loses answers at a seeded
-    /// rate. Voting re-posts lost questions — see
-    /// [`vote::majority_with_policy`].
+    /// rate. Voting re-posts lost questions — see [`vote::majority`].
     fn try_answer(&self, pair: IdPair) -> Option<bool> {
         Some(self.answer(pair))
     }

@@ -1,12 +1,14 @@
 //! HIT batching, voting and the cost/latency ledger.
 //!
-//! The paper's crowdsourcing shape: questions are grouped 10 per HIT
-//! (`q = 10`), a labeling iteration posts `h = 2` HITs (20 pairs), every
-//! answer costs `c = $0.02`, `al_matcher` takes a majority of `v_m = 3`
-//! answers per question, and `eval_rules` uses a strong-majority scheme
-//! with up to `v_e = 7` answers. One iteration's HITs are posted
-//! concurrently, so an iteration consumes one round of crowd latency —
-//! plus one extra round per re-post wave when workers abandon questions.
+//! The paper's crowdsourcing shape, fixed system values of a hands-off
+//! service: questions are grouped 10 per HIT ([`QUESTIONS_PER_HIT`]), a
+//! labeling iteration posts `h = 2` HITs (20 pairs), every answer costs
+//! `c = $0.02`, `al_matcher` takes a majority of `v_m = 3` answers per
+//! question ([`MAJORITY_VOTES`]), and `eval_rules` uses a strong-majority
+//! scheme with up to `v_e = 7` answers ([`STRONG_MAJORITY_MAX`]). One
+//! iteration's HITs are posted concurrently, so an iteration consumes one
+//! round of crowd latency — plus one extra round per re-post wave when
+//! workers abandon questions.
 //!
 //! With a [`CrowdJournal`] attached, every labeled batch is checkpointed
 //! to disk before its labels are returned, and a resumed session replays
@@ -15,56 +17,20 @@
 //! stopped.
 
 use crate::journal::{BatchRecord, CrowdJournal, JournalError, QuestionRecord};
-use crate::vote::{majority_with_policy, strong_majority_with_policy, Vote};
+use crate::vote::{majority, strong_majority, Vote};
 use crate::Crowd;
 use falcon_table::IdPair;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
-/// Recovery policy for lost crowd answers (expired / abandoned HITs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RepostPolicy {
-    /// Re-posts allowed per question before voting gives up on further
-    /// answers (MTurk HITs are re-posted when they expire unanswered).
-    pub max_reposts: usize,
-    /// Extra votes from fresh workers when the base votes end without
-    /// consensus (a tie — only reachable when answers were lost or the
-    /// vote count is even).
-    pub escalation_votes: usize,
-}
+/// Questions per HIT (`q`).
+pub const QUESTIONS_PER_HIT: usize = 10;
 
-impl Default for RepostPolicy {
-    fn default() -> Self {
-        Self {
-            max_reposts: 25,
-            escalation_votes: 3,
-        }
-    }
-}
+/// Majority size for active-learning questions (`v_m`).
+pub const MAJORITY_VOTES: usize = 3;
 
-/// Crowdsourcing shape parameters (paper defaults).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SessionConfig {
-    /// Questions per HIT (`q`).
-    pub questions_per_hit: usize,
-    /// Majority size for active-learning questions (`v_m`).
-    pub majority_votes: usize,
-    /// Maximum answers for rule-evaluation questions (`v_e`).
-    pub strong_majority_max: usize,
-    /// Recovery policy for lost answers and no-consensus outcomes.
-    pub repost: RepostPolicy,
-}
-
-impl Default for SessionConfig {
-    fn default() -> Self {
-        Self {
-            questions_per_hit: 10,
-            majority_votes: 3,
-            strong_majority_max: 7,
-            repost: RepostPolicy::default(),
-        }
-    }
-}
+/// Maximum answers for rule-evaluation questions (`v_e`).
+pub const STRONG_MAJORITY_MAX: usize = 7;
 
 /// Running totals of crowd activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -105,8 +71,8 @@ impl Scheme {
     }
 }
 
-/// A crowdsourcing session: a crowd plus batching/voting configuration and
-/// a ledger.
+/// A crowdsourcing session: a crowd, the paper's HIT shape and voting
+/// schemes, and a ledger.
 ///
 /// ```
 /// use falcon_crowd::CrowdSession;
@@ -121,24 +87,16 @@ impl Scheme {
 /// ```
 pub struct CrowdSession<C: Crowd> {
     crowd: C,
-    /// Shape parameters.
-    pub config: SessionConfig,
     ledger: Ledger,
     journal: Option<CrowdJournal>,
     journal_error: Option<JournalError>,
 }
 
 impl<C: Crowd> CrowdSession<C> {
-    /// Start a session over a crowd with default (paper) parameters.
+    /// Start a session over a crowd.
     pub fn new(crowd: C) -> Self {
-        Self::with_config(crowd, SessionConfig::default())
-    }
-
-    /// Start with explicit parameters.
-    pub fn with_config(crowd: C, config: SessionConfig) -> Self {
         Self {
             crowd,
-            config,
             ledger: Ledger::default(),
             journal: None,
             journal_error: None,
@@ -243,18 +201,8 @@ impl<C: Crowd> CrowdSession<C> {
         let mut worst_lost = 0usize;
         for &p in pairs {
             let v: Vote = match scheme {
-                Scheme::Majority => majority_with_policy(
-                    &self.crowd,
-                    p,
-                    self.config.majority_votes,
-                    &self.config.repost,
-                ),
-                Scheme::Strong => strong_majority_with_policy(
-                    &self.crowd,
-                    p,
-                    self.config.strong_majority_max,
-                    &self.config.repost,
-                ),
+                Scheme::Majority => majority(&self.crowd, p, MAJORITY_VOTES),
+                Scheme::Strong => strong_majority(&self.crowd, p, STRONG_MAJORITY_MAX),
             };
             answers += v.answers;
             lost += v.lost;
@@ -312,7 +260,7 @@ impl<C: Crowd> CrowdSession<C> {
         rounds: usize,
         latency: Duration,
     ) {
-        let hits = questions.div_ceil(self.config.questions_per_hit.max(1));
+        let hits = questions.div_ceil(QUESTIONS_PER_HIT);
         self.ledger.questions += questions;
         self.ledger.answers += answers;
         self.ledger.lost_answers += lost;

@@ -177,8 +177,8 @@ impl Crowd for ExpertCrowd {
 /// abandoned it, or the result never came back). Wraps any inner crowd;
 /// the loss decision is drawn from its own seeded RNG, so runs are
 /// reproducible. Voting layers re-post lost questions
-/// ([`crate::vote::majority_with_policy`]) — the MTurk analogue of
-/// re-posting an expired HIT for fresh workers.
+/// ([`crate::vote::majority`]) — the MTurk analogue of re-posting an
+/// expired HIT for fresh workers.
 pub struct UnreliableCrowd<C: Crowd> {
     inner: C,
     loss_rate: f64,

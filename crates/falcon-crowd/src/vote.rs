@@ -1,9 +1,17 @@
 //! Voting schemes over repeated crowd answers, including re-posting of
 //! lost answers and escalation on no-consensus.
 
-use crate::session::RepostPolicy;
 use crate::Crowd;
 use falcon_table::IdPair;
+
+/// Re-posts allowed per question before voting gives up on further
+/// answers (MTurk HITs are re-posted when they expire unanswered).
+pub const MAX_REPOSTS: usize = 25;
+
+/// Extra votes from fresh workers when the base votes end without
+/// consensus (a tie — only reachable when answers were lost or the vote
+/// count is even).
+pub const ESCALATION_VOTES: usize = 3;
 
 /// Outcome of voting on one question.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,13 +49,12 @@ fn collect_one(
     }
 }
 
-/// Break a tie with up to `escalation_votes` extra answers from fresh
+/// Break a tie with up to [`ESCALATION_VOTES`] extra answers from fresh
 /// workers (the paper's substrate re-posts a no-consensus HIT with a
 /// higher assignment count). Returns true when escalation was attempted.
 fn escalate(
     crowd: &impl Crowd,
     pair: IdPair,
-    policy: &RepostPolicy,
     reposts_left: &mut usize,
     pos: &mut usize,
     neg: &mut usize,
@@ -56,7 +63,7 @@ fn escalate(
     if *pos != *neg {
         return false;
     }
-    for _ in 0..policy.escalation_votes {
+    for _ in 0..ESCALATION_VOTES {
         if *pos != *neg {
             break;
         }
@@ -71,22 +78,17 @@ fn escalate(
 
 /// Simple majority over `n` answers (the paper's `v_m = 3` scheme for
 /// `al_matcher`). `n` should be odd. Lost answers are re-posted within
-/// `policy.max_reposts`; if the delivered answers end in a tie (possible
-/// only when answers were lost or `n` is even), up to
-/// `policy.escalation_votes` extra votes break it; a surviving tie labels
-/// `false` (don't pay for an uncertain match).
+/// [`MAX_REPOSTS`]; if the delivered answers end in a tie (possible only
+/// when answers were lost or `n` is even), up to [`ESCALATION_VOTES`]
+/// extra votes break it; a surviving tie labels `false` (don't pay for an
+/// uncertain match).
 ///
 /// With a lossless crowd and odd `n` this asks *exactly* the same
 /// question sequence as the pre-fault-model implementation, so seeded
 /// simulated runs are unchanged.
-pub fn majority_with_policy(
-    crowd: &impl Crowd,
-    pair: IdPair,
-    n: usize,
-    policy: &RepostPolicy,
-) -> Vote {
+pub fn majority(crowd: &impl Crowd, pair: IdPair, n: usize) -> Vote {
     let n = n.max(1);
-    let mut reposts_left = policy.max_reposts;
+    let mut reposts_left = MAX_REPOSTS;
     let mut lost = 0usize;
     let mut pos = 0usize;
     let mut neg = 0usize;
@@ -97,15 +99,7 @@ pub fn majority_with_policy(
             None => break,
         }
     }
-    let escalated = escalate(
-        crowd,
-        pair,
-        policy,
-        &mut reposts_left,
-        &mut pos,
-        &mut neg,
-        &mut lost,
-    );
+    let escalated = escalate(crowd, pair, &mut reposts_left, &mut pos, &mut neg, &mut lost);
     Vote {
         label: pos > neg,
         answers: pos + neg,
@@ -114,24 +108,14 @@ pub fn majority_with_policy(
     }
 }
 
-/// [`majority_with_policy`] with the default [`RepostPolicy`].
-pub fn majority(crowd: &impl Crowd, pair: IdPair, n: usize) -> Vote {
-    majority_with_policy(crowd, pair, n, &RepostPolicy::default())
-}
-
 /// Corleone's strong-majority scheme used by `eval_rules` (`v_e = 7`):
 /// collect three answers; keep collecting one at a time until one side
 /// leads by at least two, or `max` answers (7) have been collected; the
 /// final label is the simple majority. Lost answers are re-posted and
-/// ties escalated exactly as in [`majority_with_policy`].
-pub fn strong_majority_with_policy(
-    crowd: &impl Crowd,
-    pair: IdPair,
-    max: usize,
-    policy: &RepostPolicy,
-) -> Vote {
+/// ties escalated exactly as in [`majority`].
+pub fn strong_majority(crowd: &impl Crowd, pair: IdPair, max: usize) -> Vote {
     let max = max.max(3);
-    let mut reposts_left = policy.max_reposts;
+    let mut reposts_left = MAX_REPOSTS;
     let mut lost = 0usize;
     let mut pos = 0usize;
     let mut neg = 0usize;
@@ -153,26 +137,13 @@ pub fn strong_majority_with_policy(
             None => budget_dry = true,
         }
     }
-    let escalated = escalate(
-        crowd,
-        pair,
-        policy,
-        &mut reposts_left,
-        &mut pos,
-        &mut neg,
-        &mut lost,
-    );
+    let escalated = escalate(crowd, pair, &mut reposts_left, &mut pos, &mut neg, &mut lost);
     Vote {
         label: pos > neg,
         answers: pos + neg,
         lost,
         escalated,
     }
-}
-
-/// [`strong_majority_with_policy`] with the default [`RepostPolicy`].
-pub fn strong_majority(crowd: &impl Crowd, pair: IdPair, max: usize) -> Vote {
-    strong_majority_with_policy(crowd, pair, max, &RepostPolicy::default())
 }
 
 #[cfg(test)]
@@ -287,22 +258,18 @@ mod tests {
                 "void"
             }
         }
-        let policy = RepostPolicy {
-            max_reposts: 5,
-            escalation_votes: 3,
-        };
-        let v = majority_with_policy(&Void, (1, 1), 3, &policy);
+        let v = majority(&Void, (1, 1), 3);
         assert!(!v.label);
         assert_eq!(v.answers, 0);
         assert!(v.escalated);
-        // Initial post + 5 budgeted re-posts in the base vote, plus one
+        // Initial post + the budgeted re-posts in the base vote, plus one
         // more lost attempt when escalation tries to break the tie.
-        assert_eq!(v.lost, 7);
+        assert_eq!(v.lost, 1 + MAX_REPOSTS + 1);
     }
 
     #[test]
     fn lossless_policy_voting_matches_legacy_draw_sequence() {
-        // Same seed, same questions: the policy-aware path must consume
+        // Same seed, same questions: the repost-aware path must consume
         // exactly the same RNG draws as the pre-fault-model scheme.
         let a = RandomWorkerCrowd::new(truth(), 0.3, 99);
         let b = RandomWorkerCrowd::new(truth(), 0.3, 99);

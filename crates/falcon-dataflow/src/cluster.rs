@@ -42,8 +42,6 @@ pub struct ClusterConfig {
     pub reduce_slots_per_node: usize,
     /// Memory budget available to each mapper for in-memory indexes.
     pub mapper_memory_bytes: usize,
-    /// Memory budget available to each reducer.
-    pub reducer_memory_bytes: usize,
     /// Fixed simulated overhead per job (JVM spin-up, scheduling).
     pub job_overhead: Duration,
     /// Fixed simulated overhead per task.
@@ -57,7 +55,6 @@ impl Default for ClusterConfig {
             map_slots_per_node: 4,
             reduce_slots_per_node: 2,
             mapper_memory_bytes: 2 << 30,
-            reducer_memory_bytes: 2 << 30,
             job_overhead: Duration::from_millis(500),
             task_overhead: Duration::from_millis(20),
         }

@@ -74,6 +74,25 @@ pub enum DataflowError {
 }
 
 impl DataflowError {
+    /// The job this error is located at. Exhaustive, like [`Self::phase`]:
+    /// a variant without the coordinate does not compile.
+    pub fn job(&self) -> u64 {
+        match self {
+            Self::WorkerPanicked { job, .. }
+            | Self::AttemptsExhausted { job, .. }
+            | Self::PartitionMissing { job, .. } => *job,
+        }
+    }
+
+    /// The phase of [`Self::job`] this error is located at.
+    pub fn phase(&self) -> Phase {
+        match self {
+            Self::WorkerPanicked { phase, .. }
+            | Self::AttemptsExhausted { phase, .. }
+            | Self::PartitionMissing { phase, .. } => *phase,
+        }
+    }
+
     /// The task (split) index the error is anchored to, when it has one.
     pub fn task_index(&self) -> Option<usize> {
         match self {

@@ -213,5 +213,6 @@ fn exhausted_attempts_fail_the_job_with_full_context() {
             attempts: 3,
         }
     );
+    assert_eq!((err.job(), err.phase()), (0, Phase::MapOnly));
     assert!(err.to_string().contains("map-only task 0"), "{err}");
 }

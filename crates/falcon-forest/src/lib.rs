@@ -27,14 +27,12 @@
 pub mod eval;
 pub mod flat;
 pub mod forest;
-pub mod importance;
 pub mod paths;
 pub mod tree;
 
 pub use eval::{confusion, f1_score, Confusion};
 pub use flat::{FlatForest, FLAT_LEAF};
 pub use forest::{default_threads, Forest, ForestConfig};
-pub use importance::{feature_importance, feature_importance_flat};
 pub use paths::{NegativePath, PathPredicate, SplitOp};
 pub use tree::{Node, RankMatrix, Tree, TreeConfig};
 

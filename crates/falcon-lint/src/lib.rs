@@ -9,8 +9,11 @@
 //! `expect_used`, `panic`, `unreachable` denied in the crate roots of
 //! `falcon-core`, `falcon-dataflow`, `falcon-index` and `falcon-serve`),
 //! and wall-clock, environment and hasher-entropy reads (the root
-//! `clippy.toml`). This crate keeps the three rules no path lookup can
-//! express, checked over the library source by a hand-rolled lexer
+//! `clippy.toml`); rustc checks error coordinates (every variant of
+//! `DataflowError` and `ServeError` must answer their exhaustive
+//! `job`/`phase` and `tenant`/`round` accessors, and a construction that
+//! omits a field is E0063). This crate keeps the two rules no path lookup
+//! can express, checked over the library source by a hand-rolled lexer
 //! ([`lexer`]) with comments, strings and `cfg(test)` regions excluded:
 //!
 //! * **`hashmap-iter-order`** — iterating a `HashMap`/`HashSet` (local,
@@ -26,16 +29,9 @@
 //!   `fold(0.0, ...)`) over an unordered hash-container iteration: float
 //!   addition is non-associative, so an arbitrary reduction order breaks
 //!   bit-identical replay. Sort first, or reduce in arrival order.
-//! * **`error-context`** — every `DataflowError` struct-variant
-//!   construction in `falcon-dataflow`/`falcon-core` must carry its
-//!   `job` and `phase` coordinates (task-level errors also carry `task`),
-//!   and every `ServeError` construction in `falcon-serve` its `tenant`
-//!   and `round`: a hands-off service diagnoses a failed run from the
-//!   error value alone.
 //!
 //! The rules have no waiver syntax: a deliberate exception is written
-//! through a funnel (a sort, an order-insensitive fold, the coordinates)
-//! instead.
+//! through a funnel (a sort, an order-insensitive fold) instead.
 
 pub mod lexer;
 
@@ -53,17 +49,10 @@ pub enum Rule {
     HashmapIterOrder,
     /// No float accumulation over unordered hash iteration.
     FloatReduceOrder,
-    /// `DataflowError` constructions must carry job/phase coordinates;
-    /// `ServeError` constructions tenant/round.
-    ErrorContext,
 }
 
 /// Every rule, in report order.
-pub const ALL_RULES: [Rule; 3] = [
-    Rule::HashmapIterOrder,
-    Rule::FloatReduceOrder,
-    Rule::ErrorContext,
-];
+pub const ALL_RULES: [Rule; 2] = [Rule::HashmapIterOrder, Rule::FloatReduceOrder];
 
 impl Rule {
     /// The rule's name as printed in reports.
@@ -71,7 +60,6 @@ impl Rule {
         match self {
             Rule::HashmapIterOrder => "hashmap-iter-order",
             Rule::FloatReduceOrder => "float-reduce-order",
-            Rule::ErrorContext => "error-context",
         }
     }
 }
@@ -132,9 +120,6 @@ pub fn rules_for(path: &Path) -> Vec<Rule> {
     if deterministic_result_path {
         rules.push(Rule::HashmapIterOrder);
         rules.push(Rule::FloatReduceOrder);
-    }
-    if has("falcon-dataflow/src/") || has("falcon-core/src/") || has("falcon-serve/src/") {
-        rules.push(Rule::ErrorContext);
     }
     rules
 }
@@ -485,59 +470,6 @@ fn classify_iteration(
     }
 }
 
-/// Error types whose struct-variant constructions must carry location
-/// coordinates, with the field names that count as context. A hands-off
-/// service diagnoses failures from the error value alone, so every typed
-/// error names where it happened: dataflow errors carry (job, phase),
-/// service errors carry (tenant, round).
-pub const ERROR_CONTEXT_TYPES: [(&str, [&str; 2]); 2] = [
-    ("DataflowError", ["job", "phase"]),
-    ("ServeError", ["tenant", "round"]),
-];
-
-/// Scan `DataflowError::Variant { ... }` / `ServeError::Variant { ... }`
-/// constructions for missing coordinates (see [`ERROR_CONTEXT_TYPES`]).
-/// Match-arm *patterns* (span followed by `=>` or `=`) are exempt — the
-/// rule is about constructing errors with context, not destructuring
-/// them.
-fn pass_error_context(fs: &FileScan, out: &mut Vec<Violation>) {
-    let toks = &fs.lx.toks;
-    for i in 0..toks.len() {
-        let Some((ty, required)) = ERROR_CONTEXT_TYPES
-            .iter()
-            .find(|(ty, _)| toks[i].is(ty) && toks[i].is_ident)
-        else {
-            continue;
-        };
-        if !fs.lx.matches(i + 1, &[":", ":"]) {
-            continue;
-        }
-        let Some(variant) = toks.get(i + 3).filter(|t| t.is_ident) else {
-            continue;
-        };
-        if !toks.get(i + 4).is_some_and(|t| t.is("{")) {
-            continue;
-        }
-        let close = fs.lx.matching_brace(i + 4);
-        if toks
-            .get(close + 1)
-            .is_some_and(|t| t.is("=") || t.text == ">")
-        {
-            continue; // pattern position, not a construction
-        }
-        let body = &toks[i + 5..close];
-        let has = |s: &str| body.iter().any(|t| t.is_ident && t.is(s));
-        if !required.iter().all(|f| has(f)) && fs.active(Rule::ErrorContext, toks[i].line) {
-            out.push(fs.violation(
-                Rule::ErrorContext,
-                toks[i].line,
-                toks[i].col,
-                format!("{ty}::{}", variant.text),
-            ));
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------
@@ -550,7 +482,6 @@ pub fn scan_source(path: &Path, source: &str, rules: &[Rule]) -> Vec<Violation> 
     }
     let fs = FileScan::prepare(path.to_path_buf(), source, rules.to_vec());
     pass_hash_iteration(&fs, &mut out);
-    pass_error_context(&fs, &mut out);
     out.sort_by_key(|v| (v.line, v.col, v.rule.name()));
     out
 }
@@ -608,7 +539,6 @@ mod tests {
             "#[cfg(test)]\n",
             "mod tests {\n",
             "    fn t(m: &HashMap<u32, u32>) -> Vec<u32> { m.keys().copied().collect() }\n",
-            "    fn e() -> DataflowError { DataflowError::PartitionMissing { partition: 3 } }\n",
             "}\n",
         );
         let v = scan_source(&core_path(), src, &rules_for(&core_path()));
@@ -619,7 +549,7 @@ mod tests {
     fn raw_strings_and_lifetimes_do_not_confuse_the_lexer() {
         let src = concat!(
             "pub fn f<'a>(s: &'a str, m: &HashMap<u32, u32>) -> &'a str {\n",
-            "    let _ = r\"m.keys() DataflowError::PartitionMissing { }\";\n",
+            "    let _ = r\"m.keys() { }\";\n",
             "    let _c = '\\'';\n",
             "    s\n",
             "}\n",
@@ -636,9 +566,9 @@ mod tests {
         assert_eq!(rules_for(&posix), ALL_RULES);
         assert_eq!(rules_for(&posix), rules_for(&windows));
         assert_eq!(rules_for(&posix), rules_for(&dotted));
-        // The service crate owes error context only, whatever the separator.
+        // The service crate owes no rule, whatever the separator.
         let w = PathBuf::from("crates\\falcon-serve\\src\\sched.rs");
-        assert_eq!(rules_for(&w), [Rule::ErrorContext]);
+        assert!(rules_for(&w).is_empty());
     }
 
     #[test]
@@ -719,35 +649,6 @@ mod tests {
             "}\n",
         );
         let v = scan_source(&core_path(), src, &rules_for(&core_path()));
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn error_context_requires_job_and_phase() {
-        let path = PathBuf::from("crates/falcon-dataflow/src/runner.rs");
-        let src =
-            "pub fn f() -> DataflowError { DataflowError::PartitionMissing { partition: 3 } }\n";
-        let v = scan_source(&path, src, &rules_for(&path));
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::ErrorContext);
-        assert_eq!(v[0].token, "DataflowError::PartitionMissing");
-        let src = "pub fn f() -> DataflowError { DataflowError::PartitionMissing { job: 1, phase: Phase::Reduce, partition: 3 } }\n";
-        let v = scan_source(&path, src, &rules_for(&path));
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn error_context_skips_match_patterns() {
-        let path = PathBuf::from("crates/falcon-dataflow/src/runner.rs");
-        let src = concat!(
-            "pub fn f(e: &DataflowError) -> usize {\n",
-            "    match e {\n",
-            "        DataflowError::PartitionMissing { partition, .. } => *partition,\n",
-            "        _ => 0,\n",
-            "    }\n",
-            "}\n",
-        );
-        let v = scan_source(&path, src, &rules_for(&path));
         assert!(v.is_empty(), "{v:?}");
     }
 }

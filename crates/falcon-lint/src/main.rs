@@ -1,6 +1,6 @@
 //! `falcon-lint`: lint the workspace's library sources for the
-//! hash-iteration order, float reduction order and error-context
-//! invariants (clippy owns the rest; see the library docs).
+//! hash-iteration order and float reduction order invariants (clippy and
+//! rustc own the rest; see the library docs).
 //!
 //! ```sh
 //! cargo run -p falcon-lint               # lint the enclosing workspace

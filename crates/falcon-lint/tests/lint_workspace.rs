@@ -32,8 +32,6 @@ fn the_workspace_is_lint_clean() {
 fn seeded_fixture_matches_the_ci_expectation_file() {
     // bad_iter.rs: unordered hash iteration + float sum over one (the
     // blessed count and collect-then-sort shapes must NOT be reported).
-    // bad_error.rs / bad_serve_error.rs: error constructions without
-    // their coordinates (the match patterns must NOT be reported).
     let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let fixture = manifest.join("tests/fixtures/bad-workspace");
     let expected_file = manifest.join("tests/fixtures/bad-workspace-expected.txt");

@@ -1,8 +1,9 @@
 //! Typed service-level errors.
 //!
 //! Every variant carries the `(tenant, round)` pair that locates the
-//! failure in the scheduler's lockstep execution — the same discipline
-//! `falcon-lint`'s `error-context` rule enforces for
+//! failure in the scheduler's lockstep execution, and the exhaustive
+//! [`ServeError::tenant`] / [`ServeError::round`] accessors make rustc
+//! reject a variant without it — the same discipline as
 //! `DataflowError::{job, phase}`. Service-scoped failures (journal
 //! corruption before any tenant ran, say) use the reserved tenant name
 //! `"service"`.

@@ -14,11 +14,11 @@
 use falcon::core::features::generate_features;
 use falcon::core::indexing::{BuiltIndexes, ConjunctSpecs};
 use falcon::core::ops::al_matcher::{al_matcher, AlConfig};
-use falcon::core::ops::eval_rules::{eval_rules, EvalConfig};
+use falcon::core::ops::eval_rules::eval_rules;
 use falcon::core::ops::gen_fvs::gen_fvs;
-use falcon::core::ops::get_blocking_rules::get_blocking_rules;
+use falcon::core::ops::get_blocking_rules::{get_blocking_rules, TOP_K_RULES};
 use falcon::core::ops::sample_pairs::sample_pairs;
-use falcon::core::ops::select_opt_seq::{select_opt_seq, SeqConfig};
+use falcon::core::ops::select_opt_seq::select_opt_seq;
 use falcon::core::physical::{self, PhysicalOp};
 use falcon::core::timeline::Timeline;
 use falcon::prelude::*;
@@ -68,21 +68,16 @@ fn main() {
     );
 
     // get_blocking_rules: forest paths -> ranked candidate rules.
-    let ranked = get_blocking_rules(&al.forest, &s_fvs.fvs, 20, &higher);
+    let ranked = get_blocking_rules(&al.forest, &s_fvs.fvs, TOP_K_RULES, &higher);
     println!("get_blocking_rules: {} candidates", ranked.len());
 
-    // eval_rules: crowd evaluates precision per rule.
-    let eval = eval_rules(
-        &mut session,
-        &mut timeline,
-        &ranked,
-        &s_fvs.fvs,
-        &EvalConfig::default(),
-    );
+    // eval_rules: crowd evaluates precision per rule (examples drawn
+    // with seed 23).
+    let eval = eval_rules(&mut session, &mut timeline, &ranked, &s_fvs.fvs, 23);
     println!("eval_rules: {} retained", eval.retained.len());
 
     // select_opt_seq.
-    let seq = select_opt_seq(&ranked, &eval.retained, &s_fvs.fvs, &SeqConfig::default());
+    let seq = select_opt_seq(&ranked, &eval.retained);
     println!(
         "select_opt_seq: {} rules, est. selectivity {:.4}, precision >= {:.3}",
         seq.seq.len(),
