@@ -36,14 +36,39 @@ fn bench_similarity(c: &mut Criterion) {
             bench.iter(|| sim.score_str(black_box(a), black_box(b), &ctx))
         });
     }
-    // The matching-only kernels as `gen_fvs` runs them: NW, SW and
-    // SW-Gotoh from one sweep over the bytes, and Monge-Elkan over
-    // interned ids with a task's (warm) Jaro-Winkler memo.
+    // The matching-only kernels: NW, SW and SW-Gotoh of one pair from one
+    // `i32` sweep over the bytes (the per-pair path), the same three of
+    // eight pairs from one sweep in `i16` lanes (as `gen_fvs` runs them),
+    // and Monge-Elkan over interned ids with a task's (warm) Jaro-Winkler
+    // memo.
     let mut scratch = SimScratch::new();
     g.bench_function("align_triple", |bench| {
         bench.iter(|| {
             let (x, y) = (Syms::Ascii(a.as_bytes()), Syms::Ascii(b.as_bytes()));
             CharFamily::Align.score_syms(black_box(x), black_box(y), &mut scratch)
+        })
+    });
+    let titles = [
+        a,
+        b,
+        "sony wh-1000xm4 wireless headphones black",
+        "bose quietcomfort 45 bluetooth headphones",
+        "bose qc45 noise cancelling wireless headphone white",
+        "sennheiser momentum 4 wireless",
+        "apple airpods max space gray",
+        "jbl tune 760nc over-ear",
+    ];
+    let batch: Vec<(Syms, Syms)> = (0..titles.len())
+        .map(|k| {
+            let (x, y) = (titles[k], titles[(k + 3) % titles.len()]);
+            (Syms::Ascii(x.as_bytes()), Syms::Ascii(y.as_bytes()))
+        })
+        .collect();
+    let mut out = [[0.0; 3]; 8];
+    g.bench_function("align_batch8", |bench| {
+        bench.iter(|| {
+            CharFamily::Align.score_batch(black_box(&batch), &mut scratch, &mut out);
+            out
         })
     });
     let mut dict = TokenDict::new();

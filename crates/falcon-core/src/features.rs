@@ -8,8 +8,10 @@
 //! from the blocking feature set (too slow / unfilterable for blocking).
 
 use falcon_table::{AttrCharacteristic, IdPair, Table, TableProfile, TupleId, ValueRef};
+use falcon_textsim::align::LANES;
 use falcon_textsim::{
-    hybrid, sets, tfidf, CharFamily, SimContext, SimFunction, SimScratch, TokenProfile, Tokenizer,
+    hybrid, sets, tfidf, CharFamily, SimContext, SimFunction, SimScratch, Syms, TokenProfile,
+    Tokenizer,
 };
 use serde::{Deserialize, Serialize};
 
@@ -43,8 +45,9 @@ pub struct Feature {
 /// feature of the group is first read: Jaccard, Dice, overlap and cosine
 /// over one column are four functions of one merge; NW, SW and SW-Gotoh
 /// three outputs of one alignment sweep; Jaro-Winkler its Jaro plus a
-/// prefix boost. It must only score under the context it was compiled
-/// against.
+/// prefix boost. [`Scorer::vectors`] runs the families ahead over runs
+/// of [`LANES`] pairs, so the alignment sweep takes eight pairs at once.
+/// It must only score under the context it was compiled against.
 #[derive(Debug, Clone)]
 pub struct Scorer<'f> {
     pub(crate) a: Table,
@@ -53,7 +56,8 @@ pub struct Scorer<'f> {
     /// Per feature, the slot of its attribute pair and the kernel its
     /// value comes from.
     plan: Vec<(usize, Kernel)>,
-    attrs: usize,
+    /// Per attribute pair slot, its `(A, B)` attribute indices.
+    attrs: Vec<(usize, usize)>,
     /// Per merge group, its token columns' slots in the `A` and `B`
     /// profiles (`None`: not profiled, the group's features take the
     /// string path).
@@ -85,6 +89,10 @@ pub struct ScoreScratch {
     counts: Vec<Option<sets::Counts>>,
     /// Per family group, once run: every member's score.
     lanes: Vec<Option<[f64; 3]>>,
+    /// Per pair of the current run of [`Scorer::vectors`], then per
+    /// family group: the scores run ahead, the pair's `lanes` at its
+    /// start.
+    ahead: Vec<Option<[f64; 3]>>,
     /// Token-column merges run so far, over all pairs.
     pub merges: u64,
     /// Character-level family kernels run so far, over all pairs.
@@ -122,7 +130,7 @@ impl<'f> Scorer<'f> {
             features: &features.features,
             a: a.clone(),
             b: b.clone(),
-            attrs: attrs.len(),
+            attrs,
             merges,
             families,
         }
@@ -132,7 +140,7 @@ impl<'f> Scorer<'f> {
     /// [`Scorer::value`] of each pair.
     pub fn start(&self, scratch: &mut ScoreScratch) {
         scratch.missing.clear();
-        scratch.missing.resize(self.attrs, None);
+        scratch.missing.resize(self.attrs.len(), None);
         scratch.counts.clear();
         scratch.counts.resize(self.merges.len(), None);
         scratch.lanes.clear();
@@ -209,11 +217,74 @@ impl<'f> Scorer<'f> {
         })
     }
 
-    /// The full feature vector of one pair.
+    /// The full feature vector of one pair: [`Scorer::vectors`] of a run
+    /// of one.
     pub fn vector(&self, pair: IdPair, ctx: &SimContext<'_>, s: &mut ScoreScratch) -> Vec<f64> {
-        self.start(s);
-        let value = |fi| self.value(fi, pair, ctx, s);
-        (0..self.features.len()).map(value).collect()
+        let mut out = Vec::with_capacity(1);
+        self.vectors(&[pair], ctx, s, &mut out);
+        out.pop().unwrap_or_default()
+    }
+
+    /// The full feature vectors of `pairs`, appended to `out` in order.
+    /// Each run of up to [`LANES`] pairs first runs every family group
+    /// over the run's pairs whose values are both present and profiled
+    /// ([`CharFamily::score_batch`]: the alignment family sweeps their
+    /// ASCII pairs together), which seeds each pair's family memo; the
+    /// pairs' vectors are then read feature by feature through
+    /// [`Scorer::value`]. Same bits as a [`Scorer::vector`] per pair.
+    pub fn vectors(
+        &self,
+        pairs: &[IdPair],
+        ctx: &SimContext<'_>,
+        s: &mut ScoreScratch,
+        out: &mut Vec<Vec<f64>>,
+    ) {
+        let groups = self.families.len();
+        for run in pairs.chunks(LANES) {
+            self.run_families(run, ctx, s);
+            for (k, &pair) in run.iter().enumerate() {
+                self.start(s);
+                let ScoreScratch { lanes, ahead, .. } = &mut *s;
+                lanes.copy_from_slice(&ahead[k * groups..][..groups]);
+                let value = |fi| self.value(fi, pair, ctx, s);
+                out.push((0..self.features.len()).map(value).collect());
+            }
+        }
+    }
+
+    /// Fill `s.ahead` for `run`: each family group's scores of each pair
+    /// whose values [`Scorer::value`] would hand that family's kernel —
+    /// present, with symbols in the profiles — and `None` for the rest,
+    /// which `value` settles on its own.
+    fn run_families(&self, run: &[IdPair], ctx: &SimContext<'_>, s: &mut ScoreScratch) {
+        let groups = self.families.len();
+        s.ahead.clear();
+        s.ahead.resize(run.len() * groups, None);
+        let (Some(ap), Some(bp)) = (ctx.a_profile, ctx.b_profile) else {
+            return;
+        };
+        let none = Syms::Ascii(&[]);
+        for (g, &(attr, family)) in self.families.iter().enumerate() {
+            let (ai, bi) = self.attrs[attr];
+            let mut pairs = [(none, none); LANES];
+            let mut at = [0; LANES];
+            let mut n = 0;
+            for (k, &(aid, bid)) in run.iter().enumerate() {
+                let present =
+                    ap.is_missing(ai, aid) == Some(false) && bp.is_missing(bi, bid) == Some(false);
+                if let (true, Some(x), Some(y)) = (present, ap.syms(ai, aid), bp.syms(bi, bid)) {
+                    pairs[n] = (x, y);
+                    at[n] = k;
+                    n += 1;
+                }
+            }
+            let mut scores = [[f64::NAN; 3]; LANES];
+            family.score_batch(&pairs[..n], &mut s.sim, &mut scores[..n]);
+            s.sweeps += n as u64;
+            for (&k, score) in at[..n].iter().zip(scores) {
+                s.ahead[k * groups + g] = Some(score);
+            }
+        }
     }
 
     /// Whether feature `fi` reads a missing value for `pair`, decided and

@@ -98,8 +98,9 @@ pub fn gen_fvs_in(
     let needs = requirements(&features.features);
     let prep_stats = store.require(cluster, a, b, &needs, tfidf.as_ref())?;
     // The feature set is compiled once for the job; a map task scores its
-    // split through it with one `ScoreScratch` (the per-pair merge memo, DP
-    // rows, Jaro buffers, the token-pair Jaro-Winkler memo). The scratch
+    // split through it, eight pairs per alignment sweep, with one
+    // `ScoreScratch` (the per-pair merge and family memos, DP rows and
+    // lanes, Jaro buffers, the token-pair Jaro-Winkler memo). The scratch
     // lives and dies with the task attempt: it never meets another run's
     // `TokenDict`, and a retried or speculative attempt starts cold —
     // which cannot matter, no score depends on what the memo holds. The
@@ -112,11 +113,8 @@ pub fn gen_fvs_in(
     let scorer = Scorer::new(features, a, b, &ctx);
     let splits = cluster.split_slice(&pairs);
     let out = run_map_only(cluster, splits, |pair_chunk: &[IdPair], out| {
-        let mut scratch = ScoreScratch::default();
         out.reserve(pair_chunk.len());
-        for &pair in pair_chunk {
-            out.push(scorer.vector(pair, &ctx, &mut scratch));
-        }
+        scorer.vectors(pair_chunk, &ctx, &mut ScoreScratch::default(), out);
     })?;
     // Tasks emit exactly one vector per pair and the job concatenates
     // task outputs in split order, so the vectors align with `pairs` and

@@ -260,6 +260,66 @@ proptest! {
     }
 }
 
+/// Rows every batching table starts with: ASCII values that align (the
+/// `i16` lanes), a missing value, a non-ASCII one (the one-lane path) and
+/// a lone symbol.
+fn batch_rows() -> Vec<(Value, Value)> {
+    vec![
+        (
+            Value::str("sony wh-1000xm4 headphones"),
+            Value::str("sony wh1000 xm4"),
+        ),
+        (Value::Null, Value::str("bose qc45")),
+        (Value::str("naïve café"), Value::str("cafe naive")),
+        (Value::str("q"), Value::str("bose quietcomfort 45")),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `gen_fvs` scores each run of eight pairs with one alignment sweep
+    /// per family group; its vectors equal a `Scorer::vector` loop over the
+    /// same store bit for bit — on splits whose length is not a multiple
+    /// of 8 (one short split, or a full split of 512 and a short one), with
+    /// missing, non-ASCII and ASCII values inside one run.
+    #[test]
+    fn batched_gen_fvs_equals_the_per_pair_vector_loop(
+        a_rows in proptest::collection::vec((value(), value()), 0..5),
+        b_rows in proptest::collection::vec((value(), value()), 0..5),
+        runs in 0usize..5,
+        tail in 1usize..8,
+        full_split in any::<bool>(),
+        salt in 0u32..1000,
+    ) {
+        let full = if full_split { falcon_dataflow::SPLIT_RECORDS } else { 0 };
+        let n = full + 8 * runs + tail;
+        let a = table("a", batch_rows().into_iter().chain(a_rows).collect());
+        let b = table("b", batch_rows().into_iter().rev().chain(b_rows).collect());
+        let (na, nb) = (a.len() as u32, b.len() as u32);
+        // The first run pairs the fixed rows with each other; the rest walk
+        // both tables.
+        let pairs: Vec<IdPair> = (0..n as u32)
+            .map(|k| if k < 8 { (k % 4, k / 2) } else { ((k * 7 + salt) % na, (k * 3 + salt / 7) % nb) })
+            .collect();
+        let fs = all_features();
+        let cluster = small_cluster(2);
+        let out = gen_fvs(&cluster, &a, &b, &pairs, &fs).expect("gen_fvs");
+        let tfidf = tfidf_model_for(&fs, &a, &b);
+        let mut store = TokenStore::default();
+        store.require(&cluster, &a, &b, &requirements(&fs.features), tfidf.as_ref()).expect("profiles");
+        let ctx = SimContext { tfidf: tfidf.as_ref(), ..store.context() };
+        let scorer = Scorer::new(&fs, &a, &b, &ctx);
+        let mut scratch = ScoreScratch::default();
+        prop_assert_eq!(out.fvs.len(), n);
+        for (&pair, fv) in pairs.iter().zip(&out.fvs.fvs) {
+            let want = scorer.vector(pair, &ctx, &mut scratch);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(fv), bits(&want), "pair {:?}", pair);
+        }
+    }
+}
+
 /// FNV-1a over every pair id and every feature value's bits.
 fn fv_digest(out: &GenFvsOutput) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;

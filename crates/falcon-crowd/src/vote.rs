@@ -99,7 +99,14 @@ pub fn majority(crowd: &impl Crowd, pair: IdPair, n: usize) -> Vote {
             None => break,
         }
     }
-    let escalated = escalate(crowd, pair, &mut reposts_left, &mut pos, &mut neg, &mut lost);
+    let escalated = escalate(
+        crowd,
+        pair,
+        &mut reposts_left,
+        &mut pos,
+        &mut neg,
+        &mut lost,
+    );
     Vote {
         label: pos > neg,
         answers: pos + neg,
@@ -137,7 +144,14 @@ pub fn strong_majority(crowd: &impl Crowd, pair: IdPair, max: usize) -> Vote {
             None => budget_dry = true,
         }
     }
-    let escalated = escalate(crowd, pair, &mut reposts_left, &mut pos, &mut neg, &mut lost);
+    let escalated = escalate(
+        crowd,
+        pair,
+        &mut reposts_left,
+        &mut pos,
+        &mut neg,
+        &mut lost,
+    );
     Vote {
         label: pos > neg,
         answers: pos + neg,

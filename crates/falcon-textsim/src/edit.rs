@@ -15,7 +15,7 @@ pub fn levenshtein_slices<T: PartialEq>(a: &[T], b: &[T], rows: &mut DpRows) -> 
     if short.is_empty() {
         return long.len();
     }
-    let DpRows { prev, cur, .. } = rows;
+    let DpRows { prev, cur } = rows;
     prev.clear();
     prev.extend(0..=short.len() as i32);
     cur.clear();

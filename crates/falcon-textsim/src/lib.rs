@@ -272,7 +272,8 @@ pub enum CharFamily {
     /// the Winkler prefix boost ([`edit::winkler`]).
     Jaro,
     /// `[needleman_wunsch, smith_waterman, smith_waterman_gotoh]` from one
-    /// sweep of the three DPs ([`align::align_slices`]).
+    /// sweep of the three DPs ([`align::align_slices`], or a lane of
+    /// [`align::align_batch`]).
     Align,
 }
 
@@ -281,15 +282,35 @@ impl CharFamily {
     /// symbols with `scratch`'s buffers.
     pub fn score_syms(self, a: Syms<'_>, b: Syms<'_>, scratch: &mut SimScratch) -> [f64; 3] {
         let SimScratch {
-            rows, jaro, wide, ..
+            align, jaro, wide, ..
         } = scratch;
         scratch::on_syms!(a, b, wide, |x, y| match self {
             CharFamily::Jaro => {
                 let j = edit::jaro_slices(x, y, jaro);
                 [j, edit::winkler(j, x, y), f64::NAN]
             }
-            CharFamily::Align => align::align_slices(x, y, rows),
+            CharFamily::Align => align::align_slices(x, y, align),
         })
+    }
+
+    /// [`CharFamily::score_syms`] of each pair of `pairs`, into the same
+    /// slot of `out`, bit for bit: the alignment family sweeps its ASCII
+    /// pairs [`align::LANES`] at a time ([`align::align_batch`]), every
+    /// other pair runs alone.
+    pub fn score_batch(
+        self,
+        pairs: &[(Syms<'_>, Syms<'_>)],
+        scratch: &mut SimScratch,
+        out: &mut [[f64; 3]],
+    ) {
+        match self {
+            CharFamily::Align => align::align_batch(pairs, scratch, out),
+            CharFamily::Jaro => {
+                for (&(a, b), slot) in pairs.iter().zip(out) {
+                    *slot = self.score_syms(a, b, scratch);
+                }
+            }
+        }
     }
 }
 

@@ -6,12 +6,13 @@
 //! are generic over the symbol type, so an ASCII string is scored straight
 //! from its bytes and only a non-ASCII one is ever decoded to `char`s.
 //! A [`SimScratch`] holds every buffer those kernels would otherwise
-//! allocate per call — DP rows, Jaro match flags, decode buffers, token
-//! grid maxima — plus a bounded memo of token-pair Jaro-Winkler scores for
-//! the hybrid measures (Monge-Elkan, Soft TF/IDF), which call Jaro-Winkler
-//! `|a|·|b|` times per pair over a vocabulary that repeats from pair to
-//! pair.
+//! allocate per call — Levenshtein's DP rows, the alignment kernel's rows
+//! and lane symbols, Jaro match flags, decode buffers, token grid maxima —
+//! plus a bounded memo of token-pair Jaro-Winkler scores for the hybrid
+//! measures (Monge-Elkan, Soft TF/IDF), which call Jaro-Winkler `|a|·|b|`
+//! times per pair over a vocabulary that repeats from pair to pair.
 
+use crate::align::AlignRows;
 use crate::edit;
 use crate::profile::TokenDict;
 
@@ -86,12 +87,11 @@ macro_rules! on_strs {
 
 pub(crate) use {on_strs, on_syms};
 
-/// Integer DP rows shared by Levenshtein and the alignment kernels.
+/// Levenshtein's two integer DP rows.
 #[derive(Debug, Clone, Default)]
 pub struct DpRows {
     pub(crate) prev: Vec<i32>,
     pub(crate) cur: Vec<i32>,
-    pub(crate) gap: Vec<i32>,
 }
 
 /// Jaro's per-call working set: which symbols of `b` are taken, and which
@@ -158,6 +158,7 @@ impl JwMemo {
 #[derive(Debug, Clone)]
 pub struct SimScratch {
     pub(crate) rows: DpRows,
+    pub(crate) align: AlignRows,
     pub(crate) jaro: JaroBufs,
     /// Widening buffer for a mixed ASCII / non-ASCII pair.
     pub(crate) wide: Vec<char>,
@@ -188,6 +189,7 @@ impl SimScratch {
     pub fn with_memo_slots(slots: usize) -> Self {
         Self {
             rows: DpRows::default(),
+            align: AlignRows::default(),
             jaro: JaroBufs::default(),
             wide: Vec::new(),
             tokens: [Vec::new(), Vec::new()],

@@ -3,6 +3,7 @@
 //! for blocking correctness), and — at the end — every slice kernel
 //! checked bit-for-bit against its textbook definition written out here.
 
+use falcon_textsim::align::{self, AlignRows, LANES, LANE_BOUND};
 use falcon_textsim::tokenize::word_tokens;
 use falcon_textsim::{
     edit, hybrid, prefix, sets, tfidf, CharFamily, SimContext, SimFunction, SimScratch, Syms,
@@ -176,7 +177,7 @@ proptest! {
 //
 // Each reference below is the measure's definition in the plainest form
 // that fixes its float operation order: full `f64` matrices for the
-// alignment scores (the kernels run in `i32` half-units), fresh `Vec`s
+// alignment scores (the kernels run in `i32` or `i16` half-units), fresh `Vec`s
 // for Jaro, `String` tokens and a `BTreeMap` for the token measures (the
 // kernels run on interned ids and a lossy memo). Kernels must agree with
 // them to the bit, on ASCII bytes, decoded chars and mixed operands.
@@ -479,6 +480,87 @@ proptest! {
                     }
                     assert_bits(hybrid::monge_elkan(a, b), ref_monge_elkan(a, b), &format!("monge_elkan() {at}"));
                     prop_assert_eq!(model.soft_cosine(a, b, 0.9).map(f64::to_bits), ref_soft_tfidf(&model, a, b, 0.9).map(f64::to_bits), "soft_cosine() {}", &at);
+                }
+            }
+        }
+    }
+}
+
+/// One pair of an alignment batch. Mostly independent ASCII values over
+/// a small alphabet (so lanes match) of 1 to 40 symbols; sometimes a pair
+/// at the `i16` bound or one past it (1–3 symbols against a long run), or
+/// a pair of `text()`s (empty and non-ASCII values).
+fn batch_pair() -> impl Strategy<Value = (String, String)> {
+    let short = || prop_oneof!["[a-c]", "[a-d ]{1,12}", "[a-c]{1,40}"];
+    let long = (1usize..=3, 0usize..=1, 1usize..7).prop_map(|(k, past, step)| {
+        let sym = |j: usize| char::from(b'a' + (j * step % 3) as u8);
+        let a: String = (0..k).map(sym).collect();
+        let b: String = (0..LANE_BOUND + past - k).map(|j| sym(j / 2)).collect();
+        (a, b)
+    });
+    prop_oneof![
+        12 => (short(), short()),
+        1 => long,
+        2 => (text(), text()),
+    ]
+}
+
+/// The form a scorer hands `s` to a kernel in: bytes when ASCII.
+fn syms<'a>(s: &'a str, chars: &'a [char]) -> Syms<'a> {
+    if s.is_ascii() {
+        Syms::Ascii(s.as_bytes())
+    } else {
+        Syms::Wide(chars)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every pair of a batch of 1 to 8 — swept in `i16` lanes, or alone
+    /// when it is over the bound, empty or non-ASCII — scores `[nw, sw,
+    /// swg]` bit-equal to the three definitions and to `align_slices`, in
+    /// either order of the batch (which moves pairs between lanes), from
+    /// one scratch reused throughout.
+    #[test]
+    fn align_batch_lanes_match_definitions(
+        pairs in proptest::collection::vec(batch_pair(), 1..=LANES),
+    ) {
+        let chars: Vec<(Vec<char>, Vec<char>)> = pairs
+            .iter()
+            .map(|(a, b)| (a.chars().collect(), b.chars().collect()))
+            .collect();
+        let want: Vec<[f64; 3]> = chars
+            .iter()
+            .map(|(ca, cb)| {
+                let one = align::align_slices(ca, cb, &mut AlignRows::default());
+                let def = [(false, false), (true, false), (true, true)]
+                    .map(|(local, affine)| ref_align(ca, cb, local, affine));
+                for k in 0..3 {
+                    assert_bits(one[k], def[k], &format!("align_slices lane {k}"));
+                }
+                def
+            })
+            .collect();
+        let batch: Vec<(Syms, Syms)> = pairs
+            .iter()
+            .zip(&chars)
+            .map(|((a, b), (ca, cb))| (syms(a, ca), syms(b, cb)))
+            .collect();
+        let mut scratch = SimScratch::new();
+        for reversed in [false, true] {
+            let mut batch = batch.clone();
+            if reversed {
+                batch.reverse();
+            }
+            let mut got = vec![[f64::NAN; 3]; batch.len()];
+            CharFamily::Align.score_batch(&batch, &mut scratch, &mut got);
+            for (k, got) in got.iter().enumerate() {
+                let at = if reversed { batch.len() - 1 - k } else { k };
+                let (a, b) = &pairs[at];
+                for m in 0..3 {
+                    let what = format!("pair {at} member {m} ({}+{} symbols)", a.len(), b.len());
+                    assert_bits(got[m], want[at][m], &what);
                 }
             }
         }
