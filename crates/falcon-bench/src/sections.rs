@@ -12,7 +12,7 @@ use falcon::crowd::sim::UnreliableCrowd;
 use falcon::serve::chaos::{run_cell, sweep, ChaosCell};
 use falcon::serve::DegradedPolicy;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -482,7 +482,7 @@ fn sampler(mode: Mode) -> Output {
     let cluster = Cluster::new(ClusterConfig::default());
     for name in DATASETS {
         let d = dataset(name, mode, 1);
-        let truth: HashSet<(u32, u32)> = d.truth.iter().copied().collect();
+        let truth: BTreeSet<(u32, u32)> = d.truth.iter().copied().collect();
         let hits = |pairs: &[(u32, u32)]| pairs.iter().filter(|p| truth.contains(p)).count();
         let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
         let mut draw = |len: usize| rng.gen_range(0..len) as u32;

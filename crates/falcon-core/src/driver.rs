@@ -26,8 +26,8 @@ use falcon_crowd::{Crowd, CrowdJournal, CrowdSession, Ledger};
 use falcon_dataflow::{Cluster, ClusterConfig, FaultPlan, FaultStats};
 use falcon_index::FilterSpec;
 use falcon_table::{IdPair, Table};
-use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use falcon_textsim::DetMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -40,7 +40,7 @@ use std::time::Duration;
 /// [`ConjunctSpecs::derive_with`]). Ill-formed specs are rejected by the
 /// static verifier ([`crate::analyze::analyze`]) before any MapReduce job
 /// or crowd question is issued.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ForcedFilter {
     /// Blocking-feature index the override attaches to.
     pub feature: usize,
@@ -69,7 +69,7 @@ impl ForcedFilter {
 }
 
 /// Full Falcon configuration (paper defaults, scaled where noted).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FalconConfig {
     /// Simulated cluster.
     pub cluster: ClusterConfig,
@@ -731,7 +731,7 @@ impl<C: Crowd> Run<'_, C> {
         let mut estimates: Vec<AccuracyEstimate> = Vec::new();
         let mut best: Option<(f64, MatchStageOutcome)> = None;
         let mut priority: Vec<usize> = Vec::new();
-        let mut known: HashMap<usize, bool> = HashMap::new();
+        let mut known: DetMap<usize, bool> = DetMap::new();
         for round in 0..rounds.max(1) {
             let last_round = round + 1 >= rounds;
             let first_batch = std::mem::take(&mut priority);

@@ -13,11 +13,10 @@ use falcon_textsim::{
     hybrid, sets, tfidf, CharFamily, SimContext, SimFunction, SimScratch, Syms, TokenProfile,
     Tokenizer,
 };
-use serde::{Deserialize, Serialize};
 
 /// One feature: a similarity function applied to an attribute
 /// correspondence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Feature {
     /// Display name, e.g. `jaccard_word(title,title)`.
     pub name: String,
@@ -392,7 +391,7 @@ pub fn score_value_refs(
 
 /// An ordered set of features; rule predicates reference features by index
 /// into one of these.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FeatureSet {
     /// Features in index order.
     pub features: Vec<Feature>,
@@ -431,7 +430,7 @@ impl FeatureSet {
 
 /// The blocking and matching feature sets generated for a table pair.
 /// (Table 1 commentary: "50/83 features for Products" = blocking/matching.)
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FeatureLibrary {
     /// Fast, filterable features used in the blocking stage.
     pub blocking: FeatureSet,

@@ -2,10 +2,9 @@
 //! and `apply_matcher`.
 
 use falcon_table::IdPair;
-use serde::{Deserialize, Serialize};
 
 /// A set of tuple pairs with their feature vectors (`NaN` = missing).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FvSet {
     /// The pairs.
     pub pairs: Vec<IdPair>,

@@ -21,9 +21,8 @@ use falcon_dataflow::Cluster;
 use falcon_forest::SplitOp;
 use falcon_index::{FilterSpec, IndexError, PredicateIndex, TokenColumn};
 use falcon_table::Table;
-use falcon_textsim::Tokenizer;
+use falcon_textsim::{DetMap, DetSet, Tokenizer};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Stable cache key for a filter spec.
@@ -50,7 +49,7 @@ pub fn predicate_key(spec: &FilterSpec) -> String {
 /// Configuration of the signature pre-filter layer (the probabilistic
 /// provably-lossless Bloom-signature gate in front of set-similarity
 /// probes).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PreFilterConfig {
     /// Wrap every derived set-similarity filter spec in a signature
     /// pre-filter. On by default: the filter is provably lossless, the
@@ -198,7 +197,7 @@ impl ConjunctSpecs {
     /// All distinct `(spec, cached key)` pairs across conjuncts, deduped
     /// by the hoisted keys (no re-formatting).
     pub fn all_specs_keyed(&self) -> Vec<(&FilterSpec, &str)> {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = DetSet::new();
         let mut out = Vec::new();
         for (c, ck) in self.specs.iter().zip(&self.keys) {
             for (s, k) in c.iter().zip(ck) {
@@ -244,7 +243,7 @@ fn safe_substitution(forced: &FilterSpec, f: &Feature, derived: &FilterSpec) -> 
 #[derive(Default)]
 pub struct BuiltIndexes<'s> {
     /// Predicate key → built index.
-    pub indexes: HashMap<String, Arc<PredicateIndex>>,
+    pub indexes: DetMap<String, Arc<PredicateIndex>>,
     /// Where `A`'s token columns come from: the run's store, which the
     /// driver fills before the first build, or ([`BuiltIndexes::new`]) one
     /// of the cache's own, grown a column at a time. Indexes share the
@@ -253,7 +252,7 @@ pub struct BuiltIndexes<'s> {
     store: Cow<'s, TokenStore>,
     /// `(A-side attribute index, tokenizer)` → that column in rank space
     /// with its fingerprints, shared by every index built over it.
-    columns: HashMap<(usize, Tokenizer), TokenColumn>,
+    columns: DetMap<(usize, Tokenizer), TokenColumn>,
 }
 
 impl<'s> BuiltIndexes<'s> {

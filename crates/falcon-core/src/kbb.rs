@@ -7,7 +7,7 @@
 //! still loses far more matches than Falcon's rule-based blocking.
 
 use falcon_table::{IdPair, Table};
-use std::collections::HashMap;
+use falcon_textsim::DetMap;
 
 /// Candidate pairs agreeing exactly on the named attributes (present in
 /// both tables). Tuples with any missing key value block with nothing.
@@ -34,7 +34,7 @@ pub fn kbb_candidates(a: &Table, b: &Table, key_attrs: &[&str]) -> Vec<IdPair> {
         }
         Some(parts.join("\u{1}"))
     };
-    let mut blocks: HashMap<String, Vec<u32>> = HashMap::new();
+    let mut blocks: DetMap<String, Vec<u32>> = DetMap::new();
     for id in 0..a.len() as u32 {
         if let Some(k) = key_of(a, id, &a_idx) {
             blocks.entry(k).or_default().push(id);

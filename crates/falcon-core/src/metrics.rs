@@ -1,11 +1,10 @@
 //! End-to-end EM quality metrics against ground truth.
 
 use falcon_table::IdPair;
-use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use falcon_textsim::DetSet;
 
 /// Precision / recall / F1 of a predicted match set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EmQuality {
     /// Precision.
     pub precision: f64,
@@ -21,9 +20,12 @@ pub struct EmQuality {
 
 /// Score predicted matches against the ground-truth match set.
 pub fn em_quality(predicted: &[IdPair], truth: &[IdPair]) -> EmQuality {
-    let truth_set: HashSet<IdPair> = truth.iter().copied().collect();
-    let pred_set: HashSet<IdPair> = predicted.iter().copied().collect();
-    let tp = pred_set.iter().filter(|p| truth_set.contains(*p)).count();
+    let truth_set: DetSet<IdPair> = truth.iter().copied().collect();
+    let mut pred_set = DetSet::new();
+    let tp = predicted
+        .iter()
+        .filter(|&&p| pred_set.insert(p) && truth_set.contains(&p))
+        .count();
     let precision = if pred_set.is_empty() {
         0.0
     } else {
@@ -53,7 +55,7 @@ pub fn blocking_recall(candidates: &[IdPair], truth: &[IdPair]) -> f64 {
     if truth.is_empty() {
         return 1.0;
     }
-    let cand: HashSet<IdPair> = candidates.iter().copied().collect();
+    let cand: DetSet<IdPair> = candidates.iter().copied().collect();
     truth.iter().filter(|p| cand.contains(*p)).count() as f64 / truth.len() as f64
 }
 

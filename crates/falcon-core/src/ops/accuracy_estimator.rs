@@ -18,7 +18,6 @@ use falcon_forest::Forest;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Pairs sampled from the predicted-positive stratum.
 pub const POSITIVE_SAMPLE: usize = 60;
@@ -30,7 +29,7 @@ pub const NEGATIVE_SAMPLE: usize = 60;
 pub const ESTIMATOR_BATCH: usize = 20;
 
 /// Crowd-estimated matcher accuracy over a candidate set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccuracyEstimate {
     /// Estimated precision.
     pub precision: f64,

@@ -26,10 +26,9 @@ use falcon_forest::{FlatForest, Forest, ForestConfig, RankedDataset};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Active-learning configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AlConfig {
     /// Iteration cap `k` (paper: 30).
     pub max_iterations: usize,

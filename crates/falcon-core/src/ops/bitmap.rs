@@ -2,10 +2,8 @@
 //! rule coverages (`cov(R, S)`), enabling fast OR-based computation of
 //! sequence coverage and selectivity (Section 6).
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-length bitmap.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitmap {
     words: Vec<u64>,
     len: usize,

@@ -13,7 +13,7 @@
 
 use crate::fv::FvSet;
 use falcon_forest::Forest;
-use std::collections::HashMap;
+use falcon_textsim::DetMap;
 
 /// A located difficult pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,7 +30,7 @@ pub struct DifficultPair {
 pub fn locate_difficult_pairs(
     forest: &Forest,
     fvs: &FvSet,
-    known_labels: &HashMap<usize, bool>,
+    known_labels: &DetMap<usize, bool>,
     k: usize,
 ) -> Vec<DifficultPair> {
     // One batch vote pass yields both signals: majority predictions for
@@ -83,7 +83,7 @@ mod tests {
     fn contradicted_labels_rank_first() {
         let (forest, fvs) = fixture();
         // Pair 90 is clearly positive; claim the crowd said "no".
-        let mut known = HashMap::new();
+        let mut known = DetMap::new();
         known.insert(90usize, false);
         let out = locate_difficult_pairs(&forest, &fvs, &known, 5);
         assert_eq!(out[0].index, 90);
@@ -93,7 +93,7 @@ mod tests {
     #[test]
     fn boundary_pairs_are_difficult() {
         let (forest, fvs) = fixture();
-        let out = locate_difficult_pairs(&forest, &fvs, &HashMap::new(), 10);
+        let out = locate_difficult_pairs(&forest, &fvs, &DetMap::new(), 10);
         // Difficult pairs (if any) cluster near the 0.5 boundary.
         for p in &out {
             let v = fvs.fvs[p.index][0];
@@ -108,7 +108,7 @@ mod tests {
     #[test]
     fn confirmed_correct_pairs_excluded() {
         let (forest, fvs) = fixture();
-        let mut known = HashMap::new();
+        let mut known = DetMap::new();
         // Label the whole boundary correctly: nothing in it is difficult.
         for i in 40..60usize {
             known.insert(i, fvs.fvs[i][0] > 0.5);
@@ -122,7 +122,7 @@ mod tests {
     #[test]
     fn k_respected_and_scores_sorted() {
         let (forest, fvs) = fixture();
-        let out = locate_difficult_pairs(&forest, &fvs, &HashMap::new(), 3);
+        let out = locate_difficult_pairs(&forest, &fvs, &DetMap::new(), 3);
         assert!(out.len() <= 3);
         for w in out.windows(2) {
             assert!(w[0].score >= w[1].score);

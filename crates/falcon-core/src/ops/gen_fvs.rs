@@ -8,7 +8,6 @@ use crate::stage::StageCost;
 use crate::tokens::{requirements, TokenStore};
 use falcon_dataflow::{run_map_only, Cluster, ClusterConfig, JobStats};
 use falcon_table::{IdPair, Table};
-use falcon_textsim::tfidf::TfIdfBuilder;
 use falcon_textsim::{SimContext, SimFunction, TfIdfModel};
 
 /// Output of `gen_fvs`.
@@ -43,12 +42,12 @@ pub fn tfidf_model_for(features: &FeatureSet, a: &Table, b: &Table) -> Option<Tf
     needs.peek()?;
     // Values stream from the column scans into the document counts; the
     // corpus is never materialized.
-    let mut corpus = TfIdfBuilder::default();
+    let mut corpus = TfIdfModel::default();
     for f in needs {
         a.for_each_rendered(f.a_idx, |_, s| corpus.add(s));
         b.for_each_rendered(f.b_idx, |_, s| corpus.add(s));
     }
-    Some(corpus.finish())
+    Some(corpus)
 }
 
 /// Run `gen_fvs` over `pairs`: score every pair via the sorted-id merge

@@ -50,7 +50,7 @@ pub fn get_blocking_rules(
     max_rules: usize,
     higher: &[bool],
 ) -> RankedRules {
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = falcon_textsim::DetSet::new();
     let mut rules: Vec<Rule> = Vec::new();
     for path in extract_forest_paths(forest) {
         let rule = Rule::from_path(&path, higher);

@@ -276,7 +276,7 @@ mod tests {
         let (a, b) = tables();
         let out = sample_pairs(&cluster(), &a, &b, 100, 10, 2).expect("sample");
         let twins = out.pairs.iter().filter(|(x, y)| x == y).count();
-        let sampled_bs: std::collections::HashSet<_> = out.pairs.iter().map(|(_, b)| *b).collect();
+        let sampled_bs: std::collections::BTreeSet<_> = out.pairs.iter().map(|(_, b)| *b).collect();
         // Every sampled b has its twin among its partners.
         assert_eq!(twins, sampled_bs.len());
     }
@@ -296,7 +296,7 @@ mod tests {
         // n = 4 * |A|: four random B tuples crossed with all of A.
         let s = corleone_sample(&a, &b, 4 * a.len(), 5);
         assert_eq!(s.len(), 4 * a.len());
-        let bids: std::collections::HashSet<_> = s.iter().map(|(_, b)| *b).collect();
+        let bids: std::collections::BTreeSet<_> = s.iter().map(|(_, b)| *b).collect();
         assert_eq!(bids.len(), 4);
         // n < |A|: degenerate single-B fallback.
         let s = corleone_sample(&a, &b, 10, 5);

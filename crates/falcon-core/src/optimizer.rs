@@ -27,12 +27,10 @@ use crate::timeline::Timeline;
 use falcon_dataflow::Cluster;
 use falcon_index::FilterSpec;
 use falcon_table::{IdPair, Table};
-use falcon_textsim::SimFunction;
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use falcon_textsim::{DetMap, DetSet, SimFunction};
 
 /// Which masking optimizations are enabled (Table 5's O₁/O₂/O₃).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptFlags {
     /// O₁: build indexes during crowdsourcing.
     pub prebuild_indexes: bool,
@@ -74,8 +72,8 @@ pub fn prebuild_generic(
     built: &mut BuiltIndexes<'_>,
     timeline: &mut Timeline,
 ) -> Result<(), FalconError> {
-    let mut seen_orders = std::collections::HashSet::new();
-    let mut seen_eq = std::collections::HashSet::new();
+    let mut seen_orders = DetSet::new();
+    let mut seen_eq = DetSet::new();
     for f in &features.features {
         match f.sim {
             s if s.is_set_based() => {
@@ -141,11 +139,11 @@ pub fn speculate_rules(
     built: &mut BuiltIndexes<'_>,
     timeline: &mut Timeline,
     max_pairs: u128,
-) -> Result<HashMap<String, Vec<IdPair>>, FalconError> {
+) -> Result<DetMap<String, Vec<IdPair>>, FalconError> {
     /// Only rules keeping at most this fraction of the sample are worth
     /// materializing individually.
     const MAX_KEEP_FRACTION: f64 = 0.05;
-    let mut out = HashMap::new();
+    let mut out = DetMap::new();
     // One probe-scratch pool for the whole speculation loop: each rule's
     // execution reuses the buffers its predecessors allocated instead of
     // re-allocating bitmaps and stats per speculative stage.

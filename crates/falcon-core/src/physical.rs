@@ -44,14 +44,12 @@ use falcon_index::{
 };
 use falcon_table::{IdPair, Table, TupleId, ValueRef};
 use falcon_textsim::{sets, SimContext, SimFunction, Tokenizer};
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The physical operator choices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PhysicalOp {
     /// All filterable conjuncts' indexes in every mapper.
     ApplyAll,
@@ -188,7 +186,7 @@ impl BlockingOutput {
 /// bucket). Under `ApplyAll` a conjunct is probed within the candidates
 /// of the more selective ones, so what it examines and prunes depends on
 /// the probe order; the candidates do not.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConjunctStats {
     /// Conjunct position within the rule sequence.
     pub conjunct: usize,
@@ -213,7 +211,7 @@ pub struct ConjunctStats {
 
 /// Blocking-wide roll-up: one [`ConjunctStats`] entry per conjunct that
 /// probed at least once.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BlockingStats {
     /// Per-conjunct counters, ordered by conjunct position.
     pub conjuncts: Vec<ConjunctStats>,
@@ -904,7 +902,7 @@ fn run_probe_reduce(
     Ok(BlockingOutput::new(op, out.output, vec![out.stats]))
 }
 
-/// Probe-only wave for one bundle set: returns the pair set it admits.
+/// Probe-only wave for one bundle set: returns the pairs it admits.
 fn run_probe_wave(
     cluster: &Cluster,
     a: &Table,
@@ -912,7 +910,7 @@ fn run_probe_wave(
     plan: ProbePlan<'_>,
     collector: &Arc<StatsCollector>,
     pool: &Arc<ScratchPool>,
-) -> Result<(HashSet<IdPair>, JobStats), BlockingError> {
+) -> Result<(Vec<IdPair>, JobStats), BlockingError> {
     let a_len = a.len();
     let b_handle = b.clone();
     let collector = Arc::clone(collector);
@@ -933,7 +931,7 @@ fn run_probe_wave(
             pool.restore(scratch);
         },
     )?;
-    Ok((out.output.iter().copied().collect(), out.stats))
+    Ok((out.output, out.stats))
 }
 
 /// Final evaluation of the rule sequence over a pair set (map-only);
@@ -1075,23 +1073,28 @@ pub fn execute_pooled(
                 }
             });
             let mut jobs = Vec::new();
-            let mut acc: Option<HashSet<IdPair>> = None;
+            // Sorted, deduplicated pair lists throughout.
+            let mut acc: Option<Vec<IdPair>> = None;
             for bundles in groups {
                 record_modes(&mut modes, &bundles);
-                let mut union: HashSet<IdPair> = HashSet::new();
+                let mut union: Vec<IdPair> = Vec::new();
                 for bundle in bundles {
                     let plan = ProbePlan::new(vec![bundle], store);
-                    let (set, stats) = run_probe_wave(cluster, a, b, plan, &collector, pool)?;
+                    let (pairs, stats) = run_probe_wave(cluster, a, b, plan, &collector, pool)?;
                     jobs.push(stats);
-                    union.extend(set);
+                    union.extend(pairs);
                 }
+                union.sort_unstable();
+                union.dedup();
                 acc = Some(match acc {
                     None => union,
-                    Some(prev) => prev.intersection(&union).copied().collect(),
+                    Some(mut prev) => {
+                        prev.retain(|p| union.binary_search(p).is_ok());
+                        prev
+                    }
                 });
             }
-            let mut pairs: Vec<IdPair> = acc.unwrap_or_default().into_iter().collect();
-            pairs.sort_unstable();
+            let pairs = acc.unwrap_or_default();
             let (candidates, stats) = run_evaluate(cluster, evaluator, &pairs)?;
             jobs.push(stats);
             BlockingOutput::new(op, candidates, jobs)

@@ -1,10 +1,9 @@
 //! Plan templates and plan generation (Figure 3, Section 10.1).
 
 use falcon_table::Table;
-use serde::{Deserialize, Serialize};
 
 /// The two plan templates of Figure 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanKind {
     /// Figure 3.a: Blocker followed by Matcher.
     BlockAndMatch,

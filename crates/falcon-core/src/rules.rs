@@ -10,7 +10,6 @@
 //! rewrite lossless even on dirty data.
 
 use falcon_forest::{NegativePath, SplitOp};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -27,7 +26,7 @@ use std::fmt;
 /// orientation into the predicate so evaluation stays self-contained and
 /// `Le`/`Gt` remain exact complements even on missing data (which keeps
 /// the DNF→CNF rewrite of Section 7.3 lossless).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Predicate {
     /// Feature index.
     pub feature: usize,
@@ -74,7 +73,7 @@ impl Predicate {
 
 /// A blocking rule: a conjunction of predicates that, when all satisfied,
 /// *drops* the pair (`p_1 ∧ ... ∧ p_m → drop`, Formula 1 of the paper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rule {
     /// The conjunction.
     pub predicates: Vec<Predicate>,
@@ -211,7 +210,7 @@ impl fmt::Display for Rule {
 
 /// An ordered sequence of blocking rules: a pair is dropped as soon as any
 /// rule fires; pairs surviving all rules are kept as candidates.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RuleSequence {
     /// Rules in execution order.
     pub rules: Vec<Rule>,
@@ -269,7 +268,7 @@ impl RuleSequence {
 }
 
 /// The positive "keep" rule in conjunctive normal form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CnfRule {
     /// Conjuncts; each is a disjunction of predicates.
     pub conjuncts: Vec<Vec<Predicate>>,

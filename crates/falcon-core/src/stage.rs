@@ -192,7 +192,7 @@ pub trait StageGate: Send + Sync {
 /// Shared handle to a gate, carried inside [`crate::timeline::Timeline`].
 ///
 /// A newtype so `Timeline` can keep deriving `Debug`/`Clone` (trait
-/// objects have no `Debug`) and so serde's derive sees a concrete type.
+/// objects have no `Debug`).
 #[derive(Clone)]
 pub struct GateHandle(Arc<dyn StageGate>);
 

@@ -22,13 +22,12 @@
 use crate::stage::{
     CancelReason, GateHandle, StageControl, StageCost, StageEvent, StageGate, StageKind,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// One recorded segment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Segment {
     /// Machine work on the critical path (never masked).
     Machine {
@@ -68,18 +67,15 @@ impl Segment {
 }
 
 /// A run's timeline.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Timeline {
     segments: Vec<Segment>,
     capacity: Duration,
     /// Optional stage-boundary callback (`falcon-serve`'s lease
-    /// protocol). Never serialized; detached before a timeline is
-    /// embedded in a report.
-    #[serde(skip)]
+    /// protocol). Detached before a timeline is embedded in a report.
     gate: Option<GateHandle>,
     /// Set when the gate returned [`StageControl::Cancel`]: the driver
     /// must unwind at its next cancellation point. Sticky until taken.
-    #[serde(skip)]
     cancel: Option<CancelReason>,
 }
 

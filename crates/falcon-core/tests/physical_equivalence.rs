@@ -21,7 +21,7 @@ use falcon_index::spec::Candidates;
 use falcon_index::ProbeStats;
 use falcon_table::{IdPair, Table, TupleId};
 use falcon_textsim::{SimContext, SimFunction, Tokenizer};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 fn cluster() -> Cluster {
     Cluster::new(ClusterConfig::small(4)).with_threads(4)
@@ -327,7 +327,7 @@ fn intersection_of_full_unions(
     seq: &RuleSequence,
     conjuncts: &ConjunctSpecs,
     built: &BuiltIndexes,
-    verdicts: &mut HashMap<IdPair, bool>,
+    verdicts: &mut BTreeMap<IdPair, bool>,
 ) -> (Vec<IdPair>, usize) {
     let ctx = SimContext::empty();
     let (mut candidates, mut shuffled) = (Vec::new(), 0);
@@ -403,7 +403,7 @@ fn apply_all_equals_the_intersection_of_full_unions() {
     for (name, d, rules) in &common::datasets() {
         let features = generate_features(&d.a, &d.b).blocking;
         let seq = common::sequence(&features, rules);
-        let mut verdicts = HashMap::new();
+        let mut verdicts = BTreeMap::new();
         for prefilter in &prefilters {
             let conjuncts = ConjunctSpecs::derive(&seq, &features).with_signatures(prefilter);
             let mut built = BuiltIndexes::new();

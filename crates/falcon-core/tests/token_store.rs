@@ -22,7 +22,7 @@ use falcon_index::FilterSpec;
 use falcon_table::{AttrType, Schema, Table, Value};
 use falcon_textsim::tokenize::word_tokens;
 use falcon_textsim::{Syms, TfIdfModel, TokenProfile};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const DIRTY: [&str; 8] = [
@@ -218,7 +218,7 @@ fn every_growth_order_reads_as_the_definition() {
 /// first; per tuple the word sequences, then the token columns, then the
 /// weight vectors, each in text order — numbering tokens by first sight.
 fn sequential_interning(sides: [(&Table, &ProfileSpec); 2], tfidf: &TfIdfModel) -> Vec<String> {
-    let mut ids: HashMap<String, usize> = HashMap::new();
+    let mut ids: BTreeMap<String, usize> = BTreeMap::new();
     let mut tokens = Vec::new();
     let mut intern = |t: String| {
         if !ids.contains_key(&t) {

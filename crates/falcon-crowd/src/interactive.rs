@@ -10,7 +10,7 @@
 use crate::Crowd;
 use falcon_table::{IdPair, Table};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::time::Duration;
 
@@ -18,7 +18,7 @@ use std::time::Duration;
 pub struct InteractiveCrowd<R: BufRead + Send, W: Write + Send> {
     a: Table,
     b: Table,
-    state: Mutex<(R, W, HashMap<IdPair, bool>)>,
+    state: Mutex<(R, W, BTreeMap<IdPair, bool>)>,
 }
 
 impl<R: BufRead + Send, W: Write + Send> InteractiveCrowd<R, W> {
@@ -27,7 +27,7 @@ impl<R: BufRead + Send, W: Write + Send> InteractiveCrowd<R, W> {
         Self {
             a,
             b,
-            state: Mutex::new((input, output, HashMap::new())),
+            state: Mutex::new((input, output, BTreeMap::new())),
         }
     }
 

@@ -20,7 +20,6 @@ use crate::journal::{BatchRecord, CrowdJournal, JournalError, QuestionRecord};
 use crate::vote::{majority, strong_majority, Vote};
 use crate::Crowd;
 use falcon_table::IdPair;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Questions per HIT (`q`).
@@ -33,7 +32,7 @@ pub const MAJORITY_VOTES: usize = 3;
 pub const STRONG_MAJORITY_MAX: usize = 7;
 
 /// Running totals of crowd activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Ledger {
     /// Questions asked (each = one pair labeled by vote).
     pub questions: usize,

@@ -5,14 +5,14 @@ use falcon_table::IdPair;
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Ground truth: the set of matching pairs.
 #[derive(Debug, Clone, Default)]
 pub struct GroundTruth {
-    matches: HashSet<IdPair>,
+    matches: BTreeSet<IdPair>,
 }
 
 impl GroundTruth {
@@ -36,11 +36,6 @@ impl GroundTruth {
     /// True iff there are no matches.
     pub fn is_empty(&self) -> bool {
         self.matches.is_empty()
-    }
-
-    /// Iterate over all matching pairs.
-    pub fn iter(&self) -> impl Iterator<Item = &IdPair> {
-        self.matches.iter()
     }
 }
 

@@ -1,7 +1,6 @@
 //! Simulated cluster description and the execution handle.
 
 use crate::fault::{FaultInjector, FaultPlan, FaultStats};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -32,7 +31,7 @@ pub fn local_time(records: u64) -> Duration {
 /// The defaults mirror the paper's testbed: 10 nodes, 8 cores each split
 /// between map and reduce slots, 2 GB of mapper memory (the setting under
 /// which `apply_all`/`apply_greedy` fit their indexes in Section 11.2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Number of worker nodes.
     pub nodes: usize,

@@ -1,10 +1,9 @@
 //! Typed failures surfaced by the dataflow engine.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which phase of a job a task belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// The map side of a map-shuffle-reduce job.
     Map,

@@ -30,7 +30,6 @@
 
 use crate::error::{DataflowError, Phase};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -39,7 +38,7 @@ use std::time::Duration;
 /// job placed on the node (tasks are placed round-robin, `task % nodes`)
 /// loses its first attempt and is re-executed elsewhere — the Hadoop
 /// "TaskTracker lost" path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeLoss {
     /// Which job (0-based submission index) the node dies during.
     pub job: u64,
@@ -53,7 +52,7 @@ pub struct NodeLoss {
 /// counter-based RNG keyed by `(seed, job, phase, task, attempt)`, so a
 /// given plan produces the same faults regardless of thread count,
 /// scheduling order or toolchain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Probability an individual task attempt fails (Hadoop re-executes it).
     pub task_failure_rate: f64,
@@ -185,7 +184,7 @@ pub struct TaskFaultOutcome {
 }
 
 /// Per-task (and, summed, per-job / per-run) fault accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Task attempts executed or charged (≥ the task count).
     pub attempts: usize,

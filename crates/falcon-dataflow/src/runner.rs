@@ -6,7 +6,6 @@ use crate::fault::{self, FaultStats};
 use crate::job::{Emitter, JobOutput, JobStats};
 use crate::sim_time::wall_now;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
@@ -69,9 +68,14 @@ pub(crate) fn partition_of<K: Hash>(key: &K, partitions: usize) -> usize {
 /// deterministic (the shuffle already chains map buckets in split
 /// order) — and the map hashes with the cheap [`StableHasher`], the
 /// function [`partition_of`] already spreads the same keys with.
+#[expect(
+    clippy::disallowed_types,
+    reason = "a lookup-only map; this crate depends on no Falcon crate, so `DetMap` is out of reach"
+)]
 fn group_in_arrival_order<K: Hash + Eq + Clone, V>(
     pairs: impl IntoIterator<Item = (K, V)>,
 ) -> Vec<(K, Vec<V>)> {
+    use std::collections::HashMap;
     let mut slot_of: HashMap<K, usize, BuildHasherDefault<StableHasher>> = HashMap::default();
     let mut grouped: Vec<(K, Vec<V>)> = Vec::new();
     for (k, v) in pairs {
@@ -452,6 +456,7 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
     use crate::fault::FaultPlan;
+    use std::collections::BTreeMap;
 
     fn cluster() -> Cluster {
         Cluster::new(ClusterConfig::small(2)).with_threads(4)
@@ -663,12 +668,11 @@ mod tests {
         .expect("job");
         let mut got = out.output;
         got.sort();
-        let mut expect: HashMap<u64, u64> = HashMap::new();
+        let mut expect: BTreeMap<u64, u64> = BTreeMap::new();
         for x in data {
             *expect.entry(x % 10).or_default() += x;
         }
-        let mut expect: Vec<(u64, u64)> = expect.into_iter().collect();
-        expect.sort();
+        let expect: Vec<(u64, u64)> = expect.into_iter().collect();
         assert_eq!(got, expect);
     }
 }

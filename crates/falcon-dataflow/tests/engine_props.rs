@@ -6,7 +6,7 @@ use falcon_dataflow::{
     makespan, run_map_only, run_map_reduce, Cluster, ClusterConfig, Emitter, JobStats,
 };
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 fn cluster() -> Cluster {
@@ -34,7 +34,7 @@ proptest! {
         partitions in 1usize..6,
         modulus in 1u32..12,
     ) {
-        let expected: HashMap<u32, u64> = data.iter().fold(HashMap::new(), |mut m, &x| {
+        let expected: BTreeMap<u32, u64> = data.iter().fold(BTreeMap::new(), |mut m, &x| {
             *m.entry(x % modulus).or_default() += u64::from(x);
             m
         });
@@ -50,7 +50,7 @@ proptest! {
             },
         );
         prop_assert!(out.is_ok());
-        let got: HashMap<u32, u64> = out.unwrap().output.into_iter().collect();
+        let got: BTreeMap<u32, u64> = out.unwrap().output.into_iter().collect();
         prop_assert_eq!(got, expected);
     }
 

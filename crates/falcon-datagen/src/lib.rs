@@ -45,21 +45,6 @@ pub struct EmDataset {
 }
 
 impl EmDataset {
-    /// Recall of a candidate pair set against the ground truth: the
-    /// fraction of true matches present in `candidates` (the blocking
-    /// quality metric of Sections 3.2 / 11.4).
-    pub fn recall_of(&self, candidates: &std::collections::HashSet<IdPair>) -> f64 {
-        if self.truth.is_empty() {
-            return 1.0;
-        }
-        let hit = self
-            .truth
-            .iter()
-            .filter(|p| candidates.contains(*p))
-            .count();
-        hit as f64 / self.truth.len() as f64
-    }
-
     /// Sub-dataset with only the first `frac` of each table, keeping only
     /// ground-truth pairs that survive (the Figure 10 size sweep).
     pub fn fraction(&self, frac: f64) -> EmDataset {
@@ -111,15 +96,6 @@ pub fn generate(name: &str, scale: f64, seed: u64) -> EmDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
-
-    #[test]
-    fn recall_of_counts_hits() {
-        let d = products::generate(0.02, 1);
-        let all: HashSet<IdPair> = d.truth.iter().copied().collect();
-        assert_eq!(d.recall_of(&all), 1.0);
-        assert_eq!(d.recall_of(&HashSet::new()), 0.0);
-    }
 
     #[test]
     fn fraction_shrinks_consistently() {

@@ -142,17 +142,16 @@ pub fn generate(scale: f64, seed: u64) -> EmDataset {
     a_rows.shuffle(&mut rng);
     b_rows.shuffle(&mut rng);
 
-    // Truth: all cross pairs within a cluster.
-    let mut by_cluster: std::collections::HashMap<usize, (Vec<u32>, Vec<u32>)> =
-        std::collections::HashMap::new();
+    // Truth: all cross pairs within a cluster (ids `0..cluster`).
+    let mut by_cluster: Vec<(Vec<u32>, Vec<u32>)> = vec![Default::default(); cluster];
     for (i, (_, c)) in a_rows.iter().enumerate() {
-        by_cluster.entry(*c).or_default().0.push(i as u32);
+        by_cluster[*c].0.push(i as u32);
     }
     for (i, (_, c)) in b_rows.iter().enumerate() {
-        by_cluster.entry(*c).or_default().1.push(i as u32);
+        by_cluster[*c].1.push(i as u32);
     }
     let mut truth = Vec::new();
-    for (_, (aids, bids)) in by_cluster {
+    for (aids, bids) in by_cluster {
         for &a in &aids {
             for &b in &bids {
                 truth.push((a, b));

@@ -1,9 +1,7 @@
 //! Classifier evaluation: confusion counts, precision, recall, F1.
 
-use serde::{Deserialize, Serialize};
-
 /// Confusion-matrix counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Confusion {
     /// True positives.
     pub tp: usize,

@@ -14,13 +14,12 @@
 
 use crate::forest::Forest;
 use crate::tree::Node;
-use serde::{Deserialize, Serialize};
 
 /// Sentinel in [`FlatForest::feature`] marking a leaf row.
 pub const FLAT_LEAF: u32 = u32::MAX;
 
 /// A [`Forest`] compiled into struct-of-arrays node rows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlatForest {
     /// Feature arity the source forest was trained on.
     pub arity: usize,

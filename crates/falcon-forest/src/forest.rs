@@ -16,11 +16,10 @@ use crate::tree::{RankMatrix, Tree, TreeConfig};
 use crate::{Dataset, RankedDataset};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Forest training configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ForestConfig {
     /// Number of trees (Corleone uses a 10-tree forest).
     pub n_trees: usize,
@@ -57,7 +56,7 @@ impl Default for ForestConfig {
 /// // Vote disagreement drives active learning: boundary points score high.
 /// assert!(forest.disagreement(&[0.5]) >= forest.disagreement(&[0.95]));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Forest {
     /// The component trees.
     pub trees: Vec<Tree>,

@@ -7,10 +7,9 @@
 
 use crate::tree::{Node, Tree};
 use crate::Forest;
-use serde::{Deserialize, Serialize};
 
 /// Comparison operator on a feature threshold along a tree path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SplitOp {
     /// Feature value `<=` threshold (left branch).
     Le,
@@ -38,7 +37,7 @@ impl SplitOp {
 }
 
 /// One predicate along a negative path: `feature op threshold`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathPredicate {
     /// Feature index into the feature vector.
     pub feature: usize,
@@ -59,7 +58,7 @@ impl PathPredicate {
 /// A root→No-leaf path: a conjunction of predicates plus the number of
 /// negative training examples the leaf covered (used to rank candidate
 /// rules before crowd evaluation).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NegativePath {
     /// Conjunction of threshold predicates.
     pub predicates: Vec<PathPredicate>,

@@ -20,10 +20,9 @@
 use crate::Dataset;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Training configuration for a single tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TreeConfig {
     /// Maximum tree depth (root = depth 0).
     pub max_depth: usize,
@@ -45,7 +44,7 @@ impl Default for TreeConfig {
 }
 
 /// A tree node. Missing feature values (`NaN`) take the left branch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Node {
     /// Terminal node predicting `label`; `pos`/`neg` are training counts.
     Leaf {
@@ -71,7 +70,7 @@ pub enum Node {
 }
 
 /// A trained decision tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tree {
     /// Root node.
     pub root: Node,

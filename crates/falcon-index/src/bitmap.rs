@@ -9,10 +9,9 @@
 //! allocation and clears only the words that were actually dirtied.
 
 use falcon_table::TupleId;
-use serde::{Deserialize, Serialize};
 
 /// A reusable dense bitmap over tuple ids `0..len`.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CandidateBitmap {
     words: Vec<u64>,
     len: usize,

@@ -1,15 +1,17 @@
 //! Hash, range and length indexes (equivalence, range and length filters).
 
 use falcon_table::TupleId;
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use falcon_textsim::DetMap;
+use std::collections::hash_map::Entry;
 
 /// Hash index over rendered attribute values: the equivalence filter for
 /// `exact_match` predicates.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct HashIndex {
-    map: HashMap<String, Vec<TupleId>>,
+    map: DetMap<String, Vec<TupleId>>,
     entries: usize,
+    /// `Σ (key length + 48)` over the distinct keys.
+    key_bytes: usize,
 }
 
 impl HashIndex {
@@ -31,7 +33,11 @@ impl HashIndex {
         if v.is_empty() {
             return;
         }
-        self.map.entry(v.to_string()).or_default().push(id);
+        let slot = self.map.entry(v.to_string());
+        if let Entry::Vacant(_) = slot {
+            self.key_bytes += v.len() + 48;
+        }
+        slot.or_default().push(id);
         self.entries += 1;
     }
 
@@ -42,8 +48,7 @@ impl HashIndex {
 
     /// Estimated memory footprint in bytes.
     pub fn estimated_bytes(&self) -> usize {
-        let key_bytes: usize = self.map.keys().map(|k| k.len() + 48).sum();
-        key_bytes + self.entries * std::mem::size_of::<TupleId>()
+        self.key_bytes + self.entries * std::mem::size_of::<TupleId>()
     }
 
     /// Number of indexed entries.
@@ -60,7 +65,7 @@ impl HashIndex {
 /// Sorted numeric index: the range filter for `abs_diff` / `rel_diff`
 /// predicates (the paper's "B-tree index"; a sorted array with binary
 /// search has the same probe complexity and a smaller footprint).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RangeIndex {
     // Sorted by value.
     entries: Vec<(f64, TupleId)>,
@@ -116,7 +121,7 @@ impl RangeIndex {
 
 /// Length index: ids bucketed by token-set (or character) length, probed
 /// with an inclusive length range — the length filter of Example 6.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LengthIndex {
     // by_len[l] = ids with length l; lengths are small so a dense Vec is
     // compact and cache friendly.

@@ -32,7 +32,6 @@ use crate::inverted::TokenColumn;
 use crate::verdict::{verdict, VerdictTable, REFUTED};
 use falcon_table::TupleId;
 use falcon_textsim::{prefix, SimFunction};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// [`SignatureIndex::size`] of tuples with no tokens: they can never
@@ -299,7 +298,7 @@ impl ProbeSig {
 /// into atomic totals (deterministic because the dataflow layer executes
 /// each map body exactly once per task, even under injected faults).
 /// Every examined pair lands in exactly one of the other three buckets.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbeStats {
     /// Pairs considered by this conjunct's index probes: postings walked,
     /// fingerprints scanned, scalar-index hits and missing-list ids.

@@ -26,9 +26,9 @@ use crate::scalar::{HashIndex, LengthIndex, RangeIndex};
 use crate::signature::{token_hash, ProbeSig, ProbeStats, SignatureIndex};
 use crate::verdict::VerdictTable;
 use falcon_table::{Table, TupleId, Value, ValueRef};
+use falcon_textsim::DetMap;
 use falcon_textsim::{prefix, SimFunction, TokenDict, Tokenizer};
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// Widest allowed signature (64 words = 4096 bits): wider adds memory
@@ -37,7 +37,7 @@ use std::sync::Arc;
 pub const MAX_SIGNATURE_WORDS: usize = 64;
 
 /// What kind of index-based filtering a positive-rule predicate admits.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FilterSpec {
     /// `exact_match(a.x, b.y) = 1` → equivalence filter (hash index).
     Equals {
@@ -257,7 +257,7 @@ impl FilterSpec {
 /// One recall-safety proof obligation on a [`FilterSpec`]: a condition
 /// under which the index's pruning is provably lossless (prunes only
 /// pairs that fail the predicate). See [`FilterSpec::obligations`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Obligation {
     /// A similarity threshold must be finite (NaN/∞ break the prefix and
     /// length bound arithmetic).
@@ -429,7 +429,7 @@ fn probe_sig<'a>(sigs: &'a mut Vec<ProbeSig>, hashes: &[u64], words: usize) -> &
 /// conjunct by the planner from signature density and postings stats
 /// ([`PredicateIndex::plan_probe_mode`]); every mode yields a lossless
 /// candidate set, they differ only in cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeMode {
     /// Exact filters only (signatures too dense to prune anything).
     Off,
@@ -522,7 +522,9 @@ pub enum PredicateIndex {
         /// Length index over character counts.
         lengths: LengthIndex,
         /// qgram -> ids, for ids where the shared-qgram condition is sound.
-        qgrams: HashMap<String, Vec<TupleId>>,
+        qgrams: DetMap<String, Vec<TupleId>>,
+        /// `Σ (qgram length + 48 + 4 · ids)` over `qgrams`, counted at build.
+        qgram_bytes: usize,
         /// Ids where qgram pruning is not sound (always candidates after
         /// the length filter).
         unprunable: Vec<TupleId>,
@@ -653,7 +655,8 @@ impl PredicateIndex {
             FilterSpec::EditSim { threshold, .. } => {
                 let t = *threshold;
                 let mut lengths = Vec::new();
-                let mut qgrams: HashMap<String, Vec<TupleId>> = HashMap::new();
+                let mut qgrams: DetMap<String, Vec<TupleId>> = DetMap::new();
+                let mut qgram_bytes = 0;
                 let mut unprunable = Vec::new();
                 let mut missing = Vec::new();
                 let mut char_lens = vec![usize::MAX; a.len()];
@@ -673,9 +676,14 @@ impl PredicateIndex {
                     let min_shared = (n as f64 - QGRAM as f64 + 1.0) - d * QGRAM as f64;
                     if min_shared >= 1.0 {
                         for g in falcon_textsim::tokenize::qgrams(s, QGRAM) {
-                            let list = qgrams.entry(g).or_default();
+                            let slot = qgrams.entry(g);
+                            if let Entry::Vacant(v) = &slot {
+                                qgram_bytes += v.key().len() + 48;
+                            }
+                            let list = slot.or_default();
                             if list.last() != Some(&id) {
                                 list.push(id);
+                                qgram_bytes += 4;
                             }
                         }
                     } else {
@@ -685,6 +693,7 @@ impl PredicateIndex {
                 PredicateIndex::Edit {
                     lengths: LengthIndex::build(lengths.into_iter()),
                     qgrams,
+                    qgram_bytes,
                     unprunable,
                     char_lens,
                     threshold: t,
@@ -826,6 +835,7 @@ impl PredicateIndex {
                 char_lens,
                 threshold,
                 missing,
+                ..
             } => {
                 let raw = rendered_key(b_value, &mut scratch);
                 if raw.is_empty() {
@@ -954,17 +964,14 @@ impl PredicateIndex {
             }
             PredicateIndex::Edit {
                 lengths,
-                qgrams,
+                qgram_bytes,
                 unprunable,
                 char_lens,
                 missing,
                 ..
             } => {
                 lengths.estimated_bytes()
-                    + qgrams
-                        .iter()
-                        .map(|(k, v)| k.len() + 48 + v.len() * 4)
-                        .sum::<usize>()
+                    + qgram_bytes
                     + (unprunable.len() + missing.len()) * 4
                     + char_lens.len() * 8
             }

@@ -23,11 +23,10 @@
 //! clock — so admission replays bit-identically on crash-resume and is
 //! journaled/verified like every other scheduler decision.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// What to do with a new job when the wait queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionPolicy {
     /// Refuse the newcomer with [`ServeError::QueueFull`](crate::ServeError).
     Reject,
@@ -62,7 +61,7 @@ impl AdmissionPolicy {
 }
 
 /// Per-tenant consumption budgets. `None` = unlimited.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TenantQuota {
     /// Maximum machine-kind stages a tenant may run (a coarse
     /// attempt-budget: a fault-looping driver burns stages fast).
@@ -73,7 +72,7 @@ pub struct TenantQuota {
 
 /// Admission-control configuration. The default disables every limit, so
 /// existing callers see the pre-admission behaviour unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionConfig {
     /// Queue-overflow policy.
     pub policy: AdmissionPolicy,

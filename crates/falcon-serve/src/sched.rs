@@ -69,7 +69,6 @@ use falcon_core::error::FalconError;
 use falcon_core::stage::{CancelReason, StageControl, StageEvent, StageKind};
 use falcon_crowd::Ledger;
 use falcon_dataflow::{ClusterConfig, DataflowError, DetRng, Phase};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -80,7 +79,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// How parked stages are ordered within a round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Policy {
     /// Earliest arrival first (ties: tenant index).
     Fifo,
@@ -111,7 +110,7 @@ impl Policy {
 /// One seeded capacity change applied to the shared pool mid-run: a node
 /// join (`delta > 0`) or node loss (`delta < 0`) at virtual time `at`.
 /// Capacity never drops below one node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoolEvent {
     /// Virtual time of the change.
     pub at: Duration,
@@ -120,7 +119,7 @@ pub struct PoolEvent {
 }
 
 /// What the scheduler sheds first when the pool degrades.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradedPolicy {
     /// Enter degraded mode when current capacity falls below
     /// `threshold × pool_nodes` (`0.0` disables).
@@ -140,8 +139,7 @@ impl Default for DegradedPolicy {
 }
 
 /// Service configuration: the shared pool and scheduling knobs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Nodes in the shared pool at start.
     pub pool_nodes: usize,
@@ -539,7 +537,7 @@ impl fmt::Display for Decision {
 }
 
 /// Service-level disposition of one tenant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TenantStatus {
     /// Completed normally; the [`RunReport`] is bit-identical to a solo
     /// run.

@@ -5,13 +5,12 @@
 use crate::schema::AttrType;
 use crate::table::Table;
 use falcon_textsim::tokenize::word_len;
-use serde::{Deserialize, Serialize};
 
 /// Attribute characteristic rows of Figure 5, ordered from most to least
 /// specific. When two corresponded attributes differ, the paper picks "the
 /// characteristic that is at a lower row in Figure 5" — i.e. the larger
 /// variant in this ordering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AttrCharacteristic {
     /// Single-word strings (names, zip codes...).
     SingleWordString,
@@ -51,7 +50,7 @@ impl AttrCharacteristic {
 }
 
 /// Profile of one attribute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttrProfile {
     /// Attribute name.
     pub name: String,
@@ -66,7 +65,7 @@ pub struct AttrProfile {
 }
 
 /// Profile of a whole table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableProfile {
     /// Per-attribute profiles, aligned with the table schema.
     pub attrs: Vec<AttrProfile>,

@@ -1,9 +1,7 @@
 //! Schemas: named, typed attributes.
 
-use serde::{Deserialize, Serialize};
-
 /// Coarse attribute type, inferred by profiling when loading raw data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttrType {
     /// Free-form text.
     Str,
@@ -12,7 +10,7 @@ pub enum AttrType {
 }
 
 /// A named attribute.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Attribute {
     /// Attribute name (unique within a schema).
     pub name: String,
@@ -21,7 +19,7 @@ pub struct Attribute {
 }
 
 /// An ordered list of attributes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Schema {
     attrs: Vec<Attribute>,
 }

@@ -12,7 +12,6 @@
 use crate::column::{Column, ColumnBuilder, ValueRef};
 use crate::schema::Schema;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -20,7 +19,7 @@ use std::sync::Arc;
 pub type TupleId = u32;
 
 /// A row: its id plus one value per schema attribute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tuple {
     /// Identifier, unique within the owning table.
     pub id: TupleId,
@@ -67,7 +66,7 @@ impl std::error::Error for TableError {}
 /// An in-memory table: a schema plus one [`Column`] per attribute. Cheap
 /// to clone (columns behind an `Arc`) so the dataflow engine can hand
 /// partitions to worker threads.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,

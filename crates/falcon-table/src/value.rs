@@ -1,7 +1,6 @@
 //! Attribute values: nullable strings and numbers.
 
 use crate::column::ValueRef;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -19,7 +18,7 @@ pub(crate) fn render_num_into(x: f64, out: &mut String) {
 
 /// A single attribute value. Real-world EM tables are dirty, so every value
 /// is nullable and numeric-looking strings can be coerced lazily.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum Value {
     /// Missing value.
     #[default]

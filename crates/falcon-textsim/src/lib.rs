@@ -7,7 +7,7 @@
 //! the index-based filters of Section 7.4 need.
 //!
 //! Measures are exposed through the [`SimFunction`] enum so that rules and
-//! features can be serialized, compared, and dispatched uniformly. All
+//! features can be named, compared, and dispatched uniformly. All
 //! similarity scores are oriented so that **larger means more similar** and
 //! fall in `[0, 1]`, except the two numeric distance measures
 //! ([`SimFunction::AbsDiff`], [`SimFunction::RelDiff`]) where **smaller means
@@ -15,6 +15,11 @@
 //! `abs_diff(a.price, b.price) >= 10 -> drop`).
 
 pub mod align;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one home of std's hash containers: wrapped so they cannot be iterated"
+)]
+pub mod detmap;
 pub mod edit;
 pub mod hybrid;
 pub mod numeric;
@@ -25,8 +30,7 @@ pub mod sets;
 pub mod tfidf;
 pub mod tokenize;
 
-use serde::{Deserialize, Serialize};
-
+pub use detmap::{DetMap, DetSet};
 pub use profile::{Arena, RenderedColumn, TokenDict, TokenProfile};
 pub use scratch::{SimScratch, Syms};
 pub use tfidf::{TfIdfModel, WeightColumn};
@@ -47,7 +51,7 @@ pub use tokenize::Tokenizer;
 /// assert!((s - 2.0 / 3.0).abs() < 1e-9);
 /// assert_eq!(jaccard.name(), "jaccard_word");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimFunction {
     /// 1.0 if the two values are identical, else 0.0.
     ExactMatch,

@@ -21,10 +21,10 @@
 //!   (punctuation-only text under `Tokenizer::Word`), which scores 0.0 —
 //!   the same empty-set semantics as the `BTreeSet` kernels.
 
+use crate::detmap::DetMap;
 use crate::scratch::Syms;
 use crate::tfidf::{WeightColumn, Weights};
 use crate::tokenize::Tokenizer;
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -35,7 +35,7 @@ use std::sync::Arc;
 /// a clone copies handles, not text.
 #[derive(Debug, Clone, Default)]
 pub struct TokenDict {
-    map: HashMap<Arc<str>, u32>,
+    map: DetMap<Arc<str>, u32>,
     toks: Vec<Arc<str>>,
 }
 

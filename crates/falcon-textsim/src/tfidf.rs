@@ -7,30 +7,32 @@
 //! [`TfIdfModel`] build a throw-away two-document column and run the same
 //! kernels.
 
+use crate::detmap::DetMap;
 use crate::profile::{Arena, TokenDict};
 use crate::scratch::SimScratch;
 use crate::tokenize::word_tokens;
-use std::collections::HashMap;
 
 /// Inverse-document-frequency statistics over a corpus of attribute values.
 ///
 /// Build once per attribute correspondence from (a sample of) both tables,
-/// then evaluate [`TfIdfModel::cosine`] / [`TfIdfModel::soft_cosine`] on
-/// value pairs.
+/// streamed one document at a time through [`TfIdfModel::add`], then
+/// evaluate [`TfIdfModel::cosine`] / [`TfIdfModel::soft_cosine`] on value
+/// pairs.
 #[derive(Debug, Clone, Default)]
 pub struct TfIdfModel {
-    idf: HashMap<String, f64>,
+    /// Document frequency of each token seen.
+    df: DetMap<String, usize>,
     n_docs: usize,
 }
 
-/// Document-frequency counts of a corpus streamed one document at a time.
-#[derive(Debug, Clone, Default)]
-pub struct TfIdfBuilder {
-    df: HashMap<String, usize>,
-    n_docs: usize,
-}
+impl TfIdfModel {
+    /// Build the model from an iterator of documents (attribute values).
+    pub fn build<'a>(docs: impl Iterator<Item = &'a str>) -> Self {
+        let mut model = Self::default();
+        docs.for_each(|doc| model.add(doc));
+        model
+    }
 
-impl TfIdfBuilder {
     /// Count one document (attribute value).
     pub fn add(&mut self, doc: &str) {
         self.n_docs += 1;
@@ -42,46 +44,20 @@ impl TfIdfBuilder {
         }
     }
 
-    /// The model over every document added.
-    pub fn finish(self) -> TfIdfModel {
-        let n_docs = self.n_docs;
-        let idf = self
-            .df
-            .into_iter()
-            .map(|(tok, d)| (tok, ((1 + n_docs) as f64 / (1 + d) as f64).ln() + 1.0))
-            .collect();
-        TfIdfModel { idf, n_docs }
-    }
-}
-
-impl TfIdfModel {
-    /// Build the model from an iterator of documents (attribute values).
-    pub fn build<'a>(docs: impl Iterator<Item = &'a str>) -> Self {
-        let mut builder = TfIdfBuilder::default();
-        for doc in docs {
-            builder.add(doc);
-        }
-        builder.finish()
-    }
-
     /// Number of documents the model was built from.
     pub fn n_docs(&self) -> usize {
         self.n_docs
     }
 
-    /// IDF weight for a token; unseen tokens get the maximum weight.
+    /// IDF weight for a token, `ln((1 + n) / (1 + df)) + 1`; unseen
+    /// tokens (`df = 0`) get the maximum weight.
     pub fn idf(&self, token: &str) -> f64 {
-        self.idf
-            .get(token)
-            .copied()
-            .unwrap_or_else(|| ((1 + self.n_docs) as f64).ln() + 1.0)
+        let df = self.df.get(token).copied().unwrap_or(0);
+        ((1 + self.n_docs) as f64 / (1 + df) as f64).ln() + 1.0
     }
 
-    /// Token-sorted tf·idf weights of a document. A sorted `Vec` rather
-    /// than a `HashMap`: the dot products and norms accumulate floats in
-    /// this order, and `HashMap` iteration order varies per *instance*
-    /// (std's `RandomState` differs between maps built on the same
-    /// thread), which would break bit-identical replay.
+    /// Token-sorted tf·idf weights of a document: the dot products and
+    /// norms accumulate floats in this order.
     pub fn weight_vector(&self, s: &str) -> Vec<(String, f64)> {
         let mut toks = word_tokens(s);
         toks.sort_unstable();

@@ -1,7 +1,6 @@
 //! Tokenizers used by the set-based similarity measures and by the
 //! prefix/position filter indexes.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// How a string attribute value is decomposed into tokens.
@@ -10,7 +9,7 @@ use std::collections::BTreeSet;
 /// edges; `QGram(q)` slides a window of `q` characters over the padded,
 /// lowercased string. Tokens are *sets* (duplicates removed) as in standard
 /// set-similarity-join formulations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tokenizer {
     /// Whitespace-delimited word tokens.
     Word,

@@ -5,7 +5,7 @@
 use falcon::core::kbb::best_kbb;
 use falcon::core::metrics::blocking_recall;
 use falcon::prelude::*;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Run just the blocking stage via the driver and recover the candidate
 /// recall by re-running the selected sequence exhaustively.
@@ -76,7 +76,7 @@ fn kbb_candidates_subset_of_exact_agreement() {
     // The returned key's candidates truly agree on the key.
     let refs: Vec<&str> = kbb.key.iter().map(String::as_str).collect();
     let cands = falcon::core::kbb::kbb_candidates(&data.a, &data.b, &refs);
-    let set: HashSet<_> = cands.iter().collect();
+    let set: BTreeSet<_> = cands.iter().collect();
     assert_eq!(set.len(), cands.len(), "no duplicate candidates");
     for (aid, bid) in cands.iter().take(200) {
         for k in &refs {

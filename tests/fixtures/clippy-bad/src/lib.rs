@@ -1,8 +1,7 @@
 //! Seeded clippy fixture: every behaviour the workspace bans through
-//! clippy rather than falcon-lint, once, plus a sanctioned read, a stale
-//! waiver and a test module. CI runs clippy over this crate and diffs the
-//! reported `src/lib.rs:line:lint` set against
-//! `../clippy-bad-expected.txt`.
+//! clippy, once, plus a sanctioned read, a stale waiver and a test
+//! module. CI runs clippy over this crate and diffs the reported
+//! `src/lib.rs:line:lint` set against `../clippy-bad-expected.txt`.
 
 #![cfg_attr(
     not(test),
@@ -35,6 +34,14 @@ pub fn env_read_os() -> bool {
 
 pub fn entropy_hasher() {
     let _ = std::collections::hash_map::RandomState::new();
+}
+
+pub fn unnamed_hasher_map() -> usize {
+    std::collections::HashMap::<u32, u32>::new().len()
+}
+
+pub fn unnamed_hasher_set(xs: &[u32]) -> usize {
+    xs.iter().collect::<std::collections::HashSet<_>>().len()
 }
 
 pub fn unwraps(x: Option<u32>) -> u32 {
