@@ -22,20 +22,24 @@ USAGE:
     falcon help                              show this message
 
 MATCH / PLAN CHECK OPTIONS:
-    --out <path>         write matched pairs as CSV (default: stdout summary only)
-    --interactive        you answer the crowd questions at the terminal (y/n)
     --sample <n>         sampler target |S| (default 10000)
     --budget <pairs>     enumeration guard for the baselines (default 50000000)
-    --workflow <k>       run k iterative Matcher/Estimator rounds (default 1)
-    --nodes <n>          simulated cluster size (plan check; default 10)
+    --out <path>         match: write matched pairs as CSV (default: stdout
+                         summary only)
+    --interactive        match: you answer the crowd questions at the
+                         terminal (y/n)
+    --workflow <k>       match: run k iterative Matcher/Estimator rounds
+                         (default 1)
+    --resume <journal>   match: checkpoint crowd labels to <journal> and
+                         resume a crashed run from it without re-asking
+                         questions
+    --nodes <n>          plan check: simulated cluster size (default 10)
     --explain            plan check: list blocking features and print the
                          rationale behind every verifier diagnostic
     --force-filter <i:t> plan check: override blocking feature i's index
                          filter with threshold/width t (repeatable); the
                          static verifier proves the override recall-safe
                          or rejects the plan
-    --resume <journal>   checkpoint crowd labels to <journal> and resume a
-                         crashed run from it without re-asking questions
 
 DEMO OPTIONS:
     --scale <f>          dataset scale multiplier (default laptop-sized)
@@ -47,8 +51,9 @@ DEMO OPTIONS:
 
 SERVE OPTIONS:
     --policy <p>         fifo | fair | priority | random (default fair)
-    --nodes <n>          shared pool size in nodes (default 10)
-    --slots <n>          task slots per node (default 4)
+    --nodes <n>          shared pool size in nodes (default 10); each
+                         tenant's stages are priced on at most its own
+                         cluster's nodes
     --threads <n>        concurrent tenant drivers; virtual results are
                          identical at any setting (default 4)
     --seed <n>           scheduler seed for --policy random (default 0)
@@ -76,7 +81,31 @@ SERVE OPTIONS:
     Keys: dataset (required), scale, seed, error, latency (crowd secs),
     priority, arrival (secs), deadline (secs), workflow (outer rounds),
     journal, name.
+
+Every subcommand rejects a flag it does not take, and a value flag given
+no value.
 ";
+
+/// Check a subcommand's `args` before reading any of them: every `--flag`
+/// must be one of `values`, followed by a value, or one of `switches`
+/// (each a space-separated list). An unknown or retired flag is an error
+/// naming it, never silently ignored.
+fn check_flags(args: &[String], values: &str, switches: &str) -> Result<(), String> {
+    let listed = |list: &str, arg: &str| list.split_whitespace().any(|f| f == arg);
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") || listed(switches, arg) {
+            continue;
+        }
+        if !listed(values, arg) {
+            return Err(format!("unknown flag {arg} (see `falcon help`)"));
+        }
+        if rest.next().is_none_or(|v| v.starts_with("--")) {
+            return Err(format!("{arg} expects a value"));
+        }
+    }
+    Ok(())
+}
 
 fn flag_value<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
     args.iter()
@@ -174,6 +203,8 @@ pub fn cmd_match(args: &[String]) -> Result<(), String> {
     let [a_path, b_path, ..] = args else {
         return Err(format!("match needs two CSV paths\n\n{USAGE}"));
     };
+    let values = "--sample --budget --out --workflow --resume";
+    check_flags(args, values, "--interactive")?;
     let a = load(a_path)?;
     let b = load(b_path)?;
     println!(
@@ -262,6 +293,8 @@ pub fn cmd_plan(args: &[String]) -> Result<(), String> {
             "unknown plan subcommand {sub:?} (expected `check`)\n\n{USAGE}"
         ));
     }
+    let values = "--sample --budget --nodes --force-filter";
+    check_flags(args, values, "--explain")?;
     let a = load(a_path)?;
     let b = load(b_path)?;
 
@@ -373,6 +406,7 @@ pub fn cmd_profile(args: &[String]) -> Result<(), String> {
     let [path, ..] = args else {
         return Err(format!("profile needs a CSV path\n\n{USAGE}"));
     };
+    check_flags(args, "", "")?;
     let t = load(path)?;
     let p = TableProfile::scan(&t);
     println!(
@@ -406,6 +440,8 @@ pub fn cmd_profile(args: &[String]) -> Result<(), String> {
 
 /// `falcon demo [dataset]`: simulated end-to-end run with quality report.
 pub fn cmd_demo(args: &[String]) -> Result<(), String> {
+    let values = "--scale --error --seed --fault-rate --straggler-rate --resume";
+    check_flags(args, values, "")?;
     let name = args
         .first()
         .filter(|a| !a.starts_with("--"))
@@ -607,6 +643,9 @@ fn parse_manifest_line(line: &str, idx: usize) -> Result<JobSpec, String> {
 /// every tenant succeeded, exit 3 when some tenant failed (partial
 /// result). `Err` means the service itself failed (exit 1 in `main`).
 pub fn cmd_serve(args: &[String]) -> Result<std::process::ExitCode, String> {
+    let values = "--policy --nodes --threads --seed --journal --resume --deadline \
+                  --admission --max-active --max-queue --queue-deadline";
+    check_flags(args, values, "")?;
     let manifest_path = args
         .first()
         .filter(|a| !a.starts_with("--"))
@@ -660,10 +699,6 @@ pub fn cmd_serve(args: &[String]) -> Result<std::process::ExitCode, String> {
             .map(|v| v.parse().map_err(|_| "--nodes expects an integer"))
             .transpose()?
             .unwrap_or(10),
-        slots_per_node: flag_value(args, "--slots")
-            .map(|v| v.parse().map_err(|_| "--slots expects an integer"))
-            .transpose()?
-            .unwrap_or(4),
         threads: flag_value(args, "--threads")
             .map(|v| v.parse().map_err(|_| "--threads expects an integer"))
             .transpose()?
@@ -1001,14 +1036,18 @@ mod tests {
     }
 
     proptest! {
-        /// No `--force-filter` list, policy name or admission name makes
-        /// its parser panic: each gives a typed error or a value, and a
-        /// parsed filter names an existing feature, one per flag.
+        /// No `--force-filter` list, flag name, policy name or admission
+        /// name makes its parser panic: each gives a typed error or a
+        /// value, and a parsed filter names an existing feature, one per
+        /// flag. The flag check passes only when every `--` argument is a
+        /// known flag and a value follows `--force-filter`; its errors
+        /// name the offending flag.
         #[test]
         fn hostile_flags_never_panic(
             specs in proptest::collection::vec(hostile_spec(), 0..4),
             trailing in any::<bool>(),
             name in hostile_word(),
+            flags in proptest::collection::vec(hostile_word(), 0..3),
         ) {
             let blocking = two_features();
             let mut args = s(&["a.csv", "b.csv"]);
@@ -1026,6 +1065,20 @@ mod tests {
                     prop_assert!(filters.iter().all(|f| f.feature < blocking.len()));
                 }
                 Err(e) => prop_assert!(e.starts_with("--force-filter"), "{}", e),
+            }
+            let mut flagged = args.clone();
+            flagged.extend(flags.iter().map(|f| format!("--{f}")));
+            let known = |a: &String| a == "--force-filter" || a == "--explain";
+            match check_flags(&flagged, "--force-filter", "--explain") {
+                Ok(()) => {
+                    prop_assert!(flagged.iter().filter(|a| a.starts_with("--")).all(known));
+                    prop_assert!(flagged.last().is_none_or(|a| a != "--force-filter"));
+                }
+                Err(e) => prop_assert!(
+                    flagged.iter().any(|a| a.starts_with("--") && e.starts_with(a.as_str())
+                        || e.starts_with(&format!("unknown flag {a} "))),
+                    "{}", e
+                ),
             }
             let _ = Policy::parse(&name);
             if let Some(p) = falcon::serve::AdmissionPolicy::parse(&name) {

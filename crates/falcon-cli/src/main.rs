@@ -3,7 +3,7 @@
 //! matched ... and specify the crowdsourcing budget".
 //!
 //! ```text
-//! falcon match a.csv b.csv [--out matches.csv] [--interactive | --demo-crowd <err>]
+//! falcon match a.csv b.csv --interactive [--out matches.csv]
 //! falcon plan check a.csv b.csv [--budget pairs] [--nodes n]
 //! falcon profile table.csv
 //! falcon demo [products|songs|citations] [--scale f]

@@ -16,47 +16,53 @@
 //! machine stages are deemed to occupy cluster nodes. That is the
 //! foundation of the per-tenant determinism argument in DESIGN.md §13.
 
-use falcon_dataflow::{local_time, ClusterConfig, JobStats};
+use falcon_dataflow::{local_time, ClusterConfig, JobStats, JobTasks, TaskShape};
 use std::ops::{Add, AddAssign};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// The deterministic price of one machine stage: what the run's own
-/// timeline charges for it (`dur`) and the shape a shared scheduler
-/// re-prices on the slots it grants (`tasks`, `records`). It is the only
-/// thing [`crate::timeline::Timeline`]'s machine recorders accept and can
-/// only be built from a job's [`JobStats`] or a record count — never from
-/// a measured `Duration` — so every virtual time is a function of the
+/// timeline charges for it ([`Self::dur`]), the task shape a shared
+/// scheduler prices on the nodes it grants ([`Self::shape`]), and the
+/// records its [`StageEvent`] reports. It is the only thing
+/// [`crate::timeline::Timeline`]'s machine recorders accept and can only
+/// be built from a job's [`JobStats`] or a record count — never from a
+/// measured `Duration` — so every virtual time is a function of the
 /// inputs, the config and the seed, not of the host's speed or cores.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StageCost {
     dur: Duration,
-    tasks: u32,
+    shape: TaskShape,
     records: u64,
 }
 
 impl StageCost {
     /// Cluster jobs run one after the other on the cluster `cfg`
-    /// describes: the sum of their simulated durations, map tasks and
-    /// input records.
+    /// describes: their tasks, priced on all of its nodes.
     pub fn of<'a>(jobs: impl IntoIterator<Item = &'a JobStats>, cfg: &ClusterConfig) -> Self {
-        jobs.into_iter().fold(Self::default(), |sum, j| {
-            sum + Self {
-                dur: j.sim_duration(cfg),
-                tasks: j.map_tasks as u32,
-                records: j.input_records as u64,
-            }
-        })
+        let (mut shape, mut records) = (TaskShape::default(), 0u64);
+        for job in jobs {
+            shape.jobs.push(JobTasks::of(job));
+            records = records.saturating_add(job.input_records as u64);
+        }
+        Self {
+            dur: shape.price(cfg, cfg.nodes),
+            shape,
+            records,
+        }
     }
 
     /// A driver-local pass over `records` records. It launches no cluster
-    /// job, so it pays per-record compute and no job or task overhead
-    /// (`tasks: 0`, as crowd rounds report).
+    /// job, so it pays per-record compute and no job or task overhead.
     pub fn local(records: usize) -> Self {
+        let records = records as u64;
         Self {
-            dur: local_time(records as u64),
-            tasks: 0,
-            records: records as u64,
+            dur: local_time(records),
+            shape: TaskShape {
+                jobs: Vec::new(),
+                local_records: records,
+            },
+            records,
         }
     }
 
@@ -65,26 +71,37 @@ impl StageCost {
         self.dur
     }
 
-    pub(crate) fn shape(&self) -> (u32, u64) {
-        (self.tasks, self.records)
+    /// The stage's task shape; [`TaskShape::price`] on the run's own
+    /// cluster and node count is [`Self::dur`].
+    pub fn shape(&self) -> &TaskShape {
+        &self.shape
+    }
+
+    /// The `(tasks, records)` a [`StageEvent`] reports: map tasks over
+    /// every job, and the records the jobs read or the local passes
+    /// scanned.
+    pub(crate) fn event_shape(&self) -> (u32, u64) {
+        let tasks = u32::try_from(self.shape.map_tasks()).unwrap_or(u32::MAX);
+        (tasks, self.records)
     }
 }
 
 impl Add for StageCost {
     type Output = Self;
 
-    fn add(self, other: Self) -> Self {
-        Self {
-            dur: self.dur + other.dur,
-            tasks: self.tasks.saturating_add(other.tasks),
-            records: self.records.saturating_add(other.records),
-        }
+    fn add(mut self, other: Self) -> Self {
+        self += other;
+        self
     }
 }
 
 impl AddAssign for StageCost {
     fn add_assign(&mut self, other: Self) {
-        *self = *self + other;
+        self.dur += other.dur;
+        self.shape.jobs.extend(other.shape.jobs);
+        let local = &mut self.shape.local_records;
+        *local = local.saturating_add(other.shape.local_records);
+        self.records = self.records.saturating_add(other.records);
     }
 }
 
@@ -105,11 +122,12 @@ pub enum StageKind {
 /// One completed stage, reported to a [`StageGate`] at its boundary.
 ///
 /// `dur` is the stage's simulated duration on the run's own cluster
-/// (what the timeline recorded). `tasks` and `records` are its shape —
-/// map-task and input-record counts of the cluster jobs it ran, `tasks:
-/// 0` for a driver-local pass over `records` records — from which a
-/// scheduler re-prices the stage on the slots it grants
-/// ([`ClusterConfig::stage_time`]). All three are deterministic.
+/// (what the timeline recorded). `tasks` and `records` summarise it: the
+/// map tasks and input records of the cluster jobs it ran, or `tasks: 0`
+/// for a driver-local pass over `records` records. A scheduler that runs
+/// the stage on other nodes prices the [`StageCost`] that
+/// [`StageGate::on_priced_stage`] also receives, not these numbers. All
+/// of them are deterministic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageEvent {
     /// Operator label, matching the timeline segment label.
@@ -187,6 +205,14 @@ pub enum StageControl {
 pub trait StageGate: Send + Sync {
     /// Observe one stage boundary; may block (see trait docs).
     fn on_stage(&self, event: StageEvent) -> StageControl;
+
+    /// Observe one stage boundary together with the stage's cost — the
+    /// call [`crate::timeline::Timeline`] makes. A crowd round's cost is
+    /// empty. A gate that prices stages on nodes of its own choosing
+    /// implements this; the rest take the default, [`Self::on_stage`].
+    fn on_priced_stage(&self, event: StageEvent, _cost: &StageCost) -> StageControl {
+        self.on_stage(event)
+    }
 }
 
 /// Shared handle to a gate, carried inside [`crate::timeline::Timeline`].
@@ -202,9 +228,10 @@ impl GateHandle {
         Self(gate)
     }
 
-    /// Notify the gate of a stage boundary, returning its verdict.
-    pub fn on_stage(&self, event: StageEvent) -> StageControl {
-        self.0.on_stage(event)
+    /// Notify the gate of a stage boundary and the stage's cost,
+    /// returning its verdict.
+    pub fn on_stage(&self, event: StageEvent, cost: &StageCost) -> StageControl {
+        self.0.on_priced_stage(event, cost)
     }
 }
 
@@ -232,13 +259,14 @@ mod tests {
     fn gate_handle_forwards_events() {
         let rec = Arc::new(Recorder(Mutex::new(Vec::new())));
         let handle = GateHandle::new(rec.clone());
-        handle.on_stage(StageEvent {
+        let event = StageEvent {
             label: "x".into(),
             kind: StageKind::Machine,
             dur: Duration::from_secs(1),
             tasks: 4,
             records: 100,
-        });
+        };
+        handle.on_stage(event, &StageCost::local(100));
         let seen = rec.0.lock();
         assert_eq!(seen.len(), 1);
         assert_eq!(seen[0].kind, StageKind::Machine);

@@ -108,16 +108,17 @@ impl Timeline {
         self.cancel
     }
 
-    fn notify(&mut self, label: &str, kind: StageKind, dur: Duration, tasks: u32, records: u64) {
+    fn notify(&mut self, label: &str, kind: StageKind, dur: Duration, cost: &StageCost) {
         if let Some(gate) = &self.gate {
-            let verdict = gate.on_stage(StageEvent {
+            let (tasks, records) = cost.event_shape();
+            let event = StageEvent {
                 label: label.to_string(),
                 kind,
                 dur,
                 tasks,
                 records,
-            });
-            if let StageControl::Cancel(reason) = verdict {
+            };
+            if let StageControl::Cancel(reason) = gate.on_stage(event, cost) {
                 self.cancel.get_or_insert(reason);
             }
         }
@@ -131,8 +132,7 @@ impl Timeline {
             label: label.clone(),
             dur,
         });
-        let (tasks, records) = cost.shape();
-        self.notify(&label, StageKind::Machine, dur, tasks, records);
+        self.notify(&label, StageKind::Machine, dur, &cost);
     }
 
     /// Record a crowd round; its latency becomes masking capacity.
@@ -143,7 +143,7 @@ impl Timeline {
             label: label.clone(),
             dur,
         });
-        self.notify(&label, StageKind::CrowdWait, dur, 0, 0);
+        self.notify(&label, StageKind::CrowdWait, dur, &StageCost::default());
     }
 
     /// Record machine work the optimizer scheduled during crowdsourcing.
@@ -160,8 +160,7 @@ impl Timeline {
             dur,
             excess,
         });
-        let (tasks, records) = cost.shape();
-        self.notify(&label, StageKind::MaskedMachine, dur, tasks, records);
+        self.notify(&label, StageKind::MaskedMachine, dur, &cost);
         excess
     }
 

@@ -74,11 +74,6 @@ impl ClusterConfig {
         }
     }
 
-    /// Total map slots across the cluster.
-    pub fn map_slots(&self) -> usize {
-        (self.nodes * self.map_slots_per_node).max(1)
-    }
-
     /// Total reduce slots across the cluster.
     pub fn reduce_slots(&self) -> usize {
         (self.nodes * self.reduce_slots_per_node).max(1)
@@ -87,27 +82,6 @@ impl ClusterConfig {
     /// Simulated slot time of one task attempt over `records` records.
     pub fn task_time(&self, records: u64) -> Duration {
         self.task_overhead + local_time(records)
-    }
-
-    /// The one pricing function: simulated duration of a stage of `tasks`
-    /// equal tasks over `records` records on `slots` concurrent slots —
-    /// job overhead, then `ceil(tasks / slots)` waves of
-    /// [`Self::task_time`]. `tasks == 0` is a driver-local pass
-    /// ([`local_time`]). The solo driver's
-    /// [`JobStats::sim_duration`](crate::job::JobStats::sim_duration) is
-    /// the same price with the makespan taken over the job's actual tasks
-    /// (uneven splits, a reduce phase, fault charges); `falcon-serve`
-    /// calls this with the slots it granted.
-    pub fn stage_time(&self, tasks: u32, records: u64, slots: usize) -> Duration {
-        if tasks == 0 {
-            return local_time(records);
-        }
-        let tasks = u64::from(tasks);
-        let waves = tasks.div_ceil(slots.max(1) as u64);
-        self.job_overhead
-            + self
-                .task_time(records.div_ceil(tasks))
-                .saturating_mul(u32::try_from(waves).unwrap_or(u32::MAX))
     }
 }
 
@@ -222,25 +196,12 @@ mod tests {
     #[test]
     fn slot_counts() {
         let c = ClusterConfig::default();
-        assert_eq!(c.map_slots(), 40);
         assert_eq!(c.reduce_slots(), 20);
         let tiny = ClusterConfig {
             nodes: 0,
             ..ClusterConfig::default()
         };
-        assert_eq!(tiny.map_slots(), 1);
-    }
-
-    #[test]
-    fn stage_time_is_overheads_plus_waves_of_records() {
-        let c = ClusterConfig::small(2); // 10 ms job, 1 ms task
-        let ms = Duration::from_millis;
-        // 16 tasks × 1000 records: 4 waves on 4 slots, 1 on 16.
-        assert_eq!(c.stage_time(16, 16_000, 4), ms(10) + 4 * (ms(1) + ms(1)));
-        assert_eq!(c.stage_time(16, 16_000, 16), ms(10) + ms(1) + ms(1));
-        // A local pass pays per-record compute only.
-        assert_eq!(c.stage_time(0, 3_000, 4), ms(3));
-        assert_eq!(c.stage_time(1, 0, 0), ms(11));
+        assert_eq!(tiny.reduce_slots(), 1);
     }
 
     #[test]

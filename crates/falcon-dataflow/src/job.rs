@@ -4,7 +4,7 @@
 use crate::cluster::ClusterConfig;
 use crate::fault::FaultStats;
 use crate::runner::partition_of;
-use crate::sim_time::makespan;
+use crate::sim_time::{JobTasks, TaskShape};
 use std::hash::Hash;
 use std::time::Duration;
 
@@ -79,14 +79,14 @@ pub struct JobStats {
 }
 
 impl JobStats {
-    /// Simulated job duration on a cluster: job overhead, plus the
-    /// map-phase makespan of the priced task slot times over the
-    /// cluster's map slots, plus the reduce-phase makespan over its
-    /// reduce slots.
+    /// Simulated job duration on the whole of `cfg`: the one price,
+    /// [`TaskShape::price`], of this job's tasks on `cfg.nodes` nodes.
     pub fn sim_duration(&self, cfg: &ClusterConfig) -> Duration {
-        cfg.job_overhead
-            + makespan(&self.map_durations, cfg.map_slots())
-            + makespan(&self.reduce_durations, cfg.reduce_slots())
+        let shape = TaskShape {
+            jobs: vec![JobTasks::of(self)],
+            local_records: 0,
+        };
+        shape.price(cfg, cfg.nodes)
     }
 }
 
@@ -153,7 +153,7 @@ mod tests {
         assert!(stats.sim_duration(&big) < stats.sim_duration(&small));
         // 1 node: 8*100 + 2*50 = 900ms.
         assert_eq!(stats.sim_duration(&small), Duration::from_millis(900));
-        // 8 nodes: map 100, reduce 100 (2 tasks on... 8 reduce slots -> 50).
+        // 8 nodes: one wave per phase, map 100 + reduce 50.
         assert_eq!(stats.sim_duration(&big), Duration::from_millis(150));
     }
 }

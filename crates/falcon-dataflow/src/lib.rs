@@ -39,4 +39,4 @@ pub use error::{DataflowError, Phase};
 pub use fault::{DetRng, FaultInjector, FaultPlan, FaultStats, NodeLoss, TaskFaultOutcome};
 pub use job::{Emitter, JobOutput, JobStats};
 pub use runner::{run_map_only, run_map_reduce};
-pub use sim_time::makespan;
+pub use sim_time::{makespan, JobTasks, TaskShape};

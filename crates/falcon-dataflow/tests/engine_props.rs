@@ -3,7 +3,8 @@
 //! monotonically.
 
 use falcon_dataflow::{
-    makespan, run_map_only, run_map_reduce, Cluster, ClusterConfig, Emitter, JobStats,
+    makespan, run_map_only, run_map_reduce, Cluster, ClusterConfig, Emitter, FaultPlan, JobStats,
+    JobTasks, TaskShape,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -84,23 +85,48 @@ proptest! {
         prop_assert!(makespan(&durs, slots + 1) <= m);
     }
 
-    /// Simulated duration decreases (weakly) with more nodes.
+    /// Simulated duration decreases (weakly) with more nodes, and is the
+    /// stage price of the job's tasks on the cluster's node count — also
+    /// when a fault plan inflates them (`faults`: a real job whose splits
+    /// hold `map_ms` records each, run under that plan's seed).
     #[test]
     fn sim_duration_monotone_in_nodes(
         map_ms in proptest::collection::vec(1u64..200, 1..30),
         reduce_ms in proptest::collection::vec(1u64..200, 0..10),
+        faults in prop_oneof![Just(None), any::<u64>().prop_map(Some)],
     ) {
-        let stats = JobStats {
-            map_tasks: map_ms.len(),
-            reduce_tasks: reduce_ms.len(),
-            map_durations: map_ms.iter().map(|&x| Duration::from_millis(x)).collect(),
-            reduce_durations: reduce_ms.iter().map(|&x| Duration::from_millis(x)).collect(),
-            ..Default::default()
+        let stats = match faults {
+            None => JobStats {
+                map_tasks: map_ms.len(),
+                reduce_tasks: reduce_ms.len(),
+                map_durations: map_ms.iter().map(|&x| Duration::from_millis(x)).collect(),
+                reduce_durations: reduce_ms.iter().map(|&x| Duration::from_millis(x)).collect(),
+                ..Default::default()
+            },
+            Some(seed) => {
+                let plan = FaultPlan::seeded(seed)
+                    .with_failure_rate(0.3)
+                    .with_straggler_rate(0.3)
+                    .with_node_loss(0, 1)
+                    .with_max_attempts(16);
+                let cluster = cluster().with_faults(plan);
+                let splits: Vec<Vec<u32>> = map_ms.iter().map(|&n| vec![0; n as usize]).collect();
+                let out = run_map_reduce(
+                    &cluster,
+                    splits,
+                    reduce_ms.len(),
+                    |xs: &[u32], e: &mut Emitter<u32, u32>| xs.iter().for_each(|&x| e.emit(x, x)),
+                    |k: &u32, vs: Vec<u32>, out: &mut Vec<(u32, usize)>| out.push((*k, vs.len())),
+                );
+                out.expect("16 attempts per task suffice").stats
+            }
         };
+        let shape = TaskShape { jobs: vec![JobTasks::of(&stats)], local_records: 0 };
         let mut prev = None;
         for nodes in [1usize, 2, 4, 8, 16] {
             let cfg = ClusterConfig { nodes, ..ClusterConfig::small(nodes) };
             let d = stats.sim_duration(&cfg);
+            prop_assert_eq!(shape.price(&ClusterConfig::small(16), nodes), d);
             if let Some(p) = prev {
                 prop_assert!(d <= p, "{:?} > {:?} at {} nodes", d, p, nodes);
             }

@@ -3,8 +3,9 @@
 //! Each tenant job runs the unmodified `falcon-core` driver on its own OS
 //! thread, gated by a [`ServeGate`] installed in its
 //! [`Timeline`](falcon_core::timeline::Timeline). At every stage boundary
-//! the gate reports a [`StageEvent`] to the scheduler over a per-tenant
-//! channel; for machine-kind stages it then *blocks* until the scheduler
+//! the gate reports a [`Stage`] — the driver's [`StageEvent`] and the
+//! stage's [`StageCost`] — to the scheduler over a per-tenant channel;
+//! for machine-kind stages it then *blocks* until the scheduler
 //! answers with a [`StageControl`] verdict — `Continue` is a node lease
 //! for whatever comes next, `Cancel` orders the driver to unwind at its
 //! next cancellation point. Crowd-kind stages never block: their latency
@@ -26,7 +27,7 @@
 //! scheduler's lockstep rounds make every virtual-time outcome
 //! independent of the permit count, which the determinism tests pin down.
 
-use falcon_core::stage::{CancelReason, StageControl, StageEvent, StageGate, StageKind};
+use falcon_core::stage::{CancelReason, StageControl, StageCost, StageEvent, StageGate, StageKind};
 use parking_lot::Mutex;
 use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
@@ -69,12 +70,22 @@ impl Drop for Permit {
     }
 }
 
+/// One stage boundary as the scheduler receives it.
+#[derive(Debug, Clone)]
+pub struct Stage {
+    /// What the driver reported.
+    pub event: StageEvent,
+    /// The stage's cost: the scheduler prices its task shape on the
+    /// nodes it grants. Empty for a crowd round.
+    pub cost: StageCost,
+}
+
 /// Stage-boundary gate for one tenant (see module docs).
 pub struct ServeGate {
     /// Stage reports to the scheduler. `Sender` is wrapped so the gate is
     /// `Sync` on every supported toolchain. Declared first so it drops,
     /// and the scheduler sees end-of-stream, before the permit returns.
-    events: Mutex<Sender<StageEvent>>,
+    events: Mutex<Sender<Stage>>,
     /// Per-stage verdicts from the scheduler: a node lease or a
     /// cancellation order.
     grants: Mutex<Receiver<StageControl>>,
@@ -88,7 +99,7 @@ impl ServeGate {
     /// Wire a gate to its scheduler-side channels, blocking until one of
     /// `permits` is free; the gate holds it until it drops.
     pub fn new(
-        events: Sender<StageEvent>,
+        events: Sender<Stage>,
         grants: Receiver<StageControl>,
         permits: Arc<Permits>,
     ) -> Self {
@@ -102,9 +113,18 @@ impl ServeGate {
 }
 
 impl StageGate for ServeGate {
+    /// A stage reported without its cost is priced as empty.
     fn on_stage(&self, event: StageEvent) -> StageControl {
+        self.on_priced_stage(event, &StageCost::default())
+    }
+
+    fn on_priced_stage(&self, event: StageEvent, cost: &StageCost) -> StageControl {
         let kind = event.kind;
-        if self.events.lock().send(event).is_err() {
+        let stage = Stage {
+            event,
+            cost: cost.clone(),
+        };
+        if self.events.lock().send(stage).is_err() {
             // Scheduler gone (shut down or failed): order a typed unwind
             // rather than running to completion ungated.
             return StageControl::Cancel(CancelReason::Shutdown);
@@ -152,7 +172,7 @@ mod tests {
             gate.on_stage(ev(StageKind::CrowdWait)),
             StageControl::Continue
         );
-        assert_eq!(erx.recv().unwrap().kind, StageKind::CrowdWait);
+        assert_eq!(erx.recv().unwrap().event.kind, StageKind::CrowdWait);
     }
 
     #[test]
@@ -163,7 +183,7 @@ mod tests {
         let g2 = gate.clone();
         let h = std::thread::spawn(move || g2.on_stage(ev(StageKind::Machine)));
         // The event arrives while the worker is parked on the grant.
-        assert_eq!(erx.recv().unwrap().kind, StageKind::Machine);
+        assert_eq!(erx.recv().unwrap().event.kind, StageKind::Machine);
         gtx.send(StageControl::Continue).unwrap();
         assert_eq!(h.join().unwrap(), StageControl::Continue);
     }
@@ -200,7 +220,7 @@ mod tests {
         let gate = Arc::new(ServeGate::new(etx, grx, Permits::new(1)));
         let g2 = gate.clone();
         let h = std::thread::spawn(move || g2.on_stage(ev(StageKind::Machine)));
-        assert_eq!(erx.recv().unwrap().kind, StageKind::Machine);
+        assert_eq!(erx.recv().unwrap().event.kind, StageKind::Machine);
         drop(gtx); // scheduler dies while the tenant is parked
         assert_eq!(
             h.join().unwrap(),

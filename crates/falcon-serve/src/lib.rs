@@ -46,8 +46,9 @@
 //!   recovery, deadline or quarantine cannot perturb another tenant's
 //!   bit-identical results;
 //! * **determinism** — the scheduler drains tenants in lockstep rounds
-//!   and prices stages from their shapes with the one pricing function
-//!   the solo driver uses (`ClusterConfig::stage_time`, on the slots it
+//!   and prices each stage with the solo driver's one price
+//!   ([`TaskShape::price`](falcon_dataflow::TaskShape::price) of the
+//!   stage's tasks, on the tenant's own cluster config and the nodes it
 //!   grants), so placements, ledgers, timelines and every virtual-time
 //!   statistic are a function of inputs, config and seed — identical at
 //!   any [`ServeConfig::threads`] setting and on any host;

@@ -28,7 +28,12 @@
 //! masked machine stage may start at `machine_ready` — under the
 //! tenant's own open crowd window — while an unmasked one must wait for
 //! `max(machine_ready, crowd_free)`. Either kind then waits for enough
-//! free nodes in the shared pool. One tenant's crowd waits therefore
+//! free nodes in the shared pool: the nodes that run each of its jobs'
+//! phases in one wave, capped by the tenant's own node count, the
+//! fair-share cap and the pool. It lasts the solo driver's one price of
+//! its tasks ([`TaskShape::price`](falcon_dataflow::TaskShape::price)) on the tenant's own cluster config
+//! and those nodes, so a tenant granted its own nodes is charged its
+//! solo price. One tenant's crowd waits therefore
 //! leave nodes free exactly when another tenant's machine stages want
 //! them: the paper's single-job masking optimization, generalized across
 //! tenants.
@@ -61,7 +66,7 @@
 
 use crate::admission::{admit, AdmitDecision, TenantQuota};
 use crate::error::{ServeError, SERVICE_TENANT};
-use crate::gate::{Permits, ServeGate};
+use crate::gate::{Permits, ServeGate, Stage};
 use crate::job::JobSpec;
 use crate::journal::{fnv64, ServeJournal};
 use falcon_core::driver::RunReport;
@@ -143,8 +148,6 @@ impl Default for DegradedPolicy {
 pub struct ServeConfig {
     /// Nodes in the shared pool at start.
     pub pool_nodes: usize,
-    /// Concurrent tasks per node (used to size node grants).
-    pub slots_per_node: usize,
     /// Placement policy.
     pub policy: Policy,
     /// Real-concurrency cap: how many tenant drivers may compute at
@@ -171,7 +174,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             pool_nodes: 10,
-            slots_per_node: 4,
             policy: Policy::FairShare,
             threads: 4,
             seed: 0,
@@ -189,9 +191,8 @@ impl ServeConfig {
         // Wall-clock-only and per-run knobs (threads, journal path, kill
         // point) are excluded so a resumed run matches its original.
         fnv64(&format!(
-            "{} {} {:?} {} {:?} {:?} {:?}",
+            "{} {:?} {} {:?} {:?} {:?}",
             self.pool_nodes,
-            self.slots_per_node,
             self.policy,
             self.seed,
             self.admission,
@@ -340,37 +341,37 @@ impl PoolSim {
         self.horizon = self.horizon.max(end);
     }
 
-    /// Place one stage for the tenant whose clocks are `clock`, granting
-    /// at most `node_cap` nodes of `slots_per_node` slots each. The
-    /// rounds and the serial replay both price work here, with the solo
-    /// driver's formula ([`ClusterConfig::stage_time`], default
-    /// overheads) on the granted slots; measured time never enters it.
+    /// Place one stage of the tenant whose clocks are `clock` and whose
+    /// own cluster is `cluster`, granting at most `node_cap` nodes. A
+    /// machine stage is granted the nodes that run each phase of each of
+    /// its jobs in one wave — at least one, and at most the tenant's own
+    /// node count, `node_cap` and the pool — and lasts the one price of
+    /// its task shape on them ([`TaskShape::price`]), as the solo driver
+    /// charges on the tenant's own nodes. The rounds and the serial
+    /// replay both place here; measured time never enters.
+    ///
+    /// [`TaskShape::price`]: falcon_dataflow::TaskShape::price
     fn place(
         &mut self,
         clock: &mut TenantClock,
-        ev: &StageEvent,
-        slots_per_node: usize,
+        stage: &Stage,
+        cluster: &ClusterConfig,
         node_cap: usize,
     ) -> Placed {
-        let ready = clock.ready(ev.kind);
-        if ev.kind == StageKind::CrowdWait {
-            clock.crowd_free = ready.saturating_add(ns(ev.dur));
+        let kind = stage.event.kind;
+        let ready = clock.ready(kind);
+        if kind == StageKind::CrowdWait {
+            clock.crowd_free = ready.saturating_add(ns(stage.event.dur));
             return Placed {
                 start: ready,
                 end: clock.crowd_free,
                 nodes: 0,
             };
         }
-        let slots_per_node = slots_per_node.max(1);
-        // One slot per task, expressed in nodes (a local pass holds one).
-        let mut want = (ev.tasks.max(1) as usize)
-            .div_ceil(slots_per_node)
-            .min(node_cap.max(1)) as i64;
-        want = want.min(self.max_cap_from(ready));
-        let dur_on = |nodes: i64| {
-            let slots = nodes as usize * slots_per_node;
-            ns(ClusterConfig::default().stage_time(ev.tasks, ev.records, slots)).max(1)
-        };
+        let shape = stage.cost.shape();
+        let grant = shape.wave_nodes(cluster).min(cluster.nodes).min(node_cap);
+        let mut want = (grant.max(1) as i64).min(self.max_cap_from(ready));
+        let dur_on = |nodes: i64| ns(shape.price(cluster, nodes.unsigned_abs() as usize));
         let mut dur = dur_on(want);
         let start = match self.try_earliest(ready, want, dur) {
             Some(s) => s,
@@ -484,8 +485,9 @@ enum Decision {
     /// a crowd wait folded into the tenant's clocks.
     Crowd(usize, u64, StageEvent, Placed),
     /// `p <tenant> <seq> <m|k> <label> <dur_ns> <tasks> <records> <start>
-    /// <end> <nodes>`: a machine-kind stage placed on the pool, `dur_ns`
-    /// priced on the granted nodes (not the solo-cluster `dur`).
+    /// <end> <nodes>`: a machine-kind stage placed on the pool. `dur_ns`
+    /// is the event's, the stage's price on the tenant's own nodes;
+    /// `end − start` is its price on the `nodes` granted.
     Place(usize, u64, StageEvent, Placed),
     /// `x <tenant> <reason>`: a cancellation verdict delivered.
     Cancel(usize, CancelReason),
@@ -522,8 +524,8 @@ impl fmt::Display for Decision {
             }
             Self::Place(t, seq, s, p) => {
                 let kind = ["m", "k"][usize::from(s.kind == StageKind::MaskedMachine)];
-                let (label, tasks, records, nodes) = (&s.label, s.tasks, s.records, p.nodes);
-                let (start, end, dur) = (p.start, p.end, p.end.saturating_sub(p.start));
+                let (label, dur, tasks, records) = (&s.label, ns(s.dur), s.tasks, s.records);
+                let (start, end, nodes) = (p.start, p.end, p.nodes);
                 write!(
                     f,
                     "p {t} {seq} {kind} {label} {dur} {tasks} {records} {start} {end} {nodes}"
@@ -688,10 +690,13 @@ struct Tenant {
     arrival: u64,
     /// Absolute virtual-clock deadline, when the job has one.
     deadline: Option<u64>,
+    /// The tenant's own simulated cluster: its stages are priced on
+    /// nodes of it.
+    cluster: ClusterConfig,
     standing: Standing,
     clock: TenantClock,
     /// Every stage observed, in program order (serial baseline input).
-    trace: Vec<StageEvent>,
+    trace: Vec<Stage>,
     /// Stage events observed so far (journal sequence key).
     seq: u64,
     /// Machine-kind stages placed (stage-quota key).
@@ -776,7 +781,7 @@ struct Rounds<'c> {
     /// Decisions since the last commit, in journal order.
     decisions: Vec<Decision>,
     /// This round's parked machine stages `(tenant, seq, stage)`.
-    parked: Vec<(usize, u64, StageEvent)>,
+    parked: Vec<(usize, u64, Stage)>,
 }
 
 impl<'c> Rounds<'c> {
@@ -811,6 +816,7 @@ impl<'c> Rounds<'c> {
                 priority: job.priority,
                 arrival,
                 deadline,
+                cluster: job.config.cluster.clone(),
                 standing: Standing::Queued,
                 clock: TenantClock::at(arrival),
                 trace: Vec::new(),
@@ -874,26 +880,29 @@ impl<'c> Rounds<'c> {
     /// machine-kind stage parks the tenant until this round's verdicts.
     /// Returns the verdict to answer at once: the tenant was already
     /// cancelled, and is answered the same way until its driver unwinds.
-    fn observe(&mut self, t: usize, ev: StageEvent) -> Option<CancelReason> {
+    fn observe(&mut self, t: usize, stage: Stage) -> Option<CancelReason> {
         let tenant = &mut self.tenants[t];
+        let kind = stage.event.kind;
         if let Some(reason) = tenant.cancel {
             // Drop a cancelled tenant's events so it perturbs nothing.
-            if ev.kind == StageKind::CrowdWait {
+            if kind == StageKind::CrowdWait {
                 return None;
             }
             self.decisions.push(Decision::Cancel(t, reason));
             return Some(reason);
         }
         tenant.seq += 1;
-        tenant.trace.push(ev.clone());
-        if ev.kind != StageKind::CrowdWait {
-            self.parked.push((t, tenant.seq, ev));
+        tenant.trace.push(stage.clone());
+        if kind != StageKind::CrowdWait {
+            self.parked.push((t, tenant.seq, stage));
             return None;
         }
-        let (slots, cap) = (self.cfg.slots_per_node, self.cfg.pool_nodes);
-        let placed = self.pool.place(&mut tenant.clock, &ev, slots, cap);
+        let cap = self.cfg.pool_nodes;
+        let placed = self
+            .pool
+            .place(&mut tenant.clock, &stage, &tenant.cluster, cap);
         self.decisions
-            .push(Decision::Crowd(t, tenant.seq, ev, placed));
+            .push(Decision::Crowd(t, tenant.seq, stage.event, placed));
         None
     }
 
@@ -976,7 +985,7 @@ impl<'c> Rounds<'c> {
         // and masked (speculative/prebuild) work is node-capped.
         let earliest = kept
             .iter()
-            .map(|(t, _, ev)| self.tenants[*t].clock.ready(ev.kind));
+            .map(|(t, _, stage)| self.tenants[*t].clock.ready(stage.event.kind));
         let degraded = cfg.degraded.threshold > 0.0
             && earliest.min().is_some_and(|t0| {
                 (self.pool.cap_at(t0) as f64)
@@ -993,26 +1002,25 @@ impl<'c> Rounds<'c> {
         if degraded {
             // Stable partition: unmasked (critical-path) stages keep
             // their policy order ahead of every masked stage.
-            kept.sort_by_key(|(_, _, ev)| ev.kind == StageKind::MaskedMachine);
+            kept.sort_by_key(|(_, _, stage)| stage.event.kind == StageKind::MaskedMachine);
         }
-        for (t, seq, ev) in kept {
-            let cap = match degraded && ev.kind == StageKind::MaskedMachine {
+        for (t, seq, stage) in kept {
+            let cap = match degraded && stage.event.kind == StageKind::MaskedMachine {
                 true => node_cap.min(cfg.degraded.masked_node_cap.max(1)),
                 false => node_cap,
             };
             let tenant = &mut self.tenants[t];
-            let placed = self
-                .pool
-                .place(&mut tenant.clock, &ev, cfg.slots_per_node, cap);
+            let placed = (self.pool).place(&mut tenant.clock, &stage, &tenant.cluster, cap);
             tenant.machine_stages += 1;
-            self.decisions.push(Decision::Place(t, seq, ev, placed));
+            self.decisions
+                .push(Decision::Place(t, seq, stage.event, placed));
             verdicts.push((t, StageControl::Continue));
         }
         verdicts
     }
 
     /// Sort parked stages into policy order.
-    fn order(&self, stages: &mut [(usize, u64, StageEvent)]) {
+    fn order(&self, stages: &mut [(usize, u64, Stage)]) {
         let tenant = |t: usize| &self.tenants[t];
         let service = |t: usize| tenant(t).clock.machine_service;
         match self.cfg.policy {
@@ -1084,7 +1092,7 @@ impl<'c> Rounds<'c> {
 struct Driver {
     /// The job, held until activation spawns its thread.
     job: Option<JobSpec>,
-    events: Option<Receiver<StageEvent>>,
+    events: Option<Receiver<Stage>>,
     grants: Option<Sender<StageControl>>,
     handle: Option<JoinHandle<Result<RunReport, FalconError>>>,
 }
@@ -1110,11 +1118,11 @@ impl Driver {
     fn drain(&mut self, t: usize, rounds: &mut Rounds) -> Option<usize> {
         let events = self.events.as_ref()?;
         loop {
-            let Ok(ev) = events.recv() else {
+            let Ok(stage) = events.recv() else {
                 return rounds.finish(t, join_tenant(self.handle.take()));
             };
-            let parks = ev.kind != StageKind::CrowdWait;
-            match rounds.observe(t, ev) {
+            let parks = stage.event.kind != StageKind::CrowdWait;
+            match rounds.observe(t, stage) {
                 Some(reason) => self.grant(StageControl::Cancel(reason)),
                 None if parks => return None,
                 None => {}
@@ -1323,8 +1331,8 @@ fn replay_serial(tenants: &[Tenant], cfg: &ServeConfig) -> (u64, f64, Vec<Durati
     let mut latencies = Vec::with_capacity(tenants.len());
     for t in tenants {
         let mut clock = TenantClock::at(clock_base.max(t.arrival));
-        for ev in &t.trace {
-            pool.place(&mut clock, ev, cfg.slots_per_node, cfg.pool_nodes);
+        for stage in &t.trace {
+            pool.place(&mut clock, stage, &t.cluster, cfg.pool_nodes);
         }
         clock_base = clock.finish();
         latencies.push(Duration::from_nanos(clock_base.saturating_sub(t.arrival)));
@@ -1335,15 +1343,39 @@ fn replay_serial(tenants: &[Tenant], cfg: &ServeConfig) -> (u64, f64, Vec<Durati
 #[cfg(test)]
 mod tests {
     use super::*;
+    use falcon_core::stage::StageCost;
+    use falcon_dataflow::JobStats;
 
-    fn ev(kind: StageKind, dur_s: u64, tasks: u32, records: u64) -> StageEvent {
-        StageEvent {
+    /// A crowd round of `dur_s` seconds.
+    fn crowd(dur_s: u64) -> Stage {
+        let event = StageEvent {
+            label: "t".into(),
+            kind: StageKind::CrowdWait,
+            dur: Duration::from_secs(dur_s),
+            tasks: 0,
+            records: 0,
+        };
+        let cost = StageCost::default();
+        Stage { event, cost }
+    }
+
+    /// A machine stage of `kind`: one job of `tasks` one-second map tasks
+    /// on `cluster`.
+    fn job(kind: StageKind, tasks: usize, cluster: &ClusterConfig) -> Stage {
+        let stats = JobStats {
+            map_tasks: tasks,
+            map_durations: vec![Duration::from_secs(1); tasks],
+            ..JobStats::default()
+        };
+        let cost = StageCost::of([&stats], cluster);
+        let event = StageEvent {
             label: "t".into(),
             kind,
-            dur: Duration::from_secs(dur_s),
-            tasks,
-            records,
-        }
+            dur: cost.dur(),
+            tasks: tasks as u32,
+            records: 0,
+        };
+        Stage { event, cost }
     }
 
     fn fixed(nodes: usize) -> PoolSim {
@@ -1463,22 +1495,53 @@ mod tests {
             }],
         );
         let mut clock = TenantClock::at(1000);
-        let placed = pool.place(&mut clock, &ev(StageKind::Machine, 1, 16, 100), 4, 4);
+        let cluster = ClusterConfig::small(4);
+        let stage = job(StageKind::Machine, 16, &cluster);
+        let placed = pool.place(&mut clock, &stage, &cluster, 4);
         assert_eq!(placed.nodes, 1);
-        assert!(placed.end > placed.start);
+        let one_node = stage.cost.shape().price(&cluster, 1);
+        assert_eq!(placed.end - placed.start, ns(one_node));
+    }
+
+    #[test]
+    fn grants_fill_one_wave_within_the_tenants_own_nodes() {
+        let mut pool = fixed(16);
+        let mut clock = TenantClock::at(0);
+        let cluster = ClusterConfig::small(4); // 2 map slots per node
+        let five = job(StageKind::Machine, 5, &cluster);
+        let placed = pool.place(&mut clock, &five, &cluster, 16);
+        // Three nodes run the five tasks in one wave, at the solo price.
+        assert_eq!(placed.nodes, 3);
+        assert_eq!(placed.end - placed.start, ns(five.cost.dur()));
+        // Twenty tasks want ten nodes; the tenant owns four.
+        let twenty = job(StageKind::Machine, 20, &cluster);
+        let placed = pool.place(&mut clock, &twenty, &cluster, 16);
+        assert_eq!(placed.nodes, 4);
+        assert_eq!(placed.end - placed.start, ns(twenty.cost.dur()));
+        // A fair-share cap of two doubles the waves.
+        let placed = pool.place(&mut clock, &twenty, &cluster, 2);
+        assert_eq!(placed.nodes, 2);
+        assert_eq!(
+            placed.end - placed.start,
+            ns(twenty.cost.shape().price(&cluster, 2))
+        );
+        assert!(twenty.cost.shape().price(&cluster, 2) > twenty.cost.dur());
     }
 
     #[test]
     fn masked_stages_run_under_crowd_windows() {
         let mut pool = fixed(4);
         let mut clock = TenantClock::at(0);
-        pool.place(&mut clock, &ev(StageKind::CrowdWait, 100, 0, 0), 4, 4);
+        let cluster = ClusterConfig::small(4);
+        pool.place(&mut clock, &crowd(100), &cluster, 4);
         let crowd_free = clock.crowd_free;
-        pool.place(&mut clock, &ev(StageKind::MaskedMachine, 999, 4, 100), 4, 4);
+        let masked = job(StageKind::MaskedMachine, 4, &cluster);
+        pool.place(&mut clock, &masked, &cluster, 4);
         // The masked stage started before the crowd window closed.
         assert!(clock.machine_ready < crowd_free);
         // An unmasked stage must wait for the crowd.
-        pool.place(&mut clock, &ev(StageKind::Machine, 999, 4, 100), 4, 4);
+        let unmasked = job(StageKind::Machine, 4, &cluster);
+        pool.place(&mut clock, &unmasked, &cluster, 4);
         assert!(clock.machine_ready > crowd_free);
     }
 
@@ -1515,7 +1578,9 @@ mod policy {
     use super::*;
     use crate::admission::{AdmissionConfig, AdmissionPolicy};
     use falcon_core::driver::FalconConfig;
+    use falcon_core::stage::StageCost;
     use falcon_crowd::sim::{GroundTruth, RandomWorkerCrowd};
+    use falcon_dataflow::JobStats;
     use falcon_table::{AttrType, Schema, Table, Value};
     use proptest::collection;
     use proptest::prelude::*;
@@ -1523,23 +1588,45 @@ mod policy {
     use std::collections::BTreeSet;
 
     /// A synthetic tenant: arrival (s), priority, relative deadline (s),
-    /// and the stage stream its driver reports; the stream's end is its
-    /// driver returning.
-    type Script = (u64, i32, Option<u64>, Vec<StageEvent>);
+    /// its cluster's node count, and the stage stream its driver reports;
+    /// the stream's end is its driver returning.
+    type Script = (u64, i32, Option<u64>, usize, Vec<Stage>);
 
-    fn stage() -> impl Strategy<Value = StageEvent> {
-        (0..3usize, 1u64..900, 0u32..48, 0u64..40_000).prop_map(|(kind, dur, tasks, records)| {
-            StageEvent {
+    /// A crowd round of up to 900 s, or a machine stage of up to three
+    /// jobs — map and reduce tasks of up to 2 s each — and a local pass.
+    fn stage() -> impl Strategy<Value = Stage> {
+        let ms = || collection::vec(1u64..2_000, 0..48);
+        let job = (ms(), collection::vec(1u64..2_000, 0..8));
+        let jobs = collection::vec(job, 0..3);
+        (0..3usize, 1u64..900, jobs, 0usize..40_000).prop_map(|(kind, dur, jobs, local)| {
+            let kind = [
+                StageKind::Machine,
+                StageKind::MaskedMachine,
+                StageKind::CrowdWait,
+            ][kind];
+            let durations = |ms: Vec<u64>| ms.into_iter().map(Duration::from_millis).collect();
+            let stats: Vec<JobStats> = (jobs.into_iter())
+                .map(|(map, reduce)| JobStats {
+                    map_durations: durations(map),
+                    reduce_durations: durations(reduce),
+                    ..JobStats::default()
+                })
+                .collect();
+            let cost = match kind {
+                StageKind::CrowdWait => StageCost::default(),
+                _ => StageCost::of(&stats, &ClusterConfig::default()) + StageCost::local(local),
+            };
+            let event = StageEvent {
                 label: "s".into(),
-                kind: [
-                    StageKind::Machine,
-                    StageKind::MaskedMachine,
-                    StageKind::CrowdWait,
-                ][kind],
-                dur: Duration::from_secs(dur),
-                tasks,
-                records,
-            }
+                kind,
+                dur: match kind {
+                    StageKind::CrowdWait => Duration::from_secs(dur),
+                    _ => cost.dur(),
+                },
+                tasks: cost.shape().map_tasks() as u32,
+                records: local as u64,
+            };
+            Stage { event, cost }
         })
     }
 
@@ -1549,12 +1636,13 @@ mod policy {
             0u64..300,
             -2i32..3,
             deadline,
+            1usize..13,
             collection::vec(stage(), 0..24),
         )
     }
 
     fn config() -> impl Strategy<Value = ServeConfig> {
-        let pool = (1usize..13, 1usize..5, 0..4usize, any::<u64>());
+        let pool = (1usize..13, 0..4usize, any::<u64>());
         let events = collection::vec((0u64..3000, -8i64..8), 0..4);
         let degraded = (prop_oneof![Just(0.0), 0.3f64..0.9], 1usize..3);
         let quota = prop_oneof![
@@ -1568,7 +1656,7 @@ mod policy {
         let queue_deadline = prop_oneof![Just(None), (1u64..2000).prop_map(Some)];
         let admission = (0..3usize, 0usize..3, 0usize..3, queue_deadline, quota);
         (pool, events, degraded, admission).prop_map(
-            |((nodes, slots, policy, seed), events, (threshold, cap), admission)| {
+            |((nodes, policy, seed), events, (threshold, cap), admission)| {
                 let (admit, max_active, max_queue, queue_deadline, quota) = admission;
                 let admit_policies = [
                     AdmissionPolicy::Reject,
@@ -1577,7 +1665,6 @@ mod policy {
                 ];
                 ServeConfig {
                     pool_nodes: nodes,
-                    slots_per_node: slots,
                     policy: [
                         Policy::Fifo,
                         Policy::FairShare,
@@ -1608,19 +1695,20 @@ mod policy {
         )
     }
 
-    fn job(t: usize, (arrival, priority, deadline, _): &Script) -> JobSpec {
+    fn job(t: usize, (arrival, priority, deadline, nodes, _): &Script) -> JobSpec {
         let schema = Schema::new([("title", AttrType::Str)]);
         let table = || Table::new("t", schema.clone(), Vec::<Vec<Value>>::new());
         let crowd = Arc::new(RandomWorkerCrowd::new(GroundTruth::new([]), 0.0, 1));
-        let mut job = JobSpec::new(
-            format!("t{t}"),
-            table(),
-            table(),
-            FalconConfig::default(),
-            crowd,
-        )
-        .with_priority(*priority)
-        .with_arrival(Duration::from_secs(*arrival));
+        let config = FalconConfig {
+            cluster: ClusterConfig {
+                nodes: *nodes,
+                ..ClusterConfig::default()
+            },
+            ..FalconConfig::default()
+        };
+        let mut job = JobSpec::new(format!("t{t}"), table(), table(), config, crowd)
+            .with_priority(*priority)
+            .with_arrival(Duration::from_secs(*arrival));
         job.deadline = deadline.map(Duration::from_secs);
         job
     }
@@ -1639,9 +1727,9 @@ mod policy {
     /// its channels, checking each round; returns every journal line.
     fn simulate(cfg: &ServeConfig, scripts: &[Script], seen: &mut Seen) -> Vec<String> {
         let jobs: Vec<JobSpec> = scripts.iter().enumerate().map(|(t, s)| job(t, s)).collect();
-        let mut streams: Vec<VecDeque<StageEvent>> = scripts
+        let mut streams: Vec<VecDeque<Stage>> = scripts
             .iter()
-            .map(|s| s.3.iter().cloned().collect())
+            .map(|s| s.4.iter().cloned().collect())
             .collect();
         let mut rounds = Rounds::new(cfg, &jobs);
         let mut log: Vec<String> = rounds.decisions.drain(..).map(|d| d.to_string()).collect();
@@ -1649,12 +1737,12 @@ mod policy {
             let busy = rounds.pool.busy;
             for (t, stream) in streams.iter_mut().enumerate() {
                 while rounds.running(t) {
-                    let Some(ev) = stream.pop_front() else {
+                    let Some(stage) = stream.pop_front() else {
                         rounds.finish(t, Err(FalconError::EmptyInput { what: "synthetic" }));
                         break;
                     };
-                    let parks = ev.kind != StageKind::CrowdWait;
-                    if rounds.observe(t, ev).is_none() && parks {
+                    let parks = stage.event.kind != StageKind::CrowdWait;
+                    if rounds.observe(t, stage).is_none() && parks {
                         break;
                     }
                 }
@@ -1685,7 +1773,17 @@ mod policy {
         for d in &rounds.decisions {
             match d {
                 Decision::Crowd(_, _, _, p) => assert_eq!(p.nodes, 0, "crowd wait on nodes"),
-                Decision::Place(t, _, s, p) => placed.push((*t, s.kind, *p)),
+                Decision::Place(t, seq, s, p) => {
+                    // Priced on the grant, within the tenant's own nodes.
+                    let tenant = &rounds.tenants[*t];
+                    let shape = tenant.trace[*seq as usize - 1].cost.shape();
+                    assert!(p.nodes as usize <= tenant.cluster.nodes);
+                    assert_eq!(
+                        p.end - p.start,
+                        ns(shape.price(&tenant.cluster, p.nodes as usize))
+                    );
+                    placed.push((*t, s.kind, *p));
+                }
                 Decision::Cancel(..) => seen.cancels += 1,
                 Decision::Activate(..) => seen.activations += 1,
                 _ => {}
