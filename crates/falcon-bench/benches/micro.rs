@@ -258,17 +258,17 @@ fn bench_pair_evaluator(c: &mut Criterion) {
 }
 
 fn bench_bitmap(c: &mut Criterion) {
-    use falcon::core::ops::bitmap::Bitmap;
-    let mut a = Bitmap::zeros(1_000_000);
-    let mut b = Bitmap::zeros(1_000_000);
+    use falcon::index::CandidateBitmap;
+    let mut a = CandidateBitmap::new(1_000_000);
+    let mut b = CandidateBitmap::new(1_000_000);
     for i in (0..1_000_000).step_by(3) {
-        a.set(i);
+        a.insert(i);
     }
     for i in (0..1_000_000).step_by(7) {
-        b.set(i);
+        b.insert(i);
     }
     c.bench_function("bitmap_union_count_1m", |bench| {
-        bench.iter(|| black_box(&a).union_count(black_box(&b)))
+        bench.iter(|| black_box(&a).union_ones(black_box(&b)))
     });
 }
 

@@ -117,11 +117,19 @@ pub fn learn_sequence(cluster: &Cluster, d: &EmDataset, mode: Mode, p: u64) -> L
     let higher: Vec<bool> = (lib.blocking.features.iter())
         .map(|f| f.sim.higher_is_similar())
         .collect();
-    let al_cfg = AlConfig {
-        seed: p,
-        ..AlConfig::default()
-    };
-    let al = al_matcher(cluster, &mut session, &mut tl, "al", &fvs, &higher, &al_cfg).expect("al");
+    let al = al_matcher(
+        cluster,
+        &mut session,
+        &mut tl,
+        "al",
+        &fvs,
+        &higher,
+        &AlConfig::default(),
+        false,
+        &[],
+        p,
+    )
+    .expect("al");
     let ranked = get_blocking_rules(&al.forest, &fvs, TOP_K_RULES, &higher);
     let eval = eval_rules(&mut session, &mut tl, &ranked, &fvs, p);
     let opt = select_opt_seq(&ranked, &eval.retained);

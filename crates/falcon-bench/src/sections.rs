@@ -4,7 +4,7 @@
 //! a claim no check holds is not made.
 
 use crate::*;
-use falcon::core::indexing::{predicate_key, BuiltIndexes, ConjunctSpecs};
+use falcon::core::indexing::{BuiltIndexes, ConjunctSpecs};
 use falcon::core::ops::sample_pairs::{corleone_sample, sample_pairs};
 use falcon::core::physical::{self, estimate_table_bytes, BlockingOutput};
 use falcon::core::rules::RuleSequence;
@@ -332,8 +332,8 @@ fn physical(mode: Mode) -> Output {
     let (conjuncts, built) = indexes(&cluster, &d, &l.lib, seq);
     let bytes: Vec<usize> = (conjuncts.filterable().into_iter())
         .map(|ci| {
-            let keys = conjuncts.specs[ci].iter().flatten();
-            built.bytes_of(&keys.map(|s| predicate_key(&s.0)).collect::<Vec<_>>())
+            let specs = conjuncts.specs[ci].iter().flatten();
+            specs.map(|(spec, _)| built.bytes_of(spec)).sum()
         })
         .collect();
     let total: usize = bytes.iter().sum();

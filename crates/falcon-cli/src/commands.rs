@@ -160,7 +160,7 @@ fn print_report(report: &falcon::core::driver::RunReport) {
             println!(
                 "  conjunct[{:>2}] : modes [{}], {} examined, {} sig-pruned, {} exact-pruned, {} survived",
                 c.conjunct,
-                c.modes.join(", "),
+                c.modes.iter().map(|m| m.name()).collect::<Vec<_>>().join(", "),
                 c.pairs_examined,
                 c.pruned_by_signature,
                 c.pruned_by_exact,

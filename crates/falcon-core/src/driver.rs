@@ -77,8 +77,8 @@ pub struct FalconConfig {
     pub sample_size: usize,
     /// Sampler fan-out `y` (paper: 100).
     pub sample_fanout: usize,
-    /// Active learning settings (both stages; the matching stage flips
-    /// `mask_pair_selection` per the optimizer flags).
+    /// Active learning settings (both stages; the matching stage masks
+    /// pair selection per the optimizer flags).
     pub al: AlConfig,
     /// Masking optimizations.
     pub opt: OptFlags,
@@ -396,11 +396,6 @@ impl<C: Crowd> Run<'_, C> {
             .iter()
             .map(|f| f.sim.higher_is_similar())
             .collect();
-        let al_cfg = AlConfig {
-            mask_pair_selection: false,
-            seed: cfg.seed,
-            ..cfg.al.clone()
-        };
         let al = al_matcher(
             cluster,
             session,
@@ -408,7 +403,10 @@ impl<C: Crowd> Run<'_, C> {
             "al_matcher_m",
             &fv_out.fvs,
             &higher,
-            &al_cfg,
+            &cfg.al,
+            false,
+            &[],
+            cfg.seed,
         )?;
         let applied = apply_matcher(cluster, &al.forest, &fv_out.fvs)?;
         timeline.machine(
@@ -460,11 +458,6 @@ impl<C: Crowd> Run<'_, C> {
             .iter()
             .map(|f| f.sim.higher_is_similar())
             .collect();
-        let al_cfg = AlConfig {
-            mask_pair_selection: false,
-            seed: cfg.seed,
-            ..cfg.al.clone()
-        };
         let al_b = al_matcher(
             cluster,
             session,
@@ -472,7 +465,10 @@ impl<C: Crowd> Run<'_, C> {
             "al_matcher_b",
             &s_fvs.fvs,
             &higher_b,
-            &al_cfg,
+            &cfg.al,
+            false,
+            &[],
+            cfg.seed,
         )?;
 
         // Masking 1a: generic index prebuild during the AL crowd rounds.
@@ -567,8 +563,8 @@ impl<C: Crowd> Run<'_, C> {
         let conjuncts = ConjunctSpecs::derive_with(&seq_out.seq, &lib.blocking, &cfg.force_filters)
             .with_signatures(&PreFilterConfig::default());
         // Build whatever index is still missing (unmasked).
-        for (spec, key) in conjuncts.all_specs_keyed() {
-            let cost = built.build_spec_keyed(cluster, a, spec, key)?;
+        for spec in conjuncts.all_specs() {
+            let cost = built.build_spec(cluster, a, &spec)?;
             timeline.machine("index_build", cost);
         }
         check_cancel(timeline, session)?;
@@ -684,13 +680,8 @@ impl<C: Crowd> Run<'_, C> {
             .iter()
             .map(|f| f.sim.higher_is_similar())
             .collect();
-        let al_m_cfg = AlConfig {
-            mask_pair_selection: cfg.opt.mask_pair_selection
-                && candidates.len() >= cfg.mask_selection_threshold,
-            seed: cfg.seed ^ 1 ^ seed_salt,
-            priority_indices: priority,
-            ..cfg.al.clone()
-        };
+        let masked =
+            cfg.opt.mask_pair_selection && candidates.len() >= cfg.mask_selection_threshold;
         let al_m = al_matcher(
             cluster,
             session,
@@ -698,7 +689,10 @@ impl<C: Crowd> Run<'_, C> {
             "al_matcher_m",
             &c_fvs.fvs,
             &higher_m,
-            &al_m_cfg,
+            &cfg.al,
+            masked,
+            &priority,
+            cfg.seed ^ 1 ^ seed_salt,
         )?;
         let applied = apply_matcher(cluster, &al_m.forest, &c_fvs.fvs)?;
         let cost = StageCost::of([&applied.stats], &cfg.cluster);

@@ -6,10 +6,11 @@
 //! per `(attribute, tokenizer)` over the token column a profile job
 //! produced, job 3 (assembling the index) one local pass per spec.
 //!
-//! Built indexes are cached by predicate key so the masking optimizer can
-//! prebuild them during crowd rounds (Section 10.2, Solution 1) and
-//! `apply_blocking_rules` can reuse them for free. The cache reads token
-//! columns from the run's [`TokenStore`], so each value is tokenized once.
+//! Built indexes are cached under their filter spec, compared exactly, so
+//! the masking optimizer can prebuild them during crowd rounds (Section
+//! 10.2, Solution 1) and `apply_blocking_rules` can reuse them for free.
+//! The cache reads token columns from the run's [`TokenStore`], so each
+//! value is tokenized once.
 
 use crate::driver::ForcedFilter;
 use crate::error::FalconError;
@@ -21,30 +22,9 @@ use falcon_dataflow::Cluster;
 use falcon_forest::SplitOp;
 use falcon_index::{FilterSpec, IndexError, PredicateIndex, TokenColumn};
 use falcon_table::Table;
-use falcon_textsim::{DetMap, DetSet, Tokenizer};
+use falcon_textsim::{DetMap, Tokenizer};
 use std::borrow::Cow;
 use std::sync::Arc;
-
-/// Stable cache key for a filter spec.
-pub fn predicate_key(spec: &FilterSpec) -> String {
-    match spec {
-        FilterSpec::Equals { a_attr } => format!("eq:{a_attr}"),
-        FilterSpec::Range {
-            a_attr,
-            width,
-            relative,
-        } => format!("rng:{a_attr}:{width:.6}:{relative}"),
-        FilterSpec::SetSim {
-            a_attr,
-            sim,
-            threshold,
-        } => format!("set:{a_attr}:{}:{threshold:.6}", sim.name()),
-        FilterSpec::EditSim { a_attr, threshold } => format!("ed:{a_attr}:{threshold:.6}"),
-        FilterSpec::Signature { inner, words } => {
-            format!("sig{words}:{}", predicate_key(inner))
-        }
-    }
-}
 
 /// Configuration of the signature pre-filter layer (the probabilistic
 /// provably-lossless Bloom-signature gate in front of set-similarity
@@ -79,33 +59,9 @@ pub struct ConjunctSpecs {
     /// `specs[i][j]`: filter spec + B-attr index for predicate `j` of
     /// conjunct `i`, or `None` when that predicate admits no filter.
     pub specs: Vec<Vec<Option<(FilterSpec, usize)>>>,
-    /// `keys[i][j]`: the [`predicate_key`] of `specs[i][j]`, computed
-    /// once at construction. Index build and probe paths look up the
-    /// cache through these instead of re-formatting the key per
-    /// conjunct on every build/probe (the hot path during masked
-    /// prebuild and speculation).
-    keys: Vec<Vec<Option<String>>>,
 }
 
 impl ConjunctSpecs {
-    /// Wrap raw per-conjunct specs, computing every cache key once.
-    pub fn from_specs(specs: Vec<Vec<Option<(FilterSpec, usize)>>>) -> ConjunctSpecs {
-        let keys = specs
-            .iter()
-            .map(|c| {
-                c.iter()
-                    .map(|s| s.as_ref().map(|(spec, _)| predicate_key(spec)))
-                    .collect()
-            })
-            .collect();
-        ConjunctSpecs { specs, keys }
-    }
-
-    /// Cached [`predicate_key`] for predicate `pi` of conjunct `ci`
-    /// (`None` when that predicate admits no filter).
-    pub fn key_of(&self, ci: usize, pi: usize) -> Option<&str> {
-        self.keys.get(ci)?.get(pi)?.as_deref()
-    }
     /// Derive the specs from a rule sequence over a blocking feature set
     /// (Section 7.3, step 2: "analyze CNF rule to infer index-based
     /// filters").
@@ -155,7 +111,7 @@ impl ConjunctSpecs {
                     .collect()
             })
             .collect();
-        Self::from_specs(specs)
+        ConjunctSpecs { specs }
     }
 
     /// Wrap every set-similarity spec in a signature pre-filter of the
@@ -172,8 +128,7 @@ impl ConjunctSpecs {
                 slot.0 = slot.0.clone().with_signature(prefilter.words);
             }
         }
-        // Wrapping changed the specs, so the hoisted keys must follow.
-        Self::from_specs(self.specs)
+        self
     }
 
     /// Indices of fully-filterable conjuncts (every disjunct has a filter).
@@ -186,26 +141,12 @@ impl ConjunctSpecs {
             .collect()
     }
 
-    /// All distinct specs across conjuncts.
+    /// All distinct specs across conjuncts, in first-use order.
     pub fn all_specs(&self) -> Vec<FilterSpec> {
-        self.all_specs_keyed()
-            .into_iter()
-            .map(|(s, _)| s.clone())
-            .collect()
-    }
-
-    /// All distinct `(spec, cached key)` pairs across conjuncts, deduped
-    /// by the hoisted keys (no re-formatting).
-    pub fn all_specs_keyed(&self) -> Vec<(&FilterSpec, &str)> {
-        let mut seen = DetSet::new();
-        let mut out = Vec::new();
-        for (c, ck) in self.specs.iter().zip(&self.keys) {
-            for (s, k) in c.iter().zip(ck) {
-                if let (Some((spec, _)), Some(key)) = (s, k) {
-                    if seen.insert(key.as_str()) {
-                        out.push((spec, key.as_str()));
-                    }
-                }
+        let mut out: Vec<FilterSpec> = Vec::new();
+        for (spec, _) in self.specs.iter().flatten().flatten() {
+            if !out.contains(spec) {
+                out.push(spec.clone());
             }
         }
         out
@@ -242,8 +183,11 @@ fn safe_substitution(forced: &FilterSpec, f: &Feature, derived: &FilterSpec) -> 
 /// Cache of built indexes over a token store.
 #[derive(Default)]
 pub struct BuiltIndexes<'s> {
-    /// Predicate key → built index.
-    pub indexes: DetMap<String, Arc<PredicateIndex>>,
+    /// Each built index under the spec it was built from. A lookup
+    /// compares specs with `==`, thresholds exactly: two thresholds that
+    /// agree to any number of places but differ in a bit admit different
+    /// pairs, so they name different indexes. A run holds tens of specs.
+    indexes: Vec<(FilterSpec, Arc<PredicateIndex>)>,
     /// Where `A`'s token columns come from: the run's store, which the
     /// driver fills before the first build, or ([`BuiltIndexes::new`]) one
     /// of the cache's own, grown a column at a time. Indexes share the
@@ -274,14 +218,9 @@ impl<'s> BuiltIndexes<'s> {
         &self.store
     }
 
-    /// Total estimated bytes of a set of predicate keys.
-    pub fn bytes_of(&self, keys: &[String]) -> usize {
-        keys.iter().map(|k| self.bytes_of_key(k)).sum()
-    }
-
-    /// Estimated bytes of one built index (zero when absent).
-    pub fn bytes_of_key(&self, key: &str) -> usize {
-        self.indexes.get(key).map_or(0, |i| i.estimated_bytes())
+    /// Estimated bytes of `spec`'s built index (zero when absent).
+    pub fn bytes_of(&self, spec: &FilterSpec) -> usize {
+        self.get(spec).map_or(0, |i| i.estimated_bytes())
     }
 
     /// Build the token order — and the rank-space column under it — for
@@ -327,21 +266,7 @@ impl<'s> BuiltIndexes<'s> {
         a: &Table,
         spec: &FilterSpec,
     ) -> Result<StageCost, FalconError> {
-        let key = predicate_key(spec);
-        self.build_spec_keyed(cluster, a, spec, &key)
-    }
-
-    /// [`BuiltIndexes::build_spec`] with the caller's precomputed
-    /// [`predicate_key`] (see [`ConjunctSpecs::all_specs_keyed`]), so hot
-    /// build loops don't re-format keys per conjunct.
-    pub fn build_spec_keyed(
-        &mut self,
-        cluster: &Cluster,
-        a: &Table,
-        spec: &FilterSpec,
-        key: &str,
-    ) -> Result<StageCost, FalconError> {
-        if self.indexes.contains_key(key) {
+        if self.get(spec).is_some() {
             return Ok(StageCost::default());
         }
         let mut cost = StageCost::default();
@@ -359,19 +284,14 @@ impl<'s> BuiltIndexes<'s> {
         // "MR job 3": assemble the index (single driver-local pass over A).
         let idx = PredicateIndex::try_build(a, spec, shared)?;
         cost += StageCost::local(a.len());
-        self.indexes.insert(key.to_string(), Arc::new(idx));
+        self.indexes.push((spec.clone(), Arc::new(idx)));
         Ok(cost)
     }
 
-    /// Fetch a built index.
+    /// Fetch the index built from `spec`.
     pub fn get(&self, spec: &FilterSpec) -> Option<Arc<PredicateIndex>> {
-        self.get_by_key(&predicate_key(spec))
-    }
-
-    /// Fetch a built index by its precomputed [`predicate_key`] — the
-    /// allocation-free lookup the probe bundle assembly uses.
-    pub fn get_by_key(&self, key: &str) -> Option<Arc<PredicateIndex>> {
-        self.indexes.get(key).cloned()
+        let (_, index) = self.indexes.iter().find(|(s, _)| s == spec)?;
+        Some(Arc::clone(index))
     }
 }
 
@@ -381,6 +301,7 @@ mod tests {
     use crate::features::generate_features;
     use crate::rules::{Predicate, Rule};
     use falcon_dataflow::ClusterConfig;
+    use falcon_index::spec::Candidates;
     use falcon_table::{AttrType, Schema, Value};
     use falcon_textsim::SimFunction;
     use std::time::Duration;
@@ -534,12 +455,16 @@ mod tests {
             &off.specs[0][0],
             Some((FilterSpec::SetSim { .. }, _))
         ));
-        // The wrapper gets its own cache key, distinct from the exact
-        // spec's, so both index variants can coexist in the cache.
+        // The wrapper is a spec of its own, so both index variants can
+        // coexist in the cache.
         let (sig_spec, _) = wrapped.specs[0][0].clone().unwrap();
         let (set_spec, _) = base.specs[0][0].clone().unwrap();
-        assert_ne!(predicate_key(&sig_spec), predicate_key(&set_spec));
-        assert!(predicate_key(&sig_spec).starts_with("sig2:set:"));
+        let mut built = BuiltIndexes::new();
+        for s in [&sig_spec, &set_spec] {
+            built.build_spec(&cluster(), &a, s).expect("build");
+        }
+        let is_sig = |s| matches!(*built.get(s).unwrap(), PredicateIndex::Signature { .. });
+        assert!(is_sig(&sig_spec) && !is_sig(&set_spec));
     }
 
     #[test]
@@ -589,7 +514,57 @@ mod tests {
         let d2 = built.build_spec(&cluster(), &a, &spec).expect("build");
         assert_eq!(d2, StageCost::default());
         assert!(built.get(&spec).is_some());
-        assert!(built.bytes_of(&[predicate_key(&spec)]) > 0);
+        assert!(built.bytes_of(&spec) > 0);
+    }
+
+    /// Builds `first`, then `second` — whose rendering agrees with
+    /// `first`'s to six places — and returns what the cached `second`
+    /// and a fresh `second` index admit for `probe`.
+    fn probe_after(
+        a: &Table,
+        first: &FilterSpec,
+        second: &FilterSpec,
+        probe: &Value,
+    ) -> (Candidates, Candidates) {
+        let mut built = BuiltIndexes::new();
+        for spec in [first, second] {
+            built.build_spec(&cluster(), a, spec).expect("build");
+        }
+        let cached = built.get(second).expect("built").probe(probe);
+        let fresh = PredicateIndex::try_build(a, second, None).expect("build");
+        (cached, fresh.probe(probe))
+    }
+
+    #[test]
+    fn set_sim_thresholds_equal_to_six_places_are_two_indexes() {
+        let schema = Schema::new([("title", AttrType::Str)]);
+        let a = Table::new("a", schema, vec![vec![Value::str("a b")]]);
+        let spec = |threshold| FilterSpec::SetSim {
+            a_attr: "title".into(),
+            sim: SimFunction::Jaccard(Tokenizer::Word),
+            threshold,
+        };
+        // Jaccard({a, b}, {a, b, c, d}) = 0.5 > 0.4999996.
+        let probe = Value::str("a b c d");
+        let (cached, fresh) = probe_after(&a, &spec(0.5000004), &spec(0.4999996), &probe);
+        assert_eq!(fresh, Candidates::Some(vec![0]));
+        assert_eq!(cached, fresh);
+    }
+
+    #[test]
+    fn range_widths_equal_to_six_places_are_two_indexes() {
+        let schema = Schema::new([("price", AttrType::Num)]);
+        let a = Table::new("a", schema, vec![vec![Value::num(10.0)]]);
+        let spec = |width| FilterSpec::Range {
+            a_attr: "price".into(),
+            width,
+            relative: false,
+        };
+        // |11 - 10| = 1 <= 1.0000004.
+        let probe = Value::num(11.0);
+        let (cached, fresh) = probe_after(&a, &spec(0.9999996), &spec(1.0000004), &probe);
+        assert_eq!(fresh, Candidates::Some(vec![0]));
+        assert_eq!(cached, fresh);
     }
 
     #[test]

@@ -7,22 +7,23 @@
 //! convergence or the iteration cap `k = 30` (the crowd-time cap of
 //! Section 3.4).
 //!
-//! With [`AlConfig::mask_pair_selection`] the operator runs the paper's
-//! Optimization 3: the first iteration selects a double batch, and from
-//! then on model retraining and next-batch selection happen *during* the
-//! crowd's labeling round — pair-selection machine time is recorded
-//! against the masking budget rather than the critical path. The learned
+//! With `masked` set the operator runs the paper's Optimization 3: the
+//! first iteration selects a double batch, and from then on model
+//! retraining and next-batch selection happen *during* the crowd's
+//! labeling round — pair-selection machine time is recorded against the
+//! masking budget rather than the critical path. The learned
 //! matcher is an approximation (selection is one round stale), which the
 //! paper shows costs negligible accuracy.
 
 use crate::error::FalconError;
 use crate::fv::FvSet;
-use crate::ops::bitmap::Bitmap;
 use crate::stage::StageCost;
 use crate::timeline::{check_cancel, Timeline};
 use falcon_crowd::{Crowd, CrowdSession};
 use falcon_dataflow::{run_map_only, Cluster};
 use falcon_forest::{FlatForest, Forest, ForestConfig, RankedDataset};
+use falcon_index::CandidateBitmap;
+use falcon_table::TupleId;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -38,15 +39,8 @@ pub struct AlConfig {
     pub convergence_eps: f64,
     /// Seed positives/negatives requested in the first round (half each).
     pub seeds: usize,
-    /// Enable the masked-pair-selection optimization.
-    pub mask_pair_selection: bool,
-    /// Pair indices to label in the very first round (the Difficult
-    /// Pairs' Locator feeds these in the iterative workflow).
-    pub priority_indices: Vec<usize>,
     /// Forest configuration.
     pub forest: ForestConfig,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Default for AlConfig {
@@ -56,10 +50,7 @@ impl Default for AlConfig {
             batch: 20,
             convergence_eps: 0.05,
             seeds: 10,
-            mask_pair_selection: false,
-            priority_indices: Vec::new(),
             forest: ForestConfig::default(),
-            seed: 7,
         }
     }
 }
@@ -167,13 +158,13 @@ fn seed_pairs(scores: &[f64], priority: &[usize], half: usize) -> Vec<usize> {
     } else {
         scored.sort_unstable_by(most_first);
     }
-    let mut listed = Bitmap::zeros(n);
+    let mut listed = CandidateBitmap::new(n);
     let mut picks: Vec<usize> = priority.iter().copied().filter(|&i| i < n).collect();
-    picks.iter().for_each(|&i| listed.set(i));
+    picks.iter().for_each(|&i| listed.insert(i as TupleId));
     let ends = scored[..half].iter().chain(scored[n - half..].iter().rev());
     for &(_, i) in ends {
-        if !listed.get(i) {
-            listed.set(i);
+        if !listed.contains(i as TupleId) {
+            listed.insert(i as TupleId);
             picks.push(i);
         }
     }
@@ -181,8 +172,10 @@ fn seed_pairs(scores: &[f64], priority: &[usize], half: usize) -> Vec<usize> {
 }
 
 /// The pair indices outside `taken`, ascending.
-fn untaken(taken: &Bitmap) -> Vec<usize> {
-    (0..taken.len()).filter(|&i| !taken.get(i)).collect()
+fn untaken(taken: &CandidateBitmap) -> Vec<usize> {
+    (0..taken.len())
+        .filter(|&i| !taken.contains(i as TupleId))
+        .collect()
 }
 
 /// Score every pair outside `taken` with `forest` and pick the next
@@ -191,7 +184,7 @@ fn select(
     cluster: &Cluster,
     forest: &Forest,
     fvs: &FvSet,
-    taken: &Bitmap,
+    taken: &CandidateBitmap,
     batch: usize,
 ) -> Result<(Vec<usize>, f64, StageCost), FalconError> {
     let flat = forest.flatten();
@@ -204,6 +197,10 @@ fn select(
 /// Run `al_matcher` over a feature-vector set. `higher` flags which
 /// features are similarity-oriented (for seeding); crowd interaction goes
 /// through `session` and timings through `timeline` under `label`.
+/// `masked` enables masked pair selection; `priority` lists pair indices
+/// to label in the very first round (the Difficult Pairs' Locator feeds
+/// these in the iterative workflow); `seed` seeds the run's RNG.
+#[allow(clippy::too_many_arguments)]
 pub fn al_matcher<C: Crowd>(
     cluster: &Cluster,
     session: &mut CrowdSession<C>,
@@ -212,6 +209,9 @@ pub fn al_matcher<C: Crowd>(
     fvs: &FvSet,
     higher: &[bool],
     cfg: &AlConfig,
+    masked: bool,
+    priority: &[usize],
+    seed: u64,
 ) -> Result<AlOutput, FalconError> {
     if fvs.is_empty() {
         return Err(FalconError::EmptyInput {
@@ -220,10 +220,10 @@ pub fn al_matcher<C: Crowd>(
     }
     // Every pair index below is used on both fields.
     assert_eq!(fvs.fvs.len(), fvs.pairs.len(), "one vector per pair");
-    let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x414c4d41);
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x414c4d41);
     // Pairs out of the running for selection: labeled, or (masked mode)
     // picked and waiting for the crowd.
-    let mut taken = Bitmap::zeros(fvs.len());
+    let mut taken = CandidateBitmap::new(fvs.len());
     // The labeled set keeps its rank compile from round to round.
     let mut data = RankedDataset::new();
     let mut labeled: Vec<(usize, bool)> = Vec::new();
@@ -235,13 +235,13 @@ pub fn al_matcher<C: Crowd>(
                        timeline: &mut Timeline,
                        data: &mut RankedDataset,
                        labeled: &mut Vec<(usize, bool)>,
-                       taken: &mut Bitmap| {
+                       taken: &mut CandidateBitmap| {
         let pairs: Vec<_> = idxs.iter().map(|&i| fvs.pairs[i]).collect();
         let (answers, latency) = session.label_batch(&pairs);
         timeline.crowd(label, latency);
         let start = labeled.len();
         for (&i, (_, l)) in idxs.iter().zip(answers) {
-            taken.set(i);
+            taken.insert(i as TupleId);
             labeled.push((i, l));
         }
         data.extend(
@@ -261,7 +261,7 @@ pub fn al_matcher<C: Crowd>(
     // ---- Seed round: likely positives + likely negatives ----
     let scores: Vec<f64> = fvs.fvs.iter().map(|fv| seed_score(fv, higher)).collect();
     let half = (cfg.seeds / 2).max(1).min(fvs.len() / 2 + 1);
-    let seed_idx = seed_pairs(&scores, &cfg.priority_indices, half);
+    let seed_idx = seed_pairs(&scores, priority, half);
     // Seed scoring is a driver-local pass over every vector.
     timeline.machine(label, StageCost::local(fvs.len()));
     label_batch(
@@ -304,21 +304,21 @@ pub fn al_matcher<C: Crowd>(
     // In masked mode `pending` is the batch currently "at the crowd";
     // selection of the following batch happens during that round.
     let mut pending: Vec<usize> = Vec::new();
-    if cfg.mask_pair_selection {
+    if masked {
         let (picked, _, scored) = select(cluster, &forest, fvs, &taken, cfg.batch * 2)?;
         // First (double) selection cannot be masked: nothing is at the
         // crowd yet.
         timeline.machine(label, scored);
-        picked.iter().for_each(|&i| taken.set(i));
+        picked.iter().for_each(|&i| taken.insert(i as TupleId));
         pending = picked;
     }
 
     // Stop once every pair is labeled: `taken` minus the picked-but-unasked.
-    while iterations < cfg.max_iterations && taken.count() - pending.len() < fvs.len() {
+    while iterations < cfg.max_iterations && taken.ones() - pending.len() < fvs.len() {
         // Cancellation point: a scheduler-cancelled tenant stops asking
         // crowd questions between AL iterations, with its journal intact.
         check_cancel(timeline, session)?;
-        if cfg.mask_pair_selection {
+        if masked {
             if pending.is_empty() {
                 converged = true;
                 break;
@@ -331,7 +331,7 @@ pub fn al_matcher<C: Crowd>(
             let (picked, max_dis, scored) = select(cluster, &forest, fvs, &taken, cfg.batch)?;
             timeline.masked_machine(label, train_cost(&data) + scored);
             if max_dis >= cfg.convergence_eps {
-                picked.iter().for_each(|&i| taken.set(i));
+                picked.iter().for_each(|&i| taken.insert(i as TupleId));
                 pending.extend(picked);
             }
             label_batch(
@@ -420,6 +420,9 @@ mod tests {
             &fvs,
             &higher,
             &AlConfig::default(),
+            false,
+            &[],
+            7,
         )
         .expect("al");
         // Perfect on the training universe.
@@ -443,6 +446,9 @@ mod tests {
             &fvs,
             &higher,
             &AlConfig::default(),
+            false,
+            &[],
+            7,
         )
         .expect("al");
         assert!(out.converged);
@@ -459,8 +465,19 @@ mod tests {
             convergence_eps: 0.0,
             ..Default::default()
         };
-        let out =
-            al_matcher(&cluster(), &mut session, &mut tl, "al", &fvs, &higher, &cfg).expect("al");
+        let out = al_matcher(
+            &cluster(),
+            &mut session,
+            &mut tl,
+            "al",
+            &fvs,
+            &higher,
+            &cfg,
+            false,
+            &[],
+            7,
+        )
+        .expect("al");
         assert!(out.iterations <= 3);
     }
 
@@ -469,12 +486,19 @@ mod tests {
         let (fvs, truth, higher) = fixture(40);
         let mut tl = Timeline::new();
         let mut session = CrowdSession::new(OracleCrowd::new(truth.clone()));
-        let cfg = AlConfig {
-            mask_pair_selection: true,
-            ..Default::default()
-        };
-        let out =
-            al_matcher(&cluster(), &mut session, &mut tl, "al", &fvs, &higher, &cfg).expect("al");
+        let out = al_matcher(
+            &cluster(),
+            &mut session,
+            &mut tl,
+            "al",
+            &fvs,
+            &higher,
+            &AlConfig::default(),
+            true,
+            &[],
+            7,
+        )
+        .expect("al");
         let correct = fvs
             .iter()
             .filter(|(p, fv)| out.forest.predict(fv) == truth.is_match(*p))
@@ -500,6 +524,9 @@ mod tests {
             &fvs,
             &higher,
             &AlConfig::default(),
+            false,
+            &[],
+            7,
         )
         .expect("al");
         assert_eq!(session.ledger().rounds, out.iterations);
@@ -582,14 +609,14 @@ mod tests {
                     })
                     .collect();
                 let taken_rate = [0.0, 0.4, 1.0][case / 3 % 3];
-                let mut taken = Bitmap::zeros(n);
+                let mut taken = CandidateBitmap::new(n);
                 (0..n)
                     .filter(|_| rng.gen_bool(taken_rate))
-                    .for_each(|i| taken.set(i));
+                    .for_each(|i| taken.insert(i as TupleId));
                 let batch = [0, 1, 20, n, n + 5][case / 9 % 5];
 
                 let mut sorted: Vec<(usize, f64)> = (0..n)
-                    .filter(|&i| !taken.get(i))
+                    .filter(|&i| !taken.contains(i as TupleId))
                     .map(|i| (i, dis(all_votes[i])))
                     .collect();
                 let want_max = sorted.iter().map(|(_, d)| *d).fold(0.0f64, f64::max);

@@ -93,12 +93,11 @@ pub fn eval_rules<C: Crowd>(
         if timeline.cancel_reason().is_some() {
             break;
         }
-        let cov: Vec<usize> = ranked.coverage[rank_idx].ones().collect();
-        let m = cov.len();
+        let mut pool = ranked.coverage[rank_idx].to_vec();
+        let m = pool.len();
         if m == 0 {
             continue;
         }
-        let mut pool = cov.clone();
         pool.shuffle(&mut rng);
         let mut n = 0usize;
         let mut n_neg = 0usize;
@@ -108,8 +107,10 @@ pub fn eval_rules<C: Crowd>(
         let mut eps = f64::INFINITY;
         while iterations < MAX_ITERATIONS_PER_RULE && !pool.is_empty() {
             let take = EVAL_BATCH.min(pool.len());
-            let batch_idx: Vec<usize> = pool.drain(..take).collect();
-            let pairs: Vec<_> = batch_idx.iter().map(|&i| sample.pairs[i]).collect();
+            let pairs: Vec<_> = pool
+                .drain(..take)
+                .map(|i| sample.pairs[i as usize])
+                .collect();
             let (labels, latency) = session.label_batch_strong(&pairs);
             timeline.crowd("eval_rules", latency);
             iterations += 1;
@@ -146,7 +147,6 @@ pub fn eval_rules<C: Crowd>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::bitmap::Bitmap;
     use falcon_crowd::sim::{GroundTruth, OracleCrowd};
     use falcon_forest::SplitOp;
 
@@ -184,10 +184,10 @@ mod tests {
         let coverage = rules
             .iter()
             .map(|r| {
-                let mut bm = Bitmap::zeros(sample.len());
-                for (i, fv) in sample.fvs.iter().enumerate() {
+                let mut bm = falcon_index::CandidateBitmap::new(sample.len());
+                for (i, fv) in (0..).zip(&sample.fvs) {
                     if r.fires(fv) {
-                        bm.set(i);
+                        bm.insert(i);
                     }
                 }
                 bm

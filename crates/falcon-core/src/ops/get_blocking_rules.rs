@@ -3,10 +3,10 @@
 //! coverages on the sample `S` as bitmaps, and rank by coverage.
 
 use crate::fv::FvSet;
-use crate::ops::bitmap::Bitmap;
 use crate::rules::Rule;
 use falcon_forest::paths::extract_forest_paths;
 use falcon_forest::Forest;
+use falcon_index::CandidateBitmap;
 
 /// Candidate rules plus their sample coverage bitmaps.
 #[derive(Debug, Clone)]
@@ -14,7 +14,7 @@ pub struct RankedRules {
     /// Rules in decreasing coverage order.
     pub rules: Vec<Rule>,
     /// `coverage[i]` = bitmap of sample pairs rule `i` drops.
-    pub coverage: Vec<Bitmap>,
+    pub coverage: Vec<CandidateBitmap>,
 }
 
 impl RankedRules {
@@ -24,7 +24,7 @@ impl RankedRules {
         if n == 0 {
             return 1.0;
         }
-        1.0 - self.coverage[i].count() as f64 / n as f64
+        1.0 - self.coverage[i].ones() as f64 / n as f64
     }
 
     /// Number of rules.
@@ -65,20 +65,22 @@ pub fn get_blocking_rules(
     // the outer loop so each vector is brought into cache once and tested
     // against every rule, instead of re-streaming the whole sample per
     // rule.
-    let mut bitmaps: Vec<Bitmap> = rules.iter().map(|_| Bitmap::zeros(sample.len())).collect();
-    for (i, fv) in sample.fvs.iter().enumerate() {
+    let mut bitmaps: Vec<CandidateBitmap> = (rules.iter())
+        .map(|_| CandidateBitmap::new(sample.len()))
+        .collect();
+    for (i, fv) in (0..).zip(&sample.fvs) {
         for (rule, bm) in rules.iter().zip(&mut bitmaps) {
             if rule.fires(fv) {
-                bm.set(i);
+                bm.insert(i);
             }
         }
     }
-    let mut ranked: Vec<(Rule, Bitmap)> = rules
+    let mut ranked: Vec<(Rule, CandidateBitmap)> = rules
         .into_iter()
         .zip(bitmaps)
-        .filter(|(_, bm)| bm.count() > 0)
+        .filter(|(_, bm)| bm.ones() > 0)
         .collect();
-    ranked.sort_by_key(|(_, bm)| std::cmp::Reverse(bm.count()));
+    ranked.sort_by_key(|(_, bm)| std::cmp::Reverse(bm.ones()));
     ranked.truncate(max_rules);
     let (rules, coverage) = ranked.into_iter().unzip();
     RankedRules { rules, coverage }
@@ -87,7 +89,7 @@ pub fn get_blocking_rules(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use falcon_forest::{Dataset, ForestConfig};
+    use falcon_forest::{Dataset, ForestConfig, Node, Tree};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -120,21 +122,51 @@ mod tests {
         assert!(!r.is_empty());
         // Coverage is non-increasing.
         for w in r.coverage.windows(2) {
-            assert!(w[0].count() >= w[1].count());
+            assert!(w[0].ones() >= w[1].ones());
         }
         // Top rule should drop roughly the dissimilar half.
-        let top_cov = r.coverage[0].count();
+        let top_cov = r.coverage[0].ones();
         assert!((30..=70).contains(&top_cov), "{top_cov}");
     }
 
     #[test]
     fn dedupes_identical_paths() {
         let r = get_blocking_rules(&forest(), &sample(), 50, &[true]);
-        let mut keys: Vec<String> = r.rules.iter().map(Rule::canonical_key).collect();
-        keys.sort();
-        let n = keys.len();
-        keys.dedup();
-        assert_eq!(keys.len(), n);
+        let keys: Vec<_> = r.rules.iter().map(Rule::canonical_key).collect();
+        for (i, key) in keys.iter().enumerate() {
+            assert!(!keys[..i].contains(key), "rule {i} repeats an earlier one");
+        }
+    }
+
+    /// Two one-split trees whose thresholds agree to six places drop
+    /// different pairs, so both rules survive deduplication.
+    #[test]
+    fn thresholds_equal_to_six_places_are_two_rules() {
+        let leaf = |label| {
+            Box::new(Node::Leaf {
+                label,
+                pos: 0,
+                neg: 1,
+            })
+        };
+        let tree = |threshold| Tree {
+            root: Node::Split {
+                feature: 0,
+                threshold,
+                left: leaf(false),
+                right: leaf(true),
+            },
+            arity: 1,
+        };
+        let forest = Forest {
+            trees: vec![tree(0.5000004), tree(0.4999996)],
+            arity: 1,
+            oob_accuracy: None,
+        };
+        let r = get_blocking_rules(&forest, &sample(), 20, &[true]);
+        let mut thresholds: Vec<f64> = r.rules.iter().map(|r| r.predicates[0].threshold).collect();
+        thresholds.sort_by(f64::total_cmp);
+        assert_eq!(thresholds, [0.4999996, 0.5000004]);
     }
 
     #[test]
@@ -148,7 +180,7 @@ mod tests {
         let r = get_blocking_rules(&forest(), &sample(), 20, &[true]);
         for i in 0..r.len() {
             let sel = r.selectivity(i);
-            let expect = 1.0 - r.coverage[i].count() as f64 / 100.0;
+            let expect = 1.0 - r.coverage[i].ones() as f64 / 100.0;
             assert!((sel - expect).abs() < 1e-12);
         }
     }

@@ -17,7 +17,6 @@
 pub mod accuracy_estimator;
 pub mod al_matcher;
 pub mod apply_matcher;
-pub mod bitmap;
 pub mod difficult_pairs;
 pub mod eval_rules;
 pub mod gen_fvs;

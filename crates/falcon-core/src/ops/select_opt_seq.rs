@@ -13,10 +13,11 @@
 //! `get_blocking_rules`; for large samples the bitmaps are striped down to
 //! a fixed optimizer resolution so subset enumeration stays fast.
 
-use crate::ops::bitmap::Bitmap;
 use crate::ops::eval_rules::EvaluatedRule;
 use crate::ops::get_blocking_rules::RankedRules;
 use crate::rules::{Rule, RuleSequence};
+use falcon_index::CandidateBitmap;
+use falcon_table::TupleId;
 
 /// Precision weight (`α`).
 pub const ALPHA: f64 = 1.0;
@@ -51,15 +52,15 @@ pub struct SeqOutput {
 }
 
 /// Stripe a bitmap down to `bits` positions (every k-th sample index).
-fn stripe(bm: &Bitmap, bits: usize) -> Bitmap {
+fn stripe(bm: &CandidateBitmap, bits: usize) -> CandidateBitmap {
     if bm.len() <= bits {
         return bm.clone();
     }
     let step = bm.len() as f64 / bits as f64;
-    let mut out = Bitmap::zeros(bits);
+    let mut out = CandidateBitmap::new(bits);
     for i in 0..bits {
-        if bm.get((i as f64 * step) as usize) {
-            out.set(i);
+        if bm.contains((i as f64 * step) as TupleId) {
+            out.insert(i as TupleId);
         }
     }
     out
@@ -87,7 +88,7 @@ fn rule_cost(rule: &Rule) -> f64 {
 
 struct Candidate<'a> {
     rule: &'a Rule,
-    cov: Bitmap,
+    cov: CandidateBitmap,
     precision: f64,
     time: f64,
 }
@@ -97,15 +98,15 @@ struct Candidate<'a> {
 fn greedy_order(cands: &[&Candidate<'_>], bits: usize) -> (Vec<usize>, f64) {
     let mut remaining: Vec<usize> = (0..cands.len()).collect();
     let mut order = Vec::with_capacity(cands.len());
-    let mut covered = Bitmap::zeros(bits);
+    let mut covered = CandidateBitmap::new(bits);
     let mut seq_time = 0.0;
     let mut reach_prob = 1.0; // probability a pair reaches the next rule
     while !remaining.is_empty() {
-        let covered_now = covered.count();
+        let covered_now = covered.ones();
         let sel_prefix = 1.0 - covered_now as f64 / bits.max(1) as f64;
         let mut best: Option<(f64, usize)> = None;
         for (slot, &ci) in remaining.iter().enumerate() {
-            let union = covered.union_count(&cands[ci].cov);
+            let union = covered.union_ones(&cands[ci].cov);
             let sel_with = 1.0 - union as f64 / bits.max(1) as f64;
             let gain = if sel_prefix > 0.0 {
                 1.0 - sel_with / sel_prefix
@@ -122,8 +123,8 @@ fn greedy_order(cands: &[&Candidate<'_>], bits: usize) -> (Vec<usize>, f64) {
         let Some((_, slot)) = best else { break };
         let ci = remaining.remove(slot);
         seq_time += reach_prob * cands[ci].time;
-        covered.or_with(&cands[ci].cov);
-        reach_prob = 1.0 - covered.count() as f64 / bits.max(1) as f64;
+        covered.union_with(&cands[ci].cov);
+        reach_prob = 1.0 - covered.ones() as f64 / bits.max(1) as f64;
         order.push(ci);
     }
     (order, seq_time)
@@ -139,17 +140,17 @@ fn score_subset(
     let (order_local, seq_time) = greedy_order(&chosen, bits);
     let order: Vec<usize> = order_local.iter().map(|&l| subset[l]).collect();
     // Coverage of the union.
-    let mut covered = Bitmap::zeros(bits);
+    let mut covered = CandidateBitmap::new(bits);
     for &i in subset {
-        covered.or_with(&cands[i].cov);
+        covered.union_with(&cands[i].cov);
     }
-    let selectivity = 1.0 - covered.count() as f64 / bits.max(1) as f64;
+    let selectivity = 1.0 - covered.ones() as f64 / bits.max(1) as f64;
     // Precision lower bound (Section 6):
     // prec(seq) >= 1 - Σ|cov(R_i)|·(1 − prec(R_i)) / |cov(seq)|.
-    let total_cov = covered.count().max(1);
+    let total_cov = covered.ones().max(1);
     let bad: f64 = subset
         .iter()
-        .map(|&i| cands[i].cov.count() as f64 * (1.0 - cands[i].precision))
+        .map(|&i| cands[i].cov.ones() as f64 * (1.0 - cands[i].precision))
         .sum();
     let precision = (1.0 - bad / total_cov as f64).max(0.0);
     let time_norm = if max_time > 0.0 {
@@ -236,7 +237,7 @@ pub fn select_opt_seq(ranked: &RankedRules, retained: &[EvaluatedRule]) -> SeqOu
     };
     let rule_selectivities: Vec<f64> = order
         .iter()
-        .map(|&i| 1.0 - cands[i].cov.count() as f64 / bits as f64)
+        .map(|&i| 1.0 - cands[i].cov.ones() as f64 / bits as f64)
         .collect();
     let seq = RuleSequence::new(order.iter().map(|&i| cands[i].rule.clone()).collect());
     SeqOutput {
@@ -281,10 +282,10 @@ mod tests {
         let coverage = rules
             .iter()
             .map(|r| {
-                let mut bm = Bitmap::zeros(s.len());
-                for (i, fv) in s.fvs.iter().enumerate() {
+                let mut bm = CandidateBitmap::new(s.len());
+                for (i, fv) in (0..).zip(&s.fvs) {
                     if r.fires(fv) {
-                        bm.set(i);
+                        bm.insert(i);
                     }
                 }
                 bm
@@ -335,9 +336,9 @@ mod tests {
         let (mut ranked, retained) = setup(&[0.4, 0.4], &[1.0, 1.0]);
         // Make rule 1 cover the complement (fires when f > 0.6): rebuild
         // its bitmap manually.
-        let mut bm = Bitmap::zeros(1000);
+        let mut bm = CandidateBitmap::new(1000);
         for i in 600..1000 {
-            bm.set(i);
+            bm.insert(i);
         }
         ranked.coverage[1] = bm;
         let out = select_opt_seq(&ranked, &retained);

@@ -22,7 +22,7 @@ use crate::error::FalconError;
 use crate::features::FeatureSet;
 use crate::indexing::{BuiltIndexes, ConjunctSpecs, PreFilterConfig};
 use crate::physical::{self, PhysicalOp, ScratchPool};
-use crate::rules::{Rule, RuleSequence};
+use crate::rules::{Rule, RuleKey, RuleSequence};
 use crate::timeline::Timeline;
 use falcon_dataflow::Cluster;
 use falcon_index::FilterSpec;
@@ -116,8 +116,8 @@ pub fn prebuild_for_rules(
     let seq = RuleSequence::new(rules.to_vec());
     let conjuncts =
         ConjunctSpecs::derive(&seq, features).with_signatures(&PreFilterConfig::default());
-    for (spec, key) in conjuncts.all_specs_keyed() {
-        let cost = built.build_spec_keyed(cluster, a, spec, key)?;
+    for spec in conjuncts.all_specs() {
+        let cost = built.build_spec(cluster, a, &spec)?;
         timeline.masked_machine("index_build", cost);
     }
     Ok(())
@@ -139,7 +139,7 @@ pub fn speculate_rules(
     built: &mut BuiltIndexes<'_>,
     timeline: &mut Timeline,
     max_pairs: u128,
-) -> Result<DetMap<String, Vec<IdPair>>, FalconError> {
+) -> Result<DetMap<RuleKey, Vec<IdPair>>, FalconError> {
     /// Only rules keeping at most this fraction of the sample are worth
     /// materializing individually.
     const MAX_KEEP_FRACTION: f64 = 0.05;
@@ -161,8 +161,8 @@ pub fn speculate_rules(
         if conjuncts.filterable().is_empty() {
             continue; // no index support; speculation would enumerate A×B
         }
-        for (spec, key) in conjuncts.all_specs_keyed() {
-            let cost = built.build_spec_keyed(cluster, a, spec, key)?;
+        for spec in conjuncts.all_specs() {
+            let cost = built.build_spec(cluster, a, &spec)?;
             timeline.masked_machine("index_build", cost);
         }
         let result = physical::execute_pooled(

@@ -190,9 +190,8 @@ impl BlockingOutput {
 pub struct ConjunctStats {
     /// Conjunct position within the rule sequence.
     pub conjunct: usize,
-    /// Planned probe mode per predicate of the conjunct
-    /// ("off" / "gate" / "dense").
-    pub modes: Vec<String>,
+    /// Planned probe mode per predicate of the conjunct.
+    pub modes: Vec<ProbeMode>,
     /// Candidate probes examined: postings walked, signatures scanned,
     /// scalar-index hits and missing-value ids considered.
     pub pairs_examined: u64,
@@ -270,7 +269,7 @@ impl StatsCollector {
 
     /// Assemble the final stats; `modes[ci]` carries the per-predicate
     /// probe modes recorded when conjunct `ci`'s bundle was assembled.
-    fn finish(&self, modes: &[Vec<String>]) -> BlockingStats {
+    fn finish(&self, modes: &[Vec<ProbeMode>]) -> BlockingStats {
         let conjuncts = self
             .cells
             .iter()
@@ -298,10 +297,10 @@ impl StatsCollector {
 /// Record the probe modes of each bundle's predicates into the
 /// per-conjunct mode table (appending, so the per-predicate waves of
 /// `ApplyPredicate` accumulate one entry each).
-fn record_modes(modes: &mut [Vec<String>], bundles: &[Bundle]) {
+fn record_modes(modes: &mut [Vec<ProbeMode>], bundles: &[Bundle]) {
     for bu in bundles {
         if let Some(slot) = modes.get_mut(bu.ci) {
-            slot.extend(bu.preds.iter().map(|p| p.mode.name().to_string()));
+            slot.extend(bu.preds.iter().map(|p| p.mode));
         }
     }
 }
@@ -619,10 +618,8 @@ impl Bundle {
         let preds = which
             .into_iter()
             .map(|pi| {
-                let (_, b_idx) = conjuncts.specs[ci][pi].as_ref()?;
-                // Cache lookup through the key hoisted at spec
-                // derivation — no per-conjunct key formatting here.
-                let index = built.get_by_key(conjuncts.key_of(ci, pi)?)?;
+                let (spec, b_idx) = conjuncts.specs[ci][pi].as_ref()?;
+                let index = built.get(spec)?;
                 Some(Pred {
                     mode: index.plan_probe_mode(),
                     index,
@@ -1021,7 +1018,7 @@ pub fn execute_pooled(
     let evaluator = Arc::new(PairEvaluator::over(store, a, b, features, seq));
     let filterable = conjuncts.filterable();
     let collector = Arc::new(StatsCollector::new(conjuncts.specs.len()));
-    let mut modes: Vec<Vec<String>> = vec![Vec::new(); conjuncts.specs.len()];
+    let mut modes: Vec<Vec<ProbeMode>> = vec![Vec::new(); conjuncts.specs.len()];
     let mut result = match op {
         PhysicalOp::ApplyAll => {
             if filterable.is_empty() {
@@ -1172,16 +1169,17 @@ pub fn select_physical(
 ) -> PhysicalOp {
     let filterable = conjuncts.filterable();
     if !filterable.is_empty() {
-        // Per-conjunct index byte totals, via the hoisted cache keys.
+        // The index bytes of each predicate of conjunct `ci`.
+        let pred_bytes = |ci: usize| {
+            conjuncts.specs[ci]
+                .iter()
+                .flatten()
+                .map(|(s, _)| built.bytes_of(s))
+        };
+        // Per-conjunct index byte totals.
         let conj_bytes: Vec<(usize, usize)> = filterable
             .iter()
-            .map(|&ci| {
-                let bytes = (0..conjuncts.specs[ci].len())
-                    .filter_map(|pi| conjuncts.key_of(ci, pi))
-                    .map(|k| built.bytes_of_key(k))
-                    .sum();
-                (ci, bytes)
-            })
+            .map(|&ci| (ci, pred_bytes(ci).sum()))
             .collect();
         // Most selective filterable conjunct (`conj_bytes` is non-empty
         // because `filterable` is; the if-let keeps this panic-free).
@@ -1204,11 +1202,8 @@ pub fn select_physical(
                 return PhysicalOp::ApplyConjunct;
             }
             // Per-predicate granularity.
-            let max_pred = filterable
-                .iter()
-                .flat_map(|&ci| (0..conjuncts.specs[ci].len()).map(move |pi| (ci, pi)))
-                .filter_map(|(ci, pi)| conjuncts.key_of(ci, pi))
-                .map(|k| built.bytes_of_key(k))
+            let max_pred = (filterable.iter())
+                .flat_map(|&ci| pred_bytes(ci))
                 .max()
                 .unwrap_or(usize::MAX);
             if max_pred <= mapper_memory {

@@ -71,6 +71,9 @@ impl Predicate {
     }
 }
 
+/// A rule's identity ([`Rule::canonical_key`]).
+pub type RuleKey = Vec<(usize, SplitOp, u64)>;
+
 /// A blocking rule: a conjunction of predicates that, when all satisfied,
 /// *drops* the pair (`p_1 ∧ ... ∧ p_m → drop`, Formula 1 of the paper).
 #[derive(Debug, Clone, PartialEq)]
@@ -149,15 +152,15 @@ impl Rule {
         self.predicates.iter().map(|p| p.feature).collect()
     }
 
-    /// A canonical key for deduplication across trees.
-    pub fn canonical_key(&self) -> String {
-        let mut parts: Vec<String> = self
-            .predicates
-            .iter()
-            .map(|p| format!("{}:{:?}:{:.6}", p.feature, p.op, p.threshold))
+    /// The rule's identity, for deduplication across trees: its
+    /// `(feature, op, threshold bits)` triples, sorted. Thresholds compare
+    /// exactly; two that differ in a bit drop different pairs.
+    pub fn canonical_key(&self) -> RuleKey {
+        let mut key: RuleKey = (self.predicates.iter())
+            .map(|p| (p.feature, p.op, p.threshold.to_bits()))
             .collect();
-        parts.sort();
-        parts.join("|")
+        key.sort_unstable_by_key(|&(f, op, bits)| (f, op == SplitOp::Gt, bits));
+        key
     }
 }
 

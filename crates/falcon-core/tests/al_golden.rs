@@ -112,7 +112,15 @@ fn cluster(threads: usize) -> Cluster {
     Cluster::new(ClusterConfig::small(threads)).with_threads(threads)
 }
 
-fn run(d: &EmDataset, fvs: &FvSet, higher: &[bool], cfg: &AlConfig, threads: usize) -> String {
+/// `masked` and `priority` are `al_matcher`'s arguments of that name.
+fn run(
+    d: &EmDataset,
+    fvs: &FvSet,
+    higher: &[bool],
+    cfg: &AlConfig,
+    (masked, priority): (bool, &[usize]),
+    threads: usize,
+) -> String {
     // 5 % worker error: labels are noisy, so runs neither converge in two
     // rounds nor agree with the seed heuristic.
     let crowd = RandomWorkerCrowd::new(GroundTruth::new(d.truth.iter().copied()), 0.05, 23);
@@ -126,13 +134,24 @@ fn run(d: &EmDataset, fvs: &FvSet, higher: &[bool], cfg: &AlConfig, threads: usi
         fvs,
         higher,
         cfg,
+        masked,
+        priority,
+        11,
     )
     .unwrap_or_else(|e| panic!("{}: {e}", d.name));
-    line(d, fvs, cfg, &out, session.ledger())
+    let ledger = session.ledger();
+    line(d, fvs, cfg, (masked, priority.len()), &out, ledger)
 }
 
 /// One golden line: everything deterministic about an `al_matcher` run.
-fn line(d: &EmDataset, fvs: &FvSet, cfg: &AlConfig, out: &AlOutput, ledger: Ledger) -> String {
+fn line(
+    d: &EmDataset,
+    fvs: &FvSet,
+    cfg: &AlConfig,
+    (masked, priority): (bool, usize),
+    out: &AlOutput,
+    ledger: Ledger,
+) -> String {
     // The forest a fresh RNG grows from the labeled examples, at explicit
     // worker counts: the trainer itself on an AL-shaped training set.
     let mut data = Dataset::new();
@@ -161,8 +180,8 @@ fn line(d: &EmDataset, fvs: &FvSet, cfg: &AlConfig, out: &AlOutput, ledger: Ledg
         "{} masked={} priority={} eps={} cap={} forest={:016x} retrained={retrained:016x} labeled={}:{:016x} \
          iterations={} converged={} ledger=q{}/a{}/l{}/e{}/h{}/r{}/${:.2}/{}s",
         d.name,
-        cfg.mask_pair_selection,
-        cfg.priority_indices.len(),
+        masked,
+        priority,
         cfg.convergence_eps,
         cfg.max_iterations,
         forest_digest(&out.forest),
@@ -214,16 +233,14 @@ fn al_matcher_outputs_match_the_recorded_goldens() {
                 (vec![], 0.0, 12),
             ] {
                 let cfg = AlConfig {
-                    mask_pair_selection: masked,
-                    priority_indices: priority,
                     convergence_eps,
                     max_iterations,
-                    seed: 11,
                     ..AlConfig::default()
                 };
+                let args = (masked, &priority[..]);
                 let lines: Vec<String> = [1usize, 2, 8]
                     .iter()
-                    .map(|&threads| run(d, &fvs, &higher, &cfg, threads))
+                    .map(|&threads| run(d, &fvs, &higher, &cfg, args, threads))
                     .collect();
                 for (l, threads) in lines.iter().zip([1, 2, 8]) {
                     assert_eq!(

@@ -13,6 +13,7 @@ use falcon_core::rules::{Predicate, Rule, RuleSequence};
 use falcon_dataflow::{Cluster, ClusterConfig};
 use falcon_datagen::products;
 use falcon_forest::SplitOp;
+use falcon_index::ProbeMode;
 use falcon_textsim::{SimFunction, Tokenizer};
 
 fn fixture() -> (
@@ -173,19 +174,13 @@ fn blocking_counters_balance_per_conjunct() {
                 c.conjunct
             );
             assert!(!c.modes.is_empty());
-            for m in &c.modes {
-                assert!(
-                    matches!(m.as_str(), "off" | "gate" | "dense"),
-                    "unknown probe mode {m}"
-                );
-            }
         }
         assert!(out.blocking.pairs_examined() > 0);
         if !prefilter.enabled {
             // Without signatures no probe can be pruned by one.
             assert_eq!(out.blocking.pruned_by_signature(), 0);
             for c in &out.blocking.conjuncts {
-                assert!(c.modes.iter().all(|m| m == "off"));
+                assert!(c.modes.iter().all(|&m| m == ProbeMode::Off));
             }
         }
     }

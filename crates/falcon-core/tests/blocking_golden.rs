@@ -43,7 +43,11 @@ fn line(dataset: &str, out: &physical::BlockingOutput) -> String {
             format!(
                 "c{}[{}]:{}/{}/{}/{}",
                 c.conjunct,
-                c.modes.join(","),
+                c.modes
+                    .iter()
+                    .map(|m| m.name())
+                    .collect::<Vec<_>>()
+                    .join(","),
                 c.pairs_examined,
                 c.pruned_by_signature,
                 c.pruned_by_exact,

@@ -336,8 +336,8 @@ fn intersection_of_full_unions(
         for ci in conjuncts.filterable() {
             let full_union = (0..conjuncts.specs[ci].len())
                 .map(|pi| {
-                    let (_, b_idx) = conjuncts.specs[ci][pi].as_ref()?;
-                    let index = built.get_by_key(conjuncts.key_of(ci, pi)?)?;
+                    let (spec, b_idx) = conjuncts.specs[ci][pi].as_ref()?;
+                    let index = built.get(spec)?;
                     let bv = b.value_ref(bid, *b_idx).unwrap_or_default();
                     let mode = index.plan_probe_mode();
                     match index.probe_ref_stats(bv, mode, &mut ProbeStats::default()) {

@@ -2,11 +2,11 @@
 //! simplification soundness, bitmap coverage calculus and timeline
 //! masking arithmetic.
 
-use falcon_core::ops::bitmap::Bitmap;
 use falcon_core::rules::{Predicate, Rule, RuleSequence};
 use falcon_core::stage::StageCost;
 use falcon_core::timeline::Timeline;
 use falcon_forest::SplitOp;
+use falcon_index::CandidateBitmap;
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -147,19 +147,22 @@ proptest! {
         fvs in proptest::collection::vec(fv_strategy(ARITY), 1..60),
     ) {
         // Per-rule bitmaps.
-        let mut union = Bitmap::zeros(fvs.len());
+        let mut union = CandidateBitmap::new(fvs.len());
         for rule in &seq.rules {
-            let mut bm = Bitmap::zeros(fvs.len());
-            for (i, fv) in fvs.iter().enumerate() {
+            let mut bm = CandidateBitmap::new(fvs.len());
+            for (i, fv) in (0..).zip(&fvs) {
                 if rule.fires(fv) {
-                    bm.set(i);
+                    bm.insert(i);
                 }
             }
-            union.or_with(&bm);
+            let predicted = union.union_ones(&bm);
+            union.union_with(&bm);
+            prop_assert_eq!(predicted, union.ones());
+            prop_assert_eq!(union.ones(), union.to_vec().len());
         }
         // Sequence coverage = OR of rule coverages.
-        for (i, fv) in fvs.iter().enumerate() {
-            prop_assert_eq!(union.get(i), !seq.keeps(fv), "i = {}", i);
+        for (i, fv) in (0..).zip(&fvs) {
+            prop_assert_eq!(union.contains(i), !seq.keeps(fv), "i = {}", i);
         }
     }
 

@@ -1,4 +1,5 @@
-//! Dense candidate bitmap over `A` tuple ids.
+//! Dense bitmap over tuple ids — `A`'s blocking candidates, and the
+//! sample pairs a rule covers or active learning has taken.
 //!
 //! Blocking probes produce per-conjunct candidate id sets that must be
 //! deduplicated and intersected. Marking ids in a fixed-width bitmap
@@ -104,6 +105,41 @@ impl CandidateBitmap {
         self.ones = ones;
     }
 
+    /// Union in place with `other`. Ids past this bitmap's length are
+    /// dropped, as [`CandidateBitmap::insert`] drops them.
+    pub fn union_with(&mut self, other: &CandidateBitmap) {
+        if other.len > self.len {
+            return other.for_each(|id| self.insert(id));
+        }
+        if other.lo_word > other.hi_word {
+            return; // `other` is empty
+        }
+        let (lo, hi) = (other.lo_word, other.hi_word);
+        for (w, &o) in self.words[lo..=hi].iter_mut().zip(&other.words[lo..=hi]) {
+            self.ones += (o & !*w).count_ones() as usize;
+            *w |= o;
+        }
+        self.lo_word = self.lo_word.min(lo);
+        self.hi_word = self.hi_word.max(hi);
+    }
+
+    /// Number of ids in `self ∪ other` ([`CandidateBitmap::union_with`]),
+    /// without materializing the union.
+    pub fn union_ones(&self, other: &CandidateBitmap) -> usize {
+        let mut ones = self.ones;
+        if other.len > self.len {
+            other
+                .for_each(|id| ones += usize::from((id as usize) < self.len && !self.contains(id)));
+        } else if other.lo_word <= other.hi_word {
+            let (lo, hi) = (other.lo_word, other.hi_word);
+            let new = self.words[lo..=hi].iter().zip(&other.words[lo..=hi]);
+            ones += new
+                .map(|(w, o)| (o & !w).count_ones() as usize)
+                .sum::<usize>();
+        }
+        ones
+    }
+
     /// Copy `other`'s contents into this buffer (reusing the allocation).
     pub fn copy_from(&mut self, other: &CandidateBitmap) {
         self.reset(other.len);
@@ -189,6 +225,43 @@ mod tests {
         dst.copy_from(&src);
         assert_eq!(dst.to_vec(), vec![1, 69]);
         assert_eq!(dst.len(), 70);
+    }
+
+    #[test]
+    fn or_and_union_count() {
+        let mut a = CandidateBitmap::new(100);
+        let mut b = CandidateBitmap::new(100);
+        for id in [1, 50] {
+            a.insert(id);
+        }
+        for id in [50, 99] {
+            b.insert(id);
+        }
+        assert_eq!(a.union_ones(&b), 3);
+        a.union_with(&b);
+        assert_eq!(a.ones(), 3);
+        assert_eq!(a.to_vec(), vec![1, 50, 99]);
+        // An empty bitmap gains its dirty range from the union.
+        let mut c = CandidateBitmap::new(100);
+        c.union_with(&b);
+        assert_eq!(c.to_vec(), vec![50, 99]);
+        c.reset(100);
+        assert_eq!(c.to_vec(), Vec::<TupleId>::new());
+        // Ids past the shorter bitmap's length are dropped.
+        let mut short = CandidateBitmap::new(60);
+        assert_eq!(short.union_ones(&b), 1);
+        short.union_with(&b);
+        assert_eq!((short.ones(), short.to_vec()), (1, vec![50]));
+    }
+
+    #[test]
+    fn zero_len_ok() {
+        let mut b = CandidateBitmap::new(0);
+        let mut other = CandidateBitmap::new(64);
+        other.insert(0);
+        b.union_with(&other);
+        assert_eq!(b.ones(), 0);
+        assert!(b.is_empty());
     }
 
     #[test]

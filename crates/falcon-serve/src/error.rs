@@ -34,10 +34,8 @@ pub enum ServeError {
         tenant: String,
         /// Round at which the quota check fired.
         round: u64,
-        /// Which quota: `"stages"` or `"node-seconds"`.
-        what: &'static str,
-        /// The configured limit, in the quota's own unit.
-        limit: u64,
+        /// Which quota, with its configured limit.
+        limit: QuotaLimit,
     },
     /// The job's virtual-clock deadline passed.
     DeadlineExceeded {
@@ -88,6 +86,15 @@ pub enum ServeError {
         /// What went wrong.
         message: String,
     },
+}
+
+/// A per-tenant quota's configured limit, in the quota's own unit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QuotaLimit {
+    /// Machine-kind stages placed.
+    Stages(u64),
+    /// Machine service, `Σ duration × nodes`.
+    NodeSeconds(Duration),
 }
 
 impl ServeError {
@@ -143,12 +150,17 @@ impl fmt::Display for ServeError {
             Self::QuotaExceeded {
                 tenant,
                 round,
-                what,
                 limit,
-            } => write!(
-                f,
-                "tenant {tenant} (round {round}): {what} quota exhausted (limit {limit})"
-            ),
+            } => {
+                let (what, limit) = match limit {
+                    QuotaLimit::Stages(n) => ("stages", n.to_string()),
+                    QuotaLimit::NodeSeconds(d) => ("node-seconds", format!("{d:?}")),
+                };
+                write!(
+                    f,
+                    "tenant {tenant} (round {round}): {what} quota exhausted (limit {limit})"
+                )
+            }
             Self::DeadlineExceeded {
                 tenant,
                 round,
@@ -199,8 +211,7 @@ mod tests {
             ServeError::QuotaExceeded {
                 tenant: "b".into(),
                 round: 2,
-                what: "stages",
-                limit: 10,
+                limit: QuotaLimit::Stages(10),
             },
             ServeError::DeadlineExceeded {
                 tenant: "c".into(),

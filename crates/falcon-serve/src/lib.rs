@@ -75,7 +75,7 @@ pub mod journal;
 pub mod sched;
 
 pub use admission::{AdmissionConfig, AdmissionPolicy, TenantQuota};
-pub use error::{ServeError, SERVICE_TENANT};
+pub use error::{QuotaLimit, ServeError, SERVICE_TENANT};
 pub use job::JobSpec;
 pub use sched::{
     resume, serve, DegradedPolicy, Policy, PoolEvent, ServeConfig, ServeReport, TenantOutcome,

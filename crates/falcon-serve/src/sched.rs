@@ -65,7 +65,7 @@
 //!   record ends. Any divergence is a typed [`ServeError`].
 
 use crate::admission::{admit, AdmitDecision, TenantQuota};
-use crate::error::{ServeError, SERVICE_TENANT};
+use crate::error::{QuotaLimit, ServeError, SERVICE_TENANT};
 use crate::gate::{Permits, ServeGate, Stage};
 use crate::job::JobSpec;
 use crate::journal::{fnv64, ServeJournal};
@@ -722,17 +722,16 @@ impl Tenant {
             };
             return Some((CancelReason::Deadline, err));
         }
-        let (what, limit) = match (quota.max_stages, quota.node_seconds) {
-            (Some(max), _) if self.machine_stages >= max => ("stages", max),
+        let limit = match (quota.max_stages, quota.node_seconds) {
+            (Some(max), _) if self.machine_stages >= max => QuotaLimit::Stages(max),
             (_, Some(budget)) if self.clock.machine_service >= budget.as_nanos() => {
-                ("node-seconds", budget.as_secs())
+                QuotaLimit::NodeSeconds(budget)
             }
             _ => return None,
         };
         let err = ServeError::QuotaExceeded {
             tenant: self.name.clone(),
             round,
-            what,
             limit,
         };
         Some((CancelReason::Quota, err))

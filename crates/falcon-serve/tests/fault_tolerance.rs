@@ -12,7 +12,7 @@ use falcon_crowd::sim::{GroundTruth, RandomWorkerCrowd};
 use falcon_serve::chaos::{run_cell, ChaosCell};
 use falcon_serve::{
     resume, serve, serve_fingerprint, AdmissionConfig, AdmissionPolicy, JobSpec, Policy, PoolEvent,
-    ServeConfig, ServeError, TenantQuota, TenantStatus,
+    QuotaLimit, ServeConfig, ServeError, TenantQuota, TenantStatus,
 };
 use proptest::prelude::*;
 use std::path::Path;
@@ -377,9 +377,9 @@ fn stage_quota_sheds_overrunning_tenant() {
     for (i, o) in rep.outcomes.iter().enumerate() {
         assert_eq!(o.status, TenantStatus::Shed, "tenant {i}");
         match o.service_error.as_ref().unwrap() {
-            ServeError::QuotaExceeded { tenant, what, .. } => {
+            ServeError::QuotaExceeded { tenant, limit, .. } => {
                 assert_eq!(tenant, &format!("tenant-{i}"));
-                assert_eq!(*what, "stages");
+                assert_eq!(*limit, QuotaLimit::Stages(3));
             }
             other => panic!("expected QuotaExceeded, got {other}"),
         }
@@ -401,6 +401,42 @@ fn stage_quota_sheds_overrunning_tenant() {
     let r1 = rep2.outcomes[1].result.as_ref().unwrap();
     assert_eq!(r1.matches, solo1.matches);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sub-second node-seconds quota sheds `small(4)` tenants (each uses
+/// a fraction of a node·s), and each error names the exact limit.
+#[test]
+fn node_seconds_quota_names_its_exact_limit() {
+    let budget = Duration::from_millis(100);
+    let rep = serve(
+        tenants(33, 0.0, 0.0, None),
+        &ServeConfig {
+            seed: 33,
+            threads: 4,
+            admission: AdmissionConfig {
+                quota: TenantQuota {
+                    max_stages: None,
+                    node_seconds: Some(budget),
+                },
+                ..AdmissionConfig::default()
+            },
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    for (i, o) in rep.outcomes.iter().enumerate() {
+        assert_eq!(o.status, TenantStatus::Shed, "tenant {i}");
+        let err = o.service_error.as_ref().unwrap();
+        assert!(
+            matches!(err, ServeError::QuotaExceeded { limit, .. } if *limit == QuotaLimit::NodeSeconds(budget)),
+            "{err}"
+        );
+        let shown = err.to_string();
+        assert!(
+            shown.ends_with("node-seconds quota exhausted (limit 100ms)"),
+            "{shown}"
+        );
+    }
 }
 
 /// A quarantined (erroring) tenant is typed and isolated.

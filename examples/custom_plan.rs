@@ -60,6 +60,9 @@ fn main() {
         &s_fvs.fvs,
         &higher,
         &AlConfig::default(),
+        false, // pair selection on the critical path
+        &[],   // no priority pairs
+        7,
     )
     .expect("al_matcher");
     println!(
