@@ -188,20 +188,20 @@ fn bench_forest(c: &mut Criterion) {
         b.iter(|| forest.predict(black_box(&fv)))
     });
     // Active learning's scoring pass: every unlabeled vector through a
-    // 10-tree flat forest, one vector at a time down all trees.
+    // 10-tree forest, one vector at a time down all trees.
     let mut data = Dataset::new();
     for _ in 0..1000 {
         let fv: Vec<f64> = (0..29).map(|_| rng.gen::<f64>()).collect();
         let label = fv[0] + fv[7] * 0.5 > 0.8;
         data.push(fv, label);
     }
-    let flat = Forest::train(&data, &ForestConfig::default(), &mut rng).flatten();
+    let forest = Forest::train(&data, &ForestConfig::default(), &mut rng);
     let fvs: Vec<Vec<f64>> = (0..8000)
         .map(|_| (0..29).map(|_| rng.gen::<f64>()).collect())
         .collect();
     let mut votes = Vec::new();
     c.bench_function("flat_count_votes", |b| {
-        b.iter(|| flat.count_votes_into(fvs.len(), |j| black_box(&fvs[j]), &mut votes))
+        b.iter(|| forest.count_votes_into(fvs.len(), |j| black_box(&fvs[j]), &mut votes))
     });
 }
 

@@ -57,13 +57,8 @@ pub fn estimate_accuracy<C: Crowd>(
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x41434345);
     let mut positives = Vec::new();
     let mut negatives = Vec::new();
-    // Stratify with one batch pass over the compiled forest.
-    for (i, pred) in forest
-        .flatten()
-        .predict_batch(&fvs.fvs)
-        .into_iter()
-        .enumerate()
-    {
+    // Stratify with one batch vote pass.
+    for (i, pred) in forest.predict_batch(&fvs.fvs).into_iter().enumerate() {
         if pred {
             positives.push(i);
         } else {

@@ -21,7 +21,7 @@ use crate::stage::StageCost;
 use crate::timeline::{check_cancel, Timeline};
 use falcon_crowd::{Crowd, CrowdSession};
 use falcon_dataflow::{run_map_only, Cluster};
-use falcon_forest::{FlatForest, Forest, ForestConfig, RankedDataset};
+use falcon_forest::{Forest, ForestConfig, RankedDataset};
 use falcon_index::CandidateBitmap;
 use falcon_table::TupleId;
 use rand::rngs::SmallRng;
@@ -39,8 +39,6 @@ pub struct AlConfig {
     pub convergence_eps: f64,
     /// Seed positives/negatives requested in the first round (half each).
     pub seeds: usize,
-    /// Forest configuration.
-    pub forest: ForestConfig,
 }
 
 impl Default for AlConfig {
@@ -50,7 +48,6 @@ impl Default for AlConfig {
             batch: 20,
             convergence_eps: 0.05,
             seeds: 10,
-            forest: ForestConfig::default(),
         }
     }
 }
@@ -89,18 +86,17 @@ fn seed_score(fv: &[f64], higher: &[bool]) -> f64 {
 /// aligned with `idxs`, plus the price of the job.
 fn score_votes(
     cluster: &Cluster,
-    flat: &FlatForest,
+    forest: &Forest,
     fvs: &FvSet,
     idxs: &[usize],
 ) -> Result<(Vec<u32>, StageCost), FalconError> {
-    // A map task scores its whole split with the compiled forest's batch
-    // kernel instead of pointer-chasing `Node`s one vector at a time. The
-    // scoped dataflow workers borrow the indices, flat forest and vectors
-    // directly — no per-iteration copies.
+    // A map task counts the votes of its whole split in one pass over the
+    // forest's node arena. The scoped dataflow workers borrow the indices,
+    // forest and vectors directly — no per-iteration copies.
     let splits = cluster.split_slice(idxs);
     let out = run_map_only(cluster, splits, |idx_chunk: &[usize], out| {
         let mut votes = Vec::new();
-        flat.count_votes_into(
+        forest.count_votes_into(
             idx_chunk.len(),
             |j| fvs.fvs[idx_chunk[j]].as_slice(),
             &mut votes,
@@ -117,7 +113,7 @@ fn score_votes(
 /// total_cmp, index ascending)` and take `batch`; the maximum is the
 /// `f64::max` fold from 0. Only the kept prefix is ever sorted.
 fn top_controversial(
-    flat: &FlatForest,
+    forest: &Forest,
     idxs: &[usize],
     votes: &[u32],
     batch: usize,
@@ -127,7 +123,7 @@ fn top_controversial(
     let mut scored: Vec<(f64, usize)> = votes
         .iter()
         .zip(idxs)
-        .map(|(&v, &i)| (flat.disagreement_from_votes(v), i))
+        .map(|(&v, &i)| (forest.disagreement_from_votes(v), i))
         .collect();
     let max_dis = scored.iter().map(|s| s.0).fold(0.0f64, f64::max);
     let most_first = |a: &(f64, usize), b: &(f64, usize)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
@@ -187,10 +183,9 @@ fn select(
     taken: &CandidateBitmap,
     batch: usize,
 ) -> Result<(Vec<usize>, f64, StageCost), FalconError> {
-    let flat = forest.flatten();
     let idxs = untaken(taken);
-    let (votes, cost) = score_votes(cluster, &flat, fvs, &idxs)?;
-    let (picked, max_dis) = top_controversial(&flat, &idxs, &votes, batch);
+    let (votes, cost) = score_votes(cluster, forest, fvs, &idxs)?;
+    let (picked, max_dis) = top_controversial(forest, &idxs, &votes, batch);
     Ok((picked, max_dis, cost))
 }
 
@@ -250,13 +245,14 @@ pub fn al_matcher<C: Crowd>(
                 .map(|&(i, l)| (fvs.fvs[i].clone(), l)),
         );
     };
+    let forest_cfg = ForestConfig::default();
     let train = |data: &RankedDataset, rng: &mut SmallRng| {
-        Forest::train_ranked(data, &cfg.forest, rng, cluster.threads())
+        Forest::train_ranked(data, &forest_cfg, rng, cluster.threads())
     };
     // Training is a driver-local pass: every tree reads every labeled
     // example.
     let train_cost =
-        |data: &RankedDataset| StageCost::local(data.data().len() * cfg.forest.n_trees);
+        |data: &RankedDataset| StageCost::local(data.data().len() * forest_cfg.n_trees);
 
     // ---- Seed round: likely positives + likely negatives ----
     let scores: Vec<f64> = fvs.fvs.iter().map(|fv| seed_score(fv, higher)).collect();
@@ -585,17 +581,20 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(5);
         let mut mirrored_scores_differ = false;
         for n_trees in [1usize, 2, 7, 10, 11] {
-            let flat = FlatForest {
+            // `n_trees` one-leaf trees: only the tree count matters here.
+            let forest = Forest {
                 arity: 0,
-                n_trees,
-                roots: Vec::new(),
-                feature: Vec::new(),
-                threshold: Vec::new(),
-                left: Vec::new(),
-                right: Vec::new(),
-                leaf_label: Vec::new(),
+                roots: (0..n_trees as u32).collect(),
+                feature: vec![Forest::LEAF; n_trees],
+                threshold: vec![0.0; n_trees],
+                left: vec![0; n_trees],
+                right: vec![0; n_trees],
+                leaf_label: vec![false; n_trees],
+                pos: vec![0; n_trees],
+                neg: vec![1; n_trees],
+                oob_accuracy: None,
             };
-            let dis = |v: u32| flat.disagreement_from_votes(v);
+            let dis = |v: u32| forest.disagreement_from_votes(v);
             let top = n_trees as u32;
             mirrored_scores_differ |= (0..=top).any(|v| dis(v).to_bits() != dis(top - v).to_bits());
             for case in 0..270 {
@@ -625,7 +624,7 @@ mod tests {
 
                 let idxs = untaken(&taken);
                 let votes: Vec<u32> = idxs.iter().map(|&i| all_votes[i]).collect();
-                let (got, got_max) = top_controversial(&flat, &idxs, &votes, batch);
+                let (got, got_max) = top_controversial(&forest, &idxs, &votes, batch);
                 assert_eq!(got, want, "{n_trees} trees, case {case}, batch {batch}");
                 assert_eq!(got_max.to_bits(), want_max.to_bits());
             }

@@ -22,10 +22,9 @@ pub fn apply_matcher(
     forest: &Forest,
     fvs: &FvSet,
 ) -> Result<ApplyMatcherOutput, FalconError> {
-    // A map task predicts its whole split with the compiled forest's batch
-    // kernel; the scoped dataflow workers borrow the flat forest and
-    // vectors directly instead of cloning them.
-    let flat = forest.flatten();
+    // A map task counts the votes of its whole split in one pass; the
+    // scoped dataflow workers borrow the forest and vectors directly
+    // instead of cloning them.
     let splits: Vec<Vec<usize>> = cluster
         .splits(fvs.len())
         .into_iter()
@@ -40,9 +39,9 @@ pub fn apply_matcher(
             })
             .collect();
         let mut votes = Vec::new();
-        flat.count_votes_into(gathered.len(), |j| gathered[j].1, &mut votes);
+        forest.count_votes_into(gathered.len(), |j| gathered[j].1, &mut votes);
         for ((pair, _), &v) in gathered.iter().zip(&votes) {
-            if flat.predict_from_votes(v) {
+            if forest.predict_from_votes(v) {
                 out.push(**pair);
             }
         }

@@ -35,17 +35,16 @@ pub fn locate_difficult_pairs(
 ) -> Vec<DifficultPair> {
     // One batch vote pass yields both signals: majority predictions for
     // contradiction checks and vote disagreement for unlabeled pairs.
-    let flat = forest.flatten();
     let mut votes = Vec::new();
-    flat.count_votes_into(fvs.len(), |i| fvs.fvs[i].as_slice(), &mut votes);
+    forest.count_votes_into(fvs.len(), |i| fvs.fvs[i].as_slice(), &mut votes);
     let mut scored: Vec<DifficultPair> = votes
         .iter()
         .enumerate()
         .map(|(i, &v)| {
             let score = match known_labels.get(&i) {
-                Some(&label) if label != flat.predict_from_votes(v) => 1.0,
+                Some(&label) if label != forest.predict_from_votes(v) => 1.0,
                 Some(_) => 0.0, // confirmed correct: not difficult
-                None => flat.disagreement_from_votes(v) * 2.0 * 0.999, // in [0, ~1)
+                None => forest.disagreement_from_votes(v) * 2.0 * 0.999, // in [0, ~1)
             };
             DifficultPair { index: i, score }
         })

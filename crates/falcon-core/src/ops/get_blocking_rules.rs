@@ -89,7 +89,7 @@ pub fn get_blocking_rules(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use falcon_forest::{Dataset, ForestConfig, Node, Tree};
+    use falcon_forest::{Dataset, ForestConfig};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -142,25 +142,18 @@ mod tests {
     /// different pairs, so both rules survive deduplication.
     #[test]
     fn thresholds_equal_to_six_places_are_two_rules() {
-        let leaf = |label| {
-            Box::new(Node::Leaf {
-                label,
-                pos: 0,
-                neg: 1,
-            })
-        };
-        let tree = |threshold| Tree {
-            root: Node::Split {
-                feature: 0,
-                threshold,
-                left: leaf(false),
-                right: leaf(true),
-            },
-            arity: 1,
-        };
+        // Rows 0 and 3 split feature 0; each "No" leaf is its left child.
+        const L: u32 = Forest::LEAF;
         let forest = Forest {
-            trees: vec![tree(0.5000004), tree(0.4999996)],
             arity: 1,
+            roots: vec![0, 3],
+            feature: vec![0, L, L, 0, L, L],
+            threshold: vec![0.5000004, 0.0, 0.0, 0.4999996, 0.0, 0.0],
+            left: vec![1, 0, 0, 4, 0, 0],
+            right: vec![2, 0, 0, 5, 0, 0],
+            leaf_label: vec![false, false, true, false, false, true],
+            pos: vec![0; 6],
+            neg: vec![0, 1, 1, 0, 1, 1],
             oob_accuracy: None,
         };
         let r = get_blocking_rules(&forest, &sample(), 20, &[true]);

@@ -23,7 +23,7 @@ use falcon_crowd::sim::{GroundTruth, RandomWorkerCrowd};
 use falcon_crowd::{CrowdSession, Ledger};
 use falcon_dataflow::{Cluster, ClusterConfig};
 use falcon_datagen::EmDataset;
-use falcon_forest::{Dataset, Forest, ForestConfig, Node};
+use falcon_forest::{Dataset, Forest, ForestConfig};
 use falcon_table::IdPair;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -48,36 +48,30 @@ impl Fnv {
 
 /// Every field of every node in preorder, every tree in order, plus the
 /// arity and the out-of-bag estimate: the forest's serialized content.
+/// Each tree's rows are its preorder, from its root to the next tree's.
 fn forest_digest(forest: &Forest) -> u64 {
-    fn eat_node(h: &mut Fnv, node: &Node) {
-        match node {
-            Node::Leaf { label, pos, neg } => {
-                h.eat(0);
-                h.eat(u64::from(*label));
-                h.eat(*pos as u64);
-                h.eat(*neg as u64);
-            }
-            Node::Split {
-                feature,
-                threshold,
-                left,
-                right,
-            } => {
-                h.eat(1);
-                h.eat(*feature as u64);
-                h.eat(threshold.to_bits());
-                eat_node(h, left);
-                eat_node(h, right);
-            }
-        }
-    }
     let mut h = Fnv::new();
     h.eat(forest.arity as u64);
-    h.eat(forest.trees.len() as u64);
+    h.eat(forest.roots.len() as u64);
     h.eat(forest.oob_accuracy.map_or(u64::MAX, f64::to_bits));
-    for tree in &forest.trees {
-        h.eat(tree.arity as u64);
-        eat_node(&mut h, &tree.root);
+    let ends = forest.roots[1..]
+        .iter()
+        .copied()
+        .chain([forest.feature.len() as u32]);
+    for (&root, end) in forest.roots.iter().zip(ends) {
+        h.eat(forest.arity as u64);
+        for i in root as usize..end as usize {
+            if forest.feature[i] == Forest::LEAF {
+                h.eat(0);
+                h.eat(u64::from(forest.leaf_label[i]));
+                h.eat(u64::from(forest.pos[i]));
+                h.eat(u64::from(forest.neg[i]));
+            } else {
+                h.eat(1);
+                h.eat(u64::from(forest.feature[i]));
+                h.eat(forest.threshold[i].to_bits());
+            }
+        }
     }
     h.0
 }

@@ -25,7 +25,7 @@ impl Confusion {
     }
 
     /// Record a batch of parallel (predicted, actual) observations, e.g.
-    /// the output of `FlatForest::predict_batch` against known labels.
+    /// the output of [`crate::Forest::predict_batch`] against known labels.
     ///
     /// # Panics
     /// Panics if the slices differ in length.

@@ -1,18 +1,26 @@
 //! Bagged random forests: majority voting, vote fractions for active
 //! learning, out-of-bag accuracy.
 //!
+//! A forest is one node arena: every node of every tree is a row of
+//! parallel `feature` / `threshold` / `left` / `right` / `leaf_label` /
+//! `pos` / `neg` columns, each tree's rows in preorder, so a root-to-leaf
+//! walk moves forward through memory. Training grows each tree straight
+//! into rows of its own (see [`crate::tree`]) and concatenates them in
+//! tree order; prediction, vote counting, out-of-bag votes and path
+//! extraction ([`crate::paths`]) all read the same rows, and one walk
+//! (`Forest::leaf`) takes a vector from a root to its leaf.
+//!
 //! Training compiles the dataset into dense ranks once per call, or takes
 //! the ranks a growing [`RankedDataset`] carries ([`Forest::train_ranked`]);
-//! both then run one trainer (see [`crate::tree`]). It is parallel **and**
-//! deterministic: the master RNG is consumed only to draw one seed per
-//! tree, up front, in tree order; each tree then trains from its own
-//! `SmallRng` (bagging indices *and* per-node feature shuffles) over the
-//! shared read-only ranks, so the trained forest is a pure function of the
-//! seed stream and bit-identical at any thread count. Out-of-bag votes are
+//! both then run one trainer. It is parallel **and** deterministic: the
+//! master RNG is consumed only to draw one seed per tree, up front, in
+//! tree order; each tree then trains from its own `SmallRng` (bagging
+//! indices *and* per-node feature shuffles) over the shared read-only
+//! ranks, so the trained forest is a pure function of the seed stream and
+//! bit-identical at any thread count. Trees and out-of-bag votes are
 //! merged in tree order after all workers join, for the same reason.
 
-use crate::flat::FlatForest;
-use crate::tree::{RankMatrix, Tree, TreeConfig};
+use crate::tree::{RankMatrix, TreeConfig};
 use crate::{Dataset, RankedDataset};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -39,7 +47,9 @@ impl Default for ForestConfig {
     }
 }
 
-/// A trained random forest.
+/// A trained random forest: the node arena of all its trees (see the
+/// module docs). Missing feature values (`NaN`, or a vector too short)
+/// take the left (`<=`) branch.
 ///
 /// ```
 /// use falcon_forest::{Dataset, Forest, ForestConfig};
@@ -56,12 +66,29 @@ impl Default for ForestConfig {
 /// // Vote disagreement drives active learning: boundary points score high.
 /// assert!(forest.disagreement(&[0.5]) >= forest.disagreement(&[0.95]));
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Forest {
-    /// The component trees.
-    pub trees: Vec<Tree>,
-    /// Feature arity.
+    /// Feature arity the forest was trained on.
     pub arity: usize,
+    /// Row of each tree's root, in tree order; tree `t`'s rows run from
+    /// its root to the next tree's.
+    pub roots: Vec<u32>,
+    /// Split feature per row, or [`Forest::LEAF`] for a leaf.
+    pub feature: Vec<u32>,
+    /// Split threshold per row (0 for leaves).
+    pub threshold: Vec<f64>,
+    /// Row of the `<=` child (0 for leaves).
+    pub left: Vec<u32>,
+    /// Row of the `>` child (0 for leaves).
+    pub right: Vec<u32>,
+    /// Predicted label per leaf row (false for split rows).
+    pub leaf_label: Vec<bool>,
+    /// Positive training examples that reached each leaf row (0 for
+    /// split rows).
+    pub pos: Vec<u32>,
+    /// Negative training examples that reached each leaf row (0 for
+    /// split rows).
+    pub neg: Vec<u32>,
     /// Out-of-bag accuracy estimate over the examples that were
     /// out-of-bag for at least one tree; `None` without bagging or when
     /// there is no such example.
@@ -69,7 +96,7 @@ pub struct Forest {
 }
 
 /// One trained tree plus its out-of-bag `(example, vote)` predictions.
-type FittedTree = (Tree, Vec<(u32, bool)>);
+type FittedTree = (Forest, Vec<(u32, bool)>);
 
 /// Default worker count for parallel training: one per available core.
 pub fn default_threads() -> usize {
@@ -77,6 +104,9 @@ pub fn default_threads() -> usize {
 }
 
 impl Forest {
+    /// The [`feature`](Self::feature) of a leaf row.
+    pub const LEAF: u32 = u32::MAX;
+
     /// Train a forest in parallel on all available cores. Output is
     /// bit-identical for the same seed at any thread count (see module
     /// docs).
@@ -111,6 +141,18 @@ impl Forest {
         threads: usize,
     ) -> Forest {
         Self::fit(set.data(), set.ranks(), cfg, rng, threads)
+    }
+
+    /// Grow one tree on (a bootstrap view of) `data`, using the example
+    /// indices in `idx` (a multiset: repeats count as often as they
+    /// occur): a one-tree forest without an out-of-bag estimate.
+    ///
+    /// # Panics
+    /// Panics if `data` is empty.
+    pub fn train_on(data: &Dataset, idx: &[usize], cfg: &TreeConfig, rng: &mut impl Rng) -> Forest {
+        assert!(!data.is_empty(), "cannot train on an empty dataset");
+        let mut idx: Vec<u32> = idx.iter().map(|&i| i as u32).collect();
+        RankMatrix::compile(data).grow(&data.labels, &mut idx, cfg, rng)
     }
 
     /// The one trainer: `ranked` is the rank compile of `data`.
@@ -180,10 +222,13 @@ impl Forest {
                 .collect()
         };
 
-        // Merge OOB votes deterministically in tree order.
+        // Merge trees and OOB votes deterministically in tree order.
         // oob_votes[i] = (positive votes, total votes)
         let mut oob_votes = vec![(0usize, 0usize); n];
-        let mut trees = Vec::with_capacity(cfg.n_trees);
+        let mut forest = Forest {
+            arity: data.arity(),
+            ..Forest::default()
+        };
         for (tree, oob) in fitted {
             for (i, vote) in oob {
                 oob_votes[i as usize].1 += 1;
@@ -191,68 +236,169 @@ impl Forest {
                     oob_votes[i as usize].0 += 1;
                 }
             }
-            trees.push(tree);
+            forest.append(tree);
         }
-        let oob_accuracy = if cfg.bagging {
+        if cfg.bagging {
             let scored: Vec<(usize, bool)> = oob_votes
                 .iter()
                 .enumerate()
                 .filter(|(_, (_, total))| *total > 0)
                 .map(|(i, (pos, total))| (i, *pos * 2 > *total))
                 .collect();
-            if scored.is_empty() {
-                None
-            } else {
+            if !scored.is_empty() {
                 let correct = scored
                     .iter()
                     .filter(|(i, pred)| *pred == data.labels[*i])
                     .count();
-                Some(correct as f64 / scored.len() as f64)
+                forest.oob_accuracy = Some(correct as f64 / scored.len() as f64);
             }
-        } else {
-            None
+        }
+        forest
+    }
+
+    /// Append a row; split rows get their children afterwards.
+    pub(crate) fn push_row(
+        &mut self,
+        feature: u32,
+        threshold: f64,
+        leaf_label: bool,
+        pos: usize,
+        neg: usize,
+    ) -> u32 {
+        let row = self.feature.len() as u32;
+        self.feature.push(feature);
+        self.threshold.push(threshold);
+        self.left.push(0);
+        self.right.push(0);
+        self.leaf_label.push(leaf_label);
+        self.pos.push(pos as u32);
+        self.neg.push(neg as u32);
+        row
+    }
+
+    /// Append `other`'s trees after this forest's, shifting its row
+    /// indices past the rows already here.
+    fn append(&mut self, other: Forest) {
+        let shift = self.feature.len() as u32;
+        let shifted = |(&f, &child): (&u32, &u32)| {
+            if f == Self::LEAF {
+                child
+            } else {
+                child + shift
+            }
         };
-        Forest {
-            trees,
-            arity: data.arity(),
-            oob_accuracy,
+        self.roots.extend(other.roots.iter().map(|r| r + shift));
+        self.left
+            .extend(other.feature.iter().zip(&other.left).map(shifted));
+        self.right
+            .extend(other.feature.iter().zip(&other.right).map(shifted));
+        self.feature.extend(other.feature);
+        self.threshold.extend(other.threshold);
+        self.leaf_label.extend(other.leaf_label);
+        self.pos.extend(other.pos);
+        self.neg.extend(other.neg);
+    }
+
+    /// The forest itself: the end-to-end benchmark's layer probes
+    /// (`benchmark/src/layers.rs`) still call it.
+    pub fn flatten(self) -> Self {
+        self
+    }
+
+    /// The one walk: the leaf row `fv` reaches from the tree rooted at
+    /// row `root`. A `NaN` or absent value fails `v > threshold` and
+    /// takes the left branch.
+    #[inline]
+    fn leaf(&self, root: u32, fv: &[f64]) -> usize {
+        let mut i = root as usize;
+        loop {
+            let f = self.feature[i];
+            if f == Self::LEAF {
+                return i;
+            }
+            let v = fv.get(f as usize).copied().unwrap_or(f64::NAN);
+            i = if v > self.threshold[i] {
+                self.right[i] as usize
+            } else {
+                self.left[i] as usize
+            };
         }
     }
 
-    /// Compile into the flat SoA representation for batch prediction.
-    pub fn flatten(&self) -> FlatForest {
-        FlatForest::compile(self)
+    /// Number of trees voting "match" for `fv`.
+    fn votes(&self, fv: &[f64]) -> u32 {
+        self.roots
+            .iter()
+            .filter(|&&root| self.leaf_label[self.leaf(root, fv)])
+            .count() as u32
     }
 
-    /// Fraction of trees voting "match" for this feature vector, in
-    /// `[0, 1]`.
-    pub fn positive_fraction(&self, features: &[f64]) -> f64 {
-        let pos = self.trees.iter().filter(|t| t.predict(features)).count();
-        pos as f64 / self.trees.len() as f64
+    /// Positive-vote counts for `n` feature vectors, written to `votes`
+    /// (cleared here, so callers can reuse one buffer across batches).
+    /// `fv(j)` yields the j-th vector; vectors iterate in the outer loop,
+    /// so each is read once and walked down every tree while it is hot
+    /// (the arena of a whole forest is small enough to stay in cache).
+    pub fn count_votes_into<'a, F>(&self, n: usize, fv: F, votes: &mut Vec<u32>)
+    where
+        F: Fn(usize) -> &'a [f64],
+    {
+        votes.clear();
+        votes.extend((0..n).map(|j| self.votes(fv(j))));
+    }
+
+    /// Positive-vote fraction, in `[0, 1]`, from a raw vote count.
+    #[inline]
+    pub fn fraction_from_votes(&self, votes: u32) -> f64 {
+        votes as f64 / self.roots.len() as f64
+    }
+
+    /// Majority-vote prediction from a raw vote count.
+    #[inline]
+    pub fn predict_from_votes(&self, votes: u32) -> bool {
+        self.fraction_from_votes(votes) > 0.5
+    }
+
+    /// Active-learning disagreement from a raw vote count: distance of
+    /// the positive-vote fraction from a unanimous vote, in `[0, 0.5]`.
+    /// Pairs with the **highest** disagreement are the "most
+    /// controversial" pairs Corleone sends to the crowd.
+    #[inline]
+    pub fn disagreement_from_votes(&self, votes: u32) -> f64 {
+        let p = self.fraction_from_votes(votes);
+        0.5 - (p - 0.5).abs()
+    }
+
+    /// Fraction of trees voting "match" for this feature vector.
+    pub fn positive_fraction(&self, fv: &[f64]) -> f64 {
+        self.fraction_from_votes(self.votes(fv))
     }
 
     /// Majority-vote prediction.
-    pub fn predict(&self, features: &[f64]) -> bool {
-        self.positive_fraction(features) > 0.5
+    pub fn predict(&self, fv: &[f64]) -> bool {
+        self.predict_from_votes(self.votes(fv))
     }
 
-    /// Active-learning disagreement: distance of the positive-vote fraction
-    /// from a unanimous vote, in `[0, 0.5]`. Pairs with the **highest**
-    /// disagreement are the "most controversial" pairs Corleone sends to
-    /// the crowd.
-    pub fn disagreement(&self, features: &[f64]) -> f64 {
-        let p = self.positive_fraction(features);
-        0.5 - (p - 0.5).abs()
+    /// Vote disagreement for this feature vector (see
+    /// [`disagreement_from_votes`](Self::disagreement_from_votes)).
+    pub fn disagreement(&self, fv: &[f64]) -> f64 {
+        self.disagreement_from_votes(self.votes(fv))
+    }
+
+    /// Majority-vote predictions for a batch of feature vectors.
+    pub fn predict_batch(&self, fvs: &[Vec<f64>]) -> Vec<bool> {
+        let mut votes = Vec::new();
+        self.count_votes_into(fvs.len(), |j| fvs[j].as_slice(), &mut votes);
+        votes.iter().map(|&v| self.predict_from_votes(v)).collect()
     }
 
     /// Number of trees.
     pub fn len(&self) -> usize {
-        self.trees.len()
+        self.roots.len()
     }
 
     /// True iff the forest has no trees.
     pub fn is_empty(&self) -> bool {
-        self.trees.is_empty()
+        self.roots.is_empty()
     }
 }
 
@@ -331,5 +477,86 @@ mod tests {
         let f = Forest::train(&d, &ForestConfig::default(), &mut rng());
         assert!(f.predict(&[3.0]));
         assert_eq!(f.positive_fraction(&[3.0]), 1.0);
+    }
+
+    /// Three trees as rows, the Figure 2.a shape among them:
+    ///
+    /// ```text
+    /// tree 0  row 0: f0 <= 0.5 ? row 1 (No) : row 2 (Yes)
+    /// tree 1  row 3: f1 <= 0.25 ? row 4 (Yes) : row 5
+    ///         row 5: f0 <= 0.8 ? row 6 (No) : row 7 (Yes)
+    /// tree 2  row 8: Yes
+    /// ```
+    fn three_trees() -> Forest {
+        const L: u32 = Forest::LEAF;
+        Forest {
+            arity: 2,
+            roots: vec![0, 3, 8],
+            feature: vec![0, L, L, 1, L, 0, L, L, L],
+            threshold: vec![0.5, 0.0, 0.0, 0.25, 0.0, 0.8, 0.0, 0.0, 0.0],
+            left: vec![1, 0, 0, 4, 0, 6, 0, 0, 0],
+            right: vec![2, 0, 0, 5, 0, 7, 0, 0, 0],
+            leaf_label: vec![false, false, true, false, true, false, false, true, true],
+            pos: vec![0, 0, 4, 0, 3, 0, 0, 2, 5],
+            neg: vec![0, 6, 0, 0, 1, 0, 3, 0, 0],
+            oob_accuracy: None,
+        }
+    }
+
+    /// Vectors of the wrong length and with missing values, against leaves
+    /// written out by hand: a missing value (`NaN` or past the end) routes
+    /// left, extra values are ignored.
+    const HAND_CASES: [(&[f64], [usize; 3]); 7] = [
+        (&[], [1, 4, 8]),
+        (&[f64::NAN, f64::NAN], [1, 4, 8]),
+        (&[0.9], [2, 4, 8]),
+        (&[0.9, 0.3, 7.0, -7.0], [2, 7, 8]),
+        (&[0.6, 0.3], [2, 6, 8]),
+        (&[0.1, 0.9], [1, 6, 8]),
+        (&[0.5, f64::NAN], [1, 4, 8]),
+    ];
+
+    #[test]
+    fn arity_mismatch_and_nan_route_left() {
+        let f = three_trees();
+        for (j, (fv, leaves)) in HAND_CASES.iter().enumerate() {
+            let reached: Vec<usize> = f.roots.iter().map(|&r| f.leaf(r, fv)).collect();
+            assert_eq!(reached, leaves, "case {j}");
+            let yes = leaves.iter().filter(|&&l| f.leaf_label[l]).count();
+            assert_eq!(f.votes(fv) as usize, yes, "case {j}");
+            assert_eq!(f.predict(fv), yes >= 2, "case {j}");
+            assert_eq!(
+                f.positive_fraction(fv).to_bits(),
+                (yes as f64 / 3.0).to_bits()
+            );
+        }
+    }
+
+    /// The batch predictors (`predict_batch`, `count_votes_into` and the
+    /// `*_from_votes` readers) agree bit for bit with the one-vector ones, on
+    /// the hand-built forest and on a trained one.
+    #[test]
+    fn batch_matches_single() {
+        let d = noisy_separable(120);
+        let trained = Forest::train(&d, &ForestConfig::default(), &mut rng());
+        let hand: Vec<Vec<f64>> = HAND_CASES.iter().map(|(fv, _)| fv.to_vec()).collect();
+        for (f, fvs) in [(three_trees(), &hand), (trained, &d.features)] {
+            let mut votes = Vec::new();
+            f.count_votes_into(fvs.len(), |j| fvs[j].as_slice(), &mut votes);
+            let batch = f.predict_batch(fvs);
+            for (j, fv) in fvs.iter().enumerate() {
+                assert_eq!(votes[j], f.votes(fv), "case {j}");
+                assert_eq!(batch[j], f.predict(fv), "case {j}");
+                assert_eq!(f.predict_from_votes(votes[j]), f.predict(fv), "case {j}");
+                assert_eq!(
+                    f.positive_fraction(fv).to_bits(),
+                    f.fraction_from_votes(votes[j]).to_bits()
+                );
+                assert_eq!(
+                    f.disagreement(fv).to_bits(),
+                    f.disagreement_from_votes(votes[j]).to_bits()
+                );
+            }
+        }
     }
 }

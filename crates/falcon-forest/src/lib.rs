@@ -6,17 +6,16 @@
 //! paths as candidate blocking rules. This crate provides exactly those
 //! capabilities:
 //!
-//! * [`tree`] — CART-style binary decision trees with Gini impurity and
-//!   per-node random feature subsampling, trained on a dense-rank compile
-//!   of the dataset ([`RankMatrix`]; a growing [`RankedDataset`] carries
-//!   its compile between trainings),
-//! * [`forest`] — bagged forests with majority voting, positive-vote
-//!   fractions (the active-learning disagreement signal) and out-of-bag
+//! * [`forest`] — bagged forests as one node arena (every node of every
+//!   tree a row of parallel columns, each tree in preorder) with majority
+//!   voting, positive-vote fractions (the active-learning disagreement
+//!   signal), allocation-free batch vote counting and out-of-bag
 //!   accuracy; training is parallel yet bit-identical at any thread count
 //!   (one pre-drawn seed per tree),
-//! * [`flat`] — forests compiled into struct-of-arrays node arenas with
-//!   allocation-free batch prediction/disagreement kernels, bit-identical
-//!   to the `Node`-walking path,
+//! * [`tree`] — CART-style binary decision trees with Gini impurity and
+//!   per-node random feature subsampling, grown straight into arena rows
+//!   from a dense-rank compile of the dataset ([`RankMatrix`]; a growing
+//!   [`RankedDataset`] carries its compile between trainings),
 //! * [`paths`] — extraction of negative paths as conjunctions of threshold
 //!   predicates (the raw material of blocking rules),
 //! * [`eval`] — precision/recall/F1 and confusion counts.
@@ -25,16 +24,14 @@
 //! always take the left (`<=`) branch so predictions are deterministic.
 
 pub mod eval;
-pub mod flat;
 pub mod forest;
 pub mod paths;
 pub mod tree;
 
 pub use eval::{confusion, f1_score, Confusion};
-pub use flat::{FlatForest, FLAT_LEAF};
 pub use forest::{default_threads, Forest, ForestConfig};
 pub use paths::{NegativePath, PathPredicate, SplitOp};
-pub use tree::{Node, RankMatrix, Tree, TreeConfig};
+pub use tree::{RankMatrix, TreeConfig};
 
 /// A training set: dense feature vectors (NaN = missing) plus boolean
 /// match/no-match labels.

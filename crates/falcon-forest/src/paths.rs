@@ -5,7 +5,6 @@
 //! satisfied, predicts *no match* — i.e. a candidate blocking rule
 //! `p_1 ∧ ... ∧ p_m → drop (a, b)`.
 
-use crate::tree::{Node, Tree};
 use crate::Forest;
 
 /// Comparison operator on a feature threshold along a tree path.
@@ -75,94 +74,70 @@ impl NegativePath {
     }
 }
 
-/// Extract all negative paths from one tree.
-pub fn extract_tree_paths(tree: &Tree) -> Vec<NegativePath> {
+/// Extract all negative paths from every tree in a forest, tree by tree,
+/// each tree's in preorder (left branch first).
+pub fn extract_forest_paths(forest: &Forest) -> Vec<NegativePath> {
     let mut out = Vec::new();
     let mut stack = Vec::new();
-    walk(&tree.root, &mut stack, &mut out);
+    for &root in &forest.roots {
+        collect(forest, root as usize, &mut stack, &mut out);
+    }
     out
 }
 
-/// Extract all negative paths from every tree in a forest.
-pub fn extract_forest_paths(forest: &Forest) -> Vec<NegativePath> {
-    forest.trees.iter().flat_map(extract_tree_paths).collect()
-}
-
-fn walk(node: &Node, stack: &mut Vec<PathPredicate>, out: &mut Vec<NegativePath>) {
-    match node {
-        Node::Leaf { label, pos, neg } => {
-            if !*label && !stack.is_empty() {
-                out.push(NegativePath {
-                    predicates: stack.clone(),
-                    leaf_neg: *neg,
-                    leaf_pos: *pos,
-                });
-            }
-        }
-        Node::Split {
-            feature,
-            threshold,
-            left,
-            right,
-        } => {
-            stack.push(PathPredicate {
-                feature: *feature,
-                op: SplitOp::Le,
-                threshold: *threshold,
+/// Push the negative paths below row `i`, reached through `stack`.
+fn collect(forest: &Forest, i: usize, stack: &mut Vec<PathPredicate>, out: &mut Vec<NegativePath>) {
+    let feature = forest.feature[i];
+    if feature == Forest::LEAF {
+        if !forest.leaf_label[i] && !stack.is_empty() {
+            out.push(NegativePath {
+                predicates: stack.clone(),
+                leaf_neg: forest.neg[i] as usize,
+                leaf_pos: forest.pos[i] as usize,
             });
-            walk(left, stack, out);
-            stack.pop();
-            stack.push(PathPredicate {
-                feature: *feature,
-                op: SplitOp::Gt,
-                threshold: *threshold,
-            });
-            walk(right, stack, out);
-            stack.pop();
         }
+        return;
+    }
+    for (op, child) in [
+        (SplitOp::Le, forest.left[i]),
+        (SplitOp::Gt, forest.right[i]),
+    ] {
+        stack.push(PathPredicate {
+            feature: feature as usize,
+            op,
+            threshold: forest.threshold[i],
+        });
+        collect(forest, child as usize, stack, out);
+        stack.pop();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::Node;
 
     /// The Figure 2.a tree: isbn_match (feature 0) then #pages match
     /// (feature 1); "No" leaves at (isbn <= 0.5) and (isbn > 0.5, pages <=
     /// 0.5).
-    fn figure2_tree() -> Tree {
-        Tree {
-            root: Node::Split {
-                feature: 0,
-                threshold: 0.5,
-                left: Box::new(Node::Leaf {
-                    label: false,
-                    pos: 0,
-                    neg: 80,
-                }),
-                right: Box::new(Node::Split {
-                    feature: 1,
-                    threshold: 0.5,
-                    left: Box::new(Node::Leaf {
-                        label: false,
-                        pos: 1,
-                        neg: 9,
-                    }),
-                    right: Box::new(Node::Leaf {
-                        label: true,
-                        pos: 10,
-                        neg: 0,
-                    }),
-                }),
-            },
+    fn figure2_tree() -> Forest {
+        const L: u32 = Forest::LEAF;
+        Forest {
             arity: 2,
+            roots: vec![0],
+            feature: vec![0, L, 1, L, L],
+            threshold: vec![0.5, 0.0, 0.5, 0.0, 0.0],
+            left: vec![1, 0, 3, 0, 0],
+            right: vec![2, 0, 4, 0, 0],
+            leaf_label: vec![false, false, false, false, true],
+            pos: vec![0, 0, 0, 1, 10],
+            neg: vec![0, 80, 0, 9, 0],
+            oob_accuracy: None,
         }
     }
 
     #[test]
     fn extracts_both_no_paths() {
-        let paths = extract_tree_paths(&figure2_tree());
+        let paths = extract_forest_paths(&figure2_tree());
         assert_eq!(paths.len(), 2);
         // Rule 1: isbn_match <= 0.5 -> No.
         assert_eq!(paths[0].predicates.len(), 1);
@@ -173,12 +148,13 @@ mod tests {
         assert_eq!(paths[1].predicates.len(), 2);
         assert_eq!(paths[1].predicates[0].op, SplitOp::Gt);
         assert_eq!(paths[1].predicates[1].op, SplitOp::Le);
+        assert_eq!((paths[1].leaf_pos, paths[1].leaf_neg), (1, 9));
     }
 
     #[test]
     fn fires_matches_tree_negative_prediction() {
         let tree = figure2_tree();
-        let paths = extract_tree_paths(&tree);
+        let paths = extract_forest_paths(&tree);
         for fv in [
             vec![0.0, 0.0],
             vec![0.0, 1.0],
@@ -194,15 +170,19 @@ mod tests {
 
     #[test]
     fn all_positive_tree_has_no_paths() {
-        let tree = Tree {
-            root: Node::Leaf {
-                label: true,
-                pos: 5,
-                neg: 0,
-            },
+        let tree = Forest {
             arity: 1,
+            roots: vec![0],
+            feature: vec![Forest::LEAF],
+            threshold: vec![0.0],
+            left: vec![0],
+            right: vec![0],
+            leaf_label: vec![true],
+            pos: vec![5],
+            neg: vec![0],
+            oob_accuracy: None,
         };
-        assert!(extract_tree_paths(&tree).is_empty());
+        assert!(extract_forest_paths(&tree).is_empty());
     }
 
     #[test]

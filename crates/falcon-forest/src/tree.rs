@@ -1,4 +1,5 @@
-//! CART-style binary decision trees with Gini impurity.
+//! CART-style binary decision trees with Gini impurity, grown straight
+//! into [`Forest`] node rows in preorder.
 //!
 //! Training is *rank-compiled*: a [`RankMatrix`] turns the `f64` feature
 //! columns into dense `u32` ranks — once per training call, or carried
@@ -17,7 +18,7 @@
 //! one source or the other and a growing set whose carried ranks must
 //! equal a fresh compile.
 
-use crate::Dataset;
+use crate::{Dataset, Forest};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -40,88 +41,6 @@ impl Default for TreeConfig {
             min_split: 2,
             features_per_node: None,
         }
-    }
-}
-
-/// A tree node. Missing feature values (`NaN`) take the left branch.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Node {
-    /// Terminal node predicting `label`; `pos`/`neg` are training counts.
-    Leaf {
-        /// Predicted label.
-        label: bool,
-        /// Positive training examples that reached this leaf.
-        pos: usize,
-        /// Negative training examples that reached this leaf.
-        neg: usize,
-    },
-    /// Internal split on `feature <= threshold` (left) vs `> threshold`
-    /// (right).
-    Split {
-        /// Feature index.
-        feature: usize,
-        /// Split threshold.
-        threshold: f64,
-        /// Subtree for `value <= threshold` (and missing values).
-        left: Box<Node>,
-        /// Subtree for `value > threshold`.
-        right: Box<Node>,
-    },
-}
-
-/// A trained decision tree.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Tree {
-    /// Root node.
-    pub root: Node,
-    /// Feature arity the tree was trained on.
-    pub arity: usize,
-}
-
-impl Tree {
-    /// Train a tree on (a bootstrap view of) `data`, using the example
-    /// indices in `idx` (a multiset: repeats count as often as they occur).
-    pub fn train_on(data: &Dataset, idx: &[usize], cfg: &TreeConfig, rng: &mut impl Rng) -> Tree {
-        assert!(!data.is_empty(), "cannot train on an empty dataset");
-        let mut idx: Vec<u32> = idx.iter().map(|&i| i as u32).collect();
-        RankMatrix::compile(data).grow(&data.labels, &mut idx, cfg, rng)
-    }
-
-    /// Train on the entire dataset.
-    pub fn train(data: &Dataset, cfg: &TreeConfig, rng: &mut impl Rng) -> Tree {
-        let idx: Vec<usize> = (0..data.len()).collect();
-        Self::train_on(data, &idx, cfg, rng)
-    }
-
-    /// Predict the label for a feature vector.
-    pub fn predict(&self, features: &[f64]) -> bool {
-        let mut node = &self.root;
-        loop {
-            match node {
-                Node::Leaf { label, .. } => return *label,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    let v = features.get(*feature).copied().unwrap_or(f64::NAN);
-                    // NaN fails `v > threshold`, taking the left branch.
-                    node = if v > *threshold { right } else { left };
-                }
-            }
-        }
-    }
-
-    /// Number of nodes in the tree.
-    pub fn size(&self) -> usize {
-        fn count(n: &Node) -> usize {
-            match n {
-                Node::Leaf { .. } => 1,
-                Node::Split { left, right, .. } => 1 + count(left) + count(right),
-            }
-        }
-        count(&self.root)
     }
 }
 
@@ -235,15 +154,16 @@ impl RankMatrix {
         &self.ranks[f * self.rows..(f + 1) * self.rows]
     }
 
-    /// Grow a tree over the example multiset `idx` (reordered in place),
-    /// with `labels` the compiled rows' labels.
+    /// Grow one tree over the example multiset `idx` (reordered in place),
+    /// with `labels` the compiled rows' labels: a one-tree [`Forest`]
+    /// whose rows are the tree's nodes in preorder, root at row 0.
     pub(crate) fn grow(
         &self,
         labels: &[bool],
         idx: &mut [u32],
         cfg: &TreeConfig,
         rng: &mut impl Rng,
-    ) -> Tree {
+    ) -> Forest {
         let arity = self.values.len();
         let k = cfg
             .features_per_node
@@ -258,11 +178,14 @@ impl RankMatrix {
             keys: Vec::with_capacity(idx.len()),
             hist: Vec::new(),
             spill: Vec::with_capacity(idx.len()),
+            tree: Forest {
+                arity,
+                roots: vec![0],
+                ..Forest::default()
+            },
         };
-        Tree {
-            root: grower.node(idx, 0, rng),
-            arity,
-        }
+        grower.node(idx, 0, rng);
+        grower.tree
     }
 }
 
@@ -279,20 +202,19 @@ struct Grower<'a> {
     hist: Vec<u32>,
     /// Right-side examples while a node's slice is partitioned.
     spill: Vec<u32>,
+    /// The rows grown so far.
+    tree: Forest,
 }
 
 impl Grower<'_> {
-    fn node(&mut self, idx: &mut [u32], depth: usize, rng: &mut impl Rng) -> Node {
+    /// Grow the subtree over `idx` and return its root row.
+    fn node(&mut self, idx: &mut [u32], depth: usize, rng: &mut impl Rng) -> u32 {
         let labels = self.labels;
         let pos = idx.iter().filter(|&&e| labels[e as usize]).count();
         let neg = idx.len() - pos;
-        let leaf = Node::Leaf {
-            label: pos > neg,
-            pos,
-            neg,
-        };
+        let leaf = |tree: &mut Forest| tree.push_row(Forest::LEAF, 0.0, pos > neg, pos, neg);
         if depth >= self.cfg.max_depth || idx.len() < self.cfg.min_split || pos == 0 || neg == 0 {
-            return leaf;
+            return leaf(&mut self.tree);
         }
 
         // Random feature subset for this node; the shuffle (the only RNG
@@ -327,7 +249,7 @@ impl Grower<'_> {
             }
         }
         let Some((_, feature, threshold)) = best else {
-            return leaf;
+            return leaf(&mut self.tree);
         };
 
         // `v <= threshold || v.is_nan()` routes left; on ranks that is
@@ -347,12 +269,13 @@ impl Grower<'_> {
         }
         let (left, right) = idx.split_at_mut(n_left);
         right.copy_from_slice(&self.spill);
-        Node::Split {
-            feature,
-            threshold,
-            left: Box::new(self.node(left, depth + 1, rng)),
-            right: Box::new(self.node(right, depth + 1, rng)),
-        }
+        // Preorder: this row, then the whole left subtree, then the right.
+        let row = self.tree.push_row(feature as u32, threshold, false, 0, 0);
+        let l = self.node(left, depth + 1, rng);
+        let r = self.node(right, depth + 1, rng);
+        self.tree.left[row as usize] = l;
+        self.tree.right[row as usize] = r;
+        row
     }
 }
 
@@ -438,6 +361,12 @@ mod tests {
         SmallRng::seed_from_u64(7)
     }
 
+    /// One tree over every example of `d`.
+    fn tree(d: &Dataset, cfg: &TreeConfig) -> Forest {
+        let idx: Vec<usize> = (0..d.len()).collect();
+        Forest::train_on(d, &idx, cfg, &mut rng())
+    }
+
     fn separable() -> Dataset {
         let mut d = Dataset::new();
         for i in 0..50 {
@@ -450,7 +379,7 @@ mod tests {
     #[test]
     fn learns_separable_data() {
         let d = separable();
-        let t = Tree::train(&d, &TreeConfig::default(), &mut rng());
+        let t = tree(&d, &TreeConfig::default());
         for (f, l) in d.features.iter().zip(&d.labels) {
             assert_eq!(t.predict(f), *l);
         }
@@ -462,8 +391,9 @@ mod tests {
         for _ in 0..10 {
             d.push(vec![1.0], true);
         }
-        let t = Tree::train(&d, &TreeConfig::default(), &mut rng());
-        assert_eq!(t.size(), 1);
+        let t = tree(&d, &TreeConfig::default());
+        assert_eq!(t.feature, [Forest::LEAF]);
+        assert_eq!((t.pos[0], t.neg[0]), (10, 0));
         assert!(t.predict(&[0.0]));
     }
 
@@ -474,32 +404,25 @@ mod tests {
             max_depth: 1,
             ..Default::default()
         };
-        let t = Tree::train(&d, &cfg, &mut rng());
-        assert!(t.size() <= 3);
+        let t = tree(&d, &cfg);
+        assert!(t.feature.len() <= 3);
     }
 
+    /// Missing training values are counted left, and a missing query
+    /// value is routed left.
     #[test]
     fn missing_values_go_left() {
-        // Single split on feature 0 at 0.5: left=false, right=true.
-        let t = Tree {
-            root: Node::Split {
-                feature: 0,
-                threshold: 0.5,
-                left: Box::new(Node::Leaf {
-                    label: false,
-                    pos: 0,
-                    neg: 1,
-                }),
-                right: Box::new(Node::Leaf {
-                    label: true,
-                    pos: 1,
-                    neg: 0,
-                }),
-            },
-            arity: 1,
-        };
+        let mut d = Dataset::new();
+        for i in 0..12 {
+            let v = if i < 3 { f64::NAN } else { f64::from(i) / 12.0 };
+            d.push(vec![v], !v.is_nan() && v > 0.5);
+        }
+        let t = tree(&d, &TreeConfig::default());
+        // Root split, then its left leaf: the NaN rows and 0.25..=0.5.
+        assert_eq!(t.feature[..2], [0, Forest::LEAF]);
+        assert_eq!((t.pos[1], t.neg[1]), (0, 7));
         assert!(!t.predict(&[f64::NAN]));
-        assert!(!t.predict(&[0.2]));
+        assert!(!t.predict(&[]));
         assert!(t.predict(&[0.9]));
     }
 
@@ -511,7 +434,7 @@ mod tests {
             d.push(vec![v], i >= 10);
         }
         // Must not panic, and should fit the non-missing part reasonably.
-        let t = Tree::train(&d, &TreeConfig::default(), &mut rng());
+        let t = tree(&d, &TreeConfig::default());
         assert!(t.predict(&[19.0]));
         assert!(!t.predict(&[1.0]));
     }

@@ -4,20 +4,20 @@
 //! correct: at every node shuffle the features, and for each of the first
 //! `k` collect the node's values, sort and dedup them, and for the
 //! midpoint of every two adjacent distinct values recount the whole node
-//! on both sides. `forest` wraps it in the bagging and out-of-bag scheme
-//! of the module docs. The production trainer (dense ranks compiled once
-//! or carried between trainings, then per candidate feature a per-rank
-//! histogram or an integer key sort, and one run sweep) must grow the
-//! same trees bit for bit **and** leave the RNG in the same state — on
-//! the inputs a rank compile can get wrong: missing values, signed zeros,
-//! infinities, adjacent floats, sums that overflow, heavy duplicates and
-//! bootstrap multisets with repeated ids. Two generators pin each sweep
-//! source on every node: few distinct values (histograms everywhere) and
+//! on both sides, and append the node to the rows in preorder. `forest`
+//! wraps it in the bagging and out-of-bag scheme of the module docs,
+//! growing every tree into one arena. The production trainer (dense
+//! ranks compiled once or carried between trainings, then per candidate
+//! feature a per-rank histogram or an integer key sort, and one run
+//! sweep, into rows of its own per tree) must grow the same trees bit for
+//! bit **and** leave the RNG in the same state — on the inputs a rank
+//! compile can get wrong: missing values, signed zeros, infinities,
+//! adjacent floats, sums that overflow, heavy duplicates and bootstrap
+//! multisets with repeated ids. Two generators pin each sweep source on
+//! every node: few distinct values (histograms everywhere) and
 //! all-distinct values under small bags (key sorts everywhere).
 
-use falcon_forest::{
-    Dataset, Forest, ForestConfig, Node, RankMatrix, RankedDataset, Tree, TreeConfig,
-};
+use falcon_forest::{Dataset, Forest, ForestConfig, RankMatrix, RankedDataset, TreeConfig};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -32,23 +32,39 @@ fn gini(pos: usize, neg: usize) -> f64 {
     2.0 * p * (1.0 - p)
 }
 
+/// Append a row to `out` and return its index.
+fn push(
+    out: &mut Forest,
+    feature: u32,
+    threshold: f64,
+    label: bool,
+    pos: usize,
+    neg: usize,
+) -> u32 {
+    out.feature.push(feature);
+    out.threshold.push(threshold);
+    out.left.push(0);
+    out.right.push(0);
+    out.leaf_label.push(label);
+    out.pos.push(pos as u32);
+    out.neg.push(neg as u32);
+    out.feature.len() as u32 - 1
+}
+
+/// Grow the subtree over `idx` into `out` and return its root row.
 fn grow(
+    out: &mut Forest,
     data: &Dataset,
     idx: &[usize],
     cfg: &TreeConfig,
     k: usize,
     depth: usize,
     rng: &mut impl Rng,
-) -> Node {
+) -> u32 {
     let pos = idx.iter().filter(|&&i| data.labels[i]).count();
     let neg = idx.len() - pos;
-    let leaf = Node::Leaf {
-        label: pos > neg,
-        pos,
-        neg,
-    };
     if depth >= cfg.max_depth || idx.len() < cfg.min_split || pos == 0 || neg == 0 {
-        return leaf;
+        return push(out, Forest::LEAF, 0.0, pos > neg, pos, neg);
     }
     let mut feats: Vec<usize> = (0..data.arity()).collect();
     feats.shuffle(rng);
@@ -83,42 +99,70 @@ fn grow(
         }
     }
     let Some((_, feature, threshold)) = best else {
-        return leaf;
+        return push(out, Forest::LEAF, 0.0, pos > neg, pos, neg);
     };
     let (left, right): (Vec<usize>, Vec<usize>) = idx.iter().partition(|&&i| {
         let v = data.features[i][feature];
         v <= threshold || v.is_nan()
     });
-    Node::Split {
-        feature,
-        threshold,
-        left: Box::new(grow(data, &left, cfg, k, depth + 1, rng)),
-        right: Box::new(grow(data, &right, cfg, k, depth + 1, rng)),
-    }
+    let row = push(out, feature as u32, threshold, false, 0, 0) as usize;
+    out.left[row] = grow(out, data, &left, cfg, k, depth + 1, rng);
+    out.right[row] = grow(out, data, &right, cfg, k, depth + 1, rng);
+    row as u32
 }
 
-/// `Tree::train_on` by definition.
-fn tree(data: &Dataset, idx: &[usize], cfg: &TreeConfig, rng: &mut impl Rng) -> Tree {
+/// Append one tree over the example multiset `idx` to `out`.
+fn tree_into(
+    out: &mut Forest,
+    data: &Dataset,
+    idx: &[usize],
+    cfg: &TreeConfig,
+    rng: &mut impl Rng,
+) {
     let arity = data.arity();
     let k = cfg
         .features_per_node
         .unwrap_or_else(|| (arity as f64).sqrt().ceil() as usize)
         .clamp(1, arity.max(1));
-    Tree {
-        root: grow(data, idx, cfg, k, 0, rng),
-        arity,
+    let root = grow(out, data, idx, cfg, k, 0, rng);
+    out.roots.push(root);
+}
+
+/// `Forest::train_on` by definition.
+fn tree(data: &Dataset, idx: &[usize], cfg: &TreeConfig, rng: &mut impl Rng) -> Forest {
+    let mut out = Forest {
+        arity: data.arity(),
+        ..Forest::default()
+    };
+    tree_into(&mut out, data, idx, cfg, rng);
+    out
+}
+
+/// The label of the leaf `fv` reaches from row `i`: missing values go left.
+fn vote(f: &Forest, mut i: usize, fv: &[f64]) -> bool {
+    while f.feature[i] != Forest::LEAF {
+        let v = fv[f.feature[i] as usize];
+        i = if v <= f.threshold[i] || v.is_nan() {
+            f.left[i]
+        } else {
+            f.right[i]
+        } as usize;
     }
+    f.leaf_label[i]
 }
 
 /// `Forest::train` by definition: one seed per tree drawn up front, each
-/// tree bagging and growing from its own `SmallRng`; the out-of-bag
-/// estimate is the majority of the trees that did not see an example,
-/// over the examples some tree did not see.
+/// tree bagging and growing from its own `SmallRng` into the next rows;
+/// the out-of-bag estimate is the majority of the trees that did not see
+/// an example, over the examples some tree did not see.
 fn forest(data: &Dataset, cfg: &ForestConfig, rng: &mut impl Rng) -> Forest {
     let n = data.len();
     let seeds: Vec<u64> = (0..cfg.n_trees).map(|_| rng.next_u64()).collect();
     let mut oob = vec![(0usize, 0usize); n]; // (positive votes, votes)
-    let mut trees = Vec::new();
+    let mut out = Forest {
+        arity: data.arity(),
+        ..Forest::default()
+    };
     for seed in seeds {
         let mut trng = SmallRng::seed_from_u64(seed);
         let idx: Vec<usize> = if cfg.bagging {
@@ -126,24 +170,21 @@ fn forest(data: &Dataset, cfg: &ForestConfig, rng: &mut impl Rng) -> Forest {
         } else {
             (0..n).collect()
         };
-        let t = tree(data, &idx, &cfg.tree, &mut trng);
+        tree_into(&mut out, data, &idx, &cfg.tree, &mut trng);
+        let root = *out.roots.last().expect("a tree was just grown") as usize;
         for i in (0..n).filter(|i| !idx.contains(i)) {
-            oob[i].0 += usize::from(t.predict(&data.features[i]));
+            oob[i].0 += usize::from(vote(&out, root, &data.features[i]));
             oob[i].1 += 1;
         }
-        trees.push(t);
     }
     let scored: Vec<bool> = (0..n)
         .filter(|&i| oob[i].1 > 0)
         .map(|i| (oob[i].0 * 2 > oob[i].1) == data.labels[i])
         .collect();
     let correct = scored.iter().filter(|c| **c).count();
-    Forest {
-        trees,
-        arity: data.arity(),
-        oob_accuracy: (cfg.bagging && !scored.is_empty())
-            .then(|| correct as f64 / scored.len() as f64),
-    }
+    out.oob_accuracy =
+        (cfg.bagging && !scored.is_empty()).then(|| correct as f64 / scored.len() as f64);
+    out
 }
 
 /// The least float above a positive finite `v`.
@@ -294,7 +335,7 @@ proptest! {
         let idx: Vec<usize> = picks.iter().map(|p| p % d.len()).collect();
         let (mut fast_rng, mut def_rng) =
             (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
-        let fast = Tree::train_on(&d, &idx, &cfg, &mut fast_rng);
+        let fast = Forest::train_on(&d, &idx, &cfg, &mut fast_rng);
         prop_assert_eq!(fast, tree(&d, &idx, &cfg, &mut def_rng));
         prop_assert_eq!(fast_rng.next_u64(), def_rng.next_u64(), "RNG streams diverged");
     }
@@ -313,7 +354,7 @@ proptest! {
         let idx: Vec<usize> = picks.iter().map(|p| p % d.len()).collect();
         let (mut fast_rng, mut def_rng) =
             (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
-        let fast = Tree::train_on(&d, &idx, &cfg, &mut fast_rng);
+        let fast = Forest::train_on(&d, &idx, &cfg, &mut fast_rng);
         prop_assert_eq!(fast, tree(&d, &idx, &cfg, &mut def_rng));
         prop_assert_eq!(fast_rng.next_u64(), def_rng.next_u64(), "RNG streams diverged");
     }
@@ -376,7 +417,7 @@ proptest! {
         let idx: Vec<usize> = picks.iter().map(|p| p % d.len()).collect();
         let (mut fast_rng, mut def_rng) =
             (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
-        let fast = Tree::train_on(&d, &idx, &cfg, &mut fast_rng);
+        let fast = Forest::train_on(&d, &idx, &cfg, &mut fast_rng);
         let def = tree(&d, &idx, &cfg, &mut def_rng);
         prop_assert_eq!(fast, def);
         prop_assert_eq!(fast_rng.next_u64(), def_rng.next_u64(), "RNG streams diverged");
@@ -431,17 +472,8 @@ fn larger_fixtures_equal_their_definitions() {
         );
         let idx: Vec<usize> = (0..d.len()).map(|i| (i * 31) % d.len()).collect();
         assert_eq!(
-            Tree::train_on(&d, &idx, &cfg.tree, &mut SmallRng::seed_from_u64(seed)),
+            Forest::train_on(&d, &idx, &cfg.tree, &mut SmallRng::seed_from_u64(seed)),
             tree(&d, &idx, &cfg.tree, &mut SmallRng::seed_from_u64(seed)),
-        );
-        assert_eq!(
-            Tree::train(&d, &cfg.tree, &mut SmallRng::seed_from_u64(seed)),
-            tree(
-                &d,
-                &(0..d.len()).collect::<Vec<_>>(),
-                &cfg.tree,
-                &mut SmallRng::seed_from_u64(seed)
-            ),
         );
     }
 }

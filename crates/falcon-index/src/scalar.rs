@@ -144,12 +144,6 @@ impl LengthIndex {
         Self { by_len, entries }
     }
 
-    /// Length of a specific tuple's value, if indexed. O(#lengths) — used
-    /// only in tests; filters store lengths separately.
-    pub fn ids_with_len(&self, len: usize) -> &[TupleId] {
-        self.by_len.get(len).map_or(&[], Vec::as_slice)
-    }
-
     /// The id buckets of the lengths in `[lo, hi]` (inclusive). The
     /// bucket range is clamped up front so empty/degenerate ranges cost
     /// nothing instead of walking the whole bucket table.
@@ -234,7 +228,6 @@ mod tests {
         out.clear();
         idx.probe(10, 20, &mut out);
         assert!(out.is_empty());
-        assert_eq!(idx.ids_with_len(2), &[0, 2]);
     }
 
     #[test]

@@ -100,14 +100,6 @@ pub fn prefix_len(sim: SimFunction, t: f64, set_len: usize) -> usize {
     (set_len - o_min.min(set_len) + 1).clamp(1, set_len)
 }
 
-/// Whether a predicate over this measure/threshold can be served by prefix
-/// and position filters at all. Overlap coefficient degenerates to a full
-/// inverted index (still a valid share-a-token filter); other measures get a
-/// true prefix.
-pub fn prefix_filter_applicable(sim: SimFunction, t: f64) -> bool {
-    t > 0.0 && sim.is_set_based()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

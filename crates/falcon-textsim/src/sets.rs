@@ -3,24 +3,25 @@
 //! These four measures (plus Levenshtein) are the ones the paper's
 //! prefix/position/length filters know how to index (Section 7.4).
 //!
-//! Two kernel families are provided, numerically bit-identical because
-//! each coefficient has one definition, a function of [`Counts`] (a
-//! property test in `falcon-core` checks it end to end):
+//! Each coefficient has one definition, a function of [`Counts`]
+//! (`jaccard_of`, `dice_of`, ...), and two ways to count:
 //!
 //! * the `BTreeSet<String>` kernels: the definition behind
 //!   `SimFunction::score_str`, used when values are tokenized on the fly
 //!   (numeric and uncovered columns, datagen, the lossless tests), and
-//! * sorted-`u32`-slice kernels (`*_ids`) over interned token ids from a
+//! * [`counts_ids`] over sorted interned token ids from a
 //!   [`crate::profile::TokenProfile`] — a single O(|x|+|y|) merge with
 //!   zero allocation per comparison; `gen_fvs` and the rule evaluator
-//!   run that merge ([`counts_ids`]) once per pair and token column and
-//!   score every measure over the column from its counts.
+//!   run it once per pair and token column and score every measure over
+//!   the column from its counts (`SimFunction::score_counts`), bit for
+//!   bit as the `BTreeSet` kernels score it (a property test in
+//!   `falcon-core` checks it end to end).
 //!
 //! The rule evaluator also reads an upper bound on the counts from two
 //! 128-bit token fingerprints ([`intersection_bound`]), which settles most
 //! threshold predicates without the merge.
 //!
-//! Empty-set semantics are shared by both families: the empty set scores
+//! Empty-set semantics are shared by both ways: the empty set scores
 //! 0.0 against anything, including itself (never `NaN`). A *missing*
 //! value is handled one level up (`SimFunction::score_str` returns `None`
 //! for empty strings); an empty token set can still arise from a
@@ -29,7 +30,7 @@
 use std::collections::BTreeSet;
 
 /// `(|x ∩ y|, |x|, |y|)`: all a set coefficient reads of two token sets.
-/// Each coefficient below is *defined* on it, and both kernel families
+/// Each coefficient below is *defined* on it, and both ways of scoring
 /// only differ in how they count — so they cannot disagree, and a caller
 /// holding the counts (one merge) can score every measure of the pair.
 pub type Counts = (usize, usize, usize);
@@ -148,26 +149,6 @@ pub fn intersection_bound((fx, nx): (u128, usize), (fy, ny): (u128, usize)) -> u
         .min(ny)
 }
 
-/// Jaccard over sorted id slices.
-pub fn jaccard_ids(x: &[u32], y: &[u32]) -> f64 {
-    jaccard_of(counts_ids(x, y))
-}
-
-/// Dice over sorted id slices.
-pub fn dice_ids(x: &[u32], y: &[u32]) -> f64 {
-    dice_of(counts_ids(x, y))
-}
-
-/// Overlap coefficient over sorted id slices.
-pub fn overlap_ids(x: &[u32], y: &[u32]) -> f64 {
-    overlap_of(counts_ids(x, y))
-}
-
-/// Set cosine over sorted id slices.
-pub fn cosine_ids(x: &[u32], y: &[u32]) -> f64 {
-    cosine_of(counts_ids(x, y))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,49 +201,61 @@ mod tests {
         }
     }
 
+    /// The four coefficients, each as a `BTreeSet` kernel and as a
+    /// function of counts.
+    type Kernels = [(
+        fn(&BTreeSet<String>, &BTreeSet<String>) -> f64,
+        fn(Counts) -> f64,
+    ); 4];
+    const KERNELS: Kernels = [
+        (jaccard, jaccard_of),
+        (dice, dice_of),
+        (overlap_coefficient, overlap_of),
+        (cosine, cosine_of),
+    ];
+
     #[test]
     fn id_kernels_match_known_values() {
         let x = [1u32, 2, 3];
         let y = [2u32, 3, 4];
         assert_eq!(intersection_size_ids(&x, &y), 2);
-        assert!((jaccard_ids(&x, &y) - 0.5).abs() < 1e-12);
-        assert!((dice_ids(&x, &y) - 2.0 / 3.0).abs() < 1e-12);
-        assert!((overlap_ids(&x, &y) - 2.0 / 3.0).abs() < 1e-12);
-        assert!((cosine_ids(&x, &y) - 2.0 / 3.0).abs() < 1e-12);
-        for f in [jaccard_ids, dice_ids, overlap_ids, cosine_ids] {
-            assert!((f(&x, &x) - 1.0).abs() < 1e-12);
-            assert_eq!(f(&x, &[7, 8]), 0.0);
+        let c = counts_ids(&x, &y);
+        assert!((jaccard_of(c) - 0.5).abs() < 1e-12);
+        assert!((dice_of(c) - 2.0 / 3.0).abs() < 1e-12);
+        assert!((overlap_of(c) - 2.0 / 3.0).abs() < 1e-12);
+        assert!((cosine_of(c) - 2.0 / 3.0).abs() < 1e-12);
+        for (_, of) in KERNELS {
+            assert!((of(counts_ids(&x, &x)) - 1.0).abs() < 1e-12);
+            assert_eq!(of(counts_ids(&x, &[7, 8])), 0.0);
         }
     }
 
     /// Empty-set semantics agree between the `BTreeSet` kernels and
-    /// the id kernels: empty scores 0.0 against anything, never `NaN`.
+    /// the id counts: empty scores 0.0 against anything, never `NaN`.
     #[test]
     fn id_kernels_empty_semantics_match_legacy() {
         let e_ids: [u32; 0] = [];
         let x_ids = [5u32];
         let e = set(&[]);
         let x = set(&["a"]);
-        type Pair = (
-            fn(&BTreeSet<String>, &BTreeSet<String>) -> f64,
-            fn(&[u32], &[u32]) -> f64,
-        );
-        let cases: [Pair; 4] = [
-            (jaccard, jaccard_ids),
-            (dice, dice_ids),
-            (overlap_coefficient, overlap_ids),
-            (cosine, cosine_ids),
-        ];
-        for (legacy, ids) in cases {
-            assert_eq!(legacy(&e, &e).to_bits(), ids(&e_ids, &e_ids).to_bits());
-            assert_eq!(legacy(&e, &x).to_bits(), ids(&e_ids, &x_ids).to_bits());
-            assert_eq!(legacy(&x, &e).to_bits(), ids(&x_ids, &e_ids).to_bits());
-            assert!(!ids(&e_ids, &e_ids).is_nan());
+        for (legacy, of) in KERNELS {
+            let ee = of(counts_ids(&e_ids, &e_ids));
+            assert_eq!(legacy(&e, &e).to_bits(), ee.to_bits());
+            assert_eq!(
+                legacy(&e, &x).to_bits(),
+                of(counts_ids(&e_ids, &x_ids)).to_bits()
+            );
+            assert_eq!(
+                legacy(&x, &e).to_bits(),
+                of(counts_ids(&x_ids, &e_ids)).to_bits()
+            );
+            assert!(!ee.is_nan());
         }
     }
 
-    /// Exhaustive-ish cross-check: id kernels equal the `BTreeSet` kernels for
-    /// every subset pair of a small universe (bit-identical floats).
+    /// Exhaustive-ish cross-check: the coefficients of the id counts equal
+    /// the `BTreeSet` kernels for every subset pair of a small universe
+    /// (bit-identical floats).
     #[test]
     fn id_kernels_bit_identical_on_subsets() {
         let universe = ["a", "b", "c", "d"];
@@ -285,20 +278,11 @@ mod tests {
                 // Interned ids: position in the universe (already sorted).
                 let xi: Vec<u32> = (0..4).filter(|i| xm & (1 << i) != 0).collect();
                 let yi: Vec<u32> = (0..4).filter(|i| ym & (1 << i) != 0).collect();
-                assert_eq!(jaccard(&x, &y).to_bits(), jaccard_ids(&xi, &yi).to_bits());
-                assert_eq!(dice(&x, &y).to_bits(), dice_ids(&xi, &yi).to_bits());
-                assert_eq!(
-                    overlap_coefficient(&x, &y).to_bits(),
-                    overlap_ids(&xi, &yi).to_bits()
-                );
-                assert_eq!(cosine(&x, &y).to_bits(), cosine_ids(&xi, &yi).to_bits());
-                // And every id kernel *is* its coefficient of the counts.
                 let c = (intersection_size_ids(&xi, &yi), xi.len(), yi.len());
                 assert_eq!(c, counts_ids(&xi, &yi));
-                assert_eq!(jaccard_ids(&xi, &yi).to_bits(), jaccard_of(c).to_bits());
-                assert_eq!(dice_ids(&xi, &yi).to_bits(), dice_of(c).to_bits());
-                assert_eq!(overlap_ids(&xi, &yi).to_bits(), overlap_of(c).to_bits());
-                assert_eq!(cosine_ids(&xi, &yi).to_bits(), cosine_of(c).to_bits());
+                for (legacy, of) in KERNELS {
+                    assert_eq!(legacy(&x, &y).to_bits(), of(c).to_bits());
+                }
             }
         }
     }
