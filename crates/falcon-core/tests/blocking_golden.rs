@@ -1,5 +1,5 @@
 //! Frozen outputs of `apply_blocking_rules`: for three datasets at fixed
-//! seeds and the four index-probing operators, the candidate set (as an
+//! seeds and all six physical operators, the candidate set (as an
 //! FNV-1a digest), the per-conjunct probe counters and the number of
 //! shuffled records must equal the lines of `goldens/blocking.txt`, at 1,
 //! 2 and 8 threads and under a seeded fault plan — and every candidate
@@ -16,8 +16,10 @@
 //! `apply-all` lines, when that operator began probing each conjunct
 //! within the running candidate set of the more selective ones (fewer
 //! pairs examined, ids an earlier conjunct refuted counted as exact
-//! prunes); every other field and line is the original recording. To
-//! re-record after an intended change, empty the file and run this test:
+//! prunes); every other field and line is the original recording. The
+//! `map-side` and `reduce-split` lines were added later, recorded on
+//! `61aa839`, before ReduceSplit became the probe job over an empty plan,
+//! so they pin that its job shape and output did not move. To re-record after an intended change, empty the file and run this test:
 //! it fails printing the full replacement content.
 
 mod common;
@@ -65,11 +67,13 @@ fn line(dataset: &str, out: &physical::BlockingOutput) -> String {
     )
 }
 
-const OPS: [PhysicalOp; 4] = [
+const OPS: [PhysicalOp; 6] = [
     PhysicalOp::ApplyAll,
     PhysicalOp::ApplyGreedy,
     PhysicalOp::ApplyConjunct,
     PhysicalOp::ApplyPredicate,
+    PhysicalOp::MapSide,
+    PhysicalOp::ReduceSplit,
 ];
 
 #[test]
