@@ -579,14 +579,8 @@ impl<C: Crowd> Run<'_, C> {
         let (candidates, physical_op, blocking) = if let Some((_, base)) = spec_hit {
             // Apply the full sequence to the smallest speculated output in
             // a map-only job (rules are idempotent on survivors).
-            let evaluator = Arc::new(physical::PairEvaluator::over(
-                store,
-                a,
-                b,
-                &lib.blocking,
-                &seq_out.seq,
-            ));
-            let (c, stats) = physical::run_evaluate(cluster, evaluator, base)?;
+            let evaluator = physical::PairEvaluator::over(store, a, b, &lib.blocking, &seq_out.seq);
+            let (c, stats) = physical::run_evaluate(cluster, &evaluator, base)?;
             timeline.machine("apply_block_rules", StageCost::of([&stats], &cfg.cluster));
             (c, cfg.force_physical.unwrap_or(PhysicalOp::ApplyAll), None)
         } else {

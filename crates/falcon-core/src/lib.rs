@@ -54,6 +54,6 @@ pub use error::FalconError;
 pub use features::{Feature, FeatureLibrary, FeatureSet};
 pub use fv::FvSet;
 pub use optimizer::OptFlags;
-pub use rules::{CnfRule, Predicate, Rule, RuleSequence};
+pub use rules::{Predicate, Rule, RuleSequence};
 pub use timeline::Timeline;
 pub use tokens::{ProfileSpec, TokenStore};

@@ -21,7 +21,7 @@
 use crate::error::FalconError;
 use crate::features::FeatureSet;
 use crate::indexing::{BuiltIndexes, ConjunctSpecs, PreFilterConfig};
-use crate::physical::{self, PhysicalOp, ScratchPool};
+use crate::physical::{self, PhysicalOp};
 use crate::rules::{Rule, RuleKey, RuleSequence};
 use crate::timeline::Timeline;
 use falcon_dataflow::Cluster;
@@ -144,10 +144,6 @@ pub fn speculate_rules(
     /// materializing individually.
     const MAX_KEEP_FRACTION: f64 = 0.05;
     let mut out = DetMap::new();
-    // One probe-scratch pool for the whole speculation loop: each rule's
-    // execution reuses the buffers its predecessors allocated instead of
-    // re-allocating bitmaps and stats per speculative stage.
-    let pool = ScratchPool::new();
     for (rule, selectivity) in rules {
         if timeline.remaining_capacity().is_zero() {
             break; // the crowd finished; stop speculating
@@ -165,7 +161,7 @@ pub fn speculate_rules(
             let cost = built.build_spec(cluster, a, &spec)?;
             timeline.masked_machine("index_build", cost);
         }
-        let result = physical::execute_pooled(
+        let result = physical::execute(
             PhysicalOp::ApplyAll,
             cluster,
             a,
@@ -176,7 +172,6 @@ pub fn speculate_rules(
             built,
             &[0.5],
             max_pairs,
-            &pool,
         );
         if let Ok(res) = result {
             timeline.masked_machine("speculative_exec", res.cost(&cluster.config));

@@ -14,9 +14,9 @@
 //!
 //! plus the two prior-work baselines that enumerate `A × B`:
 //! [`PhysicalOp::MapSide`] (table `A` in mapper memory) and
-//! [`PhysicalOp::ReduceSplit`] (pairs shuffled to reducers) — both guarded
-//! by a pair budget, mirroring how the paper "had to kill" them on the
-//! large datasets.
+//! [`PhysicalOp::ReduceSplit`] (pairs shuffled to reducers: the probe job
+//! of `ApplyAll` over an empty plan) — both guarded by a pair budget,
+//! mirroring how the paper "had to kill" them on the large datasets.
 //!
 //! All six produce *identical* candidate sets (the filters are necessary
 //! conditions and the reducers evaluate the exact rule sequence);
@@ -706,12 +706,12 @@ impl<'p> ProbePlan<'p> {
     }
 }
 
-/// Reusable per-map-task probe state: the bitmap union / intersection
-/// buffers, the sorted emit vector, and per-conjunct counter deltas
-/// flushed to the shared [`StatsCollector`] once per chunk. Marking ids
-/// in a bitmap deduplicates for free, intersection is a word-wise AND,
-/// and iteration yields ascending ids — the whole union/dedup/intersect
-/// pipeline runs without a single sort or per-tuple allocation.
+/// Per-map-task probe state: the bitmap union / intersection buffers,
+/// the sorted emit vector, and per-conjunct counter deltas flushed to the
+/// shared [`StatsCollector`] when the task ends. Marking ids in a bitmap
+/// deduplicates for free, intersection is a word-wise AND, and iteration
+/// yields ascending ids — the whole union/dedup/intersect pipeline runs
+/// without a single sort or per-tuple allocation.
 struct ProbeScratch {
     union: CandidateBitmap,
     acc: CandidateBitmap,
@@ -723,62 +723,17 @@ struct ProbeScratch {
 }
 
 impl ProbeScratch {
-    fn empty() -> Self {
+    /// Fresh state for one task probing `plan` over `a_len` A-tuples.
+    fn new(a_len: usize, plan: &ProbePlan<'_>) -> Self {
         Self {
-            union: CandidateBitmap::new(0),
-            acc: CandidateBitmap::new(0),
+            union: CandidateBitmap::new(a_len),
+            acc: CandidateBitmap::new(a_len),
             out: Vec::new(),
-            locals: Vec::new(),
-            tokens: Vec::new(),
+            locals: vec![ProbeStats::default(); plan.bundles.len()],
+            tokens: std::iter::repeat_with(ProbeTokens::default)
+                .take(plan.slots())
+                .collect(),
         }
-    }
-
-    /// Make the scratch ready for a task over `a_len` A-tuples and
-    /// `n_bundles` conjunct bundles sharing `n_tokens` probe-input slots,
-    /// keeping existing allocations.
-    fn prepare(&mut self, a_len: usize, n_bundles: usize, n_tokens: usize) {
-        self.union.reset(a_len);
-        self.acc.reset(a_len);
-        self.out.clear();
-        self.locals.clear();
-        self.locals.resize(n_bundles, ProbeStats::default());
-        self.tokens.resize_with(n_tokens, ProbeTokens::default);
-    }
-
-    /// Flush the accumulated per-conjunct deltas and zero them.
-    fn flush(&mut self, bundles: &[Bundle], collector: &StatsCollector) {
-        for (local, bu) in self.locals.iter_mut().zip(bundles) {
-            collector.add(bu.ci, local);
-            *local = ProbeStats::default();
-        }
-    }
-}
-
-/// Pool of [`ProbeScratch`] buffers, shared by the map tasks of one or
-/// more blocking executions. The bitmaps inside a scratch are sized to
-/// `|A|`, so recycling them across the optimizer's speculative stages
-/// (one `execute` per candidate rule over the same `A`) avoids
-/// re-zeroing multi-kilobyte buffers per stage — the single-job masking
-/// cost the stage-yielding driver must not regress.
-#[derive(Default)]
-pub struct ScratchPool {
-    slots: parking_lot::Mutex<Vec<ProbeScratch>>,
-}
-
-impl ScratchPool {
-    /// Fresh shared pool.
-    pub fn new() -> Arc<ScratchPool> {
-        Arc::new(Self::default())
-    }
-
-    fn checkout(&self, a_len: usize, n_bundles: usize, n_tokens: usize) -> ProbeScratch {
-        let mut scratch = self.slots.lock().pop().unwrap_or_else(ProbeScratch::empty);
-        scratch.prepare(a_len, n_bundles, n_tokens);
-        scratch
-    }
-
-    fn restore(&self, scratch: ProbeScratch) {
-        self.slots.lock().push(scratch);
     }
 }
 
@@ -851,43 +806,52 @@ fn candidates_for(
     restricted
 }
 
-/// Index-probing + reducer-evaluation execution (ApplyAll / ApplyGreedy).
-#[allow(clippy::too_many_arguments)]
+/// The map task of both probe jobs: every `B` tuple of `bids` paired
+/// with its candidates — or with all of `A` when no bundle restricts it —
+/// in `bid` order, then the task's counters flushed.
+fn probe_split(
+    b: &Table,
+    a_len: usize,
+    plan: &ProbePlan<'_>,
+    collector: &StatsCollector,
+    bids: &[TupleId],
+    mut emit: impl FnMut(TupleId, TupleId),
+) {
+    let mut scratch = ProbeScratch::new(a_len, plan);
+    for &bid in bids {
+        if candidates_for(b, bid, a_len, plan, &mut scratch) {
+            scratch.out.iter().for_each(|&aid| emit(aid, bid));
+        } else {
+            (0..a_len as TupleId).for_each(|aid| emit(aid, bid));
+        }
+    }
+    for (local, bu) in scratch.locals.iter().zip(&plan.bundles) {
+        collector.add(bu.ci, local);
+    }
+}
+
+/// Index probing + reducer evaluation (ApplyAll, ApplyGreedy, and
+/// ReduceSplit over an empty plan): probes pair each `B` tuple with its
+/// candidates, shuffled by `aid` to reducers that evaluate the sequence.
 fn run_probe_reduce(
     cluster: &Cluster,
     a: &Table,
     b: &Table,
-    evaluator: Arc<PairEvaluator<'_>>,
+    evaluator: &PairEvaluator<'_>,
     plan: ProbePlan<'_>,
-    collector: &Arc<StatsCollector>,
-    pool: &Arc<ScratchPool>,
+    collector: &StatsCollector,
     op: PhysicalOp,
 ) -> Result<BlockingOutput, BlockingError> {
-    let a_len = a.len();
-    let b_handle = b.clone();
-    let collector = Arc::clone(collector);
-    let pool = Arc::clone(pool);
     let out = run_map_reduce(
         cluster,
         id_splits(cluster, b),
         cluster.reduce_partitions(),
-        move |chunk: &[TupleId], e: &mut Emitter<TupleId, TupleId>| {
-            let mut scratch = pool.checkout(a_len, plan.bundles.len(), plan.slots());
-            for &bid in chunk {
-                if candidates_for(&b_handle, bid, a_len, &plan, &mut scratch) {
-                    for &aid in &scratch.out {
-                        e.emit(aid, bid);
-                    }
-                } else {
-                    for aid in 0..a_len as TupleId {
-                        e.emit(aid, bid);
-                    }
-                }
-            }
-            scratch.flush(&plan.bundles, &collector);
-            pool.restore(scratch);
+        |bids: &[TupleId], e: &mut Emitter<TupleId, TupleId>| {
+            probe_split(b, a.len(), &plan, collector, bids, |aid, bid| {
+                e.emit(aid, bid)
+            });
         },
-        move |aid: &TupleId, bids: Vec<TupleId>, out: &mut Vec<IdPair>| {
+        |aid: &TupleId, bids: Vec<TupleId>, out: &mut Vec<IdPair>| {
             let mut scratch = EvalScratch::default();
             for bid in bids {
                 if evaluator.keeps_scratch(*aid, bid, &mut scratch) {
@@ -905,27 +869,15 @@ fn run_probe_wave(
     a: &Table,
     b: &Table,
     plan: ProbePlan<'_>,
-    collector: &Arc<StatsCollector>,
-    pool: &Arc<ScratchPool>,
+    collector: &StatsCollector,
 ) -> Result<(Vec<IdPair>, JobStats), BlockingError> {
-    let a_len = a.len();
-    let b_handle = b.clone();
-    let collector = Arc::clone(collector);
-    let pool = Arc::clone(pool);
     let out = run_map_only(
         cluster,
         id_splits(cluster, b),
-        move |chunk: &[TupleId], out: &mut Vec<IdPair>| {
-            let mut scratch = pool.checkout(a_len, plan.bundles.len(), plan.slots());
-            for &bid in chunk {
-                if candidates_for(&b_handle, bid, a_len, &plan, &mut scratch) {
-                    out.extend(scratch.out.iter().map(|&aid| (aid, bid)));
-                } else {
-                    out.extend((0..a_len as TupleId).map(|aid| (aid, bid)));
-                }
-            }
-            scratch.flush(&plan.bundles, &collector);
-            pool.restore(scratch);
+        |bids: &[TupleId], out: &mut Vec<IdPair>| {
+            probe_split(b, a.len(), &plan, collector, bids, |aid, bid| {
+                out.push((aid, bid));
+            });
         },
     )?;
     Ok((out.output, out.stats))
@@ -935,13 +887,13 @@ fn run_probe_wave(
 /// returns the surviving pairs, sorted.
 pub(crate) fn run_evaluate(
     cluster: &Cluster,
-    evaluator: Arc<PairEvaluator<'_>>,
+    evaluator: &PairEvaluator<'_>,
     pairs: &[IdPair],
 ) -> Result<(Vec<IdPair>, JobStats), BlockingError> {
     // A map task streams its split through the evaluator with one
     // evaluator scratch.
     let splits = cluster.split_slice(pairs);
-    let out = run_map_only(cluster, splits, move |pair_chunk: &[IdPair], out| {
+    let out = run_map_only(cluster, splits, |pair_chunk: &[IdPair], out| {
         let mut scratch = EvalScratch::default();
         for &(aid, bid) in pair_chunk {
             if evaluator.keeps_scratch(aid, bid, &mut scratch) {
@@ -976,48 +928,15 @@ pub fn execute(
     rule_selectivities: &[f64],
     max_pairs: u128,
 ) -> Result<BlockingOutput, BlockingError> {
-    execute_pooled(
-        op,
-        cluster,
-        a,
-        b,
-        features,
-        seq,
-        conjuncts,
-        built,
-        rule_selectivities,
-        max_pairs,
-        &ScratchPool::new(),
-    )
-}
-
-/// [`execute`] with a caller-owned [`ScratchPool`], so consecutive
-/// executions over the same `A` (the optimizer's speculative stages, the
-/// final `apply_blocking_rules`) recycle probe buffers instead of
-/// reallocating them per stage.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_pooled(
-    op: PhysicalOp,
-    cluster: &Cluster,
-    a: &Table,
-    b: &Table,
-    features: &FeatureSet,
-    seq: &RuleSequence,
-    conjuncts: &ConjunctSpecs,
-    built: &BuiltIndexes<'_>,
-    rule_selectivities: &[f64],
-    max_pairs: u128,
-    pool: &Arc<ScratchPool>,
-) -> Result<BlockingOutput, BlockingError> {
     // The evaluator and the probes read the columns of the sequence's
     // features (`conjuncts` is its filter layout). A cache over the run's
     // store holds them; one filled on demand holds `A`'s index columns
     // only, so they are profiled here, over its dictionary, for this call.
     let needs = seq_requirements(features, seq);
     let store = &*built.store().covering(a, b, &needs);
-    let evaluator = Arc::new(PairEvaluator::over(store, a, b, features, seq));
+    let evaluator = PairEvaluator::over(store, a, b, features, seq);
     let filterable = conjuncts.filterable();
-    let collector = Arc::new(StatsCollector::new(conjuncts.specs.len()));
+    let collector = StatsCollector::new(conjuncts.specs.len());
     let mut modes: Vec<Vec<ProbeMode>> = vec![Vec::new(); conjuncts.specs.len()];
     let mut result = match op {
         PhysicalOp::ApplyAll => {
@@ -1036,7 +955,7 @@ pub fn execute_pooled(
             let reads_tokens = |p: &Pred| p.index.token_source().is_some();
             (bundles.iter_mut()).for_each(|bu| bu.preds.sort_by_key(reads_tokens));
             let plan = ProbePlan::new(bundles, store);
-            run_probe_reduce(cluster, a, b, evaluator, plan, &collector, pool, op)?
+            run_probe_reduce(cluster, a, b, &evaluator, plan, &collector, op)?
         }
         PhysicalOp::ApplyGreedy => {
             let best = filterable
@@ -1046,7 +965,7 @@ pub fn execute_pooled(
                 .ok_or(BlockingError::NoFilterableConjunct)?;
             let plan = ProbePlan::new(bundles_for(conjuncts, built, &[best]), store);
             record_modes(&mut modes, &plan.bundles);
-            run_probe_reduce(cluster, a, b, evaluator, plan, &collector, pool, op)?
+            run_probe_reduce(cluster, a, b, &evaluator, plan, &collector, op)?
         }
         PhysicalOp::ApplyConjunct | PhysicalOp::ApplyPredicate => {
             if filterable.is_empty() {
@@ -1077,7 +996,7 @@ pub fn execute_pooled(
                 let mut union: Vec<IdPair> = Vec::new();
                 for bundle in bundles {
                     let plan = ProbePlan::new(vec![bundle], store);
-                    let (pairs, stats) = run_probe_wave(cluster, a, b, plan, &collector, pool)?;
+                    let (pairs, stats) = run_probe_wave(cluster, a, b, plan, &collector)?;
                     jobs.push(stats);
                     union.extend(pairs);
                 }
@@ -1092,7 +1011,7 @@ pub fn execute_pooled(
                 });
             }
             let pairs = acc.unwrap_or_default();
-            let (candidates, stats) = run_evaluate(cluster, evaluator, &pairs)?;
+            let (candidates, stats) = run_evaluate(cluster, &evaluator, &pairs)?;
             jobs.push(stats);
             BlockingOutput::new(op, candidates, jobs)
         }
@@ -1106,46 +1025,24 @@ pub fn execute_pooled(
             }
             if op == PhysicalOp::MapSide {
                 let a_len = a.len() as TupleId;
-                let out = run_map_only(
-                    cluster,
-                    id_splits(cluster, b),
-                    move |bids: &[TupleId], out| {
-                        let mut scratch = EvalScratch::default();
-                        // `A` outermost: each `A` tuple is printed once
-                        // per task (the output is sorted below).
-                        for aid in 0..a_len {
-                            for &bid in bids {
-                                if evaluator.keeps_scratch(aid, bid, &mut scratch) {
-                                    out.push((aid, bid));
-                                }
+                let out = run_map_only(cluster, id_splits(cluster, b), |bids: &[TupleId], out| {
+                    let mut scratch = EvalScratch::default();
+                    // `A` outermost: each `A` tuple is printed once per
+                    // task (the output is sorted below).
+                    for aid in 0..a_len {
+                        for &bid in bids {
+                            if evaluator.keeps_scratch(aid, bid, &mut scratch) {
+                                out.push((aid, bid));
                             }
                         }
-                    },
-                )?;
+                    }
+                })?;
                 BlockingOutput::new(op, out.output, vec![out.stats])
             } else {
-                let a_len = a.len() as TupleId;
-                let out = run_map_reduce(
-                    cluster,
-                    id_splits(cluster, b),
-                    cluster.reduce_partitions(),
-                    move |bids: &[TupleId], e: &mut Emitter<TupleId, TupleId>| {
-                        for &bid in bids {
-                            for aid in 0..a_len {
-                                e.emit(aid, bid);
-                            }
-                        }
-                    },
-                    move |aid: &TupleId, bids: Vec<TupleId>, out: &mut Vec<IdPair>| {
-                        let mut scratch = EvalScratch::default();
-                        for bid in bids {
-                            if evaluator.keeps_scratch(*aid, bid, &mut scratch) {
-                                out.push((*aid, bid));
-                            }
-                        }
-                    },
-                )?;
-                BlockingOutput::new(op, out.output, vec![out.stats])
+                // No bundle restricts a `B` tuple: the probe job pairs it
+                // with all of `A`.
+                let plan = ProbePlan::new(Vec::new(), store);
+                run_probe_reduce(cluster, a, b, &evaluator, plan, &collector, op)?
             }
         }
     };

@@ -1,6 +1,7 @@
 //! The blocking-rule language: predicates over features, conjunction rules,
-//! rule sequences, the DNF→CNF conversion of Section 7.3 and the predicate
-//! simplification of its Optimization 3.
+//! rule sequences, the predicate complements Section 7.3's DNF→CNF rewrite
+//! is built from ([`crate::indexing::ConjunctSpecs::derive`]) and the
+//! predicate simplification of its Optimization 3.
 //!
 //! Rules come from random-forest paths, so predicates are threshold
 //! comparisons `feature <= v` / `feature > v`. Missing feature values are
@@ -255,33 +256,6 @@ impl RuleSequence {
             .collect::<Vec<_>>()
             .join("\n")
     }
-
-    /// Convert to the positive CNF rule `Q` of Section 7.3: one conjunct
-    /// per rule, each the disjunction of the rule's complemented
-    /// predicates. A pair satisfies `Q` iff it survives the sequence.
-    pub fn to_cnf(&self) -> CnfRule {
-        CnfRule {
-            conjuncts: self
-                .rules
-                .iter()
-                .map(|r| r.predicates.iter().map(Predicate::complement).collect())
-                .collect(),
-        }
-    }
-}
-
-/// The positive "keep" rule in conjunctive normal form.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CnfRule {
-    /// Conjuncts; each is a disjunction of predicates.
-    pub conjuncts: Vec<Vec<Predicate>>,
-}
-
-impl CnfRule {
-    /// True iff every conjunct has a satisfied disjunct.
-    pub fn satisfied(&self, fv: &[f64]) -> bool {
-        self.conjuncts.iter().all(|c| c.iter().any(|p| p.eval(fv)))
-    }
 }
 
 #[cfg(test)]
@@ -344,33 +318,9 @@ mod tests {
     }
 
     #[test]
-    fn cnf_equals_sequence_survival() {
-        let seq = RuleSequence::new(vec![
-            Rule {
-                predicates: vec![le(0, 0.6)],
-            },
-            Rule {
-                predicates: vec![le(1, 0.5), gt(2, 10.0)],
-            },
-        ]);
-        let cnf = seq.to_cnf();
-        // Exhaustive-ish grid including NaN.
-        let vals = [f64::NAN, 0.0, 0.5, 0.55, 0.6, 0.7, 1.0, 5.0, 10.0, 15.0];
-        for &a in &vals {
-            for &b in &vals {
-                for &c in &vals {
-                    let fv = [a, b, c];
-                    assert_eq!(seq.keeps(&fv), cnf.satisfied(&fv), "fv = {fv:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn empty_sequence_keeps_everything() {
         let seq = RuleSequence::default();
         assert!(seq.keeps(&[0.0]));
-        assert!(seq.to_cnf().satisfied(&[0.0]));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Property-based tests for the core rule machinery: DNF→CNF exactness,
+//! Property-based tests for the core rule machinery: exact complements,
 //! simplification soundness, bitmap coverage calculus and timeline
 //! masking arithmetic.
 
@@ -76,16 +76,19 @@ fn fv_strategy(arity: usize) -> impl Strategy<Value = Vec<f64>> {
 const ARITY: usize = 4;
 
 proptest! {
-    /// The positive CNF rule is satisfied exactly when the negative rule
-    /// sequence keeps the pair — including on missing values.
+    /// A predicate's complement holds exactly where the predicate fails —
+    /// including on missing values — so the positive CNF rule of Section
+    /// 7.3 (per rule, the disjunction of its complemented predicates) is
+    /// satisfied exactly when the negative rule sequence keeps the pair.
     #[test]
     fn cnf_is_exact_complement(
         seq in seq_strategy(ARITY),
         fvs in proptest::collection::vec(fv_strategy(ARITY), 1..30),
     ) {
-        let cnf = seq.to_cnf();
         for fv in &fvs {
-            prop_assert_eq!(seq.keeps(fv), cnf.satisfied(fv), "fv = {:?}", fv);
+            for p in seq.rules.iter().flat_map(|r| &r.predicates) {
+                prop_assert_eq!(p.complement().eval(fv), !p.eval(fv), "{:?} fv = {:?}", p, fv);
+            }
         }
     }
 

@@ -60,14 +60,15 @@ pub enum DataflowError {
         /// The attempt budget that was exhausted.
         attempts: u32,
     },
-    /// A reduce partition disappeared before its worker could claim it —
-    /// an engine invariant violation, never expected in practice.
+    /// A task of a phase — a split, or a reduce partition — left no
+    /// outcome: its worker died outside the per-attempt containment. An
+    /// engine invariant violation, never expected in practice.
     PartitionMissing {
         /// Cluster-wide job number (submission order).
         job: u64,
-        /// Which phase lost the partition (always [`Phase::Reduce`]).
+        /// Which phase lost the task.
         phase: Phase,
-        /// Index of the missing partition.
+        /// Index of the task (split or partition) that left no outcome.
         partition: usize,
     },
 }
@@ -132,10 +133,7 @@ impl fmt::Display for DataflowError {
                 phase,
                 partition,
             } => {
-                write!(
-                    f,
-                    "job {job}: {phase} partition {partition} was already taken"
-                )
+                write!(f, "job {job}: {phase} task {partition} left no outcome")
             }
         }
     }

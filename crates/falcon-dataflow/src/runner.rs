@@ -10,18 +10,13 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
-/// One map task's result: split index, per-reduce-partition buckets of
-/// intermediate pairs, the task's simulated slot duration and its fault
-/// accounting.
-type MapTaskResult<K, V> = (usize, Vec<Vec<(K, V)>>, Duration, FaultStats);
-
 /// A reduce partition — the buckets the map tasks filled for it, in split
-/// order — handed off to exactly one worker, which `take`s it.
+/// order — handed off to exactly one reduce task, which `take`s it.
 type PartitionSlot<K, V> = Mutex<Option<Vec<Vec<(K, V)>>>>;
 
-/// One completed task: (task index, output records, simulated slot
-/// duration, per-attempt fault accounting).
-type TaskResult<O> = (usize, Vec<O>, Duration, FaultStats);
+/// Where a worker leaves one task's outcome: output, slot duration and
+/// faults, or the task's error.
+type TaskSlot<T> = Mutex<Option<Result<(T, Duration, FaultStats), DataflowError>>>;
 
 /// FNV-1a with the standard 64-bit offset basis and prime. Unlike
 /// `std::collections::hash_map::DefaultHasher`, whose keys are explicitly
@@ -95,47 +90,72 @@ fn chain_len<K, V>(chain: &[Vec<(K, V)>]) -> usize {
     chain.iter().map(Vec::len).sum()
 }
 
-/// Record a task-level failure, keeping the error with the smallest task
-/// index, and raise the short-circuit flag so workers stop claiming
-/// tasks for a job that is already doomed.
-fn record_task_error(slot: &Mutex<Option<DataflowError>>, failed: &AtomicBool, err: DataflowError) {
-    failed.store(true, Ordering::Relaxed);
-    let mut guard = slot.lock();
-    let replace = match (&*guard, err.task_index()) {
-        (None, _) => true,
-        (Some(prev), Some(task)) => prev.task_index().is_some_and(|pt| task < pt),
-        _ => false,
-    };
-    if replace {
-        *guard = Some(err);
-    }
-}
-
-/// Finished tasks in task order: their outputs concatenated, their slot
-/// durations, their summed faults.
-fn gather<O>(mut results: Vec<TaskResult<O>>) -> (Vec<O>, Vec<Duration>, FaultStats) {
-    results.sort_by_key(|(idx, _, _, _)| *idx);
-    let durations = results.iter().map(|(_, _, d, _)| *d).collect();
-    let mut output = Vec::new();
+/// Run the `n` tasks of one phase of `job` on the cluster's worker
+/// threads, each under [`fault::run_attempts`] at `price(i)`, and return
+/// their outputs, slot durations and summed faults, all in task order.
+///
+/// Workers claim task indices in ascending order. Once a task fails, no
+/// worker claims another, and the error of the smallest failing task is
+/// returned — tasks below it were all claimed, so the choice does not
+/// depend on the schedule. A task that left no outcome (its worker died
+/// outside the per-attempt containment) is
+/// [`DataflowError::PartitionMissing`].
+fn run_phase<T: Send>(
+    cluster: &Cluster,
+    job: u64,
+    phase: Phase,
+    n: usize,
+    retry_panics: bool,
+    price: impl Fn(usize) -> Duration + Sync,
+    body: impl Fn(usize) -> T + Sync,
+) -> Result<(Vec<T>, Vec<Duration>, FaultStats), DataflowError> {
+    let injector = cluster.fault_injector();
+    let slots: Vec<TaskSlot<T>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    // A worker that dies outside a task leaves its task's slot empty,
+    // which is reported below; the scope's own error adds nothing.
+    let _ = crossbeam::thread::scope(|scope| {
+        for _ in 0..cluster.threads().min(n) {
+            scope.spawn(|_| {
+                while !failed.load(Ordering::Relaxed) {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(slot) = slots.get(i) else { break };
+                    let run = || body(i);
+                    let outcome =
+                        fault::run_attempts(injector, job, phase, i, retry_panics, price(i), run);
+                    failed.fetch_or(outcome.is_err(), Ordering::Relaxed);
+                    *slot.lock() = Some(outcome);
+                }
+            });
+        }
+    });
+    let mut outputs = Vec::with_capacity(n);
+    let mut durations = Vec::with_capacity(n);
     let mut faults = FaultStats::default();
-    for (_, mut out, _, stats) in results {
-        output.append(&mut out);
+    for (task, slot) in slots.into_iter().enumerate() {
+        let (out, slot_time, stats) =
+            slot.into_inner().ok_or(DataflowError::PartitionMissing {
+                job,
+                phase,
+                partition: task,
+            })??;
+        outputs.push(out);
+        durations.push(slot_time);
         faults.absorb(&stats);
     }
-    (output, durations, faults)
+    Ok((outputs, durations, faults))
 }
 
-/// A panic escaped the per-task containment (it happened outside task
-/// execution, e.g. while a worker pushed its result) — report it with
-/// the job coordinates we still know.
-fn scope_panic_error(job: u64, phase: Phase) -> DataflowError {
-    DataflowError::WorkerPanicked {
-        job,
-        phase,
-        task: 0,
-        attempts: 0,
-        message: "worker thread died outside task execution".to_string(),
+/// The tasks' outputs, in task order, in one `Vec`. Grown part by part,
+/// each part freed once moved: sized up front, it would be allocated
+/// while every part is still held.
+fn concat<O>(parts: Vec<Vec<O>>) -> Vec<O> {
+    let mut all = Vec::new();
+    for mut part in parts {
+        all.append(&mut part);
     }
+    all
 }
 
 /// Run a full map-shuffle-reduce job.
@@ -210,64 +230,26 @@ where
 {
     let start = wall_now();
     let job = cluster.next_job_id();
-    let injector = cluster.fault_injector();
     let cfg = &cluster.config;
     let reduce_partitions = reduce_partitions.max(1);
     let n_splits = splits.len();
     let input_records: usize = splits.iter().map(|s| s.as_ref().len()).sum();
 
-    // ---- Map phase ----
-    let map_results: Mutex<Vec<MapTaskResult<K, V>>> = Mutex::new(Vec::with_capacity(n_splits));
-    let first_err: Mutex<Option<DataflowError>> = Mutex::new(None);
-    let failed = AtomicBool::new(false);
-    {
-        let next = AtomicUsize::new(0);
-        let splits_ref = &splits;
-        let map_ref = &map_fn;
-        let results_ref = &map_results;
-        let err_ref = &first_err;
-        let failed_ref = &failed;
-        let n_threads = cluster.threads().min(n_splits.max(1));
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..n_threads {
-                scope.spawn(|_| loop {
-                    if failed_ref.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= n_splits {
-                        break;
-                    }
-                    let split = splits_ref[idx].as_ref();
-                    let price = cfg.task_time(split.len() as u64);
-                    // A fresh emitter per attempt: a panicked attempt's
-                    // pairs are dropped with it.
-                    let run = || {
-                        let mut emitter = Emitter::new(reduce_partitions);
-                        map_ref(split, &mut emitter);
-                        emitter.into_buckets()
-                    };
-                    match fault::run_attempts(injector, job, Phase::Map, idx, true, price, run) {
-                        Ok((buckets, slot, stats)) => {
-                            results_ref.lock().push((idx, buckets, slot, stats));
-                        }
-                        Err(e) => record_task_error(err_ref, failed_ref, e),
-                    }
-                });
-            }
-        })
-        .map_err(|_| scope_panic_error(job, Phase::Map))?;
-    }
-    if let Some(e) = first_err.lock().take() {
-        return Err(e);
-    }
-    let mut map_results = map_results.into_inner();
-    map_results.sort_by_key(|(idx, _, _, _)| *idx);
-    let map_durations: Vec<Duration> = map_results.iter().map(|(_, _, d, _)| *d).collect();
-    let mut fault_totals = FaultStats::default();
-    for (_, _, _, stats) in &map_results {
-        fault_totals.absorb(stats);
-    }
+    let (map_outputs, map_durations, mut faults) = run_phase(
+        cluster,
+        job,
+        Phase::Map,
+        n_splits,
+        true,
+        |i| cfg.task_time(splits[i].as_ref().len() as u64),
+        |i| {
+            // A fresh emitter per attempt: a panicked attempt's pairs are
+            // dropped with it.
+            let mut emitter = Emitter::new(reduce_partitions);
+            map_fn(splits[i].as_ref(), &mut emitter);
+            emitter.into_buckets()
+        },
+    )?;
 
     // ---- Shuffle ----
     // Bucket `[task][p]` moves into partition `p`'s chain, tasks in split
@@ -276,88 +258,48 @@ where
     let mut partitions: Vec<Vec<Vec<(K, V)>>> = (0..reduce_partitions)
         .map(|_| Vec::with_capacity(n_splits))
         .collect();
-    for (_, buckets, _, _) in map_results {
+    for buckets in map_outputs {
         for (chain, bucket) in partitions.iter_mut().zip(buckets) {
             chain.push(bucket);
         }
     }
-    let shuffled_records: usize = partitions.iter().map(|chain| chain_len(chain)).sum();
+    let partition_lens: Vec<usize> = partitions.iter().map(|chain| chain_len(chain)).collect();
+    let shuffled_records: usize = partition_lens.iter().sum();
 
     // ---- Reduce phase ----
-    // Each worker takes ownership of a whole partition via Mutex<Option<_>>.
-    let reduce_inputs: Vec<PartitionSlot<K, V>> = partitions
+    // Each reduce task takes ownership of its whole partition. The body
+    // consumes it, so a panicked attempt cannot be re-executed
+    // (`retry_panics: false`); injected failures never run the body and
+    // are charged to sim time only, so they retry fine.
+    let inputs: Vec<PartitionSlot<K, V>> = partitions
         .into_iter()
         .map(|p| Mutex::new(Some(p)))
         .collect();
-    let reduce_results: Mutex<Vec<TaskResult<O>>> =
-        Mutex::new(Vec::with_capacity(reduce_partitions));
-    {
-        let next = AtomicUsize::new(0);
-        let reduce_ref = &reduce_fn;
-        let inputs_ref = &reduce_inputs;
-        let results_ref = &reduce_results;
-        let err_ref = &first_err;
-        let failed_ref = &failed;
-        let n_threads = cluster.threads().min(reduce_partitions);
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..n_threads {
-                scope.spawn(|_| loop {
-                    if failed_ref.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let pid = next.fetch_add(1, Ordering::Relaxed);
-                    if pid >= inputs_ref.len() {
-                        break;
-                    }
-                    // `fetch_add` hands each pid to exactly one worker; a
-                    // vacant slot is reported after the scope joins.
-                    let Some(chain) = inputs_ref[pid].lock().take() else {
-                        continue;
-                    };
-                    // The reduce body consumes its partition, so a panicked
-                    // attempt cannot be re-executed (`retry_panics: false`);
-                    // injected failures never run the body and are charged
-                    // to sim time only, so they retry fine.
-                    let price = cfg.task_time(chain_len(&chain) as u64);
-                    let mut chain = Some(chain);
-                    let run = || {
-                        let mut out = Vec::new();
-                        // `flatten` drops each bucket as its last pair is
-                        // grouped, so the partition is never held twice.
-                        let pairs = chain.take().unwrap_or_default().into_iter().flatten();
-                        for (k, vs) in group_in_arrival_order(pairs) {
-                            reduce_ref(&k, vs, &mut out);
-                        }
-                        out
-                    };
-                    match fault::run_attempts(injector, job, Phase::Reduce, pid, false, price, run)
-                    {
-                        Ok((out, slot, stats)) => {
-                            results_ref.lock().push((pid, out, slot, stats));
-                        }
-                        Err(e) => record_task_error(err_ref, failed_ref, e),
-                    }
-                });
+    let (reduce_outputs, reduce_durations, reduce_faults) = run_phase(
+        cluster,
+        job,
+        Phase::Reduce,
+        reduce_partitions,
+        false,
+        |p| cfg.task_time(partition_lens[p] as u64),
+        |p| {
+            let mut out = Vec::new();
+            // `flatten` drops each bucket as its last pair is grouped, so
+            // the partition is never held twice.
+            let pairs = inputs[p]
+                .lock()
+                .take()
+                .unwrap_or_default()
+                .into_iter()
+                .flatten();
+            for (k, vs) in group_in_arrival_order(pairs) {
+                reduce_fn(&k, vs, &mut out);
             }
-        })
-        .map_err(|_| scope_panic_error(job, Phase::Reduce))?;
-    }
-    if let Some(e) = first_err.lock().take() {
-        return Err(e);
-    }
-    let reduce_results = reduce_results.into_inner();
-    if reduce_results.len() != reduce_partitions {
-        let partition = (0..reduce_partitions)
-            .find(|p| !reduce_results.iter().any(|(pid, _, _, _)| pid == p))
-            .unwrap_or(0);
-        return Err(DataflowError::PartitionMissing {
-            job,
-            phase: Phase::Reduce,
-            partition,
-        });
-    }
-    let (output, reduce_durations, reduce_faults) = gather(reduce_results);
-    fault_totals.absorb(&reduce_faults);
+            out
+        },
+    )?;
+    faults.absorb(&reduce_faults);
+    let output = concat(reduce_outputs);
 
     let stats = JobStats {
         map_tasks: n_splits,
@@ -368,7 +310,7 @@ where
         map_durations,
         reduce_durations,
         wall: start.elapsed(),
-        faults: fault_totals,
+        faults,
     };
     Ok(JobOutput { output, stats })
 }
@@ -389,54 +331,22 @@ where
 {
     let start = wall_now();
     let job = cluster.next_job_id();
-    let injector = cluster.fault_injector();
-    let cfg = &cluster.config;
     let n_splits = splits.len();
     let input_records: usize = splits.iter().map(|s| s.as_ref().len()).sum();
-    let results: Mutex<Vec<TaskResult<O>>> = Mutex::new(Vec::with_capacity(n_splits));
-    let first_err: Mutex<Option<DataflowError>> = Mutex::new(None);
-    let failed = AtomicBool::new(false);
-    {
-        let next = AtomicUsize::new(0);
-        let splits_ref = &splits;
-        let map_ref = &map_fn;
-        let results_ref = &results;
-        let err_ref = &first_err;
-        let failed_ref = &failed;
-        let n_threads = cluster.threads().min(n_splits.max(1));
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..n_threads {
-                scope.spawn(|_| loop {
-                    if failed_ref.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= n_splits {
-                        break;
-                    }
-                    let split = splits_ref[idx].as_ref();
-                    let price = cfg.task_time(split.len() as u64);
-                    let run = || {
-                        let mut out = Vec::new();
-                        map_ref(split, &mut out);
-                        out
-                    };
-                    match fault::run_attempts(injector, job, Phase::MapOnly, idx, true, price, run)
-                    {
-                        Ok((out, slot, stats)) => {
-                            results_ref.lock().push((idx, out, slot, stats));
-                        }
-                        Err(e) => record_task_error(err_ref, failed_ref, e),
-                    }
-                });
-            }
-        })
-        .map_err(|_| scope_panic_error(job, Phase::MapOnly))?;
-    }
-    if let Some(e) = first_err.lock().take() {
-        return Err(e);
-    }
-    let (output, map_durations, fault_totals) = gather(results.into_inner());
+    let (outputs, map_durations, faults) = run_phase(
+        cluster,
+        job,
+        Phase::MapOnly,
+        n_splits,
+        true,
+        |i| cluster.config.task_time(splits[i].as_ref().len() as u64),
+        |i| {
+            let mut out = Vec::new();
+            map_fn(splits[i].as_ref(), &mut out);
+            out
+        },
+    )?;
+    let output = concat(outputs);
     let stats = JobStats {
         map_tasks: n_splits,
         reduce_tasks: 0,
@@ -446,7 +356,7 @@ where
         map_durations,
         reduce_durations: Vec::new(),
         wall: start.elapsed(),
-        faults: fault_totals,
+        faults,
     };
     Ok(JobOutput { output, stats })
 }
@@ -602,6 +512,61 @@ mod tests {
                 assert_eq!(attempts, 1);
             }
             other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_failed_job_names_its_smallest_failing_task() {
+        // Two tasks panic in each phase; whichever fails first, the job
+        // reports the smaller one, at any thread count.
+        let splits: Vec<Vec<u32>> = (0..6).map(|s| vec![s]).collect();
+        let poisoned = |xs: &[u32]| assert!(xs != [2] && xs != [4], "poisoned split");
+        let failing_partition = |k: &u32| [1, 3].contains(&partition_of(k, 5));
+        for p in [1, 3] {
+            assert!(
+                (0..64u32).any(|k| partition_of(&k, 5) == p),
+                "partition {p} gets keys"
+            );
+        }
+        for threads in [1, 2, 8] {
+            let cluster = Cluster::new(ClusterConfig::small(2)).with_threads(threads);
+            let map = run_map_reduce(
+                &cluster,
+                splits.clone(),
+                5,
+                |xs: &[u32], e: &mut Emitter<u32, u32>| {
+                    poisoned(xs);
+                    xs.iter().for_each(|x| e.emit(*x, *x));
+                },
+                |_: &u32, _: Vec<u32>, _: &mut Vec<u32>| {},
+            );
+            let reduce = run_map_reduce(
+                &cluster,
+                vec![(0..64).collect::<Vec<u32>>()],
+                5,
+                |xs: &[u32], e: &mut Emitter<u32, u32>| xs.iter().for_each(|x| e.emit(*x, *x)),
+                |k: &u32, _: Vec<u32>, _: &mut Vec<u32>| assert!(!failing_partition(k)),
+            );
+            let map_only =
+                run_map_only(&cluster, splits.clone(), |xs: &[u32], _: &mut Vec<u32>| {
+                    poisoned(xs)
+                });
+            for (got, phase, task) in [
+                (map, Phase::Map, 2),
+                (reduce, Phase::Reduce, 1),
+                (map_only, Phase::MapOnly, 2),
+            ] {
+                let err = got.expect_err("two tasks panic");
+                assert!(
+                    matches!(err, DataflowError::WorkerPanicked { .. }),
+                    "{err:?}"
+                );
+                assert_eq!(
+                    (err.phase(), err.task_index()),
+                    (phase, Some(task)),
+                    "{threads} threads"
+                );
+            }
         }
     }
 

@@ -14,7 +14,7 @@
 //! * the length-filter verdict `lo ≤ |x| ≤ hi`.
 //!
 //! So instead of redoing that float arithmetic (a division, a `ceil`, a
-//! `sqrt` for cosine) per posting, a probe fills one [`Verdict`] per
+//! `sqrt` for cosine) per posting, a probe fills one `Verdict` per
 //! distinct `|x|` it meets — by calling exactly the per-posting functions,
 //! once — and every further posting of that size costs a table load and
 //! integer compares. The decisions, and therefore the `ProbeStats` bucket
@@ -72,7 +72,7 @@ pub(crate) fn verdict(
     }
 }
 
-/// Reusable memo of [`Verdict`]s indexed by candidate set size, filled on
+/// Reusable memo of `Verdict`s indexed by candidate set size, filled on
 /// first touch so a probe pays for the sizes it meets, not for the
 /// longest tuple in the index.
 #[derive(Debug, Default)]

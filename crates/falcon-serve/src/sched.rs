@@ -12,7 +12,7 @@
 //! in index order, until it parks on a machine-kind boundary (crowd
 //! events are folded into its clocks on the way) or its driver returns;
 //! then answers every parked stage — cancellations first, then placements
-//! on the shared [`PoolSim`] in policy order; then commits the round's
+//! on the shared `PoolSim` in policy order; then commits the round's
 //! `Decision`s and grants. Because a round's content never depends on
 //! *when* threads ran — only on the order events sit in per-tenant FIFO
 //! channels, which is each driver's program order — every virtual-time
@@ -53,12 +53,12 @@
 //! * **Quarantine**: a tenant whose driver errors or panics (including
 //!   dataflow attempt-budget overruns) is isolated; its outcome records
 //!   the failure and no other tenant's bytes change.
-//! * **Elastic pool**: seeded [`PoolEvent`]s shrink or grow [`PoolSim`]
+//! * **Elastic pool**: seeded [`PoolEvent`]s shrink or grow `PoolSim`
 //!   capacity mid-run; parked stages re-place on whatever capacity
 //!   remains, and a [`DegradedPolicy`] sheds speculative (masked) work
 //!   first when capacity drops below a threshold.
 //! * **Crash-resume**: with [`ServeConfig::journal`] set, every round is
-//!   committed to a [`ServeJournal`](crate::journal::ServeJournal);
+//!   committed to a [`ServeJournal`];
 //!   [`resume`] re-executes the schedule, verifies each regenerated
 //!   round against the record (tenants replay their own crowd journals,
 //!   so no crowd question is re-asked), and continues live where the

@@ -3,7 +3,7 @@
 //! and a small CSV reader/writer.
 //!
 //! Tables are in-memory struct-of-arrays column stores (string arenas,
-//! dense numeric vectors, validity bitmaps; see [`column`]). Falcon's
+//! dense numeric vectors, validity bitmaps; see [`mod@column`]). Falcon's
 //! input tables in the paper are HDFS files; here a [`Table`] plays that
 //! role and the dataflow engine splits it into partitions for mappers.
 

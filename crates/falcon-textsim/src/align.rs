@@ -13,7 +13,7 @@
 //! the same maxima an `f64` DP would, and `half_units as f64 * 0.5` is that
 //! DP's result exactly.
 //!
-//! **Lanes.** [`sweep`] is the one kernel, generic over the lane count and
+//! **Lanes.** `sweep` is the one kernel, generic over the lane count and
 //! the score width. Each lane holds one pair — SWIPE's inter-sequence
 //! layout (Rognes, BMC Bioinformatics 2011) in plain arrays: a cell is an
 //! array of one score per lane, and every lane takes the same adds and
@@ -23,7 +23,7 @@
 //!
 //! **Padding is exact.** A lane's symbols are widened to `u16`, and lanes
 //! shorter than the longest `a` or `b` of their sweep are padded with
-//! [`PAD_A`] on the `a` side and [`PAD_B`] on the `b` side: values no byte
+//! `PAD_A` on the `a` side and `PAD_B` on the `b` side: values no byte
 //! takes, so a pad matches no symbol and not the other pad. A lane's cells inside its own `(|a|+1) ×
 //! (|b|+1)` corner read only that corner, so they are the unpadded DP's.
 //! A padded cell scores a mismatch or a gap (both −2) against each
@@ -203,7 +203,7 @@ fn normalized<S: Half>(half_units: S, (n, m): (usize, usize)) -> f64 {
 /// `b`, each normalized to `[0, 1]`: Needleman-Wunsch global alignment,
 /// Smith-Waterman local alignment, and Smith-Waterman-Gotoh local
 /// alignment with affine gaps (open -1, extend -0.5). One pair in one
-/// `i32` lane of [`sweep`].
+/// `i32` lane of `sweep`.
 pub fn align_slices<T: PartialEq>(a: &[T], b: &[T], rows: &mut AlignRows) -> [f64; 3] {
     match (a.is_empty(), b.is_empty()) {
         (true, true) => return [1.0; 3],
