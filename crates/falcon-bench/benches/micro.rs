@@ -173,12 +173,7 @@ fn bench_forest(c: &mut Criterion) {
             let mut trng = SmallRng::seed_from_u64(4);
             for batch in &rounds {
                 set.extend(batch.iter().cloned());
-                black_box(Forest::train_ranked(
-                    &set,
-                    &ForestConfig::default(),
-                    &mut trng,
-                    default_threads(),
-                ));
+                black_box(Forest::train_ranked(&set, &mut trng, default_threads()));
             }
         })
     });

@@ -43,10 +43,11 @@ MATCH / PLAN CHECK OPTIONS:
 
 DEMO OPTIONS:
     --scale <f>          dataset scale multiplier (default laptop-sized)
-    --error <p>          simulated crowd error rate (default 0.05)
+    --error <p>          simulated crowd error rate in [0, 1] (default 0.05)
     --seed <n>           RNG seed (default 1)
     --fault-rate <p>     inject task failures at rate p (deterministic, seeded)
-    --straggler-rate <p> make a fraction p of tasks stragglers (speculation on)
+    --straggler-rate <p> make a fraction p of tasks stragglers (a speculative
+                         backup finishes each at twice the task's price)
     --resume <journal>   checkpoint / resume, as in `falcon match`
 
 SERVE OPTIONS:
@@ -112,6 +113,48 @@ fn flag_value<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
         .position(|a| a == key)
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
+}
+
+/// The value of `flag` parsed as a `T`, or `default` when `args` lacks
+/// the flag; `"{flag} expects {what}"` when the value does not parse.
+fn flag_num<T: std::str::FromStr>(
+    args: &[String],
+    flag: &str,
+    what: &str,
+    default: T,
+) -> Result<T, String> {
+    match flag_value(args, flag) {
+        Some(v) => v.parse().map_err(|_| format!("{flag} expects {what}")),
+        None => Ok(default),
+    }
+}
+
+/// A probability — a crowd error rate, a fault or straggler rate — or
+/// what the value must be.
+fn checked_rate(rate: f64) -> Result<f64, String> {
+    if (0.0..=1.0).contains(&rate) {
+        Ok(rate)
+    } else {
+        Err("a number in [0, 1]".into())
+    }
+}
+
+/// A `scale` multiplier of a dataset's `default_scale` as the fraction of
+/// the paper's full size datagen is asked for, or what the multiplier must
+/// be. Past the full size datagen would be asked for more tuples than
+/// memory holds.
+fn checked_scale(scale: f64, default_scale: f64) -> Result<f64, String> {
+    let full = scale * default_scale;
+    if !(full.is_finite() && full > 0.0) {
+        return Err("a finite positive number".into());
+    }
+    if full > 1.0 {
+        return Err(format!(
+            "at most {} (the paper's full size)",
+            1.0 / default_scale
+        ));
+    }
+    Ok(full)
 }
 
 fn has_flag(args: &[String], key: &str) -> bool {
@@ -215,18 +258,9 @@ pub fn cmd_match(args: &[String]) -> Result<(), String> {
         b.len()
     );
 
-    let sample: usize = flag_value(args, "--sample")
-        .map(|v| v.parse().map_err(|_| "--sample expects a number"))
-        .transpose()?
-        .unwrap_or(10_000);
-    let budget: u128 = flag_value(args, "--budget")
-        .map(|v| v.parse().map_err(|_| "--budget expects a number"))
-        .transpose()?
-        .unwrap_or(50_000_000);
-    let workflow: usize = flag_value(args, "--workflow")
-        .map(|v| v.parse().map_err(|_| "--workflow expects a number"))
-        .transpose()?
-        .unwrap_or(1);
+    let sample = flag_num(args, "--sample", "a number", 10_000)?;
+    let budget = flag_num(args, "--budget", "a number", 50_000_000)?;
+    let workflow = flag_num(args, "--workflow", "a number", 1)?;
 
     if !has_flag(args, "--interactive") {
         return Err(
@@ -299,19 +333,11 @@ pub fn cmd_plan(args: &[String]) -> Result<(), String> {
     let b = load(b_path)?;
 
     let mut config = FalconConfig {
-        sample_size: flag_value(args, "--sample")
-            .map(|v| v.parse().map_err(|_| "--sample expects a number"))
-            .transpose()?
-            .unwrap_or(10_000),
-        max_pairs: flag_value(args, "--budget")
-            .map(|v| v.parse().map_err(|_| "--budget expects a number"))
-            .transpose()?
-            .unwrap_or(50_000_000),
+        sample_size: flag_num(args, "--sample", "a number", 10_000)?,
+        max_pairs: flag_num(args, "--budget", "a number", 50_000_000)?,
         ..FalconConfig::default()
     };
-    if let Some(nodes) = flag_value(args, "--nodes") {
-        config.cluster.nodes = nodes.parse().map_err(|_| "--nodes expects a number")?;
-    }
+    config.cluster.nodes = flag_num(args, "--nodes", "a number", config.cluster.nodes)?;
     let explain = has_flag(args, "--explain");
 
     let blocking = generate_features(&a, &b).blocking;
@@ -438,41 +464,61 @@ pub fn cmd_profile(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `falcon demo [dataset]`: simulated end-to-end run with quality report.
-pub fn cmd_demo(args: &[String]) -> Result<(), String> {
+/// `falcon demo`'s arguments with every value checked and nothing
+/// generated yet.
+#[derive(Debug)]
+struct DemoArgs {
+    dataset: String,
+    /// Fraction of the paper's full size: `--scale` times the dataset's
+    /// default scale.
+    scale: f64,
+    error: f64,
+    seed: u64,
+    fault_rate: f64,
+    straggler_rate: f64,
+}
+
+/// Parse and validate `falcon demo`'s arguments: an error naming the flag
+/// for any value datagen, the crowd or the fault plan could not honour,
+/// before any of them runs.
+fn parse_demo_args(args: &[String]) -> Result<DemoArgs, String> {
     let values = "--scale --error --seed --fault-rate --straggler-rate --resume";
     check_flags(args, values, "")?;
-    let name = args
+    let dataset = args
         .first()
         .filter(|a| !a.starts_with("--"))
         .map_or("products", String::as_str);
-    let default_scale =
-        falcon::datagen::default_scale(name).ok_or_else(|| format!("unknown dataset {name:?}"))?;
-    let scale: f64 = flag_value(args, "--scale")
-        .map(|v| v.parse().map_err(|_| "--scale expects a number"))
-        .transpose()?
-        .unwrap_or(1.0)
-        * default_scale;
-    let error: f64 = flag_value(args, "--error")
-        .map(|v| v.parse().map_err(|_| "--error expects a number"))
-        .transpose()?
-        .unwrap_or(0.05);
-    let seed: u64 = flag_value(args, "--seed")
-        .map(|v| v.parse().map_err(|_| "--seed expects a number"))
-        .transpose()?
-        .unwrap_or(1);
-    let fault_rate: f64 = flag_value(args, "--fault-rate")
-        .map(|v| v.parse().map_err(|_| "--fault-rate expects a number"))
-        .transpose()?
-        .unwrap_or(0.0);
-    let straggler_rate: f64 = flag_value(args, "--straggler-rate")
-        .map(|v| v.parse().map_err(|_| "--straggler-rate expects a number"))
-        .transpose()?
-        .unwrap_or(0.0);
+    let default_scale = falcon::datagen::default_scale(dataset)
+        .ok_or_else(|| format!("unknown dataset {dataset:?}"))?;
+    let scale = flag_num(args, "--scale", "a number", 1.0)?;
+    let rate = |flag: &str, default: f64| {
+        let rate = flag_num(args, flag, "a number", default)?;
+        checked_rate(rate).map_err(|what| format!("{flag} expects {what}"))
+    };
+    Ok(DemoArgs {
+        scale: checked_scale(scale, default_scale)
+            .map_err(|what| format!("--scale expects {what}"))?,
+        error: rate("--error", 0.05)?,
+        seed: flag_num(args, "--seed", "a number", 1)?,
+        fault_rate: rate("--fault-rate", 0.0)?,
+        straggler_rate: rate("--straggler-rate", 0.0)?,
+        dataset: dataset.to_string(),
+    })
+}
 
-    let d = falcon::datagen::generate(name, scale, seed);
+/// `falcon demo [dataset]`: simulated end-to-end run with quality report.
+pub fn cmd_demo(args: &[String]) -> Result<(), String> {
+    let DemoArgs {
+        dataset,
+        scale,
+        error,
+        seed,
+        fault_rate,
+        straggler_rate,
+    } = parse_demo_args(args)?;
+    let d = falcon::datagen::generate(&dataset, scale, seed);
     println!(
-        "demo {name}: {} x {} tuples, {} true matches, crowd error {:.0}%",
+        "demo {dataset}: {} x {} tuples, {} true matches, crowd error {:.0}%",
         d.a.len(),
         d.b.len(),
         d.truth.len(),
@@ -564,14 +610,12 @@ fn parse_manifest_fields(line: &str, idx: usize) -> Result<ManifestLine, String>
         match key {
             "dataset" => dataset = Some(value.to_string()),
             "name" => name = Some(value.to_string()),
-            "scale" => {
-                scale = value.parse().map_err(|_| bad("a number"))?;
-                if !(scale.is_finite() && scale > 0.0) {
-                    return Err(bad("a finite positive number"));
-                }
-            }
+            "scale" => scale = value.parse().map_err(|_| bad("a number"))?,
             "seed" => seed = value.parse().map_err(|_| bad("an integer"))?,
-            "error" => error = value.parse().map_err(|_| bad("a number"))?,
+            "error" => {
+                let rate = value.parse().map_err(|_| bad("a number"))?;
+                error = checked_rate(rate).map_err(|what| bad(&what))?;
+            }
             "latency" => latency = Some(secs()?),
             "priority" => priority = value.parse().map_err(|_| bad("an integer"))?,
             "arrival" => arrival = secs()?,
@@ -584,19 +628,12 @@ fn parse_manifest_fields(line: &str, idx: usize) -> Result<ManifestLine, String>
     let dataset = dataset.ok_or_else(|| format!("line {}: missing dataset=", idx + 1))?;
     let default_scale = falcon::datagen::default_scale(&dataset)
         .ok_or_else(|| format!("line {}: unknown dataset {dataset:?}", idx + 1))?;
-    // `scale=` multiplies the default; past the paper's full size datagen
-    // would be asked for more tuples than memory holds.
-    if scale * default_scale > 1.0 {
-        return Err(format!(
-            "line {}: scale= expects at most {} (the paper's full size)",
-            idx + 1,
-            1.0 / default_scale
-        ));
-    }
+    let scale = checked_scale(scale, default_scale)
+        .map_err(|what| format!("line {}: scale= expects {what}", idx + 1))?;
     Ok(ManifestLine {
         name: name.unwrap_or_else(|| format!("{dataset}-{}", idx + 1)),
         dataset,
-        scale: scale * default_scale,
+        scale,
         seed,
         error,
         latency,
@@ -675,14 +712,8 @@ pub fn cmd_serve(args: &[String]) -> Result<std::process::ExitCode, String> {
                 .ok_or_else(|| format!("unknown admission policy {p:?}"))?,
             None => falcon::serve::AdmissionPolicy::Reject,
         },
-        max_active: flag_value(args, "--max-active")
-            .map(|v| v.parse().map_err(|_| "--max-active expects an integer"))
-            .transpose()?
-            .unwrap_or(0),
-        max_queue: flag_value(args, "--max-queue")
-            .map(|v| v.parse().map_err(|_| "--max-queue expects an integer"))
-            .transpose()?
-            .unwrap_or(0),
+        max_active: flag_num(args, "--max-active", "an integer", 0)?,
+        max_queue: flag_num(args, "--max-queue", "an integer", 0)?,
         queue_deadline: flag_value(args, "--queue-deadline")
             .map(|v| parse_secs(v).ok_or("--queue-deadline expects seconds (at most 1e9)"))
             .transpose()?,
@@ -695,18 +726,9 @@ pub fn cmd_serve(args: &[String]) -> Result<std::process::ExitCode, String> {
         .or(flag_value(args, "--journal"))
         .map(std::path::PathBuf::from);
     let cfg = ServeConfig {
-        pool_nodes: flag_value(args, "--nodes")
-            .map(|v| v.parse().map_err(|_| "--nodes expects an integer"))
-            .transpose()?
-            .unwrap_or(10),
-        threads: flag_value(args, "--threads")
-            .map(|v| v.parse().map_err(|_| "--threads expects an integer"))
-            .transpose()?
-            .unwrap_or(4),
-        seed: flag_value(args, "--seed")
-            .map(|v| v.parse().map_err(|_| "--seed expects an integer"))
-            .transpose()?
-            .unwrap_or(0),
+        pool_nodes: flag_num(args, "--nodes", "an integer", 10)?,
+        threads: flag_num(args, "--threads", "an integer", 4)?,
+        seed: flag_num(args, "--seed", "an integer", 0)?,
         policy,
         admission,
         journal,
@@ -937,6 +959,45 @@ mod tests {
         assert!(rejection("scale=20.5 dataset=products").contains("at most 20"));
     }
 
+    #[test]
+    fn manifest_rejects_a_crowd_error_rate_outside_the_unit_interval() {
+        for v in ["-1", "2", "NaN", "inf", "-inf", "1e300"] {
+            let err = rejection(&format!("dataset=products scale=0.01 error={v}"));
+            assert_eq!(err, "line 3: error= expects a number in [0, 1]", "{v}");
+        }
+        for v in ["0", "0.5", "1"] {
+            let line = format!("dataset=products error={v}");
+            assert!(parse_manifest_fields(&line, 0).is_ok(), "{v}");
+        }
+    }
+
+    #[test]
+    fn demo_rejects_values_datagen_or_the_crowd_cannot_honour() {
+        let err = |args: &[&str]| parse_demo_args(&s(args)).unwrap_err();
+        for v in ["-1", "0", "NaN", "inf", "-inf", "1e300"] {
+            assert!(
+                err(&["products", "--scale", v]).starts_with("--scale expects"),
+                "{v}"
+            );
+        }
+        assert!(err(&["products", "--scale", "20.5"]).contains("at most 20"));
+        for flag in ["--error", "--fault-rate", "--straggler-rate"] {
+            for v in ["2", "-1", "NaN", "inf", "-inf", "1e300"] {
+                assert_eq!(
+                    err(&["products", flag, v]),
+                    format!("{flag} expects a number in [0, 1]"),
+                    "{v}"
+                );
+            }
+        }
+        let demo = parse_demo_args(&s(&["songs", "--error", "1", "--seed", "7"])).unwrap();
+        assert_eq!(
+            (demo.dataset.as_str(), demo.error, demo.seed),
+            ("songs", 1.0, 7)
+        );
+        assert_eq!(demo.scale, falcon::datagen::default_scale("songs").unwrap());
+    }
+
     fn manifest_token() -> impl Strategy<Value = String> {
         const KEYS: [&str; 11] = [
             "dataset", "name", "scale", "seed", "error", "latency", "priority", "arrival",
@@ -1083,6 +1144,51 @@ mod tests {
             let _ = Policy::parse(&name);
             if let Some(p) = falcon::serve::AdmissionPolicy::parse(&name) {
                 prop_assert_eq!(falcon::serve::AdmissionPolicy::parse(p.name()), Some(p));
+            }
+        }
+    }
+
+    /// Values no `falcon demo` flag can hold, and a few it can.
+    fn demo_value() -> impl Strategy<Value = String> {
+        const VALUES: [&str; 12] = [
+            "NaN", "inf", "-inf", "-1", "1e300", "-0", "0", "0.5", "1", "2", "20", "",
+        ];
+        prop_oneof![
+            (0..VALUES.len()).prop_map(|i| VALUES[i].to_string()),
+            any::<f64>().prop_map(|x| x.to_string()),
+            any::<i64>().prop_map(|x| x.to_string()),
+            "[ -~]{0,10}",
+        ]
+    }
+
+    proptest! {
+        /// No value of a `falcon demo` flag makes its parser panic: each
+        /// argument list gives an error naming a flag or the dataset, or a
+        /// config datagen, the crowd and the fault plan accept. Nothing is
+        /// generated.
+        #[test]
+        fn hostile_demo_flags_never_panic(
+            dataset in prop_oneof![Just("products"), Just("songs"), Just("drugs"), Just("nope")],
+            values in proptest::collection::vec((0usize..5, demo_value()), 0..6),
+        ) {
+            const FLAGS: [&str; 5] =
+                ["--scale", "--error", "--seed", "--fault-rate", "--straggler-rate"];
+            let mut args = s(&[dataset]);
+            for (flag, value) in &values {
+                args.push(FLAGS[*flag].to_string());
+                args.push(value.clone());
+            }
+            match parse_demo_args(&args) {
+                Ok(d) => {
+                    prop_assert!(d.scale.is_finite() && d.scale > 0.0 && d.scale <= 1.0);
+                    for rate in [d.error, d.fault_rate, d.straggler_rate] {
+                        prop_assert!((0.0..=1.0).contains(&rate), "{}", rate);
+                    }
+                }
+                Err(e) => prop_assert!(
+                    e.starts_with("--") || e.starts_with("unknown "),
+                    "{}", e
+                ),
             }
         }
     }

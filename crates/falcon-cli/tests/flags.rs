@@ -86,3 +86,32 @@ fn every_subcommand_checks_its_flags() {
         );
     }
 }
+
+/// A crowd error rate outside [0, 1] — on the command line or on a
+/// manifest line — is a typed error before any dataset is generated, not
+/// a panic in the simulated crowd.
+#[test]
+fn a_crowd_error_rate_outside_the_unit_interval_is_an_error() {
+    for v in ["2", "NaN", "-1"] {
+        let (code, stderr) = falcon(&["demo", "products", "--error", v]);
+        assert_eq!(code, Some(1), "--error {v}: {stderr}");
+        assert_eq!(stderr, "error: --error expects a number in [0, 1]\n");
+    }
+    let fx = Fixture::new("error");
+    let manifest = fx.manifest();
+    std::fs::write(&manifest, "dataset=products scale=0.01 error=-1\n").unwrap();
+    let (code, stderr) = falcon(&["serve", &manifest]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert_eq!(stderr, "error: line 1: error= expects a number in [0, 1]\n");
+}
+
+/// `demo --scale` takes the manifest's `scale=` check: a value datagen
+/// cannot honour is an error, not a silent run at datagen's floor size.
+#[test]
+fn a_demo_scale_datagen_cannot_honour_is_an_error() {
+    for v in ["-1", "0", "NaN"] {
+        let (code, stderr) = falcon(&["demo", "products", "--scale", v]);
+        assert_eq!(code, Some(1), "--scale {v}: {stderr}");
+        assert_eq!(stderr, "error: --scale expects a finite positive number\n");
+    }
+}

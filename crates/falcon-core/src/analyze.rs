@@ -9,7 +9,6 @@
 
 use crate::driver::{FalconConfig, ForcedFilter};
 use crate::features::{generate_features, FeatureLibrary, FeatureSet};
-use crate::indexing::PreFilterConfig;
 use crate::physical::{estimate_table_bytes, PhysicalOp};
 use crate::plan::{choose_plan, estimate_fv_bytes, PlanKind};
 use crate::rules::{Predicate, RuleSequence};
@@ -550,7 +549,6 @@ pub fn verify_rule_sequence(seq: &RuleSequence, features: &FeatureSet) -> Vec<Di
 
     // Recall-safety obligations on every filter the sequence derives —
     // the static twin of falcon-index/tests/lossless.rs.
-    let prefilter = PreFilterConfig::default();
     for (i, rule) in seq.rules.iter().enumerate() {
         for (j, p) in rule.predicates.iter().enumerate() {
             let q = p.complement();
@@ -561,10 +559,7 @@ pub fn verify_rule_sequence(seq: &RuleSequence, features: &FeatureSet) -> Vec<Di
             let Some(spec) = FilterSpec::from_predicate(f.sim, &f.a_attr, gt, q.threshold) else {
                 continue; // unfilterable predicate: nothing is pruned
             };
-            let spec = match prefilter.enabled {
-                true => spec.with_signature(prefilter.words),
-                false => spec,
-            };
+            let spec = spec.with_signature();
             if let Err(obligation) = spec.verify() {
                 out.push(Diagnostic::UnsafeFilter {
                     at: Some((i, j)),
@@ -649,7 +644,6 @@ fn check_configs(cfg: &FalconConfig, out: &mut Vec<Diagnostic>) {
         "max_iterations",
         positive(),
     );
-    check(al.batch > 0, "al_matcher", "batch", positive());
     let eps = al.convergence_eps;
     let why = format!("must be finite and >= 0, got {eps}");
     check(
@@ -922,7 +916,6 @@ mod tests {
             ..FalconConfig::default()
         };
         cfg.al.max_iterations = 0;
-        cfg.al.batch = 0;
         cfg.al.convergence_eps = f64::NAN;
         let analysis = analyze(&a, &b, &cfg);
         let fields: Vec<(&str, &str)> = analysis
@@ -936,7 +929,6 @@ mod tests {
             ("sample_pairs", "sample_size"),
             ("sample_pairs", "sample_fanout"),
             ("al_matcher", "max_iterations"),
-            ("al_matcher", "batch"),
             ("al_matcher", "convergence_eps"),
             ("apply_blocking_rules", "max_pairs"),
         ] {

@@ -7,7 +7,7 @@ use crate::features::{generate_features, FeatureLibrary, FeatureSet};
 use crate::indexing::{BuiltIndexes, ConjunctSpecs, PreFilterConfig};
 use crate::metrics::em_quality;
 use crate::ops::accuracy_estimator::{estimate_accuracy, AccuracyEstimate};
-use crate::ops::al_matcher::{al_matcher, AlConfig};
+use crate::ops::al_matcher::{al_matcher, AlConfig, BATCH};
 use crate::ops::apply_matcher::apply_matcher;
 use crate::ops::difficult_pairs::locate_difficult_pairs;
 use crate::ops::eval_rules::{eval_rules, EvaluatedRule};
@@ -741,7 +741,7 @@ impl<C: Crowd> Run<'_, C> {
                 self.cfg.seed ^ round as u64,
             );
             let improved = estimates.last().is_none_or(|prev| est.f1 > prev.f1 + 0.01);
-            let difficult = locate_difficult_pairs(forest, &outcome.fvs, &known, self.cfg.al.batch);
+            let difficult = locate_difficult_pairs(forest, &outcome.fvs, &known, BATCH);
             priority = difficult.into_iter().map(|d| d.index).collect();
             let keep_going = improved && !priority.is_empty() && !last_round;
             if best.as_ref().is_none_or(|(f1, _)| est.f1 >= *f1) {
@@ -802,7 +802,7 @@ mod tests {
         let al = AlConfig::default();
         // The first AL iteration labels the seed pairs, so `n_m` is one
         // short of the iteration cap; both stages post `h` HITs a round.
-        let (n_m, h) = (al.max_iterations - 1, al.batch / QUESTIONS_PER_HIT);
+        let (n_m, h) = (al.max_iterations - 1, BATCH / QUESTIONS_PER_HIT);
         assert_eq!(h, EVAL_BATCH / QUESTIONS_PER_HIT);
         let (k, n_e) = (TOP_K_RULES, MAX_ITERATIONS_PER_RULE);
         let live = cost_cap(

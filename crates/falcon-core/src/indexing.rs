@@ -26,29 +26,13 @@ use falcon_textsim::{DetMap, Tokenizer};
 use std::borrow::Cow;
 use std::sync::Arc;
 
-/// Configuration of the signature pre-filter layer (the probabilistic
-/// provably-lossless Bloom-signature gate in front of set-similarity
-/// probes).
-#[derive(Debug, Clone)]
-pub struct PreFilterConfig {
-    /// Wrap every derived set-similarity filter spec in a signature
-    /// pre-filter. On by default: the filter is provably lossless, the
-    /// planner still decides per conjunct whether to *use* it.
-    pub enabled: bool,
-    /// Signature width in 64-bit words (1..=64, i.e. 64–4096 bits; the
-    /// issue's sweet spot is 1–4 words). Out-of-range widths fail static
-    /// verification instead of building an unsound filter.
-    pub words: usize,
-}
-
-impl Default for PreFilterConfig {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            words: 2,
-        }
-    }
-}
+/// The signature pre-filter layer (the provably lossless Bloom-signature
+/// gate in front of set-similarity probes). It has no setting: every
+/// derived set-similarity spec is wrapped, and the planner decides per
+/// conjunct whether to *use* the gate. The type stays for callers that
+/// pass [`ConjunctSpecs::with_signatures`] its `default()`.
+#[derive(Debug, Clone, Default)]
+pub struct PreFilterConfig {}
 
 /// Per-conjunct filter layout for a rule sequence: for rule `i`,
 /// `conjuncts[i][j]` is the filter spec of the j-th complemented predicate
@@ -114,18 +98,14 @@ impl ConjunctSpecs {
         ConjunctSpecs { specs }
     }
 
-    /// Wrap every set-similarity spec in a signature pre-filter of the
-    /// configured width (a no-op when disabled). Wrapping happens *after*
-    /// forced-filter substitution so overrides are judged against the
-    /// base specs; non-set-based specs pass through unchanged
-    /// ([`FilterSpec::with_signature`] only wraps `SetSim`).
-    pub fn with_signatures(mut self, prefilter: &PreFilterConfig) -> ConjunctSpecs {
-        if !prefilter.enabled {
-            return self;
-        }
+    /// Wrap every set-similarity spec in a signature pre-filter.
+    /// Wrapping happens *after* forced-filter substitution so overrides
+    /// are judged against the base specs; non-set-based specs pass through
+    /// unchanged ([`FilterSpec::with_signature`] only wraps `SetSim`).
+    pub fn with_signatures(mut self, _: &PreFilterConfig) -> ConjunctSpecs {
         for conjunct in &mut self.specs {
             for slot in conjunct.iter_mut().flatten() {
-                slot.0 = slot.0.clone().with_signature(prefilter.words);
+                slot.0 = slot.0.clone().with_signature();
             }
         }
         self
@@ -440,21 +420,11 @@ mod tests {
         let base = ConjunctSpecs::derive(&seq, &lib.blocking);
         let wrapped = base.clone().with_signatures(&PreFilterConfig::default());
         match &wrapped.specs[0][0] {
-            Some((FilterSpec::Signature { inner, words }, _)) => {
-                assert_eq!(*words, PreFilterConfig::default().words);
+            Some((FilterSpec::Signature { inner }, _)) => {
                 assert!(matches!(**inner, FilterSpec::SetSim { .. }));
             }
             other => panic!("expected signature wrapper, got {other:?}"),
         }
-        // Disabled config is the identity.
-        let off = base.clone().with_signatures(&PreFilterConfig {
-            enabled: false,
-            words: 2,
-        });
-        assert!(matches!(
-            &off.specs[0][0],
-            Some((FilterSpec::SetSim { .. }, _))
-        ));
         // The wrapper is a spec of its own, so both index variants can
         // coexist in the cache.
         let (sig_spec, _) = wrapped.specs[0][0].clone().unwrap();
@@ -471,28 +441,27 @@ mod tests {
     fn build_signature_spec_reuses_token_order() {
         let (a, _) = tables();
         let mut built = BuiltIndexes::new();
-        let spec = |threshold: f64, words: usize| {
+        let spec = |threshold: f64| {
             FilterSpec::SetSim {
                 a_attr: "title".into(),
                 sim: SimFunction::Jaccard(Tokenizer::Word),
                 threshold,
             }
-            .with_signature(words)
+            .with_signature()
         };
-        for s in [spec(0.5, 2), spec(0.7, 2), spec(0.7, 1)] {
+        for s in [spec(0.5), spec(0.7)] {
             built.build_spec(&cluster(), &a, &s).expect("build");
         }
-        let [x, y, z] = [spec(0.5, 2), spec(0.7, 2), spec(0.7, 1)].map(|s| built.get(&s).unwrap());
+        let [x, y] = [spec(0.5), spec(0.7)].map(|s| built.get(&s).unwrap());
         // The token order was built once; every threshold holds that very
-        // allocation, not a copy, and so do the fingerprints of one width.
+        // allocation, not a copy, and so do the fingerprints.
         let order = |idx: &PredicateIndex| Arc::clone(idx.token_source().expect("set index").1);
-        assert!(Arc::ptr_eq(&order(&x), &order(&y)) && Arc::ptr_eq(&order(&x), &order(&z)));
+        assert!(Arc::ptr_eq(&order(&x), &order(&y)));
         let sigs = |idx: &PredicateIndex| match idx {
             PredicateIndex::Signature { sigs, .. } => Arc::clone(sigs),
             other => panic!("expected a signature bundle, got {other:?}"),
         };
         assert!(Arc::ptr_eq(&sigs(&x), &sigs(&y)));
-        assert!(!Arc::ptr_eq(&sigs(&y), &sigs(&z)));
         let d = built
             .build_order(&cluster(), &a, "title", Tokenizer::Word)
             .expect("order");

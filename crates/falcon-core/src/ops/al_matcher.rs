@@ -2,10 +2,10 @@
 //! random-forest matcher.
 //!
 //! Each iteration trains a forest on the labeled pairs so far, scores the
-//! unlabeled pairs by vote disagreement on the cluster, sends the 20 most
-//! controversial pairs to the crowd, and folds the labels back in — until
-//! convergence or the iteration cap `k = 30` (the crowd-time cap of
-//! Section 3.4).
+//! unlabeled pairs by vote disagreement on the cluster, sends the
+//! [`BATCH`] = 20 most controversial pairs to the crowd, and folds the
+//! labels back in — until convergence or the iteration cap `k = 30` (the
+//! crowd-time cap of Section 3.4).
 //!
 //! With `masked` set the operator runs the paper's Optimization 3: the
 //! first iteration selects a double batch, and from then on model
@@ -21,33 +21,34 @@ use crate::stage::StageCost;
 use crate::timeline::{check_cancel, Timeline};
 use falcon_crowd::{Crowd, CrowdSession};
 use falcon_dataflow::{run_map_only, Cluster};
-use falcon_forest::{Forest, ForestConfig, RankedDataset};
+use falcon_forest::{Forest, RankedDataset, N_TREES};
 use falcon_index::CandidateBitmap;
 use falcon_table::TupleId;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+/// Pairs labeled per iteration (paper: 20).
+pub const BATCH: usize = 20;
+
+/// Pairs the seed round asks for: half likely positives, half likely
+/// negatives.
+pub const SEEDS: usize = 10;
+
 /// Active-learning configuration.
 #[derive(Debug, Clone)]
 pub struct AlConfig {
     /// Iteration cap `k` (paper: 30).
     pub max_iterations: usize,
-    /// Pairs labeled per iteration (paper: 20).
-    pub batch: usize,
     /// Convergence threshold on the maximum vote disagreement.
     pub convergence_eps: f64,
-    /// Seed positives/negatives requested in the first round (half each).
-    pub seeds: usize,
 }
 
 impl Default for AlConfig {
     fn default() -> Self {
         Self {
             max_iterations: 30,
-            batch: 20,
             convergence_eps: 0.05,
-            seeds: 10,
         }
     }
 }
@@ -245,18 +246,16 @@ pub fn al_matcher<C: Crowd>(
                 .map(|&(i, l)| (fvs.fvs[i].clone(), l)),
         );
     };
-    let forest_cfg = ForestConfig::default();
     let train = |data: &RankedDataset, rng: &mut SmallRng| {
-        Forest::train_ranked(data, &forest_cfg, rng, cluster.threads())
+        Forest::train_ranked(data, rng, cluster.threads())
     };
     // Training is a driver-local pass: every tree reads every labeled
     // example.
-    let train_cost =
-        |data: &RankedDataset| StageCost::local(data.data().len() * forest_cfg.n_trees);
+    let train_cost = |data: &RankedDataset| StageCost::local(data.data().len() * N_TREES);
 
     // ---- Seed round: likely positives + likely negatives ----
     let scores: Vec<f64> = fvs.fvs.iter().map(|fv| seed_score(fv, higher)).collect();
-    let half = (cfg.seeds / 2).max(1).min(fvs.len() / 2 + 1);
+    let half = (SEEDS / 2).min(fvs.len() / 2 + 1);
     let seed_idx = seed_pairs(&scores, priority, half);
     // Seed scoring is a driver-local pass over every vector.
     timeline.machine(label, StageCost::local(fvs.len()));
@@ -281,7 +280,7 @@ pub fn al_matcher<C: Crowd>(
             break;
         }
         rest.shuffle(&mut rng);
-        rest.truncate(cfg.batch);
+        rest.truncate(BATCH);
         label_batch(
             &rest,
             session,
@@ -301,7 +300,7 @@ pub fn al_matcher<C: Crowd>(
     // selection of the following batch happens during that round.
     let mut pending: Vec<usize> = Vec::new();
     if masked {
-        let (picked, _, scored) = select(cluster, &forest, fvs, &taken, cfg.batch * 2)?;
+        let (picked, _, scored) = select(cluster, &forest, fvs, &taken, BATCH * 2)?;
         // First (double) selection cannot be masked: nothing is at the
         // crowd yet.
         timeline.machine(label, scored);
@@ -319,12 +318,12 @@ pub fn al_matcher<C: Crowd>(
                 converged = true;
                 break;
             }
-            let now_batch: Vec<usize> = pending.drain(..pending.len().min(cfg.batch)).collect();
+            let now_batch: Vec<usize> = pending.drain(..pending.len().min(BATCH)).collect();
             // Post `now_batch`; while the crowd works, retrain and select
             // the next batch (masked machine time) among the pairs neither
             // labeled nor already picked.
             forest = train(&data, &mut rng);
-            let (picked, max_dis, scored) = select(cluster, &forest, fvs, &taken, cfg.batch)?;
+            let (picked, max_dis, scored) = select(cluster, &forest, fvs, &taken, BATCH)?;
             timeline.masked_machine(label, train_cost(&data) + scored);
             if max_dis >= cfg.convergence_eps {
                 picked.iter().for_each(|&i| taken.insert(i as TupleId));
@@ -343,7 +342,7 @@ pub fn al_matcher<C: Crowd>(
             // Unmasked: select with the freshest model, on the critical
             // path.
             forest = train(&data, &mut rng);
-            let (batch, max_dis, scored) = select(cluster, &forest, fvs, &taken, cfg.batch)?;
+            let (batch, max_dis, scored) = select(cluster, &forest, fvs, &taken, BATCH)?;
             timeline.machine(label, train_cost(&data) + scored);
             if max_dis < cfg.convergence_eps || batch.is_empty() {
                 converged = true;
@@ -459,7 +458,6 @@ mod tests {
         let cfg = AlConfig {
             max_iterations: 3,
             convergence_eps: 0.0,
-            ..Default::default()
         };
         let out = al_matcher(
             &cluster(),

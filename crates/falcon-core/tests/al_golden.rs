@@ -23,7 +23,7 @@ use falcon_crowd::sim::{GroundTruth, RandomWorkerCrowd};
 use falcon_crowd::{CrowdSession, Ledger};
 use falcon_dataflow::{Cluster, ClusterConfig};
 use falcon_datagen::EmDataset;
-use falcon_forest::{Dataset, Forest, ForestConfig};
+use falcon_forest::{Dataset, Forest};
 use falcon_table::IdPair;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -153,12 +153,7 @@ fn line(
         data.push(fvs.fvs[i].clone(), l);
     }
     let retrain = |threads: usize| {
-        let forest = Forest::train_threads(
-            &data,
-            &ForestConfig::default(),
-            &mut SmallRng::seed_from_u64(0xA1),
-            threads,
-        );
+        let forest = Forest::train_threads(&data, &mut SmallRng::seed_from_u64(0xA1), threads);
         forest_digest(&forest)
     };
     let retrained = retrain(1);
@@ -229,7 +224,6 @@ fn al_matcher_outputs_match_the_recorded_goldens() {
                 let cfg = AlConfig {
                     convergence_eps,
                     max_iterations,
-                    ..AlConfig::default()
                 };
                 let args = (masked, &priority[..]);
                 let lines: Vec<String> = [1usize, 2, 8]

@@ -1,6 +1,5 @@
-//! The signature pre-filter must be invisible in the final output: for
-//! every pre-filter width — and with the pre-filter disabled — the
-//! candidate pairs surviving `apply_blocking_rules` are byte-identical to
+//! The signature pre-filter must be invisible in the final output: with
+//! the specs wrapped in it and without, the candidate pairs surviving `apply_blocking_rules` are byte-identical to
 //! the exhaustive single-machine baseline, across operators and thread
 //! counts. The pre-filter may only change *how much work* the probes do,
 //! which the per-conjunct blocking counters account for exactly.
@@ -70,10 +69,13 @@ fn run(
     b: &falcon_table::Table,
     features: &falcon_core::features::FeatureSet,
     seq: &RuleSequence,
-    prefilter: &PreFilterConfig,
+    signed: bool,
 ) -> physical::BlockingOutput {
     let cluster = Cluster::new(ClusterConfig::small(threads)).with_threads(threads);
-    let conjuncts = ConjunctSpecs::derive(seq, features).with_signatures(prefilter);
+    let mut conjuncts = ConjunctSpecs::derive(seq, features);
+    if signed {
+        conjuncts = conjuncts.with_signatures(&PreFilterConfig::default());
+    }
     let mut built = BuiltIndexes::new();
     for spec in conjuncts.all_specs() {
         built.build_spec(&cluster, a, &spec).expect("build");
@@ -101,32 +103,18 @@ fn prefilter_widths_never_change_final_candidates() {
         .candidates;
     assert!(!reference.is_empty());
     assert!(reference.len() < a.len() * b.len());
-    let configs = [
-        PreFilterConfig {
-            enabled: false,
-            words: 0,
-        },
-        PreFilterConfig {
-            enabled: true,
-            words: 1,
-        },
-        PreFilterConfig::default(),
-        PreFilterConfig {
-            enabled: true,
-            words: 8,
-        },
-    ];
-    for prefilter in &configs {
+    // Exact specs alone, then wrapped in the signature pre-filter.
+    for signed in [false, true] {
         for op in [
             PhysicalOp::ApplyAll,
             PhysicalOp::ApplyGreedy,
             PhysicalOp::ApplyConjunct,
             PhysicalOp::ApplyPredicate,
         ] {
-            let out = run(op, 4, &a, &b, &features, &seq, prefilter);
+            let out = run(op, 4, &a, &b, &features, &seq, signed);
             assert_eq!(
                 out.candidates, reference,
-                "{op:?} with prefilter {prefilter:?} disagrees with baseline"
+                "{op:?} with signatures {signed} disagrees with baseline"
             );
         }
     }
@@ -135,18 +123,9 @@ fn prefilter_widths_never_change_final_candidates() {
 #[test]
 fn final_candidates_stable_across_thread_counts() {
     let (a, b, features, seq) = fixture();
-    let prefilter = PreFilterConfig::default();
-    let reference = run(PhysicalOp::ApplyAll, 1, &a, &b, &features, &seq, &prefilter);
+    let reference = run(PhysicalOp::ApplyAll, 1, &a, &b, &features, &seq, true);
     for threads in [2, 4] {
-        let out = run(
-            PhysicalOp::ApplyAll,
-            threads,
-            &a,
-            &b,
-            &features,
-            &seq,
-            &prefilter,
-        );
+        let out = run(PhysicalOp::ApplyAll, threads, &a, &b, &features, &seq, true);
         assert_eq!(out.candidates, reference.candidates);
         // The probe counters are sums over per-task deltas of a fixed task
         // set, so they are deterministic across thread counts too.
@@ -157,14 +136,8 @@ fn final_candidates_stable_across_thread_counts() {
 #[test]
 fn blocking_counters_balance_per_conjunct() {
     let (a, b, features, seq) = fixture();
-    for prefilter in [
-        PreFilterConfig {
-            enabled: false,
-            words: 0,
-        },
-        PreFilterConfig::default(),
-    ] {
-        let out = run(PhysicalOp::ApplyAll, 4, &a, &b, &features, &seq, &prefilter);
+    for signed in [false, true] {
+        let out = run(PhysicalOp::ApplyAll, 4, &a, &b, &features, &seq, signed);
         assert!(!out.blocking.conjuncts.is_empty());
         for c in &out.blocking.conjuncts {
             assert_eq!(
@@ -176,7 +149,7 @@ fn blocking_counters_balance_per_conjunct() {
             assert!(!c.modes.is_empty());
         }
         assert!(out.blocking.pairs_examined() > 0);
-        if !prefilter.enabled {
+        if !signed {
             // Without signatures no probe can be pruned by one.
             assert_eq!(out.blocking.pruned_by_signature(), 0);
             for c in &out.blocking.conjuncts {

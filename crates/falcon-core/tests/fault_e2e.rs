@@ -135,11 +135,11 @@ fn faults_inflate_simulated_machine_time() {
     let truth = GroundTruth::new(d.truth.iter().copied());
     let crowd = || RandomWorkerCrowd::new(truth.clone(), 0.0, 4);
     let clean = run(&d, None, crowd()).expect("clean run");
-    // Retries with a long backoff dominate the (tiny) task prices.
-    let mut plan = FaultPlan::seeded(13)
+    // Retries and their backoff waits (from 100 ms) dominate the (tiny)
+    // task prices.
+    let plan = FaultPlan::seeded(13)
         .with_failure_rate(0.4)
         .with_max_attempts(10);
-    plan.backoff_base = std::time::Duration::from_secs(1);
     let faulty = run(&d, Some(plan), crowd()).expect("faulty run");
     assert_eq!(faulty.matches, clean.matches);
     assert!(

@@ -1,6 +1,6 @@
 //! Frozen contents of the set-similarity indexes: for three datasets at
-//! fixed seeds, every set-based blocking feature, thresholds 0.3 / 0.5 /
-//! 0.8 and signature widths 1 / 2, the token order (every column token's
+//! fixed seeds, every set-based blocking feature and thresholds 0.3 / 0.5
+//! / 0.8, the token order (every column token's
 //! rank), the prefix postings (every column token's posting list), the
 //! per-tuple set sizes, the missing list, the byte estimates that feed
 //! `select_physical` and the planned probe mode must equal the lines of
@@ -24,7 +24,6 @@ use std::collections::BTreeSet;
 
 const GOLDEN: &str = include_str!("goldens/index.txt");
 const THRESHOLDS: [f64; 3] = [0.3, 0.5, 0.8];
-const WORDS: [usize; 2] = [1, 2];
 
 struct Fnv(u64);
 
@@ -45,13 +44,13 @@ impl Fnv {
     }
 }
 
-fn spec_of(f: &Feature, threshold: f64, words: usize) -> FilterSpec {
+fn spec_of(f: &Feature, threshold: f64) -> FilterSpec {
     FilterSpec::SetSim {
         a_attr: f.a_attr.clone(),
         sim: f.sim,
         threshold,
     }
-    .with_signature(words)
+    .with_signature()
 }
 
 /// The distinct tokens of the feature's `A` column, in text order.
@@ -63,7 +62,7 @@ fn column_tokens(a: &Table, f: &Feature) -> BTreeSet<String> {
 }
 
 /// Everything observable about one built index, as `(column part, spec
-/// part)`: the first must not depend on the threshold or the width.
+/// part)`: the first must not depend on the threshold.
 fn describe(idx: &PredicateIndex, tokens: &BTreeSet<String>, n: usize) -> (String, String) {
     let PredicateIndex::Signature { sigs, exact, .. } = idx else {
         panic!("expected a signature bundle");
@@ -143,14 +142,13 @@ fn lines(
             let mut column = None;
             let mut specs = Vec::new();
             for threshold in THRESHOLDS {
-                for words in WORDS {
-                    let spec = spec_of(f, threshold, words);
-                    built.build_spec(cluster, &d.a, &spec).expect("build");
-                    let idx = built.get(&spec).expect("built");
-                    let (col, part) = describe(&idx, &tokens, d.a.len());
-                    assert_eq!(*column.get_or_insert(col.clone()), col, "{}", f.name);
-                    specs.push(format!("{threshold}/{words} {part}"));
-                }
+                let spec = spec_of(f, threshold);
+                built.build_spec(cluster, &d.a, &spec).expect("build");
+                let idx = built.get(&spec).expect("built");
+                let (col, part) = describe(&idx, &tokens, d.a.len());
+                assert_eq!(*column.get_or_insert(col.clone()), col, "{}", f.name);
+                // `/2`: the signature is two 64-bit words wide.
+                specs.push(format!("{threshold}/2 {part}"));
             }
             format!(
                 "{name} {} {} | {}",

@@ -46,33 +46,36 @@ pub struct NodeLoss {
     pub node: usize,
 }
 
+/// Base of the exponential retry backoff charged to the sim clock: attempt
+/// `a` waits `BACKOFF_BASE · 2^min(a, 6)` before re-execution.
+pub const BACKOFF_BASE: Duration = Duration::from_millis(100);
+
+/// Exponential backoff charged before re-executing attempt `attempt`.
+pub fn backoff(attempt: u32) -> Duration {
+    BACKOFF_BASE * (1u32 << attempt.min(6))
+}
+
 /// A seeded, deterministic fault model for the simulated cluster.
 ///
 /// All probabilities are per *task attempt* and drawn from an explicit
 /// counter-based RNG keyed by `(seed, job, phase, task, attempt)`, so a
 /// given plan produces the same faults regardless of thread count,
 /// scheduling order or toolchain.
+///
+/// A straggler runs 4× slower than a clean attempt. Hadoop's speculative
+/// execution launches a backup once the task has run one clean duration;
+/// the backup finishes one clean duration later, well before the
+/// straggler, so a straggling task occupies its slot for twice its price
+/// and the backup wins.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Probability an individual task attempt fails (Hadoop re-executes it).
     pub task_failure_rate: f64,
-    /// Probability a task is a straggler (runs `straggler_slowdown`× slower).
+    /// Probability a task is a straggler.
     pub straggler_rate: f64,
-    /// Slowdown factor applied to straggler tasks (must be ≥ 1).
-    pub straggler_slowdown: f64,
-    /// Launch speculative duplicate attempts for stragglers (Hadoop's
-    /// speculative execution); the first finisher wins and the loser's
-    /// work is discarded.
-    pub speculation: bool,
-    /// When the backup attempt launches, as a fraction of the task's
-    /// normal duration (Hadoop launches backups once a task looks slow).
-    pub speculation_delay_factor: f64,
     /// Maximum attempts per task before the job fails
     /// (`mapred.*.max.attempts`; Hadoop default 4).
     pub max_attempts: u32,
-    /// Base of the exponential retry backoff charged to the sim clock
-    /// (attempt `a` waits `backoff_base · 2^a` before re-execution).
-    pub backoff_base: Duration,
     /// At most one node-loss event.
     pub node_loss: Option<NodeLoss>,
     /// Seed for every fault decision.
@@ -84,11 +87,7 @@ impl Default for FaultPlan {
         Self {
             task_failure_rate: 0.0,
             straggler_rate: 0.0,
-            straggler_slowdown: 4.0,
-            speculation: true,
-            speculation_delay_factor: 1.0,
             max_attempts: 4,
-            backoff_base: Duration::from_millis(100),
             node_loss: None,
             seed: 0,
         }
@@ -127,11 +126,6 @@ impl FaultPlan {
     pub fn with_max_attempts(mut self, attempts: u32) -> Self {
         self.max_attempts = attempts.max(1);
         self
-    }
-
-    /// Exponential backoff charged before re-executing attempt `attempt`.
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        self.backoff_base * (1u32 << attempt.min(6))
     }
 }
 
@@ -179,7 +173,8 @@ pub struct TaskFaultOutcome {
     pub failed_attempts: u32,
     /// True when the first failure came from the node-loss event.
     pub node_lost: bool,
-    /// True when the surviving attempt runs `straggler_slowdown`× slower.
+    /// True when the surviving attempt straggles (and a speculative
+    /// backup finishes it; see [`FaultPlan`]).
     pub straggler: bool,
 }
 
@@ -233,11 +228,6 @@ impl FaultInjector {
         }
     }
 
-    /// The plan driving this injector.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Run-wide fault totals so far.
     pub fn totals(&self) -> FaultStats {
         *self.totals.lock()
@@ -276,10 +266,6 @@ impl FaultInjector {
     }
 }
 
-fn scale(d: Duration, factor: f64) -> Duration {
-    Duration::from_secs_f64(d.as_secs_f64() * factor.max(0.0))
-}
-
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -310,8 +296,7 @@ pub(crate) fn run_attempts<T>(
     mut body: impl FnMut() -> T,
 ) -> Result<(T, Duration, FaultStats), DataflowError> {
     let outcome = injector.map_or_else(TaskFaultOutcome::default, |f| f.outcome(job, phase, task));
-    let plan = injector.map(FaultInjector::plan);
-    let max_attempts = plan.map_or(1, |p| p.max_attempts).max(1);
+    let max_attempts = injector.map_or(1, |f| f.plan.max_attempts).max(1);
 
     if outcome.failed_attempts >= max_attempts {
         if let Some(f) = injector {
@@ -350,28 +335,16 @@ pub(crate) fn run_attempts<T>(
                 // Injected failed attempts: full re-execution plus backoff.
                 let mut slot = panic_lost;
                 for a in 0..outcome.failed_attempts {
-                    slot += price + plan.map_or(Duration::ZERO, |p| p.backoff(a));
+                    slot += price + backoff(a);
                 }
-                // The surviving attempt, possibly straggling / rescued.
-                let final_dur = match (outcome.straggler, plan) {
-                    (true, Some(p)) => {
-                        let slow = scale(price, p.straggler_slowdown);
-                        if p.speculation {
-                            stats.speculative += 1;
-                            let backup = scale(price, p.speculation_delay_factor) + price;
-                            if backup < slow {
-                                stats.speculative_wins += 1;
-                                backup
-                            } else {
-                                slow
-                            }
-                        } else {
-                            slow
-                        }
-                    }
-                    _ => price,
-                };
-                slot += final_dur;
+                // The surviving attempt; a straggler's speculative backup
+                // wins at twice the price.
+                slot += price;
+                if outcome.straggler {
+                    stats.speculative += 1;
+                    stats.speculative_wins += 1;
+                    slot += price;
+                }
                 stats.time_lost = slot.saturating_sub(price);
                 if let Some(f) = injector {
                     f.record(&stats);
@@ -380,7 +353,7 @@ pub(crate) fn run_attempts<T>(
             }
             Err(payload) => {
                 let attempt = outcome.failed_attempts + panic_failures;
-                panic_lost += price + plan.map_or(Duration::ZERO, |p| p.backoff(attempt));
+                panic_lost += price + backoff(attempt);
                 panic_failures += 1;
                 if !retry_panics || outcome.failed_attempts + panic_failures >= max_attempts {
                     if let Some(f) = injector {
@@ -468,8 +441,8 @@ mod tests {
         // Every failed attempt pays the price again plus its backoff.
         let failed = inj.outcome(0, Phase::Map, 0).failed_attempts;
         assert_eq!(stats.retries, failed as usize);
-        let backoff: Duration = (0..failed).map(|a| inj.plan().backoff(a)).sum();
-        assert_eq!(stats.time_lost, price * failed + backoff);
+        let waits: Duration = (0..failed).map(backoff).sum();
+        assert_eq!(stats.time_lost, price * failed + waits);
         assert_eq!(slot, price + stats.time_lost);
     }
 
@@ -514,7 +487,7 @@ mod tests {
             calls
         });
         // Two panicked attempts: each pays the price and its backoff.
-        let lost = price * 2 + inj.plan().backoff(0) + inj.plan().backoff(1);
+        let lost = price * 2 + backoff(0) + backoff(1);
         assert_eq!(
             res.map(|(v, slot, st)| (v, slot, st.time_lost)),
             Ok((3, price + lost, lost))
@@ -542,42 +515,21 @@ mod tests {
 
     #[test]
     fn straggler_speculation_rescues_when_profitable() {
-        // slowdown 4× with a backup launched after 1× → backup wins at 2×.
-        let plan = FaultPlan {
-            straggler_rate: 1.0,
-            straggler_slowdown: 4.0,
-            speculation: true,
-            speculation_delay_factor: 1.0,
-            ..FaultPlan::seeded(2)
-        };
-        let inj = FaultInjector::new(plan, 4);
+        // A 4× straggler with a backup launched after 1×: the backup wins
+        // at 2×.
+        let inj = FaultInjector::new(FaultPlan::seeded(2).with_straggler_rate(1.0), 4);
         let price = Duration::from_millis(5);
         let (_, slot, stats) =
             run_attempts(Some(&inj), 0, Phase::Map, 0, true, price, || ()).expect("task");
         assert_eq!(stats.speculative, 1);
         assert_eq!(stats.speculative_wins, 1);
-        // Rescued at 2× instead of 4×.
         assert_eq!((slot, stats.time_lost), (price * 2, price));
-        // Without speculation the full slowdown is charged.
-        let plan = FaultPlan {
-            speculation: false,
-            ..inj.plan().clone()
-        };
-        let inj2 = FaultInjector::new(plan, 4);
-        let (_, slot2, stats2) =
-            run_attempts(Some(&inj2), 0, Phase::Map, 0, true, price, || ()).expect("task");
-        assert_eq!(stats2.speculative, 0);
-        assert_eq!(slot2, price * 4);
     }
 
     #[test]
     fn backoff_is_exponential_and_capped() {
-        let p = FaultPlan {
-            backoff_base: Duration::from_millis(10),
-            ..FaultPlan::default()
-        };
-        assert_eq!(p.backoff(0), Duration::from_millis(10));
-        assert_eq!(p.backoff(3), Duration::from_millis(80));
-        assert_eq!(p.backoff(60), p.backoff(6));
+        assert_eq!(backoff(0), Duration::from_millis(100));
+        assert_eq!(backoff(3), Duration::from_millis(800));
+        assert_eq!(backoff(60), backoff(6));
     }
 }

@@ -591,7 +591,7 @@ mod tests {
         assert_eq!(out.output, vec![10, 20]);
         assert_eq!(out.stats.faults.retries, 1);
         // The lost attempt costs its price again plus the first backoff.
-        let lost = cluster.config.task_time(1) + FaultPlan::seeded(3).backoff(0);
+        let lost = cluster.config.task_time(1) + crate::fault::backoff(0);
         assert_eq!(out.stats.faults.time_lost, lost);
     }
 

@@ -10,42 +10,31 @@
 //! extraction ([`crate::paths`]) all read the same rows, and one walk
 //! (`Forest::leaf`) takes a vector from a root to its leaf.
 //!
-//! Training compiles the dataset into dense ranks once per call, or takes
-//! the ranks a growing [`RankedDataset`] carries ([`Forest::train_ranked`]);
-//! both then run one trainer. It is parallel **and** deterministic: the
-//! master RNG is consumed only to draw one seed per tree, up front, in
-//! tree order; each tree then trains from its own `SmallRng` (bagging
-//! indices *and* per-node feature shuffles) over the shared read-only
-//! ranks, so the trained forest is a pure function of the seed stream and
-//! bit-identical at any thread count. Trees and out-of-bag votes are
+//! A forest has Corleone's shape (Falcon §4.2): [`N_TREES`] trees, each
+//! grown on a bootstrap sample of the examples to the limits in
+//! [`crate::tree`]. Training compiles the dataset into dense ranks once
+//! per call, or takes the ranks a growing [`RankedDataset`] carries
+//! ([`Forest::train_ranked`]); both then run one trainer. It is parallel
+//! **and** deterministic: the master RNG is consumed only to draw one
+//! seed per tree, up front, in tree order; each tree then trains from its
+//! own `SmallRng` (bagging indices *and* per-node feature shuffles) over
+//! the shared read-only ranks, so the trained forest is a pure function of
+//! the seed stream and bit-identical at any thread count. Trees and out-of-bag votes are
 //! merged in tree order after all workers join, for the same reason.
 
-use crate::tree::{RankMatrix, TreeConfig};
+use crate::tree::RankMatrix;
 use crate::{Dataset, RankedDataset};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Forest training configuration.
-#[derive(Debug, Clone)]
-pub struct ForestConfig {
-    /// Number of trees (Corleone uses a 10-tree forest).
-    pub n_trees: usize,
-    /// Per-tree configuration.
-    pub tree: TreeConfig,
-    /// Bootstrap-sample trees (true = classic bagging).
-    pub bagging: bool,
-}
+/// Trees per forest: Corleone's 10-tree forest.
+pub const N_TREES: usize = 10;
 
-impl Default for ForestConfig {
-    fn default() -> Self {
-        Self {
-            n_trees: 10,
-            tree: TreeConfig::default(),
-            bagging: true,
-        }
-    }
-}
+/// The forest's shape has no setting (see the module docs). The type stays
+/// for callers that pass [`Forest::train`] its `default()`.
+#[derive(Debug, Clone, Default)]
+pub struct ForestConfig {}
 
 /// A trained random forest: the node arena of all its trees (see the
 /// module docs). Missing feature values (`NaN`, or a vector too short)
@@ -90,8 +79,8 @@ pub struct Forest {
     /// split rows).
     pub neg: Vec<u32>,
     /// Out-of-bag accuracy estimate over the examples that were
-    /// out-of-bag for at least one tree; `None` without bagging or when
-    /// there is no such example.
+    /// out-of-bag for at least one tree; `None` when there is no such
+    /// example.
     pub oob_accuracy: Option<f64>,
 }
 
@@ -112,20 +101,14 @@ impl Forest {
     /// docs).
     ///
     /// # Panics
-    /// Panics if `data` is empty, `cfg.n_trees == 0`, or a training
-    /// worker thread panics.
-    pub fn train(data: &Dataset, cfg: &ForestConfig, rng: &mut impl Rng) -> Forest {
-        Self::train_threads(data, cfg, rng, default_threads())
+    /// Panics if `data` is empty or a training worker thread panics.
+    pub fn train(data: &Dataset, _: &ForestConfig, rng: &mut impl Rng) -> Forest {
+        Self::train_threads(data, rng, default_threads())
     }
 
     /// Train with an explicit worker count (1 = in-place sequential).
-    pub fn train_threads(
-        data: &Dataset,
-        cfg: &ForestConfig,
-        rng: &mut impl Rng,
-        threads: usize,
-    ) -> Forest {
-        Self::fit(data, &RankMatrix::compile(data), cfg, rng, threads)
+    pub fn train_threads(data: &Dataset, rng: &mut impl Rng, threads: usize) -> Forest {
+        Self::fit(data, &RankMatrix::compile(data), rng, threads)
     }
 
     /// Train on a growing training set's carried ranks: the forest
@@ -134,13 +117,8 @@ impl Forest {
     ///
     /// # Panics
     /// As [`train`](Self::train).
-    pub fn train_ranked(
-        set: &RankedDataset,
-        cfg: &ForestConfig,
-        rng: &mut impl Rng,
-        threads: usize,
-    ) -> Forest {
-        Self::fit(set.data(), set.ranks(), cfg, rng, threads)
+    pub fn train_ranked(set: &RankedDataset, rng: &mut impl Rng, threads: usize) -> Forest {
+        Self::fit(set.data(), set.ranks(), rng, threads)
     }
 
     /// Grow one tree on (a bootstrap view of) `data`, using the example
@@ -149,53 +127,40 @@ impl Forest {
     ///
     /// # Panics
     /// Panics if `data` is empty.
-    pub fn train_on(data: &Dataset, idx: &[usize], cfg: &TreeConfig, rng: &mut impl Rng) -> Forest {
+    pub fn train_on(data: &Dataset, idx: &[usize], rng: &mut impl Rng) -> Forest {
         assert!(!data.is_empty(), "cannot train on an empty dataset");
         let mut idx: Vec<u32> = idx.iter().map(|&i| i as u32).collect();
-        RankMatrix::compile(data).grow(&data.labels, &mut idx, cfg, rng)
+        RankMatrix::compile(data).grow(&data.labels, &mut idx, rng)
     }
 
     /// The one trainer: `ranked` is the rank compile of `data`.
-    fn fit(
-        data: &Dataset,
-        ranked: &RankMatrix,
-        cfg: &ForestConfig,
-        rng: &mut impl Rng,
-        threads: usize,
-    ) -> Forest {
+    fn fit(data: &Dataset, ranked: &RankMatrix, rng: &mut impl Rng, threads: usize) -> Forest {
         assert!(!data.is_empty(), "cannot train forest on empty dataset");
-        assert!(cfg.n_trees > 0, "need at least one tree");
         assert_eq!(ranked.rows(), data.len(), "ranks compiled from other rows");
         let n = data.len();
 
         // One seed per tree, drawn up front in tree order: the only master
         // RNG consumption, so the result cannot depend on scheduling.
-        let seeds: Vec<u64> = (0..cfg.n_trees).map(|_| rng.next_u64()).collect();
+        let seeds: Vec<u64> = (0..N_TREES).map(|_| rng.next_u64()).collect();
 
-        // Train one tree from its seed; returns the tree plus its
-        // out-of-bag predictions as (example, vote) pairs.
+        // Train one tree from its seed on a bootstrap sample; returns the
+        // tree plus its out-of-bag predictions as (example, vote) pairs.
         let fit_one = |seed: u64| -> FittedTree {
             let mut trng = SmallRng::seed_from_u64(seed);
-            let mut idx: Vec<u32> = if cfg.bagging {
-                (0..n).map(|_| trng.gen_range(0..n) as u32).collect()
-            } else {
-                (0..n as u32).collect()
-            };
-            let tree = ranked.grow(&data.labels, &mut idx, &cfg.tree, &mut trng);
-            let mut oob = Vec::new();
-            if cfg.bagging {
-                let mut in_bag = vec![false; n];
-                for &i in &idx {
-                    in_bag[i as usize] = true;
-                }
-                for (i, _) in in_bag.iter().enumerate().filter(|(_, b)| !**b) {
-                    oob.push((i as u32, tree.predict(&data.features[i])));
-                }
+            let mut idx: Vec<u32> = (0..n).map(|_| trng.gen_range(0..n) as u32).collect();
+            let tree = ranked.grow(&data.labels, &mut idx, &mut trng);
+            let mut in_bag = vec![false; n];
+            for &i in &idx {
+                in_bag[i as usize] = true;
             }
+            let oob = (0..n)
+                .filter(|&i| !in_bag[i])
+                .map(|i| (i as u32, tree.predict(&data.features[i])))
+                .collect();
             (tree, oob)
         };
 
-        let workers = threads.clamp(1, cfg.n_trees);
+        let workers = threads.clamp(1, N_TREES);
         let fitted: Vec<FittedTree> = if workers == 1 {
             seeds.iter().map(|&s| fit_one(s)).collect()
         } else {
@@ -238,20 +203,18 @@ impl Forest {
             }
             forest.append(tree);
         }
-        if cfg.bagging {
-            let scored: Vec<(usize, bool)> = oob_votes
+        let scored: Vec<(usize, bool)> = oob_votes
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, total))| *total > 0)
+            .map(|(i, (pos, total))| (i, *pos * 2 > *total))
+            .collect();
+        if !scored.is_empty() {
+            let correct = scored
                 .iter()
-                .enumerate()
-                .filter(|(_, (_, total))| *total > 0)
-                .map(|(i, (pos, total))| (i, *pos * 2 > *total))
-                .collect();
-            if !scored.is_empty() {
-                let correct = scored
-                    .iter()
-                    .filter(|(i, pred)| *pred == data.labels[*i])
-                    .count();
-                forest.oob_accuracy = Some(correct as f64 / scored.len() as f64);
-            }
+                .filter(|(i, pred)| *pred == data.labels[*i])
+                .count();
+            forest.oob_accuracy = Some(correct as f64 / scored.len() as f64);
         }
         forest
     }
@@ -456,16 +419,11 @@ mod tests {
     }
 
     #[test]
-    fn no_bagging_trains_identical_data() {
+    fn forest_has_ten_bagged_trees() {
         let d = noisy_separable(100);
-        let cfg = ForestConfig {
-            bagging: false,
-            n_trees: 3,
-            ..Default::default()
-        };
-        let f = Forest::train(&d, &cfg, &mut rng());
-        assert_eq!(f.len(), 3);
-        assert!(f.oob_accuracy.is_none());
+        let f = Forest::train(&d, &ForestConfig::default(), &mut rng());
+        assert_eq!(f.len(), N_TREES);
+        assert!(f.oob_accuracy.is_some(), "bagging leaves examples out");
     }
 
     #[test]

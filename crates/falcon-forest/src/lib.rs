@@ -6,7 +6,8 @@
 //! paths as candidate blocking rules. This crate provides exactly those
 //! capabilities:
 //!
-//! * [`forest`] — bagged forests as one node arena (every node of every
+//! * [`forest`] — bagged forests of Corleone's shape ([`N_TREES`] trees
+//!   of depth at most [`MAX_DEPTH`]) as one node arena (every node of every
 //!   tree a row of parallel columns, each tree in preorder) with majority
 //!   voting, positive-vote fractions (the active-learning disagreement
 //!   signal), allocation-free batch vote counting and out-of-bag
@@ -29,9 +30,9 @@ pub mod paths;
 pub mod tree;
 
 pub use eval::{confusion, f1_score, Confusion};
-pub use forest::{default_threads, Forest, ForestConfig};
+pub use forest::{default_threads, Forest, ForestConfig, N_TREES};
 pub use paths::{NegativePath, PathPredicate, SplitOp};
-pub use tree::{RankMatrix, TreeConfig};
+pub use tree::{RankMatrix, MAX_DEPTH, MIN_SPLIT};
 
 /// A training set: dense feature vectors (NaN = missing) plus boolean
 /// match/no-match labels.

@@ -22,27 +22,11 @@ use crate::{Dataset, Forest};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-/// Training configuration for a single tree.
-#[derive(Debug, Clone)]
-pub struct TreeConfig {
-    /// Maximum tree depth (root = depth 0).
-    pub max_depth: usize,
-    /// Minimum examples required to attempt a split.
-    pub min_split: usize,
-    /// Number of random features considered per node; `None` means
-    /// `ceil(sqrt(arity))` (the random-forest default).
-    pub features_per_node: Option<usize>,
-}
+/// Maximum tree depth (root = depth 0).
+pub const MAX_DEPTH: usize = 10;
 
-impl Default for TreeConfig {
-    fn default() -> Self {
-        Self {
-            max_depth: 10,
-            min_split: 2,
-            features_per_node: None,
-        }
-    }
-}
+/// Minimum examples a node needs to attempt a split.
+pub const MIN_SPLIT: usize = 2;
 
 fn gini(pos: usize, neg: usize) -> f64 {
     let n = (pos + neg) as f64;
@@ -157,23 +141,14 @@ impl RankMatrix {
     /// Grow one tree over the example multiset `idx` (reordered in place),
     /// with `labels` the compiled rows' labels: a one-tree [`Forest`]
     /// whose rows are the tree's nodes in preorder, root at row 0.
-    pub(crate) fn grow(
-        &self,
-        labels: &[bool],
-        idx: &mut [u32],
-        cfg: &TreeConfig,
-        rng: &mut impl Rng,
-    ) -> Forest {
+    pub(crate) fn grow(&self, labels: &[bool], idx: &mut [u32], rng: &mut impl Rng) -> Forest {
         let arity = self.values.len();
-        let k = cfg
-            .features_per_node
-            .unwrap_or_else(|| (arity as f64).sqrt().ceil() as usize)
-            .clamp(1, arity.max(1));
         let mut grower = Grower {
             data: self,
             labels,
-            cfg,
-            k,
+            // Features a node considers: `ceil(sqrt(arity))`, the
+            // random-forest default.
+            k: ((arity as f64).sqrt().ceil() as usize).clamp(1, arity.max(1)),
             feats: Vec::with_capacity(arity),
             keys: Vec::with_capacity(idx.len()),
             hist: Vec::new(),
@@ -193,7 +168,6 @@ impl RankMatrix {
 struct Grower<'a> {
     data: &'a RankMatrix,
     labels: &'a [bool],
-    cfg: &'a TreeConfig,
     k: usize,
     feats: Vec<usize>,
     /// The node's `rank << 1 | label` keys of the feature being swept.
@@ -213,7 +187,7 @@ impl Grower<'_> {
         let pos = idx.iter().filter(|&&e| labels[e as usize]).count();
         let neg = idx.len() - pos;
         let leaf = |tree: &mut Forest| tree.push_row(Forest::LEAF, 0.0, pos > neg, pos, neg);
-        if depth >= self.cfg.max_depth || idx.len() < self.cfg.min_split || pos == 0 || neg == 0 {
+        if depth >= MAX_DEPTH || idx.len() < MIN_SPLIT || pos == 0 || neg == 0 {
             return leaf(&mut self.tree);
         }
 
@@ -362,9 +336,9 @@ mod tests {
     }
 
     /// One tree over every example of `d`.
-    fn tree(d: &Dataset, cfg: &TreeConfig) -> Forest {
+    fn tree(d: &Dataset) -> Forest {
         let idx: Vec<usize> = (0..d.len()).collect();
-        Forest::train_on(d, &idx, cfg, &mut rng())
+        Forest::train_on(d, &idx, &mut rng())
     }
 
     fn separable() -> Dataset {
@@ -379,7 +353,7 @@ mod tests {
     #[test]
     fn learns_separable_data() {
         let d = separable();
-        let t = tree(&d, &TreeConfig::default());
+        let t = tree(&d);
         for (f, l) in d.features.iter().zip(&d.labels) {
             assert_eq!(t.predict(f), *l);
         }
@@ -391,21 +365,30 @@ mod tests {
         for _ in 0..10 {
             d.push(vec![1.0], true);
         }
-        let t = tree(&d, &TreeConfig::default());
+        let t = tree(&d);
         assert_eq!(t.feature, [Forest::LEAF]);
         assert_eq!((t.pos[0], t.neg[0]), (10, 0));
         assert!(t.predict(&[0.0]));
     }
 
+    /// Depth of the subtree rooted at `row` (a leaf is depth 0).
+    fn depth(t: &Forest, row: usize) -> usize {
+        if t.feature[row] == Forest::LEAF {
+            return 0;
+        }
+        1 + depth(t, t.left[row] as usize).max(depth(t, t.right[row] as usize))
+    }
+
     #[test]
     fn depth_limit_respected() {
-        let d = separable();
-        let cfg = TreeConfig {
-            max_depth: 1,
-            ..Default::default()
-        };
-        let t = tree(&d, &cfg);
-        assert!(t.feature.len() <= 3);
+        // Alternating labels along one feature: fitting them exactly needs
+        // a split per example, so only the depth cap stops the growth.
+        let mut d = Dataset::new();
+        for i in 0..4096 {
+            d.push(vec![f64::from(i)], i % 2 == 0);
+        }
+        let t = tree(&d);
+        assert_eq!(depth(&t, 0), MAX_DEPTH);
     }
 
     /// Missing training values are counted left, and a missing query
@@ -417,7 +400,7 @@ mod tests {
             let v = if i < 3 { f64::NAN } else { f64::from(i) / 12.0 };
             d.push(vec![v], !v.is_nan() && v > 0.5);
         }
-        let t = tree(&d, &TreeConfig::default());
+        let t = tree(&d);
         // Root split, then its left leaf: the NaN rows and 0.25..=0.5.
         assert_eq!(t.feature[..2], [0, Forest::LEAF]);
         assert_eq!((t.pos[1], t.neg[1]), (0, 7));
@@ -434,7 +417,7 @@ mod tests {
             d.push(vec![v], i >= 10);
         }
         // Must not panic, and should fit the non-missing part reasonably.
-        let t = tree(&d, &TreeConfig::default());
+        let t = tree(&d);
         assert!(t.predict(&[19.0]));
         assert!(!t.predict(&[1.0]));
     }

@@ -4,9 +4,10 @@
 //! correct: at every node shuffle the features, and for each of the first
 //! `k` collect the node's values, sort and dedup them, and for the
 //! midpoint of every two adjacent distinct values recount the whole node
-//! on both sides, and append the node to the rows in preorder. `forest`
-//! wraps it in the bagging and out-of-bag scheme of the module docs,
-//! growing every tree into one arena. The production trainer (dense
+//! on both sides, and append the node to the rows in preorder, down to
+//! depth `MAX_DEPTH` and nodes of `MIN_SPLIT` examples. `forest` wraps it
+//! in the bagging and out-of-bag scheme of the module docs, growing
+//! `N_TREES` trees into one arena. The production trainer (dense
 //! ranks compiled once or carried between trainings, then per candidate
 //! feature a per-rank histogram or an integer key sort, and one run
 //! sweep, into rows of its own per tree) must grow the same trees bit for
@@ -17,7 +18,9 @@
 //! every node: few distinct values (histograms everywhere) and
 //! all-distinct values under small bags (key sorts everywhere).
 
-use falcon_forest::{Dataset, Forest, ForestConfig, RankMatrix, RankedDataset, TreeConfig};
+use falcon_forest::{
+    Dataset, Forest, ForestConfig, RankMatrix, RankedDataset, MAX_DEPTH, MIN_SPLIT, N_TREES,
+};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -56,14 +59,13 @@ fn grow(
     out: &mut Forest,
     data: &Dataset,
     idx: &[usize],
-    cfg: &TreeConfig,
     k: usize,
     depth: usize,
     rng: &mut impl Rng,
 ) -> u32 {
     let pos = idx.iter().filter(|&&i| data.labels[i]).count();
     let neg = idx.len() - pos;
-    if depth >= cfg.max_depth || idx.len() < cfg.min_split || pos == 0 || neg == 0 {
+    if depth >= MAX_DEPTH || idx.len() < MIN_SPLIT || pos == 0 || neg == 0 {
         return push(out, Forest::LEAF, 0.0, pos > neg, pos, neg);
     }
     let mut feats: Vec<usize> = (0..data.arity()).collect();
@@ -106,35 +108,27 @@ fn grow(
         v <= threshold || v.is_nan()
     });
     let row = push(out, feature as u32, threshold, false, 0, 0) as usize;
-    out.left[row] = grow(out, data, &left, cfg, k, depth + 1, rng);
-    out.right[row] = grow(out, data, &right, cfg, k, depth + 1, rng);
+    out.left[row] = grow(out, data, &left, k, depth + 1, rng);
+    out.right[row] = grow(out, data, &right, k, depth + 1, rng);
     row as u32
 }
 
-/// Append one tree over the example multiset `idx` to `out`.
-fn tree_into(
-    out: &mut Forest,
-    data: &Dataset,
-    idx: &[usize],
-    cfg: &TreeConfig,
-    rng: &mut impl Rng,
-) {
+/// Append one tree over the example multiset `idx` to `out`, each node
+/// considering `ceil(sqrt(arity))` features.
+fn tree_into(out: &mut Forest, data: &Dataset, idx: &[usize], rng: &mut impl Rng) {
     let arity = data.arity();
-    let k = cfg
-        .features_per_node
-        .unwrap_or_else(|| (arity as f64).sqrt().ceil() as usize)
-        .clamp(1, arity.max(1));
-    let root = grow(out, data, idx, cfg, k, 0, rng);
+    let k = ((arity as f64).sqrt().ceil() as usize).clamp(1, arity.max(1));
+    let root = grow(out, data, idx, k, 0, rng);
     out.roots.push(root);
 }
 
 /// `Forest::train_on` by definition.
-fn tree(data: &Dataset, idx: &[usize], cfg: &TreeConfig, rng: &mut impl Rng) -> Forest {
+fn tree(data: &Dataset, idx: &[usize], rng: &mut impl Rng) -> Forest {
     let mut out = Forest {
         arity: data.arity(),
         ..Forest::default()
     };
-    tree_into(&mut out, data, idx, cfg, rng);
+    tree_into(&mut out, data, idx, rng);
     out
 }
 
@@ -155,9 +149,9 @@ fn vote(f: &Forest, mut i: usize, fv: &[f64]) -> bool {
 /// tree bagging and growing from its own `SmallRng` into the next rows;
 /// the out-of-bag estimate is the majority of the trees that did not see
 /// an example, over the examples some tree did not see.
-fn forest(data: &Dataset, cfg: &ForestConfig, rng: &mut impl Rng) -> Forest {
+fn forest(data: &Dataset, rng: &mut impl Rng) -> Forest {
     let n = data.len();
-    let seeds: Vec<u64> = (0..cfg.n_trees).map(|_| rng.next_u64()).collect();
+    let seeds: Vec<u64> = (0..N_TREES).map(|_| rng.next_u64()).collect();
     let mut oob = vec![(0usize, 0usize); n]; // (positive votes, votes)
     let mut out = Forest {
         arity: data.arity(),
@@ -165,12 +159,8 @@ fn forest(data: &Dataset, cfg: &ForestConfig, rng: &mut impl Rng) -> Forest {
     };
     for seed in seeds {
         let mut trng = SmallRng::seed_from_u64(seed);
-        let idx: Vec<usize> = if cfg.bagging {
-            (0..n).map(|_| trng.gen_range(0..n)).collect()
-        } else {
-            (0..n).collect()
-        };
-        tree_into(&mut out, data, &idx, &cfg.tree, &mut trng);
+        let idx: Vec<usize> = (0..n).map(|_| trng.gen_range(0..n)).collect();
+        tree_into(&mut out, data, &idx, &mut trng);
         let root = *out.roots.last().expect("a tree was just grown") as usize;
         for i in (0..n).filter(|i| !idx.contains(i)) {
             oob[i].0 += usize::from(vote(&out, root, &data.features[i]));
@@ -182,8 +172,7 @@ fn forest(data: &Dataset, cfg: &ForestConfig, rng: &mut impl Rng) -> Forest {
         .map(|i| (oob[i].0 * 2 > oob[i].1) == data.labels[i])
         .collect();
     let correct = scored.iter().filter(|c| **c).count();
-    out.oob_accuracy =
-        (cfg.bagging && !scored.is_empty()).then(|| correct as f64 / scored.len() as f64);
+    out.oob_accuracy = (!scored.is_empty()).then(|| correct as f64 / scored.len() as f64);
     out
 }
 
@@ -238,20 +227,6 @@ fn dataset() -> impl Strategy<Value = Dataset> {
                 d.push(fv, single.unwrap_or(label));
             }
             d
-        })
-}
-
-fn tree_config() -> impl Strategy<Value = TreeConfig> {
-    (
-        prop_oneof![Just(0usize), Just(1), Just(3), Just(10)],
-        prop_oneof![Just(0usize), Just(2), Just(5), Just(1000)],
-        // 1, = arity (clamped), and the sqrt default.
-        prop_oneof![Just(Some(1usize)), Just(Some(MAX_ARITY)), Just(None)],
-    )
-        .prop_map(|(max_depth, min_split, features_per_node)| TreeConfig {
-            max_depth,
-            min_split,
-            features_per_node,
         })
 }
 
@@ -328,15 +303,14 @@ proptest! {
     fn histogram_nodes_equal_the_definition(
         d in few_distinct(),
         picks in proptest::collection::vec(0usize..1 << 16, 1..60),
-        cfg in tree_config(),
         seed in 0u64..1 << 48,
     ) {
         prop_assert!((0..d.arity()).all(|f| distinct(&d, f) <= 3));
         let idx: Vec<usize> = picks.iter().map(|p| p % d.len()).collect();
         let (mut fast_rng, mut def_rng) =
             (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
-        let fast = Forest::train_on(&d, &idx, &cfg, &mut fast_rng);
-        prop_assert_eq!(fast, tree(&d, &idx, &cfg, &mut def_rng));
+        let fast = Forest::train_on(&d, &idx, &mut fast_rng);
+        prop_assert_eq!(fast, tree(&d, &idx, &mut def_rng));
         prop_assert_eq!(fast_rng.next_u64(), def_rng.next_u64(), "RNG streams diverged");
     }
 
@@ -345,7 +319,6 @@ proptest! {
     fn sorted_nodes_equal_the_definition(
         d in all_distinct(),
         picks in proptest::collection::vec(0usize..1 << 16, 1..=12),
-        cfg in tree_config(),
         seed in 0u64..1 << 48,
     ) {
         let present = |f: usize| d.features.iter().filter(|r| !r[f].is_nan()).count();
@@ -354,8 +327,8 @@ proptest! {
         let idx: Vec<usize> = picks.iter().map(|p| p % d.len()).collect();
         let (mut fast_rng, mut def_rng) =
             (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
-        let fast = Forest::train_on(&d, &idx, &cfg, &mut fast_rng);
-        prop_assert_eq!(fast, tree(&d, &idx, &cfg, &mut def_rng));
+        let fast = Forest::train_on(&d, &idx, &mut fast_rng);
+        prop_assert_eq!(fast, tree(&d, &idx, &mut def_rng));
         prop_assert_eq!(fast_rng.next_u64(), def_rng.next_u64(), "RNG streams diverged");
     }
 
@@ -374,13 +347,9 @@ proptest! {
             ),
             1..6,
         ),
-        tree_cfg in tree_config(),
-        n_trees in 1usize..4,
-        bagging in proptest::arbitrary::any::<bool>(),
         seed in 0u64..1 << 48,
         threads in 1usize..=2,
     ) {
-        let cfg = ForestConfig { n_trees, tree: tree_cfg, bagging };
         let mut set = RankedDataset::new();
         for (b, rows) in batches.into_iter().enumerate() {
             let edge = 1e3 * (b + 1) as f64;
@@ -398,8 +367,8 @@ proptest! {
             prop_assert_eq!(set.ranks(), &RankMatrix::compile(set.data()));
             let (mut carried_rng, mut fresh_rng) =
                 (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
-            let carried = Forest::train_ranked(&set, &cfg, &mut carried_rng, threads);
-            let fresh = Forest::train_threads(set.data(), &cfg, &mut fresh_rng, threads);
+            let carried = Forest::train_ranked(&set, &mut carried_rng, threads);
+            let fresh = Forest::train_threads(set.data(), &mut fresh_rng, threads);
             prop_assert_eq!(carried, fresh);
             prop_assert_eq!(carried_rng.next_u64(), fresh_rng.next_u64(), "RNG streams diverged");
         }
@@ -411,34 +380,29 @@ proptest! {
     fn tree_equals_its_definition(
         d in dataset(),
         picks in proptest::collection::vec(0usize..1 << 16, 1..60),
-        cfg in tree_config(),
         seed in 0u64..1 << 48,
     ) {
         let idx: Vec<usize> = picks.iter().map(|p| p % d.len()).collect();
         let (mut fast_rng, mut def_rng) =
             (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
-        let fast = Forest::train_on(&d, &idx, &cfg, &mut fast_rng);
-        let def = tree(&d, &idx, &cfg, &mut def_rng);
+        let fast = Forest::train_on(&d, &idx, &mut fast_rng);
+        let def = tree(&d, &idx, &mut def_rng);
         prop_assert_eq!(fast, def);
         prop_assert_eq!(fast_rng.next_u64(), def_rng.next_u64(), "RNG streams diverged");
     }
 
-    /// A whole forest (bagged or not) at 1..4 workers: same trees, same
-    /// out-of-bag estimate, same master RNG state afterwards.
+    /// A whole forest at 1..4 workers: same trees, same out-of-bag
+    /// estimate, same master RNG state afterwards.
     #[test]
     fn forest_equals_its_definition(
         d in dataset(),
-        tree_cfg in tree_config(),
-        n_trees in 1usize..6,
-        bagging in proptest::arbitrary::any::<bool>(),
         seed in 0u64..1 << 48,
         threads in 1usize..=4,
     ) {
-        let cfg = ForestConfig { n_trees, tree: tree_cfg, bagging };
         let (mut fast_rng, mut def_rng) =
             (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
-        let fast = Forest::train_threads(&d, &cfg, &mut fast_rng, threads);
-        let def = forest(&d, &cfg, &mut def_rng);
+        let fast = Forest::train_threads(&d, &mut fast_rng, threads);
+        let def = forest(&d, &mut def_rng);
         prop_assert_eq!(fast, def);
         prop_assert_eq!(fast_rng.next_u64(), def_rng.next_u64(), "RNG streams diverged");
     }
@@ -459,21 +423,24 @@ fn larger_fixtures_equal_their_definitions() {
         let z = if i % 4 == 0 { 0.5 } else { y * x.max(0.0) };
         d.push(vec![x, y, z], (i * 3) % 150 >= 71);
     }
-    let cfg = ForestConfig::default();
     for seed in [5u64, 77] {
-        let def = forest(&d, &cfg, &mut SmallRng::seed_from_u64(seed));
+        let def = forest(&d, &mut SmallRng::seed_from_u64(seed));
         for threads in [1, 8] {
-            let fast = Forest::train_threads(&d, &cfg, &mut SmallRng::seed_from_u64(seed), threads);
+            let fast = Forest::train_threads(&d, &mut SmallRng::seed_from_u64(seed), threads);
             assert_eq!(fast, def, "seed {seed}, {threads} threads");
         }
         assert_eq!(
-            Forest::train(&d, &cfg, &mut SmallRng::seed_from_u64(seed)),
+            Forest::train(
+                &d,
+                &ForestConfig::default(),
+                &mut SmallRng::seed_from_u64(seed)
+            ),
             def
         );
         let idx: Vec<usize> = (0..d.len()).map(|i| (i * 31) % d.len()).collect();
         assert_eq!(
-            Forest::train_on(&d, &idx, &cfg.tree, &mut SmallRng::seed_from_u64(seed)),
-            tree(&d, &idx, &cfg.tree, &mut SmallRng::seed_from_u64(seed)),
+            Forest::train_on(&d, &idx, &mut SmallRng::seed_from_u64(seed)),
+            tree(&d, &idx, &mut SmallRng::seed_from_u64(seed)),
         );
     }
 }

@@ -114,8 +114,8 @@ pub struct TokenColumn {
     pub(crate) set_sizes: Arc<[u32]>,
     /// Ids whose value is missing (permanent candidates of every probe).
     pub(crate) missing: Arc<[TupleId]>,
-    /// The fingerprints at every signature width asked for so far.
-    sigs: Vec<Arc<SignatureIndex>>,
+    /// The column's fingerprints, once asked for.
+    sigs: Option<Arc<SignatureIndex>>,
 }
 
 impl TokenColumn {
@@ -150,7 +150,7 @@ impl TokenColumn {
             ranks,
             set_sizes,
             missing: missing.into(),
-            sigs: Vec::new(),
+            sigs: None,
         }
     }
 
@@ -176,14 +176,13 @@ impl TokenColumn {
         self.offsets.windows(2).map(|w| &self.ranks[w[0]..w[1]])
     }
 
-    /// The column's `words`-wide fingerprints, built on first use.
-    pub(crate) fn fingerprints(&mut self, words: usize) -> Arc<SignatureIndex> {
-        let built = self.sigs.iter().position(|s| s.words() == words.max(1));
-        let i = built.unwrap_or_else(|| {
-            self.sigs.push(Arc::new(SignatureIndex::build(self, words)));
-            self.sigs.len() - 1
-        });
-        Arc::clone(&self.sigs[i])
+    /// The column's fingerprints, built on first use.
+    pub(crate) fn fingerprints(&mut self) -> Arc<SignatureIndex> {
+        let sigs = self
+            .sigs
+            .take()
+            .unwrap_or_else(|| Arc::new(SignatureIndex::build(self)));
+        Arc::clone(self.sigs.insert(sigs))
     }
 }
 

@@ -1,13 +1,13 @@
 //! Fixed-width token-set Bloom signatures and the lossless popcount
 //! overlap bound.
 //!
-//! Each indexed tuple gets a `words × 64`-bit fingerprint: every distinct
-//! token sets one bit (FNV-1a of its text mod the width), one column of
-//! them per token column and width. For a set-similarity predicate
-//! `sim(a, b) > t` the prefix-filter math already gives a minimal token
-//! overlap `o = required_overlap(t, |a|, |b|)`; the signature layer
-//! answers "can |a ∩ b| reach o?" with one AND + popcount per pair,
-//! *before* any posting-list walk or exact similarity score.
+//! Each indexed tuple gets a 128-bit fingerprint: every distinct token
+//! sets one bit (FNV-1a of its text mod 128), one column of them per token
+//! column. For a set-similarity predicate `sim(a, b) > t` the
+//! prefix-filter math already gives a minimal token overlap
+//! `o = required_overlap(t, |a|, |b|)`; the signature layer answers "can
+//! |a ∩ b| reach o?" with one AND + popcount per pair, *before* any
+//! posting-list walk or exact similarity score.
 //!
 //! # Superset proof
 //!
@@ -44,8 +44,8 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a hash of a token's text — stable across platforms and runs, and
 /// independent of dictionary numbering, so signatures (and therefore
-/// candidate sets) are deterministic. A token's fingerprint bit in a
-/// `words`-word signature is this hash mod `words × 64`.
+/// candidate sets) are deterministic. A token's fingerprint bit is this
+/// hash mod 128.
 pub fn token_hash(token: &str) -> u64 {
     let mut h = FNV_OFFSET;
     for byte in token.as_bytes() {
@@ -55,55 +55,49 @@ pub fn token_hash(token: &str) -> u64 {
     h
 }
 
-/// Bit position of a token hash in a `words`-word signature.
+/// Fingerprint bits per tuple: two 64-bit words' worth, wide enough that
+/// the short token sets blocking probes rarely saturate, narrow enough
+/// that a fingerprint is one register.
+const SIG_BITS: u32 = u128::BITS;
+
+/// Bit position of a token hash in a fingerprint.
 #[inline]
-fn hash_bit(hash: u64, words: usize) -> usize {
-    (hash % (words as u64 * 64)) as usize
+fn hash_bit(hash: u64) -> u32 {
+    (hash % u64::from(SIG_BITS)) as u32
 }
 
 /// Dense column of per-tuple Bloom fingerprints over one [`TokenColumn`],
-/// built once per signature width and shared by every index gated at
-/// that width.
+/// built once and shared by every index gated over that column.
 #[derive(Debug, Clone)]
 pub struct SignatureIndex {
     /// Distinct-token count per tuple (0 for tokenless rows): the column's.
     sizes: Arc<[u32]>,
     /// Largest count: bounds the per-probe [`VerdictTable`] of a dense scan.
     max_size: usize,
-    /// Signature width in 64-bit words (≥ 1).
-    words: usize,
-    /// Row-major fingerprints: tuple `id` owns `bits[id*words .. (id+1)*words]`.
-    bits: Vec<u64>,
+    /// Tuple `id`'s fingerprint is `bits[id]`.
+    bits: Vec<u128>,
     /// Total set bits across all fingerprints (density statistic).
     set_bits: u64,
 }
 
 impl SignatureIndex {
-    /// Fingerprint every tuple of `column` at `words × 64` bits. `words`
-    /// is clamped to ≥ 1 (the verifier rejects 0 statically; the clamp
-    /// keeps the data structure total).
-    pub fn build(column: &TokenColumn, words: usize) -> Self {
-        let words = words.max(1);
+    /// Fingerprint every tuple of `column`.
+    pub fn build(column: &TokenColumn) -> Self {
         let sizes = Arc::clone(&column.set_sizes);
-        let mut bits = vec![0u64; sizes.len() * words];
-        for (row, ranks) in bits.chunks_exact_mut(words).zip(column.tuples()) {
-            for &rank in ranks {
-                let bit = hash_bit(column.order.hash(rank), words);
-                row[bit / 64] |= 1 << (bit % 64);
-            }
-        }
+        let bits: Vec<u128> = column
+            .tuples()
+            .map(|ranks| {
+                ranks.iter().fold(0, |row, &rank| {
+                    row | 1u128 << hash_bit(column.order.hash(rank))
+                })
+            })
+            .collect();
         Self {
             max_size: sizes.iter().max().map_or(0, |s| *s as usize),
             sizes,
             set_bits: bits.iter().map(|w| u64::from(w.count_ones())).sum(),
-            words,
             bits,
         }
-    }
-
-    /// Signature width in 64-bit words.
-    pub fn words(&self) -> usize {
-        self.words
     }
 
     /// Distinct-token count of tuple `id` (`SIG_NO_TOKENS` when absent).
@@ -127,27 +121,21 @@ impl SignatureIndex {
         if signed == 0 {
             return 0.0;
         }
-        self.set_bits as f64 / (signed as f64 * self.words as f64 * 64.0)
+        self.set_bits as f64 / (signed as f64 * f64::from(SIG_BITS))
     }
 
     /// Estimated memory footprint in bytes.
     pub fn estimated_bytes(&self) -> usize {
-        self.bits.len() * 8 + self.sizes.len() * 4
+        self.bits.len() * 16 + self.sizes.len() * 4
     }
 
     /// Number of fingerprint bits tuple `id` shares with the probe (0 for
     /// an id outside the column).
     #[inline]
     pub fn shared_bits(&self, id: TupleId, probe: &ProbeSig) -> u32 {
-        debug_assert_eq!(probe.words, self.words);
-        let i = id as usize;
-        let Some(row) = self.bits.get(i * self.words..(i + 1) * self.words) else {
-            return 0;
-        };
-        row.iter()
-            .zip(&probe.sig)
-            .map(|(a, b)| (a & b).count_ones())
-            .sum()
+        self.bits
+            .get(id as usize)
+            .map_or(0, |row| (row & probe.sig).count_ones())
     }
 
     /// Lossless pre-filter test: can tuple `id` share at least `need`
@@ -225,8 +213,7 @@ impl SignatureIndex {
 /// table that makes the popcount test lossless (see module docs).
 #[derive(Debug, Clone)]
 pub struct ProbeSig {
-    words: usize,
-    sig: Vec<u64>,
+    sig: u128,
     /// `min_bits[o]` = minimum distinct signature bits any `o` distinct
     /// probe tokens must cover; length `|tokens| + 1`.
     min_bits: Vec<u32>,
@@ -236,17 +223,13 @@ pub struct ProbeSig {
 impl ProbeSig {
     /// Build the probe fingerprint and its `min_bits` table from the
     /// [`token_hash`]es of the B value's distinct tokens, in any order.
-    pub fn build(hashes: impl IntoIterator<Item = u64>, words: usize) -> Self {
-        let words = words.max(1);
-        let mut sig = vec![0u64; words];
-        let mut bits: Vec<usize> = hashes.into_iter().map(|h| hash_bit(h, words)).collect();
+    pub fn build(hashes: impl IntoIterator<Item = u64>) -> Self {
+        let mut bits: Vec<u32> = hashes.into_iter().map(hash_bit).collect();
         let token_count = bits.len();
         // Multiplicity per distinct bit: how many probe tokens hash there.
         let mut mult: Vec<u32> = Vec::with_capacity(token_count);
         bits.sort_unstable();
-        for bit in &bits {
-            sig[bit / 64] |= 1 << (bit % 64);
-        }
+        let sig = bits.iter().fold(0, |sig, &bit| sig | 1u128 << bit);
         let mut i = 0;
         while i < bits.len() {
             let mut j = i + 1;
@@ -271,7 +254,6 @@ impl ProbeSig {
             min_bits.push(k);
         }
         Self {
-            words,
             sig,
             min_bits,
             token_count,
@@ -281,11 +263,6 @@ impl ProbeSig {
     /// Number of distinct probe tokens.
     pub fn token_count(&self) -> usize {
         self.token_count
-    }
-
-    /// Signature width in 64-bit words.
-    pub fn words(&self) -> usize {
-        self.words
     }
 
     /// The `min_bits` table (see the struct docs).
@@ -332,46 +309,37 @@ mod tests {
     use std::collections::BTreeSet;
 
     /// Word-token fingerprints of one value per tuple.
-    fn index_of(values: &[&str], words: usize) -> SignatureIndex {
+    fn index_of(values: &[&str]) -> SignatureIndex {
         let schema = Schema::new([("x", AttrType::Str)]);
         let a = Table::new("A", schema, values.iter().map(|v| vec![Value::str(*v)]));
-        SignatureIndex::build(&TokenColumn::of_table(&a, 0, Tokenizer::Word), words)
+        SignatureIndex::build(&TokenColumn::of_table(&a, 0, Tokenizer::Word))
     }
 
-    fn probe_of(value: &str, words: usize) -> ProbeSig {
-        ProbeSig::build(value.split(' ').map(token_hash), words)
+    fn probe_of(value: &str) -> ProbeSig {
+        ProbeSig::build(value.split(' ').map(token_hash))
     }
 
     #[test]
     fn identical_sets_always_may_overlap() {
         let t = "ab bc cd de";
-        for words in [1usize, 2, 4] {
-            let idx = index_of(&[t], words);
-            let probe = probe_of(t, words);
-            for need in 0..=4 {
-                assert!(
-                    idx.may_overlap(0, &probe, need),
-                    "words={words} need={need}"
-                );
-            }
-            // need beyond |probe| is impossible.
-            assert!(!idx.may_overlap(0, &probe, 5));
+        let idx = index_of(&[t]);
+        let probe = probe_of(t);
+        for need in 0..=4 {
+            assert!(idx.may_overlap(0, &probe, need), "need={need}");
         }
+        // need beyond |probe| is impossible.
+        assert!(!idx.may_overlap(0, &probe, 5));
     }
 
     #[test]
     fn disjoint_sets_pruned_when_bits_disjoint() {
-        // With a wide signature, disjoint small sets almost surely map to
-        // disjoint bits; when they do, overlap ≥ 1 must be refuted.
+        // Disjoint small sets almost surely map to disjoint bits; when
+        // they do, overlap ≥ 1 must be refuted.
         let (a, b) = ("alpha beta", "gamma delta");
-        let words = 4;
-        let idx = index_of(&[a], words);
-        let probe = probe_of(b, words);
-        let bits = |v: &str| -> BTreeSet<usize> {
-            v.split(' ')
-                .map(|t| hash_bit(token_hash(t), words))
-                .collect()
-        };
+        let idx = index_of(&[a]);
+        let probe = probe_of(b);
+        let bits =
+            |v: &str| -> BTreeSet<u32> { v.split(' ').map(|t| hash_bit(token_hash(t))).collect() };
         if bits(a).is_disjoint(&bits(b)) {
             assert!(!idx.may_overlap(0, &probe, 1));
         }
@@ -381,13 +349,12 @@ mod tests {
 
     #[test]
     fn min_bits_accounts_for_collisions() {
-        // Force every token onto one bit with a 1-word signature on a big
-        // token set: min_bits[o] must be 1 for all o ≤ |tokens| whenever
-        // all tokens collide, so a single shared bit cannot prune.
+        // 200 tokens on 128 bits must collide: `min_bits` has to account
+        // for the shared bits, so the identity pair is never pruned.
         let t: Vec<String> = (0..200).map(|i| format!("tok{i}")).collect();
         let t = t.join(" ");
-        let probe = probe_of(&t, 1);
-        let idx = index_of(&[&t], 1);
+        let probe = probe_of(&t);
+        let idx = index_of(&[&t]);
         // Identity pair with full overlap: must never be pruned.
         for need in 0..=200 {
             assert!(idx.may_overlap(0, &probe, need), "need={need}");
@@ -396,8 +363,8 @@ mod tests {
 
     #[test]
     fn tokenless_and_missing_ids() {
-        let idx = index_of(&["", "x"], 1);
-        let probe = probe_of("x", 1);
+        let idx = index_of(&["", "x"]);
+        let probe = probe_of("x");
         assert!(!idx.may_overlap(0, &probe, 1), "tokenless can't overlap");
         assert!(idx.may_overlap(0, &probe, 0), "need=0 passes everything");
         assert!(idx.may_overlap(1, &probe, 1));
@@ -409,11 +376,10 @@ mod tests {
 
     #[test]
     fn density_and_bytes() {
-        let idx = index_of(&["a b c", "d", "", ""], 2);
+        let idx = index_of(&["a b c", "d", "", ""]);
         let d = idx.density();
         assert!(d > 0.0 && d < 1.0, "density {d}");
         assert!(idx.estimated_bytes() > 0);
-        assert_eq!(idx.words(), 2);
         assert_eq!(idx.estimated_bytes(), 4 * (2 * 8 + 4));
     }
 

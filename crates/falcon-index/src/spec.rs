@@ -31,11 +31,6 @@ use falcon_textsim::{prefix, SimFunction, TokenDict, Tokenizer};
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
-/// Widest allowed signature (64 words = 4096 bits): wider adds memory
-/// without measurable extra pruning, and the cap keeps `words × 64`
-/// arithmetic comfortably inside `u64`.
-pub const MAX_SIGNATURE_WORDS: usize = 64;
-
 /// What kind of index-based filtering a positive-rule predicate admits.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FilterSpec {
@@ -73,15 +68,13 @@ pub enum FilterSpec {
     },
     /// Signature pre-filter wrapped around a set-similarity filter: the
     /// inner filters still run, but each pair is first tested with a
-    /// `words × 64`-bit Bloom fingerprint popcount bound (see
+    /// 128-bit Bloom fingerprint popcount bound (see
     /// [`crate::signature`]). Only provably a candidate-superset over
     /// [`FilterSpec::SetSim`] inners — the static verifier rejects
     /// anything else.
     Signature {
         /// The exact filter the signature gates (must be `SetSim`).
         inner: Box<FilterSpec>,
-        /// Signature width in 64-bit words (1..=64).
-        words: usize,
     },
 }
 
@@ -159,16 +152,15 @@ impl FilterSpec {
         }
     }
 
-    /// Wrap this spec with a `words`-word signature pre-filter when the
-    /// signature layer is provably lossless for it (set-similarity
-    /// filters only); other specs are returned unchanged. This is the
-    /// only constructor planner code should use — it can never produce a
-    /// spec that `verify()` rejects for a valid `words`.
-    pub fn with_signature(self, words: usize) -> FilterSpec {
+    /// Wrap this spec with a signature pre-filter when the signature
+    /// layer is provably lossless for it (set-similarity filters only);
+    /// other specs are returned unchanged. This is the only constructor
+    /// planner code should use — it adds no obligation `verify()` can
+    /// reject.
+    pub fn with_signature(self) -> FilterSpec {
         match self {
             spec @ FilterSpec::SetSim { .. } => FilterSpec::Signature {
                 inner: Box::new(spec),
-                words,
             },
             spec => spec,
         }
@@ -222,20 +214,15 @@ impl FilterSpec {
                 (Obligation::ThresholdFinite, threshold.is_finite()),
                 (Obligation::ThresholdPositive, *threshold > 0.0),
             ],
-            FilterSpec::Signature { inner, words } => {
+            FilterSpec::Signature { inner } => {
                 // The inner filter's obligations still apply verbatim (the
-                // exact path runs behind the gate), plus two signature
-                // obligations: a usable width, and the superset proof —
-                // the popcount bound is derived from the set-overlap
-                // requirement `required_overlap`, which exists only for
-                // set-similarity filters. Wrapping anything else (ranges,
-                // equality, edit distance, another signature) has no such
-                // bound and could prune satisfying pairs.
+                // exact path runs behind the gate), plus the superset
+                // proof: the popcount bound is derived from the
+                // set-overlap requirement `required_overlap`, which exists
+                // only for set-similarity filters. Wrapping anything else
+                // (ranges, equality, edit distance, another signature) has
+                // no such bound and could prune satisfying pairs.
                 let mut obs = inner.obligations();
-                obs.push((
-                    Obligation::SignatureWidthValid,
-                    (1..=MAX_SIGNATURE_WORDS).contains(words),
-                ));
                 obs.push((
                     Obligation::SignatureSuperset,
                     matches!(**inner, FilterSpec::SetSim { .. }),
@@ -279,10 +266,6 @@ pub enum Obligation {
     /// A relative range width must be below one for the probe window to
     /// be invertible (`rel_diff` ranges over [0, 2]).
     RelativeWidthBelowOne,
-    /// A signature width must lie in `1..=MAX_SIGNATURE_WORDS` 64-bit
-    /// words (zero-width signatures have no bits to compare; absurd
-    /// widths waste memory for no pruning).
-    SignatureWidthValid,
     /// A signature pre-filter must be provably a candidate-superset: the
     /// popcount bound exists only for set-similarity filters, so only a
     /// `SetSim` inner can be wrapped.
@@ -299,7 +282,6 @@ impl Obligation {
             Obligation::WidthFinite => "range width is finite",
             Obligation::WidthNonNegative => "range width is non-negative",
             Obligation::RelativeWidthBelowOne => "relative range width is below one",
-            Obligation::SignatureWidthValid => "signature width is between 1 and 64 words",
             Obligation::SignatureSuperset => {
                 "signature pre-filter provably passes a candidate superset \
                  (requires a set-similarity inner filter)"
@@ -338,7 +320,7 @@ impl ProbeMode {
 /// What a set-similarity probe reads of one `B` value, computed once and
 /// shared by every predicate probing the same `(B attribute, tokenizer,
 /// token order)`: the value's distinct tokens in the order's rank space,
-/// one [`ProbeSig`] per signature width asked for, and the reusable
+/// their [`ProbeSig`] once a gated probe asks for it, and the reusable
 /// [`VerdictTable`] buffer. Callers holding `B`'s token profile load it
 /// with [`ProbeTokens::load_ids`]; otherwise [`PredicateIndex::probe_into`]
 /// tokenizes the value on first use. Either way it is
@@ -354,7 +336,7 @@ pub struct ProbeTokens {
     pub(crate) seen: Vec<u32>,
     /// [`token_hash`] of every token, ranked or not.
     pub(crate) hashes: Vec<u64>,
-    sigs: Vec<ProbeSig>,
+    sig: Option<ProbeSig>,
     table: VerdictTable,
 }
 
@@ -374,7 +356,7 @@ impl ProbeTokens {
         self.missing = missing;
         self.seen.clear();
         self.hashes.clear();
-        self.sigs.clear();
+        self.sig = None;
         for (rank, hash) in tokens {
             self.seen.extend(rank);
             self.hashes.push(hash);
@@ -411,18 +393,6 @@ impl ProbeTokens {
             tokenizer.tokenize_sorted(raw).iter().map(token),
         );
     }
-}
-
-/// The `words`-wide signature of the probe's tokens, built on first use.
-fn probe_sig<'a>(sigs: &'a mut Vec<ProbeSig>, hashes: &[u64], words: usize) -> &'a ProbeSig {
-    let i = sigs
-        .iter()
-        .position(|s| s.words() == words)
-        .unwrap_or_else(|| {
-            sigs.push(ProbeSig::build(hashes.iter().copied(), words));
-            sigs.len() - 1
-        });
-    &sigs[i]
 }
 
 /// How a signature-wrapped predicate index answers a probe. Chosen per
@@ -509,7 +479,7 @@ pub enum PredicateIndex {
     /// Bloom fingerprint column consulted before (or instead of) the
     /// inner inverted-index probe.
     Signature {
-        /// Per-tuple fingerprints (one allocation per column and width).
+        /// Per-tuple fingerprints (one allocation per column).
         sigs: Arc<SignatureIndex>,
         /// The exact filter bundle behind the gate (always `SetSim`).
         exact: Box<PredicateIndex>,
@@ -639,15 +609,15 @@ impl PredicateIndex {
                 }
             }
             FilterSpec::SetSim { sim, threshold, .. } => {
-                build_setsim(a, attr_idx, *sim, *threshold, shared, None)?
+                build_setsim(a, attr_idx, *sim, *threshold, shared, false)?
             }
-            FilterSpec::Signature { inner, words } => {
+            FilterSpec::Signature { inner } => {
                 // `verify()` above proved the inner is SetSim; the fallback
                 // arm keeps the function total if that invariant ever
                 // weakens (an unwrapped build is recall-safe regardless).
                 match &**inner {
                     FilterSpec::SetSim { sim, threshold, .. } => {
-                        build_setsim(a, attr_idx, *sim, *threshold, shared, Some(*words))?
+                        build_setsim(a, attr_idx, *sim, *threshold, shared, true)?
                     }
                     other => Self::try_build(a, other, shared)?,
                 }
@@ -924,14 +894,17 @@ impl PredicateIndex {
         let ProbeTokens {
             seen,
             hashes,
-            sigs: probe_sigs,
+            sig,
             table,
             ..
         } = tokens;
         // A tokenless probe has no signature to test (and no postings).
         let gate = sigs
             .filter(|_| mode != ProbeMode::Off && y_len > 0)
-            .map(|s| (s, probe_sig(probe_sigs, hashes, s.words())));
+            .map(|s| {
+                let probe = sig.get_or_insert_with(|| ProbeSig::build(hashes.iter().copied()));
+                (s, &*probe)
+            });
         match gate {
             Some((sigs, probe)) if mode == ProbeMode::Dense => {
                 sigs.scan_dense(probe, *sim, *threshold, within, table, stats, sink);
@@ -1022,15 +995,14 @@ fn rendered_key<'a>(v: ValueRef<'a>, scratch: &'a mut String) -> &'a str {
 
 /// Assemble the prefix-filter bundle for one set-similarity predicate
 /// over its rank-space column — the postings are all this spec builds of
-/// its own — wrapped in that column's `w`-word fingerprints when
-/// `sig_words = Some(w)`.
+/// its own — wrapped in that column's fingerprints when `gated`.
 fn build_setsim(
     a: &Table,
     attr_idx: usize,
     sim: SimFunction,
     threshold: f64,
     shared: Option<&mut TokenColumn>,
-    sig_words: Option<usize>,
+    gated: bool,
 ) -> Result<PredicateIndex, IndexError> {
     let tokenizer = sim.tokenizer().ok_or_else(|| IndexError::NotSetBased {
         sim: format!("{sim:?}"),
@@ -1047,13 +1019,14 @@ fn build_setsim(
         sim,
         threshold,
     };
-    Ok(match sig_words.map(|w| column.fingerprints(w)) {
-        Some(sigs) => PredicateIndex::Signature {
-            mode: plan_mode(&sigs, &exact),
-            sigs,
-            exact: Box::new(exact),
-        },
-        None => exact,
+    if !gated {
+        return Ok(exact);
+    }
+    let sigs = column.fingerprints();
+    Ok(PredicateIndex::Signature {
+        mode: plan_mode(&sigs, &exact),
+        sigs,
+        exact: Box::new(exact),
     })
 }
 

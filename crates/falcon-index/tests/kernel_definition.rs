@@ -7,8 +7,8 @@
 //! text) and prefix postings from `Tokenizer::tokenize`, and per posting
 //! `required_overlap`, `length_bounds` and `may_overlap` called directly —
 //! the arithmetic the table replaces. For all four set measures,
-//! thresholds on and off the similarity values small sets produce,
-//! signature widths 1, 2 and 4 and all three probe modes, the probe fed
+//! thresholds on and off the similarity values small sets produce and
+//! all three probe modes, the probe fed
 //! from a `B` value and the probe fed from `B`'s token-id column must
 //! both admit exactly the definition's ids (duplicates included) and
 //! account for every probe in the same `ProbeStats` bucket — over `B`
@@ -99,7 +99,7 @@ fn definition(
     }
     let tokens = sim.tokenizer().expect("set measure").tokenize(&raw);
     let y_len = tokens.len();
-    let probe = ProbeSig::build(tokens.iter().map(|t| token_hash(t)), sigs.words());
+    let probe = ProbeSig::build(tokens.iter().map(|t| token_hash(t)));
     let gated = mode != ProbeMode::Off && y_len > 0;
     let bounds = prefix::length_bounds(sim, t, y_len);
     let n_missing = col.missing.len() as u64;
@@ -203,41 +203,39 @@ proptest! {
             SimFunction::Overlap(tokenizer),
         ] {
             for threshold in [0.2, 1.0 / 3.0, 0.5, 0.5 + 1e-9, 0.75, 1.0] {
-                for words in [1usize, 2, 4] {
-                    let spec = FilterSpec::SetSim { a_attr: "x".into(), sim, threshold }
-                        .with_signature(words);
-                    let idx = PredicateIndex::try_build(&a, &spec, Some(&mut column)).expect("valid filter spec");
-                    let PredicateIndex::Signature { sigs, .. } = &idx else {
-                        panic!("expected a signature bundle");
-                    };
-                    let (_, order) = idx.token_source().expect("set-similarity index");
-                    for (b, ids) in b_vals.iter().zip(&b_ids) {
-                        for mode in [ProbeMode::Off, ProbeMode::Gate, ProbeMode::Dense] {
-                            let want = definition(&col, sim, threshold, sigs, b, mode);
-                            let mut stats = ProbeStats::default();
-                            let by_value = match idx.probe_ref_stats(b.as_value_ref(), mode, &mut stats) {
-                                Candidates::All => None,
-                                Candidates::Some(mut ids) => {
-                                    ids.sort_unstable();
-                                    Some((ids, stats))
-                                }
-                            };
-                            prop_assert_eq!(
-                                &by_value, &want,
-                                "value-fed {:?} words={} {:?} b={:?}", spec, words, mode, b
-                            );
-                            let (mut tokens, mut stats) = (ProbeTokens::default(), ProbeStats::default());
-                            tokens.load_ids(b.as_value_ref(), ids, order, &dict);
-                            let mut out = Vec::new();
-                            let pruned = idx.probe_into(
-                                b.as_value_ref(), mode, &mut tokens, None, &mut stats, &mut |id| out.push(id),
-                            );
-                            out.sort_unstable();
-                            prop_assert_eq!(
-                                pruned.then_some((out, stats)), want,
-                                "column-fed {:?} words={} {:?} b={:?}", spec, words, mode, b
-                            );
-                        }
+                let spec = FilterSpec::SetSim { a_attr: "x".into(), sim, threshold }
+                    .with_signature();
+                let idx = PredicateIndex::try_build(&a, &spec, Some(&mut column)).expect("valid filter spec");
+                let PredicateIndex::Signature { sigs, .. } = &idx else {
+                    panic!("expected a signature bundle");
+                };
+                let (_, order) = idx.token_source().expect("set-similarity index");
+                for (b, ids) in b_vals.iter().zip(&b_ids) {
+                    for mode in [ProbeMode::Off, ProbeMode::Gate, ProbeMode::Dense] {
+                        let want = definition(&col, sim, threshold, sigs, b, mode);
+                        let mut stats = ProbeStats::default();
+                        let by_value = match idx.probe_ref_stats(b.as_value_ref(), mode, &mut stats) {
+                            Candidates::All => None,
+                            Candidates::Some(mut ids) => {
+                                ids.sort_unstable();
+                                Some((ids, stats))
+                            }
+                        };
+                        prop_assert_eq!(
+                            &by_value, &want,
+                            "value-fed {:?} {:?} b={:?}", spec, mode, b
+                        );
+                        let (mut tokens, mut stats) = (ProbeTokens::default(), ProbeStats::default());
+                        tokens.load_ids(b.as_value_ref(), ids, order, &dict);
+                        let mut out = Vec::new();
+                        let pruned = idx.probe_into(
+                            b.as_value_ref(), mode, &mut tokens, None, &mut stats, &mut |id| out.push(id),
+                        );
+                        out.sort_unstable();
+                        prop_assert_eq!(
+                            pruned.then_some((out, stats)), want,
+                            "column-fed {:?} {:?} b={:?}", spec, mode, b
+                        );
                     }
                 }
             }
@@ -300,9 +298,9 @@ proptest! {
             FilterSpec::EditSim { a_attr: "x".into(), threshold: 0.6 },
             FilterSpec::EditSim { a_attr: "x".into(), threshold: 0.9 },
             set(SimFunction::Jaccard(word), 0.5),
-            set(SimFunction::Cosine(Tokenizer::QGram(2)), 0.4).with_signature(1),
-            set(SimFunction::Overlap(word), 0.5).with_signature(2),
-            set(SimFunction::Dice(word), 0.3).with_signature(4),
+            set(SimFunction::Cosine(Tokenizer::QGram(2)), 0.4).with_signature(),
+            set(SimFunction::Overlap(word), 0.5).with_signature(),
+            set(SimFunction::Dice(word), 0.3).with_signature(),
         ];
         for spec in &specs {
             let idx = PredicateIndex::try_build(&a, spec, None).expect("valid filter spec");

@@ -122,7 +122,7 @@ fn cand_set(c: &Candidates) -> Option<Vec<falcon_table::TupleId>> {
 /// exact-only path, that gating only shrinks the exact answer and the
 /// dense scan only grows the gated one, and that the probe counters
 /// balance.
-fn check_signature(sim: SimFunction, t: f64, words: usize, a: &Table, b_vals: &[Value]) {
+fn check_signature(sim: SimFunction, t: f64, a: &Table, b_vals: &[Value]) {
     use falcon_index::spec::ProbeMode;
     use falcon_index::ProbeStats;
     let ctx = SimContext::empty();
@@ -131,7 +131,7 @@ fn check_signature(sim: SimFunction, t: f64, words: usize, a: &Table, b_vals: &[
         sim,
         threshold: t,
     }
-    .with_signature(words);
+    .with_signature();
     let idx = PredicateIndex::try_build(a, &spec, None).expect("valid filter spec");
     for b in b_vals {
         let mut per_mode = Vec::new();
@@ -210,7 +210,7 @@ proptest! {
         }
     }
 
-    /// Tentpole invariant: random signature widths × adversarial values
+    /// Tentpole invariant: signature-gated probes over adversarial values
     /// (multi-byte Unicode, numeric strings, Nulls, near-threshold
     /// similarities) never lose a ground-truth candidate vs the
     /// exact-only path, in any probe mode.
@@ -218,7 +218,6 @@ proptest! {
     fn signature_prefilter_lossless(
         a in adversarial_table_strategy(),
         b_vals in proptest::collection::vec(adversarial_value_strategy(), 1..8),
-        words in 1usize..=8,
         t in near_threshold_strategy(),
     ) {
         for sim in [
@@ -228,7 +227,7 @@ proptest! {
             SimFunction::Overlap(Tokenizer::Word),
             SimFunction::Jaccard(Tokenizer::QGram(3)),
         ] {
-            check_signature(sim, t, words, &a, &b_vals);
+            check_signature(sim, t, &a, &b_vals);
         }
     }
 
@@ -371,14 +370,6 @@ mod static_rejection {
             sim: SimFunction::Jaccard(Tokenizer::Word),
             threshold: 0.5,
         };
-        // Zero-width and absurd-width signatures.
-        for words in [0usize, 65, 1000] {
-            let ob = rejected(FilterSpec::Signature {
-                inner: Box::new(setsim.clone()),
-                words,
-            });
-            assert_eq!(ob, Obligation::SignatureWidthValid, "words={words}");
-        }
         // The popcount bound only exists for set-overlap measures: any
         // non-SetSim inner has no superset proof.
         for inner in [
@@ -394,12 +385,10 @@ mod static_rejection {
             },
             FilterSpec::Signature {
                 inner: Box::new(setsim.clone()),
-                words: 2,
             },
         ] {
             let ob = rejected(FilterSpec::Signature {
                 inner: Box::new(inner.clone()),
-                words: 2,
             });
             assert_eq!(ob, Obligation::SignatureSuperset, "inner={inner:?}");
         }
@@ -410,12 +399,11 @@ mod static_rejection {
                 sim: SimFunction::Jaccard(Tokenizer::Word),
                 threshold: 0.0,
             }),
-            words: 2,
         });
         assert_eq!(ob, Obligation::ThresholdPositive);
         // `with_signature` never wraps what it cannot prove.
         let eq = FilterSpec::Equals { a_attr: "x".into() };
-        assert_eq!(eq.clone().with_signature(2), eq);
+        assert_eq!(eq.clone().with_signature(), eq);
     }
 
     #[test]
@@ -427,7 +415,7 @@ mod static_rejection {
                 sim: SimFunction::Jaccard(Tokenizer::Word),
                 threshold: 0.4,
             }
-            .with_signature(2),
+            .with_signature(),
             FilterSpec::SetSim {
                 a_attr: "x".into(),
                 sim: SimFunction::Jaccard(Tokenizer::Word),
