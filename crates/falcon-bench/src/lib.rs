@@ -131,7 +131,7 @@ pub fn learn_sequence(cluster: &Cluster, d: &EmDataset, mode: Mode, p: u64) -> L
     )
     .expect("al");
     let ranked = get_blocking_rules(&al.forest, &fvs, TOP_K_RULES, &higher);
-    let eval = eval_rules(&mut session, &mut tl, &ranked, &fvs, p);
+    let eval = eval_rules(&mut session, &mut tl, &ranked, &fvs.pairs, p);
     let opt = select_opt_seq(&ranked, &eval.retained);
     let retained = eval.retained.into_iter().map(|e| e.rule).collect();
     Learned { lib, opt, retained }

@@ -481,6 +481,11 @@ impl<C: Crowd> Run<'_, C> {
         let ranked = get_blocking_rules(&al_b.forest, &s_fvs.fvs, TOP_K_RULES, &higher_b);
         timeline.machine("get_block_rules", StageCost::local(s_fvs.fvs.len()));
         let rules_extracted = ranked.len();
+        // The vectors' last reader: `eval_rules` reads the sample's pairs,
+        // `select_opt_seq` the rules' coverage. Free them before the
+        // masked index builds allocate.
+        let sample_pairs = s_fvs.fvs.pairs;
+        drop(s_fvs.fvs.fvs);
         check_cancel(timeline, session)?;
 
         // Masking 1b + 2: while eval_rules crowdsources, prebuild the
@@ -489,7 +494,7 @@ impl<C: Crowd> Run<'_, C> {
         // accounting by running eval first, then charging the masked work
         // against its accumulated capacity — equivalent under the capacity
         // model.)
-        let eval = eval_rules(session, timeline, &ranked, &s_fvs.fvs, cfg.seed);
+        let eval = eval_rules(session, timeline, &ranked, &sample_pairs, cfg.seed);
         if cfg.opt.prebuild_indexes {
             prebuild_for_rules(
                 cluster,
@@ -539,10 +544,9 @@ impl<C: Crowd> Run<'_, C> {
 
         // ---- select_opt_seq ---- (driver-local pass over the sample)
         let seq_out = select_opt_seq(&ranked, &retained);
-        timeline.machine("sel_opt_seq", StageCost::local(s_fvs.fvs.len()));
-        // Nothing below reads the sample's vectors: free them before the
-        // unmasked index builds and `apply_block_rules` allocate.
-        drop(s_fvs);
+        timeline.machine("sel_opt_seq", StageCost::local(sample_len));
+        // The pairs' last reader was `eval_rules`.
+        drop(sample_pairs);
 
         // Static verification: the optimizer's sequence must be
         // well-formed against the blocking arity AND every filter derived
@@ -567,6 +571,9 @@ impl<C: Crowd> Run<'_, C> {
             let cost = built.build_spec(cluster, a, &spec)?;
             timeline.machine("index_build", cost);
         }
+        // No build follows, and nothing below reads an index outside the
+        // filterable conjuncts.
+        built.keep_probed(&conjuncts);
         check_cancel(timeline, session)?;
         // Reuse a speculated single-rule output when possible.
         let spec_hit: Option<(usize, &Vec<IdPair>)> = seq_out
@@ -852,7 +859,7 @@ mod tests {
         let (one, one_jobs) = run(1);
         assert!(one.faults.retries > 0, "{:?}", one.faults);
         assert!(one.blocking.is_some());
-        // The sample's vectors are freed before `apply_block_rules`; its
+        // The sample's vectors are freed after `get_blocking_rules`; its
         // size is still reported.
         assert_eq!(one.sample_size, 2_000);
         for threads in [2, 8] {

@@ -273,6 +273,21 @@ impl<'s> BuiltIndexes<'s> {
         let (_, index) = self.indexes.iter().find(|(s, _)| s == spec)?;
         Some(Arc::clone(index))
     }
+
+    /// Free what `apply_blocking_rules` does not read once `conjuncts`'
+    /// indexes are built: every index but those of its filterable
+    /// conjuncts (the only ones an operator prices or probes), and the
+    /// rank-space columns, which only builds read (a kept index holds its
+    /// own share of its column's order, sizes, missing ids and prints).
+    /// A later [`BuiltIndexes::build_spec`] of a freed spec builds it
+    /// again, column first, as the first build did.
+    pub(crate) fn keep_probed(&mut self, conjuncts: &ConjunctSpecs) {
+        let probed: Vec<&FilterSpec> = (conjuncts.filterable().into_iter())
+            .flat_map(|ci| conjuncts.specs[ci].iter().flatten().map(|(spec, _)| spec))
+            .collect();
+        self.indexes.retain(|(spec, _)| probed.contains(&spec));
+        self.columns = DetMap::new();
+    }
 }
 
 #[cfg(test)]
@@ -534,6 +549,73 @@ mod tests {
         let (cached, fresh) = probe_after(&a, &spec(0.9999996), &spec(1.0000004), &probe);
         assert_eq!(fresh, Candidates::Some(vec![0]));
         assert_eq!(cached, fresh);
+    }
+
+    #[test]
+    fn keep_probed_frees_unprobed_indexes_and_columns_and_rebuilds_them_alike() {
+        let (a, _) = tables();
+        let set = |tokenizer, threshold| {
+            FilterSpec::SetSim {
+                a_attr: "title".into(),
+                sim: SimFunction::Jaccard(tokenizer),
+                threshold,
+            }
+            .with_signature()
+        };
+        let range = FilterSpec::Range {
+            a_attr: "price".into(),
+            width: 2.0,
+            relative: false,
+        };
+        let (kept, word, gram) = (
+            set(Tokenizer::Word, 0.5),
+            set(Tokenizer::Word, 0.7),
+            set(Tokenizer::QGram(3), 0.6),
+        );
+        // Conjunct 0 is filterable; 1 and 2 each have a predicate with no
+        // filter, so no operator probes their specs.
+        let conjuncts = ConjunctSpecs {
+            specs: vec![
+                vec![Some((kept.clone(), 0)), Some((range.clone(), 1))],
+                vec![Some((word.clone(), 0)), None],
+                vec![None, Some((gram.clone(), 0))],
+            ],
+        };
+        let probes = |spec: &FilterSpec| match spec {
+            FilterSpec::Range { .. } => vec![Value::num(4.0), Value::num(29.5), Value::Null],
+            _ => vec![
+                Value::str("gadget number 3 deluxe"),
+                Value::str("number 12"),
+                Value::Null,
+            ],
+        };
+        // What `spec`'s index admits, and its estimated bytes.
+        let built_as = |built: &BuiltIndexes<'_>, spec: &FilterSpec| {
+            let index = built.get(spec).expect("built");
+            let admitted: Vec<Candidates> = probes(spec).iter().map(|v| index.probe(v)).collect();
+            (admitted, index.estimated_bytes())
+        };
+
+        let mut built = BuiltIndexes::new();
+        for spec in conjuncts.all_specs() {
+            built.build_spec(&cluster(), &a, &spec).expect("build");
+        }
+        let before: Vec<_> = [&kept, &range, &word, &gram]
+            .map(|s| built_as(&built, s))
+            .into();
+        built.keep_probed(&conjuncts);
+
+        assert!(built.get(&word).is_none() && built.get(&gram).is_none());
+        assert_eq!(built.bytes_of(&kept), before[0].1);
+        assert_eq!(built.bytes_of(&range), before[1].1);
+        assert!(built.columns.is_empty());
+        assert_eq!(built_as(&built, &kept), before[0]);
+        // A freed spec builds again, column first, into the same index.
+        for (spec, first) in [(&word, &before[2]), (&gram, &before[3])] {
+            let cost = built.build_spec(&cluster(), &a, spec).expect("rebuild");
+            assert!(cost.dur() > Duration::ZERO);
+            assert_eq!(&built_as(&built, spec), first);
+        }
     }
 
     #[test]

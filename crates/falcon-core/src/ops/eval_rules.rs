@@ -11,11 +11,11 @@
 //! iteration runs — capped at `n_e = 5` iterations per rule in Falcon
 //! (Proposition 2 bounds the uncapped loop at 20).
 
-use crate::fv::FvSet;
 use crate::ops::get_blocking_rules::RankedRules;
 use crate::rules::Rule;
 use crate::timeline::Timeline;
 use falcon_crowd::{Crowd, CrowdSession};
+use falcon_table::IdPair;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -75,12 +75,13 @@ pub fn error_margin(p: f64, n: usize, m: usize) -> f64 {
 }
 
 /// Run `eval_rules` over the ranked candidates; `seed` draws each rule's
-/// examples.
+/// examples. `sample` is the sample's pairs, aligned with the vectors
+/// `ranked` was extracted from: a rule's coverage indexes it.
 pub fn eval_rules<C: Crowd>(
     session: &mut CrowdSession<C>,
     timeline: &mut Timeline,
     ranked: &RankedRules,
-    sample: &FvSet,
+    sample: &[IdPair],
     seed: u64,
 ) -> EvalOutput {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x4556414c);
@@ -107,10 +108,7 @@ pub fn eval_rules<C: Crowd>(
         let mut eps = f64::INFINITY;
         while iterations < MAX_ITERATIONS_PER_RULE && !pool.is_empty() {
             let take = EVAL_BATCH.min(pool.len());
-            let pairs: Vec<_> = pool
-                .drain(..take)
-                .map(|i| sample.pairs[i as usize])
-                .collect();
+            let pairs: Vec<_> = pool.drain(..take).map(|i| sample[i as usize]).collect();
             let (labels, latency) = session.label_batch_strong(&pairs);
             timeline.crowd("eval_rules", latency);
             iterations += 1;
@@ -147,6 +145,7 @@ pub fn eval_rules<C: Crowd>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fv::FvSet;
     use falcon_crowd::sim::{GroundTruth, OracleCrowd};
     use falcon_forest::SplitOp;
 
@@ -203,7 +202,7 @@ mod tests {
         let ranked = ranked_for(&sample, vec![rule(0.5)]);
         let mut session = CrowdSession::new(OracleCrowd::new(truth));
         let mut tl = Timeline::new();
-        let out = eval_rules(&mut session, &mut tl, &ranked, &sample, SEED);
+        let out = eval_rules(&mut session, &mut tl, &ranked, &sample.pairs, SEED);
         assert_eq!(out.retained.len(), 1);
         assert!(out.retained[0].precision > 0.99);
     }
@@ -215,7 +214,7 @@ mod tests {
         let ranked = ranked_for(&sample, vec![rule(1.0)]);
         let mut session = CrowdSession::new(OracleCrowd::new(truth));
         let mut tl = Timeline::new();
-        let out = eval_rules(&mut session, &mut tl, &ranked, &sample, SEED);
+        let out = eval_rules(&mut session, &mut tl, &ranked, &sample.pairs, SEED);
         assert!(out.retained.is_empty());
     }
 
@@ -225,7 +224,7 @@ mod tests {
         let ranked = ranked_for(&sample, vec![rule(0.5), rule(1.0)]);
         let mut session = CrowdSession::new(OracleCrowd::new(truth));
         let mut tl = Timeline::new();
-        let out = eval_rules(&mut session, &mut tl, &ranked, &sample, SEED);
+        let out = eval_rules(&mut session, &mut tl, &ranked, &sample.pairs, SEED);
         assert!(out.total_iterations <= ranked.len() * MAX_ITERATIONS_PER_RULE);
     }
 
@@ -247,7 +246,7 @@ mod tests {
         let ranked = ranked_for(&sample, vec![rule(-1.0)]); // fires never
         let mut session = CrowdSession::new(OracleCrowd::new(truth));
         let mut tl = Timeline::new();
-        let out = eval_rules(&mut session, &mut tl, &ranked, &sample, SEED);
+        let out = eval_rules(&mut session, &mut tl, &ranked, &sample.pairs, SEED);
         assert!(out.retained.is_empty());
         assert_eq!(out.total_iterations, 0);
     }

@@ -76,7 +76,7 @@ fn main() {
 
     // eval_rules: crowd evaluates precision per rule (examples drawn
     // with seed 23).
-    let eval = eval_rules(&mut session, &mut timeline, &ranked, &s_fvs.fvs, 23);
+    let eval = eval_rules(&mut session, &mut timeline, &ranked, &s_fvs.fvs.pairs, 23);
     println!("eval_rules: {} retained", eval.retained.len());
 
     // select_opt_seq.
