@@ -432,9 +432,8 @@ fn op_str(op: SplitOp) -> &'static str {
 /// Statically verify a concrete rule sequence against the blocking
 /// feature set, before `apply_blocking_rules` builds anything from it.
 /// Errors: a rule without predicates, a predicate outside the blocking
-/// arity or with a non-finite threshold, and a derived index filter —
-/// wrapped in the signature pre-filter as it will be built — that fails a
-/// recall-safety obligation ([`FilterSpec::obligations`], the property
+/// arity or with a non-finite threshold, and a derived index filter that
+/// fails a recall-safety obligation ([`FilterSpec::obligations`], the property
 /// `falcon-index/tests/lossless.rs` checks dynamically). Warnings: a
 /// predicate no value (missing ⇒ NaN included) satisfies, or every value
 /// does; a rule with `> t₁ ∧ <= t₂`, `t₂ <= t₁`, on one feature; a rule
@@ -559,7 +558,6 @@ pub fn verify_rule_sequence(seq: &RuleSequence, features: &FeatureSet) -> Vec<Di
             let Some(spec) = FilterSpec::from_predicate(f.sim, &f.a_attr, gt, q.threshold) else {
                 continue; // unfilterable predicate: nothing is pruned
             };
-            let spec = spec.with_signature();
             if let Err(obligation) = spec.verify() {
                 out.push(Diagnostic::UnsafeFilter {
                     at: Some((i, j)),

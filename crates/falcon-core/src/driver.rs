@@ -4,7 +4,7 @@
 use crate::analyze;
 use crate::error::FalconError;
 use crate::features::{generate_features, FeatureLibrary, FeatureSet};
-use crate::indexing::{BuiltIndexes, ConjunctSpecs, PreFilterConfig};
+use crate::indexing::{BuiltIndexes, ConjunctSpecs};
 use crate::metrics::em_quality;
 use crate::ops::accuracy_estimator::{estimate_accuracy, AccuracyEstimate};
 use crate::ops::al_matcher::{al_matcher, AlConfig, BATCH};
@@ -562,12 +562,9 @@ impl<C: Crowd> Run<'_, C> {
         }
 
         // ---- apply_blocking_rules ----
-        // Forced-filter substitution happens on the base specs; the
-        // signature pre-filter wraps whatever survived substitution.
-        let conjuncts = ConjunctSpecs::derive_with(&seq_out.seq, &lib.blocking, &cfg.force_filters)
-            .with_signatures(&PreFilterConfig::default());
-        // Build whatever index is still missing (unmasked).
-        for spec in conjuncts.all_specs() {
+        let conjuncts = ConjunctSpecs::derive_with(&seq_out.seq, &lib.blocking, &cfg.force_filters);
+        // Build whatever probed index is still missing (unmasked).
+        for spec in conjuncts.probed_specs() {
             let cost = built.build_spec(cluster, a, &spec)?;
             timeline.machine("index_build", cost);
         }
@@ -796,6 +793,7 @@ struct MatchStageOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timeline::Segment;
     use falcon_crowd::sim::{GroundTruth, RandomWorkerCrowd};
 
     /// §3.4's cost cap, rebuilt from the constants a run actually uses:
@@ -951,6 +949,27 @@ mod tests {
                 other.map(|r| r.faults)
             ),
         }
+    }
+
+    /// With nothing prebuilt, blocking builds, unmasked, exactly the
+    /// indexes an operator may probe: none of a conjunct with an
+    /// unfilterable predicate.
+    #[test]
+    fn blocking_builds_only_the_probed_indexes() {
+        let (d, mut config) = small_citations();
+        config.opt = OptFlags::none();
+        let truth = GroundTruth::new(d.truth.iter().copied());
+        let report = Falcon::new(config)
+            .try_run(&d.a, &d.b, RandomWorkerCrowd::new(truth, 0.05, 8))
+            .expect("run");
+        let features = generate_features(&d.a, &d.b).blocking;
+        let conjuncts = ConjunctSpecs::derive(&report.rule_sequence, &features);
+        let probed = conjuncts.probed_specs().len();
+        assert!(probed > 0 && probed < conjuncts.all_specs().len());
+        let unmasked_builds = (report.timeline.segments().iter())
+            .filter(|s| matches!(s, Segment::Machine { label, .. } if label == "index_build"))
+            .count();
+        assert_eq!(unmasked_builds, probed);
     }
 
     /// The one fallback left: an enumeration operator over its pair

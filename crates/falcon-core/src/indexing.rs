@@ -28,8 +28,8 @@ use std::sync::Arc;
 
 /// The signature pre-filter layer (the provably lossless Bloom-signature
 /// gate in front of set-similarity probes). It has no setting: every
-/// derived set-similarity spec is wrapped, and the planner decides per
-/// conjunct whether to *use* the gate. The type stays for callers that
+/// set-similarity index carries its column's fingerprints, and each index
+/// plans at build whether to *use* them. The type stays for callers that
 /// pass [`ConjunctSpecs::with_signatures`] its `default()`.
 #[derive(Debug, Clone, Default)]
 pub struct PreFilterConfig {}
@@ -98,16 +98,10 @@ impl ConjunctSpecs {
         ConjunctSpecs { specs }
     }
 
-    /// Wrap every set-similarity spec in a signature pre-filter.
-    /// Wrapping happens *after* forced-filter substitution so overrides
-    /// are judged against the base specs; non-set-based specs pass through
-    /// unchanged ([`FilterSpec::with_signature`] only wraps `SetSim`).
-    pub fn with_signatures(mut self, _: &PreFilterConfig) -> ConjunctSpecs {
-        for conjunct in &mut self.specs {
-            for slot in conjunct.iter_mut().flatten() {
-                slot.0 = slot.0.clone().with_signature();
-            }
-        }
+    /// The identity: every set-similarity index carries its signature
+    /// pre-filter already. Kept for callers that still pass it a
+    /// [`PreFilterConfig`].
+    pub fn with_signatures(self, _: &PreFilterConfig) -> ConjunctSpecs {
         self
     }
 
@@ -123,14 +117,26 @@ impl ConjunctSpecs {
 
     /// All distinct specs across conjuncts, in first-use order.
     pub fn all_specs(&self) -> Vec<FilterSpec> {
-        let mut out: Vec<FilterSpec> = Vec::new();
-        for (spec, _) in self.specs.iter().flatten().flatten() {
-            if !out.contains(spec) {
-                out.push(spec.clone());
-            }
-        }
-        out
+        distinct(self.specs.iter().flatten().flatten())
     }
+
+    /// The distinct specs of the [`ConjunctSpecs::filterable`] conjuncts,
+    /// in first-use order: the only indexes an operator prices or probes.
+    pub fn probed_specs(&self) -> Vec<FilterSpec> {
+        let filterable = self.filterable().into_iter();
+        distinct(filterable.flat_map(|ci| self.specs[ci].iter().flatten()))
+    }
+}
+
+/// The distinct specs of `slots`, in first-use order.
+fn distinct<'a>(slots: impl Iterator<Item = &'a (FilterSpec, usize)>) -> Vec<FilterSpec> {
+    let mut out: Vec<FilterSpec> = Vec::new();
+    for (spec, _) in slots {
+        if !out.contains(spec) {
+            out.push(spec.clone());
+        }
+    }
+    out
 }
 
 /// True when `forced` is the kind feature `f` indexes with
@@ -250,10 +256,8 @@ impl<'s> BuiltIndexes<'s> {
             return Ok(StageCost::default());
         }
         let mut cost = StageCost::default();
-        // A signature wrapper indexes the same tokens as its inner
-        // set-similarity spec: look through it for the shared column.
         let mut shared = None;
-        if let FilterSpec::SetSim { a_attr, sim, .. } = spec.without_signature() {
+        if let FilterSpec::SetSim { a_attr, sim, .. } = spec {
             let tokenizer = sim
                 .tokenizer()
                 .ok_or_else(|| IndexError::NotSetBased { sim: sim.name() })?;
@@ -282,10 +286,8 @@ impl<'s> BuiltIndexes<'s> {
     /// A later [`BuiltIndexes::build_spec`] of a freed spec builds it
     /// again, column first, as the first build did.
     pub(crate) fn keep_probed(&mut self, conjuncts: &ConjunctSpecs) {
-        let probed: Vec<&FilterSpec> = (conjuncts.filterable().into_iter())
-            .flat_map(|ci| conjuncts.specs[ci].iter().flatten().map(|(spec, _)| spec))
-            .collect();
-        self.indexes.retain(|(spec, _)| probed.contains(&spec));
+        let probed = conjuncts.probed_specs();
+        self.indexes.retain(|(spec, _)| probed.contains(spec));
         self.columns = DetMap::new();
     }
 }
@@ -297,6 +299,7 @@ mod tests {
     use crate::rules::{Predicate, Rule};
     use falcon_dataflow::ClusterConfig;
     use falcon_index::spec::Candidates;
+    use falcon_index::ProbeMode;
     use falcon_table::{AttrType, Schema, Value};
     use falcon_textsim::SimFunction;
     use std::time::Duration;
@@ -415,7 +418,7 @@ mod tests {
     }
 
     #[test]
-    fn with_signatures_wraps_only_set_sim_specs() {
+    fn with_signatures_is_the_identity() {
         let (a, b) = tables();
         let lib = generate_features(&a, &b);
         let jac = lib
@@ -433,36 +436,68 @@ mod tests {
             }],
         }]);
         let base = ConjunctSpecs::derive(&seq, &lib.blocking);
-        let wrapped = base.clone().with_signatures(&PreFilterConfig::default());
-        match &wrapped.specs[0][0] {
-            Some((FilterSpec::Signature { inner }, _)) => {
-                assert!(matches!(**inner, FilterSpec::SetSim { .. }));
-            }
-            other => panic!("expected signature wrapper, got {other:?}"),
-        }
-        // The wrapper is a spec of its own, so both index variants can
-        // coexist in the cache.
-        let (sig_spec, _) = wrapped.specs[0][0].clone().unwrap();
-        let (set_spec, _) = base.specs[0][0].clone().unwrap();
+        let same = base.clone().with_signatures(&PreFilterConfig::default());
+        assert_eq!(same.specs, base.specs);
+    }
+
+    /// A bare set-similarity spec over a sparse column is the one index:
+    /// it plans a pre-filtering mode, shares the column's fingerprints
+    /// with every threshold over it and counts them in its byte estimate.
+    #[test]
+    fn set_sim_index_carries_its_columns_prints() {
+        let (a, _) = tables();
         let mut built = BuiltIndexes::new();
-        for s in [&sig_spec, &set_spec] {
-            built.build_spec(&cluster(), &a, s).expect("build");
+        let spec = |threshold: f64| FilterSpec::SetSim {
+            a_attr: "title".into(),
+            sim: SimFunction::Jaccard(Tokenizer::Word),
+            threshold,
+        };
+        for s in [spec(0.5), spec(0.7)] {
+            built.build_spec(&cluster(), &a, &s).expect("build");
         }
-        let is_sig = |s| matches!(*built.get(s).unwrap(), PredicateIndex::Signature { .. });
-        assert!(is_sig(&sig_spec) && !is_sig(&set_spec));
+        let mut column_sigs = None;
+        for s in [spec(0.5), spec(0.7)] {
+            let idx = built.get(&s).expect("built");
+            let PredicateIndex::SetSim {
+                index,
+                order,
+                missing,
+                sigs,
+                mode,
+                ..
+            } = &*idx
+            else {
+                panic!("expected a set-similarity index, got {idx:?}");
+            };
+            assert!(sigs.density() < 0.5, "the column is sparse");
+            assert!(
+                matches!(mode, ProbeMode::Gate | ProbeMode::Dense),
+                "{mode:?}"
+            );
+            assert_eq!(idx.plan_probe_mode(), *mode);
+            assert!(Arc::ptr_eq(
+                sigs,
+                column_sigs.get_or_insert_with(|| Arc::clone(sigs))
+            ));
+            assert_eq!(
+                idx.estimated_bytes(),
+                index.estimated_bytes()
+                    + order.estimated_bytes()
+                    + missing.len() * 4
+                    + sigs.estimated_bytes()
+            );
+            assert!(sigs.estimated_bytes() > 0);
+        }
     }
 
     #[test]
     fn build_signature_spec_reuses_token_order() {
         let (a, _) = tables();
         let mut built = BuiltIndexes::new();
-        let spec = |threshold: f64| {
-            FilterSpec::SetSim {
-                a_attr: "title".into(),
-                sim: SimFunction::Jaccard(Tokenizer::Word),
-                threshold,
-            }
-            .with_signature()
+        let spec = |threshold: f64| FilterSpec::SetSim {
+            a_attr: "title".into(),
+            sim: SimFunction::Jaccard(Tokenizer::Word),
+            threshold,
         };
         for s in [spec(0.5), spec(0.7)] {
             built.build_spec(&cluster(), &a, &s).expect("build");
@@ -473,8 +508,8 @@ mod tests {
         let order = |idx: &PredicateIndex| Arc::clone(idx.token_source().expect("set index").1);
         assert!(Arc::ptr_eq(&order(&x), &order(&y)));
         let sigs = |idx: &PredicateIndex| match idx {
-            PredicateIndex::Signature { sigs, .. } => Arc::clone(sigs),
-            other => panic!("expected a signature bundle, got {other:?}"),
+            PredicateIndex::SetSim { sigs, .. } => Arc::clone(sigs),
+            other => panic!("expected a set-similarity index, got {other:?}"),
         };
         assert!(Arc::ptr_eq(&sigs(&x), &sigs(&y)));
         let d = built
@@ -554,13 +589,10 @@ mod tests {
     #[test]
     fn keep_probed_frees_unprobed_indexes_and_columns_and_rebuilds_them_alike() {
         let (a, _) = tables();
-        let set = |tokenizer, threshold| {
-            FilterSpec::SetSim {
-                a_attr: "title".into(),
-                sim: SimFunction::Jaccard(tokenizer),
-                threshold,
-            }
-            .with_signature()
+        let set = |tokenizer, threshold| FilterSpec::SetSim {
+            a_attr: "title".into(),
+            sim: SimFunction::Jaccard(tokenizer),
+            threshold,
         };
         let range = FilterSpec::Range {
             a_attr: "price".into(),
@@ -596,6 +628,7 @@ mod tests {
             (admitted, index.estimated_bytes())
         };
 
+        assert_eq!(conjuncts.probed_specs(), [kept.clone(), range.clone()]);
         let mut built = BuiltIndexes::new();
         for spec in conjuncts.all_specs() {
             built.build_spec(&cluster(), &a, &spec).expect("build");

@@ -20,7 +20,7 @@
 
 use crate::error::FalconError;
 use crate::features::FeatureSet;
-use crate::indexing::{BuiltIndexes, ConjunctSpecs, PreFilterConfig};
+use crate::indexing::{BuiltIndexes, ConjunctSpecs};
 use crate::physical::{self, PhysicalOp};
 use crate::rules::{Rule, RuleKey, RuleSequence};
 use crate::timeline::Timeline;
@@ -102,9 +102,9 @@ pub fn prebuild_generic(
 }
 
 /// Masking step 1b: build every per-predicate index the top-ranked rules
-/// could need, during the `eval_rules` crowd rounds. Specs are wrapped
-/// with the signature pre-filter exactly as `apply_blocking_rules` wraps
-/// them, so the cache keys match what it will look up.
+/// could need, during the `eval_rules` crowd rounds. Specs are derived
+/// exactly as `apply_blocking_rules` derives them, so the cache keys
+/// match what it will look up.
 pub fn prebuild_for_rules(
     cluster: &Cluster,
     a: &Table,
@@ -114,8 +114,7 @@ pub fn prebuild_for_rules(
     timeline: &mut Timeline,
 ) -> Result<(), FalconError> {
     let seq = RuleSequence::new(rules.to_vec());
-    let conjuncts =
-        ConjunctSpecs::derive(&seq, features).with_signatures(&PreFilterConfig::default());
+    let conjuncts = ConjunctSpecs::derive(&seq, features);
     for spec in conjuncts.all_specs() {
         let cost = built.build_spec(cluster, a, &spec)?;
         timeline.masked_machine("index_build", cost);
@@ -152,8 +151,7 @@ pub fn speculate_rules(
             continue;
         }
         let seq = RuleSequence::new(vec![rule.clone()]);
-        let conjuncts =
-            ConjunctSpecs::derive(&seq, features).with_signatures(&PreFilterConfig::default());
+        let conjuncts = ConjunctSpecs::derive(&seq, features);
         if conjuncts.filterable().is_empty() {
             continue; // no index support; speculation would enumerate A×B
         }

@@ -606,9 +606,9 @@ struct Bundle {
 
 impl Bundle {
     /// Bundle the built indexes of conjunct `ci`'s predicates `which`,
-    /// planning each predicate's probe mode once up front (signature
-    /// density and postings statistics decide per predicate whether the
-    /// pre-filter pays off). `None` when a spec or built index is missing.
+    /// each with the probe mode its index planned at build
+    /// ([`PredicateIndex::plan_probe_mode`]). `None` when a spec or built
+    /// index is missing.
     fn new(
         conjuncts: &ConjunctSpecs,
         built: &BuiltIndexes<'_>,

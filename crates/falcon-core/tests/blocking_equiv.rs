@@ -1,18 +1,17 @@
-//! The signature pre-filter must be invisible in the final output: with
-//! the specs wrapped in it and without, the candidate pairs surviving `apply_blocking_rules` are byte-identical to
+//! The signature pre-filter must be invisible in the final output: the
+//! candidate pairs surviving `apply_blocking_rules` are byte-identical to
 //! the exhaustive single-machine baseline, across operators and thread
 //! counts. The pre-filter may only change *how much work* the probes do,
 //! which the per-conjunct blocking counters account for exactly.
 
 use falcon_core::corleone::corleone_blocking;
 use falcon_core::features::generate_features;
-use falcon_core::indexing::{BuiltIndexes, ConjunctSpecs, PreFilterConfig};
+use falcon_core::indexing::{BuiltIndexes, ConjunctSpecs};
 use falcon_core::physical::{self, PhysicalOp};
 use falcon_core::rules::{Predicate, Rule, RuleSequence};
 use falcon_dataflow::{Cluster, ClusterConfig};
 use falcon_datagen::products;
 use falcon_forest::SplitOp;
-use falcon_index::ProbeMode;
 use falcon_textsim::{SimFunction, Tokenizer};
 
 fn fixture() -> (
@@ -69,13 +68,9 @@ fn run(
     b: &falcon_table::Table,
     features: &falcon_core::features::FeatureSet,
     seq: &RuleSequence,
-    signed: bool,
 ) -> physical::BlockingOutput {
     let cluster = Cluster::new(ClusterConfig::small(threads)).with_threads(threads);
-    let mut conjuncts = ConjunctSpecs::derive(seq, features);
-    if signed {
-        conjuncts = conjuncts.with_signatures(&PreFilterConfig::default());
-    }
+    let conjuncts = ConjunctSpecs::derive(seq, features);
     let mut built = BuiltIndexes::new();
     for spec in conjuncts.all_specs() {
         built.build_spec(&cluster, a, &spec).expect("build");
@@ -96,36 +91,30 @@ fn run(
 }
 
 #[test]
-fn prefilter_widths_never_change_final_candidates() {
+fn every_operator_matches_the_exhaustive_baseline() {
     let (a, b, features, seq) = fixture();
     let reference = corleone_blocking(&a, &b, &features, &seq, 1 << 40)
         .unwrap()
         .candidates;
     assert!(!reference.is_empty());
     assert!(reference.len() < a.len() * b.len());
-    // Exact specs alone, then wrapped in the signature pre-filter.
-    for signed in [false, true] {
-        for op in [
-            PhysicalOp::ApplyAll,
-            PhysicalOp::ApplyGreedy,
-            PhysicalOp::ApplyConjunct,
-            PhysicalOp::ApplyPredicate,
-        ] {
-            let out = run(op, 4, &a, &b, &features, &seq, signed);
-            assert_eq!(
-                out.candidates, reference,
-                "{op:?} with signatures {signed} disagrees with baseline"
-            );
-        }
+    for op in [
+        PhysicalOp::ApplyAll,
+        PhysicalOp::ApplyGreedy,
+        PhysicalOp::ApplyConjunct,
+        PhysicalOp::ApplyPredicate,
+    ] {
+        let out = run(op, 4, &a, &b, &features, &seq);
+        assert_eq!(out.candidates, reference, "{op:?} disagrees with baseline");
     }
 }
 
 #[test]
 fn final_candidates_stable_across_thread_counts() {
     let (a, b, features, seq) = fixture();
-    let reference = run(PhysicalOp::ApplyAll, 1, &a, &b, &features, &seq, true);
+    let reference = run(PhysicalOp::ApplyAll, 1, &a, &b, &features, &seq);
     for threads in [2, 4] {
-        let out = run(PhysicalOp::ApplyAll, threads, &a, &b, &features, &seq, true);
+        let out = run(PhysicalOp::ApplyAll, threads, &a, &b, &features, &seq);
         assert_eq!(out.candidates, reference.candidates);
         // The probe counters are sums over per-task deltas of a fixed task
         // set, so they are deterministic across thread counts too.
@@ -136,25 +125,16 @@ fn final_candidates_stable_across_thread_counts() {
 #[test]
 fn blocking_counters_balance_per_conjunct() {
     let (a, b, features, seq) = fixture();
-    for signed in [false, true] {
-        let out = run(PhysicalOp::ApplyAll, 4, &a, &b, &features, &seq, signed);
-        assert!(!out.blocking.conjuncts.is_empty());
-        for c in &out.blocking.conjuncts {
-            assert_eq!(
-                c.pairs_examined,
-                c.pruned_by_signature + c.pruned_by_exact + c.survived,
-                "conjunct {} counters do not balance: {c:?}",
-                c.conjunct
-            );
-            assert!(!c.modes.is_empty());
-        }
-        assert!(out.blocking.pairs_examined() > 0);
-        if !signed {
-            // Without signatures no probe can be pruned by one.
-            assert_eq!(out.blocking.pruned_by_signature(), 0);
-            for c in &out.blocking.conjuncts {
-                assert!(c.modes.iter().all(|&m| m == ProbeMode::Off));
-            }
-        }
+    let out = run(PhysicalOp::ApplyAll, 4, &a, &b, &features, &seq);
+    assert!(!out.blocking.conjuncts.is_empty());
+    for c in &out.blocking.conjuncts {
+        assert_eq!(
+            c.pairs_examined,
+            c.pruned_by_signature + c.pruned_by_exact + c.survived,
+            "conjunct {} counters do not balance: {c:?}",
+            c.conjunct
+        );
+        assert!(!c.modes.is_empty());
     }
+    assert!(out.blocking.pairs_examined() > 0);
 }

@@ -27,7 +27,7 @@ mod common;
 use common::{datasets, fnv1a, sequence};
 use falcon_core::corleone::corleone_blocking;
 use falcon_core::features::generate_features;
-use falcon_core::indexing::{BuiltIndexes, ConjunctSpecs, PreFilterConfig};
+use falcon_core::indexing::{BuiltIndexes, ConjunctSpecs};
 use falcon_core::physical::{self, PhysicalOp};
 use falcon_core::tokens::{requirements, TokenStore};
 use falcon_dataflow::{Cluster, ClusterConfig, FaultPlan};
@@ -97,8 +97,7 @@ fn blocking_outputs_match_the_recorded_goldens() {
     for (name, d, rules) in &datasets {
         let features = generate_features(&d.a, &d.b).blocking;
         let seq = sequence(&features, rules);
-        let conjuncts =
-            ConjunctSpecs::derive(&seq, &features).with_signatures(&PreFilterConfig::default());
+        let conjuncts = ConjunctSpecs::derive(&seq, &features);
         // Filled on demand, and over a token store that was asked for
         // every blocking column first, as the driver's is.
         let mut store = TokenStore::default();

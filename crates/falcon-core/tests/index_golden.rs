@@ -50,7 +50,6 @@ fn spec_of(f: &Feature, threshold: f64) -> FilterSpec {
         sim: f.sim,
         threshold,
     }
-    .with_signature()
 }
 
 /// The distinct tokens of the feature's `A` column, in text order.
@@ -64,17 +63,15 @@ fn column_tokens(a: &Table, f: &Feature) -> BTreeSet<String> {
 /// Everything observable about one built index, as `(column part, spec
 /// part)`: the first must not depend on the threshold.
 fn describe(idx: &PredicateIndex, tokens: &BTreeSet<String>, n: usize) -> (String, String) {
-    let PredicateIndex::Signature { sigs, exact, .. } = idx else {
-        panic!("expected a signature bundle");
-    };
     let PredicateIndex::SetSim {
         index,
         order,
         missing,
+        sigs,
         ..
-    } = &**exact
+    } = idx
     else {
-        panic!("expected a set-similarity inner index");
+        panic!("expected a set-similarity index");
     };
     let mut h = Fnv::new();
     for tok in tokens {

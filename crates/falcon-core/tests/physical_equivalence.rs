@@ -10,7 +10,7 @@ mod common;
 
 use falcon_core::corleone::corleone_blocking;
 use falcon_core::features::{generate_features, FeatureSet, ScoreScratch};
-use falcon_core::indexing::{BuiltIndexes, ConjunctSpecs, PreFilterConfig};
+use falcon_core::indexing::{BuiltIndexes, ConjunctSpecs};
 use falcon_core::physical::{self, PhysicalOp};
 use falcon_core::rules::{Predicate, Rule, RuleSequence};
 use falcon_core::tokens::{requirements, TokenStore};
@@ -390,70 +390,58 @@ fn apply_all_equals_the_intersection_of_full_unions() {
         let features = generate_features(&d.a, &d.b).blocking;
         let seq = common::sequence(&features, rules);
         let mut verdicts = BTreeMap::new();
-        // Exact specs alone, then wrapped in the signature pre-filter.
-        for signed in [false, true] {
-            let mut conjuncts = ConjunctSpecs::derive(&seq, &features);
-            if signed {
-                conjuncts = conjuncts.with_signatures(&PreFilterConfig::default());
-            }
-            let mut built = BuiltIndexes::new();
-            for spec in conjuncts.all_specs() {
-                built.build_spec(&cluster, &d.a, &spec).expect("build");
-            }
-            let tables = (&d.a, &d.b);
-            let (candidates, shuffled) = intersection_of_full_unions(
-                tables,
+        let conjuncts = ConjunctSpecs::derive(&seq, &features);
+        let mut built = BuiltIndexes::new();
+        for spec in conjuncts.all_specs() {
+            built.build_spec(&cluster, &d.a, &spec).expect("build");
+        }
+        let tables = (&d.a, &d.b);
+        let (candidates, shuffled) =
+            intersection_of_full_unions(tables, &features, &seq, &conjuncts, &built, &mut verdicts);
+        assert!(
+            !candidates.is_empty() && shuffled > candidates.len(),
+            "{name}"
+        );
+        // Every assignment of four distinct selectivities to the
+        // filterable conjuncts, all-equal ones, and a slice shorter
+        // than the sequence (the benchmark passes `&[0.5]`).
+        let filterable = conjuncts.filterable();
+        assert_eq!(filterable.len(), 4, "{name}");
+        let mut orders: Vec<Vec<f64>> = permutations(&[0.1, 0.2, 0.3, 0.4])
+            .into_iter()
+            .map(|p| {
+                let mut sels = vec![1.0; seq.len()];
+                filterable.iter().zip(p).for_each(|(&ci, s)| sels[ci] = s);
+                sels
+            })
+            .collect();
+        orders.push(vec![0.5; seq.len()]);
+        orders.push(vec![0.5]);
+        orders.push(Vec::new());
+        for sels in &orders {
+            let out = physical::execute(
+                PhysicalOp::ApplyAll,
+                &cluster,
+                &d.a,
+                &d.b,
                 &features,
                 &seq,
                 &conjuncts,
                 &built,
-                &mut verdicts,
+                sels,
+                1 << 40,
+            )
+            .unwrap_or_else(|e| panic!("{name} {sels:?}: {e}"));
+            let what = format!("{name} selectivities={sels:?}");
+            assert!(out.candidates == candidates, "{what}: candidates differ");
+            assert_eq!(out.jobs.len(), 1, "{what}");
+            assert_eq!(out.jobs[0].shuffled_records, shuffled, "{what}");
+            let stats = &out.blocking;
+            assert_eq!(
+                stats.pairs_examined(),
+                stats.pruned_by_signature() + stats.pruned_by_exact() + stats.survived(),
+                "{what}"
             );
-            assert!(
-                !candidates.is_empty() && shuffled > candidates.len(),
-                "{name}"
-            );
-            // Every assignment of four distinct selectivities to the
-            // filterable conjuncts, all-equal ones, and a slice shorter
-            // than the sequence (the benchmark passes `&[0.5]`).
-            let filterable = conjuncts.filterable();
-            assert_eq!(filterable.len(), 4, "{name}");
-            let mut orders: Vec<Vec<f64>> = permutations(&[0.1, 0.2, 0.3, 0.4])
-                .into_iter()
-                .map(|p| {
-                    let mut sels = vec![1.0; seq.len()];
-                    filterable.iter().zip(p).for_each(|(&ci, s)| sels[ci] = s);
-                    sels
-                })
-                .collect();
-            orders.push(vec![0.5; seq.len()]);
-            orders.push(vec![0.5]);
-            orders.push(Vec::new());
-            for sels in &orders {
-                let out = physical::execute(
-                    PhysicalOp::ApplyAll,
-                    &cluster,
-                    &d.a,
-                    &d.b,
-                    &features,
-                    &seq,
-                    &conjuncts,
-                    &built,
-                    sels,
-                    1 << 40,
-                )
-                .unwrap_or_else(|e| panic!("{name} {sels:?}: {e}"));
-                let what = format!("{name} signed={signed} selectivities={sels:?}");
-                assert!(out.candidates == candidates, "{what}: candidates differ");
-                assert_eq!(out.jobs.len(), 1, "{what}");
-                assert_eq!(out.jobs[0].shuffled_records, shuffled, "{what}");
-                let stats = &out.blocking;
-                assert_eq!(
-                    stats.pairs_examined(),
-                    stats.pruned_by_signature() + stats.pruned_by_exact() + stats.survived(),
-                    "{what}"
-                );
-            }
         }
     }
 }

@@ -49,7 +49,8 @@ pub enum FilterSpec {
         relative: bool,
     },
     /// `sim(a.x, b.y) > t` for a set measure → prefix + position + length
-    /// filters.
+    /// filters, with the column's 128-bit Bloom fingerprints as a lossless
+    /// pre-filter (see [`crate::signature`]).
     SetSim {
         /// Indexed A-side attribute.
         a_attr: String,
@@ -65,16 +66,6 @@ pub enum FilterSpec {
         a_attr: String,
         /// Similarity threshold `t`.
         threshold: f64,
-    },
-    /// Signature pre-filter wrapped around a set-similarity filter: the
-    /// inner filters still run, but each pair is first tested with a
-    /// 128-bit Bloom fingerprint popcount bound (see
-    /// [`crate::signature`]). Only provably a candidate-superset over
-    /// [`FilterSpec::SetSim`] inners — the static verifier rejects
-    /// anything else.
-    Signature {
-        /// The exact filter the signature gates (must be `SetSim`).
-        inner: Box<FilterSpec>,
     },
 }
 
@@ -148,29 +139,6 @@ impl FilterSpec {
             | FilterSpec::Range { a_attr, .. }
             | FilterSpec::SetSim { a_attr, .. }
             | FilterSpec::EditSim { a_attr, .. } => a_attr,
-            FilterSpec::Signature { inner, .. } => inner.a_attr(),
-        }
-    }
-
-    /// Wrap this spec with a signature pre-filter when the signature
-    /// layer is provably lossless for it (set-similarity filters only);
-    /// other specs are returned unchanged. This is the only constructor
-    /// planner code should use — it adds no obligation `verify()` can
-    /// reject.
-    pub fn with_signature(self) -> FilterSpec {
-        match self {
-            spec @ FilterSpec::SetSim { .. } => FilterSpec::Signature {
-                inner: Box::new(spec),
-            },
-            spec => spec,
-        }
-    }
-
-    /// Strip any signature wrapper, yielding the exact filter spec.
-    pub fn without_signature(&self) -> &FilterSpec {
-        match self {
-            FilterSpec::Signature { inner, .. } => inner.without_signature(),
-            spec => spec,
         }
     }
 
@@ -200,10 +168,10 @@ impl FilterSpec {
                 obs
             }
             FilterSpec::SetSim { sim, threshold, .. } => vec![
-                // Prefix/position/length filtering is derived from token
-                // *set* overlap bounds; a non-set measure (even one that
-                // happens to carry a tokenizer, like MongeElkan) admits no
-                // such bound.
+                // Prefix/position/length filtering and the fingerprints'
+                // popcount bound are derived from token *set* overlap
+                // bounds; a non-set measure (even one that happens to
+                // carry a tokenizer, like MongeElkan) admits no such bound.
                 (Obligation::SetBasedSim, sim.is_set_based()),
                 (Obligation::ThresholdFinite, threshold.is_finite()),
                 // t <= 0 would make the prefix filter prune zero-overlap
@@ -214,21 +182,6 @@ impl FilterSpec {
                 (Obligation::ThresholdFinite, threshold.is_finite()),
                 (Obligation::ThresholdPositive, *threshold > 0.0),
             ],
-            FilterSpec::Signature { inner } => {
-                // The inner filter's obligations still apply verbatim (the
-                // exact path runs behind the gate), plus the superset
-                // proof: the popcount bound is derived from the
-                // set-overlap requirement `required_overlap`, which exists
-                // only for set-similarity filters. Wrapping anything else
-                // (ranges, equality, edit distance, another signature) has
-                // no such bound and could prune satisfying pairs.
-                let mut obs = inner.obligations();
-                obs.push((
-                    Obligation::SignatureSuperset,
-                    matches!(**inner, FilterSpec::SetSim { .. }),
-                ));
-                obs
-            }
         }
     }
 
@@ -266,10 +219,6 @@ pub enum Obligation {
     /// A relative range width must be below one for the probe window to
     /// be invertible (`rel_diff` ranges over [0, 2]).
     RelativeWidthBelowOne,
-    /// A signature pre-filter must be provably a candidate-superset: the
-    /// popcount bound exists only for set-similarity filters, so only a
-    /// `SetSim` inner can be wrapped.
-    SignatureSuperset,
 }
 
 impl Obligation {
@@ -282,10 +231,6 @@ impl Obligation {
             Obligation::WidthFinite => "range width is finite",
             Obligation::WidthNonNegative => "range width is non-negative",
             Obligation::RelativeWidthBelowOne => "relative range width is below one",
-            Obligation::SignatureSuperset => {
-                "signature pre-filter provably passes a candidate superset \
-                 (requires a set-similarity inner filter)"
-            }
         }
     }
 }
@@ -395,10 +340,10 @@ impl ProbeTokens {
     }
 }
 
-/// How a signature-wrapped predicate index answers a probe. Chosen per
-/// conjunct by the planner from signature density and postings stats
-/// ([`PredicateIndex::plan_probe_mode`]); every mode yields a lossless
-/// candidate set, they differ only in cost.
+/// How a set-similarity index answers a probe. Planned per index when it
+/// is built, from its column's fingerprint density and its postings
+/// statistics ([`PredicateIndex::plan_probe_mode`]); every mode yields a
+/// lossless candidate set, they differ only in cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeMode {
     /// Exact filters only (signatures too dense to prune anything).
@@ -460,7 +405,8 @@ pub enum PredicateIndex {
         /// True for `rel_diff`.
         relative: bool,
     },
-    /// Prefix/position/length filters for one set-similarity predicate.
+    /// Prefix/position/length filters for one set-similarity predicate,
+    /// behind its column's fingerprints.
     SetSim {
         /// Prefix inverted index (over the shared [`TokenColumn`]).
         index: PrefixIndex,
@@ -474,15 +420,8 @@ pub enum PredicateIndex {
         threshold: f64,
         /// Ids with missing values (always candidates); the column's list.
         missing: Arc<[TupleId]>,
-    },
-    /// Signature pre-filter over an exact set-similarity bundle: a dense
-    /// Bloom fingerprint column consulted before (or instead of) the
-    /// inner inverted-index probe.
-    Signature {
         /// Per-tuple fingerprints (one allocation per column).
         sigs: Arc<SignatureIndex>,
-        /// The exact filter bundle behind the gate (always `SetSim`).
-        exact: Box<PredicateIndex>,
         /// The cheapest lossless probe mode, planned once at build
         /// ([`PredicateIndex::plan_probe_mode`]).
         mode: ProbeMode,
@@ -609,18 +548,7 @@ impl PredicateIndex {
                 }
             }
             FilterSpec::SetSim { sim, threshold, .. } => {
-                build_setsim(a, attr_idx, *sim, *threshold, shared, false)?
-            }
-            FilterSpec::Signature { inner } => {
-                // `verify()` above proved the inner is SetSim; the fallback
-                // arm keeps the function total if that invariant ever
-                // weakens (an unwrapped build is recall-safe regardless).
-                match &**inner {
-                    FilterSpec::SetSim { sim, threshold, .. } => {
-                        build_setsim(a, attr_idx, *sim, *threshold, shared, true)?
-                    }
-                    other => Self::try_build(a, other, shared)?,
-                }
+                build_setsim(a, attr_idx, *sim, *threshold, shared)?
             }
             FilterSpec::EditSim { threshold, .. } => {
                 let t = *threshold;
@@ -681,22 +609,22 @@ impl PredicateIndex {
 
     /// Borrowed-value form of [`PredicateIndex::probe`]: probe with a
     /// [`ValueRef`] pulled straight from a columnar table.
-    /// Signature-wrapped indexes probe in their self-planned mode.
+    /// Set-similarity indexes probe in their planned mode.
     pub fn probe_ref(&self, b_value: ValueRef<'_>) -> Candidates {
         let mut stats = ProbeStats::default();
         self.probe_ref_stats(b_value, self.plan_probe_mode(), &mut stats)
     }
 
     /// The cheapest lossless probe mode for this index, planned when it
-    /// was built. Non-signature indexes always run exact
-    /// ([`ProbeMode::Off`]); for signature bundles the decision weighs
-    /// signature density (dense fingerprints cannot prune) against
-    /// expected inverted-index work per probe (when a probe is expected
-    /// to touch more postings than there are signed tuples, a flat
-    /// signature scan is cheaper than walking postings).
+    /// was built. Scalar and edit indexes always run exact
+    /// ([`ProbeMode::Off`]); for a set-similarity index the decision
+    /// weighs fingerprint density (dense fingerprints cannot prune)
+    /// against expected inverted-index work per probe (when a probe is
+    /// expected to touch more postings than there are signed tuples, a
+    /// flat signature scan is cheaper than walking postings).
     pub fn plan_probe_mode(&self) -> ProbeMode {
         match self {
-            PredicateIndex::Signature { mode, .. } => *mode,
+            PredicateIndex::SetSim { mode, .. } => *mode,
             _ => ProbeMode::Off,
         }
     }
@@ -727,7 +655,6 @@ impl PredicateIndex {
     pub fn token_source(&self) -> Option<(Tokenizer, &Arc<TokenOrder>)> {
         match self {
             PredicateIndex::SetSim { order, sim, .. } => Some((sim.tokenizer()?, order)),
-            PredicateIndex::Signature { exact, .. } => exact.token_source(),
             _ => None,
         }
     }
@@ -743,7 +670,7 @@ impl PredicateIndex {
     /// refuted before any filter of this predicate runs (examined,
     /// `pruned_by_exact`), and a dense scan visits only `w`'s members.
     ///
-    /// `mode` is ignored by non-signature indexes. Every mode is
+    /// `mode` is ignored by scalar and edit indexes. Every mode is
     /// lossless; `Dense` may admit a *superset* of the exact probe's
     /// candidates (exact rule evaluation downstream makes final candidate
     /// pairs identical). `tokens` must be fresh, reset, or already loaded
@@ -792,11 +719,50 @@ impl PredicateIndex {
                 let hits = index.range(y - w, y + w).iter().map(|(_, id)| id);
                 admit(hits, within, stats, sink);
             }
-            PredicateIndex::SetSim { .. } => {
-                return self.probe_set(None, b_value, ProbeMode::Off, tokens, within, stats, sink);
-            }
-            PredicateIndex::Signature { sigs, exact, .. } => {
-                return exact.probe_set(Some(sigs), b_value, mode, tokens, within, stats, sink);
+            PredicateIndex::SetSim {
+                index,
+                order,
+                sim,
+                threshold,
+                missing,
+                sigs,
+                ..
+            } => {
+                // `try_build` only constructs SetSim from set-based sims;
+                // if that invariant ever breaks, skip filtering (returning
+                // everything is recall-safe — the reducer re-checks rules).
+                let Some(tokenizer) = sim.tokenizer() else {
+                    return false;
+                };
+                if !tokens.loaded {
+                    tokens.load(b_value, tokenizer, order);
+                }
+                if tokens.missing {
+                    return false;
+                }
+                admit(&missing[..], within, stats, sink);
+                let y_len = tokens.hashes.len();
+                let ProbeTokens {
+                    seen,
+                    hashes,
+                    sig,
+                    table,
+                    ..
+                } = tokens;
+                // A tokenless probe has no signature to test (and no
+                // postings).
+                let gate = (mode != ProbeMode::Off && y_len > 0).then(|| {
+                    let probe = sig.get_or_insert_with(|| ProbeSig::build(hashes.iter().copied()));
+                    (&**sigs, &*probe)
+                });
+                match gate {
+                    Some((sigs, probe)) if mode == ProbeMode::Dense => {
+                        sigs.scan_dense(probe, *sim, *threshold, within, table, stats, sink);
+                    }
+                    _ => index.probe_gated(
+                        seen, y_len, *sim, *threshold, gate, within, table, stats, sink,
+                    ),
+                }
             }
             PredicateIndex::Edit {
                 lengths,
@@ -852,70 +818,6 @@ impl PredicateIndex {
         true
     }
 
-    /// Set-similarity arm of [`PredicateIndex::probe_into`], for the exact
-    /// bundle alone (`sigs = None`) or behind its signature column.
-    #[allow(clippy::too_many_arguments)]
-    fn probe_set(
-        &self,
-        sigs: Option<&SignatureIndex>,
-        b_value: ValueRef<'_>,
-        mode: ProbeMode,
-        tokens: &mut ProbeTokens,
-        within: Option<&CandidateBitmap>,
-        stats: &mut ProbeStats,
-        sink: &mut impl FnMut(TupleId),
-    ) -> bool {
-        // The static verifier only admits SetSim inners; the fallback arm
-        // keeps this total (an ungated exact probe is always lossless).
-        let PredicateIndex::SetSim {
-            index,
-            order,
-            sim,
-            threshold,
-            missing,
-        } = self
-        else {
-            return self.probe_into(b_value, ProbeMode::Off, tokens, within, stats, sink);
-        };
-        // `try_build` only constructs SetSim from set-based sims; if that
-        // invariant ever breaks, skip filtering (returning everything is
-        // recall-safe — the reducer re-checks rules).
-        let Some(tokenizer) = sim.tokenizer() else {
-            return false;
-        };
-        if !tokens.loaded {
-            tokens.load(b_value, tokenizer, order);
-        }
-        if tokens.missing {
-            return false;
-        }
-        admit(&missing[..], within, stats, sink);
-        let y_len = tokens.hashes.len();
-        let ProbeTokens {
-            seen,
-            hashes,
-            sig,
-            table,
-            ..
-        } = tokens;
-        // A tokenless probe has no signature to test (and no postings).
-        let gate = sigs
-            .filter(|_| mode != ProbeMode::Off && y_len > 0)
-            .map(|s| {
-                let probe = sig.get_or_insert_with(|| ProbeSig::build(hashes.iter().copied()));
-                (s, &*probe)
-            });
-        match gate {
-            Some((sigs, probe)) if mode == ProbeMode::Dense => {
-                sigs.scan_dense(probe, *sim, *threshold, within, table, stats, sink);
-            }
-            _ => index.probe_gated(
-                seen, y_len, *sim, *threshold, gate, within, table, stats, sink,
-            ),
-        }
-        true
-    }
-
     /// Estimated memory footprint in bytes (gates physical-operator
     /// selection against the mapper memory budget).
     pub fn estimated_bytes(&self) -> usize {
@@ -930,10 +832,13 @@ impl PredicateIndex {
                 index,
                 order,
                 missing,
+                sigs,
                 ..
-            } => index.estimated_bytes() + order.estimated_bytes() + missing.len() * 4,
-            PredicateIndex::Signature { sigs, exact, .. } => {
-                sigs.estimated_bytes() + exact.estimated_bytes()
+            } => {
+                index.estimated_bytes()
+                    + order.estimated_bytes()
+                    + missing.len() * 4
+                    + sigs.estimated_bytes()
             }
             PredicateIndex::Edit {
                 lengths,
@@ -995,14 +900,13 @@ fn rendered_key<'a>(v: ValueRef<'a>, scratch: &'a mut String) -> &'a str {
 
 /// Assemble the prefix-filter bundle for one set-similarity predicate
 /// over its rank-space column — the postings are all this spec builds of
-/// its own — wrapped in that column's fingerprints when `gated`.
+/// its own — behind that column's fingerprints, in its planned mode.
 fn build_setsim(
     a: &Table,
     attr_idx: usize,
     sim: SimFunction,
     threshold: f64,
     shared: Option<&mut TokenColumn>,
-    gated: bool,
 ) -> Result<PredicateIndex, IndexError> {
     let tokenizer = sim.tokenizer().ok_or_else(|| IndexError::NotSetBased {
         sim: format!("{sim:?}"),
@@ -1012,37 +916,31 @@ fn build_setsim(
         Some(shared) => shared,
         None => own.insert(TokenColumn::of_table(a, attr_idx, tokenizer)),
     };
-    let exact = PredicateIndex::SetSim {
-        index: PrefixIndex::build(column, sim, threshold),
+    let index = PrefixIndex::build(column, sim, threshold);
+    let sigs = column.fingerprints();
+    Ok(PredicateIndex::SetSim {
+        mode: plan_mode(&sigs, &index),
+        index,
         order: Arc::clone(&column.order),
         missing: Arc::clone(&column.missing),
+        sigs,
         sim,
         threshold,
-    };
-    if !gated {
-        return Ok(exact);
-    }
-    let sigs = column.fingerprints();
-    Ok(PredicateIndex::Signature {
-        mode: plan_mode(&sigs, &exact),
-        sigs,
-        exact: Box::new(exact),
     })
 }
 
 /// See [`PredicateIndex::plan_probe_mode`].
-fn plan_mode(sigs: &SignatureIndex, exact: &PredicateIndex) -> ProbeMode {
+fn plan_mode(sigs: &SignatureIndex, index: &PrefixIndex) -> ProbeMode {
     // A near-saturated fingerprint column refutes almost nothing:
     // popcounts become pure overhead, so run the exact path alone.
     if sigs.density() >= 0.5 {
         return ProbeMode::Off;
     }
     let signed = sigs.signed_count() as f64;
-    match exact {
-        PredicateIndex::SetSim { index, .. } if signed > 0.0 && index.probe_work >= signed => {
-            ProbeMode::Dense
-        }
-        _ => ProbeMode::Gate,
+    if signed > 0.0 && index.probe_work >= signed {
+        ProbeMode::Dense
+    } else {
+        ProbeMode::Gate
     }
 }
 

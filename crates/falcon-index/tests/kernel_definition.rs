@@ -203,11 +203,10 @@ proptest! {
             SimFunction::Overlap(tokenizer),
         ] {
             for threshold in [0.2, 1.0 / 3.0, 0.5, 0.5 + 1e-9, 0.75, 1.0] {
-                let spec = FilterSpec::SetSim { a_attr: "x".into(), sim, threshold }
-                    .with_signature();
+                let spec = FilterSpec::SetSim { a_attr: "x".into(), sim, threshold };
                 let idx = PredicateIndex::try_build(&a, &spec, Some(&mut column)).expect("valid filter spec");
-                let PredicateIndex::Signature { sigs, .. } = &idx else {
-                    panic!("expected a signature bundle");
+                let PredicateIndex::SetSim { sigs, .. } = &idx else {
+                    panic!("expected a set-similarity index");
                 };
                 let (_, order) = idx.token_source().expect("set-similarity index");
                 for (b, ids) in b_vals.iter().zip(&b_ids) {
@@ -298,14 +297,14 @@ proptest! {
             FilterSpec::EditSim { a_attr: "x".into(), threshold: 0.6 },
             FilterSpec::EditSim { a_attr: "x".into(), threshold: 0.9 },
             set(SimFunction::Jaccard(word), 0.5),
-            set(SimFunction::Cosine(Tokenizer::QGram(2)), 0.4).with_signature(),
-            set(SimFunction::Overlap(word), 0.5).with_signature(),
-            set(SimFunction::Dice(word), 0.3).with_signature(),
+            set(SimFunction::Cosine(Tokenizer::QGram(2)), 0.4),
+            set(SimFunction::Overlap(word), 0.5),
+            set(SimFunction::Dice(word), 0.3),
         ];
         for spec in &specs {
             let idx = PredicateIndex::try_build(&a, spec, None).expect("valid filter spec");
             let signed = |id: usize| match (&idx, a_vals.get(id)) {
-                (PredicateIndex::Signature { sigs, .. }, Some(_)) => {
+                (PredicateIndex::SetSim { sigs, .. }, Some(_)) => {
                     sigs.size(id as TupleId) != falcon_index::signature::SIG_NO_TOKENS
                 }
                 _ => false,
@@ -323,7 +322,7 @@ proptest! {
                         full.pairs_examined,
                         full.pruned_by_signature + full.pruned_by_exact + full.survived
                     );
-                    if !matches!(spec, FilterSpec::SetSim { .. } | FilterSpec::Signature { .. } | FilterSpec::EditSim { .. }) {
+                    if !matches!(spec, FilterSpec::SetSim { .. } | FilterSpec::EditSim { .. }) {
                         // Scalar hits are pre-filtered: nothing to prune.
                         prop_assert_eq!(full.pairs_examined, full.survived);
                     }
@@ -344,7 +343,7 @@ proptest! {
                         // it examines without W.
                         let tokenizer = idx.token_source().map(|(t, _)| t);
                         let dense = mode == ProbeMode::Dense
-                            && matches!(idx, PredicateIndex::Signature { .. })
+                            && matches!(idx, PredicateIndex::SetSim { .. })
                             && tokenizer.is_some_and(|t| !t.tokenize(&b.render()).is_empty());
                         if dense {
                             let missing = a_vals.iter().filter(|v| v.render().is_empty()).count();

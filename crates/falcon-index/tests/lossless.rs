@@ -115,7 +115,7 @@ fn cand_set(c: &Candidates) -> Option<Vec<falcon_table::TupleId>> {
     }
 }
 
-/// Signature-specific losslessness: probe the signature-wrapped index in
+/// Signature-specific losslessness: probe the set-similarity index in
 /// every mode (exact-only, gated, dense) — the mode is an argument here,
 /// so each one is forced in turn, whatever the planner would pick — and
 /// check that none of them ever loses a ground-truth candidate of the
@@ -130,8 +130,7 @@ fn check_signature(sim: SimFunction, t: f64, a: &Table, b_vals: &[Value]) {
         a_attr: "x".into(),
         sim,
         threshold: t,
-    }
-    .with_signature();
+    };
     let idx = PredicateIndex::try_build(a, &spec, None).expect("valid filter spec");
     for b in b_vals {
         let mut per_mode = Vec::new();
@@ -360,62 +359,10 @@ mod static_rejection {
         );
     }
 
-    /// Static twin of `signature_prefilter_lossless`: any signature
-    /// configuration that cannot be proved a candidate-superset is
-    /// refused at build time with the violated obligation.
-    #[test]
-    fn unsound_signature_configs_are_rejected() {
-        let setsim = FilterSpec::SetSim {
-            a_attr: "x".into(),
-            sim: SimFunction::Jaccard(Tokenizer::Word),
-            threshold: 0.5,
-        };
-        // The popcount bound only exists for set-overlap measures: any
-        // non-SetSim inner has no superset proof.
-        for inner in [
-            FilterSpec::Equals { a_attr: "x".into() },
-            FilterSpec::Range {
-                a_attr: "x".into(),
-                width: 1.0,
-                relative: false,
-            },
-            FilterSpec::EditSim {
-                a_attr: "x".into(),
-                threshold: 0.5,
-            },
-            FilterSpec::Signature {
-                inner: Box::new(setsim.clone()),
-            },
-        ] {
-            let ob = rejected(FilterSpec::Signature {
-                inner: Box::new(inner.clone()),
-            });
-            assert_eq!(ob, Obligation::SignatureSuperset, "inner={inner:?}");
-        }
-        // Inner obligations propagate through the wrapper.
-        let ob = rejected(FilterSpec::Signature {
-            inner: Box::new(FilterSpec::SetSim {
-                a_attr: "x".into(),
-                sim: SimFunction::Jaccard(Tokenizer::Word),
-                threshold: 0.0,
-            }),
-        });
-        assert_eq!(ob, Obligation::ThresholdPositive);
-        // `with_signature` never wraps what it cannot prove.
-        let eq = FilterSpec::Equals { a_attr: "x".into() };
-        assert_eq!(eq.clone().with_signature(), eq);
-    }
-
     #[test]
     fn safe_specs_still_build() {
         for spec in [
             FilterSpec::Equals { a_attr: "x".into() },
-            FilterSpec::SetSim {
-                a_attr: "x".into(),
-                sim: SimFunction::Jaccard(Tokenizer::Word),
-                threshold: 0.4,
-            }
-            .with_signature(),
             FilterSpec::SetSim {
                 a_attr: "x".into(),
                 sim: SimFunction::Jaccard(Tokenizer::Word),
